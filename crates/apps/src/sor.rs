@@ -345,6 +345,14 @@ pub fn run_message_passing(
         // Distribute the initial grid: the root computes it and sends each
         // worker its band (plus ghost rows are exchanged per iteration).
         let mut band: Vec<f64>;
+        // A neighbour can run at most one iteration ahead of us (it needs our
+        // row to go further), so at most one early message per neighbour has
+        // to be stashed for the next iteration. Distant workers can finish the
+        // whole computation early, so their final result bands (tag 3) may
+        // also arrive while the root is still iterating; they are stashed for
+        // the gather phase.
+        let mut early_above: Option<Vec<f64>> = None;
+        let mut early_below: Option<Vec<f64>> = None;
         if me == 0 {
             let grid = sor_initial(rows, cols);
             ctx.compute((2 * cols + rows) as u64);
@@ -361,22 +369,27 @@ pub fn run_message_passing(
             }
             band = grid[lo * cols..hi * cols].to_vec();
         } else {
-            let (_src, msg) = ctx.recv().unwrap();
-            let MpMsg::Floats { data, .. } = msg else {
-                panic!("expected band")
+            // A neighbour that already has its band sends its first ghost
+            // row (4 KB at paper size) at once, and that can be delivered
+            // here ahead of the root's 1 MB band: take the band by its tag
+            // and keep the early rows for the first iteration.
+            band = loop {
+                let (src, msg) = ctx.recv().unwrap();
+                let MpMsg::Floats { tag, data } = msg else {
+                    panic!("expected band")
+                };
+                if tag == 0 {
+                    break data;
+                }
+                if src + 1 == me {
+                    early_above = Some(data);
+                } else {
+                    early_below = Some(data);
+                }
             };
-            band = data;
         }
         let mut ghost_above = vec![0.0f64; cols];
         let mut ghost_below = vec![0.0f64; cols];
-        // A neighbour can run at most one iteration ahead of us (it needs our
-        // row to go further), so at most one early message per neighbour has
-        // to be stashed for the next iteration. Distant workers can finish the
-        // whole computation early, so their final result bands (tag 3) may
-        // also arrive while the root is still iterating; they are stashed for
-        // the gather phase.
-        let mut early_above: Option<Vec<f64>> = None;
-        let mut early_below: Option<Vec<f64>> = None;
         let mut early_bands: Vec<(usize, Vec<f64>)> = Vec::new();
         for _iter in 0..iterations {
             // Exchange boundary rows with neighbours (send first, then
@@ -533,6 +546,19 @@ mod tests {
         let params = SorParams::small(24, 16, 4, 3);
         let (_m, grid) = run_message_passing(params, CostModel::fast_test()).unwrap();
         assert!(close(&grid, &serial(24, 16, 4)));
+    }
+
+    /// Paper-sized bands (what `table5_sor` runs): the root is still copying
+    /// out a worker's 1 MB band when that worker's neighbour, band in hand,
+    /// sends its first ghost row — so the row is delivered first.
+    #[test]
+    fn message_passing_sor_matches_serial_when_ghost_rows_beat_the_band() {
+        let reference = serial(1024, 512, 2);
+        for procs in [2, 4, 8] {
+            let params = SorParams::small(1024, 512, 2, procs);
+            let (_m, grid) = run_message_passing(params, CostModel::sun_ethernet_1991()).unwrap();
+            assert!(close(&grid, &reference), "{procs} processes");
+        }
     }
 
     #[test]

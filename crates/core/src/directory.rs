@@ -62,6 +62,13 @@ pub struct ObjectState {
     /// thread); incoming requests for it are deferred — the moral equivalent
     /// of the paper's per-entry access-control semaphore.
     pub busy: bool,
+    /// The local user thread's fetch of this (busy) entry was interrupted by
+    /// a peer's death and it is polling every live peer for a surviving copy
+    /// (`refetch_orphan`). Broadcast copyset queries are answered at once
+    /// while this is set, not deferred behind `busy`: two nodes recovering
+    /// the same object would otherwise each hold the other's query until
+    /// their own round ends — which waits for the other's reply.
+    pub recovering: bool,
     /// The local user thread holds this entry's access rights for an
     /// in-progress memory access (the check-then-act window between the
     /// rights check and the actual read/write of segment memory). Unlike

@@ -102,10 +102,13 @@ pub enum EventKind {
     /// This node served an `ObjectFetch` with `ObjectData`.
     FetchServe,
     /// An update-bearing transmission was assigned a per-(src,dst) sequence
-    /// number and sent (`peer` = destination, `seq` = stream number).
+    /// number and sent (`peer` = destination, `seq` = stream number). An
+    /// owner re-fanning another node's bundle records one per forward, with
+    /// `origin` = that node and `seq` = *its* stream number to the owner:
+    /// the forward draws no number from the owner's own stream.
     UpdateSend,
     /// An in-sequence update transmission was applied
-    /// (`peer` = source, `seq` = stream number).
+    /// (`peer` = the node it came from, `seq` and `origin` as sent).
     UpdateInstall,
     /// An update transmission arrived out of sequence and was deferred.
     UpdateDefer,
@@ -213,6 +216,9 @@ pub struct ObsEvent {
     /// Update-stream sequence number tying an `UpdateSend` to its
     /// `UpdateInstall` (the Perfetto flow id).
     pub seq: Option<u64>,
+    /// The flusher whose stream `seq` belongs to, when that is not the
+    /// sending node (an owner's re-fan of a cooperative relay bundle).
+    pub origin: Option<NodeId>,
     /// Free-form text ([`EventKind::Note`] events).
     pub note: Option<String>,
 }
@@ -228,6 +234,7 @@ impl ObsEvent {
             sync_id: None,
             peer: None,
             seq: None,
+            origin: None,
             note: None,
         }
     }
@@ -248,6 +255,9 @@ impl ObsEvent {
         }
         if let Some(q) = self.seq {
             let _ = write!(s, " seq={q}");
+        }
+        if let Some(o) = self.origin {
+            let _ = write!(s, " origin={}", o.as_usize());
         }
         if self.dur_ns > 0 {
             let _ = write!(s, " dur={}", fmt_ns(self.dur_ns));

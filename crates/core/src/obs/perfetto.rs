@@ -13,7 +13,9 @@
 //! * `UpdateSend`/`UpdateInstall` become thin slices joined by **flow
 //!   arrows** (`ph:"s"` → `ph:"f"`) whose id is the per-(src, dst) update
 //!   sequence stream — `"<src>-<dst>-<seq>"` — so every update transmission
-//!   draws an arrow from the sending node's track to the applying node's;
+//!   draws an arrow from the sending node's track to the applying node's
+//!   (an owner's re-fan of another node's bundle is one more hop, keyed
+//!   `"<origin>:<src>-<dst>-<seq>"` with the origin's stream number);
 //! * everything else becomes a thread-scoped instant (`ph:"i"`);
 //! * each node carries a `flight_recorder` instant whose args report how
 //!   many events were recorded and dropped, which the validator uses to
@@ -27,6 +29,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use munin_sim::NodeId;
 
 use super::{EventKind, ObsEvent, ObsSnapshot};
 
@@ -54,9 +58,13 @@ fn write_us(out: &mut String, ns: u64) {
 
 /// Flow-arrow id for an update transmission: the (src, dst, seq) triple of
 /// the per-destination update sequence stream, rendered as a string so ids
-/// survive JSON number precision.
-fn flow_id(src: usize, dst: usize, seq: u64) -> String {
-    format!("{src}-{dst}-{seq}")
+/// survive JSON number precision. A hop made on another node's behalf names
+/// that node too: `seq` is then from its stream, not from `src`'s.
+fn flow_id(origin: Option<NodeId>, src: usize, dst: usize, seq: u64) -> String {
+    match origin {
+        Some(o) => format!("{}:{src}-{dst}-{seq}", o.as_usize()),
+        None => format!("{src}-{dst}-{seq}"),
+    }
 }
 
 /// Appends the common `"args"` object for an event (object / sync / peer /
@@ -86,6 +94,10 @@ fn write_args(out: &mut String, ev: &ObsEvent) {
     if let Some(q) = ev.seq {
         field(out, &mut first, "seq");
         let _ = write!(out, "{q}");
+    }
+    if let Some(o) = ev.origin {
+        field(out, &mut first, "origin");
+        let _ = write!(out, "{}", o.as_usize());
     }
     if ev.dur_ns > 0 {
         field(out, &mut first, "dur_ns");
@@ -148,7 +160,7 @@ pub fn render_trace(nodes: &[ObsSnapshot]) -> String {
                         let _ = write!(
                             s,
                             ",\"cat\":\"update\",\"name\":\"update\",\"id\":\"{}\"}}",
-                            flow_id(tid, peer.as_usize(), seq)
+                            flow_id(ev.origin, tid, peer.as_usize(), seq)
                         );
                         lines.push(s);
                     }
@@ -164,7 +176,7 @@ pub fn render_trace(nodes: &[ObsSnapshot]) -> String {
                         let _ = write!(
                             s,
                             ",\"cat\":\"update\",\"name\":\"update\",\"id\":\"{}\"}}",
-                            flow_id(peer.as_usize(), tid, seq)
+                            flow_id(ev.origin, peer.as_usize(), tid, seq)
                         );
                         lines.push(s);
                     }
@@ -384,10 +396,20 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one UTF-8 character. It is at most 4 bytes, so
+                    // only those are decoded: validating the whole remaining
+                    // input here made parsing quadratic in the file size.
+                    let end = (self.pos + 4).min(self.bytes.len());
+                    let chunk = &self.bytes[self.pos..end];
+                    let valid = match std::str::from_utf8(chunk) {
+                        Ok(s) => s,
+                        Err(e) => std::str::from_utf8(&chunk[..e.valid_up_to()])
+                            .expect("prefix reported valid by from_utf8"),
+                    };
+                    let c = valid
+                        .chars()
+                        .next()
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -665,6 +687,49 @@ mod tests {
         assert!(validate_trace_str("[{\"ph\":\"i\"").is_err());
         assert!(validate_trace_str("{\"ph\":\"i\"}").is_err());
         assert!(validate_trace_str("[{\"no_ph\":1}]").is_err());
+    }
+
+    #[test]
+    fn strings_decode_escapes_and_multibyte_characters() {
+        // One to four byte characters, every escape the parser knows, and a
+        // multi-byte character as the very last thing before the quote.
+        let text = r#""a\"\\\/\n\r\t\b\f\u00e9 é€😀 \u20ac€""#;
+        let mut parser = Parser::new(text);
+        assert_eq!(
+            parser.string().unwrap(),
+            "a\"\\/\n\r\t\u{8}\u{c}\u{e9} é€😀 \u{20ac}€"
+        );
+        assert_eq!(parser.pos, text.len());
+        assert!(Parser::new("\"no closing quote é").string().is_err());
+        assert!(Parser::new(r#""bad \x escape""#).string().is_err());
+        assert!(Parser::new(r#""short \u12""#).string().is_err());
+    }
+
+    #[test]
+    fn invalid_utf8_inside_a_string_is_rejected() {
+        // A lone continuation byte, a truncated 3-byte sequence before the
+        // quote, and one cut off by the end of the input.
+        for bytes in [
+            &b"\"ok \x80\""[..],
+            &b"\"ok \xe2\x82\""[..],
+            &b"\"ok \xf0\x9f"[..],
+        ] {
+            let mut parser = Parser { bytes, pos: 0 };
+            let err = parser.string().unwrap_err();
+            assert!(err.contains("invalid utf-8"), "got: {err}");
+        }
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_the_input() {
+        // 2 MB of string content. Re-validating the rest of the input for
+        // every character (the old code) is ~10^12 byte checks here; one
+        // bounded decode per character is a few million.
+        let body = "é€x".repeat(350_000);
+        let text = format!("\"{body}\"");
+        let start = std::time::Instant::now();
+        assert_eq!(Parser::new(&text).string().unwrap(), body);
+        assert!(start.elapsed() < std::time::Duration::from_secs(10));
     }
 
     #[test]

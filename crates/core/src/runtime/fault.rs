@@ -551,6 +551,23 @@ impl NodeRuntime {
             self,
             "orphan recovery for {object:?} after death of {dead:?}"
         );
+        // While the round runs, copyset queries for the object are answered
+        // instead of deferred (see `ObjectState::recovering`) — including
+        // any that were deferred before the death was signalled here.
+        self.dir.lock().entry_mut(object).state.recovering = true;
+        self.process_deferred();
+        let outcome = self.orphan_round(object, access, dead);
+        self.dir.lock().entry_mut(object).state.recovering = false;
+        outcome
+    }
+
+    /// The body of [`Self::refetch_orphan`]: query, collect, adopt.
+    fn orphan_round(
+        self: &Arc<Self>,
+        object: ObjectId,
+        access: FetchKind,
+        dead: NodeId,
+    ) -> Result<Option<(munin_sim::Envelope, DsmMsg)>> {
         let mut pending: Vec<NodeId> = self.live_peers().iter().collect();
         let shared: std::sync::Arc<[ObjectId]> = std::sync::Arc::from(vec![object]);
         for peer in &pending {

@@ -493,8 +493,6 @@ impl NodeRuntime {
                     seq,
                 },
             )?;
-            expected_acks += 1;
-            *outstanding.entry(owner).or_default() += 1;
             coop_pending.insert(owner, items);
         }
         // Coalesced items go back to the outbox; they are delivered by the
@@ -532,7 +530,28 @@ impl NodeRuntime {
         // completes only once those re-sends are acknowledged too. Re-sends
         // travel on this node's own lanes, so they can never overtake (or be
         // overtaken by) this node's later flushes.
+        //
+        // `expected_acks` / `outstanding` count `UpdateAck`s; a fan-out ack
+        // is owed by every owner still in `coop_pending`. An `UpdateAck`
+        // counts only against an expectation from its sender. The one that
+        // can arrive unexpected is a re-fan destination's, having overtaken
+        // the `RelayFanoutAck` that names it: it waits in `unclaimed` until
+        // that ack claims it. If the owner dies instead, nobody does —
+        // counting such acks anyway let this loop exit that many acks short
+        // of its degraded broadcast, and the stragglers then answered
+        // whatever this node waited for next.
         let mut acks = 0usize;
+        let mut unclaimed: BTreeMap<NodeId, usize> = BTreeMap::new();
+        /// Takes one off `node`'s count, if it has any.
+        fn take_one(counts: &mut BTreeMap<NodeId, usize>, node: NodeId) -> bool {
+            match counts.get_mut(&node) {
+                Some(n) if *n > 0 => {
+                    *n -= 1;
+                    true
+                }
+                _ => false,
+            }
+        }
         let mut handled = crate::nodeset::NodeSet::EMPTY;
         while acks < expected_acks || !coop_pending.is_empty() {
             let (env, reply) =
@@ -563,21 +582,25 @@ impl NodeRuntime {
                 };
             match reply {
                 DsmMsg::RelayFanoutAck { refanned, rejected } => {
-                    acks += 1;
-                    if let Some(o) = outstanding.get_mut(&env.src) {
-                        *o = o.saturating_sub(1);
-                    }
                     let Some(items) = coop_pending.remove(&env.src) else {
                         // Duplicate ack for an already-settled bundle (the
-                        // stale-sequence path at the owner); counted like a
-                        // duplicate update ack.
+                        // stale-sequence path at the owner).
                         continue;
                     };
                     // Each re-fan destination acknowledges this node
-                    // directly; their acks join this release's count.
-                    expected_acks += refanned.len();
-                    for dest in &refanned {
-                        *outstanding.entry(*dest).or_default() += 1;
+                    // directly; their acks join this release's count — at
+                    // once if they are already here. One that died since
+                    // will never ack, and its death was already signalled.
+                    for dest in refanned {
+                        if self.is_peer_dead(dest) {
+                            continue;
+                        }
+                        expected_acks += 1;
+                        if take_one(&mut unclaimed, dest) {
+                            acks += 1;
+                        } else {
+                            *outstanding.entry(dest).or_default() += 1;
+                        }
                     }
                     if !rejected.is_empty() {
                         // The ownership hint was stale: point it back at the
@@ -609,9 +632,10 @@ impl NodeRuntime {
                     }
                 }
                 DsmMsg::UpdateAck { owned_copysets, .. } => {
-                    acks += 1;
-                    if let Some(o) = outstanding.get_mut(&env.src) {
-                        *o = o.saturating_sub(1);
+                    if take_one(&mut outstanding, env.src) {
+                        acks += 1;
+                    } else {
+                        *unclaimed.entry(env.src).or_default() += 1;
                     }
                     // Batch the heals per missed member, preserving the
                     // normal flush path's one-Update-per-destination shape:
@@ -1549,8 +1573,33 @@ mod tests {
         munin_sim::net::Receiver<DsmMsg>,
         ObjectId,
     ) {
-        let mut table = SharedDataTable::new(64);
-        table.declare("ws", SharingAnnotation::WriteShared, 4, 8, false);
+        let (rt, net, tx1, rx1, tx2, rx2, rx0, objects) = coop_harness_owned_by(&[1]);
+        (rt, net, tx1, rx1, tx2, rx2, rx0, objects[0])
+    }
+
+    /// The same harness with one dirty, non-owned `ws` object per entry of
+    /// `owners`, each with its owner hint at that node.
+    #[allow(clippy::type_complexity)]
+    fn coop_harness_owned_by(
+        owners: &[usize],
+    ) -> (
+        Arc<NodeRuntime>,
+        Network<DsmMsg>,
+        munin_sim::net::Sender<DsmMsg>,
+        munin_sim::net::Receiver<DsmMsg>,
+        munin_sim::net::Sender<DsmMsg>,
+        munin_sim::net::Receiver<DsmMsg>,
+        munin_sim::net::Receiver<DsmMsg>,
+        Vec<ObjectId>,
+    ) {
+        let mut table = SharedDataTable::new(32);
+        table.declare(
+            "ws",
+            SharingAnnotation::WriteShared,
+            4,
+            8 * owners.len(),
+            false,
+        );
         let table = Arc::new(table);
         let cfg = Arc::new(MuninConfig::fast_test(3).with_piggyback(true));
         let clock = NodeClock::new();
@@ -1571,20 +1620,21 @@ mod tests {
         );
         let touched: HashSet<_> = rt.table().objects().iter().map(|o| o.id).collect();
         rt.finish_root_init(&touched);
-        let ws = rt.table().var_by_name("ws").unwrap().objects[0];
-        rt.write_fault(ws).unwrap();
-        rt.install_object_bytes(ws, &[7u8; 32]);
-        {
-            // Not owned here, owner hint at N1, copyset never determined:
-            // exactly the shape that takes the cooperative route.
+        let objects = rt.table().var_by_name("ws").unwrap().objects.clone();
+        assert_eq!(objects.len(), owners.len());
+        for (ws, owner) in objects.iter().zip(owners) {
+            rt.write_fault(*ws).unwrap();
+            rt.install_object_bytes(*ws, &[7u8; 32]);
+            // Not owned here, owner hint at a peer, copyset never
+            // determined: exactly the shape that takes the cooperative route.
             let mut dir = rt.dir.lock();
-            let e = dir.entry_mut(ws);
+            let e = dir.entry_mut(*ws);
             e.state.owned = false;
-            e.probable_owner = NodeId::new(1);
+            e.probable_owner = NodeId::new(*owner);
             assert!(!e.state.copyset_fixed);
         }
         // rx0 is consumed by the caller's server loop; return it alongside.
-        (rt, net, tx1, rx1, tx2, rx2, rx0, ws)
+        (rt, net, tx1, rx1, tx2, rx2, rx0, objects)
     }
 
     /// The owner-cooperative path end-to-end from the flusher's side: a
@@ -1699,5 +1749,107 @@ mod tests {
             .unwrap();
         server.join().unwrap();
         drop(net);
+    }
+    /// Two cooperative owners, one a re-fan destination of the other: N1
+    /// re-fans its bundle to N2, and N2's `UpdateAck` for that reaches the
+    /// origin before N2's own `RelayFanoutAck`. The two kinds of ack owed
+    /// by N2 must not be mistaken for one another.
+    #[test]
+    fn update_ack_from_an_owner_is_not_taken_for_its_fanout_ack() {
+        let (rt, net, tx1, rx1, tx2, rx2, rx0, _objects) = coop_harness_owned_by(&[1, 2]);
+        let server_rt = Arc::clone(&rt);
+        let server = std::thread::spawn(move || server_rt.server_loop(rx0));
+        let flusher_rt = Arc::clone(&rt);
+        let flusher = std::thread::spawn(move || flusher_rt.flush_duq());
+        for rx in [&rx1, &rx2] {
+            let (_env, msg) = rx.recv().unwrap();
+            assert!(matches!(msg, DsmMsg::RelayFanout { .. }));
+        }
+        let fanout_ack = |refanned| DsmMsg::RelayFanoutAck {
+            refanned,
+            rejected: vec![],
+        };
+        tx2.send(
+            NodeId::new(0),
+            "update_ack",
+            40,
+            DsmMsg::UpdateAck {
+                count: 1,
+                owned_copysets: vec![],
+            },
+        )
+        .unwrap();
+        tx2.send(NodeId::new(0), "relay_fanout_ack", 24, fanout_ack(vec![]))
+            .unwrap();
+        tx1.send(
+            NodeId::new(0),
+            "relay_fanout_ack",
+            24,
+            fanout_ack(vec![NodeId::new(2)]),
+        )
+        .unwrap();
+        flusher.join().unwrap().unwrap();
+        tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
+            .unwrap();
+        server.join().unwrap();
+        drop(net);
+    }
+
+    /// Acks are matched to expectations by sender, in either order. A re-fan
+    /// destination's ack may overtake the owner's `RelayFanoutAck` (it is
+    /// then held until claimed), and an ack nobody claims — a dead owner's
+    /// re-fan, here played by a spurious one — must not shorten the count:
+    /// the release used to finish one ack early per such message and leave
+    /// the last real ack in the mailbox for the next wait to trip over.
+    #[test]
+    fn acks_count_only_against_an_expectation_from_their_sender() {
+        let ack = || DsmMsg::UpdateAck {
+            count: 1,
+            owned_copysets: vec![],
+        };
+        for bounce in [false, true] {
+            let (rt, net, tx1, rx1, tx2, rx2, rx0, ws) = coop_harness();
+            let server_rt = Arc::clone(&rt);
+            let server = std::thread::spawn(move || server_rt.server_loop(rx0));
+            let flusher_rt = Arc::clone(&rt);
+            let flusher = std::thread::spawn(move || flusher_rt.flush_duq());
+            let (_env, msg) = rx1.recv().unwrap();
+            assert!(matches!(msg, DsmMsg::RelayFanout { .. }));
+            // N2's ack reaches the origin before the owner's does.
+            tx2.send(NodeId::new(0), "update_ack", 40, ack()).unwrap();
+            let (refanned, rejected) = if bounce {
+                (vec![], vec![ws])
+            } else {
+                (vec![NodeId::new(2)], vec![])
+            };
+            tx1.send(
+                NodeId::new(0),
+                "relay_fanout_ack",
+                24,
+                DsmMsg::RelayFanoutAck { refanned, rejected },
+            )
+            .unwrap();
+            if bounce {
+                // Nobody claimed the early ack, and the fallback broadcast
+                // needs both of its own.
+                for (tx, rx) in [(&tx1, &rx1), (&tx2, &rx2)] {
+                    let (_env, msg) = rx.recv().unwrap();
+                    assert!(matches!(msg, DsmMsg::Update { .. }));
+                    tx.send(NodeId::new(0), "update_ack", 40, ack()).unwrap();
+                }
+            }
+            flusher.join().unwrap().unwrap();
+            tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
+                .unwrap();
+            server.join().unwrap();
+            // Only the `Shutdown` is left for the user thread.
+            while let Ok((_env, left)) = rt.reply_rx.try_recv() {
+                assert!(
+                    matches!(left, DsmMsg::Shutdown),
+                    "bounce={bounce}: {left:?} was left behind in the mailbox"
+                );
+            }
+            drop(net);
+        }
     }
 }

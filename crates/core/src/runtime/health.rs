@@ -52,7 +52,7 @@ use crate::msg::DsmMsg;
 use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
 use crate::stats::bump;
-use crate::sync::{BarrierId, LockId};
+use crate::sync::{BarrierId, LockId, TokenArrival};
 
 use super::{NodeRuntime, WaitOp, WATCHDOG_SLICE};
 
@@ -399,18 +399,32 @@ impl NodeRuntime {
             );
             Ok(reply)
         };
+        // A fetch interrupted by a death can be answered twice: by the
+        // original request, alive after all, and by the `Adopt` its recovery
+        // round sent (`refetch_orphan`). The second read copy arrives after
+        // the fetch is over and would be taken for the reply to whatever
+        // this thread waits for next; it is dropped here instead. (An
+        // ownership transfer cannot be discarded and still surfaces as a
+        // protocol violation.)
+        let late_copy = |reply: &DsmMsg| {
+            matches!(reply, DsmMsg::ObjectData { object, ownership: false, .. }
+                if op != WaitOp::Fetch(*object))
+        };
         loop {
             // A queued real reply beats a death signal: drain genuine
             // progress first so recovery only runs when the operation is
             // actually wedged.
-            if let Ok(reply) = self.reply_rx.try_recv() {
-                return done(reply);
+            match self.reply_rx.try_recv() {
+                Ok(reply) if late_copy(&reply.1) => continue,
+                Ok(reply) => return done(reply),
+                Err(_) => {}
             }
             if let Some(dead) = self.next_unhandled_dead(handled) {
                 handled.insert(dead);
                 return Err(MuninError::PeerDied(dead));
             }
             match self.reply_rx.recv_timeout(WATCHDOG_SLICE) {
+                Ok(reply) if late_copy(&reply.1) => {}
                 Ok(reply) => return done(reply),
                 Err(_) => {
                     self.health_check();
@@ -491,8 +505,9 @@ impl NodeRuntime {
         // Sync walk: lock tokens last seen heading towards the corpse are
         // regenerated at the lock's home (orphaned waiters re-send their
         // acquires there); barriers owned here exclude the dead node from
-        // the arrival count, releasing waiters it was holding up. Release
-        // sends happen outside the sync lock.
+        // the arrival count, releasing waiters it was holding up. Wake-ups
+        // and sends happen outside the sync lock.
+        let mut regenerated: Vec<(LockId, TokenArrival)> = Vec::new();
         let mut barrier_releases: Vec<(BarrierId, Vec<NodeId>)> = Vec::new();
         {
             let mut sync = self.sync.lock();
@@ -505,11 +520,14 @@ impl NodeRuntime {
                 // the token was last seen there.
                 let token_lost = home == self.node && !l.owned && l.probable_owner == dead;
                 l.prune_dead(dead, home);
-                if token_lost && l.regenerate_token(self.node) {
-                    crate::runtime::proto_trace!(
-                        self,
-                        "lock {i} token orphaned by {dead:?}; regenerated at home"
-                    );
+                if token_lost {
+                    if let Some(arrival) = l.regenerate_token(self.node) {
+                        crate::runtime::proto_trace!(
+                            self,
+                            "lock {i} token orphaned by {dead:?}; regenerated at home"
+                        );
+                        regenerated.push((id, arrival));
+                    }
                 }
             }
             for i in 0..sync.barrier_count() {
@@ -523,6 +541,19 @@ impl NodeRuntime {
             }
         }
         let now = self.clock.now();
+        for (id, arrival) in regenerated {
+            // The fresh token goes where a grant would: to this node's own
+            // blocked acquire, else to the first request parked here.
+            let minted = Envelope {
+                src: self.node,
+                dst: self.node,
+                class: "lock_grant",
+                model_bytes: 0,
+                sent_at: now,
+                arrival: now,
+            };
+            self.finish_token_arrival(minted, id, arrival);
+        }
         for (id, waiters) in barrier_releases {
             crate::runtime::proto_trace!(self, "barrier {} opens on exclusion of {dead:?}", id.0);
             self.release_barrier_waiters(id, waiters, now);

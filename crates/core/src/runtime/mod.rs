@@ -243,12 +243,6 @@ pub struct NodeRuntime {
     /// completion wait can reconcile notifications against confirmed deaths.
     done_tx: channel::Sender<NodeId>,
     done_rx: channel::Receiver<NodeId>,
-    /// The lock id (+1) the user thread is blocked acquiring, or 0. The
-    /// service loop consumes it (compare-and-swap to 0) when routing a
-    /// `LockGrant`; a grant nobody is waiting for — possible only after a
-    /// crash-recovery re-acquire raced the original grant — is absorbed
-    /// into the sync state instead of poisoning the reply mailbox.
-    waiting_grant: std::sync::atomic::AtomicU32,
 }
 
 impl NodeRuntime {
@@ -314,7 +308,6 @@ impl NodeRuntime {
                 reply_rx,
                 done_tx,
                 done_rx,
-                waiting_grant: std::sync::atomic::AtomicU32::new(0),
                 cfg,
                 table,
                 clock,
@@ -441,7 +434,25 @@ impl NodeRuntime {
         self.sender
             .send(dst, msg.class(), msg.model_bytes(), msg)
             .map(|_| ())
-            .map_err(MuninError::from)
+            .map_err(|e| self.send_error(dst, e))
+    }
+
+    /// A send fails when the destination has left the run: its inbox is
+    /// closed. While crashes are being tolerated that is reported as what
+    /// the contract promises, a structured `NodeDown`, not as the
+    /// transport's own error — a node cut off from the cluster (the crash
+    /// victim itself, or one that missed the end of the run) otherwise
+    /// races the survivors' teardown for which error it gets.
+    fn send_error(&self, dst: NodeId, e: munin_sim::SimError) -> MuninError {
+        match e {
+            munin_sim::SimError::Disconnected if self.health_enabled() && dst != self.node => {
+                MuninError::NodeDown {
+                    node: dst,
+                    lost_objects: Vec::new(),
+                }
+            }
+            e => e.into(),
+        }
     }
 
     /// Sends a protocol message on behalf of the runtime service thread,
@@ -459,7 +470,7 @@ impl NodeRuntime {
         self.sender
             .send_at(dst, msg.class(), msg.model_bytes(), msg, logical_time)
             .map(|_| ())
-            .map_err(MuninError::from)
+            .map_err(|e| self.send_error(dst, e))
     }
 
     /// Blocks the user thread until the service thread routes it a reply.
@@ -573,39 +584,13 @@ impl NodeRuntime {
     }
 
     /// Hands a reply to the blocked user thread (called by the service loop).
+    /// A `LockGrant` is the one reply that changes state on the way: the
+    /// token is installed here, on the thread its message arrived on (see
+    /// [`Self::install_lock_token`]), and the user thread is merely woken.
     pub(crate) fn route_to_user(self: &Arc<Self>, env: Envelope, msg: DsmMsg) {
-        // Under crash recovery an acquire may be re-issued towards the
-        // lock's home while the original request is still making progress;
-        // if both produce grants, the second arrives when nobody is
-        // waiting. Routing it would poison the next wait, so it is absorbed
-        // into the sync state instead: the token parks here (a consistent
-        // outcome — the granter recorded this node as the new owner) and is
-        // handed straight on if waiters rode in with it. The waiting flag
-        // is consumed by compare-and-swap, so of two racing grants exactly
-        // one reaches the user thread.
-        if self.health_enabled() {
-            if let DsmMsg::LockGrant { lock, queue } = msg {
-                use std::sync::atomic::Ordering;
-                let expected = self
-                    .waiting_grant
-                    .compare_exchange(lock.0 + 1, 0, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok();
-                if !expected {
-                    proto_trace!(self, "absorb stray grant for lock {}", lock.0);
-                    let handoff = {
-                        let mut sync = self.sync.lock();
-                        let l = sync.lock_mut(lock);
-                        l.receive_grant(queue, self.node);
-                        l.release()
-                    };
-                    if let Some((next, rest)) = handoff {
-                        self.send_lock_grant(lock, next, rest, Vec::new());
-                    }
-                    return;
-                }
-                let _ = self.reply_tx.send((env, DsmMsg::LockGrant { lock, queue }));
-                return;
-            }
+        if let DsmMsg::LockGrant { lock, queue } = msg {
+            self.install_lock_token(env, lock, queue);
+            return;
         }
         // The user thread may already have exited (e.g. after a runtime
         // error); dropping the message is then harmless.

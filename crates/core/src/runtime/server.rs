@@ -19,7 +19,7 @@ use crate::msg::{
 };
 use crate::object::ObjectId;
 use crate::stats::{add, bump};
-use crate::sync::RemoteAcquireAction;
+use crate::sync::{RemoteAcquireAction, TokenArrival};
 
 use super::NodeRuntime;
 
@@ -1081,6 +1081,14 @@ impl NodeRuntime {
                     ev.object = dest_items.first().map(|i| i.object);
                     ev.seq = Some(seq);
                 });
+            // This hop's flow start, paired with the `UpdateInstall` in
+            // `handle_relay_forward`.
+            self.obs
+                .record(now.as_nanos(), crate::obs::EventKind::UpdateSend, |ev| {
+                    ev.peer = Some(dest);
+                    ev.seq = Some(seq);
+                    ev.origin = Some(origin);
+                });
             // The forward carries the *origin's* fan-out seq for trace
             // correlation but deliberately does NOT draw a slot from this
             // node's own update stream to `dest`: this service thread may
@@ -1149,6 +1157,7 @@ impl NodeRuntime {
             .record(now.as_nanos(), crate::obs::EventKind::UpdateInstall, |ev| {
                 ev.peer = Some(env.src);
                 ev.seq = Some(seq);
+                ev.origin = Some(origin);
             });
         let (applied, service, _) = self.apply_update_items(items, false, now);
         self.send_service_with_pending(
@@ -1299,6 +1308,8 @@ impl NodeRuntime {
     /// the answer is deferred until the fetch completes: answering "don't
     /// have" while the object data is in flight would let the flusher skip
     /// this node, whose just-fetched copy would then miss the update forever.
+    /// The exception is a fetch stuck in orphan recovery, which waits for
+    /// every peer's answer itself: it answers (truthfully: no copy) at once.
     fn handle_copyset_query(
         self: &Arc<Self>,
         env: Envelope,
@@ -1311,7 +1322,10 @@ impl NodeRuntime {
         // answered "don't have".
         let have: Vec<ObjectId> = {
             let dir = self.dir.lock();
-            if objects.iter().any(|o| dir.entry(*o).state.busy) {
+            if objects.iter().any(|o| {
+                let st = dir.entry(*o).state;
+                st.busy && !st.recovering
+            }) {
                 // No virtual-time charge on a deferred attempt: retry counts
                 // are host-timing dependent. Re-queueing shares the same
                 // `Arc`-backed object list — no copy.
@@ -1423,21 +1437,14 @@ impl NodeRuntime {
         now: munin_sim::VirtTime,
     ) {
         self.charge_sys(self.cost.sync_op());
-        // A crash-recovery re-acquire can chase its own tail: the waiter
-        // re-sent towards the home, the original request was satisfied
-        // after all, and the duplicate is now being forwarded back to a
-        // requester that already holds the token. Drop it — queueing a
-        // node behind itself would deadlock the queue.
-        if self.health_enabled() && requester == self.node {
-            let owned = self.sync.lock().lock(lock).owned;
-            if owned {
-                crate::runtime::proto_trace!(
-                    self,
-                    "drop own looped-back acquire for lock {}",
-                    lock.0
-                );
-                return;
-            }
+        // A node never queues behind, or forwards, its own request. One can
+        // only come back here after crash recovery re-sent it towards the
+        // home, and then some hint names this node: the original request
+        // was served after all (the token is here) or its grant is on the
+        // way. Queueing a node behind itself would deadlock the queue.
+        if requester == self.node {
+            crate::runtime::proto_trace!(self, "drop own looped-back acquire for lock {}", lock.0);
+            return;
         }
         let action = {
             let mut sync = self.sync.lock();
@@ -1445,17 +1452,71 @@ impl NodeRuntime {
         };
         match action {
             RemoteAcquireAction::Forward(next) => {
-                add(&self.stats.lock_messages, 1);
-                let _ = self.send_service(
-                    next,
-                    DsmMsg::LockAcquire { lock, requester },
-                    now + self.cost.sync_op(),
-                );
+                self.forward_lock_acquire(lock, requester, next, now)
             }
             RemoteAcquireAction::Grant => {
                 self.send_lock_grant(lock, requester, Vec::new(), Vec::new());
             }
             RemoteAcquireAction::Queued => {}
+        }
+    }
+
+    /// Sends `requester`'s acquire on to `next` on the service clock.
+    pub(crate) fn forward_lock_acquire(
+        self: &Arc<Self>,
+        lock: crate::sync::LockId,
+        requester: NodeId,
+        next: NodeId,
+        now: munin_sim::VirtTime,
+    ) {
+        add(&self.stats.lock_messages, 1);
+        let _ = self.send_service(
+            next,
+            DsmMsg::LockAcquire { lock, requester },
+            now + self.cost.sync_op(),
+        );
+    }
+
+    /// Installs an arriving lock token — owner, holder and the queue that
+    /// travels with it — in the sync directory. Runs on the service thread
+    /// at the moment the `LockGrant` is dispatched (for a grant framed in a
+    /// carrier, after the carrier's updates are installed), so there is no
+    /// interval in which the wire says "token here" and the directory says
+    /// "not mine": an acquire arriving right behind the grant is queued, not
+    /// bounced back along this node's old hint.
+    pub(crate) fn install_lock_token(
+        self: &Arc<Self>,
+        env: Envelope,
+        lock: crate::sync::LockId,
+        queue: Vec<NodeId>,
+    ) {
+        let arrival = {
+            let mut sync = self.sync.lock();
+            sync.lock_mut(lock).receive_grant(queue, self.node)
+        };
+        self.finish_token_arrival(env, lock, arrival);
+    }
+
+    /// Acts on what [`crate::sync::LockState::receive_grant`] decided: wakes
+    /// the user thread blocked in `acquire_lock` (the token is already
+    /// installed; the reply only carries the arrival time), or sends the
+    /// token on when no local acquire was waiting for it.
+    pub(crate) fn finish_token_arrival(
+        self: &Arc<Self>,
+        env: Envelope,
+        lock: crate::sync::LockId,
+        arrival: TokenArrival,
+    ) {
+        match arrival {
+            TokenArrival::Acquired => {
+                let queue = Vec::new();
+                let _ = self.reply_tx.send((env, DsmMsg::LockGrant { lock, queue }));
+            }
+            TokenArrival::PassedOn(next, rest) => {
+                crate::runtime::proto_trace!(self, "pass unawaited lock {} on to {next:?}", lock.0);
+                self.send_lock_grant(lock, next, rest, Vec::new());
+            }
+            TokenArrival::Idle => {}
         }
     }
 
@@ -2018,6 +2079,7 @@ mod tests {
     fn lock_grant_carrier_installs_migratory_data_with_ownership() {
         let h = harness();
         let mig = h.obj("mig");
+        let lock = crate::sync::LockId(0);
         {
             // This node is not the owner and has no copy: a migratory grant
             // must install the image and hand over ownership anyway.
@@ -2027,6 +2089,13 @@ mod tests {
             e.state.owned = false;
             e.probable_owner = NodeId::new(1);
         }
+        // The token is at node 1 and this node has asked for it back.
+        h.rt.sync
+            .lock()
+            .lock_mut(lock)
+            .handle_remote_acquire(NodeId::new(1));
+        let t0 = h.rt.request_lock(lock).unwrap().expect("remote acquire");
+        assert!(matches!(h.peer_recv(), DsmMsg::LockAcquire { .. }));
         h.peer_tx
             .send(
                 NodeId::new(0),
@@ -2034,7 +2103,7 @@ mod tests {
                 96,
                 DsmMsg::Carrier {
                     inner: Some(Box::new(DsmMsg::LockGrant {
-                        lock: crate::sync::LockId(0),
+                        lock,
                         queue: vec![],
                     })),
                     updates: vec![CarrierUpdate {
@@ -2058,10 +2127,12 @@ mod tests {
         assert!(e.state.owned);
         assert_eq!(e.probable_owner, NodeId::new(0));
         drop(dir);
-        // The framed grant itself was routed to the (test's) user mailbox
-        // only after the install.
-        let (_env, reply) = h.rt.reply_rx.try_recv().unwrap();
-        assert!(matches!(reply, DsmMsg::LockGrant { .. }));
+        // The framed grant itself was dispatched only after the install:
+        // the token is in the directory and the user thread's wake-up is in
+        // its mailbox.
+        let state = h.rt.sync.lock().lock(lock).clone();
+        assert!(state.owned && state.held && !state.awaiting);
+        h.rt.await_lock_grant(lock, t0).unwrap();
     }
 
     /// A barrier-arrive carrier stashes relayed bundles at the owner and
@@ -2260,6 +2331,74 @@ mod tests {
             DsmMsg::CopysetReply { have } => assert_eq!(have, vec![ro]),
             other => panic!("unexpected reply: {other:?}"),
         }
+    }
+
+    /// A query for an entry that is mid-fetch waits for the fetch — unless
+    /// that fetch is itself stuck collecting every peer's answer (orphan
+    /// recovery): two such nodes deferring each other's queries would
+    /// deadlock, so the query is answered at once, and truthfully: no copy.
+    #[test]
+    fn copyset_query_is_not_deferred_behind_an_orphan_recovery_round() {
+        let h = harness();
+        let ws = h.obj("ws");
+        let query = || DsmMsg::CopysetQuery {
+            objects: vec![ws].into(),
+            requester: NodeId::new(1),
+        };
+        {
+            let mut dir = h.rt.dir.lock();
+            let e = dir.entry_mut(ws);
+            e.state.rights = AccessRights::Invalid;
+            e.state.busy = true;
+        }
+        h.peer_tx
+            .send(NodeId::new(0), "copyset_query", 40, query())
+            .unwrap();
+        h.pump();
+        assert_eq!(h.rt.deferred.lock().len(), 1, "mid-fetch: deferred");
+        assert!(h.peer_rx.try_recv().unwrap().is_none());
+        // The fetch turns into an orphan-recovery round: the deferred query
+        // is answered on the next retry.
+        h.rt.dir.lock().entry_mut(ws).state.recovering = true;
+        h.rt.process_deferred();
+        assert!(h.rt.deferred.lock().is_empty());
+        match h.peer_recv() {
+            DsmMsg::CopysetReply { have } => assert!(have.is_empty()),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+    }
+
+    /// Crash recovery can answer one fetch twice (the original request and
+    /// the `Adopt` sent on its behalf). The copy that arrives after the
+    /// fetch is over must not be taken for the reply to the next wait.
+    #[test]
+    fn late_second_copy_does_not_answer_the_next_wait() {
+        let detect = std::time::Duration::from_secs(60);
+        let h = harness_with(MuninConfig::fast_test(2).with_detect(detect));
+        let ws = h.obj("ws");
+        let copy = DsmMsg::ObjectData {
+            object: ws,
+            data: vec![1u8; 32],
+            ownership: false,
+            copyset: CopySet::EMPTY,
+            writable: false,
+        };
+        let release = DsmMsg::BarrierRelease {
+            barrier: crate::sync::BarrierId(0),
+        };
+        let mut handled = crate::nodeset::NodeSet::EMPTY;
+        h.rt.handle_incoming(rel_env(), copy.clone());
+        h.rt.handle_incoming(rel_env(), release);
+        let (_env, reply) =
+            h.rt.wait_reply_or_dead(crate::runtime::WaitOp::BarrierRelease(0), &mut handled)
+                .unwrap();
+        assert!(matches!(reply, DsmMsg::BarrierRelease { .. }));
+        // The same message *is* the reply while that object is being fetched.
+        h.rt.handle_incoming(rel_env(), copy);
+        let (_env, reply) =
+            h.rt.wait_reply_or_dead(crate::runtime::WaitOp::Fetch(ws), &mut handled)
+                .unwrap();
+        assert!(matches!(reply, DsmMsg::ObjectData { .. }));
     }
 
     #[test]
@@ -2548,6 +2687,7 @@ mod tests {
     struct Harness3 {
         rt: Arc<NodeRuntime>,
         tx1: munin_sim::Sender<DsmMsg>,
+        tx2: munin_sim::Sender<DsmMsg>,
         rx1: munin_sim::Receiver<DsmMsg>,
         rx2: munin_sim::Receiver<DsmMsg>,
         rt_rx: munin_sim::Receiver<DsmMsg>,
@@ -2562,7 +2702,7 @@ mod tests {
         let mut net: Network<DsmMsg> = Network::new(3, CostModel::fast_test());
         let (tx0, rx0) = net.endpoint(0, clock0.clone()).unwrap();
         let (tx1, rx1) = net.endpoint(1, NodeClock::new()).unwrap();
-        let (_tx2, rx2) = net.endpoint(2, NodeClock::new()).unwrap();
+        let (tx2, rx2) = net.endpoint(2, NodeClock::new()).unwrap();
         let rt = NodeRuntime::new(
             NodeId::new(0),
             3,
@@ -2579,6 +2719,7 @@ mod tests {
         Harness3 {
             rt,
             tx1,
+            tx2,
             rx1,
             rx2,
             rt_rx: rx0,
@@ -2594,6 +2735,90 @@ mod tests {
             let (env, msg) = self.rt_rx.recv().unwrap();
             self.rt.handle_request(env, msg);
         }
+
+        /// Delivers the next message through the service loop's full
+        /// dispatch (replies included), as `server_loop` would.
+        fn serve(&self) {
+            let (env, msg) = self.rt_rx.recv().unwrap();
+            self.rt.handle_incoming(env, msg);
+        }
+    }
+
+    /// The hand-off window, pinned. Node 0 has asked node 1 for the token; a
+    /// third node's request and the grant both reach node 0's service loop
+    /// before its user thread runs again — in either order. Nothing may
+    /// leave node 0 (the replaced code bounced the request back to node 1
+    /// along the stale hint until the user thread installed the grant), and
+    /// node 0's release must grant to the third node.
+    fn third_party_request_in_the_handoff_window(request_first: bool) {
+        let h = harness3();
+        let lock = crate::sync::LockId(0);
+        let acquire = |requester: usize| DsmMsg::LockAcquire {
+            lock,
+            requester: NodeId::new(requester),
+        };
+        // Node 1 takes the free token from its home, node 0.
+        h.tx1
+            .send(NodeId::new(0), "lock_acquire", 8, acquire(1))
+            .unwrap();
+        h.serve();
+        assert!(matches!(h.rx1.recv().unwrap().1, DsmMsg::LockGrant { .. }));
+        // Node 0's user thread asks for it back — the first half of
+        // `acquire_lock`, run here so the test owns the interleaving.
+        let t0 = h.rt.request_lock(lock).unwrap().expect("remote acquire");
+        assert!(matches!(
+            h.rx1.recv().unwrap().1,
+            DsmMsg::LockAcquire { .. }
+        ));
+        let grant = DsmMsg::LockGrant {
+            lock,
+            queue: vec![],
+        };
+        if request_first {
+            h.tx2
+                .send(NodeId::new(0), "lock_acquire", 8, acquire(2))
+                .unwrap();
+            h.serve();
+            let state = h.rt.sync.lock().lock(lock).clone();
+            assert!(!state.owned && state.awaiting, "parked, token not here yet");
+            assert_eq!(state.queue, vec![NodeId::new(2)]);
+            h.tx1.send(NodeId::new(0), "lock_grant", 8, grant).unwrap();
+            h.serve();
+        } else {
+            h.tx1.send(NodeId::new(0), "lock_grant", 8, grant).unwrap();
+            h.serve();
+            // Installed where it arrived: the user thread has not run.
+            let state = h.rt.sync.lock().lock(lock).clone();
+            assert!(state.owned && state.held && !state.awaiting);
+            h.tx2
+                .send(NodeId::new(0), "lock_acquire", 8, acquire(2))
+                .unwrap();
+            h.serve();
+        }
+        let state = h.rt.sync.lock().lock(lock).clone();
+        assert!(state.owned && state.held);
+        assert_eq!(state.queue, vec![NodeId::new(2)]);
+        assert!(h.rx1.try_recv().unwrap().is_none(), "nothing bounced to N1");
+        assert!(h.rx2.try_recv().unwrap().is_none(), "nothing sent to N2");
+        // The user thread wakes to a lock it already holds, and its release
+        // hands the token to the queued third node.
+        h.rt.await_lock_grant(lock, t0).unwrap();
+        h.rt.release_lock(lock).unwrap();
+        match h.rx2.recv().unwrap().1 {
+            DsmMsg::LockGrant { queue, .. } => assert!(queue.is_empty()),
+            other => panic!("expected LockGrant at N2, got {other:?}"),
+        }
+        assert!(!h.rt.sync.lock().lock(lock).owned);
+    }
+
+    #[test]
+    fn request_right_behind_the_grant_is_queued_not_bounced() {
+        third_party_request_in_the_handoff_window(false);
+    }
+
+    #[test]
+    fn request_ahead_of_the_grant_is_parked_not_forwarded() {
+        third_party_request_in_the_handoff_window(true);
     }
 
     /// The owner side of the cooperative relay: a `RelayFanout` bundle from

@@ -38,17 +38,33 @@ impl NodeRuntime {
         self.close_coalescing_window()?;
         bump(&self.stats.lock_acquires);
         self.charge_sys(self.cost.sync_op());
+        let Some(t0) = self.request_lock(lock)? else {
+            return Ok(());
+        };
+        let granted = self.await_lock_grant(lock, t0);
+        if granted.is_err() {
+            self.abandon_lock_acquire(lock);
+        }
+        granted
+    }
+
+    /// First half of an acquire. Takes the lock on the spot when it is free
+    /// at this node (`None`); otherwise marks the acquire outstanding, sends
+    /// the request along the probable-owner hint and returns the virtual
+    /// time the wait began.
+    pub(crate) fn request_lock(self: &Arc<Self>, lock: LockId) -> Result<Option<u64>> {
         let hint = {
             let mut sync = self.sync.lock();
             if sync.lock_count() <= lock.0 as usize {
                 return Err(MuninError::UnknownSyncObject(lock.0));
             }
-            let state = sync.lock_mut(lock);
-            if state.try_local_acquire() {
-                bump(&self.stats.lock_local_acquires);
-                return Ok(());
+            match sync.lock_mut(lock).begin_acquire() {
+                Some(hint) => hint,
+                None => {
+                    bump(&self.stats.lock_local_acquires);
+                    return Ok(None);
+                }
             }
-            state.probable_owner
         };
         add(&self.stats.lock_messages, 1);
         let t0 = self.clock.now().as_nanos();
@@ -57,11 +73,6 @@ impl NodeRuntime {
                 ev.sync_id = Some(lock.0);
                 ev.peer = Some(hint);
             });
-        // Mark the grant as awaited *before* sending: the service thread
-        // consumes this flag when routing the grant, and absorbs any grant
-        // it arrives without (see `route_to_user`).
-        self.waiting_grant
-            .store(lock.0 + 1, std::sync::atomic::Ordering::Release);
         self.send(
             hint,
             DsmMsg::LockAcquire {
@@ -69,11 +80,20 @@ impl NodeRuntime {
                 requester: self.node,
             },
         )?;
+        Ok(Some(t0))
+    }
+
+    /// Second half of an acquire: blocks until the service thread has
+    /// installed the token (`NodeRuntime::install_lock_token`) and woken
+    /// this thread. Any consistency data rode the grant's carrier frame and
+    /// was installed before the token was.
+    pub(crate) fn await_lock_grant(self: &Arc<Self>, lock: LockId, t0: u64) -> Result<()> {
         // A peer death mid-wait may have taken the token (and the request
         // with it): the home regenerates orphaned tokens, so re-issue the
-        // acquire there. The home's queue deduplicates, so a request that
-        // was *not* actually lost cannot queue this node twice; a grant
-        // produced twice anyway is absorbed by the routing guard above.
+        // acquire there. Every queue deduplicates, so a request that was
+        // *not* actually lost cannot queue this node twice in one place; a
+        // token that arrives twice anyway finds no acquire outstanding the
+        // second time and is passed on.
         let mut handled = crate::nodeset::NodeSet::EMPTY;
         let (env, reply) = loop {
             match self.wait_reply_or_dead(crate::runtime::WaitOp::LockGrant(lock.0), &mut handled) {
@@ -81,17 +101,20 @@ impl NodeRuntime {
                 Err(MuninError::PeerDied(_)) => {
                     let home = self.lock_homes[lock.0 as usize];
                     if self.is_peer_dead(home) {
-                        self.waiting_grant
-                            .store(0, std::sync::atomic::Ordering::Release);
                         bump(&self.stats.runtime_errors);
                         return Err(MuninError::NodeDown {
                             node: home,
                             lost_objects: Vec::new(),
                         });
                     }
+                    // The token may have arrived — or been regenerated into
+                    // this node's hands — while the death was signalled; its
+                    // wake-up is then already in the mailbox. The home
+                    // itself has nowhere to re-send to.
+                    if home == self.node || !self.sync.lock().lock(lock).awaiting {
+                        continue;
+                    }
                     add(&self.stats.lock_messages, 1);
-                    self.waiting_grant
-                        .store(lock.0 + 1, std::sync::atomic::Ordering::Release);
                     self.send(
                         home,
                         DsmMsg::LockAcquire {
@@ -100,11 +123,7 @@ impl NodeRuntime {
                         },
                     )?;
                 }
-                Err(e) => {
-                    self.waiting_grant
-                        .store(0, std::sync::atomic::Ordering::Release);
-                    return Err(e);
-                }
+                Err(e) => return Err(e),
             }
         };
         self.obs.record(
@@ -116,17 +135,31 @@ impl NodeRuntime {
             },
         );
         match reply {
-            DsmMsg::LockGrant { lock: l, queue } if l == lock => {
-                // Any consistency data rode the grant's carrier frame and was
-                // installed by the service loop's unified carrier-install
-                // path before this reply was routed here.
-                let mut sync = self.sync.lock();
-                sync.lock_mut(lock).receive_grant(queue, self.node);
-                Ok(())
-            }
+            DsmMsg::LockGrant { lock: l, .. } if l == lock => Ok(()),
             _ => Err(MuninError::ProtocolViolation(
                 "unexpected reply while waiting for a lock grant",
             )),
+        }
+    }
+
+    /// Withdraws a failed acquire. Peers whose requests were parked behind
+    /// it would otherwise wait on a node that no longer expects the token,
+    /// so their requests are sent on towards the lock's home (from the home
+    /// itself, along its hint).
+    fn abandon_lock_acquire(self: &Arc<Self>, lock: LockId) {
+        let (parked, hint) = {
+            let mut sync = self.sync.lock();
+            let state = sync.lock_mut(lock);
+            (state.abandon_acquire(), state.probable_owner)
+        };
+        let home = self.lock_homes[lock.0 as usize];
+        let next = if home == self.node { hint } else { home };
+        if next == self.node || self.is_peer_dead(next) {
+            return;
+        }
+        let now = self.clock.now();
+        for requester in parked {
+            self.forward_lock_acquire(lock, requester, next, now);
         }
     }
 
@@ -422,8 +455,12 @@ impl NodeRuntime {
         // A dead worker's shutdown would sit unacknowledged in the reliable
         // link forever and hold the drain at its deadline, so the fan-out
         // walks the live set only.
+        // A worker that gave up after an error has closed its inbox; that
+        // send fails, and must not keep the `Shutdown` from everyone after
+        // it — this node's own service loop included, which nothing else
+        // would ever stop.
         for n in self.live_peers().iter() {
-            self.send(n, DsmMsg::Shutdown)?;
+            let _ = self.send(n, DsmMsg::Shutdown);
         }
         self.send(self.node, DsmMsg::Shutdown)
     }

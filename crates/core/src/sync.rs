@@ -32,14 +32,29 @@ pub struct BarrierId(pub u32);
 /// pair can be performed with a single message exchange if the acquire is
 /// pending when the release occurs". Nodes that are not the owner keep only a
 /// probable-owner hint used to forward requests.
-#[derive(Clone, Debug)]
+///
+/// A node is in one of three states: *owner* (`owned`, and `held` while the
+/// local thread is inside the critical section), *awaiting* (its own acquire
+/// is outstanding: it has sent a request and the token has not arrived yet),
+/// or *idle*. Only an idle node forwards a request. An awaiting node parks
+/// it behind its own, because its hint is the one hint in the system that
+/// can be stale — the token may already be on the wire towards it — and
+/// forwarding along a stale hint is how a request ends up bouncing between
+/// the old owner and the new one.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct LockState {
     /// Whether this node currently owns the lock token (holds it or is the
     /// node at which the free lock resides).
     pub owned: bool,
     /// Whether the local user thread currently holds the lock.
     pub held: bool,
-    /// Requesters waiting for the lock (meaningful only at the owner).
+    /// Whether the local thread's acquire is outstanding: set when the
+    /// request is sent, cleared by [`Self::receive_grant`] (or by
+    /// [`Self::abandon_acquire`] when the acquire fails).
+    pub awaiting: bool,
+    /// Requesters waiting behind this node. At the owner it is the lock's
+    /// waiter queue; at an awaiting node it holds the requests parked until
+    /// the token arrives; at an idle node it is empty.
     pub queue: VecDeque<NodeId>,
     /// Best guess at the current owner, used to forward acquire requests.
     pub probable_owner: NodeId,
@@ -55,6 +70,7 @@ impl LockState {
         LockState {
             owned: home == local,
             held: false,
+            awaiting: false,
             queue: VecDeque::new(),
             probable_owner: home,
             associated: Vec::new(),
@@ -72,14 +88,51 @@ impl LockState {
         }
     }
 
-    /// Records the receipt of lock ownership (a `LockGrant`), together with
-    /// the waiter queue that travels with it. The local thread becomes the
-    /// holder.
-    pub fn receive_grant(&mut self, queue: impl IntoIterator<Item = NodeId>, local: NodeId) {
+    /// Starts a local acquire: takes the lock on the spot when it is free
+    /// here (`None`), otherwise marks the acquire outstanding and returns
+    /// the node the request must be sent to. Reading the hint and setting
+    /// `awaiting` are one step, so no request can slip past in between and
+    /// be forwarded along the hint this node is about to follow itself.
+    pub fn begin_acquire(&mut self) -> Option<NodeId> {
+        if self.try_local_acquire() {
+            return None;
+        }
+        self.awaiting = true;
+        Some(self.probable_owner)
+    }
+
+    /// Installs the lock token at this node (a `LockGrant` arrived, or the
+    /// home regenerated a lost token), together with the waiter queue that
+    /// travels with it. Requests parked here while the token was on its way
+    /// line up behind that queue (a requester already in it is not queued
+    /// twice).
+    ///
+    /// When the local acquire was outstanding the local thread becomes the
+    /// holder. Otherwise nobody here asked for the token — crash recovery
+    /// re-sent a request whose original was served after all, or minted a
+    /// fresh token — and it is passed straight on to the head waiter, or
+    /// rests here, free, if there is none.
+    pub fn receive_grant(
+        &mut self,
+        queue: impl IntoIterator<Item = NodeId>,
+        local: NodeId,
+    ) -> TokenArrival {
+        let parked = std::mem::replace(&mut self.queue, queue.into_iter().collect());
+        for node in parked {
+            if !self.queue.contains(&node) {
+                self.queue.push_back(node);
+            }
+        }
         self.owned = true;
-        self.held = true;
-        self.queue = queue.into_iter().collect();
         self.probable_owner = local;
+        if std::mem::take(&mut self.awaiting) {
+            self.held = true;
+            return TokenArrival::Acquired;
+        }
+        match self.release() {
+            Some((next, rest)) => TokenArrival::PassedOn(next, rest),
+            None => TokenArrival::Idle,
+        }
     }
 
     /// Handles a remote acquire request arriving at this node.
@@ -89,15 +142,16 @@ impl LockState {
     /// path re-sends an acquire towards the lock home when a peer on the
     /// forwarding chain dies, and the original request may still be alive.
     pub fn handle_remote_acquire(&mut self, requester: NodeId) -> RemoteAcquireAction {
-        if !self.owned {
+        if !self.owned && !self.awaiting {
             return RemoteAcquireAction::Forward(self.probable_owner);
         }
-        if !self.held && self.queue.is_empty() {
+        if self.owned && !self.held && self.queue.is_empty() {
             // Free at this node: hand ownership over immediately.
             self.owned = false;
             self.probable_owner = requester;
             RemoteAcquireAction::Grant
         } else {
+            // Held here, or on its way here: wait behind this node.
             if !self.queue.contains(&requester) {
                 self.queue.push_back(requester);
             }
@@ -105,25 +159,32 @@ impl LockState {
         }
     }
 
-    /// Crash recovery at the lock's *home* node: the peer last known to hold
-    /// the token died, so the home mints a fresh free token (the distributed
-    /// queue that travelled with the dead token is gone; orphaned waiters
-    /// re-send their acquires towards the home). Returns `true` when a token
-    /// was actually regenerated.
-    pub fn regenerate_token(&mut self, local: NodeId) -> bool {
-        if self.owned {
-            return false;
+    /// Gives up an outstanding local acquire (it failed with `NodeDown` or
+    /// a stall). Returns the requests parked behind it, which the caller
+    /// must send on: their requesters are waiting on a node that no longer
+    /// expects the token. Empty when the token arrived after all.
+    pub fn abandon_acquire(&mut self) -> Vec<NodeId> {
+        if !std::mem::take(&mut self.awaiting) {
+            return Vec::new();
         }
-        self.owned = true;
-        self.held = false;
-        self.queue.clear();
-        self.probable_owner = local;
-        true
+        self.queue.drain(..).collect()
     }
 
-    /// Removes a dead node from the waiter queue, and redirects a
-    /// probable-owner hint that points at the dead node to `fallback` (the
-    /// lock home) so later forwards do not chase a corpse.
+    /// Crash recovery at the lock's *home* node: the peer last known to hold
+    /// the token died, so the home mints a fresh token (the queue that
+    /// travelled with the dead token is gone; orphaned waiters re-send their
+    /// acquires towards the home). The fresh token arrives like a grant with
+    /// an empty queue: the home's own outstanding acquire gets it first,
+    /// else the first request parked here, else it rests free. `None` when
+    /// the home owns a token already.
+    pub fn regenerate_token(&mut self, local: NodeId) -> Option<TokenArrival> {
+        (!self.owned).then(|| self.receive_grant([], local))
+    }
+
+    /// Removes a dead node from the waiter queue (parked requests
+    /// included), and redirects a probable-owner hint that points at the
+    /// dead node to `fallback` (the lock home) so later forwards do not
+    /// chase a corpse.
     pub fn prune_dead(&mut self, dead: NodeId, fallback: NodeId) {
         self.queue.retain(|n| *n != dead);
         if self.probable_owner == dead && !self.owned {
@@ -147,6 +208,19 @@ impl LockState {
             None
         }
     }
+}
+
+/// What became of a lock token installed by [`LockState::receive_grant`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TokenArrival {
+    /// The local acquire was waiting for it: the local thread now holds the
+    /// lock and must be woken.
+    Acquired,
+    /// Nobody here was waiting: ownership moved on to this node, with the
+    /// rest of the queue. The caller sends the grant.
+    PassedOn(NodeId, Vec<NodeId>),
+    /// Nobody is waiting anywhere: the token rests here, free.
+    Idle,
 }
 
 /// What a node must do with a remote lock-acquire request.
@@ -516,12 +590,93 @@ mod tests {
     #[test]
     fn grant_receipt_installs_queue() {
         let mut lock = LockState::new(n(0), n(3));
-        lock.receive_grant(vec![n(1), n(2)], n(3));
-        assert!(lock.owned && lock.held);
+        assert_eq!(lock.begin_acquire(), Some(n(0)));
+        assert!(lock.awaiting);
+        assert_eq!(
+            lock.receive_grant(vec![n(1), n(2)], n(3)),
+            TokenArrival::Acquired
+        );
+        assert!(lock.owned && lock.held && !lock.awaiting);
+        assert_eq!(lock.probable_owner, n(3));
         assert_eq!(lock.queue, vec![n(1), n(2)]);
         let (next, rest) = lock.release().unwrap();
         assert_eq!(next, n(1));
         assert_eq!(rest, vec![n(2)]);
+    }
+
+    #[test]
+    fn awaiting_node_parks_requests_behind_its_own() {
+        let mut lock = LockState::new(n(0), n(3));
+        // Idle non-owner: forwards along the hint.
+        assert_eq!(
+            lock.handle_remote_acquire(n(1)),
+            RemoteAcquireAction::Forward(n(0))
+        );
+        // Its own acquire outstanding: the token may be on the wire towards
+        // it, so requests wait here instead of chasing the stale hint.
+        assert_eq!(lock.begin_acquire(), Some(n(0)));
+        assert_eq!(
+            lock.handle_remote_acquire(n(1)),
+            RemoteAcquireAction::Queued
+        );
+        assert_eq!(
+            lock.handle_remote_acquire(n(2)),
+            RemoteAcquireAction::Queued
+        );
+        assert_eq!(
+            lock.handle_remote_acquire(n(1)),
+            RemoteAcquireAction::Queued
+        );
+        assert!(!lock.owned);
+        // The grant's own queue goes first; parked requests line up behind
+        // it, and one that is in both (node 2) is not queued twice.
+        assert_eq!(
+            lock.receive_grant(vec![n(4), n(2)], n(3)),
+            TokenArrival::Acquired
+        );
+        assert_eq!(lock.queue, vec![n(4), n(2), n(1)]);
+        assert_eq!(lock.release(), Some((n(4), vec![n(2), n(1)])));
+        assert!(lock.queue.is_empty());
+    }
+
+    #[test]
+    fn unawaited_token_is_passed_on_or_rests() {
+        // A second grant for one acquire (crash recovery duplicated the
+        // request): nobody here is waiting, the head waiter gets it.
+        let mut lock = LockState::new(n(0), n(3));
+        assert_eq!(
+            lock.receive_grant(vec![n(1), n(2)], n(3)),
+            TokenArrival::PassedOn(n(1), vec![n(2)])
+        );
+        assert!(!lock.owned && !lock.held);
+        assert_eq!(lock.probable_owner, n(1));
+        // No waiters either: it rests here, free for the next local acquire.
+        assert_eq!(lock.receive_grant([], n(3)), TokenArrival::Idle);
+        assert!(lock.owned && !lock.held);
+        assert_eq!(lock.begin_acquire(), None);
+    }
+
+    #[test]
+    fn abandoned_acquire_hands_its_parked_requests_back() {
+        let mut lock = LockState::new(n(0), n(3));
+        assert_eq!(lock.begin_acquire(), Some(n(0)));
+        lock.handle_remote_acquire(n(1));
+        lock.handle_remote_acquire(n(2));
+        assert_eq!(lock.abandon_acquire(), vec![n(1), n(2)]);
+        assert!(!lock.awaiting && lock.queue.is_empty());
+        // Idle again: later requests are forwarded, not parked.
+        assert_eq!(
+            lock.handle_remote_acquire(n(1)),
+            RemoteAcquireAction::Forward(n(0))
+        );
+        // Once the token has arrived there is nothing to withdraw: the
+        // waiters are the lock's real queue now.
+        let mut lock = LockState::new(n(0), n(3));
+        assert_eq!(lock.begin_acquire(), Some(n(0)));
+        lock.handle_remote_acquire(n(1));
+        lock.receive_grant([], n(3));
+        assert_eq!(lock.abandon_acquire(), Vec::<NodeId>::new());
+        assert_eq!(lock.queue, vec![n(1)]);
     }
 
     #[test]
@@ -621,11 +776,11 @@ mod tests {
         assert_eq!(lock.handle_remote_acquire(n(2)), RemoteAcquireAction::Grant);
         assert!(!lock.owned);
         // Node 2 dies: the home regenerates a free local token.
-        assert!(lock.regenerate_token(n(0)));
+        assert_eq!(lock.regenerate_token(n(0)), Some(TokenArrival::Idle));
         assert!(lock.owned && !lock.held && lock.queue.is_empty());
         assert_eq!(lock.probable_owner, n(0));
         // Regenerating an owned token is refused.
-        assert!(!lock.regenerate_token(n(0)));
+        assert_eq!(lock.regenerate_token(n(0)), None);
         // Pruning removes dead waiters and redirects stale hints.
         let mut other = LockState::new(n(0), n(1));
         other.prune_dead(n(0), n(0));
@@ -636,6 +791,25 @@ mod tests {
         held.handle_remote_acquire(n(3));
         held.prune_dead(n(2), n(0));
         assert_eq!(held.queue, vec![n(3)]);
+    }
+
+    #[test]
+    fn regeneration_keeps_the_requests_parked_at_the_home() {
+        // The home's own acquire is outstanding, two requests are parked
+        // behind it, and the token dies with node 4 (one parked requester
+        // dies too). The fresh token goes to the home's acquire, with the
+        // surviving parked request queued behind it — not cleared.
+        let mut home = LockState::new(n(0), n(0));
+        assert_eq!(home.handle_remote_acquire(n(4)), RemoteAcquireAction::Grant);
+        assert_eq!(home.begin_acquire(), Some(n(4)));
+        home.handle_remote_acquire(n(2));
+        home.handle_remote_acquire(n(5));
+        home.prune_dead(n(5), n(0));
+        home.prune_dead(n(4), n(0));
+        assert_eq!(home.queue, vec![n(2)]);
+        assert_eq!(home.regenerate_token(n(0)), Some(TokenArrival::Acquired));
+        assert!(home.owned && home.held && !home.awaiting);
+        assert_eq!(home.release(), Some((n(2), vec![])));
     }
 
     #[test]
@@ -729,5 +903,221 @@ mod tests {
         assert!(s.arrived.is_empty());
         assert!(s.children.is_empty());
         assert_eq!(s.completed, 1);
+    }
+
+    // --- exhaustive exploration of the distributed lock -------------------
+    //
+    // The whole cluster as a pure model: one `LockState` per node, the user
+    // threads' acquire and release steps, and the `LockAcquire` / `LockGrant`
+    // messages in flight. The explorer walks *every* order in which those
+    // steps and deliveries can happen — the wire keeps no order at all, a
+    // superset of what the engine can produce — and checks the argument
+    // DESIGN.md ("Distributed locks") makes in prose.
+
+    /// One in-flight message of the model.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    enum Wire {
+        Acquire { at: NodeId, requester: NodeId },
+        Grant { to: NodeId, queue: Vec<NodeId> },
+    }
+
+    /// A whole-cluster state. `wire` is kept sorted: it is a multiset, the
+    /// delivery order being the explorer's choice.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct World {
+        nodes: Vec<LockState>,
+        /// Acquire/release rounds each node's user thread has yet to start.
+        rounds_left: Vec<u8>,
+        wire: Vec<Wire>,
+    }
+
+    /// How a node treats an arriving `LockAcquire`.
+    #[derive(Clone, Copy)]
+    enum Rule {
+        /// [`LockState::handle_remote_acquire`].
+        Current,
+        /// The rule it replaced: a non-owner forwards along its hint even
+        /// while its own acquire is outstanding — when the token may be on
+        /// the wire towards it and its hint still names the sender.
+        ForwardEvenWhileAwaiting,
+    }
+
+    impl Rule {
+        fn apply(self, at: NodeId, l: &mut LockState, requester: NodeId) -> RemoteAcquireAction {
+            match self {
+                Rule::Current => {
+                    // What lets the runtime drop such a request unseen.
+                    assert_ne!(at, requester, "a request came back to its requester");
+                    l.handle_remote_acquire(requester)
+                }
+                Rule::ForwardEvenWhileAwaiting if !l.owned => {
+                    RemoteAcquireAction::Forward(l.probable_owner)
+                }
+                Rule::ForwardEvenWhileAwaiting => l.handle_remote_acquire(requester),
+            }
+        }
+    }
+
+    impl World {
+        fn new(nodes: usize, rounds: u8) -> Self {
+            World {
+                nodes: (0..nodes).map(|i| LockState::new(n(0), n(i))).collect(),
+                rounds_left: vec![rounds; nodes],
+                wire: Vec::new(),
+            }
+        }
+
+        fn send(&mut self, msg: Wire) {
+            let at = self.wire.binary_search(&msg).unwrap_or_else(|i| i);
+            self.wire.insert(at, msg);
+        }
+
+        /// Every state one step away: a user thread starts an acquire or
+        /// releases, or any one in-flight message is delivered.
+        fn successors(&self, rule: Rule) -> Vec<World> {
+            let mut next = Vec::new();
+            for (i, l) in self.nodes.iter().enumerate() {
+                let mut w = self.clone();
+                if l.held {
+                    if let Some((to, queue)) = w.nodes[i].release() {
+                        w.send(Wire::Grant { to, queue });
+                    }
+                } else if !l.awaiting && self.rounds_left[i] > 0 {
+                    w.rounds_left[i] -= 1;
+                    if let Some(at) = w.nodes[i].begin_acquire() {
+                        let requester = n(i);
+                        w.send(Wire::Acquire { at, requester });
+                    }
+                } else {
+                    continue;
+                }
+                next.push(w);
+            }
+            for (k, msg) in self.wire.iter().enumerate() {
+                if k > 0 && self.wire[k - 1] == *msg {
+                    continue; // equal messages: delivering either is the same step
+                }
+                let mut w = self.clone();
+                match w.wire.remove(k) {
+                    Wire::Acquire { at, requester } => {
+                        match rule.apply(at, &mut w.nodes[at.as_usize()], requester) {
+                            RemoteAcquireAction::Forward(at) => {
+                                w.send(Wire::Acquire { at, requester })
+                            }
+                            RemoteAcquireAction::Grant => w.send(Wire::Grant {
+                                to: requester,
+                                queue: Vec::new(),
+                            }),
+                            RemoteAcquireAction::Queued => {}
+                        }
+                    }
+                    Wire::Grant { to, queue } => assert_eq!(
+                        w.nodes[to.as_usize()].receive_grant(queue, to),
+                        TokenArrival::Acquired,
+                        "a fault-free grant finds its acquire outstanding"
+                    ),
+                }
+                next.push(w);
+            }
+            next
+        }
+
+        /// Safety: exactly one token (owned or in flight), and every
+        /// outstanding acquire is in exactly one place — a request on the
+        /// wire, an entry in one queue, or a grant addressed to it.
+        fn check(&self) {
+            let mut tokens = self.nodes.iter().filter(|l| l.owned).count();
+            let mut places: Vec<NodeId> = Vec::new();
+            for l in &self.nodes {
+                places.extend(&l.queue);
+            }
+            for msg in &self.wire {
+                match msg {
+                    Wire::Acquire { requester, .. } => places.push(*requester),
+                    Wire::Grant { to, queue } => {
+                        tokens += 1;
+                        places.push(*to);
+                        places.extend(queue);
+                    }
+                }
+            }
+            assert_eq!(tokens, 1, "token lost or duplicated in {self:?}");
+            for (i, l) in self.nodes.iter().enumerate() {
+                let found = places.iter().filter(|p| **p == n(i)).count();
+                assert_eq!(
+                    found,
+                    usize::from(l.awaiting),
+                    "node {i}'s request lost or queued twice in {self:?}"
+                );
+                assert!(
+                    l.owned || l.awaiting || l.queue.is_empty(),
+                    "idle node {i} sits on waiters in {self:?}"
+                );
+            }
+        }
+
+        /// Liveness at a state with no step left: nothing may be pending.
+        fn check_terminal(&self) {
+            assert!(
+                self.wire.is_empty()
+                    && self.rounds_left.iter().all(|r| *r == 0)
+                    && self.nodes.iter().all(|l| !l.awaiting && !l.held),
+                "deadlock: no step possible in {self:?}"
+            );
+        }
+    }
+
+    /// Walks the reachable state graph depth-first, checking every state.
+    /// A step that leads back to a state still on the walk's own path is a
+    /// cycle: deliveries that can repeat forever (livelock). A finite graph
+    /// without one means every delivery order terminates, and
+    /// `check_terminal` says it terminates with all rounds done. Returns the
+    /// number of distinct states.
+    fn explore(nodes: usize, rounds: u8, rule: Rule) -> usize {
+        let root = World::new(nodes, rounds);
+        // `true` while the state is on the current path.
+        let mut seen = std::collections::HashMap::from([(root.clone(), true)]);
+        let mut path = vec![(root.clone(), root.successors(rule))];
+        while let Some((state, todo)) = path.last_mut() {
+            let Some(next) = todo.pop() else {
+                seen.insert(state.clone(), false);
+                path.pop();
+                continue;
+            };
+            match seen.get(&next) {
+                Some(false) => {}
+                Some(true) => panic!("livelock: a cycle of steps leads back to {next:?}"),
+                None => {
+                    next.check();
+                    let successors = next.successors(rule);
+                    if successors.is_empty() {
+                        next.check_terminal();
+                    }
+                    seen.insert(next.clone(), true);
+                    path.push((next, successors));
+                }
+            }
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn every_delivery_order_of_the_lock_protocol_terminates() {
+        // Two rounds exercise re-acquisition (a node awaiting its second
+        // grant while hints from its first ownership still name it); four
+        // nodes exercise longer forwarding chains.
+        for (nodes, rounds) in [(3, 2), (4, 1), (4, 2)] {
+            let states = explore(nodes, rounds, Rule::Current);
+            assert!(states > 1_000, "{nodes}x{rounds}: only {states} states");
+        }
+    }
+
+    /// The same explorer on the replaced rule finds the bounce: with the
+    /// token on the wire from A to B, a third node's request is forwarded
+    /// A -> B -> A -> ... for as long as the grant stays undelivered.
+    #[test]
+    #[should_panic(expected = "livelock")]
+    fn forwarding_while_awaiting_can_bounce_forever() {
+        explore(3, 1, Rule::ForwardEvenWhileAwaiting);
     }
 }

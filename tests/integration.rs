@@ -244,3 +244,52 @@ fn single_object_hint_reduces_access_misses() {
         "SingleObject must reduce access misses: {single_fetches} vs {plain_fetches}"
     );
 }
+
+/// Lock hand-off, end to end and fault-free: four nodes contend for one
+/// lock that carries a migratory record, with a `Fetch_and_add` between
+/// critical sections. How often a request is forwarded depends on which
+/// host thread runs first, so only what is exact is asserted: no increment
+/// is lost, and every acquire not satisfied locally costs exactly one
+/// `lock_grant` on the wire — a token is never granted to a node that did
+/// not ask, and never handed on unused.
+#[test]
+fn every_remote_acquire_costs_exactly_one_grant() {
+    let (nodes, rounds) = (4usize, 24i64);
+    let mut prog = MuninProgram::new(MuninConfig::fast_test(nodes));
+    let record = prog.declare::<i64>("record", 1, SharingAnnotation::Migratory);
+    let tally = prog.declare::<i64>("tally", 1, SharingAnnotation::Reduction);
+    let lock = prog.create_lock("lock");
+    prog.associate_data_and_synch(lock, &record);
+    let done = prog.create_barrier("done");
+    prog.user_init(move |init| {
+        init.write(&record, 0, 0).unwrap();
+        init.write(&tally, 0, 0).unwrap();
+    });
+    let report = prog
+        .run(move |ctx| {
+            for _ in 0..rounds {
+                ctx.acquire_lock(lock)?;
+                let v: i64 = ctx.read(&record, 0)?;
+                ctx.write(&record, 0, v + 1)?;
+                ctx.release_lock(lock)?;
+                ctx.fetch_and_add_i64(&tally, 0, 2)?;
+            }
+            ctx.wait_at_barrier(done)?;
+            ctx.acquire_lock(lock)?;
+            let v: i64 = ctx.read(&record, 0)?;
+            ctx.release_lock(lock)?;
+            Ok((v, ctx.fetch_and_add_i64(&tally, 0, 0)?))
+        })
+        .unwrap();
+    let total = nodes as i64 * rounds;
+    for r in &report.results {
+        assert_eq!(*r.as_ref().unwrap(), (total, 2 * total));
+    }
+    let stats = report.stats_total();
+    assert_eq!(stats.lock_acquires, (total + nodes as i64) as u64);
+    assert_eq!(
+        report.net.class("lock_grant").msgs,
+        stats.lock_acquires - stats.lock_local_acquires
+    );
+    assert_eq!(stats.runtime_errors, 0);
+}

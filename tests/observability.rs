@@ -165,6 +165,7 @@ fn synthetic_snapshots() -> Vec<ObsSnapshot> {
         sync_id: None,
         peer: None,
         seq: None,
+        origin: None,
         note: None,
     };
     let mut send = ev(EventKind::UpdateSend, 1_000);
@@ -292,6 +293,59 @@ fn exported_trace_validates_with_fully_paired_flows() {
         (check.flows_matched, check.flows_finished),
         (check.flows_started, check.flows_started),
         "with nothing dropped, every update send pairs with its install"
+    );
+}
+
+/// Four writers per page: every flush goes to the page's owner as a
+/// cooperative relay bundle and the owner re-fans it to the other two
+/// holders. Each of those forwards is a hop of its own in the trace — the
+/// owner's `UpdateSend`, the holder's `UpdateInstall` — not a second finish
+/// of the origin's flow.
+#[test]
+fn owner_refanned_updates_export_as_paired_flows() {
+    const WORDS: usize = 4096;
+    let nodes = 4;
+    // The cooperative relay is part of the carrier layer: pin it on, so the
+    // `MUNIN_PIGGYBACK=off` CI tier still exercises this path.
+    let cfg = MuninConfig::fast_test(nodes)
+        .with_engine(EngineConfig::seeded(5))
+        .with_piggyback(true)
+        .with_flight_events(UNBOUNDED);
+    let mut prog = MuninProgram::new(cfg);
+    let data = prog.declare::<i32>("data", WORDS, SharingAnnotation::WriteShared);
+    let step = prog.create_barrier("step");
+    prog.user_init(move |init| init.write_slice(&data, 0, &[0i32; WORDS]).unwrap());
+    let report = prog
+        .run(move |ctx| {
+            let me = ctx.node_id();
+            // Warm copies first, so every node is in every page's copyset.
+            let mut all = ctx.read_slice(&data, 0, WORDS)?;
+            ctx.wait_at_barrier(step)?;
+            for round in 1..=2 {
+                for i in (me..WORDS).step_by(nodes) {
+                    ctx.write(&data, i, round)?;
+                }
+                ctx.wait_at_barrier(step)?;
+                all = ctx.read_slice(&data, 0, WORDS)?;
+                ctx.wait_at_barrier(step)?;
+            }
+            Ok(all.iter().map(|v| *v as i64).sum::<i64>())
+        })
+        .unwrap();
+    for r in &report.results {
+        assert_eq!(*r.as_ref().unwrap(), 2 * WORDS as i64);
+    }
+    assert!(
+        report.stats_total().owner_refans > 0,
+        "the run must take the owner re-fan path"
+    );
+    let trace = perfetto::render_trace(&report.obs);
+    let check = perfetto::validate_trace_str(&trace).expect("schema-valid trace");
+    assert_eq!(check.dropped, 0);
+    assert_eq!(
+        (check.flows_matched, check.flows_finished),
+        (check.flows_started, check.flows_started),
+        "every hop's send pairs with its install"
     );
 }
 

@@ -111,6 +111,38 @@ fn sor_completes_correctly_at_256_nodes() {
 /// the owner) crashes mid-run at 64 nodes. The run must terminate inside
 /// the wall ceiling and either complete with the exact serial grid or fail
 /// fast with `NodeDown` — never hang, never return wrong data.
+///
+/// This test was red in the debug profile about one run in five (38–76 s
+/// against the 20 s ceiling; 0.3 s in `--release`). It was not crawling: in
+/// every red run the stall reports show the cluster parked at a barrier
+/// behind *one* node until the 25 s watchdog gave up — recovery races that
+/// debug-speed scheduling merely makes likely:
+///
+/// * the straggler `blocked in fetch … deferred requests: 1`: two survivors
+///   whose fetches of one object had been forwarded into the corpse each
+///   ran an orphan-recovery round and each deferred the other's
+///   `CopysetQuery` behind its own busy entry (fixed:
+///   `ObjectState::recovering`);
+/// * the straggler in `shutdown_wait`, its worker gone with "unexpected
+///   reply while waiting at a barrier". Either a fetch was answered twice —
+///   by the original request, alive after all, and by the `Adopt` its
+///   recovery round sent — and the second `ObjectData` answered the next
+///   wait (fixed: `wait_reply_or_dead` drops a late read copy); or a flush
+///   to a cooperative owner that died counted that owner's re-fan acks
+///   towards its fallback broadcast, finished that many acks early, and the
+///   last `UpdateAck`s answered the next wait (fixed: the flush ack loop
+///   matches acks to expectations by sender);
+/// * with those gone, two rarer ones: the root's `Shutdown` broadcast
+///   stopped at the first peer with a closed inbox, never reaching the
+///   root's own service loop (a hang no watchdog covers; fixed), and a node
+///   cut off from the cluster could lose a race with the survivors'
+///   teardown and report the transport's `Disconnected` instead of
+///   `NodeDown` (fixed in `NodeRuntime::send`).
+///
+/// After the fixes: 200 of 200 debug runs green, each under 2 s, so the
+/// ceiling stays. What remains is the wall-clock detector declaring a live
+/// node dead when the host stalls for a whole detection window (ROADMAP
+/// direction 1).
 #[test]
 fn crash_of_an_interior_tree_node_terminates_or_fails_fast() {
     let _serial = SEQUENTIAL.lock().unwrap_or_else(|e| e.into_inner());
