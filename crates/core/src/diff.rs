@@ -11,7 +11,7 @@
 //! # Wire format
 //!
 //! A [`Diff`] is a single contiguous buffer — exactly the bytes that would go
-//! on the wire — with this layout (all fields little-endian `u32`):
+//! on the wire:
 //!
 //! ```text
 //! ┌───────┬──────┬───────┬─────────────────┬──────┬───────┬──────────┬──
@@ -20,16 +20,39 @@
 //!   header └──────────── run 0 ───────────┘ └──────────── run 1 ──────…
 //! ```
 //!
+//! * `words`, `skip` and `count` are canonical LEB128 varints of a `u32`:
+//!   seven value bits per byte, least significant group first, the high bit
+//!   set on every byte but the last, never more bytes than the value needs
+//!   (1 byte below 2⁷, 2 below 2¹⁴, … at most [`MAX_VARINT_LEN`]). Canonical
+//!   matters: one run set has one encoding, so byte equality of two `Diff`s
+//!   is equality of their runs.
 //! * `words` — length of the object in 32-bit words (validates application).
 //! * Each run: `skip` identical words, then `count` differing words whose new
-//!   values follow inline. Runs are maximal: `count > 0` always, and two
-//!   consecutive runs are separated by at least one identical word
-//!   (`skip > 0` for every run but possibly the first).
+//!   values follow inline as little-endian words. Runs are maximal:
+//!   `count > 0` always, and two consecutive runs are separated by at least
+//!   one identical word (`skip > 0` for every run but possibly the first).
+//!
+//! The paper's worst case (Table 2) is a page of minimum-length runs, which
+//! is why the headers are varints and not two fixed `u32`s: a run of one word
+//! on an 8 KB page costs 2 header bytes, not 8, so four writers striding one
+//! page send 2 + 512 · (2 + 4) bytes each. Every field of an object under 2²⁸
+//! words fits four bytes, so no such diff is longer than fixed-width headers
+//! would make it.
+//!
+//! Runs are never merged across a short gap by sending the unchanged words
+//! in between, although that would save headers: a diff may only carry words
+//! this node wrote. Another node may be writing the gap words concurrently
+//! (`write_shared` allows it), and a payload that carried this node's stale
+//! view of them would overwrite that write at every receiver
+//! (`apply_merges_disjoint_concurrent_writes`).
 //!
 //! Because the encoding *is* the wire representation, sending a diff to N
 //! destinations shares one buffer behind an [`Arc`] instead of deep-cloning
 //! nested run vectors, and [`apply`] copies whole runs with
-//! `copy_from_slice` straight off the buffer.
+//! `copy_from_slice` straight off the buffer. The run and changed-word
+//! counts the cost model charges for are counted once, by whoever walks the
+//! buffer first (the encoder, or [`Diff::from_wire`]'s validation), and
+//! carried beside the buffer.
 //!
 //! # Block-skip encoding
 //!
@@ -52,11 +75,125 @@ use crate::object::ObjectId;
 /// Words per comparison block: 32 words = 128 bytes.
 pub const BLOCK_WORDS: usize = 32;
 
-/// Byte size of the `words` header that prefixes every encoded diff.
-pub const HEADER_LEN: usize = 4;
+/// Longest varint the format allows: ⌈32 / 7⌉ bytes hold any `u32`.
+pub const MAX_VARINT_LEN: usize = 5;
 
-/// Byte size of a run header (`skip` + `count`).
-pub const RUN_HEADER_LEN: usize = 8;
+/// Encoded length of `v` as a canonical LEB128 varint.
+const fn varint_len(v: u32) -> usize {
+    match v {
+        0..=0x7F => 1,
+        0x80..=0x3FFF => 2,
+        0x4000..=0x1F_FFFF => 3,
+        0x20_0000..=0xFFF_FFFF => 4,
+        _ => 5,
+    }
+}
+
+/// Appends `v` as a canonical LEB128 varint. Almost every header on an 8 KB
+/// page fits one byte, so that case stays inline and branch-predictable.
+#[inline]
+fn put_varint(buf: &mut Vec<u8>, v: u32) {
+    if v < 0x80 {
+        buf.push(v as u8);
+    } else {
+        put_varint_general(buf, v);
+    }
+}
+
+/// The plain LEB128 loop, for any `v`.
+fn put_varint_general(buf: &mut Vec<u8>, mut v: u32) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// Reads the varint starting at `pos`, returning its value and the position
+/// after it. `truncated` names the field for the error raised when the
+/// buffer ends inside it.
+#[inline]
+fn get_varint(bytes: &[u8], pos: usize, truncated: &'static str) -> Result<(u32, usize)> {
+    match bytes.get(pos) {
+        Some(&b) if b < 0x80 => Ok((b as u32, pos + 1)),
+        _ => get_varint_general(bytes, pos, truncated),
+    }
+}
+
+/// The multi-byte (and every error) case of [`get_varint`]. Rejects what a
+/// canonical encoder never writes: a sixth byte, bits beyond the 32nd, and a
+/// zero final byte after a continuation (an overlong spelling of a smaller
+/// value).
+fn get_varint_general(bytes: &[u8], pos: usize, truncated: &'static str) -> Result<(u32, usize)> {
+    let mut value = 0u32;
+    for i in 0..MAX_VARINT_LEN {
+        let Some(&b) = bytes.get(pos + i) else {
+            return Err(MuninError::ProtocolViolation(truncated));
+        };
+        let group = (b & 0x7F) as u32;
+        if i == MAX_VARINT_LEN - 1 && group > 0x0F {
+            return Err(MuninError::ProtocolViolation("diff varint overflows u32"));
+        }
+        value |= group << (7 * i);
+        if b < 0x80 {
+            if i > 0 && b == 0 {
+                return Err(MuninError::ProtocolViolation("non-canonical diff varint"));
+            }
+            return Ok((value, pos + i + 1));
+        }
+    }
+    Err(MuninError::ProtocolViolation(
+        "diff varint longer than 5 bytes",
+    ))
+}
+
+/// Reads the `words` header, returning the object length in words and the
+/// position of the first run.
+#[inline]
+fn read_header(bytes: &[u8]) -> Result<(u32, usize)> {
+    get_varint(bytes, 0, "truncated diff header")
+}
+
+/// Walks the runs that start at `pos`, checking the framing against an object
+/// of `words` words, and hands `visit` the first word index and the data
+/// bytes of each. Returns the run and changed-word counts. The one walker
+/// behind both [`Diff::from_wire`] and [`apply`], so what the first accepts
+/// and the second installs cannot drift apart.
+#[inline]
+fn walk_runs(
+    bytes: &[u8],
+    mut pos: usize,
+    words: u32,
+    mut visit: impl FnMut(usize, &[u8]),
+) -> Result<(u32, u32)> {
+    let mut word_idx = 0u64;
+    let mut runs = 0u32;
+    let mut changed = 0u64;
+    while pos < bytes.len() {
+        let (skip, at) = get_varint(bytes, pos, "truncated diff run header")?;
+        let (count, at) = get_varint(bytes, at, "truncated diff run header")?;
+        if count == 0 {
+            // The encoder never emits empty runs; accepting one would let
+            // `is_empty()` disagree with `changed_words()`.
+            return Err(MuninError::ProtocolViolation("empty diff run"));
+        }
+        // In `u64`, so a hostile header cannot wrap a 32-bit `usize`.
+        if ((bytes.len() - at) as u64) < count as u64 * 4 {
+            return Err(MuninError::ProtocolViolation("truncated diff run data"));
+        }
+        let start = word_idx + skip as u64;
+        word_idx = start + count as u64;
+        if word_idx > words as u64 {
+            return Err(MuninError::ProtocolViolation("diff run overruns object"));
+        }
+        pos = at + count as usize * 4;
+        visit(start as usize, &bytes[at..pos]);
+        runs += 1;
+        changed += count as u64;
+    }
+    // `changed <= words`: every run was checked against it.
+    Ok((runs, changed as u32))
+}
 
 /// A run-length encoded diff of an object against its twin, stored in its
 /// flat wire format behind an [`Arc`] so multi-destination fan-out shares
@@ -64,10 +201,17 @@ pub const RUN_HEADER_LEN: usize = 8;
 #[derive(Clone, Debug)]
 pub struct Diff {
     bytes: Arc<[u8]>,
+    /// The decoded `words` header.
+    words: u32,
+    /// Number of runs in `bytes`.
+    runs: u32,
+    /// Total `count` over the runs.
+    changed: u32,
 }
 
 impl PartialEq for Diff {
     fn eq(&self, other: &Self) -> bool {
+        // The counts are a function of the bytes.
         self.bytes == other.bytes
     }
 }
@@ -77,8 +221,13 @@ impl Eq for Diff {}
 impl Diff {
     /// An empty diff (no changed words) for an object of `words` words.
     pub fn empty(words: u32) -> Diff {
+        let mut buf = Vec::with_capacity(MAX_VARINT_LEN);
+        put_varint(&mut buf, words);
         Diff {
-            bytes: Arc::from(words.to_le_bytes().as_slice()),
+            bytes: Arc::from(buf),
+            words,
+            runs: 0,
+            changed: 0,
         }
     }
 
@@ -86,11 +235,19 @@ impl Diff {
     ///
     /// # Errors
     ///
-    /// Returns [`MuninError::ProtocolViolation`] if the buffer is truncated
-    /// or a run overruns the object length declared in the header.
+    /// Returns [`MuninError::ProtocolViolation`] if the buffer is truncated,
+    /// a varint is longer than [`MAX_VARINT_LEN`] bytes, overflows `u32` or
+    /// is not canonical, a run is empty, or a run overruns the object length
+    /// declared in the header.
     pub fn from_wire(bytes: Arc<[u8]>) -> Result<Diff> {
-        validate(&bytes)?;
-        Ok(Diff { bytes })
+        let (words, body) = read_header(&bytes)?;
+        let (runs, changed) = walk_runs(&bytes, body, words, |_, _| {})?;
+        Ok(Diff {
+            bytes,
+            words,
+            runs,
+            changed,
+        })
     }
 
     /// The raw wire bytes of the encoding.
@@ -100,26 +257,28 @@ impl Diff {
 
     /// Length of the object in words (needed to validate application).
     pub fn words(&self) -> u32 {
-        u32::from_le_bytes(self.bytes[..HEADER_LEN].try_into().unwrap())
+        self.words
     }
 
     /// Whether the diff contains no changed words.
     pub fn is_empty(&self) -> bool {
-        self.bytes.len() <= HEADER_LEN
+        self.runs == 0
     }
 
-    /// Total number of differing words carried by the diff.
+    /// Total number of differing words carried by the diff. Counted when the
+    /// diff was encoded or validated, not by walking the buffer.
     pub fn changed_words(&self) -> usize {
-        self.runs().map(|r| r.data.len() / 4).sum()
+        self.changed as usize
     }
 
-    /// Number of runs in the encoding.
+    /// Number of runs in the encoding. Counted when the diff was encoded or
+    /// validated, not by walking the buffer.
     pub fn run_count(&self) -> usize {
-        self.runs().count()
+        self.runs as usize
     }
 
-    /// Size of the encoding on the wire: the buffer length itself (header
-    /// word plus two count words and the data words of every run).
+    /// Size of the encoding on the wire: the buffer length itself (the
+    /// `words` varint plus two varints and the data words of every run).
     pub fn encoded_bytes(&self) -> usize {
         self.bytes.len()
     }
@@ -127,7 +286,7 @@ impl Diff {
     /// Iterates the runs, yielding borrowed views straight off the buffer.
     pub fn runs(&self) -> Runs<'_> {
         Runs {
-            rest: &self.bytes[HEADER_LEN..],
+            rest: &self.bytes[varint_len(self.words)..],
         }
     }
 
@@ -168,56 +327,20 @@ impl<'a> Iterator for Runs<'a> {
     type Item = RunRef<'a>;
 
     fn next(&mut self) -> Option<RunRef<'a>> {
-        if self.rest.len() < RUN_HEADER_LEN {
+        if self.rest.is_empty() {
             return None;
         }
-        let skip = u32::from_le_bytes(self.rest[0..4].try_into().unwrap());
-        let count = u32::from_le_bytes(self.rest[4..8].try_into().unwrap()) as usize;
-        let data_end = RUN_HEADER_LEN + count * 4;
         // Diffs are validated on construction, so a well-formed buffer never
-        // truncates mid-run; stop defensively if one somehow does.
-        if self.rest.len() < data_end {
-            self.rest = &[];
-            return None;
-        }
-        let data = &self.rest[RUN_HEADER_LEN..data_end];
-        self.rest = &self.rest[data_end..];
+        // ends or goes wrong mid-run; stop defensively if one somehow does.
+        let rest = self.rest;
+        self.rest = &[];
+        let (skip, at) = get_varint(rest, 0, "truncated diff run header").ok()?;
+        let (count, at) = get_varint(rest, at, "truncated diff run header").ok()?;
+        let data_end = at.checked_add(count as usize * 4)?;
+        let data = rest.get(at..data_end)?;
+        self.rest = &rest[data_end..];
         Some(RunRef { skip, data })
     }
-}
-
-/// Checks the framing of an encoded diff buffer, returning the object length
-/// in words.
-fn validate(bytes: &[u8]) -> Result<u32> {
-    if bytes.len() < HEADER_LEN {
-        return Err(MuninError::ProtocolViolation("truncated diff header"));
-    }
-    let words = u32::from_le_bytes(bytes[..HEADER_LEN].try_into().unwrap());
-    let mut pos = HEADER_LEN;
-    let mut word_idx: u64 = 0;
-    while pos < bytes.len() {
-        if bytes.len() - pos < RUN_HEADER_LEN {
-            return Err(MuninError::ProtocolViolation("truncated diff run header"));
-        }
-        let skip = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let count = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        pos += RUN_HEADER_LEN;
-        if count == 0 {
-            // The encoder never emits empty runs; accepting one would let
-            // `is_empty()` disagree with `changed_words()`.
-            return Err(MuninError::ProtocolViolation("empty diff run"));
-        }
-        let data_len = count as usize * 4;
-        if bytes.len() - pos < data_len {
-            return Err(MuninError::ProtocolViolation("truncated diff run data"));
-        }
-        pos += data_len;
-        word_idx += skip as u64 + count as u64;
-        if word_idx > words as u64 {
-            return Err(MuninError::ProtocolViolation("diff run overruns object"));
-        }
-    }
-    Ok(words)
 }
 
 /// Reusable encoding buffer: one per node, so repeated DUQ flushes perform
@@ -251,23 +374,19 @@ impl DiffScratch {
     ///
     /// # Panics
     ///
-    /// Panics if the two buffers differ in length or are not word-aligned;
-    /// objects are always padded to a word multiple when the segment is laid
-    /// out.
+    /// Panics if the two buffers differ in length, are not word-aligned or
+    /// hold 2³² words or more; objects are always padded to a word multiple
+    /// when the segment is laid out.
     pub fn encode(&mut self, current: &[u8], twin: &[u8]) -> Diff {
-        assert_eq!(
-            current.len(),
-            twin.len(),
-            "object and twin must be the same size"
-        );
-        assert_eq!(current.len() % 4, 0, "objects are word-aligned");
-        let words = current.len() / 4;
+        let words = checked_words(current, twin);
         let buf = &mut self.buf;
         buf.clear();
-        buf.extend_from_slice(&(words as u32).to_le_bytes());
+        put_varint(buf, words as u32);
 
         let mut i = 0usize; // word cursor
         let mut last_end = 0usize; // one past the previous run's last word
+        let mut runs = 0u32;
+        let mut changed = 0usize;
         while i < words {
             i = next_mismatch(current, twin, i, words);
             if i == words {
@@ -277,15 +396,42 @@ impl DiffScratch {
             while i < words && current[i * 4..i * 4 + 4] != twin[i * 4..i * 4 + 4] {
                 i += 1;
             }
-            buf.extend_from_slice(&((start - last_end) as u32).to_le_bytes());
-            buf.extend_from_slice(&((i - start) as u32).to_le_bytes());
-            buf.extend_from_slice(&current[start * 4..i * 4]);
+            let (skip, count) = (start - last_end, i - start);
+            if count == 1 && skip < 0x80 {
+                // The minimum-length run after a short gap — all there is in
+                // a strided page, Table 2's worst case — is one six-byte
+                // store instead of three appends.
+                let d = &current[start * 4..start * 4 + 4];
+                buf.extend_from_slice(&[skip as u8, 1, d[0], d[1], d[2], d[3]]);
+            } else {
+                put_varint(buf, skip as u32);
+                put_varint(buf, count as u32);
+                buf.extend_from_slice(&current[start * 4..i * 4]);
+            }
             last_end = i;
+            runs += 1;
+            changed += i - start;
         }
         Diff {
             bytes: Arc::from(buf.as_slice()),
+            words: words as u32,
+            runs,
+            changed: changed as u32,
         }
     }
+}
+
+/// The common preconditions of both encoders; returns the length in words.
+fn checked_words(current: &[u8], twin: &[u8]) -> usize {
+    assert_eq!(
+        current.len(),
+        twin.len(),
+        "object and twin must be the same size"
+    );
+    assert_eq!(current.len() % 4, 0, "objects are word-aligned");
+    let words = current.len() / 4;
+    assert!(u32::try_from(words).is_ok(), "objects are below 2^32 words");
+    words
 }
 
 /// Advances `i` to the next word where `current` and `twin` differ, or to
@@ -333,46 +479,50 @@ pub fn encode(current: &[u8], twin: &[u8]) -> Diff {
 }
 
 /// Reference word-by-word encoder: the straightforward implementation of the
-/// paper's description, with no block skipping. Produces bit-identical
-/// output to [`DiffScratch::encode`]; kept as the oracle for differential
-/// tests and as the baseline in the `micro_diff` benchmark.
+/// paper's description, with no block skipping and no single-byte varint
+/// shortcut. Produces bit-identical output to [`DiffScratch::encode`]; kept
+/// as the oracle for differential tests and as the baseline in the
+/// `micro_diff` benchmark.
 ///
 /// # Panics
 ///
-/// Panics if the two buffers differ in length or are not word-aligned.
+/// Panics if the two buffers differ in length, are not word-aligned or hold
+/// 2³² words or more.
 pub fn encode_reference(current: &[u8], twin: &[u8]) -> Diff {
-    assert_eq!(
-        current.len(),
-        twin.len(),
-        "object and twin must be the same size"
-    );
-    assert_eq!(current.len() % 4, 0, "objects are word-aligned");
-    let words = current.len() / 4;
-    let mut buf = Vec::with_capacity(HEADER_LEN);
-    buf.extend_from_slice(&(words as u32).to_le_bytes());
-    let mut run_start: Option<usize> = None;
+    let words = checked_words(current, twin);
+    let mut buf = Vec::new();
+    put_varint_general(&mut buf, words as u32);
+    let mut runs = 0u32;
+    let mut changed = 0usize;
     let mut last_end = 0usize;
+    let mut emit = |start: usize, end: usize| {
+        put_varint_general(&mut buf, (start - last_end) as u32);
+        put_varint_general(&mut buf, (end - start) as u32);
+        buf.extend_from_slice(&current[start * 4..end * 4]);
+        last_end = end;
+        runs += 1;
+        changed += end - start;
+    };
+    let mut run_start: Option<usize> = None;
     for w in 0..words {
         let differs = current[w * 4..w * 4 + 4] != twin[w * 4..w * 4 + 4];
         match (differs, run_start) {
             (true, None) => run_start = Some(w),
             (false, Some(start)) => {
-                buf.extend_from_slice(&((start - last_end) as u32).to_le_bytes());
-                buf.extend_from_slice(&((w - start) as u32).to_le_bytes());
-                buf.extend_from_slice(&current[start * 4..w * 4]);
-                last_end = w;
+                emit(start, w);
                 run_start = None;
             }
             _ => {}
         }
     }
     if let Some(start) = run_start {
-        buf.extend_from_slice(&((start - last_end) as u32).to_le_bytes());
-        buf.extend_from_slice(&((words - start) as u32).to_le_bytes());
-        buf.extend_from_slice(&current[start * 4..words * 4]);
+        emit(start, words);
     }
     Diff {
-        bytes: Arc::from(buf.as_slice()),
+        bytes: Arc::from(buf),
+        words: words as u32,
+        runs,
+        changed: changed as u32,
     }
 }
 
@@ -385,43 +535,23 @@ pub fn encode_reference(current: &[u8], twin: &[u8]) -> Diff {
 ///
 /// Returns [`MuninError::ProtocolViolation`] if the diff does not fit the
 /// target (length mismatch or runs overrunning the object) or the buffer is
-/// malformed.
+/// malformed; the framing is checked again here, run by run, by the walker
+/// [`Diff::from_wire`] validates with.
 pub fn apply(diff: &Diff, target: &mut [u8]) -> Result<()> {
     let bytes: &[u8] = &diff.bytes;
-    if bytes.len() < HEADER_LEN {
-        return Err(MuninError::ProtocolViolation("truncated diff header"));
-    }
-    let words = u32::from_le_bytes(bytes[..HEADER_LEN].try_into().unwrap()) as usize;
-    if !target.len().is_multiple_of(4) || target.len() / 4 != words {
+    let (words, body) = read_header(bytes)?;
+    if !target.len().is_multiple_of(4) || target.len() / 4 != words as usize {
         return Err(MuninError::ProtocolViolation("diff length mismatch"));
     }
-    let mut pos = HEADER_LEN;
-    let mut word_idx = 0usize;
-    while pos < bytes.len() {
-        if bytes.len() - pos < RUN_HEADER_LEN {
-            return Err(MuninError::ProtocolViolation("truncated diff run header"));
+    walk_runs(bytes, body, words, |start, data| {
+        let at = start * 4;
+        match <[u8; 4]>::try_from(data) {
+            // A one-word run (the stride patterns' only kind) is a single
+            // store, not a call into `memcpy`.
+            Ok(word) => target[at..at + 4].copy_from_slice(&word),
+            Err(_) => target[at..at + data.len()].copy_from_slice(data),
         }
-        let skip = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let count = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap()) as usize;
-        pos += RUN_HEADER_LEN;
-        if count == 0 {
-            // Kept in lockstep with `validate`: the encoder never emits
-            // empty runs.
-            return Err(MuninError::ProtocolViolation("empty diff run"));
-        }
-        let data_len = count * 4;
-        if bytes.len() - pos < data_len {
-            return Err(MuninError::ProtocolViolation("truncated diff run data"));
-        }
-        word_idx += skip;
-        let end = word_idx + count;
-        if end > words {
-            return Err(MuninError::ProtocolViolation("diff run overruns object"));
-        }
-        target[word_idx * 4..end * 4].copy_from_slice(&bytes[pos..pos + data_len]);
-        pos += data_len;
-        word_idx = end;
-    }
+    })?;
     Ok(())
 }
 
@@ -456,6 +586,26 @@ mod tests {
         out
     }
 
+    /// A `Diff` around bytes no constructor checked, to show that `apply`
+    /// checks the framing itself.
+    fn unchecked(bytes: &[u8]) -> Diff {
+        Diff {
+            bytes: Arc::from(bytes),
+            words: 0,
+            runs: 0,
+            changed: 0,
+        }
+    }
+
+    /// Flips one byte of each listed word of a copy of `twin`.
+    fn with_words_changed(twin: &[u8], words: impl IntoIterator<Item = usize>) -> Vec<u8> {
+        let mut cur = twin.to_vec();
+        for w in words {
+            cur[w * 4] ^= 0xA5;
+        }
+        cur
+    }
+
     #[test]
     fn identical_buffers_produce_empty_diff() {
         let a = to_bytes(&[1, 2, 3, 4]);
@@ -464,7 +614,8 @@ mod tests {
         assert_eq!(d.changed_words(), 0);
         assert_eq!(d.run_count(), 0);
         assert_eq!(d.words(), 4);
-        assert_eq!(d.encoded_bytes(), HEADER_LEN);
+        assert_eq!(d.encoded_bytes(), 1);
+        assert_eq!(d, Diff::empty(4));
     }
 
     #[test]
@@ -504,7 +655,8 @@ mod tests {
         let d = encode(&cur, &twin);
         assert_eq!(d.run_count(), 32);
         assert_eq!(d.changed_words(), 32);
-        assert!(d.encoded_bytes() > 32 * 4);
+        // One header byte, then 2 + 4 bytes per run.
+        assert_eq!(d.encoded_bytes(), 1 + 32 * (2 + 4));
     }
 
     #[test]
@@ -550,21 +702,22 @@ mod tests {
     #[test]
     fn apply_rejects_overrunning_run() {
         // Hand-build a malformed wire buffer: claims 4 words but a run of 8.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&4u32.to_le_bytes()); // words
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // skip
-        bytes.extend_from_slice(&8u32.to_le_bytes()); // count
+        let mut bytes = vec![4, 0, 8]; // words, skip, count
         bytes.extend_from_slice(&[0u8; 32]); // 8 words of data
-        let d = Diff {
-            bytes: Arc::from(bytes.as_slice()),
-        };
         let mut target = vec![0u8; 16];
         assert_eq!(
-            apply(&d, &mut target),
+            apply(&unchecked(&bytes), &mut target),
             Err(MuninError::ProtocolViolation("diff run overruns object"))
         );
         // from_wire rejects the same framing up front.
-        assert!(Diff::from_wire(Arc::from(d.as_wire_bytes())).is_err());
+        assert_eq!(
+            Diff::from_wire(Arc::from(bytes.as_slice())),
+            Err(MuninError::ProtocolViolation("diff run overruns object"))
+        );
+        // So does a skip that jumps past the end: words=4, skip=4, count=1.
+        let bytes = [4, 4, 1, 0, 0, 0, 0];
+        assert!(apply(&unchecked(&bytes), &mut target).is_err());
+        assert!(Diff::from_wire(Arc::from(bytes.as_slice())).is_err());
     }
 
     #[test]
@@ -573,13 +726,11 @@ mod tests {
         let cur = random_words(16, 4);
         let d = encode(&cur, &twin);
         let wire = d.as_wire_bytes();
-        // Chop mid-run-data and mid-run-header.
-        for cut in [wire.len() - 3, HEADER_LEN + 5] {
-            let truncated = Diff {
-                bytes: Arc::from(&wire[..cut]),
-            };
+        // No header at all, a run header cut after `skip`, and run data cut
+        // mid-word.
+        for cut in [0, 2, wire.len() - 3] {
             let mut target = twin.clone();
-            assert!(apply(&truncated, &mut target).is_err());
+            assert!(apply(&unchecked(&wire[..cut]), &mut target).is_err());
             assert!(Diff::from_wire(Arc::from(&wire[..cut])).is_err());
         }
     }
@@ -587,15 +738,118 @@ mod tests {
     #[test]
     fn from_wire_rejects_empty_run() {
         // [words=4][skip=0, count=0]: the encoder never emits empty runs and
-        // the validator must not accept them from the wire.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&4u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
+        // the validator must not accept them from the wire — alone, or after
+        // a good run.
+        for bytes in [&[4u8, 0, 0][..], &[4, 0, 1, 9, 9, 9, 9, 1, 0]] {
+            assert_eq!(
+                Diff::from_wire(Arc::from(bytes)),
+                Err(MuninError::ProtocolViolation("empty diff run"))
+            );
+            assert!(apply(&unchecked(bytes), &mut [0u8; 16]).is_err());
+        }
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_length_boundary() {
+        let mut expected_len = 1;
+        for v in [
+            0u32,
+            1,
+            0x7F,
+            0x80,
+            0x3FFF,
+            0x4000,
+            0x1F_FFFF,
+            0x20_0000,
+            0xFFF_FFFF,
+            0x1000_0000,
+            u32::MAX,
+        ] {
+            let mut fast = Vec::new();
+            put_varint(&mut fast, v);
+            let mut general = Vec::new();
+            put_varint_general(&mut general, v);
+            assert_eq!(fast, general, "{v:#x}");
+            assert_eq!(fast.len(), varint_len(v), "{v:#x}");
+            assert!(fast.len() == expected_len || fast.len() == expected_len + 1);
+            expected_len = fast.len();
+            assert_eq!(get_varint(&fast, 0, "cut"), Ok((v, fast.len())), "{v:#x}");
+            // Every proper prefix is a truncation, reported as the caller's.
+            for cut in 0..fast.len() {
+                assert_eq!(
+                    get_varint(&fast[..cut], 0, "cut"),
+                    Err(MuninError::ProtocolViolation("cut"))
+                );
+            }
+        }
+        assert_eq!(expected_len, MAX_VARINT_LEN);
+    }
+
+    #[test]
+    fn from_wire_rejects_malformed_varints() {
+        let violation = |bytes: &[u8]| match Diff::from_wire(Arc::from(bytes)) {
+            Err(MuninError::ProtocolViolation(why)) => why,
+            other => panic!("{bytes:?} accepted as {other:?}"),
+        };
+        // Overlong spellings of 4, as `words`: a canonical encoder writes [4].
+        assert_eq!(violation(&[0x84, 0x00]), "non-canonical diff varint");
+        assert_eq!(violation(&[0x84, 0x80, 0x00]), "non-canonical diff varint");
+        // ... and of a skip of 0 and a count of 1 inside a run.
         assert_eq!(
-            Diff::from_wire(Arc::from(bytes.as_slice())),
-            Err(MuninError::ProtocolViolation("empty diff run"))
+            violation(&[4, 0x80, 0x00, 1, 0, 0, 0, 0]),
+            "non-canonical diff varint"
         );
+        assert_eq!(
+            violation(&[4, 0, 0x81, 0x00, 0, 0, 0, 0]),
+            "non-canonical diff varint"
+        );
+        // Five bytes whose last carries bits 32 and up.
+        assert_eq!(
+            violation(&[0xFF, 0xFF, 0xFF, 0xFF, 0x1F]),
+            "diff varint overflows u32"
+        );
+        // A continuation bit on the fifth byte.
+        assert_eq!(
+            violation(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01]),
+            "diff varint longer than 5 bytes"
+        );
+        // The largest `u32` itself is fine.
+        let max = Diff::from_wire(Arc::from(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F][..])).unwrap();
+        assert_eq!(max.words(), u32::MAX);
+        // `apply` holds the same line.
+        assert!(apply(&unchecked(&[4, 0x80, 0x00, 1, 0, 0, 0, 0]), &mut [0u8; 16]).is_err());
+    }
+
+    /// Skips and counts of 2⁷ and 2¹⁴ words and more take 2- and 3-byte
+    /// headers (the `SingleObject` matmul input is one 160 000-word object).
+    #[test]
+    fn multi_byte_headers_round_trip() {
+        let words = 160_000usize;
+        let twin = random_words(words, 11);
+        // Runs: 1 word at 0; 200 words after a skip of 299; 20 000 words
+        // after a skip of 19 500; 1 word at the very end.
+        let dirty = (0..1)
+            .chain(300..500)
+            .chain(20_000..40_000)
+            .chain(words - 1..words);
+        let cur = with_words_changed(&twin, dirty);
+        let d = encode(&cur, &twin);
+        assert_eq!(
+            d.as_wire_bytes(),
+            encode_reference(&cur, &twin).as_wire_bytes()
+        );
+        let shape: Vec<(u32, usize)> = d.runs().map(|r| (r.skip, r.data.len() / 4)).collect();
+        assert_eq!(shape, [(0, 1), (299, 200), (19_500, 20_000), (119_999, 1)]);
+        assert_eq!(d.words(), words as u32);
+        assert_eq!(d.run_count(), 4);
+        assert_eq!(d.changed_words(), 20_202);
+        // words: 3 bytes; headers 1+1, 2+2, 3+3, 3+1.
+        assert_eq!(d.encoded_bytes(), 3 + (2 + 4 + 6 + 4) + 4 * 20_202);
+        let rt = Diff::from_wire(Arc::from(d.as_wire_bytes())).unwrap();
+        assert_eq!((rt.run_count(), rt.changed_words()), (4, 20_202));
+        let mut target = twin.clone();
+        apply(&rt, &mut target).unwrap();
+        assert_eq!(target, cur);
     }
 
     #[test]
@@ -614,11 +868,16 @@ mod tests {
     #[test]
     fn encoded_bytes_tracks_runs_and_data() {
         let twin = to_bytes(&[0; 4]);
-        let mut cur = twin.clone();
-        cur[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let cur = with_words_changed(&twin, [1]);
         let d = encode(&cur, &twin);
-        // header + one run (8 bytes) + one data word.
-        assert_eq!(d.encoded_bytes(), 4 + 8 + 4);
+        // words + one run (skip, count: a byte each) + one data word.
+        assert_eq!(d.encoded_bytes(), 1 + 2 + 4);
+        // The `wshared` shape: every fourth word of an 8 KB page.
+        let twin = random_words(2048, 5);
+        let cur = with_words_changed(&twin, (0..2048).step_by(4));
+        let d = encode(&cur, &twin);
+        assert_eq!((d.run_count(), d.changed_words()), (512, 512));
+        assert_eq!(d.encoded_bytes(), 2 + 512 * (2 + 4));
     }
 
     #[test]

@@ -121,6 +121,11 @@ impl DirEntry {
 pub struct Directory {
     entries: Vec<DirEntry>,
     by_start: HashMap<usize, ObjectId>,
+    /// How many `PhaseChange()` hints this node's user thread has issued.
+    /// Kept here, under the directory lock, because it qualifies every
+    /// entry's `copyset_fixed` bit: the bit describes the sharing
+    /// relationship of this phase only (see `DsmMsg::ObjectFetch::phase`).
+    pub phase: u32,
 }
 
 impl Directory {

@@ -139,6 +139,15 @@ pub enum DsmMsg {
         access: FetchKind,
         /// Node that took the fault and awaits the reply.
         requester: NodeId,
+        /// How many `PhaseChange()` hints the requester's user thread had
+        /// issued when it faulted. `PhaseChange()` is a local, unsynchronised
+        /// call, so a fetch can reach an owner whose own user thread has not
+        /// made the matching call yet; the owner must not judge such a fetch
+        /// against the sharing relationship of the phase the requester has
+        /// already left. Not charged in [`DsmMsg::model_bytes`]: only its
+        /// order against the owner's count is used, which a few bits of the
+        /// fixed header carry.
+        phase: u32,
     },
     /// Reply to an [`DsmMsg::ObjectFetch`], carrying the object contents.
     ObjectData {
@@ -604,6 +613,7 @@ mod tests {
             object: ObjectId::new(0),
             access: FetchKind::Read,
             requester: NodeId::new(1),
+            phase: 0,
         };
         let data = DsmMsg::ObjectData {
             object: ObjectId::new(0),
@@ -666,8 +676,9 @@ mod tests {
 
     #[test]
     fn empty_diff_payload_is_small() {
+        // Just the `words` varint.
         let d = Diff::empty(16);
-        assert_eq!(UpdatePayload::Diff(d).model_bytes(), 4);
+        assert_eq!(UpdatePayload::Diff(d).model_bytes(), 1);
     }
 
     #[test]

@@ -448,12 +448,14 @@ impl NodeRuntime {
                 ev.peer = Some(owner_hint);
             },
         );
+        let phase = self.dir.lock().phase;
         self.send(
             owner_hint,
             DsmMsg::ObjectFetch {
                 object,
                 access,
                 requester: self.node,
+                phase,
             },
         )?;
         // Deaths interrupt the wait: the fetch (or its forward, or the

@@ -1054,6 +1054,7 @@ impl NodeRuntime {
         // invalidate handler encodes its flush under the directory lock).
         let mut dir = self.dir.lock();
         let duq = self.duq.lock();
+        dir.phase += 1;
         for idx in 0..dir.len() {
             let e = dir.entry_mut(ObjectId::new(idx as u32));
             if e.params.is_stable() {

@@ -186,7 +186,8 @@ impl NodeRuntime {
                 object,
                 access,
                 requester,
-            } => self.handle_object_fetch(env, object, access, requester),
+                phase,
+            } => self.handle_object_fetch(env, object, access, requester, phase),
             DsmMsg::Invalidate { object, requester } => {
                 self.handle_invalidate(env, object, requester)
             }
@@ -544,7 +545,9 @@ impl NodeRuntime {
         // usual ownership-transfer semantics for write/migratory access. If
         // the local copy was invalidated since the requester's query round,
         // this forwards along the (recovery-redirected) hint chain instead.
-        self.handle_object_fetch(env, object, access, requester);
+        // An adoption does not carry its requester's phase: phase 0 is never
+        // ahead of this node's, so the stable-sharing check applies in full.
+        self.handle_object_fetch(env, object, access, requester, 0);
     }
 
     /// Serves (or forwards, or defers) an object fetch.
@@ -554,6 +557,7 @@ impl NodeRuntime {
         object: ObjectId,
         access: FetchKind,
         requester: NodeId,
+        phase: u32,
     ) {
         let now = env.arrival;
         enum Action {
@@ -568,6 +572,7 @@ impl NodeRuntime {
         }
         let action = {
             let mut dir = self.dir.lock();
+            let my_phase = dir.phase;
             let entry = dir.entry_mut(object);
             if entry.state.busy || entry.state.pinned {
                 // Mid-transition, or the user thread holds the rights for an
@@ -591,11 +596,18 @@ impl NodeRuntime {
                 // whose sharing relationship is already fixed, from a node
                 // outside that relationship, is the runtime error the paper
                 // describes. We record it and still serve the data.
-                if params.is_stable()
-                    && entry.state.copyset_fixed
-                    && !entry.copyset.contains(requester)
-                {
-                    bump(&self.stats.runtime_errors);
+                if params.is_stable() && entry.state.copyset_fixed {
+                    if phase > my_phase {
+                        // The requester has issued a `PhaseChange()` that
+                        // this node's user thread is still on its way to
+                        // (both left the same barrier; the hint itself is
+                        // unsynchronised). The relationship on record is
+                        // the old phase's and is void for this fetch: un-fix
+                        // it now, as the local call is about to.
+                        entry.state.copyset_fixed = false;
+                    } else if !entry.copyset.contains(requester) {
+                        bump(&self.stats.runtime_errors);
+                    }
                 }
                 let single_writer_transfer = params.uses_invalidate()
                     && (matches!(access, FetchKind::Write)
@@ -674,6 +686,7 @@ impl NodeRuntime {
                         object,
                         access,
                         requester,
+                        phase,
                     },
                 ));
             }
@@ -684,6 +697,7 @@ impl NodeRuntime {
                         object,
                         access,
                         requester,
+                        phase,
                     },
                     now + self.cost.dir_op(),
                 );
@@ -1733,6 +1747,7 @@ mod tests {
         table.declare("ws", SharingAnnotation::WriteShared, 4, 8, false);
         table.declare("red", SharingAnnotation::Reduction, 8, 2, false);
         table.declare("mig", SharingAnnotation::Migratory, 4, 8, false);
+        table.declare("pc", SharingAnnotation::ProducerConsumer, 4, 8, false);
         let table = Arc::new(table);
         let cfg = Arc::new(cfg);
         let clock0 = NodeClock::new();
@@ -1791,6 +1806,7 @@ mod tests {
                     object: ro,
                     access: FetchKind::Read,
                     requester: NodeId::new(1),
+                    phase: 0,
                 },
             )
             .unwrap();
@@ -1824,6 +1840,7 @@ mod tests {
                     object: conv,
                     access: FetchKind::Write,
                     requester: NodeId::new(1),
+                    phase: 0,
                 },
             )
             .unwrap();
@@ -1846,6 +1863,48 @@ mod tests {
         assert_eq!(e.probable_owner, NodeId::new(1));
     }
 
+    /// The stable-sharing check: a fetch from outside a fixed
+    /// producer-consumer relationship is the paper's runtime error — unless
+    /// the requester has already left the phase that relationship belongs
+    /// to, which un-fixes it instead.
+    #[test]
+    fn stable_sharing_check_spares_a_requester_in_a_later_phase() {
+        let h = harness();
+        let pc = h.obj("pc");
+        let fetch = |phase| {
+            h.rt.dir.lock().entry_mut(pc).state.copyset_fixed = true;
+            h.peer_tx
+                .send(
+                    NodeId::new(0),
+                    "object_fetch",
+                    40,
+                    DsmMsg::ObjectFetch {
+                        object: pc,
+                        access: FetchKind::Read,
+                        requester: NodeId::new(1),
+                        phase,
+                    },
+                )
+                .unwrap();
+            h.pump();
+            assert!(matches!(h.peer_recv(), DsmMsg::ObjectData { .. }));
+            h.rt.dir.lock().entry_mut(pc).copyset = CopySet::EMPTY;
+        };
+        let errors = || h.rt.stats().snapshot().runtime_errors;
+        // Same phase, not a member: the genuine violation, still served.
+        fetch(0);
+        assert_eq!(errors(), 1);
+        assert!(h.rt.dir.lock().entry(pc).state.copyset_fixed);
+        // The requester is one `PhaseChange()` ahead of this node.
+        fetch(1);
+        assert_eq!(errors(), 1);
+        assert!(!h.rt.dir.lock().entry(pc).state.copyset_fixed);
+        // Once this node has caught up, the check is back in force.
+        h.rt.phase_change();
+        fetch(1);
+        assert_eq!(errors(), 2);
+    }
+
     #[test]
     fn fetch_for_busy_entry_is_deferred_until_transition_completes() {
         let h = harness();
@@ -1860,6 +1919,7 @@ mod tests {
                     object: conv,
                     access: FetchKind::Read,
                     requester: NodeId::new(1),
+                    phase: 0,
                 },
             )
             .unwrap();

@@ -30,6 +30,8 @@ pub struct BenchResult {
     pub iterations: u64,
     /// Number of samples taken.
     pub samples: usize,
+    /// Integer columns attached with [`BenchmarkGroup::note`].
+    pub notes: Vec<(&'static str, u64)>,
 }
 
 static RESULTS: Mutex<Vec<BenchResult>> = Mutex::new(Vec::new());
@@ -219,7 +221,24 @@ impl BenchmarkGroup<'_> {
             median_ns,
             iterations: total_iters,
             samples: samples_ns.len(),
+            notes: Vec::new(),
         });
+        self
+    }
+
+    /// Attaches an integer column to the JSON row of the benchmark recorded
+    /// last: a quantity that repeats exactly and belongs beside the timing,
+    /// such as the size of the encoding the routine produces. A shim
+    /// extension — real criterion has no counterpart.
+    pub fn note(&mut self, key: &'static str, value: u64) -> &mut Self {
+        println!("note   {key} = {value}");
+        RESULTS
+            .lock()
+            .unwrap()
+            .last_mut()
+            .expect("note follows a bench_function")
+            .notes
+            .push((key, value));
         self
     }
 
@@ -281,8 +300,13 @@ pub fn write_results_json(path: &str) -> std::io::Result<()> {
     let mut out = String::from("[\n");
     for (i, r) in results.iter().enumerate() {
         let sep = if i + 1 == results.len() { "" } else { "," };
+        let notes: String = r
+            .notes
+            .iter()
+            .map(|(key, value)| format!(", \"{key}\": {value}"))
+            .collect();
         out.push_str(&format!(
-            "  {{\"id\": \"{}\", \"median_ns_per_iter\": {:.1}, \"iterations\": {}, \"samples\": {}}}{}\n",
+            "  {{\"id\": \"{}\", \"median_ns_per_iter\": {:.1}, \"iterations\": {}, \"samples\": {}{notes}}}{}\n",
             r.id.replace('"', "'"),
             r.median_ns,
             r.iterations,

@@ -51,6 +51,25 @@ fn sor_munin_mp_and_serial_agree() {
     }
 }
 
+/// `PhaseChange()` is a local call. A worker that has left the `copied`
+/// barrier and made it fetches its ghost rows while a slower neighbour — the
+/// rows' owner — may still be on its way to its own call, holding the
+/// initialisation phase's fixed copyset. That fetch is not the paper's
+/// "outside the stable relationship" runtime error (it used to be counted as
+/// one, most runs at this size); every seed is a different interleaving.
+#[test]
+fn sor_phase_change_lag_is_not_a_runtime_error() {
+    let (rows, cols, iters) = (32, 16, 2);
+    let reference = sor::serial(rows, cols, iters);
+    for seed in 0..16u64 {
+        let mut params = sor::SorParams::small(rows, cols, iters, 4);
+        params.engine = munin::sim::EngineConfig::seeded(seed);
+        let (m, grid) = sor::run_munin(params, FAST()).unwrap();
+        assert_eq!(m.stats.runtime_errors, 0, "seed {seed}");
+        assert_eq!(grid, reference, "seed {seed}");
+    }
+}
+
 #[test]
 fn paper_cost_model_runs_end_to_end_at_small_scale() {
     // The same programs run under the 1991 cost model (as the benches do),
@@ -290,6 +309,77 @@ fn every_remote_acquire_costs_exactly_one_grant() {
     assert_eq!(
         report.net.class("lock_grant").msgs,
         stats.lock_acquires - stats.lock_local_acquires
+    );
+    assert_eq!(stats.runtime_errors, 0);
+}
+
+/// The benchmark's `wshared` shape in miniature, as a tier-1 guard on the
+/// diff wire format: four writers stride every 8 KB page of one
+/// `write_shared` array, so every diff is 512 one-word runs — the run-length
+/// encoding's worst case — and every flush sends it to the three other
+/// copies. A run costs 2 header bytes and 4 data bytes; a format that spends
+/// more fails here, not only on the benchmark's `wire_bytes`.
+///
+/// Unlike the benchmark's, these writers take turns, a barrier apart. When
+/// all four flush at one barrier, an update that lands between a flusher's
+/// DUQ drain and its encode is not folded into the drained twin and goes out
+/// again as the flusher's own words: right values, but a byte count that
+/// depends on the host's interleaving (a fifth of runs at this size; it is
+/// also the 0.13 % spread of `wshared`'s `wire_bytes`). One flusher at a time
+/// makes the closed form exact.
+#[test]
+fn strided_write_shared_updates_cost_six_bytes_a_word() {
+    const NODES: usize = 4;
+    const PAGE_WORDS: usize = 2048;
+    const PAGES: usize = 2;
+    const WORDS: usize = PAGES * PAGE_WORDS;
+    const ROUNDS: usize = 2;
+    // Differs from round to round at every index, so every written word is
+    // a changed word.
+    let value = |round: usize, i: usize| (round * WORDS + i) as i32;
+
+    let mut prog = MuninProgram::new(MuninConfig::fast_test(NODES).with_page_size(PAGE_WORDS * 4));
+    let array = prog.declare::<i32>("array", WORDS, SharingAnnotation::WriteShared);
+    let turn_over = prog.create_barrier("turn_over");
+    let read = prog.create_barrier("read");
+    prog.user_init(move |init| {
+        let fill: Vec<i32> = (0..WORDS).map(|i| value(0, i)).collect();
+        init.write_slice(&array, 0, &fill).unwrap();
+    });
+    let report = prog
+        .run(move |ctx| {
+            let me = ctx.node_id();
+            // Warm copies: every page has all four nodes in its copyset
+            // before the first flush.
+            let mut all = ctx.read_slice(&array, 0, WORDS)?;
+            ctx.wait_at_barrier(read)?;
+            for round in 1..=ROUNDS {
+                for writer in 0..NODES {
+                    if writer == me {
+                        for i in (me..WORDS).step_by(NODES) {
+                            ctx.write(&array, i, value(round, i))?;
+                        }
+                    }
+                    ctx.wait_at_barrier(turn_over)?;
+                }
+                all = ctx.read_slice(&array, 0, WORDS)?;
+                ctx.wait_at_barrier(read)?;
+            }
+            Ok(all)
+        })
+        .unwrap();
+    let expected: Vec<i32> = (0..WORDS).map(|i| value(ROUNDS, i)).collect();
+    for (node, result) in report.results.iter().enumerate() {
+        assert_eq!(result.as_ref().unwrap(), &expected, "node {node}");
+    }
+    // One diff: the `words` varint (2 048 takes two bytes), then a one-byte
+    // skip, a one-byte count and one word for each of a node's 512 words.
+    let diff_bytes = 2 + (PAGE_WORDS / NODES) * (1 + 1 + 4);
+    let stats = report.stats_total();
+    assert_eq!(stats.duq_objects_flushed as usize, ROUNDS * NODES * PAGES);
+    assert_eq!(
+        stats.update_bytes_sent as usize,
+        ROUNDS * NODES * PAGES * (NODES - 1) * diff_bytes
     );
     assert_eq!(stats.runtime_errors, 0);
 }

@@ -21,6 +21,64 @@ fn word_buffer(len_words: usize) -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
+/// A run layout — alternately a gap of unchanged words and a run of changed
+/// ones — scaled so that skips and counts need 1-, 2- and 3-byte varints
+/// (below 2⁷, 2¹⁴ and 2²¹ words).
+fn run_layout() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0usize..6, 1..13).prop_map(|lens| {
+        // The first draw picks the scale, the rest are the lengths.
+        let scale = [1, 50, 4000][lens[0] % 3];
+        lens[1..].iter().map(|l| l * scale).collect()
+    })
+}
+
+/// A twin of pseudo-random words and a copy of it changed as `layout` says
+/// (one more unchanged word closes the buffer).
+fn laid_out(layout: &[usize], seed: u64) -> (Vec<u8>, Vec<u8>) {
+    let words = layout.iter().sum::<usize>() + 1;
+    let mut state = seed;
+    let twin: Vec<u8> = (0..words)
+        .flat_map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 24) as u32).to_le_bytes()
+        })
+        .collect();
+    let mut current = twin.clone();
+    let mut at = 0;
+    for (i, len) in layout.iter().enumerate() {
+        if i % 2 == 1 {
+            for w in at..at + len {
+                current[w * 4 + 1] ^= 0x5A;
+            }
+        }
+        at += len;
+    }
+    (current, twin)
+}
+
+/// Bytes of the canonical LEB128 spelling of `v`: the formula, not the
+/// encoder's code.
+fn varint_len(v: u32) -> usize {
+    (32 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// `v` spelled with `pad` redundant zero groups on top of its canonical
+/// LEB128 bytes.
+fn overlong(v: u32, pad: usize) -> Vec<u8> {
+    let mut out: Vec<u8> = (0..varint_len(v))
+        .map(|i| (v >> (7 * i)) as u8 | 0x80)
+        .collect();
+    out.extend(std::iter::repeat_n(0x80, pad));
+    *out.last_mut().unwrap() &= 0x7F;
+    out
+}
+
+fn from_wire(bytes: &[u8]) -> munin::dsm::Result<diff::Diff> {
+    diff::Diff::from_wire(std::sync::Arc::from(bytes))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -79,15 +137,42 @@ proptest! {
         }
     }
 
-    /// The encoded size is bounded: never more than header + per-word data
-    /// plus the worst-case run overhead.
+    /// The encoded size is exactly the `words` varint, two varints per run
+    /// and the changed words; never more than the fixed-width format it
+    /// replaced (`4 + 8·runs + 4·changed`), and less as soon as there is a
+    /// run. The counts the encoder carries equal a recount over the runs, and
+    /// no run carries a word the twin already had.
     #[test]
-    fn encoded_size_is_bounded(current in word_buffer(64), twin in word_buffer(64)) {
+    fn encoded_size_is_bounded(layout in run_layout(), seed in any::<u64>()) {
+        let (current, twin) = laid_out(&layout, seed);
         let d = diff::encode(&current, &twin);
         let words = current.len() / 4;
+        prop_assert_eq!(d.words() as usize, words);
         prop_assert!(d.changed_words() <= words);
-        prop_assert!(d.run_count() <= words.div_ceil(2) + 1);
-        prop_assert!(d.encoded_bytes() <= 4 + words * 4 + d.run_count() * 8);
+        prop_assert!(d.run_count() <= words.div_ceil(2));
+
+        let (mut runs, mut changed, mut at) = (0, 0, 0);
+        let mut size = varint_len(words as u32);
+        for run in d.runs() {
+            let count = run.data.len() / 4;
+            prop_assert!(count > 0);
+            prop_assert!(run.skip > 0 || runs == 0, "runs are maximal");
+            at += run.skip as usize;
+            for (i, word) in run.data.chunks_exact(4).enumerate() {
+                prop_assert!(word != &twin[(at + i) * 4..(at + i) * 4 + 4]);
+            }
+            at += count;
+            runs += 1;
+            changed += count;
+            size += varint_len(run.skip) + varint_len(count as u32) + 4 * count;
+        }
+        prop_assert_eq!((d.run_count(), d.changed_words()), (runs, changed));
+        prop_assert_eq!(d.encoded_bytes(), size);
+        prop_assert!(size <= varint_len(words as u32) * (1 + 2 * runs) + 4 * changed);
+
+        let legacy = 4 + 8 * runs + 4 * changed;
+        prop_assert!(size <= legacy);
+        prop_assert!(runs == 0 || size < legacy);
     }
 
     /// The block-skip encoder is bit-identical to the word-by-word reference
@@ -100,6 +185,23 @@ proptest! {
         prop_assert_eq!(fast.as_wire_bytes(), reference.as_wire_bytes());
     }
 
+    /// The same on fragmented pages and on skips and counts long enough for
+    /// 2- and 3-byte headers, where the encoders' varint writers differ.
+    #[test]
+    fn block_skip_encoder_matches_reference_on_every_header_width(
+        layout in run_layout(),
+        seed in any::<u64>(),
+    ) {
+        let (current, twin) = laid_out(&layout, seed);
+        let fast = diff::encode(&current, &twin);
+        let reference = diff::encode_reference(&current, &twin);
+        prop_assert_eq!(fast.as_wire_bytes(), reference.as_wire_bytes());
+        prop_assert_eq!(
+            (fast.run_count(), fast.changed_words()),
+            (reference.run_count(), reference.changed_words())
+        );
+    }
+
     /// Wire round-trip: re-framing the encoded bytes with `from_wire` and
     /// applying reconstructs `current` exactly.
     #[test]
@@ -110,6 +212,82 @@ proptest! {
         let mut target = twin.clone();
         diff::apply(&decoded, &mut target).unwrap();
         prop_assert_eq!(target, current);
+    }
+
+    /// A prefix of a valid encoding is valid exactly when it ends on a run
+    /// boundary, and then it *is* the first k runs — with the counts
+    /// `from_wire` computes matching; a cut anywhere inside a run, header or
+    /// data, is rejected. (Every cut is tried on small layouts, the cuts
+    /// around each boundary on large ones.)
+    #[test]
+    fn from_wire_accepts_a_prefix_only_on_a_run_boundary(
+        layout in run_layout(),
+        seed in any::<u64>(),
+    ) {
+        let (current, twin) = laid_out(&layout, seed);
+        let d = diff::encode(&current, &twin);
+        let wire = d.as_wire_bytes();
+        let words = (current.len() / 4) as u32;
+        // Offsets at which k whole runs end, k = 0, 1, ...
+        let mut boundaries = vec![varint_len(words)];
+        for run in d.runs() {
+            let header = varint_len(run.skip) + varint_len((run.data.len() / 4) as u32);
+            boundaries.push(boundaries.last().unwrap() + header + run.data.len());
+        }
+        prop_assert_eq!(*boundaries.last().unwrap(), wire.len());
+        let cuts: Vec<usize> = if wire.len() <= 512 {
+            (0..=wire.len()).collect()
+        } else {
+            boundaries
+                .iter()
+                .flat_map(|b| b.saturating_sub(7)..(b + 8).min(wire.len() + 1))
+                .collect()
+        };
+        for cut in cuts {
+            match (boundaries.binary_search(&cut), from_wire(&wire[..cut])) {
+                (Ok(k), Ok(prefix)) => {
+                    prop_assert_eq!(prefix.run_count(), k);
+                    prop_assert!(prefix.runs().eq(d.runs().take(k)));
+                    let changed: usize = d.runs().take(k).map(|r| r.data.len() / 4).sum();
+                    prop_assert_eq!(prefix.changed_words(), changed);
+                }
+                (Err(_), Err(_)) => {}
+                (boundary, parsed) => prop_assert!(
+                    false,
+                    "cut {cut} of {}: boundary {boundary:?}, parsed {parsed:?}",
+                    wire.len()
+                ),
+            }
+        }
+    }
+
+    /// `from_wire` takes the canonical spelling of a varint and no other: not
+    /// one padded with zero groups (within five bytes or beyond), not one
+    /// with bits above the 32nd — as the `words` header, and as a run's skip.
+    #[test]
+    fn from_wire_rejects_every_non_canonical_varint(
+        v in any::<u32>(),
+        shift in 0usize..32,
+        pad in 1usize..4,
+        high in 0x10u8..0x80,
+    ) {
+        // Every magnitude, not only the 5-byte values `any` mostly draws.
+        let v = v >> shift;
+        let canonical = overlong(v, 0);
+        prop_assert_eq!(from_wire(&canonical).map(|d| d.words()), Ok(v));
+        prop_assert!(from_wire(&overlong(v, pad)).is_err());
+        let mut overflow = overlong(v | 0xF000_0000, 0);
+        overflow[4] = high;
+        prop_assert!(from_wire(&overflow).is_err());
+
+        // words = u32::MAX, one run: skip = v, count = 1, one data word.
+        let run = |skip: &[u8]| [&overlong(u32::MAX, 0), skip, &[1, 9, 9, 9, 9]].concat();
+        if v < u32::MAX {
+            let ok = from_wire(&run(&canonical)).expect("canonical skip");
+            prop_assert_eq!(ok.runs().next().map(|r| r.skip), Some(v));
+        }
+        prop_assert!(from_wire(&run(&overlong(v, pad))).is_err());
+        prop_assert!(from_wire(&run(&overflow)).is_err());
     }
 
     /// Splitting a variable into page-sized objects covers it exactly (up to

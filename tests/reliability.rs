@@ -449,6 +449,14 @@ fn reliability_framing_overhead_is_bounded_at_zero_loss() {
         let mut p = sor::SorParams::small(64, 48, 3, 8);
         p.engine = EngineConfig::seeded(9);
         p.reliability = Some(reliability);
+        // The 8% budget below is a statement about the default message
+        // economy, so the carrier layer is pinned on rather than read from
+        // `MUNIN_PIGGYBACK`. The frame is a fixed 8 bytes a message: the
+        // legacy per-message path sends twice the messages (583 against 275)
+        // and pays twice the tax on the same payload — 7.9% when SOR's diffs
+        // had 8-byte run headers, 9.6% now that the payload under it is a
+        // sixth smaller, the same ~6 300 bytes both times.
+        p.piggyback = true;
         // Pacing far beyond the run's wall time: ack-flush ticks still fire
         // (timers run whenever a node goes idle), but a slow CI machine can
         // never trigger a spurious wall-clock retransmission.
