@@ -727,6 +727,16 @@ impl WorkerCtx<'_> {
 
     /// `PhaseChange()`: purge the accumulated producer-consumer sharing
     /// relationships so they are re-determined at the next flush.
+    ///
+    /// The call is local and unsynchronised, and meant to be made by every
+    /// node at the same point of the program (after a barrier, say): a node
+    /// counts its calls and sends the count with each fetch, and an owner
+    /// that is one call behind a requester treats its recorded relationship
+    /// as already purged instead of raising the stable-sharing runtime
+    /// error. A node that calls it more often than the others gains nothing
+    /// by being ahead: an owner makes that allowance once per phase of its
+    /// own, and judges that node's later fetches against the relationship
+    /// it re-determines.
     pub fn phase_change(&self) {
         self.rt.phase_change();
     }

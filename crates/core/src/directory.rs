@@ -58,6 +58,14 @@ pub struct ObjectState {
     pub owned: bool,
     /// Whether the stable (producer-consumer) copyset has been determined.
     pub copyset_fixed: bool,
+    /// A fetch from a node already in a later phase has voided this phase's
+    /// stable relationship once (cleared `copyset_fixed` where the
+    /// stable-sharing check would have raised the runtime error). Cleared by
+    /// the local `PhaseChange()`. While it is set, a requester that is ahead
+    /// is checked like any other, so a node that stays ahead — the hint is
+    /// local, nothing makes every node issue it equally often — cannot switch
+    /// the check off.
+    pub phase_voided: bool,
     /// Entry is mid-transition (a fault is being serviced by the local user
     /// thread); incoming requests for it are deferred — the moral equivalent
     /// of the paper's per-entry access-control semaphore.

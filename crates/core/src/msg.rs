@@ -144,9 +144,12 @@ pub enum DsmMsg {
         /// call, so a fetch can reach an owner whose own user thread has not
         /// made the matching call yet; the owner must not judge such a fetch
         /// against the sharing relationship of the phase the requester has
-        /// already left. Not charged in [`DsmMsg::model_bytes`]: only its
-        /// order against the owner's count is used, which a few bits of the
-        /// fixed header carry.
+        /// already left. Comparing the two counts assumes the program has
+        /// every node issue the same sequence of `PhaseChange()` calls; where
+        /// one node issues more, the owner spares it only once per phase of
+        /// its own (`ObjectState::phase_voided`). Not charged in
+        /// [`DsmMsg::model_bytes`]: only its order against the owner's count
+        /// is used, which a few bits of the fixed header carry.
         phase: u32,
     },
     /// Reply to an [`DsmMsg::ObjectFetch`], carrying the object contents.
@@ -448,6 +451,9 @@ pub enum DsmMsg {
         access: FetchKind,
         /// Node awaiting the [`DsmMsg::ObjectData`] reply.
         requester: NodeId,
+        /// The requester's `PhaseChange()` count, as in
+        /// [`DsmMsg::ObjectFetch`], and likewise not charged.
+        phase: u32,
     },
 }
 

@@ -615,10 +615,11 @@ impl NodeRuntime {
         holders.sort();
         match holders.first() {
             Some(&adoptee) => {
-                {
+                let phase = {
                     let mut dir = self.dir.lock();
                     dir.entry_mut(object).probable_owner = adoptee;
-                }
+                    dir.phase
+                };
                 crate::runtime::proto_trace!(self, "asking {adoptee:?} to adopt orphan {object:?}");
                 self.send(
                     adoptee,
@@ -626,6 +627,7 @@ impl NodeRuntime {
                         object,
                         access,
                         requester: self.node,
+                        phase,
                     },
                 )?;
                 Ok(None)

@@ -1063,6 +1063,7 @@ impl NodeRuntime {
                 // kept: at the owner it doubles as the record of served
                 // fetches that the owner-collected determination relies on.
                 e.state.copyset_fixed = false;
+                e.state.phase_voided = false;
                 // Pages promoted to locally-writable ("private") must be
                 // write-protected again so that writes under the new sharing
                 // relationships are detected and propagated.

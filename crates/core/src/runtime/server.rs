@@ -239,7 +239,8 @@ impl NodeRuntime {
                 object,
                 access,
                 requester,
-            } => self.handle_adopt(env, object, access, requester),
+                phase,
+            } => self.handle_adopt(env, object, access, requester, phase),
             // Replies and control messages are routed before we get here.
             other => {
                 debug_assert!(
@@ -509,6 +510,7 @@ impl NodeRuntime {
         object: ObjectId,
         access: FetchKind,
         requester: NodeId,
+        phase: u32,
     ) {
         {
             let mut dir = self.dir.lock();
@@ -522,6 +524,7 @@ impl NodeRuntime {
                         object,
                         access,
                         requester,
+                        phase,
                     },
                 ));
                 return;
@@ -545,9 +548,7 @@ impl NodeRuntime {
         // usual ownership-transfer semantics for write/migratory access. If
         // the local copy was invalidated since the requester's query round,
         // this forwards along the (recovery-redirected) hint chain instead.
-        // An adoption does not carry its requester's phase: phase 0 is never
-        // ahead of this node's, so the stable-sharing check applies in full.
-        self.handle_object_fetch(env, object, access, requester, 0);
+        self.handle_object_fetch(env, object, access, requester, phase);
     }
 
     /// Serves (or forwards, or defers) an object fetch.
@@ -597,14 +598,18 @@ impl NodeRuntime {
                 // outside that relationship, is the runtime error the paper
                 // describes. We record it and still serve the data.
                 if params.is_stable() && entry.state.copyset_fixed {
-                    if phase > my_phase {
+                    if phase > my_phase && !entry.state.phase_voided {
                         // The requester has issued a `PhaseChange()` that
                         // this node's user thread is still on its way to
                         // (both left the same barrier; the hint itself is
                         // unsynchronised). The relationship on record is
                         // the old phase's and is void for this fetch: un-fix
-                        // it now, as the local call is about to.
+                        // it now, as the local call is about to. Once per
+                        // local phase: a relationship re-determined after
+                        // that is this phase's own, and a requester that is
+                        // simply always ahead answers to it.
                         entry.state.copyset_fixed = false;
+                        entry.state.phase_voided = true;
                     } else if !entry.copyset.contains(requester) {
                         bump(&self.stats.runtime_errors);
                     }
@@ -1866,7 +1871,7 @@ mod tests {
     /// The stable-sharing check: a fetch from outside a fixed
     /// producer-consumer relationship is the paper's runtime error — unless
     /// the requester has already left the phase that relationship belongs
-    /// to, which un-fixes it instead.
+    /// to, which un-fixes it instead, once per local phase.
     #[test]
     fn stable_sharing_check_spares_a_requester_in_a_later_phase() {
         let h = harness();
@@ -1903,6 +1908,21 @@ mod tests {
         h.rt.phase_change();
         fetch(1);
         assert_eq!(errors(), 2);
+        // A requester that calls `PhaseChange()` more often than this node
+        // is ahead for good. It is spared once per phase of this node's; a
+        // relationship re-determined after that (`fetch` re-fixes it) is
+        // this phase's own, and the requester answers to it.
+        fetch(7);
+        assert_eq!(errors(), 2);
+        assert!(!h.rt.dir.lock().entry(pc).state.copyset_fixed);
+        fetch(7);
+        assert_eq!(errors(), 3);
+        assert!(h.rt.dir.lock().entry(pc).state.copyset_fixed);
+        h.rt.phase_change();
+        fetch(7);
+        assert_eq!(errors(), 3);
+        fetch(7);
+        assert_eq!(errors(), 4);
     }
 
     #[test]

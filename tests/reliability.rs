@@ -449,14 +449,6 @@ fn reliability_framing_overhead_is_bounded_at_zero_loss() {
         let mut p = sor::SorParams::small(64, 48, 3, 8);
         p.engine = EngineConfig::seeded(9);
         p.reliability = Some(reliability);
-        // The 8% budget below is a statement about the default message
-        // economy, so the carrier layer is pinned on rather than read from
-        // `MUNIN_PIGGYBACK`. The frame is a fixed 8 bytes a message: the
-        // legacy per-message path sends twice the messages (583 against 275)
-        // and pays twice the tax on the same payload — 7.9% when SOR's diffs
-        // had 8-byte run headers, 9.6% now that the payload under it is a
-        // sixth smaller, the same ~6 300 bytes both times.
-        p.piggyback = true;
         // Pacing far beyond the run's wall time: ack-flush ticks still fire
         // (timers run whenever a node goes idle), but a slow CI machine can
         // never trigger a spurious wall-clock retransmission.
@@ -477,9 +469,22 @@ fn reliability_framing_overhead_is_bounded_at_zero_loss() {
 
     let bytes_off = m_off.engine.bytes_sent;
     let bytes_on = m_on.engine.bytes_sent;
+    // The relative budget is per message economy (`SorParams::small` reads
+    // `MUNIN_PIGGYBACK`, so the `off` CI tier runs this on the legacy path).
+    // The frame is a fixed 8 bytes a message, and the legacy path sends
+    // 2.1x the messages for the same payload (583 against 275), so it gets
+    // twice the budget. Measured since SOR's diffs have varint run headers
+    // (64 934 / 65 690 payload bytes): frame tax 3.4% / 7.1%, exact; the
+    // standalone acks on top depend on host timing — 14-34 / 29-89 of them
+    // over 120 runs each under 3-way load, 4.3-5.5% / 8.9-12.5% in total.
+    let pct = if munin::dsm::piggyback_from_env() {
+        8
+    } else {
+        16
+    };
     assert!(
-        bytes_on <= bytes_off + bytes_off * 8 / 100,
-        "reliability framing exceeded its byte-overhead budget: {bytes_off} -> {bytes_on}"
+        bytes_on <= bytes_off + bytes_off * pct / 100,
+        "reliability framing exceeded its {pct}% byte-overhead budget: {bytes_off} -> {bytes_on}"
     );
     let msgs_off = m_off.engine.messages_sent;
     let msgs_on = m_on.engine.messages_sent;
