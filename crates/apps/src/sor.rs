@@ -338,22 +338,27 @@ pub fn run_message_passing(
         procs,
         ..
     } = params;
+    // Message tags: the root's initial band, a boundary row sent to the
+    // section above / below, a worker's final band.
+    const BAND: u32 = 0;
+    const ROW_UP: u32 = 1;
+    const ROW_DOWN: u32 = 2;
+    const RESULT: u32 = 3;
     let report = run_mp_program(procs, cost, |ctx| {
         let me = ctx.node_id();
         let nodes = ctx.nodes();
         let (lo, hi) = partition(rows, nodes, me);
         // Distribute the initial grid: the root computes it and sends each
-        // worker its band (plus ghost rows are exchanged per iteration).
-        let mut band: Vec<f64>;
-        // A neighbour can run at most one iteration ahead of us (it needs our
-        // row to go further), so at most one early message per neighbour has
-        // to be stashed for the next iteration. Distant workers can finish the
-        // whole computation early, so their final result bands (tag 3) may
-        // also arrive while the root is still iterating; they are stashed for
-        // the gather phase.
-        let mut early_above: Option<Vec<f64>> = None;
-        let mut early_below: Option<Vec<f64>> = None;
-        if me == 0 {
+        // worker its band (ghost rows are exchanged per iteration).
+        //
+        // Every receive below names the sender and tag it is waiting for. A
+        // neighbour that already has its band sends its first ghost row at
+        // once, ahead of the root's 1 MB band; a neighbour may run an
+        // iteration ahead; distant workers may finish, and send their final
+        // bands, while the root is still iterating. `MpCtx` sets all of those
+        // aside until they are asked for, and only then do they count as
+        // waited for.
+        let mut band: Vec<f64> = if me == 0 {
             let grid = sor_initial(rows, cols);
             ctx.compute((2 * cols + rows) as u64);
             for w in 1..nodes {
@@ -361,36 +366,16 @@ pub fn run_message_passing(
                 ctx.send(
                     w,
                     MpMsg::Floats {
-                        tag: 0,
+                        tag: BAND,
                         data: grid[wlo * cols..whi * cols].to_vec(),
                     },
                 )
                 .unwrap();
             }
-            band = grid[lo * cols..hi * cols].to_vec();
+            grid[lo * cols..hi * cols].to_vec()
         } else {
-            // A neighbour that already has its band sends its first ghost
-            // row (4 KB at paper size) at once, and that can be delivered
-            // here ahead of the root's 1 MB band: take the band by its tag
-            // and keep the early rows for the first iteration.
-            band = loop {
-                let (src, msg) = ctx.recv().unwrap();
-                let MpMsg::Floats { tag, data } = msg else {
-                    panic!("expected band")
-                };
-                if tag == 0 {
-                    break data;
-                }
-                if src + 1 == me {
-                    early_above = Some(data);
-                } else {
-                    early_below = Some(data);
-                }
-            };
-        }
-        let mut ghost_above = vec![0.0f64; cols];
-        let mut ghost_below = vec![0.0f64; cols];
-        let mut early_bands: Vec<(usize, Vec<f64>)> = Vec::new();
+            ctx.recv_floats_from(0, BAND).unwrap()
+        };
         for _iter in 0..iterations {
             // Exchange boundary rows with neighbours (send first, then
             // receive: channels are buffered so this cannot deadlock).
@@ -398,7 +383,7 @@ pub fn run_message_passing(
                 ctx.send(
                     me - 1,
                     MpMsg::Floats {
-                        tag: 1,
+                        tag: ROW_UP,
                         data: band[0..cols].to_vec(),
                     },
                 )
@@ -408,88 +393,47 @@ pub fn run_message_passing(
                 ctx.send(
                     me + 1,
                     MpMsg::Floats {
-                        tag: 2,
+                        tag: ROW_DOWN,
                         data: band[(hi - lo - 1) * cols..].to_vec(),
                     },
                 )
                 .unwrap();
-            }
-            let mut have_above = me == 0;
-            let mut have_below = me + 1 >= nodes;
-            if let Some(row) = early_above.take() {
-                ghost_above.copy_from_slice(&row);
-                have_above = true;
-            }
-            if let Some(row) = early_below.take() {
-                ghost_below.copy_from_slice(&row);
-                have_below = true;
-            }
-            while !(have_above && have_below) {
-                let (src, msg) = ctx.recv().unwrap();
-                let MpMsg::Floats { tag, data } = msg else {
-                    panic!("expected row")
-                };
-                if tag == 3 {
-                    early_bands.push((src, data));
-                    continue;
-                }
-                if src + 1 == me {
-                    if have_above {
-                        early_above = Some(data);
-                    } else {
-                        ghost_above.copy_from_slice(&data);
-                        have_above = true;
-                    }
-                } else if have_below {
-                    early_below = Some(data);
-                } else {
-                    ghost_below.copy_from_slice(&data);
-                    have_below = true;
-                }
             }
             // Build the window (ghost row + band + ghost row) and relax.
             let win_start = lo.saturating_sub(1);
             let win_end = (hi + 1).min(rows);
             let mut window = Vec::with_capacity((win_end - win_start) * cols);
             if me > 0 {
-                window.extend_from_slice(&ghost_above);
+                window.extend(ctx.recv_floats_from(me - 1, ROW_DOWN).unwrap());
             }
             window.extend_from_slice(&band);
             if me + 1 < nodes {
-                window.extend_from_slice(&ghost_below);
+                window.extend(ctx.recv_floats_from(me + 1, ROW_UP).unwrap());
             }
             let scratch = relax_section(cols, rows, lo, hi, &window, win_start);
             ctx.compute(((hi - lo) * cols) as u64 * OPS_PER_ELEMENT);
             band = scratch;
             ctx.compute(((hi - lo) * cols) as u64);
         }
-        // Gather the final grid at the root (some bands may already have
-        // arrived during the exchange phase).
+        // Gather the final grid at the root.
         if me == 0 {
             let mut grid = sor_initial(rows, cols);
             grid[lo * cols..hi * cols].copy_from_slice(&band);
-            let mut received = 0;
-            for (src, data) in early_bands.drain(..) {
-                let (wlo, whi) = partition(rows, nodes, src);
+            for w in 1..nodes {
+                let (wlo, whi) = partition(rows, nodes, w);
+                let data = ctx.recv_floats_from(w, RESULT).unwrap();
                 grid[wlo * cols..whi * cols].copy_from_slice(&data[..(whi - wlo) * cols]);
-                received += 1;
-            }
-            while received < nodes - 1 {
-                let (src, msg) = ctx.recv().unwrap();
-                let MpMsg::Floats { tag, data } = msg else {
-                    panic!("expected band")
-                };
-                if tag != 3 {
-                    // A leftover ghost row from a neighbour's final iteration.
-                    continue;
-                }
-                let (wlo, whi) = partition(rows, nodes, src);
-                grid[wlo * cols..whi * cols].copy_from_slice(&data[..(whi - wlo) * cols]);
-                received += 1;
             }
             grid
         } else {
-            ctx.send(0, MpMsg::Floats { tag: 3, data: band }).unwrap();
+            ctx.send(
+                0,
+                MpMsg::Floats {
+                    tag: RESULT,
+                    data: band,
+                },
+            )
+            .unwrap();
             Vec::new()
         }
     })?;

@@ -1,15 +1,17 @@
 //! Regenerates Table 5 of the paper: Successive Over-Relaxation, Munin vs.
-//! hand-coded message passing, 1–16 processors.
+//! hand-coded message passing, 1–16 processors. Exits non-zero when Munin is
+//! more than 10 % behind at up to 8 processors.
 
-use munin_bench::{format_comparison_table, sor_comparison, PAPER_PROCS};
+use munin_bench::{report_headline, sor_comparison, PAPER_PROCS};
 
 fn main() {
     println!("=== Table 5: performance of SOR (sec) ===");
     let rows = sor_comparison(&PAPER_PROCS);
-    print!(
-        "{}",
-        format_comparison_table("SOR, 1024x512 grid, 20 iterations", &rows)
+    report_headline(
+        "SOR, 1024x512 grid, 20 iterations",
+        &rows,
+        "a section is down to 64 rows, so an iteration's fixed costs (two barriers the root \
+         collects and releases, the faults and updates of the boundary pages) weigh on a \
+         sixteenth of the compute",
     );
-    let worst = rows.iter().map(|r| r.diff_pct()).fold(f64::MIN, f64::max);
-    println!("worst-case Munin overhead vs message passing: {worst:.1}%");
 }

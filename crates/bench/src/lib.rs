@@ -7,6 +7,10 @@
 //! not expected to match the paper's hardware; the *shape* (who wins, by
 //! roughly what factor, where the overheads come from) is what is being
 //! reproduced. `EXPERIMENTS.md` records paper-vs-measured for each one.
+//!
+//! The Table 3 and Table 5 targets also *gate* the paper's headline — Munin
+//! within 10 % of hand-coded message passing up to 8 processors — through
+//! [`headline_violations`]: they exit non-zero when a row breaks it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -37,6 +41,56 @@ impl ComparisonRow {
     pub fn diff_pct(&self) -> f64 {
         self.munin.percent_diff(&self.dm)
     }
+}
+
+/// The paper's headline: "within 10 % of hand-coded message passing".
+pub const HEADLINE_MAX_DIFF_PCT: f64 = 10.0;
+/// Largest processor count the headline is gated at. The 16-processor rows
+/// are printed with their cause instead (see the Table 3 / Table 5 targets).
+pub const HEADLINE_MAX_PROCS: usize = 8;
+
+/// The rows of a Table 3 / Table 5 comparison that break the paper's
+/// headline, one line each; empty when it holds.
+pub fn headline_violations(rows: &[ComparisonRow]) -> Vec<String> {
+    rows.iter()
+        .filter(|r| r.procs <= HEADLINE_MAX_PROCS && r.diff_pct() > HEADLINE_MAX_DIFF_PCT)
+        .map(|r| {
+            format!(
+                "{} processors: Munin {:.2} s is {:+.1} % off message passing's {:.2} s \
+                 (limit {HEADLINE_MAX_DIFF_PCT} % up to {HEADLINE_MAX_PROCS} processors)",
+                r.procs,
+                r.munin.secs(),
+                r.diff_pct(),
+                r.dm.secs()
+            )
+        })
+        .collect()
+}
+
+/// Prints a Table 3 / Table 5 comparison, the note explaining its
+/// 16-processor row, and the headline verdict; exits the process non-zero
+/// when the headline is broken.
+pub fn report_headline(title: &str, rows: &[ComparisonRow], note_16: &str) {
+    print!("{}", format_comparison_table(title, rows));
+    if let Some(wide) = rows.iter().find(|r| r.procs > HEADLINE_MAX_PROCS) {
+        println!(
+            "{} processors ({:+.1} %, not gated): {note_16}",
+            wide.procs,
+            wide.diff_pct()
+        );
+    }
+    let broken = headline_violations(rows);
+    if broken.is_empty() {
+        println!(
+            "headline holds: within {HEADLINE_MAX_DIFF_PCT} % of message passing \
+             up to {HEADLINE_MAX_PROCS} processors"
+        );
+        return;
+    }
+    for line in &broken {
+        eprintln!("headline broken at {line}");
+    }
+    std::process::exit(1);
 }
 
 /// Formats a comparison table in the layout of Tables 3–5:

@@ -98,7 +98,7 @@ impl NodeRuntime {
                     self.note_update_sent(&items);
                     let bundle = CarrierUpdate {
                         from: self.node,
-                        seq: self.next_update_seq(dest),
+                        seq: self.next_update_seq(dest, self.clock.now()),
                         items,
                         sync_install: false,
                     };
@@ -115,24 +115,25 @@ impl NodeRuntime {
             let own = self.node;
             sync.tree_barrier_mut(barrier).arrived.insert(own);
         }
-        self.tree_advance(barrier, topo, None);
+        self.tree_advance(barrier, topo, self.clock.now());
     }
 
     /// Checks completeness and acts: forwards a combine upward, or — at the
     /// owner — opens the episode. Idempotent and safe to call from the user
-    /// thread (`at == None`), the service thread (`at == Some(arrival)`),
-    /// and crash recovery; the `forwarded_count` guard keeps duplicate
-    /// triggers from duplicating upward traffic.
-    fn tree_advance(
-        self: &Arc<Self>,
-        barrier: BarrierId,
-        topo: &TreeTopology,
-        at: Option<VirtTime>,
-    ) {
+    /// thread, the service thread, and crash recovery; the `forwarded_count`
+    /// guard keeps duplicate triggers from duplicating upward traffic.
+    ///
+    /// `at` is the time of the event that prompted the call (this node's own
+    /// arrival, a child report's arrival, a death's confirmation). Whatever
+    /// leaves is stamped from the *latest* such time this episode, so a
+    /// combine or an opening never precedes an arrival it accounts for.
+    fn tree_advance(self: &Arc<Self>, barrier: BarrierId, topo: &TreeTopology, at: VirtTime) {
         let dead = self.dead_set();
-        let decision = {
+        let (decision, latest) = {
             let mut sync = self.sync.lock();
             let t = sync.tree_barrier_mut(barrier);
+            t.latest = t.latest.max(at);
+            let latest = t.latest;
             let subtree = t
                 .subtree
                 .get_or_insert_with(|| topo.subtree_of(self.node))
@@ -141,7 +142,7 @@ impl NodeRuntime {
             needed.difference_with(&dead);
             // This node is in its own `needed`, so nothing happens before
             // its own user thread arrives.
-            if !t.arrived.is_superset_of(&needed) {
+            let decision = if !t.arrived.is_superset_of(&needed) {
                 Advance::Hold
             } else if topo.owner == self.node {
                 let gen = t.completed + 1;
@@ -160,7 +161,8 @@ impl NodeRuntime {
                 }
             } else {
                 Advance::Hold
-            }
+            };
+            (decision, latest)
         };
         match decision {
             Advance::Hold => {}
@@ -210,18 +212,14 @@ impl NodeRuntime {
                         relay,
                     }
                 };
-                let _ = match at {
-                    None => self.send(parent, msg),
-                    Some(t) => self.send_service(parent, msg, t + self.cost.sync_op()),
-                };
+                let _ = self.send_service(parent, msg, latest + self.cost.sync_op());
             }
             Advance::Open { gen, children } => {
                 crate::runtime::proto_trace!(self, "barrier {} gen {gen} opens", barrier.0);
-                let now = at.unwrap_or_else(|| self.clock.now());
-                self.tree_release_children(barrier, gen, children, now);
+                self.tree_release_children(barrier, gen, children, latest);
                 // The owner's own release takes the flat self-release path,
                 // so message accounting matches episode for episode.
-                self.release_barrier_waiters(barrier, vec![self.node], now);
+                self.release_barrier_waiters(barrier, vec![self.node], latest);
             }
         }
     }
@@ -247,7 +245,7 @@ impl NodeRuntime {
                     outbox.take_relay_within(barrier, &covered, child),
                 )
             };
-            if let Some((pending, seq)) = self.take_pending_with_seq(child) {
+            if let Some((pending, seq)) = self.take_pending_with_seq(child, now) {
                 add(&self.stats.msgs_piggybacked, 1);
                 self.note_update_sent(&pending);
                 updates.push(CarrierUpdate {
@@ -334,7 +332,7 @@ impl NodeRuntime {
             );
             return;
         }
-        self.tree_advance(barrier, &topo, Some(env.arrival));
+        self.tree_advance(barrier, &topo, env.arrival);
     }
 
     /// Handles a downward release (service thread): re-forward to dynamic
@@ -391,7 +389,7 @@ impl NodeRuntime {
                 let mut sync = self.sync.lock();
                 sync.tree_barrier_mut(barrier).forwarded_count = 0;
             }
-            self.tree_advance(barrier, &topo, Some(self.clock.now()));
+            self.tree_advance(barrier, &topo, self.now_here());
         }
     }
 }

@@ -243,7 +243,7 @@ impl NodeRuntime {
                 dir.entry_mut(*obj).state.pinned = false;
             }
         }
-        self.note_unblocked_and_process_deferred();
+        self.note_unblocked_and_process_deferred(self.clock.now());
     }
 
     /// Handles a read access fault.
@@ -701,7 +701,7 @@ impl NodeRuntime {
             let mut dir = self.dir.lock();
             dir.entry_mut(object).state.busy = false;
         }
-        self.note_unblocked_and_process_deferred();
+        self.note_unblocked_and_process_deferred(self.clock.now());
     }
 }
 

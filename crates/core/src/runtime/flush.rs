@@ -368,7 +368,7 @@ impl NodeRuntime {
                 items.iter().map(|i| i.object).collect::<Vec<_>>()
             );
             rt.note_update_sent(&items);
-            let seq = rt.next_update_seq(dest);
+            let seq = rt.next_update_seq(dest, rt.clock.now());
             rt.send(
                 dest,
                 DsmMsg::Update {
@@ -484,7 +484,7 @@ impl NodeRuntime {
                 items.iter().map(|i| i.object).collect::<Vec<_>>()
             );
             self.note_update_sent(&items);
-            let seq = self.next_update_seq(owner);
+            let seq = self.next_update_seq(owner, self.clock.now());
             self.send(
                 owner,
                 DsmMsg::RelayFanout {
@@ -711,7 +711,7 @@ impl NodeRuntime {
                 items.iter().map(|i| i.object).collect::<Vec<_>>()
             );
             self.note_update_sent(&items);
-            let seq = self.next_update_seq(dest);
+            let seq = self.next_update_seq(dest, self.clock.now());
             self.send(
                 dest,
                 DsmMsg::Update {

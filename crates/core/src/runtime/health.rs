@@ -142,7 +142,13 @@ impl NodeRuntime {
             // immediately instead of a full period into the run.
             h.last_beat = now - self.heartbeat_every();
         }
-        let due = self.clock.now() + VirtTime::from_nanos(HEALTH_TICK_VIRT_NS);
+        self.arm_health_tick();
+    }
+
+    /// Arms the next `HealthTick`, a short step ahead of the service-side
+    /// clock.
+    fn arm_health_tick(&self) {
+        let due = self.service_now() + VirtTime::from_nanos(HEALTH_TICK_VIRT_NS);
         let _ = self
             .sender
             .schedule_timer(due, "health", DsmMsg::HealthTick);
@@ -193,7 +199,7 @@ impl NodeRuntime {
         }
         bump(&self.stats.peers_suspected);
         self.obs.record(
-            self.clock.now().as_nanos(),
+            self.now_here().as_nanos(),
             crate::obs::EventKind::PeerSuspect,
             |ev| ev.peer = Some(peer),
         );
@@ -260,10 +266,7 @@ impl NodeRuntime {
             }
         }
         self.health_check();
-        let due = self.clock.now() + VirtTime::from_nanos(HEALTH_TICK_VIRT_NS);
-        let _ = self
-            .sender
-            .schedule_timer(due, "health", DsmMsg::HealthTick);
+        self.arm_health_tick();
     }
 
     /// Confirms `peer` dead and, on the first confirmation (exactly one
@@ -285,7 +288,7 @@ impl NodeRuntime {
             Instant::now().duration_since(h.last_heard[i])
         };
         bump(&self.stats.peers_dead);
-        let t_virt = self.clock.now().as_nanos();
+        let t_virt = self.now_here().as_nanos();
         self.obs
             .record(t_virt, crate::obs::EventKind::PeerDead, |ev| {
                 ev.peer = Some(peer);
@@ -392,13 +395,7 @@ impl NodeRuntime {
         }
         let start = Instant::now();
         let entered_virt = self.clock.now().as_nanos();
-        let done = |reply: (Envelope, DsmMsg)| {
-            self.obs.record_wait(
-                op.kind(),
-                reply.0.arrival.as_nanos().saturating_sub(entered_virt),
-            );
-            Ok(reply)
-        };
+        let done = |reply: (Envelope, DsmMsg)| Ok(self.resume_at(op, entered_virt, reply));
         // A fetch interrupted by a death can be answered twice: by the
         // original request, alive after all, and by the `Adopt` its recovery
         // round sent (`refetch_orphan`). The second read copy arrives after
@@ -443,7 +440,10 @@ impl NodeRuntime {
     /// reply, so the walk is safe from both threads.
     fn recover_from_death(self: &Arc<Self>, dead: NodeId) {
         self.purge_peer_link(dead);
-        let t_virt = self.clock.now().as_nanos();
+        // Recovery runs on whichever thread confirmed the death, at that
+        // thread's time.
+        let now = self.now_here();
+        let t_virt = now.as_nanos();
         // Directory walk: prune the corpse from every copyset and re-home
         // orphaned objects to the lowest-id surviving replica holder. Every
         // survivor prunes the same node and sorts the same copyset, so they
@@ -508,7 +508,7 @@ impl NodeRuntime {
         // the arrival count, releasing waiters it was holding up. Wake-ups
         // and sends happen outside the sync lock.
         let mut regenerated: Vec<(LockId, TokenArrival)> = Vec::new();
-        let mut barrier_releases: Vec<(BarrierId, Vec<NodeId>)> = Vec::new();
+        let mut barrier_releases: Vec<(BarrierId, (Vec<NodeId>, VirtTime))> = Vec::new();
         {
             let mut sync = self.sync.lock();
             for i in 0..sync.lock_count() {
@@ -534,13 +534,12 @@ impl NodeRuntime {
                 let id = BarrierId(i as u32);
                 let b = sync.barrier_mut(id);
                 if b.owner == self.node {
-                    if let Some(waiters) = b.exclude(dead) {
-                        barrier_releases.push((id, waiters));
+                    if let Some(opened) = b.exclude(dead, now) {
+                        barrier_releases.push((id, opened));
                     }
                 }
             }
         }
-        let now = self.clock.now();
         for (id, arrival) in regenerated {
             // The fresh token goes where a grant would: to this node's own
             // blocked acquire, else to the first request parked here.
@@ -554,9 +553,9 @@ impl NodeRuntime {
             };
             self.finish_token_arrival(minted, id, arrival);
         }
-        for (id, waiters) in barrier_releases {
+        for (id, (waiters, opened_at)) in barrier_releases {
             crate::runtime::proto_trace!(self, "barrier {} opens on exclusion of {dead:?}", id.0);
-            self.release_barrier_waiters(id, waiters, now);
+            self.release_barrier_waiters(id, waiters, opened_at);
         }
         // Tree barriers re-evaluate on every node: a dead reporting ancestor
         // means this node's merged report must re-parent to a live one, and

@@ -10,6 +10,19 @@
 //!   invalidations, delayed-update propagation, copyset queries, lock and
 //!   barrier traffic.
 //!
+//! The two threads keep two timelines. The node's `NodeClock` belongs to the
+//! user thread: it moves by that thread's own charges, by the system time the
+//! service thread charges to the node (cycles stolen from the application),
+//! and forward to a reply's arrival when a blocked call returns. The service
+//! thread handles each request at the request's own arrival time and never
+//! moves the clock to it; work with no request to inherit a time from
+//! (retransmissions, heartbeats, acks, timer re-arms) is stamped from the
+//! service-side clock: the latest time the node is known to have reached on
+//! either timeline.
+//! So virtual time flows along happens-before edges only, never along the
+//! order in which the host ran the threads (`DESIGN.md`, "Virtual-time
+//! model").
+//!
 //! The user thread performs blocking protocol work (it may wait for replies);
 //! the service thread never blocks on a remote reply, so the two-thread
 //! structure cannot deadlock. Requests that cannot be served because the
@@ -65,7 +78,7 @@ macro_rules! proto_trace {
         if $self.obs.notes_enabled() {
             $self
                 .obs
-                .note($self.clock.now().as_nanos(), format!($($arg)*));
+                .note($self.now_here().as_nanos(), format!($($arg)*));
         }
     };
 }
@@ -158,6 +171,24 @@ pub(crate) enum SeqCheck {
     Stale,
 }
 
+/// What a request in the deferred queue is waiting for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum DeferredOn {
+    /// A busy or pinned directory entry. The retry is handled no earlier
+    /// than the time the entry was unblocked.
+    Entry,
+    /// A gap in an update sequence stream: a lower-numbered transmission
+    /// from the same source is still in flight.
+    Stream,
+}
+
+/// A request waiting in the deferred queue.
+pub(crate) struct Deferred {
+    env: Envelope,
+    msg: DsmMsg,
+    on: DeferredOn,
+}
+
 /// The per-node runtime state shared by the user thread and the service
 /// thread.
 pub struct NodeRuntime {
@@ -166,6 +197,12 @@ pub struct NodeRuntime {
     cfg: Arc<MuninConfig>,
     table: Arc<SharedDataTable>,
     clock: NodeClock,
+    /// High-water of the message arrivals the service thread has handled, in
+    /// nanoseconds — its half of [`Self::service_now`]. Fired timers do not
+    /// move it: they fire on host idleness, and a clock they advanced would
+    /// run at wall-clock rate and leak into protocol traffic through the
+    /// lane FIFO clamp behind every heartbeat or ack stamped from it.
+    service_clock: std::sync::atomic::AtomicU64,
     cost: Arc<CostModel>,
     sender: Sender<DsmMsg>,
     /// The node's copy of the shared data segment (explicit access mode).
@@ -222,8 +259,12 @@ pub struct NodeRuntime {
     /// probable-owner hints; crash recovery needs the fixed home (token
     /// regeneration site, fallback for hints pointing at a corpse).
     lock_homes: Vec<NodeId>,
-    /// Requests deferred because their directory entry was busy.
-    deferred: Mutex<Vec<(Envelope, DsmMsg)>>,
+    /// Requests deferred because their directory entry was busy or pinned,
+    /// or because they are ahead of their update sequence stream.
+    deferred: Mutex<Vec<Deferred>>,
+    /// High-water of the times at which a blocking condition (busy bit or
+    /// pin) was cleared, in nanoseconds.
+    unblocked_at: std::sync::atomic::AtomicU64,
     /// Bumped whenever a blocking condition clears (busy bit or pin
     /// released). `process_deferred` re-loops when it observes a bump, so a
     /// request re-deferred concurrently with the condition clearing cannot be
@@ -240,9 +281,10 @@ pub struct NodeRuntime {
     /// Worker-completion notifications (root only), kept separate from the
     /// reply mailbox so they cannot interleave with an in-flight protocol
     /// operation of the root's user thread. Carries the worker's id so the
-    /// completion wait can reconcile notifications against confirmed deaths.
-    done_tx: channel::Sender<NodeId>,
-    done_rx: channel::Receiver<NodeId>,
+    /// completion wait can reconcile notifications against confirmed deaths,
+    /// and the notification's arrival time.
+    done_tx: channel::Sender<(NodeId, VirtTime)>,
+    done_rx: channel::Receiver<(NodeId, VirtTime)>,
 }
 
 impl NodeRuntime {
@@ -297,6 +339,7 @@ impl NodeRuntime {
                 health: health::Health::new(&cfg, nodes),
                 lock_homes,
                 deferred: Mutex::new(Vec::new()),
+                unblocked_at: std::sync::atomic::AtomicU64::new(0),
                 deferred_gen: std::sync::atomic::AtomicU64::new(0),
                 stats: MuninStats::new(),
                 obs: crate::obs::Recorder::new(
@@ -311,6 +354,7 @@ impl NodeRuntime {
                 cfg,
                 table,
                 clock,
+                service_clock: std::sync::atomic::AtomicU64::new(0),
                 cost,
                 sender,
             }
@@ -357,6 +401,45 @@ impl NodeRuntime {
         &self.clock
     }
 
+    /// Whether the caller is the node's user thread (as opposed to its
+    /// service thread).
+    fn on_user_thread(&self) -> bool {
+        std::thread::current().id() == self.user_thread
+    }
+
+    /// The service-side clock: the latest time this node is known to have
+    /// reached, on the service thread's timeline (arrivals handled) or the
+    /// user thread's (the node clock). It stamps what the service thread
+    /// does with no request in hand — liveness probes, transport acks,
+    /// retransmissions — none of which a user thread ever waits on in a
+    /// fault-free run. Taking the later of the two keeps a retransmission
+    /// from being stamped before the transmission it repeats, whichever
+    /// thread sent that.
+    pub(crate) fn service_now(&self) -> VirtTime {
+        let handled = self.service_clock.load(std::sync::atomic::Ordering::SeqCst);
+        VirtTime::from_nanos(handled).max(self.clock.now())
+    }
+
+    /// Moves the service-side clock up to `t` (the arrival of a message just
+    /// received).
+    pub(crate) fn advance_service_clock(&self, t: VirtTime) {
+        self.service_clock
+            .fetch_max(t.as_nanos(), std::sync::atomic::Ordering::SeqCst);
+    }
+
+    /// The logical time of the calling thread: the node clock on the user
+    /// thread, the service-side clock on the service thread. For code both
+    /// threads run that has no request to take a time from (failure
+    /// detection, retransmission, trace notes); a handler answering a
+    /// request uses the request's arrival instead.
+    pub(crate) fn now_here(&self) -> VirtTime {
+        if self.on_user_thread() {
+            self.clock.now()
+        } else {
+            self.service_now()
+        }
+    }
+
     /// Charges runtime (Munin) overhead to the node clock.
     pub(crate) fn charge_sys(&self, t: VirtTime) {
         self.clock.advance(TimeKind::System, t);
@@ -375,8 +458,9 @@ impl NodeRuntime {
     /// Takes the next outbound update-stream sequence number for `dest`.
     /// Every update-bearing transmission (standalone `Update`, carrier
     /// bundle, relayed bundle) to a destination consumes exactly one, in
-    /// the order the transmissions are issued.
-    pub(crate) fn next_update_seq(&self, dest: NodeId) -> u64 {
+    /// the order the transmissions are issued. `at` is the issuing thread's
+    /// logical time (the flow-arrow source must not postdate the send).
+    pub(crate) fn next_update_seq(&self, dest: NodeId, at: VirtTime) -> u64 {
         let seq = {
             let mut seqs = self.update_seq_out.lock();
             let slot = &mut seqs[dest.as_usize()];
@@ -387,14 +471,11 @@ impl NodeRuntime {
         // Every update-bearing transmission allocates exactly one number
         // here, making this the single flow-arrow source ("s") point for the
         // trace exporter.
-        self.obs.record(
-            self.clock.now().as_nanos(),
-            crate::obs::EventKind::UpdateSend,
-            |ev| {
+        self.obs
+            .record(at.as_nanos(), crate::obs::EventKind::UpdateSend, |ev| {
                 ev.peer = Some(dest);
                 ev.seq = Some(seq);
-            },
-        );
+            });
         seq
     }
 
@@ -427,14 +508,27 @@ impl NodeRuntime {
         );
     }
 
-    /// Sends a protocol message, charging the fixed message cost. The
-    /// message is wrapped by the reliability layer when that is enabled.
+    /// Sends a protocol message in the calling thread's program order,
+    /// charging the fixed message cost. The message is wrapped by the
+    /// reliability layer when that is enabled.
     pub(crate) fn send(&self, dst: NodeId, msg: DsmMsg) -> Result<()> {
         let msg = self.wrap_outgoing(dst, msg);
-        self.sender
-            .send(dst, msg.class(), msg.model_bytes(), msg)
-            .map(|_| ())
-            .map_err(|e| self.send_error(dst, e))
+        self.send_raw(dst, msg)
+    }
+
+    /// [`Self::send`] without the reliability wrap. On the user thread the
+    /// message leaves at the node clock; on the service thread — which only
+    /// gets here with no request in hand, everything else goes through
+    /// [`Self::send_service`] — at the service-side clock.
+    pub(crate) fn send_raw(&self, dst: NodeId, msg: DsmMsg) -> Result<()> {
+        let (class, bytes) = (msg.class(), msg.model_bytes());
+        let sent = if self.on_user_thread() {
+            self.sender.send(dst, class, bytes, msg)
+        } else {
+            self.sender
+                .send_at(dst, class, bytes, msg, self.service_now())
+        };
+        sent.map(|_| ()).map_err(|e| self.send_error(dst, e))
     }
 
     /// A send fails when the destination has left the run: its inbox is
@@ -482,17 +576,7 @@ impl NodeRuntime {
         let entered_virt = self.clock.now().as_nanos();
         loop {
             match self.reply_rx.recv_timeout(WATCHDOG_SLICE) {
-                Ok(reply) => {
-                    // The virtual wait is measured to the reply's scheduled
-                    // arrival (not the shared clock, which the service thread
-                    // may have advanced past it), so histogram samples are
-                    // deterministic under a fixed engine seed.
-                    self.obs.record_wait(
-                        op.kind(),
-                        reply.0.arrival.as_nanos().saturating_sub(entered_virt),
-                    );
-                    return Ok(reply);
-                }
+                Ok(reply) => return Ok(self.resume_at(op, entered_virt, reply)),
                 Err(_) => {
                     let waited = start.elapsed();
                     if waited >= self.cfg.watchdog {
@@ -501,6 +585,23 @@ impl NodeRuntime {
                 }
             }
         }
+    }
+
+    /// A blocked call returns: the reply's arrival is where the user thread
+    /// resumes (the one edge by which a message moves the node clock), and
+    /// the virtual wait is measured to it.
+    pub(crate) fn resume_at(
+        &self,
+        op: WaitOp,
+        entered_virt: u64,
+        reply: (Envelope, DsmMsg),
+    ) -> (Envelope, DsmMsg) {
+        self.clock.advance_to(TimeKind::Wait, reply.0.arrival);
+        self.obs.record_wait(
+            op.kind(),
+            reply.0.arrival.as_nanos().saturating_sub(entered_virt),
+        );
+        reply
     }
 
     /// Blocks until one worker-completion notification arrives (root only),
@@ -515,10 +616,11 @@ impl NodeRuntime {
         let dead_at_entry = self.dead_set();
         loop {
             match self.done_rx.recv_timeout(WATCHDOG_SLICE) {
-                Ok(from) => {
+                Ok((from, arrival)) => {
+                    self.clock.advance_to(TimeKind::Wait, arrival);
                     self.obs.record_wait(
                         WaitOp::WorkerDone.kind(),
-                        self.clock.now().as_nanos().saturating_sub(entered_virt),
+                        arrival.as_nanos().saturating_sub(entered_virt),
                     );
                     return Ok(Some(from));
                 }
@@ -754,9 +856,15 @@ impl NodeRuntime {
         }
     }
 
-    /// Retries requests that were deferred because their directory entry was
-    /// busy. Safe to call from either thread: the handlers it invokes never
-    /// block on remote replies.
+    /// Parks a request until what it waits `on` has happened.
+    pub(crate) fn defer(&self, env: Envelope, msg: DsmMsg, on: DeferredOn) {
+        self.deferred.lock().push(Deferred { env, msg, on });
+    }
+
+    /// Retries deferred requests. Safe to call from either thread: the
+    /// handlers it invokes never block on remote replies. A request that
+    /// waited on a directory entry is handled at `max(its arrival, the time
+    /// the entry was unblocked)` — it could not have been served before.
     pub(crate) fn process_deferred(self: &Arc<Self>) {
         use std::sync::atomic::Ordering;
         loop {
@@ -769,7 +877,11 @@ impl NodeRuntime {
                 std::mem::take(&mut *deferred)
             };
             let before = pending.len();
-            for (env, msg) in pending {
+            let unblocked_at = VirtTime::from_nanos(self.unblocked_at.load(Ordering::SeqCst));
+            for Deferred { mut env, msg, on } in pending {
+                if on == DeferredOn::Entry {
+                    env.arrival = env.arrival.max(unblocked_at);
+                }
                 self.handle_request(env, msg);
             }
             // If nothing was consumed (everything re-deferred), stop retrying
@@ -785,12 +897,13 @@ impl NodeRuntime {
         }
     }
 
-    /// Records that a blocking condition (busy bit or pin) has been cleared,
-    /// then retries deferred requests. Must be called *after* the directory
-    /// update that cleared the condition.
-    pub(crate) fn note_unblocked_and_process_deferred(self: &Arc<Self>) {
-        self.deferred_gen
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    /// Records that a blocking condition (busy bit or pin) was cleared at
+    /// `at`, then retries deferred requests. Must be called *after* the
+    /// directory update that cleared the condition.
+    pub(crate) fn note_unblocked_and_process_deferred(self: &Arc<Self>, at: VirtTime) {
+        use std::sync::atomic::Ordering;
+        self.unblocked_at.fetch_max(at.as_nanos(), Ordering::SeqCst);
+        self.deferred_gen.fetch_add(1, Ordering::SeqCst);
         self.process_deferred();
     }
 

@@ -211,8 +211,7 @@ impl NodeRuntime {
             let upto = peer.ack_upto();
             peer.acks_owed = false;
             stats::bump(&self.stats.net_acks_sent);
-            let ack = DsmMsg::NetAck { upto };
-            let _ = self.sender.send(src, ack.class(), ack.model_bytes(), ack);
+            let _ = self.send_raw(src, DsmMsg::NetAck { upto });
             return Vec::new();
         }
         if id > peer.next_id_in {
@@ -259,10 +258,8 @@ impl NodeRuntime {
             if peer.acks_owed {
                 peer.acks_owed = false;
                 stats::bump(&self.stats.net_acks_sent);
-                let ack = DsmMsg::NetAck {
-                    upto: peer.ack_upto(),
-                };
-                let _ = self.sender.send(dst, ack.class(), ack.model_bytes(), ack);
+                let upto = peer.ack_upto();
+                let _ = self.send_raw(dst, DsmMsg::NetAck { upto });
             }
             let upto = peer.ack_upto();
             for entry in peer.unacked.iter_mut() {
@@ -282,7 +279,7 @@ impl NodeRuntime {
                 // Recorder is a pure leaf lock, so taking it under the
                 // reliable lock (like the engine shard) cannot invert.
                 self.obs.record(
-                    self.clock.now().as_nanos(),
+                    self.now_here().as_nanos(),
                     crate::obs::EventKind::Retransmit,
                     |ev| {
                         ev.peer = Some(dst);
@@ -294,9 +291,7 @@ impl NodeRuntime {
                     ack: upto,
                     inner: Box::new(entry.inner.clone()),
                 };
-                let _ = self
-                    .sender
-                    .send(dst, frame.class(), frame.model_bytes(), frame);
+                let _ = self.send_raw(dst, frame);
             }
         }
         let pending = rel
@@ -358,12 +353,8 @@ impl NodeRuntime {
             if peer.acks_owed {
                 peer.acks_owed = false;
                 stats::bump(&self.stats.net_acks_sent);
-                let ack = DsmMsg::NetAck {
-                    upto: peer.ack_upto(),
-                };
-                let _ = self
-                    .sender
-                    .send(NodeId::new(dst), ack.class(), ack.model_bytes(), ack);
+                let upto = peer.ack_upto();
+                let _ = self.send_raw(NodeId::new(dst), DsmMsg::NetAck { upto });
             }
         }
     }
@@ -377,16 +368,17 @@ impl NodeRuntime {
             .any(|p| !p.unacked.is_empty())
     }
 
-    /// Schedules a tick timer with the engine if none is outstanding. The
-    /// virtual due time only orders the timer against other timers; actual
-    /// firing waits for the destination schedule to go idle, and retransmit
-    /// eligibility is governed by wall-clock backoff.
+    /// Schedules a tick timer with the engine if none is outstanding, one
+    /// pacing interval ahead of the calling thread's time. The virtual due
+    /// time only orders the timer against other timers; actual firing waits
+    /// for the destination schedule to go idle, and retransmit eligibility is
+    /// governed by wall-clock backoff.
     fn ensure_tick(&self, rel: &mut ReliableState) {
         if rel.tick_scheduled || !rel.enabled {
             return;
         }
         let pacing = self.cfg.retransmit_pacing;
-        let due = self.clock.now() + VirtTime::from_nanos(pacing.as_nanos() as u64);
+        let due = self.now_here() + VirtTime::from_nanos(pacing.as_nanos() as u64);
         if self
             .sender
             .schedule_timer(due, "tick", DsmMsg::Tick)

@@ -21,17 +21,29 @@ use crate::object::ObjectId;
 use crate::stats::{add, bump};
 use crate::sync::{RemoteAcquireAction, TokenArrival};
 
-use super::NodeRuntime;
+use super::{DeferredOn, NodeRuntime};
 
 impl NodeRuntime {
+    /// The service loop's receive. Unclocked: a request is handled at its
+    /// own arrival time and the node clock — the user thread's — is not
+    /// moved to it; only the service-side clock follows the arrivals seen
+    /// here (not fired timers, see `NodeRuntime::service_clock`). `None` once
+    /// all senders dropped or the inbox was closed by the abort path.
+    fn next_delivery(&self, receiver: &Receiver<DsmMsg>) -> Option<(Envelope, DsmMsg)> {
+        let (env, msg, is_timer) = receiver.recv_unclocked().ok()?;
+        if !is_timer {
+            self.advance_service_clock(env.arrival);
+        }
+        Some((env, msg))
+    }
+
     /// Runs the service loop until a `Shutdown` message arrives. Intended to
     /// run on its own OS thread, with the node's network receiver moved in.
     pub fn server_loop(self: Arc<Self>, receiver: Receiver<DsmMsg>) {
         self.health_start();
         loop {
-            let Ok((env, msg)) = receiver.recv() else {
-                // All senders dropped (or the inbox was closed by the abort
-                // path): the run is over.
+            let Some((env, msg)) = self.next_delivery(&receiver) else {
+                // The run is over.
                 return;
             };
             if self.handle_incoming(env, msg) {
@@ -113,7 +125,7 @@ impl NodeRuntime {
             // Completion notifications go to a dedicated channel so they
             // cannot interleave with a protocol operation the root's user
             // thread is still performing.
-            let _ = self.done_tx.send(from);
+            let _ = self.done_tx.send((from, env.arrival));
         } else if matches!(msg, DsmMsg::Carrier { .. }) {
             // Carriers are unwrapped here — never routed to the user
             // thread directly — so the piggybacked payload is always
@@ -154,7 +166,7 @@ impl NodeRuntime {
         while self.has_unacked() && std::time::Instant::now() < deadline {
             // A tick is always scheduled while messages are unacked, so this
             // recv wakes at least once per retransmit interval.
-            let Ok((env, msg)) = receiver.recv() else {
+            let Some((env, msg)) = self.next_delivery(receiver) else {
                 return;
             };
             match msg {
@@ -284,14 +296,17 @@ impl NodeRuntime {
             let waiting = self.try_install_carrier_updates(env, updates);
             if !waiting.is_empty() {
                 crate::runtime::proto_trace!(self, "defer whole carrier (gating inner)");
-                self.deferred.lock().push((
-                    env,
-                    DsmMsg::Carrier {
-                        inner,
-                        updates: waiting,
-                        relay,
-                    },
-                ));
+                let on = if waiting.iter().any(|(_, on)| *on == DeferredOn::Entry) {
+                    DeferredOn::Entry
+                } else {
+                    DeferredOn::Stream
+                };
+                let carrier = DsmMsg::Carrier {
+                    inner,
+                    updates: waiting.into_iter().map(|(bundle, _)| bundle).collect(),
+                    relay,
+                };
+                self.defer(env, carrier, on);
                 return;
             }
         } else {
@@ -342,7 +357,7 @@ impl NodeRuntime {
         let Some(inner) = inner else { return };
         let inner = *inner;
         if let DsmMsg::WorkerDone { from } = inner {
-            let _ = self.done_tx.send(from);
+            let _ = self.done_tx.send((from, env.arrival));
         } else if inner.is_user_reply() {
             self.route_to_user(env, inner);
         } else {
@@ -360,26 +375,24 @@ impl NodeRuntime {
         env: Envelope,
         updates: Vec<CarrierUpdate>,
     ) {
-        for bundle in self.try_install_carrier_updates(env, updates) {
-            self.deferred.lock().push((
-                env,
-                DsmMsg::Carrier {
-                    inner: None,
-                    updates: vec![bundle],
-                    relay: Vec::new(),
-                },
-            ));
+        for (bundle, on) in self.try_install_carrier_updates(env, updates) {
+            let carrier = DsmMsg::Carrier {
+                inner: None,
+                updates: vec![bundle],
+                relay: Vec::new(),
+            };
+            self.defer(env, carrier, on);
         }
     }
 
-    /// Applies every bundle that can be applied *now* and returns the rest
-    /// (blocked on a busy/pinned entry, or ahead of its source's sequence
-    /// stream). The caller decides how the returned bundles wait.
+    /// Applies every bundle that can be applied *now* and returns the rest,
+    /// each with what it waits on (a busy/pinned entry, or its source's
+    /// sequence stream). The caller decides how the returned bundles wait.
     fn try_install_carrier_updates(
         self: &Arc<Self>,
         env: Envelope,
         updates: Vec<CarrierUpdate>,
-    ) -> Vec<CarrierUpdate> {
+    ) -> Vec<(CarrierUpdate, DeferredOn)> {
         let mut waiting = Vec::new();
         for bundle in updates {
             let blocked = {
@@ -401,11 +414,11 @@ impl NodeRuntime {
                         },
                     );
                 }
-                waiting.push(bundle);
+                waiting.push((bundle, DeferredOn::Entry));
                 continue;
             }
             if bundle.sync_install {
-                self.install_sync_items(bundle.items);
+                self.install_sync_items(bundle.items, env.arrival);
                 continue;
             }
             // Flush bundles participate in the per-source update sequence
@@ -446,7 +459,7 @@ impl NodeRuntime {
                             ev.seq = Some(bundle.seq);
                         },
                     );
-                    waiting.push(bundle);
+                    waiting.push((bundle, DeferredOn::Stream));
                 }
                 super::SeqCheck::Stale => {
                     crate::runtime::proto_trace!(
@@ -468,7 +481,7 @@ impl NodeRuntime {
     /// marked busy across its install so a concurrently arriving update or
     /// fetch for the same object is deferred instead of interleaving with
     /// the install.
-    fn install_sync_items(self: &Arc<Self>, items: Vec<UpdateItem>) {
+    fn install_sync_items(self: &Arc<Self>, items: Vec<UpdateItem>, at: munin_sim::VirtTime) {
         for item in items {
             let UpdatePayload::Full(data) = item.payload else {
                 debug_assert!(false, "sync installs always carry full images");
@@ -495,7 +508,7 @@ impl NodeRuntime {
                 }
                 e.state.busy = false;
             }
-            self.note_unblocked_and_process_deferred();
+            self.note_unblocked_and_process_deferred(at);
         }
     }
 
@@ -518,7 +531,7 @@ impl NodeRuntime {
             if entry.state.busy || entry.state.pinned {
                 // Mid-transition: retry once it completes, as a fetch would.
                 drop(dir);
-                self.deferred.lock().push((
+                self.defer(
                     env,
                     DsmMsg::Adopt {
                         object,
@@ -526,7 +539,8 @@ impl NodeRuntime {
                         requester,
                         phase,
                     },
-                ));
+                    DeferredOn::Entry,
+                );
                 return;
             }
             if !entry.state.owned && entry.state.rights.allows_read() {
@@ -685,7 +699,7 @@ impl NodeRuntime {
         match action {
             Action::Defer => {
                 crate::runtime::proto_trace!(self, "defer fetch {object:?} from {requester:?}");
-                self.deferred.lock().push((
+                self.defer(
                     env,
                     DsmMsg::ObjectFetch {
                         object,
@@ -693,7 +707,8 @@ impl NodeRuntime {
                         requester,
                         phase,
                     },
-                ));
+                    DeferredOn::Entry,
+                );
             }
             Action::Forward(next) => {
                 let _ = self.send_service(
@@ -771,9 +786,11 @@ impl NodeRuntime {
                 // No virtual-time charge on a deferred attempt: retry counts
                 // are host-timing dependent.
                 drop(dir);
-                self.deferred
-                    .lock()
-                    .push((env, DsmMsg::Invalidate { object, requester }));
+                self.defer(
+                    env,
+                    DsmMsg::Invalidate { object, requester },
+                    DeferredOn::Entry,
+                );
                 return;
             }
             let flush_first = entry.state.dirty && entry.params.allows_multiple_writers();
@@ -827,7 +844,7 @@ impl NodeRuntime {
                         inner: Some(Box::new(DsmMsg::InvalidateAck { object })),
                         updates: vec![CarrierUpdate {
                             from: self.node,
-                            seq: self.next_update_seq(requester),
+                            seq: self.next_update_seq(requester, now),
                             items: vec![UpdateItem { object, payload }],
                             sync_install: false,
                         }],
@@ -843,7 +860,7 @@ impl NodeRuntime {
                     DsmMsg::Update {
                         items: vec![UpdateItem { object, payload }],
                         requester: self.node,
-                        seq: self.next_update_seq(requester),
+                        seq: self.next_update_seq(requester, now),
                         needs_ack: false,
                     },
                     now + self.cost.dir_op(),
@@ -898,7 +915,7 @@ impl NodeRuntime {
                         ev.peer = Some(requester);
                         ev.seq = Some(seq);
                     });
-                self.deferred.lock().push((
+                self.defer(
                     env,
                     DsmMsg::Update {
                         items,
@@ -906,7 +923,8 @@ impl NodeRuntime {
                         seq,
                         needs_ack,
                     },
-                ));
+                    DeferredOn::Entry,
+                );
                 return;
             }
         }
@@ -935,7 +953,7 @@ impl NodeRuntime {
                         ev.peer = Some(requester);
                         ev.seq = Some(seq);
                     });
-                self.deferred.lock().push((
+                self.defer(
                     env,
                     DsmMsg::Update {
                         items,
@@ -943,7 +961,8 @@ impl NodeRuntime {
                         seq,
                         needs_ack,
                     },
-                ));
+                    DeferredOn::Stream,
+                );
                 return;
             }
             super::SeqCheck::Stale => {
@@ -1016,9 +1035,11 @@ impl NodeRuntime {
                         ev.peer = Some(origin);
                         ev.seq = Some(seq);
                     });
-                self.deferred
-                    .lock()
-                    .push((env, DsmMsg::RelayFanout { items, origin, seq }));
+                self.defer(
+                    env,
+                    DsmMsg::RelayFanout { items, origin, seq },
+                    DeferredOn::Entry,
+                );
                 return;
             }
         }
@@ -1040,9 +1061,11 @@ impl NodeRuntime {
                         ev.peer = Some(origin);
                         ev.seq = Some(seq);
                     });
-                self.deferred
-                    .lock()
-                    .push((env, DsmMsg::RelayFanout { items, origin, seq }));
+                self.defer(
+                    env,
+                    DsmMsg::RelayFanout { items, origin, seq },
+                    DeferredOn::Stream,
+                );
                 return;
             }
             super::SeqCheck::Stale => {
@@ -1166,9 +1189,11 @@ impl NodeRuntime {
                         ev.peer = Some(env.src);
                         ev.seq = Some(seq);
                     });
-                self.deferred
-                    .lock()
-                    .push((env, DsmMsg::RelayForward { items, origin, seq }));
+                self.defer(
+                    env,
+                    DsmMsg::RelayForward { items, origin, seq },
+                    DeferredOn::Entry,
+                );
                 return;
             }
         }
@@ -1274,7 +1299,11 @@ impl NodeRuntime {
     /// user-thread flush while drawing a *later* slot, and the receiver
     /// (which applies strictly in seq order) would install the stale items
     /// over the newer data.
-    pub(crate) fn take_pending_with_seq(&self, dst: NodeId) -> Option<(Vec<UpdateItem>, u64)> {
+    pub(crate) fn take_pending_with_seq(
+        &self,
+        dst: NodeId,
+        at: munin_sim::VirtTime,
+    ) -> Option<(Vec<UpdateItem>, u64)> {
         if !self.cfg.piggyback {
             return None;
         }
@@ -1283,7 +1312,7 @@ impl NodeRuntime {
         if pending.is_empty() {
             return None;
         }
-        let seq = self.next_update_seq(dst);
+        let seq = self.next_update_seq(dst, at);
         Some((pending, seq))
     }
 
@@ -1298,7 +1327,7 @@ impl NodeRuntime {
         msg: DsmMsg,
         logical_time: munin_sim::VirtTime,
     ) {
-        let Some((pending, seq)) = self.take_pending_with_seq(dst) else {
+        let Some((pending, seq)) = self.take_pending_with_seq(dst, logical_time) else {
             let _ = self.send_service(dst, msg, logical_time);
             return;
         };
@@ -1350,9 +1379,11 @@ impl NodeRuntime {
                 // `Arc`-backed object list — no copy.
                 drop(dir);
                 crate::runtime::proto_trace!(self, "defer copyset query from {requester:?}");
-                self.deferred
-                    .lock()
-                    .push((env, DsmMsg::CopysetQuery { objects, requester }));
+                self.defer(
+                    env,
+                    DsmMsg::CopysetQuery { objects, requester },
+                    DeferredOn::Entry,
+                );
                 return;
             }
             objects
@@ -1465,16 +1496,19 @@ impl NodeRuntime {
             crate::runtime::proto_trace!(self, "drop own looped-back acquire for lock {}", lock.0);
             return;
         }
-        let action = {
+        let (action, released_at) = {
             let mut sync = self.sync.lock();
-            sync.lock_mut(lock).handle_remote_acquire(requester)
+            let state = sync.lock_mut(lock);
+            (state.handle_remote_acquire(requester), state.released_at)
         };
         match action {
             RemoteAcquireAction::Forward(next) => {
                 self.forward_lock_acquire(lock, requester, next, now)
             }
             RemoteAcquireAction::Grant => {
-                self.send_lock_grant(lock, requester, Vec::new(), Vec::new());
+                // A resting token cannot leave before it came to rest.
+                let at = now.max(released_at) + self.cost.sync_op();
+                self.send_lock_grant(lock, requester, Vec::new(), Vec::new(), Some(at));
             }
             RemoteAcquireAction::Queued => {}
         }
@@ -1518,8 +1552,9 @@ impl NodeRuntime {
 
     /// Acts on what [`crate::sync::LockState::receive_grant`] decided: wakes
     /// the user thread blocked in `acquire_lock` (the token is already
-    /// installed; the reply only carries the arrival time), or sends the
-    /// token on when no local acquire was waiting for it.
+    /// installed; the reply only carries the arrival time), sends the token
+    /// on when no local acquire was waiting for it, or notes when it came to
+    /// rest here.
     pub(crate) fn finish_token_arrival(
         self: &Arc<Self>,
         env: Envelope,
@@ -1533,9 +1568,10 @@ impl NodeRuntime {
             }
             TokenArrival::PassedOn(next, rest) => {
                 crate::runtime::proto_trace!(self, "pass unawaited lock {} on to {next:?}", lock.0);
-                self.send_lock_grant(lock, next, rest, Vec::new());
+                let at = env.arrival + self.cost.sync_op();
+                self.send_lock_grant(lock, next, rest, Vec::new(), Some(at));
             }
-            TokenArrival::Idle => {}
+            TokenArrival::Idle => self.sync.lock().lock_mut(lock).released_at = env.arrival,
         }
     }
 
@@ -1544,13 +1580,23 @@ impl NodeRuntime {
     /// flush updates the releaser diverted onto this grant, and any
     /// coalesced outbox items for the grantee all ride the same carrier
     /// frame; a grant with none of them goes out bare.
+    ///
+    /// `at` is when the grant leaves: `None` on the releasing user thread
+    /// (its clock, in program order), `Some(t)` on a service path — the
+    /// request's or the token's arrival plus the handling cost.
     pub(crate) fn send_lock_grant(
         self: &Arc<Self>,
         lock: crate::sync::LockId,
         to: NodeId,
         queue: Vec<NodeId>,
         diverted: Vec<UpdateItem>,
+        at: Option<munin_sim::VirtTime>,
     ) {
+        let send = |msg: DsmMsg| match at {
+            None => self.send(to, msg),
+            Some(t) => self.send_service(to, msg, t),
+        };
+        let stamp = at.unwrap_or_else(|| self.clock.now());
         let sync_items = self.build_lock_piggyback(lock, to);
         // Pending outbox items and their stream slot are taken in one
         // outbox-lock scope (see `take_pending_with_seq`); the diverted
@@ -1558,7 +1604,7 @@ impl NodeRuntime {
         // reflects when its content was captured.
         let mut flush_items = diverted;
         let mut seq = None;
-        if let Some((pending, s)) = self.take_pending_with_seq(to) {
+        if let Some((pending, s)) = self.take_pending_with_seq(to, stamp) {
             // Older coalesced changes apply before this release's items.
             let fresh = std::mem::replace(&mut flush_items, pending);
             flush_items.extend(fresh);
@@ -1567,7 +1613,7 @@ impl NodeRuntime {
         add(&self.stats.lock_messages, 1);
         let grant = DsmMsg::LockGrant { lock, queue };
         if sync_items.is_empty() && flush_items.is_empty() {
-            let _ = self.send(to, grant);
+            let _ = send(grant);
             return;
         }
         let mut updates = Vec::new();
@@ -1584,19 +1630,16 @@ impl NodeRuntime {
             self.note_update_sent(&flush_items);
             updates.push(CarrierUpdate {
                 from: self.node,
-                seq: seq.unwrap_or_else(|| self.next_update_seq(to)),
+                seq: seq.unwrap_or_else(|| self.next_update_seq(to, stamp)),
                 items: flush_items,
                 sync_install: false,
             });
         }
-        let _ = self.send(
-            to,
-            DsmMsg::Carrier {
-                inner: Some(Box::new(grant)),
-                updates,
-                relay: Vec::new(),
-            },
-        );
+        let _ = send(DsmMsg::Carrier {
+            inner: Some(Box::new(grant)),
+            updates,
+            relay: Vec::new(),
+        });
     }
 
     /// Builds the consistency data piggybacked on a lock grant: the current
@@ -1661,10 +1704,12 @@ impl NodeRuntime {
         bump(&self.stats.barrier_owner_ingress);
         let released = {
             let mut sync = self.sync.lock();
-            sync.barrier_mut(barrier).arrive(from)
+            sync.barrier_mut(barrier).arrive(from, now)
         };
-        if let Some(waiters) = released {
-            self.release_barrier_waiters(barrier, waiters, now);
+        // Opened at the episode's *latest* arrival, which need not be the
+        // one processed last.
+        if let Some((waiters, opened_at)) = released {
+            self.release_barrier_waiters(barrier, waiters, opened_at);
         }
     }
 
@@ -1690,7 +1735,7 @@ impl NodeRuntime {
                 let mut outbox = self.outbox.lock();
                 outbox.take_relay(barrier, node)
             };
-            if let Some((pending, seq)) = self.take_pending_with_seq(node) {
+            if let Some((pending, seq)) = self.take_pending_with_seq(node, now) {
                 add(&self.stats.msgs_piggybacked, 1);
                 self.note_update_sent(&pending);
                 updates.push(CarrierUpdate {
@@ -2574,6 +2619,148 @@ mod tests {
         ));
     }
 
+    // --- the virtual-time model ------------------------------------------
+    //
+    // Handlers act at the time of the request they answer, or — where they
+    // act on what an earlier event left behind — at the later of the two
+    // (`DESIGN.md`, "Virtual-time model"). The host may run the virtually
+    // later event first; none of these times may depend on that.
+
+    fn env_at(src: usize, class: &'static str, arrival: munin_sim::VirtTime) -> Envelope {
+        Envelope {
+            src: NodeId::new(src),
+            dst: NodeId::new(0),
+            class,
+            model_bytes: 40,
+            sent_at: arrival,
+            arrival,
+        }
+    }
+
+    #[test]
+    fn barrier_release_leaves_at_the_latest_arrival_whatever_was_processed_last() {
+        let h = harness();
+        let b = crate::sync::BarrierId(0);
+        let us = munin_sim::VirtTime::from_micros;
+        // The host delivers node 1's arrival (900 µs) before node 0's own
+        // (100 µs): the barrier opens at 900 µs all the same.
+        for (from, at) in [(1, us(900)), (0, us(100))] {
+            h.rt.handle_request(
+                env_at(from, "barrier_arrive", at),
+                DsmMsg::BarrierArrive {
+                    barrier: b,
+                    from: NodeId::new(from),
+                },
+            );
+        }
+        let (env, msg) = h.peer_rx.recv().unwrap();
+        assert!(matches!(msg, DsmMsg::BarrierRelease { .. }));
+        assert_eq!(env.sent_at, us(900) + h.rt.cost.sync_op());
+    }
+
+    #[test]
+    fn resting_token_is_granted_no_earlier_than_it_came_to_rest() {
+        let h = harness();
+        let lock = crate::sync::LockId(0);
+        let us = munin_sim::VirtTime::from_micros;
+        let acquire = DsmMsg::LockAcquire {
+            lock,
+            requester: NodeId::new(1),
+        };
+        // The user thread released the free lock at 500 µs; a request the
+        // host delivers afterwards carries an arrival of 100 µs.
+        h.rt.sync.lock().lock_mut(lock).released_at = us(500);
+        h.rt.handle_request(env_at(1, "lock_acquire", us(100)), acquire);
+        let (env, msg) = h.peer_rx.recv().unwrap();
+        assert!(matches!(msg, DsmMsg::LockGrant { .. }));
+        assert_eq!(env.sent_at, us(500) + h.rt.cost.sync_op());
+        // The token comes back (unawaited) at 600 µs and rests; a request
+        // arriving later than that is granted at its own time.
+        h.rt.install_lock_token(env_at(1, "lock_grant", us(600)), lock, Vec::new());
+        assert_eq!(h.rt.sync.lock().lock(lock).released_at, us(600));
+        let acquire = DsmMsg::LockAcquire {
+            lock,
+            requester: NodeId::new(1),
+        };
+        h.rt.handle_request(env_at(1, "lock_acquire", us(700)), acquire);
+        let (env, _) = h.peer_rx.recv().unwrap();
+        assert_eq!(env.sent_at, us(700) + h.rt.cost.sync_op());
+    }
+
+    #[test]
+    fn request_deferred_on_an_entry_is_served_no_earlier_than_it_was_unblocked() {
+        let h = harness();
+        let conv = h.obj("conv");
+        let us = munin_sim::VirtTime::from_micros;
+        h.rt.dir.lock().entry_mut(conv).state.busy = true;
+        h.rt.handle_request(
+            env_at(1, "object_fetch", us(100)),
+            DsmMsg::ObjectFetch {
+                object: conv,
+                access: FetchKind::Read,
+                requester: NodeId::new(1),
+                phase: 0,
+            },
+        );
+        assert_eq!(h.rt.deferred.lock().len(), 1);
+        // A retry while the entry is still busy changes nothing.
+        h.rt.process_deferred();
+        assert_eq!(h.rt.deferred.lock().len(), 1);
+        // The transition completes at 800 µs on the thread that held it.
+        h.rt.dir.lock().entry_mut(conv).state.busy = false;
+        h.rt.note_unblocked_and_process_deferred(us(800));
+        let (env, msg) = h.peer_rx.recv().unwrap();
+        assert!(matches!(msg, DsmMsg::ObjectData { .. }));
+        let size = h.rt.table.object(conv).size as u64;
+        assert_eq!(
+            env.sent_at,
+            us(800) + h.rt.cost.dir_op() + h.rt.cost.copy(size)
+        );
+    }
+
+    /// The service loop serves a request at the request's arrival and leaves
+    /// the node clock — the user thread's — where it was, give or take the
+    /// cycles the service stole from it.
+    #[test]
+    fn service_loop_answers_at_the_requests_time_without_moving_the_node_clock() {
+        let Harness {
+            rt,
+            peer_tx,
+            peer_rx,
+            rt_rx,
+        } = harness();
+        let ro = rt.table().var_by_name("ro").unwrap().objects[0];
+        let ms = munin_sim::VirtTime::from_millis;
+        let server = {
+            let rt = Arc::clone(&rt);
+            std::thread::spawn(move || rt.server_loop(rt_rx))
+        };
+        let fetch = DsmMsg::ObjectFetch {
+            object: ro,
+            access: FetchKind::Read,
+            requester: NodeId::new(1),
+            phase: 0,
+        };
+        let sent = peer_tx
+            .send_at(NodeId::new(0), "object_fetch", 40, fetch, ms(5))
+            .unwrap();
+        let (reply, msg) = peer_rx.recv().unwrap();
+        assert!(matches!(msg, DsmMsg::ObjectData { .. }));
+        let size = rt.table.object(ro).size as u64;
+        let service = rt.cost.dir_op() + rt.cost.copy(size);
+        assert_eq!(reply.sent_at, sent.arrival + service);
+        // Only the stolen cycles (the service cost and the reply's fixed
+        // message cost) reached the node clock; the 5 ms did not.
+        assert_eq!(rt.clock().now(), service + rt.cost.msg_fixed());
+        assert_eq!(rt.clock().wait_time(), munin_sim::VirtTime::ZERO);
+        // The service-side clock did follow the arrival.
+        assert!(rt.service_now() >= sent.arrival);
+        peer_tx
+            .send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
+            .unwrap();
+        server.join().unwrap();
+    }
+
     // --- reliability-layer idempotence -----------------------------------
     //
     // These tests forge `Reliable` frames straight into `handle_incoming`,
@@ -2587,14 +2774,7 @@ mod tests {
 
     /// Envelope for a forged frame from node 1.
     fn rel_env() -> Envelope {
-        Envelope {
-            src: NodeId::new(1),
-            dst: NodeId::new(0),
-            class: "reliable",
-            model_bytes: 40,
-            sent_at: munin_sim::VirtTime::ZERO,
-            arrival: munin_sim::VirtTime::ZERO,
-        }
+        env_at(1, "reliable", munin_sim::VirtTime::ZERO)
     }
 
     fn rel_frame(id: u64, inner: DsmMsg) -> DsmMsg {

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use munin_sim::NodeId;
+use munin_sim::{NodeId, TimeKind};
 
 use crate::annotation::SharingAnnotation;
 use crate::error::{MuninError, Result};
@@ -58,9 +58,13 @@ impl NodeRuntime {
             if sync.lock_count() <= lock.0 as usize {
                 return Err(MuninError::UnknownSyncObject(lock.0));
             }
-            match sync.lock_mut(lock).begin_acquire() {
+            let state = sync.lock_mut(lock);
+            match state.begin_acquire() {
                 Some(hint) => hint,
                 None => {
+                    // Release → acquire: a free token is taken no earlier
+                    // than it came to rest here.
+                    self.clock.advance_to(TimeKind::Wait, state.released_at);
                     bump(&self.stats.lock_local_acquires);
                     return Ok(None);
                 }
@@ -194,12 +198,17 @@ impl NodeRuntime {
         self.charge_sys(self.cost.sync_op());
         let handoff = {
             let mut sync = self.sync.lock();
-            sync.lock_mut(lock).release()
+            let state = sync.lock_mut(lock);
+            let handoff = state.release();
+            if handoff.is_none() {
+                state.released_at = self.clock.now();
+            }
+            handoff
         };
         if let Some((next, rest)) = handoff {
             let diverted = relay.remove(&next).unwrap_or_default();
             debug_assert!(relay.is_empty(), "lock relay only ever targets the grantee");
-            self.send_lock_grant(lock, next, rest, diverted);
+            self.send_lock_grant(lock, next, rest, diverted, None);
         }
         Ok(())
     }
@@ -269,7 +278,7 @@ impl NodeRuntime {
                         // stream to `dest` *now*, so any later direct update
                         // gets a higher number and can never be overtaken by
                         // this bundle's slower owner-relayed route.
-                        seq: self.next_update_seq(dest),
+                        seq: self.next_update_seq(dest, self.clock.now()),
                         items,
                     }
                 })

@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use munin_sim::NodeId;
+use munin_sim::{NodeId, VirtTime};
 
 use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
@@ -61,6 +61,12 @@ pub struct LockState {
     /// Data objects associated with the lock via `AssociateDataAndSynch`;
     /// their contents are piggybacked on lock grants.
     pub associated: Vec<ObjectId>,
+    /// When the token last came to rest here, free: the local release that
+    /// found no waiter, or the arrival of a token nobody was waiting for.
+    /// The release → acquire edge of a free lock: a later grant or local
+    /// acquire happens no earlier. Kept by the runtime, which knows the
+    /// time; the transitions below never touch it.
+    pub released_at: VirtTime,
 }
 
 impl LockState {
@@ -74,6 +80,7 @@ impl LockState {
             queue: VecDeque::new(),
             probable_owner: home,
             associated: Vec::new(),
+            released_at: VirtTime::ZERO,
         }
     }
 
@@ -248,6 +255,9 @@ pub struct BarrierState {
     /// Nodes that have arrived in the current episode (meaningful at the
     /// owner only).
     pub arrived: Vec<NodeId>,
+    /// Latest arrival time of the current episode. The barrier opens then —
+    /// not at the arrival the owner happened to process last.
+    pub latest_arrival: VirtTime,
     /// How many times the barrier has opened.
     pub generation: u64,
     /// Nodes confirmed dead and excluded from the arrival count (crash
@@ -263,6 +273,7 @@ impl BarrierState {
             owner,
             parties,
             arrived: Vec::new(),
+            latest_arrival: VirtTime::ZERO,
             generation: 0,
             excluded: NodeSet::EMPTY,
         }
@@ -274,34 +285,41 @@ impl BarrierState {
         self.parties.saturating_sub(self.excluded.count()).max(1)
     }
 
-    /// Records an arrival at the owner. Returns the list of nodes to release
-    /// when this arrival completes the barrier, or `None` otherwise.
-    pub fn arrive(&mut self, from: NodeId) -> Option<Vec<NodeId>> {
+    /// Records an arrival at the owner at time `at`. When it completes the
+    /// barrier, returns the nodes to release and the time the barrier opened
+    /// (the latest arrival of the episode); `None` otherwise.
+    pub fn arrive(&mut self, from: NodeId, at: VirtTime) -> Option<(Vec<NodeId>, VirtTime)> {
         self.arrived.push(from);
-        if self.arrived.len() >= self.effective_parties() {
-            self.generation += 1;
-            Some(std::mem::take(&mut self.arrived))
-        } else {
-            None
+        self.latest_arrival = self.latest_arrival.max(at);
+        self.open_if_complete()
+    }
+
+    /// Opens the barrier if every surviving party has arrived.
+    fn open_if_complete(&mut self) -> Option<(Vec<NodeId>, VirtTime)> {
+        if self.arrived.len() < self.effective_parties() {
+            return None;
         }
+        self.generation += 1;
+        Some((
+            std::mem::take(&mut self.arrived),
+            std::mem::take(&mut self.latest_arrival),
+        ))
     }
 
     /// Crash recovery at the owner: excludes a dead node from the arrival
     /// count (dropping any arrival it already recorded this episode — its
-    /// release could not reach it anyway). Returns the waiters to release
-    /// when the exclusion leaves every surviving party already arrived.
-    pub fn exclude(&mut self, node: NodeId) -> Option<Vec<NodeId>> {
+    /// release could not reach it anyway) at time `at`. Returns the waiters
+    /// to release, and when, if the exclusion leaves every surviving party
+    /// already arrived.
+    pub fn exclude(&mut self, node: NodeId, at: VirtTime) -> Option<(Vec<NodeId>, VirtTime)> {
         if self.excluded.contains(node) {
             return None;
         }
         self.excluded.insert(node);
         self.arrived.retain(|n| *n != node);
-        if !self.arrived.is_empty() && self.arrived.len() >= self.effective_parties() {
-            self.generation += 1;
-            Some(std::mem::take(&mut self.arrived))
-        } else {
-            None
-        }
+        // An exclusion that opens the barrier is the episode's last event.
+        self.open_if_complete()
+            .map(|(waiters, latest)| (waiters, latest.max(at)))
     }
 }
 
@@ -429,6 +447,10 @@ pub struct TreeBarrierState {
     /// Lazily computed static subtree of this node (the completeness
     /// threshold and the bundle-stash partition both test against it).
     pub subtree: Option<NodeSet>,
+    /// Latest time anything arrived at this node's combining state this
+    /// episode (its own user thread, a child's report): the upward combine —
+    /// at the owner, the opening — is stamped from it.
+    pub latest: VirtTime,
 }
 
 impl TreeBarrierState {
@@ -439,6 +461,7 @@ impl TreeBarrierState {
         self.children.clear();
         self.forwarded_count = 0;
         self.completed = completed;
+        self.latest = VirtTime::ZERO;
     }
 
     /// Merges one upward report into the combining state.
@@ -525,6 +548,9 @@ mod tests {
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
     }
+
+    /// For the tests that are about who is released, not when.
+    const T0: VirtTime = VirtTime::ZERO;
 
     #[test]
     fn local_acquire_fast_path() {
@@ -682,43 +708,62 @@ mod tests {
     #[test]
     fn barrier_opens_when_all_parties_arrive() {
         let mut b = BarrierState::new(n(0), 3);
-        assert!(b.arrive(n(0)).is_none());
-        assert!(b.arrive(n(1)).is_none());
-        let released = b.arrive(n(2)).unwrap();
+        assert!(b.arrive(n(0), T0).is_none());
+        assert!(b.arrive(n(1), T0).is_none());
+        let (released, _) = b.arrive(n(2), T0).unwrap();
         assert_eq!(released.len(), 3);
         assert_eq!(b.generation, 1);
         // The barrier is reusable.
-        assert!(b.arrive(n(2)).is_none());
-        assert!(b.arrive(n(1)).is_none());
-        assert!(b.arrive(n(0)).is_some());
+        assert!(b.arrive(n(2), T0).is_none());
+        assert!(b.arrive(n(1), T0).is_none());
+        assert!(b.arrive(n(0), T0).is_some());
         assert_eq!(b.generation, 2);
+    }
+
+    #[test]
+    fn barrier_opens_at_its_latest_arrival_not_the_one_processed_last() {
+        let us = VirtTime::from_micros;
+        let mut b = BarrierState::new(n(0), 3);
+        // The host ran the virtually latest arriver first.
+        assert!(b.arrive(n(2), us(900)).is_none());
+        assert!(b.arrive(n(0), us(100)).is_none());
+        let (_, opened_at) = b.arrive(n(1), us(300)).unwrap();
+        assert_eq!(opened_at, us(900));
+        // The next episode starts from scratch.
+        assert!(b.arrive(n(0), us(10)).is_none());
+        assert!(b.arrive(n(1), us(30)).is_none());
+        assert_eq!(b.arrive(n(2), us(20)).unwrap().1, us(30));
+        // An exclusion that opens the barrier is itself the last event.
+        assert!(b.arrive(n(0), us(50)).is_none());
+        assert!(b.arrive(n(1), us(40)).is_none());
+        assert_eq!(b.exclude(n(2), us(70)).unwrap().1, us(70));
     }
 
     #[test]
     fn excluding_a_dead_node_lowers_the_arrival_threshold() {
         let mut b = BarrierState::new(n(0), 4);
-        assert!(b.arrive(n(0)).is_none());
-        assert!(b.arrive(n(1)).is_none());
+        assert!(b.arrive(n(0), T0).is_none());
+        assert!(b.arrive(n(1), T0).is_none());
         // Node 3 dies: threshold drops to 3; the two arrivals are not enough.
-        assert!(b.exclude(n(3)).is_none());
-        let released = b.arrive(n(2)).unwrap();
+        assert!(b.exclude(n(3), T0).is_none());
+        let (released, _) = b.arrive(n(2), T0).unwrap();
         assert_eq!(released, vec![n(0), n(1), n(2)]);
         // Excluding again is idempotent.
-        assert!(b.exclude(n(3)).is_none());
+        assert!(b.exclude(n(3), T0).is_none());
         // Next episode still runs at the lowered threshold.
-        assert!(b.arrive(n(0)).is_none());
-        assert!(b.arrive(n(1)).is_none());
-        assert!(b.arrive(n(2)).is_some());
+        assert!(b.arrive(n(0), T0).is_none());
+        assert!(b.arrive(n(1), T0).is_none());
+        assert!(b.arrive(n(2), T0).is_some());
     }
 
     #[test]
     fn exclusion_of_the_last_straggler_releases_waiters() {
         let mut b = BarrierState::new(n(0), 3);
-        assert!(b.arrive(n(0)).is_none());
-        assert!(b.arrive(n(1)).is_none());
+        assert!(b.arrive(n(0), T0).is_none());
+        assert!(b.arrive(n(1), T0).is_none());
         // Node 2 dies while everyone else waits: the exclusion itself opens
         // the barrier.
-        let released = b.exclude(n(2)).unwrap();
+        let (released, _) = b.exclude(n(2), T0).unwrap();
         assert_eq!(released, vec![n(0), n(1)]);
         assert_eq!(b.generation, 1);
     }
@@ -730,15 +775,15 @@ mod tests {
         // real exclusion of node 0 an idempotent no-op — the threshold
         // dropped by one instead of two and the barrier hung forever.
         let mut b = BarrierState::new(n(0), 66);
-        assert!(b.exclude(n(64)).is_none());
-        assert!(b.exclude(n(0)).is_none());
-        assert!(b.exclude(n(65)).is_none());
+        assert!(b.exclude(n(64), T0).is_none());
+        assert!(b.exclude(n(0), T0).is_none());
+        assert!(b.exclude(n(65), T0).is_none());
         assert_eq!(b.excluded.count(), 3, "three distinct exclusions");
         // 66 parties - 3 dead = 63 arrivals open the barrier.
         for i in 1..63 {
-            assert!(b.arrive(n(i)).is_none(), "arrival {i} must not open");
+            assert!(b.arrive(n(i), T0).is_none(), "arrival {i} must not open");
         }
-        let released = b.arrive(n(63)).unwrap();
+        let (released, _) = b.arrive(n(63), T0).unwrap();
         assert_eq!(released.len(), 63);
         assert_eq!(b.generation, 1);
     }
@@ -746,11 +791,11 @@ mod tests {
     #[test]
     fn excluding_an_already_arrived_node_drops_its_arrival() {
         let mut b = BarrierState::new(n(0), 3);
-        assert!(b.arrive(n(2)).is_none());
-        assert!(b.exclude(n(2)).is_none());
+        assert!(b.arrive(n(2), T0).is_none());
+        assert!(b.exclude(n(2), T0).is_none());
         // Threshold is now 2 and node 2's stale arrival is gone.
-        assert!(b.arrive(n(0)).is_none());
-        assert!(b.arrive(n(1)).is_some());
+        assert!(b.arrive(n(0), T0).is_none());
+        assert!(b.arrive(n(1), T0).is_some());
     }
 
     #[test]

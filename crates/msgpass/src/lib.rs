@@ -8,14 +8,24 @@
 //! Tables 3–5 is reproduced under controlled conditions.
 //!
 //! The interface is deliberately minimal: typed `send`/`recv` of tagged
-//! integer / float vectors between nodes, plus a barrier collected at the
-//! root — exactly what the hand-coded Matrix Multiply and SOR programs need.
+//! integer / float vectors between nodes, a selective receive by sender and
+//! tag, plus a barrier collected at the root — exactly what the hand-coded
+//! Matrix Multiply and SOR programs need.
+//!
+//! A node's clock moves to a message's arrival when the program *consumes*
+//! the message, not when the library pops it: a receive that is waiting for
+//! one sender's message sets aside whatever else arrives first (a
+//! neighbour's row for the next iteration, say), and a message set aside has
+//! not been waited for.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
+
 use munin_sim::{
-    Cluster, ClusterReport, CostModel, EngineConfig, Envelope, NodeCtx, NodeId, SimError,
+    Cluster, ClusterReport, CostModel, EngineConfig, Envelope, NodeCtx, NodeId, SimError, TimeKind,
 };
 
 /// A message in the hand-coded message-passing programs.
@@ -67,6 +77,9 @@ impl MpMsg {
 /// Per-node context handed to a message-passing worker.
 pub struct MpCtx {
     inner: NodeCtx<MpMsg>,
+    /// Messages popped while a selective receive was waiting for another
+    /// one, in arrival order. They have not moved the clock.
+    stash: RefCell<VecDeque<(Envelope, MpMsg)>>,
 }
 
 impl MpCtx {
@@ -97,7 +110,32 @@ impl MpCtx {
     /// Receives the next message (blocking), returning the sender and the
     /// message.
     pub fn recv(&self) -> Result<(usize, MpMsg), SimError> {
-        let (env, msg): (Envelope, MpMsg) = self.inner.receiver().recv()?;
+        self.recv_where(|_, _| true)
+    }
+
+    /// Receives the earliest message `wanted(sender, message)` accepts
+    /// (blocking), setting aside everything that arrives before it for later
+    /// receives. Only the message returned moves this node's clock, to its
+    /// arrival.
+    pub fn recv_where(
+        &self,
+        wanted: impl Fn(usize, &MpMsg) -> bool,
+    ) -> Result<(usize, MpMsg), SimError> {
+        let mut stash = self.stash.borrow_mut();
+        let held = stash
+            .iter()
+            .position(|(env, msg)| wanted(env.src.as_usize(), msg));
+        let (env, msg) = match held.and_then(|i| stash.remove(i)) {
+            Some(found) => found,
+            None => loop {
+                let (env, msg, _timer) = self.inner.receiver().recv_unclocked()?;
+                if wanted(env.src.as_usize(), &msg) {
+                    break (env, msg);
+                }
+                stash.push_back((env, msg));
+            },
+        };
+        self.inner.clock().advance_to(TimeKind::Wait, env.arrival);
         Ok((env.src.as_usize(), msg))
     }
 
@@ -110,6 +148,17 @@ impl MpCtx {
         }
     }
 
+    /// Receives the next float-vector message from `src` carrying `tag`.
+    pub fn recv_floats_from(&self, src: usize, tag: u32) -> Result<Vec<f64>, SimError> {
+        let wanted = |from: usize, msg: &MpMsg| {
+            from == src && matches!(msg, MpMsg::Floats { tag: t, .. } if *t == tag)
+        };
+        match self.recv_where(wanted)? {
+            (_, MpMsg::Floats { data, .. }) => Ok(data),
+            _ => unreachable!("recv_where returns only what `wanted` accepted"),
+        }
+    }
+
     /// Simple barrier: workers notify the root; the root releases everyone.
     ///
     /// Unlike Munin's barrier this carries no consistency obligations —
@@ -119,11 +168,8 @@ impl MpCtx {
         if self.node_id() == root {
             let mut arrived = 1; // the root itself
             while arrived < self.nodes() {
-                let (_src, msg) = self.recv()?;
-                match msg {
-                    MpMsg::BarrierArrive => arrived += 1,
-                    _ => return Err(SimError::Disconnected),
-                }
+                self.recv_where(|_, msg| matches!(msg, MpMsg::BarrierArrive))?;
+                arrived += 1;
             }
             for n in 1..self.nodes() {
                 self.send(n, MpMsg::BarrierRelease)?;
@@ -131,12 +177,8 @@ impl MpCtx {
             Ok(())
         } else {
             self.send(root, MpMsg::BarrierArrive)?;
-            loop {
-                let (_src, msg) = self.recv()?;
-                if matches!(msg, MpMsg::BarrierRelease) {
-                    return Ok(());
-                }
-            }
+            self.recv_where(|_, msg| matches!(msg, MpMsg::BarrierRelease))?;
+            Ok(())
         }
     }
 }
@@ -162,7 +204,10 @@ where
     engine.faults.loss_ppm = 0;
     let cluster: Cluster<MpMsg> = Cluster::new(nodes, cost).with_engine(engine);
     cluster.run(|ctx| {
-        let mp = MpCtx { inner: ctx };
+        let mp = MpCtx {
+            inner: ctx,
+            stash: RefCell::new(VecDeque::new()),
+        };
         worker(&mp)
     })
 }
@@ -253,6 +298,44 @@ mod tests {
         .unwrap();
         // Node 1 contributes 1*2*4 = 8, node 2 contributes 2*2*4 = 16.
         assert_eq!(report.results[0], 24);
+    }
+
+    #[test]
+    fn a_message_set_aside_does_not_move_the_clock() {
+        // Node 1 computes for a long time and then sends; node 2 sends at
+        // once. The root asks for node 2's message first, then node 1's —
+        // and the other way round. Either way it has waited for exactly what
+        // it consumed, and ends at node 1's arrival.
+        let cost = CostModel::fast_test();
+        let run = |first: usize| {
+            run_mp_program(3, cost.clone(), move |ctx| {
+                let me = ctx.node_id();
+                if me == 0 {
+                    let second = 3 - first;
+                    let a = ctx.recv_floats_from(first, 7).unwrap();
+                    let after_first = ctx.inner.clock().now();
+                    let b = ctx.recv_floats_from(second, 7).unwrap();
+                    assert_eq!((a[0], b[0]), (first as f64, second as f64));
+                    after_first.as_nanos()
+                } else {
+                    if me == 1 {
+                        ctx.compute(100_000);
+                    }
+                    let data = vec![me as f64];
+                    ctx.send(0, MpMsg::Floats { tag: 7, data }).unwrap();
+                    0
+                }
+            })
+            .unwrap()
+        };
+        let slow_first = run(1);
+        let fast_first = run(2);
+        assert_eq!(slow_first.elapsed, fast_first.elapsed);
+        let compute = 100_000 * cost.compute_op_ns;
+        assert!(slow_first.results[0] >= compute);
+        // Node 2's message was consumed at its own (early) arrival although
+        // node 1's may well have been popped, and set aside, before it.
+        assert!(fast_first.results[0] < compute);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! * per `(src, dst)` *lane*, delivery times are clamped to be nondecreasing
 //!   (links do not reorder — the FIFO-pipe property the protocol relies on
 //!   for update-after-ownership-transfer sequences);
-//! * per destination, the effective delivery time is clamped to the delivery
-//!   *frontier* (the largest time already delivered), so a receiver observes
-//!   a nondecreasing virtual-time sequence no matter how host threads race;
+//! * a message is delivered at the arrival it was scheduled for: one popped
+//!   after a virtually later one (host skew) is *late* — delivered at its
+//!   own arrival all the same, and counted ([`EngineStats::late_deliveries`]);
 //! * ties are broken by a hash seeded from [`EngineConfig::seed`], so equal
 //!   timestamps are delivered in an order that is stable under replay with
 //!   the same seed and *different* under a different seed — adversarial
@@ -23,11 +23,10 @@
 //!   duplicates, all derived from per-lane counters so a replay with the same
 //!   seed sees the identical faults.
 //!
-//! A node *receives a message once its `NodeClock` has reached the message's
-//! delivery time*: popping the queue advances the receiver's clock to the
-//! effective delivery time (charging the gap as wait time), exactly like the
-//! old channel path, but the pop itself always selects the earliest
-//! deliverable message instead of the earliest *sent* one.
+//! A pop selects the earliest message *queued*, not the earliest *sent*. A
+//! receiver that owns a clock moves it forward to the arrival (monotone by
+//! `NodeClock::advance_to`, so a late message costs it nothing); one that
+//! keeps its own timeline reads the arrival off the envelope.
 //!
 //! The engine can also record the delivery trace (per-destination sequence of
 //! deliveries) so a run can be fingerprinted and replayed: two runs of a
@@ -38,8 +37,8 @@
 //!
 //! The engine is sharded by destination: each destination owns a
 //! `Mutex<DestState>` (its delivery heap, the lane clamps of every link
-//! terminating there, the delivery frontier, the open flag, its submission
-//! sequence, and its slice of the trace) paired with one `Condvar`. A
+//! terminating there, the delivery high-water mark, the open flag, its
+//! submission sequence, its slice of the trace) paired with one `Condvar`. A
 //! `submit(dst)` therefore locks exactly one shard, and `recv(node)` locks
 //! only the receiver's own shard — concurrent traffic to *different*
 //! destinations never contends, and the submit hot path performs no atomic
@@ -54,10 +53,8 @@
 //! releasing each shard before locking the next. Nothing ever holds two
 //! shard locks at once, so no lock-order cycle can exist.
 //!
-//! Sharding is a pure lock-domain refactor: every delivery decision
-//! (`(deliver_at, tie, seq)` keys, lane FIFO clamps, frontier monotonicity,
-//! fault draws) is unchanged, and per-destination traces are byte-identical
-//! to the pre-shard engine for a given seed
+//! Sharding is a pure lock-domain refactor: per-destination delivery order
+//! is that of the pre-shard engine for a given seed
 //! (`tests/stress_schedules.rs::sharded_engine_matches_pre_shard_golden_digests`).
 
 use std::collections::{BinaryHeap, HashMap};
@@ -473,7 +470,7 @@ pub struct TraceEntry {
     pub src: NodeId,
     /// Message class.
     pub class: &'static str,
-    /// Effective virtual delivery time.
+    /// Virtual delivery time (the scheduled arrival).
     pub deliver_at: VirtTime,
 }
 
@@ -540,8 +537,8 @@ struct DestState<M> {
     /// Virtual-time timer events scheduled *by* this node for itself (the
     /// runtime's retransmit/ack ticks). Kept out of the delivery heap: a
     /// timer fires only when no real message is deliverable (see
-    /// [`EventEngine::recv`]), never advances the delivery frontier, and is
-    /// never traced or counted as a wire message.
+    /// [`EventEngine::recv`]), never moves the high-water mark, and is never
+    /// traced or counted as a wire message.
     timers: BinaryHeap<Scheduled<M>>,
     /// Ordering sequence for the timer heap (independent of the message
     /// sequence so timers never perturb delivery tie-breaks).
@@ -559,8 +556,10 @@ struct DestState<M> {
     /// global counter did (monotone in submit order per destination, and
     /// therefore per lane) with no atomic on the submit hot path.
     next_seq: u64,
-    /// Largest effective delivery time handed out so far.
+    /// Largest arrival handed out so far (stall reports print it), and the
+    /// number of pops whose arrival was below it.
     frontier_ns: u64,
+    late: u64,
     /// Number of messages delivered to this node.
     delivered: u64,
     /// False once the node's `Receiver` has been dropped (sends then fail,
@@ -632,6 +631,10 @@ pub struct EngineStats {
     pub messages_dropped: u64,
     /// Virtual-time timer events delivered (never wire messages).
     pub timers_fired: u64,
+    /// Deliveries popped after a virtually later one at the same destination
+    /// (each still at its own arrival): the gauge of how far host scheduling
+    /// strayed from virtual-time order.
+    pub late_deliveries: u64,
     /// The same volume broken down by message kind, sorted by class name.
     /// A carrier frame counts once, under the class of the message it
     /// frames.
@@ -657,13 +660,12 @@ pub struct EventEngine<M> {
     /// and the receiver's queue is empty.
     senders: AtomicUsize,
     /// Per-crash-spec virtual time (ns) at which the node went down, for
-    /// spec slots whose trigger is [`CrashTrigger::MsgCount`]: the count is
-    /// destination-shard state, but the *source*-side drop ("a dead node
-    /// sends nothing") is evaluated in other shards. `u64::MAX` until the
-    /// destination side first triggers; set with a relaxed `fetch_min` —
-    /// post-crash cross-shard propagation is best-effort by design (only the
-    /// zero-crash schedule carries a byte-identity contract). `VirtTime`
-    /// triggers never consult this: their down time is in the config.
+    /// [`CrashTrigger::MsgCount`] slots: the count is destination-shard
+    /// state, but the *source*-side drop ("a dead node sends nothing") is
+    /// evaluated in other shards. `u64::MAX` until the destination side
+    /// first triggers; set with a relaxed `fetch_min` — post-crash
+    /// propagation is best-effort by design (only the zero-crash schedule
+    /// carries a byte-identity contract).
     crashed_at: [AtomicU64; MAX_CRASH_SPECS],
 }
 
@@ -683,6 +685,7 @@ impl<M> EventEngine<M> {
                         dropped: 0,
                         lanes: HashMap::new(),
                         frontier_ns: 0,
+                        late: 0,
                         delivered: 0,
                         open: true,
                         next_seq: 0,
@@ -720,6 +723,7 @@ impl<M> EventEngine<M> {
             stats.bytes_sent += st.bytes_sent;
             stats.messages_dropped += st.dropped;
             stats.timers_fired += st.timers_fired;
+            stats.late_deliveries += st.late;
             for (class, vol) in &st.class_counts {
                 let agg = stats.per_class.entry(class).or_default();
                 agg.msgs += vol.msgs;
@@ -741,12 +745,11 @@ impl<M> EventEngine<M> {
         if self.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
             // Last sender gone: wake every blocked receiver so it observes
             // the disconnection. Each shard's lock is taken and released
-            // *briefly, one shard at a time, in ascending order* before its
-            // condvar is notified — the lock hold is what closes the missed-
-            // wakeup window (a receiver that read a stale sender count while
-            // holding its shard lock is either already parked, and gets the
-            // notify, or has not locked yet, and will read zero). No thread
-            // ever holds two shard locks, so this fan-out cannot deadlock.
+            // briefly, one shard at a time, before its condvar is notified:
+            // the lock hold closes the missed-wakeup window (a receiver that
+            // read a stale sender count under its shard lock is already
+            // parked and gets the notify, or has not locked yet and will
+            // read zero). No thread ever holds two shard locks.
             for shard in &self.shards {
                 drop(self.lock_shard(shard));
                 shard.cond.notify_all();
@@ -812,10 +815,9 @@ impl<M> EventEngine<M> {
                     // The loss draw comes first and is gated on its own ppm,
                     // so every non-loss plan consumes the exact RNG stream it
                     // did before loss existed (replay digests are stable). A
-                    // lost message draws nothing further: it consumes no
-                    // sequence number, no lane clamp, and no volume count —
-                    // it simply never existed on the wire. The sender still
-                    // sees a successful send, as it would on a lossy link.
+                    // lost message draws nothing further — no sequence
+                    // number, lane clamp or volume count: it never existed on
+                    // the wire. The sender still sees a successful send.
                     if f.loss_ppm > 0 && splitmix64(&mut lane.rng) % 1_000_000 < f.loss_ppm as u64 {
                         st.dropped += 1;
                         return Ok(env);
@@ -852,9 +854,8 @@ impl<M> EventEngine<M> {
                 };
                 let mut env = env;
                 env.arrival = VirtTime::from_nanos(arrival_ns);
-                // Clone the payload only when duplicate injection fires: the
-                // common path moves it straight into the heap (object-data
-                // payloads can be large).
+                // Clone the (possibly large) payload only when duplicate
+                // injection fires: the common path moves it into the heap.
                 if duplicate {
                     st.count_scheduled(env.class, env.model_bytes);
                     let dup_seq = st.next_seq;
@@ -888,27 +889,22 @@ impl<M> EventEngine<M> {
         Ok(env)
     }
 
-    /// Pops the earliest deliverable message from a destination shard,
-    /// applying the delivery-frontier clamp and recording the trace.
-    ///
-    /// Crash-dropped entries are discarded here without any schedule side
-    /// effect — no frontier advance, no `delivered` increment, no trace
-    /// entry — so an empty crash plan is bit-for-bit the old behaviour and a
-    /// triggered one only ever removes deliveries from the tail.
+    /// Pops the earliest queued message of a destination shard, at the arrival
+    /// it was scheduled for, recording the trace. Crash-dropped entries leave
+    /// no schedule side effect (no `delivered` increment, no trace entry): an
+    /// untriggered plan changes nothing, a triggered one only removes a tail.
     fn pop(&self, st: &mut DestState<M>) -> Option<(Envelope, M)> {
         loop {
             let sched = st.heap.pop()?;
-            let mut env = sched.env;
+            let env = sched.env;
             if self.cfg.mode == DeliveryMode::VirtualTime {
-                // Per-destination monotonicity: a message computed to arrive
-                // in the destination's past is delivered at the frontier.
-                let eff = env.arrival.as_nanos().max(st.frontier_ns);
-                if !self.cfg.faults.crash.is_none() && self.crash_drops(&env, eff, st.delivered) {
+                if !self.cfg.faults.crash.is_none() && self.crash_drops(&env, st.delivered) {
                     st.dropped += 1;
                     continue;
                 }
-                st.frontier_ns = eff;
-                env.arrival = VirtTime::from_nanos(eff);
+                let at = env.arrival.as_nanos();
+                st.late += u64::from(at < st.frontier_ns);
+                st.frontier_ns = st.frontier_ns.max(at);
             }
             let seq_at_dst = st.delivered;
             st.delivered += 1;
@@ -926,9 +922,15 @@ impl<M> EventEngine<M> {
     }
 
     /// Whether the crash plan drops this delivery: the destination is down
-    /// at the effective arrival time (a dead node receives nothing), or the
-    /// source was down when it sent (a dead node sends nothing).
-    fn crash_drops(&self, env: &Envelope, arrival_ns: u64, delivered: u64) -> bool {
+    /// at the arrival time (a dead node receives nothing), or the source was
+    /// down when it sent (a dead node sends nothing). What a node sends to
+    /// itself never crosses the wire and is never dropped: a cut-off node's
+    /// own `Shutdown` must still be able to stop its service loop.
+    fn crash_drops(&self, env: &Envelope, delivered: u64) -> bool {
+        if env.src == env.dst {
+            return false;
+        }
+        let arrival_ns = env.arrival.as_nanos();
         for (slot, spec) in self.cfg.faults.crash.iter().enumerate() {
             let thawed = |t_ns: u64| spec.until_ns != 0 && t_ns >= spec.until_ns;
             if spec.node == env.dst.as_usize() {
@@ -960,8 +962,7 @@ impl<M> EventEngine<M> {
     /// Schedules a self-addressed virtual-time timer event for `node`. The
     /// payload is handed to the node's `recv` once no real message is
     /// deliverable (see [`EventEngine::recv`]); `due` orders timers against
-    /// each other. Timers never appear in traces, volume counters, or the
-    /// delivery frontier — they are not wire messages.
+    /// each other. Timers are not wire messages: no trace, volume or mark.
     pub(crate) fn submit_timer(
         &self,
         node: usize,
@@ -999,8 +1000,8 @@ impl<M> EventEngine<M> {
         Ok(())
     }
 
-    /// The delivery frontier of `node` in nanoseconds: the largest effective
-    /// delivery time handed out there so far (stall diagnostics).
+    /// The delivery high-water mark of `node` in nanoseconds: the largest
+    /// arrival handed out there so far (stall diagnostics).
     pub fn frontier_ns(&self, node: usize) -> u64 {
         self.shards
             .get(node)
@@ -1009,9 +1010,8 @@ impl<M> EventEngine<M> {
     }
 
     /// Closes `node`'s inbox: subsequent submits fail, and its `recv` reports
-    /// disconnection once the already-scheduled messages drain. Used by the
-    /// runtime's abort path to guarantee a service thread terminates even
-    /// when the shutdown message itself was lost.
+    /// disconnection once the already-scheduled messages drain (the runtime's
+    /// abort path: a service thread must stop even if `Shutdown` was lost).
     pub(crate) fn close_inbox(&self, node: usize) {
         self.receiver_dropped(node);
     }
@@ -1040,8 +1040,8 @@ impl<M> EventEngine<M> {
     ///
     /// Timer semantics: a pending timer fires only when no real message is
     /// deliverable after a short wall-clock grace (the destination is idle);
-    /// among timers, the earliest virtual due time fires first. Timers do not
-    /// advance the frontier and are not traced.
+    /// among timers, the earliest virtual due time fires first. Timers are
+    /// not traced.
     pub(crate) fn recv_flagged(&self, node: usize) -> Result<(Envelope, M, bool), SimError> {
         let shard = &self.shards[node];
         let mut st = self.lock_shard(shard);
@@ -1215,16 +1215,24 @@ mod tests {
     }
 
     #[test]
-    fn frontier_clamp_keeps_delivery_times_monotone() {
+    fn late_message_is_delivered_at_its_own_arrival_and_counted() {
         let e = engine(3, EngineConfig::seeded(1));
         e.submit(env(0, 2, 900), 1).unwrap();
         let (first, _) = e.recv(2).unwrap();
         assert_eq!(first.arrival.as_nanos(), 900);
-        // A straggler scheduled in the destination's past is delivered at the
-        // frontier.
+        assert_eq!(e.stats().late_deliveries, 0);
+        // A straggler the host submitted after a virtually later message was
+        // popped keeps its own arrival: no time flows from one sender to the
+        // other through the order the host ran them in.
         e.submit(env(1, 2, 100), 2).unwrap();
         let (late, _) = e.recv(2).unwrap();
-        assert_eq!(late.arrival.as_nanos(), 900);
+        assert_eq!(late.arrival.as_nanos(), 100);
+        assert_eq!(e.stats().late_deliveries, 1);
+        // The high-water mark is a maximum, not the last delivery.
+        assert_eq!(e.frontier_ns(2), 900);
+        e.submit(env(0, 2, 950), 3).unwrap();
+        assert_eq!(e.recv(2).unwrap().0.arrival.as_nanos(), 950);
+        assert_eq!(e.stats().late_deliveries, 1);
     }
 
     #[test]
@@ -1395,7 +1403,7 @@ mod tests {
         assert_eq!((second, timer), (77, true));
         assert_eq!(tick_env.class, "tick");
         assert_eq!(tick_env.src, NodeId::new(1));
-        // Timers are not wire messages: no volume, no trace, no frontier.
+        // Timers are not wire messages: no volume, no trace, no high-water.
         let stats = e.stats();
         assert_eq!(stats.messages_sent, 1);
         assert_eq!(stats.timers_fired, 1);
@@ -1477,6 +1485,23 @@ mod tests {
         e.submit(before, 1).unwrap();
         e.submit(after, 2).unwrap();
         assert_eq!(e.recv(1).unwrap().1, 1);
+        assert!(e.try_recv(1).unwrap().is_none());
+        assert_eq!(e.stats().messages_dropped, 1);
+    }
+
+    #[test]
+    fn a_crashed_node_still_hears_itself() {
+        // What a node sends to itself never crosses the wire: a cut-off
+        // node's own `Shutdown` must still reach its service loop.
+        let faults = FaultPlan::none().with_crash(CrashSpec {
+            node: 1,
+            trigger: CrashTrigger::VirtTime(500),
+            until_ns: 0,
+        });
+        let e = engine(2, EngineConfig::seeded(1).with_faults(faults));
+        e.submit(env(0, 1, 600), 1).unwrap();
+        e.submit(env(1, 1, 700), 2).unwrap();
+        assert_eq!(e.recv(1).unwrap().1, 2);
         assert!(e.try_recv(1).unwrap().is_none());
         assert_eq!(e.stats().messages_dropped, 1);
     }

@@ -14,10 +14,12 @@
 //! Transport and ordering are provided by the discrete-event engine in
 //! [`crate::event`]: every send is scheduled on the destination's priority
 //! queue keyed by `(deliver_at, seeded tie-break, seqno)`, and a receive pops
-//! the earliest deliverable message and moves the receiver's clock forward to
-//! its effective delivery time (charging the gap as wait time). This makes
-//! delivery a function of *virtual* time and the engine seed instead of host
-//! thread scheduling; see `DESIGN.md` ("Deterministic event engine").
+//! the earliest queued message. [`Receiver::recv`] then moves the receiver's
+//! clock forward to the arrival (charging the gap as wait time);
+//! [`Receiver::recv_unclocked`] leaves the clock alone, for a receiver that
+//! serves requests on a timeline of its own. Either way a message carries
+//! exactly the time its sender gave it — see `DESIGN.md` ("Virtual-time
+//! model").
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,7 +75,7 @@ pub struct Envelope {
     /// Sender's virtual time when the message was handed to the network.
     pub sent_at: VirtTime,
     /// Virtual time at which the message is delivered at the destination
-    /// (including any engine-injected delay and ordering clamps).
+    /// (including any engine-injected delay and the lane FIFO clamp).
     pub arrival: VirtTime,
 }
 
@@ -222,9 +224,9 @@ impl<M: Send + Clone> Sender<M> {
             .submit_timer(self.node.as_usize(), due, class, payload)
     }
 
-    /// The delivery frontier of `dst` in nanoseconds of virtual time: the
-    /// largest effective delivery time handed out there so far. Used by stall
-    /// diagnostics to show how far each destination's schedule progressed.
+    /// The delivery high-water mark of `dst` in nanoseconds of virtual time:
+    /// the largest arrival handed out there so far. Used by stall diagnostics
+    /// to show how far each destination's schedule progressed.
     pub fn delivery_frontier(&self, dst: NodeId) -> u64 {
         self.engine.frontier_ns(dst.as_usize())
     }
@@ -273,16 +275,26 @@ impl<M> Drop for Receiver<M> {
 
 impl<M: Send> Receiver<M> {
     /// Blocks until the engine delivers the earliest scheduled message, then
-    /// advances this node's clock to the message's effective delivery time
-    /// (charging the gap as wait time). Timer events (scheduled through
-    /// [`Sender::schedule_timer`]) are delivered without advancing the
-    /// clock: they fire when the node is idle and model no virtual waiting.
+    /// advances this node's clock to the message's arrival (charging the gap
+    /// as wait time; a message arriving in the clock's past moves nothing).
+    /// Timer events (scheduled through [`Sender::schedule_timer`]) are
+    /// delivered without advancing the clock: they fire when the node is
+    /// idle and model no virtual waiting.
     pub fn recv(&self) -> Result<(Envelope, M), SimError> {
         let (env, payload, is_timer) = self.engine.recv_flagged(self.node.as_usize())?;
         if !is_timer {
             self.clock.advance_to(TimeKind::Wait, env.arrival);
         }
         Ok((env, payload))
+    }
+
+    /// Blocking receive that leaves the node clock alone: for a service
+    /// thread that handles each request at the request's own arrival time
+    /// while the clock belongs to the node's user thread. The flag is true
+    /// for a timer event (its `arrival` is the due time it was armed with,
+    /// which models no waiting).
+    pub fn recv_unclocked(&self) -> Result<(Envelope, M, bool), SimError> {
+        self.engine.recv_flagged(self.node.as_usize())
     }
 
     /// Non-blocking receive. Returns `Ok(None)` when no message is queued.
@@ -438,6 +450,18 @@ mod tests {
         assert!(env.arrival > env.sent_at);
         rx1.recv().unwrap();
         assert!(clocks[1].now() >= env.arrival);
+    }
+
+    #[test]
+    fn unclocked_receive_leaves_the_clock_alone() {
+        let (mut net, clocks) = two_node_net();
+        let (tx0, _rx0) = net.endpoint(0, clocks[0].clone()).unwrap();
+        let (_tx1, rx1) = net.endpoint(1, clocks[1].clone()).unwrap();
+        let sent = tx0.send(NodeId::new(1), "test", 1000, 1).unwrap();
+        let (env, _, is_timer) = rx1.recv_unclocked().unwrap();
+        assert!(!is_timer);
+        assert_eq!(env.arrival, sent.arrival);
+        assert_eq!(clocks[1].now(), VirtTime::ZERO);
     }
 
     #[test]

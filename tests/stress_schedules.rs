@@ -196,6 +196,57 @@ fn traced_alltoall(
     (report.trace, report.trace_digest)
 }
 
+/// Digest of a trace's delivery *order* alone: [`trace_digest_of`] without
+/// the `deliver_at` word. What a change to delivery *times* must not move.
+///
+/// [`trace_digest_of`]: munin::sim::trace_digest_of
+fn order_digest(trace: &[TraceEntry]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for e in trace {
+        for word in [
+            e.dst.as_usize() as u64,
+            e.seq_at_dst,
+            e.src.as_usize() as u64,
+        ] {
+            h = (h ^ word).wrapping_mul(0x1000_0000_01b3);
+        }
+        for b in e.class.as_bytes() {
+            h = (h ^ *b as u64).wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    h
+}
+
+/// What the engine guarantees about delivery times: each `(src, dst)` lane
+/// is nondecreasing (links do not reorder), and within a round — every
+/// message of it queued before the first receive — a destination's pops come
+/// in key order. A message of the *next* round may carry an arrival below
+/// the previous round's last delivery (its sender finished that round
+/// earlier); it is delivered at that arrival, not lifted to the
+/// destination's high-water mark.
+fn assert_delivery_time_guarantees(trace: &[TraceEntry], nodes: usize) {
+    let per_round = (nodes - 1) as u64;
+    let mut lane_last = std::collections::HashMap::new();
+    for pair in trace.windows(2) {
+        if pair[0].dst == pair[1].dst {
+            assert!(pair[0].seq_at_dst < pair[1].seq_at_dst);
+            if pair[0].seq_at_dst / per_round == pair[1].seq_at_dst / per_round {
+                assert!(pair[0].deliver_at <= pair[1].deliver_at);
+            }
+        }
+    }
+    for e in trace {
+        let last = lane_last.entry((e.src, e.dst)).or_insert(e.deliver_at);
+        assert!(
+            *last <= e.deliver_at,
+            "lane {:?}->{:?} reordered",
+            e.src,
+            e.dst
+        );
+        *last = e.deliver_at;
+    }
+}
+
 /// The 4-node, 5-round shape the original (pre-shard) replay tests used.
 fn traced_round_trip(seed: u64, faults: FaultPlan) -> (Vec<TraceEntry>, u64) {
     traced_alltoall(4, 5, seed, faults)
@@ -209,41 +260,74 @@ fn fixed_seed_replays_byte_identical_delivery_trace() {
     assert_eq!(trace_a, trace_b, "same seed must replay the same schedule");
     assert_eq!(digest_a, digest_b);
     assert_eq!(trace_a.len(), 4 * 3 * 5);
-    // Per-destination delivery times are nondecreasing (the engine guarantee).
-    for pair in trace_a.windows(2) {
-        if pair[0].dst == pair[1].dst {
-            assert!(pair[0].seq_at_dst < pair[1].seq_at_dst);
-            assert!(pair[0].deliver_at <= pair[1].deliver_at);
-        }
-    }
+    assert_delivery_time_guarantees(&trace_a, 4);
 }
 
-/// Trace digests captured from the pre-shard engine (single global
-/// `Mutex<EngineState>`, commit 6642519) for fixed schedules: the sharded
-/// engine must reproduce them byte-identically, proving the lock-domain
-/// refactor changed no delivery decision. Each entry is
-/// `(nodes, rounds, seed, jitter_ppm, window_ns, digest)` for the
-/// `traced_alltoall` workload above.
-const PRE_SHARD_GOLDEN_DIGESTS: &[(usize, usize, u64, u32, u64, u64)] = &[
-    (4, 5, 42, 300_000, 5_000, 0xeca276dab35382ca),
-    (4, 5, 7, 300_000, 5_000, 0x353ef95aa8871243),
-    (4, 5, 1, 0, 0, 0x9a0cb692375090cb),
-    (16, 3, 42, 300_000, 5_000, 0x3a1a40c707d940db),
-    (16, 3, 9, 0, 0, 0x42702d6b4a74806d),
+/// Trace digests for fixed schedules of the `traced_alltoall` workload
+/// above. Each entry is `(nodes, rounds, seed, jitter_ppm, window_ns,
+/// digest, order_digest)`.
+///
+/// `order_digest` (who was delivered where, in which order — see
+/// [`order_digest`]) was captured from the engine *with* the per-destination
+/// frontier clamp, and is identical to the pre-shard engine's (single global
+/// `Mutex<EngineState>`, commit 6642519): neither the lock-domain refactor
+/// nor the removal of the clamp changed a delivery decision. The full
+/// `digest` also covers delivery times. Three of the five are still the
+/// pre-shard values; the two 4-node jittered schedules were re-recorded when
+/// the clamp went, because they are the ones that clamped: 2 and 4 of their
+/// 60 deliveries were lifted to the destination's frontier and are now
+/// delivered at their own arrival (was `0xeca276dab35382ca` and
+/// `0x353ef95aa8871243`).
+const GOLDEN_DIGESTS: &[(usize, usize, u64, u32, u64, u64, u64)] = &[
+    (
+        4,
+        5,
+        42,
+        300_000,
+        5_000,
+        0xf8bdbe053217010a,
+        0xa6f41fbcc24bba19,
+    ),
+    (
+        4,
+        5,
+        7,
+        300_000,
+        5_000,
+        0x09608432abdd16db,
+        0x5062c982aab954f9,
+    ),
+    (4, 5, 1, 0, 0, 0x9a0cb692375090cb, 0xb7d83c68fe358595),
+    (
+        16,
+        3,
+        42,
+        300_000,
+        5_000,
+        0x3a1a40c707d940db,
+        0xb885e33f7027945d,
+    ),
+    (16, 3, 9, 0, 0, 0x42702d6b4a74806d, 0x1f6cad000c65c029),
 ];
 
 #[test]
 fn sharded_engine_matches_pre_shard_golden_digests() {
-    for &(nodes, rounds, seed, ppm, window, want) in PRE_SHARD_GOLDEN_DIGESTS {
+    for &(nodes, rounds, seed, ppm, window, want, want_order) in GOLDEN_DIGESTS {
         let faults = if ppm == 0 {
             FaultPlan::none()
         } else {
             FaultPlan::jittery(ppm, window)
         };
-        let (_, digest) = traced_alltoall(nodes, rounds, seed, faults);
+        let (trace, digest) = traced_alltoall(nodes, rounds, seed, faults);
+        let order = order_digest(&trace);
+        assert_eq!(
+            order, want_order,
+            "delivery order drift vs pre-shard engine: nodes={nodes} rounds={rounds} \
+             seed={seed} faults=({ppm}ppm,{window}ns) — got {order:#018x}, want {want_order:#018x}"
+        );
         assert_eq!(
             digest, want,
-            "digest drift vs pre-shard engine: nodes={nodes} rounds={rounds} seed={seed} \
+            "delivery time drift: nodes={nodes} rounds={rounds} seed={seed} \
              faults=({ppm}ppm,{window}ns) — got {digest:#018x}, want {want:#018x}"
         );
     }
@@ -261,12 +345,7 @@ fn sixteen_node_alltoall_replays_byte_identical() {
     assert_eq!(trace_a, trace_b, "same seed must replay the same schedule");
     assert_eq!(digest_a, digest_b);
     assert_eq!(trace_a.len(), 16 * 15 * 3);
-    for pair in trace_a.windows(2) {
-        if pair[0].dst == pair[1].dst {
-            assert!(pair[0].seq_at_dst < pair[1].seq_at_dst);
-            assert!(pair[0].deliver_at <= pair[1].deliver_at);
-        }
-    }
+    assert_delivery_time_guarantees(&trace_a, 16);
 }
 
 #[test]
@@ -373,11 +452,11 @@ fn different_seeds_schedule_differently() {
     );
 }
 
-/// Regenerates the `PRE_SHARD_GOLDEN_DIGESTS` table (run with
+/// Regenerates the `GOLDEN_DIGESTS` table (run with
 /// `cargo test --test stress_schedules capture_golden_digests -- --ignored
 /// --nocapture`). Only meaningful to re-capture if the engine's delivery
 /// *semantics* change deliberately; a lock-structure refactor must NOT move
-/// these values.
+/// these values, and nothing should move the order column.
 #[test]
 #[ignore]
 fn capture_golden_digests() {
@@ -393,7 +472,8 @@ fn capture_golden_digests() {
         } else {
             FaultPlan::jittery(ppm, window)
         };
-        let (_, d) = traced_alltoall(nodes, rounds, seed, faults);
-        println!("    ({nodes}, {rounds}, {seed}, {ppm}, {window}, {d:#018x}),");
+        let (trace, d) = traced_alltoall(nodes, rounds, seed, faults);
+        let order = order_digest(&trace);
+        println!("    ({nodes}, {rounds}, {seed}, {ppm}, {window}, {d:#018x}, {order:#018x}),");
     }
 }
