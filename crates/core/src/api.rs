@@ -505,12 +505,10 @@ impl InitCtx<'_> {
             v.write_le(&mut bytes[i * T::ELEM_SIZE..(i + 1) * T::ELEM_SIZE]);
         }
         let byte_off = offset * T::ELEM_SIZE;
-        for obj in self
-            .table
-            .objects_in_range(var.id, byte_off, byte_off + bytes.len())
-        {
-            self.touched.insert(obj);
-        }
+        self.touched.extend(
+            self.table
+                .objects_in_range(var.id, byte_off, byte_off + bytes.len()),
+        );
         let base = self.table.var(var.id).segment_offset;
         self.rt.init_write(base + byte_off, &bytes);
         // Initialization is ordinary sequential computation on the root.
@@ -765,7 +763,7 @@ impl WorkerCtx<'_> {
             offset * T::ELEM_SIZE,
             (offset + count) * T::ELEM_SIZE,
         );
-        self.rt.pre_acquire(&objects)
+        self.rt.pre_acquire(objects)
     }
 
     /// Snapshot of this node's runtime statistics.

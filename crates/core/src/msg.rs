@@ -130,11 +130,19 @@ pub enum ReduceOp {
 /// Messages exchanged by Munin nodes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DsmMsg {
-    /// Request a copy of `object` (forwarded along the probable-owner chain
-    /// until it reaches the owner, which replies directly to `requester`).
+    /// Request a copy of a *run* of objects: `run` consecutive objects of
+    /// one variable, starting at `object` (forwarded whole along the first
+    /// object's probable-owner chain until it reaches that object's owner,
+    /// which replies directly to `requester`). A fault on one object is the
+    /// run of 1; a fault inside a multi-object access, or `PreAcquire()`,
+    /// asks for every following object of the access that is also invalid
+    /// at the requester and shares the first one's owner hint.
     ObjectFetch {
-        /// The object to fetch.
+        /// The first object of the run.
         object: ObjectId,
+        /// How many consecutive objects are asked for (at least 1). Only
+        /// fetches that need nothing but a copy ask for more than one.
+        run: u32,
         /// Read or write intent.
         access: FetchKind,
         /// Node that took the fault and awaits the reply.
@@ -152,13 +160,17 @@ pub enum DsmMsg {
         /// is used, which a few bits of the fixed header carry.
         phase: u32,
     },
-    /// Reply to an [`DsmMsg::ObjectFetch`], carrying the object contents.
+    /// Reply to an [`DsmMsg::ObjectFetch`], carrying the contents of a
+    /// non-empty prefix of the requested run: as many objects, from the
+    /// first on, as the owner could hand out as plain non-owning copies — or
+    /// the first object alone when serving it moves ownership.
     ObjectData {
-        /// The object.
+        /// The first object of the run.
         object: ObjectId,
-        /// The object contents.
-        data: Vec<u8>,
-        /// Whether ownership is transferred to the requester.
+        /// Contents of `object`, `object + 1`, … in order.
+        data: Vec<Vec<u8>>,
+        /// Whether ownership is transferred to the requester (one-object
+        /// replies only).
         ownership: bool,
         /// Copyset handed over together with ownership (nodes the new owner
         /// must invalidate or update).
@@ -509,8 +521,16 @@ impl DsmMsg {
     /// Modelled size of the message on the wire (header plus payload).
     pub fn model_bytes(&self) -> u64 {
         let payload: u64 = match self {
-            DsmMsg::ObjectFetch { .. } => 8,
-            DsmMsg::ObjectData { data, .. } => data.len() as u64 + 16,
+            // Object id, intent and requester; a run length only when
+            // there is a run to speak of.
+            DsmMsg::ObjectFetch { run, .. } => 8 + if *run > 1 { 4 } else { 0 },
+            // The first object is described by the 16 bytes of framing (id,
+            // flags, copyset); every further one brings an 8-byte descriptor
+            // (id and length) of its own.
+            DsmMsg::ObjectData { data, .. } => {
+                let contents: u64 = data.iter().map(|d| d.len() as u64).sum();
+                16 + contents + 8 * (data.len() as u64).saturating_sub(1)
+            }
             DsmMsg::Invalidate { .. } | DsmMsg::InvalidateAck { .. } => 8,
             DsmMsg::Update { items, .. } => items.iter().map(|i| 8 + i.payload.model_bytes()).sum(),
             // The relay messages carry an origin + stream slot on top of an
@@ -613,21 +633,31 @@ mod tests {
     use super::*;
     use crate::diff::{encode, Diff};
 
-    #[test]
-    fn classes_are_distinct_for_requests_and_replies() {
-        let fetch = DsmMsg::ObjectFetch {
+    fn fetch_of(run: u32) -> DsmMsg {
+        DsmMsg::ObjectFetch {
             object: ObjectId::new(0),
+            run,
             access: FetchKind::Read,
             requester: NodeId::new(1),
             phase: 0,
-        };
-        let data = DsmMsg::ObjectData {
+        }
+    }
+
+    /// A plain-copy reply carrying objects of the given sizes.
+    fn data_of(sizes: &[usize]) -> DsmMsg {
+        DsmMsg::ObjectData {
             object: ObjectId::new(0),
-            data: vec![0; 16],
+            data: sizes.iter().map(|len| vec![0; *len]).collect(),
             ownership: false,
             copyset: CopySet::EMPTY,
             writable: false,
-        };
+        }
+    }
+
+    #[test]
+    fn classes_are_distinct_for_requests_and_replies() {
+        let fetch = fetch_of(1);
+        let data = data_of(&[16]);
         assert_ne!(fetch.class(), data.class());
         assert!(!fetch.is_user_reply());
         assert!(data.is_user_reply());
@@ -635,22 +665,34 @@ mod tests {
 
     #[test]
     fn model_bytes_scale_with_payload() {
-        let small = DsmMsg::ObjectData {
-            object: ObjectId::new(0),
-            data: vec![0; 16],
-            ownership: false,
-            copyset: CopySet::EMPTY,
-            writable: false,
-        };
-        let large = DsmMsg::ObjectData {
-            object: ObjectId::new(0),
-            data: vec![0; 8192],
-            ownership: false,
-            copyset: CopySet::EMPTY,
-            writable: false,
-        };
+        let small = data_of(&[16]);
+        let large = data_of(&[8192]);
         assert!(large.model_bytes() > small.model_bytes());
         assert!(large.model_bytes() >= 8192);
+    }
+
+    /// A run of 1 is the single-object fetch, byte for byte (`sor`'s
+    /// one-page faults must not move); a longer run pays a 4-byte run length
+    /// on the request and an 8-byte descriptor for each further object on
+    /// the reply — and saves a header pair per object it spares a round trip.
+    #[test]
+    fn fetch_run_sizes_are_pinned() {
+        assert_eq!(fetch_of(1).model_bytes(), HEADER_BYTES + 8);
+        assert_eq!(data_of(&[8192]).model_bytes(), HEADER_BYTES + 8192 + 16);
+        assert_eq!(fetch_of(3).model_bytes(), HEADER_BYTES + 8 + 4);
+        assert_eq!(fetch_of(79).model_bytes(), fetch_of(2).model_bytes());
+        assert_eq!(
+            data_of(&[8192, 8192, 4288]).model_bytes(),
+            HEADER_BYTES + 16 + (8192 + 8192 + 4288) + 2 * 8
+        );
+        let one_by_one = 3 * fetch_of(1).model_bytes()
+            + 2 * data_of(&[8192]).model_bytes()
+            + data_of(&[4288]).model_bytes();
+        let as_a_run = fetch_of(3).model_bytes() + data_of(&[8192, 8192, 4288]).model_bytes();
+        assert_eq!(
+            one_by_one - as_a_run,
+            2 * (2 * HEADER_BYTES + 8 + 16) - 4 - 2 * 8
+        );
     }
 
     #[test]

@@ -97,9 +97,11 @@ pub enum EventKind {
     WriteFaultBegin,
     /// The write fault resolved (`dur_ns` = virtual service time).
     WriteFaultEnd,
-    /// An `ObjectFetch` request was sent to the probable owner.
+    /// An `ObjectFetch` request was sent to the probable owner
+    /// (`object` = the first object of the run, `run` = objects asked for).
     FetchSend,
-    /// This node served an `ObjectFetch` with `ObjectData`.
+    /// This node served an `ObjectFetch` with `ObjectData`
+    /// (`object` = the first object of the run, `run` = objects served).
     FetchServe,
     /// An update-bearing transmission was assigned a per-(src,dst) sequence
     /// number and sent (`peer` = destination, `seq` = stream number). An
@@ -219,6 +221,9 @@ pub struct ObsEvent {
     /// The flusher whose stream `seq` belongs to, when that is not the
     /// sending node (an owner's re-fan of a cooperative relay bundle).
     pub origin: Option<NodeId>,
+    /// Length of the run of consecutive objects starting at `object` that a
+    /// fetch asked for (`FetchSend`) or was served (`FetchServe`).
+    pub run: Option<u32>,
     /// Free-form text ([`EventKind::Note`] events).
     pub note: Option<String>,
 }
@@ -235,6 +240,7 @@ impl ObsEvent {
             peer: None,
             seq: None,
             origin: None,
+            run: None,
             note: None,
         }
     }
@@ -258,6 +264,9 @@ impl ObsEvent {
         }
         if let Some(o) = self.origin {
             let _ = write!(s, " origin={}", o.as_usize());
+        }
+        if let Some(r) = self.run {
+            let _ = write!(s, " run={r}");
         }
         if self.dur_ns > 0 {
             let _ = write!(s, " dur={}", fmt_ns(self.dur_ns));

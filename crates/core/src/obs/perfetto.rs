@@ -99,6 +99,10 @@ fn write_args(out: &mut String, ev: &ObsEvent) {
         field(out, &mut first, "origin");
         let _ = write!(out, "{}", o.as_usize());
     }
+    if let Some(r) = ev.run {
+        field(out, &mut first, "run");
+        let _ = write!(out, "{r}");
+    }
     if ev.dur_ns > 0 {
         field(out, &mut first, "dur_ns");
         let _ = write!(out, "{}", ev.dur_ns);

@@ -9,10 +9,18 @@
 //! * read faults fetch a replica from the owner (found via the
 //!   probable-owner chain);
 //! * write faults on *delayed* (write-shared / producer-consumer / result)
-//!   objects make a twin, enqueue the object on the DUQ, and enable writes;
+//!   objects fetch a copy if there is none, make a twin, enqueue the object
+//!   on the DUQ, and enable writes;
 //! * write faults on *ownership* (conventional / migratory) objects acquire
 //!   ownership and invalidate the remaining replicas;
 //! * writes to `read_only` objects are runtime errors.
+//!
+//! A fetch that needs nothing but a copy asks for a *run*: the faulting
+//! object and every object after it in the same access (the *window*) that
+//! is invalid here too and shares its owner hint. The reply installs a
+//! prefix of the run, so the objects installed along never fault; what the
+//! owner could not hand out as a plain copy faults in turn, and starts a run
+//! of its own.
 
 use std::sync::Arc;
 
@@ -30,18 +38,19 @@ use super::NodeRuntime;
 
 impl NodeRuntime {
     /// Ensures the local copy of `object` is readable, faulting if necessary.
-    pub(crate) fn ensure_read(self: &Arc<Self>, object: ObjectId) -> Result<()> {
+    /// `window_end` bounds the run a fault may fetch (see [`Self::fault_in`]).
+    pub(crate) fn ensure_read(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
         {
             let dir = self.dir.lock();
             if dir.entry(object).state.rights.allows_read() {
                 return Ok(());
             }
         }
-        self.read_fault(object)
+        self.read_fault(object, window_end)
     }
 
     /// Ensures the local copy of `object` is writable, faulting if necessary.
-    pub(crate) fn ensure_write(self: &Arc<Self>, object: ObjectId) -> Result<()> {
+    pub(crate) fn ensure_write(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
         {
             let mut dir = self.dir.lock();
             let entry = dir.entry_mut(object);
@@ -50,11 +59,12 @@ impl NodeRuntime {
                 return Ok(());
             }
         }
-        self.write_fault(object)
+        self.write_fault(object, window_end)
     }
 
-    /// Ensures an upcoming access of `object` has been *detected* by the
-    /// runtime — the access-mode dispatch point.
+    /// Makes sure an upcoming access of `objects` — consecutive objects of
+    /// one variable — has been *detected* by the runtime, object by object:
+    /// the access-mode dispatch point.
     ///
     /// * `Explicit`: a software check of the directory entry's rights,
     ///   invoking the fault protocol when they are insufficient.
@@ -64,23 +74,34 @@ impl NodeRuntime {
     ///   handler routes the fault to the same protocol logic on this thread.
     ///   No directory access happens on the no-fault path.
     ///
-    /// Either way the subsequent verify-and-pin step under the directory
-    /// lock remains the source of truth for the access itself.
-    fn ensure_access(self: &Arc<Self>, object: ObjectId, write: bool) -> Result<()> {
-        if self.vm.is_some() {
-            return self.vm_touch(object, write);
+    /// Either way the fault handler is told where the access ends
+    /// (`window_end`, the id after its last object), so the first invalid
+    /// object's fault can fetch the invalid objects behind it in the same
+    /// round trip; those are then valid when their turn comes and take no
+    /// fault. A window ending at or before the faulting object (`0` from
+    /// callers with one object in hand) allows a run of 1.
+    pub(crate) fn fault_in(self: &Arc<Self>, objects: &[ObjectId], write: bool) -> Result<()> {
+        let window_end = objects.last().map_or(0, |last| last.as_u32() + 1);
+        for object in objects {
+            if self.vm.is_some() {
+                self.vm_touch(*object, write, window_end)?;
+            } else if write {
+                self.ensure_write(*object, window_end)?;
+            } else {
+                self.ensure_read(*object, window_end)?;
+            }
         }
-        if write {
-            self.ensure_write(object)
-        } else {
-            self.ensure_read(object)
-        }
+        Ok(())
     }
 
     /// Performs a hardware touch of `object` (VM-trap mode) and surfaces any
-    /// error the in-handler fault protocol parked.
-    fn vm_touch(self: &Arc<Self>, object: ObjectId, write: bool) -> Result<()> {
+    /// error the in-handler fault protocol parked. The window is left where
+    /// the trap handler, which takes no arguments, finds it.
+    fn vm_touch(self: &Arc<Self>, object: ObjectId, write: bool, window_end: u32) -> Result<()> {
         let vm = self.vm.as_ref().expect("vm_touch requires VM-trap mode");
+        // Read back by `vm_fault` on this same thread.
+        self.vm_window_end
+            .store(window_end, std::sync::atomic::Ordering::Relaxed);
         if write {
             vm.touch_write(object);
         } else {
@@ -109,7 +130,7 @@ impl NodeRuntime {
                 // Objects are contiguous within themselves but not across
                 // object boundaries in the protected region: copy per object.
                 let end = byte_offset + out.len();
-                for oid in self.table.objects_in_range(var, byte_offset, end) {
+                for &oid in self.table.objects_in_range(var, byte_offset, end) {
                     let o = self.table.object(oid);
                     let lo = o.var_offset.max(byte_offset);
                     let hi = (o.var_offset + o.size).min(end);
@@ -134,7 +155,7 @@ impl NodeRuntime {
             }
             Some(vm) => {
                 let end = byte_offset + data.len();
-                for oid in self.table.objects_in_range(var, byte_offset, end) {
+                for &oid in self.table.objects_in_range(var, byte_offset, end) {
                     let o = self.table.object(oid);
                     let lo = o.var_offset.max(byte_offset);
                     let hi = (o.var_offset + o.size).min(end);
@@ -164,9 +185,9 @@ impl NodeRuntime {
         let objects = self
             .table
             .objects_in_range(var, byte_offset, byte_offset + out.len());
-        self.pin_for_access(&objects, false)?;
+        self.pin_for_access(objects, false)?;
         self.copy_var_bytes_out(var, byte_offset, out);
-        self.unpin(&objects);
+        self.unpin(objects);
         Ok(())
     }
 
@@ -187,9 +208,9 @@ impl NodeRuntime {
         let objects = self
             .table
             .objects_in_range(var, byte_offset, byte_offset + data.len());
-        self.pin_for_access(&objects, true)?;
+        self.pin_for_access(objects, true)?;
         self.copy_var_bytes_in(var, byte_offset, data);
-        self.unpin(&objects);
+        self.unpin(objects);
         Ok(())
     }
 
@@ -207,9 +228,7 @@ impl NodeRuntime {
     /// retries, never a missed fault.
     fn pin_for_access(self: &Arc<Self>, objects: &[ObjectId], write: bool) -> Result<()> {
         loop {
-            for obj in objects {
-                self.ensure_access(*obj, write)?;
-            }
+            self.fault_in(objects, write)?;
             let mut dir = self.dir.lock();
             let all_valid = objects.iter().all(|o| {
                 let rights = dir.entry(*o).state.rights;
@@ -246,13 +265,14 @@ impl NodeRuntime {
         self.note_unblocked_and_process_deferred(self.clock.now());
     }
 
-    /// Handles a read access fault.
-    pub(crate) fn read_fault(self: &Arc<Self>, object: ObjectId) -> Result<()> {
+    /// Handles a read access fault on `object`, taken inside an access whose
+    /// objects end before `window_end`.
+    pub(crate) fn read_fault(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
         use crate::obs::EventKind;
         let t0 = self.clock.now().as_nanos();
         self.obs
             .record(t0, EventKind::ReadFaultBegin, |ev| ev.object = Some(object));
-        let result = self.read_fault_inner(object);
+        let result = self.read_fault_inner(object, window_end);
         let t1 = self.clock.now().as_nanos();
         let dur = t1.saturating_sub(t0);
         self.obs.record(t1, EventKind::ReadFaultEnd, |ev| {
@@ -264,10 +284,10 @@ impl NodeRuntime {
         result
     }
 
-    fn read_fault_inner(self: &Arc<Self>, object: ObjectId) -> Result<()> {
+    fn read_fault_inner(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
         bump(&self.stats.read_faults);
         self.charge_sys(self.cost.fault());
-        let owner_hint = {
+        let (owner_hint, run) = {
             let mut dir = self.dir.lock();
             let entry = dir.entry_mut(object);
             if entry.state.rights.allows_read() {
@@ -280,22 +300,60 @@ impl NodeRuntime {
                 return Ok(());
             }
             entry.state.busy = true;
-            entry.probable_owner
+            let owner_hint = entry.probable_owner;
+            // A read of migratory data moves the object; anything else only
+            // needs a copy, and the window's copies can come along.
+            let run = if entry.annotation == SharingAnnotation::Migratory {
+                1
+            } else {
+                Self::claim_run(&mut dir, object, window_end)
+            };
+            (owner_hint, run)
         };
-        let result = self.fetch_object(object, FetchKind::Read, owner_hint);
-        self.clear_busy(object);
+        let result = self.fetch_object(object, run, FetchKind::Read, owner_hint);
+        self.clear_busy(object, run);
         result
+    }
+
+    /// Extends the fetch of `object` — already marked busy — over the
+    /// objects behind it, up to `window_end`: every consecutive one that is
+    /// invalid here, not owned here, in no transition of its own and filed
+    /// under the same annotation and probable owner. Marks each busy (an
+    /// update or copyset query that reaches this node between the owner
+    /// serving the copy and its install must wait for the install, exactly
+    /// as for `object` itself) and returns the length of the run, `object`
+    /// included.
+    fn claim_run(dir: &mut crate::directory::Directory, object: ObjectId, window_end: u32) -> u32 {
+        let (annotation, owner_hint) = {
+            let first = dir.entry(object);
+            (first.annotation, first.probable_owner)
+        };
+        let mut run = 1;
+        for id in object.as_u32() + 1..window_end {
+            let entry = dir.entry_mut(ObjectId::new(id));
+            if entry.state.rights.allows_read()
+                || entry.state.owned
+                || entry.state.busy
+                || entry.annotation != annotation
+                || entry.probable_owner != owner_hint
+            {
+                break;
+            }
+            entry.state.busy = true;
+            run += 1;
+        }
+        run
     }
 
     /// Handles a write access fault, dispatching on the object's protocol
     /// parameters.
-    pub(crate) fn write_fault(self: &Arc<Self>, object: ObjectId) -> Result<()> {
+    pub(crate) fn write_fault(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
         use crate::obs::EventKind;
         let t0 = self.clock.now().as_nanos();
         self.obs.record(t0, EventKind::WriteFaultBegin, |ev| {
             ev.object = Some(object)
         });
-        let result = self.write_fault_inner(object);
+        let result = self.write_fault_inner(object, window_end);
         let t1 = self.clock.now().as_nanos();
         let dur = t1.saturating_sub(t0);
         self.obs.record(t1, EventKind::WriteFaultEnd, |ev| {
@@ -313,15 +371,24 @@ impl NodeRuntime {
         self.dir.lock().entry(object).annotation.keyword()
     }
 
-    fn write_fault_inner(self: &Arc<Self>, object: ObjectId) -> Result<()> {
+    fn write_fault_inner(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
         bump(&self.stats.write_faults);
         self.charge_sys(self.cost.fault());
         enum Plan {
             Done,
             Error(MuninError),
-            Delayed { need_copy: bool, owner_hint: NodeId },
-            UpgradeInPlace { copyset: CopySet },
-            AcquireOwnership { owner_hint: NodeId },
+            /// `copy_run` objects, from this one on, have no copy here and
+            /// are fetched first (0: the local copy is valid).
+            Delayed {
+                copy_run: u32,
+                owner_hint: NodeId,
+            },
+            UpgradeInPlace {
+                copyset: CopySet,
+            },
+            AcquireOwnership {
+                owner_hint: NodeId,
+            },
         }
         let plan = {
             let mut dir = self.dir.lock();
@@ -342,9 +409,19 @@ impl NodeRuntime {
                 Plan::Error(MuninError::NotAReductionObject(object))
             } else if entry.params.allows_delay() {
                 entry.state.busy = true;
+                let owner_hint = entry.probable_owner;
+                // The copy a delayed write needs is a plain read copy, so
+                // the window's can come with it; the objects behind this one
+                // still take their own write fault (twin, DUQ), but find
+                // their copy in place.
+                let copy_run = if entry.state.rights.allows_read() {
+                    0
+                } else {
+                    Self::claim_run(&mut dir, object, window_end)
+                };
                 Plan::Delayed {
-                    need_copy: !entry.state.rights.allows_read(),
-                    owner_hint: entry.probable_owner,
+                    copy_run,
+                    owner_hint,
                 }
             } else if entry.state.owned && entry.state.rights.allows_read() {
                 // Already the owner with a (read-protected) copy: invalidate
@@ -360,13 +437,18 @@ impl NodeRuntime {
                 }
             }
         };
+        // How many entries, from `object` on, the plan marked busy.
+        let busy_run = match plan {
+            Plan::Delayed { copy_run, .. } => copy_run.max(1),
+            _ => 1,
+        };
         let result = match plan {
             Plan::Done => Ok(()),
             Plan::Error(e) => Err(e),
             Plan::Delayed {
-                need_copy,
+                copy_run,
                 owner_hint,
-            } => self.delayed_write_fault(object, need_copy, owner_hint),
+            } => self.delayed_write_fault(object, copy_run, owner_hint),
             Plan::UpgradeInPlace { copyset } => {
                 let r = self.invalidate_copies(object, copyset);
                 if r.is_ok() {
@@ -379,27 +461,28 @@ impl NodeRuntime {
                 r
             }
             Plan::AcquireOwnership { owner_hint } => {
-                self.fetch_object(object, FetchKind::Write, owner_hint)
+                self.fetch_object(object, 1, FetchKind::Write, owner_hint)
             }
         };
-        // Every plan that set the busy bit clears it here; clearing an entry
+        // Every plan that set busy bits clears them here; clearing an entry
         // that was never marked busy is harmless.
-        self.clear_busy(object);
+        self.clear_busy(object, busy_run);
         result
     }
 
     /// Write fault on an object whose protocol allows delayed updates
     /// (write-shared, producer-consumer, result): fetch a copy if none is
-    /// present, make a twin when multiple writers are possible, enqueue the
-    /// object on the DUQ, and enable writes.
+    /// present (`copy_run` > 0: with the copies of the run behind it), make a
+    /// twin when multiple writers are possible, enqueue the object on the
+    /// DUQ, and enable writes.
     fn delayed_write_fault(
         self: &Arc<Self>,
         object: ObjectId,
-        need_copy: bool,
+        copy_run: u32,
         owner_hint: NodeId,
     ) -> Result<()> {
-        if need_copy {
-            self.fetch_object(object, FetchKind::Read, owner_hint)?;
+        if copy_run > 0 {
+            self.fetch_object(object, copy_run, FetchKind::Read, owner_hint)?;
         }
         let (make_twin, size) = {
             let dir = self.dir.lock();
@@ -432,11 +515,15 @@ impl NodeRuntime {
         Ok(())
     }
 
-    /// Sends an object fetch to `owner_hint` (the request is forwarded along
-    /// the probable-owner chain) and installs the reply.
+    /// Sends a fetch for the `run` objects starting at `object` to
+    /// `owner_hint` (the request is forwarded along the probable-owner
+    /// chain) and installs the prefix of the run the reply carries. The
+    /// caller holds every object of the run busy and clears them all
+    /// afterwards, served or not.
     pub(crate) fn fetch_object(
         self: &Arc<Self>,
         object: ObjectId,
+        run: u32,
         access: FetchKind,
         owner_hint: NodeId,
     ) -> Result<()> {
@@ -446,6 +533,7 @@ impl NodeRuntime {
             |ev| {
                 ev.object = Some(object);
                 ev.peer = Some(owner_hint);
+                ev.run = Some(run);
             },
         );
         let phase = self.dir.lock().phase;
@@ -453,6 +541,7 @@ impl NodeRuntime {
             owner_hint,
             DsmMsg::ObjectFetch {
                 object,
+                run,
                 access,
                 requester: self.node,
                 phase,
@@ -463,7 +552,10 @@ impl NodeRuntime {
         // any peer, since the probable-owner chain is unknowable from here
         // — triggers a recovery round that re-establishes a live owner or
         // proves the object lost. Already-dead peers are signalled on the
-        // first wait, covering a fetch sent straight to a corpse.
+        // first wait, covering a fetch sent straight to a corpse. Recovery
+        // is for the faulting object alone: the adopter answers with a run
+        // of 1, and the rest of the run faults again, towards the hints
+        // recovery left behind.
         let mut handled = crate::nodeset::NodeSet::EMPTY;
         let (env, reply) = loop {
             match self.wait_reply_or_dead(crate::runtime::WaitOp::Fetch(object), &mut handled) {
@@ -491,24 +583,30 @@ impl NodeRuntime {
         if got != object {
             return Err(MuninError::ProtocolViolation("ObjectData for wrong object"));
         }
-        bump(&self.stats.objects_fetched);
-        add(&self.stats.fetch_bytes, data.len() as u64);
+        if data.is_empty() || data.len() > run as usize || (ownership && data.len() > 1) {
+            return Err(MuninError::ProtocolViolation(
+                "ObjectData is not a prefix of the requested run",
+            ));
+        }
         crate::runtime::proto_trace!(
             self,
-            "installed {object:?} from {:?} (ownership={ownership} writable={writable} arrival={}ns)",
+            "installed {} object(s) from {object:?} on, from {:?} (ownership={ownership} writable={writable} arrival={}ns)",
+            data.len(),
             env.src,
             env.arrival.as_nanos()
         );
-        self.charge_sys(self.cost.dir_op());
-        self.install_object_bytes(object, &data);
-        let pending_invalidate = {
+        let rights = if writable {
+            AccessRights::ReadWrite
+        } else {
+            AccessRights::Read
+        };
+        for (served, bytes) in (object.as_u32()..).map(ObjectId::new).zip(&data) {
+            bump(&self.stats.objects_fetched);
+            add(&self.stats.fetch_bytes, bytes.len() as u64);
+            self.charge_sys(self.cost.dir_op());
+            self.install_object_bytes(served, bytes);
             let mut dir = self.dir.lock();
-            let entry = dir.entry_mut(object);
-            let rights = if writable {
-                AccessRights::ReadWrite
-            } else {
-                AccessRights::Read
-            };
+            let entry = dir.entry_mut(served);
             self.set_entry_rights(entry, rights);
             entry.state.owned = ownership;
             if ownership {
@@ -517,13 +615,8 @@ impl NodeRuntime {
             } else {
                 entry.probable_owner = env.src;
             }
-            if ownership && matches!(access, FetchKind::Write) && !copyset.is_empty() {
-                Some(copyset)
-            } else {
-                None
-            }
-        };
-        if let Some(copyset) = pending_invalidate {
+        }
+        if ownership && matches!(access, FetchKind::Write) && !copyset.is_empty() {
             // Single-writer protocols: "upon a write miss an invalidation
             // message is transmitted to all other replicas. The thread that
             // generated the miss blocks until it has the only copy."
@@ -694,12 +787,16 @@ impl NodeRuntime {
         Ok(())
     }
 
-    /// Clears the busy bit set at the start of a fault and retries any
-    /// requests that were deferred while the entry was in transition.
-    fn clear_busy(self: &Arc<Self>, object: ObjectId) {
+    /// Clears the busy bits a fault set — on `object` and the `run - 1`
+    /// objects behind it, whether the reply carried them or not — and
+    /// retries any requests that were deferred while the entries were in
+    /// transition.
+    fn clear_busy(self: &Arc<Self>, object: ObjectId, run: u32) {
         {
             let mut dir = self.dir.lock();
-            dir.entry_mut(object).state.busy = false;
+            for id in object.as_u32()..object.as_u32() + run {
+                dir.entry_mut(ObjectId::new(id)).state.busy = false;
+            }
         }
         self.note_unblocked_and_process_deferred(self.clock.now());
     }
@@ -751,7 +848,7 @@ mod tests {
     fn write_to_read_only_object_is_a_runtime_error() {
         let rt = single_node();
         let ro = obj(&rt, "ro");
-        let err = rt.write_fault(ro).unwrap_err();
+        let err = rt.write_fault(ro, 0).unwrap_err();
         assert_eq!(err, MuninError::ReadOnlyWrite(ro));
         assert_eq!(rt.stats().snapshot().runtime_errors, 1);
     }
@@ -763,7 +860,7 @@ mod tests {
         // Force a fault by write-protecting the entry.
         rt.dir.lock().entry_mut(red).state.rights = AccessRights::Read;
         assert!(matches!(
-            rt.write_fault(red),
+            rt.write_fault(red, 0),
             Err(MuninError::NotAReductionObject(_))
         ));
     }
@@ -777,7 +874,7 @@ mod tests {
             AccessRights::Read,
             "write-shared objects start write-protected"
         );
-        rt.write_fault(ws).unwrap();
+        rt.write_fault(ws, 0).unwrap();
         assert!(rt.duq.lock().contains(ws));
         assert!(rt.duq.lock().twin_of(ws).is_some());
         assert_eq!(
@@ -792,12 +889,12 @@ mod tests {
     fn second_write_fault_does_not_duplicate_duq_entry() {
         let rt = single_node();
         let ws = obj(&rt, "ws");
-        rt.write_fault(ws).unwrap();
+        rt.write_fault(ws, 0).unwrap();
         // Simulate re-protection then another fault before a flush: the twin
         // from the first fault must be preserved.
         rt.install_object_bytes(ws, &[9u8; 32]);
         rt.dir.lock().entry_mut(ws).state.rights = AccessRights::Read;
-        rt.write_fault(ws).unwrap();
+        rt.write_fault(ws, 0).unwrap();
         assert_eq!(rt.duq.lock().len(), 1);
         assert_eq!(rt.duq.lock().twin_of(ws).unwrap(), vec![0u8; 32].as_slice());
     }
@@ -809,7 +906,7 @@ mod tests {
         // Root owns the conventional object with ReadWrite rights already;
         // downgrade to Read to force the upgrade path.
         rt.dir.lock().entry_mut(conv).state.rights = AccessRights::Read;
-        rt.write_fault(conv).unwrap();
+        rt.write_fault(conv, 0).unwrap();
         let dir = rt.dir.lock();
         assert_eq!(dir.entry(conv).state.rights, AccessRights::ReadWrite);
         assert!(dir.entry(conv).state.owned);
@@ -819,7 +916,7 @@ mod tests {
     fn read_of_valid_object_does_not_fault() {
         let rt = single_node();
         let ro = obj(&rt, "ro");
-        rt.ensure_read(ro).unwrap();
+        rt.ensure_read(ro, 0).unwrap();
         assert_eq!(rt.stats().snapshot().read_faults, 0);
     }
 

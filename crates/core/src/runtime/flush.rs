@@ -1142,7 +1142,7 @@ mod tests {
     fn flush_on_single_node_clears_duq_and_reprotects() {
         let rt = single_node();
         let ws = obj(&rt, "ws");
-        rt.write_fault(ws).unwrap();
+        rt.write_fault(ws, 0).unwrap();
         rt.install_object_bytes(ws, &[7u8; 32]);
         rt.flush_duq().unwrap();
         assert!(rt.duq.lock().is_empty());
@@ -1156,7 +1156,7 @@ mod tests {
     fn stable_object_with_empty_copyset_becomes_private() {
         let rt = single_node();
         let pc = obj(&rt, "pc");
-        rt.write_fault(pc).unwrap();
+        rt.write_fault(pc, 0).unwrap();
         rt.flush_duq().unwrap();
         let dir = rt.dir.lock();
         let e = dir.entry(pc);
@@ -1165,7 +1165,7 @@ mod tests {
         drop(dir);
         // A subsequent write does not fault, create a twin, or enqueue.
         let before = rt.stats().snapshot();
-        rt.ensure_write(pc).unwrap();
+        rt.ensure_write(pc, 0).unwrap();
         assert_eq!(rt.stats().snapshot().write_faults, before.write_faults);
         assert!(rt.duq.lock().is_empty());
     }
@@ -1174,7 +1174,7 @@ mod tests {
     fn result_object_at_owner_flushes_locally() {
         let rt = single_node();
         let res = obj(&rt, "res");
-        rt.write_fault(res).unwrap();
+        rt.write_fault(res, 0).unwrap();
         rt.install_object_bytes(res, &[1u8; 32]);
         rt.flush_duq().unwrap();
         // The owner keeps its (authoritative) copy.
@@ -1186,7 +1186,7 @@ mod tests {
     fn phase_change_clears_fixed_copysets() {
         let rt = single_node();
         let pc = obj(&rt, "pc");
-        rt.write_fault(pc).unwrap();
+        rt.write_fault(pc, 0).unwrap();
         rt.flush_duq().unwrap();
         assert!(rt.dir.lock().entry(pc).state.copyset_fixed);
         rt.phase_change();
@@ -1208,7 +1208,7 @@ mod tests {
     fn invalidate_hint_drops_local_copy() {
         let rt = single_node();
         let ws = obj(&rt, "ws");
-        rt.write_fault(ws).unwrap();
+        rt.write_fault(ws, 0).unwrap();
         rt.invalidate_hint(&[ws]).unwrap();
         assert_eq!(rt.dir.lock().entry(ws).state.rights, AccessRights::Invalid);
         assert!(rt.duq.lock().is_empty());
@@ -1259,7 +1259,7 @@ mod tests {
         let ws = obj(&rt, "ws");
         // Take a write fault (creates the twin), modify the object, and give
         // the object a two-member copyset so the flush fans out.
-        rt.write_fault(ws).unwrap();
+        rt.write_fault(ws, 0).unwrap();
         rt.install_object_bytes(ws, &[7u8; 32]);
         {
             let mut dir = rt.dir.lock();
@@ -1327,7 +1327,7 @@ mod tests {
         let ws = rt.table().var_by_name("ws").unwrap().objects[0];
         // Node 0 knows only of the replica at N1; N2's copy is "invisible"
         // to its determination (as if N2 fetched after the query round).
-        rt.write_fault(ws).unwrap();
+        rt.write_fault(ws, 0).unwrap();
         rt.install_object_bytes(ws, &[7u8; 32]);
         {
             let mut dir = rt.dir.lock();
@@ -1423,10 +1423,10 @@ mod tests {
         }
 
         // Two hint flushes: both buffer, nothing goes on the wire.
-        rt.write_fault(ws).unwrap();
+        rt.write_fault(ws, 0).unwrap();
         rt.install_object_bytes(ws, &[1u8; 32]);
         rt.flush_hint().unwrap();
-        rt.write_fault(ws).unwrap();
+        rt.write_fault(ws, 0).unwrap();
         rt.install_object_bytes(ws, &[2u8; 32]);
         rt.flush_hint().unwrap();
         {
@@ -1504,10 +1504,10 @@ mod tests {
             e.copyset.insert(NodeId::new(1));
             e.state.copyset_fixed = true;
         }
-        rt.write_fault(ws).unwrap();
+        rt.write_fault(ws, 0).unwrap();
         rt.install_object_bytes(ws, &[1u8; 32]);
         rt.flush_hint().unwrap();
-        rt.write_fault(ws).unwrap();
+        rt.write_fault(ws, 0).unwrap();
         rt.install_object_bytes(ws, &[2u8; 32]);
         let server_rt = Arc::clone(&rt);
         let server = std::thread::spawn(move || server_rt.server_loop(rx0));
@@ -1544,7 +1544,7 @@ mod tests {
         let rt = single_node();
         let ws = obj(&rt, "ws");
         // First cycle warms the pool and the scratch.
-        rt.write_fault(ws).unwrap();
+        rt.write_fault(ws, 0).unwrap();
         rt.install_object_bytes(ws, &[1u8; 32]);
         rt.flush_duq().unwrap();
         assert_eq!(rt.duq.lock().pooled_twins(), 1);
@@ -1552,7 +1552,7 @@ mod tests {
         assert!(scratch_cap > 0);
         // Second cycle must not grow either allocation.
         rt.dir.lock().entry_mut(ws).state.rights = AccessRights::Read;
-        rt.write_fault(ws).unwrap();
+        rt.write_fault(ws, 0).unwrap();
         assert_eq!(rt.duq.lock().pooled_twins(), 0, "twin taken from pool");
         rt.install_object_bytes(ws, &[2u8; 32]);
         rt.flush_duq().unwrap();
@@ -1625,7 +1625,7 @@ mod tests {
         let objects = rt.table().var_by_name("ws").unwrap().objects.clone();
         assert_eq!(objects.len(), owners.len());
         for (ws, owner) in objects.iter().zip(owners) {
-            rt.write_fault(*ws).unwrap();
+            rt.write_fault(*ws, 0).unwrap();
             rt.install_object_bytes(*ws, &[7u8; 32]);
             // Not owned here, owner hint at a peer, copyset never
             // determined: exactly the shape that takes the cooperative route.

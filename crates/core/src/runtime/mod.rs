@@ -224,6 +224,10 @@ pub struct NodeRuntime {
     /// round-trip.
     vm_fault_errored: std::sync::atomic::AtomicBool,
     vm_fault_error: Mutex<Option<MuninError>>,
+    /// Where the access being touched ends (VM-trap mode): the window a
+    /// trap's fault handler may fetch a run in. Written by the touch wrapper
+    /// and read by the trap handler on the same thread, like the flag above.
+    vm_window_end: std::sync::atomic::AtomicU32,
     /// The thread the user (worker) closure runs on — the only thread whose
     /// faults the VM-trap callback resolves. A fault on any other thread is
     /// a runtime bug (a privileged path missed an escalation) and is left to
@@ -327,6 +331,7 @@ impl NodeRuntime {
                 vm,
                 vm_fault_errored: std::sync::atomic::AtomicBool::new(false),
                 vm_fault_error: Mutex::new(None),
+                vm_window_end: std::sync::atomic::AtomicU32::new(0),
                 user_thread: std::thread::current().id(),
                 dir: Mutex::new(dir),
                 duq: Mutex::new(DelayedUpdateQueue::new()),
@@ -789,12 +794,15 @@ impl NodeRuntime {
         let Some(object) = vm.object_at(region_offset) else {
             return false;
         };
+        let window_end = self
+            .vm_window_end
+            .load(std::sync::atomic::Ordering::Relaxed);
         let result = if is_write {
             crate::stats::bump(&self.stats.vm_write_traps);
-            self.write_fault(object)
+            self.write_fault(object, window_end)
         } else {
             crate::stats::bump(&self.stats.vm_read_traps);
-            self.read_fault(object)
+            self.read_fault(object, window_end)
         };
         if let Err(e) = result {
             // The handler cannot make the faulting access fail; it loosens

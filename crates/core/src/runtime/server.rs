@@ -196,10 +196,11 @@ impl NodeRuntime {
         match msg {
             DsmMsg::ObjectFetch {
                 object,
+                run,
                 access,
                 requester,
                 phase,
-            } => self.handle_object_fetch(env, object, access, requester, phase),
+            } => self.handle_object_fetch(env, object, run, access, requester, phase),
             DsmMsg::Invalidate { object, requester } => {
                 self.handle_invalidate(env, object, requester)
             }
@@ -562,39 +563,78 @@ impl NodeRuntime {
         // usual ownership-transfer semantics for write/migratory access. If
         // the local copy was invalidated since the requester's query round,
         // this forwards along the (recovery-redirected) hint chain instead.
-        self.handle_object_fetch(env, object, access, requester, phase);
+        self.handle_object_fetch(env, object, 1, access, requester, phase);
     }
 
-    /// Serves (or forwards, or defers) an object fetch.
+    /// The stable-sharing check, made for every object a fetch is served
+    /// from: a fetch for a producer-consumer object whose sharing
+    /// relationship is already fixed, from a node outside that relationship,
+    /// is the runtime error the paper describes. It is recorded and the data
+    /// still served.
+    fn check_stable_sharing(
+        &self,
+        entry: &mut crate::directory::DirEntry,
+        my_phase: u32,
+        phase: u32,
+        requester: NodeId,
+    ) {
+        if !(entry.params.is_stable() && entry.state.copyset_fixed) {
+            return;
+        }
+        if phase > my_phase && !entry.state.phase_voided {
+            // The requester has issued a `PhaseChange()` that this node's
+            // user thread is still on its way to (both left the same
+            // barrier; the hint itself is unsynchronised). The relationship
+            // on record is the old phase's and is void for this fetch:
+            // un-fix it now, as the local call is about to. Once per local
+            // phase: a relationship re-determined after that is this phase's
+            // own, and a requester that is simply always ahead answers to it.
+            entry.state.copyset_fixed = false;
+            entry.state.phase_voided = true;
+        } else if !entry.copyset.contains(requester) {
+            bump(&self.stats.runtime_errors);
+        }
+    }
+
+    /// Serves (or forwards, or defers) a fetch of the `run` consecutive
+    /// objects starting at `object`.
+    ///
+    /// The first object decides what happens to the request: deferred while
+    /// its entry is busy or pinned, forwarded whole along its owner hint when
+    /// this node does not own it, answered alone when serving it moves
+    /// ownership. When it can be handed out as a plain non-owning copy, so
+    /// is every object behind it for which the same holds, and the reply
+    /// carries that prefix of the run; the requester faults again on what is
+    /// left. All of it happens in one directory-lock scope.
     fn handle_object_fetch(
         self: &Arc<Self>,
         env: Envelope,
         object: ObjectId,
+        run: u32,
         access: FetchKind,
         requester: NodeId,
         phase: u32,
     ) {
         let now = env.arrival;
-        enum Action {
+        /// What serving one object would take.
+        enum Serve {
             Defer,
             Forward(NodeId),
-            Reply {
-                ownership: bool,
-                copyset: CopySet,
-                writable: bool,
-                data: Vec<u8>,
-            },
+            /// A non-owning copy; the requester joins the copyset.
+            Copy,
+            /// Ownership (and for migratory data the only copy) moves.
+            Transfer,
+            /// First touch of an object nobody materialized and no owner is
+            /// fixed for: a zero-filled page, ownership follows the toucher.
+            FirstTouch,
         }
-        let action = {
-            let mut dir = self.dir.lock();
-            let my_phase = dir.phase;
-            let entry = dir.entry_mut(object);
+        let classify = |entry: &crate::directory::DirEntry| {
             if entry.state.busy || entry.state.pinned {
                 // Mid-transition, or the user thread holds the rights for an
                 // in-flight memory access: serve the fetch only after the
                 // transition/access completes, so a served copy can never
                 // miss a locally checked-but-not-yet-performed write.
-                Action::Defer
+                Serve::Defer
             } else if !entry.state.owned {
                 let hint = if entry.probable_owner == self.node {
                     // Stale self-hint: fall back to the home node of last resort.
@@ -602,125 +642,139 @@ impl NodeRuntime {
                 } else {
                     entry.probable_owner
                 };
-                Action::Forward(hint)
-            } else {
-                let annotation = entry.annotation;
-                let params = entry.params;
-                let has_copy = entry.state.rights.allows_read();
-                // Stable-sharing check: a fetch for a producer-consumer object
-                // whose sharing relationship is already fixed, from a node
-                // outside that relationship, is the runtime error the paper
-                // describes. We record it and still serve the data.
-                if params.is_stable() && entry.state.copyset_fixed {
-                    if phase > my_phase && !entry.state.phase_voided {
-                        // The requester has issued a `PhaseChange()` that
-                        // this node's user thread is still on its way to
-                        // (both left the same barrier; the hint itself is
-                        // unsynchronised). The relationship on record is
-                        // the old phase's and is void for this fetch: un-fix
-                        // it now, as the local call is about to. Once per
-                        // local phase: a relationship re-determined after
-                        // that is this phase's own, and a requester that is
-                        // simply always ahead answers to it.
-                        entry.state.copyset_fixed = false;
-                        entry.state.phase_voided = true;
-                    } else if !entry.copyset.contains(requester) {
-                        bump(&self.stats.runtime_errors);
-                    }
-                }
-                let single_writer_transfer = params.uses_invalidate()
-                    && (matches!(access, FetchKind::Write)
-                        || annotation == SharingAnnotation::Migratory);
-                // The object bytes are copied inside this directory-lock
-                // scope: the not-pinned guard above and the copy are then
-                // atomic with respect to the user thread's pinned accesses,
-                // so a served copy can never be torn mid-access (the VM-trap
-                // mode's lock-free user copies rely on this; the explicit
-                // mode previously relied on the segment mutex for the same
-                // guarantee at whole-access granularity).
-                if single_writer_transfer {
-                    // Conventional write miss or any migratory access:
-                    // ownership (and for migratory, the only copy) moves to
-                    // the requester; the local copy is invalidated.
-                    let mut handed_copyset = entry.copyset.clone();
-                    handed_copyset.remove(requester);
-                    self.set_entry_rights(entry, AccessRights::Invalid);
-                    entry.state.owned = false;
-                    entry.copyset = CopySet::EMPTY;
-                    entry.probable_owner = requester;
-                    Action::Reply {
-                        ownership: true,
-                        copyset: handed_copyset,
-                        writable: true,
-                        data: self.object_bytes(object),
-                    }
-                } else if has_copy {
-                    // Read replica (or a read fetch of an update-protocol
-                    // object): hand out a copy and remember the replica.
-                    entry.copyset.insert(requester);
-                    if params.uses_invalidate() {
-                        // Single-writer protocols write-protect the owner's
-                        // copy so its next write re-invalidates the replicas.
-                        self.set_entry_rights(entry, AccessRights::Read);
-                    }
-                    Action::Reply {
-                        ownership: false,
-                        copyset: CopySet::EMPTY,
-                        writable: false,
-                        data: self.object_bytes(object),
-                    }
+                if hint == self.node {
+                    // This *is* the home of last resort and it knows no
+                    // owner (the owner died leaving no heir on record here).
+                    // A forward to itself would come straight back, for
+                    // ever, and keep the service loop too busy to fire its
+                    // timers; the request is held until the entry changes.
+                    // The requester does not depend on it: its own recovery
+                    // round re-homes the object or reports it lost.
+                    Serve::Defer
                 } else {
-                    // First touch of an object the owner never materialized:
-                    // serve a zero-filled page. For fixed-owner objects the
-                    // owner keeps ownership (flushes must keep arriving
-                    // here); otherwise ownership follows the first toucher.
-                    let keep_ownership = params.has_fixed_owner();
-                    if !keep_ownership {
-                        entry.state.owned = false;
-                        entry.probable_owner = requester;
-                    } else {
-                        entry.copyset.insert(requester);
-                    }
-                    Action::Reply {
-                        ownership: !keep_ownership,
-                        copyset: CopySet::EMPTY,
-                        writable: false,
-                        data: self.object_bytes(object),
-                    }
+                    Serve::Forward(hint)
                 }
+            } else if entry.params.uses_invalidate()
+                && (matches!(access, FetchKind::Write)
+                    || entry.annotation == SharingAnnotation::Migratory)
+            {
+                Serve::Transfer
+            } else if entry.state.rights.allows_read() || entry.params.has_fixed_owner() {
+                Serve::Copy
+            } else {
+                Serve::FirstTouch
             }
         };
-        // The directory-lookup cost is charged once per request actually
-        // examined, not per defer-retry cycle: the number of retries depends
-        // on host thread interleaving and must not perturb virtual time.
-        if !matches!(action, Action::Defer) {
-            self.charge_sys(self.cost.dir_op());
+        enum Action {
+            Defer,
+            Forward(NodeId),
+            Reply {
+                ownership: bool,
+                copyset: CopySet,
+                writable: bool,
+                data: Vec<Vec<u8>>,
+            },
         }
+        let action = {
+            let mut dir = self.dir.lock();
+            let my_phase = dir.phase;
+            // The objects of the run that exist: consecutive ids of the
+            // first one's variable.
+            let var = self.table.var(self.table.object(object).var);
+            let var_end = var.objects.last().map_or(0, |o| o.as_u32() + 1);
+            let ids = object.as_u32()..object.as_u32().saturating_add(run.max(1)).min(var_end);
+            // The object bytes are copied inside this directory-lock scope:
+            // the not-pinned guard and the copy are then atomic with respect
+            // to the user thread's pinned accesses, so a served copy can
+            // never be torn mid-access (the VM-trap mode's lock-free user
+            // copies rely on this; the explicit mode previously relied on
+            // the segment mutex for the same guarantee at whole-access
+            // granularity).
+            let mut copies: Vec<Vec<u8>> = Vec::new();
+            // What the first object came to, when not a plain copy.
+            let mut first = None;
+            for id in ids.map(ObjectId::new) {
+                let entry = dir.entry_mut(id);
+                let serve = classify(entry);
+                if !copies.is_empty() && !matches!(serve, Serve::Copy) {
+                    break;
+                }
+                first = match serve {
+                    Serve::Defer => Some(Action::Defer),
+                    Serve::Forward(next) => Some(Action::Forward(next)),
+                    Serve::Copy => {
+                        // Read replica (or a read fetch of an update-protocol
+                        // object, or the zero-filled first copy of one whose
+                        // owner is fixed — flushes must keep arriving here):
+                        // hand out a copy and remember the replica.
+                        self.check_stable_sharing(entry, my_phase, phase, requester);
+                        entry.copyset.insert(requester);
+                        if entry.params.uses_invalidate() {
+                            // Single-writer protocols write-protect the owner's
+                            // copy so its next write re-invalidates the replicas.
+                            self.set_entry_rights(entry, AccessRights::Read);
+                        }
+                        copies.push(self.object_bytes(id));
+                        None
+                    }
+                    Serve::Transfer => {
+                        // Conventional write miss or any migratory access:
+                        // the local copy is invalidated.
+                        self.check_stable_sharing(entry, my_phase, phase, requester);
+                        let mut handed_copyset = entry.copyset.clone();
+                        handed_copyset.remove(requester);
+                        self.set_entry_rights(entry, AccessRights::Invalid);
+                        entry.state.owned = false;
+                        entry.copyset = CopySet::EMPTY;
+                        entry.probable_owner = requester;
+                        Some(Action::Reply {
+                            ownership: true,
+                            copyset: handed_copyset,
+                            writable: true,
+                            data: vec![self.object_bytes(id)],
+                        })
+                    }
+                    Serve::FirstTouch => {
+                        self.check_stable_sharing(entry, my_phase, phase, requester);
+                        entry.state.owned = false;
+                        entry.probable_owner = requester;
+                        Some(Action::Reply {
+                            ownership: true,
+                            copyset: CopySet::EMPTY,
+                            writable: false,
+                            data: vec![self.object_bytes(id)],
+                        })
+                    }
+                };
+                if first.is_some() {
+                    break;
+                }
+            }
+            first.unwrap_or(Action::Reply {
+                ownership: false,
+                copyset: CopySet::EMPTY,
+                writable: false,
+                data: copies,
+            })
+        };
+        let request = || DsmMsg::ObjectFetch {
+            object,
+            run,
+            access,
+            requester,
+            phase,
+        };
         match action {
+            // No virtual-time charge on a deferred attempt: the number of
+            // retries depends on host thread interleaving and must not
+            // perturb virtual time.
             Action::Defer => {
                 crate::runtime::proto_trace!(self, "defer fetch {object:?} from {requester:?}");
-                self.defer(
-                    env,
-                    DsmMsg::ObjectFetch {
-                        object,
-                        access,
-                        requester,
-                        phase,
-                    },
-                    DeferredOn::Entry,
-                );
+                self.defer(env, request(), DeferredOn::Entry);
             }
             Action::Forward(next) => {
-                let _ = self.send_service(
-                    next,
-                    DsmMsg::ObjectFetch {
-                        object,
-                        access,
-                        requester,
-                        phase,
-                    },
-                    now + self.cost.dir_op(),
-                );
+                self.charge_sys(self.cost.dir_op());
+                let _ = self.send_service(next, request(), now + self.cost.dir_op());
             }
             Action::Reply {
                 ownership,
@@ -730,26 +784,35 @@ impl NodeRuntime {
             } => {
                 crate::runtime::proto_trace!(
                     self,
-                    "serve fetch {object:?} to {requester:?} (ownership={ownership} writable={writable}, arrival={}ns)",
+                    "serve fetch {object:?} x{} to {requester:?} (ownership={ownership} writable={writable}, arrival={}ns)",
+                    data.len(),
                     env.arrival.as_nanos()
                 );
                 self.obs
                     .record(now.as_nanos(), crate::obs::EventKind::FetchServe, |ev| {
                         ev.object = Some(object);
                         ev.peer = Some(requester);
+                        ev.run = Some(data.len() as u32);
                     });
                 // The served bytes are live memory, so any outbox items for
-                // this (requester, object) pair are subsumed — and if the
-                // object is written again before they drain, delivering them
-                // later would regress the requester's fresh copy.
+                // a (requester, object) pair just served are subsumed — and
+                // if the object is written again before they drain,
+                // delivering them later would regress the requester's fresh
+                // copy.
+                let served = (object.as_u32()..).map(ObjectId::new).zip(&data);
                 if self.cfg.piggyback {
-                    self.outbox.lock().drop_pending_object(requester, object);
+                    let mut outbox = self.outbox.lock();
+                    for (id, _) in served.clone() {
+                        outbox.drop_pending_object(requester, id);
+                    }
                 }
-                // Charge the copy cost the prototype pays when it assembles
-                // the reply (the copy itself happened under the directory
-                // lock above).
-                let size = self.table.object(object).size;
-                self.charge_sys(self.cost.copy(size as u64));
+                // Per object served: the directory lookup, and the copy cost
+                // the prototype pays when it assembles the reply (the copies
+                // themselves happened under the directory lock above).
+                let service = served.fold(munin_sim::VirtTime::ZERO, |t, (_, bytes)| {
+                    t + self.cost.dir_op() + self.cost.copy(bytes.len() as u64)
+                });
+                self.charge_sys(service);
                 let _ = self.send_service(
                     requester,
                     DsmMsg::ObjectData {
@@ -759,7 +822,7 @@ impl NodeRuntime {
                         copyset,
                         writable,
                     },
-                    now + self.cost.dir_op() + self.cost.copy(size as u64),
+                    now + service,
                 );
             }
         }
@@ -1798,6 +1861,8 @@ mod tests {
         table.declare("red", SharingAnnotation::Reduction, 8, 2, false);
         table.declare("mig", SharingAnnotation::Migratory, 4, 8, false);
         table.declare("pc", SharingAnnotation::ProducerConsumer, 4, 8, false);
+        // Three page-sized objects, for fetches of a run.
+        table.declare("rows", SharingAnnotation::ReadOnly, 4, 48, false);
         let table = Arc::new(table);
         let cfg = Arc::new(cfg);
         let clock0 = NodeClock::new();
@@ -1826,6 +1891,17 @@ mod tests {
         }
     }
 
+    /// A fetch from node 1 for `run` objects starting at `object`.
+    fn fetch_msg(object: ObjectId, run: u32, access: FetchKind, phase: u32) -> DsmMsg {
+        DsmMsg::ObjectFetch {
+            object,
+            run,
+            access,
+            requester: NodeId::new(1),
+            phase,
+        }
+    }
+
     impl Harness {
         fn obj(&self, name: &str) -> ObjectId {
             self.rt.table().var_by_name(name).unwrap().objects[0]
@@ -1840,6 +1916,53 @@ mod tests {
         fn peer_recv(&self) -> DsmMsg {
             self.peer_rx.recv().unwrap().1
         }
+
+        /// The three objects of `rows`, filled with 1s, 2s and 3s.
+        fn rows(&self) -> [ObjectId; 3] {
+            let rows = &self.rt.table().var_by_name("rows").unwrap().objects;
+            let rows = [rows[0], rows[1], rows[2]];
+            for (fill, row) in (1u8..).zip(rows) {
+                self.rt.install_object_bytes(row, &[fill; 64]);
+            }
+            rows
+        }
+
+        /// Node 1 fetches `run` objects from `object` on; the runtime
+        /// handles the request.
+        fn fetch(&self, object: ObjectId, run: u32, access: FetchKind) {
+            self.peer_tx
+                .send(
+                    NodeId::new(0),
+                    "object_fetch",
+                    40,
+                    fetch_msg(object, run, access, 0),
+                )
+                .unwrap();
+            self.pump();
+        }
+
+        /// The `ObjectData` node 1 got back: first object, the first byte of
+        /// each payload, and whether ownership came with it.
+        fn peer_data(&self) -> (ObjectId, Vec<u8>, bool) {
+            match self.peer_recv() {
+                DsmMsg::ObjectData {
+                    object,
+                    data,
+                    ownership,
+                    ..
+                } => (object, data.iter().map(|d| d[0]).collect(), ownership),
+                other => panic!("unexpected reply: {other:?}"),
+            }
+        }
+
+        fn holds_copy(&self, object: ObjectId) -> bool {
+            self.rt
+                .dir
+                .lock()
+                .entry(object)
+                .copyset
+                .contains(NodeId::new(1))
+        }
     }
 
     #[test]
@@ -1847,20 +1970,7 @@ mod tests {
         let h = harness();
         let ro = h.obj("ro");
         h.rt.install_object_bytes(ro, &[3u8; 32]);
-        h.peer_tx
-            .send(
-                NodeId::new(0),
-                "object_fetch",
-                40,
-                DsmMsg::ObjectFetch {
-                    object: ro,
-                    access: FetchKind::Read,
-                    requester: NodeId::new(1),
-                    phase: 0,
-                },
-            )
-            .unwrap();
-        h.pump();
+        h.fetch(ro, 1, FetchKind::Read);
         match h.peer_recv() {
             DsmMsg::ObjectData {
                 data,
@@ -1868,7 +1978,7 @@ mod tests {
                 writable,
                 ..
             } => {
-                assert_eq!(data, vec![3u8; 32]);
+                assert_eq!(data, vec![vec![3u8; 32]]);
                 assert!(!ownership);
                 assert!(!writable);
             }
@@ -1881,20 +1991,7 @@ mod tests {
     fn conventional_write_fetch_transfers_ownership_and_invalidates_owner() {
         let h = harness();
         let conv = h.obj("conv");
-        h.peer_tx
-            .send(
-                NodeId::new(0),
-                "object_fetch",
-                40,
-                DsmMsg::ObjectFetch {
-                    object: conv,
-                    access: FetchKind::Write,
-                    requester: NodeId::new(1),
-                    phase: 0,
-                },
-            )
-            .unwrap();
-        h.pump();
+        h.fetch(conv, 1, FetchKind::Write);
         match h.peer_recv() {
             DsmMsg::ObjectData {
                 ownership,
@@ -1928,12 +2025,7 @@ mod tests {
                     NodeId::new(0),
                     "object_fetch",
                     40,
-                    DsmMsg::ObjectFetch {
-                        object: pc,
-                        access: FetchKind::Read,
-                        requester: NodeId::new(1),
-                        phase,
-                    },
+                    fetch_msg(pc, 1, FetchKind::Read, phase),
                 )
                 .unwrap();
             h.pump();
@@ -1975,25 +2067,226 @@ mod tests {
         let h = harness();
         let conv = h.obj("conv");
         h.rt.dir.lock().entry_mut(conv).state.busy = true;
-        h.peer_tx
-            .send(
-                NodeId::new(0),
-                "object_fetch",
-                40,
-                DsmMsg::ObjectFetch {
-                    object: conv,
-                    access: FetchKind::Read,
-                    requester: NodeId::new(1),
-                    phase: 0,
-                },
-            )
-            .unwrap();
-        h.pump();
+        h.fetch(conv, 1, FetchKind::Read);
         assert_eq!(h.rt.deferred.lock().len(), 1);
         // Completing the transition and retrying serves the request.
         h.rt.dir.lock().entry_mut(conv).state.busy = false;
         h.rt.process_deferred();
         assert!(matches!(h.peer_recv(), DsmMsg::ObjectData { .. }));
+    }
+
+    /// A run is one request and one reply, and costs what it is: per object
+    /// served a directory lookup and a copy, per message its fixed cost. It
+    /// ends where its variable does.
+    #[test]
+    fn run_of_three_is_served_in_one_reply_and_charged_per_object() {
+        let h = harness();
+        let rows = h.rows();
+        h.fetch(rows[0], 3, FetchKind::Read);
+        assert_eq!(h.peer_data(), (rows[0], vec![1, 2, 3], false));
+        assert!(rows.iter().all(|row| h.holds_copy(*row)));
+        let cost = &h.rt.cost;
+        assert_eq!(
+            h.rt.clock().system_time().as_nanos(),
+            3 * (cost.dir_op() + cost.copy(64)).as_nanos() + cost.msg_fixed().as_nanos()
+        );
+        // `rows` is the last variable; a run cannot leave it (or the table).
+        h.fetch(rows[1], 9, FetchKind::Read);
+        assert_eq!(h.peer_data(), (rows[1], vec![2, 3], false));
+        // Nor can it run into the variable behind: `pc` is followed by `rows`.
+        h.fetch(h.obj("pc"), 2, FetchKind::Read);
+        assert_eq!(h.peer_data().1.len(), 1);
+    }
+
+    /// The reply carries the objects up to the first one that cannot be
+    /// handed out as a plain copy, and that one is untouched by it; asked
+    /// for in its own right — as the requester's next fault will — it is
+    /// forwarded, deferred or transferred by the single-object rules, the
+    /// rest of the run travelling with it.
+    #[test]
+    fn run_stops_at_the_first_object_that_is_not_a_plain_copy() {
+        #[derive(Clone, Copy, Debug)]
+        enum Second {
+            OwnedElsewhere,
+            Busy,
+            Pinned,
+            Migratory,
+            ConventionalWriteMiss,
+        }
+        use Second::*;
+        for second in [
+            OwnedElsewhere,
+            Busy,
+            Pinned,
+            Migratory,
+            ConventionalWriteMiss,
+        ] {
+            let h = harness();
+            let rows = h.rows();
+            let access = match second {
+                ConventionalWriteMiss => FetchKind::Write,
+                _ => FetchKind::Read,
+            };
+            {
+                let mut dir = h.rt.dir.lock();
+                let e = dir.entry_mut(rows[1]);
+                match second {
+                    OwnedElsewhere => {
+                        e.state.owned = false;
+                        e.probable_owner = NodeId::new(1);
+                    }
+                    Busy => e.state.busy = true,
+                    Pinned => e.state.pinned = true,
+                    Migratory => e.set_annotation(SharingAnnotation::Migratory),
+                    ConventionalWriteMiss => e.set_annotation(SharingAnnotation::Conventional),
+                }
+            }
+            h.fetch(rows[0], 3, access);
+            assert_eq!(h.peer_data(), (rows[0], vec![1], false), "{second:?}");
+            assert!(h.holds_copy(rows[0]));
+            assert!(
+                !h.holds_copy(rows[1]) && !h.holds_copy(rows[2]),
+                "{second:?}"
+            );
+
+            h.fetch(rows[1], 2, access);
+            match second {
+                OwnedElsewhere => {
+                    // Along the stale hint, whole.
+                    assert_eq!(h.peer_recv(), fetch_msg(rows[1], 2, access, 0));
+                }
+                Busy | Pinned => {
+                    assert_eq!(h.rt.deferred.lock().len(), 1);
+                    {
+                        let mut dir = h.rt.dir.lock();
+                        let state = &mut dir.entry_mut(rows[1]).state;
+                        (state.busy, state.pinned) = (false, false);
+                    }
+                    h.rt.process_deferred();
+                    assert_eq!(h.peer_data(), (rows[1], vec![2, 3], false));
+                }
+                Migratory | ConventionalWriteMiss => {
+                    assert_eq!(h.peer_data(), (rows[1], vec![2], true));
+                    let dir = h.rt.dir.lock();
+                    assert_eq!(dir.entry(rows[1]).state.rights, AccessRights::Invalid);
+                    assert_eq!(dir.entry(rows[1]).probable_owner, NodeId::new(1));
+                    assert!(dir.entry(rows[2]).state.owned);
+                }
+            }
+        }
+    }
+
+    /// A home node that knows no owner (its hint fell back to itself after
+    /// the owner died without an heir on record) holds a fetch instead of
+    /// forwarding it to itself in a loop that would starve its timers.
+    #[test]
+    fn fetch_at_a_home_that_knows_no_owner_is_held_not_bounced_to_itself() {
+        let h = harness();
+        let ro = h.obj("ro");
+        {
+            let mut dir = h.rt.dir.lock();
+            let e = dir.entry_mut(ro);
+            e.state.owned = false;
+            assert_eq!((e.probable_owner, e.home), (NodeId::new(0), NodeId::new(0)));
+        }
+        h.fetch(ro, 1, FetchKind::Read);
+        assert_eq!(h.rt.deferred.lock().len(), 1);
+        assert!(
+            matches!(h.rt_rx.try_recv(), Ok(None)),
+            "nothing was sent to itself"
+        );
+        // Once an owner is on record again the held request moves on.
+        h.rt.dir.lock().entry_mut(ro).probable_owner = NodeId::new(1);
+        h.rt.process_deferred();
+        assert_eq!(h.peer_recv(), fetch_msg(ro, 1, FetchKind::Read, 0));
+    }
+
+    /// The requesting side. Every object of the run is busy from before the
+    /// request leaves until the reply is installed; the reply's prefix is
+    /// installed, and busy is cleared on the whole run, served or not.
+    #[test]
+    fn requester_holds_the_whole_run_busy_and_installs_the_prefix() {
+        let h = harness();
+        let rows = h.rows();
+        let window_end = rows[2].as_u32() + 1;
+        {
+            let mut dir = h.rt.dir.lock();
+            for row in rows {
+                let e = dir.entry_mut(row);
+                e.state.rights = AccessRights::Invalid;
+                e.state.owned = false;
+                e.probable_owner = NodeId::new(1);
+            }
+        }
+        let busy = |h: &Harness| rows.map(|row| h.rt.dir.lock().entry(row).state.busy);
+        let rights = |h: &Harness| rows.map(|row| h.rt.dir.lock().entry(row).state.rights);
+        let reply = |object, data: Vec<Vec<u8>>| DsmMsg::ObjectData {
+            object,
+            data,
+            ownership: false,
+            copyset: CopySet::EMPTY,
+            writable: false,
+        };
+        let arrival = munin_sim::VirtTime::from_micros(50);
+        let request = |object, run| DsmMsg::ObjectFetch {
+            object,
+            run,
+            access: FetchKind::Read,
+            requester: NodeId::new(0),
+            phase: 0,
+        };
+
+        // The owner hands out the first object only.
+        let fault = {
+            let rt = Arc::clone(&h.rt);
+            std::thread::spawn(move || rt.read_fault(rows[0], window_end))
+        };
+        assert_eq!(h.peer_recv(), request(rows[0], 3));
+        assert_eq!(busy(&h), [true; 3]);
+        h.rt.handle_incoming(
+            env_at(1, "object_data", arrival),
+            reply(rows[0], vec![vec![7; 64]]),
+        );
+        fault.join().unwrap().unwrap();
+        assert_eq!(busy(&h), [false; 3]);
+        assert_eq!(
+            rights(&h),
+            [
+                AccessRights::Read,
+                AccessRights::Invalid,
+                AccessRights::Invalid
+            ]
+        );
+
+        // The next fault asks for what is left, and gets it.
+        let fault = {
+            let rt = Arc::clone(&h.rt);
+            std::thread::spawn(move || rt.read_fault(rows[1], window_end))
+        };
+        assert_eq!(h.peer_recv(), request(rows[1], 2));
+        assert_eq!(busy(&h), [false, true, true]);
+        h.rt.handle_incoming(
+            env_at(1, "object_data", arrival),
+            reply(rows[1], vec![vec![8; 64], vec![9; 64]]),
+        );
+        fault.join().unwrap().unwrap();
+        assert_eq!(busy(&h), [false; 3]);
+        assert_eq!(rights(&h), [AccessRights::Read; 3]);
+        assert_eq!(h.rt.object_bytes(rows[2]), vec![9; 64]);
+        let stats = h.rt.stats().snapshot();
+        assert_eq!((stats.read_faults, stats.objects_fetched), (2, 3));
+
+        // More than was asked for is a protocol violation, not an install.
+        h.rt.dir.lock().entry_mut(rows[2]).state.rights = AccessRights::Invalid;
+        h.rt.handle_incoming(
+            env_at(1, "object_data", arrival),
+            reply(rows[2], vec![vec![0; 64], vec![0; 64]]),
+        );
+        assert!(matches!(
+            h.rt.read_fault(rows[2], window_end),
+            Err(crate::error::MuninError::ProtocolViolation(_))
+        ));
+        assert_eq!(busy(&h), [false; 3]);
     }
 
     /// The owner's `UpdateAck` carries its authoritative recorded copyset
@@ -2503,7 +2796,7 @@ mod tests {
         let ws = h.obj("ws");
         let copy = DsmMsg::ObjectData {
             object: ws,
-            data: vec![1u8; 32],
+            data: vec![vec![1u8; 32]],
             ownership: false,
             copyset: CopySet::EMPTY,
             writable: false,
@@ -2695,12 +2988,7 @@ mod tests {
         h.rt.dir.lock().entry_mut(conv).state.busy = true;
         h.rt.handle_request(
             env_at(1, "object_fetch", us(100)),
-            DsmMsg::ObjectFetch {
-                object: conv,
-                access: FetchKind::Read,
-                requester: NodeId::new(1),
-                phase: 0,
-            },
+            fetch_msg(conv, 1, FetchKind::Read, 0),
         );
         assert_eq!(h.rt.deferred.lock().len(), 1);
         // A retry while the entry is still busy changes nothing.
@@ -2735,12 +3023,7 @@ mod tests {
             let rt = Arc::clone(&rt);
             std::thread::spawn(move || rt.server_loop(rt_rx))
         };
-        let fetch = DsmMsg::ObjectFetch {
-            object: ro,
-            access: FetchKind::Read,
-            requester: NodeId::new(1),
-            phase: 0,
-        };
+        let fetch = fetch_msg(ro, 1, FetchKind::Read, 0);
         let sent = peer_tx
             .send_at(NodeId::new(0), "object_fetch", 40, fetch, ms(5))
             .unwrap();

@@ -393,13 +393,12 @@ impl NodeRuntime {
         }
     }
 
-    /// `PreAcquire()` hint: fetches readable copies of the given objects in
-    /// anticipation of future use, avoiding later read-miss latency.
+    /// `PreAcquire()` hint: fetches readable copies of the given objects
+    /// (consecutive objects of one variable) in anticipation of future use,
+    /// avoiding later read-miss latency — a read access without the read,
+    /// so the invalid objects among them arrive a run per round trip.
     pub(crate) fn pre_acquire(self: &Arc<Self>, objects: &[ObjectId]) -> Result<()> {
-        for object in objects {
-            self.ensure_read(*object)?;
-        }
-        Ok(())
+        self.fault_in(objects, false)
     }
 
     // --- end-of-run completion protocol -----------------------------------

@@ -132,44 +132,41 @@ impl SharedDataTable {
         self.objects.len()
     }
 
+    /// Index into `v.objects` of the object containing `byte_offset`:
+    /// multi-page variables are split at page boundaries, everything else
+    /// (`single_object`, or no larger than a page) is one object.
+    fn object_index(&self, v: &VarDesc, byte_offset: usize) -> usize {
+        if v.single_object || v.byte_len() <= self.page_size {
+            0
+        } else {
+            byte_offset / self.page_size
+        }
+    }
+
     /// Maps a byte offset within a variable to the object containing it and
     /// the offset within that object.
     pub fn locate(&self, var: VarId, byte_offset: usize) -> Option<(ObjectId, usize)> {
         let v = self.var(var);
-        if byte_offset >= v.byte_len().max(1) && byte_offset != 0 {
-            // Allow offset 0 for zero-length variables to fail below instead.
-        }
-        if v.single_object || v.byte_len() <= self.page_size {
-            let oid = *v.objects.first()?;
-            if byte_offset < self.object(oid).size {
-                return Some((oid, byte_offset));
-            }
-            return None;
-        }
-        let idx = byte_offset / self.page_size;
-        let oid = *v.objects.get(idx)?;
-        let within = byte_offset - idx * self.page_size;
-        if within < self.object(oid).size {
-            Some((oid, within))
-        } else {
-            None
-        }
+        let oid = *v.objects.get(self.object_index(v, byte_offset))?;
+        let o = self.object(oid);
+        let within = byte_offset - o.var_offset;
+        (within < o.size).then_some((oid, within))
     }
 
-    /// The objects of `var` covering the byte range `[start, end)`, in order.
-    pub fn objects_in_range(&self, var: VarId, start: usize, end: usize) -> Vec<ObjectId> {
+    /// The objects of `var` covering the byte range `[start, end)`, in
+    /// order: consecutive object ids, found by index arithmetic.
+    pub fn objects_in_range(&self, var: VarId, start: usize, end: usize) -> &[ObjectId] {
         let v = self.var(var);
-        if start >= end {
-            return Vec::new();
+        let Some(tail) = v.objects.last().map(|oid| self.object(*oid)) else {
+            return &[];
+        };
+        let total = tail.var_offset + tail.size;
+        if start >= end || start >= total {
+            return &[];
         }
-        v.objects
-            .iter()
-            .copied()
-            .filter(|oid| {
-                let o = self.object(*oid);
-                o.var_offset < end && o.var_offset + o.size > start
-            })
-            .collect()
+        let first = self.object_index(v, start);
+        let last = self.object_index(v, end.min(total) - 1);
+        &v.objects[first..=last]
     }
 
     /// The annotation of the variable an object belongs to.

@@ -139,6 +139,16 @@ fn matmul_bit_identical_and_full_stats_equal_across_modes() {
         assert_eq!(me.stats.vm_write_traps, 0, "no traps in explicit mode");
         assert_eq!(me.stats.vm_read_traps, 0, "no traps in explicit mode");
         assert_traps_account_for_faults("matmul", &mv.stats);
+        // The two-page inputs travel as runs in both modes: the page that
+        // comes along with the faulting one takes no trap and no request.
+        let requests = |m: &munin::apps::RunMeasurement| m.net.class("object_fetch").msgs;
+        assert_eq!(requests(&me), requests(&mv), "seed {seed}");
+        assert!(
+            requests(&mv) < mv.stats.objects_fetched,
+            "{} requests for {} objects under seed {seed}",
+            requests(&mv),
+            mv.stats.objects_fetched
+        );
     }
 }
 

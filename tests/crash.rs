@@ -306,6 +306,83 @@ fn sole_copy_loss_fails_fast_with_lost_objects() {
     assert_eq!(report.stats_total().watchdog_stalls, 0);
 }
 
+/// The owner of a run of pages dies with the fetch for them in flight. The
+/// victim first-touches six `write_shared` pages (so it owns them); node 3
+/// reads all six as one slice — one run request — after a compute stretch
+/// that ends around the crash point. The crash time is swept across that
+/// point, so the request meets a corpse, or is served by an owner whose reply
+/// dies with it, or gets through. With a replica on node 1 the reader must
+/// get the right data every time — the first page by `Adopt`, the rest of
+/// the run by faulting again, one recovery round per page; without one it
+/// gets the right data or a `NodeDown` naming the victim and the first lost
+/// page. Never a stall.
+#[test]
+fn run_fetch_from_a_dying_owner_recovers_or_fails_fast() {
+    const PAGES: usize = 6;
+    let (victim, replica, reader) = (2usize, 1usize, 3usize);
+    // 10 ms of compute at 10 ns/op, from a barrier a few µs into the run.
+    let case = |replicated: bool, crash_at_ns: u64| {
+        let faults = crash(victim, CrashTrigger::VirtTime(crash_at_ns));
+        let cfg = MuninConfig::fast_test(4)
+            .with_engine(EngineConfig::seeded(7).with_faults(faults))
+            .with_detect(DETECT)
+            .with_retransmit_pacing(PACING)
+            .with_watchdog(WATCHDOG);
+        let per_page = cfg.page_size / 8;
+        let words = PAGES * per_page;
+        let mut prog = MuninProgram::new(cfg);
+        let table = prog.declare::<i64>("table", words, SharingAnnotation::WriteShared);
+        let owned = prog.create_barrier("owned");
+        let replicated_at = prog.create_barrier("replicated");
+        let start = Instant::now();
+        let report = prog
+            .run(move |ctx| {
+                let me = ctx.node_id();
+                if me == victim {
+                    let fill: Vec<i64> = (0..words as i64).collect();
+                    ctx.write_slice(&table, 0, &fill)?;
+                }
+                ctx.wait_at_barrier(owned)?;
+                if replicated && me == replica {
+                    ctx.pre_acquire(&table, 0, words)?;
+                }
+                ctx.wait_at_barrier(replicated_at)?;
+                ctx.compute(1_000_000);
+                if me == reader {
+                    return Ok(ctx.read_slice(&table, 0, words)?.iter().sum());
+                }
+                Ok(0i64)
+            })
+            .unwrap();
+        let wall = start.elapsed();
+        let what = format!("replicated={replicated} crash at {crash_at_ns} ns");
+        assert!(wall < RUN_WALL_CEILING, "{what}: took {wall:?}");
+        assert_eq!(report.stats_total().watchdog_stalls, 0, "{what}");
+        let expected: i64 = (0..words as i64).sum();
+        match &report.results[reader] {
+            Ok(sum) => assert_eq!(*sum, expected, "{what}: wrong data"),
+            Err(MuninError::NodeDown { node, lost_objects }) if !replicated => {
+                assert_eq!(
+                    node.as_usize(),
+                    victim,
+                    "{what}: NodeDown blames wrong node"
+                );
+                assert_eq!(lost_objects.len(), 1, "{what}: recovery is per page");
+            }
+            other => panic!("{what}: reader got {other:?}"),
+        }
+        for bystander in [0, replica] {
+            assert_eq!(report.results[bystander], Ok(0), "{what}");
+        }
+    };
+    // The readers' compute ends ≈ 10.01 ms in; a request takes ≈ 1.2 µs to
+    // reach the owner and six pages ≈ 0.7 µs to serve.
+    for crash_at_ns in [5_000_000, 10_022_500, 10_023_200, 10_030_000] {
+        case(true, crash_at_ns);
+    }
+    case(false, 5_000_000);
+}
+
 /// Freeze-thaw: a node that drops off the network for a 250 µs virtual
 /// window (a GC pause, in paper terms) is covered by the reliability layer —
 /// the forwarded fetch that died in the window is retransmitted once a

@@ -247,6 +247,11 @@ fn workload_partition_is_exhaustive_for_paper_sizes() {
     }
 }
 
+/// What the `SingleObject` hint still buys now that a slice access fetches
+/// its invalid pages as one run: a program that walks a multi-page variable
+/// a word at a time misses once instead of once per page. Matmul reads its
+/// inputs as slices, so there the hint saves no message any more — and must
+/// never cost one.
 #[test]
 fn single_object_hint_reduces_access_misses() {
     let n = 48;
@@ -256,12 +261,84 @@ fn single_object_hint_reduces_access_misses() {
     optimized.single_object_input = true;
     let (single, c2) = matmul::run_munin(optimized, FAST()).unwrap();
     assert_eq!(c1, c2);
-    let plain_fetches = plain.net.class("object_fetch").msgs;
-    let single_fetches = single.net.class("object_fetch").msgs;
     assert!(
-        single_fetches < plain_fetches,
-        "SingleObject must reduce access misses: {single_fetches} vs {plain_fetches}"
+        single.net.class("object_fetch").msgs <= plain.net.class("object_fetch").msgs,
+        "SingleObject must not add access misses to a slice reader"
     );
+
+    const PAGES: usize = 6;
+    let word_at_a_time = |single_object: bool| {
+        let cfg = MuninConfig::fast_test(2);
+        let per_page = cfg.page_size / 4;
+        let mut prog = MuninProgram::new(cfg);
+        let table = prog.declare::<i32>("table", PAGES * per_page, SharingAnnotation::ReadOnly);
+        if single_object {
+            prog.single_object(&table);
+        }
+        prog.user_init(move |init| {
+            let fill: Vec<i32> = (0..(PAGES * per_page) as i32).collect();
+            init.write_slice(&table, 0, &fill).unwrap();
+        });
+        let report = prog
+            .run(move |ctx| {
+                let mut sum = 0;
+                if ctx.node_id() == 1 {
+                    for page in 0..PAGES {
+                        sum += ctx.read(&table, page * per_page)?;
+                    }
+                }
+                Ok(sum)
+            })
+            .unwrap();
+        let expected: i32 = (0..PAGES).map(|page| (page * per_page) as i32).sum();
+        assert_eq!(*report.results[1].as_ref().unwrap(), expected);
+        report.net.class("object_fetch").msgs
+    };
+    assert_eq!(word_at_a_time(false), PAGES as u64);
+    assert_eq!(word_at_a_time(true), 1);
+}
+
+/// `PreAcquire()` as the paper has it: the range arrives ahead of its use,
+/// in one round trip, and the later read finds it in place.
+#[test]
+fn pre_acquire_fetches_a_range_in_one_round_trip() {
+    const PAGES: usize = 10;
+    let cfg = MuninConfig::fast_test(2);
+    let words = PAGES * cfg.page_size / 4;
+    let mut prog = MuninProgram::new(cfg);
+    let input = prog.declare::<i32>("input", words, SharingAnnotation::ReadOnly);
+    prog.user_init(move |init| {
+        let fill: Vec<i32> = (0..words as i32).collect();
+        init.write_slice(&input, 0, &fill).unwrap();
+    });
+    let report = prog
+        .run(move |ctx| {
+            if ctx.node_id() != 1 {
+                return Ok((0, 0, 0));
+            }
+            ctx.pre_acquire(&input, 0, words)?;
+            let acquired = ctx.stats();
+            let all = ctx.read_slice(&input, 0, words)?;
+            let read = ctx.stats();
+            assert_eq!(all, (0..words as i32).collect::<Vec<_>>());
+            Ok((
+                acquired.objects_fetched,
+                acquired.read_faults,
+                read.objects_fetched + read.read_faults,
+            ))
+        })
+        .unwrap();
+    let (fetched, faults, after_read) = *report.results[1].as_ref().unwrap();
+    assert_eq!((fetched, faults), (PAGES as u64, 1));
+    assert_eq!(
+        after_read,
+        PAGES as u64 + 1,
+        "the read added no fetch and no fault"
+    );
+    // One request, one reply; nothing else moved before the end-of-run
+    // handshake.
+    assert_eq!(report.net.class("object_fetch").msgs, 1);
+    assert_eq!(report.net.class("object_data").msgs, 1);
 }
 
 /// Lock hand-off, end to end and fault-free: four nodes contend for one
@@ -405,11 +482,14 @@ fn five_repeats(what: &str, run: impl Fn() -> f64) -> Vec<f64> {
 }
 
 /// Table 3 at 4 processors: Munin within 5 % of hand-coded message passing
-/// (the paper: within 10 %), at the value the conservative-scheduling oracle
-/// gives for this program (33.995 s on every run), run after run. Before
-/// virtual time followed happens-before only, executions of this very
-/// program landed on 34, 67, 99 or 131 s depending on which node's thread
-/// the host ran first.
+/// (the paper: within 10 %), at one value run after run: 33.62 s, which is
+/// what this program reads at every engine seed and with the host's cores
+/// oversubscribed. (While every page cost a round trip of its own the
+/// conservative-scheduling oracle of PR 16 gave 33.995 s; fetching each
+/// access's pages as one run took 0.35 s of round trips and root service
+/// time out of it.) Before virtual time followed happens-before only,
+/// executions of this very program landed on 34, 67, 99 or 131 s depending on
+/// which node's thread the host ran first.
 #[test]
 fn matmul_paper_size_is_within_five_percent_of_message_passing() {
     let cost = CostModel::sun_ethernet_1991;
@@ -430,12 +510,38 @@ fn matmul_paper_size_is_within_five_percent_of_message_passing() {
             dm.secs()
         );
         assert!(
-            (s - 33.995).abs() <= 0.005 * 33.995,
-            "Munin {s:.6} s is off the oracle's 33.995 s: below it an edge was lost \
+            (s - 33.62).abs() <= 0.005 * 33.62,
+            "Munin {s:.6} s is off this program's 33.62 s: below it an edge was lost \
              (a release stamped before an arrival it accounts for), above it a host \
-             edge survived"
+             edge survived or a page went back to costing a round trip of its own"
         );
     }
+}
+
+/// The benchmark's `matmul` row, guarded in tier-1: each worker's three
+/// multi-page accesses (its `input1` band, all of `input2`, the copies its
+/// `output` band's write faults need) are three round trips, so the whole
+/// run is 41 messages, not the 745 of one round trip per page, and moves no
+/// more bytes than those did.
+#[test]
+fn matmul_paper_size_fetches_each_access_in_one_round_trip() {
+    let params = matmul::MatmulParams {
+        engine: munin::sim::EngineConfig::seeded(1),
+        piggyback: true,
+        reliability: Some(false),
+        ..matmul::MatmulParams::paper(4)
+    };
+    let (m, c) = matmul::run_munin(params, CostModel::sun_ethernet_1991()).unwrap();
+    assert_eq!(c, matmul::serial(params.n));
+    assert!(m.net.total.msgs <= 60, "{} wire messages", m.net.total.msgs);
+    assert!(
+        m.net.total.bytes <= 3_434_977,
+        "{} wire bytes",
+        m.net.total.bytes
+    );
+    // Faults taken = runs requested, one per access and worker.
+    assert_eq!(m.net.class("object_fetch").msgs, 9);
+    assert_eq!(m.stats.read_faults, 6);
 }
 
 /// Table 5 at 4 processors (5 iterations are enough to see the steady

@@ -166,6 +166,7 @@ fn synthetic_snapshots() -> Vec<ObsSnapshot> {
         peer: None,
         seq: None,
         origin: None,
+        run: None,
         note: None,
     };
     let mut send = ev(EventKind::UpdateSend, 1_000);

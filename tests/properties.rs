@@ -1,7 +1,8 @@
 //! Property-based tests on the core data structures and invariants:
 //! the twin/diff run-length encoding, copysets, object splitting, the
-//! distributed lock state machine, the annotation → parameter table, and the
-//! discrete-event delivery engine (ordering and replay determinism).
+//! distributed lock state machine, the annotation → parameter table, the
+//! discrete-event delivery engine (ordering and replay determinism), and the
+//! fetch of a run of pages against its one-page-at-a-time reference.
 
 use proptest::prelude::*;
 
@@ -9,6 +10,7 @@ use munin::dsm::annotation::{ProtocolParams, SharingAnnotation};
 use munin::dsm::copyset::CopySet;
 use munin::dsm::diff;
 use munin::dsm::object::split_sizes;
+use munin::dsm::segment::SharedDataTable;
 use munin::dsm::sync::{BarrierState, LockState, RemoteAcquireAction};
 use munin::sim::{CostModel, EngineConfig, Network, NodeClock, NodeId, VirtTime};
 
@@ -302,6 +304,47 @@ proptest! {
         prop_assert!(sizes.iter().all(|s| *s <= page && *s % 4 == 0 && *s > 0));
     }
 
+    /// `objects_in_range` finds its objects by index arithmetic; the
+    /// definition is "every object of the variable that overlaps the range".
+    #[test]
+    fn objects_in_range_matches_the_overlap_filter(
+        byte_lens in proptest::collection::vec(0usize..700, 1..4),
+        single_object in any::<bool>(),
+        start in 0usize..800,
+        len in 0usize..800,
+    ) {
+        let mut table = SharedDataTable::new(64);
+        let names = ["a", "b", "c"];
+        let vars: Vec<_> = byte_lens
+            .iter()
+            .zip(names)
+            .map(|(bytes, name)| {
+                table.declare(name, SharingAnnotation::WriteShared, 1, *bytes, single_object)
+            })
+            .collect();
+        let end = start + len;
+        for var in vars {
+            let by_filter: Vec<_> = table
+                .var(var)
+                .objects
+                .iter()
+                .copied()
+                .filter(|oid| {
+                    let o = table.object(*oid);
+                    start < end && o.var_offset < end && o.var_offset + o.size > start
+                })
+                .collect();
+            prop_assert_eq!(table.objects_in_range(var, start, end), &by_filter[..]);
+            // `locate` agrees with it, byte by byte.
+            if let Some((oid, within)) = table.locate(var, start) {
+                prop_assert_eq!(table.objects_in_range(var, start, start + 1), &[oid][..]);
+                prop_assert_eq!(table.object(oid).var_offset + within, start);
+            } else {
+                prop_assert!(table.objects_in_range(var, start, start + 1).is_empty());
+            }
+        }
+    }
+
     /// Copyset membership behaves like a set over node ids.
     #[test]
     fn copyset_behaves_like_a_set(members in proptest::collection::btree_set(0usize..32, 0..10)) {
@@ -545,6 +588,163 @@ fn reference_run(sends: &[u64], seed: u64) -> Vec<(usize, usize, u64, u64)> {
         reference.submit(src, dst, at, k as u64);
     }
     reference.drain()
+}
+
+/// Words per page in [`paged_access`].
+const PAGE_WORDS: usize = 16;
+
+/// What [`paged_access`] saw: the accessor's two reads of the range, each
+/// node's view of the whole variable at the end, and the message counts that
+/// follow the owners' copysets.
+#[derive(Debug, PartialEq)]
+struct PagedOutcome {
+    first_read: Vec<i32>,
+    second_read: Vec<i32>,
+    final_views: Vec<Vec<i32>>,
+    invalidations: u64,
+    objects_fetched: u64,
+}
+
+/// A 3-node program over one `pages`-page variable whose pages are owned by
+/// the nodes `holders` names (first touch moves ownership, so each holder
+/// writes its pages once). Node 2 then accesses the word range
+/// `[lo, hi)` — reading it for a `conventional` variable, overwriting it for
+/// a `write_shared` one — either as one slice (the pages travel as runs) or
+/// page by page (`page_at_a_time`: every access is inside one page, so every
+/// fetch is a run of 1 — the reference). The holders then write their pages
+/// again and node 2 reads the range once more: a copy the owner had not
+/// recorded would miss that invalidation (or update) and read stale. The
+/// count of `invalidate` messages is the sum of the owners' copyset sizes.
+fn paged_access(
+    annotation: SharingAnnotation,
+    holders: &[usize],
+    (lo, hi): (usize, usize),
+    page_at_a_time: bool,
+) -> PagedOutcome {
+    const NODES: usize = 3;
+    const ACCESSOR: usize = 2;
+    let cfg = munin::MuninConfig::fast_test(NODES)
+        .with_page_size(PAGE_WORDS * 4)
+        .with_engine(EngineConfig::seeded(7))
+        .with_piggyback(true)
+        .with_reliability(false);
+    let per_page = PAGE_WORDS;
+    let words = holders.len() * per_page;
+    let mut prog = munin::MuninProgram::new(cfg);
+    let var = prog.declare::<i32>("paged", words, annotation);
+    let sync = prog.create_barrier("sync");
+    let holders = holders.to_vec();
+    let writes = annotation == SharingAnnotation::WriteShared;
+    let report = prog
+        .run(move |ctx| {
+            let me = ctx.node_id();
+            let page_of = |value: i32| -> Vec<i32> { vec![value; per_page] };
+            // Round 1: first touch. Round 3: the holders write again.
+            let hold = |round: i32| -> munin::dsm::Result<()> {
+                for (page, holder) in holders.iter().enumerate() {
+                    if *holder == me {
+                        ctx.write_slice(
+                            &var,
+                            page * per_page,
+                            &page_of(round * 100 + page as i32),
+                        )?;
+                    }
+                }
+                Ok(())
+            };
+            // The accessor's pieces: the whole range, or one piece per page.
+            let pieces: Vec<(usize, usize)> = if page_at_a_time {
+                (lo / per_page..=(hi - 1) / per_page)
+                    .map(|page| (lo.max(page * per_page), hi.min((page + 1) * per_page)))
+                    .collect()
+            } else {
+                vec![(lo, hi)]
+            };
+            let read_range = || -> munin::dsm::Result<Vec<i32>> {
+                let mut out = Vec::new();
+                for (from, to) in &pieces {
+                    out.extend(ctx.read_slice(&var, *from, to - from)?);
+                }
+                Ok(out)
+            };
+            hold(1)?;
+            ctx.wait_at_barrier(sync)?;
+            let mut first_read = Vec::new();
+            if me == ACCESSOR {
+                if writes {
+                    for (from, to) in &pieces {
+                        ctx.write_slice(&var, *from, &vec![-1; to - from])?;
+                    }
+                }
+                first_read = read_range()?;
+            }
+            ctx.wait_at_barrier(sync)?;
+            hold(3)?;
+            ctx.wait_at_barrier(sync)?;
+            let second_read = if me == ACCESSOR {
+                read_range()?
+            } else {
+                Vec::new()
+            };
+            ctx.wait_at_barrier(sync)?;
+            let view = ctx.read_slice(&var, 0, words)?;
+            Ok((first_read, second_read, view))
+        })
+        .expect("paged program");
+    assert_eq!(report.first_error(), None);
+    let mut results: Vec<_> = report
+        .results
+        .iter()
+        .map(|r| r.as_ref().expect("worker result").clone())
+        .collect();
+    let (first_read, second_read, _) = results.swap_remove(ACCESSOR);
+    PagedOutcome {
+        first_read,
+        second_read,
+        final_views: report
+            .results
+            .iter()
+            .map(|r| r.as_ref().expect("worker result").2.clone())
+            .collect(),
+        invalidations: report.net.class("invalidate").msgs,
+        objects_fetched: report.stats_total().objects_fetched,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Fetching an access's pages as runs changes how many messages carry
+    /// them and nothing else: for any page count, any assignment of pages to
+    /// owners and any sub-range, the bytes read, every node's final view and
+    /// the owners' copysets (as the invalidations they send) are those of
+    /// the one-page-at-a-time reference.
+    #[test]
+    fn run_fetch_matches_the_page_at_a_time_reference(
+        holders in proptest::collection::vec(0usize..3, 1..9),
+        lo_draw in 0usize..1000,
+        len_draw in 0usize..1000,
+        write_shared in any::<bool>(),
+    ) {
+        let annotation = if write_shared {
+            SharingAnnotation::WriteShared
+        } else {
+            SharingAnnotation::Conventional
+        };
+        let words = holders.len() * PAGE_WORDS;
+        let lo = lo_draw % words;
+        let hi = lo + 1 + len_draw % (words - lo);
+        let runs = paged_access(annotation, &holders, (lo, hi), false);
+        let reference = paged_access(annotation, &holders, (lo, hi), true);
+        prop_assert_eq!(&runs, &reference);
+        // And both are right: the holders' second writes everywhere, on top
+        // of whatever the accessor did in between.
+        let expected: Vec<i32> = (0..words).map(|w| 300 + (w / PAGE_WORDS) as i32).collect();
+        for view in &runs.final_views {
+            prop_assert_eq!(view, &expected);
+        }
+        prop_assert_eq!(&runs.second_read[..], &expected[lo..hi]);
+    }
 }
 
 #[test]
