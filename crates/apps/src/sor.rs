@@ -52,7 +52,7 @@ pub struct SorParams {
     pub engine: munin_sim::EngineConfig,
     /// Access-detection mode (explicit checks or real VM write traps).
     pub access_mode: munin_core::AccessMode,
-    /// Whether the carrier/outbox layer may piggyback and coalesce protocol
+    /// Whether the carrier layer may piggyback updates on other protocol
     /// traffic (`MUNIN_PIGGYBACK`).
     pub piggyback: bool,
     /// Forces the reliability layer on/off; `None` keeps the auto policy

@@ -30,7 +30,7 @@ pub struct TspParams {
     pub engine: munin_sim::EngineConfig,
     /// Access-detection mode (explicit checks or real VM write traps).
     pub access_mode: munin_core::AccessMode,
-    /// Whether the carrier/outbox layer may piggyback and coalesce protocol
+    /// Whether the carrier layer may piggyback updates on other protocol
     /// traffic (`MUNIN_PIGGYBACK`).
     pub piggyback: bool,
 }

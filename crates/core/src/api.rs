@@ -364,14 +364,6 @@ impl MuninProgram {
                     Ok(()) => worker(&wctx),
                     Err(e) => Err(e),
                 };
-                // A worker that ends with coalesced outbox items (e.g. a
-                // trailing `Flush()` hint with no later release) transmits
-                // them now, so no buffered change can outlive the run.
-                if outcome.result.is_ok() {
-                    if let Err(e) = rt.close_coalescing_window() {
-                        outcome.result = Err(e);
-                    }
-                }
 
                 if rt.is_root() {
                     match rt.wait_workers_done() {

@@ -107,9 +107,9 @@ pub struct MuninConfig {
     /// checks or real VM write traps). Defaults to `MUNIN_ACCESS_MODE` from
     /// the environment.
     pub access_mode: AccessMode,
-    /// Whether the carrier/outbox layer may coalesce consecutive flushes and
-    /// piggyback queued updates on other protocol traffic (lock grants,
-    /// barrier releases, copyset replies, update acks). Defaults to
+    /// Whether the carrier layer may piggyback a release's updates on the
+    /// protocol traffic the release sends anyway (barrier arrives and
+    /// releases, lock grants, invalidation acks). Defaults to
     /// `MUNIN_PIGGYBACK` from the environment (`on` unless set to `off`/`0`);
     /// `off` preserves the legacy one-message-per-update behaviour exactly.
     pub piggyback: bool,
@@ -464,7 +464,7 @@ impl MuninConfig {
         self
     }
 
-    /// Enables or disables the carrier/outbox piggyback layer.
+    /// Enables or disables the carrier (piggyback) layer.
     pub fn with_piggyback(mut self, piggyback: bool) -> Self {
         self.piggyback = piggyback;
         self

@@ -61,50 +61,77 @@ pub struct UpdateItem {
     pub payload: UpdatePayload,
 }
 
-/// A bundle of update items piggybacked on a carrier message, destined for
-/// the carrier's receiver. Installed by the unified carrier-install path
-/// (`NodeRuntime::install_carrier_updates`) *before* the carrier's inner
-/// message is dispatched, so a piggybacked release or grant can never be
-/// observed ahead of the data it carries.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CarrierUpdate {
-    /// The node whose changes these are (piggybacked bundles are never
-    /// individually acknowledged; `from` also names the sequence stream).
-    pub from: NodeId,
-    /// Position in the `from` → receiver update sequence stream (see
-    /// [`DsmMsg::Update::seq`]). Ignored for `sync_install` bundles, which
-    /// are ordered by the lock token they travel with.
-    pub seq: u64,
-    /// The changes, one entry per object, in application order.
-    pub items: Vec<UpdateItem>,
-    /// `true` for data associated with a synchronization object
+/// How an [`UpdateBundle`] travels and what its receiver owes for it. The
+/// route decides the wire class, the bundle's framing bytes, whether the
+/// receiver checks the bundle against the origin's sequence stream, and who
+/// is acknowledged (`DESIGN.md`, "Carrier layer", has the table).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// A standalone update the receiver acknowledges to `origin` (release
+    /// consistency makes the releaser wait until its updates are performed).
+    DirectAcked,
+    /// A standalone update nobody waits for: the dirty-copy flush an
+    /// invalidated node sends ahead of its `InvalidateAck` when carriers are
+    /// off.
+    DirectUnacked,
+    /// Owner-cooperative fan-out: a flusher's non-owned bundle, sent whole to
+    /// the objects' (probable) owner, which installs its share, re-fans to
+    /// its authoritative copyset ([`Route::OwnerForward`]) and answers with
+    /// a [`DsmMsg::RelayFanoutAck`].
+    OwnerFanout,
+    /// The owner's re-fan of a fan-out bundle to one copyset member. `seq`
+    /// is the originating fan-out's, carried for trace correlation only:
+    /// forwards hold no slot of any update stream. The acknowledgement goes
+    /// to `origin`, whose release the update belongs to, not to the sender.
+    OwnerForward,
+    /// Riding a carrier frame (or parked at a barrier owner on its way to
+    /// one): installed before the framed message is dispatched, never
+    /// acknowledged.
+    Carried,
+    /// Data associated with a synchronization object
     /// (`AssociateDataAndSynch` payloads on a lock grant): the items are
     /// *installed* — full images written even where no local copy exists,
-    /// with the migratory ownership handover applied — rather than applied
-    /// only to existing copies like flush updates.
-    pub sync_install: bool,
+    /// with the migratory ownership handover applied — and ordered by the
+    /// lock token they travel with, so `seq` is unused.
+    SyncInstall,
 }
 
-/// A flush update riding a `BarrierArrive` towards the barrier owner, to be
-/// re-attached to the `BarrierRelease` headed to `dest`. Two kinds of flush
-/// travel this way (see `DESIGN.md`, "Carrier layer"), each with its own
-/// safety argument: *owner-flushed* fan-out updates (the flusher serves all
-/// fetches for those objects from live memory, so a copy that missed the
-/// relayed update is impossible) and *`result`-object flushes homed at the
-/// barrier owner* (the owner installs the bundle before counting the
-/// arrival, which is at least as early as the legacy apply-then-ack).
+/// One node's changes to a set of objects, headed for one receiver: the
+/// payload of a standalone [`DsmMsg::Update`], the element of a carrier's
+/// piggybacked `updates`, and — paired with a destination — of its `relay`
+/// list.
 #[derive(Clone, Debug, PartialEq)]
-pub struct RelayUpdate {
-    /// The copyset member the bundle must reach with the release.
-    pub dest: NodeId,
-    /// The flushing node.
-    pub from: NodeId,
-    /// Position in the `from` → `dest` update sequence stream (see
-    /// [`DsmMsg::Update::seq`]): assigned by the flusher, carried through
-    /// the barrier owner unchanged.
+pub struct UpdateBundle {
+    /// The node whose flush produced the changes; names the sequence stream
+    /// and receives whatever acknowledgement the route calls for.
+    pub origin: NodeId,
+    /// Position in the `origin` → receiver *update sequence stream*. Every
+    /// update-bearing transmission between a pair of nodes carries one
+    /// consecutive number; the receiver applies strictly in sequence,
+    /// deferring early arrivals and dropping stale ones. This is what keeps
+    /// a relayed bundle (which travels flusher → barrier owner →
+    /// destination, a *different link* than a direct update) from being
+    /// applied after a newer direct update it cannot be FIFO-ordered
+    /// against.
     pub seq: u64,
     /// The changes, one entry per object, in application order.
     pub items: Vec<UpdateItem>,
+    /// How the bundle travels.
+    pub route: Route,
+}
+
+impl UpdateBundle {
+    /// Modelled size of the bundle: an 8-byte descriptor per item plus the
+    /// payloads, and for every route but the bare direct update an 8-byte
+    /// origin + stream-slot header.
+    pub fn model_bytes(&self) -> u64 {
+        let header = match self.route {
+            Route::DirectAcked | Route::DirectUnacked => 0,
+            _ => 8,
+        };
+        let items: u64 = self.items.iter().map(|i| 8 + i.payload.model_bytes()).sum();
+        header + items
+    }
 }
 
 /// A `Fetch_and_Φ` operation on a reduction object, executed atomically at
@@ -190,46 +217,11 @@ pub enum DsmMsg {
         /// The invalidated object.
         object: ObjectId,
     },
-    /// Propagation of pending changes (a DUQ flush, an eager update, or the
-    /// flush-to-owner of a `result` object).
-    Update {
-        /// Changes, one entry per object.
-        items: Vec<UpdateItem>,
-        /// Node awaiting the acknowledgement (if `needs_ack`).
-        requester: NodeId,
-        /// Position in the sender → receiver *update sequence stream*. Every
-        /// update-bearing transmission between a pair of nodes (standalone
-        /// updates, carrier bundles, barrier-relayed bundles) carries one
-        /// consecutive number; the receiver applies strictly in sequence,
-        /// deferring early arrivals and dropping stale ones. This is what
-        /// keeps a relayed bundle (which travels flusher → barrier owner →
-        /// destination, a *different link* than a direct update) from being
-        /// applied after a newer direct update it cannot be FIFO-ordered
-        /// against.
-        seq: u64,
-        /// Whether the receiver must acknowledge (release consistency makes
-        /// the releaser wait until its updates have been performed).
-        needs_ack: bool,
-    },
-    /// Owner-cooperative fan-out: a flusher's non-owned fan-out bundle,
-    /// sent to the objects' (probable) owner instead of being distributed
-    /// by the flusher itself. The owner installs its own share, re-fans the
-    /// updates to its authoritative recorded copyset
-    /// ([`DsmMsg::RelayForward`]), and replies with a
-    /// [`DsmMsg::RelayFanoutAck`] — so the flusher skips both the
-    /// copyset-determination round and the ack-heal round that the legacy
-    /// path needed to compensate for its stale view of the copyset.
-    RelayFanout {
-        /// Changes, one entry per object, in application order.
-        items: Vec<UpdateItem>,
-        /// The flushing node: receives the fan-out ack and every re-fan
-        /// destination's [`DsmMsg::UpdateAck`].
-        origin: NodeId,
-        /// Position in the origin → receiver update sequence stream (see
-        /// [`DsmMsg::Update::seq`]).
-        seq: u64,
-    },
-    /// The owner's reply to a [`DsmMsg::RelayFanout`]: which destinations
+    /// Propagation of pending changes (a DUQ flush, the flush-to-owner of a
+    /// `result` object, an owner-cooperative fan-out or its re-fan): one
+    /// [`UpdateBundle`], whose [`Route`] says what the receiver does with it.
+    Update(UpdateBundle),
+    /// The owner's reply to a [`Route::OwnerFanout`] bundle: which destinations
     /// the bundle was re-fanned to (each will acknowledge the origin
     /// directly), and which objects the receiver turned out not to own
     /// (stale owner hint — the origin re-distributes those itself).
@@ -240,25 +232,6 @@ pub enum DsmMsg {
         /// Objects the receiver does not own: neither installed nor
         /// distributed.
         rejected: Vec<ObjectId>,
-    },
-    /// An owner's re-fan of a [`DsmMsg::RelayFanout`] bundle to one copyset
-    /// member. Unlike [`DsmMsg::Update`], forwards carry no update-stream
-    /// slot and are exempt from the receiver's sequence check: they travel
-    /// the owner→receiver link directly (FIFO, no carrier detour), and the
-    /// re-fanning service thread may run while the owner's user thread has
-    /// relay bundles holding earlier stream slots parked at a barrier owner
-    /// (see `handle_relay_forward` for the full argument). The
-    /// acknowledgement still goes to `origin`, whose release is what the
-    /// update belongs to.
-    RelayForward {
-        /// Changes, one entry per object, in application order.
-        items: Vec<UpdateItem>,
-        /// The node whose flush originated the updates; the receiver's
-        /// [`DsmMsg::UpdateAck`] goes here, not to the wire sender.
-        origin: NodeId,
-        /// The originating fan-out's sequence number (origin → owner
-        /// stream), carried for trace correlation only.
-        seq: u64,
     },
     /// Acknowledgement of an [`DsmMsg::Update`].
     UpdateAck {
@@ -329,8 +302,9 @@ pub enum DsmMsg {
         requester: NodeId,
     },
     /// Grant of lock ownership to a requester. Consistency data associated
-    /// with the lock (`AssociateDataAndSynch`) travels as a `sync_install`
-    /// bundle on a [`DsmMsg::Carrier`] framing this grant.
+    /// with the lock (`AssociateDataAndSynch`) travels as a
+    /// [`Route::SyncInstall`] bundle on a [`DsmMsg::Carrier`] framing this
+    /// grant.
     LockGrant {
         /// The lock.
         lock: LockId,
@@ -394,17 +368,25 @@ pub enum DsmMsg {
     /// destination anyway can also deliver the updates queued for it —
     /// one wire message instead of several.
     ///
-    /// `inner: None` is a pure piggyback frame, used when a deferred bundle
-    /// is re-queued after its directory entries were busy. Carriers are
-    /// never nested.
+    /// A bundle that cannot be installed yet re-queues as itself (a
+    /// [`DsmMsg::Update`]), so there is no empty frame. Carriers are never
+    /// nested.
     Carrier {
         /// The framed message, dispatched after the payload is installed.
-        inner: Option<Box<DsmMsg>>,
+        inner: Box<DsmMsg>,
         /// Piggybacked update bundles destined for the receiver.
-        updates: Vec<CarrierUpdate>,
-        /// Flush updates riding a `BarrierArrive` for redistribution on the
-        /// matching `BarrierRelease`s (empty on every other carrier).
-        relay: Vec<RelayUpdate>,
+        updates: Vec<UpdateBundle>,
+        /// Flush bundles riding barrier traffic towards the barrier owner,
+        /// each with the copyset member it must reach on the matching
+        /// release (empty on every other carrier). Two kinds of flush travel
+        /// this way (see `DESIGN.md`, "Carrier layer"), each with its own
+        /// safety argument: *owner-flushed* fan-out updates (the flusher
+        /// serves all fetches for those objects from live memory, so a copy
+        /// that missed the relayed update is impossible) and *`result`-object
+        /// flushes homed at the barrier owner* (the owner installs the
+        /// bundle before counting the arrival, which is at least as early as
+        /// the legacy apply-then-ack).
+        relay: Vec<(NodeId, UpdateBundle)>,
     },
     /// The reliability-layer frame: any protocol message wrapped with a
     /// per-(source, destination) message id and a piggybacked cumulative
@@ -473,6 +455,23 @@ pub enum DsmMsg {
 pub const HEADER_BYTES: u64 = 32;
 
 impl DsmMsg {
+    /// `inner` with the bundles it is to carry: a [`DsmMsg::Carrier`] frame
+    /// when there are any, the bare message otherwise.
+    pub fn framed(
+        inner: DsmMsg,
+        updates: Vec<UpdateBundle>,
+        relay: Vec<(NodeId, UpdateBundle)>,
+    ) -> DsmMsg {
+        if updates.is_empty() && relay.is_empty() {
+            return inner;
+        }
+        DsmMsg::Carrier {
+            inner: Box::new(inner),
+            updates,
+            relay,
+        }
+    }
+
     /// The statistics class of the message.
     pub fn class(&self) -> &'static str {
         match self {
@@ -480,10 +479,12 @@ impl DsmMsg {
             DsmMsg::ObjectData { .. } => "object_data",
             DsmMsg::Invalidate { .. } => "invalidate",
             DsmMsg::InvalidateAck { .. } => "invalidate_ack",
-            DsmMsg::Update { .. } => "update",
-            DsmMsg::RelayFanout { .. } => "relay_fanout",
+            DsmMsg::Update(b) => match b.route {
+                Route::OwnerFanout => "relay_fanout",
+                Route::OwnerForward => "relay_forward",
+                _ => "update",
+            },
             DsmMsg::RelayFanoutAck { .. } => "relay_fanout_ack",
-            DsmMsg::RelayForward { .. } => "relay_forward",
             DsmMsg::UpdateAck { .. } => "update_ack",
             DsmMsg::CopysetQuery { .. } => "copyset_query",
             DsmMsg::CopysetReply { .. } => "copyset_reply",
@@ -502,10 +503,7 @@ impl DsmMsg {
             // A carrier is classed as the message it frames, so per-class
             // accounting (e.g. "how many lock grants") is unaffected by the
             // framing; only total message counts drop.
-            DsmMsg::Carrier { inner, .. } => match inner {
-                Some(m) => m.class(),
-                None => "carrier",
-            },
+            DsmMsg::Carrier { inner, .. } => inner.class(),
             // Like carriers, a reliable frame is classed as the message it
             // wraps, so per-class accounting is unaffected by the transport.
             DsmMsg::Reliable { inner, .. } => inner.class(),
@@ -532,15 +530,7 @@ impl DsmMsg {
                 16 + contents + 8 * (data.len() as u64).saturating_sub(1)
             }
             DsmMsg::Invalidate { .. } | DsmMsg::InvalidateAck { .. } => 8,
-            DsmMsg::Update { items, .. } => items.iter().map(|i| 8 + i.payload.model_bytes()).sum(),
-            // The relay messages carry an origin + stream slot on top of an
-            // `Update`-shaped item list.
-            DsmMsg::RelayFanout { items, .. } | DsmMsg::RelayForward { items, .. } => {
-                8 + items
-                    .iter()
-                    .map(|i| 8 + i.payload.model_bytes())
-                    .sum::<u64>()
-            }
+            DsmMsg::Update(b) => b.model_bytes(),
             DsmMsg::RelayFanoutAck { refanned, rejected } => {
                 8 + 4 * (refanned.len() + rejected.len()) as u64
             }
@@ -561,37 +551,16 @@ impl DsmMsg {
             DsmMsg::WorkerDone { .. } | DsmMsg::Shutdown => 4,
             // One header for the whole frame: the inner message and every
             // piggybacked bundle share it — that is the wire saving the
-            // carrier layer models.
+            // carrier layer models. A relayed bundle also names its
+            // destination (4 bytes).
             DsmMsg::Carrier {
                 inner,
                 updates,
                 relay,
             } => {
-                let inner_payload = inner
-                    .as_ref()
-                    .map(|m| m.model_bytes() - HEADER_BYTES)
-                    .unwrap_or(0);
-                let update_bytes: u64 = updates
-                    .iter()
-                    .map(|u| {
-                        8 + u
-                            .items
-                            .iter()
-                            .map(|i| 8 + i.payload.model_bytes())
-                            .sum::<u64>()
-                    })
-                    .sum();
-                let relay_bytes: u64 = relay
-                    .iter()
-                    .map(|r| {
-                        12 + r
-                            .items
-                            .iter()
-                            .map(|i| 8 + i.payload.model_bytes())
-                            .sum::<u64>()
-                    })
-                    .sum();
-                inner_payload + update_bytes + relay_bytes
+                let carried: u64 = updates.iter().map(UpdateBundle::model_bytes).sum();
+                let relayed: u64 = relay.iter().map(|(_, b)| 4 + b.model_bytes()).sum();
+                inner.model_bytes() - HEADER_BYTES + carried + relayed
             }
             // The reliable frame adds an id + ack pair to the message it
             // wraps, sharing the wrapped message's header.
@@ -695,30 +664,33 @@ mod tests {
         );
     }
 
+    /// A bundle of `n` 64-byte full images from N1 on `route`.
+    fn bundle(route: Route, n: u32) -> UpdateBundle {
+        UpdateBundle {
+            origin: NodeId::new(1),
+            seq: 0,
+            items: (0..n)
+                .map(|o| UpdateItem {
+                    object: ObjectId::new(o),
+                    payload: UpdatePayload::Full(vec![0; 64]),
+                })
+                .collect(),
+            route,
+        }
+    }
+
     #[test]
     fn update_bytes_reflect_diff_encoding() {
         let twin = vec![0u8; 64];
         let mut cur = twin.clone();
         cur[0] = 1;
-        let diff = encode(&cur, &twin);
-        let small_update = DsmMsg::Update {
-            items: vec![UpdateItem {
-                object: ObjectId::new(0),
-                payload: UpdatePayload::Diff(diff),
-            }],
-            requester: NodeId::new(0),
-            seq: 0,
-            needs_ack: true,
+        let update_of = |payload| {
+            let mut b = bundle(Route::DirectAcked, 1);
+            b.items[0].payload = payload;
+            DsmMsg::Update(b)
         };
-        let full_update = DsmMsg::Update {
-            items: vec![UpdateItem {
-                object: ObjectId::new(0),
-                payload: UpdatePayload::Full(cur),
-            }],
-            requester: NodeId::new(0),
-            seq: 0,
-            needs_ack: true,
-        };
+        let small_update = update_of(UpdatePayload::Diff(encode(&cur, &twin)));
+        let full_update = update_of(UpdatePayload::Full(cur));
         assert!(small_update.model_bytes() < full_update.model_bytes());
     }
 
@@ -760,145 +732,129 @@ mod tests {
         assert!(grant.is_user_reply());
     }
 
-    /// A carrier frame costs one header for the inner message plus every
-    /// piggybacked bundle — strictly less than the messages sent separately.
+    /// One example of each shape an update travelled in before there was
+    /// one bundle, with the class and the byte count it had then (computed
+    /// at the parent of the commit that introduced `UpdateBundle`): the
+    /// route table must reproduce every one of them.
     #[test]
-    fn carrier_is_cheaper_than_separate_messages() {
+    fn every_former_update_shape_keeps_its_class_and_bytes() {
         let grant = DsmMsg::LockGrant {
             lock: LockId(0),
-            queue: vec![],
+            queue: vec![NodeId::new(2)],
         };
-        let items = vec![UpdateItem {
-            object: ObjectId::new(0),
-            payload: UpdatePayload::Full(vec![0; 64]),
-        }];
-        let standalone = DsmMsg::Update {
-            items: items.clone(),
-            requester: NodeId::new(1),
-            seq: 0,
-            needs_ack: false,
-        };
-        let separate = grant.model_bytes() + standalone.model_bytes();
-        let carrier = DsmMsg::Carrier {
-            inner: Some(Box::new(grant)),
-            updates: vec![CarrierUpdate {
-                from: NodeId::new(1),
-                seq: 0,
-                items,
-                sync_install: false,
-            }],
-            relay: vec![],
-        };
-        assert!(carrier.model_bytes() < separate);
-        assert_eq!(carrier.class(), "lock_grant");
-        assert!(
-            !carrier.is_user_reply(),
-            "carriers are unwrapped by the service loop"
-        );
-        let bare = DsmMsg::Carrier {
-            inner: None,
-            updates: vec![],
-            relay: vec![],
-        };
-        assert_eq!(bare.class(), "carrier");
-        assert_eq!(bare.model_bytes(), HEADER_BYTES);
-    }
-
-    /// Satellite audit of the relay byte accounting: a barrier-relayed
-    /// payload transits the wire twice (flusher → barrier owner on the
-    /// arrive carrier, owner → destination on the release carrier) and must
-    /// be charged on *both* hops — once per wire transit, not once per
-    /// logical update. The exact per-hop increments are pinned so the
-    /// `tests/piggyback.rs` byte-ratio assertion measures reality.
-    #[test]
-    fn relayed_payload_is_charged_once_per_wire_transit() {
-        let payload_bytes = 64u64;
-        let items = vec![UpdateItem {
-            object: ObjectId::new(0),
-            payload: UpdatePayload::Full(vec![0; payload_bytes as usize]),
-        }];
-        // Hop 1: the bundle rides the BarrierArrive carrier as a RelayUpdate
-        // (12 bytes of dest/from/seq framing + 8 per item + the payload).
         let arrive = DsmMsg::BarrierArrive {
             barrier: BarrierId(0),
             from: NodeId::new(1),
         };
-        let hop1 = DsmMsg::Carrier {
-            inner: Some(Box::new(arrive.clone())),
-            updates: vec![],
-            relay: vec![RelayUpdate {
-                dest: NodeId::new(2),
-                from: NodeId::new(1),
-                seq: 0,
-                items: items.clone(),
-            }],
-        };
-        assert_eq!(
-            hop1.model_bytes() - arrive.model_bytes(),
-            12 + 8 + payload_bytes
-        );
-        // Hop 2: the owner re-attaches the bundle to the BarrierRelease as a
-        // CarrierUpdate (8 bytes of from/seq framing + 8 per item + payload).
+        let table: [(&str, DsmMsg, &str, u64); 6] = [
+            (
+                "bare Update, 2 items",
+                DsmMsg::Update(bundle(Route::DirectAcked, 2)),
+                "update",
+                176,
+            ),
+            (
+                "RelayFanout",
+                DsmMsg::Update(bundle(Route::OwnerFanout, 1)),
+                "relay_fanout",
+                112,
+            ),
+            (
+                "RelayForward",
+                DsmMsg::Update(bundle(Route::OwnerForward, 1)),
+                "relay_forward",
+                112,
+            ),
+            (
+                "grant carrier with a sync-install and a flush bundle",
+                DsmMsg::Carrier {
+                    inner: Box::new(grant),
+                    updates: vec![bundle(Route::SyncInstall, 1), bundle(Route::Carried, 1)],
+                    relay: vec![],
+                },
+                "lock_grant",
+                204,
+            ),
+            (
+                "arrive carrier with two relayed bundles",
+                DsmMsg::Carrier {
+                    inner: Box::new(arrive),
+                    updates: vec![],
+                    relay: vec![
+                        (NodeId::new(2), bundle(Route::Carried, 1)),
+                        (NodeId::new(3), bundle(Route::Carried, 1)),
+                    ],
+                },
+                "barrier_arrive",
+                208,
+            ),
+            (
+                "Reliable-framed update",
+                DsmMsg::Reliable {
+                    id: 1,
+                    ack: 0,
+                    inner: Box::new(DsmMsg::Update(bundle(Route::DirectUnacked, 1))),
+                },
+                "update",
+                112,
+            ),
+        ];
+        for (what, msg, class, bytes) in table {
+            assert_eq!(msg.class(), class, "{what}");
+            assert_eq!(msg.model_bytes(), bytes, "{what}");
+            // Updates of every route are service-loop requests; carriers are
+            // unwrapped there too, whatever they frame.
+            assert!(!msg.is_user_reply(), "{what}");
+        }
+    }
+
+    /// A carrier frame costs one header for the inner message plus every
+    /// piggybacked bundle — strictly less than the messages sent separately.
+    /// And a barrier-relayed payload, which transits the wire twice (flusher
+    /// → barrier owner on the arrive carrier, owner → destination on the
+    /// release carrier), is charged on *both* hops — once per wire transit,
+    /// not once per logical update — so the `tests/piggyback.rs` byte-ratio
+    /// assertion measures reality.
+    #[test]
+    fn carrier_shares_one_header_and_charges_each_wire_transit() {
         let release = DsmMsg::BarrierRelease {
             barrier: BarrierId(0),
         };
+        let arrive = DsmMsg::BarrierArrive {
+            barrier: BarrierId(0),
+            from: NodeId::new(1),
+        };
+        let direct = DsmMsg::Update(bundle(Route::DirectAcked, 1));
+        assert_eq!(direct.model_bytes(), HEADER_BYTES + 8 + 64);
+        // Hop 1: 4 bytes of destination + 8 of origin/seq + 8 per item + the
+        // payload on top of the arrive.
+        let hop1 = DsmMsg::Carrier {
+            inner: Box::new(arrive.clone()),
+            updates: vec![],
+            relay: vec![(NodeId::new(2), bundle(Route::Carried, 1))],
+        };
+        assert_eq!(hop1.model_bytes() - arrive.model_bytes(), 12 + 8 + 64);
+        // Hop 2: the owner re-attaches the bundle to the release.
         let hop2 = DsmMsg::Carrier {
-            inner: Some(Box::new(release.clone())),
-            updates: vec![CarrierUpdate {
-                from: NodeId::new(1),
-                seq: 0,
-                items: items.clone(),
-                sync_install: false,
-            }],
+            inner: Box::new(release.clone()),
+            updates: vec![bundle(Route::Carried, 1)],
             relay: vec![],
         };
-        assert_eq!(
-            hop2.model_bytes() - release.model_bytes(),
-            8 + 8 + payload_bytes
-        );
-        // The payload itself is paid twice across the two transits; a
-        // size-thresholded direct send pays it once (plus the ack round).
-        let relayed_total = hop1.model_bytes() + hop2.model_bytes();
-        let direct = DsmMsg::Update {
-            items,
-            requester: NodeId::new(1),
-            seq: 0,
-            needs_ack: true,
-        };
-        assert!(relayed_total - arrive.model_bytes() - release.model_bytes() >= 2 * payload_bytes);
-        assert_eq!(direct.model_bytes(), HEADER_BYTES + 8 + payload_bytes);
+        assert_eq!(hop2.model_bytes() - release.model_bytes(), 8 + 8 + 64);
+        assert!(hop2.model_bytes() < release.model_bytes() + direct.model_bytes());
+        assert_eq!(hop2.class(), "barrier_release");
     }
 
     #[test]
-    fn relay_fanout_messages_have_pinned_sizes_and_routing() {
-        let items = vec![UpdateItem {
-            object: ObjectId::new(3),
-            payload: UpdatePayload::Full(vec![0; 64]),
-        }];
-        let fanout = DsmMsg::RelayFanout {
-            items: items.clone(),
-            origin: NodeId::new(1),
-            seq: 4,
-        };
-        let forward = DsmMsg::RelayForward {
-            items,
-            origin: NodeId::new(1),
-            seq: 0,
-        };
+    fn relay_fanout_ack_has_pinned_size_and_routing() {
         let ack = DsmMsg::RelayFanoutAck {
             refanned: vec![NodeId::new(2), NodeId::new(3)],
             rejected: vec![ObjectId::new(3)],
         };
-        assert_eq!(fanout.model_bytes(), HEADER_BYTES + 8 + 8 + 64);
-        assert_eq!(forward.model_bytes(), fanout.model_bytes());
         assert_eq!(ack.model_bytes(), HEADER_BYTES + 8 + 4 * 3);
         // The fan-out and re-fan are service-loop requests; only the ack is
         // routed to the origin's blocked user thread.
-        assert!(!fanout.is_user_reply());
-        assert!(!forward.is_user_reply());
         assert!(ack.is_user_reply());
-        assert_eq!(fanout.class(), "relay_fanout");
-        assert_eq!(forward.class(), "relay_forward");
         assert_eq!(ack.class(), "relay_fanout_ack");
     }
 

@@ -23,8 +23,7 @@
 //! (`MUNIN_FLIGHT_EVENTS`, default 256 per node; `0` disables the ring).
 //! Wait histograms are always on — a record is a mutex acquire, a 64-way
 //! `partition_point`, and an increment. The human-readable dump mode
-//! (`MUNIN_PROTO_TRACE=1`, the long-standing debug alias, or
-//! `MUNIN_OBS_DUMP=1`) additionally prints every recorded event to stderr
+//! (`MUNIN_OBS_DUMP=1`) additionally prints every recorded event to stderr
 //! as it happens, replacing the old ad-hoc eprintln tracing path.
 
 pub mod hist;
@@ -76,14 +75,25 @@ fn wall_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Whether the human-readable event dump is enabled
-/// (`MUNIN_OBS_DUMP=1`, or the legacy alias `MUNIN_PROTO_TRACE=1`).
+/// Whether the human-readable event dump is enabled (`MUNIN_OBS_DUMP=1`;
+/// `0` or unset leaves it off).
+///
+/// # Panics
+///
+/// Panics on any other value — `MUNIN_OBS_DUMP=on` would otherwise run
+/// without the dump it asked for.
 pub fn dump_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        let on = |k: &str| std::env::var(k).map(|v| v == "1").unwrap_or(false);
-        on("MUNIN_OBS_DUMP") || on("MUNIN_PROTO_TRACE")
-    })
+    *ENABLED.get_or_init(|| parse_dump(std::env::var("MUNIN_OBS_DUMP").ok().as_deref()))
+}
+
+/// Pure parsing core of [`dump_enabled`].
+fn parse_dump(v: Option<&str>) -> bool {
+    match v {
+        Some("1") => true,
+        Some("0") | None => false,
+        Some(v) => panic!("invalid MUNIN_OBS_DUMP={v:?}: expected \"1\" or \"0\""),
+    }
 }
 
 /// The typed protocol events the flight recorder captures.
@@ -443,6 +453,19 @@ impl ObsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dump_knob_takes_one_or_zero() {
+        assert!(parse_dump(Some("1")));
+        assert!(!parse_dump(Some("0")));
+        assert!(!parse_dump(None));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid MUNIN_OBS_DUMP=\"on\"")]
+    fn dump_knob_rejects_anything_else() {
+        parse_dump(Some("on"));
+    }
 
     #[test]
     fn recorder_captures_and_snapshots_events() {

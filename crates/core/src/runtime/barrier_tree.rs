@@ -29,9 +29,9 @@ use std::sync::Arc;
 
 use munin_sim::{Envelope, NodeId, VirtTime};
 
-use crate::msg::{CarrierUpdate, DsmMsg, RelayUpdate, UpdateItem};
+use crate::msg::{DsmMsg, UpdateBundle};
 use crate::nodeset::NodeSet;
-use crate::stats::{add, bump};
+use crate::stats::bump;
 use crate::sync::{BarrierId, TreeTopology};
 
 use super::NodeRuntime;
@@ -83,30 +83,13 @@ impl NodeRuntime {
         self: &Arc<Self>,
         barrier: BarrierId,
         topo: &TreeTopology,
-        relay: std::collections::BTreeMap<NodeId, Vec<UpdateItem>>,
+        relay: Vec<(NodeId, UpdateBundle)>,
     ) {
-        if !relay.is_empty() {
-            // Every bundle is stashed locally first; the advance below
-            // extracts the ones leaving this subtree onto the combine. Each
-            // takes its slot in this node's update stream to `dest` *now*,
-            // so later direct updates can never be overtaken by a bundle's
-            // slower multi-hop route (same argument as the flat relay).
-            let staged: Vec<(NodeId, CarrierUpdate)> = relay
-                .into_iter()
-                .map(|(dest, items)| {
-                    add(&self.stats.msgs_piggybacked, 1);
-                    self.note_update_sent(&items);
-                    let bundle = CarrierUpdate {
-                        from: self.node,
-                        seq: self.next_update_seq(dest, self.clock.now()),
-                        items,
-                        sync_install: false,
-                    };
-                    (dest, bundle)
-                })
-                .collect();
+        // Every bundle is stashed locally first; the advance below extracts
+        // the ones leaving this subtree onto the combine.
+        {
             let mut outbox = self.outbox.lock();
-            for (dest, bundle) in staged {
+            for (dest, bundle) in relay {
                 outbox.stash_relay(barrier, dest, bundle);
             }
         }
@@ -192,26 +175,7 @@ impl NodeRuntime {
                     "combine barrier {} gen {gen} up to {parent:?}",
                     barrier.0
                 );
-                let msg = if outgoing.is_empty() {
-                    combine
-                } else {
-                    let relay = outgoing
-                        .into_iter()
-                        .flat_map(|(dest, bundles)| {
-                            bundles.into_iter().map(move |b| RelayUpdate {
-                                dest,
-                                from: b.from,
-                                seq: b.seq,
-                                items: b.items,
-                            })
-                        })
-                        .collect();
-                    DsmMsg::Carrier {
-                        inner: Some(Box::new(combine)),
-                        updates: Vec::new(),
-                        relay,
-                    }
-                };
+                let msg = DsmMsg::framed(combine, Vec::new(), outgoing);
                 let _ = self.send_service(parent, msg, latest + self.cost.sync_op());
             }
             Advance::Open { gen, children } => {
@@ -225,8 +189,8 @@ impl NodeRuntime {
     }
 
     /// Fans the release down one level: each dynamic child's release carries
-    /// the bundles destined for itself (plus this node's coalesced items)
-    /// and re-relays the bundles destined for the rest of its covered set.
+    /// the bundles destined for itself and re-relays the bundles destined
+    /// for the rest of its covered set.
     fn tree_release_children(
         self: &Arc<Self>,
         barrier: BarrierId,
@@ -238,44 +202,15 @@ impl NodeRuntime {
             if self.is_peer_dead(child) {
                 continue;
             }
-            let (mut updates, stashed) = {
+            let (updates, relay) = {
                 let mut outbox = self.outbox.lock();
                 (
                     outbox.take_relay(barrier, child),
                     outbox.take_relay_within(barrier, &covered, child),
                 )
             };
-            if let Some((pending, seq)) = self.take_pending_with_seq(child, now) {
-                add(&self.stats.msgs_piggybacked, 1);
-                self.note_update_sent(&pending);
-                updates.push(CarrierUpdate {
-                    from: self.node,
-                    seq,
-                    items: pending,
-                    sync_install: false,
-                });
-            }
-            let relay: Vec<RelayUpdate> = stashed
-                .into_iter()
-                .flat_map(|(dest, bundles)| {
-                    bundles.into_iter().map(move |b| RelayUpdate {
-                        dest,
-                        from: b.from,
-                        seq: b.seq,
-                        items: b.items,
-                    })
-                })
-                .collect();
             let release = DsmMsg::BarrierTreeRelease { barrier, gen };
-            let msg = if updates.is_empty() && relay.is_empty() {
-                release
-            } else {
-                DsmMsg::Carrier {
-                    inner: Some(Box::new(release)),
-                    updates,
-                    relay,
-                }
-            };
+            let msg = DsmMsg::framed(release, updates, relay);
             let _ = self.send_service(child, msg, now + self.cost.sync_op());
         }
     }

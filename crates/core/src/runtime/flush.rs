@@ -15,6 +15,14 @@
 //!
 //! `result` objects are not sent to their copyset: their changes are flushed
 //! only to the owner and the local copy is invalidated (the `Fl` parameter).
+//!
+//! Every update leaves as one [`crate::msg::UpdateBundle`]; what differs is
+//! the route it takes ([`FlushMode`] and `classify`): its own acknowledged
+//! message, a ride on the barrier arrive or lock grant that the release is
+//! about to send anyway, or — for objects this node does not own — whole to
+//! the owner, which re-fans it. The `Flush()`, `Invalidate()` and
+//! `ChangeAnnotation()` hints run the same flush at once, acknowledged
+//! messages only, and leave nothing behind for a later release to deliver.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -26,7 +34,7 @@ use crate::copyset::CopySet;
 use crate::directory::AccessRights;
 use crate::duq::DuqEntry;
 use crate::error::{MuninError, Result};
-use crate::msg::{DsmMsg, UpdateItem, UpdatePayload};
+use crate::msg::{DsmMsg, Route, UpdateItem, UpdatePayload};
 use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
 use crate::stats::{add, bump};
@@ -42,10 +50,10 @@ use super::NodeRuntime;
 pub(crate) struct FlushRoute {
     pub(crate) fans_out: bool,
     pub(crate) owned: bool,
-    /// `Some(owner)` when the bundle takes the owner-cooperative path: the
-    /// whole bundle ships to the object's (probable) owner as a
-    /// `RelayFanout`, which installs it and re-fans to the members of its
-    /// authoritative copyset. Set for non-owned fan-out entries under
+    /// `Some(owner)` when the bundle takes the owner-cooperative path: it
+    /// ships whole (`Route::OwnerFanout`) to the object's (probable) owner,
+    /// which installs it and re-fans to the members of its authoritative
+    /// copyset. Set for non-owned fan-out entries under
     /// piggybacking whose copyset is not fixed; such entries skip copyset
     /// determination entirely and ignore `destinations`.
     pub(crate) coop_owner: Option<NodeId>,
@@ -58,14 +66,10 @@ pub(crate) struct FlushRoute {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum FlushMode {
     /// Every update goes as its own acknowledged message — the legacy path,
-    /// used at lock releases without a waiting grantee, for the
-    /// `Invalidate`/`ChangeAnnotation` hints, and whenever `MUNIN_PIGGYBACK`
-    /// is off.
+    /// used at lock releases without a waiting grantee, for the `Flush` /
+    /// `Invalidate` / `ChangeAnnotation` hints, and whenever
+    /// `MUNIN_PIGGYBACK` is off.
     Immediate,
-    /// `Flush()`-hint flush with piggybacking enabled: owner-flushed fan-out
-    /// items are buffered in the outbox and merged into a later
-    /// transmission; everything else is sent immediately.
-    Coalesce,
     /// Release at an all-node barrier owned by `owner`: owner-flushed
     /// fan-out items (and `result` flushes homed at the owner) are returned
     /// to the caller to ride the `BarrierArrive` carrier, from which the
@@ -88,7 +92,6 @@ pub(crate) enum FlushMode {
 enum Dispatch {
     Immediate,
     Relay,
-    Buffer,
 }
 
 /// Replaces a route's destinations (used by the encode paths that resolve to
@@ -115,7 +118,6 @@ fn classify(mode: FlushMode, route: &FlushRoute, dest: NodeId) -> Dispatch {
         }
         match mode {
             FlushMode::Immediate => Dispatch::Immediate,
-            FlushMode::Coalesce => Dispatch::Buffer,
             FlushMode::BarrierRelay { .. } => Dispatch::Relay,
             FlushMode::LockRelay { grantee } if dest == grantee => Dispatch::Relay,
             FlushMode::LockRelay { .. } => Dispatch::Immediate,
@@ -134,8 +136,8 @@ fn classify(mode: FlushMode, route: &FlushRoute, dest: NodeId) -> Dispatch {
 
 impl NodeRuntime {
     /// Flushes the delayed update queue with every update as its own
-    /// acknowledged message. Called by the hints that must leave no pending
-    /// traffic behind, and by releases without a carrier opportunity.
+    /// acknowledged message. Called by the hints, which leave nothing
+    /// unsent behind, and by releases without a carrier opportunity.
     pub(crate) fn flush_duq(self: &Arc<Self>) -> Result<()> {
         self.flush_duq_mode(FlushMode::Immediate).map(|_| ())
     }
@@ -152,15 +154,8 @@ impl NodeRuntime {
             let mut duq = self.duq.lock();
             duq.flush()
         };
-        // Coalesced items from earlier hint flushes join this transmission
-        // (they stay buffered when this flush coalesces too).
-        let coalesced: BTreeMap<NodeId, Vec<UpdateItem>> = if mode == FlushMode::Coalesce {
-            BTreeMap::new()
-        } else {
-            self.outbox.lock().drain_pending()
-        };
         bump(&self.stats.duq_flushes);
-        if entries.is_empty() && coalesced.is_empty() {
+        if entries.is_empty() {
             return Ok(BTreeMap::new());
         }
         add(&self.stats.duq_objects_flushed, entries.len() as u64);
@@ -286,13 +281,8 @@ impl NodeRuntime {
                 }
             }
         }
-        // Immediate per-destination messages start with the coalesced items
-        // of earlier hint flushes (older changes first); in the relay modes
-        // the coalesced items ride the carrier like everything else
-        // owner-flushed.
         let mut pending: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
         let mut relay: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
-        let mut buffered: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
         // Owner-cooperative bundles, keyed by the owner they ship to.
         let mut coop: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
         // Adaptive relay: a barrier-relayed payload bound for anyone but the
@@ -321,22 +311,6 @@ impl NodeRuntime {
             );
             true
         };
-        for (dest, items) in coalesced {
-            for item in items {
-                let relayed = match mode {
-                    FlushMode::BarrierRelay { .. } => {
-                        !bypass(self, dest, item.payload.model_bytes())
-                    }
-                    FlushMode::LockRelay { grantee } => dest == grantee,
-                    _ => false,
-                };
-                if relayed {
-                    relay.entry(dest).or_default().push(item);
-                } else {
-                    pending.entry(dest).or_default().push(item);
-                }
-            }
-        }
         // Fan-out payloads are retained (cheap: the buffers are `Arc`-shared)
         // until the ack round completes, so updates can be re-sent to copyset
         // members the owner reports as missed.
@@ -367,17 +341,8 @@ impl NodeRuntime {
                 "flush -> {dest:?}: {:?}",
                 items.iter().map(|i| i.object).collect::<Vec<_>>()
             );
-            rt.note_update_sent(&items);
-            let seq = rt.next_update_seq(dest, rt.clock.now());
-            rt.send(
-                dest,
-                DsmMsg::Update {
-                    items,
-                    requester: rt.node,
-                    seq,
-                    needs_ack: true,
-                },
-            )?;
+            let update = rt.next_bundle(dest, rt.clock.now(), items, Route::DirectAcked);
+            rt.send(dest, DsmMsg::Update(update))?;
             *expected_acks += 1;
             *outstanding.entry(dest).or_default() += 1;
             Ok(())
@@ -430,7 +395,6 @@ impl NodeRuntime {
                                     relay.entry(dest).or_default().push(item);
                                 }
                             }
-                            Dispatch::Buffer => buffered.entry(dest).or_default().push(item),
                         }
                     }
                     if route.fans_out && any_immediate {
@@ -483,31 +447,10 @@ impl NodeRuntime {
                 "coop relay -> {owner:?}: {:?}",
                 items.iter().map(|i| i.object).collect::<Vec<_>>()
             );
-            self.note_update_sent(&items);
-            let seq = self.next_update_seq(owner, self.clock.now());
-            self.send(
-                owner,
-                DsmMsg::RelayFanout {
-                    items: items.clone(),
-                    origin: self.node,
-                    seq,
-                },
-            )?;
+            let fanout =
+                self.next_bundle(owner, self.clock.now(), items.clone(), Route::OwnerFanout);
+            self.send(owner, DsmMsg::Update(fanout))?;
             coop_pending.insert(owner, items);
-        }
-        // Coalesced items go back to the outbox; they are delivered by the
-        // next transmission to their destination or at the window close.
-        if !buffered.is_empty() {
-            bump(&self.stats.flushes_coalesced);
-            let mut outbox = self.outbox.lock();
-            for (dest, items) in buffered {
-                crate::runtime::proto_trace!(
-                    self,
-                    "coalesce -> {dest:?}: {:?}",
-                    items.iter().map(|i| i.object).collect::<Vec<_>>()
-                );
-                outbox.buffer(dest, items);
-            }
         }
         // Relayed bundles are returned to the caller, which counts,
         // sequences, and attaches them (the barrier arrive / lock grant
@@ -687,68 +630,6 @@ impl NodeRuntime {
             }
         }
         Ok(relay)
-    }
-
-    /// Transmits any coalesced outbox items as acknowledged updates. Called
-    /// when the coalescing window closes: at an acquire (the issue's
-    /// "no acquire intervened" rule) and when a worker finishes, so no
-    /// buffered change can outlive the run. Runs on the user thread (it
-    /// blocks for the acks).
-    pub(crate) fn close_coalescing_window(self: &Arc<Self>) -> Result<()> {
-        let pending = self.outbox.lock().drain_pending();
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let mut expected_acks = 0usize;
-        let mut outstanding: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for (dest, items) in pending {
-            if dest != self.node && self.is_peer_dead(dest) {
-                continue;
-            }
-            crate::runtime::proto_trace!(
-                self,
-                "window close -> {dest:?}: {:?}",
-                items.iter().map(|i| i.object).collect::<Vec<_>>()
-            );
-            self.note_update_sent(&items);
-            let seq = self.next_update_seq(dest, self.clock.now());
-            self.send(
-                dest,
-                DsmMsg::Update {
-                    items,
-                    requester: self.node,
-                    seq,
-                    needs_ack: true,
-                },
-            )?;
-            expected_acks += 1;
-            *outstanding.entry(dest).or_default() += 1;
-        }
-        let mut acks = 0usize;
-        let mut handled = crate::nodeset::NodeSet::EMPTY;
-        while acks < expected_acks {
-            match self.wait_reply_or_dead(crate::runtime::WaitOp::WindowAcks, &mut handled) {
-                // Only owner-flushed items are ever coalesced, so the acks
-                // carry no copysets this node would need to heal against.
-                Ok((env, DsmMsg::UpdateAck { .. })) => {
-                    acks += 1;
-                    if let Some(o) = outstanding.get_mut(&env.src) {
-                        *o = o.saturating_sub(1);
-                    }
-                }
-                Ok(_) => {
-                    return Err(MuninError::ProtocolViolation(
-                        "unexpected reply while closing the coalescing window",
-                    ))
-                }
-                Err(MuninError::PeerDied(n)) => {
-                    let lost = outstanding.remove(&n).unwrap_or(0);
-                    expected_acks -= lost;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
     }
 
     /// Computes where one flushed object's changes go. The single source of
@@ -1004,30 +885,21 @@ impl NodeRuntime {
     }
 
     /// `Flush()` hint: "advises Munin to flush any buffered writes
-    /// immediately rather than waiting for a release." With piggybacking
-    /// enabled the owner-flushed updates are coalesced into the outbox
-    /// instead: consecutive hint flushes to the same destination merge into
-    /// one message, and release consistency still guarantees delivery no
-    /// later than the next release.
+    /// immediately rather than waiting for a release." Every update leaves
+    /// as its own message and is acknowledged before the call returns.
     pub(crate) fn flush_hint(self: &Arc<Self>) -> Result<()> {
-        let mode = if self.cfg.piggyback {
-            FlushMode::Coalesce
-        } else {
-            FlushMode::Immediate
-        };
-        self.flush_duq_mode(mode).map(|_| ())
+        self.flush_duq()
     }
 
     /// `Invalidate()` hint: deletes the local copy of every object of a
     /// variable, propagating pending changes first.
     pub(crate) fn invalidate_hint(self: &Arc<Self>, objects: &[ObjectId]) -> Result<()> {
-        // Flush any of the listed objects that are sitting in the DUQ (or
-        // coalesced in the outbox) so their changes are not lost, then drop
-        // the local copies.
+        // Flush any of the listed objects that are sitting in the DUQ so
+        // their changes are not lost, then drop the local copies.
         let any_pending = {
             let duq = self.duq.lock();
             objects.iter().any(|o| duq.contains(*o))
-        } || self.outbox.lock().has_pending_object(objects);
+        };
         if any_pending {
             self.flush_duq()?;
         }
@@ -1085,7 +957,7 @@ impl NodeRuntime {
         let any_pending = {
             let duq = self.duq.lock();
             objects.iter().any(|o| duq.contains(*o))
-        } || self.outbox.lock().has_pending_object(objects);
+        };
         if any_pending {
             self.flush_duq()?;
         }
@@ -1104,6 +976,7 @@ mod tests {
     use super::*;
     use crate::annotation::SharingAnnotation;
     use crate::config::MuninConfig;
+    use crate::msg::UpdateBundle;
     use crate::segment::SharedDataTable;
     use munin_sim::{CostModel, Network, NodeClock};
     use std::collections::HashSet;
@@ -1343,7 +1216,7 @@ mod tests {
         // Peer 1 ("owner" in the reported sense) acks and reports that N2
         // also holds a copy.
         let (_env, msg) = rx1.recv().unwrap();
-        let DsmMsg::Update { items, .. } = msg else {
+        let DsmMsg::Update(UpdateBundle { items, .. }) = msg else {
             panic!("expected update at N1, got {msg:?}");
         };
         assert_eq!(items.len(), 1);
@@ -1359,7 +1232,7 @@ mod tests {
         .unwrap();
         // The flusher must now heal N2 with the same payload.
         let (_env, msg) = rx2.recv().unwrap();
-        let DsmMsg::Update { items, .. } = msg else {
+        let DsmMsg::Update(UpdateBundle { items, .. }) = msg else {
             panic!("expected healing update at N2, got {msg:?}");
         };
         assert_eq!(items[0].object, ws);
@@ -1379,158 +1252,6 @@ mod tests {
         // N2 is remembered for future flushes.
         assert!(rt.dir.lock().entry(ws).copyset.contains(NodeId::new(2)));
         // Shut the service loop down.
-        tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
-            .unwrap();
-        server.join().unwrap();
-        drop(net);
-    }
-
-    /// Cross-release coalescing: consecutive `Flush()` hints buffer their
-    /// owner-flushed updates in the outbox and merge per destination; an
-    /// intervening acquire closes the window and transmits the buffered
-    /// items (with the normal ack round) before the acquire proceeds.
-    #[test]
-    fn hint_flushes_coalesce_until_an_acquire_closes_the_window() {
-        let mut table = SharedDataTable::new(64);
-        table.declare("ws", SharingAnnotation::WriteShared, 4, 8, false);
-        let table = Arc::new(table);
-        let cfg = Arc::new(MuninConfig::fast_test(2).with_piggyback(true));
-        let clock = NodeClock::new();
-        let mut net: Network<DsmMsg> = Network::new(2, CostModel::fast_test());
-        let (tx0, rx0) = net.endpoint(0, clock.clone()).unwrap();
-        let (tx1, rx1) = net.endpoint(1, NodeClock::new()).unwrap();
-        let rt = NodeRuntime::new(
-            NodeId::new(0),
-            2,
-            cfg,
-            table,
-            vec![NodeId::new(0)], // lock 0 homed here: acquires are local
-            vec![],
-            clock,
-            Arc::new(CostModel::fast_test()),
-            tx0,
-        );
-        let touched: HashSet<_> = rt.table().objects().iter().map(|o| o.id).collect();
-        rt.finish_root_init(&touched);
-        let ws = rt.table().var_by_name("ws").unwrap().objects[0];
-        {
-            // Pin the copyset so the flush skips the broadcast determination
-            // round (no peer runtime is serving queries in this harness).
-            let mut dir = rt.dir.lock();
-            let e = dir.entry_mut(ws);
-            e.copyset.insert(NodeId::new(1));
-            e.state.copyset_fixed = true;
-        }
-
-        // Two hint flushes: both buffer, nothing goes on the wire.
-        rt.write_fault(ws, 0).unwrap();
-        rt.install_object_bytes(ws, &[1u8; 32]);
-        rt.flush_hint().unwrap();
-        rt.write_fault(ws, 0).unwrap();
-        rt.install_object_bytes(ws, &[2u8; 32]);
-        rt.flush_hint().unwrap();
-        {
-            let snap = rt.stats().snapshot();
-            assert_eq!(snap.flushes_coalesced, 2);
-            assert_eq!(snap.updates_sent, 0, "coalesced hints send nothing");
-        }
-        assert!(rt.outbox.lock().has_pending());
-
-        // An acquire invalidates the window: the buffered items are
-        // transmitted (one merged message) and acknowledged before the
-        // acquire completes.
-        let server_rt = Arc::clone(&rt);
-        let server = std::thread::spawn(move || server_rt.server_loop(rx0));
-        let acq_rt = Arc::clone(&rt);
-        let acq = std::thread::spawn(move || acq_rt.acquire_lock(crate::sync::LockId(0)));
-        let (_env, msg) = rx1.recv().unwrap();
-        let DsmMsg::Update { items, .. } = msg else {
-            panic!("expected the window-close update, got {msg:?}");
-        };
-        assert_eq!(items.len(), 2, "both hint flushes merged into one message");
-        assert_eq!(items[0].object, ws);
-        tx1.send(
-            NodeId::new(0),
-            "update_ack",
-            40,
-            DsmMsg::UpdateAck {
-                count: 2,
-                owned_copysets: vec![],
-            },
-        )
-        .unwrap();
-        acq.join().unwrap().unwrap();
-        assert!(rt.sync.lock().lock(crate::sync::LockId(0)).held);
-        assert!(!rt.outbox.lock().has_pending());
-        assert_eq!(rt.stats().snapshot().updates_sent, 1);
-        tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
-            .unwrap();
-        server.join().unwrap();
-        drop(net);
-    }
-
-    /// A release flush drains the coalescing buffer too: the buffered hint
-    /// items are prepended to the flush's own updates for the same
-    /// destination, so nothing is delivered out of write order.
-    #[test]
-    fn release_flush_carries_coalesced_items_first() {
-        let mut table = SharedDataTable::new(64);
-        table.declare("ws", SharingAnnotation::WriteShared, 4, 8, false);
-        let table = Arc::new(table);
-        let cfg = Arc::new(MuninConfig::fast_test(2).with_piggyback(true));
-        let clock = NodeClock::new();
-        let mut net: Network<DsmMsg> = Network::new(2, CostModel::fast_test());
-        let (tx0, rx0) = net.endpoint(0, clock.clone()).unwrap();
-        let (tx1, rx1) = net.endpoint(1, NodeClock::new()).unwrap();
-        let rt = NodeRuntime::new(
-            NodeId::new(0),
-            2,
-            cfg,
-            table,
-            vec![],
-            vec![],
-            clock,
-            Arc::new(CostModel::fast_test()),
-            tx0,
-        );
-        let touched: HashSet<_> = rt.table().objects().iter().map(|o| o.id).collect();
-        rt.finish_root_init(&touched);
-        let ws = rt.table().var_by_name("ws").unwrap().objects[0];
-        {
-            // Pin the copyset so the flush skips the broadcast determination
-            // round (no peer runtime is serving queries in this harness).
-            let mut dir = rt.dir.lock();
-            let e = dir.entry_mut(ws);
-            e.copyset.insert(NodeId::new(1));
-            e.state.copyset_fixed = true;
-        }
-        rt.write_fault(ws, 0).unwrap();
-        rt.install_object_bytes(ws, &[1u8; 32]);
-        rt.flush_hint().unwrap();
-        rt.write_fault(ws, 0).unwrap();
-        rt.install_object_bytes(ws, &[2u8; 32]);
-        let server_rt = Arc::clone(&rt);
-        let server = std::thread::spawn(move || server_rt.server_loop(rx0));
-        let flusher_rt = Arc::clone(&rt);
-        let flusher = std::thread::spawn(move || flusher_rt.flush_duq());
-        let (_env, msg) = rx1.recv().unwrap();
-        let DsmMsg::Update { items, .. } = msg else {
-            panic!("expected one merged update, got {msg:?}");
-        };
-        // Coalesced hint item first, this release's item second.
-        assert_eq!(items.len(), 2);
-        tx1.send(
-            NodeId::new(0),
-            "update_ack",
-            40,
-            DsmMsg::UpdateAck {
-                count: 2,
-                owned_copysets: vec![],
-            },
-        )
-        .unwrap();
-        flusher.join().unwrap().unwrap();
-        assert!(!rt.outbox.lock().has_pending());
         tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
             .unwrap();
         server.join().unwrap();
@@ -1640,9 +1361,9 @@ mod tests {
     }
 
     /// The owner-cooperative path end-to-end from the flusher's side: a
-    /// non-owned fan-out bundle ships whole to the owner hint as a
-    /// `RelayFanout` (no copyset-determination round), and the release
-    /// completes once the owner's fan-out ack plus one `UpdateAck` per
+    /// non-owned fan-out bundle ships whole to the owner hint on
+    /// `Route::OwnerFanout` (no copyset-determination round), and the
+    /// release completes once the owner's fan-out ack plus one `UpdateAck` per
     /// reported re-fan destination have arrived.
     #[test]
     fn flush_ships_non_owned_bundle_to_cooperative_owner() {
@@ -1653,7 +1374,13 @@ mod tests {
         let flusher = std::thread::spawn(move || flusher_rt.flush_duq());
         // The whole bundle arrives at the owner hint, not at copyset members.
         let (_env, msg) = rx1.recv().unwrap();
-        let DsmMsg::RelayFanout { items, origin, seq } = msg else {
+        let DsmMsg::Update(UpdateBundle {
+            items,
+            origin,
+            seq,
+            route: Route::OwnerFanout,
+        }) = msg
+        else {
             panic!("expected a cooperative fan-out at N1, got {msg:?}");
         };
         assert_eq!(origin, NodeId::new(0));
@@ -1703,9 +1430,7 @@ mod tests {
         let flusher_rt = Arc::clone(&rt);
         let flusher = std::thread::spawn(move || flusher_rt.flush_duq());
         let (_env, msg) = rx1.recv().unwrap();
-        let DsmMsg::RelayFanout { .. } = msg else {
-            panic!("expected a cooperative fan-out at N1, got {msg:?}");
-        };
+        assert_eq!(msg.class(), "relay_fanout", "at N1: {msg:?}");
         // N1 does not own `ws` after all: bounce the whole bundle.
         tx1.send(
             NodeId::new(0),
@@ -1720,13 +1445,10 @@ mod tests {
         // Degraded fallback: both peers get an ordinary acknowledged update.
         for (tx, rx) in [(&tx1, &rx1), (&tx2, &rx2)] {
             let (_env, msg) = rx.recv().unwrap();
-            let DsmMsg::Update {
-                items, needs_ack, ..
-            } = msg
-            else {
+            let DsmMsg::Update(UpdateBundle { items, route, .. }) = msg else {
                 panic!("expected a degraded broadcast update, got {msg:?}");
             };
-            assert!(needs_ack);
+            assert_eq!(route, Route::DirectAcked);
             assert_eq!(items[0].object, ws);
             tx.send(
                 NodeId::new(0),
@@ -1752,6 +1474,56 @@ mod tests {
         server.join().unwrap();
         drop(net);
     }
+
+    /// `Flush()` sends at once, with piggybacking on too: when the hint
+    /// returns, the changes have gone out as an acknowledged `Update`, the
+    /// acknowledgement is in, and nothing is left behind for a later release
+    /// or carrier to deliver.
+    #[test]
+    fn flush_hint_sends_an_acknowledged_update_and_leaves_nothing_behind() {
+        let (rt, net, tx1, rx1, _tx2, rx2, rx0, ws) = coop_harness();
+        {
+            // Owned here, with a replica at N1 and the copyset pinned so the
+            // flush needs no determination round.
+            let mut dir = rt.dir.lock();
+            let e = dir.entry_mut(ws);
+            e.state.owned = true;
+            e.copyset.insert(NodeId::new(1));
+            e.state.copyset_fixed = true;
+        }
+        let server_rt = Arc::clone(&rt);
+        let server = std::thread::spawn(move || server_rt.server_loop(rx0));
+        let hint_rt = Arc::clone(&rt);
+        let hint = std::thread::spawn(move || hint_rt.flush_hint());
+        let (_env, msg) = rx1.recv().unwrap();
+        let DsmMsg::Update(UpdateBundle { items, route, .. }) = msg else {
+            panic!("expected the hint's update at N1, got {msg:?}");
+        };
+        assert_eq!(route, Route::DirectAcked);
+        assert_eq!(items[0].object, ws);
+        assert!(!hint.is_finished(), "the hint waits for the ack");
+        tx1.send(
+            NodeId::new(0),
+            "update_ack",
+            40,
+            DsmMsg::UpdateAck {
+                count: 1,
+                owned_copysets: vec![],
+            },
+        )
+        .unwrap();
+        hint.join().unwrap().unwrap();
+        assert!(rt.duq.lock().is_empty());
+        assert_eq!(rt.outbox.lock().relay_len(), 0);
+        let snap = rt.stats().snapshot();
+        assert_eq!((snap.updates_sent, snap.flushes_coalesced), (1, 0));
+        assert!(rx2.try_recv().unwrap().is_none(), "N2 holds no copy");
+        tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
+            .unwrap();
+        server.join().unwrap();
+        drop(net);
+    }
+
     /// Two cooperative owners, one a re-fan destination of the other: N1
     /// re-fans its bundle to N2, and N2's `UpdateAck` for that reaches the
     /// origin before N2's own `RelayFanoutAck`. The two kinds of ack owed
@@ -1765,7 +1537,7 @@ mod tests {
         let flusher = std::thread::spawn(move || flusher_rt.flush_duq());
         for rx in [&rx1, &rx2] {
             let (_env, msg) = rx.recv().unwrap();
-            assert!(matches!(msg, DsmMsg::RelayFanout { .. }));
+            assert_eq!(msg.class(), "relay_fanout");
         }
         let fanout_ack = |refanned| DsmMsg::RelayFanoutAck {
             refanned,
@@ -1816,7 +1588,7 @@ mod tests {
             let flusher_rt = Arc::clone(&rt);
             let flusher = std::thread::spawn(move || flusher_rt.flush_duq());
             let (_env, msg) = rx1.recv().unwrap();
-            assert!(matches!(msg, DsmMsg::RelayFanout { .. }));
+            assert_eq!(msg.class(), "relay_fanout");
             // N2's ack reaches the origin before the owner's does.
             tx2.send(NodeId::new(0), "update_ack", 40, ack()).unwrap();
             let (refanned, rejected) = if bounce {
@@ -1836,7 +1608,7 @@ mod tests {
                 // needs both of its own.
                 for (tx, rx) in [(&tx1, &rx1), (&tx2, &rx2)] {
                     let (_env, msg) = rx.recv().unwrap();
-                    assert!(matches!(msg, DsmMsg::Update { .. }));
+                    assert_eq!(msg.class(), "update");
                     tx.send(NodeId::new(0), "update_ack", 40, ack()).unwrap();
                 }
             }

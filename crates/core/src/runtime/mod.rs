@@ -54,7 +54,7 @@ use crate::diff::DiffScratch;
 use crate::directory::{AccessRights, DirEntry, Directory};
 use crate::duq::DelayedUpdateQueue;
 use crate::error::{MuninError, Result, StallReport};
-use crate::msg::DsmMsg;
+use crate::msg::{DsmMsg, Route, UpdateBundle, UpdateItem};
 use crate::object::ObjectId;
 use crate::segment::SharedDataTable;
 use crate::stats::MuninStats;
@@ -66,9 +66,9 @@ use crate::sync::SyncDirectory;
 const WATCHDOG_SLICE: Duration = Duration::from_millis(50);
 
 /// Whether protocol-trace notes are enabled (the flight recorder's
-/// human-readable dump mode; `MUNIN_PROTO_TRACE=1` is the long-standing
-/// alias for `MUNIN_OBS_DUMP=1`). Logs go to stderr with node ids and
-/// virtual times, and the notes also enter the flight-recorder ring.
+/// human-readable dump mode, `MUNIN_OBS_DUMP=1`). Logs go to stderr with
+/// node ids and virtual times, and the notes also enter the flight-recorder
+/// ring.
 pub(crate) fn proto_trace_enabled() -> bool {
     crate::obs::dump_enabled()
 }
@@ -105,9 +105,6 @@ pub(crate) enum WaitOp {
     InvalidateAcks(ObjectId),
     /// Waiting for `UpdateAck`s after a DUQ flush transmission round.
     UpdateAcks,
-    /// Waiting for `UpdateAck`s while closing the cross-release coalescing
-    /// window at an acquire.
-    WindowAcks,
     /// Waiting for `CopysetReply`s in a broadcast determination round.
     CopysetReplies,
     /// Waiting for `OwnerCopysetReply`s in an owner-collected round.
@@ -131,7 +128,6 @@ impl WaitOp {
             WaitOp::Fetch(_) => "fetch",
             WaitOp::InvalidateAcks(_) => "invalidate_acks",
             WaitOp::UpdateAcks => "update_acks",
-            WaitOp::WindowAcks => "window_acks",
             WaitOp::CopysetReplies => "copyset_replies",
             WaitOp::OwnerCopysetReplies => "owner_copyset_replies",
             WaitOp::Reduce(_) => "reduce",
@@ -242,13 +238,12 @@ pub struct NodeRuntime {
     diff_scratch: Mutex<DiffScratch>,
     /// The synchronization object directory.
     sync: Mutex<SyncDirectory>,
-    /// The per-destination carrier/outbox layer: coalesced cross-release
-    /// updates awaiting transmission, and (at a barrier owner) relayed
+    /// The carrier layer's barrier-relay stash: at a barrier owner, relayed
     /// bundles awaiting redistribution on the release. Leaf lock — never
     /// held while the directory, DUQ, or sync locks are taken.
     outbox: Mutex<outbox::Outbox>,
     /// Next outbound update-stream sequence number per destination (see
-    /// `DsmMsg::Update::seq`). Leaf lock.
+    /// `UpdateBundle::seq`). Leaf lock.
     update_seq_out: Mutex<Vec<u64>>,
     /// Next expected inbound update-stream sequence number per source.
     /// Leaf lock.
@@ -502,10 +497,28 @@ impl NodeRuntime {
         }
     }
 
+    /// This node's next bundle for `dest`: counts the transmission and draws
+    /// its slot in the update stream to `dest` at `at`.
+    pub(crate) fn next_bundle(
+        &self,
+        dest: NodeId,
+        at: VirtTime,
+        items: Vec<UpdateItem>,
+        route: Route,
+    ) -> UpdateBundle {
+        self.note_update_sent(&items);
+        UpdateBundle {
+            origin: self.node,
+            seq: self.next_update_seq(dest, at),
+            items,
+            route,
+        }
+    }
+
     /// Counts one update transmission (standalone, piggybacked, or relayed)
     /// in the runtime statistics — the single accounting point for
     /// `updates_sent`/`update_bytes_sent`.
-    pub(crate) fn note_update_sent(&self, items: &[crate::msg::UpdateItem]) {
+    pub(crate) fn note_update_sent(&self, items: &[UpdateItem]) {
         crate::stats::add(&self.stats.updates_sent, 1);
         crate::stats::add(
             &self.stats.update_bytes_sent,

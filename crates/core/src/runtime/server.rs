@@ -14,14 +14,24 @@ use crate::annotation::SharingAnnotation;
 use crate::copyset::CopySet;
 use crate::diff;
 use crate::directory::AccessRights;
-use crate::msg::{
-    CarrierUpdate, DsmMsg, FetchKind, ReduceOp, RelayUpdate, UpdateItem, UpdatePayload,
-};
+use crate::msg::{DsmMsg, FetchKind, ReduceOp, Route, UpdateBundle, UpdateItem, UpdatePayload};
 use crate::object::ObjectId;
 use crate::stats::{add, bump};
 use crate::sync::{RemoteAcquireAction, TokenArrival};
 
-use super::{DeferredOn, NodeRuntime};
+use super::{DeferredOn, NodeRuntime, SeqCheck};
+
+/// What [`NodeRuntime::admit`] decided about an arriving update bundle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Admission {
+    /// Install it now (its stream slot, if it has one, is consumed).
+    Apply,
+    /// Not yet: a target entry is busy or pinned, or a lower-numbered
+    /// transmission of its stream is still in flight.
+    Defer(DeferredOn),
+    /// Its slot was already consumed (a duplicate delivery): drop the items.
+    Stale,
+}
 
 impl NodeRuntime {
     /// The service loop's receive. Unclocked: a request is handled at its
@@ -204,18 +214,7 @@ impl NodeRuntime {
             DsmMsg::Invalidate { object, requester } => {
                 self.handle_invalidate(env, object, requester)
             }
-            DsmMsg::Update {
-                items,
-                requester,
-                seq,
-                needs_ack,
-            } => self.handle_update(env, items, requester, seq, needs_ack, now),
-            DsmMsg::RelayFanout { items, origin, seq } => {
-                self.handle_relay_fanout(env, items, origin, seq, now)
-            }
-            DsmMsg::RelayForward { items, origin, seq } => {
-                self.handle_relay_forward(env, items, origin, seq, now)
-            }
+            DsmMsg::Update(bundle) => self.handle_update(env, bundle),
             DsmMsg::CopysetQuery { objects, requester } => {
                 self.handle_copyset_query(env, objects, requester)
             }
@@ -273,9 +272,9 @@ impl NodeRuntime {
     fn handle_carrier(
         self: &Arc<Self>,
         env: Envelope,
-        inner: Option<Box<DsmMsg>>,
-        updates: Vec<CarrierUpdate>,
-        relay: Vec<RelayUpdate>,
+        inner: Box<DsmMsg>,
+        updates: Vec<UpdateBundle>,
+        relay: Vec<(NodeId, UpdateBundle)>,
     ) {
         // A grant or release *gates an acquire*: the blocked user thread
         // resumes the moment it is routed, so it must never outrun its
@@ -284,63 +283,67 @@ impl NodeRuntime {
         // the receiver's user thread is parked in `wait_reply` (it cannot
         // hold busy/pinned entries) and any missing stream number is already
         // on the wire. Every other inner keeps legacy ordering: it is
-        // dispatched now and only the blocked bundles wait (an
-        // `InvalidateAck` *must* go through — its requester is mid-write-
-        // fault, which is exactly what blocks the bundle).
+        // dispatched now and only the blocked bundles wait, each re-queued
+        // as itself (an `InvalidateAck` *must* go through — its requester is
+        // mid-write-fault, which is exactly what blocks the bundle).
         let gates_acquire = matches!(
-            inner.as_deref(),
-            Some(DsmMsg::LockGrant { .. })
-                | Some(DsmMsg::BarrierRelease { .. })
-                | Some(DsmMsg::BarrierTreeRelease { .. })
+            *inner,
+            DsmMsg::LockGrant { .. }
+                | DsmMsg::BarrierRelease { .. }
+                | DsmMsg::BarrierTreeRelease { .. }
         );
         if gates_acquire {
-            let waiting = self.try_install_carrier_updates(env, updates);
+            let mut waiting = Vec::new();
+            let mut on = DeferredOn::Stream;
+            for bundle in updates {
+                match self.admit(&env, &bundle) {
+                    Admission::Apply => self.install_admitted(env, bundle),
+                    Admission::Stale => {}
+                    Admission::Defer(what) => {
+                        if what == DeferredOn::Entry {
+                            on = DeferredOn::Entry;
+                        }
+                        waiting.push(bundle);
+                    }
+                }
+            }
             if !waiting.is_empty() {
                 crate::runtime::proto_trace!(self, "defer whole carrier (gating inner)");
-                let on = if waiting.iter().any(|(_, on)| *on == DeferredOn::Entry) {
-                    DeferredOn::Entry
-                } else {
-                    DeferredOn::Stream
-                };
                 let carrier = DsmMsg::Carrier {
                     inner,
-                    updates: waiting.into_iter().map(|(bundle, _)| bundle).collect(),
+                    updates: waiting,
                     relay,
                 };
                 self.defer(env, carrier, on);
                 return;
             }
         } else {
-            self.install_carrier_updates(env, updates);
+            for bundle in updates {
+                self.handle_update(env, bundle);
+            }
         }
         if !relay.is_empty() {
             // Relays only ever ride barrier traffic — flat arrives, or the
             // tree path's combines and releases (a bundle can transit
             // several tree hops before reaching its destination). The
             // barrier id keys the stash so overlapping episodes cannot mix.
-            let barrier = match inner.as_deref() {
-                Some(DsmMsg::BarrierArrive { barrier, .. })
-                | Some(DsmMsg::BarrierCombine { barrier, .. })
-                | Some(DsmMsg::BarrierTreeRelease { barrier, .. }) => Some(*barrier),
+            let barrier = match *inner {
+                DsmMsg::BarrierArrive { barrier, .. }
+                | DsmMsg::BarrierCombine { barrier, .. }
+                | DsmMsg::BarrierTreeRelease { barrier, .. } => Some(barrier),
                 _ => None,
             };
-            for r in relay {
-                let bundle = CarrierUpdate {
-                    from: r.from,
-                    seq: r.seq,
-                    items: r.items,
-                    sync_install: false,
-                };
-                if r.dest == self.node {
+            for (dest, bundle) in relay {
+                if dest == self.node {
                     // The owner's own share is installed now — before the
                     // arrival below is counted. (If it has to defer, the trip
                     // still cannot release anyone ahead of the install: this
                     // node's own arrival is outstanding until its user thread
                     // clears the blocking state, and `process_deferred` runs
                     // first.)
-                    self.install_carrier_updates(env, vec![bundle]);
+                    self.handle_update(env, bundle);
                 } else if let Some(b) = barrier {
-                    self.outbox.lock().stash_relay(b, r.dest, bundle);
+                    self.outbox.lock().stash_relay(b, dest, bundle);
                 } else {
                     // A relay without a framing barrier message is a
                     // protocol bug; dropping it silently would diverge the
@@ -348,14 +351,12 @@ impl NodeRuntime {
                     bump(&self.stats.runtime_errors);
                     crate::runtime::proto_trace!(
                         self,
-                        "dropping relay bundle without a barrier frame (dest {:?})",
-                        r.dest
+                        "dropping relay bundle without a barrier frame (dest {dest:?})"
                     );
                     debug_assert!(false, "relay bundles require a barrier frame");
                 }
             }
         }
-        let Some(inner) = inner else { return };
         let inner = *inner;
         if let DsmMsg::WorkerDone { from } = inner {
             let _ = self.done_tx.send((from, env.arrival));
@@ -366,113 +367,93 @@ impl NodeRuntime {
         }
     }
 
-    /// The unified carrier-install path: applies piggybacked update bundles
-    /// with the same pin/busy discipline as standalone updates. A bundle
-    /// whose directory entries are mid-transition is re-queued as a bare
-    /// carrier frame and retried when the transition completes, exactly like
-    /// a deferred `Update`.
-    pub(crate) fn install_carrier_updates(
-        self: &Arc<Self>,
-        env: Envelope,
-        updates: Vec<CarrierUpdate>,
-    ) {
-        for (bundle, on) in self.try_install_carrier_updates(env, updates) {
-            let carrier = DsmMsg::Carrier {
-                inner: None,
-                updates: vec![bundle],
-                relay: Vec::new(),
-            };
-            self.defer(env, carrier, on);
+    /// The admission gate every arriving update bundle passes, whatever it
+    /// rode in on: may it be installed now?
+    ///
+    /// Not while any target is mid-fetch (busy) or covered by an in-flight
+    /// pinned access. The object data of a fetch in flight was served
+    /// *before* this update was applied at the server, so discarding the
+    /// update as "no copy here" would leave the just-fetched copy
+    /// permanently stale (diffs carry absolute word values, so applying the
+    /// deferred update on top of the installed copy is exact); and applying
+    /// concurrently with a pinned access would interleave with the user
+    /// thread's copy at byte granularity (the VM-trap mode's user copies are
+    /// lock-free). Pins are released without blocking, so the deferral
+    /// cannot deadlock, and an acknowledged sender waits for the deferred
+    /// ack as part of its release, so it cannot issue a *newer* update that
+    /// this one could regress.
+    ///
+    /// And not out of sequence: a bundle ahead of its origin's stream waits
+    /// for the lower-numbered transmission still in flight (e.g. a
+    /// barrier-relayed bundle on another link); a stale one is an injected
+    /// duplicate and must not be re-applied over newer data.
+    ///
+    /// Records the `UpdateInstall` (the flow-arrow sink matching the
+    /// sender's `UpdateSend`) or `UpdateDefer` event; sync installs, which
+    /// belong to no stream, record neither.
+    pub(crate) fn admit(&self, env: &Envelope, bundle: &UpdateBundle) -> Admission {
+        // A forward's hop starts at the re-fanning owner, not at the origin.
+        let (peer, via) = match bundle.route {
+            Route::OwnerForward => (env.src, Some(bundle.origin)),
+            _ => (bundle.origin, None),
+        };
+        let record = |kind| {
+            if bundle.route != Route::SyncInstall {
+                self.obs.record(env.arrival.as_nanos(), kind, |ev| {
+                    ev.peer = Some(peer);
+                    ev.seq = Some(bundle.seq);
+                    ev.origin = via;
+                });
+            }
+        };
+        let blocked = {
+            let dir = self.dir.lock();
+            bundle.items.iter().any(|i| {
+                let st = dir.entry(i.object).state;
+                st.busy || st.pinned
+            })
+        };
+        if blocked {
+            crate::runtime::proto_trace!(self, "defer {:?} bundle from {peer:?}", bundle.route);
+            record(crate::obs::EventKind::UpdateDefer);
+            return Admission::Defer(DeferredOn::Entry);
         }
-    }
-
-    /// Applies every bundle that can be applied *now* and returns the rest,
-    /// each with what it waits on (a busy/pinned entry, or its source's
-    /// sequence stream). The caller decides how the returned bundles wait.
-    fn try_install_carrier_updates(
-        self: &Arc<Self>,
-        env: Envelope,
-        updates: Vec<CarrierUpdate>,
-    ) -> Vec<(CarrierUpdate, DeferredOn)> {
-        let mut waiting = Vec::new();
-        for bundle in updates {
-            let blocked = {
-                let dir = self.dir.lock();
-                bundle.items.iter().any(|i| {
-                    let st = dir.entry(i.object).state;
-                    st.busy || st.pinned
-                })
-            };
-            if blocked {
-                crate::runtime::proto_trace!(self, "defer carrier bundle from {:?}", bundle.from);
-                if !bundle.sync_install {
-                    self.obs.record(
-                        env.arrival.as_nanos(),
-                        crate::obs::EventKind::UpdateDefer,
-                        |ev| {
-                            ev.peer = Some(bundle.from);
-                            ev.seq = Some(bundle.seq);
-                        },
-                    );
-                }
-                waiting.push((bundle, DeferredOn::Entry));
-                continue;
-            }
-            if bundle.sync_install {
-                self.install_sync_items(bundle.items, env.arrival);
-                continue;
-            }
-            // Flush bundles participate in the per-source update sequence
-            // stream: a bundle ahead of the stream (a lower-numbered direct
-            // update or bundle still in flight) defers like a busy entry; a
-            // stale one (duplicate delivery) is dropped.
-            match self.check_update_seq(bundle.from, bundle.seq) {
-                super::SeqCheck::Apply => {
+        // Two routes hold no stream slot. Sync installs are ordered by the
+        // lock token they travel with. Forwards travel the owner→here link
+        // directly (FIFO, no carrier detour) and deliberately draw no slot
+        // of the owner's stream: the re-fanning service thread may run while
+        // the owner's user thread has relay bundles holding earlier slots
+        // parked at a barrier owner until the release, and a fresh slot
+        // would open a gap this node can only close after a release that
+        // transitively waits on this forward's ack. Interleaving with those
+        // stashed bundles is order-insensitive: concurrent-interval diffs
+        // from distinct writers touch disjoint words in data-race-free
+        // programs — the same assumption the legacy multi-link fan-out
+        // already makes.
+        if !matches!(bundle.route, Route::OwnerForward | Route::SyncInstall) {
+            match self.check_update_seq(bundle.origin, bundle.seq) {
+                SeqCheck::Apply => {}
+                SeqCheck::Early => {
                     crate::runtime::proto_trace!(
                         self,
-                        "install carrier bundle from {:?} seq {}: {:?}",
-                        bundle.from,
-                        bundle.seq,
-                        bundle.items.iter().map(|i| i.object).collect::<Vec<_>>()
-                    );
-                    self.obs.record(
-                        env.arrival.as_nanos(),
-                        crate::obs::EventKind::UpdateInstall,
-                        |ev| {
-                            ev.peer = Some(bundle.from);
-                            ev.seq = Some(bundle.seq);
-                        },
-                    );
-                    self.apply_update_items(bundle.items, false, env.arrival);
-                }
-                super::SeqCheck::Early => {
-                    crate::runtime::proto_trace!(
-                        self,
-                        "defer early carrier bundle from {:?} seq {}",
-                        bundle.from,
+                        "defer early bundle from {peer:?} seq {}",
                         bundle.seq
                     );
-                    self.obs.record(
-                        env.arrival.as_nanos(),
-                        crate::obs::EventKind::UpdateDefer,
-                        |ev| {
-                            ev.peer = Some(bundle.from);
-                            ev.seq = Some(bundle.seq);
-                        },
-                    );
-                    waiting.push((bundle, DeferredOn::Stream));
+                    record(crate::obs::EventKind::UpdateDefer);
+                    return Admission::Defer(DeferredOn::Stream);
                 }
-                super::SeqCheck::Stale => {
+                SeqCheck::Stale => {
                     crate::runtime::proto_trace!(
                         self,
-                        "drop stale carrier bundle from {:?} seq {}",
-                        bundle.from,
+                        "drop stale bundle from {peer:?} seq {}",
                         bundle.seq
                     );
+                    return Admission::Stale;
                 }
             }
         }
-        waiting
+        record(crate::obs::EventKind::UpdateInstall);
+        Admission::Apply
     }
 
     /// Installs data associated with a synchronization object
@@ -794,22 +775,10 @@ impl NodeRuntime {
                         ev.peer = Some(requester);
                         ev.run = Some(data.len() as u32);
                     });
-                // The served bytes are live memory, so any outbox items for
-                // a (requester, object) pair just served are subsumed — and
-                // if the object is written again before they drain,
-                // delivering them later would regress the requester's fresh
-                // copy.
-                let served = (object.as_u32()..).map(ObjectId::new).zip(&data);
-                if self.cfg.piggyback {
-                    let mut outbox = self.outbox.lock();
-                    for (id, _) in served.clone() {
-                        outbox.drop_pending_object(requester, id);
-                    }
-                }
                 // Per object served: the directory lookup, and the copy cost
                 // the prototype pays when it assembles the reply (the copies
                 // themselves happened under the directory lock above).
-                let service = served.fold(munin_sim::VirtTime::ZERO, |t, (_, bytes)| {
+                let service = data.iter().fold(munin_sim::VirtTime::ZERO, |t, bytes| {
                     t + self.cost.dir_op() + self.cost.copy(bytes.len() as u64)
                 });
                 self.charge_sys(service);
@@ -893,6 +862,13 @@ impl NodeRuntime {
         };
         self.charge_sys(self.cost.dir_op());
         bump(&self.stats.invalidations_received);
+        // Not counted in `updates_sent`: it is part of the invalidation.
+        let flush = |payload, route| UpdateBundle {
+            origin: self.node,
+            seq: self.next_update_seq(requester, now),
+            items: vec![UpdateItem { object, payload }],
+            route,
+        };
         match flush_payload {
             // The dirty-copy flush rides the acknowledgement it would
             // otherwise race ahead of: one carrier instead of an Update
@@ -904,13 +880,8 @@ impl NodeRuntime {
                 let _ = self.send_service(
                     requester,
                     DsmMsg::Carrier {
-                        inner: Some(Box::new(DsmMsg::InvalidateAck { object })),
-                        updates: vec![CarrierUpdate {
-                            from: self.node,
-                            seq: self.next_update_seq(requester, now),
-                            items: vec![UpdateItem { object, payload }],
-                            sync_install: false,
-                        }],
+                        inner: Box::new(DsmMsg::InvalidateAck { object }),
+                        updates: vec![flush(payload, Route::Carried)],
                         relay: Vec::new(),
                     },
                     now + self.cost.dir_op(),
@@ -920,12 +891,7 @@ impl NodeRuntime {
             Some(payload) => {
                 let _ = self.send_service(
                     requester,
-                    DsmMsg::Update {
-                        items: vec![UpdateItem { object, payload }],
-                        requester: self.node,
-                        seq: self.next_update_seq(requester, now),
-                        needs_ack: false,
-                    },
+                    DsmMsg::Update(flush(payload, Route::DirectUnacked)),
                     now + self.cost.dir_op(),
                 );
             }
@@ -938,215 +904,79 @@ impl NodeRuntime {
         );
     }
 
-    /// Applies incoming delayed updates to the local copies.
-    ///
-    /// If any updated object is mid-fetch on this node (its busy bit is
-    /// set), the whole update is deferred until the fetch completes: the
-    /// in-flight object data was served *before* this update was applied at
-    /// the server, so discarding the update as "no copy here" would leave the
-    /// just-fetched copy permanently stale (the same window the copyset-query
-    /// deferral closes; diffs carry absolute word values, so applying the
-    /// deferred update on top of the installed copy is exact). The sender
-    /// waits for the deferred ack as part of its release, which also
-    /// guarantees it cannot issue a *newer* update for the object that this
-    /// deferred one could regress.
-    fn handle_update(
-        self: &Arc<Self>,
-        env: Envelope,
-        items: Vec<UpdateItem>,
-        requester: NodeId,
-        seq: u64,
-        needs_ack: bool,
-        now: munin_sim::VirtTime,
-    ) {
-        {
-            let dir = self.dir.lock();
-            // Deferred while any target is mid-fetch (busy) *or* covered by
-            // an in-flight pinned access: applying concurrently with a
-            // pinned access would interleave with the user thread's copy at
-            // byte granularity (the VM-trap mode's user copies are
-            // lock-free). Pins are released without blocking, so this
-            // cannot deadlock — same argument as the invalidate deferral.
-            if items.iter().any(|i| {
-                let st = dir.entry(i.object).state;
-                st.busy || st.pinned
-            }) {
-                drop(dir);
-                crate::runtime::proto_trace!(self, "defer update from {requester:?}");
-                self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::UpdateDefer, |ev| {
-                        ev.peer = Some(requester);
-                        ev.seq = Some(seq);
-                    });
-                self.defer(
-                    env,
-                    DsmMsg::Update {
-                        items,
-                        requester,
-                        seq,
-                        needs_ack,
+    /// Handles an arriving update bundle: through the admission gate, then
+    /// installed, re-queued as itself, or answered as the duplicate it is.
+    fn handle_update(self: &Arc<Self>, env: Envelope, bundle: UpdateBundle) {
+        match self.admit(&env, &bundle) {
+            Admission::Apply => self.install_admitted(env, bundle),
+            Admission::Defer(on) => self.defer(env, DsmMsg::Update(bundle), on),
+            // The original delivery was acknowledged when it was applied;
+            // ack the duplicate too (emptily), so a sender counting
+            // per-message acks is no worse off than under the legacy
+            // re-apply behaviour.
+            Admission::Stale => {
+                let ack = match bundle.route {
+                    Route::DirectAcked => DsmMsg::UpdateAck {
+                        count: 0,
+                        owned_copysets: Vec::new(),
                     },
-                    DeferredOn::Entry,
-                );
-                return;
-            }
-        }
-        // Sequence-stream check (see `DsmMsg::Update::seq`): an update ahead
-        // of its source's stream defers until the in-flight lower-numbered
-        // transmission (e.g. a barrier-relayed bundle on another link)
-        // arrives; a stale one is an injected duplicate and must not be
-        // re-applied over newer data.
-        match self.check_update_seq(requester, seq) {
-            super::SeqCheck::Apply => {
-                // The flow-arrow sink ("f") matching the sender's
-                // `next_update_seq` allocation.
-                self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::UpdateInstall, |ev| {
-                        ev.peer = Some(requester);
-                        ev.seq = Some(seq);
-                    });
-            }
-            super::SeqCheck::Early => {
-                crate::runtime::proto_trace!(
-                    self,
-                    "defer early update from {requester:?} seq {seq}"
-                );
-                self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::UpdateDefer, |ev| {
-                        ev.peer = Some(requester);
-                        ev.seq = Some(seq);
-                    });
-                self.defer(
-                    env,
-                    DsmMsg::Update {
-                        items,
-                        requester,
-                        seq,
-                        needs_ack,
+                    Route::OwnerFanout => DsmMsg::RelayFanoutAck {
+                        refanned: Vec::new(),
+                        rejected: Vec::new(),
                     },
-                    DeferredOn::Stream,
-                );
-                return;
+                    _ => return,
+                };
+                let _ = self.send_service(bundle.origin, ack, env.arrival);
             }
-            super::SeqCheck::Stale => {
-                crate::runtime::proto_trace!(
-                    self,
-                    "drop stale update from {requester:?} seq {seq}"
-                );
-                if needs_ack {
-                    // The original delivery was acknowledged when it was
-                    // applied; ack the duplicate too so a sender counting
-                    // per-message acks is no worse off than under the legacy
-                    // re-apply behaviour.
-                    let _ = self.send_service(
-                        requester,
-                        DsmMsg::UpdateAck {
-                            count: 0,
-                            owned_copysets: Vec::new(),
-                        },
-                        now,
-                    );
-                }
-                return;
-            }
-        }
-        let (applied, service, owned_copysets) = self.apply_update_items(items, needs_ack, now);
-        if needs_ack {
-            // The ack is itself a carrier opportunity: any coalesced items
-            // queued for the flusher ride it home.
-            self.send_service_with_pending(
-                requester,
-                DsmMsg::UpdateAck {
-                    count: applied,
-                    owned_copysets,
-                },
-                now + service,
-            );
         }
     }
 
-    /// Handles an owner-cooperative fan-out bundle: installs the items this
-    /// node owns, then re-fans them to the other members of its
+    /// What remains to do with a bundle once [`Self::admit`] has let it in:
+    /// the part that differs by route.
+    fn install_admitted(self: &Arc<Self>, env: Envelope, bundle: UpdateBundle) {
+        let now = env.arrival;
+        let UpdateBundle {
+            origin,
+            seq,
+            items,
+            route,
+        } = bundle;
+        match route {
+            Route::Carried | Route::DirectUnacked => {
+                self.apply_update_items(items, false, now);
+            }
+            Route::SyncInstall => self.install_sync_items(items, now),
+            // The origin's flush is blocked counting acks: a direct update's
+            // carries the recorded copysets it heals against, a forward's
+            // (sent by the owner on the origin's behalf) nothing.
+            Route::DirectAcked | Route::OwnerForward => {
+                let (count, service, owned_copysets) =
+                    self.apply_update_items(items, route == Route::DirectAcked, now);
+                let ack = DsmMsg::UpdateAck {
+                    count,
+                    owned_copysets,
+                };
+                let _ = self.send_service(origin, ack, now + service);
+            }
+            Route::OwnerFanout => self.refan(items, origin, seq, now),
+        }
+    }
+
+    /// The owner's half of the owner-cooperative fan-out: installs the items
+    /// this node owns, then re-fans them to the other members of its
     /// *authoritative* copyset (the union of every determined set with the
     /// replicas recorded while serving fetches) — the flusher never runs a
     /// determination round or heals stragglers for these objects. Items this
     /// node does not own (the origin's ownership hint was stale) are bounced
     /// back in the ack as `rejected`, neither installed nor distributed; the
     /// origin repairs its hint and falls back to a direct broadcast.
-    ///
-    /// Defer and sequencing rules mirror `handle_update`: the bundle rides
-    /// the origin→owner update stream, and a stale duplicate is answered
-    /// with an empty ack so the origin's per-message accounting stays whole.
-    fn handle_relay_fanout(
+    fn refan(
         self: &Arc<Self>,
-        env: Envelope,
         items: Vec<UpdateItem>,
         origin: NodeId,
         seq: u64,
         now: munin_sim::VirtTime,
     ) {
-        {
-            let dir = self.dir.lock();
-            if items.iter().any(|i| {
-                let st = dir.entry(i.object).state;
-                st.busy || st.pinned
-            }) {
-                drop(dir);
-                crate::runtime::proto_trace!(self, "defer relay fanout from {origin:?}");
-                self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::UpdateDefer, |ev| {
-                        ev.peer = Some(origin);
-                        ev.seq = Some(seq);
-                    });
-                self.defer(
-                    env,
-                    DsmMsg::RelayFanout { items, origin, seq },
-                    DeferredOn::Entry,
-                );
-                return;
-            }
-        }
-        match self.check_update_seq(origin, seq) {
-            super::SeqCheck::Apply => {
-                self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::UpdateInstall, |ev| {
-                        ev.peer = Some(origin);
-                        ev.seq = Some(seq);
-                    });
-            }
-            super::SeqCheck::Early => {
-                crate::runtime::proto_trace!(
-                    self,
-                    "defer early relay fanout from {origin:?} seq {seq}"
-                );
-                self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::UpdateDefer, |ev| {
-                        ev.peer = Some(origin);
-                        ev.seq = Some(seq);
-                    });
-                self.defer(
-                    env,
-                    DsmMsg::RelayFanout { items, origin, seq },
-                    DeferredOn::Stream,
-                );
-                return;
-            }
-            super::SeqCheck::Stale => {
-                crate::runtime::proto_trace!(
-                    self,
-                    "drop stale relay fanout from {origin:?} seq {seq}"
-                );
-                let _ = self.send_service(
-                    origin,
-                    DsmMsg::RelayFanoutAck {
-                        refanned: Vec::new(),
-                        rejected: Vec::new(),
-                    },
-                    now,
-                );
-                return;
-            }
-        }
         // Partition on ownership and snapshot the authoritative copysets in
         // one directory-lock scope; liveness is checked afterwards because
         // the failure detector takes its own lock.
@@ -1186,93 +1016,28 @@ impl NodeRuntime {
                     ev.object = dest_items.first().map(|i| i.object);
                     ev.seq = Some(seq);
                 });
-            // This hop's flow start, paired with the `UpdateInstall` in
-            // `handle_relay_forward`.
+            // This hop's flow start, paired with the `UpdateInstall` the
+            // destination's `admit` records. The forward carries the
+            // *origin's* fan-out seq for that pairing and draws no slot from
+            // this node's own stream to `dest` (see `admit`).
             self.obs
                 .record(now.as_nanos(), crate::obs::EventKind::UpdateSend, |ev| {
                     ev.peer = Some(dest);
                     ev.seq = Some(seq);
                     ev.origin = Some(origin);
                 });
-            // The forward carries the *origin's* fan-out seq for trace
-            // correlation but deliberately does NOT draw a slot from this
-            // node's own update stream to `dest`: this service thread may
-            // run while the user thread has relay bundles (holding earlier
-            // stream slots) parked at a barrier owner until the release, and
-            // a fresh slot here would open a gap `dest` can only close after
-            // a release that transitively waits on this forward's ack.
-            let _ = self.send_service(
-                dest,
-                DsmMsg::RelayForward {
-                    items: dest_items,
-                    origin,
-                    seq,
-                },
-                now + service,
-            );
+            let forward = UpdateBundle {
+                origin,
+                seq,
+                items: dest_items,
+                route: Route::OwnerForward,
+            };
+            let _ = self.send_service(dest, DsmMsg::Update(forward), now + service);
             refanned.push(dest);
         }
-        self.send_service_with_pending(
+        let _ = self.send_service(
             origin,
             DsmMsg::RelayFanoutAck { refanned, rejected },
-            now + service,
-        );
-    }
-
-    /// Handles a bundle re-fanned by an owner on the origin's behalf, acking
-    /// `origin`, whose flush is blocked counting acks.
-    ///
-    /// Forwards are exempt from the per-stream sequence check: they travel
-    /// the owner→here link directly (FIFO, no carrier detour), and they
-    /// deliberately carry no slot of the owner's update stream — the
-    /// re-fanning service thread may run while the owner's user thread has
-    /// relay bundles holding earlier slots parked at a barrier owner (see
-    /// `handle_relay_fanout`). Interleaving with those stashed bundles is
-    /// order-insensitive: concurrent-interval diffs from distinct writers
-    /// touch disjoint words in data-race-free programs — the same assumption
-    /// the legacy multi-link fan-out already makes.
-    fn handle_relay_forward(
-        self: &Arc<Self>,
-        env: Envelope,
-        items: Vec<UpdateItem>,
-        origin: NodeId,
-        seq: u64,
-        now: munin_sim::VirtTime,
-    ) {
-        {
-            let dir = self.dir.lock();
-            if items.iter().any(|i| {
-                let st = dir.entry(i.object).state;
-                st.busy || st.pinned
-            }) {
-                drop(dir);
-                crate::runtime::proto_trace!(self, "defer relay forward from {:?}", env.src);
-                self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::UpdateDefer, |ev| {
-                        ev.peer = Some(env.src);
-                        ev.seq = Some(seq);
-                    });
-                self.defer(
-                    env,
-                    DsmMsg::RelayForward { items, origin, seq },
-                    DeferredOn::Entry,
-                );
-                return;
-            }
-        }
-        self.obs
-            .record(now.as_nanos(), crate::obs::EventKind::UpdateInstall, |ev| {
-                ev.peer = Some(env.src);
-                ev.seq = Some(seq);
-                ev.origin = Some(origin);
-            });
-        let (applied, service, _) = self.apply_update_items(items, false, now);
-        self.send_service_with_pending(
-            origin,
-            DsmMsg::UpdateAck {
-                count: applied,
-                owned_copysets: Vec::new(),
-            },
             now + service,
         );
     }
@@ -1355,63 +1120,6 @@ impl NodeRuntime {
         (applied, service, owned_copysets)
     }
 
-    /// Takes everything pending for `dst` and — when non-empty — the next
-    /// update-stream slot, in ONE outbox-lock scope. Atomicity matters: if
-    /// the take and the slot allocation were separate, a preempted service
-    /// thread could end up holding *older* items than a concurrent
-    /// user-thread flush while drawing a *later* slot, and the receiver
-    /// (which applies strictly in seq order) would install the stale items
-    /// over the newer data.
-    pub(crate) fn take_pending_with_seq(
-        &self,
-        dst: NodeId,
-        at: munin_sim::VirtTime,
-    ) -> Option<(Vec<UpdateItem>, u64)> {
-        if !self.cfg.piggyback {
-            return None;
-        }
-        let mut outbox = self.outbox.lock();
-        let pending = outbox.take_pending(dst);
-        if pending.is_empty() {
-            return None;
-        }
-        let seq = self.next_update_seq(dst, at);
-        Some((pending, seq))
-    }
-
-    /// Sends a service-thread reply, attaching any coalesced outbox items
-    /// queued for the same destination as a carrier bundle (the "queued
-    /// updates ride replies already headed there" half of the carrier
-    /// layer). Falls back to the plain message when nothing is pending or
-    /// piggybacking is off.
-    fn send_service_with_pending(
-        self: &Arc<Self>,
-        dst: NodeId,
-        msg: DsmMsg,
-        logical_time: munin_sim::VirtTime,
-    ) {
-        let Some((pending, seq)) = self.take_pending_with_seq(dst, logical_time) else {
-            let _ = self.send_service(dst, msg, logical_time);
-            return;
-        };
-        add(&self.stats.msgs_piggybacked, 1);
-        self.note_update_sent(&pending);
-        let _ = self.send_service(
-            dst,
-            DsmMsg::Carrier {
-                inner: Some(Box::new(msg)),
-                updates: vec![CarrierUpdate {
-                    from: self.node,
-                    seq,
-                    items: pending,
-                    sync_install: false,
-                }],
-                relay: Vec::new(),
-            },
-            logical_time,
-        );
-    }
-
     /// Answers a broadcast copyset query: which of the listed objects does
     /// this node hold a copy of?
     ///
@@ -1456,7 +1164,7 @@ impl NodeRuntime {
                 .collect()
         };
         self.charge_sys(self.cost.dir_op());
-        self.send_service_with_pending(
+        let _ = self.send_service(
             requester,
             DsmMsg::CopysetReply { have },
             now + self.cost.dir_op(),
@@ -1487,7 +1195,7 @@ impl NodeRuntime {
                 })
                 .collect()
         };
-        self.send_service_with_pending(
+        let _ = self.send_service(
             requester,
             DsmMsg::OwnerCopysetReply { copysets },
             now + self.cost.dir_op(),
@@ -1639,10 +1347,9 @@ impl NodeRuntime {
     }
 
     /// Sends a lock grant (ownership transfer) to `to`, carrying the waiter
-    /// queue. The associated consistency data (`AssociateDataAndSynch`), any
-    /// flush updates the releaser diverted onto this grant, and any
-    /// coalesced outbox items for the grantee all ride the same carrier
-    /// frame; a grant with none of them goes out bare.
+    /// queue. The associated consistency data (`AssociateDataAndSynch`) and
+    /// any flush updates the releaser diverted onto this grant ride the same
+    /// carrier frame; a grant with neither goes out bare.
     ///
     /// `at` is when the grant leaves: `None` on the releasing user thread
     /// (its clock, in program order), `Some(t)` on a service path — the
@@ -1661,56 +1368,29 @@ impl NodeRuntime {
         };
         let stamp = at.unwrap_or_else(|| self.clock.now());
         let sync_items = self.build_lock_piggyback(lock, to);
-        // Pending outbox items and their stream slot are taken in one
-        // outbox-lock scope (see `take_pending_with_seq`); the diverted
-        // flush items draw a slot the same way so the merged bundle's number
-        // reflects when its content was captured.
-        let mut flush_items = diverted;
-        let mut seq = None;
-        if let Some((pending, s)) = self.take_pending_with_seq(to, stamp) {
-            // Older coalesced changes apply before this release's items.
-            let fresh = std::mem::replace(&mut flush_items, pending);
-            flush_items.extend(fresh);
-            seq = Some(s);
-        }
         add(&self.stats.lock_messages, 1);
-        let grant = DsmMsg::LockGrant { lock, queue };
-        if sync_items.is_empty() && flush_items.is_empty() {
-            let _ = send(grant);
-            return;
-        }
         let mut updates = Vec::new();
         if !sync_items.is_empty() {
-            updates.push(CarrierUpdate {
-                from: self.node,
-                seq: 0, // sync installs are ordered by the lock token, not the stream
+            updates.push(UpdateBundle {
+                origin: self.node,
+                seq: 0, // ordered by the lock token, not the stream
                 items: sync_items,
-                sync_install: true,
+                route: Route::SyncInstall,
             });
         }
-        if !flush_items.is_empty() {
+        if !diverted.is_empty() {
             add(&self.stats.msgs_piggybacked, 1);
-            self.note_update_sent(&flush_items);
-            updates.push(CarrierUpdate {
-                from: self.node,
-                seq: seq.unwrap_or_else(|| self.next_update_seq(to, stamp)),
-                items: flush_items,
-                sync_install: false,
-            });
+            updates.push(self.next_bundle(to, stamp, diverted, Route::Carried));
         }
-        let _ = send(DsmMsg::Carrier {
-            inner: Some(Box::new(grant)),
-            updates,
-            relay: Vec::new(),
-        });
+        let grant = DsmMsg::LockGrant { lock, queue };
+        let _ = send(DsmMsg::framed(grant, updates, Vec::new()));
     }
 
     /// Builds the consistency data piggybacked on a lock grant: the current
     /// contents of every object associated with the lock that this node holds
     /// a valid copy of ("Munin sends the new value of the object in the
     /// message that is used to pass lock ownership"). Installed on the
-    /// receive side by the unified carrier-install path (`sync_install`
-    /// bundles).
+    /// receive side as a `Route::SyncInstall` bundle.
     fn build_lock_piggyback(
         self: &Arc<Self>,
         lock: crate::sync::LockId,
@@ -1777,11 +1457,11 @@ impl NodeRuntime {
     }
 
     /// Sends a barrier release to every waiter. Each release carries the
-    /// relayed flush bundles stashed for its destination (and any of this
-    /// node's own coalesced items), so the waiter installs every update it
-    /// is owed before its user thread resumes. Shared by the last-arrival
-    /// path and the crash-recovery exclusion path (a dead node's exclusion
-    /// can open the barrier for everyone still waiting).
+    /// relayed flush bundles stashed for its destination, so the waiter
+    /// installs every update it is owed before its user thread resumes.
+    /// Shared by the last-arrival path and the crash-recovery exclusion path
+    /// (a dead node's exclusion can open the barrier for everyone still
+    /// waiting).
     pub(crate) fn release_barrier_waiters(
         self: &Arc<Self>,
         barrier: crate::sync::BarrierId,
@@ -1794,34 +1474,10 @@ impl NodeRuntime {
                 // release there.
                 continue;
             }
-            let mut updates = {
-                let mut outbox = self.outbox.lock();
-                outbox.take_relay(barrier, node)
-            };
-            if let Some((pending, seq)) = self.take_pending_with_seq(node, now) {
-                add(&self.stats.msgs_piggybacked, 1);
-                self.note_update_sent(&pending);
-                updates.push(CarrierUpdate {
-                    from: self.node,
-                    seq,
-                    items: pending,
-                    sync_install: false,
-                });
-            }
+            let updates = self.outbox.lock().take_relay(barrier, node);
             let release = DsmMsg::BarrierRelease { barrier };
-            if updates.is_empty() {
-                let _ = self.send_service(node, release, now + self.cost.sync_op());
-            } else {
-                let _ = self.send_service(
-                    node,
-                    DsmMsg::Carrier {
-                        inner: Some(Box::new(release)),
-                        updates,
-                        relay: Vec::new(),
-                    },
-                    now + self.cost.sync_op(),
-                );
-            }
+            let msg = DsmMsg::framed(release, updates, Vec::new());
+            let _ = self.send_service(node, msg, now + self.cost.sync_op());
         }
     }
 }
@@ -1888,6 +1544,22 @@ mod tests {
             peer_tx: tx1,
             peer_rx: rx1,
             rt_rx: rx0,
+        }
+    }
+
+    /// A one-item bundle from node `from`, in slot `seq` of its stream here.
+    fn bundle_of(
+        from: usize,
+        seq: u64,
+        object: ObjectId,
+        payload: UpdatePayload,
+        route: Route,
+    ) -> UpdateBundle {
+        UpdateBundle {
+            origin: NodeId::new(from),
+            seq,
+            items: vec![UpdateItem { object, payload }],
+            route,
         }
     }
 
@@ -2305,15 +1977,13 @@ mod tests {
                 NodeId::new(0),
                 "update",
                 64,
-                DsmMsg::Update {
-                    items: vec![UpdateItem {
-                        object: ws,
-                        payload: UpdatePayload::Diff(d),
-                    }],
-                    requester: NodeId::new(1),
-                    seq: 0,
-                    needs_ack: true,
-                },
+                DsmMsg::Update(bundle_of(
+                    1,
+                    0,
+                    ws,
+                    UpdatePayload::Diff(d),
+                    Route::DirectAcked,
+                )),
             )
             .unwrap();
         h.pump();
@@ -2353,15 +2023,13 @@ mod tests {
                 NodeId::new(0),
                 "update",
                 64,
-                DsmMsg::Update {
-                    items: vec![UpdateItem {
-                        object: ws,
-                        payload: UpdatePayload::Diff(d),
-                    }],
-                    requester: NodeId::new(1),
-                    seq: 0,
-                    needs_ack: true,
-                },
+                DsmMsg::Update(bundle_of(
+                    1,
+                    0,
+                    ws,
+                    UpdatePayload::Diff(d),
+                    Route::DirectAcked,
+                )),
             )
             .unwrap();
         h.pump();
@@ -2401,15 +2069,13 @@ mod tests {
                 NodeId::new(0),
                 "update",
                 64,
-                DsmMsg::Update {
-                    items: vec![UpdateItem {
-                        object: ws,
-                        payload: UpdatePayload::Diff(d),
-                    }],
-                    requester: NodeId::new(1),
-                    seq: 0,
-                    needs_ack: true,
-                },
+                DsmMsg::Update(bundle_of(
+                    1,
+                    0,
+                    ws,
+                    UpdatePayload::Diff(d),
+                    Route::DirectAcked,
+                )),
             )
             .unwrap();
         h.pump();
@@ -2417,8 +2083,8 @@ mod tests {
         assert_eq!(&h.rt.object_bytes(ws)[0..4], &7u32.to_le_bytes());
     }
 
-    /// The unified carrier-install path: a bare carrier frame applies its
-    /// bundle exactly like a standalone update (no ack, same diff apply).
+    /// A carried bundle on its own — the shape it re-queues in when it has
+    /// to wait — applies exactly like a standalone update, minus the ack.
     #[test]
     fn carrier_bundle_applies_like_an_update() {
         let h = harness();
@@ -2428,21 +2094,9 @@ mod tests {
         h.peer_tx
             .send(
                 NodeId::new(0),
-                "carrier",
+                "update",
                 64,
-                DsmMsg::Carrier {
-                    inner: None,
-                    updates: vec![CarrierUpdate {
-                        from: NodeId::new(1),
-                        seq: 0,
-                        items: vec![UpdateItem {
-                            object: ws,
-                            payload: UpdatePayload::Diff(d),
-                        }],
-                        sync_install: false,
-                    }],
-                    relay: vec![],
-                },
+                DsmMsg::Update(bundle_of(1, 0, ws, UpdatePayload::Diff(d), Route::Carried)),
             )
             .unwrap();
         h.pump();
@@ -2465,21 +2119,9 @@ mod tests {
         h.peer_tx
             .send(
                 NodeId::new(0),
-                "carrier",
+                "update",
                 64,
-                DsmMsg::Carrier {
-                    inner: None,
-                    updates: vec![CarrierUpdate {
-                        from: NodeId::new(1),
-                        seq: 0,
-                        items: vec![UpdateItem {
-                            object: ws,
-                            payload: UpdatePayload::Diff(d),
-                        }],
-                        sync_install: false,
-                    }],
-                    relay: vec![],
-                },
+                DsmMsg::Update(bundle_of(1, 0, ws, UpdatePayload::Diff(d), Route::Carried)),
             )
             .unwrap();
         h.pump();
@@ -2520,19 +2162,17 @@ mod tests {
                 "lock_grant",
                 96,
                 DsmMsg::Carrier {
-                    inner: Some(Box::new(DsmMsg::LockGrant {
+                    inner: Box::new(DsmMsg::LockGrant {
                         lock,
                         queue: vec![],
-                    })),
-                    updates: vec![CarrierUpdate {
-                        from: NodeId::new(1),
-                        seq: 0,
-                        items: vec![UpdateItem {
-                            object: mig,
-                            payload: UpdatePayload::Full(vec![3u8; 32]),
-                        }],
-                        sync_install: true,
-                    }],
+                    }),
+                    updates: vec![bundle_of(
+                        1,
+                        0,
+                        mig,
+                        UpdatePayload::Full(vec![3u8; 32]),
+                        Route::SyncInstall,
+                    )],
                     relay: vec![],
                 },
             )
@@ -2587,20 +2227,15 @@ mod tests {
                 "barrier_arrive",
                 96,
                 DsmMsg::Carrier {
-                    inner: Some(Box::new(DsmMsg::BarrierArrive {
+                    inner: Box::new(DsmMsg::BarrierArrive {
                         barrier: b,
                         from: NodeId::new(1),
-                    })),
+                    }),
                     updates: vec![],
-                    relay: vec![RelayUpdate {
-                        dest: NodeId::new(0),
-                        from: NodeId::new(1),
-                        seq: 0,
-                        items: vec![UpdateItem {
-                            object: ws,
-                            payload: UpdatePayload::Diff(d0),
-                        }],
-                    }],
+                    relay: vec![(
+                        NodeId::new(0),
+                        bundle_of(1, 0, ws, UpdatePayload::Diff(d0), Route::Carried),
+                    )],
                 },
             )
             .unwrap();
@@ -2631,15 +2266,13 @@ mod tests {
                 NodeId::new(0),
                 "update",
                 64,
-                DsmMsg::Update {
-                    items: vec![UpdateItem {
-                        object: ws,
-                        payload: UpdatePayload::Diff(new_diff),
-                    }],
-                    requester: NodeId::new(1),
-                    seq: 1,
-                    needs_ack: true,
-                },
+                DsmMsg::Update(bundle_of(
+                    1,
+                    1,
+                    ws,
+                    UpdatePayload::Diff(new_diff),
+                    Route::DirectAcked,
+                )),
             )
             .unwrap();
         h.pump();
@@ -2653,18 +2286,16 @@ mod tests {
                 "barrier_release",
                 96,
                 DsmMsg::Carrier {
-                    inner: Some(Box::new(DsmMsg::BarrierRelease {
+                    inner: Box::new(DsmMsg::BarrierRelease {
                         barrier: crate::sync::BarrierId(0),
-                    })),
-                    updates: vec![CarrierUpdate {
-                        from: NodeId::new(1),
-                        seq: 0,
-                        items: vec![UpdateItem {
-                            object: ws,
-                            payload: UpdatePayload::Diff(old_diff.clone()),
-                        }],
-                        sync_install: false,
-                    }],
+                    }),
+                    updates: vec![bundle_of(
+                        1,
+                        0,
+                        ws,
+                        UpdatePayload::Diff(old_diff.clone()),
+                        Route::Carried,
+                    )],
                     relay: vec![],
                 },
             )
@@ -2678,21 +2309,15 @@ mod tests {
         h.peer_tx
             .send(
                 NodeId::new(0),
-                "carrier",
+                "update",
                 64,
-                DsmMsg::Carrier {
-                    inner: None,
-                    updates: vec![CarrierUpdate {
-                        from: NodeId::new(1),
-                        seq: 0,
-                        items: vec![UpdateItem {
-                            object: ws,
-                            payload: UpdatePayload::Diff(old_diff),
-                        }],
-                        sync_install: false,
-                    }],
-                    relay: vec![],
-                },
+                DsmMsg::Update(bundle_of(
+                    1,
+                    0,
+                    ws,
+                    UpdatePayload::Diff(old_diff),
+                    Route::Carried,
+                )),
             )
             .unwrap();
         h.pump();
@@ -3072,10 +2697,7 @@ mod tests {
     fn innermost(m: DsmMsg) -> Option<DsmMsg> {
         match m {
             DsmMsg::Reliable { inner, .. } => innermost(*inner),
-            DsmMsg::Carrier {
-                inner: Some(inner), ..
-            } => innermost(*inner),
-            DsmMsg::Carrier { inner: None, .. } => None,
+            DsmMsg::Carrier { inner, .. } => innermost(*inner),
             other => Some(other),
         }
     }
@@ -3130,15 +2752,13 @@ mod tests {
         let ws = h.obj("ws");
         h.rt.install_object_bytes(ws, &[0u8; 32]);
         let d = diff::encode(&[1u8; 32], &[0u8; 32]);
-        let update = DsmMsg::Update {
-            items: vec![UpdateItem {
-                object: ws,
-                payload: UpdatePayload::Diff(d),
-            }],
-            requester: NodeId::new(1),
-            seq: 0,
-            needs_ack: true,
-        };
+        let update = DsmMsg::Update(bundle_of(
+            1,
+            0,
+            ws,
+            UpdatePayload::Diff(d),
+            Route::DirectAcked,
+        ));
         h.rt.handle_incoming(rel_env(), rel_frame(1, update.clone()));
         h.rt.handle_incoming(rel_env(), rel_frame(1, update));
         let snap = h.rt.stats().snapshot();
@@ -3179,24 +2799,20 @@ mod tests {
         let h = reliable_harness();
         let ws = h.obj("ws");
         h.rt.install_object_bytes(ws, &[0u8; 32]);
-        let first = DsmMsg::Update {
-            items: vec![UpdateItem {
-                object: ws,
-                payload: UpdatePayload::Diff(diff::encode(&[1u8; 32], &[0u8; 32])),
-            }],
-            requester: NodeId::new(1),
-            seq: 0,
-            needs_ack: false,
-        };
-        let second = DsmMsg::Update {
-            items: vec![UpdateItem {
-                object: ws,
-                payload: UpdatePayload::Diff(diff::encode(&[2u8; 32], &[1u8; 32])),
-            }],
-            requester: NodeId::new(1),
-            seq: 1,
-            needs_ack: false,
-        };
+        let first = DsmMsg::Update(bundle_of(
+            1,
+            0,
+            ws,
+            UpdatePayload::Diff(diff::encode(&[1u8; 32], &[0u8; 32])),
+            Route::DirectUnacked,
+        ));
+        let second = DsmMsg::Update(bundle_of(
+            1,
+            1,
+            ws,
+            UpdatePayload::Diff(diff::encode(&[2u8; 32], &[1u8; 32])),
+            Route::DirectUnacked,
+        ));
         // Frame 2 arrives first: buffered, nothing dispatched.
         h.rt.handle_incoming(rel_env(), rel_frame(2, second));
         assert_eq!(h.rt.stats().snapshot().updates_applied, 0);
@@ -3364,7 +2980,59 @@ mod tests {
         third_party_request_in_the_handoff_window(true);
     }
 
-    /// The owner side of the cooperative relay: a `RelayFanout` bundle from
+    /// The admission gate in isolation: every route × the entry idle, busy
+    /// or pinned × the bundle in sequence, early or stale. A blocked entry
+    /// defers everything and consumes nothing; on an idle entry the four
+    /// sequenced routes follow their stream, and the two that hold no slot
+    /// (forward, sync install) are let in whatever number they carry.
+    #[test]
+    fn admit_decides_by_entry_state_then_by_stream_position() {
+        let h = harness();
+        let ws = h.obj("ws");
+        let env = env_at(1, "update", munin_sim::VirtTime::ZERO);
+        let routes = [
+            Route::DirectAcked,
+            Route::DirectUnacked,
+            Route::OwnerFanout,
+            Route::OwnerForward,
+            Route::Carried,
+            Route::SyncInstall,
+        ];
+        // The stream from N1 stands at 1: 1 is in sequence, 2 early, 0 stale.
+        let positions = [
+            (1, Admission::Apply),
+            (2, Admission::Defer(DeferredOn::Stream)),
+            (0, Admission::Stale),
+        ];
+        for route in routes {
+            let sequenced = !matches!(route, Route::OwnerForward | Route::SyncInstall);
+            for (busy, pinned) in [(false, false), (true, false), (false, true)] {
+                for (seq, in_stream) in positions {
+                    {
+                        let mut dir = h.rt.dir.lock();
+                        let st = &mut dir.entry_mut(ws).state;
+                        (st.busy, st.pinned) = (busy, pinned);
+                    }
+                    h.rt.update_seq_in.lock()[1] = 1;
+                    let bundle = bundle_of(1, seq, ws, UpdatePayload::Full(vec![0; 32]), route);
+                    let expected = if busy || pinned {
+                        Admission::Defer(DeferredOn::Entry)
+                    } else if sequenced {
+                        in_stream
+                    } else {
+                        Admission::Apply
+                    };
+                    let case = format!("{route:?}, busy={busy}, pinned={pinned}, seq={seq}");
+                    assert_eq!(h.rt.admit(&env, &bundle), expected, "{case}");
+                    // Only an admitted, sequenced bundle takes its slot.
+                    let consumed = sequenced && expected == Admission::Apply;
+                    assert_eq!(h.rt.update_seq_in.lock()[1], 1 + consumed as u64, "{case}");
+                }
+            }
+        }
+    }
+
+    /// The owner side of the cooperative relay: an `OwnerFanout` bundle from
     /// the origin is installed locally, re-fanned to the authoritative
     /// copyset members (excluding the origin), and acknowledged with the
     /// re-fan destination list.
@@ -3386,14 +3054,13 @@ mod tests {
                 NodeId::new(0),
                 "relay_fanout",
                 64,
-                DsmMsg::RelayFanout {
-                    items: vec![UpdateItem {
-                        object: ws,
-                        payload: UpdatePayload::Diff(d),
-                    }],
-                    origin: NodeId::new(1),
-                    seq: 0,
-                },
+                DsmMsg::Update(bundle_of(
+                    1,
+                    0,
+                    ws,
+                    UpdatePayload::Diff(d),
+                    Route::OwnerFanout,
+                )),
             )
             .unwrap();
         h.pump();
@@ -3401,13 +3068,14 @@ mod tests {
         assert_eq!(h.rt.object_bytes(ws), vec![4u8; 32]);
         // Node 2 got the forward (and only node 2: the origin is excluded).
         match h.rx2.recv().unwrap().1 {
-            DsmMsg::RelayForward { items, origin, seq } => {
-                assert_eq!(items.len(), 1);
-                assert_eq!(items[0].object, ws);
-                assert_eq!(origin, NodeId::new(1));
-                assert_eq!(seq, 0);
+            DsmMsg::Update(forward) => {
+                assert_eq!(forward.route, Route::OwnerForward);
+                assert_eq!(forward.items.len(), 1);
+                assert_eq!(forward.items[0].object, ws);
+                assert_eq!(forward.origin, NodeId::new(1));
+                assert_eq!(forward.seq, 0);
             }
-            other => panic!("expected RelayForward at N2, got {other:?}"),
+            other => panic!("expected the re-fan at N2, got {other:?}"),
         }
         // The origin got the ack naming the re-fan destination.
         match h.rx1.recv().unwrap().1 {
@@ -3441,14 +3109,13 @@ mod tests {
                 NodeId::new(0),
                 "relay_fanout",
                 64,
-                DsmMsg::RelayFanout {
-                    items: vec![UpdateItem {
-                        object: ws,
-                        payload: UpdatePayload::Diff(d),
-                    }],
-                    origin: NodeId::new(1),
-                    seq: 0,
-                },
+                DsmMsg::Update(bundle_of(
+                    1,
+                    0,
+                    ws,
+                    UpdatePayload::Diff(d),
+                    Route::OwnerFanout,
+                )),
             )
             .unwrap();
         h.pump();
@@ -3464,7 +3131,7 @@ mod tests {
         assert_eq!(h.rt.stats().snapshot().owner_refans, 0);
     }
 
-    /// The destination side of the cooperative relay: a `RelayForward`
+    /// The destination side of the cooperative relay: an `OwnerForward` bundle
     /// applies immediately — exempt from the per-stream sequence check, since
     /// it carries no slot of the forwarding owner's update stream — and the
     /// ack goes to the *origin*, whose flush is counting it, not back to the
@@ -3482,14 +3149,13 @@ mod tests {
                 NodeId::new(0),
                 "relay_forward",
                 64,
-                DsmMsg::RelayForward {
-                    items: vec![UpdateItem {
-                        object: ws,
-                        payload: UpdatePayload::Diff(d),
-                    }],
-                    origin: NodeId::new(2),
-                    seq: 7,
-                },
+                DsmMsg::Update(bundle_of(
+                    2,
+                    7,
+                    ws,
+                    UpdatePayload::Diff(d),
+                    Route::OwnerForward,
+                )),
             )
             .unwrap();
         h.pump();

@@ -10,7 +10,7 @@ use munin_sim::{NodeId, TimeKind};
 
 use crate::annotation::SharingAnnotation;
 use crate::error::{MuninError, Result};
-use crate::msg::{DsmMsg, ReduceOp, RelayUpdate};
+use crate::msg::{DsmMsg, ReduceOp, Route};
 use crate::object::ObjectId;
 use crate::stats::{add, bump};
 use crate::sync::{BarrierId, LockId};
@@ -30,12 +30,8 @@ impl NodeRuntime {
     }
 
     /// Acquires a distributed lock (an *acquire* in the release-consistency
-    /// sense). An acquire closes the outbox's coalescing window: updates
-    /// buffered by earlier `Flush()` hints are transmitted (and
-    /// acknowledged) before the acquire proceeds, so no flush can be merged
-    /// across an acquire.
+    /// sense).
     pub(crate) fn acquire_lock(self: &Arc<Self>, lock: LockId) -> Result<()> {
-        self.close_coalescing_window()?;
         bump(&self.stats.lock_acquires);
         self.charge_sys(self.cost.sync_op());
         let Some(t0) = self.request_lock(lock)? else {
@@ -261,36 +257,22 @@ impl NodeRuntime {
             barrier,
             from: self.node,
         };
+        // Each relayed bundle takes its slot in this node's update stream to
+        // its destination *now*, so any later direct update gets a higher
+        // number and can never be overtaken by the bundle's slower
+        // owner-relayed route.
+        let relay = relay
+            .into_iter()
+            .map(|(dest, items)| {
+                add(&self.stats.msgs_piggybacked, 1);
+                let at = self.clock.now();
+                (dest, self.next_bundle(dest, at, items, Route::Carried))
+            })
+            .collect();
         if let Some(topo) = &tree {
             self.tree_arrive_local(barrier, topo, relay);
-        } else if relay.is_empty() {
-            self.send(owner, arrive)?;
         } else {
-            let relay: Vec<RelayUpdate> = relay
-                .into_iter()
-                .map(|(dest, items)| {
-                    add(&self.stats.msgs_piggybacked, 1);
-                    self.note_update_sent(&items);
-                    RelayUpdate {
-                        dest,
-                        from: self.node,
-                        // The bundle takes its slot in this node's update
-                        // stream to `dest` *now*, so any later direct update
-                        // gets a higher number and can never be overtaken by
-                        // this bundle's slower owner-relayed route.
-                        seq: self.next_update_seq(dest, self.clock.now()),
-                        items,
-                    }
-                })
-                .collect();
-            self.send(
-                owner,
-                DsmMsg::Carrier {
-                    inner: Some(Box::new(arrive)),
-                    updates: Vec::new(),
-                    relay,
-                },
-            )?;
+            self.send(owner, DsmMsg::framed(arrive, Vec::new(), relay))?;
         }
         // A participant dying mid-wait is survivable — the owner's recovery
         // excludes it from the arrival count and releases the rest — but the

@@ -102,10 +102,10 @@ counters! {
         /// update ack, invalidate ack) instead of as standalone messages —
         /// each counts one wire message the carrier layer avoided.
         msgs_piggybacked,
-        /// `Flush()`-hint flushes whose updates were buffered in the outbox
-        /// and merged into a later transmission instead of going on the wire
-        /// immediately (cross-release coalescing; the window closes at the
-        /// next acquire).
+        /// Always 0 since PR 18 (the `Flush()` hint sends at once; there is
+        /// no coalescing window left to count). `benchmark/src/block.rs`
+        /// still reads the field: dropped with the next no-claim benchmark
+        /// PR.
         flushes_coalesced,
         /// Payload bytes the adaptive relay sent direct-to-destination
         /// instead of through a barrier-relay carrier because they exceeded
@@ -114,7 +114,7 @@ counters! {
         relay_bypassed_bytes,
         /// Update bundles this node re-fanned to other copyset members as
         /// the receiving owner of an owner-cooperative relay
-        /// (`DsmMsg::RelayFanout`).
+        /// (`Route::OwnerFanout`).
         owner_refans,
         /// Lock acquires performed by the local user thread.
         lock_acquires,

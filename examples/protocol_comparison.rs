@@ -87,9 +87,8 @@ fn main() {
         off.engine.bytes_sent
     );
     println!(
-        "piggybacked bundles: {}   coalesced flushes: {}   message drop: {:.1}%",
+        "piggybacked bundles: {}   message drop: {:.1}%",
         on.stats.msgs_piggybacked,
-        on.stats.flushes_coalesced,
         100.0 * (1.0 - on.engine.messages_sent as f64 / off.engine.messages_sent as f64)
     );
 

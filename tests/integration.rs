@@ -151,36 +151,49 @@ fn change_annotation_switches_protocol_mid_run() {
     assert_eq!(*report.results[0].as_ref().unwrap(), (1, 2));
 }
 
+/// `PreAcquire()` prefetches, and `Flush()` sends *immediately* (the paper's
+/// word): the producer's changes leave as a standalone acknowledged update
+/// when the hint is given, instead of waiting to ride the second barrier's
+/// carrier — with piggybacking on and off.
 #[test]
 fn flush_and_pre_acquire_hints_work() {
-    let mut prog = MuninProgram::new(MuninConfig::fast_test(2));
-    let v = prog.declare::<i64>("v", 32, SharingAnnotation::ProducerConsumer);
-    let sync = prog.create_barrier("sync");
-    prog.user_init(move |init| init.write_slice(&v, 0, &[0; 32]).unwrap());
-    let report = prog
-        .run(move |ctx| {
-            if ctx.node_id() == 1 {
-                // Consumer: pre-fetch the producer's region before it is
-                // needed, then wait for the producer's flush.
-                ctx.pre_acquire(&v, 0, 32)?;
-            }
-            ctx.wait_at_barrier(sync)?;
-            if ctx.node_id() == 0 {
-                for i in 0..16 {
-                    ctx.write(&v, i, i as i64 * 3)?;
+    for piggyback in [true, false] {
+        let mut prog = MuninProgram::new(MuninConfig::fast_test(2).with_piggyback(piggyback));
+        let v = prog.declare::<i64>("v", 32, SharingAnnotation::ProducerConsumer);
+        let sync = prog.create_barrier("sync");
+        prog.user_init(move |init| init.write_slice(&v, 0, &[0; 32]).unwrap());
+        let report = prog
+            .run(move |ctx| {
+                if ctx.node_id() == 1 {
+                    // Consumer: pre-fetch the producer's region before it is
+                    // needed, then wait for the producer's flush.
+                    ctx.pre_acquire(&v, 0, 32)?;
                 }
-                // Push the buffered writes out explicitly (Flush hint) before
-                // the barrier would have done it anyway.
-                ctx.flush()?;
-            }
-            ctx.wait_at_barrier(sync)?;
-            let sum: i64 = ctx.read_slice(&v, 0, 16)?.iter().sum();
-            Ok(sum)
-        })
-        .unwrap();
-    let expected: i64 = (0..16).map(|i| i * 3).sum();
-    for r in &report.results {
-        assert_eq!(*r.as_ref().unwrap(), expected);
+                ctx.wait_at_barrier(sync)?;
+                if ctx.node_id() == 0 {
+                    for i in 0..16 {
+                        ctx.write(&v, i, i as i64 * 3)?;
+                    }
+                    // Push the buffered writes out explicitly (Flush hint)
+                    // before the barrier would have done it anyway.
+                    ctx.flush()?;
+                }
+                ctx.wait_at_barrier(sync)?;
+                let sum: i64 = ctx.read_slice(&v, 0, 16)?.iter().sum();
+                Ok(sum)
+            })
+            .unwrap();
+        let expected: i64 = (0..16).map(|i| i * 3).sum();
+        for r in &report.results {
+            assert_eq!(*r.as_ref().unwrap(), expected);
+        }
+        let updates = report.net.class("update").msgs;
+        assert!(updates >= 1, "piggyback={piggyback}: the hint sent nothing");
+        assert_eq!(
+            report.net.class("update_ack").msgs,
+            updates,
+            "piggyback={piggyback}: every update of this run is acknowledged"
+        );
     }
 }
 
@@ -542,6 +555,44 @@ fn matmul_paper_size_fetches_each_access_in_one_round_trip() {
     // Faults taken = runs requested, one per access and worker.
     assert_eq!(m.net.class("object_fetch").msgs, 9);
     assert_eq!(m.stats.read_faults, 6);
+}
+
+/// The benchmark's two exact rows (`benchmark/README.md`, `wire_msgs` /
+/// `wire_bytes` on `matmul` and `sor`), as tier-1 tests: the paper-size
+/// programs pinned the way `benchmark/src/workloads.rs` pins them, at two
+/// seeds, to the message and to the byte. Whatever changes the type an
+/// update travels in has to leave both rows where they are.
+#[test]
+fn benchmark_guard_rows_are_exact_at_two_seeds() {
+    for seed in [1u64, 2] {
+        let params = sor::SorParams {
+            engine: munin::sim::EngineConfig::seeded(seed),
+            access_mode: munin::AccessMode::Explicit,
+            piggyback: true,
+            reliability: Some(false),
+            relay_max_bytes: Some(munin::dsm::config::DEFAULT_RELAY_MAX_BYTES),
+            ..sor::SorParams::paper(4)
+        };
+        let (m, _) = sor::run_munin(params, CostModel::sun_ethernet_1991()).unwrap();
+        assert_eq!(
+            (m.net.total.msgs, m.net.total.bytes),
+            (1_369, 4_150_516),
+            "sor, seed {seed}"
+        );
+        let params = matmul::MatmulParams {
+            engine: munin::sim::EngineConfig::seeded(seed),
+            access_mode: munin::AccessMode::Explicit,
+            piggyback: true,
+            reliability: Some(false),
+            ..matmul::MatmulParams::paper(4)
+        };
+        let (m, _) = matmul::run_munin(params, CostModel::sun_ethernet_1991()).unwrap();
+        assert_eq!(
+            (m.net.total.msgs, m.net.total.bytes),
+            (41, 3_406_853),
+            "matmul, seed {seed}"
+        );
+    }
 }
 
 /// Table 5 at 4 processors (5 iterations are enough to see the steady

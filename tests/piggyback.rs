@@ -257,7 +257,7 @@ fn per_class_engine_counts_reflect_the_carrier_framing() {
 /// reliability transport on, piggyback on/off must still produce
 /// bit-identical grids across 16 seeds, with zero watchdog stalls — lost
 /// carriers (and the relay bundles riding them) are retransmitted like any
-/// other frame, and a dropped `RelayFanout`/`RelayForward` must not wedge
+/// other frame, and a dropped owner fan-out or forward must not wedge
 /// the origin's ack loop.
 #[test]
 fn sor_piggyback_survives_one_percent_loss_across_16_seeds() {

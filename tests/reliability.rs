@@ -442,9 +442,9 @@ fn reliability_framing_overhead_is_bounded_at_zero_loss() {
     // The same seeded run with the transport forced on and off. The frame
     // adds 8 modelled bytes per wrapped message; standalone acks only appear
     // when a lane owes acks with no reverse traffic to ride. On this
-    // data-carrying SOR size the measured byte overhead is ~5.3% (see
-    // `BENCH_rel.json`); smaller control-message-dominated runs pay a higher
-    // relative tax because the 8-byte frame is fixed per message.
+    // data-carrying SOR size the measured byte overhead is ~5.3% (this test
+    // is where it is measured); smaller control-message-dominated runs pay a
+    // higher relative tax because the 8-byte frame is fixed per message.
     let run = |reliability: bool| {
         let mut p = sor::SorParams::small(64, 48, 3, 8);
         p.engine = EngineConfig::seeded(9);
