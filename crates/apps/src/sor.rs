@@ -521,6 +521,9 @@ mod tests {
         forced.annotation_override = Some(SharingAnnotation::Conventional);
         let (conv, grid2) = run_munin(forced, CostModel::fast_test()).unwrap();
         assert!(close(&grid, &grid2));
+        // A conventional page's first write is a transfer, and from an owner
+        // that never materialised it a zero-filled one: still the right grid.
+        assert!(close(&grid2, &serial(24, 16, 3)));
         // Under the single-writer write-invalidate protocol the consumers
         // re-fault their neighbours' boundary pages every iteration, whereas
         // the producer-consumer protocol faults them in once and then pushes

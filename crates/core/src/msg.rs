@@ -194,7 +194,11 @@ pub enum DsmMsg {
     ObjectData {
         /// The first object of the run.
         object: ObjectId,
-        /// Contents of `object`, `object + 1`, … in order.
+        /// Contents of `object`, `object + 1`, … in order. An *empty* image
+        /// describes its object instead of carrying it: "all zeros, as long
+        /// as your table says". Only an owner that never materialised the
+        /// object sends one (it knows the contents without looking), and it
+        /// costs the wire the object's framing or descriptor, nothing more.
         data: Vec<Vec<u8>>,
         /// Whether ownership is transferred to the requester (one-object
         /// replies only).
@@ -436,11 +440,13 @@ pub enum DsmMsg {
     },
     /// Degraded-mode orphan re-homing: the sender (a node that lost a fetch
     /// to a dead owner) asks the receiver — the lowest-id surviving replica
-    /// holder — to adopt ownership of `object` and serve it a copy exactly
-    /// as an owner would serve an [`DsmMsg::ObjectFetch`].
+    /// holder — to adopt ownership of `object` and serve the blocked fetch
+    /// exactly as an owner would serve an [`DsmMsg::ObjectFetch`].
     Adopt {
         /// The orphaned object.
         object: ObjectId,
+        /// The run the blocked fetch asked for, as in [`DsmMsg::ObjectFetch`].
+        run: u32,
         /// Read or write intent of the blocked fault.
         access: FetchKind,
         /// Node awaiting the [`DsmMsg::ObjectData`] reply.
@@ -524,7 +530,7 @@ impl DsmMsg {
             DsmMsg::ObjectFetch { run, .. } => 8 + if *run > 1 { 4 } else { 0 },
             // The first object is described by the 16 bytes of framing (id,
             // flags, copyset); every further one brings an 8-byte descriptor
-            // (id and length) of its own.
+            // (id and length) of its own — all a zero-filled object costs.
             DsmMsg::ObjectData { data, .. } => {
                 let contents: u64 = data.iter().map(|d| d.len() as u64).sum();
                 16 + contents + 8 * (data.len() as u64).saturating_sub(1)
@@ -570,7 +576,7 @@ impl DsmMsg {
             DsmMsg::Tick | DsmMsg::HealthTick => 0,
             DsmMsg::Heartbeat => 0,
             DsmMsg::PeerDown { .. } => 4,
-            DsmMsg::Adopt { .. } => 12,
+            DsmMsg::Adopt { run, .. } => 12 + if *run > 1 { 4 } else { 0 },
         };
         HEADER_BYTES + payload
     }
@@ -662,6 +668,27 @@ mod tests {
             one_by_one - as_a_run,
             2 * (2 * HEADER_BYTES + 8 + 16) - 4 - 2 * 8
         );
+    }
+
+    /// A zero-filled object travels as its description: the framing the
+    /// first object of a reply has anyway, the 8-byte descriptor every
+    /// further one has anyway, and no contents (a size of 0 below). Replies
+    /// that carry every object keep the sizes they always had.
+    #[test]
+    fn zero_filled_images_cost_their_description_only() {
+        let table: [(&[usize], u64); 7] = [
+            (&[0], 32 + 16),
+            (&[0, 0, 0], 32 + 16 + 2 * 8),
+            (&[8192, 0, 4288], 32 + 16 + 2 * 8 + 8192 + 4288),
+            (&[0, 8192], 32 + 16 + 8 + 8192),
+            (&[16], 64),
+            (&[8192], 8240),
+            (&[8192, 8192, 4288], 20_736),
+        ];
+        for (sizes, bytes) in table {
+            assert_eq!(data_of(sizes).model_bytes(), bytes, "{sizes:?}");
+        }
+        assert_eq!(HEADER_BYTES, 32);
     }
 
     /// A bundle of `n` 64-byte full images from N1 on `route`.

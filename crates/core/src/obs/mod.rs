@@ -111,7 +111,8 @@ pub enum EventKind {
     /// (`object` = the first object of the run, `run` = objects asked for).
     FetchSend,
     /// This node served an `ObjectFetch` with `ObjectData`
-    /// (`object` = the first object of the run, `run` = objects served).
+    /// (`object` = the first object of the run, `run` = objects served,
+    /// `zero_filled` = how many of them travelled as a description).
     FetchServe,
     /// An update-bearing transmission was assigned a per-(src,dst) sequence
     /// number and sent (`peer` = destination, `seq` = stream number). An
@@ -234,6 +235,9 @@ pub struct ObsEvent {
     /// Length of the run of consecutive objects starting at `object` that a
     /// fetch asked for (`FetchSend`) or was served (`FetchServe`).
     pub run: Option<u32>,
+    /// How many objects of a served run (`FetchServe`) were zero-filled:
+    /// described in the reply, not carried.
+    pub zero_filled: Option<u32>,
     /// Free-form text ([`EventKind::Note`] events).
     pub note: Option<String>,
 }
@@ -251,8 +255,25 @@ impl ObsEvent {
             seq: None,
             origin: None,
             run: None,
+            zero_filled: None,
             note: None,
         }
+    }
+
+    /// The numeric fields the event carries, in rendering order, each under
+    /// its dump-line name and its trace-export name.
+    pub(crate) fn fields(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> {
+        [
+            ("obj", "object", self.object.map(|o| u64::from(o.as_u32()))),
+            ("sync", "sync_id", self.sync_id.map(u64::from)),
+            ("peer", "peer", self.peer.map(|p| p.as_usize() as u64)),
+            ("seq", "seq", self.seq),
+            ("origin", "origin", self.origin.map(|o| o.as_usize() as u64)),
+            ("run", "run", self.run.map(u64::from)),
+            ("zeros", "zero_filled", self.zero_filled.map(u64::from)),
+        ]
+        .into_iter()
+        .filter_map(|(dump, export, v)| Some((dump, export, v?)))
     }
 
     /// Renders the event compactly (stall tails, dump mode):
@@ -260,23 +281,8 @@ impl ObsEvent {
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut s = format!("t={}ns {}", self.t_virt_ns, self.kind.label());
-        if let Some(o) = self.object {
-            let _ = write!(s, " obj={}", o.as_u32());
-        }
-        if let Some(id) = self.sync_id {
-            let _ = write!(s, " sync={id}");
-        }
-        if let Some(p) = self.peer {
-            let _ = write!(s, " peer={}", p.as_usize());
-        }
-        if let Some(q) = self.seq {
-            let _ = write!(s, " seq={q}");
-        }
-        if let Some(o) = self.origin {
-            let _ = write!(s, " origin={}", o.as_usize());
-        }
-        if let Some(r) = self.run {
-            let _ = write!(s, " run={r}");
+        for (name, _, v) in self.fields() {
+            let _ = write!(s, " {name}={v}");
         }
         if self.dur_ns > 0 {
             let _ = write!(s, " dur={}", fmt_ns(self.dur_ns));

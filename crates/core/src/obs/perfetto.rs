@@ -79,29 +79,9 @@ fn write_args(out: &mut String, ev: &ObsEvent) {
         *first = false;
         let _ = write!(out, "\"{key}\":");
     };
-    if let Some(o) = ev.object {
-        field(out, &mut first, "object");
-        let _ = write!(out, "{}", o.as_u32());
-    }
-    if let Some(id) = ev.sync_id {
-        field(out, &mut first, "sync_id");
-        let _ = write!(out, "{id}");
-    }
-    if let Some(p) = ev.peer {
-        field(out, &mut first, "peer");
-        let _ = write!(out, "{}", p.as_usize());
-    }
-    if let Some(q) = ev.seq {
-        field(out, &mut first, "seq");
-        let _ = write!(out, "{q}");
-    }
-    if let Some(o) = ev.origin {
-        field(out, &mut first, "origin");
-        let _ = write!(out, "{}", o.as_usize());
-    }
-    if let Some(r) = ev.run {
-        field(out, &mut first, "run");
-        let _ = write!(out, "{r}");
+    for (_, name, v) in ev.fields() {
+        field(out, &mut first, name);
+        let _ = write!(out, "{v}");
     }
     if ev.dur_ns > 0 {
         field(out, &mut first, "dur_ns");

@@ -553,15 +553,14 @@ impl NodeRuntime {
         // — triggers a recovery round that re-establishes a live owner or
         // proves the object lost. Already-dead peers are signalled on the
         // first wait, covering a fetch sent straight to a corpse. Recovery
-        // is for the faulting object alone: the adopter answers with a run
-        // of 1, and the rest of the run faults again, towards the hints
-        // recovery left behind.
+        // re-homes the faulting object; the adopter then serves the run
+        // like any owner, and what it does not own of it faults again.
         let mut handled = crate::nodeset::NodeSet::EMPTY;
         let (env, reply) = loop {
             match self.wait_reply_or_dead(crate::runtime::WaitOp::Fetch(object), &mut handled) {
                 Ok(reply) => break reply,
                 Err(MuninError::PeerDied(dead)) => {
-                    if let Some(reply) = self.refetch_orphan(object, access, dead)? {
+                    if let Some(reply) = self.refetch_orphan(object, run, access, dead)? {
                         break reply;
                     }
                 }
@@ -586,6 +585,15 @@ impl NodeRuntime {
         if data.is_empty() || data.len() > run as usize || (ownership && data.len() > 1) {
             return Err(MuninError::ProtocolViolation(
                 "ObjectData is not a prefix of the requested run",
+            ));
+        }
+        // Checked before anything is installed or any right granted: an
+        // image is its object's size, or empty (zero-filled).
+        let size = |id| self.table.object(ObjectId::new(id)).size;
+        let sized = |(id, d): (u32, &Vec<u8>)| d.is_empty() || d.len() == size(id);
+        if !(object.as_u32()..).zip(&data).all(sized) {
+            return Err(MuninError::ProtocolViolation(
+                "ObjectData image is not the size of its object",
             ));
         }
         crate::runtime::proto_trace!(
@@ -639,6 +647,7 @@ impl NodeRuntime {
     fn refetch_orphan(
         self: &Arc<Self>,
         object: ObjectId,
+        run: u32,
         access: FetchKind,
         dead: NodeId,
     ) -> Result<Option<(munin_sim::Envelope, DsmMsg)>> {
@@ -651,7 +660,7 @@ impl NodeRuntime {
         // any that were deferred before the death was signalled here.
         self.dir.lock().entry_mut(object).state.recovering = true;
         self.process_deferred();
-        let outcome = self.orphan_round(object, access, dead);
+        let outcome = self.orphan_round(object, run, access, dead);
         self.dir.lock().entry_mut(object).state.recovering = false;
         outcome
     }
@@ -660,6 +669,7 @@ impl NodeRuntime {
     fn orphan_round(
         self: &Arc<Self>,
         object: ObjectId,
+        run: u32,
         access: FetchKind,
         dead: NodeId,
     ) -> Result<Option<(munin_sim::Envelope, DsmMsg)>> {
@@ -714,10 +724,15 @@ impl NodeRuntime {
                     dir.phase
                 };
                 crate::runtime::proto_trace!(self, "asking {adoptee:?} to adopt orphan {object:?}");
+                // Word of the death first, in case gossip has not reached
+                // the adoptee: its recovery walk adopts every page of the
+                // dead owner's it holds, so one round brings the whole run.
+                self.send(adoptee, DsmMsg::PeerDown { node: dead })?;
                 self.send(
                     adoptee,
                     DsmMsg::Adopt {
                         object,
+                        run,
                         access,
                         requester: self.node,
                         phase,

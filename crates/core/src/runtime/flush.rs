@@ -906,7 +906,13 @@ impl NodeRuntime {
         let mut dir = self.dir.lock();
         for o in objects {
             let e = dir.entry_mut(*o);
-            if e.state.owned && e.home != self.node {
+            if e.state.owned {
+                if e.home == self.node {
+                    // The home's owned copy *is* the object, where later
+                    // fetches find the data: nothing to delete, and "owned,
+                    // no rights" keeps meaning "never materialised".
+                    continue;
+                }
                 // Give ownership back to the home node so later fetches can
                 // still find the data there.
                 e.state.owned = false;
@@ -1077,14 +1083,22 @@ mod tests {
         assert!(dir.entry(ws).params.uses_invalidate());
     }
 
+    /// `Invalidate()` flushes and drops a replica — but not the owning
+    /// home's copy, which is the object itself: "owned, no rights" is how an
+    /// owner knows, without looking, that an object was never materialised
+    /// (`reply_image`), and live data must never be in that state.
     #[test]
-    fn invalidate_hint_drops_local_copy() {
+    fn invalidate_hint_drops_a_replica_but_not_the_owning_homes_copy() {
         let rt = single_node();
         let ws = obj(&rt, "ws");
         rt.write_fault(ws, 0).unwrap();
         rt.invalidate_hint(&[ws]).unwrap();
-        assert_eq!(rt.dir.lock().entry(ws).state.rights, AccessRights::Invalid);
+        assert_eq!(rt.dir.lock().entry(ws).state.rights, AccessRights::Read);
         assert!(rt.duq.lock().is_empty());
+
+        rt.dir.lock().entry_mut(ws).state.owned = false;
+        rt.invalidate_hint(&[ws]).unwrap();
+        assert_eq!(rt.dir.lock().entry(ws).state.rights, AccessRights::Invalid);
     }
 
     #[test]

@@ -769,13 +769,14 @@ impl NodeRuntime {
         self.with_object_mem(object, |bytes| buf.extend_from_slice(bytes));
     }
 
-    /// Overwrites the local contents of an object.
-    pub(crate) fn install_object_bytes(&self, object: ObjectId, data: &[u8]) {
-        self.with_object_mem_mut(object, |bytes| {
-            debug_assert_eq!(bytes.len(), data.len());
-            if bytes.len() == data.len() {
-                bytes.copy_from_slice(data);
-            }
+    /// Overwrites the local contents of an object with `image`, which is the
+    /// object's length (a fetch reply's images are checked where they
+    /// arrive, `fetch_object`) or empty: "all zeros" (`DsmMsg::ObjectData::data`),
+    /// which fills the object with them — local memory is never assumed clean.
+    pub(crate) fn install_object_bytes(&self, object: ObjectId, image: &[u8]) {
+        self.with_object_mem_mut(object, |bytes| match image {
+            [] => bytes.fill(0),
+            _ => bytes.copy_from_slice(image),
         });
     }
 

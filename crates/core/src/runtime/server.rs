@@ -249,10 +249,11 @@ impl NodeRuntime {
             } => self.handle_carrier(env, inner, updates, relay),
             DsmMsg::Adopt {
                 object,
+                run,
                 access,
                 requester,
                 phase,
-            } => self.handle_adopt(env, object, access, requester, phase),
+            } => self.handle_adopt(env, object, run, access, requester, phase),
             // Replies and control messages are routed before we get here.
             other => {
                 debug_assert!(
@@ -503,6 +504,7 @@ impl NodeRuntime {
         self: &Arc<Self>,
         env: Envelope,
         object: ObjectId,
+        run: u32,
         access: FetchKind,
         requester: NodeId,
         phase: u32,
@@ -517,6 +519,7 @@ impl NodeRuntime {
                     env,
                     DsmMsg::Adopt {
                         object,
+                        run,
                         access,
                         requester,
                         phase,
@@ -544,7 +547,9 @@ impl NodeRuntime {
         // usual ownership-transfer semantics for write/migratory access. If
         // the local copy was invalidated since the requester's query round,
         // this forwards along the (recovery-redirected) hint chain instead.
-        self.handle_object_fetch(env, object, 1, access, requester, phase);
+        // The rest of the run comes along as far as this node owns it — all
+        // the way when its own recovery walk adopted the dead owner's pages.
+        self.handle_object_fetch(env, object, run, access, requester, phase);
     }
 
     /// The stable-sharing check, made for every object a fetch is served
@@ -575,6 +580,25 @@ impl NodeRuntime {
         } else if !entry.copyset.contains(requester) {
             bump(&self.stats.runtime_errors);
         }
+    }
+
+    /// The image of `entry`'s object for an `ObjectData` reply: its bytes —
+    /// or, when this node owns the object and never materialised it (the
+    /// state `finish_root_init` leaves untouched objects in, which the local
+    /// fault paths zero-fill "with no messages"), the empty image that says
+    /// "all zeros" without carrying them. Read off the entry, never found by
+    /// scanning: a scan would have to be charged, and a page the program
+    /// wrote zeros to is a materialised page like any other.
+    fn reply_image(&self, entry: &crate::directory::DirEntry) -> Vec<u8> {
+        if entry.state.owned && !entry.state.rights.allows_read() {
+            debug_assert!(
+                self.with_object_mem(entry.object, |mem| mem.iter().all(|b| *b == 0)),
+                "{:?} was never materialised here, yet its memory is not zero",
+                entry.object
+            );
+            return Vec::new();
+        }
+        self.object_bytes(entry.object)
     }
 
     /// Serves (or forwards, or defers) a fetch of the `run` consecutive
@@ -646,98 +670,63 @@ impl NodeRuntime {
                 Serve::FirstTouch
             }
         };
-        enum Action {
-            Defer,
-            Forward(NodeId),
-            Reply {
-                ownership: bool,
-                copyset: CopySet,
-                writable: bool,
-                data: Vec<Vec<u8>>,
-            },
-        }
-        let action = {
-            let mut dir = self.dir.lock();
-            let my_phase = dir.phase;
-            // The objects of the run that exist: consecutive ids of the
-            // first one's variable.
-            let var = self.table.var(self.table.object(object).var);
-            let var_end = var.objects.last().map_or(0, |o| o.as_u32() + 1);
-            let ids = object.as_u32()..object.as_u32().saturating_add(run.max(1)).min(var_end);
-            // The object bytes are copied inside this directory-lock scope:
-            // the not-pinned guard and the copy are then atomic with respect
-            // to the user thread's pinned accesses, so a served copy can
-            // never be torn mid-access (the VM-trap mode's lock-free user
-            // copies rely on this; the explicit mode previously relied on
-            // the segment mutex for the same guarantee at whole-access
-            // granularity).
-            let mut copies: Vec<Vec<u8>> = Vec::new();
-            // What the first object came to, when not a plain copy.
-            let mut first = None;
-            for id in ids.map(ObjectId::new) {
-                let entry = dir.entry_mut(id);
-                let serve = classify(entry);
-                if !copies.is_empty() && !matches!(serve, Serve::Copy) {
-                    break;
-                }
-                first = match serve {
-                    Serve::Defer => Some(Action::Defer),
-                    Serve::Forward(next) => Some(Action::Forward(next)),
-                    Serve::Copy => {
-                        // Read replica (or a read fetch of an update-protocol
-                        // object, or the zero-filled first copy of one whose
-                        // owner is fixed — flushes must keep arriving here):
-                        // hand out a copy and remember the replica.
-                        self.check_stable_sharing(entry, my_phase, phase, requester);
-                        entry.copyset.insert(requester);
-                        if entry.params.uses_invalidate() {
-                            // Single-writer protocols write-protect the owner's
-                            // copy so its next write re-invalidates the replicas.
-                            self.set_entry_rights(entry, AccessRights::Read);
-                        }
-                        copies.push(self.object_bytes(id));
-                        None
-                    }
-                    Serve::Transfer => {
-                        // Conventional write miss or any migratory access:
-                        // the local copy is invalidated.
-                        self.check_stable_sharing(entry, my_phase, phase, requester);
-                        let mut handed_copyset = entry.copyset.clone();
-                        handed_copyset.remove(requester);
-                        self.set_entry_rights(entry, AccessRights::Invalid);
-                        entry.state.owned = false;
-                        entry.copyset = CopySet::EMPTY;
-                        entry.probable_owner = requester;
-                        Some(Action::Reply {
-                            ownership: true,
-                            copyset: handed_copyset,
-                            writable: true,
-                            data: vec![self.object_bytes(id)],
-                        })
-                    }
-                    Serve::FirstTouch => {
-                        self.check_stable_sharing(entry, my_phase, phase, requester);
-                        entry.state.owned = false;
-                        entry.probable_owner = requester;
-                        Some(Action::Reply {
-                            ownership: true,
-                            copyset: CopySet::EMPTY,
-                            writable: false,
-                            data: vec![self.object_bytes(id)],
-                        })
-                    }
-                };
-                if first.is_some() {
-                    break;
-                }
+        let mut dir = self.dir.lock();
+        let my_phase = dir.phase;
+        // The objects of the run that exist: consecutive ids of the
+        // first one's variable.
+        let var = self.table.var(self.table.object(object).var);
+        let var_end = var.objects.last().map_or(0, |o| o.as_u32() + 1);
+        let ids = object.as_u32()..object.as_u32().saturating_add(run.max(1)).min(var_end);
+        // The fields of the reply, should the request come to one. The
+        // images are taken inside this directory-lock scope: the not-pinned
+        // guard and the copy are then atomic with respect to the user
+        // thread's pinned accesses, so a served copy can never be torn
+        // mid-access (the VM-trap mode's lock-free user copies rely on this;
+        // the explicit mode previously relied on the segment mutex for the
+        // same guarantee at whole-access granularity).
+        let mut data: Vec<Vec<u8>> = Vec::new();
+        let (mut ownership, mut copyset, mut writable) = (false, CopySet::EMPTY, false);
+        // `Defer` or `Forward`, when that is what the first object came to.
+        let mut unserved = None;
+        for id in ids.map(ObjectId::new) {
+            let entry = dir.entry_mut(id);
+            let serve = classify(entry);
+            if !data.is_empty() && !matches!(serve, Serve::Copy) {
+                break;
             }
-            first.unwrap_or(Action::Reply {
-                ownership: false,
-                copyset: CopySet::EMPTY,
-                writable: false,
-                data: copies,
-            })
-        };
+            if matches!(serve, Serve::Defer | Serve::Forward(_)) {
+                unserved = Some(serve);
+                break;
+            }
+            self.check_stable_sharing(entry, my_phase, phase, requester);
+            data.push(self.reply_image(entry));
+            if matches!(serve, Serve::Copy) {
+                // Read replica (or a read fetch of an update-protocol
+                // object, or the first copy of one whose owner is fixed —
+                // flushes must keep arriving here): remember the replica.
+                entry.copyset.insert(requester);
+                if entry.params.uses_invalidate() {
+                    // Single-writer protocols write-protect the owner's
+                    // copy so its next write re-invalidates the replicas.
+                    self.set_entry_rights(entry, AccessRights::Read);
+                }
+                continue;
+            }
+            ownership = true;
+            if matches!(serve, Serve::Transfer) {
+                // Conventional write miss or any migratory access: the
+                // local copy is invalidated, the replicas become the
+                // requester's to invalidate.
+                copyset = std::mem::take(&mut entry.copyset);
+                copyset.remove(requester);
+                self.set_entry_rights(entry, AccessRights::Invalid);
+                writable = true;
+            }
+            entry.state.owned = false;
+            entry.probable_owner = requester;
+            break;
+        }
+        drop(dir);
         let request = || DsmMsg::ObjectFetch {
             object,
             run,
@@ -745,24 +734,19 @@ impl NodeRuntime {
             requester,
             phase,
         };
-        match action {
-            // No virtual-time charge on a deferred attempt: the number of
-            // retries depends on host thread interleaving and must not
-            // perturb virtual time.
-            Action::Defer => {
-                crate::runtime::proto_trace!(self, "defer fetch {object:?} from {requester:?}");
-                self.defer(env, request(), DeferredOn::Entry);
-            }
-            Action::Forward(next) => {
+        match unserved {
+            Some(Serve::Forward(next)) => {
                 self.charge_sys(self.cost.dir_op());
                 let _ = self.send_service(next, request(), now + self.cost.dir_op());
             }
-            Action::Reply {
-                ownership,
-                copyset,
-                writable,
-                data,
-            } => {
+            // No virtual-time charge on a deferred attempt: the number of
+            // retries depends on host thread interleaving and must not
+            // perturb virtual time.
+            Some(_) => {
+                crate::runtime::proto_trace!(self, "defer fetch {object:?} from {requester:?}");
+                self.defer(env, request(), DeferredOn::Entry);
+            }
+            None => {
                 crate::runtime::proto_trace!(
                     self,
                     "serve fetch {object:?} x{} to {requester:?} (ownership={ownership} writable={writable}, arrival={}ns)",
@@ -774,10 +758,13 @@ impl NodeRuntime {
                         ev.object = Some(object);
                         ev.peer = Some(requester);
                         ev.run = Some(data.len() as u32);
+                        let zeros = data.iter().filter(|d| d.is_empty()).count() as u32;
+                        ev.zero_filled = (zeros > 0).then_some(zeros);
                     });
                 // Per object served: the directory lookup, and the copy cost
                 // the prototype pays when it assembles the reply (the copies
-                // themselves happened under the directory lock above).
+                // themselves happened under the directory lock above; a
+                // zero-filled object has none).
                 let service = data.iter().fold(munin_sim::VirtTime::ZERO, |t, bytes| {
                     t + self.cost.dir_op() + self.cost.copy(bytes.len() as u64)
                 });
@@ -1959,6 +1946,153 @@ mod tests {
             Err(crate::error::MuninError::ProtocolViolation(_))
         ));
         assert_eq!(busy(&h), [false; 3]);
+    }
+
+    /// Leaves `objects` as `finish_root_init` leaves what `user_init` never
+    /// wrote: owned here, never materialised.
+    fn unmaterialise(h: &Harness, objects: &[ObjectId]) {
+        let mut dir = h.rt.dir.lock();
+        for object in objects {
+            dir.entry_mut(*object).state.rights = AccessRights::Invalid;
+        }
+    }
+
+    /// The whole `ObjectData` node 1 got back.
+    fn peer_reply(h: &Harness) -> (Vec<Vec<u8>>, bool, bool) {
+        match h.peer_recv() {
+            DsmMsg::ObjectData {
+                data,
+                ownership,
+                writable,
+                ..
+            } => (data, ownership, writable),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+    }
+
+    /// An owner that never materialised an object describes it instead of
+    /// carrying it — on a first touch and on a conventional / migratory
+    /// transfer alike — pays a directory lookup but no copy for it, and the
+    /// flight recorder says so. Ownership, rights and hints move as ever.
+    #[test]
+    fn never_materialised_object_is_served_as_an_empty_image() {
+        let h = harness();
+        let (ws, conv, mig) = (h.obj("ws"), h.obj("conv"), h.obj("mig"));
+        unmaterialise(&h, &[ws, conv, mig]);
+        let cost = &h.rt.cost;
+        let mut charged = 0;
+        for (object, access, writable) in [
+            (ws, FetchKind::Write, false),
+            (conv, FetchKind::Write, true),
+            (mig, FetchKind::Read, true),
+        ] {
+            h.fetch(object, 1, access);
+            assert_eq!(peer_reply(&h), (vec![vec![]], true, writable));
+            charged += (cost.dir_op() + cost.msg_fixed()).as_nanos();
+            assert_eq!(h.rt.clock().system_time().as_nanos(), charged);
+            let dir = h.rt.dir.lock();
+            let e = dir.entry(object);
+            assert!(!e.state.owned && !e.state.rights.allows_read());
+            assert_eq!(e.probable_owner, NodeId::new(1));
+        }
+        let served: Vec<_> =
+            h.rt.obs()
+                .snapshot()
+                .events
+                .into_iter()
+                .filter(|ev| ev.kind == crate::obs::EventKind::FetchServe)
+                .map(|ev| (ev.run, ev.zero_filled))
+                .collect();
+        assert_eq!(served, [(Some(1), Some(1)); 3]);
+    }
+
+    /// What an owner holds is carried, zeros and all: whether to elide is
+    /// read off the entry, never found by looking at the bytes. So a page
+    /// the program wrote zeros to costs what it always did, in a run too.
+    #[test]
+    fn materialised_zeros_keep_their_bytes() {
+        let h = harness();
+        let rows = h.rows();
+        h.rt.install_object_bytes(rows[1], &[0; 64]);
+        h.fetch(rows[0], 3, FetchKind::Read);
+        let (data, ownership, _) = peer_reply(&h);
+        assert_eq!(data, [vec![1; 64], vec![0; 64], vec![3; 64]]);
+        assert!(!ownership);
+        let cost = &h.rt.cost;
+        assert_eq!(
+            h.rt.clock().system_time().as_nanos(),
+            3 * (cost.dir_op() + cost.copy(64)).as_nanos() + cost.msg_fixed().as_nanos()
+        );
+        let snapshot = h.rt.obs().snapshot();
+        let served = snapshot.events.last().unwrap();
+        assert_eq!((served.run, served.zero_filled), (Some(3), None));
+    }
+
+    /// In a debug build the serve site checks what the entry's state claims.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "never materialised")]
+    fn eliding_an_object_whose_memory_is_not_zero_is_caught_in_debug_builds() {
+        let h = harness();
+        let ws = h.obj("ws");
+        h.rt.install_object_bytes(ws, &[5; 32]);
+        unmaterialise(&h, &[ws]);
+        h.fetch(ws, 1, FetchKind::Write);
+    }
+
+    /// The requesting side of an empty image: the object is *filled* with
+    /// zeros — whatever an earlier, since dropped copy left in local memory
+    /// is gone — rights and ownership are granted as for any image, and no
+    /// fetched byte is counted. An image of any other wrong length is a
+    /// protocol violation that installs nothing and grants nothing, for any
+    /// object of the reply.
+    #[test]
+    fn requester_zero_fills_an_empty_image_and_rejects_a_wrong_length() {
+        let h = harness();
+        let rows = h.rows();
+        let window_end = rows[2].as_u32() + 1;
+        {
+            let mut dir = h.rt.dir.lock();
+            for row in rows {
+                let e = dir.entry_mut(row);
+                e.state.rights = AccessRights::Invalid;
+                e.state.owned = false;
+                e.probable_owner = NodeId::new(1);
+            }
+        }
+        let reply = |data: Vec<Vec<u8>>| {
+            h.rt.handle_incoming(
+                env_at(1, "object_data", munin_sim::VirtTime::from_micros(50)),
+                DsmMsg::ObjectData {
+                    object: rows[0],
+                    data,
+                    ownership: false,
+                    copyset: CopySet::EMPTY,
+                    writable: false,
+                },
+            );
+        };
+        let holds =
+            |h: &Harness| rows.map(|row| h.rt.dir.lock().entry(row).state.rights.allows_read());
+
+        // The second image is short: nothing of the reply is installed.
+        reply(vec![vec![7; 64], vec![7; 63], vec![]]);
+        assert!(matches!(
+            h.rt.read_fault(rows[0], window_end),
+            Err(crate::error::MuninError::ProtocolViolation(_))
+        ));
+        assert_eq!(holds(&h), [false; 3]);
+        assert_eq!(h.rt.object_bytes(rows[0]), vec![1; 64]);
+        let _ = h.peer_recv();
+
+        // Carried, described, carried.
+        reply(vec![vec![7; 64], vec![], vec![9; 64]]);
+        h.rt.read_fault(rows[0], window_end).unwrap();
+        assert_eq!(holds(&h), [true; 3]);
+        let images = rows.map(|row| h.rt.object_bytes(row));
+        assert_eq!(images, [vec![7; 64], vec![0; 64], vec![9; 64]]);
+        let stats = h.rt.stats().snapshot();
+        assert_eq!((stats.objects_fetched, stats.fetch_bytes), (3, 128));
     }
 
     /// The owner's `UpdateAck` carries its authoritative recorded copyset

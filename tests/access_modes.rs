@@ -182,6 +182,21 @@ fn sor_bit_identical_with_stable_stats_equal_across_modes() {
             "SOR protocol stats diverged under seed {seed}"
         );
         assert_traps_account_for_faults("sor", &mv.stats);
+        // SOR's workers first-touch pages nobody has written (at paper
+        // size, 383 of its 390 fetches); those travel zero-filled:
+        // described, not carried. The trap path fills them through a
+        // privileged access; both modes must elide exactly the same pages.
+        let data_bytes = |m: &munin::apps::RunMeasurement| m.net.class("object_data").bytes;
+        assert_eq!(data_bytes(&me), data_bytes(&mv), "seed {seed}");
+        // (Had every fetched page carried its bytes, each would have brought
+        // at least the grid's short last page.)
+        let last_page = (rows * cols * 8 % 512) as u64;
+        assert!(
+            mv.stats.fetch_bytes < mv.stats.objects_fetched * last_page,
+            "{} bytes for {} pages under seed {seed}: nothing was elided",
+            mv.stats.fetch_bytes,
+            mv.stats.objects_fetched
+        );
     }
 }
 

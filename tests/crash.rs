@@ -312,10 +312,10 @@ fn sole_copy_loss_fails_fast_with_lost_objects() {
 /// that ends around the crash point. The crash time is swept across that
 /// point, so the request meets a corpse, or is served by an owner whose reply
 /// dies with it, or gets through. With a replica on node 1 the reader must
-/// get the right data every time — the first page by `Adopt`, the rest of
-/// the run by faulting again, one recovery round per page; without one it
-/// gets the right data or a `NodeDown` naming the victim and the first lost
-/// page. Never a stall.
+/// get the right data every time — by `Adopt`, the whole run in the one
+/// recovery round, since the adopter's own recovery walk took over every page
+/// of the dead owner's it holds; without one it gets the right data or a
+/// `NodeDown` naming the victim and the first lost page. Never a stall.
 #[test]
 fn run_fetch_from_a_dying_owner_recovers_or_fails_fast() {
     const PAGES: usize = 6;
@@ -374,6 +374,11 @@ fn run_fetch_from_a_dying_owner_recovers_or_fails_fast() {
         for bystander in [0, replica] {
             assert_eq!(report.results[bystander], Ok(0), "{what}");
         }
+        // The reader writes nothing, so every copyset query of its own is
+        // recovery: one round — a query to each of its two live peers — for
+        // the six pages, not one per page.
+        let queries = report.stats[reader].copyset_query_msgs;
+        assert!(queries <= 2, "{what}: {queries} recovery queries");
     };
     // The readers' compute ends ≈ 10.01 ms in; a request takes ≈ 1.2 µs to
     // reach the owner and six pages ≈ 0.7 µs to serve.
@@ -381,6 +386,57 @@ fn run_fetch_from_a_dying_owner_recovers_or_fails_fast() {
         case(true, crash_at_ns);
     }
     case(false, 5_000_000);
+}
+
+/// A first touch whose home dies around the serve. Node 1 is the first to
+/// write a page nobody has written; the root — home and initial owner of
+/// every page — hands it over as a description ("all zeros"), not as bytes,
+/// and is killed at a time swept across the request's arrival, the serve and
+/// the reply's departure. The toucher must read back exactly what it wrote on
+/// top of zeros, or fail with `NodeDown`: never a stall, never a page that
+/// kept stale bytes because its image went missing.
+#[test]
+fn first_touch_from_a_dying_home_is_right_or_fails_fast() {
+    let toucher = 1usize;
+    let case = |crash_at_ns: u64| {
+        let faults = crash(0, CrashTrigger::VirtTime(crash_at_ns));
+        let cfg = MuninConfig::fast_test(3)
+            .with_engine(EngineConfig::seeded(7).with_faults(faults))
+            .with_detect(DETECT)
+            .with_retransmit_pacing(PACING)
+            .with_watchdog(WATCHDOG);
+        let words = cfg.page_size / 8;
+        let mut prog = MuninProgram::new(cfg);
+        let page = prog.declare::<i64>("page", words, SharingAnnotation::WriteShared);
+        let start = Instant::now();
+        let report = prog
+            .run(move |ctx| {
+                if ctx.node_id() != toucher {
+                    return Ok(0i64);
+                }
+                ctx.compute(1_000_000); // 10 ms at 10 ns/op
+                ctx.write(&page, 1, 7)?;
+                Ok(ctx.read_slice(&page, 0, words)?.iter().sum())
+            })
+            .unwrap();
+        let wall = start.elapsed();
+        let what = format!("root crash at {crash_at_ns} ns");
+        assert!(wall < RUN_WALL_CEILING, "{what}: took {wall:?}");
+        assert_eq!(report.stats_total().watchdog_stalls, 0, "{what}");
+        match &report.results[toucher] {
+            Ok(sum) => assert_eq!(*sum, 7, "{what}: wrong data"),
+            // Whom it names is a matter of which silence the detector
+            // confirmed first: the root's, or that of the third node, which
+            // gives up as soon as it has lost the root.
+            Err(MuninError::NodeDown { node, .. }) => assert!(node.as_usize() < 3, "{what}"),
+            other => panic!("{what}: toucher got {other:?}"),
+        }
+    };
+    // The compute ends ≈ 10.0 ms in; the request takes ≈ 1.2 µs to reach the
+    // root and the reply as long to come back.
+    for crash_at_ns in [10_001_000, 10_001_500, 10_002_500, 10_030_000] {
+        case(crash_at_ns);
+    }
 }
 
 /// Freeze-thaw: a node that drops off the network for a 250 µs virtual

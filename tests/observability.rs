@@ -167,6 +167,7 @@ fn synthetic_snapshots() -> Vec<ObsSnapshot> {
         seq: None,
         origin: None,
         run: None,
+        zero_filled: None,
         note: None,
     };
     let mut send = ev(EventKind::UpdateSend, 1_000);

@@ -605,19 +605,25 @@ struct PagedOutcome {
     objects_fetched: u64,
 }
 
-/// A 3-node program over one `pages`-page variable whose pages are owned by
-/// the nodes `holders` names (first touch moves ownership, so each holder
-/// writes its pages once). Node 2 then accesses the word range
+/// A 3-node program over one `pages`-page variable. The root's `user_init`
+/// writes the pages `init` marks (`50 + page` in every word) and leaves the
+/// rest untouched: never materialised anywhere, so their first copy travels
+/// as a description, not as bytes. Each page is then written by the node
+/// `holders` names for it — the first *half* of it, so that what the page
+/// held before (the initial values, or the zeros of a first touch) stays in
+/// sight in the other half; for an untouched page that write is the first
+/// touch, which moves ownership. Node 2 then accesses the word range
 /// `[lo, hi)` — reading it for a `conventional` variable, overwriting it for
 /// a `write_shared` one — either as one slice (the pages travel as runs) or
 /// page by page (`page_at_a_time`: every access is inside one page, so every
-/// fetch is a run of 1 — the reference). The holders then write their pages
-/// again and node 2 reads the range once more: a copy the owner had not
-/// recorded would miss that invalidation (or update) and read stale. The
+/// fetch is a run of 1 — the reference). The holders then write their half
+/// pages again and node 2 reads the range once more: a copy the owner had
+/// not recorded would miss that invalidation (or update) and read stale. The
 /// count of `invalidate` messages is the sum of the owners' copyset sizes.
 fn paged_access(
     annotation: SharingAnnotation,
     holders: &[usize],
+    init: &[bool],
     (lo, hi): (usize, usize),
     page_at_a_time: bool,
 ) -> PagedOutcome {
@@ -635,10 +641,17 @@ fn paged_access(
     let sync = prog.create_barrier("sync");
     let holders = holders.to_vec();
     let writes = annotation == SharingAnnotation::WriteShared;
+    let written: Vec<usize> = (0..holders.len()).filter(|page| init[*page]).collect();
+    prog.user_init(move |ctx| {
+        for page in &written {
+            ctx.write_slice(&var, page * per_page, &vec![50 + *page as i32; per_page])
+                .unwrap();
+        }
+    });
     let report = prog
         .run(move |ctx| {
             let me = ctx.node_id();
-            let page_of = |value: i32| -> Vec<i32> { vec![value; per_page] };
+            let page_of = |value: i32| -> Vec<i32> { vec![value; per_page / 2] };
             // Round 1: first touch. Round 3: the holders write again.
             let hold = |round: i32| -> munin::dsm::Result<()> {
                 for (page, holder) in holders.iter().enumerate() {
@@ -716,12 +729,16 @@ proptest! {
 
     /// Fetching an access's pages as runs changes how many messages carry
     /// them and nothing else: for any page count, any assignment of pages to
-    /// owners and any sub-range, the bytes read, every node's final view and
-    /// the owners' copysets (as the invalidations they send) are those of
-    /// the one-page-at-a-time reference.
+    /// owners, any set of pages the program initialised (the others travel
+    /// zero-filled on their first touch) and any sub-range, the bytes read,
+    /// every node's final view and the owners' copysets (as the
+    /// invalidations they send) are those of the one-page-at-a-time
+    /// reference — and both are the values the program wrote: a served copy
+    /// that dropped a materialised page's bytes would read as zeros here.
     #[test]
     fn run_fetch_matches_the_page_at_a_time_reference(
         holders in proptest::collection::vec(0usize..3, 1..9),
+        init in proptest::collection::vec(any::<bool>(), 8..9),
         lo_draw in 0usize..1000,
         len_draw in 0usize..1000,
         write_shared in any::<bool>(),
@@ -734,12 +751,29 @@ proptest! {
         let words = holders.len() * PAGE_WORDS;
         let lo = lo_draw % words;
         let hi = lo + 1 + len_draw % (words - lo);
-        let runs = paged_access(annotation, &holders, (lo, hi), false);
-        let reference = paged_access(annotation, &holders, (lo, hi), true);
+        let runs = paged_access(annotation, &holders, &init, (lo, hi), false);
+        let reference = paged_access(annotation, &holders, &init, (lo, hi), true);
         prop_assert_eq!(&runs, &reference);
-        // And both are right: the holders' second writes everywhere, on top
-        // of whatever the accessor did in between.
-        let expected: Vec<i32> = (0..words).map(|w| 300 + (w / PAGE_WORDS) as i32).collect();
+        // And both are right. A word of a page's first half holds its
+        // holder's latest write; one of the second half what the accessor
+        // wrote there, or else what the page started out as.
+        let view_after = |round: i32, accessed: bool| -> Vec<i32> {
+            (0..words)
+                .map(|w| match (w / PAGE_WORDS, w % PAGE_WORDS) {
+                    (page, word) if word < PAGE_WORDS / 2 => round * 100 + page as i32,
+                    _ if accessed && write_shared && (lo..hi).contains(&w) => -1,
+                    (page, _) if init[page] => 50 + page as i32,
+                    _ => 0,
+                })
+                .collect()
+        };
+        let expected_first = if write_shared {
+            vec![-1; hi - lo]
+        } else {
+            view_after(1, false)[lo..hi].to_vec()
+        };
+        prop_assert_eq!(&runs.first_read, &expected_first);
+        let expected = view_after(3, true);
         for view in &runs.final_views {
             prop_assert_eq!(view, &expected);
         }
