@@ -151,10 +151,11 @@ pub struct MuninConfig {
     /// Largest update payload (modelled bytes) that may ride a barrier-relay
     /// carrier through the barrier owner. Relayed payloads transit the wire
     /// twice (flusher → owner → destination), so big payloads above this
-    /// threshold are dispatched direct-to-destination as ordinary sequenced
-    /// updates instead. Defaults to `MUNIN_RELAY_MAX_BYTES` from the
-    /// environment, else [`DEFAULT_RELAY_MAX_BYTES`]; `0` sends every
-    /// payload direct, `u64::MAX` restores the unconditional relay.
+    /// threshold are dispatched direct-to-destination as sequenced updates,
+    /// fenced by the barrier arrive, instead. Defaults to
+    /// `MUNIN_RELAY_MAX_BYTES` from the environment, else
+    /// [`DEFAULT_RELAY_MAX_BYTES`]; `0` sends every payload direct,
+    /// `u64::MAX` restores the unconditional relay.
     pub relay_max_bytes: u64,
     /// Fan-in of the hierarchical combining-tree barrier used at all-node
     /// barriers. `Some(k)` arranges the nodes in a k-ary tree rooted at the

@@ -70,9 +70,10 @@ pub enum Route {
     /// A standalone update the receiver acknowledges to `origin` (release
     /// consistency makes the releaser wait until its updates are performed).
     DirectAcked,
-    /// A standalone update nobody waits for: the dirty-copy flush an
-    /// invalidated node sends ahead of its `InvalidateAck` when carriers are
-    /// off.
+    /// A standalone update no acknowledgement answers, because a later
+    /// message is its visibility point: the `BarrierRelease` carrying the
+    /// next slot of its stream (a barrier flush's over-threshold payload),
+    /// or the `InvalidateAck` behind a dirty-copy flush when carriers are off.
     DirectUnacked,
     /// Owner-cooperative fan-out: a flusher's non-owned bundle, sent whole to
     /// the objects' (probable) owner, which installs its share, re-fans to

@@ -19,8 +19,9 @@
 //! Every update leaves as one [`crate::msg::UpdateBundle`]; what differs is
 //! the route it takes ([`FlushMode`] and `classify`): its own acknowledged
 //! message, a ride on the barrier arrive or lock grant that the release is
-//! about to send anyway, or — for objects this node does not own — whole to
-//! the owner, which re-fans it. The `Flush()`, `Invalidate()` and
+//! about to send anyway, its own message fenced by that arrive when it is too
+//! big to ride, or — for objects this node does not own — whole to the
+//! owner, which re-fans it. The `Flush()`, `Invalidate()` and
 //! `ChangeAnnotation()` hints run the same flush at once, acknowledged
 //! messages only, and leave nothing behind for a later release to deliver.
 
@@ -87,23 +88,22 @@ pub(crate) enum FlushMode {
     },
 }
 
-/// Where one (entry destination) pair goes under a given flush mode.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// Where one (entry, destination) pair goes under a given flush mode.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Dispatch {
-    Immediate,
+    /// Its own acknowledged message.
+    Acked,
+    /// A ride on the carrier the release is about to send.
     Relay,
+    /// Direct and unacknowledged: a later slot of the same stream rides the
+    /// `BarrierArrive` as its fence (see the send in `flush_duq_mode`).
+    Fenced,
 }
 
-/// Replaces a route's destinations (used by the encode paths that resolve to
-/// "nothing to send" after applying their state transitions).
-fn route_with(route: FlushRoute, destinations: NodeSet) -> FlushRoute {
-    FlushRoute {
-        destinations,
-        ..route
-    }
-}
-
-fn classify(mode: FlushMode, route: &FlushRoute, dest: NodeId) -> Dispatch {
+/// The route of `bytes` of encoded payload from one entry to `dest`. Size
+/// only ever chooses between `Relay` and `Fenced`, so the send-scheduling
+/// pre-pass, which runs before anything is encoded, may ask with any size.
+fn classify(mode: FlushMode, route: &FlushRoute, dest: NodeId, bytes: u64, max: u64) -> Dispatch {
     debug_assert!(
         route.coop_owner.is_none(),
         "owner-cooperative routes are dispatched whole, never per-destination"
@@ -114,13 +114,19 @@ fn classify(mode: FlushMode, route: &FlushRoute, dest: NodeId) -> Dispatch {
             // copysets, piggybacking off) keep the acknowledged path: the
             // owner's ack carries its recorded copyset, which the heal
             // logic needs (see the ack round below).
-            return Dispatch::Immediate;
+            return Dispatch::Acked;
         }
         match mode {
-            FlushMode::Immediate => Dispatch::Immediate,
+            FlushMode::Immediate => Dispatch::Acked,
+            // Adaptive relay: a barrier-relayed payload bound for anyone but
+            // the barrier owner transits the wire twice (flusher → owner →
+            // destination). At or above the configured size the byte
+            // doubling outweighs the saved message, so it goes direct.
+            // Owner-bound and lock-relay bundles ride single-transit.
+            FlushMode::BarrierRelay { owner } if dest != owner && bytes >= max => Dispatch::Fenced,
             FlushMode::BarrierRelay { .. } => Dispatch::Relay,
             FlushMode::LockRelay { grantee } if dest == grantee => Dispatch::Relay,
-            FlushMode::LockRelay { .. } => Dispatch::Immediate,
+            FlushMode::LockRelay { .. } => Dispatch::Acked,
         }
     } else {
         // `result` flushes go to the fixed owner; they can ride a barrier
@@ -129,7 +135,7 @@ fn classify(mode: FlushMode, route: &FlushRoute, dest: NodeId) -> Dispatch {
         // legacy apply-then-ack).
         match mode {
             FlushMode::BarrierRelay { owner } if dest == owner => Dispatch::Relay,
-            _ => Dispatch::Immediate,
+            _ => Dispatch::Acked,
         }
     }
 }
@@ -270,13 +276,14 @@ impl NodeRuntime {
                 .map(|e| self.flush_route(dir.entry(e.object)))
                 .collect()
         };
+        let max = self.cfg.relay_max_bytes;
         let mut remaining: BTreeMap<NodeId, usize> = BTreeMap::new();
         for route in &routes {
             if route.coop_owner.is_some() {
                 continue;
             }
             for dest in route.destinations.iter() {
-                if classify(mode, route, dest) == Dispatch::Immediate {
+                if classify(mode, route, dest, 0, max) == Dispatch::Acked {
                     *remaining.entry(dest).or_default() += 1;
                 }
             }
@@ -285,32 +292,8 @@ impl NodeRuntime {
         let mut relay: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
         // Owner-cooperative bundles, keyed by the owner they ship to.
         let mut coop: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
-        // Adaptive relay: a barrier-relayed payload bound for anyone but the
-        // barrier owner transits the wire twice (flusher → owner →
-        // destination). At or above the configured size threshold the byte
-        // doubling outweighs the saved message, so the payload goes direct
-        // as an ordinary sequenced update instead. Owner-bound bundles and
-        // lock-relay bundles ride single-transit and are never bypassed.
-        // Charges the bypass stats as a side effect, so call it only at a
-        // real dispatch decision.
-        let bypass = |rt: &Arc<Self>, dest: NodeId, bytes: u64| -> bool {
-            let FlushMode::BarrierRelay { owner } = mode else {
-                return false;
-            };
-            if dest == owner || bytes < rt.cfg.relay_max_bytes {
-                return false;
-            }
-            add(&rt.stats.relay_bypassed_bytes, bytes);
-            rt.obs.record(
-                rt.clock.now().as_nanos(),
-                crate::obs::EventKind::RelayBypass,
-                |ev| {
-                    ev.peer = Some(dest);
-                    ev.seq = Some(bytes);
-                },
-            );
-            true
-        };
+        // Over-threshold owner-flushed barrier items, sent direct and fenced.
+        let mut fenced: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
         // Fan-out payloads are retained (cheap: the buffers are `Arc`-shared)
         // until the ack round completes, so updates can be re-sent to copyset
         // members the owner reports as missed.
@@ -372,32 +355,34 @@ impl NodeRuntime {
                         payload: payload.clone(),
                     });
                 } else {
-                    let mut any_immediate = false;
+                    let mut any_acked = false;
+                    let bytes = payload.model_bytes();
                     for dest in route.destinations.iter() {
                         let item = UpdateItem {
                             object,
                             payload: payload.clone(),
                         };
-                        match classify(mode, &route, dest) {
-                            Dispatch::Immediate => {
-                                any_immediate = true;
+                        match classify(mode, &route, dest, bytes, max) {
+                            Dispatch::Acked => {
+                                any_acked = true;
                                 pending.entry(dest).or_default().push(item);
                             }
-                            Dispatch::Relay => {
-                                if bypass(self, dest, item.payload.model_bytes()) {
-                                    // Too big to pay the double transit:
-                                    // sent directly (via the catch-all
-                                    // below), acknowledged like any other
-                                    // sequenced update.
-                                    any_immediate = true;
-                                    pending.entry(dest).or_default().push(item);
-                                } else {
-                                    relay.entry(dest).or_default().push(item);
-                                }
+                            Dispatch::Relay => relay.entry(dest).or_default().push(item),
+                            Dispatch::Fenced => {
+                                add(&self.stats.relay_bypassed_bytes, bytes);
+                                self.obs.record(
+                                    self.clock.now().as_nanos(),
+                                    crate::obs::EventKind::RelayBypass,
+                                    |ev| {
+                                        ev.peer = Some(dest);
+                                        ev.seq = Some(bytes);
+                                    },
+                                );
+                                fenced.entry(dest).or_default().push(item);
                             }
                         }
                     }
-                    if route.fans_out && any_immediate {
+                    if route.fans_out && any_acked {
                         fanout.insert(object, (payload.clone(), route.destinations.clone()));
                     }
                 }
@@ -408,7 +393,7 @@ impl NodeRuntime {
                 continue;
             }
             for dest in pre_route.destinations.iter() {
-                if classify(mode, pre_route, dest) != Dispatch::Immediate {
+                if classify(mode, pre_route, dest, 0, max) != Dispatch::Acked {
                     continue;
                 }
                 let rem = remaining
@@ -427,8 +412,19 @@ impl NodeRuntime {
         // service thread recorded a new replica while we flushed) still gets
         // its update here.
         for (dest, items) in std::mem::take(&mut pending) {
-            if !items.is_empty() {
-                send_update(self, dest, items, &mut expected_acks, &mut outstanding)?;
+            send_update(self, dest, items, &mut expected_acks, &mut outstanding)?;
+        }
+        // The barrier is the ack: a fenced update leaves now and nobody waits
+        // for it. Its destination's relay entry (the small diffs riding
+        // there, else an item-less bundle) draws a later slot of the same
+        // stream at the arrive; re-attached to the destination's release,
+        // that slot holds the release at the admission gate until this
+        // update is installed — the visibility point the ack enforced.
+        for (dest, items) in fenced {
+            if !self.is_peer_dead(dest) {
+                let update = self.next_bundle(dest, self.clock.now(), items, Route::DirectUnacked);
+                self.send(dest, DsmMsg::Update(update))?;
+                relay.entry(dest).or_default();
             }
         }
         // Owner-cooperative fan-out: each non-owned bundle ships whole to
@@ -452,17 +448,11 @@ impl NodeRuntime {
             self.send(owner, DsmMsg::Update(fanout))?;
             coop_pending.insert(owner, items);
         }
-        // Relayed bundles are returned to the caller, which counts,
-        // sequences, and attaches them (the barrier arrive / lock grant
-        // send sites).
-        if crate::runtime::proto_trace_enabled() {
-            for (dest, items) in &relay {
-                crate::runtime::proto_trace!(
-                    self,
-                    "relay -> {dest:?}: {:?}",
-                    items.iter().map(|i| i.object).collect::<Vec<_>>()
-                );
-            }
+        // Relayed bundles are returned to the caller, which sequences and
+        // attaches them (the barrier arrive / lock grant send sites).
+        for (dest, items) in &relay {
+            let objects = || items.iter().map(|i| i.object).collect::<Vec<_>>();
+            crate::runtime::proto_trace!(self, "relay -> {dest:?}: {:?}", objects());
         }
 
         // Ack round (conservative release consistency: updates are performed
@@ -691,7 +681,7 @@ impl NodeRuntime {
     ) -> Result<(Option<UpdatePayload>, FlushRoute)> {
         let object = entry.object;
         let range = self.object_range(object);
-        let (route, home, stable) = {
+        let (mut route, home, stable) = {
             let dir = self.dir.lock();
             let e = dir.entry(object);
             (self.flush_route(e), e.home, e.params.is_stable())
@@ -728,7 +718,8 @@ impl NodeRuntime {
             // local copy ("Fl" and the description of Matrix Multiply).
             if home == self.node {
                 // The owner's own changes are already in place.
-                return Ok((None, route_with(route, NodeSet::EMPTY)));
+                route.destinations = NodeSet::EMPTY;
+                return Ok((None, route));
             }
             self.set_entry_rights(e, AccessRights::Invalid);
             e.state.owned = false;
@@ -741,7 +732,7 @@ impl NodeRuntime {
             // are made locally writable, their twins are deleted, and they do
             // not generate further access faults."
             self.set_entry_rights(e, AccessRights::ReadWrite);
-            return Ok((None, route_with(route, NodeSet::EMPTY)));
+            return Ok((None, route));
         }
         // Write-shared / producer-consumer: keep the copy, re-write-protect so
         // the next write makes a fresh twin.
@@ -1338,7 +1329,10 @@ mod tests {
             false,
         );
         let table = Arc::new(table);
-        let cfg = Arc::new(MuninConfig::fast_test(3).with_piggyback(true));
+        // A relay threshold between a one-word diff and a whole-object one
+        // (32-byte objects), for the barrier-flush tests.
+        let cfg = MuninConfig::fast_test(3).with_piggyback(true);
+        let cfg = Arc::new(cfg.with_relay_max_bytes(16));
         let clock = NodeClock::new();
         let mut net: Network<DsmMsg> = Network::new(3, CostModel::fast_test());
         let (tx0, rx0) = net.endpoint(0, clock.clone()).unwrap();
@@ -1637,6 +1631,115 @@ mod tests {
                     "bounce={bounce}: {left:?} was left behind in the mailbox"
                 );
             }
+            drop(net);
+        }
+    }
+
+    /// The routing table, whole: every (mode, fan-out or flush-to-owner,
+    /// owned or not, destination, payload size) combination has exactly the
+    /// route the module documentation promises. Only an owner-flushed
+    /// fan-out item at a barrier is ever relayed or fenced, size picks
+    /// between those two alone (what lets the send-scheduling pre-pass ask
+    /// before anything is encoded), and only a payload at or over the
+    /// threshold, bound for someone other than the barrier owner, is fenced.
+    #[test]
+    fn classify_routes_every_mode_ownership_destination_and_size() {
+        let (special, other) = (NodeId::new(1), NodeId::new(2));
+        let max = 512;
+        let modes = [
+            FlushMode::Immediate,
+            FlushMode::BarrierRelay { owner: special },
+            FlushMode::LockRelay { grantee: special },
+        ];
+        for mode in modes {
+            for (fans_out, owned) in [(true, true), (true, false), (false, true), (false, false)] {
+                let route = FlushRoute {
+                    fans_out,
+                    owned,
+                    coop_owner: None,
+                    destinations: NodeSet::EMPTY,
+                };
+                for dest in [special, other] {
+                    let at_barrier = matches!(mode, FlushMode::BarrierRelay { .. });
+                    let to_grantee = matches!(mode, FlushMode::LockRelay { .. }) && dest == special;
+                    let small = classify(mode, &route, dest, max - 1, max);
+                    let big = classify(mode, &route, dest, max, max);
+                    let expected = if fans_out && owned && at_barrier {
+                        let big = if dest == special {
+                            Dispatch::Relay
+                        } else {
+                            Dispatch::Fenced
+                        };
+                        (Dispatch::Relay, big)
+                    } else if (fans_out && owned && to_grantee)
+                        || (!fans_out && at_barrier && dest == special)
+                    {
+                        (Dispatch::Relay, Dispatch::Relay)
+                    } else {
+                        (Dispatch::Acked, Dispatch::Acked)
+                    };
+                    assert_eq!(
+                        (small, big),
+                        expected,
+                        "{mode:?}, fans_out={fans_out}, owned={owned}, to {dest:?}"
+                    );
+                    assert_eq!(small == Dispatch::Acked, big == Dispatch::Acked);
+                }
+            }
+        }
+    }
+
+    /// The barrier is the ack, from the flusher's side. A barrier flush of
+    /// one over-threshold page this node owns puts exactly one update on the
+    /// wire, unacknowledged, and returns with nobody having answered it;
+    /// what it hands the arrive site for that destination draws the very
+    /// next slot of the same stream — the fence. A small diff for the same
+    /// destination in the same flush rides in that bundle, not in a second.
+    #[test]
+    fn barrier_flush_sends_a_big_page_unacked_and_hands_the_arrive_its_fence() {
+        let (n1, n2) = (NodeId::new(1), NodeId::new(2));
+        for with_small_diff in [false, true] {
+            let (rt, net, _tx1, rx1, _tx2, rx2, _rx0, ws) = coop_harness_owned_by(&[1, 1]);
+            for o in &ws {
+                // Owned here, with a replica at N1 and the copyset pinned so
+                // the flush needs no determination round.
+                let mut dir = rt.dir.lock();
+                let e = dir.entry_mut(*o);
+                e.state.owned = true;
+                e.copyset.insert(n1);
+                e.state.copyset_fixed = true;
+            }
+            // The first object is dirty all over; the second in one word,
+            // or (its twin restored) not at all.
+            let mut second = [0u8; 32];
+            second[..4].fill(if with_small_diff { 7 } else { 0 });
+            rt.install_object_bytes(ws[1], &second);
+            let relay = rt
+                .flush_duq_mode(FlushMode::BarrierRelay { owner: n2 })
+                .unwrap();
+            let (_env, msg) = rx1.recv().unwrap();
+            let DsmMsg::Update(update) = msg else {
+                panic!("expected the big page's update at N1, got {msg:?}");
+            };
+            assert_eq!(update.route, Route::DirectUnacked);
+            assert_eq!(update.items.len(), 1);
+            assert_eq!(update.items[0].object, ws[0]);
+            assert!(rx1.try_recv().unwrap().is_none(), "one message to N1");
+            assert!(rx2.try_recv().unwrap().is_none(), "N2 holds no copy");
+            assert_eq!(relay.keys().copied().collect::<Vec<_>>(), vec![n1]);
+            let items = relay[&n1].clone();
+            assert_eq!(items.len(), with_small_diff as usize);
+            // The arrive site's draw.
+            let fence = rt.next_bundle(n1, rt.clock.now(), items, Route::Carried);
+            assert_eq!(fence.seq, update.seq + 1);
+            // A fence that carries nothing counts as no update.
+            let snap = rt.stats().snapshot();
+            let sent = 1 + with_small_diff as u64;
+            assert_eq!((snap.updates_sent, snap.msgs_piggybacked), (sent, sent - 1));
+            assert_eq!(
+                snap.relay_bypassed_bytes,
+                update.items[0].payload.model_bytes()
+            );
             drop(net);
         }
     }

@@ -39,7 +39,7 @@
 //! whole cluster dead, and its blocked user thread fails fast with a
 //! structured `NodeDown` instead of hanging until the watchdog.
 
-use std::sync::Arc;
+use std::sync::{atomic::Ordering, Arc};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -563,5 +563,11 @@ impl NodeRuntime {
         if self.cfg.effective_barrier_fanout().is_some() {
             self.tree_handle_death(dead);
         }
+        // Whatever was parked on a gap in the corpse's update stream is
+        // admitted now (`admit`): nothing else would come to retry it. The
+        // generation bump makes a service-thread pass that read the peer as
+        // alive, and is about to re-defer, go round again.
+        self.deferred_gen.fetch_add(1, Ordering::SeqCst);
+        self.process_deferred();
     }
 }

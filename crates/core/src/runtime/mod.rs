@@ -41,6 +41,7 @@ mod sync_ops;
 mod vmseg;
 
 use std::collections::HashSet;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,14 +66,9 @@ use crate::sync::SyncDirectory;
 /// dedicated thread.
 const WATCHDOG_SLICE: Duration = Duration::from_millis(50);
 
-/// Whether protocol-trace notes are enabled (the flight recorder's
-/// human-readable dump mode, `MUNIN_OBS_DUMP=1`). Logs go to stderr with
-/// node ids and virtual times, and the notes also enter the flight-recorder
-/// ring.
-pub(crate) fn proto_trace_enabled() -> bool {
-    crate::obs::dump_enabled()
-}
-
+/// A protocol-trace note (the flight recorder's human-readable dump mode,
+/// `MUNIN_OBS_DUMP=1`): logged to stderr with node id and virtual time, and
+/// entered in the flight-recorder ring.
 macro_rules! proto_trace {
     ($self:expr, $($arg:tt)*) => {
         if $self.obs.notes_enabled() {
@@ -416,15 +412,14 @@ impl NodeRuntime {
     /// from being stamped before the transmission it repeats, whichever
     /// thread sent that.
     pub(crate) fn service_now(&self) -> VirtTime {
-        let handled = self.service_clock.load(std::sync::atomic::Ordering::SeqCst);
+        let handled = self.service_clock.load(Ordering::SeqCst);
         VirtTime::from_nanos(handled).max(self.clock.now())
     }
 
     /// Moves the service-side clock up to `t` (the arrival of a message just
     /// received).
     pub(crate) fn advance_service_clock(&self, t: VirtTime) {
-        self.service_clock
-            .fetch_max(t.as_nanos(), std::sync::atomic::Ordering::SeqCst);
+        self.service_clock.fetch_max(t.as_nanos(), Ordering::SeqCst);
     }
 
     /// The logical time of the calling thread: the node clock on the user
@@ -498,7 +493,9 @@ impl NodeRuntime {
     }
 
     /// This node's next bundle for `dest`: counts the transmission and draws
-    /// its slot in the update stream to `dest` at `at`.
+    /// its slot in the update stream to `dest` at `at`. An item-less bundle
+    /// is a fence — it holds a slot and updates nothing — and counts as no
+    /// update, sent or piggybacked.
     pub(crate) fn next_bundle(
         &self,
         dest: NodeId,
@@ -506,7 +503,12 @@ impl NodeRuntime {
         items: Vec<UpdateItem>,
         route: Route,
     ) -> UpdateBundle {
-        self.note_update_sent(&items);
+        if !items.is_empty() {
+            self.note_update_sent(&items);
+            if route == Route::Carried {
+                crate::stats::add(&self.stats.msgs_piggybacked, 1);
+            }
+        }
         UpdateBundle {
             origin: self.node,
             seq: self.next_update_seq(dest, at),
@@ -808,9 +810,7 @@ impl NodeRuntime {
         let Some(object) = vm.object_at(region_offset) else {
             return false;
         };
-        let window_end = self
-            .vm_window_end
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let window_end = self.vm_window_end.load(Ordering::Relaxed);
         let result = if is_write {
             crate::stats::bump(&self.stats.vm_write_traps);
             self.write_fault(object, window_end)
@@ -825,8 +825,7 @@ impl NodeRuntime {
             // which restores protection and unwinds.
             vm.force_writable(object);
             *self.vm_fault_error.lock() = Some(e);
-            self.vm_fault_errored
-                .store(true, std::sync::atomic::Ordering::Relaxed);
+            self.vm_fault_errored.store(true, Ordering::Relaxed);
         }
         true
     }
@@ -835,14 +834,10 @@ impl NodeRuntime {
     /// The flag and the cell are written by the fault handler on this same
     /// thread, so relaxed ordering is sufficient.
     pub(crate) fn take_vm_fault_error(&self) -> Option<MuninError> {
-        if !self
-            .vm_fault_errored
-            .load(std::sync::atomic::Ordering::Relaxed)
-        {
+        if !self.vm_fault_errored.load(Ordering::Relaxed) {
             return None;
         }
-        self.vm_fault_errored
-            .store(false, std::sync::atomic::Ordering::Relaxed);
+        self.vm_fault_errored.store(false, Ordering::Relaxed);
         self.vm_fault_error.lock().take()
     }
 
@@ -888,7 +883,6 @@ impl NodeRuntime {
     /// waited on a directory entry is handled at `max(its arrival, the time
     /// the entry was unblocked)` — it could not have been served before.
     pub(crate) fn process_deferred(self: &Arc<Self>) {
-        use std::sync::atomic::Ordering;
         loop {
             let gen = self.deferred_gen.load(Ordering::SeqCst);
             let pending = {
@@ -923,7 +917,6 @@ impl NodeRuntime {
     /// `at`, then retries deferred requests. Must be called *after* the
     /// directory update that cleared the condition.
     pub(crate) fn note_unblocked_and_process_deferred(self: &Arc<Self>, at: VirtTime) {
-        use std::sync::atomic::Ordering;
         self.unblocked_at.fetch_max(at.as_nanos(), Ordering::SeqCst);
         self.deferred_gen.fetch_add(1, Ordering::SeqCst);
         self.process_deferred();

@@ -136,15 +136,12 @@ impl NodeRuntime {
             // cannot interleave with a protocol operation the root's user
             // thread is still performing.
             let _ = self.done_tx.send((from, env.arrival));
-        } else if matches!(msg, DsmMsg::Carrier { .. }) {
-            // Carriers are unwrapped here — never routed to the user
-            // thread directly — so the piggybacked payload is always
-            // installed before the framed message is dispatched.
-            self.handle_request(env, msg);
-            self.process_deferred();
         } else if msg.is_user_reply() {
             self.route_to_user(env, msg);
         } else {
+            // A carrier is a request whatever it frames: unwrapped there,
+            // never routed to the user thread directly, so its payload is
+            // installed before the framed message is dispatched.
             self.handle_request(env, msg);
             self.process_deferred();
         }
@@ -385,9 +382,10 @@ impl NodeRuntime {
     /// this one could regress.
     ///
     /// And not out of sequence: a bundle ahead of its origin's stream waits
-    /// for the lower-numbered transmission still in flight (e.g. a
-    /// barrier-relayed bundle on another link); a stale one is an injected
-    /// duplicate and must not be re-applied over newer data.
+    /// for the lower-numbered transmission still in flight (a barrier-relayed
+    /// bundle on another link, or the direct update a fence on a release
+    /// holds that release for); a stale one is an injected duplicate and
+    /// must not be re-applied over newer data.
     ///
     /// Records the `UpdateInstall` (the flow-arrow sink matching the
     /// sender's `UpdateSend`) or `UpdateDefer` event; sync installs, which
@@ -434,6 +432,15 @@ impl NodeRuntime {
         if !matches!(bundle.route, Route::OwnerForward | Route::SyncInstall) {
             match self.check_update_seq(bundle.origin, bundle.seq) {
                 SeqCheck::Apply => {}
+                SeqCheck::Early if self.is_peer_dead(bundle.origin) => {
+                    // What it waits for was lost with its origin (a corpse's
+                    // traffic is dropped on arrival), and unreachable writes
+                    // are the post-crash equivalent of "performed": it stops
+                    // gating, and the stream resumes after it.
+                    let mut expected = self.update_seq_in.lock();
+                    let slot = &mut expected[bundle.origin.as_usize()];
+                    *slot = (*slot).max(bundle.seq + 1);
+                }
                 SeqCheck::Early => {
                     crate::runtime::proto_trace!(
                         self,
@@ -1366,7 +1373,6 @@ impl NodeRuntime {
             });
         }
         if !diverted.is_empty() {
-            add(&self.stats.msgs_piggybacked, 1);
             updates.push(self.next_bundle(to, stamp, diverted, Route::Carried));
         }
         let grant = DsmMsg::LockGrant { lock, queue };
@@ -2460,6 +2466,93 @@ mod tests {
             vec![2u8; 32],
             "stale bundle must not regress the copy"
         );
+    }
+
+    /// A release whose only cargo is an item-less fence in slot 1 of N1's
+    /// stream, and the direct update in slot 0 it fences.
+    fn fenced_release_and_update(ws: ObjectId) -> (DsmMsg, UpdateBundle, UpdateBundle) {
+        let fence = UpdateBundle {
+            origin: NodeId::new(1),
+            seq: 1,
+            items: vec![],
+            route: Route::Carried,
+        };
+        let release = DsmMsg::Carrier {
+            inner: Box::new(DsmMsg::BarrierRelease {
+                barrier: crate::sync::BarrierId(0),
+            }),
+            updates: vec![fence.clone()],
+            relay: vec![],
+        };
+        let d = diff::encode(&[4u8; 32], &[0u8; 32]);
+        let update = bundle_of(1, 0, ws, UpdatePayload::Diff(d), Route::DirectUnacked);
+        (release, fence, update)
+    }
+
+    /// The barrier is the ack, from the destination's side. The release
+    /// outruns the direct update it fences (they travel different links):
+    /// it is parked whole, and reaches the user thread only once the update
+    /// has been installed. Nothing is acknowledged, and a duplicate of
+    /// either transmission is stale.
+    #[test]
+    fn release_fenced_behind_a_direct_update_waits_for_its_install() {
+        let h = harness();
+        let ws = h.obj("ws");
+        h.rt.install_object_bytes(ws, &[0u8; 32]);
+        let (release, fence, update) = fenced_release_and_update(ws);
+        h.peer_tx
+            .send(NodeId::new(0), "barrier_release", 40, release)
+            .unwrap();
+        h.pump();
+        {
+            let deferred = h.rt.deferred.lock();
+            assert_eq!(deferred.len(), 1, "the release waits for slot 0");
+            assert_eq!(deferred[0].on, DeferredOn::Stream);
+            assert!(matches!(deferred[0].msg, DsmMsg::Carrier { .. }));
+        }
+        assert!(h.rt.reply_rx.try_recv().is_err(), "release not routed yet");
+        let update_msg = DsmMsg::Update(update.clone());
+        h.peer_tx
+            .send(NodeId::new(0), "update", 64, update_msg)
+            .unwrap();
+        h.pump();
+        assert_eq!(h.rt.object_bytes(ws), vec![4u8; 32]);
+        h.rt.process_deferred();
+        assert!(h.rt.deferred.lock().is_empty());
+        let (_env, routed) = h.rt.reply_rx.try_recv().expect("release routed");
+        assert!(matches!(routed, DsmMsg::BarrierRelease { .. }));
+        assert!(h.peer_rx.try_recv().unwrap().is_none(), "no ack either way");
+        let env = env_at(1, "update", munin_sim::VirtTime::ZERO);
+        assert_eq!(h.rt.admit(&env, &update), Admission::Stale);
+        assert_eq!(h.rt.admit(&env, &fence), Admission::Stale);
+        assert_eq!(h.rt.stats().snapshot().updates_applied, 1);
+    }
+
+    /// A fence must not outlive its origin: the update it waits for was lost
+    /// with N1 (a corpse's traffic is dropped on arrival), so confirming the
+    /// death lets the parked release through — and the stream resumes after
+    /// the fence, so a straggler from before it stays stale.
+    #[test]
+    fn release_fenced_by_a_dead_origin_is_routed_once_the_death_is_confirmed() {
+        let detect = std::time::Duration::from_secs(60);
+        let h = harness_with(MuninConfig::fast_test(2).with_detect(detect));
+        let ws = h.obj("ws");
+        h.rt.install_object_bytes(ws, &[0u8; 32]);
+        let (release, _fence, update) = fenced_release_and_update(ws);
+        h.peer_tx
+            .send(NodeId::new(0), "barrier_release", 40, release)
+            .unwrap();
+        h.pump();
+        assert_eq!(h.rt.deferred.lock().len(), 1);
+        h.rt.process_deferred();
+        assert_eq!(h.rt.deferred.lock().len(), 1, "a live origin still gates");
+        h.rt.confirm_peer_dead(NodeId::new(1), true);
+        assert!(h.rt.deferred.lock().is_empty());
+        let (_env, routed) = h.rt.reply_rx.try_recv().expect("release routed");
+        assert!(matches!(routed, DsmMsg::BarrierRelease { .. }));
+        let env = env_at(1, "update", munin_sim::VirtTime::ZERO);
+        assert_eq!(h.rt.admit(&env, &update), Admission::Stale);
+        assert_eq!(h.rt.object_bytes(ws), vec![0u8; 32]);
     }
 
     #[test]

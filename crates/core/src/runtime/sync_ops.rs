@@ -258,13 +258,13 @@ impl NodeRuntime {
             from: self.node,
         };
         // Each relayed bundle takes its slot in this node's update stream to
-        // its destination *now*, so any later direct update gets a higher
-        // number and can never be overtaken by the bundle's slower
-        // owner-relayed route.
+        // its destination *now*: after the direct updates this flush sent
+        // there (an item-less bundle is only that, their fence), and before
+        // any later one, which can then never be overtaken by the bundle's
+        // slower owner-relayed route.
         let relay = relay
             .into_iter()
             .map(|(dest, items)| {
-                add(&self.stats.msgs_piggybacked, 1);
                 let at = self.clock.now();
                 (dest, self.next_bundle(dest, at, items, Route::Carried))
             })

@@ -116,6 +116,47 @@ fn tsp_piggyback_is_result_identical_across_16_seeds() {
     }
 }
 
+/// The barrier is the ack, differentially. With the relay threshold at 0 every
+/// owner-flushed barrier payload bound for anyone but the barrier owner goes
+/// direct and unacknowledged, fenced by a slot on the flusher's arrive (the
+/// small-page stress instance never reaches the default threshold, so the
+/// tests above only ever relay). Under the same jittered seeds — which let a
+/// release outrun the update it fences — `on` and `off` must stay
+/// bit-identical, on the flat barrier and through the hops of a fan-out-2
+/// combining tree, and no `UpdateAck` may answer a fenced update.
+#[test]
+fn fenced_direct_updates_are_bit_identical_to_piggyback_off_flat_and_tree() {
+    for barrier_fanout in [None, Some(2)] {
+        for seed in 0..16u64 {
+            let run = |piggyback: bool| {
+                let mut params = sor::SorParams::small(20, 12, 3, 4);
+                params.engine = EngineConfig::seeded(seed).with_faults(STRESS_FAULTS);
+                params.piggyback = piggyback;
+                params.relay_max_bytes = Some(0);
+                params.barrier_fanout = barrier_fanout;
+                sor::run_munin(params, CostModel::fast_test()).unwrap()
+            };
+            let (on, on_grid) = run(true);
+            let (off, off_grid) = run(false);
+            let case = format!("seed {seed}, barrier fan-out {barrier_fanout:?}");
+            assert_eq!(
+                bits(&on_grid),
+                bits(&off_grid),
+                "SOR grids diverged, {case}"
+            );
+            assert!(
+                on.stats.relay_bypassed_bytes > 0,
+                "nothing was fenced, {case}"
+            );
+            assert!(
+                on.net.class("update_ack").msgs < off.net.class("update_ack").msgs
+                    && on.engine.messages_sent < off.engine.messages_sent,
+                "fenced updates must shed their acks, {case}"
+            );
+        }
+    }
+}
+
 /// Half a page of the 16-node miniature below. The relay threshold compares
 /// *encoded* payload bytes, and the miniature's pages are exactly the default
 /// threshold (512): a nearly-full-page diff used to encode just over it and
@@ -168,20 +209,29 @@ fn assert_16_node_sor_saving(access_mode: AccessMode) {
         on_m.net.class("copyset_query").msgs,
         off_m.net.class("copyset_query").msgs
     );
-    // At the default threshold the same run must cost no more, in absolute
-    // terms, than it did with fixed-width run headers (1 496 messages,
-    // 351 028 bytes): smaller diffs crossing the threshold may only help.
+    // At the default threshold nothing in this miniature is bypassed (a page
+    // is exactly the threshold and a nearly-full-page diff encodes just under
+    // it), so the run is the relay's whole message drop, to the message and
+    // to the byte, in both access modes and under every engine seed and
+    // mode. The loss tier keeps the ceiling it had before: with the reliable
+    // transport on, the retransmissions and standalone acks in the count
+    // follow the host's clock (1 083-1 121 messages over 25 runs).
     let (at_default, default_m) = sor_run_16(true, access_mode, DEFAULT_RELAY_MAX_BYTES);
     assert_eq!(
         bits(&at_default),
         bits(&off),
         "16-node SOR grid diverged at the default relay threshold"
     );
+    let (msgs, bytes) = (default_m.engine.messages_sent, default_m.engine.bytes_sent);
+    let (ceil_msgs, ceil_bytes) = if munin::dsm::reliability_from_env() == Some(true) {
+        (1_496, 351_028)
+    } else {
+        (1_030, 315_532)
+    };
     assert!(
-        default_m.engine.messages_sent <= 1_496 && default_m.engine.bytes_sent <= 351_028,
-        "16-node SOR at the default relay threshold: {} msgs / {} bytes, ceiling 1496 / 351028",
-        default_m.engine.messages_sent,
-        default_m.engine.bytes_sent
+        msgs <= ceil_msgs && bytes <= ceil_bytes,
+        "16-node SOR at the default relay threshold: {msgs} msgs / {bytes} bytes, \
+         ceiling {ceil_msgs} / {ceil_bytes}"
     );
 }
 
@@ -258,13 +308,16 @@ fn per_class_engine_counts_reflect_the_carrier_framing() {
 /// bit-identical grids across 16 seeds, with zero watchdog stalls — lost
 /// carriers (and the relay bundles riding them) are retransmitted like any
 /// other frame, and a dropped owner fan-out or forward must not wedge
-/// the origin's ack loop.
+/// the origin's ack loop. The third run per seed sets the relay threshold to
+/// 0, so that what is lost and retransmitted includes fenced direct updates
+/// and the releases their fences ride.
 #[test]
 fn sor_piggyback_survives_one_percent_loss_across_16_seeds() {
-    let lossy = |seed: u64, piggyback: bool| {
+    let lossy = |seed: u64, piggyback: bool, relay_max_bytes: Option<u64>| {
         let mut params = sor::SorParams::small(20, 12, 3, 4);
         params.engine = EngineConfig::seeded(seed).with_faults(STRESS_FAULTS.with_loss(10_000));
         params.piggyback = piggyback;
+        params.relay_max_bytes = relay_max_bytes;
         params.reliability = Some(true);
         params.retransmit_pacing = Some(Duration::from_millis(1));
         params.watchdog = Some(Duration::from_secs(25));
@@ -276,12 +329,17 @@ fn sor_piggyback_survives_one_percent_loss_across_16_seeds() {
         grid
     };
     for seed in 0..16u64 {
-        let on = lossy(seed, true);
-        let off = lossy(seed, false);
+        let on = lossy(seed, true, None);
+        let off = lossy(seed, false, None);
         assert_eq!(
             bits(&on),
             bits(&off),
             "lossy SOR grids diverged between piggyback on/off under seed {seed}"
+        );
+        assert_eq!(
+            bits(&lossy(seed, true, Some(0))),
+            bits(&off),
+            "lossy SOR grid diverged with every payload fenced, seed {seed}"
         );
     }
 }
@@ -292,20 +350,32 @@ fn sor_piggyback_survives_one_percent_loss_across_16_seeds() {
 /// contract of `tests/crash.rs` must hold with piggybacking on: the run
 /// either completes with exact results (crash landed after the protocol
 /// finished) or fails fast with a structured `NodeDown` — never a hang or a
-/// watchdog stall.
+/// watchdog stall. The same holds with the relay threshold at 0, when what
+/// the owner holds are fences and the victim may be a worker with fenced
+/// updates in flight. (The one schedule these runs do not reach, a release
+/// parked behind a fence whose update was lost with its origin, is
+/// `server.rs::release_fenced_by_a_dead_origin_is_routed_once_the_death_is_confirmed`.)
 #[test]
 fn crash_during_barrier_relay_terminates_or_fails_fast() {
     let (rows, cols, iters, nodes) = (20, 12, 3, 8);
     let reference = sor::serial(rows, cols, iters);
-    for trigger in [CrashTrigger::VirtTime(600_000), CrashTrigger::MsgCount(120)] {
+    let triggers = [CrashTrigger::VirtTime(600_000), CrashTrigger::MsgCount(120)];
+    // Node 0 is the barrier owner, holding undistributed bundles; node 3 is
+    // a worker in the middle of the grid.
+    let victims = [(0, None), (0, Some(0)), (3, Some(0))];
+    for ((node, relay_max_bytes), trigger) in
+        victims.into_iter().flat_map(|v| triggers.map(|t| (v, t)))
+    {
+        let case = format!("victim {node}, relay threshold {relay_max_bytes:?}, {trigger:?}");
         let mut params = sor::SorParams::small(rows, cols, iters, nodes);
         params.engine =
             EngineConfig::seeded(3).with_faults(FaultPlan::none().with_crash(CrashSpec {
-                node: 0, // the barrier owner, holding undistributed bundles
+                node,
                 trigger,
                 until_ns: 0,
             }));
         params.piggyback = true;
+        params.relay_max_bytes = relay_max_bytes;
         params.detect = Some(Duration::from_millis(300));
         params.retransmit_pacing = Some(Duration::from_millis(1));
         params.watchdog = Some(Duration::from_secs(25));
@@ -314,7 +384,7 @@ fn crash_during_barrier_relay_terminates_or_fails_fast() {
         let wall = start.elapsed();
         assert!(
             wall < Duration::from_secs(20),
-            "{trigger:?}: crash-during-relay run took {wall:?} — must resolve \
+            "{case}: crash-during-relay run took {wall:?} — must resolve \
              via detection, not a watchdog crawl"
         );
         match outcome {
@@ -326,14 +396,14 @@ fn crash_during_barrier_relay_terminates_or_fails_fast() {
                     .fold(0.0f64, f64::max);
                 assert!(
                     max_err < 1e-12,
-                    "{trigger:?}: run completed but diverged (max error {max_err})"
+                    "{case}: run completed but diverged (max error {max_err})"
                 );
             }
             Err(MuninError::NodeDown { node, .. }) => {
                 assert!(node.as_usize() < nodes, "NodeDown blames nonexistent node");
             }
             Err(other) => {
-                panic!("{trigger:?}: expected completion or NodeDown, got {other:?}")
+                panic!("{case}: expected completion or NodeDown, got {other:?}")
             }
         }
     }
