@@ -72,10 +72,10 @@ pub struct SorParams {
     /// Overrides the adaptive-relay size threshold
     /// (`MUNIN_RELAY_MAX_BYTES`); `None` keeps the config default / env.
     pub relay_max_bytes: Option<u64>,
-    /// Overrides the barrier combining-tree fan-in
-    /// (`MUNIN_BARRIER_FANOUT`): `Some(k)` forces a k-ary tree,
-    /// `Some(usize::MAX)` forces flat, `None` keeps the auto policy (tree
-    /// at 32 nodes and up).
+    /// Overrides the barrier tree's fan-in (`MUNIN_BARRIER_FANOUT`):
+    /// `Some(k)` forces a k-ary tree, `Some(usize::MAX)` the star (every
+    /// node reports straight to the owner), `None` keeps the auto policy
+    /// (the star below 32 nodes, k = 8 from there up).
     pub barrier_fanout: Option<usize>,
 }
 

@@ -10,9 +10,9 @@
 //!   counts are printed on every run and are the source of the committed
 //!   `BENCH_msg.json` baseline.
 //! * **Scaling curves** at 64/128/256 nodes: the same message-economy table
-//!   continued into combining-tree territory (the auto policy switches the
-//!   barriers from flat to a k=8 tree at 32 nodes), plus a barrier-latency
-//!   sweep comparing the flat owner-collected path against trees of fan-in
+//!   continued past 32 nodes (where the auto policy narrows the barrier
+//!   tree's fan-in from N − 1 to 8), plus a barrier-latency sweep comparing
+//!   the star ("flat", k = N − 1) against trees of fan-in
 //!   k ∈ {2, 4, 8, 16}. Message/byte counts, owner ingress, and virtual-time
 //!   spans are the honest metrics here — they are schedule-deterministic per
 //!   seed; wall-clock rows from the 1-core measurement host carry the usual
@@ -120,9 +120,9 @@ fn report_threshold_sweep() {
 
 /// One wide-cluster run with an explicit barrier fan-out override. Returns
 /// (messages, bytes, owner ingress, virtual elapsed ms). `fanout` follows
-/// `MUNIN_BARRIER_FANOUT` semantics: `Some(usize::MAX)` forces flat,
-/// `Some(k)` forces a k-ary tree, `None` keeps the auto policy (tree, k = 8,
-/// at 32 nodes and up).
+/// `MUNIN_BARRIER_FANOUT` semantics: `Some(usize::MAX)` is "flat" (the
+/// star, k = N − 1), `Some(k)` forces a k-ary tree, `None` keeps the auto
+/// policy (k = 8 at 32 nodes and up).
 fn scale_run(
     nodes: usize,
     iterations: usize,
@@ -146,8 +146,8 @@ fn episodes(iterations: usize) -> u64 {
     2 * iterations as u64 + 2
 }
 
-/// Message-economy scaling curve into combining-tree territory: 64/128/256
-/// nodes under the auto barrier policy (tree, k = 8), piggyback on vs off.
+/// Message-economy scaling curve on wide clusters: 64/128/256 nodes under
+/// the auto barrier policy (k = 8), piggyback on vs off.
 /// Fewer iterations than the small-cluster table (4 vs 12) keep the
 /// 256-thread runs quick; the per-release columns stay comparable.
 fn report_scaling() {
@@ -177,11 +177,11 @@ fn report_scaling() {
     }
 }
 
-/// Barrier-latency sweep: flat owner collection vs combining trees of fan-in
-/// k ∈ {2, 4, 8, 16} at 64/128/256 nodes. The owner-ingress column is the
-/// tree's whole point — N arrivals per episode flat, k combines per episode
-/// tree — and the virtual-time span shows what the serialized owner
-/// service cost does to the critical path at scale.
+/// Barrier-latency sweep: the star ("flat", k = N − 1) vs trees of fan-in
+/// k ∈ {2, 4, 8, 16} at 64/128/256 nodes. The owner-ingress column is a
+/// narrow tree's whole point — k reports per episode, N − 1 in the star —
+/// and the virtual-time span shows what the serialized owner service cost
+/// does to the critical path at scale.
 fn report_barrier_sweep() {
     const ITERS: usize = 4;
     eprintln!(
@@ -264,7 +264,7 @@ fn bench_flush(c: &mut Criterion) {
     // Wall clock at 128 nodes, flat vs tree. On the 1-core measurement host
     // this mostly tracks host-level scheduling of 128 worker threads, not
     // protocol latency — the virtual-time columns above are the honest
-    // scaling metric; this row just guards against the tree path costing
+    // scaling metric; this row just guards against the extra hops costing
     // host time.
     for (label, fanout) in [("flat", usize::MAX), ("tree_k8", 8)] {
         group.bench_function(format!("sor_128node/{label}"), |b| {

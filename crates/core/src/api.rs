@@ -159,7 +159,7 @@ pub struct MuninProgram {
     vars: Vec<VarDecl>,
     locks: Vec<&'static str>,
     lock_assoc: Vec<Vec<VarId>>,
-    barriers: Vec<(&'static str, Option<usize>)>,
+    barriers: Vec<&'static str>,
     init: Option<Arc<InitFn>>,
     done: Option<Arc<DoneFn>>,
 }
@@ -225,14 +225,7 @@ impl MuninProgram {
     /// participates.
     pub fn create_barrier(&mut self, name: &'static str) -> BarrierId {
         let id = BarrierId(self.barriers.len() as u32);
-        self.barriers.push((name, None));
-        id
-    }
-
-    /// Declares a barrier with an explicit participant count.
-    pub fn create_barrier_with_parties(&mut self, name: &'static str, parties: usize) -> BarrierId {
-        let id = BarrierId(self.barriers.len() as u32);
-        self.barriers.push((name, Some(parties)));
+        self.barriers.push(name);
         id
     }
 
@@ -299,15 +292,10 @@ impl MuninProgram {
                     .collect()
             })
             .collect();
-        let mut barriers: Vec<(NodeId, usize)> = self
-            .barriers
-            .iter()
-            .map(|(_, parties)| (root, parties.unwrap_or(nodes)))
-            .collect();
-        // Internal start barrier: workers must not begin faulting before the
-        // root has finished `user_init`.
-        let start_barrier = BarrierId(barriers.len() as u32);
-        barriers.push((root, nodes));
+        // Internal start barrier, after the program's own: workers must not
+        // begin faulting before the root has finished `user_init`.
+        let start_barrier = BarrierId(self.barriers.len() as u32);
+        let barrier_owners = vec![root; self.barriers.len() + 1];
 
         let init = self.init.clone();
         let done = self.done.clone();
@@ -324,7 +312,7 @@ impl MuninProgram {
                     Arc::clone(&cfg),
                     Arc::clone(&table),
                     lock_homes.clone(),
-                    barriers.clone(),
+                    barrier_owners.clone(),
                     clock,
                     cost,
                     sender,

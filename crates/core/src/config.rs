@@ -157,15 +157,14 @@ pub struct MuninConfig {
     /// [`DEFAULT_RELAY_MAX_BYTES`]; `0` sends every payload direct,
     /// `u64::MAX` restores the unconditional relay.
     pub relay_max_bytes: u64,
-    /// Fan-in of the hierarchical combining-tree barrier used at all-node
-    /// barriers. `Some(k)` arranges the nodes in a k-ary tree rooted at the
-    /// barrier owner: arrivals combine up the tree (the owner receives at
-    /// most `k` messages per episode instead of one per node) and releases
-    /// fan back down the same edges. `Some(usize::MAX)` forces the flat
-    /// owner-collected barrier. `None` (the default) resolves automatically:
-    /// flat below [`TREE_BARRIER_AUTO_NODES`] nodes — so small-cluster
-    /// delivery schedules stay byte-identical to earlier releases — and
-    /// [`DEFAULT_BARRIER_FANOUT`] at or above it. Defaults to
+    /// Fan-in of the barrier tree. `Some(k)` arranges the nodes in a k-ary
+    /// tree rooted at the barrier owner: arrivals combine up the tree (the
+    /// owner receives at most `k` messages per episode) and releases fan
+    /// back down the same edges. Any `k` of `nodes − 1` or more —
+    /// `Some(usize::MAX)` is the conventional spelling — is the star in
+    /// which every node reports straight to the owner. `None` (the default)
+    /// resolves automatically: the star below [`TREE_BARRIER_AUTO_NODES`]
+    /// nodes, [`DEFAULT_BARRIER_FANOUT`] at or above it. Defaults to
     /// `MUNIN_BARRIER_FANOUT` from the environment.
     pub barrier_fanout: Option<usize>,
 }
@@ -243,10 +242,10 @@ fn parse_relay_max_bytes(v: Option<&str>) -> u64 {
     }
 }
 
-/// Reads `MUNIN_BARRIER_FANOUT` (combining-tree fan-in for all-node
-/// barriers) from the environment: an integer `k >= 2` selects a k-ary tree,
-/// `flat` forces the flat owner-collected barrier, unset leaves the auto
-/// policy (flat below [`TREE_BARRIER_AUTO_NODES`] nodes, else
+/// Reads `MUNIN_BARRIER_FANOUT` (the barrier tree's fan-in) from the
+/// environment: an integer `k >= 2` selects a k-ary tree, `flat` the star
+/// (`k = nodes − 1`: every node reports straight to the owner), unset leaves
+/// the auto policy (the star below [`TREE_BARRIER_AUTO_NODES`] nodes, else
 /// [`DEFAULT_BARRIER_FANOUT`]).
 ///
 /// # Panics
@@ -267,7 +266,7 @@ fn parse_barrier_fanout(v: Option<&str>) -> Option<usize> {
             Ok(k) if k >= 2 => Some(k),
             _ => panic!(
                 "invalid MUNIN_BARRIER_FANOUT={v:?}: expected an integer fan-in >= 2 \
-                 (e.g. MUNIN_BARRIER_FANOUT=8) or \"flat\" to force the flat barrier"
+                 (e.g. MUNIN_BARRIER_FANOUT=8) or \"flat\" for fan-in nodes - 1"
             ),
         },
     }
@@ -371,15 +370,14 @@ pub const DEFAULT_DETECT: Duration = Duration::from_secs(2);
 /// at 0.90× but forfeits the relay's share of the message savings.
 pub const DEFAULT_RELAY_MAX_BYTES: u64 = 512;
 
-/// Default combining-tree fan-in when the auto policy selects the tree
-/// barrier. Eight keeps the owner's per-episode ingress at 8 messages while
-/// holding the tree to ⌈log₈ N⌉ hops (2 at 64 nodes, 3 at 256).
+/// Barrier fan-in the auto policy picks for wide clusters. Eight keeps the
+/// owner's per-episode ingress at 8 messages while holding the tree to
+/// ⌈log₈ N⌉ hops (2 at 64 nodes, 3 at 256).
 pub const DEFAULT_BARRIER_FANOUT: usize = 8;
 
-/// Cluster size at which the auto policy switches all-node barriers from the
-/// flat owner-collected protocol to the combining tree. Below this the flat
-/// barrier's O(N) owner ingress is cheap and the delivery schedule stays
-/// byte-identical to earlier releases (the committed golden digests).
+/// Cluster size at which the auto policy's barrier fan-in changes from
+/// `nodes − 1` (the star: one hop each way, O(N) ingress at the owner, cheap
+/// while N is small) to [`DEFAULT_BARRIER_FANOUT`].
 pub const TREE_BARRIER_AUTO_NODES: usize = 32;
 
 impl MuninConfig {
@@ -516,25 +514,23 @@ impl MuninConfig {
         self
     }
 
-    /// Sets the combining-tree barrier fan-in (`usize::MAX` forces the flat
-    /// barrier regardless of cluster size).
+    /// Sets the barrier fan-in (`usize::MAX`, like any value of
+    /// `nodes − 1` or more, selects the star regardless of cluster size).
     pub fn with_barrier_fanout(mut self, fanout: usize) -> Self {
         self.barrier_fanout = Some(fanout);
         self
     }
 
-    /// Effective combining-tree fan-in for all-node barriers: `Some(k)` runs
-    /// the k-ary tree, `None` the flat owner-collected barrier. The explicit
-    /// setting wins when one was given (`usize::MAX` meaning flat); the auto
-    /// policy keeps clusters below [`TREE_BARRIER_AUTO_NODES`] flat — their
-    /// delivery schedules stay byte-identical to earlier releases — and runs
-    /// [`DEFAULT_BARRIER_FANOUT`] at or above it.
-    pub fn effective_barrier_fanout(&self) -> Option<usize> {
+    /// Effective barrier fan-in, between 1 and `nodes − 1`. The explicit
+    /// setting wins when one was given; the auto policy runs the star below
+    /// [`TREE_BARRIER_AUTO_NODES`] nodes and [`DEFAULT_BARRIER_FANOUT`] at or
+    /// above it.
+    pub fn effective_barrier_fanout(&self) -> usize {
+        let star = crate::sync::TreeTopology::star_fanout(self.nodes);
         match self.barrier_fanout {
-            Some(usize::MAX) => None,
-            Some(k) => Some(k),
-            None if self.nodes >= TREE_BARRIER_AUTO_NODES => Some(DEFAULT_BARRIER_FANOUT),
-            None => None,
+            Some(k) => k.clamp(1, star),
+            None if self.nodes >= TREE_BARRIER_AUTO_NODES => DEFAULT_BARRIER_FANOUT,
+            None => star,
         }
     }
 
@@ -697,23 +693,25 @@ mod tests {
     }
 
     #[test]
-    fn barrier_fanout_auto_policy_keeps_small_clusters_flat() {
+    fn barrier_fanout_auto_policy_runs_the_star_on_small_clusters() {
         let mut small = MuninConfig::fast_test(16);
         small.barrier_fanout = None;
-        assert_eq!(small.effective_barrier_fanout(), None);
+        assert_eq!(small.effective_barrier_fanout(), 15);
 
-        let mut wide = MuninConfig::fast_test(64);
+        let mut wide = MuninConfig::fast_test(TREE_BARRIER_AUTO_NODES);
         wide.barrier_fanout = None;
-        assert_eq!(
-            wide.effective_barrier_fanout(),
-            Some(DEFAULT_BARRIER_FANOUT)
-        );
+        assert_eq!(wide.effective_barrier_fanout(), DEFAULT_BARRIER_FANOUT);
 
-        let forced_flat = MuninConfig::fast_test(64).with_barrier_fanout(usize::MAX);
-        assert_eq!(forced_flat.effective_barrier_fanout(), None);
-
-        let forced_tree = MuninConfig::fast_test(8).with_barrier_fanout(4);
-        assert_eq!(forced_tree.effective_barrier_fanout(), Some(4));
+        // "flat" (and anything else at or past nodes - 1) is the star.
+        let star = MuninConfig::fast_test(64).with_barrier_fanout(usize::MAX);
+        assert_eq!(star.effective_barrier_fanout(), 63);
+        let tree = MuninConfig::fast_test(8).with_barrier_fanout(4);
+        assert_eq!(tree.effective_barrier_fanout(), 4);
+        // One and two nodes have only one shape.
+        for nodes in [1, 2] {
+            let cfg = MuninConfig::fast_test(nodes).with_barrier_fanout(8);
+            assert_eq!(cfg.effective_barrier_fanout(), 1);
+        }
     }
 
     #[test]

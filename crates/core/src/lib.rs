@@ -18,7 +18,7 @@
 //!   arrives at a barrier.
 //!
 //! The supporting machinery mirrors the prototype: a per-node data object
-//! [`directory`], distributed queue-based locks and owner-collected barriers
+//! [`directory`], distributed queue-based locks and owner-released barriers
 //! ([`sync`]), and a per-node runtime ([`runtime`]) split into a user-thread
 //! side (fault handling, flushes, synchronization) and a service thread that
 //! answers remote requests.

@@ -155,6 +155,18 @@ pub enum ReduceOp {
     MaxF64(f64),
 }
 
+/// Which of a node's self-timers fired (see [`DsmMsg::Timer`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TimerKind {
+    /// The reliability layer's retransmit/ack-flush tick.
+    Retransmit,
+    /// The failure detector's periodic tick: on firing, the node sends
+    /// [`DsmMsg::Heartbeat`]s and re-arms. Only scheduled when failure
+    /// detection is enabled (see `MuninConfig::detect`), so zero-crash runs
+    /// carry no health traffic.
+    Health,
+}
+
 /// Messages exchanged by Munin nodes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DsmMsg {
@@ -317,47 +329,37 @@ pub enum DsmMsg {
         /// queue travels with the lock).
         queue: Vec<NodeId>,
     },
-    /// A thread arrived at a barrier.
+    /// A node's report up its barrier's tree (see
+    /// [`crate::sync::TreeTopology`]): every member of `arrived` has reached
+    /// the barrier. Sent to the node's live parent once its own thread and
+    /// everyone live below it have arrived.
     BarrierArrive {
         /// The barrier.
         barrier: BarrierId,
-        /// Arriving node.
+        /// The reporting node.
         from: NodeId,
+        /// The episode the report belongs to: the sender's completed-episode
+        /// count plus one. A receiver already released from that episode
+        /// answers with a direct [`DsmMsg::BarrierRelease`] instead of
+        /// re-counting. Like [`DsmMsg::ObjectFetch`]'s `phase`, not charged
+        /// in [`DsmMsg::model_bytes`]: it is only ever compared with the
+        /// receiver's `completed` and `completed + 1`, which a few bits of
+        /// the fixed header carry.
+        gen: u64,
+        /// Every node below the sender known to have arrived, the sender
+        /// included. A set, not a count, so re-sends after a re-parent merge
+        /// idempotently at the new parent. A leaf's set is just `from`, and
+        /// then no bitmap travels.
+        arrived: NodeSet,
     },
-    /// The barrier owner releases all waiters.
+    /// The release of a barrier episode, passed down the edges the reports
+    /// came up. Each node forwards it to its children and then wakes its own
+    /// user thread.
     BarrierRelease {
         /// The barrier.
         barrier: BarrierId,
-    },
-    /// Combining-tree barrier: an interior node's upward report that every
-    /// member of `arrived` has reached the barrier. Sent to the node's
-    /// current tree parent once its own arrival plus all of its live
-    /// children's reports are in. Carries the full arrived set (not a count)
-    /// so re-sends after a re-parent merge idempotently at the new parent.
-    BarrierCombine {
-        /// The barrier.
-        barrier: BarrierId,
-        /// The reporting subtree root.
-        from: NodeId,
-        /// The barrier episode this report belongs to: the sender's
-        /// completed-episode count plus one. A receiver that has already
-        /// finished that episode answers with a direct
-        /// [`DsmMsg::BarrierTreeRelease`] instead of re-counting.
-        gen: u64,
-        /// Every node in the sender's subtree known to have arrived
-        /// (including the sender itself).
-        arrived: NodeSet,
-    },
-    /// Combining-tree barrier: the downward release, forwarded along the
-    /// tree edges from the owner. Each interior node re-forwards to its
-    /// children and then routes a plain [`DsmMsg::BarrierRelease`] to its
-    /// own user thread, so the waiting side is identical for flat and tree
-    /// barriers.
-    BarrierTreeRelease {
-        /// The barrier.
-        barrier: BarrierId,
-        /// The episode being released (matches the triggering combine's
-        /// `gen`); duplicates for already-completed episodes are dropped.
+        /// The episode being released; duplicates for completed episodes are
+        /// dropped. Not charged, for the reason `BarrierArrive::gen` is not.
         gen: u64,
     },
     /// A worker's user thread finished its work (sent to the root).
@@ -418,15 +420,9 @@ pub enum DsmMsg {
         /// delivered.
         upto: u64,
     },
-    /// The reliability layer's retransmit/ack-flush tick. Never on the wire:
-    /// it is the payload of a virtual-time timer event the service loop
-    /// schedules for itself.
-    Tick,
-    /// The failure detector's periodic self-timer (never on the wire): on
-    /// firing, the node sends [`DsmMsg::Heartbeat`]s and re-arms. Only
-    /// scheduled when failure detection is enabled (see
-    /// `MuninConfig::detect`), so zero-crash runs carry no health traffic.
-    HealthTick,
+    /// A timer this node set for itself. Never on the wire: it is the payload
+    /// of a virtual-time timer event the service loop schedules.
+    Timer(TimerKind),
     /// An "I am alive" probe. Sent *unreliably* (never wrapped in a
     /// [`DsmMsg::Reliable`] frame): a heartbeat that needed retransmission
     /// would defeat its purpose, and a lost one is replaced by the next.
@@ -503,8 +499,6 @@ impl DsmMsg {
             DsmMsg::LockGrant { .. } => "lock_grant",
             DsmMsg::BarrierArrive { .. } => "barrier_arrive",
             DsmMsg::BarrierRelease { .. } => "barrier_release",
-            DsmMsg::BarrierCombine { .. } => "barrier_combine",
-            DsmMsg::BarrierTreeRelease { .. } => "barrier_tree_release",
             DsmMsg::WorkerDone { .. } => "worker_done",
             DsmMsg::Shutdown => "shutdown",
             // A carrier is classed as the message it frames, so per-class
@@ -515,8 +509,8 @@ impl DsmMsg {
             // wraps, so per-class accounting is unaffected by the transport.
             DsmMsg::Reliable { inner, .. } => inner.class(),
             DsmMsg::NetAck { .. } => "net_ack",
-            DsmMsg::Tick => "tick",
-            DsmMsg::HealthTick => "health_tick",
+            DsmMsg::Timer(TimerKind::Retransmit) => "tick",
+            DsmMsg::Timer(TimerKind::Health) => "health_tick",
             DsmMsg::Heartbeat => "heartbeat",
             DsmMsg::PeerDown { .. } => "peer_down",
             DsmMsg::Adopt { .. } => "adopt",
@@ -550,11 +544,12 @@ impl DsmMsg {
             DsmMsg::ReduceReply { old } => old.len() as u64,
             DsmMsg::LockAcquire { .. } => 8,
             DsmMsg::LockGrant { queue, .. } => 8 + 4 * queue.len() as u64,
+            // Barrier id and sender; the arrived bitmap (the words up to the
+            // highest set bit) only when it says more than "the sender".
+            DsmMsg::BarrierArrive { arrived, .. } if arrived.count() > 1 => {
+                8 + 8 * arrived.word_span() as u64
+            }
             DsmMsg::BarrierArrive { .. } | DsmMsg::BarrierRelease { .. } => 8,
-            // Barrier id + from + gen, plus the arrived bitmap (only the
-            // words up to the highest set bit travel).
-            DsmMsg::BarrierCombine { arrived, .. } => 16 + 8 * arrived.word_span() as u64,
-            DsmMsg::BarrierTreeRelease { .. } => 12,
             DsmMsg::WorkerDone { .. } | DsmMsg::Shutdown => 4,
             // One header for the whole frame: the inner message and every
             // piggybacked bundle share it — that is the wire saving the
@@ -574,7 +569,7 @@ impl DsmMsg {
             DsmMsg::Reliable { inner, .. } => inner.model_bytes() - HEADER_BYTES + 8,
             DsmMsg::NetAck { .. } => 8,
             // Never on the wire (timer payloads only).
-            DsmMsg::Tick | DsmMsg::HealthTick => 0,
+            DsmMsg::Timer(_) => 0,
             DsmMsg::Heartbeat => 0,
             DsmMsg::PeerDown { .. } => 4,
             DsmMsg::Adopt { run, .. } => 12 + if *run > 1 { 4 } else { 0 },
@@ -598,7 +593,6 @@ impl DsmMsg {
                 | DsmMsg::OwnerCopysetReply { .. }
                 | DsmMsg::ReduceReply { .. }
                 | DsmMsg::LockGrant { .. }
-                | DsmMsg::BarrierRelease { .. }
                 | DsmMsg::Shutdown
         )
     }
@@ -629,6 +623,26 @@ mod tests {
             writable: false,
         }
     }
+
+    /// `from`'s report that everyone in `arrived` reached barrier 0.
+    fn arrive_of(from: usize, arrived: NodeSet) -> DsmMsg {
+        DsmMsg::BarrierArrive {
+            barrier: BarrierId(0),
+            from: NodeId::new(from),
+            gen: 1,
+            arrived,
+        }
+    }
+
+    /// A leaf's report: just itself.
+    fn leaf_arrive(from: usize) -> DsmMsg {
+        arrive_of(from, NodeSet::from_nodes([NodeId::new(from)]))
+    }
+
+    const RELEASE: DsmMsg = DsmMsg::BarrierRelease {
+        barrier: BarrierId(0),
+        gen: 1,
+    };
 
     #[test]
     fn classes_are_distinct_for_requests_and_replies() {
@@ -747,11 +761,7 @@ mod tests {
 
     #[test]
     fn barrier_and_lock_messages_are_small() {
-        let arrive = DsmMsg::BarrierArrive {
-            barrier: BarrierId(0),
-            from: NodeId::new(3),
-        };
-        assert!(arrive.model_bytes() <= 64);
+        assert!(leaf_arrive(3).model_bytes() <= 64);
         let grant = DsmMsg::LockGrant {
             lock: LockId(0),
             queue: vec![NodeId::new(1)],
@@ -770,10 +780,7 @@ mod tests {
             lock: LockId(0),
             queue: vec![NodeId::new(2)],
         };
-        let arrive = DsmMsg::BarrierArrive {
-            barrier: BarrierId(0),
-            from: NodeId::new(1),
-        };
+        let arrive = leaf_arrive(1);
         let table: [(&str, DsmMsg, &str, u64); 6] = [
             (
                 "bare Update, 2 items",
@@ -845,13 +852,8 @@ mod tests {
     /// assertion measures reality.
     #[test]
     fn carrier_shares_one_header_and_charges_each_wire_transit() {
-        let release = DsmMsg::BarrierRelease {
-            barrier: BarrierId(0),
-        };
-        let arrive = DsmMsg::BarrierArrive {
-            barrier: BarrierId(0),
-            from: NodeId::new(1),
-        };
+        let release = RELEASE;
+        let arrive = leaf_arrive(1);
         let direct = DsmMsg::Update(bundle(Route::DirectAcked, 1));
         assert_eq!(direct.model_bytes(), HEADER_BYTES + 8 + 64);
         // Hop 1: 4 bytes of destination + 8 of origin/seq + 8 per item + the
@@ -886,39 +888,28 @@ mod tests {
         assert_eq!(ack.class(), "relay_fanout_ack");
     }
 
+    /// A leaf's report and every release cost 8 bytes (barrier id and
+    /// sender; `gen` rides the header); a report that speaks for more than
+    /// its sender adds the bitmap, one word per 64 node ids in use.
     #[test]
-    fn tree_barrier_messages_are_service_requests_with_pinned_sizes() {
-        use crate::nodeset::NodeSet;
-        let combine = DsmMsg::BarrierCombine {
-            barrier: BarrierId(0),
-            from: NodeId::new(9),
-            gen: 1,
-            arrived: NodeSet::from_nodes([NodeId::new(9), NodeId::new(10)]),
-        };
-        // 16 bytes of framing + one 8-byte bitmap word for nodes < 64.
-        assert_eq!(combine.model_bytes(), HEADER_BYTES + 16 + 8);
-        assert_eq!(combine.class(), "barrier_combine");
-        assert!(!combine.is_user_reply());
-
-        // A 256-node subtree report still ships only 4 bitmap words.
-        let wide = DsmMsg::BarrierCombine {
-            barrier: BarrierId(0),
-            from: NodeId::new(0),
-            gen: 1,
-            arrived: NodeSet::full(256),
-        };
-        assert_eq!(wide.model_bytes(), HEADER_BYTES + 16 + 8 * 4);
-
-        let release = DsmMsg::BarrierTreeRelease {
-            barrier: BarrierId(0),
-            gen: 1,
-        };
-        assert_eq!(release.model_bytes(), HEADER_BYTES + 12);
-        assert_eq!(release.class(), "barrier_tree_release");
-        // The tree release is forwarded by the service loop, which routes a
-        // plain BarrierRelease to its own user thread; only that one is a
-        // user reply.
-        assert!(!release.is_user_reply());
+    fn barrier_messages_are_service_requests_with_pinned_sizes() {
+        let ids = |r: std::ops::Range<usize>| r.map(NodeId::new).collect::<NodeSet>();
+        let table = [
+            (leaf_arrive(9), 8),
+            (leaf_arrive(200), 8),
+            (arrive_of(9, ids(9..11)), 8 + 8),
+            (arrive_of(70, ids(70..72)), 8 + 8 * 2),
+            (arrive_of(0, NodeSet::full(256)), 8 + 8 * 4),
+            (RELEASE, 8),
+        ];
+        for (msg, payload) in table {
+            assert_eq!(msg.model_bytes(), HEADER_BYTES + payload, "{msg:?}");
+            // Both are handled by the service loop, which forwards a release
+            // down the tree before waking its own user thread.
+            assert!(!msg.is_user_reply(), "{msg:?}");
+        }
+        assert_eq!(leaf_arrive(9).class(), "barrier_arrive");
+        assert_eq!(RELEASE.class(), "barrier_release");
     }
 
     #[test]

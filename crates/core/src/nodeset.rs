@@ -232,6 +232,13 @@ impl PartialEq for NodeSet {
 
 impl Eq for NodeSet {}
 
+impl std::hash::Hash for NodeSet {
+    /// Agrees with `==`: trailing zero words do not count.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.words()[..self.word_span()].hash(state);
+    }
+}
+
 impl<'a> IntoIterator for &'a NodeSet {
     type Item = NodeId;
     type IntoIter = NodeSetIter<'a>;
@@ -325,6 +332,9 @@ mod tests {
         inline.insert(n(3));
         assert_eq!(heap, inline);
         assert_eq!(inline, heap);
+        // Equal sets hash alike, so a set can key a map.
+        let one_key = std::collections::HashSet::from([heap.clone(), inline.clone()]);
+        assert_eq!(one_key.len(), 1);
         inline.insert(n(4));
         assert_ne!(heap, inline);
     }

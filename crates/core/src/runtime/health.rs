@@ -2,7 +2,7 @@
 //!
 //! Detection is heartbeat-based with traffic piggybacking: every message a
 //! peer sends (protocol traffic, reliability frames, heartbeats alike)
-//! refreshes its *last heard* timestamp, and a periodic `HealthTick` timer
+//! refreshes its *last heard* timestamp, and a periodic health-tick timer
 //! sends explicit [`DsmMsg::Heartbeat`] probes so an idle-but-alive peer is
 //! never mistaken for a dead one. A peer quiet for more than half the
 //! detection window (`MuninConfig::detection`) becomes *suspect* — surfaced
@@ -24,8 +24,8 @@
 //!   surviving replica holder (deterministic: every survivor picks the same
 //!   node without coordination);
 //! * lock tokens last seen heading towards the corpse are regenerated at
-//!   the lock's home, and barriers owned here exclude the dead node from
-//!   their arrival counts, releasing waiters the corpse was holding up.
+//!   the lock's home, and every barrier stops needing the dead node, which
+//!   releases the waiters the corpse was holding up.
 //!
 //! Blocked user threads observe deaths through [`NodeRuntime::wait_reply_or_dead`],
 //! which surfaces the internal [`MuninError::PeerDied`] signal; each call
@@ -48,11 +48,11 @@ use munin_sim::{Envelope, NodeId, VirtTime};
 
 use crate::config::MuninConfig;
 use crate::error::{MuninError, Result};
-use crate::msg::DsmMsg;
+use crate::msg::{DsmMsg, TimerKind};
 use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
 use crate::stats::bump;
-use crate::sync::{BarrierId, LockId, TokenArrival};
+use crate::sync::{LockId, TokenArrival};
 
 use super::{NodeRuntime, WaitOp, WATCHDOG_SLICE};
 
@@ -86,7 +86,7 @@ struct HealthInner {
     last_beat: Instant,
 }
 
-/// Virtual-time spacing of `HealthTick` re-arms. Timers fire on wall-clock
+/// Virtual-time spacing of health tick re-arms. Timers fire on wall-clock
 /// idleness but are *ordered* by virtual due time, and the health tick
 /// competes with the reliability layer's retransmit tick (re-armed ~1 ms of
 /// virtual time ahead of a clock that stands still while every thread is
@@ -126,7 +126,7 @@ impl NodeRuntime {
     }
 
     /// Starts the detector: stamps every peer freshly heard (startup is not
-    /// silence) and schedules the first `HealthTick`. Called from the
+    /// silence) and schedules the first health tick. Called from the
     /// service loop before it starts receiving.
     pub(crate) fn health_start(&self) {
         if !self.health.enabled {
@@ -145,13 +145,13 @@ impl NodeRuntime {
         self.arm_health_tick();
     }
 
-    /// Arms the next `HealthTick`, a short step ahead of the service-side
+    /// Arms the next health tick, a short step ahead of the service-side
     /// clock.
     fn arm_health_tick(&self) {
         let due = self.service_now() + VirtTime::from_nanos(HEALTH_TICK_VIRT_NS);
         let _ = self
             .sender
-            .schedule_timer(due, "health", DsmMsg::HealthTick);
+            .schedule_timer(due, "health", DsmMsg::Timer(TimerKind::Health));
     }
 
     /// Records traffic from `peer`: refreshes its last-heard stamp and lifts
@@ -208,7 +208,7 @@ impl NodeRuntime {
 
     /// Ages the quiet windows: suspects peers quiet for more than half the
     /// detection window and confirms dead those quiet for the full window.
-    /// Driven from both the `HealthTick` timer (service thread) and the
+    /// Driven from both the health-tick timer (service thread) and the
     /// blocked user thread's wait slices, so detection advances even when
     /// the destination's delivery schedule never goes idle.
     pub(crate) fn health_check(self: &Arc<Self>) {
@@ -240,7 +240,7 @@ impl NodeRuntime {
         }
     }
 
-    /// The `HealthTick` handler (service thread): probes every non-dead
+    /// The health tick handler (service thread): probes every non-dead
     /// peer when a wall-clock heartbeat period has elapsed, ages the quiet
     /// windows, and re-arms the timer. The tick fires far more often than it
     /// probes (see [`HEALTH_TICK_VIRT_NS`]); the wall-clock gate keeps the
@@ -504,11 +504,8 @@ impl NodeRuntime {
         }
         // Sync walk: lock tokens last seen heading towards the corpse are
         // regenerated at the lock's home (orphaned waiters re-send their
-        // acquires there); barriers owned here exclude the dead node from
-        // the arrival count, releasing waiters it was holding up. Wake-ups
-        // and sends happen outside the sync lock.
+        // acquires there). Wake-ups and sends happen outside the sync lock.
         let mut regenerated: Vec<(LockId, TokenArrival)> = Vec::new();
-        let mut barrier_releases: Vec<(BarrierId, (Vec<NodeId>, VirtTime))> = Vec::new();
         {
             let mut sync = self.sync.lock();
             for i in 0..sync.lock_count() {
@@ -530,15 +527,6 @@ impl NodeRuntime {
                     }
                 }
             }
-            for i in 0..sync.barrier_count() {
-                let id = BarrierId(i as u32);
-                let b = sync.barrier_mut(id);
-                if b.owner == self.node {
-                    if let Some(opened) = b.exclude(dead, now) {
-                        barrier_releases.push((id, opened));
-                    }
-                }
-            }
         }
         for (id, arrival) in regenerated {
             // The fresh token goes where a grant would: to this node's own
@@ -553,16 +541,11 @@ impl NodeRuntime {
             };
             self.finish_token_arrival(minted, id, arrival);
         }
-        for (id, (waiters, opened_at)) in barrier_releases {
-            crate::runtime::proto_trace!(self, "barrier {} opens on exclusion of {dead:?}", id.0);
-            self.release_barrier_waiters(id, waiters, opened_at);
-        }
-        // Tree barriers re-evaluate on every node: a dead reporting ancestor
-        // means this node's merged report must re-parent to a live one, and
-        // a dead subtree member may complete the subtree right now.
-        if self.cfg.effective_barrier_fanout().is_some() {
-            self.tree_handle_death(dead);
-        }
+        // Barriers re-evaluate on every node: a dead reporting ancestor means
+        // this node's merged report must re-parent to a live one, and a dead
+        // subtree member — at the owner, any dead node — stops being needed,
+        // which may complete the episode right now.
+        self.barrier_handle_death(dead);
         // Whatever was parked on a gap in the corpse's update stream is
         // admitted now (`admit`): nothing else would come to retry it. The
         // generation bump makes a service-thread pass that read the peer as

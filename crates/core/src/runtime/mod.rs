@@ -291,7 +291,7 @@ impl NodeRuntime {
         cfg: Arc<MuninConfig>,
         table: Arc<SharedDataTable>,
         lock_homes: Vec<NodeId>,
-        barriers: Vec<(NodeId, usize)>,
+        barrier_owners: Vec<NodeId>,
         clock: NodeClock,
         cost: Arc<CostModel>,
         sender: Sender<DsmMsg>,
@@ -300,7 +300,7 @@ impl NodeRuntime {
         let (done_tx, done_rx) = channel::unbounded();
         let home = NodeId::new(0);
         let dir = Directory::from_table(&table, home, cfg.annotation_override);
-        let sync = SyncDirectory::new(node, &lock_homes, &barriers);
+        let sync = SyncDirectory::new(node, &lock_homes, &barrier_owners);
         // Built cyclically: the VM-trap fault callback needs a handle back to
         // this runtime to route traps into the fault protocol. No faults can
         // occur before the `Arc` is complete (nothing has touched the

@@ -6,9 +6,9 @@
 //! bundle is attached to a message that is leaving anyway (a lock grant, an
 //! `InvalidateAck`, a `BarrierArrive`), framed by
 //! [`crate::msg::DsmMsg::Carrier`]. The one place a bundle waits is the
-//! **barrier relay**: at an all-node barrier the owner (or a combining-tree
-//! interior node) stashes the update bundles that rode in on arrive carriers
-//! here and re-attaches each to the `BarrierRelease` headed to its
+//! **barrier relay**: the barrier owner (or an interior node of the
+//! barrier's tree) stashes the update bundles that rode in on arrive
+//! carriers here and re-attaches each to the `BarrierRelease` headed to its
 //! destination, so a release flush costs no standalone update or ack
 //! messages at all.
 //!
@@ -49,10 +49,9 @@ impl Outbox {
     }
 
     /// Removes and returns every stashed bundle for `barrier` whose
-    /// destination is *not* in `inside`. A combining-tree interior node
-    /// calls this when forwarding its upward report: bundles leaving its
-    /// static subtree ride the combine; bundles staying inside wait for the
-    /// downward release.
+    /// destination is *not* in `inside`. A node calls this when sending its
+    /// upward report: bundles leaving its static subtree ride the report;
+    /// bundles staying inside wait for the downward release.
     pub fn take_relay_outside(
         &mut self,
         barrier: BarrierId,
@@ -64,7 +63,7 @@ impl Outbox {
     /// Removes and returns every stashed bundle for `barrier` whose
     /// destination is in `covered`, excluding `except` (whose bundles
     /// attach directly to its own release as carrier updates). The
-    /// downward-release partition of the tree path.
+    /// downward-release partition.
     pub fn take_relay_within(
         &mut self,
         barrier: BarrierId,
@@ -133,7 +132,7 @@ mod tests {
         assert!(ob.take_relay(BarrierId(0), NodeId::new(1)).is_empty());
     }
 
-    /// The tree-path partition: `take_relay_outside` extracts exactly the
+    /// The per-hop partition: `take_relay_outside` extracts exactly the
     /// bundles leaving a subtree, `take_relay_within` exactly the covered
     /// remainder minus the directly-released child, and neither touches the
     /// other barrier's stash.

@@ -33,7 +33,7 @@ use std::time::Instant;
 use munin_sim::{DeliveryMode, NodeId, VirtTime};
 
 use crate::config::MuninConfig;
-use crate::msg::DsmMsg;
+use crate::msg::{DsmMsg, TimerKind};
 use crate::stats;
 
 use super::NodeRuntime;
@@ -147,18 +147,14 @@ impl NodeRuntime {
     /// Wraps an outbound protocol message in a `Reliable` frame, assigning
     /// the next per-link id, piggybacking the cumulative ack owed to `dst`,
     /// and recording the message for retransmission. Identity when the layer
-    /// is disabled; transport-internal frames (`NetAck`, `Tick`) and the
-    /// failure detector's traffic (`HealthTick`, `Heartbeat`, `PeerDown`)
-    /// pass through unchanged — retransmitting a liveness probe to a node
+    /// is disabled; transport-internal frames (`NetAck`, self-timers) and the
+    /// failure detector's traffic (`Heartbeat`, `PeerDown`) pass through
+    /// unchanged — retransmitting a liveness probe to a node
     /// suspected dead would defeat both layers.
     pub(crate) fn wrap_outgoing(&self, dst: NodeId, msg: DsmMsg) -> DsmMsg {
         if matches!(
             msg,
-            DsmMsg::NetAck { .. }
-                | DsmMsg::Tick
-                | DsmMsg::HealthTick
-                | DsmMsg::Heartbeat
-                | DsmMsg::PeerDown { .. }
+            DsmMsg::NetAck { .. } | DsmMsg::Timer(_) | DsmMsg::Heartbeat | DsmMsg::PeerDown { .. }
         ) {
             return msg;
         }
@@ -381,7 +377,7 @@ impl NodeRuntime {
         let due = self.now_here() + VirtTime::from_nanos(pacing.as_nanos() as u64);
         if self
             .sender
-            .schedule_timer(due, "tick", DsmMsg::Tick)
+            .schedule_timer(due, "tick", DsmMsg::Timer(TimerKind::Retransmit))
             .is_ok()
         {
             rel.tick_scheduled = true;

@@ -14,7 +14,9 @@ use crate::annotation::SharingAnnotation;
 use crate::copyset::CopySet;
 use crate::diff;
 use crate::directory::AccessRights;
-use crate::msg::{DsmMsg, FetchKind, ReduceOp, Route, UpdateBundle, UpdateItem, UpdatePayload};
+use crate::msg::{
+    DsmMsg, FetchKind, ReduceOp, Route, TimerKind, UpdateBundle, UpdateItem, UpdatePayload,
+};
 use crate::object::ObjectId;
 use crate::stats::{add, bump};
 use crate::sync::{RemoteAcquireAction, TokenArrival};
@@ -87,22 +89,16 @@ impl NodeRuntime {
             self.health_heard(env.src);
         }
         match msg {
-            DsmMsg::Tick => {
+            DsmMsg::Timer(kind) => {
                 self.obs.record(
                     env.arrival.as_nanos(),
                     crate::obs::EventKind::TimerFire,
                     |_| {},
                 );
-                self.reliability_tick();
-                false
-            }
-            DsmMsg::HealthTick => {
-                self.obs.record(
-                    env.arrival.as_nanos(),
-                    crate::obs::EventKind::TimerFire,
-                    |_| {},
-                );
-                self.health_tick();
+                match kind {
+                    TimerKind::Retransmit => self.reliability_tick(),
+                    TimerKind::Health => self.health_tick(),
+                }
                 false
             }
             // The last-heard refresh above is the heartbeat's entire job.
@@ -177,7 +173,7 @@ impl NodeRuntime {
                 return;
             };
             match msg {
-                DsmMsg::Tick => self.reliability_tick(),
+                DsmMsg::Timer(TimerKind::Retransmit) => self.reliability_tick(),
                 DsmMsg::NetAck { upto } => self.on_net_ack(env.src, upto),
                 DsmMsg::Reliable { id, ack, inner } => {
                     self.on_net_ack(env.src, ack);
@@ -227,17 +223,14 @@ impl NodeRuntime {
             DsmMsg::LockAcquire { lock, requester } => {
                 self.handle_lock_acquire(lock, requester, now)
             }
-            DsmMsg::BarrierArrive { barrier, from } => {
-                self.handle_barrier_arrive(barrier, from, now)
-            }
-            DsmMsg::BarrierCombine {
+            DsmMsg::BarrierArrive {
                 barrier,
                 from,
                 gen,
                 arrived,
-            } => self.handle_barrier_combine(env, barrier, from, gen, arrived),
-            DsmMsg::BarrierTreeRelease { barrier, gen } => {
-                self.handle_barrier_tree_release(env, barrier, gen)
+            } => self.handle_barrier_report(env, barrier, from, gen, arrived),
+            DsmMsg::BarrierRelease { barrier, gen } => {
+                self.handle_barrier_release(env, barrier, gen)
             }
             DsmMsg::Carrier {
                 inner,
@@ -286,9 +279,7 @@ impl NodeRuntime {
         // mid-write-fault, which is exactly what blocks the bundle).
         let gates_acquire = matches!(
             *inner,
-            DsmMsg::LockGrant { .. }
-                | DsmMsg::BarrierRelease { .. }
-                | DsmMsg::BarrierTreeRelease { .. }
+            DsmMsg::LockGrant { .. } | DsmMsg::BarrierRelease { .. }
         );
         if gates_acquire {
             let mut waiting = Vec::new();
@@ -321,14 +312,14 @@ impl NodeRuntime {
             }
         }
         if !relay.is_empty() {
-            // Relays only ever ride barrier traffic — flat arrives, or the
-            // tree path's combines and releases (a bundle can transit
-            // several tree hops before reaching its destination). The
-            // barrier id keys the stash so overlapping episodes cannot mix.
+            // Relays only ever ride barrier traffic — reports and releases
+            // (a bundle can transit several tree hops before reaching its
+            // destination). The barrier id keys the stash so overlapping
+            // episodes cannot mix.
             let barrier = match *inner {
-                DsmMsg::BarrierArrive { barrier, .. }
-                | DsmMsg::BarrierCombine { barrier, .. }
-                | DsmMsg::BarrierTreeRelease { barrier, .. } => Some(barrier),
+                DsmMsg::BarrierArrive { barrier, .. } | DsmMsg::BarrierRelease { barrier, .. } => {
+                    Some(barrier)
+                }
                 _ => None,
             };
             for (dest, bundle) in relay {
@@ -1428,51 +1419,6 @@ impl NodeRuntime {
         }
         out
     }
-
-    /// Handles a barrier arrival at the owner node.
-    fn handle_barrier_arrive(
-        self: &Arc<Self>,
-        barrier: crate::sync::BarrierId,
-        from: NodeId,
-        now: munin_sim::VirtTime,
-    ) {
-        self.charge_sys(self.cost.sync_op());
-        bump(&self.stats.barrier_owner_ingress);
-        let released = {
-            let mut sync = self.sync.lock();
-            sync.barrier_mut(barrier).arrive(from, now)
-        };
-        // Opened at the episode's *latest* arrival, which need not be the
-        // one processed last.
-        if let Some((waiters, opened_at)) = released {
-            self.release_barrier_waiters(barrier, waiters, opened_at);
-        }
-    }
-
-    /// Sends a barrier release to every waiter. Each release carries the
-    /// relayed flush bundles stashed for its destination, so the waiter
-    /// installs every update it is owed before its user thread resumes.
-    /// Shared by the last-arrival path and the crash-recovery exclusion path
-    /// (a dead node's exclusion can open the barrier for everyone still
-    /// waiting).
-    pub(crate) fn release_barrier_waiters(
-        self: &Arc<Self>,
-        barrier: crate::sync::BarrierId,
-        waiters: Vec<NodeId>,
-        now: munin_sim::VirtTime,
-    ) {
-        for node in waiters {
-            if node != self.node && self.is_peer_dead(node) {
-                // An arrival recorded before its sender died: nothing to
-                // release there.
-                continue;
-            }
-            let updates = self.outbox.lock().take_relay(barrier, node);
-            let release = DsmMsg::BarrierRelease { barrier };
-            let msg = DsmMsg::framed(release, updates, Vec::new());
-            let _ = self.send_service(node, msg, now + self.cost.sync_op());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1525,7 +1471,7 @@ mod tests {
             cfg,
             table,
             vec![NodeId::new(0)],
-            vec![(NodeId::new(0), 2)],
+            vec![NodeId::new(0), NodeId::new(1)],
             clock0,
             Arc::new(CostModel::fast_test()),
             tx0,
@@ -1567,7 +1513,33 @@ mod tests {
         }
     }
 
+    /// Barrier 0 is owned by the hosted runtime, barrier 1 by the peer.
+    const OWNED_HERE: crate::sync::BarrierId = crate::sync::BarrierId(0);
+    const OWNED_BY_PEER: crate::sync::BarrierId = crate::sync::BarrierId(1);
+
+    /// Node 1's report of its own arrival at [`OWNED_HERE`], first episode.
+    fn peer_arrive() -> DsmMsg {
+        DsmMsg::BarrierArrive {
+            barrier: OWNED_HERE,
+            from: NodeId::new(1),
+            gen: 1,
+            arrived: crate::nodeset::NodeSet::from_nodes([NodeId::new(1)]),
+        }
+    }
+
+    /// The release of [`OWNED_BY_PEER`]'s first episode, as node 1 sends it.
+    const PEER_RELEASE: DsmMsg = DsmMsg::BarrierRelease {
+        barrier: OWNED_BY_PEER,
+        gen: 1,
+    };
+
     impl Harness {
+        /// The hosted runtime's own thread arrives at [`OWNED_HERE`].
+        fn arrive_here(&self) {
+            let topo = self.rt.tree_topology(OWNED_HERE);
+            self.rt.barrier_arrive_local(OWNED_HERE, &topo, Vec::new());
+        }
+
         fn obj(&self, name: &str) -> ObjectId {
             self.rt.table().var_by_name(name).unwrap().objects[0]
         }
@@ -2341,25 +2313,10 @@ mod tests {
         let h = harness();
         let ws = h.obj("ws");
         h.rt.install_object_bytes(ws, &[0u8; 32]);
-        let b = crate::sync::BarrierId(0);
         // Node 0 arrives first (no relay of its own).
-        h.rt.handle_request(
-            Envelope {
-                src: NodeId::new(0),
-                dst: NodeId::new(0),
-                class: "barrier_arrive",
-                model_bytes: 40,
-                sent_at: munin_sim::VirtTime::ZERO,
-                arrival: munin_sim::VirtTime::ZERO,
-            },
-            DsmMsg::BarrierArrive {
-                barrier: b,
-                from: NodeId::new(0),
-            },
-        );
+        h.arrive_here();
         // Node 1 arrives with a relay: one bundle for node 0 (the owner
-        // itself) and one for node 1 (its own release will carry it back —
-        // degenerate but legal).
+        // itself).
         let d0 = diff::encode(&[7u8; 32], &[0u8; 32]);
         h.peer_tx
             .send(
@@ -2367,10 +2324,7 @@ mod tests {
                 "barrier_arrive",
                 96,
                 DsmMsg::Carrier {
-                    inner: Box::new(DsmMsg::BarrierArrive {
-                        barrier: b,
-                        from: NodeId::new(1),
-                    }),
+                    inner: Box::new(peer_arrive()),
                     updates: vec![],
                     relay: vec![(
                         NodeId::new(0),
@@ -2426,9 +2380,7 @@ mod tests {
                 "barrier_release",
                 96,
                 DsmMsg::Carrier {
-                    inner: Box::new(DsmMsg::BarrierRelease {
-                        barrier: crate::sync::BarrierId(0),
-                    }),
+                    inner: Box::new(PEER_RELEASE),
                     updates: vec![bundle_of(
                         1,
                         0,
@@ -2478,9 +2430,7 @@ mod tests {
             route: Route::Carried,
         };
         let release = DsmMsg::Carrier {
-            inner: Box::new(DsmMsg::BarrierRelease {
-                barrier: crate::sync::BarrierId(0),
-            }),
+            inner: Box::new(PEER_RELEASE),
             updates: vec![fence.clone()],
             relay: vec![],
         };
@@ -2653,14 +2603,11 @@ mod tests {
             copyset: CopySet::EMPTY,
             writable: false,
         };
-        let release = DsmMsg::BarrierRelease {
-            barrier: crate::sync::BarrierId(0),
-        };
         let mut handled = crate::nodeset::NodeSet::EMPTY;
         h.rt.handle_incoming(rel_env(), copy.clone());
-        h.rt.handle_incoming(rel_env(), release);
+        h.rt.handle_incoming(rel_env(), PEER_RELEASE);
         let (_env, reply) =
-            h.rt.wait_reply_or_dead(crate::runtime::WaitOp::BarrierRelease(0), &mut handled)
+            h.rt.wait_reply_or_dead(crate::runtime::WaitOp::BarrierRelease(1), &mut handled)
                 .unwrap();
         assert!(matches!(reply, DsmMsg::BarrierRelease { .. }));
         // The same message *is* the reply while that object is being fetched.
@@ -2726,42 +2673,33 @@ mod tests {
     #[test]
     fn barrier_releases_after_all_arrivals() {
         let h = harness();
-        let b = crate::sync::BarrierId(0);
         // Node 1 arrives first: no release yet.
         h.peer_tx
-            .send(
-                NodeId::new(0),
-                "barrier_arrive",
-                40,
-                DsmMsg::BarrierArrive {
-                    barrier: b,
-                    from: NodeId::new(1),
-                },
-            )
+            .send(NodeId::new(0), "barrier_arrive", 40, peer_arrive())
             .unwrap();
         h.pump();
         assert!(h.peer_rx.try_recv().unwrap().is_none());
-        // Node 0 arrives (self-delivered in the real runtime; injected here).
-        h.rt.handle_request(
-            Envelope {
-                src: NodeId::new(0),
-                dst: NodeId::new(0),
-                class: "barrier_arrive",
-                model_bytes: 40,
-                sent_at: munin_sim::VirtTime::ZERO,
-                arrival: munin_sim::VirtTime::ZERO,
-            },
-            DsmMsg::BarrierArrive {
-                barrier: b,
-                from: NodeId::new(0),
-            },
-        );
-        // Node 1 gets released; node 0's release goes to its own endpoint.
-        assert!(matches!(h.peer_recv(), DsmMsg::BarrierRelease { .. }));
+        h.arrive_here();
+        // Node 1 gets released; node 0's wake-up goes to its own endpoint,
+        // and from there to its user thread.
         assert!(matches!(
-            h.rt_rx.recv().unwrap().1,
-            DsmMsg::BarrierRelease { .. }
+            h.peer_recv(),
+            DsmMsg::BarrierRelease { gen: 1, .. }
         ));
+        h.pump();
+        let (_env, routed) = h.rt.reply_rx.try_recv().expect("owner woken");
+        assert!(matches!(routed, DsmMsg::BarrierRelease { gen: 1, .. }));
+        // A report that arrives after its episode is over is answered, not
+        // counted towards the next one.
+        h.rt.handle_request(
+            env_at(1, "barrier_arrive", munin_sim::VirtTime::ZERO),
+            peer_arrive(),
+        );
+        assert!(matches!(
+            h.peer_recv(),
+            DsmMsg::BarrierRelease { gen: 1, .. }
+        ));
+        assert!(h.rt.sync.lock().barrier(OWNED_HERE).arrived.is_empty());
     }
 
     // --- the virtual-time model ------------------------------------------
@@ -2785,19 +2723,13 @@ mod tests {
     #[test]
     fn barrier_release_leaves_at_the_latest_arrival_whatever_was_processed_last() {
         let h = harness();
-        let b = crate::sync::BarrierId(0);
         let us = munin_sim::VirtTime::from_micros;
-        // The host delivers node 1's arrival (900 µs) before node 0's own
-        // (100 µs): the barrier opens at 900 µs all the same.
-        for (from, at) in [(1, us(900)), (0, us(100))] {
-            h.rt.handle_request(
-                env_at(from, "barrier_arrive", at),
-                DsmMsg::BarrierArrive {
-                    barrier: b,
-                    from: NodeId::new(from),
-                },
-            );
-        }
+        // Node 1's report (900 µs) is in before node 0's own thread arrives,
+        // on a clock that has not reached 900 µs: the barrier opens at
+        // 900 µs all the same.
+        h.rt.handle_request(env_at(1, "barrier_arrive", us(900)), peer_arrive());
+        assert!(h.rt.clock.now() < us(900));
+        h.arrive_here();
         let (env, msg) = h.peer_rx.recv().unwrap();
         assert!(matches!(msg, DsmMsg::BarrierRelease { .. }));
         assert_eq!(env.sent_at, us(900) + h.rt.cost.sync_op());
@@ -2932,24 +2864,19 @@ mod tests {
     #[test]
     fn duplicate_barrier_arrive_is_counted_once() {
         let h = reliable_harness();
-        let arrive = DsmMsg::BarrierArrive {
-            barrier: crate::sync::BarrierId(0),
-            from: NodeId::new(1),
-        };
-        h.rt.handle_incoming(rel_env(), rel_frame(1, arrive.clone()));
-        h.rt.handle_incoming(rel_env(), rel_frame(1, arrive));
-        // Were the duplicate dispatched, the 2-party barrier would count two
-        // arrivals and release; the peer must see only the dedup quench ack.
-        let mut released = false;
+        h.rt.handle_incoming(rel_env(), rel_frame(1, peer_arrive()));
+        h.rt.handle_incoming(rel_env(), rel_frame(1, peer_arrive()));
+        // The report is dispatched once; the peer sees only the dedup
+        // quench ack.
+        assert_eq!(h.rt.stats().snapshot().barrier_owner_ingress, 1);
         let mut net_acks = 0;
         while let Some((_env, m)) = h.peer_rx.try_recv().unwrap() {
             match (matches!(m, DsmMsg::NetAck { .. }), innermost(m)) {
                 (true, _) => net_acks += 1,
-                (false, Some(DsmMsg::BarrierRelease { .. })) => released = true,
+                (false, Some(m)) => panic!("unexpected {m:?}"),
                 _ => {}
             }
         }
-        assert!(!released, "duplicate barrier arrival released the barrier");
         assert_eq!(net_acks, 1);
         assert_eq!(h.rt.stats().snapshot().dup_msgs_dropped, 1);
     }
@@ -3095,7 +3022,7 @@ mod tests {
             cfg,
             table,
             vec![NodeId::new(0)],
-            vec![(NodeId::new(0), 3)],
+            vec![NodeId::new(0)],
             clock0,
             Arc::new(CostModel::fast_test()),
             tx0,

@@ -210,35 +210,28 @@ impl NodeRuntime {
     }
 
     /// Waits at a barrier (a *release* followed by an *acquire*): flushes the
-    /// DUQ, notifies the barrier owner, and blocks until the barrier opens.
+    /// DUQ, reports the arrival up the barrier's tree, and blocks until the
+    /// release comes back down.
     ///
-    /// With piggybacking enabled at an all-node barrier, owner-flushed
-    /// updates ride the `BarrierArrive` carrier to the owner, which
-    /// re-attaches each bundle to the `BarrierRelease` headed to its
-    /// destination — a release flush then costs no standalone update or ack
-    /// messages. Every destination is a barrier participant, and each
-    /// installs its bundle before its release is routed to the user thread,
-    /// so no thread can pass the barrier and observe pre-flush data.
+    /// With piggybacking enabled, owner-flushed updates ride the
+    /// `BarrierArrive` carriers towards the owner and each bundle comes back
+    /// down on the `BarrierRelease` headed to its destination — a release
+    /// flush then costs no standalone update or ack messages. Every
+    /// destination is a barrier participant, and each installs its bundle
+    /// before its release wakes the user thread, so no thread can pass the
+    /// barrier and observe pre-flush data.
     pub(crate) fn wait_at_barrier(self: &Arc<Self>, barrier: BarrierId) -> Result<()> {
-        let (owner, parties) = {
-            let sync = self.sync.lock();
-            if sync.barrier_count() <= barrier.0 as usize {
-                return Err(MuninError::UnknownSyncObject(barrier.0));
-            }
-            let b = sync.barrier(barrier);
-            (b.owner, b.parties)
-        };
-        let tree = self.tree_topology(barrier);
-        // Tree mode keeps the barrier-relay flush (bundles ride the tree
-        // hops) — except when the failure detector is armed: a relayed
-        // bundle parked at a dying interior node would be lost with it, so
-        // crash-tolerant tree runs flush eagerly instead. The flat path
-        // keeps its relay either way (the owner's recovery already covers
-        // it).
-        let mode = if self.cfg.piggyback
-            && parties == self.nodes
-            && (tree.is_none() || !self.health_enabled())
-        {
+        if self.sync.lock().barrier_count() <= barrier.0 as usize {
+            return Err(MuninError::UnknownSyncObject(barrier.0));
+        }
+        let topo = self.tree_topology(barrier);
+        let owner = topo.owner;
+        // Relayed bundles park wherever reports combine, and one parked at a
+        // node that then dies is lost with it. The owner's death ends the
+        // run as `NodeDown` whatever was parked there, so bundles ride the
+        // barrier unless the detector is armed *and* some node other than
+        // the owner combines reports.
+        let mode = if self.cfg.piggyback && (topo.is_star() || !self.health_enabled()) {
             FlushMode::BarrierRelay { owner }
         } else {
             FlushMode::Immediate
@@ -253,10 +246,6 @@ impl NodeRuntime {
                 ev.sync_id = Some(barrier.0);
                 ev.peer = Some(owner);
             });
-        let arrive = DsmMsg::BarrierArrive {
-            barrier,
-            from: self.node,
-        };
         // Each relayed bundle takes its slot in this node's update stream to
         // its destination *now*: after the direct updates this flush sent
         // there (an item-less bundle is only that, their fence), and before
@@ -269,14 +258,10 @@ impl NodeRuntime {
                 (dest, self.next_bundle(dest, at, items, Route::Carried))
             })
             .collect();
-        if let Some(topo) = &tree {
-            self.tree_arrive_local(barrier, topo, relay);
-        } else {
-            self.send(owner, DsmMsg::framed(arrive, Vec::new(), relay))?;
-        }
-        // A participant dying mid-wait is survivable — the owner's recovery
-        // excludes it from the arrival count and releases the rest — but the
-        // owner itself dying takes the barrier state with it.
+        self.barrier_arrive_local(barrier, &topo, relay);
+        // A participant dying mid-wait is survivable — it stops being needed
+        // and the rest are released — but the owner itself dying takes the
+        // barrier with it.
         let mut handled = crate::nodeset::NodeSet::EMPTY;
         let (env, reply) = loop {
             match self.wait_reply_or_dead(
@@ -292,14 +277,12 @@ impl NodeRuntime {
                     });
                 }
                 Err(MuninError::PeerDied(dead)) => {
-                    // Tree mode: the corpse may have been this node's
-                    // reporting ancestor (re-send the report to a live one)
-                    // or the last hold-out in its subtree (advance now).
-                    // Recovery also runs this; doing it here too closes the
-                    // race where this thread sees the death first.
-                    if tree.is_some() {
-                        self.tree_handle_death(dead);
-                    }
+                    // The corpse may have been this node's reporting
+                    // ancestor (re-send the report to a live one) or the
+                    // last hold-out in its subtree (advance now). Recovery
+                    // also runs this; doing it here too closes the race
+                    // where this thread sees the death first.
+                    self.barrier_handle_death(dead);
                 }
                 Err(e) => return Err(e),
             }
@@ -313,7 +296,7 @@ impl NodeRuntime {
             },
         );
         match reply {
-            DsmMsg::BarrierRelease { barrier: b } if b == barrier => Ok(()),
+            DsmMsg::BarrierRelease { barrier: b, .. } if b == barrier => Ok(()),
             _ => Err(MuninError::ProtocolViolation(
                 "unexpected reply while waiting at a barrier",
             )),
@@ -479,7 +462,7 @@ mod tests {
             cfg,
             table,
             vec![NodeId::new(0)],
-            vec![(NodeId::new(0), 1)],
+            vec![NodeId::new(0)],
             clock,
             Arc::new(CostModel::fast_test()),
             tx,

@@ -124,11 +124,10 @@ counters! {
         lock_messages,
         /// Barrier waits performed by the local user thread.
         barrier_waits,
-        /// Barrier-arrival messages this node received as a barrier owner:
-        /// `BarrierArrive`s on the flat path, upward `BarrierCombine`s on
-        /// the tree path. The flat owner takes N−1 of these per episode; a
-        /// combining tree caps it at the fan-in k — the scaling tests
-        /// assert on exactly this counter.
+        /// `BarrierArrive` reports this node received as a barrier owner: one
+        /// per episode from each of its children in the barrier's tree, so
+        /// the fan-in k — N − 1 in the star. The scaling tests assert on
+        /// exactly this counter.
         barrier_owner_ingress,
         /// Fetch-and-Φ operations performed on reduction objects.
         reductions,

@@ -241,117 +241,50 @@ pub enum RemoteAcquireAction {
     Queued,
 }
 
-/// Per-node state of one barrier.
-///
-/// Barriers are owner-collected: every arriving thread sends a message to the
-/// owner node (the root for statically created barriers) and blocks; when the
-/// owner has received the expected number of arrivals it releases everyone.
-#[derive(Clone, Debug)]
-pub struct BarrierState {
-    /// The node that collects arrivals.
-    pub owner: NodeId,
-    /// Number of threads that must arrive before the barrier opens.
-    pub parties: usize,
-    /// Nodes that have arrived in the current episode (meaningful at the
-    /// owner only).
-    pub arrived: Vec<NodeId>,
-    /// Latest arrival time of the current episode. The barrier opens then —
-    /// not at the arrival the owner happened to process last.
-    pub latest_arrival: VirtTime,
-    /// How many times the barrier has opened.
-    pub generation: u64,
-    /// Nodes confirmed dead and excluded from the arrival count (crash
-    /// recovery at the owner; each excluded node lowers the open threshold
-    /// by one).
-    pub excluded: NodeSet,
-}
-
-impl BarrierState {
-    /// Creates the barrier state.
-    pub fn new(owner: NodeId, parties: usize) -> Self {
-        BarrierState {
-            owner,
-            parties,
-            arrived: Vec::new(),
-            latest_arrival: VirtTime::ZERO,
-            generation: 0,
-            excluded: NodeSet::EMPTY,
-        }
-    }
-
-    /// Arrivals required to open, after dead-node exclusions. Never below
-    /// one: a barrier opens on an arrival, not on an exclusion alone.
-    fn effective_parties(&self) -> usize {
-        self.parties.saturating_sub(self.excluded.count()).max(1)
-    }
-
-    /// Records an arrival at the owner at time `at`. When it completes the
-    /// barrier, returns the nodes to release and the time the barrier opened
-    /// (the latest arrival of the episode); `None` otherwise.
-    pub fn arrive(&mut self, from: NodeId, at: VirtTime) -> Option<(Vec<NodeId>, VirtTime)> {
-        self.arrived.push(from);
-        self.latest_arrival = self.latest_arrival.max(at);
-        self.open_if_complete()
-    }
-
-    /// Opens the barrier if every surviving party has arrived.
-    fn open_if_complete(&mut self) -> Option<(Vec<NodeId>, VirtTime)> {
-        if self.arrived.len() < self.effective_parties() {
-            return None;
-        }
-        self.generation += 1;
-        Some((
-            std::mem::take(&mut self.arrived),
-            std::mem::take(&mut self.latest_arrival),
-        ))
-    }
-
-    /// Crash recovery at the owner: excludes a dead node from the arrival
-    /// count (dropping any arrival it already recorded this episode — its
-    /// release could not reach it anyway) at time `at`. Returns the waiters
-    /// to release, and when, if the exclusion leaves every surviving party
-    /// already arrived.
-    pub fn exclude(&mut self, node: NodeId, at: VirtTime) -> Option<(Vec<NodeId>, VirtTime)> {
-        if self.excluded.contains(node) {
-            return None;
-        }
-        self.excluded.insert(node);
-        self.arrived.retain(|n| *n != node);
-        // An exclusion that opens the barrier is the episode's last event.
-        self.open_if_complete()
-            .map(|(waiters, latest)| (waiters, latest.max(at)))
-    }
-}
-
-/// The static k-ary combining tree used by wide all-node barriers.
+/// The static k-ary combining tree a barrier's arrivals climb and its
+/// releases descend.
 ///
 /// Nodes are laid out heap-style by *rank*: the barrier owner is rank 0, the
 /// ranks `r·k+1 ..= r·k+k` are the children of rank `r`, and rank `r` of node
 /// `n` is `(n + nodes − owner) mod nodes` — so the shape depends only on
 /// `(owner, nodes, fanout)` and every node derives identical edges without
-/// coordination. The *static* tree never changes; crash recovery re-parents a
-/// subtree by sending its reports to the nearest live static ancestor, which
-/// moves an edge but never changes any node's static subtree membership.
+/// coordination. At `k = nodes − 1` the tree is a star: every node reports
+/// straight to the owner. The *static* tree never changes; crash recovery
+/// re-parents a subtree by sending its reports to the nearest live static
+/// ancestor, which moves an edge but never changes any node's static subtree
+/// membership.
 #[derive(Clone, Copy, Debug)]
 pub struct TreeTopology {
     /// The barrier owner (rank 0, the tree root).
     pub owner: NodeId,
     /// Total cluster size.
-    pub nodes: usize,
-    /// Fan-in `k` (at least 2).
-    pub fanout: usize,
+    nodes: usize,
+    /// Fan-in `k`, between 1 and `nodes − 1` (at least 1): only
+    /// [`Self::new`] sets it, so rank arithmetic stays below `nodes²`.
+    fanout: usize,
 }
 
 impl TreeTopology {
-    /// Builds the topology. `fanout` below 2 would degenerate into a chain;
-    /// the config layer rejects it before it can reach here.
+    /// Builds the topology. Any `fanout` of `nodes − 1` or more describes
+    /// the same star, so it is clamped there, whatever the configuration
+    /// asked for.
     pub fn new(owner: NodeId, nodes: usize, fanout: usize) -> Self {
-        debug_assert!(fanout >= 2, "tree fan-in below 2 is a chain");
         TreeTopology {
             owner,
             nodes,
-            fanout,
+            fanout: fanout.clamp(1, Self::star_fanout(nodes)),
         }
+    }
+
+    /// The largest fan-in that means anything on `nodes` nodes: everyone but
+    /// the owner is its child (1 on a cluster of one, which has no edges).
+    pub fn star_fanout(nodes: usize) -> usize {
+        nodes.saturating_sub(1).max(1)
+    }
+
+    /// Whether every node reports straight to the owner.
+    pub fn is_star(&self) -> bool {
+        self.fanout + 1 >= self.nodes
     }
 
     /// Heap rank of a node (owner = 0).
@@ -370,10 +303,15 @@ impl TreeTopology {
         (r > 0).then(|| self.node_at((r - 1) / self.fanout))
     }
 
+    /// Ranks of the static children of `rank`, in order.
+    fn child_ranks(&self, rank: usize) -> std::ops::Range<usize> {
+        let first = (rank * self.fanout + 1).min(self.nodes);
+        first..(first + self.fanout).min(self.nodes)
+    }
+
     /// Static tree children, in rank order.
     pub fn children_of(&self, node: NodeId) -> Vec<NodeId> {
-        let first = self.rank_of(node) * self.fanout + 1;
-        (first..(first.saturating_add(self.fanout)).min(self.nodes))
+        self.child_ranks(self.rank_of(node))
             .map(|r| self.node_at(r))
             .collect()
     }
@@ -384,8 +322,7 @@ impl TreeTopology {
         let mut stack = vec![self.rank_of(node)];
         while let Some(r) = stack.pop() {
             set.insert(self.node_at(r));
-            let first = r * self.fanout + 1;
-            stack.extend(first..(first.saturating_add(self.fanout)).min(self.nodes));
+            stack.extend(self.child_ranks(r));
         }
         set
     }
@@ -422,13 +359,17 @@ impl TreeTopology {
     }
 }
 
-/// Per-node combining state of one tree barrier episode.
+/// Per-node state of one barrier.
 ///
-/// Unlike [`BarrierState`] (meaningful at the owner only), every node keeps
-/// one of these per barrier: interior nodes combine their children's reports
-/// here before forwarding one merged report upward.
-#[derive(Clone, Debug, Default)]
-pub struct TreeBarrierState {
+/// "A thread arrives, the owner releases everyone": arrivals climb the
+/// barrier's [`TreeTopology`] as merged reports and the release descends the
+/// edges the reports came up. Every node keeps one of these per barrier and
+/// combines its own arrival with its children's reports here; the decision
+/// what to do next is the pure [`Self::advance`].
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct BarrierState {
+    /// The node that opens the barrier (the tree root).
+    pub owner: NodeId,
     /// Every node known to have arrived this episode in (or re-parented
     /// into) this node's subtree, itself included once it arrives.
     pub arrived: NodeSet,
@@ -441,36 +382,143 @@ pub struct TreeBarrierState {
     /// reports (crash-recovery re-sends) do not trigger duplicate forwards:
     /// a node re-forwards only when its merged set has grown.
     pub forwarded_count: usize,
-    /// Completed episodes (the tree-path analogue of
-    /// [`BarrierState::generation`], kept per node rather than owner-only).
+    /// Episodes this node has been released from. A report or release is for
+    /// episode `completed + 1`, or it is stale.
     pub completed: u64,
-    /// Lazily computed static subtree of this node (the completeness
-    /// threshold and the bundle-stash partition both test against it).
-    pub subtree: Option<NodeSet>,
-    /// Latest time anything arrived at this node's combining state this
-    /// episode (its own user thread, a child's report): the upward combine —
-    /// at the owner, the opening — is stamped from it.
+    /// Latest time anything arrived at this state this episode (the local
+    /// thread, a child's report, a death's confirmation): the upward report
+    /// — at the owner, the opening — is stamped from it, not from whichever
+    /// arrival happened to be processed last.
     pub latest: VirtTime,
 }
 
-impl TreeBarrierState {
-    /// Resets the per-episode fields after a release, keeping the episode
-    /// counter and the cached subtree.
-    pub fn reset_episode(&mut self, completed: u64) {
-        self.arrived.clear();
-        self.children.clear();
-        self.forwarded_count = 0;
-        self.completed = completed;
-        self.latest = VirtTime::ZERO;
+/// What [`BarrierState::advance`] decided. Computed under the sync lock and
+/// acted on outside it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum BarrierStep {
+    /// Nothing to do: the subtree is incomplete, or nothing grew since the
+    /// last upward report.
+    Hold,
+    /// Send the merged arrived set of episode `gen` to the live parent, no
+    /// earlier than `at`.
+    Report {
+        /// The episode.
+        gen: u64,
+        /// Everyone known to have arrived below this node, itself included.
+        arrived: NodeSet,
+        /// The latest arrival the report accounts for.
+        at: VirtTime,
+    },
+    /// Owner only: every live node has arrived. Episode `gen` opened at
+    /// `at`; the state is already reset for the next one.
+    Open {
+        /// The episode.
+        gen: u64,
+        /// The edges to release down, with the set each one covers.
+        children: Vec<(NodeId, NodeSet)>,
+        /// The latest arrival of the episode.
+        at: VirtTime,
+    },
+}
+
+impl BarrierState {
+    /// Creates the barrier state.
+    pub fn new(owner: NodeId) -> Self {
+        BarrierState {
+            owner,
+            arrived: NodeSet::EMPTY,
+            children: Vec::new(),
+            forwarded_count: 0,
+            completed: 0,
+            latest: VirtTime::ZERO,
+        }
     }
 
-    /// Merges one upward report into the combining state.
-    pub fn merge_report(&mut self, from: NodeId, covered: &NodeSet) {
+    /// Merges a child's report for episode `gen` into the combining state.
+    /// `false` when this node has already been released from that episode:
+    /// the sender missed the release (the ancestor that absorbed its report
+    /// died before forwarding it) and is owed one directly; nothing is
+    /// counted. Reports are sets, so a duplicate or a grown re-send merges
+    /// idempotently.
+    pub fn merge_report(&mut self, from: NodeId, gen: u64, covered: &NodeSet) -> bool {
+        if gen <= self.completed {
+            return false;
+        }
         self.arrived.union_with(covered);
         match self.children.iter_mut().find(|(c, _)| *c == from) {
             Some((_, set)) => set.union_with(covered),
             None => self.children.push((from, covered.clone())),
         }
+        true
+    }
+
+    /// Decides what `me` does after an event at time `at` — its own thread's
+    /// arrival (recorded in `arrived` by the caller), a merged report, a
+    /// confirmed death. Idempotent: a trigger that changed nothing yields
+    /// [`BarrierStep::Hold`].
+    ///
+    /// A node is complete when everyone in its static subtree who is not in
+    /// `dead` has arrived — itself included, so nothing leaves before its
+    /// own thread arrives. Removing the dead from what is needed is the only
+    /// way a dead participant is excluded.
+    pub fn advance(
+        &mut self,
+        me: NodeId,
+        topo: &TreeTopology,
+        dead: &NodeSet,
+        at: VirtTime,
+    ) -> BarrierStep {
+        self.latest = self.latest.max(at);
+        let mut needed = topo.subtree_of(me);
+        needed.difference_with(dead);
+        if !self.arrived.is_superset_of(&needed) {
+            return BarrierStep::Hold;
+        }
+        let (gen, at) = (self.completed + 1, self.latest);
+        if me == topo.owner {
+            let children = std::mem::take(&mut self.children);
+            self.reset_episode(gen);
+            BarrierStep::Open { gen, children, at }
+        } else if self.arrived.count() > self.forwarded_count {
+            self.forwarded_count = self.arrived.count();
+            let arrived = self.arrived.clone();
+            BarrierStep::Report { gen, arrived, at }
+        } else {
+            BarrierStep::Hold
+        }
+    }
+
+    /// The release of episode `gen` reached `me`. Returns the edges to pass
+    /// it down — the state is then reset for the next episode and the local
+    /// thread is to be woken — or `None` for a duplicate (a crash-recovery
+    /// re-send of a release already acted on). The owner opened the episode
+    /// itself; the one release it sees is the wake-up it posted to itself.
+    pub fn release(&mut self, me: NodeId, gen: u64) -> Option<Vec<(NodeId, NodeSet)>> {
+        if me == self.owner {
+            return (gen == self.completed).then(Vec::new);
+        }
+        if gen <= self.completed {
+            return None;
+        }
+        let children = std::mem::take(&mut self.children);
+        self.reset_episode(gen);
+        Some(children)
+    }
+
+    /// A static ancestor died, and may have swallowed this node's report
+    /// without forwarding it: the next [`Self::advance`] sends the merged
+    /// report again (to the nearest live ancestor). Re-sends merge
+    /// idempotently, so over-sending is safe and under-sending is not.
+    pub fn report_again(&mut self) {
+        self.forwarded_count = 0;
+    }
+
+    fn reset_episode(&mut self, completed: u64) {
+        self.arrived.clear();
+        self.children.clear();
+        self.forwarded_count = 0;
+        self.completed = completed;
+        self.latest = VirtTime::ZERO;
     }
 }
 
@@ -480,23 +528,22 @@ impl TreeBarrierState {
 pub struct SyncDirectory {
     locks: Vec<LockState>,
     barriers: Vec<BarrierState>,
-    tree: Vec<TreeBarrierState>,
 }
 
 impl SyncDirectory {
-    /// Builds the directory for a node, given the statically created locks
-    /// and barriers (all homed at the root in the prototype).
-    pub fn new(local: NodeId, lock_homes: &[NodeId], barriers: &[(NodeId, usize)]) -> Self {
+    /// Builds the directory for a node, given the home of every statically
+    /// created lock and the owner of every barrier (all at the root in the
+    /// prototype).
+    pub fn new(local: NodeId, lock_homes: &[NodeId], barrier_owners: &[NodeId]) -> Self {
         SyncDirectory {
             locks: lock_homes
                 .iter()
                 .map(|home| LockState::new(*home, local))
                 .collect(),
-            barriers: barriers
+            barriers: barrier_owners
                 .iter()
-                .map(|(owner, parties)| BarrierState::new(*owner, *parties))
+                .map(|owner| BarrierState::new(*owner))
                 .collect(),
-            tree: vec![TreeBarrierState::default(); barriers.len()],
         }
     }
 
@@ -518,16 +565,6 @@ impl SyncDirectory {
     /// Mutable state of a barrier.
     pub fn barrier_mut(&mut self, id: BarrierId) -> &mut BarrierState {
         &mut self.barriers[id.0 as usize]
-    }
-
-    /// Combining-tree state of a barrier.
-    pub fn tree_barrier(&self, id: BarrierId) -> &TreeBarrierState {
-        &self.tree[id.0 as usize]
-    }
-
-    /// Mutable combining-tree state of a barrier.
-    pub fn tree_barrier_mut(&mut self, id: BarrierId) -> &mut TreeBarrierState {
-        &mut self.tree[id.0 as usize]
     }
 
     /// Number of locks known to this node.
@@ -705,25 +742,71 @@ mod tests {
         assert_eq!(lock.queue, vec![n(1)]);
     }
 
+    /// The owner (node 0) of an `nodes`-node star barrier, driven as the
+    /// runtime drives it: a leaf's arrival is its one-node report, the
+    /// owner's is local, a death is a node that stops being needed.
+    struct StarOwner {
+        b: BarrierState,
+        topo: TreeTopology,
+        dead: NodeSet,
+    }
+
+    impl StarOwner {
+        fn new(nodes: usize) -> Self {
+            StarOwner {
+                b: BarrierState::new(n(0)),
+                topo: TreeTopology::new(n(0), nodes, usize::MAX),
+                dead: NodeSet::EMPTY,
+            }
+        }
+
+        /// The leaves released and the opening time, if the event at `at`
+        /// opened the barrier.
+        fn step(&mut self, at: VirtTime) -> Option<(Vec<NodeId>, VirtTime)> {
+            match self.b.advance(n(0), &self.topo, &self.dead, at) {
+                BarrierStep::Hold => None,
+                BarrierStep::Open { children, at, .. } => {
+                    Some((children.into_iter().map(|(c, _)| c).collect(), at))
+                }
+                report => panic!("the owner reports to nobody: {report:?}"),
+            }
+        }
+
+        fn arrive(&mut self, from: NodeId, at: VirtTime) -> Option<(Vec<NodeId>, VirtTime)> {
+            if from == n(0) {
+                self.b.arrived.insert(from);
+            } else {
+                let gen = self.b.completed + 1;
+                assert!(self.b.merge_report(from, gen, &NodeSet::from_nodes([from])));
+            }
+            self.step(at)
+        }
+
+        fn exclude(&mut self, node: NodeId, at: VirtTime) -> Option<(Vec<NodeId>, VirtTime)> {
+            self.dead.insert(node);
+            self.step(at)
+        }
+    }
+
     #[test]
     fn barrier_opens_when_all_parties_arrive() {
-        let mut b = BarrierState::new(n(0), 3);
+        let mut b = StarOwner::new(3);
         assert!(b.arrive(n(0), T0).is_none());
         assert!(b.arrive(n(1), T0).is_none());
         let (released, _) = b.arrive(n(2), T0).unwrap();
-        assert_eq!(released.len(), 3);
-        assert_eq!(b.generation, 1);
+        assert_eq!(released, vec![n(1), n(2)]);
+        assert_eq!(b.b.completed, 1);
         // The barrier is reusable.
         assert!(b.arrive(n(2), T0).is_none());
         assert!(b.arrive(n(1), T0).is_none());
         assert!(b.arrive(n(0), T0).is_some());
-        assert_eq!(b.generation, 2);
+        assert_eq!(b.b.completed, 2);
     }
 
     #[test]
     fn barrier_opens_at_its_latest_arrival_not_the_one_processed_last() {
         let us = VirtTime::from_micros;
-        let mut b = BarrierState::new(n(0), 3);
+        let mut b = StarOwner::new(3);
         // The host ran the virtually latest arriver first.
         assert!(b.arrive(n(2), us(900)).is_none());
         assert!(b.arrive(n(0), us(100)).is_none());
@@ -741,16 +824,16 @@ mod tests {
 
     #[test]
     fn excluding_a_dead_node_lowers_the_arrival_threshold() {
-        let mut b = BarrierState::new(n(0), 4);
+        let mut b = StarOwner::new(4);
         assert!(b.arrive(n(0), T0).is_none());
         assert!(b.arrive(n(1), T0).is_none());
-        // Node 3 dies: threshold drops to 3; the two arrivals are not enough.
+        // Node 3 dies: the two arrivals are still not enough.
         assert!(b.exclude(n(3), T0).is_none());
         let (released, _) = b.arrive(n(2), T0).unwrap();
-        assert_eq!(released, vec![n(0), n(1), n(2)]);
+        assert_eq!(released, vec![n(1), n(2)]);
         // Excluding again is idempotent.
         assert!(b.exclude(n(3), T0).is_none());
-        // Next episode still runs at the lowered threshold.
+        // Next episode still runs without node 3.
         assert!(b.arrive(n(0), T0).is_none());
         assert!(b.arrive(n(1), T0).is_none());
         assert!(b.arrive(n(2), T0).is_some());
@@ -758,42 +841,44 @@ mod tests {
 
     #[test]
     fn exclusion_of_the_last_straggler_releases_waiters() {
-        let mut b = BarrierState::new(n(0), 3);
+        let mut b = StarOwner::new(3);
         assert!(b.arrive(n(0), T0).is_none());
         assert!(b.arrive(n(1), T0).is_none());
         // Node 2 dies while everyone else waits: the exclusion itself opens
         // the barrier.
         let (released, _) = b.exclude(n(2), T0).unwrap();
-        assert_eq!(released, vec![n(0), n(1)]);
-        assert_eq!(b.generation, 1);
+        assert_eq!(released, vec![n(1)]);
+        assert_eq!(b.b.completed, 1);
     }
 
     #[test]
     fn exclusion_above_node_64_does_not_alias() {
         // Regression: the historical bitmap computed `1u64 << (node % 64)`,
         // so excluding node 64 (a) aliased onto node 0 and (b) made a later
-        // real exclusion of node 0 an idempotent no-op — the threshold
-        // dropped by one instead of two and the barrier hung forever.
-        let mut b = BarrierState::new(n(0), 66);
+        // real exclusion of node 0 an idempotent no-op — one node too many
+        // stayed needed and the barrier hung forever.
+        let mut b = StarOwner::new(66);
         assert!(b.exclude(n(64), T0).is_none());
-        assert!(b.exclude(n(0), T0).is_none());
+        assert!(b.exclude(n(1), T0).is_none());
         assert!(b.exclude(n(65), T0).is_none());
-        assert_eq!(b.excluded.count(), 3, "three distinct exclusions");
-        // 66 parties - 3 dead = 63 arrivals open the barrier.
-        for i in 1..63 {
+        assert_eq!(b.dead.count(), 3, "three distinct exclusions");
+        // 66 nodes - 3 dead = 63 arrivals open the barrier.
+        assert!(b.arrive(n(0), T0).is_none());
+        for i in 2..63 {
             assert!(b.arrive(n(i), T0).is_none(), "arrival {i} must not open");
         }
         let (released, _) = b.arrive(n(63), T0).unwrap();
-        assert_eq!(released.len(), 63);
-        assert_eq!(b.generation, 1);
+        assert_eq!(released.len(), 62);
+        assert_eq!(b.b.completed, 1);
     }
 
     #[test]
     fn excluding_an_already_arrived_node_drops_its_arrival() {
-        let mut b = BarrierState::new(n(0), 3);
+        let mut b = StarOwner::new(3);
         assert!(b.arrive(n(2), T0).is_none());
         assert!(b.exclude(n(2), T0).is_none());
-        // Threshold is now 2 and node 2's stale arrival is gone.
+        // Nodes 0 and 1 are still needed: node 2's stale arrival stands in
+        // for neither.
         assert!(b.arrive(n(0), T0).is_none());
         assert!(b.arrive(n(1), T0).is_some());
     }
@@ -859,56 +944,81 @@ mod tests {
 
     #[test]
     fn directory_indexes_locks_and_barriers() {
-        let dir = SyncDirectory::new(n(1), &[n(0), n(0)], &[(n(0), 4)]);
+        let dir = SyncDirectory::new(n(1), &[n(0), n(0)], &[n(0)]);
         assert_eq!(dir.lock_count(), 2);
         assert_eq!(dir.barrier_count(), 1);
         assert!(!dir.lock(LockId(0)).owned);
-        assert_eq!(dir.barrier(BarrierId(0)).parties, 4);
-        assert_eq!(dir.tree_barrier(BarrierId(0)).completed, 0);
+        assert_eq!(dir.barrier(BarrierId(0)).owner, n(0));
+        assert_eq!(dir.barrier(BarrierId(0)).completed, 0);
+    }
+
+    /// Every shape the topology tests walk: real trees, and — for each of a
+    /// few cluster sizes — every spelling of the star, up to fan-ins whose
+    /// rank arithmetic would overflow if they were not clamped.
+    fn topologies() -> Vec<TreeTopology> {
+        let mut all = vec![
+            // Non-zero owner: ranks rotate.
+            TreeTopology::new(n(3), 13, 4),
+            TreeTopology::new(n(0), 64, 2),
+            TreeTopology::new(n(0), 256, 8),
+        ];
+        for nodes in [1usize, 2, 3, 13] {
+            for k in [nodes.saturating_sub(1), nodes, 1 << 63, usize::MAX] {
+                all.push(TreeTopology::new(n(nodes / 2), nodes, k));
+            }
+        }
+        all
     }
 
     #[test]
     fn tree_topology_edges_are_mutually_consistent() {
-        // Non-zero owner: ranks rotate, edges must still agree both ways.
-        let t = TreeTopology::new(n(3), 13, 4);
-        assert_eq!(t.rank_of(n(3)), 0);
-        assert_eq!(t.parent_of(n(3)), None);
-        for i in 0..13 {
-            let node = n(i);
-            for child in t.children_of(node) {
-                assert_eq!(t.parent_of(child), Some(node));
-            }
-            if let Some(p) = t.parent_of(node) {
-                assert!(t.children_of(p).contains(&node));
+        for t in topologies() {
+            assert_eq!(t.rank_of(t.owner), 0);
+            assert_eq!(t.parent_of(t.owner), None);
+            for i in 0..t.nodes {
+                let node = n(i);
+                let children = t.children_of(node);
+                assert!(children.len() <= t.fanout, "{t:?}");
+                for child in children {
+                    assert_ne!(child, node, "{t:?}");
+                    assert_eq!(t.parent_of(child), Some(node), "{t:?}");
+                }
+                if let Some(p) = t.parent_of(node) {
+                    assert!(t.children_of(p).contains(&node), "{t:?}");
+                    assert!(t.is_ancestor_of(p, node), "{t:?}");
+                }
             }
         }
+        let t = TreeTopology::new(n(3), 13, 4);
         // Rank 0 has children at ranks 1..=4 (nodes 4..=7).
         assert_eq!(t.children_of(n(3)), vec![n(4), n(5), n(6), n(7)]);
         // A leaf has none.
         assert_eq!(t.children_of(n(12)), Vec::<NodeId>::new());
+        // Any fan-in of nodes - 1 or more is the one star.
+        let star = TreeTopology::new(n(0), 13, usize::MAX);
+        assert!(star.is_star() && star.fanout == 12);
+        assert_eq!(star.children_of(n(0)).len(), 12);
+        assert!(!t.is_star());
     }
 
     #[test]
     fn tree_subtrees_partition_the_cluster() {
-        let t = TreeTopology::new(n(0), 256, 8);
-        // The owner's subtree is everyone.
-        assert_eq!(t.subtree_of(n(0)), NodeSet::full(256));
-        // Sibling subtrees are disjoint and, with the root, cover the
-        // cluster exactly.
-        let mut union = NodeSet::EMPTY;
-        union.insert(n(0));
-        let mut total = 1;
-        for child in t.children_of(n(0)) {
-            let sub = t.subtree_of(child);
-            assert!(sub.contains(child));
-            total += sub.count();
-            let mut overlap = sub.clone();
-            overlap.difference_with(&union);
-            assert_eq!(overlap.count(), sub.count(), "subtrees must not overlap");
-            union.union_with(&sub);
+        for t in topologies() {
+            // The owner's subtree is everyone.
+            assert_eq!(t.subtree_of(t.owner), NodeSet::full(t.nodes), "{t:?}");
+            // Sibling subtrees are disjoint and, with the root, cover the
+            // cluster exactly.
+            let mut union = NodeSet::from_nodes([t.owner]);
+            for child in t.children_of(t.owner) {
+                let sub = t.subtree_of(child);
+                assert!(sub.contains(child));
+                let mut overlap = sub.clone();
+                overlap.difference_with(&union);
+                assert_eq!(overlap, sub, "subtrees must not overlap in {t:?}");
+                union.union_with(&sub);
+            }
+            assert_eq!(union, NodeSet::full(t.nodes), "{t:?}");
         }
-        assert_eq!(total, 256);
-        assert_eq!(union, NodeSet::full(256));
     }
 
     #[test]
@@ -929,25 +1039,30 @@ mod tests {
     }
 
     #[test]
-    fn tree_state_merges_reports_idempotently() {
-        let mut s = TreeBarrierState::default();
+    fn barrier_state_merges_reports_idempotently() {
+        let mut s = BarrierState::new(n(0));
         let report = NodeSet::from_nodes([n(5), n(6)]);
-        s.merge_report(n(5), &report);
+        assert!(s.merge_report(n(5), 1, &report));
         assert_eq!(s.arrived.count(), 2);
         assert_eq!(s.children.len(), 1);
         // A crash-recovery re-send of the same report changes nothing.
-        s.merge_report(n(5), &report);
+        assert!(s.merge_report(n(5), 1, &report));
         assert_eq!(s.arrived.count(), 2);
         assert_eq!(s.children.len(), 1);
         // A grown re-send merges into the same child entry.
-        s.merge_report(n(5), &NodeSet::from_nodes([n(5), n(6), n(7)]));
+        assert!(s.merge_report(n(5), 1, &NodeSet::from_nodes([n(5), n(6), n(7)])));
         assert_eq!(s.arrived.count(), 3);
         assert_eq!(s.children.len(), 1);
         assert_eq!(s.children[0].1.count(), 3);
-        s.reset_episode(1);
-        assert!(s.arrived.is_empty());
-        assert!(s.children.is_empty());
+        // Released at a non-owner: the edges come back, the episode is over,
+        // and a report for it is answered instead of counted.
+        let edges = s.release(n(1), 1).unwrap();
+        assert_eq!(edges.len(), 1);
+        assert!(s.arrived.is_empty() && s.children.is_empty());
         assert_eq!(s.completed, 1);
+        assert!(!s.merge_report(n(5), 1, &report));
+        assert!(s.arrived.is_empty());
+        assert_eq!(s.release(n(1), 1), None);
     }
 
     // --- exhaustive exploration of the distributed lock -------------------
@@ -1112,17 +1227,22 @@ mod tests {
         }
     }
 
-    /// Walks the reachable state graph depth-first, checking every state.
-    /// A step that leads back to a state still on the walk's own path is a
-    /// cycle: deliveries that can repeat forever (livelock). A finite graph
-    /// without one means every delivery order terminates, and
-    /// `check_terminal` says it terminates with all rounds done. Returns the
-    /// number of distinct states.
-    fn explore(nodes: usize, rounds: u8, rule: Rule) -> usize {
-        let root = World::new(nodes, rounds);
+    /// Walks the state graph reachable from `root` depth-first, calling
+    /// `check` on every state and `check_terminal` on those with no step
+    /// left. A step that leads back to a state still on the walk's own path
+    /// is a cycle: deliveries that can repeat forever (livelock). A finite
+    /// graph without one means every delivery order terminates, and
+    /// `check_terminal` says what it terminates in. Returns the number of
+    /// distinct states.
+    fn walk<S: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
+        root: S,
+        successors: impl Fn(&S) -> Vec<S>,
+        check: impl Fn(&S),
+        check_terminal: impl Fn(&S),
+    ) -> usize {
         // `true` while the state is on the current path.
         let mut seen = std::collections::HashMap::from([(root.clone(), true)]);
-        let mut path = vec![(root.clone(), root.successors(rule))];
+        let mut path = vec![(root.clone(), successors(&root))];
         while let Some((state, todo)) = path.last_mut() {
             let Some(next) = todo.pop() else {
                 seen.insert(state.clone(), false);
@@ -1133,17 +1253,26 @@ mod tests {
                 Some(false) => {}
                 Some(true) => panic!("livelock: a cycle of steps leads back to {next:?}"),
                 None => {
-                    next.check();
-                    let successors = next.successors(rule);
-                    if successors.is_empty() {
-                        next.check_terminal();
+                    check(&next);
+                    let steps = successors(&next);
+                    if steps.is_empty() {
+                        check_terminal(&next);
                     }
                     seen.insert(next.clone(), true);
-                    path.push((next, successors));
+                    path.push((next, steps));
                 }
             }
         }
         seen.len()
+    }
+
+    fn explore(nodes: usize, rounds: u8, rule: Rule) -> usize {
+        walk(
+            World::new(nodes, rounds),
+            |w| w.successors(rule),
+            World::check,
+            World::check_terminal,
+        )
     }
 
     #[test]
@@ -1164,5 +1293,296 @@ mod tests {
     #[should_panic(expected = "livelock")]
     fn forwarding_while_awaiting_can_bounce_forever() {
         explore(3, 1, Rule::ForwardEvenWhileAwaiting);
+    }
+
+    // --- exhaustive exploration of the barrier ----------------------------
+    //
+    // The whole cluster as a pure model: one `BarrierState` per node, the
+    // user threads' arrivals, the `BarrierArrive` / `BarrierRelease` messages
+    // in flight, and at most one fault. As for the lock, the explorer walks
+    // every order in which those steps can happen — the wire keeps no order
+    // at all — and checks what DESIGN.md ("Barriers") argues in prose.
+
+    const EPISODES: u64 = 2;
+
+    /// When node `i`'s thread arrives at episode `gen`: distinct, and not in
+    /// node order, so "the latest arrival" is neither the owner's nor the
+    /// one most orders process last.
+    fn arrival_time(i: NodeId, gen: u64) -> VirtTime {
+        VirtTime::from_nanos(100 * gen + [3, 9, 1, 5][i.as_usize()])
+    }
+
+    /// The one fault a run may suffer, at any point.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Fault {
+        None,
+        /// A node other than the owner crashes: it takes no further step,
+        /// what reaches it is lost, and every survivor confirms the death
+        /// at a time of its own.
+        Death,
+        /// A report in flight is delivered twice.
+        DuplicateReport,
+    }
+
+    #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    enum BarrierWire {
+        Report {
+            to: NodeId,
+            from: NodeId,
+            gen: u64,
+            arrived: Vec<NodeId>,
+            at: VirtTime,
+        },
+        Release {
+            to: NodeId,
+            from: NodeId,
+            gen: u64,
+        },
+    }
+
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct BarrierWorld {
+        nodes: Vec<BarrierState>,
+        /// The episode each node's thread last arrived at, and the one it
+        /// was last released from: it waits while the two differ.
+        arrived_at: Vec<u64>,
+        released_from: Vec<u64>,
+        /// The last report each node sent: episode, parent, nodes covered.
+        last_report: Vec<Option<(u64, NodeId, usize)>>,
+        fault_left: bool,
+        crashed: Option<NodeId>,
+        /// Which survivors have confirmed the crash.
+        confirmed: Vec<bool>,
+        /// In flight; kept sorted, it is a multiset.
+        wire: Vec<BarrierWire>,
+    }
+
+    impl BarrierWorld {
+        fn new(topo: &TreeTopology, fault: Fault) -> Self {
+            BarrierWorld {
+                nodes: vec![BarrierState::new(topo.owner); topo.nodes],
+                arrived_at: vec![0; topo.nodes],
+                released_from: vec![0; topo.nodes],
+                last_report: vec![None; topo.nodes],
+                fault_left: fault != Fault::None,
+                crashed: None,
+                confirmed: vec![false; topo.nodes],
+                wire: Vec::new(),
+            }
+        }
+
+        fn send(&mut self, msg: BarrierWire) {
+            let at = self.wire.binary_search(&msg).unwrap_or_else(|i| i);
+            self.wire.insert(at, msg);
+        }
+
+        /// The dead as node `i` knows them.
+        fn dead_at(&self, i: NodeId) -> NodeSet {
+            match self.crashed {
+                Some(v) if self.confirmed[i.as_usize()] => NodeSet::from_nodes([v]),
+                _ => NodeSet::EMPTY,
+            }
+        }
+
+        /// Whether a message from `from` is acted on at `to`: not by a
+        /// crashed node, and not once `to` has confirmed `from` dead.
+        fn hears(&self, to: NodeId, from: NodeId) -> bool {
+            self.crashed != Some(to) && !self.dead_at(to).contains(from)
+        }
+
+        /// What `runtime/barrier_tree.rs::barrier_advance` does with the
+        /// state machine's decision.
+        fn advance(&mut self, i: NodeId, topo: &TreeTopology, at: VirtTime) {
+            let dead = self.dead_at(i);
+            let covered = self.nodes[i.as_usize()].arrived.clone();
+            match self.nodes[i.as_usize()].advance(i, topo, &dead, at) {
+                BarrierStep::Hold => {}
+                BarrierStep::Report { gen, arrived, at } => {
+                    let to = topo
+                        .live_parent_of(i, &dead)
+                        .expect("the owner does not die here");
+                    if let Some((g, p, count)) = self.last_report[i.as_usize()] {
+                        assert!(
+                            (g, p) != (gen, to) || arrived.count() > count,
+                            "{i:?} repeated a report that had not grown in {self:?}"
+                        );
+                    }
+                    self.last_report[i.as_usize()] = Some((gen, to, arrived.count()));
+                    self.send(BarrierWire::Report {
+                        to,
+                        from: i,
+                        gen,
+                        arrived: arrived.iter().collect(),
+                        at,
+                    });
+                }
+                BarrierStep::Open { gen, children, at } => {
+                    let latest = covered.iter().map(|j| arrival_time(j, gen)).max();
+                    assert_eq!(Some(at), latest, "opened at the wrong time in {self:?}");
+                    for (to, _) in children {
+                        if !dead.contains(to) {
+                            self.send(BarrierWire::Release { to, from: i, gen });
+                        }
+                    }
+                    self.send(BarrierWire::Release {
+                        to: i,
+                        from: i,
+                        gen,
+                    });
+                }
+            }
+        }
+
+        fn deliver(&mut self, msg: BarrierWire, topo: &TreeTopology) {
+            match msg {
+                BarrierWire::Report {
+                    to,
+                    from,
+                    gen,
+                    arrived,
+                    at,
+                } if self.hears(to, from) => {
+                    let b = &mut self.nodes[to.as_usize()];
+                    assert!(gen <= b.completed + 1, "a report from the future");
+                    let before = b.clone();
+                    if b.merge_report(from, gen, &NodeSet::from_nodes(arrived)) {
+                        self.advance(to, topo, at);
+                    } else {
+                        // Answered, never re-counted.
+                        assert_eq!(*b, before);
+                        self.send(BarrierWire::Release {
+                            to: from,
+                            from: to,
+                            gen,
+                        });
+                    }
+                }
+                BarrierWire::Release { to, from, gen } if self.hears(to, from) => {
+                    let b = &mut self.nodes[to.as_usize()];
+                    assert!(gen <= b.completed + 1, "a release from the future");
+                    let Some(children) = b.release(to, gen) else {
+                        return;
+                    };
+                    let dead = self.dead_at(to);
+                    for (child, _) in children {
+                        if !dead.contains(child) {
+                            self.send(BarrierWire::Release {
+                                to: child,
+                                from: to,
+                                gen,
+                            });
+                        }
+                    }
+                    // The thread wakes: once per episode, and only after
+                    // every live node has arrived at that episode.
+                    let i = to.as_usize();
+                    assert_eq!(
+                        (self.arrived_at[i], self.released_from[i]),
+                        (gen, gen - 1),
+                        "{to:?} released twice, or from an episode it is not in: {self:?}"
+                    );
+                    for (j, arrived_at) in self.arrived_at.iter().enumerate() {
+                        assert!(
+                            self.crashed == Some(n(j)) || *arrived_at >= gen,
+                            "{to:?} released before {j} arrived in {self:?}"
+                        );
+                    }
+                    self.released_from[i] = gen;
+                }
+                _lost => {}
+            }
+        }
+
+        fn successors(&self, topo: &TreeTopology, fault: Fault) -> Vec<BarrierWorld> {
+            let mut next = Vec::new();
+            let live = |i: &usize| self.crashed != Some(n(*i));
+            // A thread that is not waiting arrives at its next episode.
+            for i in (0..topo.nodes).filter(live) {
+                let gen = self.arrived_at[i] + 1;
+                if self.arrived_at[i] == self.released_from[i] && gen <= EPISODES {
+                    let mut w = self.clone();
+                    w.arrived_at[i] = gen;
+                    w.nodes[i].arrived.insert(n(i));
+                    w.advance(n(i), topo, arrival_time(n(i), gen));
+                    next.push(w);
+                }
+            }
+            // A survivor confirms the crash.
+            if let Some(v) = self.crashed {
+                for i in (0..topo.nodes).filter(live) {
+                    if !self.confirmed[i] {
+                        let mut w = self.clone();
+                        w.confirmed[i] = true;
+                        if topo.is_ancestor_of(v, n(i)) {
+                            w.nodes[i].report_again();
+                        }
+                        w.advance(n(i), topo, VirtTime::ZERO);
+                        next.push(w);
+                    }
+                }
+            }
+            for (k, msg) in self.wire.iter().enumerate() {
+                if k > 0 && self.wire[k - 1] == *msg {
+                    continue; // equal messages: delivering either is the same step
+                }
+                let mut w = self.clone();
+                let taken = w.wire.remove(k);
+                w.deliver(taken, topo);
+                next.push(w);
+                if self.fault_left
+                    && fault == Fault::DuplicateReport
+                    && matches!(msg, BarrierWire::Report { .. })
+                {
+                    let mut w = self.clone();
+                    w.fault_left = false;
+                    w.send(msg.clone());
+                    next.push(w);
+                }
+            }
+            if self.fault_left && fault == Fault::Death {
+                for v in (0..topo.nodes).map(n).filter(|v| *v != topo.owner) {
+                    let mut w = self.clone();
+                    w.fault_left = false;
+                    w.crashed = Some(v);
+                    next.push(w);
+                }
+            }
+            next
+        }
+
+        /// Liveness at a state with no step left: every survivor has been
+        /// through every episode.
+        fn check_terminal(&self) {
+            assert!(self.wire.is_empty());
+            for (i, released_from) in self.released_from.iter().enumerate() {
+                assert!(
+                    self.crashed == Some(n(i)) || *released_from == EPISODES,
+                    "node {i} is stuck in {self:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_delivery_order_of_the_barrier_releases_everyone_once() {
+        let mut total = 0;
+        for nodes in [2usize, 3, 4] {
+            for fanout in [2, nodes - 1] {
+                // The owner is not node 0, so ranks are not node ids.
+                let topo = TreeTopology::new(n(1), nodes, fanout);
+                for fault in [Fault::None, Fault::Death, Fault::DuplicateReport] {
+                    let states = walk(
+                        BarrierWorld::new(&topo, fault),
+                        |w| w.successors(&topo, fault),
+                        |_| {},
+                        BarrierWorld::check_terminal,
+                    );
+                    println!("barrier explorer: {nodes} nodes, fan-in {fanout}, {fault:?}: {states} states");
+                    total += states;
+                }
+            }
+        }
+        println!("barrier explorer: {total} states visited");
+        assert!(total > 10_000, "only {total} states");
     }
 }

@@ -11,7 +11,8 @@ use munin::dsm::copyset::CopySet;
 use munin::dsm::diff;
 use munin::dsm::object::split_sizes;
 use munin::dsm::segment::SharedDataTable;
-use munin::dsm::sync::{BarrierState, LockState, RemoteAcquireAction};
+use munin::dsm::sync::{BarrierState, BarrierStep, LockState, RemoteAcquireAction, TreeTopology};
+use munin::dsm::NodeSet;
 use munin::sim::{CostModel, EngineConfig, Network, NodeClock, NodeId, VirtTime};
 
 fn word_buffer(len_words: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -437,29 +438,50 @@ proptest! {
         prop_assert_eq!(engine_run(&sends, seed), reference_run(&sends, seed));
     }
 
-    /// A barrier opens exactly when the configured number of parties has
-    /// arrived — at the latest of their arrival times, whatever order they
-    /// were processed in — and is reusable afterwards.
+    /// A barrier opens exactly when every node has arrived — at the latest
+    /// of their arrival times, whatever order they were processed in and
+    /// whatever the tree's fan-in — and is reusable afterwards.
     #[test]
     fn barrier_opens_at_parties(
         parties in 1usize..16,
+        fanout in 1usize..16,
         episodes in 1usize..4,
         times in proptest::collection::vec(0u64..1_000, 48),
     ) {
-        let mut barrier = BarrierState::new(NodeId::new(0), parties);
+        let node = NodeId::new;
+        let topo = TreeTopology::new(node(0), parties, fanout);
+        let mut states = vec![BarrierState::new(node(0)); parties];
         for episode in 0..episodes {
             let at = |i: usize| VirtTime::from_nanos(times[episode * 16 + i]);
+            let mut opened = None;
             for i in 0..parties {
-                let released = barrier.arrive(NodeId::new(i % 4), at(i));
-                if i + 1 < parties {
-                    prop_assert!(released.is_none());
-                } else {
-                    let (waiters, opened_at) = released.unwrap();
-                    prop_assert_eq!(waiters.len(), parties);
-                    prop_assert_eq!(Some(opened_at), (0..parties).map(at).max());
+                prop_assert!(opened.is_none(), "opened before node {} arrived", i);
+                states[i].arrived.insert(node(i));
+                // A node whose subtree is complete reports to its parent,
+                // which may be complete in turn.
+                let mut me = node(i);
+                let mut step = states[i].advance(me, &topo, &NodeSet::EMPTY, at(i));
+                while let BarrierStep::Report { gen, arrived, at } = step {
+                    let from = me;
+                    me = topo.parent_of(from).unwrap();
+                    let parent = &mut states[me.as_usize()];
+                    prop_assert!(parent.merge_report(from, gen, &arrived));
+                    step = parent.advance(me, &topo, &NodeSet::EMPTY, at);
+                }
+                if let BarrierStep::Open { gen, children, at } = step {
+                    opened = Some((gen, at, children));
                 }
             }
-            prop_assert_eq!(barrier.generation, (episode + 1) as u64);
+            let (gen, opened_at, mut edges) = opened.expect("everyone arrived");
+            prop_assert_eq!(gen, (episode + 1) as u64);
+            prop_assert_eq!(Some(opened_at), (0..parties).map(at).max());
+            // The release reaches every other node, once.
+            let mut released = 0;
+            while let Some((child, _)) = edges.pop() {
+                edges.extend(states[child.as_usize()].release(child, gen).expect("first release"));
+                released += 1;
+            }
+            prop_assert_eq!(released, parties - 1);
         }
     }
 }
