@@ -693,7 +693,7 @@ impl WorkerCtx<'_> {
     /// `Flush()`: push buffered writes out immediately instead of waiting for
     /// the next release.
     pub fn flush(&self) -> Result<()> {
-        self.rt.flush_hint()
+        self.rt.flush_duq()
     }
 
     /// `Invalidate()`: delete the local copies of a variable's objects
@@ -730,7 +730,8 @@ impl WorkerCtx<'_> {
     }
 
     /// `PreAcquire()`: fetch read copies of `count` elements starting at
-    /// `offset` in anticipation of future use.
+    /// `offset` in anticipation of future use — a read access without the
+    /// read, so the invalid objects among them arrive a run per round trip.
     pub fn pre_acquire<T: Shareable>(
         &self,
         var: &SharedVar<T>,
@@ -743,7 +744,7 @@ impl WorkerCtx<'_> {
             offset * T::ELEM_SIZE,
             (offset + count) * T::ELEM_SIZE,
         );
-        self.rt.pre_acquire(objects)
+        self.rt.fault_in(objects, false)
     }
 
     /// Snapshot of this node's runtime statistics.

@@ -132,8 +132,8 @@ impl DelayedUpdateQueue {
         self.entries.is_empty()
     }
 
-    /// Removes a single pending entry (used by `Invalidate`/`Flush` hints
-    /// that force an individual object out early).
+    /// Removes a single pending entry: how a release takes each object out
+    /// as it encodes it, and an invalidation a dirty copy.
     pub fn remove(&mut self, object: ObjectId) -> Option<DuqEntry> {
         let idx = self.index.remove(&object)?;
         let entry = self.entries.remove(idx);
@@ -144,8 +144,9 @@ impl DelayedUpdateQueue {
         Some(entry)
     }
 
-    /// Drains every pending entry, in enqueue order. Called at a release
-    /// (lock release or barrier arrival).
+    /// Drains every pending entry, in enqueue order. (A release does not:
+    /// it takes entries out one at a time with [`Self::remove`], so that each
+    /// twin stays where a peer's update can patch it until it is encoded.)
     pub fn flush(&mut self) -> Vec<DuqEntry> {
         self.index.clear();
         std::mem::take(&mut self.entries)
@@ -201,6 +202,30 @@ mod tests {
             ObjectId::new(2)
         );
         assert!(duq.remove(ObjectId::new(7)).is_none());
+    }
+
+    /// A flush removes from the front, entry by entry, while the service
+    /// thread keeps looking twins up: every lookup, a later enqueue and a
+    /// removal from the middle must find the right entry at each step.
+    #[test]
+    fn removing_from_the_front_keeps_every_lookup_right() {
+        let mut duq = DelayedUpdateQueue::new();
+        for o in 0..4u8 {
+            duq.enqueue(ObjectId::new(o.into()), Some(vec![o]));
+        }
+        assert_eq!(duq.remove(ObjectId::new(0)).unwrap().twin, Some(vec![0]));
+        assert_eq!(duq.remove(ObjectId::new(1)).unwrap().twin, Some(vec![1]));
+        duq.patch_twin(ObjectId::new(2), |t| t[0] = 20);
+        duq.enqueue(ObjectId::new(9), Some(vec![9]));
+        assert_eq!(duq.twin_of(ObjectId::new(2)), Some(&[20u8][..]));
+        assert_eq!(duq.twin_of(ObjectId::new(9)), Some(&[9u8][..]));
+        assert_eq!(duq.remove(ObjectId::new(3)).unwrap().twin, Some(vec![3]));
+        assert_eq!(duq.twin_of(ObjectId::new(9)), Some(&[9u8][..]));
+        assert_eq!(duq.pending(), vec![ObjectId::new(2), ObjectId::new(9)]);
+        let drained = duq.flush();
+        assert_eq!(drained.len(), 2);
+        duq.enqueue(ObjectId::new(5), Some(vec![5]));
+        assert_eq!(duq.twin_of(ObjectId::new(5)), Some(&[5u8][..]));
     }
 
     #[test]

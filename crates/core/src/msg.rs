@@ -76,15 +76,28 @@ pub enum Route {
     /// or the `InvalidateAck` behind a dirty-copy flush when carriers are off.
     DirectUnacked,
     /// Owner-cooperative fan-out: a flusher's non-owned bundle, sent whole to
-    /// the objects' (probable) owner, which installs its share, re-fans to
-    /// its authoritative copyset ([`Route::OwnerForward`]) and answers with
-    /// a [`DsmMsg::RelayFanoutAck`].
-    OwnerFanout,
+    /// the objects' (probable) owner, which installs its share and re-fans to
+    /// its authoritative copyset ([`Route::OwnerForward`]).
+    OwnerFanout {
+        /// `None`: a standalone message, answered with a
+        /// [`DsmMsg::RelayFanoutAck`]. `Some(b)`: it rode the flusher's
+        /// `BarrierArrive` at barrier `b`, whose owner the receiver is; its
+        /// re-fans ride `b`'s releases and nobody is answered. In the bundle
+        /// because a deferred bundle re-queues as itself, away from the frame
+        /// that named the barrier — which is why the id costs the wire nothing.
+        ride: Option<BarrierId>,
+    },
     /// The owner's re-fan of a fan-out bundle to one copyset member. `seq`
     /// is the originating fan-out's, carried for trace correlation only:
-    /// forwards hold no slot of any update stream. The acknowledgement goes
-    /// to `origin`, whose release the update belongs to, not to the sender.
-    OwnerForward,
+    /// forwards hold no slot of any update stream. A standalone forward
+    /// (`framed: false`) is acknowledged to `origin`, whose release the
+    /// update belongs to, not to the sender; one `framed` by the member's
+    /// `BarrierRelease` is installed before that release is routed and
+    /// acknowledged to nobody.
+    OwnerForward {
+        /// Whether it rides a barrier release.
+        framed: bool,
+    },
     /// Riding a carrier frame (or parked at a barrier owner on its way to
     /// one): installed before the framed message is dispatched, never
     /// acknowledged.
@@ -238,7 +251,7 @@ pub enum DsmMsg {
     /// `result` object, an owner-cooperative fan-out or its re-fan): one
     /// [`UpdateBundle`], whose [`Route`] says what the receiver does with it.
     Update(UpdateBundle),
-    /// The owner's reply to a [`Route::OwnerFanout`] bundle: which destinations
+    /// The owner's reply to a standalone [`Route::OwnerFanout`] bundle: which destinations
     /// the bundle was re-fanned to (each will acknowledge the origin
     /// directly), and which objects the receiver turned out not to own
     /// (stale owner hint — the origin re-distributes those itself).
@@ -483,8 +496,8 @@ impl DsmMsg {
             DsmMsg::Invalidate { .. } => "invalidate",
             DsmMsg::InvalidateAck { .. } => "invalidate_ack",
             DsmMsg::Update(b) => match b.route {
-                Route::OwnerFanout => "relay_fanout",
-                Route::OwnerForward => "relay_forward",
+                Route::OwnerFanout { .. } => "relay_fanout",
+                Route::OwnerForward { .. } => "relay_forward",
                 _ => "update",
             },
             DsmMsg::RelayFanoutAck { .. } => "relay_fanout_ack",
@@ -790,13 +803,13 @@ mod tests {
             ),
             (
                 "RelayFanout",
-                DsmMsg::Update(bundle(Route::OwnerFanout, 1)),
+                DsmMsg::Update(bundle(Route::OwnerFanout { ride: None }, 1)),
                 "relay_fanout",
                 112,
             ),
             (
                 "RelayForward",
-                DsmMsg::Update(bundle(Route::OwnerForward, 1)),
+                DsmMsg::Update(bundle(Route::OwnerForward { framed: false }, 1)),
                 "relay_forward",
                 112,
             ),
@@ -873,6 +886,20 @@ mod tests {
         assert_eq!(hop2.model_bytes() - release.model_bytes(), 8 + 8 + 64);
         assert!(hop2.model_bytes() < release.model_bytes() + direct.model_bytes());
         assert_eq!(hop2.class(), "barrier_release");
+        // A cooperative bundle riding the barrier costs what any relay entry
+        // does on the way up and what any carried bundle does on the way
+        // down: the frame names the barrier, so its id is not charged.
+        let ride = Route::OwnerFanout {
+            ride: Some(BarrierId(0)),
+        };
+        let up = DsmMsg::framed(arrive, vec![], vec![(NodeId::new(0), bundle(ride, 1))]);
+        let forward = bundle(Route::OwnerForward { framed: true }, 1);
+        let down = DsmMsg::framed(release, vec![forward], vec![]);
+        assert_eq!(
+            (up.model_bytes(), down.model_bytes()),
+            (hop1.model_bytes(), hop2.model_bytes())
+        );
+        assert_eq!((up.class(), down.class()), (hop1.class(), hop2.class()));
     }
 
     #[test]

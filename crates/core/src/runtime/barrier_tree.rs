@@ -129,19 +129,23 @@ impl NodeRuntime {
         children: Vec<(NodeId, NodeSet)>,
         now: VirtTime,
     ) {
+        // The whole fan leaves under the outbox lock. A cooperative re-fan
+        // riding one of these releases is ordered against its origin's next
+        // forward to the same member — a standalone message from this node —
+        // by link FIFO alone, and that origin may flush again the moment its
+        // own release lands, while this loop (on the user thread, when the
+        // owner is the last to arrive) is still working down its list.
+        // `refan` takes the lock before it sends a standalone forward, so by
+        // then every release is on its link.
+        let mut outbox = self.outbox.lock();
         for (child, covered) in children {
             if self.is_peer_dead(child) {
                 // A report recorded before its sender died: nothing to
                 // release there.
                 continue;
             }
-            let (updates, relay) = {
-                let mut outbox = self.outbox.lock();
-                (
-                    outbox.take_relay(barrier, child),
-                    outbox.take_relay_within(barrier, &covered, child),
-                )
-            };
+            let updates = outbox.take_relay(barrier, child);
+            let relay = outbox.take_relay_within(barrier, &covered, child);
             let release = DsmMsg::BarrierRelease { barrier, gen };
             let msg = DsmMsg::framed(release, updates, relay);
             let _ = self.send_service(child, msg, now + self.cost.sync_op());

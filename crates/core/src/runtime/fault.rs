@@ -493,19 +493,21 @@ impl NodeRuntime {
                 entry.size,
             )
         };
-        let twin = if make_twin {
-            bump(&self.stats.twins_created);
-            self.charge_sys(self.cost.copy(size as u64));
-            // Reuse a pooled twin buffer instead of allocating a fresh copy:
-            // flushes return their twins to the pool after encoding.
-            let mut buf = self.duq.lock().acquire_twin_buffer(size);
-            self.read_object_into(object, &mut buf);
-            Some(buf)
-        } else {
-            None
-        };
         {
+            // Snapshot and enqueue in one DUQ-lock scope, the one
+            // `apply_update_items` holds across memory apply + twin patch: a
+            // peer's update admitted just before this fault marked the entry
+            // busy is either in the snapshot or finds the twin to patch.
             let mut duq = self.duq.lock();
+            let twin = make_twin.then(|| {
+                bump(&self.stats.twins_created);
+                self.charge_sys(self.cost.copy(size as u64));
+                // Reuse a pooled twin buffer instead of allocating a fresh
+                // copy: flushes return their twins to the pool after encoding.
+                let mut buf = duq.acquire_twin_buffer(size);
+                self.read_object_into(object, &mut buf);
+                buf
+            });
             duq.enqueue(object, twin);
         }
         let mut dir = self.dir.lock();

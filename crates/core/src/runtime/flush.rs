@@ -33,7 +33,6 @@ use munin_sim::NodeId;
 use crate::config::CopysetStrategy;
 use crate::copyset::CopySet;
 use crate::directory::AccessRights;
-use crate::duq::DuqEntry;
 use crate::error::{MuninError, Result};
 use crate::msg::{DsmMsg, Route, UpdateItem, UpdatePayload};
 use crate::nodeset::NodeSet;
@@ -78,6 +77,10 @@ pub(crate) enum FlushMode {
     BarrierRelay {
         /// The barrier owner the arrive is headed to.
         owner: NodeId,
+        /// Whether the barrier's topology is a star. Only then may a
+        /// non-owned bundle whose owner is `owner` ride the arrive too (see
+        /// the cooperative dispatch in `flush_duq_mode`).
+        star: bool,
     },
     /// Lock release with a known next holder: owner-flushed fan-out items
     /// destined for the grantee ride the `LockGrant` carrier instead of a
@@ -100,9 +103,7 @@ enum Dispatch {
     Fenced,
 }
 
-/// The route of `bytes` of encoded payload from one entry to `dest`. Size
-/// only ever chooses between `Relay` and `Fenced`, so the send-scheduling
-/// pre-pass, which runs before anything is encoded, may ask with any size.
+/// The route of `bytes` of encoded payload from one entry to `dest`.
 fn classify(mode: FlushMode, route: &FlushRoute, dest: NodeId, bytes: u64, max: u64) -> Dispatch {
     debug_assert!(
         route.coop_owner.is_none(),
@@ -123,7 +124,9 @@ fn classify(mode: FlushMode, route: &FlushRoute, dest: NodeId, bytes: u64, max: 
             // destination). At or above the configured size the byte
             // doubling outweighs the saved message, so it goes direct.
             // Owner-bound and lock-relay bundles ride single-transit.
-            FlushMode::BarrierRelay { owner } if dest != owner && bytes >= max => Dispatch::Fenced,
+            FlushMode::BarrierRelay { owner, .. } if dest != owner && bytes >= max => {
+                Dispatch::Fenced
+            }
             FlushMode::BarrierRelay { .. } => Dispatch::Relay,
             FlushMode::LockRelay { grantee } if dest == grantee => Dispatch::Relay,
             FlushMode::LockRelay { .. } => Dispatch::Acked,
@@ -134,46 +137,57 @@ fn classify(mode: FlushMode, route: &FlushRoute, dest: NodeId, bytes: u64, max: 
         // before counting the arrival, which is at least as early as the
         // legacy apply-then-ack).
         match mode {
-            FlushMode::BarrierRelay { owner } if dest == owner => Dispatch::Relay,
+            FlushMode::BarrierRelay { owner, .. } if dest == owner => Dispatch::Relay,
             _ => Dispatch::Acked,
         }
     }
 }
 
+/// Update items grouped by the node they are headed to.
+pub(crate) type PerDest = BTreeMap<NodeId, Vec<UpdateItem>>;
+
+/// The objects a list of update items names (for the protocol trace).
+fn objects_of(items: &[UpdateItem]) -> Vec<ObjectId> {
+    items.iter().map(|i| i.object).collect()
+}
+
 impl NodeRuntime {
     /// Flushes the delayed update queue with every update as its own
-    /// acknowledged message. Called by the hints, which leave nothing
-    /// unsent behind, and by releases without a carrier opportunity.
+    /// acknowledged message. Called by releases without a carrier
+    /// opportunity and by the hints, which leave nothing unsent behind —
+    /// `Flush()` itself "advises Munin to flush any buffered writes
+    /// immediately rather than waiting for a release".
     pub(crate) fn flush_duq(self: &Arc<Self>) -> Result<()> {
         self.flush_duq_mode(FlushMode::Immediate).map(|_| ())
     }
 
     /// Flushes the delayed update queue, dispatching updates per `mode`.
-    /// Returns the per-destination bundles the caller must attach to its
-    /// carrier (barrier arrive or lock grant); empty except in the relay
-    /// modes.
+    /// Returns what the caller must attach to its carrier (barrier arrive or
+    /// lock grant): the per-destination bundles, and — at a star barrier —
+    /// the cooperative bundle for the barrier's owner. Both are empty except
+    /// in the relay modes.
     pub(crate) fn flush_duq_mode(
         self: &Arc<Self>,
         mode: FlushMode,
-    ) -> Result<BTreeMap<NodeId, Vec<UpdateItem>>> {
-        let entries = {
-            let mut duq = self.duq.lock();
-            duq.flush()
-        };
+    ) -> Result<(PerDest, Vec<UpdateItem>)> {
+        // Listed, not drained: every entry stays queued, its twin where a
+        // peer's update still finds it to patch, until `encode_entry` takes
+        // it out under the lock it encodes under.
+        let objects = self.duq.lock().pending();
         bump(&self.stats.duq_flushes);
-        if entries.is_empty() {
-            return Ok(BTreeMap::new());
+        if objects.is_empty() {
+            return Ok(Default::default());
         }
-        add(&self.stats.duq_objects_flushed, entries.len() as u64);
+        add(&self.stats.duq_objects_flushed, objects.len() as u64);
 
         // Step 1: determine copysets where needed. `result` objects go to
         // their owner and need none; stable objects whose copyset is already
         // fixed reuse it.
         let needs_determination: Vec<ObjectId> = {
             let mut dir = self.dir.lock();
-            entries
+            objects
                 .iter()
-                .map(|e| e.object)
+                .copied()
                 .filter(|o| {
                     let entry = dir.entry_mut(*o);
                     if entry.params.flushes_to_owner() || entry.state.copyset_fixed {
@@ -260,73 +274,43 @@ impl NodeRuntime {
             }
         }
 
-        // Step 2+3 overlapped: encode changes and transmit as the
-        // per-destination messages become complete, instead of materializing
-        // the full destination map first. A read-only pre-pass mirrors
-        // `encode_entry`'s routing to count how many entries can still
-        // contribute to each destination; once a destination's count drains
-        // to zero its `Update` goes on the wire while later entries are still
-        // being encoded. Each entry is encoded exactly once; the flat diff
-        // buffer is shared (via `Arc`) between the per-destination clones of
-        // the payload.
-        let routes: Vec<FlushRoute> = {
-            let dir = self.dir.lock();
-            entries
-                .iter()
-                .map(|e| self.flush_route(dir.entry(e.object)))
-                .collect()
-        };
+        // Steps 2 and 3: encode each entry exactly once (the flat diff buffer
+        // is shared, via `Arc`, between the per-destination clones of the
+        // payload), then send.
         let max = self.cfg.relay_max_bytes;
-        let mut remaining: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for route in &routes {
-            if route.coop_owner.is_some() {
-                continue;
-            }
-            for dest in route.destinations.iter() {
-                if classify(mode, route, dest, 0, max) == Dispatch::Acked {
-                    *remaining.entry(dest).or_default() += 1;
-                }
-            }
-        }
-        let mut pending: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
-        let mut relay: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
+        let mut pending = PerDest::new();
+        let mut relay = PerDest::new();
         // Owner-cooperative bundles, keyed by the owner they ship to.
-        let mut coop: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
+        let mut coop = PerDest::new();
         // Over-threshold owner-flushed barrier items, sent direct and fenced.
-        let mut fenced: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
+        let mut fenced = PerDest::new();
         // Fan-out payloads are retained (cheap: the buffers are `Arc`-shared)
         // until the ack round completes, so updates can be re-sent to copyset
         // members the owner reports as missed.
         let mut fanout: HashMap<ObjectId, (UpdatePayload, NodeSet)> = HashMap::new();
-        let mut expected_acks = 0usize;
-        // Outstanding acks per destination: when a destination is confirmed
-        // dead mid-round, its share of `expected_acks` is written off.
+        // `UpdateAck`s owed, per destination: the release waits until none
+        // is, and a destination confirmed dead mid-round is written off whole.
         let mut outstanding: BTreeMap<NodeId, usize> = BTreeMap::new();
         // Outstanding owner-cooperative fan-out acks, with the bundle
         // retained so a bounced item or a dead owner can fall back to the
         // degraded broadcast. The ack loop must not exit while any entry
         // remains: the fan-out ack names the re-fan destinations whose own
         // acks this release still has to count.
-        let mut coop_pending: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
+        let mut coop_pending = PerDest::new();
+        type Owed = BTreeMap<NodeId, usize>;
         let send_update = |rt: &Arc<Self>,
                            dest: NodeId,
                            items: Vec<UpdateItem>,
-                           expected_acks: &mut usize,
-                           outstanding: &mut BTreeMap<NodeId, usize>|
+                           outstanding: &mut Owed|
          -> Result<()> {
             if dest != rt.node && rt.is_peer_dead(dest) {
                 // Confirmed dead after the route was computed: recovery has
                 // already pruned it from the copysets; nothing to send.
                 return Ok(());
             }
-            crate::runtime::proto_trace!(
-                rt,
-                "flush -> {dest:?}: {:?}",
-                items.iter().map(|i| i.object).collect::<Vec<_>>()
-            );
+            crate::runtime::proto_trace!(rt, "flush -> {dest:?}: {:?}", objects_of(&items));
             let update = rt.next_bundle(dest, rt.clock.now(), items, Route::DirectAcked);
             rt.send(dest, DsmMsg::Update(update))?;
-            *expected_acks += 1;
             *outstanding.entry(dest).or_default() += 1;
             Ok(())
         };
@@ -335,84 +319,53 @@ impl NodeRuntime {
         // Peers without a copy discard it on apply — the cost of not running
         // a determination round inside the ack loop, whose wait may only
         // observe update acks.
-        let broadcast_degraded = |rt: &Arc<Self>,
-                                  items: Vec<UpdateItem>,
-                                  expected_acks: &mut usize,
-                                  outstanding: &mut BTreeMap<NodeId, usize>|
-         -> Result<()> {
-            for peer in rt.live_peers().iter() {
-                send_update(rt, peer, items.clone(), expected_acks, outstanding)?;
-            }
-            Ok(())
-        };
-        for (entry, pre_route) in entries.into_iter().zip(&routes) {
-            let object = entry.object;
-            let (payload, route) = self.encode_entry(entry)?;
-            if let Some(payload) = &payload {
-                if let Some(owner) = route.coop_owner {
-                    coop.entry(owner).or_default().push(UpdateItem {
-                        object,
-                        payload: payload.clone(),
-                    });
-                } else {
-                    let mut any_acked = false;
-                    let bytes = payload.model_bytes();
-                    for dest in route.destinations.iter() {
-                        let item = UpdateItem {
-                            object,
-                            payload: payload.clone(),
-                        };
-                        match classify(mode, &route, dest, bytes, max) {
-                            Dispatch::Acked => {
-                                any_acked = true;
-                                pending.entry(dest).or_default().push(item);
-                            }
-                            Dispatch::Relay => relay.entry(dest).or_default().push(item),
-                            Dispatch::Fenced => {
-                                add(&self.stats.relay_bypassed_bytes, bytes);
-                                self.obs.record(
-                                    self.clock.now().as_nanos(),
-                                    crate::obs::EventKind::RelayBypass,
-                                    |ev| {
-                                        ev.peer = Some(dest);
-                                        ev.seq = Some(bytes);
-                                    },
-                                );
-                                fenced.entry(dest).or_default().push(item);
-                            }
-                        }
-                    }
-                    if route.fans_out && any_acked {
-                        fanout.insert(object, (payload.clone(), route.destinations.clone()));
-                    }
+        let broadcast_degraded =
+            |rt: &Arc<Self>, items: Vec<UpdateItem>, outstanding: &mut Owed| -> Result<()> {
+                for peer in rt.live_peers().iter() {
+                    send_update(rt, peer, items.clone(), outstanding)?;
                 }
-            }
-            // Drain the pre-pass counts with the *pre-pass* route, so a
-            // directory change between the two reads cannot strand a count.
-            if pre_route.coop_owner.is_some() {
+                Ok(())
+            };
+        for object in objects {
+            let (payload, route) = self.encode_entry(object)?;
+            let Some(payload) = payload else { continue };
+            let item = || UpdateItem {
+                object,
+                payload: payload.clone(),
+            };
+            if let Some(owner) = route.coop_owner {
+                coop.entry(owner).or_default().push(item());
                 continue;
             }
-            for dest in pre_route.destinations.iter() {
-                if classify(mode, pre_route, dest, 0, max) != Dispatch::Acked {
-                    continue;
-                }
-                let rem = remaining
-                    .get_mut(&dest)
-                    .expect("route destinations are all counted");
-                *rem -= 1;
-                if *rem == 0 {
-                    if let Some(items) = pending.remove(&dest) {
-                        send_update(self, dest, items, &mut expected_acks, &mut outstanding)?;
+            let mut any_acked = false;
+            let bytes = payload.model_bytes();
+            for dest in route.destinations.iter() {
+                match classify(mode, &route, dest, bytes, max) {
+                    Dispatch::Acked => {
+                        any_acked = true;
+                        pending.entry(dest).or_default().push(item());
+                    }
+                    Dispatch::Relay => relay.entry(dest).or_default().push(item()),
+                    Dispatch::Fenced => {
+                        add(&self.stats.relay_bypassed_bytes, bytes);
+                        self.obs.record(
+                            self.clock.now().as_nanos(),
+                            crate::obs::EventKind::RelayBypass,
+                            |ev| {
+                                ev.peer = Some(dest);
+                                ev.seq = Some(bytes);
+                            },
+                        );
+                        fenced.entry(dest).or_default().push(item());
                     }
                 }
             }
+            if route.fans_out && any_acked {
+                fanout.insert(object, (payload.clone(), route.destinations.clone()));
+            }
         }
-        // Catch-all: a destination `encode_entry` routed to but the pre-pass
-        // did not (the directory changed between the two reads — e.g. the
-        // service thread recorded a new replica while we flushed) still gets
-        // its update here.
-        for (dest, items) in std::mem::take(&mut pending) {
-            send_update(self, dest, items, &mut expected_acks, &mut outstanding)?;
+        for (dest, items) in pending {
+            send_update(self, dest, items, &mut outstanding)?;
         }
         // The barrier is the ack: a fenced update leaves now and nobody waits
         // for it. Its destination's relay entry (the small diffs riding
@@ -432,27 +385,39 @@ impl NodeRuntime {
         // authoritative copyset — no determination round, no heal round.
         // The origin counts one `RelayFanoutAck` per bundle plus one
         // `UpdateAck` per re-fan destination the owner reports.
+        let mut ride = Vec::new();
         for (owner, items) in coop {
             debug_assert_ne!(owner, self.node, "coop routes never point home");
             if self.is_peer_dead(owner) {
-                broadcast_degraded(self, items, &mut expected_acks, &mut outstanding)?;
+                broadcast_degraded(self, items, &mut outstanding)?;
                 continue;
             }
-            crate::runtime::proto_trace!(
-                self,
-                "coop relay -> {owner:?}: {:?}",
-                items.iter().map(|i| i.object).collect::<Vec<_>>()
-            );
-            let fanout =
-                self.next_bundle(owner, self.clock.now(), items.clone(), Route::OwnerFanout);
+            // Unless the owner is the one the arrive is headed to, at a star:
+            // then the bundle rides that arrive, its re-fans ride the
+            // releases, and this flush neither sends it nor waits for it —
+            // the release each member observes is where "performed" has to
+            // hold, as for a fenced update. Star only: a riding re-fan is
+            // unsequenced like every forward, ordered against this node's
+            // *next* forward to the same member (a lock-release flush, sent
+            // standalone owner → member) by link FIFO alone. A star's
+            // release leaves on that very link first (`release_children`
+            // sees to it); down a tree it takes interior hops, and the later
+            // forward could overtake it while the member is still parked at
+            // the barrier.
+            if mode == (FlushMode::BarrierRelay { owner, star: true }) {
+                ride = items;
+                continue;
+            }
+            crate::runtime::proto_trace!(self, "coop relay -> {owner:?}: {:?}", objects_of(&items));
+            let standalone = Route::OwnerFanout { ride: None };
+            let fanout = self.next_bundle(owner, self.clock.now(), items.clone(), standalone);
             self.send(owner, DsmMsg::Update(fanout))?;
             coop_pending.insert(owner, items);
         }
         // Relayed bundles are returned to the caller, which sequences and
         // attaches them (the barrier arrive / lock grant send sites).
         for (dest, items) in &relay {
-            let objects = || items.iter().map(|i| i.object).collect::<Vec<_>>();
-            crate::runtime::proto_trace!(self, "relay -> {dest:?}: {:?}", objects());
+            crate::runtime::proto_trace!(self, "relay -> {dest:?}: {:?}", objects_of(items));
         }
 
         // Ack round (conservative release consistency: updates are performed
@@ -464,19 +429,18 @@ impl NodeRuntime {
         // travel on this node's own lanes, so they can never overtake (or be
         // overtaken by) this node's later flushes.
         //
-        // `expected_acks` / `outstanding` count `UpdateAck`s; a fan-out ack
-        // is owed by every owner still in `coop_pending`. An `UpdateAck`
-        // counts only against an expectation from its sender. The one that
+        // `outstanding` counts the `UpdateAck`s owed; a fan-out ack is owed
+        // by every owner still in `coop_pending`. An `UpdateAck` counts only
+        // against an expectation from its sender. The one that
         // can arrive unexpected is a re-fan destination's, having overtaken
         // the `RelayFanoutAck` that names it: it waits in `unclaimed` until
         // that ack claims it. If the owner dies instead, nobody does —
         // counting such acks anyway let this loop exit that many acks short
         // of its degraded broadcast, and the stragglers then answered
         // whatever this node waited for next.
-        let mut acks = 0usize;
-        let mut unclaimed: BTreeMap<NodeId, usize> = BTreeMap::new();
+        let mut unclaimed = Owed::new();
         /// Takes one off `node`'s count, if it has any.
-        fn take_one(counts: &mut BTreeMap<NodeId, usize>, node: NodeId) -> bool {
+        fn take_one(counts: &mut Owed, node: NodeId) -> bool {
             match counts.get_mut(&node) {
                 Some(n) if *n > 0 => {
                     *n -= 1;
@@ -486,7 +450,7 @@ impl NodeRuntime {
             }
         }
         let mut handled = crate::nodeset::NodeSet::EMPTY;
-        while acks < expected_acks || !coop_pending.is_empty() {
+        while outstanding.values().any(|owed| *owed > 0) || !coop_pending.is_empty() {
             let (env, reply) =
                 match self.wait_reply_or_dead(crate::runtime::WaitOp::UpdateAcks, &mut handled) {
                     Ok(reply) => reply,
@@ -495,8 +459,7 @@ impl NodeRuntime {
                         // off everything still outstanding towards it. Its
                         // copies are unreachable, which is the post-crash
                         // equivalent of "update performed".
-                        let lost = outstanding.remove(&n).unwrap_or(0);
-                        expected_acks -= lost;
+                        outstanding.remove(&n);
                         if let Some(items) = coop_pending.remove(&n) {
                             // A cooperative owner died before acking. It may
                             // or may not have re-fanned already; the degraded
@@ -507,7 +470,7 @@ impl NodeRuntime {
                             // this loop's count — death confirmation takes a
                             // full detection window, far longer than any
                             // delivery.)
-                            broadcast_degraded(self, items, &mut expected_acks, &mut outstanding)?;
+                            broadcast_degraded(self, items, &mut outstanding)?;
                         }
                         continue;
                     }
@@ -525,13 +488,7 @@ impl NodeRuntime {
                     // once if they are already here. One that died since
                     // will never ack, and its death was already signalled.
                     for dest in refanned {
-                        if self.is_peer_dead(dest) {
-                            continue;
-                        }
-                        expected_acks += 1;
-                        if take_one(&mut unclaimed, dest) {
-                            acks += 1;
-                        } else {
+                        if !self.is_peer_dead(dest) && !take_one(&mut unclaimed, dest) {
                             *outstanding.entry(dest).or_default() += 1;
                         }
                     }
@@ -555,26 +512,19 @@ impl NodeRuntime {
                             .filter(|i| rejected.contains(&i.object))
                             .collect();
                         if !bounced.is_empty() {
-                            broadcast_degraded(
-                                self,
-                                bounced,
-                                &mut expected_acks,
-                                &mut outstanding,
-                            )?;
+                            broadcast_degraded(self, bounced, &mut outstanding)?;
                         }
                     }
                 }
                 DsmMsg::UpdateAck { owned_copysets, .. } => {
-                    if take_one(&mut outstanding, env.src) {
-                        acks += 1;
-                    } else {
+                    if !take_one(&mut outstanding, env.src) {
                         *unclaimed.entry(env.src).or_default() += 1;
                     }
                     // Batch the heals per missed member, preserving the
                     // normal flush path's one-Update-per-destination shape:
                     // an owner reporting k objects that all missed the same
                     // late-fetching member costs one message, not k.
-                    let mut heal: BTreeMap<NodeId, Vec<UpdateItem>> = BTreeMap::new();
+                    let mut heal = PerDest::new();
                     for (object, owner_set) in owned_copysets {
                         let Some((payload, sent)) = fanout.get_mut(&object) else {
                             continue;
@@ -608,7 +558,7 @@ impl NodeRuntime {
                         }
                     }
                     for (member, items) in heal {
-                        send_update(self, member, items, &mut expected_acks, &mut outstanding)?;
+                        send_update(self, member, items, &mut outstanding)?;
                     }
                 }
                 other => {
@@ -619,12 +569,11 @@ impl NodeRuntime {
                 }
             }
         }
-        Ok(relay)
+        Ok((relay, ride))
     }
 
-    /// Computes where one flushed object's changes go. The single source of
-    /// routing truth, shared by `flush_duq`'s send-scheduling pre-pass and
-    /// `encode_entry`, so the two cannot drift.
+    /// Computes where one flushed object's changes go: the single source of
+    /// routing truth.
     fn flush_route(&self, e: &crate::directory::DirEntry) -> FlushRoute {
         if e.params.flushes_to_owner() {
             // `result` objects go only to their owner; nothing to send when
@@ -666,47 +615,54 @@ impl NodeRuntime {
         }
     }
 
+    /// Takes `object`'s entry out of the DUQ and encodes what it changed — a
+    /// diff against the twin (straight out of segment memory, into the node's
+    /// reusable scratch buffer; the twin goes back to the pool) or the whole
+    /// image when there is none — in one DUQ-lock scope, the one
+    /// `apply_update_items` holds across memory apply + twin patch. A peer's
+    /// update is therefore in both the memory and the twin compared here or
+    /// in neither, and the diff carries this node's own words only (flat
+    /// diff invariant 6). `None`: the object is not queued (any more).
+    pub(crate) fn capture_changes(&self, object: ObjectId) -> Option<UpdatePayload> {
+        let mut duq = self.duq.lock();
+        Some(match duq.remove(object)?.twin {
+            Some(twin) => {
+                let d =
+                    self.with_object_mem(object, |cur| self.diff_scratch.lock().encode(cur, &twin));
+                duq.recycle_twin(twin);
+                UpdatePayload::Diff(d)
+            }
+            None => UpdatePayload::Full(self.object_bytes(object)),
+        })
+    }
+
     /// Encodes one DUQ entry and decides where its changes go, applying the
     /// per-protocol state transitions (re-protection, invalidation of the
     /// local copy for `result` objects, private-page promotion for stable
-    /// objects with an empty copyset).
-    ///
-    /// The entry is consumed: its twin buffer is returned to the DUQ's pool
-    /// once the diff has been encoded. The diff is encoded exactly once into
-    /// the node's reusable scratch buffer and shared via `Arc` when the
-    /// caller fans it out to several destinations.
+    /// objects with an empty copyset). The diff is encoded exactly once and
+    /// shared via `Arc` when the caller fans it out to several destinations.
     pub(crate) fn encode_entry(
         self: &Arc<Self>,
-        entry: DuqEntry,
+        object: ObjectId,
     ) -> Result<(Option<UpdatePayload>, FlushRoute)> {
-        let object = entry.object;
         let range = self.object_range(object);
-        let (mut route, home, stable) = {
+        let (route, home, stable) = {
             let dir = self.dir.lock();
             let e = dir.entry(object);
             (self.flush_route(e), e.home, e.params.is_stable())
         };
-
-        // Encode: diff against the twin when there is one (straight out of
-        // segment memory, no object copy), otherwise the full object image.
-        let payload = match entry.twin {
-            Some(twin) => {
-                let d = self.with_object_mem(object, |cur| {
-                    let mut scratch = self.diff_scratch.lock();
-                    scratch.encode(cur, &twin)
-                });
+        let payload = match self.capture_changes(object) {
+            // An invalidation got to the entry since the flush listed it, and
+            // has propagated its changes and dropped the copy.
+            None => return Ok((None, route)),
+            Some(UpdatePayload::Diff(d)) => {
                 self.charge_sys(
                     self.cost
                         .encode((range.len() / 4) as u64, d.run_count() as u64),
                 );
-                self.duq.lock().recycle_twin(twin);
-                if d.is_empty() {
-                    None
-                } else {
-                    Some(UpdatePayload::Diff(d))
-                }
+                (!d.is_empty()).then_some(UpdatePayload::Diff(d))
             }
-            None => Some(UpdatePayload::Full(self.object_bytes(object))),
+            full => full,
         };
 
         let mut dir = self.dir.lock();
@@ -718,7 +674,6 @@ impl NodeRuntime {
             // local copy ("Fl" and the description of Matrix Multiply).
             if home == self.node {
                 // The owner's own changes are already in place.
-                route.destinations = NodeSet::EMPTY;
                 return Ok((None, route));
             }
             self.set_entry_rights(e, AccessRights::Invalid);
@@ -727,7 +682,12 @@ impl NodeRuntime {
             return Ok((payload, route));
         }
 
-        if route.coop_owner.is_none() && route.destinations.is_empty() && stable {
+        // An empty copyset leaves nowhere to send — except on an
+        // owner-cooperative entry, which ignores the (stale, never-determined)
+        // local copyset: the owner decides the fan-out, and an empty local
+        // copyset proves nothing about remote copies.
+        let nowhere = route.coop_owner.is_none() && route.destinations.is_empty();
+        if nowhere && stable {
             // "Any pages that have an empty Copyset and are therefore private
             // are made locally writable, their twins are deleted, and they do
             // not generate further access faults."
@@ -737,17 +697,7 @@ impl NodeRuntime {
         // Write-shared / producer-consumer: keep the copy, re-write-protect so
         // the next write makes a fresh twin.
         self.set_entry_rights(e, AccessRights::Read);
-        if route.coop_owner.is_some() {
-            // Owner-cooperative entries ignore the (stale, never-determined)
-            // local copyset — the owner decides the fan-out — so neither
-            // empty-destination shortcut applies: an empty local copyset
-            // proves nothing about remote copies.
-            return Ok((payload, route));
-        }
-        if route.destinations.is_empty() {
-            return Ok((None, route));
-        }
-        Ok((payload, route))
+        Ok((payload.filter(|_| !nowhere), route))
     }
 
     /// The prototype's copyset determination: broadcast the list of modified
@@ -875,18 +825,9 @@ impl NodeRuntime {
         Ok(result)
     }
 
-    /// `Flush()` hint: "advises Munin to flush any buffered writes
-    /// immediately rather than waiting for a release." Every update leaves
-    /// as its own message and is acknowledged before the call returns.
-    pub(crate) fn flush_hint(self: &Arc<Self>) -> Result<()> {
-        self.flush_duq()
-    }
-
-    /// `Invalidate()` hint: deletes the local copy of every object of a
-    /// variable, propagating pending changes first.
-    pub(crate) fn invalidate_hint(self: &Arc<Self>, objects: &[ObjectId]) -> Result<()> {
-        // Flush any of the listed objects that are sitting in the DUQ so
-        // their changes are not lost, then drop the local copies.
+    /// Flushes the DUQ at once if any of `objects` is sitting in it: a hint
+    /// that acts on a variable first brings its copies up to date.
+    fn flush_if_pending(self: &Arc<Self>, objects: &[ObjectId]) -> Result<()> {
         let any_pending = {
             let duq = self.duq.lock();
             objects.iter().any(|o| duq.contains(*o))
@@ -894,6 +835,13 @@ impl NodeRuntime {
         if any_pending {
             self.flush_duq()?;
         }
+        Ok(())
+    }
+
+    /// `Invalidate()` hint: deletes the local copy of every object of a
+    /// variable, propagating pending changes first.
+    pub(crate) fn invalidate_hint(self: &Arc<Self>, objects: &[ObjectId]) -> Result<()> {
+        self.flush_if_pending(objects)?;
         let mut dir = self.dir.lock();
         for o in objects {
             let e = dir.entry_mut(*o);
@@ -951,13 +899,7 @@ impl NodeRuntime {
         objects: &[ObjectId],
         annotation: crate::annotation::SharingAnnotation,
     ) -> Result<()> {
-        let any_pending = {
-            let duq = self.duq.lock();
-            objects.iter().any(|o| duq.contains(*o))
-        };
-        if any_pending {
-            self.flush_duq()?;
-        }
+        self.flush_if_pending(objects)?;
         let mut dir = self.dir.lock();
         for o in objects {
             let e = dir.entry_mut(*o);
@@ -1145,9 +1087,9 @@ mod tests {
             e.copyset.insert(NodeId::new(1));
             e.copyset.insert(NodeId::new(2));
         }
-        let entry = rt.duq.lock().flush().into_iter().next().unwrap();
-        assert!(entry.twin.is_some());
-        let (payload, route) = rt.encode_entry(entry).unwrap();
+        assert!(rt.duq.lock().twin_of(ws).is_some());
+        let (payload, route) = rt.encode_entry(ws).unwrap();
+        assert!(rt.duq.lock().is_empty(), "encoding takes the entry out");
         let destinations = route.destinations;
         assert!(route.fans_out && route.owned);
         assert_eq!(
@@ -1372,57 +1314,111 @@ mod tests {
     /// non-owned fan-out bundle ships whole to the owner hint on
     /// `Route::OwnerFanout` (no copyset-determination round), and the
     /// release completes once the owner's fan-out ack plus one `UpdateAck` per
-    /// reported re-fan destination have arrived.
+    /// reported re-fan destination have arrived. That is the path at a lock
+    /// release or a hint, and at a barrier too whenever the owner hint is not
+    /// the barrier's owner or the barrier is not a star.
     #[test]
     fn flush_ships_non_owned_bundle_to_cooperative_owner() {
-        let (rt, net, tx1, rx1, tx2, _rx2, rx0, ws) = coop_harness();
-        let server_rt = Arc::clone(&rt);
-        let server = std::thread::spawn(move || server_rt.server_loop(rx0));
-        let flusher_rt = Arc::clone(&rt);
-        let flusher = std::thread::spawn(move || flusher_rt.flush_duq());
-        // The whole bundle arrives at the owner hint, not at copyset members.
-        let (_env, msg) = rx1.recv().unwrap();
-        let DsmMsg::Update(UpdateBundle {
-            items,
-            origin,
-            seq,
-            route: Route::OwnerFanout,
-        }) = msg
-        else {
-            panic!("expected a cooperative fan-out at N1, got {msg:?}");
-        };
-        assert_eq!(origin, NodeId::new(0));
-        assert_eq!(seq, 0, "first slot of the 0->1 update stream");
-        assert_eq!(items.len(), 1);
-        assert_eq!(items[0].object, ws);
-        // The owner re-fanned to N2; N2's ack goes straight to the origin.
-        tx1.send(
-            NodeId::new(0),
-            "relay_fanout_ack",
-            24,
-            DsmMsg::RelayFanoutAck {
-                refanned: vec![NodeId::new(2)],
-                rejected: vec![],
+        let (n1, n2) = (NodeId::new(1), NodeId::new(2));
+        for mode in [
+            FlushMode::Immediate,
+            FlushMode::BarrierRelay {
+                owner: n2,
+                star: true,
             },
-        )
-        .unwrap();
-        tx2.send(
-            NodeId::new(0),
-            "update_ack",
-            40,
-            DsmMsg::UpdateAck {
-                count: 1,
-                owned_copysets: vec![],
+            FlushMode::BarrierRelay {
+                owner: n1,
+                star: false,
             },
-        )
-        .unwrap();
-        flusher.join().unwrap().unwrap();
-        let snap = rt.stats().snapshot();
-        assert_eq!(snap.copyset_queries, 0, "coop entries skip determination");
-        assert_eq!(snap.updates_sent, 1, "one bundle, shipped once");
-        tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
+        ] {
+            let (rt, net, tx1, rx1, tx2, _rx2, rx0, ws) = coop_harness();
+            let server_rt = Arc::clone(&rt);
+            let server = std::thread::spawn(move || server_rt.server_loop(rx0));
+            let flusher_rt = Arc::clone(&rt);
+            let flusher = std::thread::spawn(move || flusher_rt.flush_duq_mode(mode));
+            // The whole bundle arrives at the owner hint, not at copyset
+            // members.
+            let (_env, msg) = rx1.recv().unwrap();
+            let DsmMsg::Update(UpdateBundle {
+                items,
+                origin,
+                seq,
+                route: Route::OwnerFanout { ride: None },
+            }) = msg
+            else {
+                panic!("{mode:?}: expected a cooperative fan-out at N1, got {msg:?}");
+            };
+            assert_eq!(origin, NodeId::new(0));
+            assert_eq!(seq, 0, "first slot of the 0->1 update stream");
+            assert_eq!(items.len(), 1);
+            assert_eq!(items[0].object, ws);
+            assert!(!flusher.is_finished(), "{mode:?}: the flush waits");
+            // The owner re-fanned to N2; N2's ack goes straight to the origin.
+            tx1.send(
+                NodeId::new(0),
+                "relay_fanout_ack",
+                24,
+                DsmMsg::RelayFanoutAck {
+                    refanned: vec![n2],
+                    rejected: vec![],
+                },
+            )
             .unwrap();
-        server.join().unwrap();
+            tx2.send(
+                NodeId::new(0),
+                "update_ack",
+                40,
+                DsmMsg::UpdateAck {
+                    count: 1,
+                    owned_copysets: vec![],
+                },
+            )
+            .unwrap();
+            let (relay, ride) = flusher.join().unwrap().unwrap();
+            assert!(relay.is_empty() && ride.is_empty(), "{mode:?}");
+            let snap = rt.stats().snapshot();
+            assert_eq!(snap.copyset_queries, 0, "coop entries skip determination");
+            assert_eq!(snap.updates_sent, 1, "one bundle, shipped once");
+            tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
+                .unwrap();
+            server.join().unwrap();
+            drop(net);
+        }
+    }
+
+    /// A non-owned flush rides the barrier. At a star whose owner is the
+    /// page's owner hint, the cooperative bundle goes nowhere during the
+    /// flush: nothing is put on the wire for it, no ack wait is entered (no
+    /// service loop runs here, so one would never return), and the bundle
+    /// comes back for the arrive, where it draws its slot of the stream to
+    /// the owner and is counted, as sent and as piggybacked.
+    #[test]
+    fn barrier_flush_hands_a_page_of_the_stars_owner_to_the_arrive() {
+        let n1 = NodeId::new(1);
+        let (rt, net, _tx1, rx1, _tx2, rx2, _rx0, ws) = coop_harness();
+        let mode = FlushMode::BarrierRelay {
+            owner: n1,
+            star: true,
+        };
+        let (relay, ride) = rt.flush_duq_mode(mode).unwrap();
+        assert!(relay.is_empty());
+        assert_eq!(ride.iter().map(|i| i.object).collect::<Vec<_>>(), vec![ws]);
+        assert!(
+            rx1.try_recv().unwrap().is_none(),
+            "nothing sent to the owner"
+        );
+        assert!(rx2.try_recv().unwrap().is_none());
+        assert!(rt.duq.lock().is_empty());
+        let snap = rt.stats().snapshot();
+        assert_eq!((snap.updates_sent, snap.copyset_queries), (0, 0));
+        // The arrive site's draw.
+        let riding = Route::OwnerFanout {
+            ride: Some(crate::sync::BarrierId(0)),
+        };
+        let bundle = rt.next_bundle(n1, rt.clock.now(), ride, riding);
+        assert_eq!(bundle.seq, 0, "first slot of the 0->1 update stream");
+        let snap = rt.stats().snapshot();
+        assert_eq!((snap.updates_sent, snap.msgs_piggybacked), (1, 1));
         drop(net);
     }
 
@@ -1502,7 +1498,7 @@ mod tests {
         let server_rt = Arc::clone(&rt);
         let server = std::thread::spawn(move || server_rt.server_loop(rx0));
         let hint_rt = Arc::clone(&rt);
-        let hint = std::thread::spawn(move || hint_rt.flush_hint());
+        let hint = std::thread::spawn(move || hint_rt.flush_duq());
         let (_env, msg) = rx1.recv().unwrap();
         let DsmMsg::Update(UpdateBundle { items, route, .. }) = msg else {
             panic!("expected the hint's update at N1, got {msg:?}");
@@ -1639,8 +1635,7 @@ mod tests {
     /// owned or not, destination, payload size) combination has exactly the
     /// route the module documentation promises. Only an owner-flushed
     /// fan-out item at a barrier is ever relayed or fenced, size picks
-    /// between those two alone (what lets the send-scheduling pre-pass ask
-    /// before anything is encoded), and only a payload at or over the
+    /// between those two alone, and only a payload at or over the
     /// threshold, bound for someone other than the barrier owner, is fenced.
     #[test]
     fn classify_routes_every_mode_ownership_destination_and_size() {
@@ -1648,7 +1643,14 @@ mod tests {
         let max = 512;
         let modes = [
             FlushMode::Immediate,
-            FlushMode::BarrierRelay { owner: special },
+            FlushMode::BarrierRelay {
+                owner: special,
+                star: false,
+            },
+            FlushMode::BarrierRelay {
+                owner: special,
+                star: true,
+            },
             FlushMode::LockRelay { grantee: special },
         ];
         for mode in modes {
@@ -1714,9 +1716,12 @@ mod tests {
             let mut second = [0u8; 32];
             second[..4].fill(if with_small_diff { 7 } else { 0 });
             rt.install_object_bytes(ws[1], &second);
-            let relay = rt
-                .flush_duq_mode(FlushMode::BarrierRelay { owner: n2 })
-                .unwrap();
+            let mode = FlushMode::BarrierRelay {
+                owner: n2,
+                star: true,
+            };
+            let (relay, ride) = rt.flush_duq_mode(mode).unwrap();
+            assert!(ride.is_empty(), "every page here is owned here");
             let (_env, msg) = rx1.recv().unwrap();
             let DsmMsg::Update(update) = msg else {
                 panic!("expected the big page's update at N1, got {msg:?}");

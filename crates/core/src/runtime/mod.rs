@@ -505,7 +505,7 @@ impl NodeRuntime {
     ) -> UpdateBundle {
         if !items.is_empty() {
             self.note_update_sent(&items);
-            if route == Route::Carried {
+            if matches!(route, Route::Carried | Route::OwnerFanout { ride: Some(_) }) {
                 crate::stats::add(&self.stats.msgs_piggybacked, 1);
             }
         }

@@ -325,11 +325,16 @@ impl NodeRuntime {
             for (dest, bundle) in relay {
                 if dest == self.node {
                     // The owner's own share is installed now — before the
-                    // arrival below is counted. (If it has to defer, the trip
-                    // still cannot release anyone ahead of the install: this
-                    // node's own arrival is outstanding until its user thread
-                    // clears the blocking state, and `process_deferred` runs
-                    // first.)
+                    // arrival below is counted — and for a cooperative bundle
+                    // riding the arrive "installed" includes stashing its
+                    // re-fans for the releases (`refan`). (If it has to defer
+                    // on an entry, the trip still cannot release anyone ahead
+                    // of the install, or of the stash: only this node's own
+                    // user thread pins or fetches here, so its arrival is
+                    // outstanding until it clears the blocking state, and
+                    // `process_deferred` runs on that thread first. The
+                    // bundle waits as itself, which is why its route, not
+                    // `barrier` here, names the releases it stashes onto.)
                     self.handle_update(env, bundle);
                 } else if let Some(b) = barrier {
                     self.outbox.lock().stash_relay(b, dest, bundle);
@@ -384,7 +389,7 @@ impl NodeRuntime {
     pub(crate) fn admit(&self, env: &Envelope, bundle: &UpdateBundle) -> Admission {
         // A forward's hop starts at the re-fanning owner, not at the origin.
         let (peer, via) = match bundle.route {
-            Route::OwnerForward => (env.src, Some(bundle.origin)),
+            Route::OwnerForward { .. } => (env.src, Some(bundle.origin)),
             _ => (bundle.origin, None),
         };
         let record = |kind| {
@@ -410,7 +415,8 @@ impl NodeRuntime {
         }
         // Two routes hold no stream slot. Sync installs are ordered by the
         // lock token they travel with. Forwards travel the owner→here link
-        // directly (FIFO, no carrier detour) and deliberately draw no slot
+        // directly (FIFO; one framed by a release only ever by a star's, which
+        // is that link too) and deliberately draw no slot
         // of the owner's stream: the re-fanning service thread may run while
         // the owner's user thread has relay bundles holding earlier slots
         // parked at a barrier owner until the release, and a fresh slot
@@ -420,7 +426,10 @@ impl NodeRuntime {
         // from distinct writers touch disjoint words in data-race-free
         // programs — the same assumption the legacy multi-link fan-out
         // already makes.
-        if !matches!(bundle.route, Route::OwnerForward | Route::SyncInstall) {
+        if !matches!(
+            bundle.route,
+            Route::OwnerForward { .. } | Route::SyncInstall
+        ) {
             match self.check_update_seq(bundle.origin, bundle.seq) {
                 SeqCheck::Apply => {}
                 SeqCheck::Early if self.is_peer_dead(bundle.origin) => {
@@ -815,21 +824,10 @@ impl NodeRuntime {
                 // "If a Munin node with a dirty copy of an object receives an
                 // invalidation request for that object and multiple writers
                 // are allowed, any pending local updates are propagated."
-                let twin = {
-                    let mut duq = self.duq.lock();
-                    duq.remove(object).and_then(|e| e.twin)
-                };
-                match twin {
-                    Some(twin) => {
-                        let d = self.with_object_mem(object, |cur| {
-                            let mut scratch = self.diff_scratch.lock();
-                            scratch.encode(cur, &twin)
-                        });
-                        self.duq.lock().recycle_twin(twin);
-                        Some(UpdatePayload::Diff(d))
-                    }
-                    None => Some(UpdatePayload::Full(self.object_bytes(object))),
-                }
+                // (A dirty copy a flush has just taken out of the DUQ goes
+                // whole.)
+                let whole = || UpdatePayload::Full(self.object_bytes(object));
+                Some(self.capture_changes(object).unwrap_or_else(whole))
             } else {
                 if entry.state.dirty && !entry.params.allows_multiple_writers() {
                     // Invalidation of a dirty single-writer copy: detected
@@ -905,7 +903,7 @@ impl NodeRuntime {
                         count: 0,
                         owned_copysets: Vec::new(),
                     },
-                    Route::OwnerFanout => DsmMsg::RelayFanoutAck {
+                    Route::OwnerFanout { ride: None } => DsmMsg::RelayFanoutAck {
                         refanned: Vec::new(),
                         rejected: Vec::new(),
                     },
@@ -933,17 +931,21 @@ impl NodeRuntime {
             Route::SyncInstall => self.install_sync_items(items, now),
             // The origin's flush is blocked counting acks: a direct update's
             // carries the recorded copysets it heals against, a forward's
-            // (sent by the owner on the origin's behalf) nothing.
-            Route::DirectAcked | Route::OwnerForward => {
+            // (sent by the owner on the origin's behalf) nothing — and one
+            // framed by a barrier release answers nobody: the origin is
+            // parked at that barrier, not counting.
+            Route::DirectAcked | Route::OwnerForward { .. } => {
                 let (count, service, owned_copysets) =
                     self.apply_update_items(items, route == Route::DirectAcked, now);
-                let ack = DsmMsg::UpdateAck {
-                    count,
-                    owned_copysets,
-                };
-                let _ = self.send_service(origin, ack, now + service);
+                if route != (Route::OwnerForward { framed: true }) {
+                    let ack = DsmMsg::UpdateAck {
+                        count,
+                        owned_copysets,
+                    };
+                    let _ = self.send_service(origin, ack, now + service);
+                }
             }
-            Route::OwnerFanout => self.refan(items, origin, seq, now),
+            Route::OwnerFanout { ride } => self.refan(items, origin, seq, ride, now),
         }
     }
 
@@ -955,11 +957,22 @@ impl NodeRuntime {
     /// node does not own (the origin's ownership hint was stale) are bounced
     /// back in the ack as `rejected`, neither installed nor distributed; the
     /// origin repairs its hint and falls back to a direct broadcast.
+    ///
+    /// A bundle that rode the origin's arrive at barrier `ride` — this node
+    /// owns the barrier — is answered with nothing: each forward is stashed
+    /// for the `BarrierRelease` headed to its member, which installs it
+    /// before that release is routed. There is no origin listening for a
+    /// bounce either, so for an item it does not own this node degrades on
+    /// the origin's behalf: applied to its own copy, if it has one, and
+    /// forwarded to every other live node, copy or none (the origin's
+    /// degraded broadcast, riding). That is correct at any hint; the hint
+    /// itself is repaired by the origin's next acknowledged flush or fetch.
     fn refan(
         self: &Arc<Self>,
         items: Vec<UpdateItem>,
         origin: NodeId,
         seq: u64,
+        ride: Option<crate::sync::BarrierId>,
         now: munin_sim::VirtTime,
     ) {
         // Partition on ownership and snapshot the authoritative copysets in
@@ -967,21 +980,23 @@ impl NodeRuntime {
         // the failure detector takes its own lock.
         let mut owned_items = Vec::new();
         let mut rejected = Vec::new();
-        let mut per_dest: std::collections::BTreeMap<NodeId, Vec<UpdateItem>> =
-            std::collections::BTreeMap::new();
+        let mut per_dest = super::flush::PerDest::new();
         {
             let dir = self.dir.lock();
             for item in items {
                 let e = dir.entry(item.object);
-                if !e.state.owned {
-                    rejected.push(item.object);
-                    continue;
-                }
-                for dest in e.copyset.iter(self.nodes, Some(self.node)) {
-                    if dest == origin {
+                let members = match (e.state.owned, ride) {
+                    (true, _) => &e.copyset,
+                    (false, Some(_)) => &CopySet::AllNodes,
+                    (false, None) => {
+                        rejected.push(item.object);
                         continue;
                     }
-                    per_dest.entry(dest).or_default().push(item.clone());
+                };
+                for dest in members.iter(self.nodes, Some(self.node)) {
+                    if dest != origin {
+                        per_dest.entry(dest).or_default().push(item.clone());
+                    }
                 }
                 owned_items.push(item);
             }
@@ -991,6 +1006,12 @@ impl NodeRuntime {
         // data it has not itself made visible (the same anchor as the
         // carrier layer's install-before-dispatch).
         let (_, service, _) = self.apply_update_items(owned_items, false, now);
+        if ride.is_none() {
+            // A standalone forward must not get onto its link ahead of a
+            // riding one of the same origin that a release fan still has in
+            // hand (`release_children` holds this lock while it has).
+            drop(self.outbox.lock());
+        }
         let mut refanned = Vec::new();
         for (dest, dest_items) in per_dest {
             self.note_update_sent(&dest_items);
@@ -1015,16 +1036,25 @@ impl NodeRuntime {
                 origin,
                 seq,
                 items: dest_items,
-                route: Route::OwnerForward,
+                route: Route::OwnerForward {
+                    framed: ride.is_some(),
+                },
             };
-            let _ = self.send_service(dest, DsmMsg::Update(forward), now + service);
-            refanned.push(dest);
+            match ride {
+                Some(barrier) => {
+                    bump(&self.stats.msgs_piggybacked);
+                    self.outbox.lock().stash_relay(barrier, dest, forward);
+                }
+                None => {
+                    let _ = self.send_service(dest, DsmMsg::Update(forward), now + service);
+                    refanned.push(dest);
+                }
+            }
         }
-        let _ = self.send_service(
-            origin,
-            DsmMsg::RelayFanoutAck { refanned, rejected },
-            now + service,
-        );
+        if ride.is_none() {
+            let ack = DsmMsg::RelayFanoutAck { refanned, rejected };
+            let _ = self.send_service(origin, ack, now + service);
+        }
     }
 
     /// Applies a list of update items to the local copies. The single apply
@@ -1074,16 +1104,19 @@ impl NodeRuntime {
                         .decode(d.changed_words() as u64, d.run_count() as u64);
                     self.charge_sys(cost);
                     service += cost;
+                    // If the object is locally dirty, fold the remote changes
+                    // into the twin as well so they are not re-sent as local
+                    // modifications at the next flush — under one DUQ lock
+                    // with the apply (lock order dir → duq → memory), so the
+                    // flush's `capture_changes` never reads a memory that has
+                    // them against a twin that does not.
+                    let mut duq = self.duq.lock();
                     if self
                         .with_object_mem_mut(item.object, |cur| diff::apply(&d, cur))
                         .is_err()
                     {
                         continue;
                     }
-                    // If the object is locally dirty, fold the remote changes
-                    // into the twin as well so they are not re-sent as local
-                    // modifications at the next flush.
-                    let mut duq = self.duq.lock();
                     duq.patch_twin(item.object, |twin| {
                         let _ = diff::apply(&d, twin);
                     });
@@ -3055,6 +3088,48 @@ mod tests {
             let (env, msg) = self.rt_rx.recv().unwrap();
             self.rt.handle_incoming(env, msg);
         }
+
+        /// Node `from` reports its arrival at [`OWNED_HERE`] (a star over
+        /// three nodes), `relay` riding the report; the runtime handles it.
+        fn arrive_from(&self, from: usize, relay: Vec<(NodeId, UpdateBundle)>) {
+            let arrive = DsmMsg::BarrierArrive {
+                barrier: OWNED_HERE,
+                from: NodeId::new(from),
+                gen: 1,
+                arrived: crate::nodeset::NodeSet::from_nodes([NodeId::new(from)]),
+            };
+            let tx = if from == 1 { &self.tx1 } else { &self.tx2 };
+            let msg = DsmMsg::framed(arrive, vec![], relay);
+            tx.send(NodeId::new(0), "barrier_arrive", 96, msg).unwrap();
+            self.pump();
+        }
+
+        /// The hosted runtime's own thread arrives at [`OWNED_HERE`].
+        fn arrive_here(&self) {
+            let topo = self.rt.tree_topology(OWNED_HERE);
+            assert!(topo.is_star());
+            self.rt.barrier_arrive_local(OWNED_HERE, &topo, Vec::new());
+        }
+
+        /// Whatever has reached nodes 1 and 2 so far.
+        fn received(&self) -> [Vec<DsmMsg>; 2] {
+            [&self.rx1, &self.rx2].map(|rx| {
+                std::iter::from_fn(|| rx.try_recv().unwrap())
+                    .map(|(_env, msg)| msg)
+                    .collect()
+            })
+        }
+    }
+
+    /// N1's cooperative bundle for `ws`, riding its arrive at [`OWNED_HERE`]
+    /// in slot 0 of its stream here: all 5s over all 0s.
+    fn riding_fanout(ws: ObjectId) -> (NodeId, UpdateBundle) {
+        let d = diff::encode(&[5u8; 32], &[0u8; 32]);
+        let ride = Route::OwnerFanout {
+            ride: Some(OWNED_HERE),
+        };
+        let bundle = bundle_of(1, 0, ws, UpdatePayload::Diff(d), ride);
+        (NodeId::new(0), bundle)
     }
 
     /// The hand-off window, pinned. Node 0 has asked node 1 for the token; a
@@ -3137,8 +3212,9 @@ mod tests {
     /// The admission gate in isolation: every route × the entry idle, busy
     /// or pinned × the bundle in sequence, early or stale. A blocked entry
     /// defers everything and consumes nothing; on an idle entry the four
-    /// sequenced routes follow their stream, and the two that hold no slot
-    /// (forward, sync install) are let in whatever number they carry.
+    /// sequenced routes follow their stream (a fan-out riding a barrier like
+    /// a standalone one), and the two that hold no slot (forward, framed or
+    /// not, and sync install) are let in whatever number they carry.
     #[test]
     fn admit_decides_by_entry_state_then_by_stream_position() {
         let h = harness();
@@ -3147,8 +3223,12 @@ mod tests {
         let routes = [
             Route::DirectAcked,
             Route::DirectUnacked,
-            Route::OwnerFanout,
-            Route::OwnerForward,
+            Route::OwnerFanout { ride: None },
+            Route::OwnerFanout {
+                ride: Some(OWNED_HERE),
+            },
+            Route::OwnerForward { framed: false },
+            Route::OwnerForward { framed: true },
             Route::Carried,
             Route::SyncInstall,
         ];
@@ -3159,7 +3239,7 @@ mod tests {
             (0, Admission::Stale),
         ];
         for route in routes {
-            let sequenced = !matches!(route, Route::OwnerForward | Route::SyncInstall);
+            let sequenced = !matches!(route, Route::OwnerForward { .. } | Route::SyncInstall);
             for (busy, pinned) in [(false, false), (true, false), (false, true)] {
                 for (seq, in_stream) in positions {
                     {
@@ -3213,7 +3293,7 @@ mod tests {
                     0,
                     ws,
                     UpdatePayload::Diff(d),
-                    Route::OwnerFanout,
+                    Route::OwnerFanout { ride: None },
                 )),
             )
             .unwrap();
@@ -3223,7 +3303,7 @@ mod tests {
         // Node 2 got the forward (and only node 2: the origin is excluded).
         match h.rx2.recv().unwrap().1 {
             DsmMsg::Update(forward) => {
-                assert_eq!(forward.route, Route::OwnerForward);
+                assert_eq!(forward.route, Route::OwnerForward { framed: false });
                 assert_eq!(forward.items.len(), 1);
                 assert_eq!(forward.items[0].object, ws);
                 assert_eq!(forward.origin, NodeId::new(1));
@@ -3268,7 +3348,7 @@ mod tests {
                     0,
                     ws,
                     UpdatePayload::Diff(d),
-                    Route::OwnerFanout,
+                    Route::OwnerFanout { ride: None },
                 )),
             )
             .unwrap();
@@ -3308,7 +3388,7 @@ mod tests {
                     7,
                     ws,
                     UpdatePayload::Diff(d),
-                    Route::OwnerForward,
+                    Route::OwnerForward { framed: false },
                 )),
             )
             .unwrap();
@@ -3319,5 +3399,141 @@ mod tests {
             DsmMsg::UpdateAck { count, .. } => assert_eq!(count, 1),
             other => panic!("expected UpdateAck at the origin, got {other:?}"),
         }
+    }
+
+    /// A non-owned flush rides the barrier, from the owner's side. The
+    /// cooperative bundle on N1's arrive is installed before that arrival is
+    /// counted, and its re-fan — one forward per copyset member other than
+    /// the origin — is stashed, not sent: nobody gets an `Update`, a
+    /// `RelayFanoutAck` or an `UpdateAck`. A duplicate of the bundle is stale
+    /// and as silent. Once the last arrival is in, N2's release carries its
+    /// forward and the origin's carries nothing.
+    ///
+    /// With the page pinned by this node's own user thread the bundle waits
+    /// as itself — keeping the barrier it rode in its route — and the barrier
+    /// cannot open meanwhile, everyone else arrived or not: the thread
+    /// holding the pin has not arrived. Its unpin installs and stashes.
+    ///
+    /// With the hint stale (this node does not own the page) there is no
+    /// origin listening for a bounce: the items go into this node's own copy
+    /// and onto every other node's release.
+    #[test]
+    fn riding_fanout_is_installed_and_its_refans_come_down_on_the_releases() {
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Case {
+            Owned,
+            OwnedAndPinned,
+            StaleHint,
+        }
+        for case in [Case::Owned, Case::OwnedAndPinned, Case::StaleHint] {
+            let h = harness3();
+            let ws = h.obj("ws");
+            h.rt.install_object_bytes(ws, &[0u8; 32]);
+            {
+                let mut dir = h.rt.dir.lock();
+                let e = dir.entry_mut(ws);
+                e.state.pinned = case == Case::OwnedAndPinned;
+                if case == Case::StaleHint {
+                    // No copyset worth the name either: the real owner's is
+                    // the authoritative one.
+                    e.state.owned = false;
+                    e.probable_owner = NodeId::new(2);
+                } else {
+                    e.copyset.insert(NodeId::new(1));
+                    e.copyset.insert(NodeId::new(2));
+                }
+            }
+            let (dest, bundle) = riding_fanout(ws);
+            h.arrive_from(1, vec![(dest, bundle.clone())]);
+            if case == Case::OwnedAndPinned {
+                {
+                    let deferred = h.rt.deferred.lock();
+                    assert_eq!(deferred.len(), 1);
+                    assert_eq!(deferred[0].on, DeferredOn::Entry);
+                    assert_eq!(deferred[0].msg, DsmMsg::Update(bundle.clone()));
+                }
+                assert_eq!(h.rt.outbox.lock().relay_len(), 0);
+                h.arrive_from(2, vec![]);
+                assert_eq!(h.received(), [vec![], vec![]], "the barrier stays shut");
+                h.rt.dir.lock().entry_mut(ws).state.pinned = false;
+                h.rt.note_unblocked_and_process_deferred(munin_sim::VirtTime::ZERO);
+                assert!(h.rt.deferred.lock().is_empty());
+            }
+            assert_eq!(h.rt.object_bytes(ws), vec![5u8; 32], "{case:?}");
+            assert_eq!(h.rt.outbox.lock().relay_len(), 1, "{case:?}");
+            let env = env_at(1, "update", munin_sim::VirtTime::ZERO);
+            h.rt.handle_request(env, DsmMsg::Update(bundle));
+            assert_eq!(h.rt.outbox.lock().relay_len(), 1, "a duplicate is stale");
+            assert_eq!(
+                h.received(),
+                [vec![], vec![]],
+                "{case:?}: nobody is answered"
+            );
+            if case != Case::OwnedAndPinned {
+                h.arrive_from(2, vec![]);
+            }
+            h.arrive_here();
+            let forward = UpdateBundle {
+                origin: NodeId::new(1),
+                seq: 0,
+                items: riding_fanout(ws).1.items,
+                route: Route::OwnerForward { framed: true },
+            };
+            let release = DsmMsg::BarrierRelease {
+                barrier: OWNED_HERE,
+                gen: 1,
+            };
+            let carrier = DsmMsg::framed(release.clone(), vec![forward], vec![]);
+            assert_eq!(h.received(), [vec![release], vec![carrier]], "{case:?}");
+            let snap = h.rt.stats().snapshot();
+            assert_eq!(
+                (
+                    snap.updates_applied,
+                    snap.owner_refans,
+                    snap.msgs_piggybacked
+                ),
+                (1, 1, 1),
+                "{case:?}"
+            );
+            assert_eq!(
+                snap.updates_sent, 1,
+                "the forward, counted where it always was"
+            );
+        }
+    }
+
+    /// A non-owned flush rides the barrier, from a member's side. The forward
+    /// framed by its `BarrierRelease` is installed before the release reaches
+    /// the user thread — out of sequence like every forward — and nobody is
+    /// acknowledged. While the entry is busy the whole carrier waits, release
+    /// included.
+    #[test]
+    fn framed_forward_is_installed_before_its_release_and_acks_nobody() {
+        let h = harness();
+        let ws = h.obj("ws");
+        h.rt.install_object_bytes(ws, &[0u8; 32]);
+        h.rt.dir.lock().entry_mut(ws).state.busy = true;
+        let d = diff::encode(&[6u8; 32], &[0u8; 32]);
+        let framed = Route::OwnerForward { framed: true };
+        let forward = bundle_of(1, 7, ws, UpdatePayload::Diff(d), framed);
+        let carrier = DsmMsg::framed(PEER_RELEASE, vec![forward], vec![]);
+        h.peer_tx
+            .send(NodeId::new(0), "barrier_release", 96, carrier.clone())
+            .unwrap();
+        h.pump();
+        {
+            let deferred = h.rt.deferred.lock();
+            assert_eq!(deferred.len(), 1);
+            assert_eq!(deferred[0].on, DeferredOn::Entry);
+            assert_eq!(deferred[0].msg, carrier, "the whole carrier waits");
+        }
+        assert!(h.rt.reply_rx.try_recv().is_err(), "release not routed yet");
+        assert_eq!(h.rt.object_bytes(ws), vec![0u8; 32]);
+        h.rt.dir.lock().entry_mut(ws).state.busy = false;
+        h.rt.process_deferred();
+        assert_eq!(h.rt.object_bytes(ws), vec![6u8; 32]);
+        let (_env, routed) = h.rt.reply_rx.try_recv().expect("release routed");
+        assert_eq!(routed, PEER_RELEASE);
+        assert!(h.peer_rx.try_recv().unwrap().is_none(), "no ack");
     }
 }

@@ -190,7 +190,7 @@ impl NodeRuntime {
             Some(next) if self.cfg.piggyback => FlushMode::LockRelay { grantee: next },
             _ => FlushMode::Immediate,
         };
-        let mut relay = self.flush_duq_mode(mode)?;
+        let (mut relay, _) = self.flush_duq_mode(mode)?;
         self.charge_sys(self.cost.sync_op());
         let handoff = {
             let mut sync = self.sync.lock();
@@ -219,7 +219,9 @@ impl NodeRuntime {
     /// flush then costs no standalone update or ack messages. Every
     /// destination is a barrier participant, and each installs its bundle
     /// before its release wakes the user thread, so no thread can pass the
-    /// barrier and observe pre-flush data.
+    /// barrier and observe pre-flush data. At a star, changes to pages the
+    /// barrier's owner owns take the same ride: up whole as a cooperative
+    /// bundle, down as the owner's re-fans.
     pub(crate) fn wait_at_barrier(self: &Arc<Self>, barrier: BarrierId) -> Result<()> {
         if self.sync.lock().barrier_count() <= barrier.0 as usize {
             return Err(MuninError::UnknownSyncObject(barrier.0));
@@ -232,11 +234,12 @@ impl NodeRuntime {
         // barrier unless the detector is armed *and* some node other than
         // the owner combines reports.
         let mode = if self.cfg.piggyback && (topo.is_star() || !self.health_enabled()) {
-            FlushMode::BarrierRelay { owner }
+            let star = topo.is_star();
+            FlushMode::BarrierRelay { owner, star }
         } else {
             FlushMode::Immediate
         };
-        let relay = self.flush_duq_mode(mode)?;
+        let (relay, ride) = self.flush_duq_mode(mode)?;
         crate::runtime::proto_trace!(self, "arrive barrier {barrier:?}");
         bump(&self.stats.barrier_waits);
         self.charge_sys(self.cost.sync_op());
@@ -250,12 +253,19 @@ impl NodeRuntime {
         // its destination *now*: after the direct updates this flush sent
         // there (an item-less bundle is only that, their fence), and before
         // any later one, which can then never be overtaken by the bundle's
-        // slower owner-relayed route.
+        // slower owner-relayed route. The cooperative bundle for the owner
+        // is one more relay entry, addressed to where the arrive is going.
+        let riding = Route::OwnerFanout {
+            ride: Some(barrier),
+        };
+        let ride = (!ride.is_empty()).then_some((owner, ride, riding));
         let relay = relay
             .into_iter()
-            .map(|(dest, items)| {
+            .map(|(dest, items)| (dest, items, Route::Carried))
+            .chain(ride)
+            .map(|(dest, items, route)| {
                 let at = self.clock.now();
-                (dest, self.next_bundle(dest, at, items, Route::Carried))
+                (dest, self.next_bundle(dest, at, items, route))
             })
             .collect();
         self.barrier_arrive_local(barrier, &topo, relay);
@@ -356,14 +366,6 @@ impl NodeRuntime {
                 "unexpected reply to a Fetch_and_Φ request",
             )),
         }
-    }
-
-    /// `PreAcquire()` hint: fetches readable copies of the given objects
-    /// (consecutive objects of one variable) in anticipation of future use,
-    /// avoiding later read-miss latency — a read access without the read,
-    /// so the invalid objects among them arrive a run per round trip.
-    pub(crate) fn pre_acquire(self: &Arc<Self>, objects: &[ObjectId]) -> Result<()> {
-        self.fault_in(objects, false)
     }
 
     // --- end-of-run completion protocol -----------------------------------

@@ -433,13 +433,15 @@ fn every_remote_acquire_costs_exactly_one_grant() {
 /// copies. A run costs 2 header bytes and 4 data bytes; a format that spends
 /// more fails here, not only on the benchmark's `wire_bytes`.
 ///
-/// Unlike the benchmark's, these writers take turns, a barrier apart. When
-/// all four flush at one barrier, an update that lands between a flusher's
-/// DUQ drain and its encode is not folded into the drained twin and goes out
-/// again as the flusher's own words: right values, but a byte count that
-/// depends on the host's interleaving (a fifth of runs at this size; it is
-/// also the 0.13 % spread of `wshared`'s `wire_bytes`). One flusher at a time
-/// makes the closed form exact.
+/// All four writers flush at one barrier, as the benchmark's do, so each
+/// applies its peers' diffs while it encodes its own. A diff carries only
+/// the words its node wrote (flat-diff invariant 6) because an update is
+/// applied to memory and folded into the twin under the lock the flush takes
+/// each twin out and encodes it under; when the flush drained its queue up
+/// front instead, an update landing between the drain and an entry's encode
+/// was in memory but not in the twin, went out again as the flusher's own
+/// words, and this byte count was off its closed form in a fifth of single
+/// runs. Twenty repetitions, each exact.
 #[test]
 fn strided_write_shared_updates_cost_six_bytes_a_word() {
     const NODES: usize = 4;
@@ -450,51 +452,51 @@ fn strided_write_shared_updates_cost_six_bytes_a_word() {
     // Differs from round to round at every index, so every written word is
     // a changed word.
     let value = |round: usize, i: usize| (round * WORDS + i) as i32;
-
-    let mut prog = MuninProgram::new(MuninConfig::fast_test(NODES).with_page_size(PAGE_WORDS * 4));
-    let array = prog.declare::<i32>("array", WORDS, SharingAnnotation::WriteShared);
-    let turn_over = prog.create_barrier("turn_over");
-    let read = prog.create_barrier("read");
-    prog.user_init(move |init| {
-        let fill: Vec<i32> = (0..WORDS).map(|i| value(0, i)).collect();
-        init.write_slice(&array, 0, &fill).unwrap();
-    });
-    let report = prog
-        .run(move |ctx| {
-            let me = ctx.node_id();
-            // Warm copies: every page has all four nodes in its copyset
-            // before the first flush.
-            let mut all = ctx.read_slice(&array, 0, WORDS)?;
-            ctx.wait_at_barrier(read)?;
-            for round in 1..=ROUNDS {
-                for writer in 0..NODES {
-                    if writer == me {
-                        for i in (me..WORDS).step_by(NODES) {
-                            ctx.write(&array, i, value(round, i))?;
-                        }
-                    }
-                    ctx.wait_at_barrier(turn_over)?;
-                }
-                all = ctx.read_slice(&array, 0, WORDS)?;
+    for repetition in 0..20 {
+        let cfg = MuninConfig::fast_test(NODES).with_page_size(PAGE_WORDS * 4);
+        let mut prog = MuninProgram::new(cfg);
+        let array = prog.declare::<i32>("array", WORDS, SharingAnnotation::WriteShared);
+        let written = prog.create_barrier("written");
+        let read = prog.create_barrier("read");
+        prog.user_init(move |init| {
+            let fill: Vec<i32> = (0..WORDS).map(|i| value(0, i)).collect();
+            init.write_slice(&array, 0, &fill).unwrap();
+        });
+        let report = prog
+            .run(move |ctx| {
+                let me = ctx.node_id();
+                // Warm copies: every page has all four nodes in its copyset
+                // before the first flush.
+                let mut all = ctx.read_slice(&array, 0, WORDS)?;
                 ctx.wait_at_barrier(read)?;
-            }
-            Ok(all)
-        })
-        .unwrap();
-    let expected: Vec<i32> = (0..WORDS).map(|i| value(ROUNDS, i)).collect();
-    for (node, result) in report.results.iter().enumerate() {
-        assert_eq!(result.as_ref().unwrap(), &expected, "node {node}");
+                for round in 1..=ROUNDS {
+                    for i in (me..WORDS).step_by(NODES) {
+                        ctx.write(&array, i, value(round, i))?;
+                    }
+                    ctx.wait_at_barrier(written)?;
+                    all = ctx.read_slice(&array, 0, WORDS)?;
+                    ctx.wait_at_barrier(read)?;
+                }
+                Ok(all)
+            })
+            .unwrap();
+        let expected: Vec<i32> = (0..WORDS).map(|i| value(ROUNDS, i)).collect();
+        for (node, result) in report.results.iter().enumerate() {
+            assert_eq!(result.as_ref().unwrap(), &expected, "node {node}");
+        }
+        // One diff: the `words` varint (2 048 takes two bytes), then a
+        // one-byte skip, a one-byte count and one word for each of a node's
+        // 512 words.
+        let diff_bytes = 2 + (PAGE_WORDS / NODES) * (1 + 1 + 4);
+        let stats = report.stats_total();
+        assert_eq!(stats.duq_objects_flushed as usize, ROUNDS * NODES * PAGES);
+        assert_eq!(
+            stats.update_bytes_sent as usize,
+            ROUNDS * NODES * PAGES * (NODES - 1) * diff_bytes,
+            "repetition {repetition}"
+        );
+        assert_eq!(stats.runtime_errors, 0);
     }
-    // One diff: the `words` varint (2 048 takes two bytes), then a one-byte
-    // skip, a one-byte count and one word for each of a node's 512 words.
-    let diff_bytes = 2 + (PAGE_WORDS / NODES) * (1 + 1 + 4);
-    let stats = report.stats_total();
-    assert_eq!(stats.duq_objects_flushed as usize, ROUNDS * NODES * PAGES);
-    assert_eq!(
-        stats.update_bytes_sent as usize,
-        ROUNDS * NODES * PAGES * (NODES - 1) * diff_bytes
-    );
-    assert_eq!(stats.runtime_errors, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -580,11 +582,11 @@ fn matmul_paper_size_fetches_each_access_in_one_round_trip() {
     assert_eq!(m.stats.read_faults, 6);
 }
 
-/// The benchmark's two exact rows (`benchmark/README.md`, `wire_msgs` /
-/// `wire_bytes` on `matmul` and `sor`), as tier-1 tests: the paper-size
-/// programs pinned the way `benchmark/src/workloads.rs` pins them, at two
-/// seeds, to the message and to the byte. Whatever changes the type an
-/// update travels in has to leave both rows where they are. (`sor` read
+/// The benchmark's exact rows (`benchmark/README.md`, `wire_msgs` /
+/// `wire_bytes` on `matmul`, `sor` and `wshared`), as tier-1 tests: the
+/// paper-size programs pinned the way `benchmark/src/workloads.rs` pins them,
+/// at two seeds, to the message and to the byte. Whatever changes the type an
+/// update travels in has to leave the rows where they are. (`sor` read
 /// 4 150 516 bytes while its 383 first touches each carried 8 KB of zeros,
 /// and 1 369 messages / 1 012 980 bytes while each of its 100 direct updates
 /// was answered by a 40-byte `UpdateAck` instead of fenced by 20 bytes on
@@ -595,6 +597,16 @@ fn matmul_paper_size_fetches_each_access_in_one_round_trip() {
 /// the network: new = old − episodes messages, − 40·episodes bytes, and on
 /// `sor` − 240 more, the 12 bytes each of the owner's 20 fences paid to
 /// ride that message to where it already was.)
+///
+/// `sor` and `wshared` then sat at 1 227 / 1 009 060 and 587 / ≈ 5.02 M
+/// while a flusher of pages the barrier's owner owns shipped them to it and
+/// sat out the acknowledgements before arriving. Riding the arrive, each such
+/// bundle saves its fan-out, its `RelayFanoutAck`, and a forward and an
+/// `UpdateAck` per other copyset member: new = old − (2 + 2·forwards) per
+/// riding bundle — `wshared` 48 × 6 = 288 (three copies besides the origin's:
+/// the owner's and two forwards), `sor` 21 × 2 = 42 (the owner holds the only
+/// other copy). `wshared`'s bytes are exact, and pinned, since a diff carries
+/// its own node's words only whatever lands while it is encoded.
 #[test]
 fn benchmark_guard_rows_are_exact_at_two_seeds() {
     for seed in [1u64, 2] {
@@ -609,7 +621,7 @@ fn benchmark_guard_rows_are_exact_at_two_seeds() {
         let (m, _) = sor::run_munin(params, CostModel::sun_ethernet_1991()).unwrap();
         assert_eq!(
             (m.net.total.msgs, m.net.total.bytes),
-            (1_227, 1_009_060),
+            (1_185, 1_007_632),
             "sor, seed {seed}"
         );
         assert_eq!(
@@ -630,7 +642,98 @@ fn benchmark_guard_rows_are_exact_at_two_seeds() {
             (39, 3_406_773),
             "matmul, seed {seed}"
         );
+        for execution in 0..3 {
+            let net = wshared_net(seed);
+            let what = format!("wshared, seed {seed}, execution {execution}");
+            assert_eq!(
+                (net.total.msgs, net.total.bytes),
+                (299, 4_944_040),
+                "{what}"
+            );
+            assert_eq!(net.class("update").msgs, 48, "{what}");
+            for acked in [
+                "update_ack",
+                "relay_fanout",
+                "relay_forward",
+                "relay_fanout_ack",
+            ] {
+                assert_eq!(net.class(acked).msgs, 0, "{what}: {acked}");
+            }
+        }
     }
+}
+
+/// One execution of the benchmark's `wshared` program
+/// (`benchmark/src/workloads.rs::run_wshared`, configured as its
+/// `RunCfg::munin_config` configures it, every field explicit): four nodes
+/// stride-write all eight 8 KB pages of one `write_shared` array for sixteen
+/// rounds, a `written` and a `read` barrier apart, every node checking every
+/// round. Returns what went over the wire.
+fn wshared_net(seed: u64) -> munin::sim::stats::NetSnapshot {
+    const NODES: usize = 4;
+    const WORDS: usize = 16_384;
+    const ROUNDS: usize = 16;
+    // The benchmark's value pattern, which follows from the seed alone.
+    let value = move |round: usize, i: usize| {
+        let (a, b) = (round as u64, i as u64);
+        let mut x =
+            seed ^ a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ b.wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+        x ^= x >> 30;
+        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x ^= x >> 27;
+        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+        (x ^ (x >> 31)) as i32
+    };
+    let checksum = |words: &[i32]| words.iter().map(|w| i64::from(*w)).sum::<i64>();
+    let cfg = MuninConfig {
+        detect: None,
+        trace_out: None,
+        barrier_fanout: None,
+        relay_max_bytes: munin::dsm::config::DEFAULT_RELAY_MAX_BYTES,
+        retransmit_pacing: munin::dsm::config::DEFAULT_RETRANSMIT_PACING,
+        ..MuninConfig::paper(NODES)
+    }
+    .with_cost(CostModel::sun_ethernet_1991())
+    .with_engine(munin::sim::EngineConfig::seeded(seed))
+    .with_access_mode(munin::AccessMode::Explicit)
+    .with_piggyback(true)
+    .with_reliability(false)
+    .with_watchdog(std::time::Duration::from_secs(15))
+    .with_flight_events(256);
+    let mut prog = MuninProgram::new(cfg);
+    let array = prog.declare::<i32>("array", WORDS, SharingAnnotation::WriteShared);
+    let written = prog.create_barrier("written");
+    let read = prog.create_barrier("read");
+    prog.user_init(move |init| {
+        let fill: Vec<i32> = (0..WORDS).map(|i| value(0, i)).collect();
+        init.write_slice(&array, 0, &fill).unwrap();
+    });
+    let report = prog
+        .run(move |ctx| {
+            let me = ctx.node_id();
+            let mut sums = vec![checksum(&ctx.read_slice(&array, 0, WORDS)?)];
+            ctx.wait_at_barrier(read)?;
+            for round in 1..=ROUNDS {
+                for i in (me..WORDS).step_by(NODES) {
+                    ctx.write(&array, i, value(round, i))?;
+                }
+                ctx.compute((WORDS / NODES) as u64);
+                ctx.wait_at_barrier(written)?;
+                sums.push(checksum(&ctx.read_slice(&array, 0, WORDS)?));
+                ctx.compute(WORDS as u64);
+                ctx.wait_at_barrier(read)?;
+            }
+            Ok(sums)
+        })
+        .unwrap();
+    let expected: Vec<i64> = (0..=ROUNDS)
+        .map(|round| (0..WORDS).map(|i| i64::from(value(round, i))).sum())
+        .collect();
+    for (node, sums) in report.results.iter().enumerate() {
+        assert_eq!(sums.as_ref().unwrap(), &expected, "wshared, node {node}");
+    }
+    assert_eq!(report.stats_total().runtime_errors, 0);
+    report.net
 }
 
 /// Table 5 at 4 processors (5 iterations are enough to see the steady
