@@ -8,7 +8,9 @@
 //!   words), kept for continuity with the paper, plus every fourth word: the
 //!   page of the benchmark's `wshared` workload, four writers striding it.
 //!   Each encode row carries `encoded_bytes`, the size of the diff it
-//!   produces — exact, unlike the timings.
+//!   produces — exact, unlike the timings, and so gated: the bench exits
+//!   non-zero when a pattern's size is not the committed `BENCH_diff.json`
+//!   row's (a run that writes a new baseline is let through).
 //! * `diff_scale` — the flat block-skip encoder (`encode_flat`, reusing one
 //!   `DiffScratch` across iterations, i.e. zero allocations per run) against
 //!   the word-by-word reference encoder (`encode_reference`, the seed's
@@ -45,6 +47,19 @@ fn patterns() -> Vec<(&'static str, Vec<u8>, Vec<u8>)> {
     .collect()
 }
 
+/// The `encoded_bytes` column of the committed `diff_8kb/encode/<name>` row.
+fn committed_encoded_bytes(name: &str) -> Option<u64> {
+    let id = format!("\"id\": \"diff_8kb/encode/{name}\"");
+    let row = include_str!("../../../BENCH_diff.json")
+        .lines()
+        .find(|line| line.contains(&id))?;
+    let value = row.split("\"encoded_bytes\": ").nth(1)?;
+    value
+        .trim_end_matches(|c: char| !c.is_ascii_digit())
+        .parse()
+        .ok()
+}
+
 fn bench_diff(c: &mut Criterion) {
     let mut group = c.benchmark_group("diff_8kb");
     group
@@ -56,11 +71,20 @@ fn bench_diff(c: &mut Criterion) {
             b.iter(|| diff::make_twin(std::hint::black_box(&cur)))
         });
         group.bench_function(format!("encode/{name}"), |b| {
-            let mut scratch = DiffScratch::new();
+            let mut scratch = DiffScratch::default();
             b.iter(|| scratch.encode(std::hint::black_box(&cur), std::hint::black_box(&twin)))
         });
         let d = diff::encode(&cur, &twin);
         group.note("encoded_bytes", d.encoded_bytes() as u64);
+        let committed = committed_encoded_bytes(name);
+        if committed != Some(d.encoded_bytes() as u64) && std::env::var("BENCH_JSON_OUT").is_err() {
+            eprintln!(
+                "micro_diff: {name} encodes to {} bytes, BENCH_diff.json says {committed:?}: \
+                 a wire-format change re-records the baseline (BENCH_JSON_OUT=BENCH_diff.json)",
+                d.encoded_bytes()
+            );
+            std::process::exit(1);
+        }
         group.bench_function(format!("decode/{name}"), |b| {
             b.iter_batched(
                 || twin.clone(),
@@ -127,7 +151,7 @@ fn bench_diff_scale(c: &mut Criterion) {
         let kib = size / 1024;
         for (name, cur, twin) in scale_patterns(size) {
             group.bench_function(format!("encode_flat/{kib}KiB/{name}"), |b| {
-                let mut scratch = DiffScratch::new();
+                let mut scratch = DiffScratch::default();
                 b.iter(|| scratch.encode(std::hint::black_box(&cur), std::hint::black_box(&twin)))
             });
             group.bench_function(format!("encode_reference/{kib}KiB/{name}"), |b| {

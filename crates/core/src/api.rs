@@ -42,7 +42,7 @@ use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use munin_sim::{Cluster, CostModel, NodeId, NodeTimes, VirtTime};
+use munin_sim::{Cluster, NodeId, NodeTimes, VirtTime};
 
 use crate::annotation::SharingAnnotation;
 use crate::config::MuninConfig;
@@ -637,50 +637,18 @@ impl WorkerCtx<'_> {
         self.fetch_and(var, index, ReduceOp::MinI64(value))
     }
 
-    /// `Fetch_and_max` on an element of a reduction variable.
-    pub fn fetch_and_max_i64(&self, var: &SharedVar<i64>, index: usize, value: i64) -> Result<i64> {
-        self.fetch_and(var, index, ReduceOp::MaxI64(value))
-    }
-
-    /// `Fetch_and_add` on an element of a floating-point reduction variable.
-    pub fn fetch_and_add_f64(&self, var: &SharedVar<f64>, index: usize, value: f64) -> Result<f64> {
-        let old = self.fetch_and_raw(var.id, var.name, var.len, index, ReduceOp::AddF64(value))?;
-        Ok(f64::from_le_bytes(
-            old[..8].try_into().expect("f64 element"),
-        ))
-    }
-
     fn fetch_and(&self, var: &SharedVar<i64>, index: usize, op: ReduceOp) -> Result<i64> {
-        let old = self.fetch_and_raw(var.id, var.name, var.len, index, op)?;
+        let out_of_bounds = MuninError::OutOfBounds {
+            var: var.name,
+            index,
+            len: var.len,
+        };
+        let located = (index < var.len).then(|| self.table.locate(var.id, index * 8));
+        let (object, within) = located.flatten().ok_or(out_of_bounds)?;
+        let old = self.rt.reduce(object, within, op)?;
         Ok(i64::from_le_bytes(
             old[..8].try_into().expect("i64 element"),
         ))
-    }
-
-    fn fetch_and_raw(
-        &self,
-        var: VarId,
-        name: &'static str,
-        len: usize,
-        index: usize,
-        op: ReduceOp,
-    ) -> Result<Vec<u8>> {
-        if index >= len {
-            return Err(MuninError::OutOfBounds {
-                var: name,
-                index,
-                len,
-            });
-        }
-        let (object, within) =
-            self.table
-                .locate(var, index * 8)
-                .ok_or(MuninError::OutOfBounds {
-                    var: name,
-                    index,
-                    len,
-                })?;
-        self.rt.reduce(object, within, op)
     }
 
     /// Charges `ops` abstract application operations of computation.
@@ -836,11 +804,6 @@ impl<R> MuninReport<R> {
     pub fn elapsed_secs(&self) -> f64 {
         self.elapsed.as_secs_f64()
     }
-}
-
-/// Convenience constructor for the default (paper) cost model.
-pub fn paper_cost_model() -> CostModel {
-    CostModel::sun_ethernet_1991()
 }
 
 #[cfg(test)]

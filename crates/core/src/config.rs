@@ -408,22 +408,9 @@ impl MuninConfig {
     /// model so protocol behaviour (not simulated waiting) dominates.
     pub fn fast_test(nodes: usize) -> Self {
         MuninConfig {
-            nodes,
             page_size: 64,
             cost: CostModel::fast_test(),
-            annotation_override: None,
-            copyset_strategy: CopysetStrategy::Broadcast,
-            engine: EngineConfig::from_env(),
-            access_mode: AccessMode::from_env(),
-            piggyback: piggyback_from_env(),
-            reliability: reliability_from_env(),
-            watchdog: watchdog_from_env(),
-            retransmit_pacing: DEFAULT_RETRANSMIT_PACING,
-            flight_events: flight_events_from_env(),
-            trace_out: trace_out_from_env(),
-            detect: detect_from_env(),
-            relay_max_bytes: relay_max_bytes_from_env(),
-            barrier_fanout: barrier_fanout_from_env(),
+            ..Self::paper(nodes)
         }
     }
 

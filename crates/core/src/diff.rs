@@ -11,72 +11,74 @@
 //! # Wire format
 //!
 //! A [`Diff`] is a single contiguous buffer — exactly the bytes that would go
-//! on the wire:
+//! on the wire — a header and then spans of two kinds, in any mix:
 //!
 //! ```text
-//! ┌───────┬──────┬───────┬─────────────────┬──────┬───────┬──────────┬──
-//! │ words │ skip │ count │ count*4 data …  │ skip │ count │ data …   │ …
-//! └───────┴──────┴───────┴─────────────────┴──────┴───────┴──────────┴──
-//!   header └──────────── run 0 ───────────┘ └──────────── run 1 ──────…
+//! ┌───────┬──────┬───────┬────────────────┬──────┬───┬─────┬───────────┬────────┬──
+//! │ words │ skip │ count │ count*4 data … │ skip │ 0 │ len │ ⌈len/8⌉ B │ data … │ …
+//! └───────┴──────┴───────┴────────────────┴──────┴───┴─────┴───────────┴────────┴──
+//!   header └───────────── run ───────────┘ └──────────── masked span ───────────┘
 //! ```
 //!
-//! * `words`, `skip` and `count` are canonical LEB128 varints of a `u32`:
-//!   seven value bits per byte, least significant group first, the high bit
-//!   set on every byte but the last, never more bytes than the value needs
-//!   (1 byte below 2⁷, 2 below 2¹⁴, … at most [`MAX_VARINT_LEN`]). Canonical
-//!   matters: one run set has one encoding, so byte equality of two `Diff`s
-//!   is equality of their runs.
+//! * `words`, `skip`, `count` and `len` are canonical LEB128 varints of a
+//!   `u32`: seven value bits per byte, least significant group first, the
+//!   high bit set on every byte but the last, never more bytes than the value
+//!   needs (1 byte below 2⁷, 2 below 2¹⁴, … at most [`MAX_VARINT_LEN`]).
 //! * `words` — length of the object in 32-bit words (validates application).
-//! * Each run: `skip` identical words, then `count` differing words whose new
-//!   values follow inline as little-endian words. Runs are maximal:
-//!   `count > 0` always, and two consecutive runs are separated by at least
-//!   one identical word (`skip > 0` for every run but possibly the first).
+//! * A *run*: `skip` identical words, then `count > 0` differing words whose
+//!   new values follow inline as little-endian words. Runs are maximal: two
+//!   consecutive spans are separated by at least one identical word.
+//! * A *masked span* (`count == 0`, which no run has): `skip` identical
+//!   words, then `len ≥ 2` words of which the mask names the changed ones —
+//!   bit `i`, least significant bit of the first byte first, is word `i` of
+//!   the span — and then the new values of exactly those. It starts and ends
+//!   on a changed word (first and last bit set), the bits padding the last
+//!   mask byte are clear, and the next `skip` counts from its end.
 //!
-//! The paper's worst case (Table 2) is a page of minimum-length runs, which
-//! is why the headers are varints and not two fixed `u32`s: a run of one word
-//! on an 8 KB page costs 2 header bytes, not 8, so four writers striding one
-//! page send 2 + 512 · (2 + 4) bytes each. Every field of an object under 2²⁸
-//! words fits four bytes, so no such diff is longer than fixed-width headers
-//! would make it.
+//! The paper's worst case (Table 2) is a page of minimum-length runs: four
+//! writers striding an 8 KB page change every fourth word each, and 512
+//! two-byte run headers say what a 256-byte mask says as well. So a
+//! *cluster* — a run of at most [`CLUSTER_REACH`] words, and every next run
+//! whose gap and count together are at most that — travels as one masked
+//! span when that is strictly shorter than its runs: 2 310 bytes for the
+//! strided page where runs take 3 074. The encoder decides by exact byte
+//! count, so no diff is longer than runs alone would make it, one without
+//! such a cluster is the bytes it always was, and one set of changed words
+//! has one encoding (a decoder accepts any valid mix).
 //!
-//! Runs are never merged across a short gap by sending the unchanged words
-//! in between, although that would save headers: a diff may only carry words
-//! this node wrote. Another node may be writing the gap words concurrently
+//! Neither kind of span carries a word this node did not write. Merging runs
+//! across a gap by *sending* the unchanged words between them would save
+//! headers too, but another node may be writing those words concurrently
 //! (`write_shared` allows it), and a payload that carried this node's stale
-//! view of them would overwrite that write at every receiver
+//! view of them would overwrite that write at every receiver. A mask sends,
+//! and [`apply`] writes, the set-bit words only
 //! (`apply_merges_disjoint_concurrent_writes`).
 //!
 //! Because the encoding *is* the wire representation, sending a diff to N
-//! destinations shares one buffer behind an [`Arc`] instead of deep-cloning
-//! nested run vectors, and [`apply`] copies whole runs with
-//! `copy_from_slice` straight off the buffer. The run and changed-word
-//! counts the cost model charges for are counted once, by whoever walks the
+//! destinations shares one buffer behind an [`Arc`], and [`apply`] copies
+//! whole runs with `copy_from_slice` straight off it. The counts the cost
+//! model charges for — maximal runs of changed words, and changed words,
+//! however the spans spell them — are counted once, by whoever walks the
 //! buffer first (the encoder, or [`Diff::from_wire`]'s validation), and
 //! carried beside the buffer.
-//!
-//! # Block-skip encoding
-//!
-//! [`DiffScratch::encode`] compares [`BLOCK_WORDS`]-word (128-byte) blocks
-//! via slice equality first — `memcmp` speed — and only drops to `u64` lanes
-//! and then single words inside a block that differs. Identical regions, the
-//! common case for sparse diffs like SOR edge exchanges, are skipped at
-//! memory bandwidth. This is safe because block comparison is only used to
-//! *find* the next differing word; run boundaries are always determined at
-//! word granularity, so the output is bit-identical to the word-by-word
-//! reference encoder ([`encode_reference`]).
 //!
 //! See `DESIGN.md` for the full layout rationale and invariants.
 
 use std::sync::Arc;
 
 use crate::error::{MuninError, Result};
-use crate::object::ObjectId;
 
 /// Words per comparison block: 32 words = 128 bytes.
 pub const BLOCK_WORDS: usize = 32;
 
 /// Longest varint the format allows: ⌈32 / 7⌉ bytes hold any `u32`.
 pub const MAX_VARINT_LEN: usize = 5;
+
+/// The most words a run may add to a cluster, its gap included (and the most
+/// the first may have). A covered word costs an eighth of a mask byte and a
+/// run header two bytes, so joining is cheaper exactly below sixteen:
+/// arithmetic of the format, not a tunable.
+pub const CLUSTER_REACH: usize = 15;
 
 /// Encoded length of `v` as a canonical LEB128 varint.
 const fn varint_len(v: u32) -> usize {
@@ -89,24 +91,32 @@ const fn varint_len(v: u32) -> usize {
     }
 }
 
-/// Appends `v` as a canonical LEB128 varint. Almost every header on an 8 KB
-/// page fits one byte, so that case stays inline and branch-predictable.
-#[inline]
-fn put_varint(buf: &mut Vec<u8>, v: u32) {
-    if v < 0x80 {
-        buf.push(v as u8);
-    } else {
-        put_varint_general(buf, v);
-    }
+/// Whether a cluster of `runs` runs over `len` words is strictly shorter as
+/// a masked span. Every gap and count inside a cluster fits one byte, so
+/// each run after the first costs two header bytes; the span pays `len` and
+/// the mask instead (its zero `count` stands where the first run's was).
+fn mask_is_shorter(len: usize, runs: usize) -> bool {
+    varint_len(len as u32) + len.div_ceil(8) + 2 < 2 * runs
 }
 
-/// The plain LEB128 loop, for any `v`.
-fn put_varint_general(buf: &mut Vec<u8>, mut v: u32) {
+/// Appends `v` as a canonical LEB128 varint.
+#[inline]
+fn put_varint(buf: &mut Vec<u8>, mut v: u32) {
     while v >= 0x80 {
         buf.push(v as u8 | 0x80);
         v >>= 7;
     }
     buf.push(v as u8);
+}
+
+/// `Ok` if the framing rule `holds`, else the protocol violation `why`.
+#[inline]
+fn check(holds: bool, why: &'static str) -> Result<()> {
+    if holds {
+        Ok(())
+    } else {
+        Err(MuninError::ProtocolViolation(why))
+    }
 }
 
 /// Reads the varint starting at `pos`, returning its value and the position
@@ -127,18 +137,14 @@ fn get_varint(bytes: &[u8], pos: usize, truncated: &'static str) -> Result<(u32,
 fn get_varint_general(bytes: &[u8], pos: usize, truncated: &'static str) -> Result<(u32, usize)> {
     let mut value = 0u32;
     for i in 0..MAX_VARINT_LEN {
-        let Some(&b) = bytes.get(pos + i) else {
-            return Err(MuninError::ProtocolViolation(truncated));
-        };
+        let byte = bytes.get(pos + i);
+        let b = *byte.ok_or(MuninError::ProtocolViolation(truncated))?;
         let group = (b & 0x7F) as u32;
-        if i == MAX_VARINT_LEN - 1 && group > 0x0F {
-            return Err(MuninError::ProtocolViolation("diff varint overflows u32"));
-        }
+        let in_u32 = i < MAX_VARINT_LEN - 1 || group <= 0x0F;
+        check(in_u32, "diff varint overflows u32")?;
         value |= group << (7 * i);
         if b < 0x80 {
-            if i > 0 && b == 0 {
-                return Err(MuninError::ProtocolViolation("non-canonical diff varint"));
-            }
+            check(i == 0 || b != 0, "non-canonical diff varint")?;
             return Ok((value, pos + i + 1));
         }
     }
@@ -147,101 +153,103 @@ fn get_varint_general(bytes: &[u8], pos: usize, truncated: &'static str) -> Resu
     ))
 }
 
-/// Reads the `words` header, returning the object length in words and the
-/// position of the first run.
+/// The bytes of a mask as little-endian `u64`s, the last padded with zeros.
 #[inline]
-fn read_header(bytes: &[u8]) -> Result<(u32, usize)> {
-    get_varint(bytes, 0, "truncated diff header")
+fn mask_chunks(mask: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    mask.chunks(8).map(|c| match <[u8; 8]>::try_from(c) {
+        Ok(whole) => u64::from_le_bytes(whole),
+        Err(_) => c.iter().rev().fold(0, |m, b| m << 8 | *b as u64),
+    })
 }
 
-/// Walks the runs that start at `pos`, checking the framing against an object
-/// of `words` words, and hands `visit` the first word index and the data
-/// bytes of each. Returns the run and changed-word counts. The one walker
-/// behind both [`Diff::from_wire`] and [`apply`], so what the first accepts
-/// and the second installs cannot drift apart.
+/// Walks the spans that start at `pos`, checking the framing against an object
+/// of `words` words, and hands `visit` the first word index, the mask (empty
+/// for a run: all of its words changed) and the data bytes of each — after
+/// every check on that span, so nothing of a malformed one is ever installed.
+/// Returns the run and changed-word counts. The one walker behind both
+/// [`Diff::from_wire`] and [`apply`], so what the first accepts and the
+/// second installs cannot drift apart.
 #[inline]
-fn walk_runs(
+fn walk_spans(
     bytes: &[u8],
     mut pos: usize,
     words: u32,
-    mut visit: impl FnMut(usize, &[u8]),
+    mut visit: impl FnMut(usize, &[u8], &[u8]),
 ) -> Result<(u32, u32)> {
-    let mut word_idx = 0u64;
-    let mut runs = 0u32;
-    let mut changed = 0u64;
+    let (mut word_idx, mut runs, mut changed) = (0u64, 0u32, 0u64);
+    // Sizes stay in `u64` until checked against what is left of the buffer,
+    // so a hostile header cannot wrap a 32-bit `usize`.
+    let left = |at: usize| (bytes.len() - at) as u64;
     while pos < bytes.len() {
-        let (skip, at) = get_varint(bytes, pos, "truncated diff run header")?;
-        let (count, at) = get_varint(bytes, at, "truncated diff run header")?;
-        if count == 0 {
-            // The encoder never emits empty runs; accepting one would let
-            // `is_empty()` disagree with `changed_words()`.
-            return Err(MuninError::ProtocolViolation("empty diff run"));
-        }
-        // In `u64`, so a hostile header cannot wrap a 32-bit `usize`.
-        if ((bytes.len() - at) as u64) < count as u64 * 4 {
-            return Err(MuninError::ProtocolViolation("truncated diff run data"));
-        }
+        let (skip, at) = get_varint(bytes, pos, "truncated diff span header")?;
+        let (count, at) = get_varint(bytes, at, "truncated diff span header")?;
         let start = word_idx + skip as u64;
-        word_idx = start + count as u64;
-        if word_idx > words as u64 {
-            return Err(MuninError::ProtocolViolation("diff run overruns object"));
+        if count > 0 {
+            check(left(at) >= count as u64 * 4, "truncated diff run data")?;
+            word_idx = start + count as u64;
+            check(word_idx <= words as u64, "diff run overruns object")?;
+            pos = at + count as usize * 4;
+            visit(start as usize, &[], &bytes[at..pos]);
+            runs += 1;
+            changed += count as u64;
+            continue;
         }
-        pos = at + count as usize * 4;
-        visit(start as usize, &bytes[at..pos]);
-        runs += 1;
-        changed += count as u64;
+        // `count == 0` is no run (an empty one would let `is_empty()`
+        // disagree with `changed_words()`): it introduces a masked span.
+        let (len, at) = get_varint(bytes, at, "truncated diff span header")?;
+        check(len >= 2, "diff span under two words")?;
+        word_idx = start + len as u64;
+        check(word_idx <= words as u64, "diff span overruns object")?;
+        let mask_len = len.div_ceil(8) as usize;
+        check(left(at) >= mask_len as u64, "truncated diff span mask")?;
+        let (mask, data) = bytes[at..].split_at(mask_len);
+        // First and last word changed, padding clear: `skip`, `len` and
+        // maximality then mean for a span what they mean for a run.
+        let ends_set = mask[0] & 1 == 1 && mask[mask_len - 1] >> ((len - 1) % 8) == 1;
+        check(ends_set, "non-canonical diff mask")?;
+        // A run begins at each set bit whose predecessor is clear.
+        let (mut ones, mut carry) = (0usize, 0);
+        for m in mask_chunks(mask) {
+            ones += m.count_ones() as usize;
+            runs += (m & !(m << 1 | carry)).count_ones();
+            carry = m >> 63;
+        }
+        check(data.len() / 4 >= ones, "truncated diff span data")?;
+        pos = at + mask_len + ones * 4;
+        visit(start as usize, mask, &data[..ones * 4]);
+        changed += ones as u64;
     }
-    // `changed <= words`: every run was checked against it.
+    // `changed <= words`: every span was checked against it.
     Ok((runs, changed as u32))
 }
 
 /// A run-length encoded diff of an object against its twin, stored in its
 /// flat wire format behind an [`Arc`] so multi-destination fan-out shares
 /// one encoding.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diff {
     bytes: Arc<[u8]>,
     /// The decoded `words` header.
     words: u32,
-    /// Number of runs in `bytes`.
+    /// Number of maximal runs of changed words `bytes` describes.
     runs: u32,
-    /// Total `count` over the runs.
+    /// Number of changed words `bytes` carries.
     changed: u32,
 }
 
-impl PartialEq for Diff {
-    fn eq(&self, other: &Self) -> bool {
-        // The counts are a function of the bytes.
-        self.bytes == other.bytes
-    }
-}
-
-impl Eq for Diff {}
-
 impl Diff {
-    /// An empty diff (no changed words) for an object of `words` words.
-    pub fn empty(words: u32) -> Diff {
-        let mut buf = Vec::with_capacity(MAX_VARINT_LEN);
-        put_varint(&mut buf, words);
-        Diff {
-            bytes: Arc::from(buf),
-            words,
-            runs: 0,
-            changed: 0,
-        }
-    }
-
     /// Wraps bytes received from the wire, validating the framing.
     ///
     /// # Errors
     ///
     /// Returns [`MuninError::ProtocolViolation`] if the buffer is truncated,
     /// a varint is longer than [`MAX_VARINT_LEN`] bytes, overflows `u32` or
-    /// is not canonical, a run is empty, or a run overruns the object length
-    /// declared in the header.
+    /// is not canonical, a masked span covers fewer than two words or its
+    /// mask does not begin and end on a changed word with clear padding, or
+    /// a span overruns the object length declared in the header.
     pub fn from_wire(bytes: Arc<[u8]>) -> Result<Diff> {
-        let (words, body) = read_header(&bytes)?;
-        let (runs, changed) = walk_runs(&bytes, body, words, |_, _| {})?;
+        let (words, body) = get_varint(&bytes, 0, "truncated diff header")?;
+        let (runs, changed) = walk_spans(&bytes, body, words, |_, _, _| {})?;
         Ok(Diff {
             bytes,
             words,
@@ -271,92 +279,38 @@ impl Diff {
         self.changed as usize
     }
 
-    /// Number of runs in the encoding. Counted when the diff was encoded or
-    /// validated, not by walking the buffer.
+    /// Number of maximal runs of changed words, whether each travels under a
+    /// header of its own or as a stretch of set bits in a mask. Counted when
+    /// the diff was encoded or validated, not by walking the buffer.
     pub fn run_count(&self) -> usize {
         self.runs as usize
     }
 
-    /// Size of the encoding on the wire: the buffer length itself (the
-    /// `words` varint plus two varints and the data words of every run).
+    /// Size of the encoding on the wire: the buffer length itself.
     pub fn encoded_bytes(&self) -> usize {
         self.bytes.len()
     }
 
-    /// Iterates the runs, yielding borrowed views straight off the buffer.
-    pub fn runs(&self) -> Runs<'_> {
-        Runs {
-            rest: &self.bytes[varint_len(self.words)..],
-        }
-    }
-
-    /// Whether two diffs share the same underlying buffer (one encoding
-    /// fanned out to several destinations).
-    pub fn shares_buffer(&self, other: &Diff) -> bool {
-        Arc::ptr_eq(&self.bytes, &other.bytes)
+    /// Hands `visit` each span in order, as the walker behind [`apply`] sees
+    /// it: the index of its first word, its mask (empty for a run, whose
+    /// words all changed) and the new values of its changed words.
+    pub fn for_each_span(&self, visit: impl FnMut(usize, &[u8], &[u8])) {
+        walk_spans(&self.bytes, varint_len(self.words), self.words, visit)
+            .expect("a Diff is validated when it is built");
     }
 }
 
-/// One run of a [`Diff`], borrowed from the wire buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RunRef<'a> {
-    /// Number of identical (unchanged) words preceding the differing words.
-    pub skip: u32,
-    /// New values of the differing words, as word-aligned little-endian
-    /// bytes (`4 * count` long).
-    pub data: &'a [u8],
-}
-
-impl RunRef<'_> {
-    /// The differing words decoded to `u32` values (allocates; use `data`
-    /// directly on hot paths).
-    pub fn words(&self) -> Vec<u32> {
-        self.data
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect()
-    }
-}
-
-/// Iterator over the runs of a [`Diff`].
-pub struct Runs<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Iterator for Runs<'a> {
-    type Item = RunRef<'a>;
-
-    fn next(&mut self) -> Option<RunRef<'a>> {
-        if self.rest.is_empty() {
-            return None;
-        }
-        // Diffs are validated on construction, so a well-formed buffer never
-        // ends or goes wrong mid-run; stop defensively if one somehow does.
-        let rest = self.rest;
-        self.rest = &[];
-        let (skip, at) = get_varint(rest, 0, "truncated diff run header").ok()?;
-        let (count, at) = get_varint(rest, at, "truncated diff run header").ok()?;
-        let data_end = at.checked_add(count as usize * 4)?;
-        let data = rest.get(at..data_end)?;
-        self.rest = &rest[data_end..];
-        Some(RunRef { skip, data })
-    }
-}
-
-/// Reusable encoding buffer: one per node, so repeated DUQ flushes perform
-/// no per-run heap allocations (the scratch grows to the high-water mark and
-/// stays there).
+/// Reusable encoding buffers: one set per node, so repeated DUQ flushes
+/// perform no per-run heap allocations (they grow to the high-water mark and
+/// stay there).
 #[derive(Debug, Default)]
 pub struct DiffScratch {
     buf: Vec<u8>,
+    /// Change bitmap of the stretch of differing blocks being encoded.
+    bits: Vec<u8>,
 }
 
 impl DiffScratch {
-    /// Creates an empty scratch buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Current capacity of the scratch in bytes (observable for tests that
     /// assert the buffer is reused across flushes).
     pub fn capacity(&self) -> usize {
@@ -367,9 +321,14 @@ impl DiffScratch {
     /// writing the flat wire format into the reused scratch buffer and
     /// returning it as a shareable [`Diff`].
     ///
-    /// Identical regions are skipped with [`BLOCK_WORDS`]-word block
-    /// comparisons (and `u64` lanes inside a differing block); run
-    /// boundaries are resolved at word granularity, so the output is
+    /// Identical [`BLOCK_WORDS`]-word blocks are skipped by slice comparison
+    /// — `memcmp` speed, the common case for sparse diffs like SOR edge
+    /// exchanges. One of them ends every run and every cluster (a gap of
+    /// more than [`CLUSTER_REACH`] words), so each stretch of differing
+    /// blocks between two is encoded by itself: its change bitmap, one bit a
+    /// word, is built once, and runs, clusters, mask bytes and data
+    /// positions are read out of that. Block comparison only skips equal
+    /// words and every bit is one word's comparison, so the output is
     /// identical to [`encode_reference`].
     ///
     /// # Panics
@@ -379,89 +338,203 @@ impl DiffScratch {
     /// when the segment is laid out.
     pub fn encode(&mut self, current: &[u8], twin: &[u8]) -> Diff {
         let words = checked_words(current, twin);
-        let buf = &mut self.buf;
+        let Self { buf, bits } = self;
         buf.clear();
         put_varint(buf, words as u32);
-
-        let mut i = 0usize; // word cursor
-        let mut last_end = 0usize; // one past the previous run's last word
-        let mut runs = 0u32;
-        let mut changed = 0usize;
+        let mut out = Spans {
+            buf,
+            current,
+            last_end: 0,
+            runs: 0,
+            changed: 0,
+        };
+        let same = |i: usize| with_block(current, twin, i, |c, t| c == t);
+        let mut i = 0;
         while i < words {
-            i = next_mismatch(current, twin, i, words);
-            if i == words {
-                break;
+            if same(i) {
+                i += BLOCK_WORDS;
+                continue;
             }
-            let start = i;
-            while i < words && current[i * 4..i * 4 + 4] != twin[i * 4..i * 4 + 4] {
-                i += 1;
+            let base = i;
+            bits.clear();
+            loop {
+                let m: u32 = with_block(current, twin, i, |c, t| {
+                    let word = |b: &[u8]| u32::from_ne_bytes(b.try_into().expect("four bytes"));
+                    let pairs = c.chunks_exact(4).zip(t.chunks_exact(4)).enumerate();
+                    pairs.fold(0, |m, (w, (c, t))| m | ((word(c) != word(t)) as u32) << w)
+                });
+                bits.extend_from_slice(&m.to_le_bytes());
+                i += BLOCK_WORDS;
+                if i >= words || same(i) {
+                    break;
+                }
             }
-            let (skip, count) = (start - last_end, i - start);
-            if count == 1 && skip < 0x80 {
-                // The minimum-length run after a short gap — all there is in
-                // a strided page, Table 2's worst case — is one six-byte
-                // store instead of three appends: 16% faster than the
-                // fixed-width format was on alternate words, where the three
-                // appends (single-byte varints included) are 11% slower.
-                let d = &current[start * 4..start * 4 + 4];
-                buf.extend_from_slice(&[skip as u8, 1, d[0], d[1], d[2], d[3]]);
-            } else {
-                put_varint(buf, skip as u32);
-                put_varint(buf, count as u32);
-                buf.extend_from_slice(&current[start * 4..i * 4]);
+            // One block holding one run — a sparse diff's every stretch —
+            // needs no bitmap scan: 13 ns of a lone word's 25.
+            if let Ok(one) = <[u8; 4]>::try_from(&bits[..]) {
+                let m = u32::from_le_bytes(one);
+                let run = m >> m.trailing_zeros();
+                if run & run.wrapping_add(1) == 0 {
+                    let start = base + m.trailing_zeros() as usize;
+                    out.run(start, start + run.trailing_ones() as usize);
+                    continue;
+                }
             }
-            last_end = i;
-            runs += 1;
-            changed += i - start;
+            bits.extend_from_slice(&[0; 8]);
+            out.stretch(base, bits);
         }
         Diff {
-            bytes: Arc::from(buf.as_slice()),
+            bytes: Arc::from(out.buf.as_slice()),
             words: words as u32,
-            runs,
-            changed: changed as u32,
+            runs: out.runs,
+            changed: out.changed as u32,
         }
     }
 }
 
 /// The common preconditions of both encoders; returns the length in words.
 fn checked_words(current: &[u8], twin: &[u8]) -> usize {
-    assert_eq!(
-        current.len(),
-        twin.len(),
-        "object and twin must be the same size"
-    );
+    assert_eq!(current.len(), twin.len(), "twin must be the same size");
     assert_eq!(current.len() % 4, 0, "objects are word-aligned");
     let words = current.len() / 4;
     assert!(u32::try_from(words).is_ok(), "objects are below 2^32 words");
     words
 }
 
-/// Advances `i` to the next word where `current` and `twin` differ, or to
-/// `words` if the tails are identical. Whole [`BLOCK_WORDS`] blocks are
-/// compared with slice equality (memcmp), then `u64` lanes, then words.
+/// Calls `f` on the block of the two buffers that starts at word `i`: a
+/// whole one at a length the compiler knows, which is what turns the
+/// comparisons made on it into inline vector code, or the object's tail.
+#[inline(always)]
+fn with_block<R>(current: &[u8], twin: &[u8], i: usize, f: impl Fn(&[u8], &[u8]) -> R) -> R {
+    let whole = i * 4..(i + BLOCK_WORDS) * 4;
+    match (current.get(whole.clone()), twin.get(whole)) {
+        (Some(c), Some(t)) => f(c, t),
+        _ => f(&current[i * 4..], &twin[i * 4..]),
+    }
+}
+
+/// Bits `p..` of a change bitmap — a bit a word, least significant bit of the
+/// first byte first, closed by eight zero bytes so that this read is in bounds
+/// at any bit and every run ends — with bit `p` lowest: [`WINDOW`] of them
+/// at least, zeros above the last.
 #[inline]
-fn next_mismatch(current: &[u8], twin: &[u8], mut i: usize, words: usize) -> usize {
-    const BLOCK_BYTES: usize = BLOCK_WORDS * 4;
-    while i + BLOCK_WORDS <= words {
-        let at = i * 4;
-        if current[at..at + BLOCK_BYTES] != twin[at..at + BLOCK_BYTES] {
-            break;
+fn window(bits: &[u8], p: usize) -> u64 {
+    let bytes = bits[p / 8..p / 8 + 8].try_into().expect("eight bytes");
+    u64::from_le_bytes(bytes) >> (p % 8)
+}
+
+/// Bits of a [`window`] that are always the bitmap's own.
+const WINDOW: usize = 56;
+
+/// The first bit of `bits` at or after `p` that is set (or, `set` false,
+/// clear); the first of the closing zeros if there is none.
+fn seek(bits: &[u8], mut p: usize, set: bool) -> usize {
+    let (len, flip) = ((bits.len() - 8) * 8, if set { 0 } else { u64::MAX });
+    while p < len {
+        let w = (window(bits, p) ^ flip) & ((1 << WINDOW) - 1);
+        let found = w.trailing_zeros() as usize;
+        if found < WINDOW {
+            return p + found;
         }
-        i += BLOCK_WORDS;
+        p += WINDOW;
     }
-    while i + 2 <= words {
-        let at = i * 4;
-        let a = u64::from_le_bytes(current[at..at + 8].try_into().unwrap());
-        let b = u64::from_le_bytes(twin[at..at + 8].try_into().unwrap());
-        if a != b {
-            break;
+    len
+}
+
+/// Finds the cluster that begins with the run at `start`: where it ends and
+/// how many runs it has — none if that run is too long to begin one. A run
+/// joins while it ends within [`CLUSTER_REACH`] bits of the one before (of
+/// `start`, for the first). Only run *ends* matter, so a window is consumed
+/// one falling edge at a time.
+fn cluster_end(bits: &[u8], start: usize) -> (usize, usize) {
+    let (mut end, mut runs) = (start, 0);
+    loop {
+        let w = window(bits, end);
+        let mut falls = w & !(w >> 1) & ((1 << WINDOW) - 1);
+        let mut joined = 0;
+        while falls != 0 {
+            let next_end = falls.trailing_zeros() as usize + 1;
+            if next_end - joined > CLUSTER_REACH {
+                return (end + joined, runs);
+            }
+            joined = next_end;
+            runs += 1;
+            falls &= falls - 1;
         }
-        i += 2;
+        if joined == 0 {
+            return (end, runs);
+        }
+        end += joined;
     }
-    while i < words && current[i * 4..i * 4 + 4] == twin[i * 4..i * 4 + 4] {
-        i += 1;
+}
+
+/// The encoder's output: the spans written so far, and the counts a
+/// [`Diff`] carries beside them.
+struct Spans<'a> {
+    buf: &'a mut Vec<u8>,
+    current: &'a [u8],
+    /// One past the last word of the last span.
+    last_end: usize,
+    runs: u32,
+    changed: usize,
+}
+
+impl Spans<'_> {
+    /// Appends the run of changed words `start..end`.
+    fn run(&mut self, start: usize, end: usize) {
+        put_varint(self.buf, (start - self.last_end) as u32);
+        put_varint(self.buf, (end - start) as u32);
+        self.buf
+            .extend_from_slice(&self.current[start * 4..end * 4]);
+        self.last_end = end;
+        self.runs += 1;
+        self.changed += end - start;
     }
-    i
+
+    /// Encodes the words `base..` whose change bitmap is `bits`: cluster by
+    /// cluster, each as one masked span if that is shorter, else run by run.
+    fn stretch(&mut self, base: usize, bits: &[u8]) {
+        let mut p = seek(bits, 0, true);
+        while p < (bits.len() - 8) * 8 {
+            let (end, runs) = cluster_end(bits, p);
+            // No runs: the one at `p` is too long to begin a cluster.
+            let end = if runs == 0 { seek(bits, p, false) } else { end };
+            if mask_is_shorter(end - p, runs) {
+                self.masked(base, bits, p, end);
+                self.runs += runs as u32;
+                p = seek(bits, end, true);
+            }
+            while p < end {
+                let run_end = seek(bits, p, false);
+                self.run(base + p, base + run_end);
+                p = seek(bits, run_end, true);
+            }
+        }
+    }
+
+    /// Appends bits `start..end` of `bits` as one masked span: the mask cut
+    /// out of the bitmap a byte at a time, then the set-bit words.
+    fn masked(&mut self, base: usize, bits: &[u8], start: usize, end: usize) {
+        put_varint(self.buf, (base + start - self.last_end) as u32);
+        self.buf.push(0);
+        put_varint(self.buf, (end - start) as u32);
+        // The `n <= 64` bits from `p` on that lie below `end`.
+        let below_end = |p: usize, n: usize| window(bits, p) & (u64::MAX >> (64 - n.min(end - p)));
+        for p in (start..end).step_by(8) {
+            self.buf.push(below_end(p, 8) as u8);
+        }
+        let data_at = self.buf.len();
+        for p in (start..end).step_by(WINDOW) {
+            let mut w = below_end(p, WINDOW);
+            while w != 0 {
+                let at = (base + p + w.trailing_zeros() as usize) * 4;
+                self.buf.extend_from_slice(&self.current[at..at + 4]);
+                w &= w - 1;
+            }
+        }
+        self.last_end = base + end;
+        self.changed += (self.buf.len() - data_at) / 4;
+    }
 }
 
 /// Creates a twin: a private copy of the object made on the first write.
@@ -477,14 +550,15 @@ pub fn make_twin(object: &[u8]) -> Vec<u8> {
 ///
 /// Panics if the two buffers differ in length or are not word-aligned.
 pub fn encode(current: &[u8], twin: &[u8]) -> Diff {
-    DiffScratch::new().encode(current, twin)
+    DiffScratch::default().encode(current, twin)
 }
 
 /// Reference word-by-word encoder: the straightforward implementation of the
-/// paper's description, with no block skipping and no single-byte varint
-/// shortcut. Produces bit-identical output to [`DiffScratch::encode`]; kept
-/// as the oracle for differential tests and as the baseline in the
-/// `micro_diff` benchmark.
+/// paper's description and of the cluster rule — list the maximal runs,
+/// group them, write each mask bit by bit — with no block skipping, no
+/// bitmap and no single-byte varint shortcut. Produces bit-identical output
+/// to [`DiffScratch::encode`]; kept as the oracle for differential tests and
+/// as the baseline in the `micro_diff` benchmark.
 ///
 /// # Panics
 ///
@@ -492,80 +566,92 @@ pub fn encode(current: &[u8], twin: &[u8]) -> Diff {
 /// 2³² words or more.
 pub fn encode_reference(current: &[u8], twin: &[u8]) -> Diff {
     let words = checked_words(current, twin);
-    let mut buf = Vec::new();
-    put_varint_general(&mut buf, words as u32);
-    let mut runs = 0u32;
-    let mut changed = 0usize;
-    let mut last_end = 0usize;
-    let mut emit = |start: usize, end: usize| {
-        put_varint_general(&mut buf, (start - last_end) as u32);
-        put_varint_general(&mut buf, (end - start) as u32);
-        buf.extend_from_slice(&current[start * 4..end * 4]);
-        last_end = end;
-        runs += 1;
-        changed += end - start;
-    };
-    let mut run_start: Option<usize> = None;
-    for w in 0..words {
-        let differs = current[w * 4..w * 4 + 4] != twin[w * 4..w * 4 + 4];
-        match (differs, run_start) {
-            (true, None) => run_start = Some(w),
-            (false, Some(start)) => {
-                emit(start, w);
-                run_start = None;
-            }
-            _ => {}
+    let word = |w: usize| &current[w * 4..w * 4 + 4];
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for w in (0..words).filter(|w| word(*w) != &twin[w * 4..w * 4 + 4]) {
+        match runs.last_mut() {
+            Some((_, end)) if *end == w => *end += 1,
+            _ => runs.push((w, w + 1)),
         }
     }
-    if let Some(start) = run_start {
-        emit(start, words);
+    let mut buf = Vec::new();
+    put_varint(&mut buf, words as u32);
+    let (mut last_end, mut rest) = (0, &runs[..]);
+    while let Some(&(start, first_end)) = rest.first() {
+        // The cluster that begins with this run is `rest[..n]`.
+        let mut n = 1;
+        if first_end - start <= CLUSTER_REACH {
+            while n < rest.len() && rest[n].1 - rest[n - 1].1 <= CLUSTER_REACH {
+                n += 1;
+            }
+        }
+        let end = rest[n - 1].1;
+        if mask_is_shorter(end - start, n) {
+            for v in [start - last_end, 0, end - start] {
+                put_varint(&mut buf, v as u32);
+            }
+            let mask_at = buf.len();
+            buf.resize(mask_at + (end - start).div_ceil(8), 0);
+            for w in rest[..n].iter().flat_map(|run| run.0..run.1) {
+                buf[mask_at + (w - start) / 8] |= 1 << ((w - start) % 8);
+                buf.extend_from_slice(word(w));
+            }
+        } else {
+            for &(start, end) in &rest[..n] {
+                put_varint(&mut buf, (start - last_end) as u32);
+                put_varint(&mut buf, (end - start) as u32);
+                buf.extend_from_slice(&current[start * 4..end * 4]);
+                last_end = end;
+            }
+        }
+        (last_end, rest) = (end, &rest[n..]);
     }
     Diff {
         bytes: Arc::from(buf),
         words: words as u32,
-        runs,
-        changed: changed as u32,
+        runs: runs.len() as u32,
+        changed: runs.iter().map(|(start, end)| (end - start) as u32).sum(),
     }
 }
 
 /// Applies `diff` to `target`, overwriting the words the diff marks as
-/// changed with whole-run `copy_from_slice` copies straight off the wire
-/// buffer. `target` is typically a remote copy of the object (or the
-/// owner's master copy for `result` objects).
+/// changed — a run with one `copy_from_slice` straight off the wire buffer,
+/// a masked span set bit by set bit, never a word whose bit is clear.
+/// `target` is typically a remote copy of the object (or the owner's master
+/// copy for `result` objects).
 ///
 /// # Errors
 ///
 /// Returns [`MuninError::ProtocolViolation`] if the diff does not fit the
-/// target (length mismatch or runs overrunning the object) or the buffer is
-/// malformed; the framing is checked again here, run by run, by the walker
+/// target (length mismatch or spans overrunning the object) or the buffer is
+/// malformed; the framing is checked again here, span by span, by the walker
 /// [`Diff::from_wire`] validates with.
 pub fn apply(diff: &Diff, target: &mut [u8]) -> Result<()> {
     let bytes: &[u8] = &diff.bytes;
-    let (words, body) = read_header(bytes)?;
-    if !target.len().is_multiple_of(4) || target.len() / 4 != words as usize {
-        return Err(MuninError::ProtocolViolation("diff length mismatch"));
-    }
-    walk_runs(bytes, body, words, |start, data| {
+    let (words, body) = get_varint(bytes, 0, "truncated diff header")?;
+    let fits = target.len().is_multiple_of(4) && target.len() / 4 == words as usize;
+    check(fits, "diff length mismatch")?;
+    walk_spans(bytes, body, words, |start, mask, data| {
         let at = start * 4;
-        match <[u8; 4]>::try_from(data) {
-            // A one-word run (the stride patterns' only kind) is a single
-            // store, not a call into `memcpy`: 13% faster than the
-            // fixed-width format was on alternate words, against 22% slower.
-            Ok(word) => target[at..at + 4].copy_from_slice(&word),
-            Err(_) => target[at..at + data.len()].copy_from_slice(data),
+        if mask.is_empty() {
+            match <[u8; 4]>::try_from(data) {
+                // A one-word run (a sparse diff's usual kind) is a single
+                // store, not a call into `memcpy`.
+                Ok(word) => target[at..at + 4].copy_from_slice(&word),
+                Err(_) => target[at..at + data.len()].copy_from_slice(data),
+            }
+        }
+        let mut values = data.chunks_exact(4);
+        for (chunk, mut m) in mask_chunks(mask).enumerate() {
+            while m != 0 {
+                let to = at + (chunk * 64 + m.trailing_zeros() as usize) * 4;
+                let value = values.next().expect("one data word for each set bit");
+                target[to..to + 4].copy_from_slice(value);
+                m &= m - 1;
+            }
         }
     })?;
     Ok(())
-}
-
-/// A pending DUQ entry's twin, tagged with its object.
-#[derive(Clone, Debug)]
-pub struct Twin {
-    /// The object this twin shadows.
-    pub object: ObjectId,
-    /// Snapshot of the object at the time of the first write since the last
-    /// flush.
-    pub data: Vec<u8>,
 }
 
 #[cfg(test)]
@@ -600,6 +686,18 @@ mod tests {
         }
     }
 
+    /// The spans of `d` as `(first word, mask, changed words)`.
+    fn spans(d: &Diff) -> Vec<(usize, Vec<u8>, Vec<u32>)> {
+        let mut out = Vec::new();
+        d.for_each_span(|start, mask, data| {
+            let values = data
+                .chunks_exact(4)
+                .map(|w| u32::from_le_bytes(w.try_into().unwrap()));
+            out.push((start, mask.to_vec(), values.collect()));
+        });
+        out
+    }
+
     /// Flips one byte of each listed word of a copy of `twin`.
     fn with_words_changed(twin: &[u8], words: impl IntoIterator<Item = usize>) -> Vec<u8> {
         let mut cur = twin.to_vec();
@@ -618,7 +716,7 @@ mod tests {
         assert_eq!(d.run_count(), 0);
         assert_eq!(d.words(), 4);
         assert_eq!(d.encoded_bytes(), 1);
-        assert_eq!(d, Diff::empty(4));
+        assert_eq!(d, Diff::from_wire(Arc::from(&[4u8][..])).unwrap());
     }
 
     #[test]
@@ -628,9 +726,7 @@ mod tests {
         cur[12..16].copy_from_slice(&7u32.to_le_bytes());
         let d = encode(&cur, &twin);
         assert_eq!(d.run_count(), 1);
-        let run = d.runs().next().unwrap();
-        assert_eq!(run.skip, 3);
-        assert_eq!(run.words(), vec![7]);
+        assert_eq!(spans(&d), [(3, vec![], vec![7])]);
         assert_eq!(d.changed_words(), 1);
     }
 
@@ -640,7 +736,7 @@ mod tests {
         let cur = to_bytes(&[9; 16]);
         let d = encode(&cur, &twin);
         assert_eq!(d.run_count(), 1);
-        assert_eq!(d.runs().next().unwrap().skip, 0);
+        assert_eq!(spans(&d), [(0, vec![], vec![9; 16])]);
         assert_eq!(d.changed_words(), 16);
     }
 
@@ -649,17 +745,22 @@ mod tests {
         // "In the third every other word has changed which is the worst case
         // for our run-length encoding scheme because there are a maximum
         // number of minimum-length runs."
-        let twin = to_bytes(&vec![0u32; 64]);
-        let cur = to_bytes(
-            &(0..64u32)
-                .map(|i| if i % 2 == 0 { 5 } else { 0 })
-                .collect::<Vec<_>>(),
-        );
+        // Still the maximum number of runs, and what the cost model charges
+        // for; on the wire they are one masked span over words 0..=2046.
+        let twin = random_words(2048, 9);
+        let cur = with_words_changed(&twin, (0..2048).step_by(2));
         let d = encode(&cur, &twin);
-        assert_eq!(d.run_count(), 32);
-        assert_eq!(d.changed_words(), 32);
-        // One header byte, then 2 + 4 bytes per run.
-        assert_eq!(d.encoded_bytes(), 1 + 32 * (2 + 4));
+        assert_eq!((d.run_count(), d.changed_words()), (1024, 1024));
+        let [(0, mask, values)] = &spans(&d)[..] else {
+            panic!("one span at word 0");
+        };
+        assert_eq!(mask[..255], [0x55; 255]);
+        assert_eq!(mask[255..], [0x55 & 0x7F]);
+        assert_eq!(values.len(), 1024);
+        // words (2) + skip, count = 0, len (1 + 1 + 2) + mask + data; as runs
+        // it was 2 + 1024 * (2 + 4) = 6146.
+        assert_eq!(d.encoded_bytes(), 2 + 4 + 256 + 1024 * 4);
+        assert_eq!(d.encoded_bytes(), 4358);
     }
 
     #[test]
@@ -691,6 +792,21 @@ mod tests {
         apply(&diff_b, &mut master).unwrap();
         assert_eq!(u32::from_le_bytes(master[0..4].try_into().unwrap()), 11);
         assert_eq!(u32::from_le_bytes(master[28..32].try_into().unwrap()), 22);
+
+        // The same through masks: four writers stride a page, each diff is
+        // one masked span covering the other three's words, and a span
+        // writes its own set-bit words only — in whatever order they land.
+        let original = random_words(2048, 21);
+        let writers: Vec<Vec<u8>> = (0..4)
+            .map(|me| with_words_changed(&original, (me..2048).step_by(4)))
+            .collect();
+        let mut master = original.clone();
+        for me in [2, 0, 3, 1] {
+            let d = encode(&writers[me], &original);
+            assert!(matches!(&spans(&d)[..], [(_, mask, _)] if !mask.is_empty()));
+            apply(&d, &mut master).unwrap();
+        }
+        assert_eq!(master, with_words_changed(&original, 0..2048));
     }
 
     #[test]
@@ -739,16 +855,81 @@ mod tests {
     }
 
     #[test]
-    fn from_wire_rejects_empty_run() {
-        // [words=4][skip=0, count=0]: the encoder never emits empty runs and
-        // the validator must not accept them from the wire — alone, or after
-        // a good run.
-        for bytes in [&[4u8, 0, 0][..], &[4, 0, 1, 9, 9, 9, 9, 1, 0]] {
+    fn from_wire_rejects_malformed_masked_spans() {
+        // A good span over 12 words: words 0, 2 and 9 of the span change.
+        let good = [&[16u8, 1, 0, 10, 0b0000_0101, 0b10][..], &[7; 12]].concat();
+        let d = Diff::from_wire(Arc::from(good.as_slice())).unwrap();
+        assert_eq!((d.run_count(), d.changed_words()), (3, 3));
+        assert_eq!(spans(&d), [(1, vec![5, 2], vec![0x0707_0707; 3])]);
+        let w = |n: usize| vec![7u8; 4 * n];
+        let u32_max = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+        for (bytes, why) in [
+            // `count == 0` and nothing after it: there is no empty run.
+            (vec![16, 0, 0], "truncated diff span header"),
+            (
+                [&[16, 0, 0, 0, 0][..], &w(1)].concat(),
+                "diff span under two words",
+            ),
+            (
+                [&[16, 0, 0, 1, 1][..], &w(1)].concat(),
+                "diff span under two words",
+            ),
+            // First bit clear, last bit clear, a padding bit set.
+            (
+                [&[16, 0, 0, 10, 0b100, 0b10][..], &w(2)].concat(),
+                "non-canonical diff mask",
+            ),
+            (
+                [&[16, 0, 0, 10, 0b101, 0b01][..], &w(3)].concat(),
+                "non-canonical diff mask",
+            ),
+            (
+                [&[16, 0, 0, 10, 0b101, 0b110][..], &w(4)].concat(),
+                "non-canonical diff mask",
+            ),
+            (vec![16, 0, 0, 10, 0b101], "truncated diff span mask"),
+            (
+                [&[16, 0, 0, 10, 0b101, 0b10][..], &w(2)].concat(),
+                "truncated diff span data",
+            ),
+            (
+                [&[16, 0, 0, 10, 0b101, 0b10][..], &w(3)[..11]].concat(),
+                "truncated diff span data",
+            ),
+            // Words 7..17 of 16, and a `len` no object could hold.
+            (
+                [&[16, 7, 0, 10, 0b101, 0b10][..], &w(3)].concat(),
+                "diff span overruns object",
+            ),
+            (
+                [&[16, 0, 0][..], &u32_max, &[1]].concat(),
+                "diff span overruns object",
+            ),
+            (
+                [&u32_max[..], &[1, 0], &u32_max, &[1]].concat(),
+                "diff span overruns object",
+            ),
+            (
+                [&u32_max[..], &[0, 0], &u32_max, &[1]].concat(),
+                "truncated diff span mask",
+            ),
+        ] {
             assert_eq!(
-                Diff::from_wire(Arc::from(bytes)),
-                Err(MuninError::ProtocolViolation("empty diff run"))
+                Diff::from_wire(Arc::from(bytes.as_slice())),
+                Err(MuninError::ProtocolViolation(why)),
+                "{bytes:?}"
             );
-            assert!(apply(&unchecked(bytes), &mut [0u8; 16]).is_err());
+            // `apply` holds the same line, and writes nothing of the span.
+            let mut target = [0xEEu8; 64];
+            assert!(apply(&unchecked(&bytes), &mut target).is_err());
+            assert_eq!(target, [0xEE; 64], "{bytes:?}");
+        }
+        // After a good run or span the next is held to the same: a bare
+        // `count == 0`, and a data word too many (a span header cut short).
+        for tail in [&[1u8, 0][..], &[7; 4]] {
+            let bytes = [&good, tail].concat();
+            assert!(Diff::from_wire(Arc::from(bytes.as_slice())).is_err());
+            assert!(apply(&unchecked(&bytes), &mut [0u8; 64]).is_err());
         }
     }
 
@@ -768,19 +949,16 @@ mod tests {
             0x1000_0000,
             u32::MAX,
         ] {
-            let mut fast = Vec::new();
-            put_varint(&mut fast, v);
-            let mut general = Vec::new();
-            put_varint_general(&mut general, v);
-            assert_eq!(fast, general, "{v:#x}");
-            assert_eq!(fast.len(), varint_len(v), "{v:#x}");
-            assert!(fast.len() == expected_len || fast.len() == expected_len + 1);
-            expected_len = fast.len();
-            assert_eq!(get_varint(&fast, 0, "cut"), Ok((v, fast.len())), "{v:#x}");
+            let mut bytes = Vec::new();
+            put_varint(&mut bytes, v);
+            assert_eq!(bytes.len(), varint_len(v), "{v:#x}");
+            assert!(bytes.len() == expected_len || bytes.len() == expected_len + 1);
+            expected_len = bytes.len();
+            assert_eq!(get_varint(&bytes, 0, "cut"), Ok((v, bytes.len())), "{v:#x}");
             // Every proper prefix is a truncation, reported as the caller's.
-            for cut in 0..fast.len() {
+            for cut in 0..bytes.len() {
                 assert_eq!(
-                    get_varint(&fast[..cut], 0, "cut"),
+                    get_varint(&bytes[..cut], 0, "cut"),
                     Err(MuninError::ProtocolViolation("cut"))
                 );
             }
@@ -841,8 +1019,12 @@ mod tests {
             d.as_wire_bytes(),
             encode_reference(&cur, &twin).as_wire_bytes()
         );
-        let shape: Vec<(u32, usize)> = d.runs().map(|r| (r.skip, r.data.len() / 4)).collect();
-        assert_eq!(shape, [(0, 1), (299, 200), (19_500, 20_000), (119_999, 1)]);
+        let shape: Vec<_> = spans(&d)
+            .iter()
+            .map(|(start, mask, values)| (*start, mask.len(), values.len()))
+            .collect();
+        let runs = [(0, 1), (300, 200), (20_000, 20_000), (words - 1, 1)];
+        assert_eq!(shape, runs.map(|(start, count)| (start, 0, count)));
         assert_eq!(d.words(), words as u32);
         assert_eq!(d.run_count(), 4);
         assert_eq!(d.changed_words(), 20_202);
@@ -875,12 +1057,31 @@ mod tests {
         let d = encode(&cur, &twin);
         // words + one run (skip, count: a byte each) + one data word.
         assert_eq!(d.encoded_bytes(), 1 + 2 + 4);
-        // The `wshared` shape: every fourth word of an 8 KB page.
+        // Two runs close enough to cluster, too few for a mask to pay: `len`
+        // and a mask byte are the two bytes the second header takes.
+        let twin = to_bytes(&[0; 8]);
+        let cur = with_words_changed(&twin, [1, 3]);
+        let d = encode(&cur, &twin);
+        assert_eq!(
+            spans(&d),
+            [(1, vec![], vec![0xA5]), (3, vec![], vec![0xA5])]
+        );
+        assert_eq!(d.encoded_bytes(), 1 + 2 * (2 + 4));
+        // A third makes it strictly shorter: words, then skip, 0, len, one
+        // mask byte and three words — 17 bytes, where three runs take 19.
+        let cur = with_words_changed(&twin, [1, 3, 5]);
+        let d = encode(&cur, &twin);
+        assert_eq!(spans(&d), [(1, vec![0b1_0101], vec![0xA5; 3])]);
+        assert_eq!((d.run_count(), d.changed_words()), (3, 3));
+        assert_eq!(d.encoded_bytes(), 1 + (3 + 1) + 3 * 4);
+        // The `wshared` shape: every fourth word of an 8 KB page, one span of
+        // 2 045 words. As 512 runs it was 2 + 512 * (2 + 4) = 3074 bytes.
         let twin = random_words(2048, 5);
         let cur = with_words_changed(&twin, (0..2048).step_by(4));
         let d = encode(&cur, &twin);
         assert_eq!((d.run_count(), d.changed_words()), (512, 512));
-        assert_eq!(d.encoded_bytes(), 2 + 512 * (2 + 4));
+        assert_eq!(d.encoded_bytes(), 2 + (1 + 1 + 2) + 256 + 512 * 4);
+        assert_eq!(d.encoded_bytes(), 2310);
     }
 
     #[test]
@@ -895,11 +1096,11 @@ mod tests {
         let cur = to_bytes(&[1; 8]);
         let d = encode(&cur, &twin);
         let c = d.clone();
-        assert!(d.shares_buffer(&c));
+        assert!(std::ptr::eq(d.as_wire_bytes(), c.as_wire_bytes()));
         // An equal but separately encoded diff does not share.
         let e = encode(&cur, &twin);
         assert_eq!(d, e);
-        assert!(!d.shares_buffer(&e));
+        assert!(!std::ptr::eq(d.as_wire_bytes(), e.as_wire_bytes()));
     }
 
     #[test]
@@ -907,7 +1108,7 @@ mod tests {
         let twin = random_words(512, 7);
         let mut cur = twin.clone();
         cur[100..104].copy_from_slice(&1u32.to_le_bytes());
-        let mut scratch = DiffScratch::new();
+        let mut scratch = DiffScratch::default();
         let _ = scratch.encode(&cur, &twin);
         let cap = scratch.capacity();
         assert!(cap > 0);

@@ -9,8 +9,6 @@
 //! copyset, the probable owner, the home node, and an optional link to the
 //! synchronization object that protects the object.
 
-use std::collections::HashMap;
-
 use munin_sim::NodeId;
 
 use crate::annotation::{ProtocolParams, SharingAnnotation};
@@ -128,7 +126,6 @@ impl DirEntry {
 #[derive(Clone, Debug, Default)]
 pub struct Directory {
     entries: Vec<DirEntry>,
-    by_start: HashMap<usize, ObjectId>,
     /// How many `PhaseChange()` hints this node's user thread has issued.
     /// Kept here, under the directory lock, because it qualifies every
     /// entry's `copyset_fixed` bit: the bit describes the sharing
@@ -140,8 +137,10 @@ impl Directory {
     /// Builds a directory from the shared data description table, as the root
     /// node does at startup. `home` is the home node recorded for every
     /// statically allocated object (the root node), and
-    /// `annotation_override`, when set, forces every writable variable to a
-    /// single annotation (used to reproduce Table 6).
+    /// `annotation_override`, when set, forces every variable to a single
+    /// annotation (Table 6) — read-only inputs too: that is why the
+    /// multi-protocol version wins for Matrix Multiply, where `read_only` /
+    /// `result` sped up loading the inputs and purging the output.
     pub fn from_table(
         table: &SharedDataTable,
         home: NodeId,
@@ -149,18 +148,8 @@ impl Directory {
     ) -> Self {
         let mut dir = Directory::default();
         for obj in table.objects() {
-            let declared = table.annotation_of(obj.id);
-            let annotation = match annotation_override {
-                Some(forced)
-                    if declared != SharingAnnotation::ReadOnly
-                        || forced_applies_to_read_only(forced) =>
-                {
-                    forced
-                }
-                _ => declared,
-            };
+            let annotation = annotation_override.unwrap_or(table.annotation_of(obj.id));
             let params = ProtocolParams::for_annotation(annotation);
-            dir.by_start.insert(obj.segment_offset, obj.id);
             dir.entries.push(DirEntry {
                 object: obj.id,
                 start: obj.segment_offset,
@@ -187,12 +176,6 @@ impl Directory {
         &mut self.entries[object.as_usize()]
     }
 
-    /// Looks an entry up by the start address of its object, as the paper's
-    /// hash table does.
-    pub fn lookup_start(&self, start: usize) -> Option<&DirEntry> {
-        self.by_start.get(&start).map(|id| self.entry(*id))
-    }
-
     /// All entries.
     pub fn entries(&self) -> &[DirEntry] {
         &self.entries
@@ -207,14 +190,6 @@ impl Directory {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-}
-
-/// The Table 6 experiment forces *all* shared variables to a single protocol.
-/// Read-only inputs are also forced (that is precisely why the multi-protocol
-/// version wins for Matrix Multiply: `read_only`/`result` sped up loading the
-/// inputs and purging the output compared to treating everything uniformly).
-fn forced_applies_to_read_only(_forced: SharingAnnotation) -> bool {
-    true
 }
 
 #[cfg(test)]
@@ -240,16 +215,6 @@ mod tests {
         assert_eq!(first.home, NodeId::new(0));
         assert_eq!(first.probable_owner, NodeId::new(0));
         assert_eq!(first.state.rights, AccessRights::Invalid);
-    }
-
-    #[test]
-    fn lookup_by_start_address() {
-        let t = table();
-        let dir = Directory::from_table(&t, NodeId::new(0), None);
-        let ws_var = t.var_by_name("ws").unwrap();
-        let entry = dir.lookup_start(ws_var.segment_offset).unwrap();
-        assert_eq!(entry.annotation, SharingAnnotation::WriteShared);
-        assert!(dir.lookup_start(7).is_none());
     }
 
     #[test]

@@ -1109,7 +1109,7 @@ mod tests {
                 unreachable!()
             };
             assert!(
-                c.shares_buffer(d),
+                std::ptr::eq(c.as_wire_bytes(), d.as_wire_bytes()),
                 "per-destination clones must share one encoding"
             );
         }

@@ -326,7 +326,7 @@ impl NodeRuntime {
                 user_thread: std::thread::current().id(),
                 dir: Mutex::new(dir),
                 duq: Mutex::new(DelayedUpdateQueue::new()),
-                diff_scratch: Mutex::new(DiffScratch::new()),
+                diff_scratch: Mutex::new(DiffScratch::default()),
                 sync: Mutex::new(sync),
                 outbox: Mutex::new(outbox::Outbox::new()),
                 update_seq_out: Mutex::new(vec![0; nodes]),

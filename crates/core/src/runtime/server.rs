@@ -1251,15 +1251,10 @@ impl NodeRuntime {
             let slot = &mut cur[offset..offset + 8];
             let old = slot.to_vec();
             let old_i = i64::from_le_bytes(old.clone().try_into().unwrap_or([0; 8]));
-            let old_f = f64::from_le_bytes(old.clone().try_into().unwrap_or([0; 8]));
             let new_bytes: Option<[u8; 8]> = match op {
                 ReduceOp::Read => None,
                 ReduceOp::AddI64(v) => Some((old_i.wrapping_add(v)).to_le_bytes()),
                 ReduceOp::MinI64(v) => Some(old_i.min(v).to_le_bytes()),
-                ReduceOp::MaxI64(v) => Some(old_i.max(v).to_le_bytes()),
-                ReduceOp::AddF64(v) => Some((old_f + v).to_le_bytes()),
-                ReduceOp::MinF64(v) => Some(old_f.min(v).to_le_bytes()),
-                ReduceOp::MaxF64(v) => Some(old_f.max(v).to_le_bytes()),
             };
             if let Some(bytes) = new_bytes {
                 slot.copy_from_slice(&bytes);

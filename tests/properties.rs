@@ -82,6 +82,122 @@ fn from_wire(bytes: &[u8]) -> munin::dsm::Result<diff::Diff> {
     diff::Diff::from_wire(std::sync::Arc::from(bytes))
 }
 
+/// A layout that mixes what the cluster rule tells apart, at one-byte header
+/// scale: long runs (too long to begin or join a cluster), clusters of short
+/// runs a few words apart, and lone words far from everything.
+fn mixed_layout() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(any::<u32>(), 1..10).prop_map(|draws| {
+        let mut layout = Vec::new();
+        for d in draws {
+            let (kind, a, b) = (d % 3, (d >> 8) as usize, (d >> 20) as usize);
+            match kind {
+                // gap, long run
+                0 => layout.extend([a % 40, 16 + b % 100]),
+                // gap, then 1..=8 short runs within reach of each other
+                1 => {
+                    layout.extend([16 + a % 40, 1 + b % 4]);
+                    for k in 0..a % 8 {
+                        let count = 1 + (b >> k) % 5;
+                        layout.extend([1 + (a >> k) % (15 - count), count]);
+                    }
+                }
+                // a lone word after a long gap
+                _ => layout.extend([16 + a % 300, 1]),
+            }
+        }
+        layout
+    })
+}
+
+/// One span of a diff as the decoder's walker sees it.
+#[derive(Debug, PartialEq)]
+struct Span {
+    /// Index of the span's first word.
+    start: usize,
+    /// The mask of a masked span; empty for a run.
+    mask: Vec<u8>,
+    /// The new values of the changed words.
+    data: Vec<u8>,
+}
+
+impl Span {
+    /// Words the span covers: all of a run's, up to the last set bit of a mask.
+    fn len(&self) -> usize {
+        match self.mask.last() {
+            Some(last) => self.mask.len() * 8 - last.leading_zeros() as usize,
+            None => self.data.len() / 4,
+        }
+    }
+
+    /// Indices of the words the span changes.
+    fn changed(&self) -> Vec<usize> {
+        let covered = self.start..self.start + self.len();
+        let set = |w: &usize| self.mask[(w - self.start) / 8] >> ((w - self.start) % 8) & 1 == 1;
+        covered.filter(|w| self.mask.is_empty() || set(w)).collect()
+    }
+
+    /// Maximal runs of changed words in the span.
+    fn runs(&self) -> usize {
+        let changed = self.changed();
+        changed
+            .iter()
+            .zip(changed.iter().skip(1))
+            .filter(|(a, b)| **b > **a + 1)
+            .count()
+            + 1
+    }
+
+    /// Bytes the span takes on the wire after a span that ended at `last_end`.
+    fn wire_len(&self, last_end: usize) -> usize {
+        let skip = varint_len((self.start - last_end) as u32);
+        let header = match self.mask.len() {
+            0 => varint_len(self.len() as u32),
+            mask => 1 + varint_len(self.len() as u32) + mask,
+        };
+        skip + header + self.data.len()
+    }
+}
+
+fn spans(d: &diff::Diff) -> Vec<Span> {
+    let mut out = Vec::new();
+    d.for_each_span(|start, mask, data| {
+        out.push(Span {
+            start,
+            mask: mask.to_vec(),
+            data: data.to_vec(),
+        });
+    });
+    out
+}
+
+/// The run-length spelling of the diff of `current` against `twin` — the
+/// whole format before masked spans, and the size no diff may exceed —
+/// written from the definition: maximal runs, `skip`, `count`, data. Returns
+/// the bytes, the runs and the changed words.
+fn rle_oracle(current: &[u8], twin: &[u8]) -> (Vec<u8>, usize, usize) {
+    let put = |out: &mut Vec<u8>, v: usize| out.extend(overlong(v as u32, 0));
+    let words = current.len() / 4;
+    let differs = |w: usize| w < words && current[w * 4..w * 4 + 4] != twin[w * 4..w * 4 + 4];
+    let (mut out, mut runs, mut changed, mut last_end) = (Vec::new(), 0, 0, 0);
+    put(&mut out, words);
+    let mut w = 0;
+    while w < words {
+        if !differs(w) {
+            w += 1;
+            continue;
+        }
+        let start = w;
+        while differs(w) {
+            w += 1;
+        }
+        put(&mut out, start - last_end);
+        put(&mut out, w - start);
+        out.extend_from_slice(&current[start * 4..w * 4]);
+        (runs, changed, last_end) = (runs + 1, changed + w - start, w);
+    }
+    (out, runs, changed)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -109,12 +225,15 @@ proptest! {
     /// Diffs of writers that touch disjoint words merge cleanly into the
     /// original in either order (the multiple-writers guarantee).
     #[test]
-    fn disjoint_diffs_merge_in_any_order(original in word_buffer(32), mask in any::<u32>()) {
+    fn disjoint_diffs_merge_in_any_order(original in word_buffer(96), mask in any::<u32>()) {
         let words = original.len() / 4;
         let mut writer_a = original.clone();
         let mut writer_b = original.clone();
         for w in 0..words {
-            let bit = (mask >> (w % 32)) & 1 == 1;
+            // The first 32 words fall as the draw says; the rest alternate
+            // pair by pair, so both diffs hold a cluster that goes masked
+            // and each writer's words sit in the gaps of the other's mask.
+            let bit = if w < 32 { (mask >> w) & 1 == 1 } else { w % 4 < 2 };
             let slot = w * 4;
             if bit {
                 writer_a[slot] = writer_a[slot].wrapping_add(1);
@@ -124,6 +243,9 @@ proptest! {
         }
         let diff_a = diff::encode(&writer_a, &original);
         let diff_b = diff::encode(&writer_b, &original);
+        for d in [&diff_a, &diff_b] {
+            prop_assert!(spans(d).iter().any(|s| !s.mask.is_empty()), "a masked span");
+        }
 
         let mut ab = original.clone();
         diff::apply(&diff_a, &mut ab).unwrap();
@@ -140,42 +262,47 @@ proptest! {
         }
     }
 
-    /// The encoded size is exactly the `words` varint, two varints per run
-    /// and the changed words; never more than the fixed-width format it
-    /// replaced (`4 + 8·runs + 4·changed`), and less as soon as there is a
-    /// run. The counts the encoder carries equal a recount over the runs, and
-    /// no run carries a word the twin already had.
+    /// No diff is longer than its run-length spelling, one in which no
+    /// cluster pays for a mask *is* that spelling byte for byte, and the
+    /// counts the cost model charges are the run-length ones whatever the
+    /// spelling. The size is the `words` varint plus what each span takes by
+    /// the format's definition; spans are maximal and none carries a word the
+    /// twin already had.
     #[test]
-    fn encoded_size_is_bounded(layout in run_layout(), seed in any::<u64>()) {
-        let (current, twin) = laid_out(&layout, seed);
-        let d = diff::encode(&current, &twin);
-        let words = current.len() / 4;
-        prop_assert_eq!(d.words() as usize, words);
-        prop_assert!(d.changed_words() <= words);
-        prop_assert!(d.run_count() <= words.div_ceil(2));
+    fn encoded_size_is_bounded(layout in run_layout(), mixed in mixed_layout(), seed in any::<u64>()) {
+        for layout in [layout, mixed] {
+            let (current, twin) = laid_out(&layout, seed);
+            let d = diff::encode(&current, &twin);
+            let words = current.len() / 4;
+            prop_assert_eq!(d.words() as usize, words);
 
-        let (mut runs, mut changed, mut at) = (0, 0, 0);
-        let mut size = varint_len(words as u32);
-        for run in d.runs() {
-            let count = run.data.len() / 4;
-            prop_assert!(count > 0);
-            prop_assert!(run.skip > 0 || runs == 0, "runs are maximal");
-            at += run.skip as usize;
-            for (i, word) in run.data.chunks_exact(4).enumerate() {
-                prop_assert!(word != &twin[(at + i) * 4..(at + i) * 4 + 4]);
+            let (rle, rle_runs, rle_changed) = rle_oracle(&current, &twin);
+            prop_assert_eq!((d.run_count(), d.changed_words()), (rle_runs, rle_changed));
+            prop_assert!(d.encoded_bytes() <= rle.len());
+            let spans = spans(&d);
+            if spans.iter().all(|s| s.mask.is_empty()) {
+                prop_assert_eq!(d.as_wire_bytes(), &rle[..]);
+            } else {
+                prop_assert!(d.encoded_bytes() < rle.len(), "a mask only where it is shorter");
             }
-            at += count;
-            runs += 1;
-            changed += count;
-            size += varint_len(run.skip) + varint_len(count as u32) + 4 * count;
-        }
-        prop_assert_eq!((d.run_count(), d.changed_words()), (runs, changed));
-        prop_assert_eq!(d.encoded_bytes(), size);
-        prop_assert!(size <= varint_len(words as u32) * (1 + 2 * runs) + 4 * changed);
 
-        let legacy = 4 + 8 * runs + 4 * changed;
-        prop_assert!(size <= legacy);
-        prop_assert!(runs == 0 || size < legacy);
+            let (mut runs, mut changed, mut last_end) = (0, 0, 0);
+            let mut size = varint_len(words as u32);
+            for span in &spans {
+                prop_assert!(span.start > last_end || runs == 0, "spans are maximal");
+                prop_assert!(span.mask.is_empty() || span.len() >= 2);
+                let at = span.changed();
+                prop_assert_eq!((at[0], at[at.len() - 1]), (span.start, span.start + span.len() - 1));
+                for (w, word) in at.iter().zip(span.data.chunks_exact(4)) {
+                    prop_assert!(word != &twin[w * 4..w * 4 + 4]);
+                    prop_assert_eq!(word, &current[w * 4..w * 4 + 4]);
+                }
+                size += span.wire_len(last_end);
+                (runs, changed, last_end) = (runs + span.runs(), changed + at.len(), span.start + span.len());
+            }
+            prop_assert_eq!((d.run_count(), d.changed_words()), (runs, changed));
+            prop_assert_eq!(d.encoded_bytes(), size);
+        }
     }
 
     /// The block-skip encoder is bit-identical to the word-by-word reference
@@ -193,16 +320,22 @@ proptest! {
     #[test]
     fn block_skip_encoder_matches_reference_on_every_header_width(
         layout in run_layout(),
+        mixed in mixed_layout(),
         seed in any::<u64>(),
     ) {
-        let (current, twin) = laid_out(&layout, seed);
-        let fast = diff::encode(&current, &twin);
-        let reference = diff::encode_reference(&current, &twin);
-        prop_assert_eq!(fast.as_wire_bytes(), reference.as_wire_bytes());
-        prop_assert_eq!(
-            (fast.run_count(), fast.changed_words()),
-            (reference.run_count(), reference.changed_words())
-        );
+        // ... and on long runs, clusters and lone words side by side, where
+        // the two apply the cluster rule: one to a list of runs, the other to
+        // a bitmap.
+        for layout in [layout, mixed] {
+            let (current, twin) = laid_out(&layout, seed);
+            let fast = diff::encode(&current, &twin);
+            let reference = diff::encode_reference(&current, &twin);
+            prop_assert_eq!(fast.as_wire_bytes(), reference.as_wire_bytes());
+            prop_assert_eq!(
+                (fast.run_count(), fast.changed_words()),
+                (reference.run_count(), reference.changed_words())
+            );
+        }
     }
 
     /// Wire round-trip: re-framing the encoded bytes with `from_wire` and
@@ -217,50 +350,129 @@ proptest! {
         prop_assert_eq!(target, current);
     }
 
-    /// A prefix of a valid encoding is valid exactly when it ends on a run
-    /// boundary, and then it *is* the first k runs — with the counts
-    /// `from_wire` computes matching; a cut anywhere inside a run, header or
-    /// data, is rejected. (Every cut is tried on small layouts, the cuts
-    /// around each boundary on large ones.)
+    /// A prefix of a valid encoding is valid exactly when it ends on a span
+    /// boundary, and then it *is* the first k spans — with the counts
+    /// `from_wire` computes matching; a cut anywhere inside a span — header,
+    /// run data, mask or masked data — is rejected. (Every cut is tried on
+    /// small layouts, the cuts around each boundary on large ones.)
     #[test]
     fn from_wire_accepts_a_prefix_only_on_a_run_boundary(
         layout in run_layout(),
+        mixed in mixed_layout(),
         seed in any::<u64>(),
     ) {
-        let (current, twin) = laid_out(&layout, seed);
-        let d = diff::encode(&current, &twin);
-        let wire = d.as_wire_bytes();
-        let words = (current.len() / 4) as u32;
-        // Offsets at which k whole runs end, k = 0, 1, ...
-        let mut boundaries = vec![varint_len(words)];
-        for run in d.runs() {
-            let header = varint_len(run.skip) + varint_len((run.data.len() / 4) as u32);
-            boundaries.push(boundaries.last().unwrap() + header + run.data.len());
-        }
-        prop_assert_eq!(*boundaries.last().unwrap(), wire.len());
-        let cuts: Vec<usize> = if wire.len() <= 512 {
-            (0..=wire.len()).collect()
-        } else {
-            boundaries
-                .iter()
-                .flat_map(|b| b.saturating_sub(7)..(b + 8).min(wire.len() + 1))
-                .collect()
-        };
-        for cut in cuts {
-            match (boundaries.binary_search(&cut), from_wire(&wire[..cut])) {
-                (Ok(k), Ok(prefix)) => {
-                    prop_assert_eq!(prefix.run_count(), k);
-                    prop_assert!(prefix.runs().eq(d.runs().take(k)));
-                    let changed: usize = d.runs().take(k).map(|r| r.data.len() / 4).sum();
-                    prop_assert_eq!(prefix.changed_words(), changed);
-                }
-                (Err(_), Err(_)) => {}
-                (boundary, parsed) => prop_assert!(
-                    false,
-                    "cut {cut} of {}: boundary {boundary:?}, parsed {parsed:?}",
-                    wire.len()
-                ),
+        for layout in [layout, mixed] {
+            let (current, twin) = laid_out(&layout, seed);
+            let d = diff::encode(&current, &twin);
+            let wire = d.as_wire_bytes();
+            let all = spans(&d);
+            // Offsets at which k whole spans end, k = 0, 1, ...
+            let mut boundaries = vec![varint_len((current.len() / 4) as u32)];
+            let mut last_end = 0;
+            for span in &all {
+                boundaries.push(boundaries.last().unwrap() + span.wire_len(last_end));
+                last_end = span.start + span.len();
             }
+            prop_assert_eq!(*boundaries.last().unwrap(), wire.len());
+            let cuts: Vec<usize> = if wire.len() <= 512 {
+                (0..=wire.len()).collect()
+            } else {
+                boundaries
+                    .iter()
+                    .flat_map(|b| b.saturating_sub(7)..(b + 8).min(wire.len() + 1))
+                    .collect()
+            };
+            for cut in cuts {
+                match (boundaries.binary_search(&cut), from_wire(&wire[..cut])) {
+                    (Ok(k), Ok(prefix)) => {
+                        prop_assert_eq!(&spans(&prefix)[..], &all[..k]);
+                        let runs: usize = all[..k].iter().map(Span::runs).sum();
+                        let changed: usize = all[..k].iter().map(|s| s.data.len() / 4).sum();
+                        prop_assert_eq!((prefix.run_count(), prefix.changed_words()), (runs, changed));
+                    }
+                    (Err(_), Err(_)) => {}
+                    (boundary, parsed) => prop_assert!(
+                        false,
+                        "cut {cut} of {}: boundary {boundary:?}, parsed {parsed:?}",
+                        wire.len()
+                    ),
+                }
+            }
+        }
+    }
+
+    /// Whatever bytes arrive, `from_wire` answers `Ok` or a protocol
+    /// violation — it does not panic — and what it accepts `apply` installs:
+    /// onto a target of the declared length, changing exactly the
+    /// `changed_words()` words the spans name and no other. The bytes are a
+    /// valid encoding with a few of them redrawn, cut, or extended, so that
+    /// most of the walker is reached; and plain noise.
+    #[test]
+    fn from_wire_never_panics_and_apply_installs_what_it_accepted(
+        mixed in mixed_layout(),
+        noise in proptest::collection::vec(any::<u8>(), 0..48),
+        seed in any::<u64>(),
+    ) {
+        let (current, twin) = laid_out(&mixed, seed);
+        let valid = diff::encode(&current, &twin).as_wire_bytes().to_vec();
+        let mut mutated = valid.clone();
+        let mut draw = seed;
+        for _ in 0..seed % 4 {
+            draw = draw.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let at = (draw >> 33) as usize % mutated.len();
+            match draw % 3 {
+                0 => mutated[at] = (draw >> 16) as u8 % 20,
+                1 => mutated.truncate(at.max(1)),
+                _ => mutated.extend_from_slice(&noise[..noise.len().min(6)]),
+            }
+        }
+        for bytes in [valid, mutated, noise] {
+            let d = match from_wire(&bytes) {
+                Ok(d) => d,
+                Err(munin::dsm::MuninError::ProtocolViolation(_)) => continue,
+                Err(other) => panic!("{bytes:?}: {other:?}"),
+            };
+            if d.words() > 1 << 16 {
+                continue;
+            }
+            // Every word of the target differs from what the diff would write
+            // there, so each write shows and nothing else does.
+            let mut expected = vec![0xEEu8; d.words() as usize * 4];
+            for span in spans(&d) {
+                for (w, word) in span.changed().iter().zip(span.data.chunks_exact(4)) {
+                    expected[w * 4..w * 4 + 4].copy_from_slice(word);
+                }
+            }
+            let mut target: Vec<u8> = expected.iter().map(|b| !b).collect();
+            let before = target.clone();
+            prop_assert_eq!(diff::apply(&d, &mut target), Ok(()));
+            let written: Vec<usize> = (0..d.words() as usize)
+                .filter(|w| target[w * 4..w * 4 + 4] != before[w * 4..w * 4 + 4])
+                .collect();
+            prop_assert_eq!(written.len(), d.changed_words());
+            for w in 0..d.words() as usize {
+                let at = w * 4..w * 4 + 4;
+                let from = if written.contains(&w) { &expected } else { &before };
+                prop_assert_eq!(&target[at.clone()], &from[at]);
+            }
+        }
+    }
+
+    /// A masked span writes its set-bit words and nothing between them: a
+    /// clustered diff applied onto a poisoned target leaves the poison in
+    /// every word it does not name (flat-diff invariant 6, on the receiving
+    /// side).
+    #[test]
+    fn a_mask_never_writes_a_gap(mixed in mixed_layout(), seed in any::<u64>()) {
+        let (current, twin) = laid_out(&mixed, seed);
+        let d = diff::encode(&current, &twin);
+        let poison = vec![0xEEu8; current.len()];
+        let mut target = poison.clone();
+        diff::apply(&d, &mut target).unwrap();
+        for w in 0..current.len() / 4 {
+            let at = w * 4..w * 4 + 4;
+            let from = if current[at.clone()] != twin[at.clone()] { &current } else { &poison };
+            prop_assert_eq!(&target[at.clone()], &from[at], "word {}", w);
         }
     }
 
@@ -287,7 +499,7 @@ proptest! {
         let run = |skip: &[u8]| [&overlong(u32::MAX, 0), skip, &[1, 9, 9, 9, 9]].concat();
         if v < u32::MAX {
             let ok = from_wire(&run(&canonical)).expect("canonical skip");
-            prop_assert_eq!(ok.runs().next().map(|r| r.skip), Some(v));
+            prop_assert_eq!(spans(&ok).first().map(|s| s.start), Some(v as usize));
         }
         prop_assert!(from_wire(&run(&overlong(v, pad))).is_err());
         prop_assert!(from_wire(&run(&overflow)).is_err());
