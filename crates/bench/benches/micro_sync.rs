@@ -42,7 +42,7 @@ fn bench_sync(c: &mut Criterion) {
         });
     }
     group.finish();
-    // Also print the virtual per-round cost once, for EXPERIMENTS.md.
+    // Also print the virtual per-round cost once.
     for nodes in [2usize, 4, 8, 16] {
         println!(
             "virtual lock round ({nodes} nodes): {:.3} ms",

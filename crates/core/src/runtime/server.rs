@@ -684,14 +684,16 @@ impl NodeRuntime {
         let var = self.table.var(self.table.object(object).var);
         let var_end = var.objects.last().map_or(0, |o| o.as_u32() + 1);
         let ids = object.as_u32()..object.as_u32().saturating_add(run.max(1)).min(var_end);
-        // The fields of the reply, should the request come to one. The
-        // images are taken inside this directory-lock scope: the not-pinned
-        // guard and the copy are then atomic with respect to the user
-        // thread's pinned accesses, so a served copy can never be torn
-        // mid-access (the VM-trap mode's lock-free user copies rely on this;
-        // the explicit mode previously relied on the segment mutex for the
-        // same guarantee at whole-access granularity).
+        // The fields of the reply, should the request come to one, and what
+        // serving costs. The images are taken inside this directory-lock
+        // scope, so a served copy is never torn by the user thread's pinned
+        // accesses (the VM-trap mode's lock-free user copies rely on this).
+        // Each object served costs `dir_op`, plus `copy(size)` when its
+        // protocol lets anyone write it: the snapshot a writer would tear.
+        // One nothing can write is served by reference, as message passing
+        // sends its arrays; a zero-filled one has no bytes to copy.
         let mut data: Vec<Vec<u8>> = Vec::new();
+        let mut service = munin_sim::VirtTime::ZERO;
         let (mut ownership, mut copyset, mut writable) = (false, CopySet::EMPTY, false);
         // `Defer` or `Forward`, when that is what the first object came to.
         let mut unserved = None;
@@ -706,7 +708,12 @@ impl NodeRuntime {
                 break;
             }
             self.check_stable_sharing(entry, my_phase, phase, requester);
-            data.push(self.reply_image(entry));
+            let image = self.reply_image(entry);
+            service += self.cost.dir_op();
+            if entry.params.is_writable() {
+                service += self.cost.copy(image.len() as u64);
+            }
+            data.push(image);
             if matches!(serve, Serve::Copy) {
                 // Read replica (or a read fetch of an update-protocol
                 // object, or the first copy of one whose owner is fixed —
@@ -768,13 +775,6 @@ impl NodeRuntime {
                         let zeros = data.iter().filter(|d| d.is_empty()).count() as u32;
                         ev.zero_filled = (zeros > 0).then_some(zeros);
                     });
-                // Per object served: the directory lookup, and the copy cost
-                // the prototype pays when it assembles the reply (the copies
-                // themselves happened under the directory lock above; a
-                // zero-filled object has none).
-                let service = data.iter().fold(munin_sim::VirtTime::ZERO, |t, bytes| {
-                    t + self.cost.dir_op() + self.cost.copy(bytes.len() as u64)
-                });
                 self.charge_sys(service);
                 let _ = self.send_service(
                     requester,
@@ -1741,8 +1741,8 @@ mod tests {
     }
 
     /// A run is one request and one reply, and costs what it is: per object
-    /// served a directory lookup and a copy, per message its fixed cost. It
-    /// ends where its variable does.
+    /// served a directory lookup — `rows` is read-only, so no snapshot copy —
+    /// per message its fixed cost. It ends where its variable does.
     #[test]
     fn run_of_three_is_served_in_one_reply_and_charged_per_object() {
         let h = harness();
@@ -1753,7 +1753,7 @@ mod tests {
         let cost = &h.rt.cost;
         assert_eq!(
             h.rt.clock().system_time().as_nanos(),
-            3 * (cost.dir_op() + cost.copy(64)).as_nanos() + cost.msg_fixed().as_nanos()
+            3 * cost.dir_op().as_nanos() + cost.msg_fixed().as_nanos()
         );
         // `rows` is the last variable; a run cannot leave it (or the table).
         h.fetch(rows[1], 9, FetchKind::Read);
@@ -1761,6 +1761,51 @@ mod tests {
         // Nor can it run into the variable behind: `pc` is followed by `rows`.
         h.fetch(h.obj("pc"), 2, FetchKind::Read);
         assert_eq!(h.peer_data().1.len(), 1);
+    }
+
+    /// Node 1 reads `objects`, one fetch each as `(first object, run)`, and
+    /// asserts what the service charged: per object served a lookup and a
+    /// copy of its bytes, per reply its fixed cost.
+    fn assert_served_with_copies(h: &Harness, objects: &[(ObjectId, u32)]) {
+        let cost = &h.rt.cost;
+        let mut charged = h.rt.clock().system_time();
+        for &(object, run) in objects {
+            h.fetch(object, run, FetchKind::Read);
+            let (data, ownership, _) = peer_reply(h);
+            assert_eq!((data.len(), ownership), (run as usize, false), "{object:?}");
+            for image in &data {
+                assert!(!image.is_empty(), "{object:?} is materialised");
+                charged += cost.dir_op() + cost.copy(image.len() as u64);
+            }
+            charged += cost.msg_fixed();
+            assert_eq!(h.rt.clock().system_time(), charged, "{object:?}");
+        }
+    }
+
+    /// An object its protocol lets anyone write is snapshotted into the
+    /// reply: `ws` and `conv` pay the copy on top of the lookup, and so does
+    /// the run of three once `ChangeAnnotation` has made `rows` write-shared.
+    #[test]
+    fn a_writable_object_pays_its_snapshot_copy() {
+        let h = harness();
+        let rows = h.rows();
+        let write_shared = SharingAnnotation::WriteShared;
+        for row in rows {
+            h.rt.dir.lock().entry_mut(row).set_annotation(write_shared);
+        }
+        assert_served_with_copies(&h, &[(h.obj("ws"), 1), (h.obj("conv"), 1), (rows[0], 3)]);
+    }
+
+    /// What decides the copy is the protocol in force, not the declaration:
+    /// with every variable forced to `write_shared` (Table 6's middle row) the
+    /// read-only-declared `ro` and `rows` can be written, and pay for it.
+    #[test]
+    fn a_read_only_declaration_forced_write_shared_pays_the_copy() {
+        let cfg =
+            MuninConfig::fast_test(2).with_annotation_override(SharingAnnotation::WriteShared);
+        let h = harness_with(cfg);
+        let rows = h.rows();
+        assert_served_with_copies(&h, &[(h.obj("ro"), 1), (rows[0], 3)]);
     }
 
     /// The reply carries the objects up to the first one that cannot be
@@ -2014,7 +2059,8 @@ mod tests {
 
     /// What an owner holds is carried, zeros and all: whether to elide is
     /// read off the entry, never found by looking at the bytes. So a page
-    /// the program wrote zeros to costs what it always did, in a run too.
+    /// the program wrote zeros to travels and costs what its neighbours do,
+    /// in a run too (a lookup each: `rows` is read-only, served by reference).
     #[test]
     fn materialised_zeros_keep_their_bytes() {
         let h = harness();
@@ -2027,7 +2073,7 @@ mod tests {
         let cost = &h.rt.cost;
         assert_eq!(
             h.rt.clock().system_time().as_nanos(),
-            3 * (cost.dir_op() + cost.copy(64)).as_nanos() + cost.msg_fixed().as_nanos()
+            3 * cost.dir_op().as_nanos() + cost.msg_fixed().as_nanos()
         );
         let snapshot = h.rt.obs().snapshot();
         let served = snapshot.events.last().unwrap();
@@ -2841,8 +2887,8 @@ mod tests {
             .unwrap();
         let (reply, msg) = peer_rx.recv().unwrap();
         assert!(matches!(msg, DsmMsg::ObjectData { .. }));
-        let size = rt.table.object(ro).size as u64;
-        let service = rt.cost.dir_op() + rt.cost.copy(size);
+        // A lookup; `ro` is read-only, so no snapshot copy.
+        let service = rt.cost.dir_op();
         assert_eq!(reply.sent_at, sent.arrival + service);
         // Only the stolen cycles (the service cost and the reply's fixed
         // message cost) reached the node clock; the 5 ms did not.

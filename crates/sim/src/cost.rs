@@ -32,7 +32,8 @@ pub struct CostModel {
     /// Cost to take a page/access fault and dispatch it to the user-level
     /// handler (includes resuming the faulted thread afterwards).
     pub fault_ns: u64,
-    /// Cost per byte to copy an object (twin creation, object copy on reply).
+    /// Cost per byte to copy an object (twin creation, a writable object's
+    /// reply).
     pub copy_ns_per_byte: u64,
     /// Cost per 32-bit word to compare an object against its twin and append
     /// to the run-length encoding.
@@ -141,7 +142,8 @@ impl CostModel {
         VirtTime::from_nanos(self.fault_ns)
     }
 
-    /// Cost of copying `bytes` bytes (twin creation or object copy).
+    /// Cost of copying `bytes` bytes (twin creation or a writable object's
+    /// reply).
     pub fn copy(&self, bytes: u64) -> VirtTime {
         VirtTime::from_nanos(bytes * self.copy_ns_per_byte)
     }
