@@ -11,7 +11,7 @@
 //!
 //! Twin buffers are recycled through a small pool: a first-write fault takes
 //! a buffer from the pool instead of allocating, and the flush path returns
-//! the buffer once the diff is encoded. Under a steady flush cadence the
+//! the buffer when the entry leaves the queue. Under a steady flush cadence the
 //! write-shared hot path therefore performs no twin allocations after
 //! warm-up.
 
@@ -110,7 +110,8 @@ impl DelayedUpdateQueue {
     }
 
     /// Returns a twin buffer to the pool for reuse by a later first-write
-    /// fault. Called by the flush path once the diff has been encoded.
+    /// fault. Called when an entry leaves the queue, once its diff has been
+    /// encoded — or at once, when its changes have nowhere to go.
     pub fn recycle_twin(&mut self, buf: Vec<u8>) {
         if self.twin_pool.len() < TWIN_POOL_CAP {
             self.twin_pool.push(buf);

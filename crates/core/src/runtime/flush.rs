@@ -274,9 +274,9 @@ impl NodeRuntime {
             }
         }
 
-        // Steps 2 and 3: encode each entry exactly once (the flat diff buffer
-        // is shared, via `Arc`, between the per-destination clones of the
-        // payload), then send.
+        // Steps 2 and 3: encode each entry with a receiver exactly once (the
+        // flat diff buffer is shared, via `Arc`, between the per-destination
+        // clones of the payload), then send.
         let max = self.cfg.relay_max_bytes;
         let mut pending = PerDest::new();
         let mut relay = PerDest::new();
@@ -615,89 +615,85 @@ impl NodeRuntime {
         }
     }
 
-    /// Takes `object`'s entry out of the DUQ and encodes what it changed — a
-    /// diff against the twin (straight out of segment memory, into the node's
-    /// reusable scratch buffer; the twin goes back to the pool) or the whole
-    /// image when there is none — in one DUQ-lock scope, the one
-    /// `apply_update_items` holds across memory apply + twin patch. A peer's
-    /// update is therefore in both the memory and the twin compared here or
-    /// in neither, and the diff carries this node's own words only (flat
-    /// diff invariant 6). `None`: the object is not queued (any more).
-    pub(crate) fn capture_changes(&self, object: ObjectId) -> Option<UpdatePayload> {
+    /// Takes `object`'s entry out of the DUQ and, when `encode`, captures what
+    /// it changed — a diff against the twin (straight out of segment memory,
+    /// into the node's reusable scratch buffer) or the whole image when there
+    /// is none — in one DUQ-lock scope, the one `apply_update_items` holds
+    /// across memory apply + twin patch. A peer's update is therefore in both
+    /// the memory and the twin compared here or in neither, and the diff
+    /// carries this node's own words only (flat diff invariant 6). The twin
+    /// goes back to the pool. `None`: the object is not queued (any more).
+    pub(crate) fn capture_changes(
+        &self,
+        object: ObjectId,
+        encode: bool,
+    ) -> Option<Option<UpdatePayload>> {
         let mut duq = self.duq.lock();
-        Some(match duq.remove(object)?.twin {
-            Some(twin) => {
-                let d =
-                    self.with_object_mem(object, |cur| self.diff_scratch.lock().encode(cur, &twin));
-                duq.recycle_twin(twin);
-                UpdatePayload::Diff(d)
-            }
+        let twin = duq.remove(object)?.twin;
+        let payload = encode.then(|| match &twin {
+            Some(twin) => UpdatePayload::Diff(
+                self.with_object_mem(object, |cur| self.diff_scratch.lock().encode(cur, twin)),
+            ),
             None => UpdatePayload::Full(self.object_bytes(object)),
-        })
+        });
+        twin.into_iter().for_each(|twin| duq.recycle_twin(twin));
+        Some(payload)
     }
 
-    /// Encodes one DUQ entry and decides where its changes go, applying the
-    /// per-protocol state transitions (re-protection, invalidation of the
-    /// local copy for `result` objects, private-page promotion for stable
-    /// objects with an empty copyset). The diff is encoded exactly once and
-    /// shared via `Arc` when the caller fans it out to several destinations.
+    /// Takes one DUQ entry out, encodes its changes if anyone receives them
+    /// and applies the per-protocol state transitions (re-protection,
+    /// invalidation of the local copy for `result` objects, private-page
+    /// promotion for stable objects with an empty copyset). A diff is encoded
+    /// at most once, and shared via `Arc` when the caller fans it out.
     pub(crate) fn encode_entry(
         self: &Arc<Self>,
         object: ObjectId,
     ) -> Result<(Option<UpdatePayload>, FlushRoute)> {
-        let range = self.object_range(object);
-        let (route, home, stable) = {
+        let (route, stable) = {
             let dir = self.dir.lock();
             let e = dir.entry(object);
-            (self.flush_route(e), e.home, e.params.is_stable())
+            (self.flush_route(e), e.params.is_stable())
         };
-        let payload = match self.capture_changes(object) {
+        // Nobody receives a diff of a `result` object at its home, or of an
+        // empty copyset — unless the entry is owner-cooperative: its owner
+        // decides the fan-out, and the never-determined local copyset proves
+        // nothing. No receiver, no diff and no charge ("What a flush is
+        // charged").
+        let nowhere = route.coop_owner.is_none() && route.destinations.is_empty();
+        let payload = match self.capture_changes(object, !nowhere) {
             // An invalidation got to the entry since the flush listed it, and
             // has propagated its changes and dropped the copy.
             None => return Ok((None, route)),
-            Some(UpdatePayload::Diff(d)) => {
-                self.charge_sys(
-                    self.cost
-                        .encode((range.len() / 4) as u64, d.run_count() as u64),
-                );
+            Some(Some(UpdatePayload::Diff(d))) => {
+                let words = (self.object_range(object).len() / 4) as u64;
+                self.charge_sys(self.cost.encode(words, d.run_count() as u64));
                 (!d.is_empty()).then_some(UpdatePayload::Diff(d))
             }
-            full => full,
+            Some(other) => other,
         };
-
         let mut dir = self.dir.lock();
         let e = dir.entry_mut(object);
         e.state.dirty = false;
-
         if !route.fans_out {
             // `result` objects: send only to the owner, then invalidate the
-            // local copy ("Fl" and the description of Matrix Multiply).
-            if home == self.node {
-                // The owner's own changes are already in place.
-                return Ok((None, route));
+            // local copy ("Fl" and the description of Matrix Multiply). The
+            // home's own changes are already in place, and it keeps them.
+            if !nowhere {
+                self.set_entry_rights(e, AccessRights::Invalid);
+                e.state.owned = false;
+                e.probable_owner = e.home;
             }
-            self.set_entry_rights(e, AccessRights::Invalid);
-            e.state.owned = false;
-            e.probable_owner = home;
-            return Ok((payload, route));
-        }
-
-        // An empty copyset leaves nowhere to send — except on an
-        // owner-cooperative entry, which ignores the (stale, never-determined)
-        // local copyset: the owner decides the fan-out, and an empty local
-        // copyset proves nothing about remote copies.
-        let nowhere = route.coop_owner.is_none() && route.destinations.is_empty();
-        if nowhere && stable {
+        } else if nowhere && stable {
             // "Any pages that have an empty Copyset and are therefore private
             // are made locally writable, their twins are deleted, and they do
             // not generate further access faults."
             self.set_entry_rights(e, AccessRights::ReadWrite);
-            return Ok((None, route));
+        } else {
+            // Write-shared / producer-consumer: keep the copy, re-write-protect
+            // so the next write makes a fresh twin.
+            self.set_entry_rights(e, AccessRights::Read);
         }
-        // Write-shared / producer-consumer: keep the copy, re-write-protect so
-        // the next write makes a fresh twin.
-        self.set_entry_rights(e, AccessRights::Read);
-        Ok((payload.filter(|_| !nowhere), route))
+        Ok((payload, route))
     }
 
     /// The prototype's copyset determination: broadcast the list of modified
@@ -917,7 +913,7 @@ mod tests {
     use crate::config::MuninConfig;
     use crate::msg::UpdateBundle;
     use crate::segment::SharedDataTable;
-    use munin_sim::{CostModel, Network, NodeClock};
+    use munin_sim::{CostModel, Network, NodeClock, VirtTime};
     use std::collections::HashSet;
 
     fn single_node() -> Arc<NodeRuntime> {
@@ -1206,26 +1202,142 @@ mod tests {
     }
 
     /// Flushing reuses both the twin buffer (via the DUQ pool) and the diff
-    /// scratch allocation across flush cycles.
+    /// scratch allocation across flush cycles. The page has a replica at N1,
+    /// so each cycle encodes a diff; the barrier flush hands it back for the
+    /// arrive instead of waiting for an acknowledgement.
     #[test]
     fn flush_cycle_reuses_twin_and_scratch_allocations() {
-        let rt = single_node();
+        let rt = three_node_runtime();
         let ws = obj(&rt, "ws");
+        let n1 = NodeId::new(1);
+        {
+            let mut dir = rt.dir.lock();
+            let e = dir.entry_mut(ws);
+            e.copyset.insert(n1);
+            e.state.copyset_fixed = true;
+        }
+        let mode = FlushMode::BarrierRelay {
+            owner: n1,
+            star: true,
+        };
         // First cycle warms the pool and the scratch.
         rt.write_fault(ws, 0).unwrap();
         rt.install_object_bytes(ws, &[1u8; 32]);
-        rt.flush_duq().unwrap();
+        let (relay, _) = rt.flush_duq_mode(mode).unwrap();
+        assert_eq!(relay[&n1].len(), 1, "the diff goes to N1");
         assert_eq!(rt.duq.lock().pooled_twins(), 1);
         let scratch_cap = rt.diff_scratch.lock().capacity();
         assert!(scratch_cap > 0);
         // Second cycle must not grow either allocation.
-        rt.dir.lock().entry_mut(ws).state.rights = AccessRights::Read;
         rt.write_fault(ws, 0).unwrap();
         assert_eq!(rt.duq.lock().pooled_twins(), 0, "twin taken from pool");
         rt.install_object_bytes(ws, &[2u8; 32]);
-        rt.flush_duq().unwrap();
+        let (relay, _) = rt.flush_duq_mode(mode).unwrap();
+        assert_eq!(relay[&n1].len(), 1);
         assert_eq!(rt.duq.lock().pooled_twins(), 1);
         assert_eq!(rt.diff_scratch.lock().capacity(), scratch_cap);
+    }
+
+    /// Dirties `object` in one word-aligned 32-byte write, takes it out of
+    /// the DUQ through `encode_entry`, and returns what that produced and how
+    /// far it moved the node clock.
+    fn encode_dirty(
+        rt: &Arc<NodeRuntime>,
+        object: ObjectId,
+    ) -> (Option<UpdatePayload>, FlushRoute, VirtTime) {
+        rt.write_fault(object, 0).unwrap();
+        rt.install_object_bytes(object, &[7u8; 32]);
+        let before = rt.clock.now();
+        let (payload, route) = rt.encode_entry(object).unwrap();
+        (payload, route, rt.clock.now() - before)
+    }
+
+    /// What a flush is charged, when nobody receives the changes: the entry
+    /// leaves the DUQ and its twin goes back to the pool, but no diff is
+    /// made — the clock does not move and the diff scratch is never touched
+    /// — and the page takes `rights`, as it would have with a discarded diff.
+    fn assert_left_unencoded(name: &str, rights: AccessRights) {
+        let rt = single_node();
+        let object = obj(&rt, name);
+        let (payload, route, charged) = encode_dirty(&rt, object);
+        assert!(payload.is_none(), "{name}: nothing to send");
+        assert!(route.coop_owner.is_none() && route.destinations.is_empty());
+        assert_eq!(charged, VirtTime::ZERO, "{name}: no encode charged");
+        assert_eq!(rt.diff_scratch.lock().capacity(), 0, "{name}: no diff");
+        assert!(rt.duq.lock().is_empty());
+        assert_eq!(rt.duq.lock().pooled_twins(), 1, "{name}: twin pooled");
+        let dir = rt.dir.lock();
+        assert_eq!(dir.entry(object).state.rights, rights, "{name}");
+        assert!(!dir.entry(object).state.dirty, "{name}");
+    }
+
+    /// An owned write-shared page with an empty copyset is re-write-protected
+    /// so the next write makes a fresh twin.
+    #[test]
+    fn a_write_shared_page_nobody_holds_is_not_encoded() {
+        assert_left_unencoded("ws", AccessRights::Read);
+    }
+
+    /// A stable page with an empty copyset is private: "made locally
+    /// writable, their twins are deleted".
+    #[test]
+    fn a_private_producer_consumer_page_is_not_encoded() {
+        assert_left_unencoded("pc", AccessRights::ReadWrite);
+    }
+
+    /// A `result` page flushed at its own home: the changes are already
+    /// where they go, and the home keeps its rights.
+    #[test]
+    fn a_result_page_at_its_home_is_not_encoded() {
+        assert_left_unencoded("res", AccessRights::ReadWrite);
+    }
+
+    /// Asserts that `payload` is a diff of the 32-byte write `encode_dirty`
+    /// made, charged exactly `encode(words, runs)`, with the twin pooled.
+    fn assert_encoded(rt: &NodeRuntime, payload: Option<UpdatePayload>, charged: VirtTime) {
+        let Some(UpdatePayload::Diff(d)) = payload else {
+            panic!("a page with a receiver is encoded: {payload:?}");
+        };
+        assert_eq!(d.changed_words(), 8);
+        assert_eq!(charged, rt.cost.encode(8, d.run_count() as u64));
+        assert!(rt.diff_scratch.lock().capacity() > 0);
+        assert!(rt.duq.lock().is_empty());
+        assert_eq!(rt.duq.lock().pooled_twins(), 1);
+    }
+
+    /// A cooperative entry always has a receiver, its owner, even with an
+    /// empty local copyset: it is encoded, charged, and rides the arrive to
+    /// the star's owner.
+    #[test]
+    fn a_cooperative_entry_with_an_empty_copyset_is_encoded_for_its_owner() {
+        let n1 = NodeId::new(1);
+        let (rt, net, _tx1, _rx1, _tx2, _rx2, _rx0, ws) = coop_harness();
+        // `coop_harness` dirtied the page already; encode it the flush's way.
+        let before = rt.clock.now();
+        let mode = FlushMode::BarrierRelay {
+            owner: n1,
+            star: true,
+        };
+        let (relay, mut ride) = rt.flush_duq_mode(mode).unwrap();
+        assert!(relay.is_empty());
+        assert_eq!(ride.len(), 1);
+        let item = ride.pop().unwrap();
+        assert_eq!(item.object, ws);
+        assert_encoded(&rt, Some(item.payload), rt.clock.now() - before);
+        assert_eq!(rt.dir.lock().entry(ws).state.rights, AccessRights::Read);
+        drop(net);
+    }
+
+    /// A page with one receiver is charged exactly `encode(words, runs)`.
+    #[test]
+    fn a_page_with_one_receiver_is_charged_its_encode() {
+        let rt = three_node_runtime();
+        let ws = obj(&rt, "ws");
+        rt.dir.lock().entry_mut(ws).copyset.insert(NodeId::new(1));
+        let (payload, route, charged) = encode_dirty(&rt, ws);
+        assert_eq!(route.destinations, NodeSet::from_nodes([NodeId::new(1)]));
+        assert_encoded(&rt, payload, charged);
+        assert_eq!(rt.dir.lock().entry(ws).state.rights, AccessRights::Read);
     }
 
     /// Builds the three-node manual harness used by the owner-cooperative

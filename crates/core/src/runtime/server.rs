@@ -826,8 +826,8 @@ impl NodeRuntime {
                 // are allowed, any pending local updates are propagated."
                 // (A dirty copy a flush has just taken out of the DUQ goes
                 // whole.)
-                let whole = || UpdatePayload::Full(self.object_bytes(object));
-                Some(self.capture_changes(object).unwrap_or_else(whole))
+                let whole = || Some(UpdatePayload::Full(self.object_bytes(object)));
+                self.capture_changes(object, true).unwrap_or_else(whole)
             } else {
                 if entry.state.dirty && !entry.params.allows_multiple_writers() {
                     // Invalidation of a dirty single-writer copy: detected

@@ -893,3 +893,45 @@ fn a_sleeping_host_thread_does_not_move_virtual_time() {
         "the sleeper's fetches reach the root after its 2 s barrier arrivals"
     );
 }
+
+/// What a flush is charged, as an identity: SOR on one processor has nobody
+/// to send a diff to, so no flush encodes one and the root's System time has
+/// no `encode` term. Its 512 pages each take a write fault and a twin twice —
+/// in the initialisation phase, and again in the first copy phase after
+/// `PhaseChange` write-protects the private pages — and are private ever
+/// after. Everything else the root is charged is the barriers': `sync_op` on
+/// the arrive and on the release, and `msg_fixed` for each message it sends
+/// itself, one `BarrierRelease` per episode and the final `Shutdown`. (While
+/// a flush diffed every page before it looked for a receiver, the root was
+/// also charged `encode(2 048, runs)` for each of the 1 024 flushed pages,
+/// about 2.6 s on top of the 2.4 s here.)
+#[test]
+fn sor_on_one_processor_is_charged_no_encode() {
+    let cost = CostModel::sun_ethernet_1991();
+    let iterations = 3;
+    let params = sor::SorParams {
+        iterations,
+        engine: munin::sim::EngineConfig::seeded(1),
+        piggyback: true,
+        reliability: Some(false),
+        ..sor::SorParams::paper(1)
+    };
+    let (m, grid) = sor::run_munin(params, cost.clone()).unwrap();
+    assert_eq!(grid, sor::serial(params.rows, params.cols, iterations));
+    let s = &m.stats;
+    let barriers = 2 + 2 * iterations as u64;
+    assert_eq!((s.write_faults, s.twins_created), (1_024, 1_024));
+    assert_eq!(s.barrier_waits, barriers);
+    assert_eq!(m.net.class("barrier_release").msgs, barriers);
+    assert_eq!(m.net.total.msgs, barriers + 1, "and the `Shutdown`");
+    let ns = |t: munin::sim::VirtTime| t.as_nanos();
+    let identity = s.write_faults * ns(cost.fault())
+        + s.twins_created * ns(cost.copy(8_192))
+        + barriers * 2 * ns(cost.sync_op())
+        + m.net.total.msgs * ns(cost.msg_fixed());
+    assert_eq!(
+        m.root_system.as_nanos(),
+        identity,
+        "root System time is faults, twins and barriers alone"
+    );
+}
