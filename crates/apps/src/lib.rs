@@ -1,7 +1,7 @@
 //! The application programs evaluated in the Munin paper, plus one extra.
 //!
 //! * [`matmul`] — Matrix Multiply: inputs annotated `read_only`, output
-//!   annotated `result`; optional `SingleObject` optimization (Tables 3/4/6).
+//!   annotated `result` (Tables 3 and 6).
 //! * [`sor`] — Successive Over-Relaxation with the scratch-array method: the
 //!   grid is annotated `producer_consumer` (Tables 5/6).
 //! * [`tsp`] — a branch-and-bound travelling-salesman search that exercises

@@ -12,10 +12,6 @@
 //! barrier sends each worker's band back to the root (only), and because the
 //! runtime supports multiple writers the false sharing of output pages
 //! straddling two bands is harmless.
-//!
-//! The optimized variant (Table 4) additionally applies the `SingleObject`
-//! hint to the input matrix that every worker reads in full, so it is fetched
-//! in one transfer instead of one page-sized object at a time.
 
 use munin_core::{MuninConfig, MuninProgram, SharingAnnotation};
 use munin_msgpass::{run_mp_program, MpMsg};
@@ -35,9 +31,6 @@ pub struct MatmulParams {
     pub n: usize,
     /// Number of processors (= Munin nodes = workers).
     pub procs: usize,
-    /// Apply the `SingleObject` hint to the second input matrix (the one
-    /// every worker reads completely) — the Table 4 optimization.
-    pub single_object_input: bool,
     /// Force every shared variable to one annotation (Table 6), `None` for
     /// the multi-protocol default.
     pub annotation_override: Option<SharingAnnotation>,
@@ -72,7 +65,6 @@ impl MatmulParams {
         MatmulParams {
             n: 400,
             procs,
-            single_object_input: false,
             annotation_override: None,
             page_size: 8192,
             engine: munin_sim::EngineConfig::from_env(),
@@ -91,7 +83,6 @@ impl MatmulParams {
         MatmulParams {
             n,
             procs,
-            single_object_input: false,
             annotation_override: None,
             page_size: 512,
             engine: munin_sim::EngineConfig::from_env(),
@@ -173,9 +164,6 @@ pub fn run_munin(
     let input1 = prog.declare::<i32>("input1", n * n, SharingAnnotation::ReadOnly);
     let input2 = prog.declare::<i32>("input2", n * n, SharingAnnotation::ReadOnly);
     let output = prog.declare::<i32>("output", n * n, SharingAnnotation::Result);
-    if params.single_object_input {
-        prog.single_object(&input2);
-    }
     let done = prog.create_barrier("done");
     prog.user_init(move |init| {
         let zero_row = vec![0i32; n];
@@ -218,8 +206,6 @@ pub fn run_munin(
     let measurement = RunMeasurement::new(
         if params.annotation_override.is_some() {
             "munin/forced"
-        } else if params.single_object_input {
-            "munin/single-object"
         } else {
             "munin"
         },
@@ -345,14 +331,6 @@ mod tests {
     #[test]
     fn munin_result_matches_serial_on_multiple_nodes() {
         let params = MatmulParams::small(N, 4);
-        let (_m, c) = run_munin(params, CostModel::fast_test()).unwrap();
-        assert_eq!(c, serial(N));
-    }
-
-    #[test]
-    fn munin_single_object_variant_matches_serial() {
-        let mut params = MatmulParams::small(N, 3);
-        params.single_object_input = true;
         let (_m, c) = run_munin(params, CostModel::fast_test()).unwrap();
         assert_eq!(c, serial(N));
     }

@@ -6,6 +6,6 @@ use munin_bench::{matmul_comparison, report_headline, PAPER_PROCS};
 
 fn main() {
     println!("=== Table 3: performance of Matrix Multiply (sec) ===");
-    let rows = matmul_comparison(&PAPER_PROCS, false);
+    let rows = matmul_comparison(&PAPER_PROCS);
     report_headline("Matrix Multiply, 400x400 int matrices", &rows);
 }

@@ -105,15 +105,14 @@ pub fn format_comparison_table(title: &str, rows: &[ComparisonRow]) -> String {
     out
 }
 
-/// Runs the Table 3 (or Table 4, with `single_object = true`) experiment:
-/// Matrix Multiply under Munin and under hand-coded message passing.
-pub fn matmul_comparison(procs: &[usize], single_object: bool) -> Vec<ComparisonRow> {
+/// Runs the Table 3 experiment: Matrix Multiply under Munin and under
+/// hand-coded message passing.
+pub fn matmul_comparison(procs: &[usize]) -> Vec<ComparisonRow> {
     let cost = CostModel::sun_ethernet_1991();
     procs
         .iter()
         .map(|p| {
-            let mut params = MatmulParams::paper(*p);
-            params.single_object_input = single_object;
+            let params = MatmulParams::paper(*p);
             let (munin, c_munin) = matmul::run_munin(params, cost.clone()).expect("munin matmul");
             let (dm, c_dm) = matmul::run_message_passing(params, cost.clone()).expect("mp matmul");
             assert_eq!(c_munin, c_dm, "Munin and message passing must agree");

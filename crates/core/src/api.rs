@@ -146,7 +146,6 @@ struct VarDecl {
     annotation: SharingAnnotation,
     elem_size: usize,
     len: usize,
-    single_object: bool,
 }
 
 type InitFn = dyn Fn(&mut InitCtx<'_>) + Send + Sync;
@@ -197,7 +196,6 @@ impl MuninProgram {
             annotation,
             elem_size: T::ELEM_SIZE,
             len,
-            single_object: false,
         });
         SharedVar {
             id,
@@ -205,12 +203,6 @@ impl MuninProgram {
             name,
             _marker: PhantomData,
         }
-    }
-
-    /// `SingleObject()` hint: treat the variable as a single object rather
-    /// than breaking it into page-sized objects.
-    pub fn single_object<T: Shareable>(&mut self, var: &SharedVar<T>) {
-        self.vars[var.id.as_usize()].single_object = true;
     }
 
     /// `CreateLock()`: declares a distributed lock (homed at the root).
@@ -257,7 +249,7 @@ impl MuninProgram {
     fn build_table(&self) -> SharedDataTable {
         let mut table = SharedDataTable::new(self.cfg.page_size);
         for v in &self.vars {
-            table.declare(v.name, v.annotation, v.elem_size, v.len, v.single_object);
+            table.declare(v.name, v.annotation, v.elem_size, v.len);
         }
         table
     }

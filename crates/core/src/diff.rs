@@ -1002,7 +1002,7 @@ mod tests {
     }
 
     /// Skips and counts of 2⁷ and 2¹⁴ words and more take 2- and 3-byte
-    /// headers (the `SingleObject` matmul input is one 160 000-word object).
+    /// headers (a 160 000-word object: the size of a matmul input matrix).
     #[test]
     fn multi_byte_headers_round_trip() {
         let words = 160_000usize;

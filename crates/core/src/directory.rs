@@ -41,6 +41,15 @@ impl AccessRights {
     pub fn allows_write(self) -> bool {
         matches!(self, AccessRights::ReadWrite)
     }
+
+    /// Whether a write (`write`) or a read is allowed without faulting.
+    pub fn allows(self, write: bool) -> bool {
+        if write {
+            self.allows_write()
+        } else {
+            self.allows_read()
+        }
+    }
 }
 
 /// Dynamic state bits of a directory entry ("characterize the dynamic state
@@ -81,7 +90,7 @@ pub struct ObjectState {
     /// `busy`, a pinned entry is released without any intervening blocking,
     /// so ownership-transferring fetches and invalidations can simply be
     /// deferred until the access completes — this closes the lost-update race
-    /// where a fetch was served between `ensure_write` and the write.
+    /// where a fetch was served between the rights check and the write.
     pub pinned: bool,
 }
 
@@ -199,8 +208,8 @@ mod tests {
 
     fn table() -> SharedDataTable {
         let mut t = SharedDataTable::new(64);
-        t.declare("ro", SharingAnnotation::ReadOnly, 4, 4, false);
-        t.declare("ws", SharingAnnotation::WriteShared, 4, 64, false);
+        t.declare("ro", SharingAnnotation::ReadOnly, 4, 4);
+        t.declare("ws", SharingAnnotation::WriteShared, 4, 64);
         t
     }
 

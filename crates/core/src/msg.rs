@@ -175,36 +175,10 @@ pub enum TimerKind {
 /// Messages exchanged by Munin nodes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DsmMsg {
-    /// Request a copy of a *run* of objects: `run` consecutive objects of
-    /// one variable, starting at `object` (forwarded whole along the first
-    /// object's probable-owner chain until it reaches that object's owner,
-    /// which replies directly to `requester`). A fault on one object is the
-    /// run of 1; a fault inside a multi-object access, or `PreAcquire()`,
-    /// asks for every following object of the access that is also invalid
-    /// at the requester and shares the first one's owner hint.
-    ObjectFetch {
-        /// The first object of the run.
-        object: ObjectId,
-        /// How many consecutive objects are asked for (at least 1). Only
-        /// fetches that need nothing but a copy ask for more than one.
-        run: u32,
-        /// Read or write intent.
-        access: FetchKind,
-        /// Node that took the fault and awaits the reply.
-        requester: NodeId,
-        /// How many `PhaseChange()` hints the requester's user thread had
-        /// issued when it faulted. `PhaseChange()` is a local, unsynchronised
-        /// call, so a fetch can reach an owner whose own user thread has not
-        /// made the matching call yet; the owner must not judge such a fetch
-        /// against the sharing relationship of the phase the requester has
-        /// already left. Comparing the two counts assumes the program has
-        /// every node issue the same sequence of `PhaseChange()` calls; where
-        /// one node issues more, the owner spares it only once per phase of
-        /// its own (`ObjectState::phase_voided`). Not charged in
-        /// [`DsmMsg::model_bytes`]: only its order against the owner's count
-        /// is used, which a few bits of the fixed header carry.
-        phase: u32,
-    },
+    /// Request a copy of a *run* of objects (forwarded whole along the
+    /// first object's probable-owner chain until it reaches that object's
+    /// owner, which replies directly to the requester).
+    ObjectFetch(FetchRequest),
     /// Reply to an [`DsmMsg::ObjectFetch`], carrying the contents of a
     /// non-empty prefix of the requested run: as many objects, from the
     /// first on, as the owner could hand out as plain non-owning copies — or
@@ -213,10 +187,11 @@ pub enum DsmMsg {
         /// The first object of the run.
         object: ObjectId,
         /// Contents of `object`, `object + 1`, … in order. An *empty* image
-        /// describes its object instead of carrying it: "all zeros, as long
-        /// as your table says". Only an owner that never materialised the
-        /// object sends one (it knows the contents without looking), and it
-        /// costs the wire the object's framing or descriptor, nothing more.
+        /// carries no bytes: "all zeros, as long as your table says" from an
+        /// owner that never materialised the object (it knows the contents
+        /// without looking), or "yours to overwrite" for an object the
+        /// request asked to elide. It costs the wire the object's framing or
+        /// descriptor, nothing more.
         data: Vec<Vec<u8>>,
         /// Whether ownership is transferred to the requester (one-object
         /// replies only).
@@ -442,21 +417,53 @@ pub enum DsmMsg {
     },
     /// Degraded-mode orphan re-homing: the sender (a node that lost a fetch
     /// to a dead owner) asks the receiver — the lowest-id surviving replica
-    /// holder — to adopt ownership of `object` and serve the blocked fetch
-    /// exactly as an owner would serve an [`DsmMsg::ObjectFetch`].
-    Adopt {
-        /// The orphaned object.
-        object: ObjectId,
-        /// The run the blocked fetch asked for, as in [`DsmMsg::ObjectFetch`].
-        run: u32,
-        /// Read or write intent of the blocked fault.
-        access: FetchKind,
-        /// Node awaiting the [`DsmMsg::ObjectData`] reply.
-        requester: NodeId,
-        /// The requester's `PhaseChange()` count, as in
-        /// [`DsmMsg::ObjectFetch`], and likewise not charged.
-        phase: u32,
-    },
+    /// holder — to adopt ownership of the request's first object and serve
+    /// the blocked fetch exactly as an owner would serve an
+    /// [`DsmMsg::ObjectFetch`].
+    Adopt(FetchRequest),
+}
+
+/// A fetch of a *run*: `run` consecutive objects of one variable, starting
+/// at `object`. A fault on one object is the run of 1; a fault inside a
+/// multi-object access, or `PreAcquire()`, asks for every following object
+/// of the access that is also invalid at the requester and shares the first
+/// one's owner hint.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FetchRequest {
+    /// The first object of the run.
+    pub object: ObjectId,
+    /// How many consecutive objects are asked for (at least 1). Only
+    /// fetches that need nothing but a copy ask for more than one.
+    pub run: u32,
+    /// Read or write intent.
+    pub access: FetchKind,
+    /// Node that took the fault and awaits the reply.
+    pub requester: NodeId,
+    /// How many `PhaseChange()` hints the requester's user thread had
+    /// issued when it faulted. `PhaseChange()` is a local, unsynchronised
+    /// call, so a fetch can reach an owner whose own user thread has not
+    /// made the matching call yet; the owner must not judge such a fetch
+    /// against the sharing relationship of the phase the requester has
+    /// already left. Comparing the two counts assumes the program has
+    /// every node issue the same sequence of `PhaseChange()` calls; where
+    /// one node issues more, the owner spares it only once per phase of
+    /// its own (`ObjectState::phase_voided`). Not charged in
+    /// [`DsmMsg::model_bytes`]: only its order against the owner's count
+    /// is used, which a few bits of the fixed header carry.
+    pub phase: u32,
+    /// The ids of the run's objects the requester's write overwrites whole
+    /// (empty: none). An owner serving one as a plain copy sends the empty
+    /// image instead of its bytes: its writer never reads them, and flushes
+    /// the whole object back (`result`, "Fl").
+    pub elide: std::ops::Range<u32>,
+}
+
+impl FetchRequest {
+    /// Object id, intent and requester; a run length only when there is a
+    /// run to speak of, and the range to elide only when there is one.
+    fn model_bytes(&self) -> u64 {
+        8 + if self.run > 1 { 4 } else { 0 } + if self.elide.is_empty() { 0 } else { 8 }
+    }
 }
 
 /// Fixed modelled header size of every message, in bytes.
@@ -483,7 +490,7 @@ impl DsmMsg {
     /// The statistics class of the message.
     pub fn class(&self) -> &'static str {
         match self {
-            DsmMsg::ObjectFetch { .. } => "object_fetch",
+            DsmMsg::ObjectFetch(_) => "object_fetch",
             DsmMsg::ObjectData { .. } => "object_data",
             DsmMsg::Invalidate { .. } => "invalidate",
             DsmMsg::InvalidateAck { .. } => "invalidate_ack",
@@ -518,16 +525,14 @@ impl DsmMsg {
             DsmMsg::Timer(TimerKind::Health) => "health_tick",
             DsmMsg::Heartbeat => "heartbeat",
             DsmMsg::PeerDown { .. } => "peer_down",
-            DsmMsg::Adopt { .. } => "adopt",
+            DsmMsg::Adopt(_) => "adopt",
         }
     }
 
     /// Modelled size of the message on the wire (header plus payload).
     pub fn model_bytes(&self) -> u64 {
         let payload: u64 = match self {
-            // Object id, intent and requester; a run length only when
-            // there is a run to speak of.
-            DsmMsg::ObjectFetch { run, .. } => 8 + if *run > 1 { 4 } else { 0 },
+            DsmMsg::ObjectFetch(fetch) => fetch.model_bytes(),
             // The first object is described by the 16 bytes of framing (id,
             // flags, copyset); every further one brings an 8-byte descriptor
             // (id and length) of its own — all a zero-filled object costs.
@@ -577,7 +582,7 @@ impl DsmMsg {
             DsmMsg::Timer(_) => 0,
             DsmMsg::Heartbeat => 0,
             DsmMsg::PeerDown { .. } => 4,
-            DsmMsg::Adopt { run, .. } => 12 + if *run > 1 { 4 } else { 0 },
+            DsmMsg::Adopt(fetch) => 4 + fetch.model_bytes(),
         };
         HEADER_BYTES + payload
     }
@@ -609,13 +614,14 @@ mod tests {
     use crate::diff::encode;
 
     fn fetch_of(run: u32) -> DsmMsg {
-        DsmMsg::ObjectFetch {
+        DsmMsg::ObjectFetch(FetchRequest {
             object: ObjectId::new(0),
             run,
             access: FetchKind::Read,
             requester: NodeId::new(1),
             phase: 0,
-        }
+            elide: 0..0,
+        })
     }
 
     /// A plain-copy reply carrying objects of the given sizes.
@@ -676,6 +682,15 @@ mod tests {
         assert_eq!(data_of(&[8192]).model_bytes(), HEADER_BYTES + 8192 + 16);
         assert_eq!(fetch_of(3).model_bytes(), HEADER_BYTES + 8 + 4);
         assert_eq!(fetch_of(79).model_bytes(), fetch_of(2).model_bytes());
+        // An elided range is 8 bytes more, whatever it covers; an `Adopt`
+        // is its request and 4 bytes.
+        let DsmMsg::ObjectFetch(mut fetch) = fetch_of(3) else {
+            unreachable!()
+        };
+        fetch.elide = 1..3;
+        let elided = DsmMsg::ObjectFetch(fetch.clone()).model_bytes();
+        assert_eq!(elided, HEADER_BYTES + 8 + 4 + 8);
+        assert_eq!(DsmMsg::Adopt(fetch).model_bytes(), elided + 4);
         assert_eq!(
             data_of(&[8192, 8192, 4288]).model_bytes(),
             HEADER_BYTES + 16 + (8192 + 8192 + 4288) + 2 * 8

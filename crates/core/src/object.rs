@@ -1,9 +1,8 @@
 //! Shared objects and shared variables.
 //!
 //! A Munin *shared object* is the unit on which the runtime maintains
-//! consistency: a program variable, an 8 KB (page-sized) region of a larger
-//! variable, or — with the `SingleObject` hint — an entire multi-page
-//! variable treated as one object. This module defines the identifiers and
+//! consistency: a program variable, or an 8 KB (page-sized) region of a
+//! larger one. This module defines the identifiers and
 //! descriptors for variables and objects and the splitting of variables into
 //! page-sized objects.
 
@@ -66,9 +65,6 @@ pub struct VarDesc {
     pub len: usize,
     /// Byte offset of the variable within the shared data segment.
     pub segment_offset: usize,
-    /// Whether the variable is kept as a single object rather than being
-    /// broken into page-sized objects (the `SingleObject` hint).
-    pub single_object: bool,
     /// Identifiers of the objects that make up this variable, in order.
     pub objects: Vec<ObjectId>,
 }
@@ -110,14 +106,14 @@ impl ObjectDesc {
 }
 
 /// Splits a variable of `byte_len` bytes into object sizes, given the page
-/// size and the `single_object` flag. Each size is padded to a multiple of 4
-/// so the word-granularity diff is well defined.
-pub fn split_sizes(byte_len: usize, page_size: usize, single_object: bool) -> Vec<usize> {
+/// size. Each size is padded to a multiple of 4 so the word-granularity diff
+/// is well defined.
+pub fn split_sizes(byte_len: usize, page_size: usize) -> Vec<usize> {
     let padded = byte_len.div_ceil(4) * 4;
     if padded == 0 {
         return Vec::new();
     }
-    if single_object || padded <= page_size {
+    if padded <= page_size {
         return vec![padded];
     }
     let mut sizes = Vec::new();
@@ -136,34 +132,29 @@ mod tests {
 
     #[test]
     fn small_variable_is_one_object() {
-        assert_eq!(split_sizes(100, 8192, false), vec![100]);
-        assert_eq!(split_sizes(8192, 8192, false), vec![8192]);
+        assert_eq!(split_sizes(100, 8192), vec![100]);
+        assert_eq!(split_sizes(8192, 8192), vec![8192]);
     }
 
     #[test]
     fn large_variable_is_broken_into_pages() {
-        let sizes = split_sizes(20_000, 8192, false);
+        let sizes = split_sizes(20_000, 8192);
         assert_eq!(sizes, vec![8192, 8192, 3616]);
         assert_eq!(sizes.iter().sum::<usize>(), 20_000);
     }
 
     #[test]
-    fn single_object_hint_keeps_one_object() {
-        assert_eq!(split_sizes(20_000, 8192, true), vec![20_000]);
-    }
-
-    #[test]
     fn sizes_are_word_aligned() {
-        let sizes = split_sizes(10, 8192, false);
+        let sizes = split_sizes(10, 8192);
         assert_eq!(sizes, vec![12]);
-        for s in split_sizes(8195, 4096, false) {
+        for s in split_sizes(8195, 4096) {
             assert_eq!(s % 4, 0);
         }
     }
 
     #[test]
     fn empty_variable_has_no_objects() {
-        assert!(split_sizes(0, 8192, false).is_empty());
+        assert!(split_sizes(0, 8192).is_empty());
     }
 
     #[test]
@@ -188,7 +179,7 @@ mod tests {
         // the crate-level proptest suite.
         for byte_len in [1usize, 3, 4, 4095, 4096, 4097, 100_000] {
             for page in [64usize, 4096, 8192] {
-                let sizes = split_sizes(byte_len, page, false);
+                let sizes = split_sizes(byte_len, page);
                 let total: usize = sizes.iter().sum();
                 assert!(total >= byte_len);
                 assert!(total < byte_len + 4);

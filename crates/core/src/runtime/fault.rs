@@ -22,6 +22,7 @@
 //! owner could not hand out as a plain copy faults in turn, and starts a run
 //! of its own.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use munin_sim::NodeId;
@@ -30,38 +31,13 @@ use crate::annotation::SharingAnnotation;
 use crate::copyset::CopySet;
 use crate::directory::AccessRights;
 use crate::error::{MuninError, Result};
-use crate::msg::{DsmMsg, FetchKind};
+use crate::msg::{DsmMsg, FetchKind, FetchRequest};
 use crate::object::ObjectId;
 use crate::stats::{add, bump};
 
 use super::NodeRuntime;
 
 impl NodeRuntime {
-    /// Ensures the local copy of `object` is readable, faulting if necessary.
-    /// `window_end` bounds the run a fault may fetch (see [`Self::fault_in`]).
-    pub(crate) fn ensure_read(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
-        {
-            let dir = self.dir.lock();
-            if dir.entry(object).state.rights.allows_read() {
-                return Ok(());
-            }
-        }
-        self.read_fault(object, window_end)
-    }
-
-    /// Ensures the local copy of `object` is writable, faulting if necessary.
-    pub(crate) fn ensure_write(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
-        {
-            let mut dir = self.dir.lock();
-            let entry = dir.entry_mut(object);
-            if entry.state.rights.allows_write() {
-                entry.state.dirty = true;
-                return Ok(());
-            }
-        }
-        self.write_fault(object, window_end)
-    }
-
     /// Makes sure an upcoming access of `objects` — consecutive objects of
     /// one variable — has been *detected* by the runtime, object by object:
     /// the access-mode dispatch point.
@@ -85,10 +61,8 @@ impl NodeRuntime {
         for object in objects {
             if self.vm.is_some() {
                 self.vm_touch(*object, write, window_end)?;
-            } else if write {
-                self.ensure_write(*object, window_end)?;
-            } else {
-                self.ensure_read(*object, window_end)?;
+            } else if !self.dir.lock().entry(*object).state.rights.allows(write) {
+                self.fault(*object, write, window_end)?;
             }
         }
         Ok(())
@@ -199,19 +173,47 @@ impl NodeRuntime {
     /// ownership-transferring fetch is deferred by the service thread until
     /// the write has landed, so the served copy always contains it (the
     /// ROADMAP lost-update race).
+    ///
+    /// The objects the write overwrites whole are published to the fault
+    /// path for the access (`overwrite`): a `result` one among them that a
+    /// fault fetches comes without its bytes. Should the access fail, the
+    /// objects fetched that way are dropped again: they hold no contents.
     pub(crate) fn write_var_bytes(
         self: &Arc<Self>,
         var: crate::object::VarId,
         byte_offset: usize,
         data: &[u8],
     ) -> Result<()> {
-        let objects = self
-            .table
-            .objects_in_range(var, byte_offset, byte_offset + data.len());
-        self.pin_for_access(objects, true)?;
+        let end = byte_offset + data.len();
+        let objects = self.table.objects_in_range(var, byte_offset, end);
+        let covered = self.table.objects_covered(var, byte_offset, end);
+        let tracked = !covered.is_empty();
+        if tracked {
+            self.overwrite.lock().0 = covered;
+        }
+        let pinned = self.pin_for_access(objects, true);
+        if tracked {
+            let (_, elided) = std::mem::take(&mut *self.overwrite.lock());
+            if pinned.is_err() {
+                self.drop_elided(&elided);
+            }
+        }
+        pinned?;
         self.copy_var_bytes_in(var, byte_offset, data);
         self.unpin(objects);
         Ok(())
+    }
+
+    /// Drops what a failed write access installed without its bytes: the
+    /// zeros those objects hold must neither be read nor flushed whole.
+    fn drop_elided(&self, elided: &[ObjectId]) {
+        for &object in elided {
+            self.duq.lock().remove(object);
+            let mut dir = self.dir.lock();
+            let entry = dir.entry_mut(object);
+            entry.state.dirty = false;
+            self.set_entry_rights(entry, AccessRights::Invalid);
+        }
     }
 
     /// Acquires the rights needed for a memory access of `objects` and pins
@@ -230,15 +232,10 @@ impl NodeRuntime {
         loop {
             self.fault_in(objects, write)?;
             let mut dir = self.dir.lock();
-            let all_valid = objects.iter().all(|o| {
-                let rights = dir.entry(*o).state.rights;
-                if write {
-                    rights.allows_write()
-                } else {
-                    rights.allows_read()
-                }
-            });
-            if all_valid {
+            if objects
+                .iter()
+                .all(|o| dir.entry(*o).state.rights.allows(write))
+            {
                 for obj in objects {
                     let entry = dir.entry_mut(*obj);
                     entry.state.pinned = true;
@@ -265,26 +262,41 @@ impl NodeRuntime {
         self.note_unblocked_and_process_deferred(self.clock.now());
     }
 
-    /// Handles a read access fault on `object`, taken inside an access whose
-    /// objects end before `window_end`.
-    pub(crate) fn read_fault(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
-        use crate::obs::EventKind;
+    /// Handles a read or write access fault on `object`, taken inside an
+    /// access whose objects end before `window_end`: one traced span, whose
+    /// duration goes into the fault service-time histogram under the
+    /// object's annotation keyword.
+    pub(crate) fn fault(
+        self: &Arc<Self>,
+        object: ObjectId,
+        write: bool,
+        window_end: u32,
+    ) -> Result<()> {
+        use crate::obs::EventKind::*;
+        let (begin, end) = if write {
+            (WriteFaultBegin, WriteFaultEnd)
+        } else {
+            (ReadFaultBegin, ReadFaultEnd)
+        };
         let t0 = self.clock.now().as_nanos();
-        self.obs
-            .record(t0, EventKind::ReadFaultBegin, |ev| ev.object = Some(object));
-        let result = self.read_fault_inner(object, window_end);
+        self.obs.record(t0, begin, |ev| ev.object = Some(object));
+        let result = if write {
+            self.write_fault(object, window_end)
+        } else {
+            self.read_fault(object, window_end)
+        };
         let t1 = self.clock.now().as_nanos();
         let dur = t1.saturating_sub(t0);
-        self.obs.record(t1, EventKind::ReadFaultEnd, |ev| {
+        self.obs.record(t1, end, |ev| {
             ev.object = Some(object);
             ev.dur_ns = dur;
         });
-        self.obs
-            .record_fault_service(self.annotation_class(object), dur);
+        let class = self.dir.lock().entry(object).annotation.keyword();
+        self.obs.record_fault_service(class, dur);
         result
     }
 
-    fn read_fault_inner(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
+    fn read_fault(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
         bump(&self.stats.read_faults);
         self.charge_sys(self.cost.fault());
         let (owner_hint, run) = {
@@ -310,7 +322,7 @@ impl NodeRuntime {
             };
             (owner_hint, run)
         };
-        let result = self.fetch_object(object, run, FetchKind::Read, owner_hint);
+        let result = self.fetch_object(object, run, FetchKind::Read, owner_hint, 0..0);
         self.clear_busy(object, run);
         result
     }
@@ -347,41 +359,19 @@ impl NodeRuntime {
 
     /// Handles a write access fault, dispatching on the object's protocol
     /// parameters.
-    pub(crate) fn write_fault(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
-        use crate::obs::EventKind;
-        let t0 = self.clock.now().as_nanos();
-        self.obs.record(t0, EventKind::WriteFaultBegin, |ev| {
-            ev.object = Some(object)
-        });
-        let result = self.write_fault_inner(object, window_end);
-        let t1 = self.clock.now().as_nanos();
-        let dur = t1.saturating_sub(t0);
-        self.obs.record(t1, EventKind::WriteFaultEnd, |ev| {
-            ev.object = Some(object);
-            ev.dur_ns = dur;
-        });
-        self.obs
-            .record_fault_service(self.annotation_class(object), dur);
-        result
-    }
-
-    /// The annotation-class keyword of `object` (fault service-time
-    /// histogram key).
-    fn annotation_class(&self, object: ObjectId) -> &'static str {
-        self.dir.lock().entry(object).annotation.keyword()
-    }
-
-    fn write_fault_inner(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
+    fn write_fault(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
         bump(&self.stats.write_faults);
         self.charge_sys(self.cost.fault());
         enum Plan {
             Done,
             Error(MuninError),
             /// `copy_run` objects, from this one on, have no copy here and
-            /// are fetched first (0: the local copy is valid).
+            /// are fetched first (0: the local copy is valid), those in
+            /// `elide` without their bytes.
             Delayed {
                 copy_run: u32,
                 owner_hint: NodeId,
+                elide: Range<u32>,
             },
             UpgradeInPlace {
                 copyset: CopySet,
@@ -410,6 +400,7 @@ impl NodeRuntime {
             } else if entry.params.allows_delay() {
                 entry.state.busy = true;
                 let owner_hint = entry.probable_owner;
+                let to_owner = entry.params.flushes_to_owner();
                 // The copy a delayed write needs is a plain read copy, so
                 // the window's can come with it; the objects behind this one
                 // still take their own write fault (twin, DUQ), but find
@@ -419,9 +410,17 @@ impl NodeRuntime {
                 } else {
                     Self::claim_run(&mut dir, object, window_end)
                 };
+                // Write-validate: a `result` object this fault fetches and
+                // the access overwrites whole is asked for without its
+                // bytes, which its writer never reads ("Fl"). One with a copy
+                // here already takes its twin: its diff may be far smaller.
+                let (id, covered) = (object.as_u32(), self.overwrite.lock().0.clone());
+                let (lo, hi) = (covered.start.max(id), covered.end.min(id + copy_run));
+                let elide = if to_owner && lo < hi { lo..hi } else { 0..0 };
                 Plan::Delayed {
                     copy_run,
                     owner_hint,
+                    elide,
                 }
             } else if entry.state.owned && entry.state.rights.allows_read() {
                 // Already the owner with a (read-protected) copy: invalidate
@@ -448,7 +447,8 @@ impl NodeRuntime {
             Plan::Delayed {
                 copy_run,
                 owner_hint,
-            } => self.delayed_write_fault(object, copy_run, owner_hint),
+                elide,
+            } => self.delayed_write_fault(object, copy_run, owner_hint, elide),
             Plan::UpgradeInPlace { copyset } => {
                 let r = self.invalidate_copies(object, copyset);
                 if r.is_ok() {
@@ -461,7 +461,7 @@ impl NodeRuntime {
                 r
             }
             Plan::AcquireOwnership { owner_hint } => {
-                self.fetch_object(object, 1, FetchKind::Write, owner_hint)
+                self.fetch_object(object, 1, FetchKind::Write, owner_hint, 0..0)
             }
         };
         // Every plan that set busy bits clears them here; clearing an entry
@@ -480,13 +480,18 @@ impl NodeRuntime {
         object: ObjectId,
         copy_run: u32,
         owner_hint: NodeId,
+        elide: Range<u32>,
     ) -> Result<()> {
         if copy_run > 0 {
-            self.fetch_object(object, copy_run, FetchKind::Read, owner_hint)?;
+            self.fetch_object(object, copy_run, FetchKind::Read, owner_hint, elide)?;
         }
         let (make_twin, size) = {
             let dir = self.dir.lock();
             let entry = dir.entry(object);
+            if entry.state.rights.allows_write() {
+                // Fetched without its bytes: installed writable and queued.
+                return Ok(());
+            }
             let private = entry.state.copyset_fixed && entry.copyset.is_empty();
             (
                 entry.params.allows_multiple_writers() && !private,
@@ -521,13 +526,17 @@ impl NodeRuntime {
     /// `owner_hint` (the request is forwarded along the probable-owner
     /// chain) and installs the prefix of the run the reply carries. The
     /// caller holds every object of the run busy and clears them all
-    /// afterwards, served or not.
+    /// afterwards, served or not. The objects in `elide` are asked for
+    /// without their bytes, for the access overwrites them whole: each is
+    /// installed writable and queued on the DUQ with no twin, so it is
+    /// flushed whole — whatever image the reply has for it.
     pub(crate) fn fetch_object(
         self: &Arc<Self>,
         object: ObjectId,
         run: u32,
         access: FetchKind,
         owner_hint: NodeId,
+        elide: Range<u32>,
     ) -> Result<()> {
         self.obs.record(
             self.clock.now().as_nanos(),
@@ -538,17 +547,15 @@ impl NodeRuntime {
                 ev.run = Some(run);
             },
         );
-        let phase = self.dir.lock().phase;
-        self.send(
-            owner_hint,
-            DsmMsg::ObjectFetch {
-                object,
-                run,
-                access,
-                requester: self.node,
-                phase,
-            },
-        )?;
+        let fetch = FetchRequest {
+            object,
+            run,
+            access,
+            requester: self.node,
+            phase: self.dir.lock().phase,
+            elide,
+        };
+        self.send(owner_hint, DsmMsg::ObjectFetch(fetch.clone()))?;
         // Deaths interrupt the wait: the fetch (or its forward, or the
         // reply) may be sitting in a corpse, so any confirmed death — of
         // any peer, since the probable-owner chain is unknowable from here
@@ -562,7 +569,7 @@ impl NodeRuntime {
             match self.wait_reply_or_dead(crate::runtime::WaitOp::Fetch(object), &mut handled) {
                 Ok(reply) => break reply,
                 Err(MuninError::PeerDied(dead)) => {
-                    if let Some(reply) = self.refetch_orphan(object, run, access, dead)? {
+                    if let Some(reply) = self.refetch_orphan(&fetch, dead)? {
                         break reply;
                     }
                 }
@@ -605,19 +612,25 @@ impl NodeRuntime {
             env.src,
             env.arrival.as_nanos()
         );
-        let rights = if writable {
-            AccessRights::ReadWrite
-        } else {
-            AccessRights::Read
-        };
         for (served, bytes) in (object.as_u32()..).map(ObjectId::new).zip(&data) {
             bump(&self.stats.objects_fetched);
             add(&self.stats.fetch_bytes, bytes.len() as u64);
             self.charge_sys(self.cost.dir_op());
             self.install_object_bytes(served, bytes);
+            let elided = fetch.elide.contains(&served.as_u32());
+            if elided {
+                self.duq.lock().enqueue(served, None);
+                self.overwrite.lock().1.push(served);
+            }
+            let rights = if writable || elided {
+                AccessRights::ReadWrite
+            } else {
+                AccessRights::Read
+            };
             let mut dir = self.dir.lock();
             let entry = dir.entry_mut(served);
             self.set_entry_rights(entry, rights);
+            entry.state.dirty |= elided;
             entry.state.owned = ownership;
             if ownership {
                 entry.copyset = copyset.clone();
@@ -648,11 +661,10 @@ impl NodeRuntime {
     /// wait. Returns the stashed `ObjectData` reply if one arrived.
     fn refetch_orphan(
         self: &Arc<Self>,
-        object: ObjectId,
-        run: u32,
-        access: FetchKind,
+        fetch: &FetchRequest,
         dead: NodeId,
     ) -> Result<Option<(munin_sim::Envelope, DsmMsg)>> {
+        let object = fetch.object;
         crate::runtime::proto_trace!(
             self,
             "orphan recovery for {object:?} after death of {dead:?}"
@@ -662,7 +674,7 @@ impl NodeRuntime {
         // any that were deferred before the death was signalled here.
         self.dir.lock().entry_mut(object).state.recovering = true;
         self.process_deferred();
-        let outcome = self.orphan_round(object, run, access, dead);
+        let outcome = self.orphan_round(fetch, dead);
         self.dir.lock().entry_mut(object).state.recovering = false;
         outcome
     }
@@ -670,11 +682,10 @@ impl NodeRuntime {
     /// The body of [`Self::refetch_orphan`]: query, collect, adopt.
     fn orphan_round(
         self: &Arc<Self>,
-        object: ObjectId,
-        run: u32,
-        access: FetchKind,
+        fetch: &FetchRequest,
         dead: NodeId,
     ) -> Result<Option<(munin_sim::Envelope, DsmMsg)>> {
+        let object = fetch.object;
         let mut pending: Vec<NodeId> = self.live_peers().iter().collect();
         let shared: std::sync::Arc<[ObjectId]> = std::sync::Arc::from(vec![object]);
         for peer in &pending {
@@ -720,26 +731,13 @@ impl NodeRuntime {
         holders.sort();
         match holders.first() {
             Some(&adoptee) => {
-                let phase = {
-                    let mut dir = self.dir.lock();
-                    dir.entry_mut(object).probable_owner = adoptee;
-                    dir.phase
-                };
+                self.dir.lock().entry_mut(object).probable_owner = adoptee;
                 crate::runtime::proto_trace!(self, "asking {adoptee:?} to adopt orphan {object:?}");
                 // Word of the death first, in case gossip has not reached
                 // the adoptee: its recovery walk adopts every page of the
                 // dead owner's it holds, so one round brings the whole run.
                 self.send(adoptee, DsmMsg::PeerDown { node: dead })?;
-                self.send(
-                    adoptee,
-                    DsmMsg::Adopt {
-                        object,
-                        run,
-                        access,
-                        requester: self.node,
-                        phase,
-                    },
-                )?;
+                self.send(adoptee, DsmMsg::Adopt(fetch.clone()))?;
                 Ok(None)
             }
             None => {
@@ -829,10 +827,10 @@ mod tests {
 
     fn single_node() -> Arc<NodeRuntime> {
         let mut table = SharedDataTable::new(64);
-        table.declare("ro", SharingAnnotation::ReadOnly, 4, 8, false);
-        table.declare("ws", SharingAnnotation::WriteShared, 4, 8, false);
-        table.declare("conv", SharingAnnotation::Conventional, 4, 8, false);
-        table.declare("red", SharingAnnotation::Reduction, 8, 1, false);
+        table.declare("ro", SharingAnnotation::ReadOnly, 4, 8);
+        table.declare("ws", SharingAnnotation::WriteShared, 4, 8);
+        table.declare("conv", SharingAnnotation::Conventional, 4, 8);
+        table.declare("red", SharingAnnotation::Reduction, 8, 1);
         let table = Arc::new(table);
         let cfg = Arc::new(MuninConfig::fast_test(1));
         let clock = NodeClock::new();
@@ -865,7 +863,7 @@ mod tests {
     fn write_to_read_only_object_is_a_runtime_error() {
         let rt = single_node();
         let ro = obj(&rt, "ro");
-        let err = rt.write_fault(ro, 0).unwrap_err();
+        let err = rt.fault(ro, true, 0).unwrap_err();
         assert_eq!(err, MuninError::ReadOnlyWrite(ro));
         assert_eq!(rt.stats().snapshot().runtime_errors, 1);
     }
@@ -877,7 +875,7 @@ mod tests {
         // Force a fault by write-protecting the entry.
         rt.dir.lock().entry_mut(red).state.rights = AccessRights::Read;
         assert!(matches!(
-            rt.write_fault(red, 0),
+            rt.fault(red, true, 0),
             Err(MuninError::NotAReductionObject(_))
         ));
     }
@@ -891,7 +889,7 @@ mod tests {
             AccessRights::Read,
             "write-shared objects start write-protected"
         );
-        rt.write_fault(ws, 0).unwrap();
+        rt.fault(ws, true, 0).unwrap();
         assert!(rt.duq.lock().contains(ws));
         assert!(rt.duq.lock().twin_of(ws).is_some());
         assert_eq!(
@@ -906,12 +904,12 @@ mod tests {
     fn second_write_fault_does_not_duplicate_duq_entry() {
         let rt = single_node();
         let ws = obj(&rt, "ws");
-        rt.write_fault(ws, 0).unwrap();
+        rt.fault(ws, true, 0).unwrap();
         // Simulate re-protection then another fault before a flush: the twin
         // from the first fault must be preserved.
         rt.install_object_bytes(ws, &[9u8; 32]);
         rt.dir.lock().entry_mut(ws).state.rights = AccessRights::Read;
-        rt.write_fault(ws, 0).unwrap();
+        rt.fault(ws, true, 0).unwrap();
         assert_eq!(rt.duq.lock().len(), 1);
         assert_eq!(rt.duq.lock().twin_of(ws).unwrap(), vec![0u8; 32].as_slice());
     }
@@ -923,7 +921,7 @@ mod tests {
         // Root owns the conventional object with ReadWrite rights already;
         // downgrade to Read to force the upgrade path.
         rt.dir.lock().entry_mut(conv).state.rights = AccessRights::Read;
-        rt.write_fault(conv, 0).unwrap();
+        rt.fault(conv, true, 0).unwrap();
         let dir = rt.dir.lock();
         assert_eq!(dir.entry(conv).state.rights, AccessRights::ReadWrite);
         assert!(dir.entry(conv).state.owned);
@@ -933,7 +931,7 @@ mod tests {
     fn read_of_valid_object_does_not_fault() {
         let rt = single_node();
         let ro = obj(&rt, "ro");
-        rt.ensure_read(ro, 0).unwrap();
+        rt.fault_in(&[ro], false).unwrap();
         assert_eq!(rt.stats().snapshot().read_faults, 0);
     }
 

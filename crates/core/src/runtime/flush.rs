@@ -918,9 +918,9 @@ mod tests {
 
     fn single_node() -> Arc<NodeRuntime> {
         let mut table = SharedDataTable::new(64);
-        table.declare("ws", SharingAnnotation::WriteShared, 4, 8, false);
-        table.declare("pc", SharingAnnotation::ProducerConsumer, 4, 8, false);
-        table.declare("res", SharingAnnotation::Result, 4, 8, false);
+        table.declare("ws", SharingAnnotation::WriteShared, 4, 8);
+        table.declare("pc", SharingAnnotation::ProducerConsumer, 4, 8);
+        table.declare("res", SharingAnnotation::Result, 4, 8);
         let table = Arc::new(table);
         let cfg = Arc::new(MuninConfig::fast_test(1));
         let clock = NodeClock::new();
@@ -950,7 +950,7 @@ mod tests {
     fn flush_on_single_node_clears_duq_and_reprotects() {
         let rt = single_node();
         let ws = obj(&rt, "ws");
-        rt.write_fault(ws, 0).unwrap();
+        rt.fault(ws, true, 0).unwrap();
         rt.install_object_bytes(ws, &[7u8; 32]);
         rt.flush_duq().unwrap();
         assert!(rt.duq.lock().is_empty());
@@ -964,7 +964,7 @@ mod tests {
     fn stable_object_with_empty_copyset_becomes_private() {
         let rt = single_node();
         let pc = obj(&rt, "pc");
-        rt.write_fault(pc, 0).unwrap();
+        rt.fault(pc, true, 0).unwrap();
         rt.flush_duq().unwrap();
         let dir = rt.dir.lock();
         let e = dir.entry(pc);
@@ -973,7 +973,7 @@ mod tests {
         drop(dir);
         // A subsequent write does not fault, create a twin, or enqueue.
         let before = rt.stats().snapshot();
-        rt.ensure_write(pc, 0).unwrap();
+        rt.fault_in(&[pc], true).unwrap();
         assert_eq!(rt.stats().snapshot().write_faults, before.write_faults);
         assert!(rt.duq.lock().is_empty());
     }
@@ -982,7 +982,7 @@ mod tests {
     fn result_object_at_owner_flushes_locally() {
         let rt = single_node();
         let res = obj(&rt, "res");
-        rt.write_fault(res, 0).unwrap();
+        rt.fault(res, true, 0).unwrap();
         rt.install_object_bytes(res, &[1u8; 32]);
         rt.flush_duq().unwrap();
         // The owner keeps its (authoritative) copy.
@@ -994,7 +994,7 @@ mod tests {
     fn phase_change_clears_fixed_copysets() {
         let rt = single_node();
         let pc = obj(&rt, "pc");
-        rt.write_fault(pc, 0).unwrap();
+        rt.fault(pc, true, 0).unwrap();
         rt.flush_duq().unwrap();
         assert!(rt.dir.lock().entry(pc).state.copyset_fixed);
         rt.phase_change();
@@ -1020,7 +1020,7 @@ mod tests {
     fn invalidate_hint_drops_a_replica_but_not_the_owning_homes_copy() {
         let rt = single_node();
         let ws = obj(&rt, "ws");
-        rt.write_fault(ws, 0).unwrap();
+        rt.fault(ws, true, 0).unwrap();
         rt.invalidate_hint(&[ws]).unwrap();
         assert_eq!(rt.dir.lock().entry(ws).state.rights, AccessRights::Read);
         assert!(rt.duq.lock().is_empty());
@@ -1044,7 +1044,7 @@ mod tests {
     /// driven manually) so copysets with several members can be exercised.
     fn three_node_runtime() -> Arc<NodeRuntime> {
         let mut table = SharedDataTable::new(64);
-        table.declare("ws", SharingAnnotation::WriteShared, 4, 8, false);
+        table.declare("ws", SharingAnnotation::WriteShared, 4, 8);
         let table = Arc::new(table);
         let cfg = Arc::new(MuninConfig::fast_test(3));
         let clock = NodeClock::new();
@@ -1075,7 +1075,7 @@ mod tests {
         let ws = obj(&rt, "ws");
         // Take a write fault (creates the twin), modify the object, and give
         // the object a two-member copyset so the flush fans out.
-        rt.write_fault(ws, 0).unwrap();
+        rt.fault(ws, true, 0).unwrap();
         rt.install_object_bytes(ws, &[7u8; 32]);
         {
             let mut dir = rt.dir.lock();
@@ -1119,7 +1119,7 @@ mod tests {
     #[test]
     fn flush_heals_members_reported_by_owner_ack() {
         let mut table = SharedDataTable::new(64);
-        table.declare("ws", SharingAnnotation::WriteShared, 4, 8, false);
+        table.declare("ws", SharingAnnotation::WriteShared, 4, 8);
         let table = Arc::new(table);
         let cfg = Arc::new(MuninConfig::fast_test(3));
         let clock = NodeClock::new();
@@ -1143,7 +1143,7 @@ mod tests {
         let ws = rt.table().var_by_name("ws").unwrap().objects[0];
         // Node 0 knows only of the replica at N1; N2's copy is "invisible"
         // to its determination (as if N2 fetched after the query round).
-        rt.write_fault(ws, 0).unwrap();
+        rt.fault(ws, true, 0).unwrap();
         rt.install_object_bytes(ws, &[7u8; 32]);
         {
             let mut dir = rt.dir.lock();
@@ -1221,7 +1221,7 @@ mod tests {
             star: true,
         };
         // First cycle warms the pool and the scratch.
-        rt.write_fault(ws, 0).unwrap();
+        rt.fault(ws, true, 0).unwrap();
         rt.install_object_bytes(ws, &[1u8; 32]);
         let (relay, _) = rt.flush_duq_mode(mode).unwrap();
         assert_eq!(relay[&n1].len(), 1, "the diff goes to N1");
@@ -1229,7 +1229,7 @@ mod tests {
         let scratch_cap = rt.diff_scratch.lock().capacity();
         assert!(scratch_cap > 0);
         // Second cycle must not grow either allocation.
-        rt.write_fault(ws, 0).unwrap();
+        rt.fault(ws, true, 0).unwrap();
         assert_eq!(rt.duq.lock().pooled_twins(), 0, "twin taken from pool");
         rt.install_object_bytes(ws, &[2u8; 32]);
         let (relay, _) = rt.flush_duq_mode(mode).unwrap();
@@ -1245,7 +1245,7 @@ mod tests {
         rt: &Arc<NodeRuntime>,
         object: ObjectId,
     ) -> (Option<UpdatePayload>, FlushRoute, VirtTime) {
-        rt.write_fault(object, 0).unwrap();
+        rt.fault(object, true, 0).unwrap();
         rt.install_object_bytes(object, &[7u8; 32]);
         let before = rt.clock.now();
         let (payload, route) = rt.encode_entry(object).unwrap();
@@ -1375,13 +1375,7 @@ mod tests {
         Vec<ObjectId>,
     ) {
         let mut table = SharedDataTable::new(32);
-        table.declare(
-            "ws",
-            SharingAnnotation::WriteShared,
-            4,
-            8 * owners.len(),
-            false,
-        );
+        table.declare("ws", SharingAnnotation::WriteShared, 4, 8 * owners.len());
         let table = Arc::new(table);
         // A relay threshold between a one-word diff and a whole-object one
         // (32-byte objects), for the barrier-flush tests.
@@ -1408,7 +1402,7 @@ mod tests {
         let objects = rt.table().var_by_name("ws").unwrap().objects.clone();
         assert_eq!(objects.len(), owners.len());
         for (ws, owner) in objects.iter().zip(owners) {
-            rt.write_fault(*ws, 0).unwrap();
+            rt.fault(*ws, true, 0).unwrap();
             rt.install_object_bytes(*ws, &[7u8; 32]);
             // Not owned here, owner hint at a peer, copyset never
             // determined: exactly the shape that takes the cooperative route.

@@ -220,6 +220,10 @@ pub struct NodeRuntime {
     /// trap's fault handler may fetch a run in. Written by the touch wrapper
     /// and read by the trap handler on the same thread, like the flag above.
     vm_window_end: std::sync::atomic::AtomicU32,
+    /// The write access in progress on the user thread (`write_var_bytes`):
+    /// the ids of the objects it overwrites whole, and those of them its
+    /// faults installed without their bytes (see `write_fault`).
+    overwrite: Mutex<(std::ops::Range<u32>, Vec<ObjectId>)>,
     /// The thread the user (worker) closure runs on — the only thread whose
     /// faults the VM-trap callback resolves. A fault on any other thread is
     /// a runtime bug (a privileged path missed an escalation) and is left to
@@ -323,6 +327,7 @@ impl NodeRuntime {
                 vm_fault_errored: std::sync::atomic::AtomicBool::new(false),
                 vm_fault_error: Mutex::new(None),
                 vm_window_end: std::sync::atomic::AtomicU32::new(0),
+                overwrite: Mutex::default(),
                 user_thread: std::thread::current().id(),
                 dir: Mutex::new(dir),
                 duq: Mutex::new(DelayedUpdateQueue::new()),
@@ -811,13 +816,12 @@ impl NodeRuntime {
             return false;
         };
         let window_end = self.vm_window_end.load(Ordering::Relaxed);
-        let result = if is_write {
-            crate::stats::bump(&self.stats.vm_write_traps);
-            self.write_fault(object, window_end)
+        crate::stats::bump(if is_write {
+            &self.stats.vm_write_traps
         } else {
-            crate::stats::bump(&self.stats.vm_read_traps);
-            self.read_fault(object, window_end)
-        };
+            &self.stats.vm_read_traps
+        });
+        let result = self.fault(object, is_write, window_end);
         if let Err(e) = result {
             // The handler cannot make the faulting access fail; it loosens
             // the page so the touch completes (touches never carry
@@ -967,9 +971,9 @@ mod tests {
     /// Builds a single-node runtime for white-box tests of local paths.
     fn single_node_runtime() -> Arc<NodeRuntime> {
         let mut table = SharedDataTable::new(64);
-        table.declare("ro", SharingAnnotation::ReadOnly, 4, 8, false);
-        table.declare("ws", SharingAnnotation::WriteShared, 4, 32, false);
-        table.declare("res", SharingAnnotation::Result, 4, 8, false);
+        table.declare("ro", SharingAnnotation::ReadOnly, 4, 8);
+        table.declare("ws", SharingAnnotation::WriteShared, 4, 32);
+        table.declare("res", SharingAnnotation::Result, 4, 8);
         let table = Arc::new(table);
         let cfg = Arc::new(MuninConfig::fast_test(1));
         let clock = NodeClock::new();

@@ -15,7 +15,8 @@ use crate::copyset::CopySet;
 use crate::diff;
 use crate::directory::AccessRights;
 use crate::msg::{
-    DsmMsg, FetchKind, ReduceOp, Route, TimerKind, UpdateBundle, UpdateItem, UpdatePayload,
+    DsmMsg, FetchKind, FetchRequest, ReduceOp, Route, TimerKind, UpdateBundle, UpdateItem,
+    UpdatePayload,
 };
 use crate::object::ObjectId;
 use crate::stats::{add, bump};
@@ -197,13 +198,7 @@ impl NodeRuntime {
     pub(crate) fn handle_request(self: &Arc<Self>, env: Envelope, msg: DsmMsg) {
         let now = env.arrival;
         match msg {
-            DsmMsg::ObjectFetch {
-                object,
-                run,
-                access,
-                requester,
-                phase,
-            } => self.handle_object_fetch(env, object, run, access, requester, phase),
+            DsmMsg::ObjectFetch(fetch) => self.handle_object_fetch(env, fetch),
             DsmMsg::Invalidate { object, requester } => {
                 self.handle_invalidate(env, object, requester)
             }
@@ -237,13 +232,7 @@ impl NodeRuntime {
                 updates,
                 relay,
             } => self.handle_carrier(env, inner, updates, relay),
-            DsmMsg::Adopt {
-                object,
-                run,
-                access,
-                requester,
-                phase,
-            } => self.handle_adopt(env, object, run, access, requester, phase),
+            DsmMsg::Adopt(fetch) => self.handle_adopt(env, fetch),
             // Replies and control messages are routed before we get here.
             other => {
                 debug_assert!(
@@ -507,32 +496,17 @@ impl NodeRuntime {
     /// surviving holder of an object whose owner died. Claim ownership if
     /// the local copy is still valid, then serve the blocked fetch exactly
     /// as an owner would.
-    fn handle_adopt(
-        self: &Arc<Self>,
-        env: Envelope,
-        object: ObjectId,
-        run: u32,
-        access: FetchKind,
-        requester: NodeId,
-        phase: u32,
-    ) {
+    fn handle_adopt(self: &Arc<Self>, env: Envelope, fetch: FetchRequest) {
+        let FetchRequest {
+            object, requester, ..
+        } = fetch;
         {
             let mut dir = self.dir.lock();
             let entry = dir.entry_mut(object);
             if entry.state.busy || entry.state.pinned {
                 // Mid-transition: retry once it completes, as a fetch would.
                 drop(dir);
-                self.defer(
-                    env,
-                    DsmMsg::Adopt {
-                        object,
-                        run,
-                        access,
-                        requester,
-                        phase,
-                    },
-                    DeferredOn::Entry,
-                );
+                self.defer(env, DsmMsg::Adopt(fetch), DeferredOn::Entry);
                 return;
             }
             if !entry.state.owned && entry.state.rights.allows_read() {
@@ -556,7 +530,7 @@ impl NodeRuntime {
         // this forwards along the (recovery-redirected) hint chain instead.
         // The rest of the run comes along as far as this node owns it — all
         // the way when its own recovery walk adopted the dead owner's pages.
-        self.handle_object_fetch(env, object, run, access, requester, phase);
+        self.handle_object_fetch(env, fetch);
     }
 
     /// The stable-sharing check, made for every object a fetch is served
@@ -618,15 +592,15 @@ impl NodeRuntime {
     /// is every object behind it for which the same holds, and the reply
     /// carries that prefix of the run; the requester faults again on what is
     /// left. All of it happens in one directory-lock scope.
-    fn handle_object_fetch(
-        self: &Arc<Self>,
-        env: Envelope,
-        object: ObjectId,
-        run: u32,
-        access: FetchKind,
-        requester: NodeId,
-        phase: u32,
-    ) {
+    fn handle_object_fetch(self: &Arc<Self>, env: Envelope, fetch: FetchRequest) {
+        let FetchRequest {
+            object,
+            run,
+            access,
+            requester,
+            phase,
+            ..
+        } = fetch;
         let now = env.arrival;
         /// What serving one object would take.
         enum Serve {
@@ -691,7 +665,8 @@ impl NodeRuntime {
         // Each object served costs `dir_op`, plus `copy(size)` when its
         // protocol lets anyone write it: the snapshot a writer would tear.
         // One nothing can write is served by reference, as message passing
-        // sends its arrays; a zero-filled one has no bytes to copy.
+        // sends its arrays; a zero-filled one has no bytes to copy, nor has
+        // one the requester overwrites whole: it goes as the empty image.
         let mut data: Vec<Vec<u8>> = Vec::new();
         let mut service = munin_sim::VirtTime::ZERO;
         let (mut ownership, mut copyset, mut writable) = (false, CopySet::EMPTY, false);
@@ -708,7 +683,12 @@ impl NodeRuntime {
                 break;
             }
             self.check_stable_sharing(entry, my_phase, phase, requester);
-            let image = self.reply_image(entry);
+            let elided = matches!(serve, Serve::Copy) && fetch.elide.contains(&id.as_u32());
+            let image = if elided {
+                Vec::new()
+            } else {
+                self.reply_image(entry)
+            };
             service += self.cost.dir_op();
             if entry.params.is_writable() {
                 service += self.cost.copy(image.len() as u64);
@@ -741,24 +721,18 @@ impl NodeRuntime {
             break;
         }
         drop(dir);
-        let request = || DsmMsg::ObjectFetch {
-            object,
-            run,
-            access,
-            requester,
-            phase,
-        };
         match unserved {
             Some(Serve::Forward(next)) => {
                 self.charge_sys(self.cost.dir_op());
-                let _ = self.send_service(next, request(), now + self.cost.dir_op());
+                let _ =
+                    self.send_service(next, DsmMsg::ObjectFetch(fetch), now + self.cost.dir_op());
             }
             // No virtual-time charge on a deferred attempt: the number of
             // retries depends on host thread interleaving and must not
             // perturb virtual time.
             Some(_) => {
                 crate::runtime::proto_trace!(self, "defer fetch {object:?} from {requester:?}");
-                self.defer(env, request(), DeferredOn::Entry);
+                self.defer(env, DsmMsg::ObjectFetch(fetch), DeferredOn::Entry);
             }
             None => {
                 crate::runtime::proto_trace!(
@@ -1478,14 +1452,14 @@ mod tests {
 
     fn harness_with(cfg: MuninConfig) -> Harness {
         let mut table = SharedDataTable::new(64);
-        table.declare("ro", SharingAnnotation::ReadOnly, 4, 8, false);
-        table.declare("conv", SharingAnnotation::Conventional, 4, 8, false);
-        table.declare("ws", SharingAnnotation::WriteShared, 4, 8, false);
-        table.declare("red", SharingAnnotation::Reduction, 8, 2, false);
-        table.declare("mig", SharingAnnotation::Migratory, 4, 8, false);
-        table.declare("pc", SharingAnnotation::ProducerConsumer, 4, 8, false);
+        table.declare("ro", SharingAnnotation::ReadOnly, 4, 8);
+        table.declare("conv", SharingAnnotation::Conventional, 4, 8);
+        table.declare("ws", SharingAnnotation::WriteShared, 4, 8);
+        table.declare("red", SharingAnnotation::Reduction, 8, 2);
+        table.declare("mig", SharingAnnotation::Migratory, 4, 8);
+        table.declare("pc", SharingAnnotation::ProducerConsumer, 4, 8);
         // Three page-sized objects, for fetches of a run.
-        table.declare("rows", SharingAnnotation::ReadOnly, 4, 48, false);
+        table.declare("rows", SharingAnnotation::ReadOnly, 4, 48);
         let table = Arc::new(table);
         let cfg = Arc::new(cfg);
         let clock0 = NodeClock::new();
@@ -1532,13 +1506,14 @@ mod tests {
 
     /// A fetch from node 1 for `run` objects starting at `object`.
     fn fetch_msg(object: ObjectId, run: u32, access: FetchKind, phase: u32) -> DsmMsg {
-        DsmMsg::ObjectFetch {
+        DsmMsg::ObjectFetch(FetchRequest {
             object,
             run,
             access,
             requester: NodeId::new(1),
             phase,
-        }
+            elide: 0..0,
+        })
     }
 
     /// Barrier 0 is owned by the hosted runtime, barrier 1 by the peer.
@@ -1938,18 +1913,21 @@ mod tests {
             writable: false,
         };
         let arrival = munin_sim::VirtTime::from_micros(50);
-        let request = |object, run| DsmMsg::ObjectFetch {
-            object,
-            run,
-            access: FetchKind::Read,
-            requester: NodeId::new(0),
-            phase: 0,
+        let request = |object, run| {
+            DsmMsg::ObjectFetch(FetchRequest {
+                object,
+                run,
+                access: FetchKind::Read,
+                requester: NodeId::new(0),
+                phase: 0,
+                elide: 0..0,
+            })
         };
 
         // The owner hands out the first object only.
         let fault = {
             let rt = Arc::clone(&h.rt);
-            std::thread::spawn(move || rt.read_fault(rows[0], window_end))
+            std::thread::spawn(move || rt.fault(rows[0], false, window_end))
         };
         assert_eq!(h.peer_recv(), request(rows[0], 3));
         assert_eq!(busy(&h), [true; 3]);
@@ -1971,7 +1949,7 @@ mod tests {
         // The next fault asks for what is left, and gets it.
         let fault = {
             let rt = Arc::clone(&h.rt);
-            std::thread::spawn(move || rt.read_fault(rows[1], window_end))
+            std::thread::spawn(move || rt.fault(rows[1], false, window_end))
         };
         assert_eq!(h.peer_recv(), request(rows[1], 2));
         assert_eq!(busy(&h), [false, true, true]);
@@ -1993,7 +1971,7 @@ mod tests {
             reply(rows[2], vec![vec![0; 64], vec![0; 64]]),
         );
         assert!(matches!(
-            h.rt.read_fault(rows[2], window_end),
+            h.rt.fault(rows[2], false, window_end),
             Err(crate::error::MuninError::ProtocolViolation(_))
         ));
         assert_eq!(busy(&h), [false; 3]);
@@ -2130,7 +2108,7 @@ mod tests {
         // The second image is short: nothing of the reply is installed.
         reply(vec![vec![7; 64], vec![7; 63], vec![]]);
         assert!(matches!(
-            h.rt.read_fault(rows[0], window_end),
+            h.rt.fault(rows[0], false, window_end),
             Err(crate::error::MuninError::ProtocolViolation(_))
         ));
         assert_eq!(holds(&h), [false; 3]);
@@ -2139,7 +2117,7 @@ mod tests {
 
         // Carried, described, carried.
         reply(vec![vec![7; 64], vec![], vec![9; 64]]);
-        h.rt.read_fault(rows[0], window_end).unwrap();
+        h.rt.fault(rows[0], false, window_end).unwrap();
         assert_eq!(holds(&h), [true; 3]);
         let images = rows.map(|row| h.rt.object_bytes(row));
         assert_eq!(images, [vec![7; 64], vec![0; 64], vec![9; 64]]);
@@ -2150,6 +2128,272 @@ mod tests {
     /// The owner's `UpdateAck` carries its authoritative recorded copyset
     /// for every owned object in the update, so the flusher can heal members
     /// its determination missed.
+    /// `rows` re-annotated `annotation`, its three objects filled with 1s,
+    /// 2s and 3s where the owner holds them.
+    fn rows_as(h: &Harness, annotation: SharingAnnotation) -> [ObjectId; 3] {
+        let rows = h.rows();
+        for row in rows {
+            h.rt.dir.lock().entry_mut(row).set_annotation(annotation);
+        }
+        rows
+    }
+
+    /// Node 1's fetch of all of `rows`, asking for `elide` without bytes.
+    fn elided_fetch(h: &Harness, rows: [ObjectId; 3], elide: std::ops::Range<u32>) {
+        let fetch = FetchRequest {
+            object: rows[0],
+            run: 3,
+            access: FetchKind::Read,
+            requester: NodeId::new(1),
+            phase: 0,
+            elide,
+        };
+        h.peer_tx
+            .send(
+                NodeId::new(0),
+                "object_fetch",
+                48,
+                DsmMsg::ObjectFetch(fetch),
+            )
+            .unwrap();
+        h.pump();
+    }
+
+    /// The owner's side of write-validate: the objects a write fault's
+    /// request names go as empty images, charged the lookup only — no
+    /// snapshot, for no byte leaves — while the boundary object before them
+    /// carries its bytes and pays its copy. The requester joins every
+    /// copyset as ever, and the recorder counts the elided images with the
+    /// zero-filled ones.
+    #[test]
+    fn owner_serves_the_objects_a_writer_overwrites_as_empty_images() {
+        let h = harness();
+        let rows = rows_as(&h, SharingAnnotation::Result);
+        // An elided object is not looked at, not even by the debug check
+        // that a never-materialised one is zero.
+        h.rt.install_object_bytes(rows[2], &[5; 64]);
+        unmaterialise(&h, &[rows[2]]);
+        elided_fetch(&h, rows, rows[1].as_u32()..rows[2].as_u32() + 1);
+        let (data, ownership, writable) = peer_reply(&h);
+        assert_eq!(data, [vec![1; 64], vec![], vec![]]);
+        assert!(!ownership && !writable);
+        assert!(rows.iter().all(|row| h.holds_copy(*row)));
+        let cost = &h.rt.cost;
+        let charged = 3 * cost.dir_op().as_nanos() + (cost.copy(64) + cost.msg_fixed()).as_nanos();
+        assert_eq!(h.rt.clock().system_time().as_nanos(), charged);
+        let snapshot = h.rt.obs().snapshot();
+        let served = snapshot.events.last().unwrap();
+        assert_eq!((served.run, served.zero_filled), (Some(3), Some(2)));
+    }
+
+    /// Eliding is for plain copies: a conventional write fetch moves the
+    /// object, and its bytes go with it whatever the request says.
+    #[test]
+    fn an_ownership_transfer_carries_its_bytes_whatever_the_request_elides() {
+        let h = harness();
+        let rows = rows_as(&h, SharingAnnotation::Conventional);
+        let fetch = FetchRequest {
+            object: rows[0],
+            run: 1,
+            access: FetchKind::Write,
+            requester: NodeId::new(1),
+            phase: 0,
+            elide: rows[0].as_u32()..rows[0].as_u32() + 1,
+        };
+        h.peer_tx
+            .send(
+                NodeId::new(0),
+                "object_fetch",
+                48,
+                DsmMsg::ObjectFetch(fetch),
+            )
+            .unwrap();
+        h.pump();
+        assert_eq!(peer_reply(&h), (vec![vec![1; 64]], true, true));
+    }
+
+    /// Node 0 as a worker of `rows`: homed and owned at node 1, no copy here
+    /// (the explicit access mode: the write runs on a thread of its own).
+    fn worker_of_rows(annotation: SharingAnnotation) -> (Harness, [ObjectId; 3]) {
+        let cfg = MuninConfig::fast_test(2).with_access_mode(crate::AccessMode::Explicit);
+        let h = harness_with(cfg);
+        let rows = rows_as(&h, annotation);
+        let mut dir = h.rt.dir.lock();
+        for row in rows {
+            let e = dir.entry_mut(row);
+            e.state.rights = AccessRights::Invalid;
+            e.state.owned = false;
+            e.probable_owner = NodeId::new(1);
+            e.home = NodeId::new(1);
+        }
+        drop(dir);
+        (h, rows)
+    }
+
+    /// The images node 1 answers a fetch with.
+    type Images = fn(&FetchRequest) -> Vec<Vec<u8>>;
+
+    /// Node 0 writes `len` bytes of 9s into `rows` from byte `from` on; node
+    /// 1 answers each fetch in turn with the images `replies` gives for its
+    /// request. Returns the requests and what the write returned.
+    fn write_rows(
+        h: &Harness,
+        from: usize,
+        len: usize,
+        replies: &[Images],
+    ) -> (Vec<FetchRequest>, crate::error::Result<()>) {
+        let var = h.rt.table().var_by_name("rows").unwrap().id;
+        let write = {
+            let rt = Arc::clone(&h.rt);
+            std::thread::spawn(move || rt.write_var_bytes(var, from, &vec![9; len]))
+        };
+        let mut requests = Vec::new();
+        for images in replies {
+            let DsmMsg::ObjectFetch(fetch) = h.peer_recv() else {
+                panic!("expected a fetch");
+            };
+            let reply = DsmMsg::ObjectData {
+                object: fetch.object,
+                data: images(&fetch),
+                ownership: false,
+                copyset: CopySet::EMPTY,
+                writable: false,
+            };
+            let at = munin_sim::VirtTime::from_micros(50);
+            h.rt.handle_incoming(env_at(1, "object_data", at), reply);
+            requests.push(fetch);
+        }
+        (requests, write.join().unwrap())
+    }
+
+    /// Owner-style images for a request: the empty image for what it asks
+    /// to elide, 7s for the rest.
+    fn images_of(fetch: &FetchRequest) -> Vec<Vec<u8>> {
+        let ids = fetch.object.as_u32()..fetch.object.as_u32() + fetch.run;
+        ids.map(|id| {
+            if fetch.elide.contains(&id) {
+                vec![]
+            } else {
+                vec![7; 64]
+            }
+        })
+        .collect()
+    }
+
+    /// (rights, queued, has a twin) of each object of `rows`.
+    fn row_states(h: &Harness, rows: [ObjectId; 3]) -> [(AccessRights, bool, bool); 3] {
+        let duq = h.rt.duq.lock();
+        let dir = h.rt.dir.lock();
+        rows.map(|row| {
+            let queued = duq.contains(row);
+            (
+                dir.entry(row).state.rights,
+                queued,
+                duq.twin_of(row).is_some(),
+            )
+        })
+    }
+
+    /// The requester's side: one write fault fetches the run, asking for the
+    /// two objects the write covers whole without their bytes. Those are
+    /// installed writable and queued with no twin — no further fault —
+    /// while the boundary object, holding a neighbour's bytes too, takes
+    /// its twin. The flush then sends the elided objects whole to their home
+    /// and drops the local copy, and the boundary object as a diff.
+    #[test]
+    fn requester_installs_what_it_overwrites_writable_and_flushes_it_whole() {
+        let (h, rows) = worker_of_rows(SharingAnnotation::Result);
+        let (requests, result) = write_rows(&h, 32, 160, &[images_of]);
+        result.unwrap();
+        assert_eq!(requests[0].run, 3);
+        assert_eq!(requests[0].elide, rows[1].as_u32()..rows[2].as_u32() + 1);
+        let rw = AccessRights::ReadWrite;
+        assert_eq!(
+            row_states(&h, rows),
+            [(rw, true, true), (rw, true, false), (rw, true, false)]
+        );
+        let stats = h.rt.stats().snapshot();
+        assert_eq!((stats.write_faults, stats.twins_created), (1, 1));
+        assert_eq!((stats.objects_fetched, stats.fetch_bytes), (3, 64));
+        let mut boundary = vec![7; 64];
+        boundary[32..].fill(9);
+        assert_eq!(h.rt.object_bytes(rows[0]), boundary);
+        let (payload, route) = h.rt.encode_entry(rows[1]).unwrap();
+        assert_eq!(payload, Some(UpdatePayload::Full(vec![9; 64])));
+        let home = crate::nodeset::NodeSet::from_nodes([NodeId::new(1)]);
+        assert_eq!(route.destinations, home);
+        let (payload, _) = h.rt.encode_entry(rows[0]).unwrap();
+        assert!(matches!(payload, Some(UpdatePayload::Diff(_))));
+        for row in &rows[..2] {
+            assert_eq!(
+                h.rt.dir.lock().entry(*row).state.rights,
+                AccessRights::Invalid
+            );
+        }
+    }
+
+    /// A covered object that already has a copy here takes its twin as
+    /// ever — its diff may be far smaller than its image — and the run
+    /// stops at it; the covered object behind it, fetched by a fault of its
+    /// own, still comes without its bytes.
+    #[test]
+    fn a_covered_object_with_a_copy_keeps_its_twin() {
+        let (h, rows) = worker_of_rows(SharingAnnotation::Result);
+        h.rt.install_object_bytes(rows[1], &[2; 64]);
+        h.rt.dir.lock().entry_mut(rows[1]).state.rights = AccessRights::Read;
+        let (requests, result) = write_rows(&h, 32, 160, &[images_of, images_of]);
+        result.unwrap();
+        let asked: Vec<_> = requests
+            .iter()
+            .map(|f| (f.object, f.run, f.elide.clone()))
+            .collect();
+        let last = rows[2].as_u32();
+        assert_eq!(asked, [(rows[0], 1, 0..0), (rows[2], 1, last..last + 1)]);
+        let rw = AccessRights::ReadWrite;
+        assert_eq!(
+            row_states(&h, rows),
+            [(rw, true, true), (rw, true, true), (rw, true, false)]
+        );
+        assert_eq!(
+            h.rt.duq.lock().twin_of(rows[1]).unwrap(),
+            [2; 64].as_slice()
+        );
+    }
+
+    /// The rule is keyed on the protocol in force: the same write to `rows`
+    /// made write-shared (Table 6's forced cell) asks for every byte and
+    /// twins every object.
+    #[test]
+    fn a_write_shared_overwrite_is_fetched_with_its_bytes() {
+        let (h, _) = worker_of_rows(SharingAnnotation::WriteShared);
+        let (requests, result) = write_rows(&h, 0, 192, &[images_of]);
+        result.unwrap();
+        assert_eq!((requests[0].run, requests[0].elide.clone()), (3, 0..0));
+        let stats = h.rt.stats().snapshot();
+        assert_eq!((stats.write_faults, stats.twins_created), (3, 3));
+    }
+
+    /// A write that fails after a fault installed objects without their
+    /// bytes drops them again: they hold zeros, not the object, so they are
+    /// neither left readable nor flushed whole. Here the owner serves the
+    /// first two objects, and its answer for the last is not an image.
+    #[test]
+    fn a_failed_write_drops_what_it_installed_without_bytes() {
+        let (h, rows) = worker_of_rows(SharingAnnotation::Result);
+        let short = |fetch: &FetchRequest| images_of(fetch)[..2].to_vec();
+        let broken = |_: &FetchRequest| vec![vec![0; 3]];
+        let (_, result) = write_rows(&h, 32, 160, &[short, broken]);
+        assert!(matches!(
+            result,
+            Err(crate::error::MuninError::ProtocolViolation(_))
+        ));
+        let states = row_states(&h, rows);
+        assert_eq!(states[0], (AccessRights::ReadWrite, true, true));
+        assert_eq!(states[1], (AccessRights::Invalid, false, false));
+        assert_eq!(states[2], (AccessRights::Invalid, false, false));
+        assert!(h.rt.overwrite.lock().1.is_empty());
+    }
+
     #[test]
     fn update_ack_from_owner_reports_recorded_copyset() {
         let h = harness();
@@ -3082,7 +3326,7 @@ mod tests {
 
     fn harness3() -> Harness3 {
         let mut table = SharedDataTable::new(64);
-        table.declare("ws", SharingAnnotation::WriteShared, 4, 8, false);
+        table.declare("ws", SharingAnnotation::WriteShared, 4, 8);
         let table = Arc::new(table);
         let cfg = Arc::new(MuninConfig::fast_test(3).with_piggyback(true));
         let clock0 = NodeClock::new();

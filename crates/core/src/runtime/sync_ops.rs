@@ -451,8 +451,8 @@ mod tests {
 
     fn single_node_with_sync() -> Arc<NodeRuntime> {
         let mut table = SharedDataTable::new(64);
-        table.declare("mig", SharingAnnotation::Migratory, 4, 4, false);
-        table.declare("red", SharingAnnotation::Reduction, 8, 1, false);
+        table.declare("mig", SharingAnnotation::Migratory, 4, 4);
+        table.declare("red", SharingAnnotation::Reduction, 8, 1);
         let table = Arc::new(table);
         let cfg = Arc::new(MuninConfig::fast_test(1));
         let clock = NodeClock::new();

@@ -62,7 +62,6 @@ impl SharedDataTable {
         annotation: SharingAnnotation,
         elem_size: usize,
         len: usize,
-        single_object: bool,
     ) -> VarId {
         assert!(
             !self.by_name.contains_key(name),
@@ -72,7 +71,7 @@ impl SharedDataTable {
         // Variables are placed at page boundaries so that distinct variables
         // never share a consistency unit unless the programmer groups them.
         let base = self.segment_len.div_ceil(self.page_size) * self.page_size;
-        let sizes = split_sizes(elem_size * len, self.page_size, single_object);
+        let sizes = split_sizes(elem_size * len, self.page_size);
         let mut objects = Vec::with_capacity(sizes.len());
         let mut var_offset = 0usize;
         for size in &sizes {
@@ -95,7 +94,6 @@ impl SharedDataTable {
             elem_size,
             len,
             segment_offset: base,
-            single_object,
             objects,
         });
         self.by_name.insert(name, id);
@@ -132,22 +130,11 @@ impl SharedDataTable {
         self.objects.len()
     }
 
-    /// Index into `v.objects` of the object containing `byte_offset`:
-    /// multi-page variables are split at page boundaries, everything else
-    /// (`single_object`, or no larger than a page) is one object.
-    fn object_index(&self, v: &VarDesc, byte_offset: usize) -> usize {
-        if v.single_object || v.byte_len() <= self.page_size {
-            0
-        } else {
-            byte_offset / self.page_size
-        }
-    }
-
     /// Maps a byte offset within a variable to the object containing it and
     /// the offset within that object.
     pub fn locate(&self, var: VarId, byte_offset: usize) -> Option<(ObjectId, usize)> {
         let v = self.var(var);
-        let oid = *v.objects.get(self.object_index(v, byte_offset))?;
+        let oid = *v.objects.get(byte_offset / self.page_size)?;
         let o = self.object(oid);
         let within = byte_offset - o.var_offset;
         (within < o.size).then_some((oid, within))
@@ -164,9 +151,22 @@ impl SharedDataTable {
         if start >= end || start >= total {
             return &[];
         }
-        let first = self.object_index(v, start);
-        let last = self.object_index(v, end.min(total) - 1);
+        let first = start / self.page_size;
+        let last = (end.min(total) - 1) / self.page_size;
         &v.objects[first..=last]
+    }
+
+    /// The ids of the objects of `var` that lie wholly inside the byte range
+    /// `[start, end)`: consecutive, so a range (empty when there are none).
+    pub fn objects_covered(&self, var: VarId, start: usize, end: usize) -> std::ops::Range<u32> {
+        let whole = |o: &&ObjectId| {
+            let d = self.object(**o);
+            start <= d.var_offset && d.var_offset + d.size <= end
+        };
+        let objects = self.objects_in_range(var, start, end).iter();
+        let mut ids = objects.filter(whole).map(|o| o.as_u32());
+        let first = ids.next();
+        first.map_or(0..0, |f| f..ids.next_back().unwrap_or(f) + 1)
     }
 
     /// The annotation of the variable an object belongs to.
@@ -186,8 +186,8 @@ mod tests {
     #[test]
     fn variables_are_page_aligned_and_split() {
         let mut t = table();
-        let a = t.declare("a", SharingAnnotation::ReadOnly, 4, 8, false); // 32 bytes, 1 object
-        let b = t.declare("b", SharingAnnotation::WriteShared, 4, 40, false); // 160 bytes, 3 objects
+        let a = t.declare("a", SharingAnnotation::ReadOnly, 4, 8); // 32 bytes, 1 object
+        let b = t.declare("b", SharingAnnotation::WriteShared, 4, 40); // 160 bytes, 3 objects
         assert_eq!(t.var(a).segment_offset, 0);
         assert_eq!(t.var(b).segment_offset, 64);
         assert_eq!(t.var(a).objects.len(), 1);
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn locate_maps_offsets_to_objects() {
         let mut t = table();
-        let v = t.declare("v", SharingAnnotation::WriteShared, 4, 40, false); // 160 bytes
+        let v = t.declare("v", SharingAnnotation::WriteShared, 4, 40); // 160 bytes
         let (o0, off0) = t.locate(v, 0).unwrap();
         let (o1, off1) = t.locate(v, 70).unwrap();
         let (o2, off2) = t.locate(v, 159).unwrap();
@@ -213,19 +213,9 @@ mod tests {
     }
 
     #[test]
-    fn single_object_variables_have_one_object() {
-        let mut t = table();
-        let v = t.declare("big", SharingAnnotation::ReadOnly, 4, 100, true); // 400 bytes single
-        assert_eq!(t.var(v).objects.len(), 1);
-        let (oid, off) = t.locate(v, 399).unwrap();
-        assert_eq!(off, 399);
-        assert_eq!(t.object(oid).size, 400);
-    }
-
-    #[test]
     fn objects_in_range_selects_overlapping_objects() {
         let mut t = table();
-        let v = t.declare("v", SharingAnnotation::WriteShared, 4, 48, false); // 192 bytes, 3 objects of 64
+        let v = t.declare("v", SharingAnnotation::WriteShared, 4, 48); // 192 bytes, 3 objects of 64
         let objs = t.objects_in_range(v, 60, 70);
         assert_eq!(objs.len(), 2);
         let objs = t.objects_in_range(v, 0, 192);
@@ -236,7 +226,7 @@ mod tests {
     #[test]
     fn annotation_of_object_follows_variable() {
         let mut t = table();
-        let v = t.declare("v", SharingAnnotation::Result, 8, 4, false);
+        let v = t.declare("v", SharingAnnotation::Result, 8, 4);
         let oid = t.var(v).objects[0];
         assert_eq!(t.annotation_of(oid), SharingAnnotation::Result);
     }
@@ -245,14 +235,14 @@ mod tests {
     #[should_panic(expected = "declared twice")]
     fn duplicate_names_panic() {
         let mut t = table();
-        t.declare("dup", SharingAnnotation::ReadOnly, 4, 1, false);
-        t.declare("dup", SharingAnnotation::ReadOnly, 4, 1, false);
+        t.declare("dup", SharingAnnotation::ReadOnly, 4, 1);
+        t.declare("dup", SharingAnnotation::ReadOnly, 4, 1);
     }
 
     #[test]
     fn lookup_by_name() {
         let mut t = table();
-        t.declare("named", SharingAnnotation::Migratory, 4, 2, false);
+        t.declare("named", SharingAnnotation::Migratory, 4, 2);
         assert!(t.var_by_name("named").is_some());
         assert!(t.var_by_name("missing").is_none());
     }

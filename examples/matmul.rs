@@ -1,4 +1,4 @@
-//! The paper's Matrix Multiply program (Table 3/4): inputs annotated
+//! The paper's Matrix Multiply program (Table 3): inputs annotated
 //! `read_only`, output annotated `result`, compared against the hand-coded
 //! message-passing version on the same simulated hardware.
 //!

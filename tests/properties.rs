@@ -510,7 +510,7 @@ proptest! {
     #[test]
     fn split_sizes_cover_variable(byte_len in 0usize..100_000, page_exp in 3usize..14) {
         let page = (1usize << page_exp).max(4);
-        let sizes = split_sizes(byte_len, page, false);
+        let sizes = split_sizes(byte_len, page);
         let total: usize = sizes.iter().sum();
         prop_assert!(total >= byte_len);
         prop_assert!(total < byte_len + 4);
@@ -519,10 +519,10 @@ proptest! {
 
     /// `objects_in_range` finds its objects by index arithmetic; the
     /// definition is "every object of the variable that overlaps the range".
+    /// `objects_covered`'s is "every one that lies wholly inside it".
     #[test]
     fn objects_in_range_matches_the_overlap_filter(
         byte_lens in proptest::collection::vec(0usize..700, 1..4),
-        single_object in any::<bool>(),
         start in 0usize..800,
         len in 0usize..800,
     ) {
@@ -531,9 +531,7 @@ proptest! {
         let vars: Vec<_> = byte_lens
             .iter()
             .zip(names)
-            .map(|(bytes, name)| {
-                table.declare(name, SharingAnnotation::WriteShared, 1, *bytes, single_object)
-            })
+            .map(|(bytes, name)| table.declare(name, SharingAnnotation::WriteShared, 1, *bytes))
             .collect();
         let end = start + len;
         for var in vars {
@@ -548,6 +546,17 @@ proptest! {
                 })
                 .collect();
             prop_assert_eq!(table.objects_in_range(var, start, end), &by_filter[..]);
+            // `objects_covered` is the sub-range of those lying wholly inside.
+            let whole: Vec<u32> = by_filter
+                .iter()
+                .filter(|oid| {
+                    let o = table.object(**oid);
+                    start <= o.var_offset && o.var_offset + o.size <= end
+                })
+                .map(|oid| oid.as_u32())
+                .collect();
+            let covered: Vec<u32> = table.objects_covered(var, start, end).collect();
+            prop_assert_eq!(covered, whole);
             // `locate` agrees with it, byte by byte.
             if let Some((oid, within)) = table.locate(var, start) {
                 prop_assert_eq!(table.objects_in_range(var, start, start + 1), &[oid][..]);
