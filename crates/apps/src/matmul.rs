@@ -40,8 +40,8 @@ pub struct MatmulParams {
     pub engine: munin_sim::EngineConfig,
     /// Access-detection mode (explicit checks or real VM write traps).
     pub access_mode: munin_core::AccessMode,
-    /// Whether the carrier layer may piggyback updates on other protocol
-    /// traffic (`MUNIN_PIGGYBACK`).
+    /// Always `true` (see [`MuninConfig::piggyback`]); `false` is rejected
+    /// when the run starts.
     pub piggyback: bool,
     /// Forces the reliability layer on/off; `None` keeps the auto policy
     /// (enabled exactly when the engine injects message loss).
@@ -69,7 +69,7 @@ impl MatmulParams {
             page_size: 8192,
             engine: munin_sim::EngineConfig::from_env(),
             access_mode: munin_core::AccessMode::from_env(),
-            piggyback: munin_core::piggyback_from_env(),
+            piggyback: true,
             reliability: None,
             retransmit_pacing: None,
             watchdog: None,
@@ -87,7 +87,7 @@ impl MatmulParams {
             page_size: 512,
             engine: munin_sim::EngineConfig::from_env(),
             access_mode: munin_core::AccessMode::from_env(),
-            piggyback: munin_core::piggyback_from_env(),
+            piggyback: true,
             reliability: None,
             retransmit_pacing: None,
             watchdog: None,
@@ -377,8 +377,8 @@ mod tests {
         // Workers 1..4 each send exactly one update transmission at the
         // final barrier (the root's own band needs none); the DUQ combines
         // all of a worker's modified output pages into that single
-        // transmission. With piggybacking on (the default) it rides the
-        // barrier-arrive carrier instead of a standalone update message.
+        // transmission, which rides the barrier-arrive carrier instead of a
+        // standalone update message.
         assert_eq!(m.stats.updates_sent, 3);
     }
 }

@@ -52,8 +52,8 @@ pub struct SorParams {
     pub engine: munin_sim::EngineConfig,
     /// Access-detection mode (explicit checks or real VM write traps).
     pub access_mode: munin_core::AccessMode,
-    /// Whether the carrier layer may piggyback updates on other protocol
-    /// traffic (`MUNIN_PIGGYBACK`).
+    /// Always `true` (see [`MuninConfig::piggyback`]); `false` is rejected
+    /// when the run starts.
     pub piggyback: bool,
     /// Forces the reliability layer on/off; `None` keeps the auto policy
     /// (enabled exactly when the engine injects message loss).
@@ -92,7 +92,7 @@ impl SorParams {
             page_size: 8192,
             engine: munin_sim::EngineConfig::from_env(),
             access_mode: munin_core::AccessMode::from_env(),
-            piggyback: munin_core::piggyback_from_env(),
+            piggyback: true,
             reliability: None,
             retransmit_pacing: None,
             watchdog: None,
@@ -115,7 +115,7 @@ impl SorParams {
             page_size: 512,
             engine: munin_sim::EngineConfig::from_env(),
             access_mode: munin_core::AccessMode::from_env(),
-            piggyback: munin_core::piggyback_from_env(),
+            piggyback: true,
             reliability: None,
             retransmit_pacing: None,
             watchdog: None,
@@ -544,9 +544,8 @@ mod tests {
         // adjacent sections)."
         let params = SorParams::small(32, 16, 6, 4);
         let (m, _grid) = run_munin(params, CostModel::fast_test()).unwrap();
-        // Count update *transmissions* from the runtime stats: with
-        // piggybacking on (the default) most of them ride barrier carriers
-        // instead of standalone `update`-class messages, but the fan-out
+        // Count update *transmissions* from the runtime stats: most of them
+        // ride barrier carriers instead of standalone `update`-class messages, but the fan-out
         // economy the annotation buys is the same.
         let updates = m.stats.updates_sent;
         // Each worker sends roughly one update per neighbouring section per

@@ -30,9 +30,6 @@ pub struct TspParams {
     pub engine: munin_sim::EngineConfig,
     /// Access-detection mode (explicit checks or real VM write traps).
     pub access_mode: munin_core::AccessMode,
-    /// Whether the carrier layer may piggyback updates on other protocol
-    /// traffic (`MUNIN_PIGGYBACK`).
-    pub piggyback: bool,
 }
 
 impl TspParams {
@@ -43,7 +40,6 @@ impl TspParams {
             procs,
             engine: munin_sim::EngineConfig::from_env(),
             access_mode: munin_core::AccessMode::from_env(),
-            piggyback: munin_core::piggyback_from_env(),
         }
     }
 }
@@ -163,8 +159,7 @@ pub fn run_munin(
     let cfg = MuninConfig::paper(params.procs)
         .with_cost(cost)
         .with_engine(params.engine)
-        .with_access_mode(params.access_mode)
-        .with_piggyback(params.piggyback);
+        .with_access_mode(params.access_mode);
     let mut prog = MuninProgram::new(cfg);
     let dist = prog.declare::<i64>("distances", cities * cities, SharingAnnotation::ReadOnly);
     let best_len = prog.declare::<i64>("best_len", 1, SharingAnnotation::Reduction);

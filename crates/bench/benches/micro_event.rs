@@ -1,7 +1,6 @@
 //! Criterion microbenchmarks of the discrete-event delivery engine: wall
-//! clock per message through the virtual-time scheduler, compared against the
-//! legacy passthrough (raw FIFO) mode, the pure submit/drain heap cost, and a
-//! scaling story: contended all-to-all submit/drain at 2–128 nodes and
+//! clock per message through the virtual-time scheduler, the pure
+//! submit/drain heap cost, and a scaling story: contended all-to-all submit/drain at 2–128 nodes and
 //! concurrent ping-pong pairs at 8–256 nodes. The scaling benches are the
 //! ones that expose engine-level lock contention — with a single global
 //! engine lock every send and receive in the cluster serializes; with
@@ -17,7 +16,7 @@
 //! smoke test; see the criterion shim's quick mode.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use munin_sim::{CostModel, DeliveryMode, EngineConfig, Network, NodeClock, NodeId};
+use munin_sim::{CostModel, EngineConfig, Network, NodeClock, NodeId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -32,14 +31,14 @@ const MSGS_PER_PEER: u64 = 16;
 const TRIPS_PER_ROUND: u64 = 8;
 
 /// Measures a two-node ping-pong round trip (send + deliver + reply).
-fn bench_pingpong(c: &mut Criterion, mode: DeliveryMode, label: &str) {
+fn bench_pingpong(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_engine");
     group
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(300))
         .sample_size(15);
-    group.bench_function(format!("pingpong/{label}"), |b| {
-        let cfg = EngineConfig::seeded(7).with_mode(mode);
+    group.bench_function("pingpong/virtual_time", |b| {
+        let cfg = EngineConfig::seeded(7);
         let mut net: Network<u64> = Network::with_engine(2, CostModel::fast_test(), cfg);
         let (tx0, rx0) = net.endpoint(0, NodeClock::new()).unwrap();
         let (tx1, rx1) = net.endpoint(1, NodeClock::new()).unwrap();
@@ -260,8 +259,7 @@ fn bench_pingpong_contended(c: &mut Criterion, nodes: usize) {
 }
 
 fn bench_event(c: &mut Criterion) {
-    bench_pingpong(c, DeliveryMode::VirtualTime, "virtual_time");
-    bench_pingpong(c, DeliveryMode::Passthrough, "passthrough");
+    bench_pingpong(c);
     bench_submit_drain(c);
     for nodes in [2, 8, 16, 32, 64, 128] {
         bench_alltoall(c, nodes);

@@ -3,12 +3,11 @@
 //!
 //! Three things are measured:
 //!
-//! * **Wall clock** of a complete SOR run (criterion groups), with the
-//!   carrier layer on and off — the piggyback path must not cost host time.
+//! * **Wall clock** of a complete SOR run (criterion groups).
 //! * **Message economy**: total protocol messages and modelled wire bytes
-//!   per release (DUQ flush) at 2/8/16 nodes, piggyback on vs off. These
-//!   counts are printed on every run and are the source of the committed
-//!   `BENCH_msg.json` baseline.
+//!   per release (DUQ flush) at 2/8/16 nodes, and the 16-node relay
+//!   threshold sweep. These counts are printed on every run and are the
+//!   source of the committed `BENCH_msg.json` baseline.
 //! * **Scaling curves** at 64/128/256 nodes: the same message-economy table
 //!   continued past 32 nodes (where the auto policy narrows the barrier
 //!   tree's fan-in from N − 1 to 8), plus a barrier-latency sweep comparing
@@ -36,21 +35,17 @@ use std::time::Duration;
 /// exercised — the same shape as the paper's 1024x512-over-8KB-pages runs.
 /// `relay_max` overrides the adaptive-relay size threshold
 /// (`MUNIN_RELAY_MAX_BYTES`); `None` keeps the tuned default.
-fn params(nodes: usize, iterations: usize, piggyback: bool, relay_max: Option<u64>) -> SorParams {
+fn params(nodes: usize, iterations: usize, relay_max: Option<u64>) -> SorParams {
     let mut p = SorParams::small(nodes * 4, 16, iterations, nodes);
     p.engine = EngineConfig::seeded(7);
-    p.piggyback = piggyback;
     p.relay_max_bytes = relay_max;
     p
 }
 
 /// One counted run: (total messages, total bytes, releases performed).
-fn count_run(nodes: usize, piggyback: bool, relay_max: Option<u64>) -> (u64, u64, u64) {
-    let (m, _grid) = sor::run_munin(
-        params(nodes, 12, piggyback, relay_max),
-        CostModel::fast_test(),
-    )
-    .expect("SOR run");
+fn count_run(nodes: usize, relay_max: Option<u64>) -> (u64, u64, u64) {
+    let (m, _grid) =
+        sor::run_munin(params(nodes, 12, relay_max), CostModel::fast_test()).expect("SOR run");
     (
         m.engine.messages_sent,
         m.engine.bytes_sent,
@@ -61,60 +56,34 @@ fn count_run(nodes: usize, piggyback: bool, relay_max: Option<u64>) -> (u64, u64
 fn report_message_economy() {
     eprintln!("micro_flush message economy (SOR, page-aligned bands, 12 iterations):");
     eprintln!(
-        "{:>6} {:>10} {:>12} {:>10} {:>12} {:>10} {:>12}",
-        "nodes", "mode", "messages", "msgs/rel", "bytes", "bytes/rel", "drop"
+        "{:>6} {:>12} {:>10} {:>12} {:>12}",
+        "nodes", "messages", "msgs/rel", "bytes", "bytes/rel"
     );
     for nodes in [2usize, 8, 16] {
-        let (on_msgs, on_bytes, on_rel) = count_run(nodes, true, None);
-        let (off_msgs, off_bytes, off_rel) = count_run(nodes, false, None);
-        for (label, msgs, bytes, rel, drop) in [
-            ("off", off_msgs, off_bytes, off_rel, 0.0),
-            (
-                "on",
-                on_msgs,
-                on_bytes,
-                on_rel,
-                100.0 * (1.0 - on_msgs as f64 / off_msgs as f64),
-            ),
-        ] {
-            eprintln!(
-                "{nodes:>6} {label:>10} {msgs:>12} {:>10.1} {bytes:>12} {:>12.1} {drop:>9.1}%",
-                msgs as f64 / rel as f64,
-                bytes as f64 / rel as f64,
-            );
-        }
+        let (msgs, bytes, rel) = count_run(nodes, None);
+        eprintln!(
+            "{nodes:>6} {msgs:>12} {:>10.1} {bytes:>12} {:>12.1}",
+            msgs as f64 / rel as f64,
+            bytes as f64 / rel as f64,
+        );
     }
     report_threshold_sweep();
 }
 
 /// The adaptive-relay threshold sweep behind the `MUNIN_RELAY_MAX_BYTES`
-/// default: 16-node instance, piggyback on, message drop and byte ratio vs
-/// piggyback off per threshold. `t=0` sends every payload direct (relay
-/// bypassed entirely); `t=max` relays every payload (the pre-threshold
-/// behaviour, ~1.4x bytes).
+/// default, at 16 nodes. `t=0` sends every payload direct (relay bypassed
+/// entirely); `t=max` relays every payload (the pre-threshold behaviour).
 fn report_threshold_sweep() {
-    let (off_msgs, off_bytes, _) = count_run(16, false, None);
-    eprintln!("micro_flush relay threshold sweep (16 nodes, piggyback on vs off):");
-    eprintln!(
-        "{:>10} {:>12} {:>9} {:>12} {:>9}",
-        "threshold", "messages", "drop", "bytes", "ratio"
-    );
-    eprintln!(
-        "{:>10} {off_msgs:>12} {:>9} {off_bytes:>12} {:>9}",
-        "(off)", "-", "-"
-    );
+    eprintln!("micro_flush relay threshold sweep (16 nodes):");
+    eprintln!("{:>10} {:>12} {:>12}", "threshold", "messages", "bytes");
     for t in [0u64, 128, 256, 384, 512, 640, 768, u64::MAX] {
-        let (msgs, bytes, _) = count_run(16, true, Some(t));
+        let (msgs, bytes, _) = count_run(16, Some(t));
         let label = if t == u64::MAX {
             "max".to_string()
         } else {
             t.to_string()
         };
-        eprintln!(
-            "{label:>10} {msgs:>12} {:>8.1}% {bytes:>12} {:>8.3}x",
-            100.0 * (1.0 - msgs as f64 / off_msgs as f64),
-            bytes as f64 / off_bytes as f64,
-        );
+        eprintln!("{label:>10} {msgs:>12} {bytes:>12}");
     }
 }
 
@@ -123,13 +92,8 @@ fn report_threshold_sweep() {
 /// `MUNIN_BARRIER_FANOUT` semantics: `Some(usize::MAX)` is "flat" (the
 /// star, k = N − 1), `Some(k)` forces a k-ary tree, `None` keeps the auto
 /// policy (k = 8 at 32 nodes and up).
-fn scale_run(
-    nodes: usize,
-    iterations: usize,
-    piggyback: bool,
-    fanout: Option<usize>,
-) -> (u64, u64, u64, f64) {
-    let mut p = params(nodes, iterations, piggyback, None);
+fn scale_run(nodes: usize, iterations: usize, fanout: Option<usize>) -> (u64, u64, u64, f64) {
+    let mut p = params(nodes, iterations, None);
     p.barrier_fanout = fanout;
     let (m, _grid) = sor::run_munin(p, CostModel::fast_test()).expect("SOR run");
     (
@@ -147,7 +111,7 @@ fn episodes(iterations: usize) -> u64 {
 }
 
 /// Message-economy scaling curve on wide clusters: 64/128/256 nodes under
-/// the auto barrier policy (k = 8), piggyback on vs off.
+/// the auto barrier policy (k = 8).
 /// Fewer iterations than the small-cluster table (4 vs 12) keep the
 /// 256-thread runs quick; the per-release columns stay comparable.
 fn report_scaling() {
@@ -156,24 +120,12 @@ fn report_scaling() {
         "micro_flush scaling curve (SOR, auto barrier policy = tree k=8, {ITERS} iterations):"
     );
     eprintln!(
-        "{:>6} {:>10} {:>12} {:>12} {:>10} {:>12}",
-        "nodes", "mode", "messages", "bytes", "drop", "virt_ms"
+        "{:>6} {:>12} {:>12} {:>12}",
+        "nodes", "messages", "bytes", "virt_ms"
     );
     for nodes in [64usize, 128, 256] {
-        let (off_msgs, off_bytes, _, off_ms) = scale_run(nodes, ITERS, false, None);
-        let (on_msgs, on_bytes, _, on_ms) = scale_run(nodes, ITERS, true, None);
-        for (label, msgs, bytes, ms, drop) in [
-            ("off", off_msgs, off_bytes, off_ms, 0.0),
-            (
-                "on",
-                on_msgs,
-                on_bytes,
-                on_ms,
-                100.0 * (1.0 - on_msgs as f64 / off_msgs as f64),
-            ),
-        ] {
-            eprintln!("{nodes:>6} {label:>10} {msgs:>12} {bytes:>12} {drop:>9.1}% {ms:>12.3}");
-        }
+        let (msgs, bytes, _, ms) = scale_run(nodes, ITERS, None);
+        eprintln!("{nodes:>6} {msgs:>12} {bytes:>12} {ms:>12.3}");
     }
 }
 
@@ -185,7 +137,7 @@ fn report_scaling() {
 fn report_barrier_sweep() {
     const ITERS: usize = 4;
     eprintln!(
-        "micro_flush barrier sweep (SOR, piggyback on, {ITERS} iterations, {} episodes):",
+        "micro_flush barrier sweep (SOR, {ITERS} iterations, {} episodes):",
         episodes(ITERS)
     );
     eprintln!(
@@ -194,7 +146,7 @@ fn report_barrier_sweep() {
     );
     for nodes in [64usize, 128, 256] {
         for fanout in [usize::MAX, 2, 4, 8, 16] {
-            let (msgs, bytes, ingress, ms) = scale_run(nodes, ITERS, true, Some(fanout));
+            let (msgs, bytes, ingress, ms) = scale_run(nodes, ITERS, Some(fanout));
             let label = if fanout == usize::MAX {
                 "flat".to_string()
             } else {
@@ -252,15 +204,12 @@ fn bench_flush(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(300))
         .sample_size(10);
-    for (label, piggyback) in [("piggyback_on", true), ("piggyback_off", false)] {
-        group.bench_function(format!("sor_8node/{label}"), |b| {
-            b.iter(|| {
-                let (m, grid) =
-                    sor::run_munin(params(8, 4, piggyback, None), CostModel::fast_test()).unwrap();
-                criterion::black_box((m.elapsed, grid))
-            });
+    group.bench_function("sor_8node", |b| {
+        b.iter(|| {
+            let (m, grid) = sor::run_munin(params(8, 4, None), CostModel::fast_test()).unwrap();
+            criterion::black_box((m.elapsed, grid))
         });
-    }
+    });
     // Wall clock at 128 nodes, flat vs tree. On the 1-core measurement host
     // this mostly tracks host-level scheduling of 128 worker threads, not
     // protocol latency — the virtual-time columns above are the honest
@@ -269,7 +218,7 @@ fn bench_flush(c: &mut Criterion) {
     for (label, fanout) in [("flat", usize::MAX), ("tree_k8", 8)] {
         group.bench_function(format!("sor_128node/{label}"), |b| {
             b.iter(|| {
-                let mut p = params(128, 2, true, None);
+                let mut p = params(128, 2, None);
                 p.barrier_fanout = Some(fanout);
                 let (m, grid) = sor::run_munin(p, CostModel::fast_test()).unwrap();
                 criterion::black_box((m.elapsed, grid))

@@ -165,7 +165,17 @@ pub struct MuninProgram {
 
 impl MuninProgram {
     /// Creates an empty program under the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cfg.piggyback` is `false`: releases always flush
+    /// through the carrier layer, and a run asking for the removed
+    /// one-message-per-update path must not silently get the other one.
     pub fn new(cfg: MuninConfig) -> Self {
+        assert!(
+            cfg.piggyback,
+            "invalid piggyback=false: releases always flush through the carrier layer"
+        );
         MuninProgram {
             cfg,
             vars: Vec::new(),

@@ -107,16 +107,16 @@ pub struct MuninConfig {
     /// checks or real VM write traps). Defaults to `MUNIN_ACCESS_MODE` from
     /// the environment.
     pub access_mode: AccessMode,
-    /// Whether the carrier layer may piggyback a release's updates on the
-    /// protocol traffic the release sends anyway (barrier arrives and
-    /// releases, lock grants, invalidation acks). Defaults to
-    /// `MUNIN_PIGGYBACK` from the environment (`on` unless set to `off`/`0`);
-    /// `off` preserves the legacy one-message-per-update behaviour exactly.
+    /// Always `true`: a release's updates ride the protocol traffic it sends
+    /// anyway (barrier arrives and releases, lock grants, invalidation acks)
+    /// through the carrier layer. The field stays so configurations can
+    /// still spell it; [`MuninProgram::new`](crate::MuninProgram::new)
+    /// rejects `false`, since the one-message-per-update path is gone.
     pub piggyback: bool,
     /// Whether the reliability layer (per-link message ids, cumulative acks,
     /// retransmission, duplicate suppression) wraps protocol traffic. `None`
     /// (the default) auto-enables it exactly when the engine injects message
-    /// loss in virtual-time mode; `Some(_)` forces it either way. Defaults to
+    /// loss or crashes; `Some(_)` forces it either way. Defaults to
     /// `MUNIN_RELIABILITY` from the environment (`on`/`off`; unset = auto).
     pub reliability: Option<bool>,
     /// Stall-watchdog window: when a blocked protocol operation (fetch, lock
@@ -167,28 +167,6 @@ pub struct MuninConfig {
     /// nodes, [`DEFAULT_BARRIER_FANOUT`] at or above it. Defaults to
     /// `MUNIN_BARRIER_FANOUT` from the environment.
     pub barrier_fanout: Option<usize>,
-}
-
-/// Reads `MUNIN_PIGGYBACK` from the environment: `on`/`1` (or the variable
-/// being unset) enables the carrier layer, `off`/`0` disables it.
-///
-/// # Panics
-///
-/// Panics on any other value. The historical parser treated everything but
-/// `off`/`0` as on, so `MUNIN_PIGGYBACK=offf` silently enabled the layer a
-/// differential run meant to disable.
-pub fn piggyback_from_env() -> bool {
-    parse_piggyback(std::env::var("MUNIN_PIGGYBACK").ok().as_deref())
-}
-
-/// Pure parsing core of [`piggyback_from_env`] (unit-testable without
-/// mutating the shared process environment).
-fn parse_piggyback(v: Option<&str>) -> bool {
-    match v {
-        Some("on") | Some("1") | None => true,
-        Some("off") | Some("0") => false,
-        Some(v) => panic!("invalid MUNIN_PIGGYBACK={v:?}: expected \"on\"/\"1\" or \"off\"/\"0\""),
-    }
 }
 
 /// Reads `MUNIN_RELIABILITY` from the environment: `on`/`1` forces the
@@ -360,14 +338,12 @@ pub const DEFAULT_RETRANSMIT_PACING: Duration = Duration::from_millis(20);
 /// crash but no explicit `MUNIN_DETECT`/`with_detect` window was given.
 pub const DEFAULT_DETECT: Duration = Duration::from_secs(2);
 
-/// Default relay size threshold (modelled payload bytes). Tuned from the
-/// `micro_flush`/16-node SOR threshold sweep (`BENCH_msg.json`): at 512
-/// bytes the 16-node page-aligned SOR sheds 44% of its messages while
-/// total bytes stay within 1.1× of piggyback-off (1.03×) — sub-page diffs
-/// ride the relay carriers, page-scale payloads go direct and transit the
-/// wire once. Raising the threshold past the page size trades bytes for
-/// messages (~62% fewer at 1.44× bytes); lowering it toward 0 keeps bytes
-/// at 0.90× but forfeits the relay's share of the message savings.
+/// Default relay size threshold (modelled payload bytes), tuned for 8 KB
+/// pages: sub-page diffs ride the relay carriers, page-scale payloads go
+/// direct and transit the wire once. Raising the threshold past the page
+/// size trades bytes for messages; lowering it toward 0 saves bytes but
+/// forfeits the relay's share of the message savings (the `micro_flush`
+/// 16-node SOR threshold sweep, `BENCH_msg.json`).
 pub const DEFAULT_RELAY_MAX_BYTES: u64 = 512;
 
 /// Barrier fan-in the auto policy picks for wide clusters. Eight keeps the
@@ -392,7 +368,7 @@ impl MuninConfig {
             copyset_strategy: CopysetStrategy::Broadcast,
             engine: EngineConfig::from_env(),
             access_mode: AccessMode::from_env(),
-            piggyback: piggyback_from_env(),
+            piggyback: true,
             reliability: reliability_from_env(),
             watchdog: watchdog_from_env(),
             retransmit_pacing: DEFAULT_RETRANSMIT_PACING,
@@ -450,7 +426,7 @@ impl MuninConfig {
         self
     }
 
-    /// Enables or disables the carrier (piggyback) layer.
+    /// Sets [`MuninConfig::piggyback`]; only `true` is accepted.
     pub fn with_piggyback(mut self, piggyback: bool) -> Self {
         self.piggyback = piggyback;
         self
@@ -590,23 +566,6 @@ mod tests {
 
         let explicit = MuninConfig::fast_test(4).with_detect(Duration::from_millis(300));
         assert_eq!(explicit.detection(), Some(Duration::from_millis(300)));
-    }
-
-    #[test]
-    fn piggyback_parses_strictly() {
-        assert!(parse_piggyback(None));
-        assert!(parse_piggyback(Some("on")));
-        assert!(parse_piggyback(Some("1")));
-        assert!(!parse_piggyback(Some("off")));
-        assert!(!parse_piggyback(Some("0")));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid MUNIN_PIGGYBACK=\"offf\"")]
-    fn piggyback_rejects_typos_instead_of_enabling() {
-        // The historical parser mapped every non-off value to on, so this
-        // typo silently enabled the layer a differential run meant to kill.
-        parse_piggyback(Some("offf"));
     }
 
     #[test]

@@ -72,8 +72,7 @@ pub enum Route {
     DirectAcked,
     /// A standalone update no acknowledgement answers, because a later
     /// message is its visibility point: the `BarrierRelease` carrying the
-    /// next slot of its stream (a barrier flush's over-threshold payload),
-    /// or the `InvalidateAck` behind a dirty-copy flush when carriers are off.
+    /// next slot of its stream (a barrier flush's over-threshold payload).
     DirectUnacked,
     /// Owner-cooperative fan-out: a flusher's non-owned bundle, sent whole to
     /// the objects' (probable) owner, which installs its share and re-fans to

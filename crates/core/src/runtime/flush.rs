@@ -53,9 +53,9 @@ pub(crate) struct FlushRoute {
     /// `Some(owner)` when the bundle takes the owner-cooperative path: it
     /// ships whole (`Route::OwnerFanout`) to the object's (probable) owner,
     /// which installs it and re-fans to the members of its authoritative
-    /// copyset. Set for non-owned fan-out entries under
-    /// piggybacking whose copyset is not fixed; such entries skip copyset
-    /// determination entirely and ignore `destinations`.
+    /// copyset. Set for non-owned fan-out entries whose copyset is not
+    /// fixed; such entries skip copyset determination entirely and ignore
+    /// `destinations`.
     pub(crate) coop_owner: Option<NodeId>,
     /// Fan-out destination set (already excludes this node). A bitmap, not a
     /// materialized list: flush paths iterate it in place.
@@ -65,10 +65,9 @@ pub(crate) struct FlushRoute {
 /// How a flush dispatches its updates through the carrier/outbox layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum FlushMode {
-    /// Every update goes as its own acknowledged message — the legacy path,
-    /// used at lock releases without a waiting grantee, for the `Flush` /
-    /// `Invalidate` / `ChangeAnnotation` hints, and whenever
-    /// `MUNIN_PIGGYBACK` is off.
+    /// Every update goes as its own acknowledged message — the paper's
+    /// `Flush()`, used at lock releases without a waiting grantee and for
+    /// the `Flush` / `Invalidate` / `ChangeAnnotation` hints.
     Immediate,
     /// Release at an all-node barrier owned by `owner`: owner-flushed
     /// fan-out items (and `result` flushes homed at the owner) are returned
@@ -112,7 +111,7 @@ fn classify(mode: FlushMode, route: &FlushRoute, dest: NodeId, bytes: u64, max: 
     if route.fans_out {
         if !route.owned {
             // Non-owned fan-out updates outside the cooperative path (fixed
-            // copysets, piggybacking off) keep the acknowledged path: the
+            // copysets) keep the acknowledged path: the
             // owner's ack carries its recorded copyset, which the heal
             // logic needs (see the ack round below).
             return Dispatch::Acked;
@@ -193,12 +192,8 @@ impl NodeRuntime {
                     if entry.params.flushes_to_owner() || entry.state.copyset_fixed {
                         return false;
                     }
-                    if !self.cfg.piggyback {
-                        return true;
-                    }
-                    // Owner-cooperative entries (non-owned fan-out under
-                    // piggybacking; see `FlushRoute::coop_owner`) skip
-                    // determination: the owner re-fans from its
+                    // Owner-cooperative entries (non-owned fan-out; see
+                    // `FlushRoute::coop_owner`) skip determination: the owner re-fans from its
                     // authoritative copyset, so asking first would be a
                     // wasted round.
                     if !entry.state.owned {
@@ -212,8 +207,7 @@ impl NodeRuntime {
                     // served, and update-based annotations never drop copies
                     // silently (no invalidations). The broadcast round could
                     // only re-discover that same set (its result is merged
-                    // with the recorded replicas anyway), so under
-                    // piggybacking it is elided. A fetch racing this flush
+                    // with the recorded replicas anyway), so it is elided. A fetch racing this flush
                     // stays safe for the same reason as in the merge path:
                     // the owner serves fetches from its own live copy, which
                     // already contains the changes being flushed.
@@ -596,7 +590,7 @@ impl NodeRuntime {
             // liveness is checked at send time, not here — the failure
             // detector takes its own lock and this runs under the directory
             // lock.
-            let coop_owner = if self.cfg.piggyback && !owned && !e.state.copyset_fixed {
+            let coop_owner = if !owned && !e.state.copyset_fixed {
                 let hint = if e.probable_owner == self.node {
                     e.home
                 } else {
@@ -1341,9 +1335,8 @@ mod tests {
     }
 
     /// Builds the three-node manual harness used by the owner-cooperative
-    /// flush tests: node 0 runs a real runtime (with piggybacking on and a
-    /// non-owned `ws` whose owner hint points at N1), nodes 1 and 2 are
-    /// driven by hand.
+    /// flush tests: node 0 runs a real runtime (with a non-owned `ws` whose
+    /// owner hint points at N1), nodes 1 and 2 are driven by hand.
     #[allow(clippy::type_complexity)]
     fn coop_harness() -> (
         Arc<NodeRuntime>,
@@ -1379,8 +1372,7 @@ mod tests {
         let table = Arc::new(table);
         // A relay threshold between a one-word diff and a whole-object one
         // (32-byte objects), for the barrier-flush tests.
-        let cfg = MuninConfig::fast_test(3).with_piggyback(true);
-        let cfg = Arc::new(cfg.with_relay_max_bytes(16));
+        let cfg = Arc::new(MuninConfig::fast_test(3).with_relay_max_bytes(16));
         let clock = NodeClock::new();
         let mut net: Network<DsmMsg> = Network::new(3, CostModel::fast_test());
         let (tx0, rx0) = net.endpoint(0, clock.clone()).unwrap();
@@ -1585,7 +1577,7 @@ mod tests {
         drop(net);
     }
 
-    /// `Flush()` sends at once, with piggybacking on too: when the hint
+    /// `Flush()` sends at once, carriers notwithstanding: when the hint
     /// returns, the changes have gone out as an acknowledged `Update`, the
     /// acknowledgement is in, and nothing is left behind for a later release
     /// or carrier to deliver.

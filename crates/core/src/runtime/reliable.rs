@@ -30,7 +30,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
-use munin_sim::{DeliveryMode, NodeId, VirtTime};
+use munin_sim::{NodeId, VirtTime};
 
 use crate::config::MuninConfig;
 use crate::msg::{DsmMsg, TimerKind};
@@ -111,14 +111,13 @@ pub(crate) struct ReliableState {
 impl ReliableState {
     /// Builds the state, resolving the enable policy: an explicit
     /// `cfg.reliability` wins; otherwise the layer auto-enables exactly when
-    /// the engine can lose messages (loss injection in virtual-time mode).
+    /// the engine can lose messages (loss or crash injection).
     pub(crate) fn new(cfg: &MuninConfig, nodes: usize) -> Self {
         // Crash plans count as lossy: a frozen node's traffic is dropped for
         // the freeze window, and only retransmission recovers the gap.
         let lossy = cfg.engine.faults.loss_ppm > 0 || !cfg.engine.faults.crash.is_none();
-        let auto = lossy && cfg.engine.mode == DeliveryMode::VirtualTime;
         ReliableState {
-            enabled: cfg.reliability.unwrap_or(auto),
+            enabled: cfg.reliability.unwrap_or(lossy),
             peers: (0..nodes).map(|_| PeerState::new()).collect(),
             tick_scheduled: false,
         }

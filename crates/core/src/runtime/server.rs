@@ -819,46 +819,30 @@ impl NodeRuntime {
         };
         self.charge_sys(self.cost.dir_op());
         bump(&self.stats.invalidations_received);
-        // Not counted in `updates_sent`: it is part of the invalidation.
-        let flush = |payload, route| UpdateBundle {
-            origin: self.node,
-            seq: self.next_update_seq(requester, now),
-            items: vec![UpdateItem { object, payload }],
-            route,
-        };
-        match flush_payload {
+        let ack = DsmMsg::InvalidateAck { object };
+        let reply = match flush_payload {
             // The dirty-copy flush rides the acknowledgement it would
             // otherwise race ahead of: one carrier instead of an Update
             // followed by an InvalidateAck to the same destination. The
             // receiver installs the update before the ack is routed, which
-            // is the same order per-link FIFO gave the two messages.
-            Some(payload) if self.cfg.piggyback => {
-                add(&self.stats.msgs_piggybacked, 1);
-                let _ = self.send_service(
-                    requester,
-                    DsmMsg::Carrier {
-                        inner: Box::new(DsmMsg::InvalidateAck { object }),
-                        updates: vec![flush(payload, Route::Carried)],
-                        relay: Vec::new(),
-                    },
-                    now + self.cost.dir_op(),
-                );
-                return;
-            }
+            // is the same order per-link FIFO gives two messages. Not
+            // counted in `updates_sent`: it is part of the invalidation.
             Some(payload) => {
-                let _ = self.send_service(
-                    requester,
-                    DsmMsg::Update(flush(payload, Route::DirectUnacked)),
-                    now + self.cost.dir_op(),
-                );
+                add(&self.stats.msgs_piggybacked, 1);
+                DsmMsg::Carrier {
+                    inner: Box::new(ack),
+                    updates: vec![UpdateBundle {
+                        origin: self.node,
+                        seq: self.next_update_seq(requester, now),
+                        items: vec![UpdateItem { object, payload }],
+                        route: Route::Carried,
+                    }],
+                    relay: Vec::new(),
+                }
             }
-            None => {}
-        }
-        let _ = self.send_service(
-            requester,
-            DsmMsg::InvalidateAck { object },
-            now + self.cost.dir_op(),
-        );
+            None => ack,
+        };
+        let _ = self.send_service(requester, reply, now + self.cost.dir_op());
     }
 
     /// Handles an arriving update bundle: through the admission gate, then
@@ -3328,7 +3312,7 @@ mod tests {
         let mut table = SharedDataTable::new(64);
         table.declare("ws", SharingAnnotation::WriteShared, 4, 8);
         let table = Arc::new(table);
-        let cfg = Arc::new(MuninConfig::fast_test(3).with_piggyback(true));
+        let cfg = Arc::new(MuninConfig::fast_test(3));
         let clock0 = NodeClock::new();
         let mut net: Network<DsmMsg> = Network::new(3, CostModel::fast_test());
         let (tx0, rx0) = net.endpoint(0, clock0.clone()).unwrap();

@@ -166,11 +166,11 @@ impl NodeRuntime {
     /// Releases a distributed lock (a *release*): flushes the DUQ first, then
     /// passes ownership to the first waiter if any.
     ///
-    /// With piggybacking enabled and a waiter already queued, owner-flushed
-    /// updates destined for that waiter skip the standalone update+ack round
-    /// and ride the `LockGrant` carrier instead: the grantee installs them
-    /// before its acquire returns, which is exactly the visibility point the
-    /// legacy ack round guaranteed.
+    /// With a waiter already queued, owner-flushed updates destined for that
+    /// waiter skip the standalone update+ack round and ride the `LockGrant`
+    /// carrier instead: the grantee installs them before its acquire
+    /// returns, which is exactly the visibility point an ack round would
+    /// guarantee.
     pub(crate) fn release_lock(self: &Arc<Self>, lock: LockId) -> Result<()> {
         // Peek the head waiter before flushing. Only the releasing user
         // thread ever pops the queue, and the service thread only appends,
@@ -187,8 +187,8 @@ impl NodeRuntime {
             state.queue.front().copied()
         };
         let mode = match grantee {
-            Some(next) if self.cfg.piggyback => FlushMode::LockRelay { grantee: next },
-            _ => FlushMode::Immediate,
+            Some(next) => FlushMode::LockRelay { grantee: next },
+            None => FlushMode::Immediate,
         };
         let (mut relay, _) = self.flush_duq_mode(mode)?;
         self.charge_sys(self.cost.sync_op());
@@ -213,10 +213,10 @@ impl NodeRuntime {
     /// DUQ, reports the arrival up the barrier's tree, and blocks until the
     /// release comes back down.
     ///
-    /// With piggybacking enabled, owner-flushed updates ride the
-    /// `BarrierArrive` carriers towards the owner and each bundle comes back
-    /// down on the `BarrierRelease` headed to its destination — a release
-    /// flush then costs no standalone update or ack messages. Every
+    /// Owner-flushed updates ride the `BarrierArrive` carriers towards the
+    /// owner and each bundle comes back down on the `BarrierRelease` headed
+    /// to its destination — a release flush then costs no standalone update
+    /// or ack messages. Every
     /// destination is a barrier participant, and each installs its bundle
     /// before its release wakes the user thread, so no thread can pass the
     /// barrier and observe pre-flush data. At a star, changes to pages the
@@ -233,7 +233,7 @@ impl NodeRuntime {
         // run as `NodeDown` whatever was parked there, so bundles ride the
         // barrier unless the detector is armed *and* some node other than
         // the owner combines reports.
-        let mode = if self.cfg.piggyback && (topo.is_star() || !self.health_enabled()) {
+        let mode = if topo.is_star() || !self.health_enabled() {
             let star = topo.is_star();
             FlushMode::BarrierRelay { owner, star }
         } else {

@@ -72,13 +72,8 @@ pub const DEFAULT_SEED: u64 = 0x4d_55_4e_49_4e;
 /// the suite under a second schedule).
 pub const SEED_ENV_VAR: &str = "MUNIN_ENGINE_SEED";
 
-/// Environment variable selecting the delivery mode (`passthrough` restores
-/// the legacy raw-channel ordering).
-pub const MODE_ENV_VAR: &str = "MUNIN_ENGINE_MODE";
-
 /// Environment variable injecting seeded per-link message loss, as a
 /// probability in `0..=1` (e.g. `MUNIN_LOSS=0.05` drops 5% of messages).
-/// Only the virtual-time mode injects faults; passthrough ignores it.
 pub const LOSS_ENV_VAR: &str = "MUNIN_LOSS";
 
 /// Environment variable injecting node crashes and temporary freezes, as a
@@ -87,19 +82,17 @@ pub const LOSS_ENV_VAR: &str = "MUNIN_LOSS";
 /// the node's N-th delivery), and an optional `..<end>` virtual time turns
 /// the crash into a freeze that thaws at `end`. Example:
 /// `MUNIN_CRASH=3@40ms,1@msg200`. Malformed values are a hard configuration
-/// error. Only the virtual-time mode injects crashes.
+/// error.
 pub const CRASH_ENV_VAR: &str = "MUNIN_CRASH";
 
-/// How the engine orders deliveries.
+/// How the engine orders deliveries. There is one order; the type stays so
+/// configurations can still name it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum DeliveryMode {
     /// Discrete-event delivery in `(deliver_at, seeded tie-break, seqno)`
-    /// order with per-lane FIFO clamping. The default.
+    /// order with per-lane FIFO clamping.
     #[default]
     VirtualTime,
-    /// Legacy behaviour: per-destination FIFO in real enqueue order, no
-    /// clamping, no faults. Kept as an escape hatch for A/B debugging.
-    Passthrough,
 }
 
 /// When an injected crash takes effect.
@@ -367,10 +360,10 @@ impl EngineConfig {
         }
     }
 
-    /// Default configuration, with the seed (`MUNIN_ENGINE_SEED`) and mode
-    /// (`MUNIN_ENGINE_MODE=passthrough`) overridable from the environment, so
-    /// CI can run the whole suite under a second schedule without code
-    /// changes.
+    /// Default configuration, with the seed (`MUNIN_ENGINE_SEED`) and the
+    /// fault plan (`MUNIN_LOSS`, `MUNIN_CRASH`) overridable from the
+    /// environment, so CI can run the whole suite under a second schedule
+    /// without code changes.
     pub fn from_env() -> Self {
         // Parsed once per process: from_env is called by every config
         // constructor, and a malformed override should warn exactly once.
@@ -386,9 +379,6 @@ impl EngineConfig {
                         "warning: ignoring unparsable {SEED_ENV_VAR}={v:?} (expected a decimal u64)"
                     ),
                 }
-            }
-            if let Ok(v) = std::env::var(MODE_ENV_VAR) {
-                cfg.mode = parse_delivery_mode(&v);
             }
             if let Ok(v) = std::env::var(LOSS_ENV_VAR) {
                 match v.trim().parse::<f64>() {
@@ -427,32 +417,6 @@ impl EngineConfig {
     pub fn with_trace(mut self) -> Self {
         self.record_trace = true;
         self
-    }
-
-    /// Selects the delivery mode.
-    pub fn with_mode(mut self, mode: DeliveryMode) -> Self {
-        self.mode = mode;
-        self
-    }
-}
-
-/// Parses a `MUNIN_ENGINE_MODE` value. A malformed mode is a hard
-/// configuration error: CI's passthrough tier exists to test the second
-/// delivery schedule, and a typo that silently ran the virtual-time default
-/// would defeat it.
-///
-/// # Panics
-///
-/// Panics when the value is neither `passthrough` nor `virtual_time`
-/// (case-insensitive; an empty value selects the default).
-fn parse_delivery_mode(v: &str) -> DeliveryMode {
-    let mode = v.trim();
-    if mode.eq_ignore_ascii_case("passthrough") {
-        DeliveryMode::Passthrough
-    } else if mode.eq_ignore_ascii_case("virtual_time") || mode.is_empty() {
-        DeliveryMode::VirtualTime
-    } else {
-        panic!("invalid {MODE_ENV_VAR}={v:?}: expected \"passthrough\" or \"virtual_time\"")
     }
 }
 
@@ -771,7 +735,7 @@ impl<M> EventEngine<M> {
     /// Schedules `payload` for delivery, applying faults and the lane clamp.
     /// Returns the envelope with its effective (scheduled) delivery time.
     /// Locks exactly one shard: the destination's.
-    pub(crate) fn submit(&self, env: Envelope, payload: M) -> Result<Envelope, SimError>
+    pub(crate) fn submit(&self, mut env: Envelope, payload: M) -> Result<Envelope, SimError>
     where
         M: Clone,
     {
@@ -784,106 +748,79 @@ impl<M> EventEngine<M> {
             return Err(SimError::Disconnected);
         }
         let st = &mut *guard;
-        let env = match self.cfg.mode {
-            DeliveryMode::Passthrough => {
-                // Legacy FIFO: the enqueue sequence is the whole key.
-                st.count_scheduled(env.class, env.model_bytes);
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.heap.push(Scheduled {
-                    key: DeliveryKey {
-                        deliver_at_ns: 0,
-                        tie: 0,
-                        seq,
-                    },
-                    env,
-                    payload,
-                });
-                env
+        let seed = self.cfg.seed;
+        let src = env.src.as_usize() as u32;
+        let lane = st.lanes.entry(src).or_insert_with(|| LaneState {
+            last_arrival_ns: 0,
+            rng: lane_seed(seed, src, dst as u32),
+        });
+        let mut arrival_ns = env.arrival.as_nanos();
+        let mut duplicate = false;
+        if !self.cfg.faults.is_none() {
+            let f = &self.cfg.faults;
+            // The loss draw comes first and is gated on its own ppm, so every
+            // non-loss plan consumes the exact RNG stream it did before loss
+            // existed (replay digests are stable). A lost message draws
+            // nothing further — no sequence number, lane clamp or volume
+            // count: it never existed on the wire. The sender still sees a
+            // successful send.
+            if f.loss_ppm > 0 && splitmix64(&mut lane.rng) % 1_000_000 < f.loss_ppm as u64 {
+                st.dropped += 1;
+                return Ok(env);
             }
-            DeliveryMode::VirtualTime => {
-                let seed = self.cfg.seed;
-                let src = env.src.as_usize() as u32;
-                let lane = st.lanes.entry(src).or_insert_with(|| LaneState {
-                    last_arrival_ns: 0,
-                    rng: lane_seed(seed, src, dst as u32),
-                });
-                let mut arrival_ns = env.arrival.as_nanos();
-                let mut duplicate = false;
-                if !self.cfg.faults.is_none() {
-                    let f = &self.cfg.faults;
-                    // The loss draw comes first and is gated on its own ppm,
-                    // so every non-loss plan consumes the exact RNG stream it
-                    // did before loss existed (replay digests are stable). A
-                    // lost message draws nothing further — no sequence
-                    // number, lane clamp or volume count: it never existed on
-                    // the wire. The sender still sees a successful send.
-                    if f.loss_ppm > 0 && splitmix64(&mut lane.rng) % 1_000_000 < f.loss_ppm as u64 {
-                        st.dropped += 1;
-                        return Ok(env);
-                    }
-                    if f.delay_ppm > 0 && splitmix64(&mut lane.rng) % 1_000_000 < f.delay_ppm as u64
-                    {
-                        arrival_ns += 1 + splitmix64(&mut lane.rng) % f.max_delay_ns.max(1);
-                    }
-                    if f.reorder_ppm > 0
-                        && splitmix64(&mut lane.rng) % 1_000_000 < f.reorder_ppm as u64
-                    {
-                        arrival_ns += 1 + splitmix64(&mut lane.rng) % f.reorder_window_ns.max(1);
-                    }
-                    duplicate = f.duplicate_ppm > 0
-                        && splitmix64(&mut lane.rng) % 1_000_000 < f.duplicate_ppm as u64;
-                }
-                // Lane FIFO: a link never reorders its own traffic.
-                arrival_ns = arrival_ns.max(lane.last_arrival_ns);
-                lane.last_arrival_ns = arrival_ns;
-                st.count_scheduled(env.class, env.model_bytes);
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                // Seeded tie-break over (src, dst, deliver_at) only: two
-                // same-lane messages clamped to the same delivery time share
-                // the hash and fall through to the submission seqno, which
-                // preserves lane FIFO; equal-time messages from *different*
-                // sources are ordered by the seed.
-                let tie = {
-                    let mut s = seed
-                        ^ arrival_ns.rotate_left(17)
-                        ^ ((src as u64) << 40)
-                        ^ ((dst as u64) << 20);
-                    splitmix64(&mut s)
-                };
-                let mut env = env;
-                env.arrival = VirtTime::from_nanos(arrival_ns);
-                // Clone the (possibly large) payload only when duplicate
-                // injection fires: the common path moves it into the heap.
-                if duplicate {
-                    st.count_scheduled(env.class, env.model_bytes);
-                    let dup_seq = st.next_seq;
-                    st.next_seq += 1;
-                    let mut dup_env = env;
-                    dup_env.arrival = VirtTime::from_nanos(arrival_ns + 1);
-                    st.heap.push(Scheduled {
-                        key: DeliveryKey {
-                            deliver_at_ns: arrival_ns + 1,
-                            tie,
-                            seq: dup_seq,
-                        },
-                        env: dup_env,
-                        payload: payload.clone(),
-                    });
-                }
-                st.heap.push(Scheduled {
-                    key: DeliveryKey {
-                        deliver_at_ns: arrival_ns,
-                        tie,
-                        seq,
-                    },
-                    env,
-                    payload,
-                });
-                env
+            if f.delay_ppm > 0 && splitmix64(&mut lane.rng) % 1_000_000 < f.delay_ppm as u64 {
+                arrival_ns += 1 + splitmix64(&mut lane.rng) % f.max_delay_ns.max(1);
             }
+            if f.reorder_ppm > 0 && splitmix64(&mut lane.rng) % 1_000_000 < f.reorder_ppm as u64 {
+                arrival_ns += 1 + splitmix64(&mut lane.rng) % f.reorder_window_ns.max(1);
+            }
+            duplicate = f.duplicate_ppm > 0
+                && splitmix64(&mut lane.rng) % 1_000_000 < f.duplicate_ppm as u64;
+        }
+        // Lane FIFO: a link never reorders its own traffic.
+        arrival_ns = arrival_ns.max(lane.last_arrival_ns);
+        lane.last_arrival_ns = arrival_ns;
+        st.count_scheduled(env.class, env.model_bytes);
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        // Seeded tie-break over (src, dst, deliver_at) only: two same-lane
+        // messages clamped to the same delivery time share the hash and fall
+        // through to the submission seqno, which preserves lane FIFO;
+        // equal-time messages from *different* sources are ordered by the
+        // seed.
+        let tie = {
+            let mut s =
+                seed ^ arrival_ns.rotate_left(17) ^ ((src as u64) << 40) ^ ((dst as u64) << 20);
+            splitmix64(&mut s)
         };
+        env.arrival = VirtTime::from_nanos(arrival_ns);
+        // Clone the (possibly large) payload only when duplicate injection
+        // fires: the common path moves it into the heap.
+        if duplicate {
+            st.count_scheduled(env.class, env.model_bytes);
+            let dup_seq = st.next_seq;
+            st.next_seq += 1;
+            let mut dup_env = env;
+            dup_env.arrival = VirtTime::from_nanos(arrival_ns + 1);
+            st.heap.push(Scheduled {
+                key: DeliveryKey {
+                    deliver_at_ns: arrival_ns + 1,
+                    tie,
+                    seq: dup_seq,
+                },
+                env: dup_env,
+                payload: payload.clone(),
+            });
+        }
+        st.heap.push(Scheduled {
+            key: DeliveryKey {
+                deliver_at_ns: arrival_ns,
+                tie,
+                seq,
+            },
+            env,
+            payload,
+        });
         drop(guard);
         shard.cond.notify_all();
         Ok(env)
@@ -897,15 +834,13 @@ impl<M> EventEngine<M> {
         loop {
             let sched = st.heap.pop()?;
             let env = sched.env;
-            if self.cfg.mode == DeliveryMode::VirtualTime {
-                if !self.cfg.faults.crash.is_none() && self.crash_drops(&env, st.delivered) {
-                    st.dropped += 1;
-                    continue;
-                }
-                let at = env.arrival.as_nanos();
-                st.late += u64::from(at < st.frontier_ns);
-                st.frontier_ns = st.frontier_ns.max(at);
+            if !self.cfg.faults.crash.is_none() && self.crash_drops(&env, st.delivered) {
+                st.dropped += 1;
+                continue;
             }
+            let at = env.arrival.as_nanos();
+            st.late += u64::from(at < st.frontier_ns);
+            st.frontier_ns = st.frontier_ns.max(at);
             let seq_at_dst = st.delivered;
             st.delivered += 1;
             if self.cfg.record_trace {
@@ -1165,41 +1100,6 @@ mod tests {
         e.submit(env(1, 1, 100), 1).unwrap();
         let order: Vec<u64> = (0..3).map(|_| e.recv(1).unwrap().1).collect();
         assert_eq!(order, vec![1, 3, 4]);
-    }
-
-    #[test]
-    fn delivery_mode_parses_strictly() {
-        assert_eq!(
-            parse_delivery_mode("passthrough"),
-            DeliveryMode::Passthrough
-        );
-        assert_eq!(
-            parse_delivery_mode("PASSTHROUGH"),
-            DeliveryMode::Passthrough
-        );
-        assert_eq!(
-            parse_delivery_mode("virtual_time"),
-            DeliveryMode::VirtualTime
-        );
-        assert_eq!(parse_delivery_mode(""), DeliveryMode::VirtualTime);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid MUNIN_ENGINE_MODE=\"passthru\"")]
-    fn delivery_mode_rejects_unknown_values() {
-        parse_delivery_mode("passthru");
-    }
-
-    #[test]
-    fn passthrough_preserves_submit_order() {
-        let e = engine(
-            2,
-            EngineConfig::seeded(1).with_mode(DeliveryMode::Passthrough),
-        );
-        e.submit(env(0, 1, 300), 3).unwrap();
-        e.submit(env(1, 1, 100), 1).unwrap();
-        let order: Vec<u64> = (0..2).map(|_| e.recv(1).unwrap().1).collect();
-        assert_eq!(order, vec![3, 1]);
     }
 
     #[test]

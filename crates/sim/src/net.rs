@@ -330,13 +330,13 @@ pub struct Network<M> {
 impl<M: Send> Network<M> {
     /// Creates a network of `n` nodes governed by `cost`, with the engine
     /// configuration taken from the environment (`MUNIN_ENGINE_SEED`,
-    /// `MUNIN_ENGINE_MODE`) or the defaults.
+    /// `MUNIN_LOSS`, `MUNIN_CRASH`) or the defaults.
     pub fn new(n: usize, cost: CostModel) -> Self {
         Self::with_engine(n, cost, EngineConfig::from_env())
     }
 
-    /// Creates a network with an explicit engine configuration (seed, mode,
-    /// fault plan, trace recording).
+    /// Creates a network with an explicit engine configuration (seed, fault
+    /// plan, trace recording).
     pub fn with_engine(n: usize, cost: CostModel, engine: EngineConfig) -> Self {
         Network {
             shared: Arc::new(Shared {
@@ -553,8 +553,8 @@ mod tests {
         let mut cost = CostModel::fast_test();
         cost.msg_fixed_ns = 0;
         cost.wire_ns_per_byte = 10;
-        // Pin the mode: this test asserts virtual-time ordering even when the
-        // environment selects passthrough for the rest of the suite.
+        // Pin the engine: this test asserts virtual-time ordering whatever
+        // seed or faults the environment selects for the rest of the suite.
         let mut net: Network<u32> = Network::with_engine(3, cost, EngineConfig::seeded(1));
         let (tx0, _rx0) = net.endpoint(0, clocks[0].clone()).unwrap();
         let (tx1, _rx1) = net.endpoint(1, clocks[1].clone()).unwrap();
@@ -573,7 +573,7 @@ mod tests {
         let mut cost = CostModel::fast_test();
         cost.msg_fixed_ns = 0;
         cost.wire_ns_per_byte = 10;
-        // Pin the mode (independent of MUNIN_ENGINE_MODE in the environment).
+        // Pin the engine (independent of the environment's seed and faults).
         let mut net: Network<u32> = Network::with_engine(2, cost, EngineConfig::seeded(1));
         let (tx0, _rx0) = net.endpoint(0, clocks[0].clone()).unwrap();
         let (_tx1, rx1) = net.endpoint(1, clocks[1].clone()).unwrap();

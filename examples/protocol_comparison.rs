@@ -1,8 +1,8 @@
 //! The Table 6 experiment at a reduced scale: what happens when the
 //! multi-protocol annotations are replaced by a single protocol for every
 //! shared variable (write-shared only, or conventional only) — plus the
-//! carrier-layer message economy: per-message-kind protocol traffic with
-//! `MUNIN_PIGGYBACK` on vs off.
+//! carrier-layer message economy: the per-message-kind protocol traffic of
+//! the multi-protocol SOR run.
 //!
 //! Run with: `cargo run --release --example protocol_comparison [-- <procs>]`
 
@@ -41,60 +41,19 @@ fn main() {
         );
     }
 
-    // Carrier-layer message economy: the same SOR instance with piggybacking
-    // on vs off, broken down by message kind (carriers count under the class
-    // of the message they frame, so the per-kind split stays comparable).
-    let run_sor = |piggyback: bool| {
-        let mut sp = SorParams::paper(procs);
-        sp.rows = 512;
-        sp.cols = 256;
-        sp.iterations = 10;
-        sp.piggyback = piggyback;
-        let (m, _) = sor::run_munin(sp, cost.clone()).expect("sor");
-        m
-    };
-    let on = run_sor(true);
-    let off = run_sor(false);
+    // Carrier-layer message economy: the same SOR instance's report, whose
+    // per-kind traffic counts a carrier under the class of the message it
+    // frames, next to its time split and the blocking-wait / fault-service
+    // latency percentiles collected by the flight recorder subsystem.
+    let mut sp = SorParams::paper(procs);
+    sp.rows = 512;
+    sp.cols = 256;
+    sp.iterations = 10;
+    let (run, _) = sor::run_munin(sp, cost.clone()).expect("sor");
     println!();
-    println!("SOR protocol traffic by message kind ({procs} processors), piggyback on vs off");
     println!(
-        "{:<22} {:>12} {:>12} {:>14} {:>14}",
-        "kind", "msgs (on)", "msgs (off)", "bytes (on)", "bytes (off)"
+        "SOR piggybacked bundles ({procs} processors): {}",
+        run.stats.msgs_piggybacked
     );
-    let mut kinds: Vec<&str> = on
-        .engine
-        .per_class
-        .keys()
-        .chain(off.engine.per_class.keys())
-        .copied()
-        .collect();
-    kinds.sort_unstable();
-    kinds.dedup();
-    for kind in kinds {
-        let a = on.engine.class(kind);
-        let b = off.engine.class(kind);
-        println!(
-            "{kind:<22} {:>12} {:>12} {:>14} {:>14}",
-            a.msgs, b.msgs, a.bytes, b.bytes
-        );
-    }
-    println!(
-        "{:<22} {:>12} {:>12} {:>14} {:>14}",
-        "TOTAL",
-        on.engine.messages_sent,
-        off.engine.messages_sent,
-        on.engine.bytes_sent,
-        off.engine.bytes_sent
-    );
-    println!(
-        "piggybacked bundles: {}   message drop: {:.1}%",
-        on.stats.msgs_piggybacked,
-        100.0 * (1.0 - on.engine.messages_sent as f64 / off.engine.messages_sent as f64)
-    );
-
-    // Unified single-run report for the standard (piggyback-on) run: time
-    // split, per-kind traffic, and the blocking-wait / fault-service latency
-    // percentiles collected by the flight recorder subsystem.
-    println!();
-    print!("{}", on.render_report());
+    print!("{}", run.render_report());
 }

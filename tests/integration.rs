@@ -154,47 +154,45 @@ fn change_annotation_switches_protocol_mid_run() {
 /// `PreAcquire()` prefetches, and `Flush()` sends *immediately* (the paper's
 /// word): the producer's changes leave as a standalone acknowledged update
 /// when the hint is given, instead of waiting to ride the second barrier's
-/// carrier — with piggybacking on and off.
+/// carrier.
 #[test]
 fn flush_and_pre_acquire_hints_work() {
-    for piggyback in [true, false] {
-        let mut prog = MuninProgram::new(MuninConfig::fast_test(2).with_piggyback(piggyback));
-        let v = prog.declare::<i64>("v", 32, SharingAnnotation::ProducerConsumer);
-        let sync = prog.create_barrier("sync");
-        prog.user_init(move |init| init.write_slice(&v, 0, &[0; 32]).unwrap());
-        let report = prog
-            .run(move |ctx| {
-                if ctx.node_id() == 1 {
-                    // Consumer: pre-fetch the producer's region before it is
-                    // needed, then wait for the producer's flush.
-                    ctx.pre_acquire(&v, 0, 32)?;
+    let mut prog = MuninProgram::new(MuninConfig::fast_test(2));
+    let v = prog.declare::<i64>("v", 32, SharingAnnotation::ProducerConsumer);
+    let sync = prog.create_barrier("sync");
+    prog.user_init(move |init| init.write_slice(&v, 0, &[0; 32]).unwrap());
+    let report = prog
+        .run(move |ctx| {
+            if ctx.node_id() == 1 {
+                // Consumer: pre-fetch the producer's region before it is
+                // needed, then wait for the producer's flush.
+                ctx.pre_acquire(&v, 0, 32)?;
+            }
+            ctx.wait_at_barrier(sync)?;
+            if ctx.node_id() == 0 {
+                for i in 0..16 {
+                    ctx.write(&v, i, i as i64 * 3)?;
                 }
-                ctx.wait_at_barrier(sync)?;
-                if ctx.node_id() == 0 {
-                    for i in 0..16 {
-                        ctx.write(&v, i, i as i64 * 3)?;
-                    }
-                    // Push the buffered writes out explicitly (Flush hint)
-                    // before the barrier would have done it anyway.
-                    ctx.flush()?;
-                }
-                ctx.wait_at_barrier(sync)?;
-                let sum: i64 = ctx.read_slice(&v, 0, 16)?.iter().sum();
-                Ok(sum)
-            })
-            .unwrap();
-        let expected: i64 = (0..16).map(|i| i * 3).sum();
-        for r in &report.results {
-            assert_eq!(*r.as_ref().unwrap(), expected);
-        }
-        let updates = report.net.class("update").msgs;
-        assert!(updates >= 1, "piggyback={piggyback}: the hint sent nothing");
-        assert_eq!(
-            report.net.class("update_ack").msgs,
-            updates,
-            "piggyback={piggyback}: every update of this run is acknowledged"
-        );
+                // Push the buffered writes out explicitly (Flush hint)
+                // before the barrier would have done it anyway.
+                ctx.flush()?;
+            }
+            ctx.wait_at_barrier(sync)?;
+            let sum: i64 = ctx.read_slice(&v, 0, 16)?.iter().sum();
+            Ok(sum)
+        })
+        .unwrap();
+    let expected: i64 = (0..16).map(|i| i * 3).sum();
+    for r in &report.results {
+        assert_eq!(*r.as_ref().unwrap(), expected);
     }
+    let updates = report.net.class("update").msgs;
+    assert!(updates >= 1, "the hint sent nothing");
+    assert_eq!(
+        report.net.class("update_ack").msgs,
+        updates,
+        "every update of this run is acknowledged"
+    );
 }
 
 #[test]
@@ -251,8 +249,8 @@ fn matmul_data_motion_matches_the_papers_description() {
     // matrix are sent from the node where they are computed to the root."
     let params = matmul::MatmulParams::small(24, 4);
     let (m, _c) = matmul::run_munin(params, FAST()).unwrap();
-    // Result update transmissions: one per non-root worker (piggybacked
-    // onto the final barrier's carriers when `MUNIN_PIGGYBACK` is on).
+    // Result update transmissions: one per non-root worker, each riding
+    // the final barrier's carriers.
     assert_eq!(m.stats.updates_sent, 3);
     // No invalidations are needed anywhere in the multi-protocol version.
     assert_eq!(m.net.class("invalidate").msgs, 0);

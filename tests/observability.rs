@@ -307,11 +307,8 @@ fn exported_trace_validates_with_fully_paired_flows() {
 fn owner_refanned_updates_export_as_paired_flows() {
     const WORDS: usize = 4096;
     let nodes = 4;
-    // The cooperative relay is part of the carrier layer: pin it on, so the
-    // `MUNIN_PIGGYBACK=off` CI tier still exercises this path.
     let cfg = MuninConfig::fast_test(nodes)
         .with_engine(EngineConfig::seeded(5))
-        .with_piggyback(true)
         .with_flight_events(UNBOUNDED);
     let mut prog = MuninProgram::new(cfg);
     let data = prog.declare::<i32>("data", WORDS, SharingAnnotation::WriteShared);

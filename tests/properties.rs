@@ -875,7 +875,6 @@ fn paged_access(
     let cfg = munin::MuninConfig::fast_test(NODES)
         .with_page_size(PAGE_WORDS * 4)
         .with_engine(EngineConfig::seeded(7))
-        .with_piggyback(true)
         .with_reliability(false);
     let per_page = PAGE_WORDS;
     let words = holders.len() * per_page;

@@ -469,19 +469,11 @@ fn reliability_framing_overhead_is_bounded_at_zero_loss() {
 
     let bytes_off = m_off.engine.bytes_sent;
     let bytes_on = m_on.engine.bytes_sent;
-    // The relative budget is per message economy (`SorParams::small` reads
-    // `MUNIN_PIGGYBACK`, so the `off` CI tier runs this on the legacy path).
-    // The frame is a fixed 8 bytes a message, and the legacy path sends
-    // 2.1x the messages for the same payload (583 against 275), so it gets
-    // twice the budget. Measured since SOR's diffs have varint run headers
-    // (64 934 / 65 690 payload bytes): frame tax 3.4% / 7.1%, exact; the
-    // standalone acks on top depend on host timing — 14-34 / 29-89 of them
-    // over 120 runs each under 3-way load, 4.3-5.5% / 8.9-12.5% in total.
-    let pct = if munin::dsm::piggyback_from_env() {
-        8
-    } else {
-        16
-    };
+    // The frame is a fixed 8 bytes a message. Measured since SOR's diffs
+    // have varint run headers (64 934 payload bytes): frame tax 3.4%,
+    // exact; the standalone acks on top depend on host timing — 14-34 of
+    // them over 120 runs under 3-way load, 4.3-5.5% in total.
+    let pct = 8;
     assert!(
         bytes_on <= bytes_off + bytes_off * pct / 100,
         "reliability framing exceeded its {pct}% byte-overhead budget: {bytes_off} -> {bytes_on}"
