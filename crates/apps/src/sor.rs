@@ -17,7 +17,7 @@
 //! which nodes need each boundary page and sends one update message per
 //! neighbour per iteration.
 
-use munin_core::{CopysetStrategy, MuninConfig, MuninProgram, SharingAnnotation};
+use munin_core::{MuninConfig, MuninProgram, SharingAnnotation};
 use munin_msgpass::{run_mp_program, MpMsg};
 use munin_sim::CostModel;
 
@@ -44,8 +44,6 @@ pub struct SorParams {
     pub procs: usize,
     /// Force every shared variable to one annotation (Table 6).
     pub annotation_override: Option<SharingAnnotation>,
-    /// Copyset determination algorithm (the §3.3 ablation).
-    pub copyset_strategy: CopysetStrategy,
     /// Consistency-unit size in bytes (the prototype's pages are 8 KB).
     pub page_size: usize,
     /// Event-engine configuration (schedule seed, fault injection).
@@ -88,7 +86,6 @@ impl SorParams {
             iterations: 20,
             procs,
             annotation_override: None,
-            copyset_strategy: CopysetStrategy::Broadcast,
             page_size: 8192,
             engine: munin_sim::EngineConfig::from_env(),
             access_mode: munin_core::AccessMode::from_env(),
@@ -111,7 +108,6 @@ impl SorParams {
             iterations,
             procs,
             annotation_override: None,
-            copyset_strategy: CopysetStrategy::Broadcast,
             page_size: 512,
             engine: munin_sim::EngineConfig::from_env(),
             access_mode: munin_core::AccessMode::from_env(),
@@ -203,7 +199,6 @@ pub fn run_munin(
     let mut cfg = MuninConfig::paper(procs)
         .with_cost(cost)
         .with_page_size(params.page_size)
-        .with_copyset_strategy(params.copyset_strategy)
         .with_engine(params.engine)
         .with_access_mode(params.access_mode)
         .with_piggyback(params.piggyback);
@@ -307,10 +302,9 @@ pub fn run_munin(
         }
     }
     let measurement = RunMeasurement::new(
-        match (params.annotation_override, params.copyset_strategy) {
-            (Some(_), _) => "munin/forced",
-            (None, CopysetStrategy::OwnerCollected) => "munin/owner-copyset",
-            (None, CopysetStrategy::Broadcast) => "munin",
+        match params.annotation_override {
+            Some(_) => "munin/forced",
+            None => "munin",
         },
         procs,
         report.elapsed,
@@ -503,14 +497,6 @@ mod tests {
             let (_m, grid) = run_message_passing(params, CostModel::sun_ethernet_1991()).unwrap();
             assert!(close(&grid, &reference), "{procs} processes");
         }
-    }
-
-    #[test]
-    fn owner_collected_copyset_strategy_is_also_correct() {
-        let mut params = SorParams::small(24, 16, 4, 3);
-        params.copyset_strategy = CopysetStrategy::OwnerCollected;
-        let (_m, grid) = run_munin(params, CostModel::fast_test()).unwrap();
-        assert!(close(&grid, &serial(24, 16, 4)));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use munin_apps::matmul::{self, MatmulParams};
 use munin_apps::sor::{self, SorParams};
 use munin_apps::RunMeasurement;
 use munin_core::diff;
-use munin_core::{CopysetStrategy, MuninConfig, MuninProgram, SharingAnnotation};
+use munin_core::{MuninConfig, MuninProgram, SharingAnnotation};
 use munin_sim::{CostModel, VirtTime};
 
 /// Processor counts reported by the paper's tables.
@@ -340,49 +340,6 @@ pub fn format_duq_table(rows: &[DuqBreakdown]) -> String {
         "Total", totals[0], totals[1], totals[2]
     ));
     out
-}
-
-/// Result of the copyset-determination ablation (§3.3): SOR with every
-/// variable forced to `write_shared`, under the broadcast algorithm and the
-/// improved owner-collected algorithm, plus the multi-protocol baseline.
-#[derive(Clone, Debug)]
-pub struct CopysetAblationRow {
-    /// Configuration label.
-    pub label: &'static str,
-    /// Execution time.
-    pub elapsed: VirtTime,
-    /// Copyset query messages sent during the run.
-    pub copyset_queries: u64,
-}
-
-/// Runs the copyset ablation at `procs` processors.
-pub fn copyset_ablation(procs: usize) -> Vec<CopysetAblationRow> {
-    let cost = CostModel::sun_ethernet_1991();
-    let mut rows = Vec::new();
-    for (label, ann, strategy) in [
-        ("producer_consumer", None, CopysetStrategy::Broadcast),
-        (
-            "write_shared + broadcast",
-            Some(SharingAnnotation::WriteShared),
-            CopysetStrategy::Broadcast,
-        ),
-        (
-            "write_shared + owner-collected",
-            Some(SharingAnnotation::WriteShared),
-            CopysetStrategy::OwnerCollected,
-        ),
-    ] {
-        let mut params = SorParams::paper(procs);
-        params.annotation_override = ann;
-        params.copyset_strategy = strategy;
-        let (run, _) = sor::run_munin(params, cost.clone()).expect("sor");
-        rows.push(CopysetAblationRow {
-            label,
-            elapsed: run.elapsed,
-            copyset_queries: run.net.class("copyset_query").msgs,
-        });
-    }
-    rows
 }
 
 /// Result rows of the lock-hint ablation (§2.4): a critical-section workload

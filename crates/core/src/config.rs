@@ -7,7 +7,14 @@ use munin_sim::{CostModel, EngineConfig};
 use crate::annotation::SharingAnnotation;
 use crate::object::DEFAULT_PAGE_SIZE;
 
-/// How the copyset of modified objects is determined at a DUQ flush.
+/// How the copyset of modified objects is determined at a DUQ flush. There
+/// is one way; the type stays so configurations can still name it.
+///
+/// An owned entry's flush asks every peer (the prototype's broadcast) when
+/// its annotation invalidates, and otherwise uses the copyset it recorded
+/// while serving fetches. A non-owned entry's flush asks nobody: its bundle
+/// goes whole to the owner, which re-fans it to its own copyset — the
+/// paper's "use the owner node to collect Copyset information".
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CopysetStrategy {
     /// The prototype's algorithm: "a message indicating which objects have
@@ -16,10 +23,6 @@ pub enum CopysetStrategy {
     /// The paper calls this "somewhat inefficient".
     #[default]
     Broadcast,
-    /// The improved algorithm the paper sketches but had not implemented:
-    /// "uses the owner node to collect Copyset information" — one query to
-    /// each home node instead of a broadcast.
-    OwnerCollected,
 }
 
 /// How shared accesses with insufficient rights are detected.
@@ -97,7 +100,8 @@ pub struct MuninConfig {
     /// of its declaration — used to reproduce the single-protocol comparison
     /// of Table 6.
     pub annotation_override: Option<SharingAnnotation>,
-    /// Copyset determination algorithm used at DUQ flushes.
+    /// Always [`CopysetStrategy::Broadcast`]; the field stays so
+    /// configurations can still print it.
     pub copyset_strategy: CopysetStrategy,
     /// Event-engine configuration (schedule seed, delivery mode, fault
     /// injection). A failing run can be replayed by re-running with the same
@@ -408,12 +412,6 @@ impl MuninConfig {
         self
     }
 
-    /// Selects the copyset determination algorithm.
-    pub fn with_copyset_strategy(mut self, strategy: CopysetStrategy) -> Self {
-        self.copyset_strategy = strategy;
-        self
-    }
-
     /// Sets the event-engine configuration (schedule seed, fault plan).
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
@@ -537,14 +535,12 @@ mod tests {
     fn builders_compose() {
         let cfg = MuninConfig::fast_test(4)
             .with_page_size(128)
-            .with_annotation_override(SharingAnnotation::Conventional)
-            .with_copyset_strategy(CopysetStrategy::OwnerCollected);
+            .with_annotation_override(SharingAnnotation::Conventional);
         assert_eq!(cfg.page_size, 128);
         assert_eq!(
             cfg.annotation_override,
             Some(SharingAnnotation::Conventional)
         );
-        assert_eq!(cfg.copyset_strategy, CopysetStrategy::OwnerCollected);
     }
 
     #[test]

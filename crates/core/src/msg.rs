@@ -233,14 +233,6 @@ pub enum DsmMsg {
     UpdateAck {
         /// Number of objects that were applied.
         count: usize,
-        /// For every updated object the acknowledging node *owns*, its
-        /// authoritative recorded copyset (the determined set merged with
-        /// serve-time replica records). The flusher compares this against the
-        /// set it actually sent to and re-sends the update to any member it
-        /// missed — a replica served by the owner *after* the flusher's
-        /// copyset query was answered would otherwise silently miss the
-        /// update forever (the 16-node SOR stale-ghost-row divergence).
-        owned_copysets: Vec<(ObjectId, CopySet)>,
     },
     /// Dynamic copyset determination, broadcast variant: "a message
     /// indicating which objects have been modified locally is sent to all
@@ -258,19 +250,6 @@ pub enum DsmMsg {
     CopysetReply {
         /// Subset of the queried objects this node holds a copy of.
         have: Vec<ObjectId>,
-    },
-    /// Improved copyset determination: ask the objects' owner (home) for the
-    /// copyset it has recorded while serving fetches.
-    OwnerCopysetQuery {
-        /// The modified objects homed at the destination.
-        objects: Vec<ObjectId>,
-        /// Node awaiting the reply.
-        requester: NodeId,
-    },
-    /// Reply to an [`DsmMsg::OwnerCopysetQuery`].
-    OwnerCopysetReply {
-        /// Recorded copyset for each queried object.
-        copysets: Vec<(ObjectId, CopySet)>,
     },
     /// A `Fetch_and_Φ` on a reduction object, executed at its fixed owner.
     ReduceRequest {
@@ -502,8 +481,6 @@ impl DsmMsg {
             DsmMsg::UpdateAck { .. } => "update_ack",
             DsmMsg::CopysetQuery { .. } => "copyset_query",
             DsmMsg::CopysetReply { .. } => "copyset_reply",
-            DsmMsg::OwnerCopysetQuery { .. } => "owner_copyset_query",
-            DsmMsg::OwnerCopysetReply { .. } => "owner_copyset_reply",
             DsmMsg::ReduceRequest { .. } => "reduce_request",
             DsmMsg::ReduceReply { .. } => "reduce_reply",
             DsmMsg::LockAcquire { .. } => "lock_acquire",
@@ -544,11 +521,9 @@ impl DsmMsg {
             DsmMsg::RelayFanoutAck { refanned, rejected } => {
                 8 + 4 * (refanned.len() + rejected.len()) as u64
             }
-            DsmMsg::UpdateAck { owned_copysets, .. } => 8 + 12 * owned_copysets.len() as u64,
+            DsmMsg::UpdateAck { .. } => 8,
             DsmMsg::CopysetQuery { objects, .. } => 4 * objects.len() as u64,
             DsmMsg::CopysetReply { have } => 4 * have.len() as u64,
-            DsmMsg::OwnerCopysetQuery { objects, .. } => 4 * objects.len() as u64,
-            DsmMsg::OwnerCopysetReply { copysets } => 12 * copysets.len() as u64,
             DsmMsg::ReduceRequest { .. } => 24,
             DsmMsg::ReduceReply { old } => old.len() as u64,
             DsmMsg::LockAcquire { .. } => 8,
@@ -599,7 +574,6 @@ impl DsmMsg {
                 | DsmMsg::UpdateAck { .. }
                 | DsmMsg::RelayFanoutAck { .. }
                 | DsmMsg::CopysetReply { .. }
-                | DsmMsg::OwnerCopysetReply { .. }
                 | DsmMsg::ReduceReply { .. }
                 | DsmMsg::LockGrant { .. }
                 | DsmMsg::Shutdown
@@ -952,10 +926,7 @@ mod tests {
             DsmMsg::WorkerDone {
                 from: NodeId::new(0),
             },
-            DsmMsg::UpdateAck {
-                count: 1,
-                owned_copysets: vec![],
-            },
+            DsmMsg::UpdateAck { count: 1 },
             DsmMsg::CopysetReply { have: vec![] },
         ];
         for m in msgs {

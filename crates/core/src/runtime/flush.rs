@@ -4,8 +4,10 @@
 //! the objects enqueued on the DUQ are propagated to their remote copies."
 //! (Section 3.3.) The flush proceeds in three steps:
 //!
-//! 1. determine the copyset of every enqueued object (either the prototype's
-//!    broadcast query or the improved owner-collected algorithm),
+//! 1. determine the copyset of every enqueued object this node owns (the
+//!    prototype's broadcast query, or the copyset recorded while serving
+//!    fetches); an object owned elsewhere needs none, since its owner's
+//!    copyset picks the receivers,
 //! 2. encode the changes — a run-length encoded diff against the twin when
 //!    one exists, the full object image otherwise — and
 //! 3. send the updates (grouped into one message per destination node) and
@@ -30,7 +32,6 @@ use std::sync::Arc;
 
 use munin_sim::NodeId;
 
-use crate::config::CopysetStrategy;
 use crate::copyset::CopySet;
 use crate::directory::AccessRights;
 use crate::error::{MuninError, Result};
@@ -53,9 +54,9 @@ pub(crate) struct FlushRoute {
     /// `Some(owner)` when the bundle takes the owner-cooperative path: it
     /// ships whole (`Route::OwnerFanout`) to the object's (probable) owner,
     /// which installs it and re-fans to the members of its authoritative
-    /// copyset. Set for non-owned fan-out entries whose copyset is not
-    /// fixed; such entries skip copyset determination entirely and ignore
-    /// `destinations`.
+    /// copyset. Set for every non-owned fan-out entry with an owner hint
+    /// other than this node, fixed copyset or not; such entries skip copyset
+    /// determination entirely and ignore `destinations`.
     pub(crate) coop_owner: Option<NodeId>,
     /// Fan-out destination set (already excludes this node). A bitmap, not a
     /// materialized list: flush paths iterate it in place.
@@ -110,10 +111,11 @@ fn classify(mode: FlushMode, route: &FlushRoute, dest: NodeId, bytes: u64, max: 
     );
     if route.fans_out {
         if !route.owned {
-            // Non-owned fan-out updates outside the cooperative path (fixed
-            // copysets) keep the acknowledged path: the
-            // owner's ack carries its recorded copyset, which the heal
-            // logic needs (see the ack round below).
+            // The one non-owned entry outside the cooperative path: a page
+            // at its own home whose owner hint names this node. There is no
+            // owner to hand it to, so it goes to the recorded copyset — and
+            // never rides, since only an owner serves fetches from the live
+            // copy the carried changes are already in.
             return Dispatch::Acked;
         }
         match mode {
@@ -181,7 +183,8 @@ impl NodeRuntime {
 
         // Step 1: determine copysets where needed. `result` objects go to
         // their owner and need none; stable objects whose copyset is already
-        // fixed reuse it.
+        // fixed reuse it; an object owned elsewhere goes whole to its owner,
+        // which re-fans it from its own copyset (`FlushRoute::coop_owner`).
         let needs_determination: Vec<ObjectId> = {
             let mut dir = self.dir.lock();
             objects
@@ -189,14 +192,10 @@ impl NodeRuntime {
                 .copied()
                 .filter(|o| {
                     let entry = dir.entry_mut(*o);
-                    if entry.params.flushes_to_owner() || entry.state.copyset_fixed {
-                        return false;
-                    }
-                    // Owner-cooperative entries (non-owned fan-out; see
-                    // `FlushRoute::coop_owner`) skip determination: the owner re-fans from its
-                    // authoritative copyset, so asking first would be a
-                    // wasted round.
-                    if !entry.state.owned {
+                    if entry.params.flushes_to_owner()
+                        || entry.state.copyset_fixed
+                        || !entry.state.owned
+                    {
                         return false;
                     }
                     // Owner-authoritative elision, the flusher-side twin of
@@ -229,14 +228,7 @@ impl NodeRuntime {
                 .collect()
         };
         if !needs_determination.is_empty() {
-            let determined = match self.cfg.copyset_strategy {
-                CopysetStrategy::Broadcast => {
-                    self.determine_copysets_broadcast(&needs_determination)?
-                }
-                CopysetStrategy::OwnerCollected => {
-                    self.determine_copysets_owner(&needs_determination)?
-                }
-            };
+            let determined = self.determine_copysets_broadcast(&needs_determination)?;
             let mut dir = self.dir.lock();
             for (object, copyset) in determined {
                 let entry = dir.entry_mut(object);
@@ -278,10 +270,6 @@ impl NodeRuntime {
         let mut coop = PerDest::new();
         // Over-threshold owner-flushed barrier items, sent direct and fenced.
         let mut fenced = PerDest::new();
-        // Fan-out payloads are retained (cheap: the buffers are `Arc`-shared)
-        // until the ack round completes, so updates can be re-sent to copyset
-        // members the owner reports as missed.
-        let mut fanout: HashMap<ObjectId, (UpdatePayload, NodeSet)> = HashMap::new();
         // `UpdateAck`s owed, per destination: the release waits until none
         // is, and a destination confirmed dead mid-round is written off whole.
         let mut outstanding: BTreeMap<NodeId, usize> = BTreeMap::new();
@@ -331,14 +319,10 @@ impl NodeRuntime {
                 coop.entry(owner).or_default().push(item());
                 continue;
             }
-            let mut any_acked = false;
             let bytes = payload.model_bytes();
             for dest in route.destinations.iter() {
                 match classify(mode, &route, dest, bytes, max) {
-                    Dispatch::Acked => {
-                        any_acked = true;
-                        pending.entry(dest).or_default().push(item());
-                    }
+                    Dispatch::Acked => pending.entry(dest).or_default().push(item()),
                     Dispatch::Relay => relay.entry(dest).or_default().push(item()),
                     Dispatch::Fenced => {
                         add(&self.stats.relay_bypassed_bytes, bytes);
@@ -353,9 +337,6 @@ impl NodeRuntime {
                         fenced.entry(dest).or_default().push(item());
                     }
                 }
-            }
-            if route.fans_out && any_acked {
-                fanout.insert(object, (payload.clone(), route.destinations.clone()));
             }
         }
         for (dest, items) in pending {
@@ -376,7 +357,7 @@ impl NodeRuntime {
         }
         // Owner-cooperative fan-out: each non-owned bundle ships whole to
         // its owner, which installs it and re-fans to the members of its
-        // authoritative copyset — no determination round, no heal round.
+        // authoritative copyset — no determination round.
         // The origin counts one `RelayFanoutAck` per bundle plus one
         // `UpdateAck` per re-fan destination the owner reports.
         let mut ride = Vec::new();
@@ -415,13 +396,7 @@ impl NodeRuntime {
         }
 
         // Ack round (conservative release consistency: updates are performed
-        // at the release). Owners piggyback their authoritative recorded
-        // copysets on the ack; any member they know of that this flush did
-        // not reach — a replica whose fetch was served *after* our copyset
-        // query was answered — gets the update re-sent now, and the release
-        // completes only once those re-sends are acknowledged too. Re-sends
-        // travel on this node's own lanes, so they can never overtake (or be
-        // overtaken by) this node's later flushes.
+        // at the release).
         //
         // `outstanding` counts the `UpdateAck`s owed; a fan-out ack is owed
         // by every owner still in `coop_pending`. An `UpdateAck` counts only
@@ -510,49 +485,9 @@ impl NodeRuntime {
                         }
                     }
                 }
-                DsmMsg::UpdateAck { owned_copysets, .. } => {
+                DsmMsg::UpdateAck { .. } => {
                     if !take_one(&mut outstanding, env.src) {
                         *unclaimed.entry(env.src).or_default() += 1;
-                    }
-                    // Batch the heals per missed member, preserving the
-                    // normal flush path's one-Update-per-destination shape:
-                    // an owner reporting k objects that all missed the same
-                    // late-fetching member costs one message, not k.
-                    let mut heal = PerDest::new();
-                    for (object, owner_set) in owned_copysets {
-                        let Some((payload, sent)) = fanout.get_mut(&object) else {
-                            continue;
-                        };
-                        let missed: Vec<NodeId> = owner_set
-                            .iter(self.nodes, Some(self.node))
-                            .filter(|m| !sent.contains(*m))
-                            .collect();
-                        if missed.is_empty() {
-                            continue;
-                        }
-                        // Remember the healed members for future flushes of
-                        // this object (mirrors the owner-side serve-record
-                        // merge).
-                        {
-                            let mut dir = self.dir.lock();
-                            let e = dir.entry_mut(object);
-                            e.copyset = e.copyset.union(&owner_set);
-                        }
-                        for m in missed {
-                            crate::runtime::proto_trace!(
-                                self,
-                                "heal {object:?} -> {m:?} (owner-reported member missed at determination)"
-                            );
-                            add(&self.stats.updates_healed, 1);
-                            sent.insert(m);
-                            heal.entry(m).or_default().push(UpdateItem {
-                                object,
-                                payload: payload.clone(),
-                            });
-                        }
-                    }
-                    for (member, items) in heal {
-                        send_update(self, member, items, &mut outstanding)?;
                     }
                 }
                 other => {
@@ -585,12 +520,13 @@ impl NodeRuntime {
         } else {
             let owned = e.state.owned;
             // Owner-cooperative relay: non-owned fan-out bundles ship whole
-            // to the owner, which re-fans from its authoritative copyset. A
-            // hint that degenerates to ourselves is repaired toward home;
-            // liveness is checked at send time, not here — the failure
-            // detector takes its own lock and this runs under the directory
-            // lock.
-            let coop_owner = if !owned && !e.state.copyset_fixed {
+            // to the owner, which re-fans from its authoritative copyset —
+            // also when this node fixed a copyset while it owned the page,
+            // since the owner has served fetches since. A hint that
+            // degenerates to ourselves is repaired toward home; liveness is
+            // checked at send time, not here — the failure detector takes
+            // its own lock and this runs under the directory lock.
+            let coop_owner = if !owned {
                 let hint = if e.probable_owner == self.node {
                     e.home
                 } else {
@@ -743,78 +679,6 @@ impl NodeRuntime {
         Ok(result)
     }
 
-    /// The improved algorithm the paper sketches: the owner of each object
-    /// collects copyset information while serving fetches, so the flusher
-    /// asks the owner instead of broadcasting. Objects owned locally need no
-    /// messages at all.
-    fn determine_copysets_owner(
-        self: &Arc<Self>,
-        objects: &[ObjectId],
-    ) -> Result<HashMap<ObjectId, CopySet>> {
-        let mut result: HashMap<ObjectId, CopySet> = HashMap::new();
-        let mut remote: BTreeMap<NodeId, Vec<ObjectId>> = BTreeMap::new();
-        {
-            let dir = self.dir.lock();
-            for o in objects {
-                let e = dir.entry(*o);
-                if e.state.owned {
-                    result.insert(*o, e.copyset.clone());
-                } else {
-                    remote.entry(e.probable_owner).or_default().push(*o);
-                }
-            }
-        }
-        add(&self.stats.copyset_queries, 1);
-        let mut pending: BTreeMap<NodeId, Vec<ObjectId>> = BTreeMap::new();
-        for (owner, objs) in remote {
-            if owner != self.node && self.is_peer_dead(owner) {
-                // The recorded owner is a corpse: no replicas reachable
-                // through it. Flush nowhere; the objects are re-homed (or
-                // declared lost) by the fetch-side orphan recovery.
-                for o in objs {
-                    result.insert(o, CopySet::EMPTY);
-                }
-                continue;
-            }
-            add(&self.stats.copyset_query_msgs, 1);
-            self.send(
-                owner,
-                DsmMsg::OwnerCopysetQuery {
-                    objects: objs.clone(),
-                    requester: self.node,
-                },
-            )?;
-            pending.insert(owner, objs);
-        }
-        let mut handled = self.dead_set();
-        while !pending.is_empty() {
-            match self.wait_reply_or_dead(crate::runtime::WaitOp::OwnerCopysetReplies, &mut handled)
-            {
-                Ok((env, DsmMsg::OwnerCopysetReply { copysets })) => {
-                    for (o, cs) in copysets {
-                        result.insert(o, cs);
-                    }
-                    pending.remove(&env.src);
-                }
-                Ok(_) => {
-                    return Err(MuninError::ProtocolViolation(
-                        "unexpected reply while collecting owner copysets",
-                    ))
-                }
-                Err(MuninError::PeerDied(n)) => {
-                    if let Some(objs) = pending.remove(&n) {
-                        for o in objs {
-                            result.insert(o, CopySet::EMPTY);
-                        }
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.charge_sys(self.cost.dir_op());
-        Ok(result)
-    }
-
     /// Flushes the DUQ at once if any of `objects` is sitting in it: a hint
     /// that acts on a variable first brings its copies up to date.
     fn flush_if_pending(self: &Arc<Self>, objects: &[ObjectId]) -> Result<()> {
@@ -868,7 +732,7 @@ impl NodeRuntime {
                 // Clear the "relationship is fixed" bit so the next flush
                 // re-determines the copyset. The recorded copyset itself is
                 // kept: at the owner it doubles as the record of served
-                // fetches that the owner-collected determination relies on.
+                // fetches that its re-fans and its own flushes rely on.
                 e.state.copyset_fixed = false;
                 e.state.phase_voided = false;
                 // Pages promoted to locally-writable ("private") must be
@@ -1107,94 +971,6 @@ mod tests {
         assert_eq!(rt.duq.lock().pooled_twins(), 1);
     }
 
-    /// End-to-end healing: the flusher's determination missed a member, the
-    /// owner's ack reports it, and the flusher re-sends the update to the
-    /// missed member before completing the release.
-    #[test]
-    fn flush_heals_members_reported_by_owner_ack() {
-        let mut table = SharedDataTable::new(64);
-        table.declare("ws", SharingAnnotation::WriteShared, 4, 8);
-        let table = Arc::new(table);
-        let cfg = Arc::new(MuninConfig::fast_test(3));
-        let clock = NodeClock::new();
-        let mut net: Network<DsmMsg> = Network::new(3, CostModel::fast_test());
-        let (tx0, rx0) = net.endpoint(0, clock.clone()).unwrap();
-        let (tx1, rx1) = net.endpoint(1, NodeClock::new()).unwrap();
-        let (tx2, rx2) = net.endpoint(2, NodeClock::new()).unwrap();
-        let rt = NodeRuntime::new(
-            NodeId::new(0),
-            3,
-            cfg,
-            table,
-            vec![],
-            vec![],
-            clock,
-            Arc::new(CostModel::fast_test()),
-            tx0,
-        );
-        let touched: HashSet<_> = rt.table().objects().iter().map(|o| o.id).collect();
-        rt.finish_root_init(&touched);
-        let ws = rt.table().var_by_name("ws").unwrap().objects[0];
-        // Node 0 knows only of the replica at N1; N2's copy is "invisible"
-        // to its determination (as if N2 fetched after the query round).
-        rt.fault(ws, true, 0).unwrap();
-        rt.install_object_bytes(ws, &[7u8; 32]);
-        {
-            let mut dir = rt.dir.lock();
-            let e = dir.entry_mut(ws);
-            e.copyset.insert(NodeId::new(1));
-            e.state.copyset_fixed = true; // skip the query round
-        }
-        // Service loop for node 0 (routes acks back to the flushing thread).
-        let server_rt = Arc::clone(&rt);
-        let server = std::thread::spawn(move || server_rt.server_loop(rx0));
-        let flusher_rt = Arc::clone(&rt);
-        let flusher = std::thread::spawn(move || flusher_rt.flush_duq());
-        // Peer 1 ("owner" in the reported sense) acks and reports that N2
-        // also holds a copy.
-        let (_env, msg) = rx1.recv().unwrap();
-        let DsmMsg::Update(UpdateBundle { items, .. }) = msg else {
-            panic!("expected update at N1, got {msg:?}");
-        };
-        assert_eq!(items.len(), 1);
-        tx1.send(
-            NodeId::new(0),
-            "update_ack",
-            40,
-            DsmMsg::UpdateAck {
-                count: 1,
-                owned_copysets: vec![(ws, CopySet::from_nodes([NodeId::new(1), NodeId::new(2)]))],
-            },
-        )
-        .unwrap();
-        // The flusher must now heal N2 with the same payload.
-        let (_env, msg) = rx2.recv().unwrap();
-        let DsmMsg::Update(UpdateBundle { items, .. }) = msg else {
-            panic!("expected healing update at N2, got {msg:?}");
-        };
-        assert_eq!(items[0].object, ws);
-        tx2.send(
-            NodeId::new(0),
-            "update_ack",
-            40,
-            DsmMsg::UpdateAck {
-                count: 1,
-                owned_copysets: vec![],
-            },
-        )
-        .unwrap();
-        flusher.join().unwrap().unwrap();
-        assert_eq!(rt.stats().snapshot().updates_healed, 1);
-        assert_eq!(rt.stats().snapshot().updates_sent, 2);
-        // N2 is remembered for future flushes.
-        assert!(rt.dir.lock().entry(ws).copyset.contains(NodeId::new(2)));
-        // Shut the service loop down.
-        tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
-            .unwrap();
-        server.join().unwrap();
-        drop(net);
-    }
-
     /// Flushing reuses both the twin buffer (via the DUQ pool) and the diff
     /// scratch allocation across flush cycles. The page has a replica at N1,
     /// so each cycle encodes a diff; the barrier flush hands it back for the
@@ -1414,11 +1190,14 @@ mod tests {
     /// release completes once the owner's fan-out ack plus one `UpdateAck` per
     /// reported re-fan destination have arrived. That is the path at a lock
     /// release or a hint, and at a barrier too whenever the owner hint is not
-    /// the barrier's owner or the barrier is not a star.
+    /// the barrier's owner or the barrier is not a star. A copyset fixed
+    /// while this node owned the page changes nothing: it names N2, yet the
+    /// bundle still goes whole to the owner, whose copyset picks the
+    /// receivers.
     #[test]
     fn flush_ships_non_owned_bundle_to_cooperative_owner() {
         let (n1, n2) = (NodeId::new(1), NodeId::new(2));
-        for mode in [
+        let modes = [
             FlushMode::Immediate,
             FlushMode::BarrierRelay {
                 owner: n2,
@@ -1428,8 +1207,17 @@ mod tests {
                 owner: n1,
                 star: false,
             },
-        ] {
-            let (rt, net, tx1, rx1, tx2, _rx2, rx0, ws) = coop_harness();
+        ];
+        for (mode, fixed) in modes.into_iter().flat_map(|m| [(m, false), (m, true)]) {
+            let (rt, net, tx1, rx1, tx2, rx2, rx0, ws) = coop_harness();
+            if fixed {
+                let mut dir = rt.dir.lock();
+                let e = dir.entry_mut(ws);
+                e.copyset.insert(n2);
+                e.state.copyset_fixed = true;
+                let route = rt.flush_route(e);
+                assert_eq!(route.coop_owner, Some(n1), "{mode:?}");
+            }
             let server_rt = Arc::clone(&rt);
             let server = std::thread::spawn(move || server_rt.server_loop(rx0));
             let flusher_rt = Arc::clone(&rt);
@@ -1444,7 +1232,7 @@ mod tests {
                 route: Route::OwnerFanout { ride: None },
             }) = msg
             else {
-                panic!("{mode:?}: expected a cooperative fan-out at N1, got {msg:?}");
+                panic!("{mode:?}, fixed={fixed}: not a fan-out at N1: {msg:?}");
             };
             assert_eq!(origin, NodeId::new(0));
             assert_eq!(seq, 0, "first slot of the 0->1 update stream");
@@ -1466,14 +1254,15 @@ mod tests {
                 NodeId::new(0),
                 "update_ack",
                 40,
-                DsmMsg::UpdateAck {
-                    count: 1,
-                    owned_copysets: vec![],
-                },
+                DsmMsg::UpdateAck { count: 1 },
             )
             .unwrap();
             let (relay, ride) = flusher.join().unwrap().unwrap();
-            assert!(relay.is_empty() && ride.is_empty(), "{mode:?}");
+            assert!(
+                relay.is_empty() && ride.is_empty(),
+                "{mode:?}, fixed={fixed}"
+            );
+            assert!(rx2.try_recv().unwrap().is_none(), "nothing direct to N2");
             let snap = rt.stats().snapshot();
             assert_eq!(snap.copyset_queries, 0, "coop entries skip determination");
             assert_eq!(snap.updates_sent, 1, "one bundle, shipped once");
@@ -1556,10 +1345,7 @@ mod tests {
                 NodeId::new(0),
                 "update_ack",
                 40,
-                DsmMsg::UpdateAck {
-                    count: 1,
-                    owned_copysets: vec![],
-                },
+                DsmMsg::UpdateAck { count: 1 },
             )
             .unwrap();
         }
@@ -1608,10 +1394,7 @@ mod tests {
             NodeId::new(0),
             "update_ack",
             40,
-            DsmMsg::UpdateAck {
-                count: 1,
-                owned_copysets: vec![],
-            },
+            DsmMsg::UpdateAck { count: 1 },
         )
         .unwrap();
         hint.join().unwrap().unwrap();
@@ -1649,10 +1432,7 @@ mod tests {
             NodeId::new(0),
             "update_ack",
             40,
-            DsmMsg::UpdateAck {
-                count: 1,
-                owned_copysets: vec![],
-            },
+            DsmMsg::UpdateAck { count: 1 },
         )
         .unwrap();
         tx2.send(NodeId::new(0), "relay_fanout_ack", 24, fanout_ack(vec![]))
@@ -1679,10 +1459,7 @@ mod tests {
     /// the last real ack in the mailbox for the next wait to trip over.
     #[test]
     fn acks_count_only_against_an_expectation_from_their_sender() {
-        let ack = || DsmMsg::UpdateAck {
-            count: 1,
-            owned_copysets: vec![],
-        };
+        let ack = || DsmMsg::UpdateAck { count: 1 };
         for bounce in [false, true] {
             let (rt, net, tx1, rx1, tx2, rx2, rx0, ws) = coop_harness();
             let server_rt = Arc::clone(&rt);

@@ -103,8 +103,6 @@ pub(crate) enum WaitOp {
     UpdateAcks,
     /// Waiting for `CopysetReply`s in a broadcast determination round.
     CopysetReplies,
-    /// Waiting for `OwnerCopysetReply`s in an owner-collected round.
-    OwnerCopysetReplies,
     /// Waiting for `ReduceReply` from a reduction object's fixed owner.
     Reduce(ObjectId),
     /// Waiting for `LockGrant`.
@@ -125,7 +123,6 @@ impl WaitOp {
             WaitOp::InvalidateAcks(_) => "invalidate_acks",
             WaitOp::UpdateAcks => "update_acks",
             WaitOp::CopysetReplies => "copyset_replies",
-            WaitOp::OwnerCopysetReplies => "owner_copyset_replies",
             WaitOp::Reduce(_) => "reduce",
             WaitOp::LockGrant(_) => "lock_acquire",
             WaitOp::BarrierRelease(_) => "barrier",

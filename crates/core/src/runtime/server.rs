@@ -206,9 +206,6 @@ impl NodeRuntime {
             DsmMsg::CopysetQuery { objects, requester } => {
                 self.handle_copyset_query(env, objects, requester)
             }
-            DsmMsg::OwnerCopysetQuery { objects, requester } => {
-                self.handle_owner_copyset_query(objects, requester, now)
-            }
             DsmMsg::ReduceRequest {
                 object,
                 offset,
@@ -857,10 +854,7 @@ impl NodeRuntime {
             // re-apply behaviour.
             Admission::Stale => {
                 let ack = match bundle.route {
-                    Route::DirectAcked => DsmMsg::UpdateAck {
-                        count: 0,
-                        owned_copysets: Vec::new(),
-                    },
+                    Route::DirectAcked => DsmMsg::UpdateAck { count: 0 },
                     Route::OwnerFanout { ride: None } => DsmMsg::RelayFanoutAck {
                         refanned: Vec::new(),
                         rejected: Vec::new(),
@@ -884,22 +878,18 @@ impl NodeRuntime {
         } = bundle;
         match route {
             Route::Carried | Route::DirectUnacked => {
-                self.apply_update_items(items, false, now);
+                self.apply_update_items(items, now);
             }
             Route::SyncInstall => self.install_sync_items(items, now),
-            // The origin's flush is blocked counting acks: a direct update's
-            // carries the recorded copysets it heals against, a forward's
-            // (sent by the owner on the origin's behalf) nothing — and one
-            // framed by a barrier release answers nobody: the origin is
-            // parked at that barrier, not counting.
+            // The origin's flush is blocked counting acks, for a direct
+            // update and for a forward (sent by the owner on the origin's
+            // behalf) alike — except one framed by a barrier release, which
+            // answers nobody: the origin is parked at that barrier, not
+            // counting.
             Route::DirectAcked | Route::OwnerForward { .. } => {
-                let (count, service, owned_copysets) =
-                    self.apply_update_items(items, route == Route::DirectAcked, now);
+                let (count, service) = self.apply_update_items(items, now);
                 if route != (Route::OwnerForward { framed: true }) {
-                    let ack = DsmMsg::UpdateAck {
-                        count,
-                        owned_copysets,
-                    };
+                    let ack = DsmMsg::UpdateAck { count };
                     let _ = self.send_service(origin, ack, now + service);
                 }
             }
@@ -911,10 +901,10 @@ impl NodeRuntime {
     /// this node owns, then re-fans them to the other members of its
     /// *authoritative* copyset (the union of every determined set with the
     /// replicas recorded while serving fetches) — the flusher never runs a
-    /// determination round or heals stragglers for these objects. Items this
-    /// node does not own (the origin's ownership hint was stale) are bounced
-    /// back in the ack as `rejected`, neither installed nor distributed; the
-    /// origin repairs its hint and falls back to a direct broadcast.
+    /// determination round for these objects. Items this node does not own
+    /// (the origin's ownership hint was stale) are bounced back in the ack as
+    /// `rejected`, neither installed nor distributed; the origin repairs its
+    /// hint and falls back to a direct broadcast.
     ///
     /// A bundle that rode the origin's arrive at barrier `ride` — this node
     /// owns the barrier — is answered with nothing: each forward is stashed
@@ -963,7 +953,7 @@ impl NodeRuntime {
         // Install before any re-fan leaves: the owner must never distribute
         // data it has not itself made visible (the same anchor as the
         // carrier layer's install-before-dispatch).
-        let (_, service, _) = self.apply_update_items(owned_items, false, now);
+        let (_, service) = self.apply_update_items(owned_items, now);
         if ride.is_none() {
             // A standalone forward must not get onto its link ahead of a
             // riding one of the same origin that a release fan still has in
@@ -1017,35 +1007,22 @@ impl NodeRuntime {
 
     /// Applies a list of update items to the local copies. The single apply
     /// path shared by standalone `Update` messages and piggybacked carrier
-    /// bundles. Returns the number applied, the service time charged, and —
-    /// when `collect_owned` — the authoritative recorded copyset of every
-    /// *owned* updated object (see `DsmMsg::UpdateAck`): the union of every
-    /// determined set with the replicas recorded while serving fetches, so
-    /// the flusher can heal members its own (possibly stale) determination
-    /// missed.
+    /// bundles. Returns the number applied and the service time charged.
     fn apply_update_items(
         self: &Arc<Self>,
         items: Vec<UpdateItem>,
-        collect_owned: bool,
         now: munin_sim::VirtTime,
-    ) -> (
-        usize,
-        munin_sim::VirtTime,
-        Vec<(crate::object::ObjectId, crate::copyset::CopySet)>,
-    ) {
+    ) -> (usize, munin_sim::VirtTime) {
         let mut applied = 0usize;
         let mut service = munin_sim::VirtTime::ZERO;
-        let mut owned_copysets: Vec<(crate::object::ObjectId, crate::copyset::CopySet)> =
-            Vec::new();
         for item in items {
-            let has_copy = {
-                let dir = self.dir.lock();
-                let e = dir.entry(item.object);
-                if collect_owned && e.state.owned {
-                    owned_copysets.push((item.object, e.copyset.clone()));
-                }
-                e.state.rights.allows_read()
-            };
+            let has_copy = self
+                .dir
+                .lock()
+                .entry(item.object)
+                .state
+                .rights
+                .allows_read();
             crate::runtime::proto_trace!(
                 self,
                 "update {:?} has_copy={has_copy} arrival={}ns",
@@ -1093,7 +1070,7 @@ impl NodeRuntime {
             applied += 1;
             bump(&self.stats.updates_applied);
         }
-        (applied, service, owned_copysets)
+        (applied, service)
     }
 
     /// Answers a broadcast copyset query: which of the listed objects does
@@ -1143,37 +1120,6 @@ impl NodeRuntime {
         let _ = self.send_service(
             requester,
             DsmMsg::CopysetReply { have },
-            now + self.cost.dir_op(),
-        );
-    }
-
-    /// Answers an owner-collected copyset query with the copyset recorded
-    /// while serving fetches. For objects this node does not own the reply is
-    /// conservatively `AllNodes`.
-    fn handle_owner_copyset_query(
-        self: &Arc<Self>,
-        objects: Vec<ObjectId>,
-        requester: NodeId,
-        now: munin_sim::VirtTime,
-    ) {
-        self.charge_sys(self.cost.dir_op());
-        let copysets: Vec<(ObjectId, CopySet)> = {
-            let dir = self.dir.lock();
-            objects
-                .into_iter()
-                .map(|o| {
-                    let e = dir.entry(o);
-                    if e.state.owned {
-                        (o, e.copyset.clone())
-                    } else {
-                        (o, CopySet::AllNodes)
-                    }
-                })
-                .collect()
-        };
-        let _ = self.send_service(
-            requester,
-            DsmMsg::OwnerCopysetReply { copysets },
             now + self.cost.dir_op(),
         );
     }
@@ -2109,9 +2055,6 @@ mod tests {
         assert_eq!((stats.objects_fetched, stats.fetch_bytes), (3, 128));
     }
 
-    /// The owner's `UpdateAck` carries its authoritative recorded copyset
-    /// for every owned object in the update, so the flusher can heal members
-    /// its determination missed.
     /// `rows` re-annotated `annotation`, its three objects filled with 1s,
     /// 2s and 3s where the owner holds them.
     fn rows_as(h: &Harness, annotation: SharingAnnotation) -> [ObjectId; 3] {
@@ -2376,45 +2319,6 @@ mod tests {
         assert_eq!(states[1], (AccessRights::Invalid, false, false));
         assert_eq!(states[2], (AccessRights::Invalid, false, false));
         assert!(h.rt.overwrite.lock().1.is_empty());
-    }
-
-    #[test]
-    fn update_ack_from_owner_reports_recorded_copyset() {
-        let h = harness();
-        let ws = h.obj("ws");
-        h.rt.install_object_bytes(ws, &[0u8; 32]);
-        // The owner recorded a replica at N1 (e.g. while serving a fetch).
-        h.rt.dir.lock().entry_mut(ws).copyset.insert(NodeId::new(1));
-        let d = diff::encode(&[1u8; 32], &[0u8; 32]);
-        h.peer_tx
-            .send(
-                NodeId::new(0),
-                "update",
-                64,
-                DsmMsg::Update(bundle_of(
-                    1,
-                    0,
-                    ws,
-                    UpdatePayload::Diff(d),
-                    Route::DirectAcked,
-                )),
-            )
-            .unwrap();
-        h.pump();
-        match h.peer_recv() {
-            DsmMsg::UpdateAck {
-                count,
-                owned_copysets,
-            } => {
-                assert_eq!(count, 1);
-                assert_eq!(owned_copysets.len(), 1);
-                let (object, cs) = &owned_copysets[0];
-                let (object, cs) = (*object, cs.clone());
-                assert_eq!(object, ws);
-                assert!(cs.contains(NodeId::new(1)));
-            }
-            other => panic!("unexpected reply: {other:?}"),
-        }
     }
 
     /// An update hitting an object whose fetch is in flight is deferred, not

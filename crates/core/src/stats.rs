@@ -85,17 +85,16 @@ counters! {
         duq_flushes,
         /// Objects drained from the DUQ across all flushes.
         duq_objects_flushed,
-        /// Copyset determination rounds performed (one per flush that had
-        /// objects needing determination), regardless of strategy — the
-        /// broadcast and owner-collected strategies count identically here,
-        /// so their message economy is compared via `copyset_query_msgs`.
+        /// Copyset determination rounds performed: one per flush with owned,
+        /// invalidate-based objects whose copyset is not fixed (the only
+        /// ones determined by asking).
         copyset_queries,
-        /// Copyset query messages actually sent (broadcast: one per peer per
-        /// round; owner-collected: one per distinct remote owner per round).
+        /// Copyset query messages sent: one per live peer per round.
         copyset_query_msgs,
-        /// Update re-sends to copyset members the flusher's determination
-        /// missed but the object's owner had recorded (see
-        /// `DsmMsg::UpdateAck::owned_copysets`).
+        /// Always 0: a non-owned flush goes whole to the object's owner,
+        /// whose copyset picks the receivers, so no flush re-sends to a
+        /// member it missed. `benchmark/src/block.rs` still reads the field:
+        /// dropped with the next no-claim benchmark re-baseline.
         updates_healed,
         /// Update/ack bundles that travelled piggybacked on another protocol
         /// message (lock grant, barrier arrive/release, copyset reply,

@@ -368,11 +368,12 @@ fn sixteen_node_sor_agrees_with_serial() {
     }
 }
 
-/// Regression test for the two late-fetch protocol windows this PR closed
-/// (a replica fetched *after* a flusher's copyset query was answered used to
-/// silently miss that flush's update — healed via the owner's ack — and an
-/// update arriving *while* the fetch is in flight used to be discarded —
-/// now deferred). Both only fire under host CPU oversubscription, so this
+/// Regression test for the two late-fetch protocol windows (a replica
+/// fetched *after* a flusher's copyset query was answered used to silently
+/// miss that flush's update — now every flush's receivers come from the
+/// owner's copyset, which records each replica it serves — and an update
+/// arriving *while* the fetch is in flight used to be discarded — now
+/// deferred). Both only fire under host CPU oversubscription, so this
 /// test supplies its own background load. The geometry (one 512-byte page
 /// spans four workers' sections) is the many-writers-per-page shape that
 /// triggers them.
