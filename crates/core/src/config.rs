@@ -7,20 +7,20 @@ use munin_sim::{CostModel, EngineConfig};
 use crate::annotation::SharingAnnotation;
 use crate::object::DEFAULT_PAGE_SIZE;
 
-/// How the copyset of modified objects is determined at a DUQ flush. There
-/// is one way; the type stays so configurations can still name it.
+/// How the copyset of modified objects is found at a DUQ flush. There is
+/// one way; the type stays so configurations can still name it.
 ///
-/// An owned entry's flush asks every peer (the prototype's broadcast) when
-/// its annotation invalidates, and otherwise uses the copyset it recorded
-/// while serving fetches. A non-owned entry's flush asks nobody: its bundle
-/// goes whole to the owner, which re-fans it to its own copyset — the
-/// paper's "use the owner node to collect Copyset information".
+/// No flush asks anyone. An owned entry's flush uses the copyset it
+/// recorded while serving fetches; a non-owned entry's bundle goes whole to
+/// the owner, which re-fans it to its own copyset — the paper's "use the
+/// owner node to collect Copyset information".
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CopysetStrategy {
-    /// The prototype's algorithm: "a message indicating which objects have
-    /// been modified locally is sent to all other nodes; each node replies
-    /// with ... the subset of these objects for which it has a copy."
-    /// The paper calls this "somewhat inefficient".
+    /// Named for the prototype's algorithm, which this is not any more: "a
+    /// message indicating which objects have been modified locally is sent
+    /// to all other nodes; each node replies with ... the subset of these
+    /// objects for which it has a copy." The paper calls it "somewhat
+    /// inefficient".
     #[default]
     Broadcast,
 }
@@ -361,8 +361,8 @@ pub const DEFAULT_BARRIER_FANOUT: usize = 8;
 pub const TREE_BARRIER_AUTO_NODES: usize = 32;
 
 impl MuninConfig {
-    /// Configuration matching the paper's prototype: 8 KB objects, the
-    /// SUN/Ethernet cost model, broadcast copyset determination.
+    /// Configuration matching the paper's prototype: 8 KB objects and the
+    /// SUN/Ethernet cost model.
     pub fn paper(nodes: usize) -> Self {
         MuninConfig {
             nodes,

@@ -63,7 +63,8 @@ pub struct ObjectState {
     pub dirty: bool,
     /// Whether this node believes it is the current owner of the object.
     pub owned: bool,
-    /// Whether the stable (producer-consumer) copyset has been determined.
+    /// Whether the stable (producer-consumer) copyset is fixed: set at the
+    /// owner's flush, cleared by a phase change.
     pub copyset_fixed: bool,
     /// A fetch from a node already in a later phase has voided this phase's
     /// stable relationship once (cleared `copyset_fixed` where the

@@ -1,8 +1,8 @@
 //! The DSM wire protocol.
 //!
 //! These are the messages the Munin nodes exchange: object fetches and
-//! replies, invalidations, delayed-update propagation, copyset determination
-//! queries, `Fetch_and_Φ` requests for reduction objects, the distributed
+//! replies, invalidations, delayed-update propagation, orphan recovery's
+//! copyset queries, `Fetch_and_Φ` requests for reduction objects, the distributed
 //! queue-based lock and barrier traffic, and program-control messages.
 //!
 //! Every message also carries a modelled wire size (computed by
@@ -75,15 +75,14 @@ pub enum Route {
     /// next slot of its stream (a barrier flush's over-threshold payload).
     DirectUnacked,
     /// Owner-cooperative fan-out: a flusher's non-owned bundle, sent whole to
-    /// the objects' (probable) owner, which installs its share and re-fans to
-    /// its authoritative copyset ([`Route::OwnerForward`]).
+    /// the objects' (probable) owner, which installs it and re-fans to its
+    /// authoritative copyset ([`Route::OwnerForward`]).
     OwnerFanout {
-        /// `None`: a standalone message, answered with a
-        /// [`DsmMsg::RelayFanoutAck`]. `Some(b)`: it rode the flusher's
-        /// `BarrierArrive` at barrier `b`, whose owner the receiver is; its
-        /// re-fans ride `b`'s releases and nobody is answered. In the bundle
-        /// because a deferred bundle re-queues as itself, away from the frame
-        /// that named the barrier — which is why the id costs the wire nothing.
+        /// `None`: a standalone message, answered with an
+        /// [`DsmMsg::UpdateAck`] naming its re-fans. `Some(b)`: it rode the
+        /// flusher's `BarrierArrive` at barrier `b`, whose owner the receiver
+        /// is; its re-fans ride `b`'s releases and nobody is answered. The id
+        /// costs the wire nothing: the frame it rides names the barrier.
         ride: Option<BarrierId>,
     },
     /// The owner's re-fan of a fan-out bundle to one copyset member. `seq`
@@ -217,31 +216,26 @@ pub enum DsmMsg {
     /// `result` object, an owner-cooperative fan-out or its re-fan): one
     /// [`UpdateBundle`], whose [`Route`] says what the receiver does with it.
     Update(UpdateBundle),
-    /// The owner's reply to a standalone [`Route::OwnerFanout`] bundle: which destinations
-    /// the bundle was re-fanned to (each will acknowledge the origin
-    /// directly), and which objects the receiver turned out not to own
-    /// (stale owner hint — the origin re-distributes those itself).
-    RelayFanoutAck {
-        /// Re-fan destinations; the origin waits for one `UpdateAck` from
-        /// each before its release completes.
-        refanned: Vec<NodeId>,
-        /// Objects the receiver does not own: neither installed nor
-        /// distributed.
-        rejected: Vec<ObjectId>,
-    },
-    /// Acknowledgement of an [`DsmMsg::Update`].
+    /// Acknowledgement of an [`DsmMsg::Update`] that calls for one: a direct
+    /// update, a standalone forward, or a standalone fan-out — the owner's
+    /// reply to which names the destinations it re-fanned the bundle to.
     UpdateAck {
-        /// Number of objects that were applied.
-        count: usize,
+        /// `Some` on the owner's reply to a standalone fan-out alone: its
+        /// re-fan destinations, each of which acknowledges the origin itself
+        /// (`None`); the origin waits for one such ack from each before its
+        /// release completes. The marker costs no byte (an ack's kind is in
+        /// its header), so the two kinds can never be mistaken for one
+        /// another at an origin that is owed both by one node.
+        refanned: Option<Vec<NodeId>>,
     },
-    /// Dynamic copyset determination, broadcast variant: "a message
-    /// indicating which objects have been modified locally is sent to all
-    /// other nodes; each node replies with the subset of these objects for
-    /// which it has a copy."
+    /// "Which of these objects do you hold a copy of?" — the prototype's
+    /// broadcast copyset query ("each node replies with the subset of these
+    /// objects for which it has a copy"), which orphan recovery sends to
+    /// every surviving peer to find the holders of an object whose owner
+    /// died. A flush never sends it: the owner's copyset is authoritative.
     CopysetQuery {
-        /// The modified objects. Behind `Arc` so the broadcast fan-out to
-        /// every peer shares one allocation instead of cloning the list per
-        /// peer.
+        /// The objects asked about. Behind `Arc` so the broadcast to every
+        /// peer shares one allocation instead of cloning the list per peer.
         objects: std::sync::Arc<[ObjectId]>,
         /// Node awaiting the replies.
         requester: NodeId,
@@ -334,7 +328,8 @@ pub enum DsmMsg {
     /// one wire message instead of several.
     ///
     /// A bundle that cannot be installed yet re-queues as itself (a
-    /// [`DsmMsg::Update`]), so there is no empty frame. Carriers are never
+    /// [`DsmMsg::Update`]), or with its whole carrier when the framed message
+    /// must wait for it, so there is no empty frame. Carriers are never
     /// nested.
     Carrier {
         /// The framed message, dispatched after the payload is installed.
@@ -477,7 +472,6 @@ impl DsmMsg {
                 Route::OwnerForward { .. } => "relay_forward",
                 _ => "update",
             },
-            DsmMsg::RelayFanoutAck { .. } => "relay_fanout_ack",
             DsmMsg::UpdateAck { .. } => "update_ack",
             DsmMsg::CopysetQuery { .. } => "copyset_query",
             DsmMsg::CopysetReply { .. } => "copyset_reply",
@@ -518,10 +512,7 @@ impl DsmMsg {
             }
             DsmMsg::Invalidate { .. } | DsmMsg::InvalidateAck { .. } => 8,
             DsmMsg::Update(b) => b.model_bytes(),
-            DsmMsg::RelayFanoutAck { refanned, rejected } => {
-                8 + 4 * (refanned.len() + rejected.len()) as u64
-            }
-            DsmMsg::UpdateAck { .. } => 8,
+            DsmMsg::UpdateAck { refanned } => 8 + 4 * refanned.as_ref().map_or(0, Vec::len) as u64,
             DsmMsg::CopysetQuery { objects, .. } => 4 * objects.len() as u64,
             DsmMsg::CopysetReply { have } => 4 * have.len() as u64,
             DsmMsg::ReduceRequest { .. } => 24,
@@ -572,7 +563,6 @@ impl DsmMsg {
             DsmMsg::ObjectData { .. }
                 | DsmMsg::InvalidateAck { .. }
                 | DsmMsg::UpdateAck { .. }
-                | DsmMsg::RelayFanoutAck { .. }
                 | DsmMsg::CopysetReply { .. }
                 | DsmMsg::ReduceReply { .. }
                 | DsmMsg::LockGrant { .. }
@@ -882,17 +872,19 @@ mod tests {
         assert_eq!((up.class(), down.class()), (hop1.class(), hop2.class()));
     }
 
+    /// Every ack costs 8 bytes plus 4 per re-fan destination it names: a
+    /// plain one what it always did, a fan-out's what the fan-out ack did.
     #[test]
-    fn relay_fanout_ack_has_pinned_size_and_routing() {
-        let ack = DsmMsg::RelayFanoutAck {
-            refanned: vec![NodeId::new(2), NodeId::new(3)],
-            rejected: vec![ObjectId::new(3)],
-        };
-        assert_eq!(ack.model_bytes(), HEADER_BYTES + 8 + 4 * 3);
-        // The fan-out and re-fan are service-loop requests; only the ack is
-        // routed to the origin's blocked user thread.
-        assert!(ack.is_user_reply());
-        assert_eq!(ack.class(), "relay_fanout_ack");
+    fn update_ack_has_pinned_size_and_routing() {
+        let two = vec![NodeId::new(2), NodeId::new(3)];
+        for (refanned, payload) in [(None, 8), (Some(vec![]), 8), (Some(two), 16)] {
+            let ack = DsmMsg::UpdateAck { refanned };
+            assert_eq!(ack.model_bytes(), HEADER_BYTES + payload);
+            // The fan-out and re-fan are service-loop requests; only the ack
+            // is routed to the origin's blocked user thread.
+            assert!(ack.is_user_reply());
+            assert_eq!(ack.class(), "update_ack");
+        }
     }
 
     /// A leaf's report and every release cost 8 bytes (barrier id and
@@ -926,7 +918,7 @@ mod tests {
             DsmMsg::WorkerDone {
                 from: NodeId::new(0),
             },
-            DsmMsg::UpdateAck { count: 1 },
+            DsmMsg::UpdateAck { refanned: None },
             DsmMsg::CopysetReply { have: vec![] },
         ];
         for m in msgs {

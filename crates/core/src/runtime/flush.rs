@@ -4,10 +4,12 @@
 //! the objects enqueued on the DUQ are propagated to their remote copies."
 //! (Section 3.3.) The flush proceeds in three steps:
 //!
-//! 1. determine the copyset of every enqueued object this node owns (the
-//!    prototype's broadcast query, or the copyset recorded while serving
-//!    fetches); an object owned elsewhere needs none, since its owner's
-//!    copyset picks the receivers,
+//! 1. find the copyset of every enqueued object. The prototype broadcasts a
+//!    query for it; here nobody is asked. Only the delayed-update
+//!    annotations enqueue, and none of them invalidates, so the copyset an
+//!    owner recorded while serving fetches is every remote copy there is; an
+//!    object owned elsewhere goes to its owner, whose copyset picks the
+//!    receivers, and a `result` object goes to its owner alone,
 //! 2. encode the changes — a run-length encoded diff against the twin when
 //!    one exists, the full object image otherwise — and
 //! 3. send the updates (grouped into one message per destination node) and
@@ -27,12 +29,11 @@
 //! `ChangeAnnotation()` hints run the same flush at once, acknowledged
 //! messages only, and leave nothing behind for a later release to deliver.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use munin_sim::NodeId;
 
-use crate::copyset::CopySet;
 use crate::directory::AccessRights;
 use crate::error::{MuninError, Result};
 use crate::msg::{DsmMsg, Route, UpdateItem, UpdatePayload};
@@ -55,8 +56,8 @@ pub(crate) struct FlushRoute {
     /// ships whole (`Route::OwnerFanout`) to the object's (probable) owner,
     /// which installs it and re-fans to the members of its authoritative
     /// copyset. Set for every non-owned fan-out entry with an owner hint
-    /// other than this node, fixed copyset or not; such entries skip copyset
-    /// determination entirely and ignore `destinations`.
+    /// other than this node, fixed copyset or not; such entries ignore
+    /// `destinations`.
     pub(crate) coop_owner: Option<NodeId>,
     /// Fan-out destination set (already excludes this node). A bitmap, not a
     /// materialized list: flush paths iterate it in place.
@@ -181,81 +182,18 @@ impl NodeRuntime {
         }
         add(&self.stats.duq_objects_flushed, objects.len() as u64);
 
-        // Step 1: determine copysets where needed. `result` objects go to
-        // their owner and need none; stable objects whose copyset is already
-        // fixed reuse it; an object owned elsewhere goes whole to its owner,
-        // which re-fans it from its own copyset (`FlushRoute::coop_owner`).
-        let needs_determination: Vec<ObjectId> = {
+        // Step 1: no copyset is determined (module documentation). A stable
+        // object's relationship is fixed at its owner's first flush.
+        {
             let mut dir = self.dir.lock();
-            objects
-                .iter()
-                .copied()
-                .filter(|o| {
-                    let entry = dir.entry_mut(*o);
-                    if entry.params.flushes_to_owner()
-                        || entry.state.copyset_fixed
-                        || !entry.state.owned
-                    {
-                        return false;
-                    }
-                    // Owner-authoritative elision, the flusher-side twin of
-                    // the cooperative path: when the flusher itself owns an
-                    // update-based object, the replicas recorded while
-                    // serving fetches *are* the copyset — every remote copy
-                    // of such an object originates from a fetch this node
-                    // served, and update-based annotations never drop copies
-                    // silently (no invalidations). The broadcast round could
-                    // only re-discover that same set (its result is merged
-                    // with the recorded replicas anyway), so it is elided. A fetch racing this flush
-                    // stays safe for the same reason as in the merge path:
-                    // the owner serves fetches from its own live copy, which
-                    // already contains the changes being flushed.
-                    // Invalidate-based annotations keep the query round —
-                    // invalidations and ownership transfers clear recorded
-                    // copysets, so "recorded" is not authoritative for them.
-                    if !entry.params.uses_invalidate() {
-                        crate::runtime::proto_trace!(
-                            self,
-                            "elide determination of {o:?}: owner copyset is authoritative"
-                        );
-                        if entry.params.is_stable() {
-                            entry.state.copyset_fixed = true;
-                        }
-                        return false;
-                    }
-                    true
-                })
-                .collect()
-        };
-        if !needs_determination.is_empty() {
-            let determined = self.determine_copysets_broadcast(&needs_determination)?;
-            let mut dir = self.dir.lock();
-            for (object, copyset) in determined {
-                let entry = dir.entry_mut(object);
-                // For objects this node owns, *merge* the determined set with
-                // the replicas recorded while serving fetches: a fetch served
-                // after the query replies were collected (its requester's
-                // reply raced the in-flight object data) must not be
-                // forgotten, or its holder would silently stop receiving
-                // updates — the seed-level SOR divergence. The merge is a
-                // deliberate over-approximation: a member that later dropped
-                // its copy (e.g. the Invalidate hint) cannot be pruned here,
-                // because "doesn't have a copy right now" is indistinguishable
-                // from "fetch in flight". Stale members cost one discarded
-                // update per flush and are reset by ownership transfers and
-                // invalidations, which clear the copyset.
-                if entry.state.owned {
-                    entry.copyset = entry.copyset.union(&copyset);
-                } else {
-                    entry.copyset = copyset;
-                }
-                crate::runtime::proto_trace!(
-                    self,
-                    "copyset of {object:?} determined: {:?}",
-                    entry.copyset.members(self.nodes, None)
+            for o in &objects {
+                let e = dir.entry_mut(*o);
+                debug_assert!(
+                    !e.params.uses_invalidate(),
+                    "only update-based annotations enqueue"
                 );
-                if entry.params.is_stable() {
-                    entry.state.copyset_fixed = true;
+                if e.state.owned && e.params.is_stable() {
+                    e.state.copyset_fixed = true;
                 }
             }
         }
@@ -270,16 +208,14 @@ impl NodeRuntime {
         let mut coop = PerDest::new();
         // Over-threshold owner-flushed barrier items, sent direct and fenced.
         let mut fenced = PerDest::new();
-        // `UpdateAck`s owed, per destination: the release waits until none
-        // is, and a destination confirmed dead mid-round is written off whole.
-        let mut outstanding: BTreeMap<NodeId, usize> = BTreeMap::new();
-        // Outstanding owner-cooperative fan-out acks, with the bundle
-        // retained so a bounced item or a dead owner can fall back to the
-        // degraded broadcast. The ack loop must not exit while any entry
-        // remains: the fan-out ack names the re-fan destinations whose own
-        // acks this release still has to count.
-        let mut coop_pending = PerDest::new();
+        // Plain `UpdateAck`s owed, per node: the release waits until none
+        // is, and a node confirmed dead mid-round is written off whole.
         type Owed = BTreeMap<NodeId, usize>;
+        let mut outstanding = Owed::new();
+        // Standalone fan-outs awaiting their owner's ack (which names the
+        // re-fans still to count), each bundle kept for the degraded
+        // broadcast should its owner be confirmed dead first.
+        let mut coop_pending = PerDest::new();
         let send_update = |rt: &Arc<Self>,
                            dest: NodeId,
                            items: Vec<UpdateItem>,
@@ -296,11 +232,9 @@ impl NodeRuntime {
             *outstanding.entry(dest).or_default() += 1;
             Ok(())
         };
-        // Degraded fallback when a cooperative owner is dead or bounced the
-        // bundle: every live peer gets it as an ordinary acknowledged update.
-        // Peers without a copy discard it on apply — the cost of not running
-        // a determination round inside the ack loop, whose wait may only
-        // observe update acks.
+        // Degraded fallback when a cooperative owner is dead: every live peer
+        // gets the bundle as an ordinary acknowledged update, and peers
+        // without a copy discard it on apply.
         let broadcast_degraded =
             |rt: &Arc<Self>, items: Vec<UpdateItem>, outstanding: &mut Owed| -> Result<()> {
                 for peer in rt.live_peers().iter() {
@@ -357,9 +291,8 @@ impl NodeRuntime {
         }
         // Owner-cooperative fan-out: each non-owned bundle ships whole to
         // its owner, which installs it and re-fans to the members of its
-        // authoritative copyset — no determination round.
-        // The origin counts one `RelayFanoutAck` per bundle plus one
-        // `UpdateAck` per re-fan destination the owner reports.
+        // authoritative copyset. The origin waits for the owner's ack, then
+        // for one plain `UpdateAck` from each re-fan destination it names.
         let mut ride = Vec::new();
         for (owner, items) in coop {
             debug_assert_ne!(owner, self.node, "coop routes never point home");
@@ -396,17 +329,12 @@ impl NodeRuntime {
         }
 
         // Ack round (conservative release consistency: updates are performed
-        // at the release).
-        //
-        // `outstanding` counts the `UpdateAck`s owed; a fan-out ack is owed
-        // by every owner still in `coop_pending`. An `UpdateAck` counts only
-        // against an expectation from its sender. The one that
-        // can arrive unexpected is a re-fan destination's, having overtaken
-        // the `RelayFanoutAck` that names it: it waits in `unclaimed` until
-        // that ack claims it. If the owner dies instead, nobody does —
-        // counting such acks anyway let this loop exit that many acks short
-        // of its degraded broadcast, and the stragglers then answered
-        // whatever this node waited for next.
+        // at the release). A fan-out's ack (`refanned: Some`) settles its
+        // owner's `coop_pending` entry; a plain one takes one off what its
+        // sender owes, or — a re-fan destination's, having overtaken the ack
+        // naming it — waits in `unclaimed` until that ack claims it. (Counted
+        // at once, such acks let the loop exit short of a dead owner's
+        // degraded broadcast, and the stragglers answered the next wait.)
         let mut unclaimed = Owed::new();
         /// Takes one off `node`'s count, if it has any.
         fn take_one(counts: &mut Owed, node: NodeId) -> bool {
@@ -424,21 +352,17 @@ impl NodeRuntime {
                 match self.wait_reply_or_dead(crate::runtime::WaitOp::UpdateAcks, &mut handled) {
                     Ok(reply) => reply,
                     Err(MuninError::PeerDied(n)) => {
-                        // A dead destination's acks will never arrive: write
-                        // off everything still outstanding towards it. Its
-                        // copies are unreachable, which is the post-crash
-                        // equivalent of "update performed".
+                        // A dead node's acks will never arrive: write off
+                        // everything still outstanding towards it. Its copies
+                        // are unreachable, which is the post-crash equivalent
+                        // of "update performed".
                         outstanding.remove(&n);
                         if let Some(items) = coop_pending.remove(&n) {
-                            // A cooperative owner died before acking. It may
-                            // or may not have re-fanned already; the degraded
-                            // broadcast re-sends on this node's own lanes, so
-                            // every receiver's stream check drops whichever
-                            // copy arrives second. (Re-fan acks already in
-                            // flight from before the crash are absorbed by
-                            // this loop's count — death confirmation takes a
-                            // full detection window, far longer than any
-                            // delivery.)
+                            // A cooperative owner died before acking, its
+                            // re-fans unknown. Re-installing the same words
+                            // is harmless: nobody has acquired this release
+                            // yet. (Re-fan acks sent before the crash are in
+                            // long before its confirmation.)
                             broadcast_degraded(self, items, &mut outstanding)?;
                         }
                         continue;
@@ -446,48 +370,25 @@ impl NodeRuntime {
                     Err(e) => return Err(e),
                 };
             match reply {
-                DsmMsg::RelayFanoutAck { refanned, rejected } => {
-                    let Some(items) = coop_pending.remove(&env.src) else {
-                        // Duplicate ack for an already-settled bundle (the
-                        // stale-sequence path at the owner).
-                        continue;
-                    };
+                DsmMsg::UpdateAck { refanned: None } => {
+                    if !take_one(&mut outstanding, env.src) {
+                        *unclaimed.entry(env.src).or_default() += 1;
+                    }
+                }
+                DsmMsg::UpdateAck {
+                    refanned: Some(refanned),
+                } => {
+                    if coop_pending.remove(&env.src).is_none() {
+                        continue; // a duplicate's (the owner's stale path)
+                    }
                     // Each re-fan destination acknowledges this node
-                    // directly; their acks join this release's count — at
-                    // once if they are already here. One that died since
-                    // will never ack, and its death was already signalled.
+                    // directly; its ack joins this release's count — at once
+                    // if it is already here. One that died since will never
+                    // ack, and its death was already signalled.
                     for dest in refanned {
                         if !self.is_peer_dead(dest) && !take_one(&mut unclaimed, dest) {
                             *outstanding.entry(dest).or_default() += 1;
                         }
-                    }
-                    if !rejected.is_empty() {
-                        // The ownership hint was stale: point it back at the
-                        // home node (first link of the probable-owner chain)
-                        // and fall back to the degraded broadcast for the
-                        // bounced objects.
-                        let rejected: BTreeSet<ObjectId> = rejected.into_iter().collect();
-                        {
-                            let mut dir = self.dir.lock();
-                            for o in &rejected {
-                                let e = dir.entry_mut(*o);
-                                if !e.state.owned {
-                                    e.probable_owner = e.home;
-                                }
-                            }
-                        }
-                        let bounced: Vec<UpdateItem> = items
-                            .into_iter()
-                            .filter(|i| rejected.contains(&i.object))
-                            .collect();
-                        if !bounced.is_empty() {
-                            broadcast_degraded(self, bounced, &mut outstanding)?;
-                        }
-                    }
-                }
-                DsmMsg::UpdateAck { .. } => {
-                    if !take_one(&mut outstanding, env.src) {
-                        *unclaimed.entry(env.src).or_default() += 1;
                     }
                 }
                 other => {
@@ -586,7 +487,7 @@ impl NodeRuntime {
         };
         // Nobody receives a diff of a `result` object at its home, or of an
         // empty copyset — unless the entry is owner-cooperative: its owner
-        // decides the fan-out, and the never-determined local copyset proves
+        // decides the fan-out, and the local copyset proves
         // nothing. No receiver, no diff and no charge ("What a flush is
         // charged").
         let nowhere = route.coop_owner.is_none() && route.destinations.is_empty();
@@ -624,59 +525,6 @@ impl NodeRuntime {
             self.set_entry_rights(e, AccessRights::Read);
         }
         Ok((payload, route))
-    }
-
-    /// The prototype's copyset determination: broadcast the list of modified
-    /// objects to every other node and collect the subsets each holds.
-    fn determine_copysets_broadcast(
-        self: &Arc<Self>,
-        objects: &[ObjectId],
-    ) -> Result<HashMap<ObjectId, CopySet>> {
-        let dead = self.dead_set();
-        let mut pending: Vec<NodeId> = self.live_peers().iter().collect();
-        let mut result: HashMap<ObjectId, CopySet> =
-            objects.iter().map(|o| (*o, CopySet::EMPTY)).collect();
-        if pending.is_empty() {
-            return Ok(result);
-        }
-        add(&self.stats.copyset_queries, 1);
-        // One shared allocation for the whole broadcast: every peer's query
-        // message clones the `Arc`, not the object list.
-        let shared: Arc<[ObjectId]> = Arc::from(objects);
-        for peer in &pending {
-            add(&self.stats.copyset_query_msgs, 1);
-            self.send(
-                *peer,
-                DsmMsg::CopysetQuery {
-                    objects: Arc::clone(&shared),
-                    requester: self.node,
-                },
-            )?;
-        }
-        // A peer dying mid-round counts as an empty reply: whatever copies
-        // it held are unreachable and have been pruned by recovery.
-        let mut handled = dead;
-        while !pending.is_empty() {
-            match self.wait_reply_or_dead(crate::runtime::WaitOp::CopysetReplies, &mut handled) {
-                Ok((env, DsmMsg::CopysetReply { have })) => {
-                    for o in have {
-                        if let Some(cs) = result.get_mut(&o) {
-                            cs.insert(env.src);
-                        }
-                    }
-                    pending.retain(|n| *n != env.src);
-                }
-                Ok(_) => {
-                    return Err(MuninError::ProtocolViolation(
-                        "unexpected reply while determining copysets",
-                    ))
-                }
-                Err(MuninError::PeerDied(n)) => pending.retain(|p| *p != n),
-                Err(e) => return Err(e),
-            }
-        }
-        self.charge_sys(self.cost.dir_op());
-        Ok(result)
     }
 
     /// Flushes the DUQ at once if any of `objects` is sitting in it: a hint
@@ -718,8 +566,8 @@ impl NodeRuntime {
     }
 
     /// `PhaseChange()` hint: "purges the accumulated sharing relationship
-    /// information", so the next flush re-determines producer-consumer
-    /// copysets.
+    /// information", so the owner's next flush fixes producer-consumer
+    /// copysets afresh.
     pub(crate) fn phase_change(self: &Arc<Self>) {
         // Lock order dir → duq, like every other path that holds both (the
         // invalidate handler encodes its flush under the directory lock).
@@ -730,7 +578,7 @@ impl NodeRuntime {
             let e = dir.entry_mut(ObjectId::new(idx as u32));
             if e.params.is_stable() {
                 // Clear the "relationship is fixed" bit so the next flush
-                // re-determines the copyset. The recorded copyset itself is
+                // fixes it afresh. The recorded copyset itself is
                 // kept: at the owner it doubles as the record of served
                 // fetches that its re-fans and its own flushes rely on.
                 e.state.copyset_fixed = false;
@@ -802,6 +650,18 @@ mod tests {
 
     fn obj(rt: &NodeRuntime, name: &str) -> ObjectId {
         rt.table().var_by_name(name).unwrap().objects[0]
+    }
+
+    /// A plain `UpdateAck`: a direct update's or a forward's.
+    fn ack() -> DsmMsg {
+        DsmMsg::UpdateAck { refanned: None }
+    }
+
+    /// An owner's `UpdateAck` for a standalone fan-out, naming `refanned`.
+    fn fanout_ack(refanned: Vec<NodeId>) -> DsmMsg {
+        DsmMsg::UpdateAck {
+            refanned: Some(refanned),
+        }
     }
 
     #[test]
@@ -980,12 +840,7 @@ mod tests {
         let rt = three_node_runtime();
         let ws = obj(&rt, "ws");
         let n1 = NodeId::new(1);
-        {
-            let mut dir = rt.dir.lock();
-            let e = dir.entry_mut(ws);
-            e.copyset.insert(n1);
-            e.state.copyset_fixed = true;
-        }
+        rt.dir.lock().entry_mut(ws).copyset.insert(n1);
         let mode = FlushMode::BarrierRelay {
             owner: n1,
             star: true,
@@ -1143,20 +998,62 @@ mod tests {
         munin_sim::net::Receiver<DsmMsg>,
         Vec<ObjectId>,
     ) {
+        // A relay threshold between a one-word diff and a whole-object one
+        // (32-byte objects), for the barrier-flush tests.
+        coop_harness_with(MuninConfig::fast_test(3).with_relay_max_bytes(16), owners)
+    }
+
+    /// The same harness under `cfg`.
+    #[allow(clippy::type_complexity)]
+    fn coop_harness_with(
+        cfg: MuninConfig,
+        owners: &[usize],
+    ) -> (
+        Arc<NodeRuntime>,
+        Network<DsmMsg>,
+        munin_sim::net::Sender<DsmMsg>,
+        munin_sim::net::Receiver<DsmMsg>,
+        munin_sim::net::Sender<DsmMsg>,
+        munin_sim::net::Receiver<DsmMsg>,
+        munin_sim::net::Receiver<DsmMsg>,
+        Vec<ObjectId>,
+    ) {
+        let (rt, net, mut peers, rx0, objects) = coop_harness_of(cfg, owners);
+        let (tx2, rx2) = peers.pop().unwrap();
+        let (tx1, rx1) = peers.pop().unwrap();
+        (rt, net, tx1, rx1, tx2, rx2, rx0, objects)
+    }
+
+    /// The same harness on `cfg.nodes` nodes, with the endpoints of nodes
+    /// 1, 2, … in order.
+    #[allow(clippy::type_complexity)]
+    fn coop_harness_of(
+        cfg: MuninConfig,
+        owners: &[usize],
+    ) -> (
+        Arc<NodeRuntime>,
+        Network<DsmMsg>,
+        Vec<(
+            munin_sim::net::Sender<DsmMsg>,
+            munin_sim::net::Receiver<DsmMsg>,
+        )>,
+        munin_sim::net::Receiver<DsmMsg>,
+        Vec<ObjectId>,
+    ) {
+        let nodes = cfg.nodes;
         let mut table = SharedDataTable::new(32);
         table.declare("ws", SharingAnnotation::WriteShared, 4, 8 * owners.len());
         let table = Arc::new(table);
-        // A relay threshold between a one-word diff and a whole-object one
-        // (32-byte objects), for the barrier-flush tests.
-        let cfg = Arc::new(MuninConfig::fast_test(3).with_relay_max_bytes(16));
+        let cfg = Arc::new(cfg);
         let clock = NodeClock::new();
-        let mut net: Network<DsmMsg> = Network::new(3, CostModel::fast_test());
+        let mut net: Network<DsmMsg> = Network::new(nodes, CostModel::fast_test());
         let (tx0, rx0) = net.endpoint(0, clock.clone()).unwrap();
-        let (tx1, rx1) = net.endpoint(1, NodeClock::new()).unwrap();
-        let (tx2, rx2) = net.endpoint(2, NodeClock::new()).unwrap();
+        let peers = (1..nodes)
+            .map(|n| net.endpoint(n, NodeClock::new()).unwrap())
+            .collect();
         let rt = NodeRuntime::new(
             NodeId::new(0),
-            3,
+            nodes,
             cfg,
             table,
             vec![],
@@ -1172,8 +1069,8 @@ mod tests {
         for (ws, owner) in objects.iter().zip(owners) {
             rt.fault(*ws, true, 0).unwrap();
             rt.install_object_bytes(*ws, &[7u8; 32]);
-            // Not owned here, owner hint at a peer, copyset never
-            // determined: exactly the shape that takes the cooperative route.
+            // Not owned here, owner hint at a peer, copyset never fixed:
+            // exactly the shape that takes the cooperative route.
             let mut dir = rt.dir.lock();
             let e = dir.entry_mut(*ws);
             e.state.owned = false;
@@ -1181,14 +1078,14 @@ mod tests {
             assert!(!e.state.copyset_fixed);
         }
         // rx0 is consumed by the caller's server loop; return it alongside.
-        (rt, net, tx1, rx1, tx2, rx2, rx0, objects)
+        (rt, net, peers, rx0, objects)
     }
 
     /// The owner-cooperative path end-to-end from the flusher's side: a
     /// non-owned fan-out bundle ships whole to the owner hint on
-    /// `Route::OwnerFanout` (no copyset-determination round), and the
-    /// release completes once the owner's fan-out ack plus one `UpdateAck` per
-    /// reported re-fan destination have arrived. That is the path at a lock
+    /// `Route::OwnerFanout` (nobody is asked for a copyset), and the release
+    /// completes once the owner's `UpdateAck` and one from each re-fan
+    /// destination it names have arrived. That is the path at a lock
     /// release or a hint, and at a barrier too whenever the owner hint is not
     /// the barrier's owner or the barrier is not a star. A copyset fixed
     /// while this node owned the page changes nothing: it names N2, yet the
@@ -1240,32 +1137,20 @@ mod tests {
             assert_eq!(items[0].object, ws);
             assert!(!flusher.is_finished(), "{mode:?}: the flush waits");
             // The owner re-fanned to N2; N2's ack goes straight to the origin.
-            tx1.send(
-                NodeId::new(0),
-                "relay_fanout_ack",
-                24,
-                DsmMsg::RelayFanoutAck {
-                    refanned: vec![n2],
-                    rejected: vec![],
-                },
-            )
-            .unwrap();
-            tx2.send(
-                NodeId::new(0),
-                "update_ack",
-                40,
-                DsmMsg::UpdateAck { count: 1 },
-            )
-            .unwrap();
+            tx1.send(NodeId::new(0), "update_ack", 28, fanout_ack(vec![n2]))
+                .unwrap();
+            tx2.send(NodeId::new(0), "update_ack", 24, ack()).unwrap();
             let (relay, ride) = flusher.join().unwrap().unwrap();
             assert!(
                 relay.is_empty() && ride.is_empty(),
                 "{mode:?}, fixed={fixed}"
             );
             assert!(rx2.try_recv().unwrap().is_none(), "nothing direct to N2");
-            let snap = rt.stats().snapshot();
-            assert_eq!(snap.copyset_queries, 0, "coop entries skip determination");
-            assert_eq!(snap.updates_sent, 1, "one bundle, shipped once");
+            assert_eq!(
+                rt.stats().snapshot().updates_sent,
+                1,
+                "one bundle, shipped once"
+            );
             tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
                 .unwrap();
             server.join().unwrap();
@@ -1296,8 +1181,7 @@ mod tests {
         );
         assert!(rx2.try_recv().unwrap().is_none());
         assert!(rt.duq.lock().is_empty());
-        let snap = rt.stats().snapshot();
-        assert_eq!((snap.updates_sent, snap.copyset_queries), (0, 0));
+        assert_eq!(rt.stats().snapshot().updates_sent, 0);
         // The arrive site's draw.
         let riding = Route::OwnerFanout {
             ride: Some(crate::sync::BarrierId(0)),
@@ -1309,60 +1193,6 @@ mod tests {
         drop(net);
     }
 
-    /// A stale owner hint: the cooperative owner bounces the bundle, the
-    /// flusher repairs the hint back to the home node and falls back to the
-    /// degraded acknowledged broadcast, so the release still completes with
-    /// every live peer having seen the update.
-    #[test]
-    fn flush_repairs_hint_and_broadcasts_bundle_bounced_by_coop_owner() {
-        let (rt, net, tx1, rx1, tx2, rx2, rx0, ws) = coop_harness();
-        let server_rt = Arc::clone(&rt);
-        let server = std::thread::spawn(move || server_rt.server_loop(rx0));
-        let flusher_rt = Arc::clone(&rt);
-        let flusher = std::thread::spawn(move || flusher_rt.flush_duq());
-        let (_env, msg) = rx1.recv().unwrap();
-        assert_eq!(msg.class(), "relay_fanout", "at N1: {msg:?}");
-        // N1 does not own `ws` after all: bounce the whole bundle.
-        tx1.send(
-            NodeId::new(0),
-            "relay_fanout_ack",
-            24,
-            DsmMsg::RelayFanoutAck {
-                refanned: vec![],
-                rejected: vec![ws],
-            },
-        )
-        .unwrap();
-        // Degraded fallback: both peers get an ordinary acknowledged update.
-        for (tx, rx) in [(&tx1, &rx1), (&tx2, &rx2)] {
-            let (_env, msg) = rx.recv().unwrap();
-            let DsmMsg::Update(UpdateBundle { items, route, .. }) = msg else {
-                panic!("expected a degraded broadcast update, got {msg:?}");
-            };
-            assert_eq!(route, Route::DirectAcked);
-            assert_eq!(items[0].object, ws);
-            tx.send(
-                NodeId::new(0),
-                "update_ack",
-                40,
-                DsmMsg::UpdateAck { count: 1 },
-            )
-            .unwrap();
-        }
-        flusher.join().unwrap().unwrap();
-        // The stale hint now points back at the home node, the first link of
-        // the probable-owner chain.
-        {
-            let dir = rt.dir.lock();
-            let e = dir.entry(ws);
-            assert_eq!(e.probable_owner, e.home);
-        }
-        tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
-            .unwrap();
-        server.join().unwrap();
-        drop(net);
-    }
-
     /// `Flush()` sends at once, carriers notwithstanding: when the hint
     /// returns, the changes have gone out as an acknowledged `Update`, the
     /// acknowledgement is in, and nothing is left behind for a later release
@@ -1371,13 +1201,11 @@ mod tests {
     fn flush_hint_sends_an_acknowledged_update_and_leaves_nothing_behind() {
         let (rt, net, tx1, rx1, _tx2, rx2, rx0, ws) = coop_harness();
         {
-            // Owned here, with a replica at N1 and the copyset pinned so the
-            // flush needs no determination round.
+            // Owned here, with a replica at N1.
             let mut dir = rt.dir.lock();
             let e = dir.entry_mut(ws);
             e.state.owned = true;
             e.copyset.insert(NodeId::new(1));
-            e.state.copyset_fixed = true;
         }
         let server_rt = Arc::clone(&rt);
         let server = std::thread::spawn(move || server_rt.server_loop(rx0));
@@ -1390,13 +1218,7 @@ mod tests {
         assert_eq!(route, Route::DirectAcked);
         assert_eq!(items[0].object, ws);
         assert!(!hint.is_finished(), "the hint waits for the ack");
-        tx1.send(
-            NodeId::new(0),
-            "update_ack",
-            40,
-            DsmMsg::UpdateAck { count: 1 },
-        )
-        .unwrap();
+        tx1.send(NodeId::new(0), "update_ack", 24, ack()).unwrap();
         hint.join().unwrap().unwrap();
         assert!(rt.duq.lock().is_empty());
         assert_eq!(rt.outbox.lock().relay_len(), 0);
@@ -1409,101 +1231,149 @@ mod tests {
         drop(net);
     }
 
-    /// Two cooperative owners, one a re-fan destination of the other: N1
-    /// re-fans its bundle to N2, and N2's `UpdateAck` for that reaches the
-    /// origin before N2's own `RelayFanoutAck`. The two kinds of ack owed
-    /// by N2 must not be mistaken for one another.
-    #[test]
-    fn update_ack_from_an_owner_is_not_taken_for_its_fanout_ack() {
-        let (rt, net, tx1, rx1, tx2, rx2, rx0, _objects) = coop_harness_owned_by(&[1, 2]);
+    /// Whatever is left in the user thread's mailbox once `server` has
+    /// stopped must be the `Shutdown` alone: an ack the flush did not count
+    /// would answer whatever this node waited for next.
+    fn assert_mailbox_holds_only_the_shutdown(rt: &NodeRuntime) {
+        while let Ok((_env, left)) = rt.reply_rx.try_recv() {
+            assert!(
+                matches!(left, DsmMsg::Shutdown),
+                "{left:?} was left behind in the mailbox"
+            );
+        }
+    }
+
+    /// Runs `flush_duq` on node 0 of an `nodes`-node cooperative harness
+    /// whose pages are owned by `owners`, with its service loop, until every
+    /// owner has its fan-out; then node `from` sends `ack`, for each entry of
+    /// `acks` in order, and the flush must complete with no ack left over —
+    /// nor before the last: an early exit leaves the rest in the mailbox.
+    fn flush_against_owners(nodes: usize, owners: &[usize], acks: Vec<(usize, DsmMsg)>) {
+        let cfg = MuninConfig::fast_test(nodes).with_relay_max_bytes(16);
+        let (rt, net, peers, rx0, _objects) = coop_harness_of(cfg, owners);
         let server_rt = Arc::clone(&rt);
         let server = std::thread::spawn(move || server_rt.server_loop(rx0));
         let flusher_rt = Arc::clone(&rt);
         let flusher = std::thread::spawn(move || flusher_rt.flush_duq());
-        for rx in [&rx1, &rx2] {
-            let (_env, msg) = rx.recv().unwrap();
+        for owner in owners {
+            let (_env, msg) = peers[owner - 1].1.recv().unwrap();
             assert_eq!(msg.class(), "relay_fanout");
         }
-        let fanout_ack = |refanned| DsmMsg::RelayFanoutAck {
-            refanned,
-            rejected: vec![],
-        };
-        tx2.send(
-            NodeId::new(0),
-            "update_ack",
-            40,
-            DsmMsg::UpdateAck { count: 1 },
-        )
-        .unwrap();
-        tx2.send(NodeId::new(0), "relay_fanout_ack", 24, fanout_ack(vec![]))
-            .unwrap();
-        tx1.send(
-            NodeId::new(0),
-            "relay_fanout_ack",
-            24,
-            fanout_ack(vec![NodeId::new(2)]),
-        )
-        .unwrap();
+        for (from, ack) in acks {
+            peers[from - 1]
+                .0
+                .send(NodeId::new(0), "update_ack", 24, ack)
+                .unwrap();
+        }
         flusher.join().unwrap().unwrap();
-        tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
+        peers[0]
+            .0
+            .send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
             .unwrap();
         server.join().unwrap();
+        assert_mailbox_holds_only_the_shutdown(&rt);
         drop(net);
     }
 
+    /// Two cooperative owners, one a re-fan destination of the other: N1
+    /// re-fans its bundle to N2, and N2's ack for that reaches the origin
+    /// before N2's ack for its own fan-out. The two kinds of ack owed by N2
+    /// must not be mistaken for one another.
+    #[test]
+    fn update_ack_from_an_owner_is_not_taken_for_its_fanout_ack() {
+        let n2 = NodeId::new(2);
+        let acks = vec![
+            (2, ack()),
+            (2, fanout_ack(vec![])),
+            (1, fanout_ack(vec![n2])),
+        ];
+        flush_against_owners(3, &[1, 2], acks);
+    }
+
+    /// Two cooperative owners re-fan to each other and to a third copy
+    /// holder, and each owner's ack for the other's forward overtakes both
+    /// owners' own acks. Those two plain acks settle nothing on their own:
+    /// the release still waits for both fan-out acks and for every ack they
+    /// name, N3's two included.
+    #[test]
+    fn forward_acks_overtaking_both_owners_acks_do_not_end_the_flush() {
+        let (n1, n2, n3) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
+        let acks = vec![
+            (2, ack()),
+            (1, ack()),
+            (1, fanout_ack(vec![n2, n3])),
+            (2, fanout_ack(vec![n1, n3])),
+            (3, ack()),
+            (3, ack()),
+        ];
+        flush_against_owners(4, &[1, 2], acks);
+    }
+
     /// Acks are matched to expectations by sender, in either order. A re-fan
-    /// destination's ack may overtake the owner's `RelayFanoutAck` (it is
-    /// then held until claimed), and an ack nobody claims — a dead owner's
-    /// re-fan, here played by a spurious one — must not shorten the count:
-    /// the release used to finish one ack early per such message and leave
-    /// the last real ack in the mailbox for the next wait to trip over.
+    /// destination's ack may overtake the owner's ack that names it: it is
+    /// held until that ack claims it, and the release completes on the
+    /// owner's ack with nothing left in the mailbox for the next wait to
+    /// trip over.
     #[test]
     fn acks_count_only_against_an_expectation_from_their_sender() {
-        let ack = || DsmMsg::UpdateAck { count: 1 };
-        for bounce in [false, true] {
-            let (rt, net, tx1, rx1, tx2, rx2, rx0, ws) = coop_harness();
-            let server_rt = Arc::clone(&rt);
-            let server = std::thread::spawn(move || server_rt.server_loop(rx0));
-            let flusher_rt = Arc::clone(&rt);
-            let flusher = std::thread::spawn(move || flusher_rt.flush_duq());
-            let (_env, msg) = rx1.recv().unwrap();
-            assert_eq!(msg.class(), "relay_fanout");
-            // N2's ack reaches the origin before the owner's does.
-            tx2.send(NodeId::new(0), "update_ack", 40, ack()).unwrap();
-            let (refanned, rejected) = if bounce {
-                (vec![], vec![ws])
-            } else {
-                (vec![NodeId::new(2)], vec![])
-            };
-            tx1.send(
-                NodeId::new(0),
-                "relay_fanout_ack",
-                24,
-                DsmMsg::RelayFanoutAck { refanned, rejected },
-            )
+        // N2's ack reaches the origin before the owner's does.
+        flush_against_owners(
+            3,
+            &[1],
+            vec![(2, ack()), (1, fanout_ack(vec![NodeId::new(2)]))],
+        );
+    }
+
+    /// A cooperative owner confirmed dead after its fan-out left and before
+    /// its ack came: whether it re-fanned cannot be told, so the flush sends
+    /// the degraded broadcast — an acknowledged update to every live peer —
+    /// and completes on their acks, the dead owner's never coming.
+    #[test]
+    fn a_cooperative_owner_confirmed_dead_is_replaced_by_the_degraded_broadcast() {
+        let cfg = MuninConfig::fast_test(3)
+            .with_relay_max_bytes(16)
+            .with_detect(std::time::Duration::from_secs(3600));
+        let (rt, net, _tx1, rx1, tx2, rx2, rx0, objects) = coop_harness_with(cfg, &[1]);
+        let server_rt = Arc::clone(&rt);
+        let server = std::thread::spawn(move || server_rt.server_loop(rx0));
+        let flusher_rt = Arc::clone(&rt);
+        let flusher = std::thread::spawn(move || flusher_rt.flush_duq());
+        let (_env, msg) = rx1.recv().unwrap();
+        assert_eq!(msg.class(), "relay_fanout");
+        // N2 gossips N1's death; node 0's service loop confirms it.
+        tx2.send(
+            NodeId::new(0),
+            "peer_down",
+            4,
+            DsmMsg::PeerDown {
+                node: NodeId::new(1),
+            },
+        )
+        .unwrap();
+        let update = loop {
+            let (_env, msg) = rx2.recv().unwrap();
+            if !matches!(msg, DsmMsg::Heartbeat) {
+                break msg;
+            }
+        };
+        let DsmMsg::Update(UpdateBundle { items, route, .. }) = update else {
+            panic!("expected the degraded broadcast at N2, got {update:?}");
+        };
+        assert_eq!(route, Route::DirectAcked);
+        assert_eq!(items[0].object, objects[0]);
+        assert!(!flusher.is_finished(), "the broadcast is acknowledged");
+        tx2.send(NodeId::new(0), "update_ack", 24, ack()).unwrap();
+        flusher.join().unwrap().unwrap();
+        assert_eq!(rt.stats().snapshot().updates_sent, 2, "fan-out, then N2");
+        let to_n1: Vec<_> = std::iter::from_fn(|| rx1.try_recv().unwrap())
+            .filter(|(_env, m)| !matches!(m, DsmMsg::Heartbeat))
+            .collect();
+        assert!(to_n1.is_empty(), "nothing more for the dead: {to_n1:?}");
+        tx2.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
             .unwrap();
-            if bounce {
-                // Nobody claimed the early ack, and the fallback broadcast
-                // needs both of its own.
-                for (tx, rx) in [(&tx1, &rx1), (&tx2, &rx2)] {
-                    let (_env, msg) = rx.recv().unwrap();
-                    assert_eq!(msg.class(), "update");
-                    tx.send(NodeId::new(0), "update_ack", 40, ack()).unwrap();
-                }
-            }
-            flusher.join().unwrap().unwrap();
-            tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
-                .unwrap();
-            server.join().unwrap();
-            // Only the `Shutdown` is left for the user thread.
-            while let Ok((_env, left)) = rt.reply_rx.try_recv() {
-                assert!(
-                    matches!(left, DsmMsg::Shutdown),
-                    "bounce={bounce}: {left:?} was left behind in the mailbox"
-                );
-            }
-            drop(net);
-        }
+        server.join().unwrap();
+        assert_mailbox_holds_only_the_shutdown(&rt);
+        drop(net);
     }
 
     /// The routing table, whole: every (mode, fan-out or flush-to-owner,
@@ -1578,13 +1448,11 @@ mod tests {
         for with_small_diff in [false, true] {
             let (rt, net, _tx1, rx1, _tx2, rx2, _rx0, ws) = coop_harness_owned_by(&[1, 1]);
             for o in &ws {
-                // Owned here, with a replica at N1 and the copyset pinned so
-                // the flush needs no determination round.
+                // Owned here, with a replica at N1.
                 let mut dir = rt.dir.lock();
                 let e = dir.entry_mut(*o);
                 e.state.owned = true;
                 e.copyset.insert(n1);
-                e.state.copyset_fixed = true;
             }
             // The first object is dirty all over; the second in one word,
             // or (its twin restored) not at all.

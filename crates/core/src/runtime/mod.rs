@@ -101,8 +101,6 @@ pub(crate) enum WaitOp {
     InvalidateAcks(ObjectId),
     /// Waiting for `UpdateAck`s after a DUQ flush transmission round.
     UpdateAcks,
-    /// Waiting for `CopysetReply`s in a broadcast determination round.
-    CopysetReplies,
     /// Waiting for `ReduceReply` from a reduction object's fixed owner.
     Reduce(ObjectId),
     /// Waiting for `LockGrant`.
@@ -122,7 +120,6 @@ impl WaitOp {
             WaitOp::Fetch(_) => "fetch",
             WaitOp::InvalidateAcks(_) => "invalidate_acks",
             WaitOp::UpdateAcks => "update_acks",
-            WaitOp::CopysetReplies => "copyset_replies",
             WaitOp::Reduce(_) => "reduce",
             WaitOp::LockGrant(_) => "lock_acquire",
             WaitOp::BarrierRelease(_) => "barrier",

@@ -245,57 +245,60 @@ impl NodeRuntime {
     /// the normal routing rules. The install-before-dispatch order is the
     /// carrier layer's correctness anchor: a piggybacked lock grant or
     /// barrier release can never reach the user thread ahead of the data
-    /// that must be visible when it resumes.
+    /// that must be visible when it resumes, and a barrier arrive is never
+    /// counted ahead of the share it brings this node.
     fn handle_carrier(
         self: &Arc<Self>,
         env: Envelope,
         inner: Box<DsmMsg>,
-        updates: Vec<UpdateBundle>,
-        relay: Vec<(NodeId, UpdateBundle)>,
+        mut updates: Vec<UpdateBundle>,
+        mut relay: Vec<(NodeId, UpdateBundle)>,
     ) {
         // A grant or release *gates an acquire*: the blocked user thread
-        // resumes the moment it is routed, so it must never outrun its
-        // bundles. If any bundle cannot be applied yet, the whole carrier
-        // (inner included) is re-queued and retried — deadlock-free, because
-        // the receiver's user thread is parked in `wait_reply` (it cannot
-        // hold busy/pinned entries) and any missing stream number is already
-        // on the wire. Every other inner keeps legacy ordering: it is
-        // dispatched now and only the blocked bundles wait, each re-queued
-        // as itself (an `InvalidateAck` *must* go through — its requester is
-        // mid-write-fault, which is exactly what blocks the bundle).
-        let gates_acquire = matches!(
-            *inner,
-            DsmMsg::LockGrant { .. } | DsmMsg::BarrierRelease { .. }
-        );
-        if gates_acquire {
-            let mut waiting = Vec::new();
-            let mut on = DeferredOn::Stream;
-            for bundle in updates {
-                match self.admit(&env, &bundle) {
-                    Admission::Apply => self.install_admitted(env, bundle),
-                    Admission::Stale => {}
-                    Admission::Defer(what) => {
-                        if what == DeferredOn::Entry {
-                            on = DeferredOn::Entry;
-                        }
-                        waiting.push(bundle);
-                    }
+        // resumes the moment it is routed. An arrive's share for this node
+        // must be in — a cooperative bundle's re-fans stashed (`refan`) —
+        // before the arrival counts, or this node's own user thread, arriving
+        // last, opens the barrier with releases built before the stash. If
+        // any such bundle cannot be applied yet, the whole carrier is
+        // re-queued — deadlock-free: only this node's own user thread holds
+        // entries busy or pinned, a pin without blocking and a busy bit until
+        // a fetch reply no barrier holds up, and any missing stream number is
+        // already on the wire. Every other inner is dispatched now
+        // and only its blocked bundles wait, each as itself (an
+        // `InvalidateAck` *must* go through — its requester is mid-write-fault,
+        // which is exactly what blocks the bundle).
+        let held = match *inner {
+            DsmMsg::LockGrant { .. } | DsmMsg::BarrierRelease { .. } => {
+                let (waiting, on) = self.install_admissible(&env, updates);
+                updates = waiting;
+                on
+            }
+            // An arrive's share for this node: its own bundles and relays.
+            DsmMsg::BarrierArrive { .. } => {
+                let (own, others): (Vec<_>, Vec<_>) =
+                    relay.into_iter().partition(|(dest, _)| *dest == self.node);
+                relay = others;
+                updates.extend(own.into_iter().map(|(_, b)| b));
+                let (waiting, on) = self.install_admissible(&env, updates);
+                updates = waiting;
+                on
+            }
+            _ => {
+                for bundle in updates.drain(..) {
+                    self.handle_update(env, bundle);
                 }
+                None
             }
-            if !waiting.is_empty() {
-                crate::runtime::proto_trace!(self, "defer whole carrier (gating inner)");
-                let carrier = DsmMsg::Carrier {
-                    inner,
-                    updates: waiting,
-                    relay,
-                };
-                self.defer(env, carrier, on);
-                return;
-            }
-        } else {
-            for bundle in updates {
-                self.handle_update(env, bundle);
-            }
+        };
+        if let Some(on) = held {
+            crate::runtime::proto_trace!(self, "defer whole carrier (gating inner)");
+            let carrier = DsmMsg::Carrier {
+                inner,
+                updates,
+                relay,
+            };
+            self.defer(env, carrier, on);
+            return;
         }
         if !relay.is_empty() {
             // Relays only ever ride barrier traffic — reports and releases
@@ -309,20 +312,10 @@ impl NodeRuntime {
                 _ => None,
             };
             for (dest, bundle) in relay {
-                if dest == self.node {
-                    // The owner's own share is installed now — before the
-                    // arrival below is counted — and for a cooperative bundle
-                    // riding the arrive "installed" includes stashing its
-                    // re-fans for the releases (`refan`). (If it has to defer
-                    // on an entry, the trip still cannot release anyone ahead
-                    // of the install, or of the stash: only this node's own
-                    // user thread pins or fetches here, so its arrival is
-                    // outstanding until it clears the blocking state, and
-                    // `process_deferred` runs on that thread first. The
-                    // bundle waits as itself, which is why its route, not
-                    // `barrier` here, names the releases it stashes onto.)
-                    self.handle_update(env, bundle);
-                } else if let Some(b) = barrier {
+                // An arrive's share for this node was installed above, and a
+                // release carries its receiver's share as `updates`.
+                debug_assert_ne!(dest, self.node, "a relay entry for its own receiver");
+                if let Some(b) = barrier {
                     self.outbox.lock().stash_relay(b, dest, bundle);
                 } else {
                     // A relay without a framing barrier message is a
@@ -345,6 +338,31 @@ impl NodeRuntime {
         } else {
             self.handle_request(env, inner);
         }
+    }
+
+    /// Installs every bundle the admission gate lets in now and returns the
+    /// ones it holds back, with what the carrier that re-queues them waits
+    /// on (`None`: nothing held back).
+    fn install_admissible(
+        self: &Arc<Self>,
+        env: &Envelope,
+        bundles: Vec<UpdateBundle>,
+    ) -> (Vec<UpdateBundle>, Option<DeferredOn>) {
+        let mut waiting = Vec::new();
+        let mut on = None;
+        for bundle in bundles {
+            match self.admit(env, &bundle) {
+                Admission::Apply => self.install_admitted(*env, bundle),
+                Admission::Stale => {}
+                Admission::Defer(what) => {
+                    if on != Some(DeferredOn::Entry) {
+                        on = Some(what);
+                    }
+                    waiting.push(bundle);
+                }
+            }
+        }
+        (waiting, on)
     }
 
     /// The admission gate every arriving update bundle passes, whatever it
@@ -853,15 +871,13 @@ impl NodeRuntime {
             // per-message acks is no worse off than under the legacy
             // re-apply behaviour.
             Admission::Stale => {
-                let ack = match bundle.route {
-                    Route::DirectAcked => DsmMsg::UpdateAck { count: 0 },
-                    Route::OwnerFanout { ride: None } => DsmMsg::RelayFanoutAck {
-                        refanned: Vec::new(),
-                        rejected: Vec::new(),
-                    },
+                let refanned = match bundle.route {
+                    Route::DirectAcked => None,
+                    Route::OwnerFanout { ride: None } => Some(Vec::new()),
                     _ => return,
                 };
-                let _ = self.send_service(bundle.origin, ack, env.arrival);
+                let _ =
+                    self.send_service(bundle.origin, DsmMsg::UpdateAck { refanned }, env.arrival);
             }
         }
     }
@@ -887,9 +903,9 @@ impl NodeRuntime {
             // answers nobody: the origin is parked at that barrier, not
             // counting.
             Route::DirectAcked | Route::OwnerForward { .. } => {
-                let (count, service) = self.apply_update_items(items, now);
+                let service = self.apply_update_items(items, now);
                 if route != (Route::OwnerForward { framed: true }) {
-                    let ack = DsmMsg::UpdateAck { count };
+                    let ack = DsmMsg::UpdateAck { refanned: None };
                     let _ = self.send_service(origin, ack, now + service);
                 }
             }
@@ -897,24 +913,20 @@ impl NodeRuntime {
         }
     }
 
-    /// The owner's half of the owner-cooperative fan-out: installs the items
-    /// this node owns, then re-fans them to the other members of its
-    /// *authoritative* copyset (the union of every determined set with the
-    /// replicas recorded while serving fetches) — the flusher never runs a
-    /// determination round for these objects. Items this node does not own
-    /// (the origin's ownership hint was stale) are bounced back in the ack as
-    /// `rejected`, neither installed nor distributed; the origin repairs its
-    /// hint and falls back to a direct broadcast.
-    ///
-    /// A bundle that rode the origin's arrive at barrier `ride` — this node
+    /// The owner's half of the owner-cooperative fan-out: installs the items,
+    /// then re-fans them to the other members of its *authoritative* copyset
+    /// (the replicas recorded while serving fetches). A standalone bundle is
+    /// answered with one `UpdateAck` naming the re-fan destinations
+    /// (`refanned: Some`), each of which acknowledges the origin itself. A
+    /// bundle that rode the origin's arrive at barrier `ride` — this node
     /// owns the barrier — is answered with nothing: each forward is stashed
     /// for the `BarrierRelease` headed to its member, which installs it
-    /// before that release is routed. There is no origin listening for a
-    /// bounce either, so for an item it does not own this node degrades on
-    /// the origin's behalf: applied to its own copy, if it has one, and
-    /// forwarded to every other live node, copy or none (the origin's
-    /// degraded broadcast, riding). That is correct at any hint; the hint
-    /// itself is repaired by the origin's next acknowledged flush or fetch.
+    /// before that release is routed.
+    ///
+    /// An item this node does not own (a stale owner hint) is degraded on
+    /// the origin's behalf: applied to this node's own copy, if it has one,
+    /// and forwarded to every other live node, copy or none. That is correct
+    /// at any hint; the origin's next fetch repairs the hint.
     fn refan(
         self: &Arc<Self>,
         items: Vec<UpdateItem>,
@@ -923,44 +935,38 @@ impl NodeRuntime {
         ride: Option<crate::sync::BarrierId>,
         now: munin_sim::VirtTime,
     ) {
-        // Partition on ownership and snapshot the authoritative copysets in
-        // one directory-lock scope; liveness is checked afterwards because
-        // the failure detector takes its own lock.
-        let mut owned_items = Vec::new();
-        let mut rejected = Vec::new();
+        // Snapshot the authoritative copysets in one directory-lock scope;
+        // liveness is checked afterwards because the failure detector takes
+        // its own lock.
         let mut per_dest = super::flush::PerDest::new();
         {
             let dir = self.dir.lock();
-            for item in items {
+            for item in &items {
                 let e = dir.entry(item.object);
-                let members = match (e.state.owned, ride) {
-                    (true, _) => &e.copyset,
-                    (false, Some(_)) => &CopySet::AllNodes,
-                    (false, None) => {
-                        rejected.push(item.object);
-                        continue;
-                    }
+                let members = if e.state.owned {
+                    &e.copyset
+                } else {
+                    &CopySet::AllNodes
                 };
                 for dest in members.iter(self.nodes, Some(self.node)) {
                     if dest != origin {
                         per_dest.entry(dest).or_default().push(item.clone());
                     }
                 }
-                owned_items.push(item);
             }
         }
         per_dest.retain(|dest, _| !self.is_peer_dead(*dest));
         // Install before any re-fan leaves: the owner must never distribute
         // data it has not itself made visible (the same anchor as the
         // carrier layer's install-before-dispatch).
-        let (_, service) = self.apply_update_items(owned_items, now);
+        let service = self.apply_update_items(items, now);
         if ride.is_none() {
             // A standalone forward must not get onto its link ahead of a
             // riding one of the same origin that a release fan still has in
             // hand (`release_children` holds this lock while it has).
             drop(self.outbox.lock());
         }
-        let mut refanned = Vec::new();
+        let refanned = Some(per_dest.keys().copied().collect());
         for (dest, dest_items) in per_dest {
             self.note_update_sent(&dest_items);
             bump(&self.stats.owner_refans);
@@ -995,25 +1001,22 @@ impl NodeRuntime {
                 }
                 None => {
                     let _ = self.send_service(dest, DsmMsg::Update(forward), now + service);
-                    refanned.push(dest);
                 }
             }
         }
         if ride.is_none() {
-            let ack = DsmMsg::RelayFanoutAck { refanned, rejected };
-            let _ = self.send_service(origin, ack, now + service);
+            let _ = self.send_service(origin, DsmMsg::UpdateAck { refanned }, now + service);
         }
     }
 
     /// Applies a list of update items to the local copies. The single apply
     /// path shared by standalone `Update` messages and piggybacked carrier
-    /// bundles. Returns the number applied and the service time charged.
+    /// bundles. Returns the service time charged.
     fn apply_update_items(
         self: &Arc<Self>,
         items: Vec<UpdateItem>,
         now: munin_sim::VirtTime,
-    ) -> (usize, munin_sim::VirtTime) {
-        let mut applied = 0usize;
+    ) -> munin_sim::VirtTime {
         let mut service = munin_sim::VirtTime::ZERO;
         for item in items {
             let has_copy = self
@@ -1067,21 +1070,21 @@ impl NodeRuntime {
                     });
                 }
             }
-            applied += 1;
             bump(&self.stats.updates_applied);
         }
-        (applied, service)
+        service
     }
 
-    /// Answers a broadcast copyset query: which of the listed objects does
-    /// this node hold a copy of?
+    /// Answers orphan recovery's holder query: which of the listed objects
+    /// does this node hold a copy of?
     ///
     /// If any listed object is mid-fetch on this node (its busy bit is set),
-    /// the answer is deferred until the fetch completes: answering "don't
-    /// have" while the object data is in flight would let the flusher skip
-    /// this node, whose just-fetched copy would then miss the update forever.
-    /// The exception is a fetch stuck in orphan recovery, which waits for
-    /// every peer's answer itself: it answers (truthfully: no copy) at once.
+    /// the answer is deferred until the fetch completes: the data in flight
+    /// may be the surviving copy the recovering node is looking for, and
+    /// answering "don't have" would let it adopt elsewhere or fail with the
+    /// object lost. The exception is a fetch stuck in orphan recovery itself,
+    /// which waits for every peer's answer: it answers (truthfully: no copy)
+    /// at once.
     fn handle_copyset_query(
         self: &Arc<Self>,
         env: Envelope,
@@ -2363,7 +2366,7 @@ mod tests {
         }
         h.rt.process_deferred();
         match h.peer_recv() {
-            DsmMsg::UpdateAck { count, .. } => assert_eq!(count, 1),
+            DsmMsg::UpdateAck { refanned: None } => {}
             other => panic!("unexpected reply: {other:?}"),
         }
         assert_eq!(
@@ -2397,7 +2400,7 @@ mod tests {
             )
             .unwrap();
         h.pump();
-        assert!(matches!(h.peer_recv(), DsmMsg::UpdateAck { count: 1, .. }));
+        assert_eq!(h.peer_recv(), DsmMsg::UpdateAck { refanned: None });
         assert_eq!(&h.rt.object_bytes(ws)[0..4], &7u32.to_le_bytes());
     }
 
@@ -2602,7 +2605,7 @@ mod tests {
         h.rt.process_deferred();
         // Both applied, in stream order: the copy holds the *newer* data.
         assert_eq!(h.rt.object_bytes(ws), vec![2u8; 32]);
-        assert!(matches!(h.peer_recv(), DsmMsg::UpdateAck { count: 1, .. }));
+        assert_eq!(h.peer_recv(), DsmMsg::UpdateAck { refanned: None });
         // A duplicate of the old bundle is stale and must be dropped.
         h.peer_tx
             .send(
@@ -3125,7 +3128,7 @@ mod tests {
         assert_eq!(snap.updates_applied, 1);
         assert_eq!(snap.dup_msgs_dropped, 1);
         // Exactly one real UpdateAck; the duplicate is answered by the
-        // transport's NetAck, never by a second (count: 0) protocol ack.
+        // transport's NetAck, never by a second protocol ack.
         let mut update_acks = 0;
         let mut net_acks = 0;
         while let Some((_env, m)) = h.peer_rx.try_recv().unwrap() {
@@ -3485,21 +3488,19 @@ mod tests {
             other => panic!("expected the re-fan at N2, got {other:?}"),
         }
         // The origin got the ack naming the re-fan destination.
-        match h.rx1.recv().unwrap().1 {
-            DsmMsg::RelayFanoutAck { refanned, rejected } => {
-                assert_eq!(refanned, vec![NodeId::new(2)]);
-                assert!(rejected.is_empty());
-            }
-            other => panic!("expected RelayFanoutAck at origin, got {other:?}"),
-        }
+        let ack = DsmMsg::UpdateAck {
+            refanned: Some(vec![NodeId::new(2)]),
+        };
+        assert_eq!(h.rx1.recv().unwrap().1, ack);
         assert_eq!(h.rt.stats().snapshot().owner_refans, 1);
     }
 
-    /// A stale ownership hint: the fanout target does not own the object, so
-    /// the bundle is bounced back untouched — not installed, not re-fanned —
-    /// and the origin's ack names the rejected object.
+    /// A stale ownership hint: the fan-out target does not own the object.
+    /// It degrades on the origin's behalf, as for a bundle riding an arrive:
+    /// the item goes into its own copy and to every other node, and its ack
+    /// names the one forward (the origin gets none).
     #[test]
-    fn relay_fanout_bounces_unowned_objects() {
+    fn relay_fanout_with_a_stale_hint_degrades_on_the_origins_behalf() {
         let h = harness3();
         let ws = h.obj("ws");
         h.rt.install_object_bytes(ws, &[0u8; 32]);
@@ -3526,16 +3527,19 @@ mod tests {
             )
             .unwrap();
         h.pump();
-        match h.rx1.recv().unwrap().1 {
-            DsmMsg::RelayFanoutAck { refanned, rejected } => {
-                assert!(refanned.is_empty());
-                assert_eq!(rejected, vec![ws]);
-            }
-            other => panic!("expected RelayFanoutAck, got {other:?}"),
-        }
-        // Neither installed nor counted as a re-fan.
-        assert_eq!(h.rt.object_bytes(ws), vec![0u8; 32]);
-        assert_eq!(h.rt.stats().snapshot().owner_refans, 0);
+        assert_eq!(h.rt.object_bytes(ws), vec![9u8; 32]);
+        let [to_n1, to_n2] = h.received();
+        let ack = DsmMsg::UpdateAck {
+            refanned: Some(vec![NodeId::new(2)]),
+        };
+        assert_eq!(to_n1, vec![ack]);
+        let [DsmMsg::Update(forward)] = &to_n2[..] else {
+            panic!("expected one forward at N2, got {to_n2:?}");
+        };
+        assert_eq!(forward.route, Route::OwnerForward { framed: false });
+        assert_eq!((forward.origin, forward.seq), (NodeId::new(1), 0));
+        assert_eq!(forward.items[0].object, ws);
+        assert_eq!(h.rt.stats().snapshot().owner_refans, 1);
     }
 
     /// The destination side of the cooperative relay: an `OwnerForward` bundle
@@ -3569,7 +3573,7 @@ mod tests {
         assert!(h.rt.deferred.lock().is_empty(), "forwards are not deferred");
         assert_eq!(h.rt.object_bytes(ws), vec![6u8; 32]);
         match h.rx2.recv().unwrap().1 {
-            DsmMsg::UpdateAck { count, .. } => assert_eq!(count, 1),
+            DsmMsg::UpdateAck { refanned: None } => {}
             other => panic!("expected UpdateAck at the origin, got {other:?}"),
         }
     }
@@ -3577,36 +3581,24 @@ mod tests {
     /// A non-owned flush rides the barrier, from the owner's side. The
     /// cooperative bundle on N1's arrive is installed before that arrival is
     /// counted, and its re-fan — one forward per copyset member other than
-    /// the origin — is stashed, not sent: nobody gets an `Update`, a
-    /// `RelayFanoutAck` or an `UpdateAck`. A duplicate of the bundle is stale
-    /// and as silent. Once the last arrival is in, N2's release carries its
+    /// the origin — is stashed, not sent: nobody gets an `Update` or an
+    /// `UpdateAck`. A duplicate of the bundle is stale and as silent. Once the last arrival is in, N2's release carries its
     /// forward and the origin's carries nothing.
     ///
-    /// With the page pinned by this node's own user thread the bundle waits
-    /// as itself — keeping the barrier it rode in its route — and the barrier
-    /// cannot open meanwhile, everyone else arrived or not: the thread
-    /// holding the pin has not arrived. Its unpin installs and stashes.
-    ///
-    /// With the hint stale (this node does not own the page) there is no
-    /// origin listening for a bounce: the items go into this node's own copy
-    /// and onto every other node's release.
+    /// With the hint stale (this node does not own the page) the items go
+    /// into this node's own copy and onto every other node's release, as
+    /// for a standalone fan-out.
     #[test]
     fn riding_fanout_is_installed_and_its_refans_come_down_on_the_releases() {
-        #[derive(Clone, Copy, Debug, PartialEq)]
-        enum Case {
-            Owned,
-            OwnedAndPinned,
-            StaleHint,
-        }
-        for case in [Case::Owned, Case::OwnedAndPinned, Case::StaleHint] {
+        for stale_hint in [false, true] {
+            let case = if stale_hint { "stale hint" } else { "owned" };
             let h = harness3();
             let ws = h.obj("ws");
             h.rt.install_object_bytes(ws, &[0u8; 32]);
             {
                 let mut dir = h.rt.dir.lock();
                 let e = dir.entry_mut(ws);
-                e.state.pinned = case == Case::OwnedAndPinned;
-                if case == Case::StaleHint {
+                if stale_hint {
                     // No copyset worth the name either: the real owner's is
                     // the authoritative one.
                     e.state.owned = false;
@@ -3618,46 +3610,15 @@ mod tests {
             }
             let (dest, bundle) = riding_fanout(ws);
             h.arrive_from(1, vec![(dest, bundle.clone())]);
-            if case == Case::OwnedAndPinned {
-                {
-                    let deferred = h.rt.deferred.lock();
-                    assert_eq!(deferred.len(), 1);
-                    assert_eq!(deferred[0].on, DeferredOn::Entry);
-                    assert_eq!(deferred[0].msg, DsmMsg::Update(bundle.clone()));
-                }
-                assert_eq!(h.rt.outbox.lock().relay_len(), 0);
-                h.arrive_from(2, vec![]);
-                assert_eq!(h.received(), [vec![], vec![]], "the barrier stays shut");
-                h.rt.dir.lock().entry_mut(ws).state.pinned = false;
-                h.rt.note_unblocked_and_process_deferred(munin_sim::VirtTime::ZERO);
-                assert!(h.rt.deferred.lock().is_empty());
-            }
-            assert_eq!(h.rt.object_bytes(ws), vec![5u8; 32], "{case:?}");
-            assert_eq!(h.rt.outbox.lock().relay_len(), 1, "{case:?}");
+            assert_eq!(h.rt.object_bytes(ws), vec![5u8; 32], "{case}");
+            assert_eq!(h.rt.outbox.lock().relay_len(), 1, "{case}");
             let env = env_at(1, "update", munin_sim::VirtTime::ZERO);
             h.rt.handle_request(env, DsmMsg::Update(bundle));
             assert_eq!(h.rt.outbox.lock().relay_len(), 1, "a duplicate is stale");
-            assert_eq!(
-                h.received(),
-                [vec![], vec![]],
-                "{case:?}: nobody is answered"
-            );
-            if case != Case::OwnedAndPinned {
-                h.arrive_from(2, vec![]);
-            }
+            assert_eq!(h.received(), [vec![], vec![]], "{case}: nobody is answered");
+            h.arrive_from(2, vec![]);
             h.arrive_here();
-            let forward = UpdateBundle {
-                origin: NodeId::new(1),
-                seq: 0,
-                items: riding_fanout(ws).1.items,
-                route: Route::OwnerForward { framed: true },
-            };
-            let release = DsmMsg::BarrierRelease {
-                barrier: OWNED_HERE,
-                gen: 1,
-            };
-            let carrier = DsmMsg::framed(release.clone(), vec![forward], vec![]);
-            assert_eq!(h.received(), [vec![release], vec![carrier]], "{case:?}");
+            assert_eq!(h.received(), riding_releases(ws), "{case}");
             let snap = h.rt.stats().snapshot();
             assert_eq!(
                 (
@@ -3666,13 +3627,85 @@ mod tests {
                     snap.msgs_piggybacked
                 ),
                 (1, 1, 1),
-                "{case:?}"
+                "{case}"
             );
             assert_eq!(
                 snap.updates_sent, 1,
                 "the forward, counted where it always was"
             );
         }
+    }
+
+    /// What N1 and N2 receive when [`OWNED_HERE`] opens after N1's arrive
+    /// brought [`riding_fanout`]: a bare release for the origin, and for N2
+    /// a release carrying the re-fan.
+    fn riding_releases(ws: ObjectId) -> [Vec<DsmMsg>; 2] {
+        let forward = UpdateBundle {
+            origin: NodeId::new(1),
+            seq: 0,
+            items: riding_fanout(ws).1.items,
+            route: Route::OwnerForward { framed: true },
+        };
+        let release = DsmMsg::BarrierRelease {
+            barrier: OWNED_HERE,
+            gen: 1,
+        };
+        let carrier = DsmMsg::framed(release.clone(), vec![forward], vec![]);
+        [vec![release], vec![carrier]]
+    }
+
+    /// The barrier owner's own user thread has the page a riding bundle
+    /// targets pinned when the bundle's arrive comes in. The whole arrive
+    /// waits, uncounted, so the barrier cannot open until the bundle is
+    /// installed and its re-fans stashed — whichever thread retries it. Here
+    /// the thread unpins and arrives last, everyone else in, before the
+    /// service side gets to the retry (the unpin's own retry found the queue
+    /// taken): the barrier stays shut, and the retry's install, stash and
+    /// count open it with the forward on N2's release.
+    #[test]
+    fn an_arrive_whose_share_is_deferred_counts_only_after_install_and_stash() {
+        let h = harness3();
+        let ws = h.obj("ws");
+        h.rt.install_object_bytes(ws, &[0u8; 32]);
+        {
+            let mut dir = h.rt.dir.lock();
+            let e = dir.entry_mut(ws);
+            e.state.pinned = true;
+            e.copyset.insert(NodeId::new(1));
+            e.copyset.insert(NodeId::new(2));
+        }
+        h.arrive_from(1, vec![riding_fanout(ws)]);
+        let counted = |n: usize| {
+            let sync = h.rt.sync.lock();
+            sync.barrier(OWNED_HERE).arrived.contains(NodeId::new(n))
+        };
+        {
+            let deferred = h.rt.deferred.lock();
+            assert_eq!(deferred.len(), 1);
+            assert_eq!(deferred[0].on, DeferredOn::Entry);
+            let DsmMsg::Carrier {
+                inner,
+                updates,
+                relay,
+            } = &deferred[0].msg
+            else {
+                panic!("the whole arrive waits: {:?}", deferred[0].msg);
+            };
+            assert!(matches!(**inner, DsmMsg::BarrierArrive { .. }));
+            assert_eq!((updates, relay), (&vec![riding_fanout(ws).1], &vec![]));
+        }
+        assert!(!counted(1), "not counted while its share waits");
+        assert_eq!(h.rt.object_bytes(ws), vec![0u8; 32], "not installed");
+        assert_eq!(h.rt.outbox.lock().relay_len(), 0, "nothing stashed");
+        h.arrive_from(2, vec![]);
+        h.rt.dir.lock().entry_mut(ws).state.pinned = false;
+        h.arrive_here();
+        assert_eq!(h.received(), [vec![], vec![]], "the barrier stays shut");
+        h.rt.process_deferred();
+        assert!(h.rt.deferred.lock().is_empty());
+        assert_eq!(h.rt.object_bytes(ws), vec![5u8; 32]);
+        // Counted last: the barrier it opened released N2 with the forward.
+        assert_eq!(h.received(), riding_releases(ws));
     }
 
     /// A non-owned flush rides the barrier, from a member's side. The forward

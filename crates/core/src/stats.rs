@@ -85,11 +85,14 @@ counters! {
         duq_flushes,
         /// Objects drained from the DUQ across all flushes.
         duq_objects_flushed,
-        /// Copyset determination rounds performed: one per flush with owned,
-        /// invalidate-based objects whose copyset is not fixed (the only
-        /// ones determined by asking).
+        /// Always 0: no flush asks anyone for a copyset (only the
+        /// delayed-update annotations enqueue, and an owner's recorded
+        /// copyset is authoritative for them). `benchmark/src/block.rs`
+        /// still reads the field: dropped with the next no-claim benchmark
+        /// re-baseline.
         copyset_queries,
-        /// Copyset query messages sent: one per live peer per round.
+        /// Copyset query messages sent: one per live peer per orphan
+        /// recovery round (a fetch whose owner died).
         copyset_query_msgs,
         /// Always 0: a non-owned flush goes whole to the object's owner,
         /// whose copyset picks the receivers, so no flush re-sends to a

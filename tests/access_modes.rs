@@ -17,13 +17,10 @@
 //!   `updates_applied`, `updates_healed`) and its advisory
 //!   `runtime_errors` (stable-sharing checks) vary run-to-run *within a
 //!   single mode* — the producer-consumer copyset becomes `fixed` at a
-//!   schedule-dependent flush — so they are excluded for SOR, as are the
-//!   copyset-determination counters (`copyset_queries`,
-//!   `copyset_query_msgs`): determination runs only for owner-flushed
-//!   objects since the owner-cooperative relay, and first-touch ownership
-//!   of SOR's boundary rows is itself schedule-dependent (see
-//!   [`sor_stable_subset`]). Every other protocol counter is compared
-//!   exactly.
+//!   schedule-dependent flush — so they are excluded for SOR. Every other
+//!   protocol counter is compared exactly, the copyset-query counters
+//!   (`copyset_queries`, `copyset_query_msgs`) included: a flush never
+//!   queries, and only orphan recovery, after a crash, does.
 //! * TSP's pruning (and therefore its reduction/lock/fetch/update traffic —
 //!   even `objects_fetched`, since the migratory best-tour record may or may
 //!   not ride each lock grant's piggyback) depends on the global-bound
@@ -69,20 +66,6 @@ fn stable_subset(s: &MuninStatsSnapshot) -> Vec<(&'static str, u64)> {
         ("copyset_query_msgs", s.copyset_query_msgs),
         ("barrier_waits", s.barrier_waits),
     ]
-}
-
-/// The SOR variant of [`stable_subset`]: the copyset-determination counters
-/// are additionally excluded. Determination runs only for *owner*-flushed
-/// fan-out objects (non-owned bundles take the owner-cooperative relay,
-/// which never queries), and ownership of a never-materialized page follows
-/// its first toucher — for SOR's boundary rows that race between the
-/// writing band and the reading neighbour, so the query counts vary
-/// run-to-run even within one mode.
-fn sor_stable_subset(s: &MuninStatsSnapshot) -> Vec<(&'static str, u64)> {
-    stable_subset(s)
-        .into_iter()
-        .filter(|(name, _)| *name != "copyset_queries" && *name != "copyset_query_msgs")
-        .collect()
 }
 
 /// The full protocol counter set (everything except the fault-detection
@@ -177,8 +160,8 @@ fn sor_bit_identical_with_stable_stats_equal_across_modes() {
             "SOR diverged from serial under seed {seed}"
         );
         assert_eq!(
-            sor_stable_subset(&me.stats),
-            sor_stable_subset(&mv.stats),
+            stable_subset(&me.stats),
+            stable_subset(&mv.stats),
             "SOR protocol stats diverged under seed {seed}"
         );
         assert_traps_account_for_faults("sor", &mv.stats);

@@ -655,7 +655,7 @@ fn matmul_paper_size_fetches_each_access_in_one_round_trip() {
 /// `sor` and `wshared` then sat at 1 227 / 1 009 060 and 587 / ≈ 5.02 M
 /// while a flusher of pages the barrier's owner owns shipped them to it and
 /// sat out the acknowledgements before arriving. Riding the arrive, each such
-/// bundle saves its fan-out, its `RelayFanoutAck`, and a forward and an
+/// bundle saves its fan-out, the owner's ack, and a forward and an
 /// `UpdateAck` per other copyset member: new = old − (2 + 2·forwards) per
 /// riding bundle — `wshared` 48 × 6 = 288 (three copies besides the origin's:
 /// the owner's and two forwards), `sor` 21 × 2 = 42 (the owner holds the only
@@ -714,12 +714,7 @@ fn benchmark_guard_rows_are_exact_at_two_seeds() {
                 "{what}"
             );
             assert_eq!(net.class("update").msgs, 48, "{what}");
-            for acked in [
-                "update_ack",
-                "relay_fanout",
-                "relay_forward",
-                "relay_fanout_ack",
-            ] {
+            for acked in ["update_ack", "relay_fanout", "relay_forward"] {
                 assert_eq!(net.class(acked).msgs, 0, "{what}: {acked}");
             }
         }
