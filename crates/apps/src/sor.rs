@@ -68,9 +68,9 @@ pub struct SorParams {
     /// runs confirm deaths quickly); `None` keeps the auto policy.
     pub detect: Option<std::time::Duration>,
     /// Overrides the adaptive-relay size threshold
-    /// (`MUNIN_RELAY_MAX_BYTES`); `None` keeps the config default / env.
+    /// (`MuninConfig::relay_max_bytes`); `None` keeps the config default.
     pub relay_max_bytes: Option<u64>,
-    /// Overrides the barrier tree's fan-in (`MUNIN_BARRIER_FANOUT`):
+    /// Overrides the barrier tree's fan-in (`MuninConfig::barrier_fanout`):
     /// `Some(k)` forces a k-ary tree, `Some(usize::MAX)` the star (every
     /// node reports straight to the owner), `None` keeps the auto policy
     /// (the star below 32 nodes, k = 8 from there up).

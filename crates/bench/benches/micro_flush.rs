@@ -34,7 +34,7 @@ use std::time::Duration;
 /// page), so every flushed page is owner-flushed and the relay path is
 /// exercised — the same shape as the paper's 1024x512-over-8KB-pages runs.
 /// `relay_max` overrides the adaptive-relay size threshold
-/// (`MUNIN_RELAY_MAX_BYTES`); `None` keeps the tuned default.
+/// (`MuninConfig::relay_max_bytes`); `None` keeps the tuned default.
 fn params(nodes: usize, iterations: usize, relay_max: Option<u64>) -> SorParams {
     let mut p = SorParams::small(nodes * 4, 16, iterations, nodes);
     p.engine = EngineConfig::seeded(7);
@@ -70,7 +70,7 @@ fn report_message_economy() {
     report_threshold_sweep();
 }
 
-/// The adaptive-relay threshold sweep behind the `MUNIN_RELAY_MAX_BYTES`
+/// The adaptive-relay threshold sweep behind the `DEFAULT_RELAY_MAX_BYTES`
 /// default, at 16 nodes. `t=0` sends every payload direct (relay bypassed
 /// entirely); `t=max` relays every payload (the pre-threshold behaviour).
 fn report_threshold_sweep() {
@@ -89,9 +89,9 @@ fn report_threshold_sweep() {
 
 /// One wide-cluster run with an explicit barrier fan-out override. Returns
 /// (messages, bytes, owner ingress, virtual elapsed ms). `fanout` follows
-/// `MUNIN_BARRIER_FANOUT` semantics: `Some(usize::MAX)` is "flat" (the
-/// star, k = N − 1), `Some(k)` forces a k-ary tree, `None` keeps the auto
-/// policy (k = 8 at 32 nodes and up).
+/// `MuninConfig::barrier_fanout` semantics: `Some(usize::MAX)` is the star
+/// (k = N − 1), `Some(k)` forces a k-ary tree, `None` keeps the auto policy
+/// (k = 8 at 32 nodes and up).
 fn scale_run(nodes: usize, iterations: usize, fanout: Option<usize>) -> (u64, u64, u64, f64) {
     let mut p = params(nodes, iterations, None);
     p.barrier_fanout = fanout;

@@ -126,8 +126,7 @@ pub struct MuninConfig {
     /// Stall-watchdog window: when a blocked protocol operation (fetch, lock
     /// acquire, barrier, shutdown wait) sees no reply for this long, the
     /// runtime raises a structured [`StallReport`](crate::StallReport)
-    /// instead of hanging. Defaults to `MUNIN_WATCHDOG` seconds from the
-    /// environment, else 60 s.
+    /// instead of hanging. Defaults to [`DEFAULT_WATCHDOG`] (60 s).
     pub watchdog: Duration,
     /// Base wall-clock pacing of the reliability layer's retransmit timer;
     /// an unacked message is retransmitted after `pacing << attempts`
@@ -150,14 +149,12 @@ pub struct MuninConfig {
     /// detection with [`DEFAULT_DETECT`] exactly when the engine's fault
     /// plan injects a crash, and disables it otherwise — so crash-free runs
     /// send no heartbeats and their delivery schedules stay byte-identical.
-    /// Defaults to `MUNIN_DETECT` seconds (decimal) from the environment.
     pub detect: Option<Duration>,
     /// Largest update payload (modelled bytes) that may ride a barrier-relay
     /// carrier through the barrier owner. Relayed payloads transit the wire
     /// twice (flusher → owner → destination), so big payloads above this
     /// threshold are dispatched direct-to-destination as sequenced updates,
     /// fenced by the barrier arrive, instead. Defaults to
-    /// `MUNIN_RELAY_MAX_BYTES` from the environment, else
     /// [`DEFAULT_RELAY_MAX_BYTES`]; `0` sends every payload direct,
     /// `u64::MAX` restores the unconditional relay.
     pub relay_max_bytes: u64,
@@ -168,8 +165,7 @@ pub struct MuninConfig {
     /// `Some(usize::MAX)` is the conventional spelling — is the star in
     /// which every node reports straight to the owner. `None` (the default)
     /// resolves automatically: the star below [`TREE_BARRIER_AUTO_NODES`]
-    /// nodes, [`DEFAULT_BARRIER_FANOUT`] at or above it. Defaults to
-    /// `MUNIN_BARRIER_FANOUT` from the environment.
+    /// nodes, [`DEFAULT_BARRIER_FANOUT`] at or above it.
     pub barrier_fanout: Option<usize>,
 }
 
@@ -197,83 +193,6 @@ fn parse_reliability(v: Option<&str>) -> Option<bool> {
     }
 }
 
-/// Reads `MUNIN_RELAY_MAX_BYTES` (largest update payload, in modelled bytes,
-/// that may ride a barrier-relay carrier through the owner) from the
-/// environment; unset yields [`DEFAULT_RELAY_MAX_BYTES`]. Payloads above the
-/// threshold are sent direct-to-destination as ordinary sequenced updates, so
-/// they transit the wire once instead of twice.
-///
-/// # Panics
-///
-/// Panics when the variable is set but is not a non-negative byte count.
-pub fn relay_max_bytes_from_env() -> u64 {
-    parse_relay_max_bytes(std::env::var("MUNIN_RELAY_MAX_BYTES").ok().as_deref())
-}
-
-/// Pure parsing core of [`relay_max_bytes_from_env`].
-fn parse_relay_max_bytes(v: Option<&str>) -> u64 {
-    match v {
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => panic!(
-                "invalid MUNIN_RELAY_MAX_BYTES={v:?}: expected a byte count \
-                 (e.g. MUNIN_RELAY_MAX_BYTES=128, 0 to send every payload direct)"
-            ),
-        },
-        None => DEFAULT_RELAY_MAX_BYTES,
-    }
-}
-
-/// Reads `MUNIN_BARRIER_FANOUT` (the barrier tree's fan-in) from the
-/// environment: an integer `k >= 2` selects a k-ary tree, `flat` the star
-/// (`k = nodes − 1`: every node reports straight to the owner), unset leaves
-/// the auto policy (the star below [`TREE_BARRIER_AUTO_NODES`] nodes, else
-/// [`DEFAULT_BARRIER_FANOUT`]).
-///
-/// # Panics
-///
-/// Panics on any other value — `k = 0` or `1` does not describe a tree, and
-/// a typo silently falling back to the auto policy would invalidate a
-/// barrier-topology sweep without a trace.
-pub fn barrier_fanout_from_env() -> Option<usize> {
-    parse_barrier_fanout(std::env::var("MUNIN_BARRIER_FANOUT").ok().as_deref())
-}
-
-/// Pure parsing core of [`barrier_fanout_from_env`].
-fn parse_barrier_fanout(v: Option<&str>) -> Option<usize> {
-    match v {
-        None => None,
-        Some("flat") => Some(usize::MAX),
-        Some(v) => match v.parse::<usize>() {
-            Ok(k) if k >= 2 => Some(k),
-            _ => panic!(
-                "invalid MUNIN_BARRIER_FANOUT={v:?}: expected an integer fan-in >= 2 \
-                 (e.g. MUNIN_BARRIER_FANOUT=8) or \"flat\" for fan-in nodes - 1"
-            ),
-        },
-    }
-}
-
-/// Reads `MUNIN_WATCHDOG` (whole seconds) from the environment; unset yields
-/// the 60 s default. A malformed value is a configuration error, not a
-/// silent fallback: a run that asked for a watchdog and got the default would
-/// hang 60 s before reporting a stall the operator expected in 2.
-///
-/// # Panics
-///
-/// Panics when the variable is set but is not a whole number of seconds > 0.
-pub fn watchdog_from_env() -> Duration {
-    match std::env::var("MUNIN_WATCHDOG") {
-        Ok(v) => match v.parse::<u64>() {
-            Ok(secs) if secs > 0 => Duration::from_secs(secs),
-            _ => panic!(
-                "invalid MUNIN_WATCHDOG={v:?}: expected whole seconds > 0 (e.g. MUNIN_WATCHDOG=30)"
-            ),
-        },
-        Err(_) => DEFAULT_WATCHDOG,
-    }
-}
-
 /// Reads `MUNIN_FLIGHT_EVENTS` (per-node flight-recorder capacity) from the
 /// environment; unset yields the 256-event default. `0` disables event
 /// capture.
@@ -292,27 +211,6 @@ pub fn flight_events_from_env() -> usize {
             ),
         },
         Err(_) => DEFAULT_FLIGHT_EVENTS,
-    }
-}
-
-/// Reads `MUNIN_DETECT` (failure-detection window in decimal seconds) from
-/// the environment; unset yields `None` (the auto policy: detection runs
-/// with [`DEFAULT_DETECT`] exactly when the fault plan injects a crash).
-///
-/// # Panics
-///
-/// Panics when the variable is set but is not a positive decimal number of
-/// seconds.
-pub fn detect_from_env() -> Option<Duration> {
-    match std::env::var("MUNIN_DETECT") {
-        Ok(v) => match v.parse::<f64>() {
-            Ok(secs) if secs > 0.0 && secs.is_finite() => Some(Duration::from_secs_f64(secs)),
-            _ => panic!(
-                "invalid MUNIN_DETECT={v:?}: expected a positive decimal number of seconds \
-                 (e.g. MUNIN_DETECT=0.5)"
-            ),
-        },
-        Err(_) => None,
     }
 }
 
@@ -339,7 +237,7 @@ pub const TRACE_FLIGHT_EVENTS: usize = 65_536;
 pub const DEFAULT_RETRANSMIT_PACING: Duration = Duration::from_millis(20);
 
 /// Default failure-detection window, used when the fault plan injects a
-/// crash but no explicit `MUNIN_DETECT`/`with_detect` window was given.
+/// crash but no explicit [`MuninConfig::with_detect`] window was given.
 pub const DEFAULT_DETECT: Duration = Duration::from_secs(2);
 
 /// Default relay size threshold (modelled payload bytes), tuned for 8 KB
@@ -374,13 +272,13 @@ impl MuninConfig {
             access_mode: AccessMode::from_env(),
             piggyback: true,
             reliability: reliability_from_env(),
-            watchdog: watchdog_from_env(),
+            watchdog: DEFAULT_WATCHDOG,
             retransmit_pacing: DEFAULT_RETRANSMIT_PACING,
             flight_events: flight_events_from_env(),
             trace_out: trace_out_from_env(),
-            detect: detect_from_env(),
-            relay_max_bytes: relay_max_bytes_from_env(),
-            barrier_fanout: barrier_fanout_from_env(),
+            detect: None,
+            relay_max_bytes: DEFAULT_RELAY_MAX_BYTES,
+            barrier_fanout: None,
         }
     }
 
@@ -529,6 +427,10 @@ mod tests {
         assert_eq!(cfg.nodes, 16);
         assert!(cfg.annotation_override.is_none());
         assert_eq!(cfg.copyset_strategy, CopysetStrategy::Broadcast);
+        assert_eq!(cfg.watchdog, DEFAULT_WATCHDOG);
+        assert_eq!(cfg.detect, None);
+        assert_eq!(cfg.relay_max_bytes, DEFAULT_RELAY_MAX_BYTES);
+        assert_eq!(cfg.barrier_fanout, None);
     }
 
     #[test]
@@ -600,41 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn relay_max_bytes_parses_strictly() {
-        assert_eq!(parse_relay_max_bytes(None), DEFAULT_RELAY_MAX_BYTES);
-        assert_eq!(parse_relay_max_bytes(Some("0")), 0);
-        assert_eq!(parse_relay_max_bytes(Some("4096")), 4096);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid MUNIN_RELAY_MAX_BYTES=\"4k\"")]
-    fn relay_max_bytes_rejects_non_numeric_values() {
-        parse_relay_max_bytes(Some("4k"));
-    }
-
-    #[test]
-    fn barrier_fanout_parses_strictly() {
-        assert_eq!(parse_barrier_fanout(None), None);
-        assert_eq!(parse_barrier_fanout(Some("flat")), Some(usize::MAX));
-        assert_eq!(parse_barrier_fanout(Some("2")), Some(2));
-        assert_eq!(parse_barrier_fanout(Some("8")), Some(8));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid MUNIN_BARRIER_FANOUT=\"1\"")]
-    fn barrier_fanout_rejects_degenerate_trees() {
-        // A fan-in of 1 is a linked list, not a tree; reject it loudly
-        // rather than running a barrier that serialises every arrival.
-        parse_barrier_fanout(Some("1"));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid MUNIN_BARRIER_FANOUT=\"eight\"")]
-    fn barrier_fanout_rejects_non_numeric_values() {
-        parse_barrier_fanout(Some("eight"));
-    }
-
-    #[test]
     fn barrier_fanout_auto_policy_runs_the_star_on_small_clusters() {
         let mut small = MuninConfig::fast_test(16);
         small.barrier_fanout = None;
@@ -644,7 +511,7 @@ mod tests {
         wide.barrier_fanout = None;
         assert_eq!(wide.effective_barrier_fanout(), DEFAULT_BARRIER_FANOUT);
 
-        // "flat" (and anything else at or past nodes - 1) is the star.
+        // `usize::MAX` (like anything else at or past nodes - 1) is the star.
         let star = MuninConfig::fast_test(64).with_barrier_fanout(usize::MAX);
         assert_eq!(star.effective_barrier_fanout(), 63);
         let tree = MuninConfig::fast_test(8).with_barrier_fanout(4);

@@ -127,7 +127,7 @@ pub enum EventKind {
     UpdateDefer,
     /// The adaptive relay sent a payload direct-to-destination instead of
     /// through the barrier-relay carrier because it exceeded the
-    /// `MUNIN_RELAY_MAX_BYTES` threshold (`peer` = destination, `seq` = the
+    /// `MuninConfig::relay_max_bytes` threshold (`peer` = destination, `seq` = the
     /// payload's modelled byte size — the *why* of the routing decision).
     RelayBypass,
     /// This node, as the receiving owner of an owner-cooperative relay

@@ -76,15 +76,6 @@ pub const SEED_ENV_VAR: &str = "MUNIN_ENGINE_SEED";
 /// probability in `0..=1` (e.g. `MUNIN_LOSS=0.05` drops 5% of messages).
 pub const LOSS_ENV_VAR: &str = "MUNIN_LOSS";
 
-/// Environment variable injecting node crashes and temporary freezes, as a
-/// comma-separated list of `<node>@<trigger>[..<end>]` specs: the trigger is
-/// a virtual time (`40ms`, `5us`, `1s`, bare nanoseconds) or `msg<N>` (after
-/// the node's N-th delivery), and an optional `..<end>` virtual time turns
-/// the crash into a freeze that thaws at `end`. Example:
-/// `MUNIN_CRASH=3@40ms,1@msg200`. Malformed values are a hard configuration
-/// error.
-pub const CRASH_ENV_VAR: &str = "MUNIN_CRASH";
-
 /// How the engine orders deliveries. There is one order; the type stays so
 /// configurations can still name it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -148,7 +139,7 @@ impl CrashPlan {
     }
 
     /// Returns the plan with `spec` added. Panics when the plan is full
-    /// ([`MAX_CRASH_SPECS`]); use [`CrashPlan::parse`] for fallible input.
+    /// ([`MAX_CRASH_SPECS`]).
     pub fn with(mut self, spec: CrashSpec) -> Self {
         for slot in self.specs.iter_mut() {
             if slot.is_none() {
@@ -168,83 +159,6 @@ impl CrashPlan {
     pub fn nodes(&self) -> impl Iterator<Item = usize> + '_ {
         self.iter().map(|s| s.node)
     }
-
-    /// Parses the [`CRASH_ENV_VAR`] syntax:
-    /// `<node>@<trigger>[..<end>][,<more>]` where the trigger is a virtual
-    /// time (`40ms`, `5us`, `900ns`, `1s`, or bare nanoseconds) or `msg<N>`,
-    /// and `..<end>` is the freeze-thaw virtual time.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let mut plan = CrashPlan::none();
-        let mut used = 0;
-        for part in s.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (node_s, rest) = part
-                .split_once('@')
-                .ok_or_else(|| format!("`{part}`: missing `@` between node and trigger"))?;
-            let node = node_s
-                .trim()
-                .parse::<usize>()
-                .map_err(|_| format!("`{part}`: node must be a decimal node index"))?;
-            let (trig_s, until_s) = match rest.split_once("..") {
-                Some((t, u)) => (t.trim(), Some(u.trim())),
-                None => (rest.trim(), None),
-            };
-            let trigger = if let Some(n) = trig_s.strip_prefix("msg") {
-                CrashTrigger::MsgCount(
-                    n.parse::<u64>()
-                        .map_err(|_| format!("`{part}`: `msg` needs a decimal delivery count"))?,
-                )
-            } else {
-                CrashTrigger::VirtTime(parse_time_ns(trig_s).ok_or_else(|| {
-                    format!("`{part}`: trigger must be `msg<N>` or a time like `40ms`/`5us`/`1s`")
-                })?)
-            };
-            let until_ns = match until_s {
-                Some(u) => {
-                    let ns = parse_time_ns(u).ok_or_else(|| {
-                        format!("`{part}`: freeze end must be a time like `40ms`/`5us`/`1s`")
-                    })?;
-                    if ns == 0 {
-                        return Err(format!("`{part}`: freeze end must be > 0"));
-                    }
-                    ns
-                }
-                None => 0,
-            };
-            if used >= MAX_CRASH_SPECS {
-                return Err(format!(
-                    "a plan holds at most {MAX_CRASH_SPECS} crash specs"
-                ));
-            }
-            plan.specs[used] = Some(CrashSpec {
-                node,
-                trigger,
-                until_ns,
-            });
-            used += 1;
-        }
-        Ok(plan)
-    }
-}
-
-/// Parses a virtual-time literal: a decimal number with an optional `ns`,
-/// `us`, `ms`, or `s` suffix (no suffix means nanoseconds).
-fn parse_time_ns(s: &str) -> Option<u64> {
-    let (num, mult) = if let Some(p) = s.strip_suffix("ns") {
-        (p, 1u64)
-    } else if let Some(p) = s.strip_suffix("us") {
-        (p, 1_000)
-    } else if let Some(p) = s.strip_suffix("ms") {
-        (p, 1_000_000)
-    } else if let Some(p) = s.strip_suffix('s') {
-        (p, 1_000_000_000)
-    } else {
-        (s, 1)
-    };
-    num.trim().parse::<u64>().ok()?.checked_mul(mult)
 }
 
 /// Seeded fault-injection knobs. Probabilities are expressed in parts per
@@ -340,6 +254,44 @@ pub struct EngineConfig {
     pub record_trace: bool,
 }
 
+/// Pure parsing core of the [`SEED_ENV_VAR`] override: unset keeps
+/// [`DEFAULT_SEED`].
+///
+/// # Panics
+///
+/// Panics on anything but a decimal `u64` — a present-but-invalid override
+/// must be loud, or CI's "second schedule" run could silently test the
+/// default.
+fn parse_seed(v: Option<&str>) -> u64 {
+    match v {
+        None => DEFAULT_SEED,
+        Some(v) => v
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("invalid {SEED_ENV_VAR}={v:?}: expected a decimal u64")),
+    }
+}
+
+/// Pure parsing core of the [`LOSS_ENV_VAR`] override, in parts per million:
+/// unset is lossless.
+///
+/// # Panics
+///
+/// Panics on anything but a rate in `0..=1` — a CI loss run must never
+/// silently test the lossless default.
+fn parse_loss(v: Option<&str>) -> u32 {
+    match v {
+        None => 0,
+        Some(v) => match v.trim().parse::<f64>() {
+            Ok(rate) if (0.0..=1.0).contains(&rate) => (rate * 1_000_000.0).round() as u32,
+            _ => panic!(
+                "invalid {LOSS_ENV_VAR}={v:?}: expected a loss rate in 0..=1 \
+                 (e.g. {LOSS_ENV_VAR}=0.02)"
+            ),
+        },
+    }
+}
+
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
@@ -361,49 +313,21 @@ impl EngineConfig {
     }
 
     /// Default configuration, with the seed (`MUNIN_ENGINE_SEED`) and the
-    /// fault plan (`MUNIN_LOSS`, `MUNIN_CRASH`) overridable from the
-    /// environment, so CI can run the whole suite under a second schedule
-    /// without code changes.
+    /// message-loss rate (`MUNIN_LOSS`) overridable from the environment, so
+    /// CI can run the whole suite under a second schedule without code
+    /// changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either variable is set to a malformed value.
     pub fn from_env() -> Self {
         // Parsed once per process: from_env is called by every config
-        // constructor, and a malformed override should warn exactly once.
+        // constructor.
         static FROM_ENV: std::sync::OnceLock<EngineConfig> = std::sync::OnceLock::new();
         *FROM_ENV.get_or_init(|| {
-            let mut cfg = Self::default();
-            if let Ok(v) = std::env::var(SEED_ENV_VAR) {
-                match v.trim().parse::<u64>() {
-                    Ok(seed) => cfg.seed = seed,
-                    // A present-but-invalid override must be loud, or CI's
-                    // "second schedule" run could silently test the default.
-                    Err(_) => eprintln!(
-                        "warning: ignoring unparsable {SEED_ENV_VAR}={v:?} (expected a decimal u64)"
-                    ),
-                }
-            }
-            if let Ok(v) = std::env::var(LOSS_ENV_VAR) {
-                match v.trim().parse::<f64>() {
-                    Ok(rate) if (0.0..=1.0).contains(&rate) => {
-                        cfg.faults.loss_ppm = (rate * 1_000_000.0).round() as u32;
-                    }
-                    // A present-but-invalid loss rate is a hard error: a CI
-                    // loss run must never silently test the lossless default.
-                    _ => panic!(
-                        "invalid {LOSS_ENV_VAR}={v:?}: expected a loss rate in 0..=1 \
-                         (e.g. {LOSS_ENV_VAR}=0.02)"
-                    ),
-                }
-            }
-            if let Ok(v) = std::env::var(CRASH_ENV_VAR) {
-                match CrashPlan::parse(&v) {
-                    Ok(plan) => cfg.faults.crash = plan,
-                    Err(e) => panic!(
-                        "invalid {CRASH_ENV_VAR}={v:?}: {e}; expected \
-                         `<node>@<trigger>[..<end>][,<more>]` where the trigger is \
-                         `msg<N>` or a time like `40ms`/`5us`/`1s`"
-                    ),
-                }
-            }
-            cfg
+            let seed = parse_seed(std::env::var(SEED_ENV_VAR).ok().as_deref());
+            let loss_ppm = parse_loss(std::env::var(LOSS_ENV_VAR).ok().as_deref());
+            Self::seeded(seed).with_faults(FaultPlan::none().with_loss(loss_ppm))
         })
     }
 
@@ -1447,43 +1371,25 @@ mod tests {
     }
 
     #[test]
-    fn crash_plan_parses_the_env_syntax() {
-        let plan = CrashPlan::parse("3@40ms, 1@msg200, 2@5us..9us").unwrap();
-        let specs: Vec<_> = plan.iter().copied().collect();
-        assert_eq!(
-            specs,
-            vec![
-                CrashSpec {
-                    node: 3,
-                    trigger: CrashTrigger::VirtTime(40_000_000),
-                    until_ns: 0,
-                },
-                CrashSpec {
-                    node: 1,
-                    trigger: CrashTrigger::MsgCount(200),
-                    until_ns: 0,
-                },
-                CrashSpec {
-                    node: 2,
-                    trigger: CrashTrigger::VirtTime(5_000),
-                    until_ns: 9_000,
-                },
-            ]
-        );
-        assert!(CrashPlan::parse("").unwrap().is_none());
-        assert!(CrashPlan::parse("1@1s").unwrap().iter().next().is_some());
-        for bad in [
-            "nope",
-            "1",
-            "@40ms",
-            "x@40ms",
-            "1@msg",
-            "1@40parsecs",
-            "1@40ms..x",
-            "1@2ms..0ns",
-        ] {
-            assert!(CrashPlan::parse(bad).is_err(), "{bad:?} must not parse");
-        }
+    fn env_overrides_parse_strictly() {
+        assert_eq!(parse_seed(None), DEFAULT_SEED);
+        assert_eq!(parse_seed(Some("20260730")), 20_260_730);
+        assert_eq!(parse_seed(Some(" 7 ")), 7);
+        assert_eq!(parse_loss(None), 0);
+        assert_eq!(parse_loss(Some("0.02")), 20_000);
+        assert_eq!(parse_loss(Some("1")), 1_000_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid MUNIN_ENGINE_SEED=\"abc\": expected a decimal u64")]
+    fn seed_rejects_non_numeric_values() {
+        parse_seed(Some("abc"));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid MUNIN_LOSS=\"1.5\"")]
+    fn loss_rejects_rates_above_one() {
+        parse_loss(Some("1.5"));
     }
 
     #[test]

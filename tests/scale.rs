@@ -18,6 +18,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use munin::apps::sor::{self, SorParams};
+use munin::dsm::config::DEFAULT_BARRIER_FANOUT;
 use munin::sim::{CostModel, CrashSpec, CrashTrigger, EngineConfig, FaultPlan};
 use munin::MuninError;
 
@@ -92,18 +93,16 @@ fn every_tree_fanout_is_transparent_at_64_nodes() {
     }
 }
 
-/// 256 nodes complete correctly with no override: under the auto policy
-/// (k = 8 at 32 nodes and up), or whatever fan-in `MUNIN_BARRIER_FANOUT`
-/// gives the run — the owner's ingress is the effective fan-in of the
-/// configuration the run used.
+/// 256 nodes complete correctly with no override: the auto policy runs a
+/// tree of fan-in [`DEFAULT_BARRIER_FANOUT`] (k = 8 at 32 nodes and up), so
+/// the owner hears that many reports per episode.
 #[test]
 fn sor_completes_correctly_at_256_nodes() {
     let _serial = SEQUENTIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (nodes, rows, iters) = (256, 260, 1);
     let (grid, ingress) = sor_run(nodes, rows, iters, None);
     assert!(close(&grid, &sor::serial(rows, 8, iters)));
-    let fanout = munin::MuninConfig::paper(nodes).effective_barrier_fanout();
-    assert_eq!(ingress, fanout as u64 * episodes(iters));
+    assert_eq!(ingress, DEFAULT_BARRIER_FANOUT as u64 * episodes(iters));
 }
 
 /// An interior tree node (rank 1: it relays eight grandchild reports toward
