@@ -23,9 +23,9 @@
 //! * objects whose probable owner died are re-homed to the lowest-id
 //!   surviving replica holder (deterministic: every survivor picks the same
 //!   node without coordination);
-//! * lock tokens last seen heading towards the corpse are regenerated at
-//!   the lock's home, and every barrier stops needing the dead node, which
-//!   releases the waiters the corpse was holding up.
+//! * a lock token the lock's home last sent to the corpse is regenerated
+//!   there (`LockState::recover`), and every barrier stops needing the dead
+//!   node, which releases the waiters the corpse was holding up.
 //!
 //! Blocked user threads observe deaths through [`NodeRuntime::wait_reply_or_dead`],
 //! which surfaces the internal [`MuninError::PeerDied`] signal; each call
@@ -52,7 +52,7 @@ use crate::msg::{DsmMsg, TimerKind};
 use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
 use crate::stats::bump;
-use crate::sync::{LockId, TokenArrival};
+use crate::sync::LockId;
 
 use super::{NodeRuntime, WaitOp, WATCHDOG_SLICE};
 
@@ -502,33 +502,15 @@ impl NodeRuntime {
                 }
             }
         }
-        // Sync walk: lock tokens last seen heading towards the corpse are
-        // regenerated at the lock's home (orphaned waiters re-send their
-        // acquires there). Wake-ups and sends happen outside the sync lock.
-        let mut regenerated: Vec<(LockId, TokenArrival)> = Vec::new();
-        {
+        // Sync walk: a lock's home regenerates a token it last sent to the
+        // corpse (orphaned waiters re-send there), sent outside the sync lock.
+        for (id, &home) in (0..).map(LockId).zip(&self.lock_homes) {
             let mut sync = self.sync.lock();
-            for i in 0..sync.lock_count() {
-                let id = LockId(i as u32);
-                let home = self.lock_homes[i];
-                let l = sync.lock_mut(id);
-                // Capture before pruning: `prune_dead` redirects a hint that
-                // points at the corpse, which would erase the evidence that
-                // the token was last seen there.
-                let token_lost = home == self.node && !l.owned && l.probable_owner == dead;
-                l.prune_dead(dead, home);
-                if token_lost {
-                    if let Some(arrival) = l.regenerate_token(self.node) {
-                        crate::runtime::proto_trace!(
-                            self,
-                            "lock {i} token orphaned by {dead:?}; regenerated at home"
-                        );
-                        regenerated.push((id, arrival));
-                    }
-                }
-            }
-        }
-        for (id, arrival) in regenerated {
+            let Some(arrival) = sync.lock_mut(id).recover(dead, home, self.node) else {
+                continue;
+            };
+            drop(sync);
+            crate::runtime::proto_trace!(self, "lock {} token orphaned by {dead:?}", id.0);
             // The fresh token goes where a grant would: to this node's own
             // blocked acquire, else to the first request parked here.
             let minted = Envelope {

@@ -51,10 +51,7 @@ impl NodeRuntime {
     pub(crate) fn request_lock(self: &Arc<Self>, lock: LockId) -> Result<Option<u64>> {
         let hint = {
             let mut sync = self.sync.lock();
-            if sync.lock_count() <= lock.0 as usize {
-                return Err(MuninError::UnknownSyncObject(lock.0));
-            }
-            let state = sync.lock_mut(lock);
+            let state = sync.known_lock(lock)?;
             match state.begin_acquire() {
                 Some(hint) => hint,
                 None => {
@@ -176,11 +173,8 @@ impl NodeRuntime {
         // thread ever pops the queue, and the service thread only appends,
         // so the head cannot change under us while we flush.
         let grantee = {
-            let sync = self.sync.lock();
-            if sync.lock_count() <= lock.0 as usize {
-                return Err(MuninError::UnknownSyncObject(lock.0));
-            }
-            let state = sync.lock(lock);
+            let mut sync = self.sync.lock();
+            let state = sync.known_lock(lock)?;
             if !state.held {
                 return Err(MuninError::LockNotHeld(lock.0));
             }

@@ -14,6 +14,7 @@ use std::collections::VecDeque;
 
 use munin_sim::{NodeId, VirtTime};
 
+use crate::error::{MuninError, Result};
 use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
 
@@ -36,11 +37,10 @@ pub struct BarrierId(pub u32);
 /// A node is in one of three states: *owner* (`owned`, and `held` while the
 /// local thread is inside the critical section), *awaiting* (its own acquire
 /// is outstanding: it has sent a request and the token has not arrived yet),
-/// or *idle*. Only an idle node forwards a request. An awaiting node parks
-/// it behind its own, because its hint is the one hint in the system that
-/// can be stale — the token may already be on the wire towards it — and
-/// forwarding along a stale hint is how a request ends up bouncing between
-/// the old owner and the new one.
+/// or *idle*. Only an idle node forwards a request, and it then points its
+/// hint at the requester, the newest waiter it knows of (path compression):
+/// hints lead to the queue's tail, not along the token's past. An awaiting
+/// node is such a tail and parks requests behind its own.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct LockState {
     /// Whether this node currently owns the lock token (holds it or is the
@@ -56,8 +56,13 @@ pub struct LockState {
     /// waiter queue; at an awaiting node it holds the requests parked until
     /// the token arrives; at an idle node it is empty.
     pub queue: VecDeque<NodeId>,
-    /// Best guess at the current owner, used to forward acquire requests.
+    /// Where to forward acquire requests: the newest requester this node
+    /// has heard of (or itself while it owns the token).
     pub probable_owner: NodeId,
+    /// The node this node last sent the token to (itself while it owns it,
+    /// the home before either): crash recovery's evidence of the token's
+    /// whereabouts, which the routing hint is not.
+    pub sent_token_to: NodeId,
     /// Data objects associated with the lock via `AssociateDataAndSynch`;
     /// their contents are piggybacked on lock grants.
     pub associated: Vec<ObjectId>,
@@ -79,6 +84,7 @@ impl LockState {
             awaiting: false,
             queue: VecDeque::new(),
             probable_owner: home,
+            sent_token_to: home,
             associated: Vec::new(),
             released_at: VirtTime::ZERO,
         }
@@ -132,6 +138,7 @@ impl LockState {
         }
         self.owned = true;
         self.probable_owner = local;
+        self.sent_token_to = local;
         if std::mem::take(&mut self.awaiting) {
             self.held = true;
             return TokenArrival::Acquired;
@@ -150,12 +157,21 @@ impl LockState {
     /// forwarding chain dies, and the original request may still be alive.
     pub fn handle_remote_acquire(&mut self, requester: NodeId) -> RemoteAcquireAction {
         if !self.owned && !self.awaiting {
-            return RemoteAcquireAction::Forward(self.probable_owner);
+            let hint = std::mem::replace(&mut self.probable_owner, requester);
+            // Only a crash-recovery re-send finds the hint at its requester:
+            // it goes where the token went instead.
+            let next = if hint == requester {
+                self.sent_token_to
+            } else {
+                hint
+            };
+            return RemoteAcquireAction::Forward(next);
         }
         if self.owned && !self.held && self.queue.is_empty() {
             // Free at this node: hand ownership over immediately.
             self.owned = false;
             self.probable_owner = requester;
+            self.sent_token_to = requester;
             RemoteAcquireAction::Grant
         } else {
             // Held here, or on its way here: wait behind this node.
@@ -177,13 +193,10 @@ impl LockState {
         self.queue.drain(..).collect()
     }
 
-    /// Crash recovery at the lock's *home* node: the peer last known to hold
-    /// the token died, so the home mints a fresh token (the queue that
-    /// travelled with the dead token is gone; orphaned waiters re-send their
-    /// acquires towards the home). The fresh token arrives like a grant with
-    /// an empty queue: the home's own outstanding acquire gets it first,
-    /// else the first request parked here, else it rests free. `None` when
-    /// the home owns a token already.
+    /// Mints a fresh token at the lock's home ([`Self::recover`]): the queue
+    /// that travelled with the dead one is gone, and orphaned waiters re-send
+    /// their acquires to the home. It arrives like a grant with an empty
+    /// queue ([`Self::receive_grant`]). `None` when the home owns a token.
     pub fn regenerate_token(&mut self, local: NodeId) -> Option<TokenArrival> {
         (!self.owned).then(|| self.receive_grant([], local))
     }
@@ -199,21 +212,30 @@ impl LockState {
         }
     }
 
+    /// Crash recovery for `dead` at `local`: the home, having last sent the
+    /// token to the corpse, mints a fresh one. The hint is no such evidence
+    /// (it may name a forwarded requester or a queue's tail); pruned, it
+    /// falls back to the home, or at the home to where the token went.
+    pub fn recover(&mut self, dead: NodeId, home: NodeId, local: NodeId) -> Option<TokenArrival> {
+        let at_home = home == local;
+        let token_lost = at_home && !self.owned && self.sent_token_to == dead;
+        self.prune_dead(dead, if at_home { self.sent_token_to } else { home });
+        token_lost.then(|| self.regenerate_token(local)).flatten()
+    }
+
     /// Releases the lock locally. If waiters are queued, ownership (and the
-    /// remaining queue) must be handed to the head waiter; the state is
-    /// updated accordingly and the grant target is returned.
+    /// remaining queue) goes to the head waiter, the hint to the queue's
+    /// tail, and the grant target is returned.
     ///
     /// Returns `None` if no one is waiting (the lock stays here, free).
     pub fn release(&mut self) -> Option<(NodeId, Vec<NodeId>)> {
         self.held = false;
-        if let Some(next) = self.queue.pop_front() {
-            let rest: Vec<NodeId> = self.queue.drain(..).collect();
-            self.owned = false;
-            self.probable_owner = next;
-            Some((next, rest))
-        } else {
-            None
-        }
+        let next = self.queue.pop_front()?;
+        let rest: Vec<NodeId> = self.queue.drain(..).collect();
+        self.owned = false;
+        self.probable_owner = rest.last().copied().unwrap_or(next);
+        self.sent_token_to = next;
+        Some((next, rest))
     }
 }
 
@@ -557,6 +579,12 @@ impl SyncDirectory {
         &mut self.locks[id.0 as usize]
     }
 
+    /// Mutable state of a lock the program may not have created.
+    pub fn known_lock(&mut self, id: LockId) -> Result<&mut LockState> {
+        let unknown = MuninError::UnknownSyncObject(id.0);
+        self.locks.get_mut(id.0 as usize).ok_or(unknown)
+    }
+
     /// State of a barrier.
     pub fn barrier(&self, id: BarrierId) -> &BarrierState {
         &self.barriers[id.0 as usize]
@@ -565,11 +593,6 @@ impl SyncDirectory {
     /// Mutable state of a barrier.
     pub fn barrier_mut(&mut self, id: BarrierId) -> &mut BarrierState {
         &mut self.barriers[id.0 as usize]
-    }
-
-    /// Number of locks known to this node.
-    pub fn lock_count(&self) -> usize {
-        self.locks.len()
     }
 
     /// Number of barriers known to this node.
@@ -631,12 +654,14 @@ mod tests {
             lock.handle_remote_acquire(n(2)),
             RemoteAcquireAction::Queued
         );
-        // Release hands ownership and the remaining queue to the head waiter.
+        // Release hands ownership and the remaining queue to the head waiter;
+        // the hint names the queue's tail, where the next request belongs.
         let (next, rest) = lock.release().unwrap();
         assert_eq!(next, n(1));
         assert_eq!(rest, vec![n(2)]);
         assert!(!lock.owned);
-        assert_eq!(lock.probable_owner, n(1));
+        assert_eq!(lock.probable_owner, n(2));
+        assert_eq!(lock.sent_token_to, n(1));
     }
 
     #[test]
@@ -670,14 +695,16 @@ mod tests {
     #[test]
     fn awaiting_node_parks_requests_behind_its_own() {
         let mut lock = LockState::new(n(0), n(3));
-        // Idle non-owner: forwards along the hint.
+        // Idle non-owner: forwards along the hint, then points it at the
+        // requester, the newest waiter it knows of.
         assert_eq!(
             lock.handle_remote_acquire(n(1)),
             RemoteAcquireAction::Forward(n(0))
         );
-        // Its own acquire outstanding: the token may be on the wire towards
-        // it, so requests wait here instead of chasing the stale hint.
-        assert_eq!(lock.begin_acquire(), Some(n(0)));
+        assert_eq!(lock.sent_token_to, n(0));
+        // Its own acquire goes there too. While it is outstanding this node
+        // is the newest waiter, so requests wait here instead of forwarding.
+        assert_eq!(lock.begin_acquire(), Some(n(1)));
         assert_eq!(
             lock.handle_remote_acquire(n(1)),
             RemoteAcquireAction::Queued
@@ -712,7 +739,8 @@ mod tests {
             TokenArrival::PassedOn(n(1), vec![n(2)])
         );
         assert!(!lock.owned && !lock.held);
-        assert_eq!(lock.probable_owner, n(1));
+        assert_eq!(lock.probable_owner, n(2));
+        assert_eq!(lock.sent_token_to, n(1));
         // No waiters either: it rests here, free for the next local acquire.
         assert_eq!(lock.receive_grant([], n(3)), TokenArrival::Idle);
         assert!(lock.owned && !lock.held);
@@ -943,9 +971,69 @@ mod tests {
     }
 
     #[test]
+    fn recovery_regenerates_only_a_token_sent_to_the_corpse() {
+        // The home forwarded node 3's request after granting the token to
+        // node 2: its hint names 3, the token is with 2. Node 3 dies while
+        // awaiting.
+        let mut home = LockState::new(n(0), n(0));
+        assert_eq!(home.handle_remote_acquire(n(2)), RemoteAcquireAction::Grant);
+        assert_eq!(
+            home.handle_remote_acquire(n(3)),
+            RemoteAcquireAction::Forward(n(2))
+        );
+        assert_eq!(home.probable_owner, n(3));
+        assert_eq!(home.recover(n(3), n(0), n(0)), None);
+        assert!(!home.owned);
+        // The pruned hint goes where the token went, never to the home itself.
+        assert_eq!(home.probable_owner, n(2));
+        // The home handed the token to node 2 with queue [3]: the hint is the
+        // tail, 3. Node 3 dies: the token lives on at node 2.
+        let handed_on = || {
+            let mut home = LockState::new(n(0), n(0));
+            assert!(home.try_local_acquire());
+            home.handle_remote_acquire(n(2));
+            home.handle_remote_acquire(n(3));
+            assert_eq!(home.release(), Some((n(2), vec![n(3)])));
+            assert_eq!((home.probable_owner, home.sent_token_to), (n(3), n(2)));
+            home
+        };
+        let mut home = handed_on();
+        assert_eq!(home.recover(n(3), n(0), n(0)), None);
+        assert!(!home.owned);
+        // Node 2 dies in the same state: it had the token, so the home mints
+        // a fresh one, free here since nobody waits at the home.
+        let mut home = handed_on();
+        assert_eq!(home.recover(n(2), n(0), n(0)), Some(TokenArrival::Idle));
+        assert!(home.owned && !home.held && home.queue.is_empty());
+        // Away from the home nothing is minted; a hint at the corpse falls
+        // back to the home.
+        let mut other = LockState::new(n(0), n(1));
+        assert_eq!(
+            other.handle_remote_acquire(n(2)),
+            RemoteAcquireAction::Forward(n(0))
+        );
+        assert_eq!(other.recover(n(2), n(0), n(1)), None);
+        assert_eq!(other.probable_owner, n(0));
+    }
+
+    #[test]
+    fn a_resent_request_is_not_forwarded_back_to_its_requester() {
+        // The home granted the token to node 2, then forwarded node 3's
+        // request, which a death swallowed: node 3 re-sends it to the home,
+        // whose hint still names node 3. It goes where the token went.
+        let mut home = LockState::new(n(0), n(0));
+        assert_eq!(home.handle_remote_acquire(n(2)), RemoteAcquireAction::Grant);
+        home.handle_remote_acquire(n(3));
+        assert_eq!(
+            home.handle_remote_acquire(n(3)),
+            RemoteAcquireAction::Forward(n(2))
+        );
+    }
+
+    #[test]
     fn directory_indexes_locks_and_barriers() {
-        let dir = SyncDirectory::new(n(1), &[n(0), n(0)], &[n(0)]);
-        assert_eq!(dir.lock_count(), 2);
+        let mut dir = SyncDirectory::new(n(1), &[n(0), n(0)], &[n(0)]);
+        assert!(dir.known_lock(LockId(1)).is_ok() && dir.known_lock(LockId(2)).is_err());
         assert_eq!(dir.barrier_count(), 1);
         assert!(!dir.lock(LockId(0)).owned);
         assert_eq!(dir.barrier(BarrierId(0)).owner, n(0));
@@ -1100,20 +1188,39 @@ mod tests {
         /// while its own acquire is outstanding — when the token may be on
         /// the wire towards it and its hint still names the sender.
         ForwardEvenWhileAwaiting,
+        /// The hint rule path compression replaced: the hint trails the
+        /// token. A forward leaves it alone and a hand-off points it at the
+        /// grantee, so it is always `sent_token_to`.
+        HintTrailsToken,
     }
 
     impl Rule {
         fn apply(self, at: NodeId, l: &mut LockState, requester: NodeId) -> RemoteAcquireAction {
             match self {
-                Rule::Current => {
-                    // What lets the runtime drop such a request unseen.
-                    assert_ne!(at, requester, "a request came back to its requester");
-                    l.handle_remote_acquire(requester)
-                }
                 Rule::ForwardEvenWhileAwaiting if !l.owned => {
                     RemoteAcquireAction::Forward(l.probable_owner)
                 }
                 Rule::ForwardEvenWhileAwaiting => l.handle_remote_acquire(requester),
+                Rule::Current | Rule::HintTrailsToken => {
+                    // What lets the runtime drop such a request unseen, and
+                    // keeps a re-send's detour off every fault-free path.
+                    assert_ne!(at, requester, "a request came back to its requester");
+                    assert!(
+                        l.owned || l.awaiting || l.probable_owner != requester,
+                        "a hint leads a request back to its requester"
+                    );
+                    l.handle_remote_acquire(requester)
+                }
+            }
+        }
+
+        /// What the rule makes of a node's state after any transition.
+        fn settle(self, l: &mut LockState) {
+            match self {
+                Rule::HintTrailsToken => l.probable_owner = l.sent_token_to,
+                // Crash recovery's evidence: no fault-free step reads it, so
+                // it is folded away instead of multiplying the states.
+                Rule::Current | Rule::ForwardEvenWhileAwaiting => l.sent_token_to = n(0),
             }
         }
     }
@@ -1132,24 +1239,64 @@ mod tests {
             self.wire.insert(at, msg);
         }
 
+        /// Whether node `i`'s user thread has a step to take: a release, or
+        /// the start of its next acquire.
+        fn can_step(&self, i: usize) -> bool {
+            let l = &self.nodes[i];
+            l.held || (!l.awaiting && self.rounds_left[i] > 0)
+        }
+
+        /// Node `i`'s user thread takes its step; returns what it sends.
+        fn step(&mut self, i: usize, rule: Rule) -> Option<Wire> {
+            let l = &mut self.nodes[i];
+            let sent = if l.held {
+                l.release().map(|(to, queue)| Wire::Grant { to, queue })
+            } else {
+                self.rounds_left[i] -= 1;
+                let requester = n(i);
+                l.begin_acquire().map(|at| Wire::Acquire { at, requester })
+            };
+            rule.settle(l);
+            sent
+        }
+
+        /// Delivers `msg`, taken off the wire; returns what its receiver
+        /// sends on.
+        fn deliver(&mut self, msg: Wire, rule: Rule) -> Option<Wire> {
+            let (at, sent) = match msg {
+                Wire::Acquire { at, requester } => {
+                    let l = &mut self.nodes[at.as_usize()];
+                    let sent = match rule.apply(at, l, requester) {
+                        RemoteAcquireAction::Forward(at) => Some(Wire::Acquire { at, requester }),
+                        RemoteAcquireAction::Grant => Some(Wire::Grant {
+                            to: requester,
+                            queue: Vec::new(),
+                        }),
+                        RemoteAcquireAction::Queued => None,
+                    };
+                    (at, sent)
+                }
+                Wire::Grant { to, queue } => {
+                    assert_eq!(
+                        self.nodes[to.as_usize()].receive_grant(queue, to),
+                        TokenArrival::Acquired,
+                        "a fault-free grant finds its acquire outstanding"
+                    );
+                    (to, None)
+                }
+            };
+            rule.settle(&mut self.nodes[at.as_usize()]);
+            sent
+        }
+
         /// Every state one step away: a user thread starts an acquire or
         /// releases, or any one in-flight message is delivered.
         fn successors(&self, rule: Rule) -> Vec<World> {
             let mut next = Vec::new();
-            for (i, l) in self.nodes.iter().enumerate() {
+            for i in (0..self.nodes.len()).filter(|i| self.can_step(*i)) {
                 let mut w = self.clone();
-                if l.held {
-                    if let Some((to, queue)) = w.nodes[i].release() {
-                        w.send(Wire::Grant { to, queue });
-                    }
-                } else if !l.awaiting && self.rounds_left[i] > 0 {
-                    w.rounds_left[i] -= 1;
-                    if let Some(at) = w.nodes[i].begin_acquire() {
-                        let requester = n(i);
-                        w.send(Wire::Acquire { at, requester });
-                    }
-                } else {
-                    continue;
+                if let Some(msg) = w.step(i, rule) {
+                    w.send(msg);
                 }
                 next.push(w);
             }
@@ -1158,24 +1305,9 @@ mod tests {
                     continue; // equal messages: delivering either is the same step
                 }
                 let mut w = self.clone();
-                match w.wire.remove(k) {
-                    Wire::Acquire { at, requester } => {
-                        match rule.apply(at, &mut w.nodes[at.as_usize()], requester) {
-                            RemoteAcquireAction::Forward(at) => {
-                                w.send(Wire::Acquire { at, requester })
-                            }
-                            RemoteAcquireAction::Grant => w.send(Wire::Grant {
-                                to: requester,
-                                queue: Vec::new(),
-                            }),
-                            RemoteAcquireAction::Queued => {}
-                        }
-                    }
-                    Wire::Grant { to, queue } => assert_eq!(
-                        w.nodes[to.as_usize()].receive_grant(queue, to),
-                        TokenArrival::Acquired,
-                        "a fault-free grant finds its acquire outstanding"
-                    ),
+                let taken = w.wire.remove(k);
+                if let Some(msg) = w.deliver(taken, rule) {
+                    w.send(msg);
                 }
                 next.push(w);
             }
@@ -1277,12 +1409,25 @@ mod tests {
 
     #[test]
     fn every_delivery_order_of_the_lock_protocol_terminates() {
-        // Two rounds exercise re-acquisition (a node awaiting its second
-        // grant while hints from its first ownership still name it); four
-        // nodes exercise longer forwarding chains.
-        for (nodes, rounds) in [(3, 2), (4, 1), (4, 2)] {
+        // Two and three rounds exercise re-acquisition (a node awaiting its
+        // next grant while hints from its last ownership or its last request
+        // still name it); four and five nodes exercise longer forwarding
+        // chains.
+        for (nodes, rounds) in [(3, 2), (3, 3), (4, 1), (4, 2), (5, 1)] {
             let states = explore(nodes, rounds, Rule::Current);
+            println!("lock explorer: {nodes}x{rounds}: {states} states");
             assert!(states > 1_000, "{nodes}x{rounds}: only {states} states");
+        }
+    }
+
+    /// The sizes too large for the debug profile: run in release with
+    /// `--ignored`.
+    #[test]
+    #[ignore = "wide lock explorer: seconds in release, minutes in debug"]
+    fn every_delivery_order_of_the_wider_lock_protocol_terminates() {
+        for (nodes, rounds) in [(4, 3), (5, 2)] {
+            let states = explore(nodes, rounds, Rule::Current);
+            println!("lock explorer: {nodes}x{rounds}: {states} states");
         }
     }
 
@@ -1293,6 +1438,44 @@ mod tests {
     #[should_panic(expected = "livelock")]
     fn forwarding_while_awaiting_can_bounce_forever() {
         explore(3, 1, Rule::ForwardEvenWhileAwaiting);
+    }
+
+    /// Replays one fixed schedule of `nodes` threads doing `rounds`
+    /// acquire/release rounds each, every message taking one turn: each
+    /// turn, every thread that can step does, in node order, and then every
+    /// message then in flight is delivered, oldest first. Returns the
+    /// `Acquire` deliveries.
+    fn unit_latency_acquire_deliveries(nodes: usize, rounds: u8, rule: Rule) -> usize {
+        let mut w = World::new(nodes, rounds);
+        let mut fifo = VecDeque::new();
+        let mut acquires = 0;
+        loop {
+            for i in 0..nodes {
+                if w.can_step(i) {
+                    fifo.extend(w.step(i, rule));
+                }
+            }
+            if fifo.is_empty() {
+                break;
+            }
+            for msg in std::mem::take(&mut fifo) {
+                acquires += usize::from(matches!(msg, Wire::Acquire { .. }));
+                fifo.extend(w.deliver(msg, rule));
+            }
+        }
+        w.check_terminal();
+        acquires
+    }
+
+    /// The mechanism's economy without host scheduling: on one fixed
+    /// schedule, hints that lead to the queue's tail deliver fewer requests
+    /// than hints that trail the token (which the explorer accepts too).
+    #[test]
+    fn path_compressed_hints_forward_fewer_requests() {
+        let current = unit_latency_acquire_deliveries(4, 8, Rule::Current);
+        let trailing = unit_latency_acquire_deliveries(4, 8, Rule::HintTrailsToken);
+        assert_eq!((current, trailing), (41, 66));
+        assert!(explore(3, 2, Rule::HintTrailsToken) > 1_000);
     }
 
     // --- exhaustive exploration of the barrier ----------------------------
