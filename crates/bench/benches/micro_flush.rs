@@ -1,9 +1,6 @@
-//! Microbenchmark of the release-flush path and the carrier/outbox layer's
-//! message economy.
+//! The release-flush path and the carrier/outbox layer's message economy,
+//! counted on page-aligned SOR runs. Two families of tables:
 //!
-//! Three things are measured:
-//!
-//! * **Wall clock** of a complete SOR run (criterion groups).
 //! * **Message economy**: total protocol messages and modelled wire bytes
 //!   per release (DUQ flush) at 2/8/16 nodes, and the 16-node relay
 //!   threshold sweep. These counts are printed on every run and are the
@@ -13,22 +10,17 @@
 //!   tree's fan-in from N − 1 to 8), plus a barrier-latency sweep comparing
 //!   the star ("flat", k = N − 1) against trees of fan-in
 //!   k ∈ {2, 4, 8, 16}. Message/byte counts, owner ingress, and virtual-time
-//!   spans are the honest metrics here — they are schedule-deterministic per
-//!   seed; wall-clock rows from the 1-core measurement host carry the usual
-//!   caveat. These tables are the source of the committed `BENCH_scale.json`
+//!   spans are the metrics here; the counts are schedule-deterministic per
+//!   seed. These tables are the source of the committed `BENCH_scale.json`
 //!   baseline.
 //!
-//! Refresh the committed baselines with:
+//! Refresh the committed baselines with
 //! `cargo bench -p munin-bench --bench micro_flush` (copy the printed
-//! tables into `BENCH_msg.json` / `BENCH_scale.json`).
-//!
-//! CI runs this bench with `-- --quick` as a smoke test.
+//! tables into `BENCH_msg.json` / `BENCH_scale.json`). Wall-clock timing of
+//! the layers is the benchmark's (`benchmark/`, see BENCHMARK.json).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use munin_apps::sor::{self, SorParams};
-use munin_core::copyset::CopySet;
-use munin_sim::{CostModel, EngineConfig, NodeId};
-use std::time::Duration;
+use munin_sim::{CostModel, EngineConfig};
 
 /// A page-aligned SOR instance (each worker's band is exactly one 512-byte
 /// page), so every flushed page is owner-flushed and the relay path is
@@ -160,75 +152,8 @@ fn report_barrier_sweep() {
     }
 }
 
-/// Before/after row for the copyset member walk on wide clusters: the old
-/// call sites collected `members()` into a fresh `Vec<NodeId>` per fan-out;
-/// the audited hot paths drive the allocation-free `iter()` directly.
-fn bench_copyset_iter(c: &mut Criterion) {
-    const NODES: usize = 256;
-    // Every other node holds a copy — a wide (128-member) set where the
-    // per-walk allocation is at its most visible.
-    let set = CopySet::from_nodes((0..NODES).step_by(2).map(NodeId::new));
-    let exclude = Some(NodeId::new(0));
-    let mut group = c.benchmark_group("copyset");
-    group
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(300))
-        .sample_size(15);
-    group.bench_function("wide_walk_256/members_alloc", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for n in set.members(NODES, exclude) {
-                acc += n.as_usize();
-            }
-            acc
-        });
-    });
-    group.bench_function("wide_walk_256/iter", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for n in set.iter(NODES, exclude) {
-                acc += n.as_usize();
-            }
-            acc
-        });
-    });
-    group.finish();
-}
-
-fn bench_flush(c: &mut Criterion) {
+fn main() {
     report_message_economy();
     report_scaling();
     report_barrier_sweep();
-    let mut group = c.benchmark_group("flush");
-    group
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(300))
-        .sample_size(10);
-    group.bench_function("sor_8node", |b| {
-        b.iter(|| {
-            let (m, grid) = sor::run_munin(params(8, 4, None), CostModel::fast_test()).unwrap();
-            criterion::black_box((m.elapsed, grid))
-        });
-    });
-    // Wall clock at 128 nodes, flat vs tree. On the 1-core measurement host
-    // this mostly tracks host-level scheduling of 128 worker threads, not
-    // protocol latency — the virtual-time columns above are the honest
-    // scaling metric; this row just guards against the extra hops costing
-    // host time.
-    for (label, fanout) in [("flat", usize::MAX), ("tree_k8", 8)] {
-        group.bench_function(format!("sor_128node/{label}"), |b| {
-            b.iter(|| {
-                let mut p = params(128, 2, None);
-                p.barrier_fanout = Some(fanout);
-                let (m, grid) = sor::run_munin(p, CostModel::fast_test()).unwrap();
-                criterion::black_box((m.elapsed, grid))
-            });
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(copyset_benches, bench_copyset_iter);
-
-criterion_group!(benches, bench_flush);
-criterion_main!(benches, copyset_benches);

@@ -1,11 +1,8 @@
-//! Criterion microbenchmarks of the synchronization primitives measured in
-//! *virtual* time per operation: distributed queue-based lock transfer and
-//! barrier episodes at several cluster sizes.
+//! The virtual-time cost of a distributed-queue lock round (acquire, read,
+//! write, release of a migratory counter) at 2 to 16 nodes.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use munin_core::{MuninConfig, MuninProgram, SharingAnnotation};
 use munin_sim::CostModel;
-use std::time::Duration;
 
 /// Runs a lock ping-pong program and returns virtual seconds per round.
 fn lock_round_cost(nodes: usize, rounds: usize) -> f64 {
@@ -30,19 +27,7 @@ fn lock_round_cost(nodes: usize, rounds: usize) -> f64 {
     report.elapsed.as_secs_f64() / (rounds * nodes) as f64
 }
 
-fn bench_sync(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sync_virtual_time");
-    group
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(300))
-        .sample_size(10);
-    for nodes in [2usize, 4, 8] {
-        group.bench_function(format!("lock_round/{nodes}_nodes"), |b| {
-            b.iter(|| lock_round_cost(nodes, 5))
-        });
-    }
-    group.finish();
-    // Also print the virtual per-round cost once.
+fn main() {
     for nodes in [2usize, 4, 8, 16] {
         println!(
             "virtual lock round ({nodes} nodes): {:.3} ms",
@@ -50,6 +35,3 @@ fn bench_sync(c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, bench_sync);
-criterion_main!(benches);

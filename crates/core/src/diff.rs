@@ -557,8 +557,7 @@ pub fn encode(current: &[u8], twin: &[u8]) -> Diff {
 /// paper's description and of the cluster rule — list the maximal runs,
 /// group them, write each mask bit by bit — with no block skipping, no
 /// bitmap and no single-byte varint shortcut. Produces bit-identical output
-/// to [`DiffScratch::encode`]; kept as the oracle for differential tests and
-/// as the baseline in the `micro_diff` benchmark.
+/// to [`DiffScratch::encode`]; kept as the oracle for differential tests.
 ///
 /// # Panics
 ///
@@ -728,6 +727,15 @@ mod tests {
         assert_eq!(d.run_count(), 1);
         assert_eq!(spans(&d), [(3, vec![], vec![7])]);
         assert_eq!(d.changed_words(), 1);
+        // Table 2's first pattern: word 7 of a zero 8 KB page. Words (2),
+        // skip and count (a byte each), one data word.
+        let twin = vec![0u8; 8192];
+        let mut cur = twin.clone();
+        cur[28..32].copy_from_slice(&1u32.to_le_bytes());
+        let d = encode(&cur, &twin);
+        assert_eq!(spans(&d), [(7, vec![], vec![1])]);
+        assert_eq!(d.encoded_bytes(), 2 + 1 + 1 + 4);
+        assert_eq!(d.encoded_bytes(), 8);
     }
 
     #[test]
@@ -738,6 +746,14 @@ mod tests {
         assert_eq!(d.run_count(), 1);
         assert_eq!(spans(&d), [(0, vec![], vec![9; 16])]);
         assert_eq!(d.changed_words(), 16);
+        // Table 2's second pattern: every word of an 8 KB page. Words (2),
+        // skip (1), count (2), all 2 048 words.
+        let twin = vec![0u8; 8192];
+        let cur = to_bytes(&[1; 2048]);
+        let d = encode(&cur, &twin);
+        assert_eq!((d.run_count(), d.changed_words()), (1, 2048));
+        assert_eq!(d.encoded_bytes(), 2 + 1 + 2 + 8192);
+        assert_eq!(d.encoded_bytes(), 8197);
     }
 
     #[test]

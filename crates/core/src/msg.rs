@@ -388,12 +388,6 @@ pub enum DsmMsg {
         /// The dead node.
         node: NodeId,
     },
-    /// Degraded-mode orphan re-homing: the sender (a node that lost a fetch
-    /// to a dead owner) asks the receiver — the lowest-id surviving replica
-    /// holder — to adopt ownership of the request's first object and serve
-    /// the blocked fetch exactly as an owner would serve an
-    /// [`DsmMsg::ObjectFetch`].
-    Adopt(FetchRequest),
 }
 
 /// A fetch of a *run*: `run` consecutive objects of one variable, starting
@@ -429,13 +423,22 @@ pub struct FetchRequest {
     /// image instead of its bytes: its writer never reads them, and flushes
     /// the whole object back (`result`, "Fl").
     pub elide: std::ops::Range<u32>,
+    /// Degraded-mode orphan re-homing: the requester lost this fetch to a
+    /// dead owner and asks the receiver — the lowest-id surviving replica
+    /// holder — to adopt ownership of the first object, then serve the
+    /// fetch as its owner. Set only on the request the requester sends;
+    /// once adopted, the fetch goes on as a plain one.
+    pub adopt: bool,
 }
 
 impl FetchRequest {
     /// Object id, intent and requester; a run length only when there is a
-    /// run to speak of, and the range to elide only when there is one.
+    /// run to speak of, the range to elide only when there is one, and 4
+    /// bytes for an adoption.
     fn model_bytes(&self) -> u64 {
-        8 + if self.run > 1 { 4 } else { 0 } + if self.elide.is_empty() { 0 } else { 8 }
+        8 + if self.run > 1 { 4 } else { 0 }
+            + if self.elide.is_empty() { 0 } else { 8 }
+            + if self.adopt { 4 } else { 0 }
     }
 }
 
@@ -463,6 +466,7 @@ impl DsmMsg {
     /// The statistics class of the message.
     pub fn class(&self) -> &'static str {
         match self {
+            DsmMsg::ObjectFetch(fetch) if fetch.adopt => "adopt",
             DsmMsg::ObjectFetch(_) => "object_fetch",
             DsmMsg::ObjectData { .. } => "object_data",
             DsmMsg::Invalidate { .. } => "invalidate",
@@ -495,7 +499,6 @@ impl DsmMsg {
             DsmMsg::Timer(TimerKind::Health) => "health_tick",
             DsmMsg::Heartbeat => "heartbeat",
             DsmMsg::PeerDown { .. } => "peer_down",
-            DsmMsg::Adopt(_) => "adopt",
         }
     }
 
@@ -547,7 +550,6 @@ impl DsmMsg {
             DsmMsg::Timer(_) => 0,
             DsmMsg::Heartbeat => 0,
             DsmMsg::PeerDown { .. } => 4,
-            DsmMsg::Adopt(fetch) => 4 + fetch.model_bytes(),
         };
         HEADER_BYTES + payload
     }
@@ -584,6 +586,7 @@ mod tests {
             requester: NodeId::new(1),
             phase: 0,
             elide: 0..0,
+            adopt: false,
         })
     }
 
@@ -645,15 +648,18 @@ mod tests {
         assert_eq!(data_of(&[8192]).model_bytes(), HEADER_BYTES + 8192 + 16);
         assert_eq!(fetch_of(3).model_bytes(), HEADER_BYTES + 8 + 4);
         assert_eq!(fetch_of(79).model_bytes(), fetch_of(2).model_bytes());
-        // An elided range is 8 bytes more, whatever it covers; an `Adopt`
-        // is its request and 4 bytes.
+        // An elided range is 8 bytes more, whatever it covers; an adoption
+        // 4 more again.
         let DsmMsg::ObjectFetch(mut fetch) = fetch_of(3) else {
             unreachable!()
         };
         fetch.elide = 1..3;
         let elided = DsmMsg::ObjectFetch(fetch.clone()).model_bytes();
         assert_eq!(elided, HEADER_BYTES + 8 + 4 + 8);
-        assert_eq!(DsmMsg::Adopt(fetch).model_bytes(), elided + 4);
+        fetch.adopt = true;
+        let adoption = DsmMsg::ObjectFetch(fetch);
+        assert_eq!(adoption.model_bytes(), elided + 4);
+        assert_eq!(adoption.class(), "adopt");
         assert_eq!(
             data_of(&[8192, 8192, 4288]).model_bytes(),
             HEADER_BYTES + 16 + (8192 + 8192 + 4288) + 2 * 8

@@ -349,7 +349,8 @@ impl Recorder {
 
     /// Records one typed event. `fill` runs only when capture or dump is on,
     /// so call sites pay nothing but a branch when both are off. Public for
-    /// the runtime's instrumentation sites and the `micro_obs` benchmark.
+    /// the runtime's instrumentation sites and the benchmark's
+    /// `obs.record_ns` row.
     pub fn record(&self, t_virt_ns: u64, kind: EventKind, fill: impl FnOnce(&mut ObsEvent)) {
         if self.capacity == 0 && !self.dump {
             return;

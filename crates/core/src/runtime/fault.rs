@@ -554,6 +554,7 @@ impl NodeRuntime {
             requester: self.node,
             phase: self.dir.lock().phase,
             elide,
+            adopt: false,
         };
         self.send(owner_hint, DsmMsg::ObjectFetch(fetch.clone()))?;
         // Deaths interrupt the wait: the fetch (or its forward, or the
@@ -653,8 +654,9 @@ impl NodeRuntime {
     /// Runs one orphan-recovery round for a fetch interrupted by the death
     /// of `dead`: broadcasts a `CopysetQuery` for the object to every
     /// surviving peer, and — if the original `ObjectData` did not surface
-    /// meanwhile — directs an [`DsmMsg::Adopt`] at the lowest-id surviving
-    /// holder, or raises [`MuninError::NodeDown`] when no copy survived.
+    /// meanwhile — directs the fetch, flagged `adopt`, at the lowest-id
+    /// surviving holder, or raises [`MuninError::NodeDown`] when no copy
+    /// survived.
     ///
     /// The reply round always completes (a peer dying mid-round counts as
     /// an empty reply), so no stray `CopysetReply` can pollute a later
@@ -737,7 +739,11 @@ impl NodeRuntime {
                 // the adoptee: its recovery walk adopts every page of the
                 // dead owner's it holds, so one round brings the whole run.
                 self.send(adoptee, DsmMsg::PeerDown { node: dead })?;
-                self.send(adoptee, DsmMsg::Adopt(fetch.clone()))?;
+                let adopt = FetchRequest {
+                    adopt: true,
+                    ..fetch.clone()
+                };
+                self.send(adoptee, DsmMsg::ObjectFetch(adopt))?;
                 Ok(None)
             }
             None => {

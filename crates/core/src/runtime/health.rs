@@ -397,11 +397,11 @@ impl NodeRuntime {
         let entered_virt = self.clock.now().as_nanos();
         let done = |reply: (Envelope, DsmMsg)| Ok(self.resume_at(op, entered_virt, reply));
         // A fetch interrupted by a death can be answered twice: by the
-        // original request, alive after all, and by the `Adopt` its recovery
-        // round sent (`refetch_orphan`). The second read copy arrives after
-        // the fetch is over and would be taken for the reply to whatever
-        // this thread waits for next; it is dropped here instead. (An
-        // ownership transfer cannot be discarded and still surfaces as a
+        // original request, alive after all, and by the adoption its
+        // recovery round sent (`refetch_orphan`). The second read copy
+        // arrives after the fetch is over and would be taken for the reply to
+        // whatever this thread waits for next; it is dropped here instead.
+        // (An ownership transfer cannot be discarded and still surfaces as a
         // protocol violation.)
         let late_copy = |reply: &DsmMsg| {
             matches!(reply, DsmMsg::ObjectData { object, ownership: false, .. }

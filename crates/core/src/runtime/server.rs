@@ -229,7 +229,6 @@ impl NodeRuntime {
                 updates,
                 relay,
             } => self.handle_carrier(env, inner, updates, relay),
-            DsmMsg::Adopt(fetch) => self.handle_adopt(env, fetch),
             // Replies and control messages are routed before we get here.
             other => {
                 debug_assert!(
@@ -506,48 +505,6 @@ impl NodeRuntime {
         }
     }
 
-    /// Handles an adoption request: the requester's orphan-recovery round
-    /// (see `refetch_orphan`) identified this node as the lowest-id
-    /// surviving holder of an object whose owner died. Claim ownership if
-    /// the local copy is still valid, then serve the blocked fetch exactly
-    /// as an owner would.
-    fn handle_adopt(self: &Arc<Self>, env: Envelope, fetch: FetchRequest) {
-        let FetchRequest {
-            object, requester, ..
-        } = fetch;
-        {
-            let mut dir = self.dir.lock();
-            let entry = dir.entry_mut(object);
-            if entry.state.busy || entry.state.pinned {
-                // Mid-transition: retry once it completes, as a fetch would.
-                drop(dir);
-                self.defer(env, DsmMsg::Adopt(fetch), DeferredOn::Entry);
-                return;
-            }
-            if !entry.state.owned && entry.state.rights.allows_read() {
-                entry.state.owned = true;
-                entry.probable_owner = self.node;
-                bump(&self.stats.objects_rehomed);
-                self.obs.record(
-                    env.arrival.as_nanos(),
-                    crate::obs::EventKind::OwnershipRecovered,
-                    |ev| {
-                        ev.object = Some(object);
-                        ev.peer = Some(requester);
-                    },
-                );
-                crate::runtime::proto_trace!(self, "adopted orphan {object:?} for {requester:?}");
-            }
-        }
-        // Owned now (or already): the normal fetch path serves it, with the
-        // usual ownership-transfer semantics for write/migratory access. If
-        // the local copy was invalidated since the requester's query round,
-        // this forwards along the (recovery-redirected) hint chain instead.
-        // The rest of the run comes along as far as this node owns it — all
-        // the way when its own recovery walk adopted the dead owner's pages.
-        self.handle_object_fetch(env, fetch);
-    }
-
     /// The stable-sharing check, made for every object a fetch is served
     /// from: a fetch for a producer-consumer object whose sharing
     /// relationship is already fixed, from a node outside that relationship,
@@ -607,7 +564,7 @@ impl NodeRuntime {
     /// is every object behind it for which the same holds, and the reply
     /// carries that prefix of the run; the requester faults again on what is
     /// left. All of it happens in one directory-lock scope.
-    fn handle_object_fetch(self: &Arc<Self>, env: Envelope, fetch: FetchRequest) {
+    fn handle_object_fetch(self: &Arc<Self>, env: Envelope, mut fetch: FetchRequest) {
         let FetchRequest {
             object,
             run,
@@ -617,6 +574,41 @@ impl NodeRuntime {
             ..
         } = fetch;
         let now = env.arrival;
+        if fetch.adopt {
+            // The requester's orphan-recovery round (see `refetch_orphan`)
+            // found this node the lowest-id surviving holder of an object
+            // whose owner died: claim ownership if the local copy is still
+            // valid.
+            let mut dir = self.dir.lock();
+            let entry = dir.entry_mut(object);
+            if entry.state.busy || entry.state.pinned {
+                // Mid-transition: retry once it completes, as a fetch would.
+                drop(dir);
+                self.defer(env, DsmMsg::ObjectFetch(fetch), DeferredOn::Entry);
+                return;
+            }
+            if !entry.state.owned && entry.state.rights.allows_read() {
+                entry.state.owned = true;
+                entry.probable_owner = self.node;
+                bump(&self.stats.objects_rehomed);
+                self.obs.record(
+                    now.as_nanos(),
+                    crate::obs::EventKind::OwnershipRecovered,
+                    |ev| {
+                        ev.object = Some(object);
+                        ev.peer = Some(requester);
+                    },
+                );
+                crate::runtime::proto_trace!(self, "adopted orphan {object:?} for {requester:?}");
+            }
+            // Owned now (or already): the rest is a plain fetch, with the
+            // usual ownership-transfer semantics for write/migratory access.
+            // If the local copy was invalidated since the requester's query
+            // round, it forwards along the (recovery-redirected) hint chain.
+            // The run comes along as far as this node owns it — all the way
+            // when its own recovery walk adopted the dead owner's pages.
+            fetch.adopt = false;
+        }
         /// What serving one object would take.
         enum Serve {
             Defer,
@@ -1446,6 +1438,7 @@ mod tests {
             requester: NodeId::new(1),
             phase,
             elide: 0..0,
+            adopt: false,
         })
     }
 
@@ -1646,6 +1639,46 @@ mod tests {
         h.rt.dir.lock().entry_mut(conv).state.busy = false;
         h.rt.process_deferred();
         assert!(matches!(h.peer_recv(), DsmMsg::ObjectData { .. }));
+    }
+
+    /// An adoption is a fetch flagged `adopt`: while the first object's
+    /// entry is busy it defers as itself; then the receiver claims its valid
+    /// copy of that object — and of no other — and serves the run as its
+    /// owner, which here ends the reply at the first object it does not own.
+    #[test]
+    fn adoption_claims_the_first_object_then_serves_as_owner() {
+        let h = harness();
+        let rows = h.rows();
+        for row in rows {
+            let mut dir = h.rt.dir.lock();
+            let entry = dir.entry_mut(row);
+            entry.state.owned = false;
+            entry.probable_owner = NodeId::new(1);
+        }
+        h.rt.dir.lock().entry_mut(rows[0]).state.busy = true;
+        let adoption = DsmMsg::ObjectFetch(FetchRequest {
+            object: rows[0],
+            run: 3,
+            access: FetchKind::Read,
+            requester: NodeId::new(1),
+            phase: 0,
+            elide: 0..0,
+            adopt: true,
+        });
+        assert_eq!(adoption.class(), "adopt");
+        h.peer_tx
+            .send(NodeId::new(0), "adopt", 56, adoption.clone())
+            .unwrap();
+        h.pump();
+        assert_eq!(h.rt.deferred.lock()[0].msg, adoption);
+        assert!(!h.rt.dir.lock().entry(rows[0]).state.owned);
+        h.rt.dir.lock().entry_mut(rows[0]).state.busy = false;
+        h.rt.process_deferred();
+        let (data, ownership, _) = peer_reply(&h);
+        assert_eq!((data, ownership), (vec![vec![1; 64]], false));
+        let dir = h.rt.dir.lock();
+        assert!(dir.entry(rows[0]).state.owned && !dir.entry(rows[1]).state.owned);
+        assert_eq!(h.rt.stats().snapshot().objects_rehomed, 1);
     }
 
     /// A run is one request and one reply, and costs what it is: per object
@@ -1854,6 +1887,7 @@ mod tests {
                 requester: NodeId::new(0),
                 phase: 0,
                 elide: 0..0,
+                adopt: false,
             })
         };
 
@@ -2077,6 +2111,7 @@ mod tests {
             requester: NodeId::new(1),
             phase: 0,
             elide,
+            adopt: false,
         };
         h.peer_tx
             .send(
@@ -2129,6 +2164,7 @@ mod tests {
             requester: NodeId::new(1),
             phase: 0,
             elide: rows[0].as_u32()..rows[0].as_u32() + 1,
+            adopt: false,
         };
         h.peer_tx
             .send(
@@ -2798,7 +2834,7 @@ mod tests {
     }
 
     /// Crash recovery can answer one fetch twice (the original request and
-    /// the `Adopt` sent on its behalf). The copy that arrives after the
+    /// the adoption sent on its behalf). The copy that arrives after the
     /// fetch is over must not be taken for the reply to the next wait.
     #[test]
     fn late_second_copy_does_not_answer_the_next_wait() {

@@ -30,6 +30,7 @@ runtime=crates/core/src/runtime
 mapfile -t core_files < <(find crates/core/src -name '*.rs' | sort)
 mapfile -t program_files < <(find src crates -name '*.rs' -path '*/src/*' -not -path 'crates/shims/*' | sort)
 mapfile -t runtime_files < <(find "$runtime" -name '*.rs' | sort)
+mapfile -t workspace_files < <(find src crates examples -name '*.rs' | sort)
 
 dsmmsg_variants=$(awk '/^pub enum DsmMsg/ { on = 1; next } on && /^}/ { exit }
     on && /^    [A-Z][A-Za-z]*( \{|\(|,)/ { n++ } END { print n + 0 }' crates/core/src/msg.rs)
@@ -38,8 +39,9 @@ ci_named_steps=$(grep -c '^      - name:' .github/workflows/ci.yml)
 server_flush_lines=$(non_test_lines "$runtime/server.rs" "$runtime/flush.rs")
 core_lines=$(non_test_lines "${core_files[@]}")
 instant_now_reads=$(code_of "${runtime_files[@]}" | grep -c 'Instant::now()' || true)
+workspace_lines=$(non_test_lines "${workspace_files[@]}")
 
-names=(dsmmsg_variants munin_knobs ci_named_steps server_flush_lines core_lines instant_now_reads)
+names=(dsmmsg_variants munin_knobs ci_named_steps server_flush_lines core_lines instant_now_reads workspace_lines)
 what=(
     '`DsmMsg` variants'
     'distinct `MUNIN_*` names read by non-test code'
@@ -47,6 +49,7 @@ what=(
     'non-test lines of server.rs + flush.rs'
     'non-test lines of crates/core/src'
     '`Instant::now()` reads in protocol code (crates/core/src/runtime)'
+    'non-test lines of src, crates (shims and benches too) and examples'
 )
 
 failed=0

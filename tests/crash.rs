@@ -312,7 +312,7 @@ fn sole_copy_loss_fails_fast_with_lost_objects() {
 /// that ends around the crash point. The crash time is swept across that
 /// point, so the request meets a corpse, or is served by an owner whose reply
 /// dies with it, or gets through. With a replica on node 1 the reader must
-/// get the right data every time — by `Adopt`, the whole run in the one
+/// get the right data every time — by adoption, the whole run in the one
 /// recovery round, since the adopter's own recovery walk took over every page
 /// of the dead owner's it holds; without one it gets the right data or a
 /// `NodeDown` naming the victim and the first lost page. Never a stall.

@@ -123,7 +123,7 @@ fn sor_completes_correctly_at_256_nodes() {
 ///   `ObjectState::recovering`);
 /// * the straggler in `shutdown_wait`, its worker gone with "unexpected
 ///   reply while waiting at a barrier". Either a fetch was answered twice —
-///   by the original request, alive after all, and by the `Adopt` its
+///   by the original request, alive after all, and by the adoption its
 ///   recovery round sent — and the second `ObjectData` answered the next
 ///   wait (fixed: `wait_reply_or_dead` drops a late read copy); or a flush
 ///   to a cooperative owner that died counted that owner's re-fan acks
