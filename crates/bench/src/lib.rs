@@ -274,11 +274,12 @@ impl DuqBreakdown {
 /// follows the wire format. With varint run headers an alternate-words 8 KB
 /// page was 2 + 1024·(2 + 4) = 6 146 bytes where fixed `u32` headers made it
 /// 12 292; as one masked span — a 256-byte mask in place of 1 024 run headers
-/// — it is 4 358, and its transmit time went 11.56 → 6.64 → 5.21 ms under
-/// `sun_ethernet_1991`, well below the all-words page's (8 197 bytes,
-/// 8.28 ms). Encode and decode are charged per word and per run; the page
-/// still holds 1 024 runs of changed words however they are spelt, so those
-/// rows did not move.
+/// — it was 4 358, and as one periodic span — the mask's period, 2, and its
+/// first two bits in place of the mask — it is 4 105. Its transmit time went
+/// 11.56 → 6.64 → 5.21 → 5.01 ms under `sun_ethernet_1991`, well below the
+/// all-words page's (8 197 bytes, 8.28 ms). Encode and decode are charged per
+/// word and per run; the page still holds 1 024 runs of changed words however
+/// they are spelt, so those rows did not move.
 pub fn duq_breakdown(size: usize, cost: &CostModel) -> Vec<DuqBreakdown> {
     let words = size / 4;
     let patterns: [(&'static str, PatternFn); 3] = [

@@ -70,13 +70,6 @@ impl DelayedUpdateQueue {
         self.entries.push(DuqEntry { object, twin });
     }
 
-    /// Returns the twin bytes of a pending object, if present.
-    pub fn twin_of(&self, object: ObjectId) -> Option<&[u8]> {
-        self.index
-            .get(&object)
-            .and_then(|i| self.entries[*i].twin.as_deref())
-    }
-
     /// Merges externally received changes into a pending twin so that words
     /// updated by a remote writer are not re-propagated as local changes at
     /// the next flush. Used when an update arrives for a dirty object.
@@ -118,11 +111,6 @@ impl DelayedUpdateQueue {
         }
     }
 
-    /// Number of twin buffers currently pooled (observable for tests).
-    pub fn pooled_twins(&self) -> usize {
-        self.twin_pool.len()
-    }
-
     /// Number of pending entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -162,6 +150,21 @@ impl DelayedUpdateQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Accessors only the tests read.
+    impl DelayedUpdateQueue {
+        /// Returns the twin bytes of a pending object, if present.
+        pub fn twin_of(&self, object: ObjectId) -> Option<&[u8]> {
+            self.index
+                .get(&object)
+                .and_then(|i| self.entries[*i].twin.as_deref())
+        }
+
+        /// Number of twin buffers currently pooled (observable for tests).
+        pub fn pooled_twins(&self) -> usize {
+            self.twin_pool.len()
+        }
+    }
 
     #[test]
     fn enqueue_and_flush_preserve_order() {

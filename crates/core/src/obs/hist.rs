@@ -84,11 +84,6 @@ impl LatencyHist {
         self.count
     }
 
-    /// Sum of all samples, nanoseconds (saturating).
-    pub fn sum_ns(&self) -> u64 {
-        self.sum
-    }
-
     /// Largest sample observed, nanoseconds.
     pub fn max_ns(&self) -> u64 {
         self.max
@@ -157,11 +152,6 @@ impl LatencyHist {
     pub fn p99_ns(&self) -> u64 {
         self.quantile_ns(0.99)
     }
-
-    /// Raw bucket counts (test/diagnostic access).
-    pub fn bucket_counts(&self) -> &[u64; BUCKETS] {
-        &self.counts
-    }
 }
 
 /// Renders a nanosecond latency compactly (`318ns`, `4.1us`, `2.5ms`, `1.2s`).
@@ -180,6 +170,19 @@ pub fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Accessors only the tests read.
+    impl LatencyHist {
+        /// Sum of all samples, nanoseconds (saturating).
+        pub fn sum_ns(&self) -> u64 {
+            self.sum
+        }
+
+        /// Raw bucket counts (test/diagnostic access).
+        pub fn bucket_counts(&self) -> &[u64; BUCKETS] {
+            &self.counts
+        }
+    }
 
     #[test]
     fn bounds_grow_geometrically_and_cover_the_target_span() {

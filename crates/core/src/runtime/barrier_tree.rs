@@ -111,10 +111,12 @@ impl NodeRuntime {
             BarrierStep::Open { gen, children, at } => {
                 crate::runtime::proto_trace!(self, "barrier {} gen {gen} opens", barrier.0);
                 self.release_children(barrier, gen, children, at);
-                // The owner's own thread is woken by a release like everyone
-                // else's, so it resumes a message latency after the opening.
-                let wake = DsmMsg::BarrierRelease { barrier, gen };
-                let _ = self.send_service(self.node, wake, at + self.cost.sync_op());
+                // The owner's own thread wakes here, when its releases leave,
+                // and not by a message: all it must see is installed, since a
+                // node's direct updates precede its report on the same link,
+                // and a report's bundles are in before it counts.
+                let env = self.local_envelope("barrier_release", at + self.cost.sync_op());
+                self.route_to_user(env, DsmMsg::BarrierRelease { barrier, gen });
             }
         }
     }
@@ -213,7 +215,7 @@ impl NodeRuntime {
             let mut sync = self.sync.lock();
             let b = sync.barrier_mut(barrier);
             self.note_if_from_the_future(gen, b.completed);
-            b.release(self.node, gen)
+            b.release(gen)
         };
         let Some(children) = children else {
             return;

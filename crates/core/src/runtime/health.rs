@@ -513,14 +513,7 @@ impl NodeRuntime {
             crate::runtime::proto_trace!(self, "lock {} token orphaned by {dead:?}", id.0);
             // The fresh token goes where a grant would: to this node's own
             // blocked acquire, else to the first request parked here.
-            let minted = Envelope {
-                src: self.node,
-                dst: self.node,
-                class: "lock_grant",
-                model_bytes: 0,
-                sent_at: now,
-                arrival: now,
-            };
+            let minted = self.local_envelope("lock_grant", now);
             self.finish_token_arrival(minted, id, arrival);
         }
         // Barriers re-evaluate on every node: a dead reporting ancestor means

@@ -704,6 +704,19 @@ impl NodeRuntime {
         self.sender.close_inbox();
     }
 
+    /// The envelope of a reply this node hands itself at `at` without a
+    /// message: a lock token it mints, the release of a barrier it opens.
+    pub(crate) fn local_envelope(&self, class: &'static str, at: VirtTime) -> Envelope {
+        Envelope {
+            src: self.node,
+            dst: self.node,
+            class,
+            model_bytes: 0,
+            sent_at: at,
+            arrival: at,
+        }
+    }
+
     /// Hands a reply to the blocked user thread (called by the service loop).
     /// A `LockGrant` is the one reply that changes state on the way: the
     /// token is installed here, on the thread its message arrived on (see

@@ -91,12 +91,6 @@ impl Outbox {
             })
             .collect()
     }
-
-    /// Number of stashed relay bundles (tests).
-    #[cfg(test)]
-    pub fn relay_len(&self) -> usize {
-        self.relay.values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -104,6 +98,14 @@ mod tests {
     use super::*;
     use crate::msg::{Route, UpdateItem, UpdatePayload};
     use crate::object::ObjectId;
+
+    /// Accessors only the tests read.
+    impl Outbox {
+        /// Number of stashed relay bundles.
+        pub fn relay_len(&self) -> usize {
+            self.relay.values().map(Vec::len).sum()
+        }
+    }
 
     fn bundle(from: usize) -> UpdateBundle {
         UpdateBundle {

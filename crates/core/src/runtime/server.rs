@@ -2925,13 +2925,13 @@ mod tests {
         h.pump();
         assert!(h.peer_rx.try_recv().unwrap().is_none());
         h.arrive_here();
-        // Node 1 gets released; node 0's wake-up goes to its own endpoint,
-        // and from there to its user thread.
+        // Node 1 gets released; node 0's own thread is woken where the
+        // episode opens, with no message to its own endpoint.
         assert!(matches!(
             h.peer_recv(),
             DsmMsg::BarrierRelease { gen: 1, .. }
         ));
-        h.pump();
+        assert!(h.rt_rx.try_recv().unwrap().is_none(), "no self-message");
         let (_env, routed) = h.rt.reply_rx.try_recv().expect("owner woken");
         assert!(matches!(routed, DsmMsg::BarrierRelease { gen: 1, .. }));
         // A report that arrives after its episode is over is answered, not
@@ -2978,6 +2978,9 @@ mod tests {
         let (env, msg) = h.peer_rx.recv().unwrap();
         assert!(matches!(msg, DsmMsg::BarrierRelease { .. }));
         assert_eq!(env.sent_at, us(900) + h.rt.cost.sync_op());
+        // The owner's own thread resumes when its releases leave.
+        let (wake, _) = h.rt.reply_rx.try_recv().expect("owner woken");
+        assert_eq!(wake.arrival, us(900) + h.rt.cost.sync_op());
     }
 
     #[test]

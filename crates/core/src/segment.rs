@@ -105,11 +105,6 @@ impl SharedDataTable {
         &self.vars[id.as_usize()]
     }
 
-    /// Variable descriptor by name, if declared.
-    pub fn var_by_name(&self, name: &str) -> Option<&VarDesc> {
-        self.by_name.get(name).map(|id| self.var(*id))
-    }
-
     /// All declared variables.
     pub fn vars(&self) -> &[VarDesc] {
         &self.vars
@@ -178,6 +173,14 @@ impl SharedDataTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Accessors only the tests read.
+    impl SharedDataTable {
+        /// Variable descriptor by name, if declared.
+        pub fn var_by_name(&self, name: &str) -> Option<&VarDesc> {
+            self.by_name.get(name).map(|id| self.var(*id))
+        }
+    }
 
     fn table() -> SharedDataTable {
         SharedDataTable::new(64)

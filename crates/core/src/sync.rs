@@ -331,13 +331,6 @@ impl TreeTopology {
         first..(first + self.fanout).min(self.nodes)
     }
 
-    /// Static tree children, in rank order.
-    pub fn children_of(&self, node: NodeId) -> Vec<NodeId> {
-        self.child_ranks(self.rank_of(node))
-            .map(|r| self.node_at(r))
-            .collect()
-    }
-
     /// The node's full static subtree, itself included.
     pub fn subtree_of(&self, node: NodeId) -> NodeSet {
         let mut set = NodeSet::EMPTY;
@@ -514,11 +507,8 @@ impl BarrierState {
     /// it down — the state is then reset for the next episode and the local
     /// thread is to be woken — or `None` for a duplicate (a crash-recovery
     /// re-send of a release already acted on). The owner opened the episode
-    /// itself; the one release it sees is the wake-up it posted to itself.
-    pub fn release(&mut self, me: NodeId, gen: u64) -> Option<Vec<(NodeId, NodeSet)>> {
-        if me == self.owner {
-            return (gen == self.completed).then(Vec::new);
-        }
+    /// itself and sees no release: its thread is woken where it opens.
+    pub fn release(&mut self, gen: u64) -> Option<Vec<(NodeId, NodeSet)>> {
         if gen <= self.completed {
             return None;
         }
@@ -604,6 +594,16 @@ impl SyncDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Accessors only the tests read.
+    impl TreeTopology {
+        /// Static tree children, in rank order.
+        pub fn children_of(&self, node: NodeId) -> Vec<NodeId> {
+            self.child_ranks(self.rank_of(node))
+                .map(|r| self.node_at(r))
+                .collect()
+        }
+    }
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -1144,13 +1144,13 @@ mod tests {
         assert_eq!(s.children[0].1.count(), 3);
         // Released at a non-owner: the edges come back, the episode is over,
         // and a report for it is answered instead of counted.
-        let edges = s.release(n(1), 1).unwrap();
+        let edges = s.release(1).unwrap();
         assert_eq!(edges.len(), 1);
         assert!(s.arrived.is_empty() && s.children.is_empty());
         assert_eq!(s.completed, 1);
         assert!(!s.merge_report(n(5), 1, &report));
         assert!(s.arrived.is_empty());
-        assert_eq!(s.release(n(1), 1), None);
+        assert_eq!(s.release(1), None);
     }
 
     // --- exhaustive exploration of the distributed lock -------------------
@@ -1607,11 +1607,7 @@ mod tests {
                             self.send(BarrierWire::Release { to, from: i, gen });
                         }
                     }
-                    self.send(BarrierWire::Release {
-                        to: i,
-                        from: i,
-                        gen,
-                    });
+                    self.wake(i, gen);
                 }
             }
         }
@@ -1643,7 +1639,7 @@ mod tests {
                 BarrierWire::Release { to, from, gen } if self.hears(to, from) => {
                     let b = &mut self.nodes[to.as_usize()];
                     assert!(gen <= b.completed + 1, "a release from the future");
-                    let Some(children) = b.release(to, gen) else {
+                    let Some(children) = b.release(gen) else {
                         return;
                     };
                     let dead = self.dead_at(to);
@@ -1656,24 +1652,28 @@ mod tests {
                             });
                         }
                     }
-                    // The thread wakes: once per episode, and only after
-                    // every live node has arrived at that episode.
-                    let i = to.as_usize();
-                    assert_eq!(
-                        (self.arrived_at[i], self.released_from[i]),
-                        (gen, gen - 1),
-                        "{to:?} released twice, or from an episode it is not in: {self:?}"
-                    );
-                    for (j, arrived_at) in self.arrived_at.iter().enumerate() {
-                        assert!(
-                            self.crashed == Some(n(j)) || *arrived_at >= gen,
-                            "{to:?} released before {j} arrived in {self:?}"
-                        );
-                    }
-                    self.released_from[i] = gen;
+                    self.wake(to, gen);
                 }
                 _lost => {}
             }
+        }
+
+        /// Node `to`'s thread wakes from episode `gen`: once per episode,
+        /// and only after every live node has arrived at that episode.
+        fn wake(&mut self, to: NodeId, gen: u64) {
+            let i = to.as_usize();
+            assert_eq!(
+                (self.arrived_at[i], self.released_from[i]),
+                (gen, gen - 1),
+                "{to:?} released twice, or from an episode it is not in: {self:?}"
+            );
+            for (j, arrived_at) in self.arrived_at.iter().enumerate() {
+                assert!(
+                    self.crashed == Some(n(j)) || *arrived_at >= gen,
+                    "{to:?} released before {j} arrived in {self:?}"
+                );
+            }
+            self.released_from[i] = gen;
         }
 
         fn successors(&self, topo: &TreeTopology, fault: Fault) -> Vec<BarrierWorld> {

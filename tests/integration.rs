@@ -409,10 +409,11 @@ fn every_remote_acquire_costs_exactly_one_grant() {
 /// diff wire format: four writers stride every 8 KB page of one
 /// `write_shared` array, so every diff is 512 one-word runs — the run-length
 /// encoding's worst case — and every flush sends it to the three other
-/// copies. The runs are one cluster and travel as one masked span: a bit a
-/// covered word and 4 data bytes a changed one, where 512 run headers took
-/// 2 bytes each (3 074 bytes a diff); a format that spends more fails here,
-/// not only on the benchmark's `wire_bytes`.
+/// copies. The runs are one cluster and travel as one masked span, and its
+/// mask repeats every fourth word, so the span states four bits of it and
+/// 4 data bytes a changed word — where a bit a covered word took 2 310 bytes
+/// a diff, and 512 run headers of 2 bytes each 3 074; a format that spends
+/// more fails here, not only on the benchmark's `wire_bytes`.
 ///
 /// All four writers flush at one barrier, as the benchmark's do, so each
 /// applies its peers' diffs while it encodes its own. A diff carries only
@@ -466,12 +467,12 @@ fn strided_write_shared_updates_travel_as_one_masked_span() {
             assert_eq!(result.as_ref().unwrap(), &expected, "node {node}");
         }
         // One diff: the `words` varint (2 048 takes two bytes), then one
-        // span — a one-byte skip, the zero count, `len` (2 045 words from a
-        // node's first to its last, two bytes), its 256 mask bytes and one
+        // periodic span — a one-byte skip, the zero count, the zero that
+        // marks a period, the period (4), `len` (2 045 words from a node's
+        // first to its last, two bytes), one pattern byte (`0001`) and one
         // word for each of the node's 512 words.
-        let span_words = PAGE_WORDS - NODES + 1;
-        let diff_bytes = 2 + (1 + 1 + 2) + span_words.div_ceil(8) + (PAGE_WORDS / NODES) * 4;
-        assert_eq!(diff_bytes, 2_310);
+        let diff_bytes = 2 + (1 + 1 + 1 + 1 + 2) + NODES.div_ceil(8) + (PAGE_WORDS / NODES) * 4;
+        assert_eq!(diff_bytes, 2_057);
         let stats = report.stats_total();
         assert_eq!(stats.duq_objects_flushed as usize, ROUNDS * NODES * PAGES);
         assert_eq!(
@@ -670,6 +671,18 @@ fn matmul_paper_size_fetches_each_access_in_one_round_trip() {
 /// (1 007 632 → 920 916 with the cluster rule of `diff.rs`: a run of at most
 /// 15 words and every next run that ends within 15 words of the one before,
 /// masked when strictly shorter), and `matmul` sends no diff a mask helps.
+///
+/// A mask that repeats states its period instead since the format has
+/// periodic spans: the strided page's 256 mask bytes are `0, 4` and one
+/// pattern byte, 2 057 bytes a diff, so `wshared` is new = old − 253 per
+/// strided transit (3 770 536 − 1 536 × 253 = 3 381 928), and `sor` lost
+/// 4 215 bytes on boundary spans whose low words alternate (920 916 →
+/// 916 701). The barrier owner then stopped posting itself a 40-byte
+/// `BarrierRelease` through the network and wakes its own thread where the
+/// episode opens: new = old − episodes messages and − 40 · episodes bytes —
+/// `wshared` 34 episodes (299 → 265, 3 381 928 → 3 380 568), `sor` 42
+/// (1 185 → 1 143, 916 701 → 915 021), `matmul` 2 (39 → 37, 2 946 736 →
+/// 2 946 656).
 #[test]
 fn benchmark_guard_rows_are_exact_at_two_seeds() {
     for seed in [1u64, 2] {
@@ -684,7 +697,7 @@ fn benchmark_guard_rows_are_exact_at_two_seeds() {
         let (m, _) = sor::run_munin(params, CostModel::sun_ethernet_1991()).unwrap();
         assert_eq!(
             (m.net.total.msgs, m.net.total.bytes),
-            (1_185, 920_916),
+            (1_143, 915_021),
             "sor, seed {seed}"
         );
         assert_eq!(
@@ -702,7 +715,7 @@ fn benchmark_guard_rows_are_exact_at_two_seeds() {
         let (m, _) = matmul::run_munin(params, CostModel::sun_ethernet_1991()).unwrap();
         assert_eq!(
             (m.net.total.msgs, m.net.total.bytes),
-            (39, 2_946_736),
+            (37, 2_946_656),
             "matmul, seed {seed}"
         );
         for execution in 0..3 {
@@ -710,7 +723,7 @@ fn benchmark_guard_rows_are_exact_at_two_seeds() {
             let what = format!("wshared, seed {seed}, execution {execution}");
             assert_eq!(
                 (net.total.msgs, net.total.bytes),
-                (299, 3_770_536),
+                (265, 3_380_568),
                 "{what}"
             );
             assert_eq!(net.class("update").msgs, 48, "{what}");
@@ -884,12 +897,14 @@ fn a_sleeping_host_thread_does_not_move_virtual_time() {
 /// no `encode` term. Its 512 pages each take a write fault and a twin twice —
 /// in the initialisation phase, and again in the first copy phase after
 /// `PhaseChange` write-protects the private pages — and are private ever
-/// after. Everything else the root is charged is the barriers': `sync_op` on
-/// the arrive and on the release, and `msg_fixed` for each message it sends
-/// itself, one `BarrierRelease` per episode and the final `Shutdown`. (While
+/// after. Everything else the root is charged is the barriers' `sync_op` on
+/// each arrive, and `msg_fixed` for the one message it sends itself, the
+/// final `Shutdown`: it opens every episode and wakes its own thread there,
+/// without a message. (While it posted itself a `BarrierRelease` per
+/// episode, each cost it `msg_fixed` to send and `sync_op` to handle. While
 /// a flush diffed every page before it looked for a receiver, the root was
 /// also charged `encode(2 048, runs)` for each of the 1 024 flushed pages,
-/// about 2.6 s on top of the 2.4 s here.)
+/// about 2.6 s on top of the 2.4 s then.)
 #[test]
 fn sor_on_one_processor_is_charged_no_encode() {
     let cost = CostModel::sun_ethernet_1991();
@@ -907,12 +922,12 @@ fn sor_on_one_processor_is_charged_no_encode() {
     let barriers = 2 + 2 * iterations as u64;
     assert_eq!((s.write_faults, s.twins_created), (1_024, 1_024));
     assert_eq!(s.barrier_waits, barriers);
-    assert_eq!(m.net.class("barrier_release").msgs, barriers);
-    assert_eq!(m.net.total.msgs, barriers + 1, "and the `Shutdown`");
+    assert_eq!(m.net.class("barrier_release").msgs, 0);
+    assert_eq!(m.net.total.msgs, 1, "the `Shutdown`");
     let ns = |t: munin::sim::VirtTime| t.as_nanos();
     let identity = s.write_faults * ns(cost.fault())
         + s.twins_created * ns(cost.copy(8_192))
-        + barriers * 2 * ns(cost.sync_op())
+        + barriers * ns(cost.sync_op())
         + m.net.total.msgs * ns(cost.msg_fixed());
     assert_eq!(
         m.root_system.as_nanos(),

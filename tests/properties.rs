@@ -84,12 +84,13 @@ fn from_wire(bytes: &[u8]) -> munin::dsm::Result<diff::Diff> {
 
 /// A layout that mixes what the cluster rule tells apart, at one-byte header
 /// scale: long runs (too long to begin or join a cluster), clusters of short
-/// runs a few words apart, and lone words far from everything.
+/// runs a few words apart, clusters that repeat a short pattern of runs (a
+/// mask with a period), and lone words far from everything.
 fn mixed_layout() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(any::<u32>(), 1..10).prop_map(|draws| {
         let mut layout = Vec::new();
         for d in draws {
-            let (kind, a, b) = (d % 3, (d >> 8) as usize, (d >> 20) as usize);
+            let (kind, a, b) = (d % 4, (d >> 8) as usize, (d >> 20) as usize);
             match kind {
                 // gap, long run
                 0 => layout.extend([a % 40, 16 + b % 100]),
@@ -100,6 +101,18 @@ fn mixed_layout() -> impl Strategy<Value = Vec<usize>> {
                         let count = 1 + (b >> k) % 5;
                         layout.extend([1 + (a >> k) % (15 - count), count]);
                     }
+                }
+                // gap, then 1..=3 (run, gap) pairs repeated 8..=40 times
+                2 => {
+                    layout.push(16 + a % 40);
+                    let unit: Vec<usize> = (0..1 + b % 3)
+                        .flat_map(|k| [1 + (b >> (2 * k + 2)) % 3, 1 + (a >> (3 * k)) % 6])
+                        .collect();
+                    for _ in 0..8 + (a >> 10) % 33 {
+                        layout.extend(&unit);
+                    }
+                    // The next kind's gap follows the last run.
+                    layout.pop();
                 }
                 // a lone word after a long gap
                 _ => layout.extend([16 + a % 300, 1]),
@@ -114,26 +127,42 @@ fn mixed_layout() -> impl Strategy<Value = Vec<usize>> {
 struct Span {
     /// Index of the span's first word.
     start: usize,
-    /// The mask of a masked span; empty for a run.
+    /// The mask of a masked span — one period of it, for a periodic one;
+    /// empty for a run.
     mask: Vec<u8>,
+    /// The words after which the mask repeats: the span's length, for a run
+    /// and for a mask that does not repeat.
+    period: usize,
     /// The new values of the changed words.
     data: Vec<u8>,
 }
 
 impl Span {
-    /// Words the span covers: all of a run's, up to the last set bit of a mask.
-    fn len(&self) -> usize {
-        match self.mask.last() {
-            Some(last) => self.mask.len() * 8 - last.leading_zeros() as usize,
-            None => self.data.len() / 4,
+    /// Indices of the words the span changes: all a run covers; for a mask,
+    /// word `start + k·period + j` for each set bit `j`, as many as there are
+    /// values.
+    fn changed(&self) -> Vec<usize> {
+        let values = self.data.len() / 4;
+        if self.mask.is_empty() {
+            return (self.start..self.start + values).collect();
         }
+        let set: Vec<usize> = (0..self.period)
+            .filter(|j| self.mask[j / 8] >> (j % 8) & 1 == 1)
+            .collect();
+        let at = |k: usize| set.iter().map(move |j| self.start + k * self.period + j);
+        (0..).flat_map(at).take(values).collect()
     }
 
-    /// Indices of the words the span changes.
-    fn changed(&self) -> Vec<usize> {
-        let covered = self.start..self.start + self.len();
-        let set = |w: &usize| self.mask[(w - self.start) / 8] >> ((w - self.start) % 8) & 1 == 1;
-        covered.filter(|w| self.mask.is_empty() || set(w)).collect()
+    /// Words the span covers: up to its last changed word.
+    fn len(&self) -> usize {
+        self.changed()
+            .last()
+            .map_or(0, |last| last + 1 - self.start)
+    }
+
+    /// Whether the span states its mask by a period shorter than itself.
+    fn periodic(&self) -> bool {
+        !self.mask.is_empty() && self.period < self.len()
     }
 
     /// Maximal runs of changed words in the span.
@@ -147,12 +176,15 @@ impl Span {
             + 1
     }
 
-    /// Bytes the span takes on the wire after a span that ended at `last_end`.
+    /// Bytes the span takes on the wire after a span that ended at `last_end`:
+    /// `count`; `0, len` and the mask; or `0, 0, p, len` and one period.
     fn wire_len(&self, last_end: usize) -> usize {
         let skip = varint_len((self.start - last_end) as u32);
-        let header = match self.mask.len() {
-            0 => varint_len(self.len() as u32),
-            mask => 1 + varint_len(self.len() as u32) + mask,
+        let len = varint_len(self.len() as u32);
+        let header = match (self.mask.len(), self.periodic()) {
+            (0, _) => len,
+            (mask, false) => 1 + len + mask,
+            (mask, true) => 2 + varint_len(self.period as u32) + len + mask,
         };
         skip + header + self.data.len()
     }
@@ -160,14 +192,95 @@ impl Span {
 
 fn spans(d: &diff::Diff) -> Vec<Span> {
     let mut out = Vec::new();
-    d.for_each_span(|start, mask, data| {
+    d.for_each_span(|start, mask, period, data| {
         out.push(Span {
             start,
             mask: mask.to_vec(),
+            period,
             data: data.to_vec(),
         });
     });
     out
+}
+
+/// The reference encoder: the format written from its definition, word by
+/// word, with no block skipping, no bitmap and no single-byte shortcut. It
+/// lists the maximal runs and groups them into clusters — a run of at most
+/// `CLUSTER_REACH` words and every next run that ends within that many words
+/// of the one before — and spells each cluster the shortest way: as runs; as
+/// one masked span where that is strictly shorter; and then, if `periodic`,
+/// by the smallest period `p ≥ 2` its mask repeats where that is strictly
+/// shorter still. Returns the bytes, the runs and the changed words. With
+/// `periodic` false it writes the format as it was before periodic spans.
+fn reference(current: &[u8], twin: &[u8], periodic: bool) -> (Vec<u8>, usize, usize) {
+    let put = |out: &mut Vec<u8>, v: usize| out.extend(overlong(v as u32, 0));
+    let words = current.len() / 4;
+    let word = |w: usize| &current[w * 4..w * 4 + 4];
+    let differs: Vec<bool> = (0..words)
+        .map(|w| word(w) != &twin[w * 4..w * 4 + 4])
+        .collect();
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for w in (0..words).filter(|w| differs[*w]) {
+        match runs.last_mut() {
+            Some((_, end)) if *end == w => *end += 1,
+            _ => runs.push((w, w + 1)),
+        }
+    }
+    let mut out = Vec::new();
+    put(&mut out, words);
+    let (mut last_end, mut rest) = (0, &runs[..]);
+    while let Some(&(start, first_end)) = rest.first() {
+        let mut n = 1;
+        if first_end - start <= diff::CLUSTER_REACH {
+            while n < rest.len() && rest[n].1 - rest[n - 1].1 <= diff::CLUSTER_REACH {
+                n += 1;
+            }
+        }
+        let (cluster, end) = (&rest[..n], rest[n - 1].1);
+        let (mask, len) = (&differs[start..end], end - start);
+        let mut before = last_end;
+        let as_runs: usize = cluster
+            .iter()
+            .map(|&(s, e)| {
+                let header = varint_len((s - before) as u32) + varint_len((e - s) as u32);
+                before = e;
+                header
+            })
+            .sum();
+        let skip = varint_len((start - last_end) as u32);
+        let as_mask = skip + 1 + varint_len(len as u32) + len.div_ceil(8);
+        let as_period =
+            |p: usize| skip + 2 + varint_len(p as u32) + varint_len(len as u32) + p.div_ceil(8);
+        let period = (2..len)
+            .find(|&p| (p..len).all(|i| mask[i] == mask[i - p]))
+            .filter(|&p| periodic && as_period(p) < as_mask);
+        if as_mask < as_runs {
+            put(&mut out, start - last_end);
+            put(&mut out, 0);
+            if let Some(p) = period {
+                put(&mut out, 0);
+                put(&mut out, p);
+            }
+            put(&mut out, len);
+            let bits = period.unwrap_or(len);
+            for byte in 0..bits.div_ceil(8) {
+                let set = (0..8).filter(|b| byte * 8 + b < bits && mask[byte * 8 + b]);
+                out.push(set.fold(0, |m, b| m | 1 << b));
+            }
+            for w in (start..end).filter(|w| differs[*w]) {
+                out.extend_from_slice(word(w));
+            }
+        } else {
+            for &(s, e) in cluster {
+                put(&mut out, s - last_end);
+                put(&mut out, e - s);
+                out.extend_from_slice(&current[s * 4..e * 4]);
+                last_end = e;
+            }
+        }
+        (last_end, rest) = (end, &rest[n..]);
+    }
+    (out, runs.len(), differs.iter().filter(|d| **d).count())
 }
 
 /// The run-length spelling of the diff of `current` against `twin` — the
@@ -285,6 +398,11 @@ proptest! {
             } else {
                 prop_assert!(d.encoded_bytes() < rle.len(), "a mask only where it is shorter");
             }
+            // A diff with no periodic span is the bytes the format without
+            // them wrote.
+            if !spans.iter().any(Span::periodic) {
+                prop_assert_eq!(d.as_wire_bytes(), &reference(&current, &twin, false).0[..]);
+            }
 
             let (mut runs, mut changed, mut last_end) = (0, 0, 0);
             let mut size = varint_len(words as u32);
@@ -311,8 +429,7 @@ proptest! {
     #[test]
     fn block_skip_encoder_matches_reference(current in word_buffer(96), twin in word_buffer(96)) {
         let fast = diff::encode(&current, &twin);
-        let reference = diff::encode_reference(&current, &twin);
-        prop_assert_eq!(fast.as_wire_bytes(), reference.as_wire_bytes());
+        prop_assert_eq!(fast.as_wire_bytes(), &reference(&current, &twin, true).0[..]);
     }
 
     /// The same on fragmented pages and on skips and counts long enough for
@@ -329,12 +446,9 @@ proptest! {
         for layout in [layout, mixed] {
             let (current, twin) = laid_out(&layout, seed);
             let fast = diff::encode(&current, &twin);
-            let reference = diff::encode_reference(&current, &twin);
-            prop_assert_eq!(fast.as_wire_bytes(), reference.as_wire_bytes());
-            prop_assert_eq!(
-                (fast.run_count(), fast.changed_words()),
-                (reference.run_count(), reference.changed_words())
-            );
+            let (bytes, runs, changed) = reference(&current, &twin, true);
+            prop_assert_eq!(fast.as_wire_bytes(), &bytes[..]);
+            prop_assert_eq!((fast.run_count(), fast.changed_words()), (runs, changed));
         }
     }
 
@@ -699,7 +813,7 @@ proptest! {
             // The release reaches every other node, once.
             let mut released = 0;
             while let Some((child, _)) = edges.pop() {
-                edges.extend(states[child.as_usize()].release(child, gen).expect("first release"));
+                edges.extend(states[child.as_usize()].release(gen).expect("first release"));
                 released += 1;
             }
             prop_assert_eq!(released, parties - 1);
@@ -1044,4 +1158,109 @@ fn every_annotation_has_consistent_parameters() {
             assert!(p.has_fixed_owner(), "{ann}: Fl requires FO");
         }
     }
+}
+
+/// A twin of pseudo-random words and a copy with the words `changed` flips.
+fn with_changed(words: usize, seed: u64, changed: impl Fn(usize) -> bool) -> (Vec<u8>, Vec<u8>) {
+    let twin: Vec<u8> = (0..words as u64)
+        .flat_map(|w| {
+            ((w ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32).to_le_bytes()[..4].to_vec()
+        })
+        .collect();
+    let mut current = twin.clone();
+    for w in (0..words).filter(|w| changed(*w)) {
+        current[w * 4 + 2] ^= 0x3C;
+    }
+    (current, twin)
+}
+
+/// The block-skip encoder and the reference write the same bytes on the
+/// patterns the protocol generates, at sizes around the block edges:
+/// identical buffers, fully dirty ones, sparse words, stripes straddling
+/// every block edge, and a third of the words at random.
+#[test]
+fn block_skip_matches_reference_on_protocol_patterns() {
+    for (case, words) in [0usize, 1, 2, 31, 32, 33, 63, 64, 65, 96, 256, 1000]
+        .into_iter()
+        .enumerate()
+    {
+        let random = |w: usize| {
+            (w as u64 + 1)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15 ^ case as u64)
+                .is_multiple_of(3)
+        };
+        let patterns: [&dyn Fn(usize) -> bool; 5] = [
+            &|_| false,
+            &|_| true,
+            &|w| w % 37 == 0,
+            &|w| w % 32 == 0 || w % 32 == 31,
+            &random,
+        ];
+        for changed in patterns {
+            let (current, twin) = with_changed(words, case as u64, changed);
+            let (bytes, runs, changed) = reference(&current, &twin, true);
+            let d = diff::encode(&current, &twin);
+            assert_eq!(d.as_wire_bytes(), &bytes[..], "{words} words");
+            assert_eq!((d.run_count(), d.changed_words()), (runs, changed));
+        }
+    }
+}
+
+/// A periodic span is what the format's definition writes, at every period
+/// from 2 to 64 words and at every offset into it, for spans that end on the
+/// first or another bit of their last period — and at a few periods longer
+/// than a 64-bit register. Its run and changed-word counts, as the encoder
+/// and the decoder count them, are the plain mask's, so no CPU charge moves;
+/// and onto a poisoned target it writes its own words and no other.
+#[test]
+fn periodic_spans_match_the_reference_at_every_stride_and_offset() {
+    const WORDS: usize = 400;
+    // Word `j` of each period changes when `j % 11 == 0 || j % 7 == 3`: no
+    // two changed words more than 8 apart, so the page is one cluster.
+    let changes = |stride: usize, offset: usize, end: usize| {
+        move |w: usize| {
+            let j = w.wrapping_sub(offset) % stride;
+            (offset..end).contains(&w) && (j.is_multiple_of(11) || j % 7 == 3)
+        }
+    };
+    let mut periodic = 0;
+    for stride in (2..=64).chain([65, 100, 128]) {
+        for offset in 0..stride {
+            for end in [WORDS - 1, WORDS - 1 - stride / 2] {
+                let what = format!("stride {stride}, offset {offset}, end {end}");
+                let (current, twin) =
+                    with_changed(WORDS, stride as u64, changes(stride, offset, end));
+                let d = diff::encode(&current, &twin);
+                let (bytes, runs, changed) = reference(&current, &twin, true);
+                assert_eq!(d.as_wire_bytes(), &bytes[..], "{what}");
+                assert_eq!(
+                    (d.run_count(), d.changed_words()),
+                    (runs, changed),
+                    "{what}"
+                );
+                for wire in [&reference(&current, &twin, false).0[..], d.as_wire_bytes()] {
+                    let d = from_wire(wire).unwrap();
+                    assert_eq!(
+                        (d.run_count(), d.changed_words()),
+                        (runs, changed),
+                        "{what}"
+                    );
+                }
+                let poison = vec![0xEEu8; current.len()];
+                let mut target = poison.clone();
+                diff::apply(&d, &mut target).unwrap();
+                for w in 0..WORDS {
+                    let at = w * 4..w * 4 + 4;
+                    let from = if current[at.clone()] != twin[at.clone()] {
+                        &current
+                    } else {
+                        &poison
+                    };
+                    assert_eq!(&target[at.clone()], &from[at], "{what}: word {w}");
+                }
+                periodic += spans(&d).iter().filter(|s| s.periodic()).count();
+            }
+        }
+    }
+    assert!(periodic > 4_000, "{periodic} periodic spans");
 }
