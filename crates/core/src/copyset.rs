@@ -119,18 +119,6 @@ impl CopySet {
         }
         set
     }
-
-    /// Union of two copysets.
-    pub fn union(&self, other: &CopySet) -> CopySet {
-        match (self, other) {
-            (CopySet::AllNodes, _) | (_, CopySet::AllNodes) => CopySet::AllNodes,
-            (CopySet::Nodes(a), CopySet::Nodes(b)) => {
-                let mut out = a.clone();
-                out.union_with(b);
-                CopySet::Nodes(out)
-            }
-        }
-    }
 }
 
 /// Non-allocating iterator over the members of a [`CopySet`] (see
@@ -164,6 +152,20 @@ impl Iterator for CopySetIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CopySet {
+        /// Union of two copysets.
+        fn union(&self, other: &CopySet) -> CopySet {
+            match (self, other) {
+                (CopySet::AllNodes, _) | (_, CopySet::AllNodes) => CopySet::AllNodes,
+                (CopySet::Nodes(a), CopySet::Nodes(b)) => {
+                    let mut out = a.clone();
+                    out.union_with(b);
+                    CopySet::Nodes(out)
+                }
+            }
+        }
+    }
 
     #[test]
     fn insert_remove_contains() {

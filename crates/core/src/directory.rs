@@ -141,6 +141,11 @@ pub struct Directory {
     /// entry's `copyset_fixed` bit: the bit describes the sharing
     /// relationship of this phase only (see `DsmMsg::ObjectFetch::phase`).
     pub phase: u32,
+    /// The write set: the objects whose last flush shipped a non-empty diff
+    /// and write-protected them again, in flush order. The next delayed
+    /// write fault on a variable drains its objects from here and twins
+    /// them in the same trap (`delayed_write_fault`).
+    pub write_set: Vec<ObjectId>,
 }
 
 impl Directory {
@@ -186,11 +191,6 @@ impl Directory {
         &mut self.entries[object.as_usize()]
     }
 
-    /// All entries.
-    pub fn entries(&self) -> &[DirEntry] {
-        &self.entries
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -199,6 +199,14 @@ impl Directory {
     /// Whether the directory is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Puts `object` at the end of the write set (`member`) or takes it out.
+    pub fn mark_written(&mut self, object: ObjectId, member: bool) {
+        self.write_set.retain(|&o| o != object);
+        if member {
+            self.write_set.push(object);
+        }
     }
 }
 
@@ -231,7 +239,7 @@ mod tests {
     fn annotation_override_forces_protocol() {
         let t = table();
         let dir = Directory::from_table(&t, NodeId::new(0), Some(SharingAnnotation::Conventional));
-        for e in dir.entries() {
+        for e in &dir.entries {
             assert_eq!(e.annotation, SharingAnnotation::Conventional);
         }
     }

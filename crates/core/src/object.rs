@@ -69,13 +69,6 @@ pub struct VarDesc {
     pub objects: Vec<ObjectId>,
 }
 
-impl VarDesc {
-    /// Total size of the variable in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.elem_size * self.len
-    }
-}
-
 /// Description of one shared object (consistency unit).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObjectDesc {

@@ -105,7 +105,8 @@ pub enum EventKind {
     ReadFaultEnd,
     /// A write access fault entered the fault protocol.
     WriteFaultBegin,
-    /// The write fault resolved (`dur_ns` = virtual service time).
+    /// The write fault resolved (`dur_ns` = virtual service time, `run` =
+    /// objects it enabled: more than one when it twinned the write set).
     WriteFaultEnd,
     /// An `ObjectFetch` request was sent to the probable owner
     /// (`object` = the first object of the run, `run` = objects asked for).
@@ -233,7 +234,8 @@ pub struct ObsEvent {
     /// sending node (an owner's re-fan of a cooperative relay bundle).
     pub origin: Option<NodeId>,
     /// Length of the run of consecutive objects starting at `object` that a
-    /// fetch asked for (`FetchSend`) or was served (`FetchServe`).
+    /// fetch asked for (`FetchSend`) or was served (`FetchServe`); how many
+    /// objects a write fault enabled (`WriteFaultEnd`).
     pub run: Option<u32>,
     /// How many objects of a served run (`FetchServe`) were zero-filled:
     /// described in the reply, not carried.
@@ -303,7 +305,8 @@ struct Inner {
     /// nanoseconds.
     waits: BTreeMap<&'static str, LatencyHist>,
     /// Fault service-time histograms keyed by annotation class keyword
-    /// (`write_shared`, `migratory`, ...), in virtual nanoseconds.
+    /// (`write_shared`, `migratory`, ...), in virtual nanoseconds: one
+    /// sample a trap, however many objects it enabled (`WriteFaultEnd`).
     fault_service: BTreeMap<&'static str, LatencyHist>,
 }
 
@@ -431,7 +434,7 @@ pub struct ObsSnapshot {
     /// Blocking-wait histograms by wait kind, virtual nanoseconds.
     pub waits: BTreeMap<&'static str, LatencyHist>,
     /// Fault service-time histograms by annotation class, virtual
-    /// nanoseconds.
+    /// nanoseconds; one sample a trap, however many objects it enabled.
     pub fault_service: BTreeMap<&'static str, LatencyHist>,
 }
 

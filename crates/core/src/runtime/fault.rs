@@ -10,7 +10,8 @@
 //!   probable-owner chain);
 //! * write faults on *delayed* (write-shared / producer-consumer / result)
 //!   objects fetch a copy if there is none, make a twin, enqueue the object
-//!   on the DUQ, and enable writes;
+//!   on the DUQ, and enable writes — in the same trap, too, for the objects
+//!   of its variable that the node's last flush shipped a diff for;
 //! * write faults on *ownership* (conventional / migratory) objects acquire
 //!   ownership and invalidate the remaining replicas;
 //! * writes to `read_only` objects are runtime errors.
@@ -281,19 +282,20 @@ impl NodeRuntime {
         let t0 = self.clock.now().as_nanos();
         self.obs.record(t0, begin, |ev| ev.object = Some(object));
         let result = if write {
-            self.write_fault(object, window_end)
+            self.write_fault(object, window_end).map(Some)
         } else {
-            self.read_fault(object, window_end)
+            self.read_fault(object, window_end).map(|()| None)
         };
         let t1 = self.clock.now().as_nanos();
         let dur = t1.saturating_sub(t0);
         self.obs.record(t1, end, |ev| {
             ev.object = Some(object);
             ev.dur_ns = dur;
+            ev.run = result.as_ref().ok().copied().flatten();
         });
         let class = self.dir.lock().entry(object).annotation.keyword();
         self.obs.record_fault_service(class, dur);
-        result
+        result.map(|_| ())
     }
 
     fn read_fault(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
@@ -358,8 +360,8 @@ impl NodeRuntime {
     }
 
     /// Handles a write access fault, dispatching on the object's protocol
-    /// parameters.
-    fn write_fault(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<()> {
+    /// parameters. Returns how many objects it enabled for writing.
+    fn write_fault(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<u32> {
         bump(&self.stats.write_faults);
         self.charge_sys(self.cost.fault());
         enum Plan {
@@ -442,7 +444,7 @@ impl NodeRuntime {
             _ => 1,
         };
         let result = match plan {
-            Plan::Done => Ok(()),
+            Plan::Done => Ok(0),
             Plan::Error(e) => Err(e),
             Plan::Delayed {
                 copy_run,
@@ -458,11 +460,11 @@ impl NodeRuntime {
                     entry.state.dirty = true;
                     entry.copyset = CopySet::EMPTY;
                 }
-                r
+                r.map(|()| 1)
             }
-            Plan::AcquireOwnership { owner_hint } => {
-                self.fetch_object(object, 1, FetchKind::Write, owner_hint, 0..0)
-            }
+            Plan::AcquireOwnership { owner_hint } => self
+                .fetch_object(object, 1, FetchKind::Write, owner_hint, 0..0)
+                .map(|()| 1),
         };
         // Every plan that set busy bits clears them here; clearing an entry
         // that was never marked busy is harmless.
@@ -474,52 +476,62 @@ impl NodeRuntime {
     /// (write-shared, producer-consumer, result): fetch a copy if none is
     /// present (`copy_run` > 0: with the copies of the run behind it), make a
     /// twin when multiple writers are possible, enqueue the object on the
-    /// DUQ, and enable writes.
+    /// DUQ, and enable writes — and do the same, in this one trap, for every
+    /// object of its variable in the write set that is still read-only here
+    /// and under a multi-writer fan-out protocol. Returns how many objects
+    /// the fault enabled.
     fn delayed_write_fault(
         self: &Arc<Self>,
         object: ObjectId,
         copy_run: u32,
         owner_hint: NodeId,
         elide: Range<u32>,
-    ) -> Result<()> {
+    ) -> Result<u32> {
         if copy_run > 0 {
             self.fetch_object(object, copy_run, FetchKind::Read, owner_hint, elide)?;
         }
-        let (make_twin, size) = {
-            let dir = self.dir.lock();
-            let entry = dir.entry(object);
-            if entry.state.rights.allows_write() {
-                // Fetched without its bytes: installed writable and queued.
-                return Ok(());
+        let mut dir = self.dir.lock();
+        if dir.entry(object).state.rights.allows_write() {
+            // Fetched without its bytes: installed writable and queued.
+            return Ok(1);
+        }
+        // The variable's objects in the write set come along (a change of
+        // annotation empties it: theirs is a multi-writer fan-out one).
+        let var = self.table.object(object).var;
+        let mine = |o: &mut ObjectId| self.table.object(*o).var == var;
+        let mut enable = vec![object];
+        enable.extend(dir.write_set.extract_if(.., mine).filter(|&o| o != object));
+        // Snapshot and enqueue in one DUQ-lock scope, the one
+        // `apply_update_items` holds across memory apply + twin patch: a
+        // peer's update admitted before this fault is either in the snapshot
+        // or finds the twin to patch. The directory lock is held throughout
+        // (order dir → duq → memory): an object twinned ahead cannot change
+        // state between its check and its enabling.
+        let mut duq = self.duq.lock();
+        enable.retain(|&o| {
+            let e = dir.entry_mut(o);
+            let private = e.state.copyset_fixed && e.copyset.is_empty();
+            let make_twin = e.params.allows_multiple_writers() && !private;
+            let s = e.state;
+            let idle = s.rights == AccessRights::Read && !s.busy && !s.pinned;
+            if o != object && !(make_twin && idle) {
+                return false;
             }
-            let private = entry.state.copyset_fixed && entry.copyset.is_empty();
-            (
-                entry.params.allows_multiple_writers() && !private,
-                entry.size,
-            )
-        };
-        {
-            // Snapshot and enqueue in one DUQ-lock scope, the one
-            // `apply_update_items` holds across memory apply + twin patch: a
-            // peer's update admitted just before this fault marked the entry
-            // busy is either in the snapshot or finds the twin to patch.
-            let mut duq = self.duq.lock();
             let twin = make_twin.then(|| {
                 bump(&self.stats.twins_created);
-                self.charge_sys(self.cost.copy(size as u64));
+                self.charge_sys(self.cost.copy(e.size as u64));
                 // Reuse a pooled twin buffer instead of allocating a fresh
                 // copy: flushes return their twins to the pool after encoding.
-                let mut buf = duq.acquire_twin_buffer(size);
-                self.read_object_into(object, &mut buf);
+                let mut buf = duq.acquire_twin_buffer(e.size);
+                self.read_object_into(o, &mut buf);
                 buf
             });
-            duq.enqueue(object, twin);
-        }
-        let mut dir = self.dir.lock();
-        let entry = dir.entry_mut(object);
-        self.set_entry_rights(entry, AccessRights::ReadWrite);
-        entry.state.dirty = true;
-        Ok(())
+            duq.enqueue(o, twin);
+            self.set_entry_rights(e, AccessRights::ReadWrite);
+            e.state.dirty = true;
+            true
+        });
+        Ok(enable.len() as u32)
     }
 
     /// Sends a fetch for the `run` objects starting at `object` to
@@ -629,6 +641,8 @@ impl NodeRuntime {
                 AccessRights::Read
             };
             let mut dir = self.dir.lock();
+            // A replaced copy predicts nothing about this node's writes.
+            dir.mark_written(served, false);
             let entry = dir.entry_mut(served);
             self.set_entry_rights(entry, rights);
             entry.state.dirty |= elided;

@@ -503,6 +503,9 @@ impl NodeRuntime {
             Some(other) => other,
         };
         let mut dir = self.dir.lock();
+        // A shipped diff (page write-protected again below) predicts the next writes.
+        let shipped = matches!(payload, Some(UpdatePayload::Diff(_)));
+        dir.mark_written(object, shipped && route.fans_out);
         let e = dir.entry_mut(object);
         e.state.dirty = false;
         if !route.fans_out {
@@ -530,11 +533,7 @@ impl NodeRuntime {
     /// Flushes the DUQ at once if any of `objects` is sitting in it: a hint
     /// that acts on a variable first brings its copies up to date.
     fn flush_if_pending(self: &Arc<Self>, objects: &[ObjectId]) -> Result<()> {
-        let any_pending = {
-            let duq = self.duq.lock();
-            objects.iter().any(|o| duq.contains(*o))
-        };
-        if any_pending {
+        if objects.iter().any(|o| self.duq.lock().contains(*o)) {
             self.flush_duq()?;
         }
         Ok(())
@@ -574,6 +573,7 @@ impl NodeRuntime {
         let mut dir = self.dir.lock();
         let duq = self.duq.lock();
         dir.phase += 1;
+        dir.write_set.clear();
         for idx in 0..dir.len() {
             let e = dir.entry_mut(ObjectId::new(idx as u32));
             if e.params.is_stable() {
@@ -603,6 +603,7 @@ impl NodeRuntime {
     ) -> Result<()> {
         self.flush_if_pending(objects)?;
         let mut dir = self.dir.lock();
+        dir.write_set.clear();
         for o in objects {
             let e = dir.entry_mut(*o);
             e.set_annotation(annotation);
@@ -1490,5 +1491,64 @@ mod tests {
             );
             drop(net);
         }
+    }
+
+    /// The write set across three intervals. Both pages ship a diff and
+    /// join it; the next write to the first traps once and twins the second
+    /// ahead (`WriteFaultEnd` says 2). Left untouched, the second diffs empty
+    /// and ships nothing: it is write-protected again, drops out of the set,
+    /// and its next write takes a trap of its own (which twins the first).
+    #[test]
+    fn a_page_twinned_ahead_and_left_untouched_ships_nothing() {
+        let n1 = NodeId::new(1);
+        let (rt, net, _tx1, _rx1, _tx2, _rx2, _rx0, ws) = coop_harness_owned_by(&[1, 1]);
+        let (a, b) = (ws[0], ws[1]);
+        let mode = FlushMode::BarrierRelay {
+            owner: n1,
+            star: true,
+        };
+        let shipped = |rt: &Arc<NodeRuntime>| {
+            let (_, ride) = rt.flush_duq_mode(mode).unwrap();
+            ride.iter().map(|i| i.object).collect::<Vec<_>>()
+        };
+        assert_eq!(shipped(&rt), [a, b]);
+        assert_eq!(rt.dir.lock().write_set, [a, b]);
+        let counts = |rt: &NodeRuntime| {
+            let s = rt.stats().snapshot();
+            (s.write_faults, s.twins_created)
+        };
+        assert_eq!(counts(&rt), (2, 2));
+
+        rt.fault_in(&[a], true).unwrap();
+        assert_eq!(counts(&rt), (3, 4), "one trap, two twins");
+        assert!(rt.duq.lock().twin_of(b).is_some());
+        assert_eq!(rt.dir.lock().entry(b).state.rights, AccessRights::ReadWrite);
+        let end = rt.obs.snapshot().events.into_iter().rev();
+        let trap = end.filter(|e| e.kind == crate::obs::EventKind::WriteFaultEnd);
+        assert_eq!(trap.map(|e| e.run).next(), Some(Some(2)));
+        rt.install_object_bytes(a, &[8u8; 32]);
+        assert_eq!(shipped(&rt), [a], "b's diff is empty");
+        assert_eq!(rt.dir.lock().entry(b).state.rights, AccessRights::Read);
+        assert_eq!(rt.dir.lock().write_set, [a]);
+
+        rt.fault_in(&[b], true).unwrap();
+        assert_eq!(counts(&rt), (4, 6), "b traps for itself, and twins a");
+        drop(net);
+    }
+
+    /// `PhaseChange()` and `ChangeAnnotation()` end every prediction: the
+    /// sharing relationships, or the protocol, the write set was built
+    /// under are gone.
+    #[test]
+    fn phase_change_and_change_annotation_clear_the_write_set() {
+        let rt = single_node();
+        let ws = obj(&rt, "ws");
+        rt.dir.lock().write_set.push(ws);
+        rt.phase_change();
+        assert!(rt.dir.lock().write_set.is_empty());
+        rt.dir.lock().write_set.push(ws);
+        rt.change_annotation(&[ws], SharingAnnotation::WriteShared)
+            .unwrap();
+        assert!(rt.dir.lock().write_set.is_empty());
     }
 }

@@ -124,25 +124,32 @@ impl NodeRuntime {
         }
     }
 
-    /// Routes one protocol message to its handler. Returns `true` for
-    /// `Shutdown`.
+    /// Routes one protocol message to its handler and retries what a
+    /// request may have unblocked. Returns `true` for `Shutdown`.
     fn dispatch(self: &Arc<Self>, env: Envelope, msg: DsmMsg) -> bool {
         let shutdown = matches!(msg, DsmMsg::Shutdown);
-        if let DsmMsg::WorkerDone { from } = msg {
-            // Completion notifications go to a dedicated channel so they
-            // cannot interleave with a protocol operation the root's user
-            // thread is still performing.
-            let _ = self.done_tx.send((from, env.arrival));
-        } else if msg.is_user_reply() {
-            self.route_to_user(env, msg);
-        } else {
-            // A carrier is a request whatever it frames: unwrapped there,
-            // never routed to the user thread directly, so its payload is
-            // installed before the framed message is dispatched.
-            self.handle_request(env, msg);
+        if self.route(env, msg) {
             self.process_deferred();
         }
         shutdown
+    }
+
+    /// Routes one protocol message: a completion notification to its own
+    /// channel, where it cannot interleave with a protocol operation the
+    /// root's user thread is still performing; a reply to the user thread;
+    /// a request to its handler (`true`). A carrier is a request whatever it
+    /// frames: unwrapped there, never routed to the user thread directly, so
+    /// its payload is installed before the framed message is routed.
+    fn route(self: &Arc<Self>, env: Envelope, msg: DsmMsg) -> bool {
+        match msg {
+            DsmMsg::WorkerDone { from } => drop(self.done_tx.send((from, env.arrival))),
+            msg if msg.is_user_reply() => self.route_to_user(env, msg),
+            msg => {
+                self.handle_request(env, msg);
+                return true;
+            }
+        }
+        false
     }
 
     /// Post-shutdown drain: while this node still holds unacknowledged
@@ -299,44 +306,35 @@ impl NodeRuntime {
             self.defer(env, carrier, on);
             return;
         }
-        if !relay.is_empty() {
-            // Relays only ever ride barrier traffic — reports and releases
-            // (a bundle can transit several tree hops before reaching its
-            // destination). The barrier id keys the stash so overlapping
-            // episodes cannot mix.
-            let barrier = match *inner {
-                DsmMsg::BarrierArrive { barrier, .. } | DsmMsg::BarrierRelease { barrier, .. } => {
-                    Some(barrier)
-                }
-                _ => None,
-            };
-            for (dest, bundle) in relay {
-                // An arrive's share for this node was installed above, and a
-                // release carries its receiver's share as `updates`.
-                debug_assert_ne!(dest, self.node, "a relay entry for its own receiver");
-                if let Some(b) = barrier {
-                    self.outbox.lock().stash_relay(b, dest, bundle);
-                } else {
-                    // A relay without a framing barrier message is a
-                    // protocol bug; dropping it silently would diverge the
-                    // destination, so fail loudly enough to diagnose.
-                    bump(&self.stats.runtime_errors);
-                    crate::runtime::proto_trace!(
-                        self,
-                        "dropping relay bundle without a barrier frame (dest {dest:?})"
-                    );
-                    debug_assert!(false, "relay bundles require a barrier frame");
-                }
+        // Relays only ever ride barrier traffic — reports and releases
+        // (a bundle can transit several tree hops before reaching its
+        // destination). The barrier id keys the stash so overlapping
+        // episodes cannot mix.
+        let barrier = match *inner {
+            DsmMsg::BarrierArrive { barrier, .. } | DsmMsg::BarrierRelease { barrier, .. } => {
+                Some(barrier)
+            }
+            _ => None,
+        };
+        for (dest, bundle) in relay {
+            // An arrive's share for this node was installed above, and a
+            // release carries its receiver's share as `updates`.
+            debug_assert_ne!(dest, self.node, "a relay entry for its own receiver");
+            if let Some(b) = barrier {
+                self.outbox.lock().stash_relay(b, dest, bundle);
+            } else {
+                // A relay without a framing barrier message is a
+                // protocol bug; dropping it silently would diverge the
+                // destination, so fail loudly enough to diagnose.
+                bump(&self.stats.runtime_errors);
+                crate::runtime::proto_trace!(
+                    self,
+                    "dropping relay bundle without a barrier frame (dest {dest:?})"
+                );
+                debug_assert!(false, "relay bundles require a barrier frame");
             }
         }
-        let inner = *inner;
-        if let DsmMsg::WorkerDone { from } = inner {
-            let _ = self.done_tx.send((from, env.arrival));
-        } else if inner.is_user_reply() {
-            self.route_to_user(env, inner);
-        } else {
-            self.handle_request(env, inner);
-        }
+        self.route(env, *inner);
     }
 
     /// Installs every bundle the admission gate lets in now and returns the
@@ -822,6 +820,7 @@ impl NodeRuntime {
             entry.state.dirty = false;
             entry.state.owned = false;
             entry.probable_owner = requester;
+            dir.mark_written(object, false);
             payload
         };
         self.charge_sys(self.cost.dir_op());

@@ -319,12 +319,6 @@ impl TreeTopology {
         NodeId::new((self.owner.as_usize() + rank) % self.nodes)
     }
 
-    /// Static tree parent (`None` for the owner).
-    pub fn parent_of(&self, node: NodeId) -> Option<NodeId> {
-        let r = self.rank_of(node);
-        (r > 0).then(|| self.node_at((r - 1) / self.fanout))
-    }
-
     /// Ranks of the static children of `rank`, in order.
     fn child_ranks(&self, rank: usize) -> std::ops::Range<usize> {
         let first = (rank * self.fanout + 1).min(self.nodes);
@@ -1062,16 +1056,20 @@ mod tests {
     fn tree_topology_edges_are_mutually_consistent() {
         for t in topologies() {
             assert_eq!(t.rank_of(t.owner), 0);
-            assert_eq!(t.parent_of(t.owner), None);
+            assert_eq!(t.live_parent_of(t.owner, &NodeSet::EMPTY), None);
             for i in 0..t.nodes {
                 let node = n(i);
                 let children = t.children_of(node);
                 assert!(children.len() <= t.fanout, "{t:?}");
                 for child in children {
                     assert_ne!(child, node, "{t:?}");
-                    assert_eq!(t.parent_of(child), Some(node), "{t:?}");
+                    assert_eq!(
+                        t.live_parent_of(child, &NodeSet::EMPTY),
+                        Some(node),
+                        "{t:?}"
+                    );
                 }
-                if let Some(p) = t.parent_of(node) {
+                if let Some(p) = t.live_parent_of(node, &NodeSet::EMPTY) {
                     assert!(t.children_of(p).contains(&node), "{t:?}");
                     assert!(t.is_ancestor_of(p, node), "{t:?}");
                 }

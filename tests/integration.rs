@@ -426,61 +426,94 @@ fn every_remote_acquire_costs_exactly_one_grant() {
 /// runs. Twenty repetitions, each exact.
 #[test]
 fn strided_write_shared_updates_travel_as_one_masked_span() {
-    const NODES: usize = 4;
-    const PAGE_WORDS: usize = 2048;
-    const PAGES: usize = 2;
-    const WORDS: usize = PAGES * PAGE_WORDS;
     const ROUNDS: usize = 2;
-    // Differs from round to round at every index, so every written word is
-    // a changed word.
-    let value = |round: usize, i: usize| (round * WORDS + i) as i32;
     for repetition in 0..20 {
-        let cfg = MuninConfig::fast_test(NODES).with_page_size(PAGE_WORDS * 4);
-        let mut prog = MuninProgram::new(cfg);
-        let array = prog.declare::<i32>("array", WORDS, SharingAnnotation::WriteShared);
-        let written = prog.create_barrier("written");
-        let read = prog.create_barrier("read");
-        prog.user_init(move |init| {
-            let fill: Vec<i32> = (0..WORDS).map(|i| value(0, i)).collect();
-            init.write_slice(&array, 0, &fill).unwrap();
-        });
-        let report = prog
-            .run(move |ctx| {
-                let me = ctx.node_id();
-                // Warm copies: every page has all four nodes in its copyset
-                // before the first flush.
-                let mut all = ctx.read_slice(&array, 0, WORDS)?;
-                ctx.wait_at_barrier(read)?;
-                for round in 1..=ROUNDS {
-                    for i in (me..WORDS).step_by(NODES) {
-                        ctx.write(&array, i, value(round, i))?;
-                    }
-                    ctx.wait_at_barrier(written)?;
-                    all = ctx.read_slice(&array, 0, WORDS)?;
-                    ctx.wait_at_barrier(read)?;
-                }
-                Ok(all)
-            })
-            .unwrap();
-        let expected: Vec<i32> = (0..WORDS).map(|i| value(ROUNDS, i)).collect();
-        for (node, result) in report.results.iter().enumerate() {
-            assert_eq!(result.as_ref().unwrap(), &expected, "node {node}");
-        }
+        let stats = strided_write_shared(2, ROUNDS);
         // One diff: the `words` varint (2 048 takes two bytes), then one
         // periodic span — a one-byte skip, the zero count, the zero that
         // marks a period, the period (4), `len` (2 045 words from a node's
         // first to its last, two bytes), one pattern byte (`0001`) and one
         // word for each of the node's 512 words.
-        let diff_bytes = 2 + (1 + 1 + 1 + 1 + 2) + NODES.div_ceil(8) + (PAGE_WORDS / NODES) * 4;
-        assert_eq!(diff_bytes, 2_057);
-        let stats = report.stats_total();
-        assert_eq!(stats.duq_objects_flushed as usize, ROUNDS * NODES * PAGES);
+        let diff_bytes =
+            2 + (1 + 1 + 1 + 1 + 2) + STRIDE_NODES.div_ceil(8) + 2048 / STRIDE_NODES * 4;
+        assert_eq!(diff_bytes, STRIDED_DIFF_BYTES);
+        assert_eq!(
+            stats.duq_objects_flushed as usize,
+            ROUNDS * STRIDE_NODES * 2
+        );
         assert_eq!(
             stats.update_bytes_sent as usize,
-            ROUNDS * NODES * PAGES * (NODES - 1) * diff_bytes,
+            ROUNDS * STRIDE_NODES * 2 * (STRIDE_NODES - 1) * diff_bytes,
             "repetition {repetition}"
         );
-        assert_eq!(stats.runtime_errors, 0);
+    }
+}
+
+/// Writers per page of [`strided_write_shared`], and the bytes of each diff.
+const STRIDE_NODES: usize = 4;
+const STRIDED_DIFF_BYTES: usize = 2_057;
+
+/// Runs the strided shape over `pages` pages of 2 048 words for `rounds`
+/// rounds, after a warm read that puts every node in every copyset, checks
+/// what every node read last, and returns the counters summed over nodes.
+fn strided_write_shared(pages: usize, rounds: usize) -> munin::MuninStatsSnapshot {
+    const PAGE_WORDS: usize = 2048;
+    let words = pages * PAGE_WORDS;
+    // Differs from round to round at every index, so every written word is
+    // a changed word.
+    let value = move |round: usize, i: usize| (round * words + i) as i32;
+    let cfg = MuninConfig::fast_test(STRIDE_NODES).with_page_size(PAGE_WORDS * 4);
+    let mut prog = MuninProgram::new(cfg);
+    let array = prog.declare::<i32>("array", words, SharingAnnotation::WriteShared);
+    let written = prog.create_barrier("written");
+    let read = prog.create_barrier("read");
+    prog.user_init(move |init| {
+        let fill: Vec<i32> = (0..words).map(|i| value(0, i)).collect();
+        init.write_slice(&array, 0, &fill).unwrap();
+    });
+    let report = prog
+        .run(move |ctx| {
+            let me = ctx.node_id();
+            let mut all = ctx.read_slice(&array, 0, words)?;
+            ctx.wait_at_barrier(read)?;
+            for round in 1..=rounds {
+                for i in (me..words).step_by(STRIDE_NODES) {
+                    ctx.write(&array, i, value(round, i))?;
+                }
+                ctx.wait_at_barrier(written)?;
+                all = ctx.read_slice(&array, 0, words)?;
+                ctx.wait_at_barrier(read)?;
+            }
+            Ok(all)
+        })
+        .unwrap();
+    let expected: Vec<i32> = (0..words).map(|i| value(rounds, i)).collect();
+    for (node, result) in report.results.iter().enumerate() {
+        assert_eq!(result.as_ref().unwrap(), &expected, "node {node}");
+    }
+    let stats = report.stats_total();
+    assert_eq!(stats.runtime_errors, 0);
+    stats
+}
+
+/// One write trap per node per interval: the benchmark's `wshared` shape
+/// (8 pages, 4 writers each) traps on all 32 (node, page) pairs in its
+/// first round; after that a node's first write of a round traps once and
+/// twins its 7 other pages of the write set — every one it rewrote the
+/// round before — in the same trap. Every page is still twinned each
+/// round, and the diffs are byte for byte what one trap a page sent.
+#[test]
+fn a_node_rewriting_its_pages_traps_once_a_round() {
+    const PAGES: usize = 8;
+    for rounds in [1, 3] {
+        let s = strided_write_shared(PAGES, rounds);
+        let pairs = STRIDE_NODES * PAGES;
+        assert_eq!(s.write_faults as usize, pairs + STRIDE_NODES * (rounds - 1));
+        assert_eq!(s.twins_created as usize, pairs * rounds);
+        assert_eq!(
+            s.update_bytes_sent as usize,
+            rounds * pairs * (STRIDE_NODES - 1) * STRIDED_DIFF_BYTES
+        );
     }
 }
 

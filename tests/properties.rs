@@ -798,7 +798,7 @@ proptest! {
                 let mut step = states[i].advance(me, &topo, &NodeSet::EMPTY, at(i));
                 while let BarrierStep::Report { gen, arrived, at } = step {
                     let from = me;
-                    me = topo.parent_of(from).unwrap();
+                    me = topo.live_parent_of(from, &NodeSet::EMPTY).unwrap();
                     let parent = &mut states[me.as_usize()];
                     prop_assert!(parent.merge_report(from, gen, &arrived));
                     step = parent.advance(me, &topo, &NodeSet::EMPTY, at);
