@@ -178,11 +178,6 @@ impl ProtocolParams {
         self.invalidate.as_bool(false)
     }
 
-    /// Whether the object may be replicated.
-    pub fn allows_replicas(&self) -> bool {
-        self.replicas.as_bool(true)
-    }
-
     /// Whether updates may be delayed in the DUQ until a release.
     pub fn allows_delay(&self) -> bool {
         self.delayed.as_bool(false)
@@ -252,6 +247,13 @@ pub fn render_table1() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ProtocolParams {
+        /// Whether the object may be replicated.
+        pub(crate) fn allows_replicas(&self) -> bool {
+            self.replicas.as_bool(true)
+        }
+    }
 
     #[test]
     fn read_only_objects_are_never_writable_and_never_invalidate() {

@@ -178,9 +178,10 @@ pub enum DsmMsg {
     /// owner, which replies directly to the requester).
     ObjectFetch(FetchRequest),
     /// Reply to an [`DsmMsg::ObjectFetch`], carrying the contents of a
-    /// non-empty prefix of the requested run: as many objects, from the
-    /// first on, as the owner could hand out as plain non-owning copies — or
-    /// the first object alone when serving it moves ownership.
+    /// non-empty prefix of the requested run: as many objects of the window,
+    /// from the first on, as the owner could hand out as plain non-owning
+    /// copies — or the first object when serving it moves ownership, and
+    /// after a first touch the first touches ahead.
     ObjectData {
         /// The first object of the run.
         object: ObjectId,
@@ -191,8 +192,8 @@ pub enum DsmMsg {
         /// request asked to elide. It costs the wire the object's framing or
         /// descriptor, nothing more.
         data: Vec<Vec<u8>>,
-        /// Whether ownership is transferred to the requester (one-object
-        /// replies only).
+        /// Whether ownership is transferred to the requester (of every
+        /// object: past the first, only of first touches ahead).
         ownership: bool,
         /// Copyset handed over together with ownership (nodes the new owner
         /// must invalidate or update).
@@ -402,6 +403,9 @@ pub struct FetchRequest {
     /// How many consecutive objects are asked for (at least 1). Only
     /// fetches that need nothing but a copy ask for more than one.
     pub run: u32,
+    /// How many objects at the end of the run lie past the access window
+    /// (less than `run`): asked for ahead, as first touches only.
+    pub ahead: u32,
     /// Read or write intent.
     pub access: FetchKind,
     /// Node that took the fault and awaits the reply.
@@ -433,10 +437,11 @@ pub struct FetchRequest {
 
 impl FetchRequest {
     /// Object id, intent and requester; a run length only when there is a
-    /// run to speak of, the range to elide only when there is one, and 4
-    /// bytes for an adoption.
+    /// run to speak of, where its window ends only when it asks ahead, the
+    /// range to elide only when there is one, and 4 bytes for an adoption.
     fn model_bytes(&self) -> u64 {
         8 + if self.run > 1 { 4 } else { 0 }
+            + if self.ahead > 0 { 4 } else { 0 }
             + if self.elide.is_empty() { 0 } else { 8 }
             + if self.adopt { 4 } else { 0 }
     }
@@ -582,6 +587,7 @@ mod tests {
         DsmMsg::ObjectFetch(FetchRequest {
             object: ObjectId::new(0),
             run,
+            ahead: 0,
             access: FetchKind::Read,
             requester: NodeId::new(1),
             phase: 0,
@@ -671,6 +677,23 @@ mod tests {
         assert_eq!(
             one_by_one - as_a_run,
             2 * (2 * HEADER_BYTES + 8 + 16) - 4 - 2 * 8
+        );
+        // Asking ahead names where the window ends: 4 bytes more, however
+        // far ahead. A first touch and 127 ahead ones cost one round trip and
+        // a descriptor each instead of 128 round trips: `sor`'s worker block.
+        let DsmMsg::ObjectFetch(mut fetch) = fetch_of(128) else {
+            unreachable!()
+        };
+        fetch.ahead = 127;
+        let ahead = DsmMsg::ObjectFetch(fetch.clone()).model_bytes();
+        assert_eq!(ahead, HEADER_BYTES + 8 + 4 + 4);
+        fetch.ahead = 1;
+        assert_eq!(DsmMsg::ObjectFetch(fetch).model_bytes(), ahead);
+        let touches = ahead + data_of(&[0; 128]).model_bytes();
+        let one_by_one = 128 * (fetch_of(1).model_bytes() + data_of(&[0]).model_bytes());
+        assert_eq!(
+            one_by_one - touches,
+            127 * (2 * HEADER_BYTES + 8 + 16 - 8) - 8
         );
     }
 

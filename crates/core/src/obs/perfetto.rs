@@ -135,51 +135,24 @@ pub fn render_trace(nodes: &[ObsSnapshot]) -> String {
         ));
         for ev in &snap.events {
             lines.push(render_event(tid, ev));
-            match ev.kind {
-                EventKind::UpdateSend => {
-                    if let (Some(peer), Some(seq)) = (ev.peer, ev.seq) {
-                        let mut s = String::new();
-                        let _ = write!(s, "{{\"ph\":\"s\",\"pid\":1,\"tid\":{tid},\"ts\":",);
-                        write_us(&mut s, ev.t_virt_ns);
-                        let _ = write!(
-                            s,
-                            ",\"cat\":\"update\",\"name\":\"update\",\"id\":\"{}\"}}",
-                            flow_id(ev.origin, tid, peer.as_usize(), seq)
-                        );
-                        lines.push(s);
-                    }
-                }
-                EventKind::UpdateInstall => {
-                    if let (Some(peer), Some(seq)) = (ev.peer, ev.seq) {
-                        let mut s = String::new();
-                        let _ = write!(
-                            s,
-                            "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":{tid},\"ts\":",
-                        );
-                        write_us(&mut s, ev.t_virt_ns);
-                        let _ = write!(
-                            s,
-                            ",\"cat\":\"update\",\"name\":\"update\",\"id\":\"{}\"}}",
-                            flow_id(ev.origin, peer.as_usize(), tid, seq)
-                        );
-                        lines.push(s);
-                    }
-                }
-                _ => {}
+            // An update's flow arrow: out of the sender's track, into the
+            // applier's.
+            if let (Some(peer), Some(seq)) = (ev.peer, ev.seq) {
+                let (ph, src, dst) = match ev.kind {
+                    EventKind::UpdateSend => ("\"ph\":\"s\"", tid, peer.as_usize()),
+                    EventKind::UpdateInstall => ("\"ph\":\"f\",\"bp\":\"e\"", peer.as_usize(), tid),
+                    _ => continue,
+                };
+                let (mut ts, id) = (String::new(), flow_id(ev.origin, src, dst, seq));
+                write_us(&mut ts, ev.t_virt_ns);
+                lines.push(format!(
+                    "{{{ph},\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"cat\":\"update\",\
+                     \"name\":\"update\",\"id\":\"{id}\"}}"
+                ));
             }
         }
     }
-    let mut out = String::with_capacity(lines.iter().map(|l| l.len() + 2).sum::<usize>() + 4);
-    out.push_str("[\n");
-    for (i, line) in lines.iter().enumerate() {
-        out.push_str(line);
-        if i + 1 < lines.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
+    format!("[\n{}\n]\n", lines.join(",\n"))
 }
 
 /// Renders one flight-recorder event as a trace-event JSON object.

@@ -22,6 +22,8 @@
 //! prefix of the run, so the objects installed along never fault; what the
 //! owner could not hand out as a plain copy faults in turn, and starts a run
 //! of its own.
+//! A delayed write into the node's own block also asks for the block's
+//! untouched objects *ahead* of its window, as first touches.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -324,7 +326,7 @@ impl NodeRuntime {
             };
             (owner_hint, run)
         };
-        let result = self.fetch_object(object, run, FetchKind::Read, owner_hint, 0..0);
+        let result = self.fetch_object(object, (run, 0), FetchKind::Read, owner_hint, 0..0);
         self.clear_busy(object, run);
         result
     }
@@ -359,6 +361,15 @@ impl NodeRuntime {
         run
     }
 
+    /// The end of this node's block of `object`'s variable when `object`
+    /// lies in it: object `i` of `n` is node `⌊i·N/n⌋`'s.
+    fn own_block_end(&self, object: ObjectId) -> Option<u32> {
+        let objects = &self.table.var(self.table.object(object).var).objects;
+        let (first, n) = (objects[0].as_u32() as usize, objects.len());
+        let (i, me) = (object.as_u32() as usize - first, self.node.as_usize());
+        (i * self.nodes / n == me).then(|| (first + ((me + 1) * n).div_ceil(self.nodes)) as u32)
+    }
+
     /// Handles a write access fault, dispatching on the object's protocol
     /// parameters. Returns how many objects it enabled for writing.
     fn write_fault(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<u32> {
@@ -367,11 +378,11 @@ impl NodeRuntime {
         enum Plan {
             Done,
             Error(MuninError),
-            /// `copy_run` objects, from this one on, have no copy here and
-            /// are fetched first (0: the local copy is valid), those in
-            /// `elide` without their bytes.
+            /// `copy_run.0` objects, from this one on, have no copy here and
+            /// are fetched first (0: the local copy is valid), the last
+            /// `copy_run.1` past the window, those in `elide` without bytes.
             Delayed {
-                copy_run: u32,
+                copy_run: (u32, u32),
                 owner_hint: NodeId,
                 elide: Range<u32>,
             },
@@ -406,12 +417,18 @@ impl NodeRuntime {
                 // The copy a delayed write needs is a plain read copy, so
                 // the window's can come with it; the objects behind this one
                 // still take their own write fault (twin, DUQ), but find
-                // their copy in place.
+                // their copy in place. In this node's own block, the rest of
+                // the block is asked for ahead — but its last object, which
+                // the next node's first write may share: no race for it.
+                let fixed = entry.params.has_fixed_owner();
+                let block = self.own_block_end(object).filter(|_| !fixed);
+                let end = block.map_or(window_end, |end| window_end.max(end - 1));
                 let copy_run = if entry.state.rights.allows_read() {
                     0
                 } else {
-                    Self::claim_run(&mut dir, object, window_end)
+                    Self::claim_run(&mut dir, object, end)
                 };
+                let window = window_end.saturating_sub(object.as_u32()).max(1);
                 // Write-validate: a `result` object this fault fetches and
                 // the access overwrites whole is asked for without its
                 // bytes, which its writer never reads ("Fl"). One with a copy
@@ -420,7 +437,7 @@ impl NodeRuntime {
                 let (lo, hi) = (covered.start.max(id), covered.end.min(id + copy_run));
                 let elide = if to_owner && lo < hi { lo..hi } else { 0..0 };
                 Plan::Delayed {
-                    copy_run,
+                    copy_run: (copy_run, copy_run.saturating_sub(window)),
                     owner_hint,
                     elide,
                 }
@@ -440,7 +457,7 @@ impl NodeRuntime {
         };
         // How many entries, from `object` on, the plan marked busy.
         let busy_run = match plan {
-            Plan::Delayed { copy_run, .. } => copy_run.max(1),
+            Plan::Delayed { copy_run, .. } => copy_run.0.max(1),
             _ => 1,
         };
         let result = match plan {
@@ -463,7 +480,7 @@ impl NodeRuntime {
                 r.map(|()| 1)
             }
             Plan::AcquireOwnership { owner_hint } => self
-                .fetch_object(object, 1, FetchKind::Write, owner_hint, 0..0)
+                .fetch_object(object, (1, 0), FetchKind::Write, owner_hint, 0..0)
                 .map(|()| 1),
         };
         // Every plan that set busy bits clears them here; clearing an entry
@@ -483,11 +500,11 @@ impl NodeRuntime {
     fn delayed_write_fault(
         self: &Arc<Self>,
         object: ObjectId,
-        copy_run: u32,
+        copy_run: (u32, u32),
         owner_hint: NodeId,
         elide: Range<u32>,
     ) -> Result<u32> {
-        if copy_run > 0 {
+        if copy_run.0 > 0 {
             self.fetch_object(object, copy_run, FetchKind::Read, owner_hint, elide)?;
         }
         let mut dir = self.dir.lock();
@@ -534,18 +551,19 @@ impl NodeRuntime {
         Ok(enable.len() as u32)
     }
 
-    /// Sends a fetch for the `run` objects starting at `object` to
-    /// `owner_hint` (the request is forwarded along the probable-owner
-    /// chain) and installs the prefix of the run the reply carries. The
-    /// caller holds every object of the run busy and clears them all
-    /// afterwards, served or not. The objects in `elide` are asked for
-    /// without their bytes, for the access overwrites them whole: each is
-    /// installed writable and queued on the DUQ with no twin, so it is
-    /// flushed whole — whatever image the reply has for it.
+    /// Sends a fetch for the `run` objects starting at `object`, the last
+    /// `ahead` of them past the access window, to `owner_hint` (forwarded
+    /// along the probable-owner chain) and installs the prefix of the run the
+    /// reply carries. The caller holds every object of the run busy and
+    /// clears them all afterwards, served or not. The objects in `elide` are
+    /// asked for without their bytes, for the access overwrites them whole:
+    /// each is installed writable and queued on the DUQ with no twin, so it
+    /// is flushed whole — whatever image the reply has for it. Each ahead one
+    /// served is a first touch, installed owned with no rights.
     pub(crate) fn fetch_object(
         self: &Arc<Self>,
         object: ObjectId,
-        run: u32,
+        (run, ahead): (u32, u32),
         access: FetchKind,
         owner_hint: NodeId,
         elide: Range<u32>,
@@ -562,6 +580,7 @@ impl NodeRuntime {
         let fetch = FetchRequest {
             object,
             run,
+            ahead,
             access,
             requester: self.node,
             phase: self.dir.lock().phase,
@@ -604,7 +623,15 @@ impl NodeRuntime {
         if got != object {
             return Err(MuninError::ProtocolViolation("ObjectData for wrong object"));
         }
-        if data.is_empty() || data.len() > run as usize || (ownership && data.len() > 1) {
+        // A plain reply stays inside the window; an ownership one goes past
+        // its first object only with first touches, all of them ahead.
+        let (window, further) = ((run - ahead) as usize, data.get(1..).unwrap_or_default());
+        let fits = if ownership {
+            further.iter().all(Vec::is_empty) && (further.is_empty() || (!writable && window == 1))
+        } else {
+            data.len() <= window
+        };
+        if data.is_empty() || data.len() > run as usize || !fits {
             return Err(MuninError::ProtocolViolation(
                 "ObjectData is not a prefix of the requested run",
             ));
@@ -635,7 +662,9 @@ impl NodeRuntime {
                 self.duq.lock().enqueue(served, None);
                 self.overwrite.lock().1.push(served);
             }
-            let rights = if writable || elided {
+            let rights = if served != object && ownership {
+                AccessRights::Invalid // ahead: owned, never materialised
+            } else if writable || elided {
                 AccessRights::ReadWrite
             } else {
                 AccessRights::Read
@@ -851,28 +880,77 @@ mod tests {
         table.declare("ws", SharingAnnotation::WriteShared, 4, 8);
         table.declare("conv", SharingAnnotation::Conventional, 4, 8);
         table.declare("red", SharingAnnotation::Reduction, 8, 1);
-        let table = Arc::new(table);
-        let cfg = Arc::new(MuninConfig::fast_test(1));
-        let clock = NodeClock::new();
-        let mut net: Network<DsmMsg> = Network::new(1, CostModel::fast_test());
-        let (sender, _rx) = net.endpoint(0, clock.clone()).unwrap();
-        let rt = NodeRuntime::new(
-            NodeId::new(0),
-            1,
-            cfg,
-            table,
-            vec![],
-            vec![],
-            clock,
-            Arc::new(CostModel::fast_test()),
-            sender,
-        );
+        let rt = node_of(table, 0, 1);
         let mut touched = HashSet::new();
         for obj in rt.table().objects() {
             touched.insert(obj.id);
         }
         rt.finish_root_init(&touched);
         rt
+    }
+
+    /// Node `node` of `nodes`, on `table`, before any initialisation.
+    fn node_of(table: SharedDataTable, node: usize, nodes: usize) -> Arc<NodeRuntime> {
+        let cfg = Arc::new(MuninConfig::fast_test(nodes));
+        let clock = NodeClock::new();
+        let mut net: Network<DsmMsg> = Network::new(nodes, CostModel::fast_test());
+        let (sender, _rx) = net.endpoint(node, clock.clone()).unwrap();
+        NodeRuntime::new(
+            NodeId::new(node),
+            nodes,
+            cfg,
+            Arc::new(table),
+            vec![],
+            vec![],
+            clock,
+            Arc::new(CostModel::fast_test()),
+            sender,
+        )
+    }
+
+    /// A node's block of a variable is a function of the table alone:
+    /// object `i` of `n` is node `⌊i·N/n⌋`'s, whatever ids the variable
+    /// starts at, however unevenly `n` divides.
+    #[test]
+    fn a_block_is_a_pure_function_of_the_table() {
+        let blocks = |n: usize, nodes: usize| {
+            let mut table = SharedDataTable::new(64);
+            table.declare("before", SharingAnnotation::WriteShared, 4, 16 * 3);
+            table.declare("v", SharingAnnotation::ProducerConsumer, 4, 16 * n);
+            (0..nodes)
+                .map(|node| {
+                    let rt = node_of(table.clone(), node, nodes);
+                    let v = &rt.table().var_by_name("v").unwrap().objects;
+                    let first = v[0].as_u32();
+                    v.iter()
+                        .map(|o| rt.own_block_end(*o).map(|end| end - first))
+                        .collect::<Vec<_>>()
+                })
+                .collect::<Vec<_>>()
+        };
+        // `sor`'s matrix at 4 nodes: 128 pages each.
+        let sor = blocks(512, 4);
+        for (node, ends) in sor.iter().enumerate() {
+            for (i, end) in ends.iter().enumerate() {
+                let own = i / 128 == node;
+                assert_eq!(*end, own.then_some(128 * (node as u32 + 1)), "{node} {i}");
+            }
+        }
+        let mine =
+            |ends: &Vec<Option<u32>>| ends.iter().map(|e| e.unwrap_or(0)).collect::<Vec<_>>();
+        let uneven: Vec<_> = blocks(10, 4).iter().map(mine).collect();
+        assert_eq!(
+            uneven,
+            [
+                [3, 3, 3, 0, 0, 0, 0, 0, 0, 0],
+                [0, 0, 0, 5, 5, 0, 0, 0, 0, 0],
+                [0, 0, 0, 0, 0, 8, 8, 8, 0, 0],
+                [0, 0, 0, 0, 0, 0, 0, 0, 10, 10],
+            ]
+        );
+        // More nodes than objects: some nodes have an empty block.
+        let sparse: Vec<_> = blocks(2, 4).iter().map(mine).collect();
+        assert_eq!(sparse, [[1, 0], [0, 0], [0, 2], [0, 0]]);
     }
 
     fn obj(rt: &NodeRuntime, name: &str) -> ObjectId {

@@ -480,10 +480,7 @@ impl NodeRuntime {
             };
             let object = item.object;
             self.charge_sys(self.cost.copy(data.len() as u64));
-            {
-                let mut dir = self.dir.lock();
-                dir.entry_mut(object).state.busy = true;
-            }
+            self.dir.lock().entry_mut(object).state.busy = true;
             self.install_object_bytes(object, &data);
             {
                 let mut dir = self.dir.lock();
@@ -558,8 +555,9 @@ impl NodeRuntime {
     /// The first object decides what happens to the request: deferred while
     /// its entry is busy or pinned, forwarded whole along its owner hint when
     /// this node does not own it, answered alone when serving it moves
-    /// ownership. When it can be handed out as a plain non-owning copy, so
-    /// is every object behind it for which the same holds, and the reply
+    /// ownership. So is every object behind it in the access window that is a
+    /// plain non-owning copy too, when it is one — or past the window
+    /// (`ahead`) that is a first touch too, when it is one — and the reply
     /// carries that prefix of the run; the requester faults again on what is
     /// left. All of it happens in one directory-lock scope.
     fn handle_object_fetch(self: &Arc<Self>, env: Envelope, mut fetch: FetchRequest) {
@@ -663,6 +661,7 @@ impl NodeRuntime {
         let var = self.table.var(self.table.object(object).var);
         let var_end = var.objects.last().map_or(0, |o| o.as_u32() + 1);
         let ids = object.as_u32()..object.as_u32().saturating_add(run.max(1)).min(var_end);
+        let window = run.saturating_sub(fetch.ahead).max(1);
         // The fields of the reply, should the request come to one, and what
         // serving costs. The images are taken inside this directory-lock
         // scope, so a served copy is never torn by the user thread's pinned
@@ -680,7 +679,10 @@ impl NodeRuntime {
         for id in ids.map(ObjectId::new) {
             let entry = dir.entry_mut(id);
             let serve = classify(entry);
-            if !data.is_empty() && !matches!(serve, Serve::Copy) {
+            let past = id.as_u32() - object.as_u32() >= window;
+            let copy = matches!(serve, Serve::Copy) && !ownership && !past;
+            let touch = matches!(serve, Serve::FirstTouch) && ownership && !writable && past;
+            if !(data.is_empty() || copy || touch) {
                 break;
             }
             if matches!(serve, Serve::Defer | Serve::Forward(_)) {
@@ -723,7 +725,6 @@ impl NodeRuntime {
             }
             entry.state.owned = false;
             entry.probable_owner = requester;
-            break;
         }
         drop(dir);
         match unserved {
@@ -791,11 +792,8 @@ impl NodeRuntime {
                 // No virtual-time charge on a deferred attempt: retry counts
                 // are host-timing dependent.
                 drop(dir);
-                self.defer(
-                    env,
-                    DsmMsg::Invalidate { object, requester },
-                    DeferredOn::Entry,
-                );
+                let invalidate = DsmMsg::Invalidate { object, requester };
+                self.defer(env, invalidate, DeferredOn::Entry);
                 return;
             }
             let flush_first = entry.state.dirty && entry.params.allows_multiple_writers();
@@ -1384,6 +1382,8 @@ mod tests {
         table.declare("pc", SharingAnnotation::ProducerConsumer, 4, 8);
         // Three page-sized objects, for fetches of a run.
         table.declare("rows", SharingAnnotation::ReadOnly, 4, 48);
+        // Eight, for blocks of four at two nodes.
+        table.declare("band", SharingAnnotation::ProducerConsumer, 4, 128);
         let table = Arc::new(table);
         let cfg = Arc::new(cfg);
         let clock0 = NodeClock::new();
@@ -1433,6 +1433,7 @@ mod tests {
         DsmMsg::ObjectFetch(FetchRequest {
             object,
             run,
+            ahead: 0,
             access,
             requester: NodeId::new(1),
             phase,
@@ -1658,6 +1659,7 @@ mod tests {
         let adoption = DsmMsg::ObjectFetch(FetchRequest {
             object: rows[0],
             run: 3,
+            ahead: 0,
             access: FetchKind::Read,
             requester: NodeId::new(1),
             phase: 0,
@@ -1882,6 +1884,7 @@ mod tests {
             DsmMsg::ObjectFetch(FetchRequest {
                 object,
                 run,
+                ahead: 0,
                 access: FetchKind::Read,
                 requester: NodeId::new(0),
                 phase: 0,
@@ -2106,6 +2109,7 @@ mod tests {
         let fetch = FetchRequest {
             object: rows[0],
             run: 3,
+            ahead: 0,
             access: FetchKind::Read,
             requester: NodeId::new(1),
             phase: 0,
@@ -2159,6 +2163,7 @@ mod tests {
         let fetch = FetchRequest {
             object: rows[0],
             run: 1,
+            ahead: 0,
             access: FetchKind::Write,
             requester: NodeId::new(1),
             phase: 0,
@@ -2357,6 +2362,262 @@ mod tests {
         assert_eq!(states[1], (AccessRights::Invalid, false, false));
         assert_eq!(states[2], (AccessRights::Invalid, false, false));
         assert!(h.rt.overwrite.lock().1.is_empty());
+    }
+
+    /// `rows` made producer-consumer (no fixed owner) and left as
+    /// `finish_root_init` leaves what `user_init` never wrote: zero, owned
+    /// here, never materialised.
+    fn untouched_rows(h: &Harness) -> [ObjectId; 3] {
+        let rows = rows_as(h, SharingAnnotation::ProducerConsumer);
+        for row in rows {
+            h.rt.install_object_bytes(row, &[]);
+        }
+        unmaterialise(h, &rows);
+        rows
+    }
+
+    /// Node 1's read fetch of `run` objects from `object` on, the last
+    /// `ahead` of them past its access window.
+    fn ahead_fetch(h: &Harness, object: ObjectId, run: u32, ahead: u32) {
+        let DsmMsg::ObjectFetch(fetch) = fetch_msg(object, run, FetchKind::Read, 0) else {
+            unreachable!()
+        };
+        let fetch = DsmMsg::ObjectFetch(FetchRequest { ahead, ..fetch });
+        h.peer_tx
+            .send(NodeId::new(0), "object_fetch", 48, fetch)
+            .unwrap();
+        h.pump();
+    }
+
+    /// Past the requester's window the owner hands out first touches, as
+    /// far as the request asks: each an empty image and a lookup, ownership
+    /// and hint moving to the requester, which joins no copyset.
+    #[test]
+    fn owner_serves_first_touches_past_the_window_up_to_the_requested_end() {
+        let h = harness();
+        let rows = untouched_rows(&h);
+        ahead_fetch(&h, rows[0], 2, 1);
+        assert_eq!(peer_reply(&h), (vec![vec![], vec![]], true, false));
+        let cost = &h.rt.cost;
+        let charged = 2 * cost.dir_op().as_nanos() + cost.msg_fixed().as_nanos();
+        assert_eq!(h.rt.clock().system_time().as_nanos(), charged);
+        {
+            let dir = h.rt.dir.lock();
+            for row in &rows[..2] {
+                let e = dir.entry(*row);
+                assert!(!e.state.owned && e.copyset.is_empty());
+                assert_eq!(e.probable_owner, NodeId::new(1));
+            }
+            assert!(dir.entry(rows[2]).state.owned, "not asked for");
+        }
+        let snapshot = h.rt.obs().snapshot();
+        let served = snapshot.events.last().unwrap();
+        assert_eq!((served.run, served.zero_filled), (Some(2), Some(2)));
+    }
+
+    /// Past the window only first touches go: the reply stops at an object
+    /// that is materialised, busy, owned elsewhere or fixed at its owner,
+    /// and leaves it where it was. A reply that begins with a plain copy
+    /// never reaches past the window, whatever lies behind it.
+    #[test]
+    fn ahead_serving_stops_at_anything_but_a_first_touch() {
+        #[derive(Clone, Copy, Debug)]
+        enum Second {
+            Materialised,
+            Busy,
+            OwnedElsewhere,
+            FixedOwner,
+        }
+        use Second::*;
+        for second in [Materialised, Busy, OwnedElsewhere, FixedOwner] {
+            let h = harness();
+            let rows = untouched_rows(&h);
+            {
+                let mut dir = h.rt.dir.lock();
+                let e = dir.entry_mut(rows[1]);
+                match second {
+                    Materialised => e.state.rights = AccessRights::Read,
+                    Busy => e.state.busy = true,
+                    OwnedElsewhere => {
+                        e.state.owned = false;
+                        e.probable_owner = NodeId::new(1);
+                    }
+                    FixedOwner => e.set_annotation(SharingAnnotation::Result),
+                }
+            }
+            ahead_fetch(&h, rows[0], 3, 2);
+            assert_eq!(peer_reply(&h), (vec![vec![]], true, false), "{second:?}");
+            let dir = h.rt.dir.lock();
+            let owned = rows.map(|row| dir.entry(row).state.owned);
+            let second_stays = !matches!(second, OwnedElsewhere);
+            assert_eq!(owned, [false, second_stays, true], "{second:?}");
+            assert!(h.rt.deferred.lock().is_empty(), "{second:?}");
+        }
+        for first_untouched in [false, true] {
+            let h = harness();
+            let rows = if first_untouched {
+                untouched_rows(&h)
+            } else {
+                h.rows()
+            };
+            h.rt.install_object_bytes(rows[0], &[1; 64]);
+            h.rt.dir.lock().entry_mut(rows[0]).state.rights = AccessRights::Read;
+            ahead_fetch(&h, rows[0], 3, 2);
+            assert_eq!(peer_reply(&h), (vec![vec![1; 64]], false, false));
+            assert!(h.holds_copy(rows[0]) && !h.holds_copy(rows[1]));
+            assert!(h.rt.dir.lock().entry(rows[1]).state.owned);
+        }
+    }
+
+    /// Node 0 as a worker of `band`: homed and owned at node 1, no copy
+    /// here, its memory holding a dropped copy's 5s. Node 0's block is
+    /// `band[0..4]` (8 objects at 2 nodes).
+    fn worker_of_band() -> (Harness, [ObjectId; 8]) {
+        let cfg = MuninConfig::fast_test(2).with_access_mode(crate::AccessMode::Explicit);
+        let h = harness_with(cfg);
+        let band: [ObjectId; 8] = h.rt.table().var_by_name("band").unwrap().objects[..]
+            .try_into()
+            .unwrap();
+        let mut dir = h.rt.dir.lock();
+        for o in band {
+            h.rt.install_object_bytes(o, &[5; 64]);
+            let e = dir.entry_mut(o);
+            e.state.rights = AccessRights::Invalid;
+            e.state.owned = false;
+            e.probable_owner = NodeId::new(1);
+            e.home = NodeId::new(1);
+        }
+        drop(dir);
+        (h, band)
+    }
+
+    /// Node 0 writes 8 bytes into `band[0]`, and node 1 answers the fetch
+    /// with `data`, `ownership` and `writable`. Returns the request and what
+    /// the write returned.
+    fn first_write_in_block(
+        h: &Harness,
+        (data, ownership, writable): (Vec<Vec<u8>>, bool, bool),
+    ) -> (FetchRequest, crate::error::Result<()>) {
+        let var = h.rt.table().var_by_name("band").unwrap().id;
+        let write = {
+            let rt = Arc::clone(&h.rt);
+            std::thread::spawn(move || rt.write_var_bytes(var, 0, &[9; 8]))
+        };
+        let DsmMsg::ObjectFetch(fetch) = h.peer_recv() else {
+            panic!("expected a fetch");
+        };
+        let reply = DsmMsg::ObjectData {
+            object: fetch.object,
+            data,
+            ownership,
+            copyset: CopySet::EMPTY,
+            writable,
+        };
+        let at = munin_sim::VirtTime::from_micros(50);
+        h.rt.handle_incoming(env_at(1, "object_data", at), reply);
+        (fetch, write.join().unwrap())
+    }
+
+    /// The requester's side: a node's first write into its own block asks
+    /// for the rest of the block ahead but its last object, and installs
+    /// each ahead object owned, with no rights, no copyset and zeroed
+    /// memory, out of the DUQ. Its later write zero-fills one here: a fault
+    /// and a twin, no message.
+    #[test]
+    fn requester_installs_ahead_objects_owned_with_no_rights_and_zero_memory() {
+        let (h, band) = worker_of_band();
+        let (fetch, result) = first_write_in_block(&h, (vec![vec![]; 3], true, false));
+        result.unwrap();
+        assert_eq!((fetch.object, fetch.run, fetch.ahead), (band[0], 3, 2));
+        let state = |h: &Harness, o| {
+            let dir = h.rt.dir.lock();
+            let e = dir.entry(o);
+            (
+                e.state.owned,
+                e.state.rights,
+                e.copyset.is_empty(),
+                e.state.busy,
+            )
+        };
+        let (invalid, rw) = (AccessRights::Invalid, AccessRights::ReadWrite);
+        assert_eq!(state(&h, band[0]), (true, rw, true, false));
+        for ahead in &band[1..3] {
+            assert_eq!(state(&h, *ahead), (true, invalid, true, false));
+            assert_eq!(h.rt.dir.lock().entry(*ahead).probable_owner, NodeId::new(0));
+            assert_eq!(h.rt.object_bytes(*ahead), vec![0; 64]);
+            assert!(!h.rt.duq.lock().contains(*ahead));
+        }
+        assert_eq!(state(&h, band[3]), (false, invalid, true, false));
+        assert_eq!(h.rt.object_bytes(band[3]), vec![5; 64], "not asked for");
+
+        let var = h.rt.table().var_by_name("band").unwrap().id;
+        h.rt.write_var_bytes(var, 64, &[9; 8]).unwrap();
+        assert!(matches!(h.peer_rx.try_recv(), Ok(None)), "no message");
+        assert_eq!(state(&h, band[1]), (true, rw, true, false));
+        assert_eq!(
+            h.rt.duq.lock().twin_of(band[1]).unwrap(),
+            [0; 64].as_slice()
+        );
+        let stats = h.rt.stats().snapshot();
+        assert_eq!((stats.write_faults, stats.objects_fetched), (2, 3));
+    }
+
+    /// A wrong guess costs ownership only: a peer that fetches an ahead
+    /// object the node never wrote gets it back as a first touch, an empty
+    /// image with ownership and an empty copyset, and the node keeps no
+    /// copy and joins no copyset.
+    #[test]
+    fn a_peers_fetch_of_an_untouched_ahead_object_is_a_first_touch() {
+        let (h, band) = worker_of_band();
+        first_write_in_block(&h, (vec![vec![]; 3], true, false))
+            .1
+            .unwrap();
+        h.fetch(band[2], 1, FetchKind::Read);
+        match h.peer_recv() {
+            DsmMsg::ObjectData {
+                data,
+                ownership,
+                copyset,
+                writable,
+                ..
+            } => assert_eq!(
+                (data, ownership, copyset, writable),
+                (vec![vec![]], true, CopySet::EMPTY, false)
+            ),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+        let dir = h.rt.dir.lock();
+        let e = dir.entry(band[2]);
+        assert!(!e.state.owned && !e.state.rights.allows_read());
+        assert_eq!(e.probable_owner, NodeId::new(1));
+    }
+
+    /// A transfer reply of more than one object, an ahead image that carries
+    /// bytes and a plain copy past the window are protocol violations,
+    /// raised before anything of the reply is installed.
+    #[test]
+    fn a_malformed_ahead_reply_installs_nothing() {
+        for reply in [
+            (vec![vec![7; 64], vec![7; 64]], true, true),
+            (vec![vec![], vec![], vec![7; 64]], true, false),
+            (vec![vec![7; 64], vec![7; 64]], false, false),
+        ] {
+            let (h, band) = worker_of_band();
+            let (_, result) = first_write_in_block(&h, reply.clone());
+            assert!(
+                matches!(result, Err(crate::error::MuninError::ProtocolViolation(_))),
+                "{reply:?}"
+            );
+            let dir = h.rt.dir.lock();
+            for o in &band[..3] {
+                let e = dir.entry(*o);
+                assert!(!e.state.owned && e.state.rights == AccessRights::Invalid);
+            }
+            drop(dir);
+            for o in &band[..3] {
+                assert_eq!(h.rt.object_bytes(*o), vec![5; 64], "{reply:?}");
+            }
+        }
     }
 
     /// An update hitting an object whose fetch is in flight is deferred, not

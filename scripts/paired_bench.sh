@@ -13,11 +13,19 @@
 # runs first alternates from pair to pair, so host drift falls on both sides
 # alike; one pair of builds serves the claim and the rows that must not move.
 #
-# Prints the four end-to-end metrics of each side and pair and, per workload
-# and metric, how many pairs the change won (all four are lower-is-better; a
-# tie counts for neither side). The temporary directory, with both target
-# directories, is removed on exit; PAIRED_BENCH_DIR=<dir> uses <dir> instead
-# and keeps it, so a second invocation reuses both builds.
+# Prints the four end-to-end metrics of each side and pair and then, per
+# workload and metric, each side's median and quartiles, how many pairs the
+# change won (all four are lower-is-better; a tie counts for neither side)
+# and a verdict:
+#   gain      the change won at least nine tenths of the pairs and its median
+#             is better than the parent's by more than the parent's
+#             interquartile range (the rule for claiming a gain);
+#   WORSE     the change's median is worse than the parent's by more than the
+#             metric's bound in BENCHMARK.json;
+#   -         neither.
+# The temporary directory, with both target directories, is removed on exit;
+# PAIRED_BENCH_DIR=<dir> uses <dir> instead and keeps it, so a second
+# invocation reuses both builds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,7 +37,7 @@ parent_rev=$1
 IFS=, read -ra workloads <<<"$2"
 shift 2
 metrics=(virt_elapsed_s wire_msgs wire_bytes setup_s)
-declare -A won
+declare -A won values
 
 change_src=$(pwd)
 if [[ -n ${PAIRED_BENCH_DIR:-} ]]; then
@@ -81,7 +89,10 @@ for workload in "${workloads[@]}"; do
         for side in parent change; do
             line=${!side}
             printf '%-8s %-5s %-6s %-6s' "$workload" "$pair" "$seed" "$side"
-            for m in "${metrics[@]}"; do printf ' %16s' "$(value "$line" "$m")"; done
+            for m in "${metrics[@]}"; do
+                printf ' %16s' "$(value "$line" "$m")"
+                values[$side.$workload.$m]+=" $(value "$line" "$m")"
+            done
             printf ' %7s\n' "$(jq -r '.failed' <<<"$line")"
         done
         for m in "${metrics[@]}"; do
@@ -92,8 +103,29 @@ for workload in "${workloads[@]}"; do
         done
     done
 done
+# The median, first and third quartile of the numbers in $1 (linear
+# interpolation between the sorted values).
+quartiles() {
+    tr ' ' '\n' <<<"$1" | grep . | sort -g | awk '{ v[NR - 1] = $1 }
+        function q(p,  i, f) { i = int(p * (NR - 1)); f = p * (NR - 1) - i
+            return v[i] + f * (v[i + 1] - v[i]) }
+        END { printf "%.7g %.7g %.7g\n", q(0.5), q(0.25), q(0.75) }'
+}
+echo
+printf '%-8s %-15s %32s %32s %6s  %s\n' workload metric 'parent median [q1, q3]' \
+    'change median [q1, q3]' won verdict
 for workload in "${workloads[@]}"; do
     for m in "${metrics[@]}"; do
-        echo "$workload: change won ${won[$workload.$m]:-0} of $# pairs on $m"
+        read -r pm p1 p3 <<<"$(quartiles "${values[parent.$workload.$m]}")"
+        read -r cm c1 c3 <<<"$(quartiles "${values[change.$workload.$m]}")"
+        bound=$(jq -r --arg m "$m" '.end_to_end[] | select(.name == $m) | .bound' BENCHMARK.json)
+        w=${won[$workload.$m]:-0}
+        verdict=$(awk -v w="$w" -v n="$#" -v pm="$pm" -v p1="$p1" -v p3="$p3" -v cm="$cm" \
+            -v b="$bound" 'BEGIN {
+                if (10 * w >= 9 * n && pm - cm > p3 - p1) print "gain"
+                else if (cm > pm * (1 + b)) print "WORSE (bound " b ")"
+                else print "-" }')
+        printf '%-8s %-15s %32s %32s %6s  %s\n' "$workload" "$m" "$pm [$p1, $p3]" \
+            "$cm [$c1, $c3]" "$w/$#" "$verdict"
     done
 done

@@ -165,9 +165,8 @@ fn sor_bit_identical_with_stable_stats_equal_across_modes() {
             "SOR protocol stats diverged under seed {seed}"
         );
         assert_traps_account_for_faults("sor", &mv.stats);
-        // SOR's workers first-touch pages nobody has written (at paper
-        // size, 383 of its 390 fetches); those travel zero-filled:
-        // described, not carried. The trap path fills them through a
+        // SOR's workers first-touch pages nobody has written; those travel
+        // zero-filled: described, not carried. The trap path fills them through a
         // privileged access; both modes must elide exactly the same pages.
         let data_bytes = |m: &munin::apps::RunMeasurement| m.net.class("object_data").bytes;
         assert_eq!(data_bytes(&me), data_bytes(&mv), "seed {seed}");
@@ -181,6 +180,51 @@ fn sor_bit_identical_with_stable_stats_equal_across_modes() {
             mv.stats.objects_fetched
         );
     }
+}
+
+/// A node's first write into its own block takes the block's untouched
+/// pages along (DESIGN.md, "Block first touch"). Here the bands straddle
+/// pages (a 256-byte row on 512-byte pages, 14/14/13/13 rows) and each
+/// node's block is 6 or 7 pages. The third band's last page is the fourth
+/// band's first: the two nodes' first writes would race for it at the root
+/// if the third node's ahead claim reached it (84 or 86 messages from run to
+/// run), so an ahead claim stops one page short of its block's end. Over 20
+/// repeats in each access mode the message count, and the fetch and reply
+/// bytes, stay put, and the grid is the serial one. (The other bytes are
+/// diffs riding barrier messages; which words they carry is
+/// schedule-dependent here at the parent commit too.)
+#[test]
+fn sor_first_touch_blocks_are_deterministic_across_repeats_and_modes() {
+    let (rows, cols, iters, procs) = (54, 32, 3, 4);
+    let reference = sor::serial(rows, cols, iters);
+    let modes: &[AccessMode] = if vm_available() {
+        &[AccessMode::Explicit, AccessMode::VmTraps]
+    } else {
+        &[AccessMode::Explicit]
+    };
+    let mut counts = Vec::new();
+    for &mode in modes {
+        for repeat in 0..20 {
+            let mut p = sor::SorParams::small(rows, cols, iters, procs);
+            p.engine = EngineConfig::seeded(1);
+            p.access_mode = mode;
+            let (m, grid) = sor::run_munin(p, CostModel::fast_test()).unwrap();
+            let bits = |g: &[f64]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&grid), bits(&reference), "{mode:?} repeat {repeat}");
+            let class = |c| (m.net.class(c).msgs, m.net.class(c).bytes);
+            counts.push((
+                m.net.total.msgs,
+                class("object_fetch"),
+                class("object_data"),
+            ));
+        }
+    }
+    counts.dedup();
+    assert_eq!(counts.len(), 1, "counts moved: {counts:?}");
+    // Far fewer requests than pages: 14 fetch messages, forwards
+    // included, for 27 pages.
+    let (_, (fetches, _), _) = counts[0];
+    assert_eq!(fetches, 14);
 }
 
 #[test]

@@ -439,6 +439,83 @@ fn first_touch_from_a_dying_home_is_right_or_fails_fast() {
     }
 }
 
+/// A block home dies holding pages it took ahead and never touched. Node 2's
+/// first write into its block of `table` (pages 8–11 of 16 at 4 nodes) takes
+/// pages 9 and 10 along as first touches: owned, never materialised. Node 1
+/// then writes page 9, which comes back to it from node 2 as a first touch.
+/// Node 2 is killed at a time swept across the reader's compute stretch and
+/// its reads. Node 3 must read node 1's value on page 9 — a survivor holds
+/// it — and on page 10 the zeros nobody overwrote or a `NodeDown` naming
+/// node 2: never zeros where a value was written, never a stall.
+#[test]
+fn a_block_home_dying_with_untouched_ahead_pages_is_right_or_fails_fast() {
+    let (toucher, victim, reader) = (1usize, 2usize, 3usize);
+    let case = |crash_at_ns: u64| {
+        let faults = crash(victim, CrashTrigger::VirtTime(crash_at_ns));
+        let cfg = MuninConfig::fast_test(4)
+            .with_engine(EngineConfig::seeded(7).with_faults(faults))
+            .with_detect(DETECT)
+            .with_retransmit_pacing(PACING)
+            .with_watchdog(WATCHDOG);
+        let per_page = cfg.page_size / 8;
+        let mut prog = MuninProgram::new(cfg);
+        let table = prog.declare::<i64>("table", 16 * per_page, SharingAnnotation::WriteShared);
+        let (claimed, touched) = (
+            prog.create_barrier("claimed"),
+            prog.create_barrier("touched"),
+        );
+        let start = Instant::now();
+        let report = prog
+            .run(move |ctx| {
+                let me = ctx.node_id();
+                if me == victim {
+                    ctx.write(&table, 8 * per_page, 1)?;
+                }
+                ctx.wait_at_barrier(claimed)?;
+                if me == toucher {
+                    ctx.write(&table, 9 * per_page, 99)?;
+                }
+                ctx.wait_at_barrier(touched)?;
+                // Everyone carries virtual time across the crash point.
+                ctx.compute(1_000_000); // 10 ms at 10 ns/op
+                if me != reader {
+                    return Ok((Ok(0), Ok(0)));
+                }
+                let written = ctx.read(&table, 9 * per_page);
+                let untouched = ctx.read(&table, 10 * per_page);
+                Ok((written, untouched))
+            })
+            .unwrap();
+        let wall = start.elapsed();
+        let what = format!("block home crash at {crash_at_ns} ns");
+        assert!(wall < RUN_WALL_CEILING, "{what}: took {wall:?}");
+        assert_eq!(report.stats_total().watchdog_stalls, 0, "{what}");
+        let Ok((written, untouched)) = &report.results[reader] else {
+            panic!("{what}: reader got {:?}", report.results[reader]);
+        };
+        assert_eq!(*written, Ok(99), "{what}: page 9");
+        match untouched {
+            Ok(value) => assert_eq!(*value, 0, "{what}: page 10"),
+            Err(MuninError::NodeDown { node, .. }) => {
+                assert_eq!(
+                    node.as_usize(),
+                    victim,
+                    "{what}: NodeDown blames wrong node"
+                )
+            }
+            other => panic!("{what}: page 10 read {other:?}"),
+        }
+        // The block really was taken ahead: one fetch for node 2's pages,
+        // and node 1's first touch of page 9 forwarded to it.
+        assert_eq!(report.stats[victim].objects_fetched, 3, "{what}");
+    };
+    // The reader's compute ends ≈ 10.0 ms in; a request takes ≈ 1.2 µs to
+    // reach a peer.
+    for crash_at_ns in [5_000_000, 10_001_500, 10_004_000, 10_030_000] {
+        case(crash_at_ns);
+    }
+}
+
 /// Freeze-thaw: a node that drops off the network for a 250 µs virtual
 /// window (a GC pause, in paper terms) is covered by the reliability layer —
 /// the forwarded fetch that died in the window is retransmitted once a

@@ -1151,7 +1151,10 @@ fn every_annotation_has_consistent_parameters() {
         }
         // Multiple writers require updates to be mergeable, i.e. twins.
         if p.allows_multiple_writers() {
-            assert!(p.allows_replicas(), "{ann}: multiple writers need replicas");
+            assert!(
+                p.replicas.as_bool(true),
+                "{ann}: multiple writers need replicas"
+            );
         }
         // Flush-to-owner only makes sense with a fixed owner.
         if p.flushes_to_owner() {
