@@ -120,8 +120,8 @@ pub struct MuninConfig {
     /// Whether the reliability layer (per-link message ids, cumulative acks,
     /// retransmission, duplicate suppression) wraps protocol traffic. `None`
     /// (the default) auto-enables it exactly when the engine injects message
-    /// loss or crashes; `Some(_)` forces it either way. Defaults to
-    /// `MUNIN_RELIABILITY` from the environment (`on`/`off`; unset = auto).
+    /// loss or crashes; `Some(_)` forces it either way (see
+    /// [`Self::with_reliability`]).
     pub reliability: Option<bool>,
     /// Stall-watchdog window: when a blocked protocol operation (fetch, lock
     /// acquire, barrier, shutdown wait) sees no reply for this long, the
@@ -167,30 +167,6 @@ pub struct MuninConfig {
     /// resolves automatically: the star below [`TREE_BARRIER_AUTO_NODES`]
     /// nodes, [`DEFAULT_BARRIER_FANOUT`] at or above it.
     pub barrier_fanout: Option<usize>,
-}
-
-/// Reads `MUNIN_RELIABILITY` from the environment: `on`/`1` forces the
-/// reliability layer, `off`/`0` disables it, unset leaves the auto policy
-/// (enabled exactly when the engine injects loss).
-///
-/// # Panics
-///
-/// Panics on any other value — a misspelt `off` would silently re-enter the
-/// auto policy instead of disabling the transport.
-pub fn reliability_from_env() -> Option<bool> {
-    parse_reliability(std::env::var("MUNIN_RELIABILITY").ok().as_deref())
-}
-
-/// Pure parsing core of [`reliability_from_env`].
-fn parse_reliability(v: Option<&str>) -> Option<bool> {
-    match v {
-        Some("on") | Some("1") => Some(true),
-        Some("off") | Some("0") => Some(false),
-        None => None,
-        Some(v) => {
-            panic!("invalid MUNIN_RELIABILITY={v:?}: expected \"on\"/\"1\" or \"off\"/\"0\"")
-        }
-    }
 }
 
 /// Reads `MUNIN_FLIGHT_EVENTS` (per-node flight-recorder capacity) from the
@@ -271,7 +247,7 @@ impl MuninConfig {
             engine: EngineConfig::from_env(),
             access_mode: AccessMode::from_env(),
             piggyback: true,
-            reliability: reliability_from_env(),
+            reliability: None,
             watchdog: DEFAULT_WATCHDOG,
             retransmit_pacing: DEFAULT_RETRANSMIT_PACING,
             flight_events: flight_events_from_env(),
@@ -464,21 +440,6 @@ mod tests {
 
         let explicit = MuninConfig::fast_test(4).with_detect(Duration::from_millis(300));
         assert_eq!(explicit.detection(), Some(Duration::from_millis(300)));
-    }
-
-    #[test]
-    fn reliability_parses_strictly() {
-        assert_eq!(parse_reliability(None), None);
-        assert_eq!(parse_reliability(Some("on")), Some(true));
-        assert_eq!(parse_reliability(Some("1")), Some(true));
-        assert_eq!(parse_reliability(Some("off")), Some(false));
-        assert_eq!(parse_reliability(Some("0")), Some(false));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid MUNIN_RELIABILITY=\"auto\"")]
-    fn reliability_rejects_unknown_values() {
-        parse_reliability(Some("auto"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use munin_sim::NodeId;
 
 use crate::annotation::{ProtocolParams, SharingAnnotation};
-use crate::copyset::CopySet;
+use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
 use crate::segment::SharedDataTable;
 use crate::sync::LockId;
@@ -112,7 +112,7 @@ pub struct DirEntry {
     /// Dynamic state bits.
     pub state: ObjectState,
     /// Which remote processors have copies that must be updated/invalidated.
-    pub copyset: CopySet,
+    pub copyset: NodeSet,
     /// Best guess at the current owner, used by the ownership-based
     /// protocols to find the owner with a minimum of forwarding.
     pub probable_owner: NodeId,
@@ -172,7 +172,7 @@ impl Directory {
                 annotation,
                 params,
                 state: ObjectState::default(),
-                copyset: CopySet::EMPTY,
+                copyset: NodeSet::EMPTY,
                 probable_owner: home,
                 home,
                 synchq: None,

@@ -33,7 +33,6 @@
 pub mod annotation;
 pub mod api;
 pub mod config;
-pub mod copyset;
 pub mod diff;
 pub mod directory;
 pub mod duq;
@@ -50,8 +49,7 @@ pub mod sync;
 pub use annotation::{render_table1, Param, ProtocolParams, SharingAnnotation};
 pub use api::{InitCtx, MuninProgram, MuninReport, Shareable, SharedVar, WorkerCtx};
 pub use config::{
-    flight_events_from_env, reliability_from_env, trace_out_from_env, AccessMode, CopysetStrategy,
-    MuninConfig,
+    flight_events_from_env, trace_out_from_env, AccessMode, CopysetStrategy, MuninConfig,
 };
 pub use error::{MuninError, Result, StallReport};
 pub use nodeset::NodeSet;

@@ -10,7 +10,6 @@
 
 use munin_sim::NodeId;
 
-use crate::copyset::CopySet;
 use crate::diff::Diff;
 use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
@@ -197,7 +196,7 @@ pub enum DsmMsg {
         ownership: bool,
         /// Copyset handed over together with ownership (nodes the new owner
         /// must invalidate or update).
-        copyset: CopySet,
+        copyset: NodeSet,
         /// Whether the requester may map the copy writable immediately.
         writable: bool,
     },
@@ -602,7 +601,7 @@ mod tests {
             object: ObjectId::new(0),
             data: sizes.iter().map(|len| vec![0; *len]).collect(),
             ownership: false,
-            copyset: CopySet::EMPTY,
+            copyset: NodeSet::EMPTY,
             writable: false,
         }
     }

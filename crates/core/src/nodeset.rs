@@ -13,6 +13,11 @@
 //! and branch-light. Unlike the old `u64` it is not `Copy`; callers that
 //! previously copied bitmaps by value now `clone()` explicitly, which keeps
 //! accidental O(words) copies visible in the source.
+//!
+//! A directory entry's copyset — which remote processors hold a copy of an
+//! object — is a `NodeSet`. The paper keeps a bitmap per entry plus a
+//! special *All Nodes* value; here the bitmap has no 64-node ceiling and
+//! *All Nodes* is simply [`NodeSet::full`].
 
 use munin_sim::NodeId;
 

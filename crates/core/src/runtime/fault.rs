@@ -31,10 +31,10 @@ use std::sync::Arc;
 use munin_sim::NodeId;
 
 use crate::annotation::SharingAnnotation;
-use crate::copyset::CopySet;
 use crate::directory::AccessRights;
 use crate::error::{MuninError, Result};
 use crate::msg::{DsmMsg, FetchKind, FetchRequest};
+use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
 use crate::stats::{add, bump};
 
@@ -387,7 +387,7 @@ impl NodeRuntime {
                 elide: Range<u32>,
             },
             UpgradeInPlace {
-                copyset: CopySet,
+                copyset: NodeSet,
             },
             AcquireOwnership {
                 owner_hint: NodeId,
@@ -475,7 +475,7 @@ impl NodeRuntime {
                     let entry = dir.entry_mut(object);
                     self.set_entry_rights(entry, AccessRights::ReadWrite);
                     entry.state.dirty = true;
-                    entry.copyset = CopySet::EMPTY;
+                    entry.copyset = NodeSet::EMPTY;
                 }
                 r.map(|()| 1)
             }
@@ -596,7 +596,7 @@ impl NodeRuntime {
         // first wait, covering a fetch sent straight to a corpse. Recovery
         // re-homes the faulting object; the adopter then serves the run
         // like any owner, and what it does not own of it faults again.
-        let mut handled = crate::nodeset::NodeSet::EMPTY;
+        let mut handled = NodeSet::EMPTY;
         let (env, reply) = loop {
             match self.wait_reply_or_dead(crate::runtime::WaitOp::Fetch(object), &mut handled) {
                 Ok(reply) => break reply,
@@ -689,7 +689,7 @@ impl NodeRuntime {
             // generated the miss blocks until it has the only copy."
             self.invalidate_copies(object, copyset)?;
             let mut dir = self.dir.lock();
-            dir.entry_mut(object).copyset = CopySet::EMPTY;
+            dir.entry_mut(object).copyset = NodeSet::EMPTY;
         }
         Ok(())
     }
@@ -808,9 +808,9 @@ impl NodeRuntime {
     pub(crate) fn invalidate_copies(
         self: &Arc<Self>,
         object: ObjectId,
-        copyset: CopySet,
+        copyset: NodeSet,
     ) -> Result<()> {
-        let members = copyset.members(self.nodes, Some(self.node));
+        let members: Vec<NodeId> = copyset.iter().filter(|&n| n != self.node).collect();
         if members.is_empty() {
             return Ok(());
         }
@@ -825,7 +825,7 @@ impl NodeRuntime {
             )?;
         }
         let mut acked: Vec<NodeId> = Vec::new();
-        let mut handled = crate::nodeset::NodeSet::EMPTY;
+        let mut handled = NodeSet::EMPTY;
         while acked.len() < members.len() {
             match self
                 .wait_reply_or_dead(crate::runtime::WaitOp::InvalidateAcks(object), &mut handled)

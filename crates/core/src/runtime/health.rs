@@ -452,11 +452,8 @@ impl NodeRuntime {
             let mut dir = self.dir.lock();
             for idx in 0..dir.len() {
                 let e = dir.entry_mut(ObjectId::new(idx as u32));
-                let mat = e.copyset.materialize(self.nodes);
-                if mat.contains(dead) {
-                    let mut pruned = mat;
-                    pruned.remove(dead);
-                    e.copyset = pruned;
+                if e.copyset.contains(dead) {
+                    e.copyset.remove(dead);
                     bump(&self.stats.copysets_pruned);
                     self.obs
                         .record(t_virt, crate::obs::EventKind::CopysetPruned, |ev| {
@@ -465,7 +462,7 @@ impl NodeRuntime {
                         });
                 }
                 if !e.state.owned && e.probable_owner == dead {
-                    let first_survivor = e.copyset.iter(self.nodes, Some(dead)).next();
+                    let first_survivor = e.copyset.first();
                     let self_has_copy = e.state.rights.allows_read();
                     let heir = if self_has_copy {
                         // This node's own copy competes for the adoption by id.

@@ -16,8 +16,7 @@
 //! therefore stalls its link only until the next tick, not forever.
 //!
 //! The layer is off by default and auto-enables when the engine injects
-//! loss (`MuninConfig::reliability` / `MUNIN_RELIABILITY` override the auto
-//! policy). When off, `wrap_outgoing` is an `enabled` check and nothing else
+//! loss (`MuninConfig::with_reliability` overrides the auto policy). When off, `wrap_outgoing` is an `enabled` check and nothing else
 //! changes on the wire, so loss-free runs keep byte-identical schedules.
 //!
 //! Lock order: the reliable state is a leaf lock except that raw engine

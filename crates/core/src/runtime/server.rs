@@ -11,13 +11,13 @@ use std::sync::Arc;
 use munin_sim::{Envelope, NodeId, Receiver};
 
 use crate::annotation::SharingAnnotation;
-use crate::copyset::CopySet;
 use crate::diff;
 use crate::directory::AccessRights;
 use crate::msg::{
     DsmMsg, FetchKind, FetchRequest, ReduceOp, Route, TimerKind, UpdateBundle, UpdateItem,
     UpdatePayload,
 };
+use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
 use crate::stats::{add, bump};
 use crate::sync::{RemoteAcquireAction, TokenArrival};
@@ -673,7 +673,7 @@ impl NodeRuntime {
         // one the requester overwrites whole: it goes as the empty image.
         let mut data: Vec<Vec<u8>> = Vec::new();
         let mut service = munin_sim::VirtTime::ZERO;
-        let (mut ownership, mut copyset, mut writable) = (false, CopySet::EMPTY, false);
+        let (mut ownership, mut copyset, mut writable) = (false, NodeSet::EMPTY, false);
         // `Defer` or `Forward`, when that is what the first object came to.
         let mut unserved = None;
         for id in ids.map(ObjectId::new) {
@@ -930,15 +930,12 @@ impl NodeRuntime {
         let mut per_dest = super::flush::PerDest::new();
         {
             let dir = self.dir.lock();
+            let everyone = NodeSet::full(self.nodes);
             for item in &items {
                 let e = dir.entry(item.object);
-                let members = if e.state.owned {
-                    &e.copyset
-                } else {
-                    &CopySet::AllNodes
-                };
-                for dest in members.iter(self.nodes, Some(self.node)) {
-                    if dest != origin {
+                let members = if e.state.owned { &e.copyset } else { &everyone };
+                for dest in members {
+                    if dest != origin && dest != self.node {
                         per_dest.entry(dest).or_default().push(item.clone());
                     }
                 }
@@ -1452,7 +1449,7 @@ mod tests {
             barrier: OWNED_HERE,
             from: NodeId::new(1),
             gen: 1,
-            arrived: crate::nodeset::NodeSet::from_nodes([NodeId::new(1)]),
+            arrived: NodeSet::from_nodes([NodeId::new(1)]),
         }
     }
 
@@ -1596,7 +1593,7 @@ mod tests {
                 .unwrap();
             h.pump();
             assert!(matches!(h.peer_recv(), DsmMsg::ObjectData { .. }));
-            h.rt.dir.lock().entry_mut(pc).copyset = CopySet::EMPTY;
+            h.rt.dir.lock().entry_mut(pc).copyset = NodeSet::EMPTY;
         };
         let errors = || h.rt.stats().snapshot().runtime_errors;
         // Same phase, not a member: the genuine violation, still served.
@@ -1876,7 +1873,7 @@ mod tests {
             object,
             data,
             ownership: false,
-            copyset: CopySet::EMPTY,
+            copyset: NodeSet::EMPTY,
             writable: false,
         };
         let arrival = munin_sim::VirtTime::from_micros(50);
@@ -2066,7 +2063,7 @@ mod tests {
                     object: rows[0],
                     data,
                     ownership: false,
-                    copyset: CopySet::EMPTY,
+                    copyset: NodeSet::EMPTY,
                     writable: false,
                 },
             );
@@ -2226,7 +2223,7 @@ mod tests {
                 object: fetch.object,
                 data: images(&fetch),
                 ownership: false,
-                copyset: CopySet::EMPTY,
+                copyset: NodeSet::EMPTY,
                 writable: false,
             };
             let at = munin_sim::VirtTime::from_micros(50);
@@ -2290,7 +2287,7 @@ mod tests {
         assert_eq!(h.rt.object_bytes(rows[0]), boundary);
         let (payload, route) = h.rt.encode_entry(rows[1]).unwrap();
         assert_eq!(payload, Some(UpdatePayload::Full(vec![9; 64])));
-        let home = crate::nodeset::NodeSet::from_nodes([NodeId::new(1)]);
+        let home = NodeSet::from_nodes([NodeId::new(1)]);
         assert_eq!(route.destinations, home);
         let (payload, _) = h.rt.encode_entry(rows[0]).unwrap();
         assert!(matches!(payload, Some(UpdatePayload::Diff(_))));
@@ -2510,7 +2507,7 @@ mod tests {
             object: fetch.object,
             data,
             ownership,
-            copyset: CopySet::EMPTY,
+            copyset: NodeSet::EMPTY,
             writable,
         };
         let at = munin_sim::VirtTime::from_micros(50);
@@ -2582,7 +2579,7 @@ mod tests {
                 ..
             } => assert_eq!(
                 (data, ownership, copyset, writable),
-                (vec![vec![]], true, CopySet::EMPTY, false)
+                (vec![vec![]], true, NodeSet::EMPTY, false)
             ),
             other => panic!("unexpected reply: {other:?}"),
         }
@@ -3105,10 +3102,10 @@ mod tests {
             object: ws,
             data: vec![vec![1u8; 32]],
             ownership: false,
-            copyset: CopySet::EMPTY,
+            copyset: NodeSet::EMPTY,
             writable: false,
         };
-        let mut handled = crate::nodeset::NodeSet::EMPTY;
+        let mut handled = NodeSet::EMPTY;
         h.rt.handle_incoming(rel_env(), copy.clone());
         h.rt.handle_incoming(rel_env(), PEER_RELEASE);
         let (_env, reply) =
@@ -3571,7 +3568,7 @@ mod tests {
                 barrier: OWNED_HERE,
                 from: NodeId::new(from),
                 gen: 1,
-                arrived: crate::nodeset::NodeSet::from_nodes([NodeId::new(from)]),
+                arrived: NodeSet::from_nodes([NodeId::new(from)]),
             };
             let tx = if from == 1 { &self.tx1 } else { &self.tx2 };
             let msg = DsmMsg::framed(arrive, vec![], relay);

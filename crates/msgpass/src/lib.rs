@@ -24,9 +24,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
-use munin_sim::{
-    Cluster, ClusterReport, CostModel, EngineConfig, Envelope, NodeCtx, NodeId, SimError, TimeKind,
-};
+use munin_sim::{Cluster, ClusterReport, CostModel, Envelope, NodeCtx, NodeId, SimError, TimeKind};
 
 /// A message in the hand-coded message-passing programs.
 #[derive(Clone, Debug, PartialEq)]
@@ -195,14 +193,7 @@ where
     R: Send,
     F: Fn(&MpCtx) -> R + Sync,
 {
-    // The baseline models ideal hardware message passing and has no
-    // retransmission protocol, so env-injected loss (`MUNIN_LOSS`) is
-    // stripped here — it applies to the Munin runtime, which recovers
-    // through its reliability layer. Delay/reorder/duplicate injection and
-    // the seed still apply.
-    let mut engine = EngineConfig::from_env();
-    engine.faults.loss_ppm = 0;
-    let cluster: Cluster<MpMsg> = Cluster::new(nodes, cost).with_engine(engine);
+    let cluster: Cluster<MpMsg> = Cluster::new(nodes, cost);
     cluster.run(|ctx| {
         let mp = MpCtx {
             inner: ctx,

@@ -72,10 +72,6 @@ pub const DEFAULT_SEED: u64 = 0x4d_55_4e_49_4e;
 /// the suite under a second schedule).
 pub const SEED_ENV_VAR: &str = "MUNIN_ENGINE_SEED";
 
-/// Environment variable injecting seeded per-link message loss, as a
-/// probability in `0..=1` (e.g. `MUNIN_LOSS=0.05` drops 5% of messages).
-pub const LOSS_ENV_VAR: &str = "MUNIN_LOSS";
-
 /// How the engine orders deliveries. There is one order; the type stays so
 /// configurations can still name it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -272,26 +268,6 @@ fn parse_seed(v: Option<&str>) -> u64 {
     }
 }
 
-/// Pure parsing core of the [`LOSS_ENV_VAR`] override, in parts per million:
-/// unset is lossless.
-///
-/// # Panics
-///
-/// Panics on anything but a rate in `0..=1` — a CI loss run must never
-/// silently test the lossless default.
-fn parse_loss(v: Option<&str>) -> u32 {
-    match v {
-        None => 0,
-        Some(v) => match v.trim().parse::<f64>() {
-            Ok(rate) if (0.0..=1.0).contains(&rate) => (rate * 1_000_000.0).round() as u32,
-            _ => panic!(
-                "invalid {LOSS_ENV_VAR}={v:?}: expected a loss rate in 0..=1 \
-                 (e.g. {LOSS_ENV_VAR}=0.02)"
-            ),
-        },
-    }
-}
-
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
@@ -312,23 +288,19 @@ impl EngineConfig {
         }
     }
 
-    /// Default configuration, with the seed (`MUNIN_ENGINE_SEED`) and the
-    /// message-loss rate (`MUNIN_LOSS`) overridable from the environment, so
-    /// CI can run the whole suite under a second schedule without code
-    /// changes.
+    /// Default configuration, with the seed (`MUNIN_ENGINE_SEED`)
+    /// overridable from the environment, so CI can run the whole suite under
+    /// a second schedule without code changes. Loss and every other fault
+    /// are set in code, through [`Self::with_faults`].
     ///
     /// # Panics
     ///
-    /// Panics when either variable is set to a malformed value.
+    /// Panics when the variable is set to a malformed value.
     pub fn from_env() -> Self {
         // Parsed once per process: from_env is called by every config
         // constructor.
-        static FROM_ENV: std::sync::OnceLock<EngineConfig> = std::sync::OnceLock::new();
-        *FROM_ENV.get_or_init(|| {
-            let seed = parse_seed(std::env::var(SEED_ENV_VAR).ok().as_deref());
-            let loss_ppm = parse_loss(std::env::var(LOSS_ENV_VAR).ok().as_deref());
-            Self::seeded(seed).with_faults(FaultPlan::none().with_loss(loss_ppm))
-        })
+        static SEED: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+        Self::seeded(*SEED.get_or_init(|| parse_seed(std::env::var(SEED_ENV_VAR).ok().as_deref())))
     }
 
     /// Sets the fault plan.
@@ -1375,21 +1347,12 @@ mod tests {
         assert_eq!(parse_seed(None), DEFAULT_SEED);
         assert_eq!(parse_seed(Some("20260730")), 20_260_730);
         assert_eq!(parse_seed(Some(" 7 ")), 7);
-        assert_eq!(parse_loss(None), 0);
-        assert_eq!(parse_loss(Some("0.02")), 20_000);
-        assert_eq!(parse_loss(Some("1")), 1_000_000);
     }
 
     #[test]
     #[should_panic(expected = "invalid MUNIN_ENGINE_SEED=\"abc\": expected a decimal u64")]
     fn seed_rejects_non_numeric_values() {
         parse_seed(Some("abc"));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid MUNIN_LOSS=\"1.5\"")]
-    fn loss_rejects_rates_above_one() {
-        parse_loss(Some("1.5"));
     }
 
     #[test]

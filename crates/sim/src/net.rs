@@ -329,8 +329,8 @@ pub struct Network<M> {
 
 impl<M: Send> Network<M> {
     /// Creates a network of `n` nodes governed by `cost`, with the engine
-    /// configuration taken from the environment (`MUNIN_ENGINE_SEED`,
-    /// `MUNIN_LOSS`) or the defaults.
+    /// configuration taken from the environment (`MUNIN_ENGINE_SEED`) or the
+    /// defaults.
     pub fn new(n: usize, cost: CostModel) -> Self {
         Self::with_engine(n, cost, EngineConfig::from_env())
     }

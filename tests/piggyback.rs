@@ -7,6 +7,10 @@
 //! serial reference, and the message economy is pinned to the message.
 //! Seeds include adversarial delay/reorder injection, the load that exposed
 //! every protocol race the earlier PRs fixed.
+//!
+//! Loss and the reliable transport are set in code, per test: the transport
+//! is on wherever a case sets `reliability: Some(true)` or a lossy plan, and
+//! what a test asserts never depends on the environment it runs in.
 
 use std::time::{Duration, Instant};
 
@@ -27,8 +31,8 @@ fn bits(grid: &[f64]) -> Vec<u64> {
 
 /// The protocol messages of a run: what the engine carried, less the
 /// reliable transport's standalone acks and retransmissions. Both are zero
-/// unless the transport is forced on (`MUNIN_RELIABILITY=on`), and then they
-/// follow the host's clock; what is left is schedule-deterministic.
+/// unless the transport is on, and then they follow the host's clock; what
+/// is left is schedule-deterministic.
 fn protocol_msgs(m: &RunMeasurement) -> u64 {
     m.engine.messages_sent - m.stats.net_acks_sent - m.stats.retransmits
 }
@@ -58,58 +62,74 @@ const OFF_SOR_16_COPYSET_QUERIES: u64 = 480;
 
 /// Every seed sends the same 102 protocol messages: 48 of them the barrier
 /// traffic (8 episodes of 3 arrives and 3 releases — the owner wakes its own
-/// thread without one), which the updates ride.
+/// thread without one), which the updates ride. The same holds with the
+/// reliable transport on: its frames carry the same protocol messages.
 #[test]
 fn sor_piggyback_is_bit_identical_and_strictly_cheaper_across_16_seeds() {
     let reference = bits(&sor::serial(20, 12, 3));
-    for seed in 0..16u64 {
-        let mut params = sor_small(seed);
-        params.access_mode = AccessMode::Explicit;
-        let (m, grid) = sor::run_munin(params, CostModel::fast_test()).unwrap();
-        assert_eq!(bits(&grid), reference, "SOR grid wrong under seed {seed}");
-        assert_eq!(protocol_msgs(&m), 102, "SOR messages, seed {seed}");
-        assert!(protocol_msgs(&m) < OFF_SOR_SMALL_MSGS, "seed {seed}");
+    for reliability in [None, Some(true)] {
+        for seed in 0..16u64 {
+            let case = format!("seed {seed}, transport {reliability:?}");
+            let mut params = sor_small(seed);
+            params.access_mode = AccessMode::Explicit;
+            params.reliability = reliability;
+            let (m, grid) = sor::run_munin(params, CostModel::fast_test()).unwrap();
+            assert_eq!(bits(&grid), reference, "SOR grid wrong, {case}");
+            assert_eq!(protocol_msgs(&m), 102, "SOR messages, {case}");
+            assert!(protocol_msgs(&m) < OFF_SOR_SMALL_MSGS, "{case}");
+        }
     }
 }
 
 /// Each non-root worker's single result update rides its final barrier
 /// arrive instead of a standalone update+ack round: 37 protocol messages at
-/// every seed, none of them an `Update`.
+/// every seed, none of them an `Update`, with the reliable transport off
+/// and on.
 #[test]
 fn matmul_piggyback_is_bit_identical_and_strictly_cheaper_across_16_seeds() {
     let reference = matmul::serial(16);
-    for seed in 0..16u64 {
-        let mut params = matmul::MatmulParams::small(16, 4);
-        params.engine = EngineConfig::seeded(seed).with_faults(STRESS_FAULTS);
-        let (m, c) = matmul::run_munin(params, CostModel::fast_test()).unwrap();
-        assert_eq!(c, reference, "matmul wrong under seed {seed}");
-        assert_eq!(protocol_msgs(&m), 37, "matmul messages, seed {seed}");
-        assert!(protocol_msgs(&m) < OFF_MATMUL_SMALL_MSGS, "seed {seed}");
-        assert_eq!(m.net.class("update").msgs, 0, "seed {seed}");
-        assert_eq!(m.stats.msgs_piggybacked, 3, "seed {seed}");
+    for reliability in [None, Some(true)] {
+        for seed in 0..16u64 {
+            let case = format!("seed {seed}, transport {reliability:?}");
+            let mut params = matmul::MatmulParams::small(16, 4);
+            params.engine = EngineConfig::seeded(seed).with_faults(STRESS_FAULTS);
+            params.reliability = reliability;
+            let (m, c) = matmul::run_munin(params, CostModel::fast_test()).unwrap();
+            assert_eq!(c, reference, "matmul wrong, {case}");
+            assert_eq!(protocol_msgs(&m), 37, "matmul messages, {case}");
+            assert!(protocol_msgs(&m) < OFF_MATMUL_SMALL_MSGS, "{case}");
+            assert_eq!(m.net.class("update").msgs, 0, "{case}");
+            assert_eq!(m.stats.msgs_piggybacked, 3, "{case}");
+        }
     }
 }
 
+/// The branch-and-bound bound is the serial one at every seed, on a clean
+/// wire and under 1 % loss (which switches the reliable transport on).
 #[test]
 fn tsp_piggyback_is_result_identical_across_16_seeds() {
     let reference = tsp::serial(8);
-    for seed in 0..16u64 {
-        let mut params = tsp::TspParams {
-            cities: 8,
-            ..tsp::TspParams::default_instance(3)
-        };
-        params.engine = EngineConfig::seeded(seed).with_faults(STRESS_FAULTS);
-        let (_m, r) = tsp::run_munin(params, CostModel::fast_test()).unwrap();
-        assert_eq!(
-            r.best_len, reference.best_len,
-            "TSP bound wrong, seed {seed}"
-        );
-        // No message-count assertion for TSP: its flushes are mostly empty
-        // (migratory data rides lock grants), and the free-running
-        // branch-and-bound trajectory makes per-run message counts
-        // host-timing dependent. The economy claims are carried by the SOR
-        // and matmul assertions above, whose traffic is phase-structured
-        // and seed-deterministic.
+    for loss_ppm in [0, 10_000] {
+        for seed in 0..16u64 {
+            let mut params = tsp::TspParams {
+                cities: 8,
+                ..tsp::TspParams::default_instance(3)
+            };
+            params.engine =
+                EngineConfig::seeded(seed).with_faults(STRESS_FAULTS.with_loss(loss_ppm));
+            let (m, r) = tsp::run_munin(params, CostModel::fast_test()).unwrap();
+            assert_eq!(
+                r.best_len, reference.best_len,
+                "TSP bound wrong, seed {seed}, loss {loss_ppm} ppm"
+            );
+            assert_eq!(m.stats.watchdog_stalls, 0, "seed {seed}");
+            // No message-count assertion for TSP: its flushes are mostly empty
+            // (migratory data rides lock grants), and the free-running
+            // branch-and-bound trajectory makes per-run message counts
+            // host-timing dependent. The economy claims are carried by the SOR
+            // and matmul assertions above, whose traffic is phase-structured
+            // and seed-deterministic.
+        }
     }
 }
 
@@ -224,7 +244,7 @@ fn four_writers_per_page_are_bit_identical_to_piggyback_off_star_and_tree() {
     let expected: Vec<Vec<i32>> = (0..=ROUNDS)
         .map(|round| (0..WORDS).map(|i| value(round, i)).collect())
         .collect();
-    for (fanout, lossy) in [(3, false), (2, false), (3, true)] {
+    for (fanout, lossy) in [(3, false), (2, false), (3, true), (2, true)] {
         for seed in 0..16u64 {
             let case = format!("seed {seed}, barrier fan-in {fanout}, lossy {lossy}");
             let (seen, net) = run(four_nodes(seed, fanout, lossy));
@@ -248,12 +268,13 @@ fn four_writers_per_page_are_bit_identical_to_piggyback_off_star_and_tree() {
 /// node whose barrier release was still on its way when the second forward
 /// reached it must not have the first applied on top: whoever takes the lock
 /// next reads the second value. On a star the release and the later forward
-/// share a link; down a tree nothing rides.
+/// share a link; down a tree nothing rides. Under 1 % loss the reliable
+/// transport keeps that link's order through retransmissions.
 #[test]
 fn a_write_after_the_barrier_is_never_undone_by_the_riding_forward() {
-    for fanout in [3, 2] {
+    for (fanout, lossy) in [(3, false), (2, false), (3, true)] {
         for seed in 0..48u64 {
-            let mut prog = MuninProgram::new(four_nodes(seed, fanout, false));
+            let mut prog = MuninProgram::new(four_nodes(seed, fanout, lossy));
             let word = prog.declare::<i32>("word", 1, SharingAnnotation::WriteShared);
             let lock = prog.create_lock("lock");
             let warm = prog.create_barrier("warm");
@@ -281,7 +302,8 @@ fn a_write_after_the_barrier_is_never_undone_by_the_riding_forward() {
                 })
                 .unwrap();
             for (node, read) in report.results.iter().enumerate() {
-                let case = format!("node {node}, seed {seed}, barrier fan-in {fanout}");
+                let case =
+                    format!("node {node}, seed {seed}, barrier fan-in {fanout}, lossy {lossy}");
                 assert_eq!(*read.as_ref().unwrap(), 2, "{case}");
             }
             assert_eq!(report.stats_total().runtime_errors, 0);
@@ -301,8 +323,9 @@ const HALF_PAGE_RELAY_MAX: u64 = 256;
 
 /// The 16-node miniature's message economy, pinned: bit-identical to the
 /// serial grid, in both access-detection modes, with the protocol message
-/// count exact and the byte count exact too unless the reliable transport
-/// is forced on (its acks ride frames whose bytes follow the host's clock).
+/// count exact and the byte count exact too unless `reliability` forces the
+/// reliable transport on (its acks ride frames whose bytes follow the host's
+/// clock).
 ///
 /// At half a page the threshold mechanism is live: page-scale payloads are
 /// bypassed direct-to-destination instead of riding the relay twice, and no
@@ -326,10 +349,10 @@ const HALF_PAGE_RELAY_MAX: u64 = 256;
 /// messages and 1 040 bytes, and a mask that repeats was sent whole instead
 /// of by its period, 2 048 bytes more.) With the reliable transport forced
 /// on, the bytes keep the ceiling they had before.
-fn assert_16_node_sor_economy(access_mode: AccessMode) {
+fn assert_16_node_sor_economy(access_mode: AccessMode, reliability: Option<bool>) {
     let reference = bits(&sor::serial(64, 16, 12));
-    let forced = munin::dsm::reliability_from_env() == Some(true);
-    let (grid, m) = sor_run_16(access_mode, HALF_PAGE_RELAY_MAX);
+    let forced = reliability == Some(true);
+    let (grid, m) = sor_run_16(access_mode, HALF_PAGE_RELAY_MAX, reliability);
     assert_eq!(
         bits(&grid),
         reference,
@@ -361,7 +384,7 @@ fn assert_16_node_sor_economy(access_mode: AccessMode) {
     );
     assert!(m.net.class("copyset_query").msgs < OFF_SOR_16_COPYSET_QUERIES);
 
-    let (grid, m) = sor_run_16(access_mode, DEFAULT_RELAY_MAX_BYTES);
+    let (grid, m) = sor_run_16(access_mode, DEFAULT_RELAY_MAX_BYTES, reliability);
     assert_eq!(
         bits(&grid),
         reference,
@@ -379,7 +402,11 @@ fn assert_16_node_sor_economy(access_mode: AccessMode) {
     }
 }
 
-fn sor_run_16(access_mode: AccessMode, relay_max_bytes: u64) -> (Vec<f64>, RunMeasurement) {
+fn sor_run_16(
+    access_mode: AccessMode,
+    relay_max_bytes: u64,
+    reliability: Option<bool>,
+) -> (Vec<f64>, RunMeasurement) {
     // Page-aligned sections like the paper's instance (1024x512 over 8 KB
     // pages): each worker's band is exactly one 512-byte page (4 rows x
     // 16 cols x 8 bytes), so every flushed page has a single writer that
@@ -390,13 +417,19 @@ fn sor_run_16(access_mode: AccessMode, relay_max_bytes: u64) -> (Vec<f64>, RunMe
     params.engine = EngineConfig::seeded(7).with_faults(STRESS_FAULTS);
     params.access_mode = access_mode;
     params.relay_max_bytes = Some(relay_max_bytes);
+    params.reliability = reliability;
     let (m, grid) = sor::run_munin(params, CostModel::fast_test()).unwrap();
     (grid, m)
 }
 
 #[test]
 fn sixteen_node_sor_sheds_a_fifth_of_its_messages_explicit_mode() {
-    assert_16_node_sor_economy(AccessMode::Explicit);
+    assert_16_node_sor_economy(AccessMode::Explicit, None);
+}
+
+#[test]
+fn sixteen_node_sor_sheds_a_fifth_of_its_messages_with_the_transport_on() {
+    assert_16_node_sor_economy(AccessMode::Explicit, Some(true));
 }
 
 #[test]
@@ -405,7 +438,7 @@ fn sixteen_node_sor_sheds_a_fifth_of_its_messages_vm_mode() {
         eprintln!("skipping: AccessMode::VmTraps requires 64-bit Linux on x86_64");
         return;
     }
-    assert_16_node_sor_economy(AccessMode::VmTraps);
+    assert_16_node_sor_economy(AccessMode::VmTraps, None);
 }
 
 /// Per-message-kind accounting: the carrier framing must keep class counts
@@ -413,21 +446,32 @@ fn sixteen_node_sor_sheds_a_fifth_of_its_messages_vm_mode() {
 /// class collapses into the barrier traffic. The barrier traffic is the
 /// synchronization protocol's own, 2(N − 1) messages an episode: 8 episodes
 /// of 3 arrives and 3 releases (the owner's own arrival and wake-up are not
-/// messages).
+/// messages). With the reliable transport on, its frames keep the classes
+/// of what they carry, and a retransmission counts again under its class.
 #[test]
 fn per_class_engine_counts_reflect_the_carrier_framing() {
-    let (m, _) = sor::run_munin(sor_small(3), CostModel::fast_test()).unwrap();
-    assert_eq!(m.engine.class("barrier_arrive").msgs, 24);
-    assert_eq!(m.engine.class("barrier_release").msgs, 24);
-    assert_eq!(
-        m.engine.class("update").msgs,
-        0,
-        "standalone update messages must collapse into carriers"
-    );
-    assert!(m.stats.msgs_piggybacked > 0);
-    // The kind breakdown sums to the total.
-    let sum: u64 = m.engine.per_class.values().map(|v| v.msgs).sum();
-    assert_eq!(sum, m.engine.messages_sent);
+    for reliability in [None, Some(true)] {
+        let mut params = sor_small(3);
+        params.reliability = reliability;
+        let (m, _) = sor::run_munin(params, CostModel::fast_test()).unwrap();
+        let [arrives, releases] =
+            ["barrier_arrive", "barrier_release"].map(|class| m.engine.class(class).msgs);
+        if reliability.is_none() {
+            assert_eq!((arrives, releases), (24, 24));
+        } else {
+            let retransmits = m.stats.retransmits;
+            assert!(arrives >= 24 && releases >= 24 && arrives + releases <= 48 + retransmits);
+        }
+        assert_eq!(
+            m.engine.class("update").msgs,
+            0,
+            "standalone update messages must collapse into carriers, transport {reliability:?}"
+        );
+        assert!(m.stats.msgs_piggybacked > 0);
+        // The kind breakdown sums to the total.
+        let sum: u64 = m.engine.per_class.values().map(|v| v.msgs).sum();
+        assert_eq!(sum, m.engine.messages_sent);
+    }
 }
 
 /// The carrier layer under a lossy wire: with 1% seeded message loss and the

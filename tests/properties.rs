@@ -7,7 +7,6 @@
 use proptest::prelude::*;
 
 use munin::dsm::annotation::{ProtocolParams, SharingAnnotation};
-use munin::dsm::copyset::CopySet;
 use munin::dsm::diff;
 use munin::dsm::object::split_sizes;
 use munin::dsm::segment::SharedDataTable;
@@ -681,15 +680,16 @@ proptest! {
         }
     }
 
-    /// Copyset membership behaves like a set over node ids.
+    /// Copyset membership (a directory entry's `NodeSet`) behaves like a set
+    /// over node ids.
     #[test]
     fn copyset_behaves_like_a_set(members in proptest::collection::btree_set(0usize..32, 0..10)) {
-        let cs = CopySet::from_nodes(members.iter().map(|n| NodeId::new(*n)));
+        let cs = NodeSet::from_nodes(members.iter().map(|n| NodeId::new(*n)));
         for n in 0..32 {
             prop_assert_eq!(cs.contains(NodeId::new(n)), members.contains(&n));
         }
-        prop_assert_eq!(cs.len(32), members.len());
-        let listed = cs.members(32, None);
+        prop_assert_eq!(cs.count(), members.len());
+        let listed: Vec<NodeId> = cs.iter().collect();
         prop_assert_eq!(listed.len(), members.len());
     }
 
