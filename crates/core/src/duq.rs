@@ -6,8 +6,8 @@
 //! stored in the DUQ. The DUQ is flushed whenever a local thread releases a
 //! lock or arrives at a barrier." (Section 3.3.)
 //!
-//! An entry records the object and, when the protocol allows multiple
-//! writers, the twin made at the first write since the last flush.
+//! An entry records the object and, with multiple writers, its twin: the
+//! snapshot taken at its first write since the last flush, or first share.
 //!
 //! Twin buffers are recycled through a small pool: a first-write fault takes
 //! a buffer from the pool instead of allocating, and the flush path returns
@@ -29,9 +29,9 @@ const TWIN_POOL_CAP: usize = 64;
 pub struct DuqEntry {
     /// The modified object.
     pub object: ObjectId,
-    /// The twin made at the first write, if the protocol requires one
-    /// (multiple writers allowed). `None` means the whole object (or an
-    /// invalidation) will be propagated instead of a diff.
+    /// The twin made at the first write, or at the first copy served of a
+    /// page queued with none. `None` means the whole object (or an
+    /// invalidation), if anything, is propagated instead of a diff.
     pub twin: Option<Vec<u8>>,
 }
 
@@ -70,15 +70,12 @@ impl DelayedUpdateQueue {
         self.entries.push(DuqEntry { object, twin });
     }
 
-    /// Merges externally received changes into a pending twin so that words
-    /// updated by a remote writer are not re-propagated as local changes at
-    /// the next flush. Used when an update arrives for a dirty object.
-    pub fn patch_twin<F: FnOnce(&mut [u8])>(&mut self, object: ObjectId, f: F) {
-        if let Some(i) = self.index.get(&object) {
-            if let Some(twin) = self.entries[*i].twin.as_deref_mut() {
-                f(twin);
-            }
-        }
+    /// The twin slot of a pending object: where an update that arrives for
+    /// it patches its twin, and where a copy served of an object queued with
+    /// none becomes its twin, so its next diff is against what was served.
+    pub fn twin_mut(&mut self, object: ObjectId) -> Option<&mut Option<Vec<u8>>> {
+        let i = *self.index.get(&object)?;
+        Some(&mut self.entries[i].twin)
     }
 
     /// Takes a twin buffer from the pool (or a fresh one), ready for the
@@ -219,7 +216,7 @@ mod tests {
         }
         assert_eq!(duq.remove(ObjectId::new(0)).unwrap().twin, Some(vec![0]));
         assert_eq!(duq.remove(ObjectId::new(1)).unwrap().twin, Some(vec![1]));
-        duq.patch_twin(ObjectId::new(2), |t| t[0] = 20);
+        duq.twin_mut(ObjectId::new(2)).unwrap().as_mut().unwrap()[0] = 20;
         duq.enqueue(ObjectId::new(9), Some(vec![9]));
         assert_eq!(duq.twin_of(ObjectId::new(2)), Some(&[20u8][..]));
         assert_eq!(duq.twin_of(ObjectId::new(9)), Some(&[9u8][..]));
@@ -233,15 +230,17 @@ mod tests {
     }
 
     #[test]
-    fn patch_twin_modifies_only_existing_twin() {
+    fn only_a_pending_object_has_a_twin_slot() {
         let mut duq = DelayedUpdateQueue::new();
         duq.enqueue(ObjectId::new(0), Some(vec![0, 0]));
         duq.enqueue(ObjectId::new(1), None);
-        duq.patch_twin(ObjectId::new(0), |t| t[0] = 5);
-        duq.patch_twin(ObjectId::new(1), |t| t[0] = 5);
-        duq.patch_twin(ObjectId::new(9), |t| t[0] = 5);
+        duq.twin_mut(ObjectId::new(0)).unwrap().as_mut().unwrap()[0] = 5;
+        assert_eq!(duq.twin_mut(ObjectId::new(1)), Some(&mut None));
+        assert_eq!(duq.twin_mut(ObjectId::new(9)), None);
         assert_eq!(duq.twin_of(ObjectId::new(0)), Some(&[5u8, 0][..]));
-        assert_eq!(duq.twin_of(ObjectId::new(1)), None);
+        // A queued object with no twin takes one in its slot.
+        *duq.twin_mut(ObjectId::new(1)).unwrap() = Some(vec![7]);
+        assert_eq!(duq.twin_of(ObjectId::new(1)), Some(&[7u8][..]));
     }
 
     #[test]

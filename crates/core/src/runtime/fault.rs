@@ -9,9 +9,10 @@
 //! * read faults fetch a replica from the owner (found via the
 //!   probable-owner chain);
 //! * write faults on *delayed* (write-shared / producer-consumer / result)
-//!   objects fetch a copy if there is none, make a twin, enqueue the object
-//!   on the DUQ, and enable writes — in the same trap, too, for the objects
-//!   of its variable that the node's last flush shipped a diff for;
+//!   objects fetch a copy if there is none, make a twin (a page only its
+//!   owner holds twins when first shared instead), enqueue the object on the
+//!   DUQ and enable writes — in the same trap, too, for the variable's objects
+//!   the last flush shipped a diff for and the window's pages only it holds;
 //! * write faults on *ownership* (conventional / migratory) objects acquire
 //!   ownership and invalidate the remaining replicas;
 //! * writes to `read_only` objects are runtime errors.
@@ -31,7 +32,7 @@ use std::sync::Arc;
 use munin_sim::NodeId;
 
 use crate::annotation::SharingAnnotation;
-use crate::directory::AccessRights;
+use crate::directory::{AccessRights, DirEntry};
 use crate::error::{MuninError, Result};
 use crate::msg::{DsmMsg, FetchKind, FetchRequest};
 use crate::nodeset::NodeSet;
@@ -467,7 +468,7 @@ impl NodeRuntime {
                 copy_run,
                 owner_hint,
                 elide,
-            } => self.delayed_write_fault(object, copy_run, owner_hint, elide),
+            } => self.delayed_write_fault(object, copy_run, owner_hint, elide, window_end),
             Plan::UpgradeInPlace { copyset } => {
                 let r = self.invalidate_copies(object, copyset);
                 if r.is_ok() {
@@ -492,17 +493,20 @@ impl NodeRuntime {
     /// Write fault on an object whose protocol allows delayed updates
     /// (write-shared, producer-consumer, result): fetch a copy if none is
     /// present (`copy_run` > 0: with the copies of the run behind it), make a
-    /// twin when multiple writers are possible, enqueue the object on the
-    /// DUQ, and enable writes — and do the same, in this one trap, for every
-    /// object of its variable in the write set that is still read-only here
-    /// and under a multi-writer fan-out protocol. Returns how many objects
-    /// the fault enabled.
+    /// twin when multiple writers are possible and the object is not *sole*
+    /// (stable, owned here, held by nobody else: twinned on first share
+    /// instead), enqueue the object on the DUQ, and enable writes — and do
+    /// the same, in this one trap, for every object of its variable that is
+    /// still read-only here and idle: those in the write set, and the sole
+    /// ones of the access window, before `window_end`. Returns how many
+    /// objects the fault enabled.
     fn delayed_write_fault(
         self: &Arc<Self>,
         object: ObjectId,
         copy_run: (u32, u32),
         owner_hint: NodeId,
         elide: Range<u32>,
+        window_end: u32,
     ) -> Result<u32> {
         if copy_run.0 > 0 {
             self.fetch_object(object, copy_run, FetchKind::Read, owner_hint, elide)?;
@@ -513,11 +517,15 @@ impl NodeRuntime {
             return Ok(1);
         }
         // The variable's objects in the write set come along (a change of
-        // annotation empties it: theirs is a multi-writer fan-out one).
+        // annotation empties it: theirs is a multi-writer fan-out one), and
+        // so do the window's sole ones.
         let var = self.table.object(object).var;
         let mine = |o: &mut ObjectId| self.table.object(*o).var == var;
+        let sole = |e: &DirEntry| e.params.is_stable() && e.state.owned && e.copyset.is_empty();
         let mut enable = vec![object];
         enable.extend(dir.write_set.extract_if(.., mine).filter(|&o| o != object));
+        let window = (object.as_u32() + 1..window_end).map(ObjectId::new);
+        enable.extend(window.filter(|&o| sole(dir.entry(o))));
         // Snapshot and enqueue in one DUQ-lock scope, the one
         // `apply_update_items` holds across memory apply + twin patch: a
         // peer's update admitted before this fault is either in the snapshot
@@ -527,11 +535,10 @@ impl NodeRuntime {
         let mut duq = self.duq.lock();
         enable.retain(|&o| {
             let e = dir.entry_mut(o);
-            let private = e.state.copyset_fixed && e.copyset.is_empty();
-            let make_twin = e.params.allows_multiple_writers() && !private;
+            let make_twin = e.params.allows_multiple_writers() && !sole(e);
             let s = e.state;
-            let idle = s.rights == AccessRights::Read && !s.busy && !s.pinned;
-            if o != object && !(make_twin && idle) {
+            // (A second listing of an object finds it enabled: not idle.)
+            if o != object && !(s.rights == AccessRights::Read && !s.busy && !s.pinned) {
                 return false;
             }
             let twin = make_twin.then(|| {
@@ -996,6 +1003,57 @@ mod tests {
         );
         assert_eq!(rt.stats().snapshot().twins_created, 1);
         assert_eq!(rt.stats().snapshot().write_faults, 1);
+    }
+
+    /// One trap for a window of sole pages: the write fault on the first
+    /// page of a `producer_consumer` window enables it and every other
+    /// write-protected page of the window that is sole here (stable, owned,
+    /// no copyset), all with no twin. A window page a peer holds a copy of,
+    /// or one another node owns, is left to take a fault and a twin of its
+    /// own. A `write_shared` page is never sole: twinned, and its window
+    /// left alone.
+    #[test]
+    fn one_trap_enables_the_windows_sole_pages_with_no_twin() {
+        let mut table = SharedDataTable::new(64);
+        table.declare("pc", SharingAnnotation::ProducerConsumer, 4, 16 * 5);
+        table.declare("ws", SharingAnnotation::WriteShared, 4, 16 * 2);
+        let rt = node_of(table, 0, 2);
+        rt.finish_root_init(&rt.table().objects().iter().map(|o| o.id).collect());
+        let pages = |name| rt.table().var_by_name(name).unwrap().objects.clone();
+        let (pc, ws) = (pages("pc"), pages("ws"));
+        {
+            let mut dir = rt.dir.lock();
+            dir.entry_mut(pc[2]).copyset.insert(NodeId::new(1));
+            let foreign = dir.entry_mut(pc[3]);
+            foreign.state.owned = false;
+            foreign.probable_owner = NodeId::new(1);
+        }
+        let counts = || {
+            let s = rt.stats().snapshot();
+            (s.write_faults, s.twins_created)
+        };
+        let state = |o: ObjectId| {
+            let queued = rt.duq.lock().contains(o);
+            let twinned = rt.duq.lock().twin_of(o).is_some();
+            (rt.dir.lock().entry(o).state.rights, queued, twinned)
+        };
+        let (read, rw) = (AccessRights::Read, AccessRights::ReadWrite);
+        let end = pc[4].as_u32() + 1;
+        rt.fault(pc[0], true, end).unwrap();
+        assert_eq!(counts(), (1, 0), "one trap, no twin");
+        for sole in [pc[0], pc[1], pc[4]] {
+            assert_eq!(state(sole), (rw, true, false), "{sole:?}");
+        }
+        for own_fault in [pc[2], pc[3]] {
+            assert_eq!(state(own_fault), (read, false, false), "{own_fault:?}");
+            rt.fault(own_fault, true, end).unwrap();
+            assert_eq!(state(own_fault), (rw, true, true), "{own_fault:?}");
+        }
+        assert_eq!(counts(), (3, 2));
+        rt.fault(ws[0], true, ws[1].as_u32() + 1).unwrap();
+        assert_eq!(counts(), (4, 3));
+        assert_eq!(state(ws[0]), (rw, true, true));
+        assert_eq!(state(ws[1]), (read, false, false));
     }
 
     #[test]

@@ -182,25 +182,10 @@ impl NodeRuntime {
         }
         add(&self.stats.duq_objects_flushed, objects.len() as u64);
 
-        // Step 1: no copyset is determined (module documentation). A stable
-        // object's relationship is fixed at its owner's first flush.
-        {
-            let mut dir = self.dir.lock();
-            for o in &objects {
-                let e = dir.entry_mut(*o);
-                debug_assert!(
-                    !e.params.uses_invalidate(),
-                    "only update-based annotations enqueue"
-                );
-                if e.state.owned && e.params.is_stable() {
-                    e.state.copyset_fixed = true;
-                }
-            }
-        }
-
-        // Steps 2 and 3: encode each entry with a receiver exactly once (the
-        // flat diff buffer is shared, via `Arc`, between the per-destination
-        // clones of the payload), then send.
+        // Step 1: no copyset is determined (module documentation). Steps 2
+        // and 3: encode each entry with a receiver exactly once (the flat
+        // diff buffer is shared, via `Arc`, between the per-destination clones
+        // of the payload), then send.
         let max = self.cfg.relay_max_bytes;
         let mut pending = PerDest::new();
         let mut relay = PerDest::new();
@@ -483,8 +468,11 @@ impl NodeRuntime {
         object: ObjectId,
     ) -> Result<(Option<UpdatePayload>, FlushRoute)> {
         let (route, stable) = {
-            let dir = self.dir.lock();
-            let e = dir.entry(object);
+            let mut dir = self.dir.lock();
+            let e = dir.entry_mut(object);
+            debug_assert!(!e.params.uses_invalidate(), "update protocols only");
+            // A stable object's relationship is fixed at its owner's flush.
+            e.state.copyset_fixed |= e.state.owned && e.params.is_stable();
             (self.flush_route(e), e.params.is_stable())
         };
         // Nobody receives a diff of a `result` object at its home, or of an
@@ -881,10 +869,11 @@ mod tests {
     }
 
     /// What a flush is charged, when nobody receives the changes: the entry
-    /// leaves the DUQ and its twin goes back to the pool, but no diff is
-    /// made — the clock does not move and the diff scratch is never touched
-    /// — and the page takes `rights`, as it would have with a discarded diff.
-    fn assert_left_unencoded(name: &str, rights: AccessRights) {
+    /// leaves the DUQ and its twin, if it has one (`twinned`), goes back to
+    /// the pool, but no diff is made — the clock does not move and the diff
+    /// scratch is never touched — and the page takes `rights`, as it would
+    /// have with a discarded diff.
+    fn assert_left_unencoded(name: &str, rights: AccessRights, twinned: bool) {
         let rt = single_node();
         let object = obj(&rt, name);
         let (payload, route, charged) = encode_dirty(&rt, object);
@@ -893,7 +882,8 @@ mod tests {
         assert_eq!(charged, VirtTime::ZERO, "{name}: no encode charged");
         assert_eq!(rt.diff_scratch.lock().capacity(), 0, "{name}: no diff");
         assert!(rt.duq.lock().is_empty());
-        assert_eq!(rt.duq.lock().pooled_twins(), 1, "{name}: twin pooled");
+        let pooled = rt.duq.lock().pooled_twins();
+        assert_eq!(pooled, usize::from(twinned), "{name}: twin pooled");
         let dir = rt.dir.lock();
         assert_eq!(dir.entry(object).state.rights, rights, "{name}");
         assert!(!dir.entry(object).state.dirty, "{name}");
@@ -903,21 +893,22 @@ mod tests {
     /// so the next write makes a fresh twin.
     #[test]
     fn a_write_shared_page_nobody_holds_is_not_encoded() {
-        assert_left_unencoded("ws", AccessRights::Read);
+        assert_left_unencoded("ws", AccessRights::Read, true);
     }
 
     /// A stable page with an empty copyset is private: "made locally
-    /// writable, their twins are deleted".
+    /// writable, their twins are deleted" — and, being sole at its owner's
+    /// write fault, it was never twinned: no twin goes back to the pool.
     #[test]
     fn a_private_producer_consumer_page_is_not_encoded() {
-        assert_left_unencoded("pc", AccessRights::ReadWrite);
+        assert_left_unencoded("pc", AccessRights::ReadWrite, false);
     }
 
     /// A `result` page flushed at its own home: the changes are already
     /// where they go, and the home keeps its rights.
     #[test]
     fn a_result_page_at_its_home_is_not_encoded() {
-        assert_left_unencoded("res", AccessRights::ReadWrite);
+        assert_left_unencoded("res", AccessRights::ReadWrite, true);
     }
 
     /// Asserts that `payload` is a diff of the 32-byte write `encode_dirty`

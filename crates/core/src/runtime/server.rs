@@ -667,7 +667,9 @@ impl NodeRuntime {
         // scope, so a served copy is never torn by the user thread's pinned
         // accesses (the VM-trap mode's lock-free user copies rely on this).
         // Each object served costs `dir_op`, plus `copy(size)` when its
-        // protocol lets anyone write it: the snapshot a writer would tear.
+        // protocol lets anyone write it: the snapshot a writer would tear —
+        // and the twin of a page its owner queued with none ("Twin on first
+        // share"): its next diff is against what the requester holds.
         // One nothing can write is served by reference, as message passing
         // sends its arrays; a zero-filled one has no bytes to copy, nor has
         // one the requester overwrites whole: it goes as the empty image.
@@ -699,6 +701,12 @@ impl NodeRuntime {
             service += self.cost.dir_op();
             if entry.params.is_writable() {
                 service += self.cost.copy(image.len() as u64);
+            }
+            if matches!(serve, Serve::Copy) && entry.state.dirty {
+                if let Some(twin @ None) = self.duq.lock().twin_mut(id) {
+                    *twin = Some(image.clone());
+                    bump(&self.stats.twins_created);
+                }
             }
             data.push(image);
             if matches!(serve, Serve::Copy) {
@@ -1041,9 +1049,9 @@ impl NodeRuntime {
                     {
                         continue;
                     }
-                    duq.patch_twin(item.object, |twin| {
+                    if let Some(Some(twin)) = duq.twin_mut(item.object) {
                         let _ = diff::apply(&d, twin);
-                    });
+                    }
                 }
                 UpdatePayload::Full(data) => {
                     let cost = self.cost.copy(data.len() as u64);
@@ -1623,6 +1631,44 @@ mod tests {
         assert_eq!(errors(), 3);
         fetch(7);
         assert_eq!(errors(), 4);
+    }
+
+    /// Twin on first share: `pc` is sole here (owned, held by nobody else),
+    /// so its write fault queues it with no twin. Serving node 1 a copy makes
+    /// the image served its twin — a twin made, and nothing charged beyond
+    /// the snapshot the serve pays anyway — and a later serve keeps it. The
+    /// owner's flush then diffs against what node 1 holds: its one new word.
+    #[test]
+    fn serving_a_twinless_queued_page_twins_it_as_the_image_served() {
+        let h = harness();
+        let pc = h.obj("pc");
+        h.rt.fault(pc, true, 0).unwrap();
+        assert!(h.rt.duq.lock().contains(pc));
+        assert_eq!(h.rt.duq.lock().twin_of(pc), None);
+        assert_eq!(h.rt.stats().snapshot().twins_created, 0);
+        h.rt.install_object_bytes(pc, &[4; 32]);
+        let (cost, before) = (&h.rt.cost, h.rt.clock().system_time());
+        h.fetch(pc, 1, FetchKind::Read);
+        let held = peer_reply(&h).0.remove(0);
+        assert_eq!(held, vec![4; 32]);
+        let charged = cost.dir_op() + cost.copy(32) + cost.msg_fixed();
+        assert_eq!(h.rt.clock().system_time(), before + charged);
+        assert_eq!(h.rt.duq.lock().twin_of(pc), Some(held.as_slice()));
+        assert_eq!(h.rt.stats().snapshot().twins_created, 1);
+        let mut current = held.clone();
+        current[8..12].copy_from_slice(&[9; 4]);
+        h.rt.install_object_bytes(pc, &current);
+        h.fetch(pc, 1, FetchKind::Read);
+        assert_eq!(peer_reply(&h).0, vec![current.clone()]);
+        assert_eq!(h.rt.duq.lock().twin_of(pc), Some(held.as_slice()));
+        assert_eq!(h.rt.stats().snapshot().twins_created, 1);
+        let Ok((Some(UpdatePayload::Diff(d)), _)) = h.rt.encode_entry(pc) else {
+            panic!("a page served mid-interval must flush a diff");
+        };
+        assert_eq!(d.changed_words(), 1);
+        let mut patched = held;
+        diff::apply(&d, &mut patched).unwrap();
+        assert_eq!(patched, current);
     }
 
     #[test]
@@ -2519,7 +2565,8 @@ mod tests {
     /// for the rest of the block ahead but its last object, and installs
     /// each ahead object owned, with no rights, no copyset and zeroed
     /// memory, out of the DUQ. Its later write zero-fills one here: a fault
-    /// and a twin, no message.
+    /// and no message — and no twin, for the page is sole here (owned, held
+    /// by nobody else) and twins only when a peer is served a copy.
     #[test]
     fn requester_installs_ahead_objects_owned_with_no_rights_and_zero_memory() {
         let (h, band) = worker_of_band();
@@ -2551,10 +2598,8 @@ mod tests {
         h.rt.write_var_bytes(var, 64, &[9; 8]).unwrap();
         assert!(matches!(h.peer_rx.try_recv(), Ok(None)), "no message");
         assert_eq!(state(&h, band[1]), (true, rw, true, false));
-        assert_eq!(
-            h.rt.duq.lock().twin_of(band[1]).unwrap(),
-            [0; 64].as_slice()
-        );
+        assert!(h.rt.duq.lock().contains(band[1]));
+        assert_eq!(h.rt.duq.lock().twin_of(band[1]), None);
         let stats = h.rt.stats().snapshot();
         assert_eq!((stats.write_faults, stats.objects_fetched), (2, 3));
     }

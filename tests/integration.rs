@@ -749,6 +749,11 @@ fn benchmark_guard_rows_are_exact_at_two_seeds() {
             (100, 0),
             "sor, seed {seed}"
         );
+        assert_eq!(
+            (m.stats.write_faults, m.stats.twins_created),
+            (596, 141),
+            "sor, seed {seed}"
+        );
         let params = matmul::MatmulParams {
             engine: munin::sim::EngineConfig::seeded(seed),
             access_mode: munin::AccessMode::Explicit,
@@ -938,17 +943,21 @@ fn a_sleeping_host_thread_does_not_move_virtual_time() {
 
 /// What a flush is charged, as an identity: SOR on one processor has nobody
 /// to send a diff to, so no flush encodes one and the root's System time has
-/// no `encode` term. Its 512 pages each take a write fault and a twin twice —
-/// in the initialisation phase, and again in the first copy phase after
-/// `PhaseChange` write-protects the private pages — and are private ever
-/// after. Everything else the root is charged is the barriers' `sync_op` on
-/// each arrive, and `msg_fixed` for the one message it sends itself, the
-/// final `Shutdown`: it opens every episode and wakes its own thread there,
-/// without a message. (While it posted itself a `BarrierRelease` per
-/// episode, each cost it `msg_fixed` to send and `sync_op` to handle. While
-/// a flush diffed every page before it looked for a receiver, the root was
-/// also charged `encode(2 048, runs)` for each of the 1 024 flushed pages,
-/// about 2.6 s on top of the 2.4 s then.)
+/// no `encode` term. Nor does it twin anything: every page is sole (owned
+/// here, held by nobody else), so a write fault enables it with no twin
+/// (DESIGN.md, "Twin on first share"). Its 512 pages each take a fault of
+/// their own in the initialisation phase, row by row; in the first copy
+/// phase, after `PhaseChange` has write-protected them again, the copy-back's
+/// one fault enables the whole band, and they are private ever after: 513
+/// faults and no twin (1 024 and 1 024 while each page took a fault and a
+/// twin in each phase). Everything else the root is charged is the barriers'
+/// `sync_op` on each arrive, and `msg_fixed` for the one message it sends
+/// itself, the final `Shutdown`: it opens every episode and wakes its own
+/// thread there, without a message. (While it posted itself a
+/// `BarrierRelease` per episode, each cost it `msg_fixed` to send and
+/// `sync_op` to handle. While a flush diffed every page before it looked for
+/// a receiver, the root was also charged `encode(2 048, runs)` for each of
+/// the 1 024 flushed pages, about 2.6 s on top of the 2.4 s then.)
 #[test]
 fn sor_on_one_processor_is_charged_no_encode() {
     let cost = CostModel::sun_ethernet_1991();
@@ -964,7 +973,7 @@ fn sor_on_one_processor_is_charged_no_encode() {
     assert_eq!(grid, sor::serial(params.rows, params.cols, iterations));
     let s = &m.stats;
     let barriers = 2 + 2 * iterations as u64;
-    assert_eq!((s.write_faults, s.twins_created), (1_024, 1_024));
+    assert_eq!((s.write_faults, s.twins_created), (513, 0));
     assert_eq!(s.barrier_waits, barriers);
     assert_eq!(m.net.class("barrier_release").msgs, 0);
     assert_eq!(m.net.total.msgs, 1, "the `Shutdown`");
