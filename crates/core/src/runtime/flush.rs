@@ -1229,7 +1229,7 @@ mod tests {
     /// stopped must be the `Shutdown` alone: an ack the flush did not count
     /// would answer whatever this node waited for next.
     fn assert_mailbox_holds_only_the_shutdown(rt: &NodeRuntime) {
-        while let Ok((_env, left)) = rt.reply_rx.try_recv() {
+        while let Some((_env, left)) = rt.replies.try_recv() {
             assert!(
                 matches!(left, DsmMsg::Shutdown),
                 "{left:?} was left behind in the mailbox"

@@ -411,19 +411,19 @@ impl NodeRuntime {
             // A queued real reply beats a death signal: drain genuine
             // progress first so recovery only runs when the operation is
             // actually wedged.
-            match self.reply_rx.try_recv() {
-                Ok(reply) if late_copy(&reply.1) => continue,
-                Ok(reply) => return done(reply),
-                Err(_) => {}
+            match self.replies.try_recv() {
+                Some(reply) if late_copy(&reply.1) => continue,
+                Some(reply) => return done(reply),
+                None => {}
             }
             if let Some(dead) = self.next_unhandled_dead(handled) {
                 handled.insert(dead);
                 return Err(MuninError::PeerDied(dead));
             }
-            match self.reply_rx.recv_timeout(WATCHDOG_SLICE) {
-                Ok(reply) if late_copy(&reply.1) => {}
-                Ok(reply) => return done(reply),
-                Err(_) => {
+            match self.replies.recv_timeout(WATCHDOG_SLICE) {
+                Some(reply) if late_copy(&reply.1) => {}
+                Some(reply) => return done(reply),
+                None => {
                     self.health_check();
                     let waited = start.elapsed();
                     if waited >= self.cfg.watchdog {

@@ -45,7 +45,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use parking_lot::Mutex;
 
 use munin_sim::{CostModel, Envelope, NodeClock, NodeId, Sender, TimeKind, VirtTime};
@@ -61,9 +60,8 @@ use crate::segment::SharedDataTable;
 use crate::stats::MuninStats;
 use crate::sync::SyncDirectory;
 
-/// Granularity of the watchdog's blocking waits: the user thread blocks in
-/// slices of this length so it can notice watchdog expiry without a
-/// dedicated thread.
+/// The user thread blocks in slices of this length, so it notices watchdog
+/// expiry without a dedicated thread.
 const WATCHDOG_SLICE: Duration = Duration::from_millis(50);
 
 /// A protocol-trace note (the flight recorder's human-readable dump mode,
@@ -183,18 +181,16 @@ pub struct NodeRuntime {
     cfg: Arc<MuninConfig>,
     table: Arc<SharedDataTable>,
     clock: NodeClock,
-    /// High-water of the message arrivals the service thread has handled, in
-    /// nanoseconds — its half of [`Self::service_now`]. Fired timers do not
-    /// move it: they fire on host idleness, and a clock they advanced would
-    /// run at wall-clock rate and leak into protocol traffic through the
-    /// lane FIFO clamp behind every heartbeat or ack stamped from it.
+    /// High-water of the arrivals the service thread has handled (ns), its
+    /// half of [`Self::service_now`]. Fired timers do not move it: they fire
+    /// on host idleness, so a clock they moved would run at wall-clock rate,
+    /// dragging traffic through the lane FIFO clamp behind each heartbeat.
     service_clock: std::sync::atomic::AtomicU64,
     cost: Arc<CostModel>,
     sender: Sender<DsmMsg>,
-    /// The node's copy of the shared data segment (explicit access mode).
-    /// Only ranges whose directory entry grants access rights hold
-    /// meaningful data. Unused (empty) in VM-trap mode, where the segment
-    /// lives in `vm` instead.
+    /// The node's copy of the shared data segment (explicit access mode;
+    /// empty in VM-trap mode, where it lives in `vm`). Only ranges whose
+    /// directory entry grants access rights hold meaningful data.
     memory: Mutex<Vec<u8>>,
     /// The VM-trap segment backend (`AccessMode::VmTraps` only): the shared
     /// segment lives in an `mprotect`-managed region whose page protections
@@ -269,15 +265,11 @@ pub struct NodeRuntime {
     /// never calls back into the runtime, the clock, or the engine, so
     /// recording cannot perturb protocol behaviour (see `crate::obs`).
     obs: crate::obs::Recorder,
-    reply_tx: channel::Sender<(Envelope, DsmMsg)>,
-    reply_rx: channel::Receiver<(Envelope, DsmMsg)>,
-    /// Worker-completion notifications (root only), kept separate from the
-    /// reply mailbox so they cannot interleave with an in-flight protocol
-    /// operation of the root's user thread. Carries the worker's id so the
-    /// completion wait can reconcile notifications against confirmed deaths,
-    /// and the notification's arrival time.
-    done_tx: channel::Sender<(NodeId, VirtTime)>,
-    done_rx: channel::Receiver<(NodeId, VirtTime)>,
+    replies: munin_sim::Mailbox<(Envelope, DsmMsg)>,
+    /// Worker-completion notifications (root only), apart from replies so
+    /// they cannot interleave with a protocol operation of the root's user
+    /// thread: the worker's id (reconciled against deaths) and arrival.
+    done: munin_sim::Mailbox<(NodeId, VirtTime)>,
 }
 
 impl NodeRuntime {
@@ -294,8 +286,6 @@ impl NodeRuntime {
         cost: Arc<CostModel>,
         sender: Sender<DsmMsg>,
     ) -> Arc<Self> {
-        let (reply_tx, reply_rx) = channel::unbounded();
-        let (done_tx, done_rx) = channel::unbounded();
         let home = NodeId::new(0);
         let dir = Directory::from_table(&table, home, cfg.annotation_override);
         let sync = SyncDirectory::new(node, &lock_homes, &barrier_owners);
@@ -342,10 +332,8 @@ impl NodeRuntime {
                     cfg.effective_flight_events(),
                     crate::obs::dump_enabled(),
                 ),
-                reply_tx,
-                reply_rx,
-                done_tx,
-                done_rx,
+                replies: sender.mailbox(),
+                done: sender.mailbox(),
                 cfg,
                 table,
                 clock,
@@ -594,9 +582,9 @@ impl NodeRuntime {
         let start = Instant::now();
         let entered_virt = self.clock.now().as_nanos();
         loop {
-            match self.reply_rx.recv_timeout(WATCHDOG_SLICE) {
-                Ok(reply) => return Ok(self.resume_at(op, entered_virt, reply)),
-                Err(_) => {
+            match self.replies.recv_timeout(WATCHDOG_SLICE) {
+                Some(reply) => return Ok(self.resume_at(op, entered_virt, reply)),
+                None => {
                     let waited = start.elapsed();
                     if waited >= self.cfg.watchdog {
                         return Err(self.raise_stall(op, waited));
@@ -623,6 +611,15 @@ impl NodeRuntime {
         reply
     }
 
+    /// Holds a barrier arrive or completion notice back until nothing stamped
+    /// earlier can still reach a node (DESIGN.md, "Virtual-time model").
+    pub(crate) fn pace(&self, op: WaitOp) -> Result<()> {
+        match self.sender.pace(self.clock.now(), self.cfg.watchdog) {
+            true => Ok(()),
+            false => Err(self.raise_stall(op, self.cfg.watchdog)),
+        }
+    }
+
     /// Blocks until one worker-completion notification arrives (root only),
     /// under the same watchdog as [`Self::wait_reply`], returning which
     /// worker finished — or `None` when the failure detector confirmed a
@@ -634,8 +631,8 @@ impl NodeRuntime {
         let entered_virt = self.clock.now().as_nanos();
         let dead_at_entry = self.dead_set();
         loop {
-            match self.done_rx.recv_timeout(WATCHDOG_SLICE) {
-                Ok((from, arrival)) => {
+            match self.done.recv_timeout(WATCHDOG_SLICE) {
+                Some((from, arrival)) => {
                     self.clock.advance_to(TimeKind::Wait, arrival);
                     self.obs.record_wait(
                         WaitOp::WorkerDone.kind(),
@@ -643,7 +640,7 @@ impl NodeRuntime {
                     );
                     return Ok(Some(from));
                 }
-                Err(_) => {
+                None => {
                     self.health_check();
                     if self.dead_set() != dead_at_entry {
                         return Ok(None);
@@ -727,8 +724,8 @@ impl NodeRuntime {
             return;
         }
         // The user thread may already have exited (e.g. after a runtime
-        // error); dropping the message is then harmless.
-        let _ = self.reply_tx.send((env, msg));
+        // error); the message then goes nowhere, harmlessly.
+        self.replies.send((env, msg));
     }
 
     /// Byte range of an object within the shared segment.

@@ -142,7 +142,7 @@ impl NodeRuntime {
     /// its payload is installed before the framed message is routed.
     fn route(self: &Arc<Self>, env: Envelope, msg: DsmMsg) -> bool {
         match msg {
-            DsmMsg::WorkerDone { from } => drop(self.done_tx.send((from, env.arrival))),
+            DsmMsg::WorkerDone { from } => self.done.send((from, env.arrival)),
             msg if msg.is_user_reply() => self.route_to_user(env, msg),
             msg => {
                 self.handle_request(env, msg);
@@ -618,11 +618,11 @@ impl NodeRuntime {
             FirstTouch,
         }
         let classify = |entry: &crate::directory::DirEntry| {
-            if entry.state.busy || entry.state.pinned {
+            if entry.state.busy || (entry.state.pinned && entry.params.is_writable()) {
                 // Mid-transition, or the user thread holds the rights for an
-                // in-flight memory access: serve the fetch only after the
-                // transition/access completes, so a served copy can never
-                // miss a locally checked-but-not-yet-performed write.
+                // in-flight access: serve the fetch after it, so a served copy
+                // never misses a checked-but-not-yet-performed write (one
+                // nothing writes has none to miss).
                 Serve::Defer
             } else if !entry.state.owned {
                 let hint = if entry.probable_owner == self.node {
@@ -1249,7 +1249,7 @@ impl NodeRuntime {
         match arrival {
             TokenArrival::Acquired => {
                 let queue = Vec::new();
-                let _ = self.reply_tx.send((env, DsmMsg::LockGrant { lock, queue }));
+                self.replies.send((env, DsmMsg::LockGrant { lock, queue }));
             }
             TokenArrival::PassedOn(next, rest) => {
                 crate::runtime::proto_trace!(self, "pass unawaited lock {} on to {next:?}", lock.0);
@@ -1793,6 +1793,18 @@ mod tests {
         assert_served_with_copies(&h, &[(h.obj("ro"), 1), (rows[0], 3)]);
     }
 
+    /// Nothing can write a read-only object, so a local access pinning it
+    /// has no write a copy could miss: the fetch is served at once, whole.
+    #[test]
+    fn a_pinned_read_only_object_is_served_at_once() {
+        let h = harness();
+        let rows = h.rows();
+        h.rt.dir.lock().entry_mut(rows[1]).state.pinned = true;
+        h.fetch(rows[0], 3, FetchKind::Read);
+        assert_eq!(h.peer_data(), (rows[0], vec![1, 2, 3], false));
+        assert!(h.rt.deferred.lock().is_empty());
+    }
+
     /// The reply carries the objects up to the first one that cannot be
     /// handed out as a plain copy, and that one is untouched by it; asked
     /// for in its own right — as the requester's next fault will — it is
@@ -1831,7 +1843,11 @@ mod tests {
                         e.probable_owner = NodeId::new(1);
                     }
                     Busy => e.state.busy = true,
-                    Pinned => e.state.pinned = true,
+                    // A pin holds back a fetch of what its access may write.
+                    Pinned => {
+                        e.state.pinned = true;
+                        e.set_annotation(SharingAnnotation::WriteShared);
+                    }
                     Migratory => e.set_annotation(SharingAnnotation::Migratory),
                     ConventionalWriteMiss => e.set_annotation(SharingAnnotation::Conventional),
                 }
@@ -3007,7 +3023,7 @@ mod tests {
             assert_eq!(deferred[0].on, DeferredOn::Stream);
             assert!(matches!(deferred[0].msg, DsmMsg::Carrier { .. }));
         }
-        assert!(h.rt.reply_rx.try_recv().is_err(), "release not routed yet");
+        assert!(h.rt.replies.try_recv().is_none(), "release not routed yet");
         let update_msg = DsmMsg::Update(update.clone());
         h.peer_tx
             .send(NodeId::new(0), "update", 64, update_msg)
@@ -3016,7 +3032,7 @@ mod tests {
         assert_eq!(h.rt.object_bytes(ws), vec![4u8; 32]);
         h.rt.process_deferred();
         assert!(h.rt.deferred.lock().is_empty());
-        let (_env, routed) = h.rt.reply_rx.try_recv().expect("release routed");
+        let (_env, routed) = h.rt.replies.try_recv().expect("release routed");
         assert!(matches!(routed, DsmMsg::BarrierRelease { .. }));
         assert!(h.peer_rx.try_recv().unwrap().is_none(), "no ack either way");
         let env = env_at(1, "update", munin_sim::VirtTime::ZERO);
@@ -3045,7 +3061,7 @@ mod tests {
         assert_eq!(h.rt.deferred.lock().len(), 1, "a live origin still gates");
         h.rt.confirm_peer_dead(NodeId::new(1), true);
         assert!(h.rt.deferred.lock().is_empty());
-        let (_env, routed) = h.rt.reply_rx.try_recv().expect("release routed");
+        let (_env, routed) = h.rt.replies.try_recv().expect("release routed");
         assert!(matches!(routed, DsmMsg::BarrierRelease { .. }));
         let env = env_at(1, "update", munin_sim::VirtTime::ZERO);
         assert_eq!(h.rt.admit(&env, &update), Admission::Stale);
@@ -3234,7 +3250,7 @@ mod tests {
             DsmMsg::BarrierRelease { gen: 1, .. }
         ));
         assert!(h.rt_rx.try_recv().unwrap().is_none(), "no self-message");
-        let (_env, routed) = h.rt.reply_rx.try_recv().expect("owner woken");
+        let (_env, routed) = h.rt.replies.try_recv().expect("owner woken");
         assert!(matches!(routed, DsmMsg::BarrierRelease { gen: 1, .. }));
         // A report that arrives after its episode is over is answered, not
         // counted towards the next one.
@@ -3281,7 +3297,7 @@ mod tests {
         assert!(matches!(msg, DsmMsg::BarrierRelease { .. }));
         assert_eq!(env.sent_at, us(900) + h.rt.cost.sync_op());
         // The owner's own thread resumes when its releases leave.
-        let (wake, _) = h.rt.reply_rx.try_recv().expect("owner woken");
+        let (wake, _) = h.rt.replies.try_recv().expect("owner woken");
         assert_eq!(wake.arrival, us(900) + h.rt.cost.sync_op());
     }
 
@@ -3493,8 +3509,8 @@ mod tests {
         h.rt.handle_incoming(rel_env(), rel_frame(1, ack));
         // A phantom second ack would make a later ack-counting wait return
         // early; exactly one reply may reach the user mailbox.
-        assert!(h.rt.reply_rx.try_recv().is_ok());
-        assert!(h.rt.reply_rx.try_recv().is_err());
+        assert!(h.rt.replies.try_recv().is_some());
+        assert!(h.rt.replies.try_recv().is_none());
         assert_eq!(h.rt.stats().snapshot().dup_msgs_dropped, 1);
     }
 
@@ -4074,12 +4090,12 @@ mod tests {
             assert_eq!(deferred[0].on, DeferredOn::Entry);
             assert_eq!(deferred[0].msg, carrier, "the whole carrier waits");
         }
-        assert!(h.rt.reply_rx.try_recv().is_err(), "release not routed yet");
+        assert!(h.rt.replies.try_recv().is_none(), "release not routed yet");
         assert_eq!(h.rt.object_bytes(ws), vec![0u8; 32]);
         h.rt.dir.lock().entry_mut(ws).state.busy = false;
         h.rt.process_deferred();
         assert_eq!(h.rt.object_bytes(ws), vec![6u8; 32]);
-        let (_env, routed) = h.rt.reply_rx.try_recv().expect("release routed");
+        let (_env, routed) = h.rt.replies.try_recv().expect("release routed");
         assert_eq!(routed, PEER_RELEASE);
         assert!(h.peer_rx.try_recv().unwrap().is_none(), "no ack");
     }

@@ -220,6 +220,7 @@ impl NodeRuntime {
         if self.sync.lock().barrier_count() <= barrier.0 as usize {
             return Err(MuninError::UnknownSyncObject(barrier.0));
         }
+        self.pace(crate::runtime::WaitOp::BarrierRelease(barrier.0))?;
         let topo = self.tree_topology(barrier);
         let owner = topo.owner;
         // Relayed bundles park wherever reports combine, and one parked at a
@@ -366,6 +367,7 @@ impl NodeRuntime {
 
     /// Called by a non-root worker when its closure has finished.
     pub(crate) fn signal_worker_done(self: &Arc<Self>) -> Result<()> {
+        self.pace(crate::runtime::WaitOp::WorkerDone)?;
         self.send(NodeId::new(0), DsmMsg::WorkerDone { from: self.node })
     }
 

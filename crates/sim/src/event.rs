@@ -1,11 +1,6 @@
-//! The deterministic virtual-time event engine.
-//!
-//! The old interconnect handed every message straight to an OS channel, so a
-//! destination observed messages in *real thread-scheduling order*. Under CPU
-//! oversubscription that order can disagree with virtual-time order, breaking
-//! the per-object ordering the Munin protocol argument assumes (see
-//! `ROADMAP.md`). This module replaces raw channels with a discrete-event
-//! scheduler:
+//! The deterministic virtual-time event engine: a destination sees its
+//! messages in virtual-time order, not in the order the host ran their
+//! senders.
 //!
 //! * every message becomes an [`Envelope`] scheduled on a per-destination
 //!   priority queue keyed by `(deliver_at, seeded tie-break, seqno)`;
@@ -13,8 +8,8 @@
 //!   (links do not reorder — the FIFO-pipe property the protocol relies on
 //!   for update-after-ownership-transfer sequences);
 //! * a message is delivered at the arrival it was scheduled for: one popped
-//!   after a virtually later one (host skew) is *late* — delivered at its
-//!   own arrival all the same, and counted ([`EngineStats::late_deliveries`]);
+//!   after a virtually later one (host skew) is *late*, and counted
+//!   ([`EngineStats::late_deliveries`]);
 //! * ties are broken by a hash seeded from [`EngineConfig::seed`], so equal
 //!   timestamps are delivered in an order that is stable under replay with
 //!   the same seed and *different* under a different seed — adversarial
@@ -23,15 +18,11 @@
 //!   duplicates, all derived from per-lane counters so a replay with the same
 //!   seed sees the identical faults.
 //!
-//! A pop selects the earliest message *queued*, not the earliest *sent*. A
-//! receiver that owns a clock moves it forward to the arrival (monotone by
-//! `NodeClock::advance_to`, so a late message costs it nothing); one that
-//! keeps its own timeline reads the arrival off the envelope.
-//!
-//! The engine can also record the delivery trace (per-destination sequence of
-//! deliveries) so a run can be fingerprinted and replayed: two runs of a
-//! recv-driven workload with the same [`EngineConfig`] produce byte-identical
-//! per-destination traces.
+//! A pop selects the earliest message *queued*, not the earliest *sent*; each
+//! inbox's earliest arrival queued or in service is published on the
+//! progress board for paced sends ([`crate::pace`]). The engine can record
+//! the per-destination delivery trace, so a run can be fingerprinted and
+//! replayed: a recv-driven workload under one [`EngineConfig`] repeats it.
 //!
 //! # Sharding and the locking rule
 //!
@@ -47,14 +38,13 @@
 //! lock). The live-sender count is the engine's only atomic.
 //!
 //! **The one allowed lock order:** a thread holds at most *one* shard lock at
-//! any time, and never acquires any other engine lock while holding it.
+//! any time, and never acquires any other engine lock while holding it but
+//! the progress board's ([`crate::pace`]), a leaf whose holders take nothing.
 //! Operations that visit several shards (the all-senders-gone shutdown
 //! wakeup, the trace merge) walk the shards in ascending destination order,
 //! releasing each shard before locking the next. Nothing ever holds two
-//! shard locks at once, so no lock-order cycle can exist.
-//!
-//! Sharding is a pure lock-domain refactor: per-destination delivery order
-//! is that of the pre-shard engine for a given seed
+//! shard locks at once, so no lock-order cycle can exist. Per-destination
+//! delivery order is the pre-shard engine's for a given seed
 //! (`tests/stress_schedules.rs::sharded_engine_matches_pre_shard_golden_digests`).
 
 use std::collections::{BinaryHeap, HashMap};
@@ -63,6 +53,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::error::SimError;
 use crate::net::{Envelope, NodeId};
+use crate::pace::Board;
 use crate::time::VirtTime;
 
 /// Default engine seed ("MUNIN" in ASCII).
@@ -420,6 +411,9 @@ struct DestState<M> {
     /// number of pops whose arrival was below it.
     frontier_ns: u64,
     late: u64,
+    /// The arrival the receiver popped last, in service until it asks again
+    /// (`u64::MAX`: none).
+    serving_ns: u64,
     /// Number of messages delivered to this node.
     delivered: u64,
     /// False once the node's `Receiver` has been dropped (sends then fail,
@@ -527,6 +521,7 @@ pub struct EventEngine<M> {
     /// propagation is best-effort by design (only the zero-crash schedule
     /// carries a byte-identity contract).
     crashed_at: [AtomicU64; MAX_CRASH_SPECS],
+    pub(crate) board: std::sync::Arc<Board>,
 }
 
 impl<M> EventEngine<M> {
@@ -546,6 +541,7 @@ impl<M> EventEngine<M> {
                         lanes: HashMap::new(),
                         frontier_ns: 0,
                         late: 0,
+                        serving_ns: u64::MAX,
                         delivered: 0,
                         open: true,
                         next_seq: 0,
@@ -559,7 +555,17 @@ impl<M> EventEngine<M> {
                 .collect(),
             senders: AtomicUsize::new(0),
             crashed_at: std::array::from_fn(|_| AtomicU64::new(u64::MAX)),
+            board: std::sync::Arc::new(Board::new(n, cfg.faults.crash.nodes())),
         }
+    }
+
+    /// Publishes `node`'s inbox low mark: its earliest arrival queued or in
+    /// service (none once closed).
+    fn publish_low(&self, node: usize, st: &DestState<M>) {
+        let queued = st.heap.peek().map_or(u64::MAX, |s| s.key.deliver_at_ns);
+        let open = if st.open { 0 } else { u64::MAX };
+        self.board
+            .set_inbox(node, queued.min(st.serving_ns).max(open));
     }
 
     /// The engine configuration.
@@ -621,6 +627,7 @@ impl<M> EventEngine<M> {
         if let Some(shard) = self.shards.get(node) {
             let mut st = self.lock_shard(shard);
             st.open = false;
+            self.publish_low(node, &st);
             drop(st);
             // Only this shard's condvar: senders blocked on *other* nodes
             // are unaffected by this receiver going away.
@@ -717,6 +724,7 @@ impl<M> EventEngine<M> {
             env,
             payload,
         });
+        self.publish_low(dst, st);
         drop(guard);
         shard.cond.notify_all();
         Ok(env)
@@ -750,6 +758,18 @@ impl<M> EventEngine<M> {
             }
             return Some((env, sched.payload));
         }
+    }
+
+    /// [`Self::pop`] for a receiver that asked again, so is done with what it
+    /// popped before: what it pops now is in service until it asks again
+    /// (a fired timer puts nothing there).
+    fn receive(&self, node: usize, st: &mut DestState<M>) -> Option<(Envelope, M)> {
+        let popped = self.pop(st);
+        st.serving_ns = popped
+            .as_ref()
+            .map_or(u64::MAX, |(env, _)| env.arrival.as_nanos());
+        self.publish_low(node, st);
+        popped
     }
 
     /// Whether the crash plan drops this delivery: the destination is down
@@ -877,7 +897,7 @@ impl<M> EventEngine<M> {
         let shard = &self.shards[node];
         let mut st = self.lock_shard(shard);
         loop {
-            if let Some((env, payload)) = self.pop(&mut st) {
+            if let Some((env, payload)) = self.receive(node, &mut st) {
                 return Ok((env, payload, false));
             }
             if !st.open || self.senders.load(Ordering::SeqCst) == 0 {
@@ -907,7 +927,7 @@ impl<M> EventEngine<M> {
     pub(crate) fn try_recv(&self, node: usize) -> Result<Option<(Envelope, M)>, SimError> {
         let shard = &self.shards[node];
         let mut st = self.lock_shard(shard);
-        if let Some(delivery) = self.pop(&mut st) {
+        if let Some(delivery) = self.receive(node, &mut st) {
             return Ok(Some(delivery));
         }
         if !st.open || self.senders.load(Ordering::SeqCst) == 0 {
@@ -1029,6 +1049,28 @@ mod tests {
         e.submit(env(0, 2, 950), 3).unwrap();
         assert_eq!(e.recv(2).unwrap().0.arrival.as_nanos(), 950);
         assert_eq!(e.stats().late_deliveries, 1);
+    }
+
+    #[test]
+    fn a_popped_message_stays_in_the_inbox_low_mark_until_the_next_receive() {
+        let e = engine(2, EngineConfig::seeded(1));
+        let low = |e: &EventEngine<u64>| e.board.view(1).inbox_ns;
+        assert_eq!(low(&e), u64::MAX);
+        e.submit(env(0, 1, 300), 3).unwrap();
+        e.submit(env(0, 1, 400), 4).unwrap();
+        assert_eq!(low(&e), 300, "queued");
+        assert_eq!(e.recv(1).unwrap().0.arrival.as_nanos(), 300);
+        assert_eq!(low(&e), 300, "in service");
+        e.submit(env(0, 1, 500), 5).unwrap();
+        assert_eq!(e.try_recv(1).unwrap().unwrap().0.arrival.as_nanos(), 400);
+        assert_eq!(low(&e), 400);
+        e.recv(1).unwrap();
+        assert_eq!(low(&e), 500);
+        assert!(e.try_recv(1).unwrap().is_none());
+        assert_eq!(low(&e), u64::MAX, "done with the last one");
+        e.submit(env(0, 1, 600), 6).unwrap();
+        e.close_inbox(1);
+        assert_eq!(low(&e), u64::MAX, "closed");
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //!   per-link FIFO guarantees, deterministic tie-breaking, optional fault
 //!   injection (delay / reorder / duplicate), and a replayable delivery
 //!   trace.
+//! * [`pace`] — paced sends, and the user-thread mailbox they read.
 //! * [`cluster`] — helpers for spawning one OS thread per simulated node and
 //!   collecting a [`ClusterReport`] (elapsed virtual time, per-node
 //!   user/system split, network statistics).
@@ -58,6 +59,7 @@ pub mod cost;
 pub mod error;
 pub mod event;
 pub mod net;
+pub mod pace;
 pub mod stats;
 pub mod time;
 
@@ -69,5 +71,6 @@ pub use event::{
     EventEngine, FaultPlan, TraceEntry,
 };
 pub use net::{Envelope, Network, NodeId, Receiver, Sender};
+pub use pace::Mailbox;
 pub use stats::{NetStats, NodeTimes};
 pub use time::{NodeClock, TimeKind, VirtTime};

@@ -28,6 +28,7 @@ use std::sync::Arc;
 use crate::cost::CostModel;
 use crate::error::SimError;
 use crate::event::{EngineConfig, EventEngine};
+use crate::pace::Mailbox;
 use crate::stats::NetStats;
 use crate::time::{NodeClock, TimeKind, VirtTime};
 
@@ -239,6 +240,18 @@ impl<M: Send + Clone> Sender<M> {
         self.engine.close_inbox(self.node.as_usize());
     }
 
+    /// Blocks until nothing stamped before `t` can still be sent to any node
+    /// ([`crate::pace`]); false if `timeout` of host time passed first.
+    pub fn pace(&self, t: VirtTime, timeout: std::time::Duration) -> bool {
+        let me = self.node.as_usize();
+        self.engine.board.pace(me, t.as_nanos(), timeout)
+    }
+
+    /// A mailbox for this node's user thread ([`Self::pace`]).
+    pub fn mailbox<T>(&self) -> Mailbox<T> {
+        Mailbox::new(Arc::clone(&self.engine.board), self.node.as_usize())
+    }
+
     /// The node this sender belongs to.
     pub fn node_id(&self) -> NodeId {
         self.node
@@ -387,6 +400,7 @@ impl<M: Send> Network<M> {
         }
         *slot = true;
         let node = NodeId::new(idx);
+        self.engine.board.bind_clock(idx, clock.clone());
         self.engine.sender_registered();
         Ok((
             Sender {

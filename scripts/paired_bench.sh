@@ -25,7 +25,10 @@
 #   -         neither.
 # The temporary directory, with both target directories, is removed on exit;
 # PAIRED_BENCH_DIR=<dir> uses <dir> instead and keeps it, so a second
-# invocation reuses both builds.
+# invocation reuses both builds. The parent's checkout and target directory
+# are named by its commit hash: `git archive` gives the files their commit
+# time, older than a kept build of another parent, which cargo would then
+# take for fresh and run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,10 +50,14 @@ else
     work=$(mktemp -d)
     trap 'rm -rf "$work"' EXIT
 fi
-parent_src=$work/parent
-rm -rf "$parent_src"
-mkdir -p "$parent_src"
-git archive "$(git rev-parse --verify "$parent_rev^{commit}")" | tar -x -C "$parent_src"
+parent_hash=$(git rev-parse --verify "$parent_rev^{commit}")
+parent_src=$work/parent-$parent_hash
+parent_target=$work/target-parent-$parent_hash
+if [[ ! -d $parent_src ]]; then
+    mkdir -p "$parent_src.tmp"
+    git archive "$parent_hash" | tar -x -C "$parent_src.tmp"
+    mv "$parent_src.tmp" "$parent_src"
+fi
 
 # Builds side $1 from source directory $2 into target directory $3.
 build() {
@@ -58,7 +65,7 @@ build() {
     CARGO_TARGET_DIR=$3 cargo build --release --offline --quiet \
         --manifest-path "$2/benchmark/Cargo.toml"
 }
-build parent "$parent_src" "$work/target-parent"
+build parent "$parent_src" "$parent_target"
 build change "$change_src" "$work/target-change"
 
 # Runs side $1 (source $2, target $3) of workload $4 at seed $5; prints its
@@ -80,11 +87,11 @@ for workload in "${workloads[@]}"; do
     for seed in "$@"; do
         pairs=$((pairs + 1)) pair=$((pair + 1))
         if ((pairs % 2)); then
-            parent=$(run parent "$parent_src" "$work/target-parent" "$workload" "$seed")
+            parent=$(run parent "$parent_src" "$parent_target" "$workload" "$seed")
             change=$(run change "$change_src" "$work/target-change" "$workload" "$seed")
         else
             change=$(run change "$change_src" "$work/target-change" "$workload" "$seed")
-            parent=$(run parent "$parent_src" "$work/target-parent" "$workload" "$seed")
+            parent=$(run parent "$parent_src" "$parent_target" "$workload" "$seed")
         fi
         for side in parent change; do
             line=${!side}

@@ -886,12 +886,12 @@ fn sor_paper_size_is_within_five_percent_of_message_passing() {
 /// Host skew must not become virtual time. Four nodes fetch a read-only
 /// input from the root, compute for 2 virtual seconds and meet at a barrier;
 /// in the second run one worker sleeps 50 ms of *wall* time before its first
-/// fetch, so the root has long since handled the others' barrier arrivals
-/// (stamped 2 s) when that fetch (stamped a few ms) is submitted. The engine
-/// counts it as a late delivery and delivers it at its own arrival: the
-/// sleeper is served at the time it asked, and the run takes as long as the
-/// plain one. (With the per-destination frontier clamp the fetch was served
-/// at 2 s and the run took 4.)
+/// fetch. The others' barrier arrivals (stamped 2 s) wait until that fetch
+/// (stamped a few ms) has been submitted and served (`Sender::pace`), so the
+/// root never pops it late, the sleeper is served at the time it asked, and
+/// the run takes as long as the plain one. (With the per-destination
+/// frontier clamp the fetch was served at 2 s and the run took 4; before
+/// paced arrivals it was a late delivery, served at its own arrival.)
 #[test]
 fn a_sleeping_host_thread_does_not_move_virtual_time() {
     const WORDS: usize = 4096;
@@ -935,10 +935,67 @@ fn a_sleeping_host_thread_does_not_move_virtual_time() {
         (a - b).abs() <= 0.001 * a,
         "plain {a:.6} s, with a sleeping worker {b:.6} s"
     );
-    assert!(
-        skewed.engine_stats.late_deliveries > 0,
-        "the sleeper's fetches reach the root after its 2 s barrier arrivals"
+    assert_eq!(
+        skewed.engine_stats.late_deliveries, 0,
+        "no barrier arrival leaves before the sleeper's fetches are served"
     );
+}
+
+/// The lane FIFO clamp, forced. The root's user thread sleeps 50 ms of host
+/// time before it reads a page node 1 owns, while node 1 computes a 5 s
+/// phase and arrives at the barrier. Node 1's arrive does not leave until
+/// the root's fetch has been served (`Sender::pace`), so the reply, stamped
+/// a few ms, is not held behind the arrive on their link (which made the
+/// read last 5 s and the run 8), and elapsed is the unslept run's exactly,
+/// over 20 repeats in each access mode.
+#[test]
+fn a_read_is_not_held_behind_its_owners_later_barrier_arrive() {
+    let run = |mode: munin::AccessMode, sleep: bool| {
+        let cfg = MuninConfig::paper(2)
+            .with_cost(CostModel::sun_ethernet_1991())
+            .with_engine(munin::sim::EngineConfig::seeded(16))
+            .with_reliability(false)
+            .with_access_mode(mode);
+        let mut prog = MuninProgram::new(cfg);
+        let page = prog.declare::<i64>("page", 1024, SharingAnnotation::Conventional);
+        let written = prog.create_barrier("written");
+        let computed = prog.create_barrier("computed");
+        let report = prog
+            .run(move |ctx| {
+                if ctx.node_id() == 1 {
+                    ctx.write(&page, 0, 7)?;
+                }
+                ctx.wait_at_barrier(written)?;
+                let seen = if ctx.node_id() == 0 {
+                    if sleep {
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                    }
+                    ctx.read(&page, 0)?
+                } else {
+                    ctx.compute(2_000_000);
+                    7
+                };
+                ctx.compute(3_000_000);
+                ctx.wait_at_barrier(computed)?;
+                Ok(seen)
+            })
+            .unwrap();
+        for r in &report.results {
+            assert_eq!(*r.as_ref().unwrap(), 7);
+        }
+        report.elapsed
+    };
+    let mut modes = vec![munin::AccessMode::Explicit];
+    if munin::AccessMode::vm_supported() {
+        modes.push(munin::AccessMode::VmTraps);
+    }
+    for mode in modes {
+        let plain = run(mode, false);
+        assert!(plain.as_secs_f64() < 5.1, "{mode:?}: {plain:?}");
+        for repeat in 0..20 {
+            assert_eq!(run(mode, true), plain, "{mode:?} repeat {repeat}");
+        }
+    }
 }
 
 /// What a flush is charged, as an identity: SOR on one processor has nobody
