@@ -21,14 +21,14 @@ pub struct RunMeasurement {
     pub root_user: VirtTime,
     /// Time spent executing runtime code on the root node ("System").
     pub root_system: VirtTime,
-    /// Network statistics for the run.
+    /// Wire statistics for the run: total and per-message-kind counts of
+    /// every delivery the event engine scheduled.
     pub net: NetSnapshot,
     /// Munin runtime statistics summed over all nodes (all-zero for
     /// message-passing runs, which have no Munin runtime).
     pub stats: MuninStatsSnapshot,
-    /// Engine-level message volume: total and per-message-kind counts of
-    /// every delivery the event engine scheduled (empty for runs that do not
-    /// surface it).
+    /// Engine drop, timer and lateness counters (zero for runs that do not
+    /// surface them).
     pub engine: EngineStats,
     /// Cluster-wide observability aggregate: blocking-wait and fault-service
     /// latency histograms merged over all nodes (empty for message-passing
@@ -70,7 +70,7 @@ impl RunMeasurement {
         self
     }
 
-    /// Attaches the engine-level message volume counters.
+    /// Attaches the engine's drop, timer and lateness counters.
     pub fn with_engine_stats(mut self, engine: EngineStats) -> Self {
         self.engine = engine;
         self
@@ -126,16 +126,13 @@ impl RunMeasurement {
             self.root_user.as_secs_f64(),
             self.root_system.as_secs_f64()
         );
-        if self.engine.messages_sent > 0 {
+        if self.net.total.msgs > 0 {
             let _ = writeln!(
                 out,
                 "messages: {} msgs, {} bytes",
-                self.engine.messages_sent, self.engine.bytes_sent
+                self.net.total.msgs, self.net.total.bytes
             );
-            let mut kinds: Vec<&str> = self.engine.per_class.keys().copied().collect();
-            kinds.sort_unstable();
-            for kind in kinds {
-                let c = self.engine.class(kind);
+            for (kind, c) in &self.net.by_class {
                 let _ = writeln!(
                     out,
                     "  {kind:<22} {:>10} msgs {:>14} bytes",

@@ -38,11 +38,7 @@ fn params(nodes: usize, iterations: usize, relay_max: Option<u64>) -> SorParams 
 fn count_run(nodes: usize, relay_max: Option<u64>) -> (u64, u64, u64) {
     let (m, _grid) =
         sor::run_munin(params(nodes, 12, relay_max), CostModel::fast_test()).expect("SOR run");
-    (
-        m.engine.messages_sent,
-        m.engine.bytes_sent,
-        m.stats.duq_flushes,
-    )
+    (m.net.total.msgs, m.net.total.bytes, m.stats.duq_flushes)
 }
 
 fn report_message_economy() {
@@ -89,8 +85,8 @@ fn scale_run(nodes: usize, iterations: usize, fanout: Option<usize>) -> (u64, u6
     p.barrier_fanout = fanout;
     let (m, _grid) = sor::run_munin(p, CostModel::fast_test()).expect("SOR run");
     (
-        m.engine.messages_sent,
-        m.engine.bytes_sent,
+        m.net.total.msgs,
+        m.net.total.bytes,
         m.stats.barrier_owner_ingress,
         m.elapsed.as_millis_f64(),
     )

@@ -382,7 +382,7 @@ impl MuninProgram {
                 }
                 if outcome.result.is_err() {
                     // After an error the shutdown handshake cannot be
-                    // trusted — under injected loss the `Shutdown` messages
+                    // trusted — under injected loss the final `Done` messages
                     // themselves may have been dropped (and with the
                     // reliability layer off nothing retransmits them).
                     // Close the inbox so the service thread observes
@@ -737,11 +737,11 @@ pub struct MuninReport<R> {
     pub elapsed: VirtTime,
     /// Per-node time accounting (user vs. system split).
     pub node_times: Vec<NodeTimes>,
-    /// Network statistics (message and byte counts per class).
+    /// Wire statistics: message and byte counts, per class, of every
+    /// delivery the event engine scheduled (carriers count once, under the
+    /// class of the message they frame).
     pub net: munin_sim::stats::NetSnapshot,
-    /// Engine-level message volume: totals and per-message-kind counts of
-    /// every delivery the event engine scheduled (carriers count once, under
-    /// the class of the message they frame).
+    /// Engine drops, fired timers and late deliveries.
     pub engine_stats: munin_sim::EngineStats,
     /// Digest of the engine's delivery trace, identical across runs with
     /// the same seed and protocol behaviour (the differential observability

@@ -8,7 +8,7 @@
 //! Every message also carries a modelled wire size (computed by
 //! [`DsmMsg::model_bytes`]) which drives the simulated transmission time.
 
-use munin_sim::NodeId;
+use munin_sim::{Envelope, NodeId};
 
 use crate::diff::Diff;
 use crate::nodeset::NodeSet;
@@ -314,13 +314,10 @@ pub enum DsmMsg {
         /// dropped. Not charged, for the reason `BarrierArrive::gen` is not.
         gen: u64,
     },
-    /// A worker's user thread finished its work (sent to the root).
-    WorkerDone {
-        /// The finished node.
-        from: NodeId,
-    },
-    /// The root tells every node to shut down its runtime service loop.
-    Shutdown,
+    /// The end of a run. A worker's user thread sends it to the root when
+    /// it has finished its work; the root then sends it to every node,
+    /// itself last, to stop their service loops.
+    Done,
     /// The carrier envelope: frames any other message together with
     /// piggybacked consistency traffic, so a lock grant, barrier release,
     /// copyset reply, or update acknowledgement that is headed to a
@@ -489,8 +486,7 @@ impl DsmMsg {
             DsmMsg::LockGrant { .. } => "lock_grant",
             DsmMsg::BarrierArrive { .. } => "barrier_arrive",
             DsmMsg::BarrierRelease { .. } => "barrier_release",
-            DsmMsg::WorkerDone { .. } => "worker_done",
-            DsmMsg::Shutdown => "shutdown",
+            DsmMsg::Done => "done",
             // A carrier is classed as the message it frames, so per-class
             // accounting (e.g. "how many lock grants") is unaffected by the
             // framing; only total message counts drop.
@@ -532,7 +528,7 @@ impl DsmMsg {
                 8 + 8 * arrived.word_span() as u64
             }
             DsmMsg::BarrierArrive { .. } | DsmMsg::BarrierRelease { .. } => 8,
-            DsmMsg::WorkerDone { .. } | DsmMsg::Shutdown => 4,
+            DsmMsg::Done => 4,
             // One header for the whole frame: the inner message and every
             // piggybacked bundle share it — that is the wire saving the
             // carrier layer models. A relayed bundle also names its
@@ -572,8 +568,14 @@ impl DsmMsg {
                 | DsmMsg::CopysetReply { .. }
                 | DsmMsg::ReduceReply { .. }
                 | DsmMsg::LockGrant { .. }
-                | DsmMsg::Shutdown
+                | DsmMsg::Done
         )
+    }
+
+    /// Whether this is a worker's completion notice: a `Done` a peer sends
+    /// the root (node 0). Any other `Done` ends its receiver's service loop.
+    pub(crate) fn is_completion(&self, env: &Envelope) -> bool {
+        matches!(self, DsmMsg::Done) && env.dst == NodeId::new(0) && env.src != env.dst
     }
 }
 
@@ -940,12 +942,28 @@ mod tests {
     }
 
     #[test]
+    fn only_a_peers_done_at_the_root_is_a_completion() {
+        let env = |src: usize, dst: usize| Envelope {
+            src: NodeId::new(src),
+            dst: NodeId::new(dst),
+            class: "done",
+            model_bytes: HEADER_BYTES + 4,
+            sent_at: munin_sim::VirtTime::ZERO,
+            arrival: munin_sim::VirtTime::ZERO,
+        };
+        assert!(DsmMsg::Done.is_completion(&env(2, 0)));
+        assert!(!DsmMsg::Done.is_completion(&env(0, 0)), "the root's own");
+        assert!(
+            !DsmMsg::Done.is_completion(&env(0, 2)),
+            "the root's to a worker"
+        );
+        assert!(!DsmMsg::Heartbeat.is_completion(&env(2, 0)));
+    }
+
+    #[test]
     fn every_class_is_nonempty() {
         let msgs = [
-            DsmMsg::Shutdown,
-            DsmMsg::WorkerDone {
-                from: NodeId::new(0),
-            },
+            DsmMsg::Done,
             DsmMsg::UpdateAck { refanned: None },
             DsmMsg::CopysetReply { have: vec![] },
         ];

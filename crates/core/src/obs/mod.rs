@@ -29,14 +29,12 @@
 pub mod hist;
 pub mod perfetto;
 mod ring;
-mod spin;
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use spin::SpinMutex;
-
 use munin_sim::NodeId;
+use parking_lot::Mutex;
 
 use crate::object::ObjectId;
 
@@ -321,7 +319,7 @@ pub struct Recorder {
     capacity: usize,
     /// Whether every recorded event is also printed to stderr.
     dump: bool,
-    inner: SpinMutex<Inner>,
+    inner: Mutex<Inner>,
 }
 
 impl Recorder {
@@ -331,7 +329,7 @@ impl Recorder {
             node,
             capacity,
             dump,
-            inner: SpinMutex::new(Inner {
+            inner: Mutex::new(Inner {
                 ring: Ring::new(capacity),
                 waits: BTreeMap::new(),
                 fault_service: BTreeMap::new(),

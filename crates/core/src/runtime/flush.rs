@@ -1145,8 +1145,7 @@ mod tests {
                 1,
                 "one bundle, shipped once"
             );
-            tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
-                .unwrap();
+            rt.send_raw(NodeId::new(0), DsmMsg::Done).unwrap();
             server.join().unwrap();
             drop(net);
         }
@@ -1219,19 +1218,18 @@ mod tests {
         let snap = rt.stats().snapshot();
         assert_eq!((snap.updates_sent, snap.flushes_coalesced), (1, 0));
         assert!(rx2.try_recv().unwrap().is_none(), "N2 holds no copy");
-        tx1.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
-            .unwrap();
+        rt.send_raw(NodeId::new(0), DsmMsg::Done).unwrap();
         server.join().unwrap();
         drop(net);
     }
 
     /// Whatever is left in the user thread's mailbox once `server` has
-    /// stopped must be the `Shutdown` alone: an ack the flush did not count
+    /// stopped must be the `Done` alone: an ack the flush did not count
     /// would answer whatever this node waited for next.
     fn assert_mailbox_holds_only_the_shutdown(rt: &NodeRuntime) {
         while let Some((_env, left)) = rt.replies.try_recv() {
             assert!(
-                matches!(left, DsmMsg::Shutdown),
+                matches!(left, DsmMsg::Done),
                 "{left:?} was left behind in the mailbox"
             );
         }
@@ -1260,10 +1258,7 @@ mod tests {
                 .unwrap();
         }
         flusher.join().unwrap().unwrap();
-        peers[0]
-            .0
-            .send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
-            .unwrap();
+        rt.send_raw(NodeId::new(0), DsmMsg::Done).unwrap();
         server.join().unwrap();
         assert_mailbox_holds_only_the_shutdown(&rt);
         drop(net);
@@ -1369,8 +1364,7 @@ mod tests {
             .filter(|(_env, m)| !matches!(m, DsmMsg::Heartbeat))
             .collect();
         assert!(to_n1.is_empty(), "nothing more for the dead: {to_n1:?}");
-        tx2.send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
-            .unwrap();
+        rt.send_raw(NodeId::new(0), DsmMsg::Done).unwrap();
         server.join().unwrap();
         assert_mailbox_holds_only_the_shutdown(&rt);
         drop(net);

@@ -105,9 +105,9 @@ pub(crate) enum WaitOp {
     LockGrant(u32),
     /// Waiting for `BarrierRelease`.
     BarrierRelease(u32),
-    /// Waiting for `Shutdown` (worker nodes at the end of a run).
+    /// Waiting for the root's `Done` (worker nodes at the end of a run).
     Shutdown,
-    /// Waiting for a `WorkerDone` notification (root only).
+    /// Waiting for a worker's `Done` (root only).
     WorkerDone,
 }
 
@@ -693,7 +693,7 @@ impl NodeRuntime {
     }
 
     /// Aborts the service thread: closes this node's inbox so its receive
-    /// loop observes disconnection and exits even if the `Shutdown` message
+    /// loop observes disconnection and exits even if the final `Done`
     /// was lost or never sent. Called on error paths before joining the
     /// service thread; without it the `Arc` cycle between the service thread
     /// and the runtime would keep the channel alive forever.

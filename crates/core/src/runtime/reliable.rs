@@ -335,7 +335,7 @@ impl NodeRuntime {
     /// Immediately sends every owed cumulative ack as a standalone `NetAck`
     /// instead of waiting for the next tick. The shutdown drain calls this
     /// on entry and exit: the peer that sent this node its final message
-    /// (the `Shutdown` frame itself) is blocked in its *own* drain waiting
+    /// (the final `Done` frame itself) is blocked in its *own* drain waiting
     /// for exactly this ack, and once the service loop exits no tick will
     /// ever flush it.
     pub(crate) fn flush_owed_acks(&self) {

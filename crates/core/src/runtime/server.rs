@@ -50,7 +50,7 @@ impl NodeRuntime {
         Some((env, msg))
     }
 
-    /// Runs the service loop until a `Shutdown` message arrives. Intended to
+    /// Runs the service loop until a `Done` ends it. Intended to
     /// run on its own OS thread, with the node's network receiver moved in.
     pub fn server_loop(self: Arc<Self>, receiver: Receiver<DsmMsg>) {
         self.health_start();
@@ -68,8 +68,8 @@ impl NodeRuntime {
 
     /// Processes one incoming transmission: unwraps the reliability layer
     /// (acks, dedup, in-order release) when present, then dispatches every
-    /// deliverable protocol message. Returns `true` once `Shutdown` has been
-    /// dispatched.
+    /// deliverable protocol message. Returns `true` once a `Done` that ends
+    /// the service loop has been dispatched.
     pub(crate) fn handle_incoming(self: &Arc<Self>, env: Envelope, msg: DsmMsg) -> bool {
         if self.health_enabled() && env.src != self.node {
             // Confirmed-dead peers are past tense: recovery already pruned
@@ -125,9 +125,9 @@ impl NodeRuntime {
     }
 
     /// Routes one protocol message to its handler and retries what a
-    /// request may have unblocked. Returns `true` for `Shutdown`.
+    /// request may have unblocked; `true` for a `Done` ending the service loop.
     fn dispatch(self: &Arc<Self>, env: Envelope, msg: DsmMsg) -> bool {
-        let shutdown = matches!(msg, DsmMsg::Shutdown);
+        let shutdown = matches!(msg, DsmMsg::Done) && !msg.is_completion(&env);
         if self.route(env, msg) {
             self.process_deferred();
         }
@@ -142,7 +142,7 @@ impl NodeRuntime {
     /// its payload is installed before the framed message is routed.
     fn route(self: &Arc<Self>, env: Envelope, msg: DsmMsg) -> bool {
         match msg {
-            DsmMsg::WorkerDone { from } => self.done.send((from, env.arrival)),
+            msg if msg.is_completion(&env) => self.done.send((env.src, env.arrival)),
             msg if msg.is_user_reply() => self.route_to_user(env, msg),
             msg => {
                 self.handle_request(env, msg);
@@ -162,7 +162,7 @@ impl NodeRuntime {
         if !self.reliability_enabled() {
             return;
         }
-        // Ack the `Shutdown` frame (and anything else owed) right away: the
+        // Ack the final `Done` frame (and anything else owed) right away: the
         // sender is blocked in its own drain waiting for it, and this node's
         // tick never fires again once the service loop exits.
         self.flush_owed_acks();
@@ -381,7 +381,7 @@ impl NodeRuntime {
     /// And not out of sequence: a bundle ahead of its origin's stream waits
     /// for the lower-numbered transmission still in flight (a barrier-relayed
     /// bundle on another link, or the direct update a fence on a release
-    /// holds that release for); a stale one is an injected duplicate and
+    /// holds that release for); a stale one is a retransmitted duplicate and
     /// must not be re-applied over newer data.
     ///
     /// Records the `UpdateInstall` (the flow-arrow sink matching the
@@ -3388,9 +3388,7 @@ mod tests {
         assert_eq!(rt.clock().wait_time(), munin_sim::VirtTime::ZERO);
         // The service-side clock did follow the arrival.
         assert!(rt.service_now() >= sent.arrival);
-        peer_tx
-            .send(NodeId::new(0), "shutdown", 8, DsmMsg::Shutdown)
-            .unwrap();
+        rt.send_raw(NodeId::new(0), DsmMsg::Done).unwrap();
         server.join().unwrap();
     }
 

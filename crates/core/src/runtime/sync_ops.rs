@@ -368,7 +368,7 @@ impl NodeRuntime {
     /// Called by a non-root worker when its closure has finished.
     pub(crate) fn signal_worker_done(self: &Arc<Self>) -> Result<()> {
         self.pace(crate::runtime::WaitOp::WorkerDone)?;
-        self.send(NodeId::new(0), DsmMsg::WorkerDone { from: self.node })
+        self.send(NodeId::new(0), DsmMsg::Done)
     }
 
     /// Called by the root to wait until every other worker has finished. A
@@ -396,7 +396,7 @@ impl NodeRuntime {
         let mut handled = crate::nodeset::NodeSet::EMPTY;
         loop {
             match self.wait_reply_or_dead(crate::runtime::WaitOp::Shutdown, &mut handled) {
-                Ok((_env, DsmMsg::Shutdown)) => return Ok(()),
+                Ok((_env, DsmMsg::Done)) => return Ok(()),
                 Ok(_) => {}
                 Err(MuninError::PeerDied(dead)) if dead == NodeId::new(0) => {
                     bump(&self.stats.runtime_errors);
@@ -415,25 +415,25 @@ impl NodeRuntime {
     /// itself, so its own service loop exits) to shut down.
     pub(crate) fn broadcast_shutdown(self: &Arc<Self>) -> Result<()> {
         // Workers first, self strictly last. The moment this node's own
-        // service loop dispatches the self-addressed `Shutdown` it moves to
+        // service loop dispatches the self-addressed `Done` it moves to
         // the bounded unacked drain and then exits — so every worker frame
         // must already be wrapped (and thus held for retransmission by that
         // drain) before the self frame is even submitted. Sending to self
         // first would race the drain against the rest of the broadcast: a
-        // worker `Shutdown` lost after the drain finds the queue empty has
+        // worker's `Done` lost after the drain finds the queue empty has
         // no retransmitter, and that worker stalls in `shutdown_wait` until
         // its watchdog fires.
         // A dead worker's shutdown would sit unacknowledged in the reliable
         // link forever and hold the drain at its deadline, so the fan-out
         // walks the live set only.
         // A worker that gave up after an error has closed its inbox; that
-        // send fails, and must not keep the `Shutdown` from everyone after
+        // send fails, and must not keep the `Done` from everyone after
         // it — this node's own service loop included, which nothing else
         // would ever stop.
         for n in self.live_peers().iter() {
-            let _ = self.send(n, DsmMsg::Shutdown);
+            let _ = self.send(n, DsmMsg::Done);
         }
-        self.send(self.node, DsmMsg::Shutdown)
+        self.send(self.node, DsmMsg::Done)
     }
 }
 

@@ -92,7 +92,7 @@ pub struct Cluster<M> {
     _marker: std::marker::PhantomData<fn() -> M>,
 }
 
-impl<M: Send + Clone + 'static> Cluster<M> {
+impl<M: Send + 'static> Cluster<M> {
     /// Creates a cluster of `nodes` nodes governed by `cost`. The event
     /// engine configuration defaults to [`EngineConfig::from_env`].
     pub fn new(nodes: usize, cost: CostModel) -> Self {
@@ -129,7 +129,6 @@ impl<M: Send + Clone + 'static> Cluster<M> {
         let clocks: Vec<NodeClock> = (0..self.nodes).map(|_| NodeClock::new()).collect();
         let mut network: Network<M> =
             Network::with_engine(self.nodes, self.cost.clone(), self.engine);
-        let stats = network.stats();
         let engine = network.engine();
         let cost = Arc::new(self.cost);
 
@@ -193,7 +192,7 @@ impl<M: Send + Clone + 'static> Cluster<M> {
         Ok(ClusterReport {
             elapsed,
             node_times,
-            net: stats.snapshot(),
+            net: engine.net(),
             engine_stats: engine.stats(),
             trace,
             trace_digest,
@@ -212,10 +211,9 @@ pub struct ClusterReport<R> {
     pub elapsed: VirtTime,
     /// Per-node time accounting.
     pub node_times: Vec<NodeTimes>,
-    /// Network statistics for the whole run.
+    /// Wire statistics for the whole run: every message the engine scheduled.
     pub net: NetSnapshot,
-    /// Engine-level message volume (messages/bytes scheduled for delivery,
-    /// including engine-injected duplicates).
+    /// Drops, fired timers and late deliveries.
     pub engine_stats: EngineStats,
     /// Delivery trace, sorted by `(dst, seq_at_dst)`. Empty unless the engine
     /// configuration enabled trace recording.
@@ -280,11 +278,9 @@ mod tests {
             })
             .unwrap();
         assert_eq!(report.results, vec![2, 1]);
+        // Two scheduled deliveries of 8 modelled bytes each.
         assert_eq!(report.net.total.msgs, 2);
-        // Engine-level volume matches: two scheduled deliveries of 8
-        // modelled bytes each.
-        assert_eq!(report.engine_stats.messages_sent, 2);
-        assert_eq!(report.engine_stats.bytes_sent, 16);
+        assert_eq!(report.net.total.bytes, 16);
         // Both nodes must have advanced beyond zero: the round trip costs
         // two message overheads plus wire time.
         assert!(report.elapsed.as_nanos() >= 2 * CostModel::fast_test().msg_fixed_ns);

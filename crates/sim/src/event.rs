@@ -14,9 +14,11 @@
 //!   timestamps are delivered in an order that is stable under replay with
 //!   the same seed and *different* under a different seed — adversarial
 //!   schedule coverage without nondeterminism;
-//! * an optional seeded fault plan injects extra delay, reorder jitter, and
-//!   duplicates, all derived from per-lane counters so a replay with the same
-//!   seed sees the identical faults.
+//! * an optional seeded fault plan injects extra delay, reorder jitter and
+//!   loss, all derived from per-lane counters so a replay with the same seed
+//!   sees the identical faults;
+//! * every scheduled message is counted once, by class, in its destination's
+//!   shard: [`EventEngine::net`] is the run's wire statistics.
 //!
 //! A pop selects the earliest message *queued*, not the earliest *sent*; each
 //! inbox's earliest arrival queued or in service is published on the
@@ -54,6 +56,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use crate::error::SimError;
 use crate::net::{Envelope, NodeId};
 use crate::pace::Board;
+use crate::stats::{ClassStats, NetSnapshot};
 use crate::time::VirtTime;
 
 /// Default engine seed ("MUNIN" in ASCII).
@@ -162,10 +165,6 @@ pub struct FaultPlan {
     pub reorder_ppm: u32,
     /// Maximum reorder jitter in nanoseconds of virtual time.
     pub reorder_window_ns: u64,
-    /// Probability (ppm) of duplicating a message. The duplicate carries the
-    /// same payload bytes and a slightly later delivery time. Only protocols
-    /// that tolerate duplicates should enable this.
-    pub duplicate_ppm: u32,
     /// Probability (ppm) of dropping a message outright. The sender observes
     /// a successful send (as it would on a lossy wire); the message is never
     /// scheduled. Only protocols with a retransmission layer should enable
@@ -184,7 +183,6 @@ impl FaultPlan {
             max_delay_ns: 0,
             reorder_ppm: 0,
             reorder_window_ns: 0,
-            duplicate_ppm: 0,
             loss_ppm: 0,
             crash: CrashPlan::none(),
         }
@@ -198,7 +196,6 @@ impl FaultPlan {
             max_delay_ns: window_ns,
             reorder_ppm: ppm,
             reorder_window_ns: window_ns,
-            duplicate_ppm: 0,
             loss_ppm: 0,
             crash: CrashPlan::none(),
         }
@@ -220,10 +217,7 @@ impl FaultPlan {
     /// injection is deliberately excluded: crashes are evaluated at delivery
     /// time and must not perturb the submit path's RNG stream.
     fn is_none(&self) -> bool {
-        self.delay_ppm == 0
-            && self.duplicate_ppm == 0
-            && self.loss_ppm == 0
-            && self.reorder_ppm == 0
+        self.delay_ppm == 0 && self.loss_ppm == 0 && self.reorder_ppm == 0
     }
 }
 
@@ -419,33 +413,14 @@ struct DestState<M> {
     /// False once the node's `Receiver` has been dropped (sends then fail,
     /// matching the disconnected-channel semantics of the old transport).
     open: bool,
-    /// Messages scheduled into this shard (including injected duplicates)
-    /// and their modelled wire bytes. Kept in the shard — the submit path
-    /// already holds this lock, so counting here costs no extra atomics on
-    /// the hot path; [`EventEngine::stats`] sums over shards.
-    messages_sent: u64,
-    bytes_sent: u64,
-    /// The same volume broken down by message class (the envelope's static
-    /// class string), so reports can show per-message-kind counts.
-    class_counts: HashMap<&'static str, ClassVolume>,
+    /// Messages scheduled into this shard and their modelled wire bytes, by
+    /// class (the envelope's static class string). Kept in the shard — the
+    /// submit path already holds this lock, so counting here costs no extra
+    /// atomics on the hot path; [`EventEngine::net`] sums over shards.
+    class_counts: HashMap<&'static str, ClassStats>,
     /// This destination's slice of the delivery trace, in `seq_at_dst`
     /// order by construction.
     trace: Vec<TraceEntry>,
-}
-
-impl<M> DestState<M> {
-    /// Counts one scheduled delivery in the shard's total and per-class
-    /// volume (one place, so the two counters cannot drift). Classes are
-    /// interned `&'static str` literals, so the per-message cost under the
-    /// shard lock is one short-string hash and an upsert into a map with a
-    /// handful of entries.
-    fn count_scheduled(&mut self, class: &'static str, bytes: u64) {
-        self.messages_sent += 1;
-        self.bytes_sent += bytes;
-        let vol = self.class_counts.entry(class).or_default();
-        vol.msgs += 1;
-        vol.bytes += bytes;
-    }
 }
 
 /// A destination shard: its lock domain plus the condvar a blocked `recv`
@@ -462,26 +437,13 @@ struct Shard<M> {
     cond: Condvar,
 }
 
-/// Message/byte volume of one message class.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClassVolume {
-    /// Messages scheduled for delivery.
-    pub msgs: u64,
-    /// Their total modelled wire bytes.
-    pub bytes: u64,
-}
-
-/// Aggregate engine counters. Message volume as the *engine* sees it: one
-/// count per scheduled delivery, so an injected duplicate counts like the
-/// extra wire message it models.
+/// What only the engine knows about a run (its wire volume is
+/// [`EventEngine::net`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Messages scheduled for delivery (including injected duplicates).
-    pub messages_sent: u64,
-    /// Total modelled wire bytes of those messages.
-    pub bytes_sent: u64,
-    /// Messages dropped by seeded loss injection (never scheduled; not in
-    /// `messages_sent`).
+    /// Messages dropped by seeded loss injection (never scheduled, so not in
+    /// the wire statistics) or by an injected crash at delivery (scheduled,
+    /// so counted there too).
     pub messages_dropped: u64,
     /// Virtual-time timer events delivered (never wire messages).
     pub timers_fired: u64,
@@ -489,17 +451,6 @@ pub struct EngineStats {
     /// (each still at its own arrival): the gauge of how far host scheduling
     /// strayed from virtual-time order.
     pub late_deliveries: u64,
-    /// The same volume broken down by message kind, sorted by class name.
-    /// A carrier frame counts once, under the class of the message it
-    /// frames.
-    pub per_class: std::collections::BTreeMap<&'static str, ClassVolume>,
-}
-
-impl EngineStats {
-    /// Volume of one message class (zero if the class never appeared).
-    pub fn class(&self, name: &str) -> ClassVolume {
-        self.per_class.get(name).copied().unwrap_or_default()
-    }
 }
 
 /// The discrete-event scheduler shared by every endpoint of one [`Network`],
@@ -545,8 +496,6 @@ impl<M> EventEngine<M> {
                         delivered: 0,
                         open: true,
                         next_seq: 0,
-                        messages_sent: 0,
-                        bytes_sent: 0,
                         class_counts: HashMap::new(),
                         trace: Vec::new(),
                     }),
@@ -578,25 +527,36 @@ impl<M> EventEngine<M> {
         self.n
     }
 
-    /// Aggregate message-volume counters (for scaling benches and reports).
-    /// Sums the per-shard counters, locking one shard at a time in ascending
-    /// order (the allowed multi-shard walk — see the module docs).
+    /// Drop, timer and lateness counters. Sums the per-shard counters,
+    /// locking one shard at a time in ascending order (the allowed
+    /// multi-shard walk — see the module docs).
     pub fn stats(&self) -> EngineStats {
         let mut stats = EngineStats::default();
         for shard in &self.shards {
             let st = self.lock_shard(shard);
-            stats.messages_sent += st.messages_sent;
-            stats.bytes_sent += st.bytes_sent;
             stats.messages_dropped += st.dropped;
             stats.timers_fired += st.timers_fired;
             stats.late_deliveries += st.late;
-            for (class, vol) in &st.class_counts {
-                let agg = stats.per_class.entry(class).or_default();
-                agg.msgs += vol.msgs;
-                agg.bytes += vol.bytes;
-            }
         }
         stats
+    }
+
+    /// The wire statistics: every message scheduled so far, by class. A
+    /// carrier frame counts once, under the class of the message it frames.
+    /// Walks the shards like [`Self::stats`].
+    pub fn net(&self) -> NetSnapshot {
+        let mut net = NetSnapshot::default();
+        for shard in &self.shards {
+            let st = self.lock_shard(shard);
+            for (class, vol) in &st.class_counts {
+                let agg = net.by_class.entry(class).or_default();
+                agg.msgs += vol.msgs;
+                agg.bytes += vol.bytes;
+                net.total.msgs += vol.msgs;
+                net.total.bytes += vol.bytes;
+            }
+        }
+        net
     }
 
     fn lock_shard<'a>(&self, shard: &'a Shard<M>) -> MutexGuard<'a, DestState<M>> {
@@ -638,10 +598,7 @@ impl<M> EventEngine<M> {
     /// Schedules `payload` for delivery, applying faults and the lane clamp.
     /// Returns the envelope with its effective (scheduled) delivery time.
     /// Locks exactly one shard: the destination's.
-    pub(crate) fn submit(&self, mut env: Envelope, payload: M) -> Result<Envelope, SimError>
-    where
-        M: Clone,
-    {
+    pub(crate) fn submit(&self, mut env: Envelope, payload: M) -> Result<Envelope, SimError> {
         let dst = env.dst.as_usize();
         let Some(shard) = self.shards.get(dst) else {
             return Err(SimError::Disconnected);
@@ -658,7 +615,6 @@ impl<M> EventEngine<M> {
             rng: lane_seed(seed, src, dst as u32),
         });
         let mut arrival_ns = env.arrival.as_nanos();
-        let mut duplicate = false;
         if !self.cfg.faults.is_none() {
             let f = &self.cfg.faults;
             // The loss draw comes first and is gated on its own ppm, so every
@@ -677,13 +633,15 @@ impl<M> EventEngine<M> {
             if f.reorder_ppm > 0 && splitmix64(&mut lane.rng) % 1_000_000 < f.reorder_ppm as u64 {
                 arrival_ns += 1 + splitmix64(&mut lane.rng) % f.reorder_window_ns.max(1);
             }
-            duplicate = f.duplicate_ppm > 0
-                && splitmix64(&mut lane.rng) % 1_000_000 < f.duplicate_ppm as u64;
         }
         // Lane FIFO: a link never reorders its own traffic.
         arrival_ns = arrival_ns.max(lane.last_arrival_ns);
         lane.last_arrival_ns = arrival_ns;
-        st.count_scheduled(env.class, env.model_bytes);
+        // Classes are interned `&'static str` literals: one short-string hash
+        // and an upsert into a map of a handful of entries.
+        let vol = st.class_counts.entry(env.class).or_default();
+        vol.msgs += 1;
+        vol.bytes += env.model_bytes;
         let seq = st.next_seq;
         st.next_seq += 1;
         // Seeded tie-break over (src, dst, deliver_at) only: two same-lane
@@ -697,24 +655,6 @@ impl<M> EventEngine<M> {
             splitmix64(&mut s)
         };
         env.arrival = VirtTime::from_nanos(arrival_ns);
-        // Clone the (possibly large) payload only when duplicate injection
-        // fires: the common path moves it into the heap.
-        if duplicate {
-            st.count_scheduled(env.class, env.model_bytes);
-            let dup_seq = st.next_seq;
-            st.next_seq += 1;
-            let mut dup_env = env;
-            dup_env.arrival = VirtTime::from_nanos(arrival_ns + 1);
-            st.heap.push(Scheduled {
-                key: DeliveryKey {
-                    deliver_at_ns: arrival_ns + 1,
-                    tie,
-                    seq: dup_seq,
-                },
-                env: dup_env,
-                payload: payload.clone(),
-            });
-        }
         st.heap.push(Scheduled {
             key: DeliveryKey {
                 deliver_at_ns: arrival_ns,
@@ -776,7 +716,7 @@ impl<M> EventEngine<M> {
     /// at the arrival time (a dead node receives nothing), or the source was
     /// down when it sent (a dead node sends nothing). What a node sends to
     /// itself never crosses the wire and is never dropped: a cut-off node's
-    /// own `Shutdown` must still be able to stop its service loop.
+    /// own final `Done` must still be able to stop its service loop.
     fn crash_drops(&self, env: &Envelope, delivered: u64) -> bool {
         if env.src == env.dst {
             return false;
@@ -862,7 +802,7 @@ impl<M> EventEngine<M> {
 
     /// Closes `node`'s inbox: subsequent submits fail, and its `recv` reports
     /// disconnection once the already-scheduled messages drain (the runtime's
-    /// abort path: a service thread must stop even if `Shutdown` was lost).
+    /// abort path: a service thread must stop even if its final `Done` was lost).
     pub(crate) fn close_inbox(&self, node: usize) {
         self.receiver_dropped(node);
     }
@@ -1112,19 +1052,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_are_injected_when_enabled() {
-        let faults = FaultPlan {
-            duplicate_ppm: 1_000_000,
-            ..FaultPlan::none()
-        };
-        let e = engine(2, EngineConfig::seeded(3).with_faults(faults));
-        e.submit(env(0, 1, 100), 9).unwrap();
-        assert_eq!(e.recv(1).unwrap().1, 9);
-        assert_eq!(e.recv(1).unwrap().1, 9);
-        assert!(e.try_recv(1).unwrap().is_none());
-    }
-
-    #[test]
     fn trace_records_per_destination_sequences() {
         let e = engine(2, EngineConfig::seeded(1).with_trace());
         e.submit(env(0, 1, 200), 1).unwrap();
@@ -1140,34 +1067,41 @@ mod tests {
     }
 
     #[test]
-    fn engine_stats_count_messages_and_bytes() {
+    fn net_counts_messages_and_bytes_by_class() {
         let e = engine(2, EngineConfig::seeded(1));
         assert_eq!(e.stats(), EngineStats::default());
+        assert_eq!(e.net(), NetSnapshot::default());
         let mut env100 = env(0, 1, 10);
         env100.model_bytes = 100;
         let mut env28 = env(1, 0, 20);
         env28.model_bytes = 28;
         e.submit(env100, 1).unwrap();
         e.submit(env28, 2).unwrap();
-        let stats = e.stats();
-        assert_eq!(stats.messages_sent, 2);
-        assert_eq!(stats.bytes_sent, 128);
-    }
-
-    #[test]
-    fn engine_stats_count_injected_duplicates() {
-        let faults = FaultPlan {
-            duplicate_ppm: 1_000_000,
-            ..FaultPlan::none()
-        };
-        let e = engine(2, EngineConfig::seeded(3).with_faults(faults));
-        let mut envelope = env(0, 1, 100);
-        envelope.model_bytes = 10;
-        e.submit(envelope, 9).unwrap();
-        // The duplicate is an extra wire message the engine scheduled.
-        let stats = e.stats();
-        assert_eq!(stats.messages_sent, 2);
-        assert_eq!(stats.bytes_sent, 20);
+        let mut lock = env(0, 1, 30);
+        lock.class = "lock";
+        lock.model_bytes = 8;
+        e.submit(lock, 3).unwrap();
+        let net = e.net();
+        assert_eq!(
+            net.total,
+            ClassStats {
+                msgs: 3,
+                bytes: 136
+            }
+        );
+        assert_eq!(
+            net.class("t"),
+            ClassStats {
+                msgs: 2,
+                bytes: 128
+            }
+        );
+        assert_eq!(net.class("lock"), ClassStats { msgs: 1, bytes: 8 });
+        assert_eq!(net.class("missing"), ClassStats::default());
+        // A refused send is no message.
+        e.receiver_dropped(1);
+        assert!(e.submit(env(0, 1, 40), 4).is_err());
+        assert_eq!(e.net(), net);
     }
 
     #[test]
@@ -1202,10 +1136,10 @@ mod tests {
             while let Ok(Some((_, v))) = e.try_recv(1) {
                 got.push(v);
             }
-            let stats = e.stats();
-            assert_eq!(stats.messages_sent + stats.messages_dropped, 64);
-            assert!(stats.messages_dropped > 0, "50% loss must drop something");
-            assert!(stats.messages_sent > 0, "50% loss must deliver something");
+            let (sent, dropped) = (e.net().total.msgs, e.stats().messages_dropped);
+            assert_eq!(sent + dropped, 64);
+            assert!(dropped > 0, "50% loss must drop something");
+            assert!(sent > 0, "50% loss must deliver something");
             got
         };
         assert_eq!(run(11), run(11), "loss schedule must replay under a seed");
@@ -1222,9 +1156,8 @@ mod tests {
             e.submit(env(0, 1, 100 * i), i).unwrap();
         }
         assert!(e.try_recv(1).unwrap().is_none());
-        let stats = e.stats();
-        assert_eq!(stats.messages_sent, 0);
-        assert_eq!(stats.messages_dropped, 8);
+        assert_eq!(e.net(), NetSnapshot::default());
+        assert_eq!(e.stats().messages_dropped, 8);
         assert!(e.trace_snapshot().is_empty());
     }
 
@@ -1242,9 +1175,8 @@ mod tests {
         assert_eq!(tick_env.class, "tick");
         assert_eq!(tick_env.src, NodeId::new(1));
         // Timers are not wire messages: no volume, no trace, no high-water.
-        let stats = e.stats();
-        assert_eq!(stats.messages_sent, 1);
-        assert_eq!(stats.timers_fired, 1);
+        assert_eq!(e.net().total.msgs, 1);
+        assert_eq!(e.stats().timers_fired, 1);
         assert_eq!(e.frontier_ns(1), 500);
     }
 
@@ -1330,7 +1262,7 @@ mod tests {
     #[test]
     fn a_crashed_node_still_hears_itself() {
         // What a node sends to itself never crosses the wire: a cut-off
-        // node's own `Shutdown` must still reach its service loop.
+        // node's own final `Done` must still reach its service loop.
         let faults = FaultPlan::none().with_crash(CrashSpec {
             node: 1,
             trigger: CrashTrigger::VirtTime(500),

@@ -18,8 +18,8 @@
 //! * [`event`] — the discrete-event engine behind the network: a seeded,
 //!   virtual-time-ordered delivery scheduler ([`EngineConfig`]) with
 //!   per-link FIFO guarantees, deterministic tie-breaking, optional fault
-//!   injection (delay / reorder / duplicate), and a replayable delivery
-//!   trace.
+//!   injection (delay / reorder / loss / crash), the run's wire statistics,
+//!   and a replayable delivery trace.
 //! * [`pace`] — paced sends, and the user-thread mailbox they read.
 //! * [`cluster`] — helpers for spawning one OS thread per simulated node and
 //!   collecting a [`ClusterReport`] (elapsed virtual time, per-node
@@ -67,10 +67,10 @@ pub use cluster::{Cluster, ClusterReport, NodeCtx};
 pub use cost::CostModel;
 pub use error::SimError;
 pub use event::{
-    ClassVolume, CrashPlan, CrashSpec, CrashTrigger, DeliveryMode, EngineConfig, EngineStats,
-    EventEngine, FaultPlan, TraceEntry,
+    CrashPlan, CrashSpec, CrashTrigger, DeliveryMode, EngineConfig, EngineStats, EventEngine,
+    FaultPlan, TraceEntry,
 };
 pub use net::{Envelope, Network, NodeId, Receiver, Sender};
 pub use pace::Mailbox;
-pub use stats::{NetStats, NodeTimes};
+pub use stats::NodeTimes;
 pub use time::{NodeClock, TimeKind, VirtTime};

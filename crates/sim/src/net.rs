@@ -29,7 +29,6 @@ use crate::cost::CostModel;
 use crate::error::SimError;
 use crate::event::{EngineConfig, EventEngine};
 use crate::pace::Mailbox;
-use crate::stats::NetStats;
 use crate::time::{NodeClock, TimeKind, VirtTime};
 
 /// Identifier of a simulated node (processor).
@@ -82,7 +81,6 @@ pub struct Envelope {
 
 struct Shared {
     cost: CostModel,
-    stats: Arc<NetStats>,
     bus_free_ns: AtomicU64,
 }
 
@@ -117,7 +115,7 @@ impl Shared {
 }
 
 /// Sending half of a node's network endpoint. Cheap to clone; clones share
-/// the node's clock, the event engine, and the global statistics.
+/// the node's clock and the event engine (which counts what they send).
 pub struct Sender<M> {
     node: NodeId,
     clock: NodeClock,
@@ -143,10 +141,9 @@ impl<M> Drop for Sender<M> {
     }
 }
 
-impl<M: Send + Clone> Sender<M> {
+impl<M: Send> Sender<M> {
     /// Sends `payload` to `dst`, charging the fixed per-message software cost
-    /// to this node's system time and recording the message in the network
-    /// statistics. Returns the envelope that was scheduled.
+    /// to this node's system time. Returns the envelope that was scheduled.
     ///
     /// `model_bytes` is the number of bytes the message would occupy on the
     /// wire in the real system (header + payload); it determines wire time.
@@ -206,7 +203,6 @@ impl<M: Send + Clone> Sender<M> {
             sent_at,
             arrival,
         };
-        self.shared.stats.record(class, model_bytes);
         self.engine.submit(env, payload)
     }
 
@@ -354,7 +350,6 @@ impl<M: Send> Network<M> {
         Network {
             shared: Arc::new(Shared {
                 cost,
-                stats: Arc::new(NetStats::new()),
                 bus_free_ns: AtomicU64::new(0),
             }),
             engine: Arc::new(EventEngine::new(n, engine)),
@@ -367,18 +362,13 @@ impl<M: Send> Network<M> {
         self.engine.nodes()
     }
 
-    /// Global message statistics.
-    pub fn stats(&self) -> Arc<NetStats> {
-        Arc::clone(&self.shared.stats)
-    }
-
     /// The cost model in effect.
     pub fn cost(&self) -> &CostModel {
         &self.shared.cost
     }
 
-    /// The event engine scheduling this network's deliveries (for trace
-    /// snapshots and digests).
+    /// The event engine scheduling this network's deliveries (for its wire
+    /// statistics, trace snapshots and digests).
     pub fn engine(&self) -> Arc<EventEngine<M>> {
         Arc::clone(&self.engine)
     }
@@ -526,14 +516,14 @@ mod tests {
     #[test]
     fn stats_are_recorded() {
         let (mut net, clocks) = two_node_net();
-        let stats = net.stats();
+        let engine = net.engine();
         let (tx0, _rx0) = net.endpoint(0, clocks[0].clone()).unwrap();
         let (_tx1, rx1) = net.endpoint(1, clocks[1].clone()).unwrap();
         tx0.send(NodeId::new(1), "update", 128, 5).unwrap();
         tx0.send(NodeId::new(1), "lock", 8, 6).unwrap();
         rx1.recv().unwrap();
         rx1.recv().unwrap();
-        let snap = stats.snapshot();
+        let snap = engine.net();
         assert_eq!(snap.total.msgs, 2);
         assert_eq!(snap.class("update").bytes, 128);
     }

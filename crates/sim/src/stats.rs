@@ -7,9 +7,6 @@
 //! message and its modelled size, broken down by message class.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
 
 use crate::time::VirtTime;
 
@@ -22,53 +19,9 @@ pub struct ClassStats {
     pub bytes: u64,
 }
 
-/// Shared, thread-safe network statistics.
-#[derive(Debug, Default)]
-pub struct NetStats {
-    msgs: AtomicU64,
-    bytes: AtomicU64,
-    by_class: Mutex<BTreeMap<&'static str, ClassStats>>,
-}
-
-impl NetStats {
-    /// Creates an empty statistics block.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one message of `class` carrying `bytes` modelled bytes.
-    pub fn record(&self, class: &'static str, bytes: u64) {
-        self.msgs.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        let mut map = self.by_class.lock();
-        let entry = map.entry(class).or_default();
-        entry.msgs += 1;
-        entry.bytes += bytes;
-    }
-
-    /// Total messages recorded so far.
-    pub fn total_msgs(&self) -> u64 {
-        self.msgs.load(Ordering::Relaxed)
-    }
-
-    /// Total modelled bytes recorded so far.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Returns a snapshot of the per-class counters.
-    pub fn snapshot(&self) -> NetSnapshot {
-        NetSnapshot {
-            total: ClassStats {
-                msgs: self.total_msgs(),
-                bytes: self.total_bytes(),
-            },
-            by_class: self.by_class.lock().clone(),
-        }
-    }
-}
-
-/// An owned snapshot of [`NetStats`].
+/// The wire statistics of a run: every message the event engine scheduled
+/// for delivery, counted once, in the destination's shard
+/// ([`crate::EventEngine::net`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetSnapshot {
     /// Totals across all classes.
@@ -81,28 +34,6 @@ impl NetSnapshot {
     /// Counters for a single class (zero if the class never occurred).
     pub fn class(&self, class: &str) -> ClassStats {
         self.by_class.get(class).copied().unwrap_or_default()
-    }
-
-    /// Difference between two snapshots (`self` must be the later one).
-    pub fn since(&self, earlier: &NetSnapshot) -> NetSnapshot {
-        let mut by_class = BTreeMap::new();
-        for (k, v) in &self.by_class {
-            let before = earlier.class(k);
-            by_class.insert(
-                *k,
-                ClassStats {
-                    msgs: v.msgs - before.msgs,
-                    bytes: v.bytes - before.bytes,
-                },
-            );
-        }
-        NetSnapshot {
-            total: ClassStats {
-                msgs: self.total.msgs - earlier.total.msgs,
-                bytes: self.total.bytes - earlier.total.bytes,
-            },
-            by_class,
-        }
     }
 }
 
@@ -119,45 +50,4 @@ pub struct NodeTimes {
     pub system: VirtTime,
     /// Time spent blocked waiting for messages, locks, or barriers.
     pub wait: VirtTime,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn record_accumulates_totals_and_classes() {
-        let stats = NetStats::new();
-        stats.record("update", 100);
-        stats.record("update", 50);
-        stats.record("lock", 8);
-        assert_eq!(stats.total_msgs(), 3);
-        assert_eq!(stats.total_bytes(), 158);
-        let snap = stats.snapshot();
-        assert_eq!(
-            snap.class("update"),
-            ClassStats {
-                msgs: 2,
-                bytes: 150
-            }
-        );
-        assert_eq!(snap.class("lock"), ClassStats { msgs: 1, bytes: 8 });
-        assert_eq!(snap.class("missing"), ClassStats::default());
-    }
-
-    #[test]
-    fn snapshot_since_subtracts() {
-        let stats = NetStats::new();
-        stats.record("a", 10);
-        let before = stats.snapshot();
-        stats.record("a", 5);
-        stats.record("b", 7);
-        let after = stats.snapshot();
-        let delta = after.since(&before);
-        assert_eq!(delta.total.msgs, 2);
-        assert_eq!(delta.total.bytes, 12);
-        assert_eq!(delta.class("a").msgs, 1);
-        // Class "b" did not exist in the earlier snapshot.
-        assert_eq!(delta.class("b").bytes, 7);
-    }
 }

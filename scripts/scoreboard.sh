@@ -40,8 +40,9 @@ server_flush_lines=$(non_test_lines "$runtime/server.rs" "$runtime/flush.rs")
 core_lines=$(non_test_lines "${core_files[@]}")
 instant_now_reads=$(code_of "${runtime_files[@]}" | grep -c 'Instant::now()' || true)
 workspace_lines=$(non_test_lines "${workspace_files[@]}")
+design_bytes=$(wc -c < DESIGN.md)
 
-names=(dsmmsg_variants munin_knobs ci_named_steps server_flush_lines core_lines instant_now_reads workspace_lines)
+names=(dsmmsg_variants munin_knobs ci_named_steps server_flush_lines core_lines instant_now_reads workspace_lines design_bytes)
 what=(
     '`DsmMsg` variants'
     'distinct `MUNIN_*` names read by non-test code'
@@ -50,6 +51,7 @@ what=(
     'non-test lines of crates/core/src'
     '`Instant::now()` reads in protocol code (crates/core/src/runtime)'
     'non-test lines of src, crates (shims and benches too) and examples'
+    'bytes of DESIGN.md'
 )
 
 failed=0

@@ -720,10 +720,10 @@ fn bench_crash_probe() {
     eprintln!(
         "zero_crash_overhead: messages {} -> {} bytes {} -> {} \
          virt_elapsed_ms {:.3} -> {:.3} heartbeats={} retransmits={}",
-        m_off.engine.messages_sent,
-        m_on.engine.messages_sent,
-        m_off.engine.bytes_sent,
-        m_on.engine.bytes_sent,
+        m_off.net.total.msgs,
+        m_on.net.total.msgs,
+        m_off.net.total.bytes,
+        m_on.net.total.bytes,
         m_off.elapsed.as_nanos() as f64 / 1e6,
         m_on.elapsed.as_nanos() as f64 / 1e6,
         m_on.stats.heartbeats_sent,

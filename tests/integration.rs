@@ -126,6 +126,36 @@ fn out_of_bounds_accesses_are_rejected_with_context() {
     assert_eq!(*report.results[0].as_ref().unwrap(), 5);
 }
 
+/// `user_done` runs on the root after every worker has finished, while the
+/// other nodes' service threads still serve requests. Node 2 writes a page
+/// and every worker ends at a barrier; the root's `user_done` then reads the
+/// page, so node 2 serves the fetch after its own worker has finished, and
+/// the run still ends cleanly.
+#[test]
+fn user_done_reads_a_page_a_finished_worker_owns() {
+    let mut prog = MuninProgram::new(MuninConfig::fast_test(4));
+    let page = prog.declare::<i64>("page", 16, SharingAnnotation::Conventional);
+    let end = prog.create_barrier("end");
+    let seen = std::sync::Arc::new(std::sync::Mutex::new(None));
+    let done_seen = std::sync::Arc::clone(&seen);
+    prog.user_done(move |ctx| {
+        *done_seen.lock().unwrap() = ctx.read(&page, 3).ok();
+    });
+    let report = prog
+        .run(move |ctx| {
+            if ctx.node_id() == 2 {
+                ctx.write(&page, 3, 42)?;
+            }
+            ctx.wait_at_barrier(end)?;
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(*seen.lock().unwrap(), Some(42));
+    assert!(report.first_error().is_none());
+    assert_eq!(report.stats[0].objects_fetched, 1, "the root's one read");
+    assert_eq!(report.stats_total().runtime_errors, 0);
+}
+
 #[test]
 fn change_annotation_switches_protocol_mid_run() {
     let mut prog = MuninProgram::new(MuninConfig::fast_test(2));
@@ -1009,7 +1039,7 @@ fn a_read_is_not_held_behind_its_owners_later_barrier_arrive() {
 /// faults and no twin (1 024 and 1 024 while each page took a fault and a
 /// twin in each phase). Everything else the root is charged is the barriers'
 /// `sync_op` on each arrive, and `msg_fixed` for the one message it sends
-/// itself, the final `Shutdown`: it opens every episode and wakes its own
+/// itself, its final `Done`: it opens every episode and wakes its own
 /// thread there, without a message. (While it posted itself a
 /// `BarrierRelease` per episode, each cost it `msg_fixed` to send and
 /// `sync_op` to handle. While a flush diffed every page before it looked for
@@ -1033,7 +1063,7 @@ fn sor_on_one_processor_is_charged_no_encode() {
     assert_eq!((s.write_faults, s.twins_created), (513, 0));
     assert_eq!(s.barrier_waits, barriers);
     assert_eq!(m.net.class("barrier_release").msgs, 0);
-    assert_eq!(m.net.total.msgs, 1, "the `Shutdown`");
+    assert_eq!(m.net.total.msgs, 1, "its final `Done`");
     let ns = |t: munin::sim::VirtTime| t.as_nanos();
     let identity = s.write_faults * ns(cost.fault())
         + s.twins_created * ns(cost.copy(8_192))

@@ -34,7 +34,7 @@ fn bits(grid: &[f64]) -> Vec<u64> {
 /// unless the transport is on, and then they follow the host's clock; what
 /// is left is schedule-deterministic.
 fn protocol_msgs(m: &RunMeasurement) -> u64 {
-    m.engine.messages_sent - m.stats.net_acks_sent - m.stats.retransmits
+    m.net.total.msgs - m.stats.net_acks_sent - m.stats.retransmits
 }
 
 /// The 4-node SOR miniature most tests below share, under the stress plan.
@@ -358,7 +358,7 @@ fn assert_16_node_sor_economy(access_mode: AccessMode, reliability: Option<bool>
         reference,
         "16-node SOR grid wrong at half a page"
     );
-    let (msgs, bytes) = (protocol_msgs(&m), m.engine.bytes_sent);
+    let (msgs, bytes) = (protocol_msgs(&m), m.net.total.bytes);
     assert_eq!(msgs, 1_040, "16-node SOR messages at half a page");
     let drop = 1.0 - msgs as f64 / OFF_SOR_16_MSGS as f64;
     assert!(
@@ -390,7 +390,7 @@ fn assert_16_node_sor_economy(access_mode: AccessMode, reliability: Option<bool>
         reference,
         "16-node SOR grid wrong at the default threshold"
     );
-    let (msgs, bytes) = (protocol_msgs(&m), m.engine.bytes_sent);
+    let (msgs, bytes) = (protocol_msgs(&m), m.net.total.bytes);
     assert_eq!(msgs, 928, "16-node SOR messages at the default threshold");
     if forced {
         assert!(
@@ -455,7 +455,7 @@ fn per_class_engine_counts_reflect_the_carrier_framing() {
         params.reliability = reliability;
         let (m, _) = sor::run_munin(params, CostModel::fast_test()).unwrap();
         let [arrives, releases] =
-            ["barrier_arrive", "barrier_release"].map(|class| m.engine.class(class).msgs);
+            ["barrier_arrive", "barrier_release"].map(|class| m.net.class(class).msgs);
         if reliability.is_none() {
             assert_eq!((arrives, releases), (24, 24));
         } else {
@@ -463,14 +463,14 @@ fn per_class_engine_counts_reflect_the_carrier_framing() {
             assert!(arrives >= 24 && releases >= 24 && arrives + releases <= 48 + retransmits);
         }
         assert_eq!(
-            m.engine.class("update").msgs,
+            m.net.class("update").msgs,
             0,
             "standalone update messages must collapse into carriers, transport {reliability:?}"
         );
         assert!(m.stats.msgs_piggybacked > 0);
         // The kind breakdown sums to the total.
-        let sum: u64 = m.engine.per_class.values().map(|v| v.msgs).sum();
-        assert_eq!(sum, m.engine.messages_sent);
+        let sum: u64 = m.net.by_class.values().map(|v| v.msgs).sum();
+        assert_eq!(sum, m.net.total.msgs);
     }
 }
 

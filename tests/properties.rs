@@ -1177,6 +1177,24 @@ fn with_changed(words: usize, seed: u64, changed: impl Fn(usize) -> bool) -> (Ve
     (current, twin)
 }
 
+/// Table 2's three patterns on an 8 KB page, at their exact encoded sizes:
+/// what the wire carries and the cost model charges transmission for.
+#[test]
+fn table_2_diffs_have_their_exact_sizes() {
+    let size = |changed: &dyn Fn(usize) -> bool| {
+        let (current, twin) = with_changed(2048, 5, changed);
+        diff::encode(&current, &twin).encoded_bytes()
+    };
+    // Word 7: words (2), skip and count (a byte each), one data word.
+    assert_eq!(size(&|w| w == 7), 8);
+    // Every word: words (2), skip (1), count (2), all 2 048 words.
+    assert_eq!(size(&|_| true), 8_197);
+    // Alternate words: one periodic span over words 0..=2046, its mask the
+    // two bits `01`: words (2) + skip, count = 0, 0, period, length
+    // (1 + 1 + 1 + 1 + 2) + one pattern byte + 1 024 data words.
+    assert_eq!(size(&|w| w % 2 == 0), 4_105);
+}
+
 /// The block-skip encoder and the reference write the same bytes on the
 /// patterns the protocol generates, at sizes around the block edges:
 /// identical buffers, fully dirty ones, sparse words, stripes straddling

@@ -463,8 +463,8 @@ fn reliability_framing_overhead_is_bounded_at_zero_loss() {
     );
     assert_eq!(m_on.stats.dup_msgs_dropped, 0);
 
-    let bytes_off = m_off.engine.bytes_sent;
-    let bytes_on = m_on.engine.bytes_sent;
+    let bytes_off = m_off.net.total.bytes;
+    let bytes_on = m_on.net.total.bytes;
     // The frame is a fixed 8 bytes a message. Measured since SOR's diffs
     // have varint run headers (64 934 payload bytes): frame tax 3.4%,
     // exact; the standalone acks on top depend on host timing — 14-34 of
@@ -474,8 +474,8 @@ fn reliability_framing_overhead_is_bounded_at_zero_loss() {
         bytes_on <= bytes_off + bytes_off * pct / 100,
         "reliability framing exceeded its {pct}% byte-overhead budget: {bytes_off} -> {bytes_on}"
     );
-    let msgs_off = m_off.engine.messages_sent;
-    let msgs_on = m_on.engine.messages_sent;
+    let msgs_off = m_off.net.total.msgs;
+    let msgs_on = m_on.net.total.msgs;
     let acks = m_on.stats.net_acks_sent;
     assert!(
         msgs_on <= msgs_off + acks,

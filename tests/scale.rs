@@ -130,7 +130,7 @@ fn sor_completes_correctly_at_256_nodes() {
 ///   towards its fallback broadcast, finished that many acks early, and the
 ///   last `UpdateAck`s answered the next wait (fixed: the flush ack loop
 ///   matches acks to expectations by sender);
-/// * with those gone, two rarer ones: the root's `Shutdown` broadcast
+/// * with those gone, two rarer ones: the root's final `Done` broadcast
 ///   stopped at the first peer with a closed inbox, never reaching the
 ///   root's own service loop (a hang no watchdog covers; fixed), and a node
 ///   cut off from the cluster could lose a race with the survivors'
