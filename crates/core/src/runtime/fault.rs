@@ -23,8 +23,8 @@
 //! prefix of the run, so the objects installed along never fault; what the
 //! owner could not hand out as a plain copy faults in turn, and starts a run
 //! of its own.
-//! A delayed write into the node's own block also asks for the block's
-//! untouched objects *ahead* of its window, as first touches.
+//! In the node's own block a delayed write enables its untouched objects at
+//! once, first asking for those *ahead* of its window, as first touches.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -32,7 +32,7 @@ use std::sync::Arc;
 use munin_sim::NodeId;
 
 use crate::annotation::SharingAnnotation;
-use crate::directory::{AccessRights, DirEntry};
+use crate::directory::{AccessRights, DirEntry, ObjectState};
 use crate::error::{MuninError, Result};
 use crate::msg::{DsmMsg, FetchKind, FetchRequest};
 use crate::nodeset::NodeSet;
@@ -181,7 +181,8 @@ impl NodeRuntime {
     /// The objects the write overwrites whole are published to the fault
     /// path for the access (`overwrite`): a `result` one among them that a
     /// fault fetches comes without its bytes. Should the access fail, the
-    /// objects fetched that way are dropped again: they hold no contents.
+    /// objects fetched that way are dropped again: the zeros they hold must
+    /// neither be read nor flushed whole.
     pub(crate) fn write_var_bytes(
         self: &Arc<Self>,
         var: crate::object::VarId,
@@ -198,26 +199,18 @@ impl NodeRuntime {
         let pinned = self.pin_for_access(objects, true);
         if tracked {
             let (_, elided) = std::mem::take(&mut *self.overwrite.lock());
-            if pinned.is_err() {
-                self.drop_elided(&elided);
+            for &object in elided.iter().filter(|_| pinned.is_err()) {
+                self.duq.lock().remove(object);
+                let mut dir = self.dir.lock();
+                let entry = dir.entry_mut(object);
+                entry.state.dirty = false;
+                self.set_entry_rights(entry, AccessRights::Invalid);
             }
         }
         pinned?;
         self.copy_var_bytes_in(var, byte_offset, data);
         self.unpin(objects);
         Ok(())
-    }
-
-    /// Drops what a failed write access installed without its bytes: the
-    /// zeros those objects hold must neither be read nor flushed whole.
-    fn drop_elided(&self, elided: &[ObjectId]) {
-        for &object in elided {
-            self.duq.lock().remove(object);
-            let mut dir = self.dir.lock();
-            let entry = dir.entry_mut(object);
-            entry.state.dirty = false;
-            self.set_entry_rights(entry, AccessRights::Invalid);
-        }
     }
 
     /// Acquires the rights needed for a memory access of `objects` and pins
@@ -362,13 +355,14 @@ impl NodeRuntime {
         run
     }
 
-    /// The end of this node's block of `object`'s variable when `object`
-    /// lies in it: object `i` of `n` is node `⌊i·N/n⌋`'s.
-    fn own_block_end(&self, object: ObjectId) -> Option<u32> {
+    /// This node's block of `object`'s variable when `object` lies in it:
+    /// object `i` of `n` is node `⌊i·N/n⌋`'s.
+    fn own_block(&self, object: ObjectId) -> Option<Range<u32>> {
         let objects = &self.table.var(self.table.object(object).var).objects;
         let (first, n) = (objects[0].as_u32() as usize, objects.len());
         let (i, me) = (object.as_u32() as usize - first, self.node.as_usize());
-        (i * self.nodes / n == me).then(|| (first + ((me + 1) * n).div_ceil(self.nodes)) as u32)
+        let start = |node: usize| (first + (node * n).div_ceil(self.nodes)) as u32;
+        (i * self.nodes / n == me).then(|| start(me)..start(me + 1))
     }
 
     /// Handles a write access fault, dispatching on the object's protocol
@@ -386,6 +380,7 @@ impl NodeRuntime {
                 copy_run: (u32, u32),
                 owner_hint: NodeId,
                 elide: Range<u32>,
+                block: Range<u32>,
             },
             UpgradeInPlace {
                 copyset: NodeSet,
@@ -416,18 +411,18 @@ impl NodeRuntime {
                 let owner_hint = entry.probable_owner;
                 let to_owner = entry.params.flushes_to_owner();
                 // The copy a delayed write needs is a plain read copy, so
-                // the window's can come with it; the objects behind this one
-                // still take their own write fault (twin, DUQ), but find
-                // their copy in place. In this node's own block, the rest of
-                // the block is asked for ahead — but its last object, which
-                // the next node's first write may share: no race for it.
+                // the window's can come with it (each still takes its own
+                // write fault, but finds its copy in place). In this node's
+                // own block, the rest of the block is asked for ahead and
+                // enabled in this trap — but its last object, which the next
+                // node's first write may share: no race for it.
                 let fixed = entry.params.has_fixed_owner();
-                let block = self.own_block_end(object).filter(|_| !fixed);
-                let end = block.map_or(window_end, |end| window_end.max(end - 1));
+                let own = self.own_block(object).filter(|_| !fixed);
+                let block = own.map_or(0..0, |b| b.start..b.end - 1);
                 let copy_run = if entry.state.rights.allows_read() {
                     0
                 } else {
-                    Self::claim_run(&mut dir, object, end)
+                    Self::claim_run(&mut dir, object, window_end.max(block.end))
                 };
                 let window = window_end.saturating_sub(object.as_u32()).max(1);
                 // Write-validate: a `result` object this fault fetches and
@@ -441,6 +436,7 @@ impl NodeRuntime {
                     copy_run: (copy_run, copy_run.saturating_sub(window)),
                     owner_hint,
                     elide,
+                    block,
                 }
             } else if entry.state.owned && entry.state.rights.allows_read() {
                 // Already the owner with a (read-protected) copy: invalidate
@@ -468,7 +464,8 @@ impl NodeRuntime {
                 copy_run,
                 owner_hint,
                 elide,
-            } => self.delayed_write_fault(object, copy_run, owner_hint, elide, window_end),
+                block,
+            } => self.delayed_write_fault(object, copy_run, owner_hint, elide, window_end, block),
             Plan::UpgradeInPlace { copyset } => {
                 let r = self.invalidate_copies(object, copyset);
                 if r.is_ok() {
@@ -498,8 +495,9 @@ impl NodeRuntime {
     /// instead), enqueue the object on the DUQ, and enable writes — and do
     /// the same, in this one trap, for every object of its variable that is
     /// still read-only here and idle: those in the write set, and the sole
-    /// ones of the access window, before `window_end`. Returns how many
-    /// objects the fault enabled.
+    /// ones of the access window, before `window_end` — and for the sole ones
+    /// of this node's own `block` it never materialised, zero-filled where
+    /// they lie. Returns how many objects the fault enabled.
     fn delayed_write_fault(
         self: &Arc<Self>,
         object: ObjectId,
@@ -507,6 +505,7 @@ impl NodeRuntime {
         owner_hint: NodeId,
         elide: Range<u32>,
         window_end: u32,
+        block: Range<u32>,
     ) -> Result<u32> {
         if copy_run.0 > 0 {
             self.fetch_object(object, copy_run, FetchKind::Read, owner_hint, elide)?;
@@ -518,14 +517,25 @@ impl NodeRuntime {
         }
         // The variable's objects in the write set come along (a change of
         // annotation empties it: theirs is a multi-writer fan-out one), and
-        // so do the window's sole ones.
+        // so do the window's sole ones and the block's untouched sole ones —
+        // idle but for this fault's own claim, which installed them.
         let var = self.table.object(object).var;
         let mine = |o: &mut ObjectId| self.table.object(*o).var == var;
         let sole = |e: &DirEntry| e.params.is_stable() && e.state.owned && e.copyset.is_empty();
+        let claimed = object.as_u32()..object.as_u32() + copy_run.0;
+        let idle =
+            |o: ObjectId, s: ObjectState| !s.pinned && (!s.busy || claimed.contains(&o.as_u32()));
         let mut enable = vec![object];
         enable.extend(dir.write_set.extract_if(.., mine).filter(|&o| o != object));
         let window = (object.as_u32() + 1..window_end).map(ObjectId::new);
         enable.extend(window.filter(|&o| sole(dir.entry(o))));
+        for o in block.map(ObjectId::new) {
+            let e = dir.entry_mut(o);
+            if sole(e) && e.state.rights == AccessRights::Invalid && idle(o, e.state) {
+                self.set_entry_rights(e, AccessRights::Read);
+                enable.push(o);
+            }
+        }
         // Snapshot and enqueue in one DUQ-lock scope, the one
         // `apply_update_items` holds across memory apply + twin patch: a
         // peer's update admitted before this fault is either in the snapshot
@@ -538,7 +548,7 @@ impl NodeRuntime {
             let make_twin = e.params.allows_multiple_writers() && !sole(e);
             let s = e.state;
             // (A second listing of an object finds it enabled: not idle.)
-            if o != object && !(s.rights == AccessRights::Read && !s.busy && !s.pinned) {
+            if o != object && !(s.rights == AccessRights::Read && idle(o, s)) {
                 return false;
             }
             let twin = make_twin.then(|| {
@@ -930,7 +940,7 @@ mod tests {
                     let v = &rt.table().var_by_name("v").unwrap().objects;
                     let first = v[0].as_u32();
                     v.iter()
-                        .map(|o| rt.own_block_end(*o).map(|end| end - first))
+                        .map(|o| rt.own_block(*o).map(|b| b.end - first))
                         .collect::<Vec<_>>()
                 })
                 .collect::<Vec<_>>()
@@ -1054,6 +1064,44 @@ mod tests {
         assert_eq!(counts(), (4, 3));
         assert_eq!(state(ws[0]), (rw, true, true));
         assert_eq!(state(ws[1]), (read, false, false));
+    }
+
+    /// One trap for a block: the first write into this node's own block of
+    /// a `producer_consumer` variable enables, with no twin, every page of
+    /// the block it owns, never materialised and holds alone, the pages
+    /// before the faulting one too. It leaves the block's last page, and a
+    /// page that is busy, pinned, shared or materialised, to fault on its own.
+    #[test]
+    fn one_trap_enables_the_blocks_untouched_sole_pages() {
+        let mut table = SharedDataTable::new(64);
+        table.declare("pc", SharingAnnotation::ProducerConsumer, 4, 16 * 16);
+        let rt = node_of(table, 0, 2);
+        rt.finish_root_init(&HashSet::new());
+        let pc = rt.table().var_by_name("pc").unwrap().objects.clone();
+        {
+            let mut dir = rt.dir.lock();
+            dir.entry_mut(pc[3]).state.busy = true;
+            dir.entry_mut(pc[4]).state.pinned = true;
+            dir.entry_mut(pc[5]).copyset.insert(NodeId::new(1));
+            rt.set_entry_rights(dir.entry_mut(pc[6]), AccessRights::Read);
+        }
+        rt.fault(pc[2], true, 0).unwrap();
+        let s = rt.stats().snapshot();
+        assert_eq!((s.write_faults, s.twins_created), (1, 0));
+        let state = |o: ObjectId| {
+            let queued = rt.duq.lock().contains(o);
+            (rt.dir.lock().entry(o).state.rights, queued)
+        };
+        let (invalid, rw) = (AccessRights::Invalid, AccessRights::ReadWrite);
+        for (i, o) in pc.iter().enumerate() {
+            let expected = match i {
+                0..=2 => (rw, true),
+                6 => (AccessRights::Read, false),
+                // Busy, pinned, shared; the block's last; node 1's block.
+                _ => (invalid, false),
+            };
+            assert_eq!(state(*o), expected, "page {i}");
+        }
     }
 
     #[test]

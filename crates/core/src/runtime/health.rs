@@ -354,13 +354,6 @@ impl NodeRuntime {
             .is_some_and(|s| *s == PeerStatus::Dead)
     }
 
-    /// The lowest-id dead peer not yet in `handled`, if any. `handled` is a
-    /// per-wait-loop cursor so each death is signalled to a blocked
-    /// operation exactly once.
-    fn next_unhandled_dead(&self, handled: &NodeSet) -> Option<NodeId> {
-        self.dead_set().first_not_in(handled)
-    }
-
     /// Peers currently suspect or dead, as node indexes (stall forensics).
     pub(crate) fn suspected_snapshot(&self) -> Vec<usize> {
         if !self.health.enabled {
@@ -416,7 +409,9 @@ impl NodeRuntime {
                 Some(reply) => return done(reply),
                 None => {}
             }
-            if let Some(dead) = self.next_unhandled_dead(handled) {
+            // The lowest-id dead peer not yet in `handled`, a per-wait-loop
+            // cursor: each death is signalled to a blocked operation once.
+            if let Some(dead) = self.dead_set().first_not_in(handled) {
                 handled.insert(dead);
                 return Err(MuninError::PeerDied(dead));
             }

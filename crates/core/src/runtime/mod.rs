@@ -427,14 +427,9 @@ impl NodeRuntime {
         self.clock.advance(TimeKind::System, t);
     }
 
-    /// Charges application computation to the node clock.
-    pub fn charge_user(&self, t: VirtTime) {
-        self.clock.advance(TimeKind::User, t);
-    }
-
     /// Charges `ops` abstract application operations as user time.
     pub fn compute(&self, ops: u64) {
-        self.charge_user(self.cost.compute(ops));
+        self.clock.advance(TimeKind::User, self.cost.compute(ops));
     }
 
     /// Takes the next outbound update-stream sequence number for `dest`.

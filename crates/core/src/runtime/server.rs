@@ -2528,10 +2528,10 @@ mod tests {
         }
     }
 
-    /// Node 0 as a worker of `band`: homed and owned at node 1, no copy
-    /// here, its memory holding a dropped copy's 5s. Node 0's block is
-    /// `band[0..4]` (8 objects at 2 nodes).
-    fn worker_of_band() -> (Harness, [ObjectId; 8]) {
+    /// Node 0 as a worker of `band`, annotated `annotation`: homed and
+    /// owned at node 1, no copy here, its memory holding a dropped copy's
+    /// 5s. Node 0's block is `band[0..4]` (8 objects at 2 nodes).
+    fn worker_of_band(annotation: SharingAnnotation) -> (Harness, [ObjectId; 8]) {
         let cfg = MuninConfig::fast_test(2).with_access_mode(crate::AccessMode::Explicit);
         let h = harness_with(cfg);
         let band: [ObjectId; 8] = h.rt.table().var_by_name("band").unwrap().objects[..]
@@ -2541,6 +2541,7 @@ mod tests {
         for o in band {
             h.rt.install_object_bytes(o, &[5; 64]);
             let e = dir.entry_mut(o);
+            e.set_annotation(annotation);
             e.state.rights = AccessRights::Invalid;
             e.state.owned = false;
             e.probable_owner = NodeId::new(1);
@@ -2580,12 +2581,12 @@ mod tests {
     /// The requester's side: a node's first write into its own block asks
     /// for the rest of the block ahead but its last object, and installs
     /// each ahead object owned, with no rights, no copyset and zeroed
-    /// memory, out of the DUQ. Its later write zero-fills one here: a fault
-    /// and no message — and no twin, for the page is sole here (owned, held
-    /// by nobody else) and twins only when a peer is served a copy.
+    /// memory, out of the DUQ. A `write_shared` one, never sole, stays so:
+    /// its later write zero-fills it here, a fault and no message, and
+    /// twins it.
     #[test]
     fn requester_installs_ahead_objects_owned_with_no_rights_and_zero_memory() {
-        let (h, band) = worker_of_band();
+        let (h, band) = worker_of_band(SharingAnnotation::WriteShared);
         let (fetch, result) = first_write_in_block(&h, (vec![vec![]; 3], true, false));
         result.unwrap();
         assert_eq!((fetch.object, fetch.run, fetch.ahead), (band[0], 3, 2));
@@ -2615,18 +2616,46 @@ mod tests {
         assert!(matches!(h.peer_rx.try_recv(), Ok(None)), "no message");
         assert_eq!(state(&h, band[1]), (true, rw, true, false));
         assert!(h.rt.duq.lock().contains(band[1]));
-        assert_eq!(h.rt.duq.lock().twin_of(band[1]), None);
+        assert_eq!(h.rt.duq.lock().twin_of(band[1]), Some(&[0; 64][..]));
         let stats = h.rt.stats().snapshot();
         assert_eq!((stats.write_faults, stats.objects_fetched), (2, 3));
     }
 
-    /// A wrong guess costs ownership only: a peer that fetches an ahead
-    /// object the node never wrote gets it back as a first touch, an empty
-    /// image with ownership and an empty copyset, and the node keeps no
-    /// copy and joins no copyset.
+    /// One trap per block: a `producer_consumer` ahead object is sole here
+    /// (stable, owned, held by nobody else), so the first write's trap
+    /// enables it too — zeroed, queued with no twin, writable — and the
+    /// node's later write to it takes no fault and sends no message.
+    #[test]
+    fn one_trap_enables_the_ahead_objects_the_node_holds_alone() {
+        let (h, band) = worker_of_band(SharingAnnotation::ProducerConsumer);
+        first_write_in_block(&h, (vec![vec![]; 3], true, false))
+            .1
+            .unwrap();
+        for ahead in &band[1..3] {
+            let dir = h.rt.dir.lock();
+            let e = dir.entry(*ahead);
+            assert!(e.state.owned && e.copyset.is_empty() && !e.state.busy);
+            assert_eq!(e.state.rights, AccessRights::ReadWrite);
+            drop(dir);
+            assert_eq!(h.rt.object_bytes(*ahead), vec![0; 64]);
+            assert!(h.rt.duq.lock().contains(*ahead));
+            assert_eq!(h.rt.duq.lock().twin_of(*ahead), None);
+        }
+        assert!(!h.rt.dir.lock().entry(band[3]).state.owned, "not asked for");
+        let var = h.rt.table().var_by_name("band").unwrap().id;
+        h.rt.write_var_bytes(var, 64, &[9; 8]).unwrap();
+        assert!(matches!(h.peer_rx.try_recv(), Ok(None)), "no message");
+        let stats = h.rt.stats().snapshot();
+        assert_eq!((stats.write_faults, stats.objects_fetched), (1, 3));
+    }
+
+    /// A wrong guess about a `write_shared` block costs ownership only: a
+    /// peer that fetches an ahead object the node never wrote gets it back
+    /// as a first touch, an empty image with ownership and an empty copyset,
+    /// and the node keeps no copy and joins no copyset.
     #[test]
     fn a_peers_fetch_of_an_untouched_ahead_object_is_a_first_touch() {
-        let (h, band) = worker_of_band();
+        let (h, band) = worker_of_band(SharingAnnotation::WriteShared);
         first_write_in_block(&h, (vec![vec![]; 3], true, false))
             .1
             .unwrap();
@@ -2650,6 +2679,26 @@ mod tests {
         assert_eq!(e.probable_owner, NodeId::new(1));
     }
 
+    /// The price of one trap per block: a `producer_consumer` ahead object
+    /// the first trap enabled is materialised, written or not, so a peer's
+    /// fetch of it gets a plain copy with its bytes; the node keeps
+    /// ownership, the peer joins the copyset, and the page, queued twinless,
+    /// takes the image served as its twin.
+    #[test]
+    fn a_peers_fetch_of_an_enabled_ahead_object_is_a_copy() {
+        let (h, band) = worker_of_band(SharingAnnotation::ProducerConsumer);
+        first_write_in_block(&h, (vec![vec![]; 3], true, false))
+            .1
+            .unwrap();
+        h.fetch(band[2], 1, FetchKind::Read);
+        assert_eq!(peer_reply(&h), (vec![vec![0; 64]], false, false));
+        let dir = h.rt.dir.lock();
+        let e = dir.entry(band[2]);
+        assert!(e.state.owned && e.copyset.contains(NodeId::new(1)));
+        drop(dir);
+        assert_eq!(h.rt.duq.lock().twin_of(band[2]), Some(&[0; 64][..]));
+    }
+
     /// A transfer reply of more than one object, an ahead image that carries
     /// bytes and a plain copy past the window are protocol violations,
     /// raised before anything of the reply is installed.
@@ -2660,7 +2709,7 @@ mod tests {
             (vec![vec![], vec![], vec![7; 64]], true, false),
             (vec![vec![7; 64], vec![7; 64]], false, false),
         ] {
-            let (h, band) = worker_of_band();
+            let (h, band) = worker_of_band(SharingAnnotation::ProducerConsumer);
             let (_, result) = first_write_in_block(&h, reply.clone());
             assert!(
                 matches!(result, Err(crate::error::MuninError::ProtocolViolation(_))),

@@ -25,7 +25,9 @@
 #   -         neither.
 # The temporary directory, with both target directories, is removed on exit;
 # PAIRED_BENCH_DIR=<dir> uses <dir> instead and keeps it, so a second
-# invocation reuses both builds. The parent's checkout and target directory
+# invocation reuses both builds. Building the benchmark in this checkout
+# rewrites benchmark/Cargo.lock where it names crates the workspace no longer
+# has; the file is put back as it was found on exit. The parent's checkout and target directory
 # are named by its commit hash: `git archive` gives the files their commit
 # time, older than a kept build of another parent, which cargo would then
 # take for fresh and run.
@@ -48,8 +50,9 @@ if [[ -n ${PAIRED_BENCH_DIR:-} ]]; then
     mkdir -p "$work"
 else
     work=$(mktemp -d)
-    trap 'rm -rf "$work"' EXIT
 fi
+cp benchmark/Cargo.lock "$work/Cargo.lock.found"
+trap 'cp "$work/Cargo.lock.found" benchmark/Cargo.lock; [[ -n ${PAIRED_BENCH_DIR:-} ]] || rm -rf "$work"' EXIT
 parent_hash=$(git rev-parse --verify "$parent_rev^{commit}")
 parent_src=$work/parent-$parent_hash
 parent_target=$work/target-parent-$parent_hash

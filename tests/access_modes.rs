@@ -499,3 +499,67 @@ fn a_page_served_mid_interval_flushes_only_what_its_owner_wrote_after() {
         assert_eq!(report.stats_total().runtime_errors, 0, "{mode:?}");
     }
 }
+
+/// What enabling a block's untouched pages in the first trap trades
+/// (DESIGN.md, "One trap per block"). Four nodes share one
+/// 16-page `producer_consumer` variable, so node 2's block is pages 8–11.
+/// Node 2 writes page 8 alone: its one write fault takes pages 8–10 from the
+/// root as first touches and enables 9 and 10 along with 8, the block's last
+/// page left out. After a barrier node 1 writes page 10, which lies outside
+/// its own block. Node 2 materialised that page without writing it, so node 1
+/// gets a copy with its bytes, node 2 stays in the copyset, and node 1's
+/// barrier flush sends node 2 the write. Node 3 then reads both pages right.
+/// Before the rule the same shape read: node 2 one write fault, as now, and
+/// two write faults in all; but node 1's fetch of page 10 was a first touch,
+/// which node 2 handed on with ownership and no bytes (node 1: 1 object
+/// fetched, 0 bytes), so node 1 sent no update and node 2 applied none.
+#[test]
+fn a_block_page_enabled_but_never_written_is_served_as_a_copy() {
+    const WORDS: usize = 8; // one 64-byte page of `i64`
+    let modes: &[AccessMode] = if vm_available() {
+        &[AccessMode::Explicit, AccessMode::VmTraps]
+    } else {
+        &[AccessMode::Explicit]
+    };
+    for &mode in modes {
+        let cfg = MuninConfig::fast_test(4).with_access_mode(mode);
+        let mut prog = MuninProgram::new(cfg);
+        let v = prog.declare::<i64>("v", 16 * WORDS, SharingAnnotation::ProducerConsumer);
+        let (first, second) = (prog.create_barrier("first"), prog.create_barrier("second"));
+        let report = prog
+            .run(move |ctx| {
+                if ctx.node_id() == 2 {
+                    ctx.write(&v, 8 * WORDS, 82)?;
+                }
+                ctx.wait_at_barrier(first)?;
+                if ctx.node_id() == 1 {
+                    ctx.write(&v, 10 * WORDS, 110)?;
+                }
+                ctx.wait_at_barrier(second)?;
+                if ctx.node_id() == 3 {
+                    return Ok([ctx.read(&v, 8 * WORDS)?, ctx.read(&v, 10 * WORDS)?]);
+                }
+                Ok([82, 110])
+            })
+            .unwrap();
+        for (node, result) in report.results.iter().enumerate() {
+            assert_eq!(result.as_ref().unwrap(), &[82, 110], "{mode:?} node {node}");
+        }
+        let s = &report.stats;
+        assert_eq!(s[2].write_faults, 1, "{mode:?}: node 2 traps once");
+        assert_eq!(
+            (s[1].objects_fetched, s[1].fetch_bytes),
+            (1, 64),
+            "{mode:?}: node 1 gets a copy with its bytes"
+        );
+        assert_eq!(
+            (s[1].updates_sent, s[2].updates_applied),
+            (1, 1),
+            "{mode:?}: node 2 is in the copyset, owed node 1's write"
+        );
+        let total = report.stats_total();
+        if mode == AccessMode::VmTraps {
+            assert_eq!(total.vm_write_traps, total.write_faults, "{mode:?}");
+        }
+    }
+}

@@ -757,6 +757,17 @@ fn matmul_paper_size_fetches_each_access_in_one_round_trip() {
 /// on the one reply, and each of the 3 requests 4 bytes of run length and 4
 /// of window end: 378 · 88 − 378 · 8 − 3 · 8 = 30 216 bytes fewer
 /// (915 021 → 884 805).
+///
+/// That first write then began enabling, in its one trap, every page of the
+/// block the node owns and never materialised, all but the block's last. A
+/// node's initialisation had taken 128 write faults, one per band page (two
+/// 4 KB rows a page); it takes two, the block's first page and its last. The
+/// root's first is page 0, which `user_init` materialised with row 0, and it
+/// enables pages 1–126; a worker's first fetches its block as first touches
+/// and enables the 126 ahead pages the reply installs. Per node 128 → 2, so
+/// `write_faults` is 596 − 4 · 126 = 92. The pages enabled that way are sole
+/// and were never twinned, so `twins_created` stays 141, and no message or
+/// byte moves.
 #[test]
 fn benchmark_guard_rows_are_exact_at_two_seeds() {
     for seed in [1u64, 2] {
@@ -781,7 +792,7 @@ fn benchmark_guard_rows_are_exact_at_two_seeds() {
         );
         assert_eq!(
             (m.stats.write_faults, m.stats.twins_created),
-            (596, 141),
+            (92, 141),
             "sor, seed {seed}"
         );
         let params = matmul::MatmulParams {
@@ -1032,12 +1043,16 @@ fn a_read_is_not_held_behind_its_owners_later_barrier_arrive() {
 /// to send a diff to, so no flush encodes one and the root's System time has
 /// no `encode` term. Nor does it twin anything: every page is sole (owned
 /// here, held by nobody else), so a write fault enables it with no twin
-/// (DESIGN.md, "Twin on first share"). Its 512 pages each take a fault of
-/// their own in the initialisation phase, row by row; in the first copy
+/// (DESIGN.md, "Twin on first share"). In the initialisation phase the first
+/// write (row 1, on page 0, which `user_init` materialised with row 0)
+/// enables in the same trap every page of the root's block it never
+/// materialised but the last, pages 1–510; page 511 (rows 1 022–1 023,
+/// materialised with row 1 023) takes a fault of its own. In the first copy
 /// phase, after `PhaseChange` has write-protected them again, the copy-back's
-/// one fault enables the whole band, and they are private ever after: 513
-/// faults and no twin (1 024 and 1 024 while each page took a fault and a
-/// twin in each phase). Everything else the root is charged is the barriers'
+/// one fault enables the whole band, and they are private ever after: 3
+/// faults and no twin (513 while each initialisation page took a fault of its
+/// own, 1 024 and 1 024 while each page took a fault and a twin in each
+/// phase). Everything else the root is charged is the barriers'
 /// `sync_op` on each arrive, and `msg_fixed` for the one message it sends
 /// itself, its final `Done`: it opens every episode and wakes its own
 /// thread there, without a message. (While it posted itself a
@@ -1060,7 +1075,7 @@ fn sor_on_one_processor_is_charged_no_encode() {
     assert_eq!(grid, sor::serial(params.rows, params.cols, iterations));
     let s = &m.stats;
     let barriers = 2 + 2 * iterations as u64;
-    assert_eq!((s.write_faults, s.twins_created), (513, 0));
+    assert_eq!((s.write_faults, s.twins_created), (3, 0));
     assert_eq!(s.barrier_waits, barriers);
     assert_eq!(m.net.class("barrier_release").msgs, 0);
     assert_eq!(m.net.total.msgs, 1, "its final `Done`");
