@@ -318,9 +318,10 @@ pub fn run_munin(
     Ok((measurement, grid))
 }
 
-/// Runs the hand-coded message-passing version: the root scatters row bands,
-/// neighbours exchange boundary rows each iteration, and the root gathers the
-/// final grid.
+/// Runs the hand-coded message-passing version: each process builds its own
+/// band, neighbours exchange boundary rows each iteration, and the final grid
+/// is put together from the bands the processes return — the data motion of
+/// the Munin program, whose workers initialise their own sections.
 pub fn run_message_passing(
     params: SorParams,
     cost: CostModel,
@@ -332,44 +333,23 @@ pub fn run_message_passing(
         procs,
         ..
     } = params;
-    // Message tags: the root's initial band, a boundary row sent to the
-    // section above / below, a worker's final band.
-    const BAND: u32 = 0;
+    // Message tags: a boundary row sent to the section above / below.
     const ROW_UP: u32 = 1;
     const ROW_DOWN: u32 = 2;
-    const RESULT: u32 = 3;
     let report = run_mp_program(procs, cost, |ctx| {
         let me = ctx.node_id();
         let nodes = ctx.nodes();
         let (lo, hi) = partition(rows, nodes, me);
-        // Distribute the initial grid: the root computes it and sends each
-        // worker its band (ghost rows are exchanged per iteration).
-        //
-        // Every receive below names the sender and tag it is waiting for. A
-        // neighbour that already has its band sends its first ghost row at
-        // once, ahead of the root's 1 MB band; a neighbour may run an
-        // iteration ahead; distant workers may finish, and send their final
-        // bands, while the root is still iterating. `MpCtx` sets all of those
-        // aside until they are asked for, and only then do they count as
-        // waited for.
-        let mut band: Vec<f64> = if me == 0 {
-            let grid = sor_initial(rows, cols);
-            ctx.compute((2 * cols + rows) as u64);
-            for w in 1..nodes {
-                let (wlo, whi) = partition(rows, nodes, w);
-                ctx.send(
-                    w,
-                    MpMsg::Floats {
-                        tag: BAND,
-                        data: grid[wlo * cols..whi * cols].to_vec(),
-                    },
-                )
-                .unwrap();
-            }
-            grid[lo * cols..hi * cols].to_vec()
-        } else {
-            ctx.recv_floats_from(0, BAND).unwrap()
-        };
+        // Charged as the Munin program is: the root writes the two fixed
+        // boundary rows (`user_init`), every process fills its own band.
+        if me == 0 {
+            ctx.compute((2 * cols) as u64);
+        }
+        let mut band = sor_initial(rows, cols)[lo * cols..hi * cols].to_vec();
+        ctx.compute(((hi - lo) * cols) as u64);
+        // Every receive below names the sender and tag it is waiting for: a
+        // neighbour may run an iteration ahead, and `MpCtx` sets its rows
+        // aside until they are asked for.
         for _iter in 0..iterations {
             // Exchange boundary rows with neighbours (send first, then
             // receive: channels are buffered so this cannot deadlock).
@@ -409,27 +389,7 @@ pub fn run_message_passing(
             band = scratch;
             ctx.compute(((hi - lo) * cols) as u64);
         }
-        // Gather the final grid at the root.
-        if me == 0 {
-            let mut grid = sor_initial(rows, cols);
-            grid[lo * cols..hi * cols].copy_from_slice(&band);
-            for w in 1..nodes {
-                let (wlo, whi) = partition(rows, nodes, w);
-                let data = ctx.recv_floats_from(w, RESULT).unwrap();
-                grid[wlo * cols..whi * cols].copy_from_slice(&data[..(whi - wlo) * cols]);
-            }
-            grid
-        } else {
-            ctx.send(
-                0,
-                MpMsg::Floats {
-                    tag: RESULT,
-                    data: band,
-                },
-            )
-            .unwrap();
-            Vec::new()
-        }
+        band
     })?;
     let measurement = RunMeasurement::new(
         "message-passing",
@@ -438,7 +398,11 @@ pub fn run_message_passing(
         report.root_times(),
         report.net.clone(),
     );
-    let grid = report.results.into_iter().next().expect("root result");
+    let mut grid = sor_initial(rows, cols);
+    for (w, band) in report.results.iter().enumerate() {
+        let (lo, hi) = partition(rows, procs, w);
+        grid[lo * cols..hi * cols].copy_from_slice(band);
+    }
     Ok((measurement, grid))
 }
 
@@ -486,9 +450,10 @@ mod tests {
         assert!(close(&grid, &serial(24, 16, 4)));
     }
 
-    /// Paper-sized bands (what `table5_sor` runs): the root is still copying
-    /// out a worker's 1 MB band when that worker's neighbour, band in hand,
-    /// sends its first ghost row — so the row is delivered first.
+    /// Paper-sized bands, as Table 5 runs them (`tests/paper_tables.rs`): a
+    /// process's ghost rows are 4 KB, and a neighbour that is an iteration
+    /// ahead can have its next row delivered before the one being waited
+    /// for.
     #[test]
     fn message_passing_sor_matches_serial_when_ghost_rows_beat_the_band() {
         let reference = serial(1024, 512, 2);

@@ -211,8 +211,7 @@ impl ProtocolParams {
 }
 
 /// Renders Table 1 of the paper ("Munin Annotations and Corresponding
-/// Protocol Parameters") as text, used by the `table1_annotations` bench
-/// harness and the documentation.
+/// Protocol Parameters") as text.
 pub fn render_table1() -> String {
     fn cell(p: Param) -> &'static str {
         match p {

@@ -220,8 +220,8 @@ pub const DEFAULT_DETECT: Duration = Duration::from_secs(2);
 /// pages: sub-page diffs ride the relay carriers, page-scale payloads go
 /// direct and transit the wire once. Raising the threshold past the page
 /// size trades bytes for messages; lowering it toward 0 saves bytes but
-/// forfeits the relay's share of the message savings (the `micro_flush`
-/// 16-node SOR threshold sweep, `BENCH_msg.json`).
+/// forfeits the relay's share of the message savings (the 16-node SOR
+/// threshold sweep pinned in `tests/piggyback.rs`).
 pub const DEFAULT_RELAY_MAX_BYTES: u64 = 512;
 
 /// Barrier fan-in the auto policy picks for wide clusters. Eight keeps the

@@ -321,6 +321,26 @@ fn a_write_after_the_barrier_is_never_undone_by_the_riding_forward() {
 /// coincidence.
 const HALF_PAGE_RELAY_MAX: u64 = 256;
 
+/// The page-aligned miniature's message economy at the other cluster sizes
+/// and relay thresholds, `(nodes, threshold, messages, bytes)`: the default
+/// threshold at 2 and 8 nodes, then the 16-node sweep behind
+/// [`DEFAULT_RELAY_MAX_BYTES`]. At threshold 0 every payload goes direct and
+/// unacknowledged, fenced by the flusher's barrier arrive; at `u64::MAX`
+/// every payload rides the barrier's carriers. From 512 up nothing is
+/// bypassed: a nearly-full-page diff encodes just under the miniature's
+/// 512-byte page. Half a page (256) and the default (512) are asserted with
+/// their claims by [`assert_16_node_sor_economy`].
+const SOR_ECONOMY: [(usize, u64, u64, u64); 8] = [
+    (2, DEFAULT_RELAY_MAX_BYTES, 59, 9_577),
+    (8, DEFAULT_RELAY_MAX_BYTES, 432, 118_963),
+    (16, 0, 1_264, 179_243),
+    (16, 128, 1_264, 179_243),
+    (16, 384, 1_009, 230_387),
+    (16, 640, 928, 264_435),
+    (16, 768, 928, 264_435),
+    (16, u64::MAX, 928, 264_435),
+];
+
 /// The 16-node miniature's message economy, pinned: bit-identical to the
 /// serial grid, in both access-detection modes, with the protocol message
 /// count exact and the byte count exact too unless `reliability` forces the
@@ -348,11 +368,12 @@ const HALF_PAGE_RELAY_MAX: u64 = 256;
 /// its own thread with a 40-byte `BarrierRelease` through the network, 26
 /// messages and 1 040 bytes, and a mask that repeats was sent whole instead
 /// of by its period, 2 048 bytes more.) With the reliable transport forced
-/// on, the bytes keep the ceiling they had before.
+/// on, the bytes keep the ceiling they had before; with it off, the rows of
+/// [`SOR_ECONOMY`] are pinned too.
 fn assert_16_node_sor_economy(access_mode: AccessMode, reliability: Option<bool>) {
     let reference = bits(&sor::serial(64, 16, 12));
     let forced = reliability == Some(true);
-    let (grid, m) = sor_run_16(access_mode, HALF_PAGE_RELAY_MAX, reliability);
+    let (grid, m) = sor_run_pages(16, access_mode, HALF_PAGE_RELAY_MAX, reliability);
     assert_eq!(
         bits(&grid),
         reference,
@@ -384,7 +405,7 @@ fn assert_16_node_sor_economy(access_mode: AccessMode, reliability: Option<bool>
     );
     assert!(m.net.class("copyset_query").msgs < OFF_SOR_16_COPYSET_QUERIES);
 
-    let (grid, m) = sor_run_16(access_mode, DEFAULT_RELAY_MAX_BYTES, reliability);
+    let (grid, m) = sor_run_pages(16, access_mode, DEFAULT_RELAY_MAX_BYTES, reliability);
     assert_eq!(
         bits(&grid),
         reference,
@@ -399,10 +420,19 @@ fn assert_16_node_sor_economy(access_mode: AccessMode, reliability: Option<bool>
         );
     } else {
         assert_eq!(bytes, 264_435, "16-node SOR bytes at the default threshold");
+        for (nodes, threshold, msgs, bytes) in SOR_ECONOMY {
+            let (grid, m) = sor_run_pages(nodes, access_mode, threshold, None);
+            let at = format!("{nodes} nodes, relay threshold {threshold}");
+            assert_eq!(bits(&grid), bits(&sor::serial(nodes * 4, 16, 12)), "{at}");
+            assert_eq!((m.net.total.msgs, m.net.total.bytes), (msgs, bytes), "{at}");
+        }
     }
 }
 
-fn sor_run_16(
+/// The page-aligned miniature at `nodes` nodes, seed 7, under the stress
+/// plan.
+fn sor_run_pages(
+    nodes: usize,
     access_mode: AccessMode,
     relay_max_bytes: u64,
     reliability: Option<bool>,
@@ -413,7 +443,7 @@ fn sor_run_16(
     // also owns it, and enough iterations that the stable producer-consumer
     // phase (where the paper's message-economy claim lives) dominates the
     // one-off first-touch traffic.
-    let mut params = sor::SorParams::small(64, 16, 12, 16);
+    let mut params = sor::SorParams::small(nodes * 4, 16, 12, nodes);
     params.engine = EngineConfig::seeded(7).with_faults(STRESS_FAULTS);
     params.access_mode = access_mode;
     params.relay_max_bytes = Some(relay_max_bytes);

@@ -105,6 +105,53 @@ fn sor_completes_correctly_at_256_nodes() {
     assert_eq!(ingress, DEFAULT_BARRIER_FANOUT as u64 * episodes(iters));
 }
 
+/// The barrier sweep on page-aligned bands (`nodes`·4 rows of 16 columns,
+/// each band one 512-byte page, 4 iterations, seed 7): the star against
+/// trees of fan-in 2, 4, 8 and 16, as `(nodes, fan-in, messages, bytes,
+/// owner ingress)`. An episode is 2(N − 1) messages whatever the shape; the
+/// star's rows read 18 fewer because a cooperative bundle whose owner is the
+/// star's owner rides the arrive, and its re-fans ride the releases. Bytes
+/// rise with tree depth, since relayed bundles transit more hops (k = 2 is
+/// the worst case). k = 8, the auto policy from 32 nodes up, is the scaling
+/// curve: its ingress is within 8 of the minimum and its bytes within 5 % of
+/// the shallowest tree's. Most of a debug-profile minute, so the chaos step
+/// runs it in release.
+#[rustfmt::skip]
+const BARRIER_SWEEP: [(usize, usize, u64, u64, u64); 15] = [
+    (64, usize::MAX, 1_888, 369_623, 630),
+    (64, 2, 1_906, 565_215, 20),
+    (64, 4, 1_906, 434_150, 40),
+    (64, 8, 1_906, 394_841, 80),
+    (64, 16, 1_906, 379_751, 160),
+    (128, usize::MAX, 3_808, 746_903, 1_270),
+    (128, 2, 3_826, 1_178_833, 20),
+    (128, 4, 3_826, 890_062, 40),
+    (128, 8, 3_826, 804_883, 80),
+    (128, 16, 3_826, 772_489, 160),
+    (256, usize::MAX, 7_648, 1_501_275, 2_550),
+    (256, 2, 7_666, 2_423_477, 20),
+    (256, 4, 7_666, 1_810_564, 40),
+    (256, 8, 7_666, 1_630_843, 80),
+    (256, 16, 7_666, 1_558_751, 160),
+];
+
+#[test]
+#[ignore = "wide sweep: run in release, `cargo test --release --test scale -- --ignored`"]
+fn barrier_sweep_counts_are_exact_from_64_to_256_nodes() {
+    let _serial = SEQUENTIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for (nodes, fanout, msgs, bytes, ingress) in BARRIER_SWEEP {
+        let mut params = SorParams::small(nodes * 4, 16, 4, nodes);
+        params.engine = EngineConfig::seeded(7);
+        params.barrier_fanout = Some(fanout);
+        let (m, grid) = sor::run_munin(params, CostModel::fast_test()).unwrap();
+        let at = format!("{nodes} nodes, fan-in {fanout}");
+        assert!(close(&grid, &sor::serial(nodes * 4, 16, 4)), "{at}");
+        let counts = (m.net.total.msgs, m.net.total.bytes);
+        assert_eq!(counts, (msgs, bytes), "{at}");
+        assert_eq!(m.stats.barrier_owner_ingress, ingress, "{at}");
+    }
+}
+
 /// An interior tree node (rank 1: it relays eight grandchild reports toward
 /// the owner) crashes mid-run at 64 nodes. The run must terminate inside
 /// the wall ceiling and either complete with the exact serial grid or fail
