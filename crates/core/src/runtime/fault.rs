@@ -3,43 +3,27 @@
 //! Every shared access consults the local directory entry's access rights —
 //! the simulated analogue of the virtual-memory protection check the
 //! prototype gets for free from the MMU. Insufficient rights invoke the fault
-//! handlers below, which implement the per-annotation consistency protocols
-//! of Sections 3.1–3.3:
-//!
-//! * read faults fetch a replica from the owner (found via the
-//!   probable-owner chain);
-//! * write faults on *delayed* (write-shared / producer-consumer / result)
-//!   objects fetch a copy if there is none, make a twin (a page only its
-//!   owner holds twins when first shared instead), enqueue the object on the
-//!   DUQ and enable writes — in the same trap, too, for the variable's objects
-//!   the last flush shipped a diff for and the window's pages only it holds;
-//! * write faults on *ownership* (conventional / migratory) objects acquire
-//!   ownership and invalidate the remaining replicas;
-//! * writes to `read_only` objects are runtime errors.
-//!
-//! A fetch that needs nothing but a copy asks for a *run*: the faulting
-//! object and every object after it in the same access (the *window*) that
-//! is invalid here too and shares its owner hint. The reply installs a
-//! prefix of the run, so the objects installed along never fault; what the
-//! owner could not hand out as a plain copy faults in turn, and starts a run
-//! of its own.
-//! In the node's own block a delayed write enables its untouched objects at
-//! once, first asking for those *ahead* of its window, as first touches.
+//! handlers below: they take the locks, fetch, invalidate, twin, enqueue and
+//! charge, while what each protocol of Sections 3.1–3.3 does to the entries —
+//! the write fault's plan, the run a fetch asks for, the objects a trap
+//! enables, the install of a reply — is decided in `coherence.rs`.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use munin_sim::NodeId;
+use munin_sim::{Envelope, NodeId};
 
-use crate::annotation::SharingAnnotation;
-use crate::directory::{AccessRights, DirEntry, ObjectState};
+use crate::directory::Directory;
 use crate::error::{MuninError, Result};
 use crate::msg::{DsmMsg, FetchKind, FetchRequest};
 use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
+use crate::object::VarId;
+use crate::obs::EventKind;
 use crate::stats::{add, bump};
 
-use super::NodeRuntime;
+use super::coherence::{self, Delayed, WritePlan};
+use super::{proto_trace, NodeRuntime, WaitOp};
 
 impl NodeRuntime {
     /// Makes sure an upcoming access of `objects` — consecutive objects of
@@ -57,9 +41,8 @@ impl NodeRuntime {
     /// Either way the fault handler is told where the access ends
     /// (`window_end`, the id after its last object), so the first invalid
     /// object's fault can fetch the invalid objects behind it in the same
-    /// round trip; those are then valid when their turn comes and take no
-    /// fault. A window ending at or before the faulting object (`0` from
-    /// callers with one object in hand) allows a run of 1.
+    /// round trip. A window ending at or before the faulting object (`0`
+    /// from callers with one object in hand) allows a run of 1.
     pub(crate) fn fault_in(self: &Arc<Self>, objects: &[ObjectId], write: bool) -> Result<()> {
         let window_end = objects.last().map_or(0, |last| last.as_u32() + 1);
         for object in objects {
@@ -89,61 +72,50 @@ impl NodeRuntime {
             // The handler loosened the page so the failed touch could
             // complete; restore the protection the directory mandates.
             let rights = self.dir.lock().entry(object).state.rights;
-            vm.sync_rights(object, rights);
+            vm.sync_rights(object, rights, true);
             return Err(e);
         }
         Ok(())
     }
 
+    /// The `len` bytes at `byte_offset` of `var` object by object, as the
+    /// protected region lays them out (contiguous within an object only):
+    /// each object, the offset in it, and where its piece lies in the bytes.
+    fn var_pieces(
+        &self,
+        var: VarId,
+        at: usize,
+        len: usize,
+    ) -> impl Iterator<Item = (ObjectId, usize, Range<usize>)> + '_ {
+        let objects = self.table.objects_in_range(var, at, at + len);
+        objects.iter().map(move |&oid| {
+            let o = self.table.object(oid);
+            let (lo, hi) = (o.var_offset.max(at), (o.var_offset + o.size).min(at + len));
+            (oid, lo - o.var_offset, lo - at..hi - at)
+        })
+    }
+
     /// Copies `out.len()` bytes at `byte_offset` of `var` out of segment
     /// memory. Caller holds the pins covering the range.
-    fn copy_var_bytes_out(&self, var: crate::object::VarId, byte_offset: usize, out: &mut [u8]) {
-        match &self.vm {
-            None => {
-                let base = self.table.var(var).segment_offset;
-                let mem = self.memory.lock();
-                out.copy_from_slice(&mem[base + byte_offset..base + byte_offset + out.len()]);
-            }
-            Some(vm) => {
-                // Objects are contiguous within themselves but not across
-                // object boundaries in the protected region: copy per object.
-                let end = byte_offset + out.len();
-                for &oid in self.table.objects_in_range(var, byte_offset, end) {
-                    let o = self.table.object(oid);
-                    let lo = o.var_offset.max(byte_offset);
-                    let hi = (o.var_offset + o.size).min(end);
-                    vm.user_copy_out(
-                        oid,
-                        lo - o.var_offset,
-                        &mut out[lo - byte_offset..hi - byte_offset],
-                    );
-                }
-            }
+    fn copy_var_bytes_out(&self, var: VarId, byte_offset: usize, out: &mut [u8]) {
+        let Some(vm) = &self.vm else {
+            let base = self.table.var(var).segment_offset + byte_offset;
+            return out.copy_from_slice(&self.memory.lock()[base..base + out.len()]);
+        };
+        for (oid, at, piece) in self.var_pieces(var, byte_offset, out.len()) {
+            vm.user_copy_out(oid, at, &mut out[piece]);
         }
     }
 
     /// Copies `data` into segment memory at `byte_offset` of `var`. Caller
     /// holds the pins covering the range with write rights.
-    fn copy_var_bytes_in(&self, var: crate::object::VarId, byte_offset: usize, data: &[u8]) {
-        match &self.vm {
-            None => {
-                let base = self.table.var(var).segment_offset;
-                let mut mem = self.memory.lock();
-                mem[base + byte_offset..base + byte_offset + data.len()].copy_from_slice(data);
-            }
-            Some(vm) => {
-                let end = byte_offset + data.len();
-                for &oid in self.table.objects_in_range(var, byte_offset, end) {
-                    let o = self.table.object(oid);
-                    let lo = o.var_offset.max(byte_offset);
-                    let hi = (o.var_offset + o.size).min(end);
-                    vm.user_copy_in(
-                        oid,
-                        lo - o.var_offset,
-                        &data[lo - byte_offset..hi - byte_offset],
-                    );
-                }
-            }
+    fn copy_var_bytes_in(&self, var: VarId, byte_offset: usize, data: &[u8]) {
+        let Some(vm) = &self.vm else {
+            let base = self.table.var(var).segment_offset + byte_offset;
+            return self.memory.lock()[base..base + data.len()].copy_from_slice(data);
+        };
+        for (oid, at, piece) in self.var_pieces(var, byte_offset, data.len()) {
+            vm.user_copy_in(oid, at, &data[piece]);
         }
     }
 
@@ -156,7 +128,7 @@ impl NodeRuntime {
     /// the check-then-act window.
     pub(crate) fn read_var_bytes(
         self: &Arc<Self>,
-        var: crate::object::VarId,
+        var: VarId,
         byte_offset: usize,
         out: &mut [u8],
     ) -> Result<()> {
@@ -180,12 +152,11 @@ impl NodeRuntime {
     ///
     /// The objects the write overwrites whole are published to the fault
     /// path for the access (`overwrite`): a `result` one among them that a
-    /// fault fetches comes without its bytes. Should the access fail, the
-    /// objects fetched that way are dropped again: the zeros they hold must
-    /// neither be read nor flushed whole.
+    /// fault fetches comes without its bytes — and is dropped again should
+    /// the access fail ([`coherence::drop_unwritten`]).
     pub(crate) fn write_var_bytes(
         self: &Arc<Self>,
-        var: crate::object::VarId,
+        var: VarId,
         byte_offset: usize,
         data: &[u8],
     ) -> Result<()> {
@@ -203,8 +174,8 @@ impl NodeRuntime {
                 self.duq.lock().remove(object);
                 let mut dir = self.dir.lock();
                 let entry = dir.entry_mut(object);
-                entry.state.dirty = false;
-                self.set_entry_rights(entry, AccessRights::Invalid);
+                coherence::drop_unwritten(entry);
+                self.protect(entry);
             }
         }
         pinned?;
@@ -237,7 +208,7 @@ impl NodeRuntime {
                     let entry = dir.entry_mut(*obj);
                     entry.state.pinned = true;
                     if write {
-                        entry.state.dirty = true;
+                        coherence::mark_dirty(entry);
                     }
                 }
                 return Ok(());
@@ -269,7 +240,7 @@ impl NodeRuntime {
         write: bool,
         window_end: u32,
     ) -> Result<()> {
-        use crate::obs::EventKind::*;
+        use EventKind::*;
         let (begin, end) = if write {
             (WriteFaultBegin, WriteFaultEnd)
         } else {
@@ -300,69 +271,17 @@ impl NodeRuntime {
         let (owner_hint, run) = {
             let mut dir = self.dir.lock();
             let entry = dir.entry_mut(object);
-            if entry.state.rights.allows_read() {
+            if coherence::zero_fill(entry) || entry.state.rights.allows_read() {
+                self.protect(entry);
                 return Ok(());
             }
-            if entry.state.owned {
-                // The owner itself touches an object it never materialized:
-                // zero-fill locally, no messages needed.
-                self.set_entry_rights(entry, AccessRights::Read);
-                return Ok(());
-            }
-            entry.state.busy = true;
-            let owner_hint = entry.probable_owner;
-            // A read of migratory data moves the object; anything else only
-            // needs a copy, and the window's copies can come along.
-            let run = if entry.annotation == SharingAnnotation::Migratory {
-                1
-            } else {
-                Self::claim_run(&mut dir, object, window_end)
-            };
-            (owner_hint, run)
+            let run = coherence::run(&dir, object, window_end);
+            Self::hold_busy(&mut dir, object, run, true);
+            (dir.entry(object).probable_owner, run)
         };
         let result = self.fetch_object(object, (run, 0), FetchKind::Read, owner_hint, 0..0);
         self.clear_busy(object, run);
         result
-    }
-
-    /// Extends the fetch of `object` — already marked busy — over the
-    /// objects behind it, up to `window_end`: every consecutive one that is
-    /// invalid here, not owned here, in no transition of its own and filed
-    /// under the same annotation and probable owner. Marks each busy (an
-    /// update or copyset query that reaches this node between the owner
-    /// serving the copy and its install must wait for the install, exactly
-    /// as for `object` itself) and returns the length of the run, `object`
-    /// included.
-    fn claim_run(dir: &mut crate::directory::Directory, object: ObjectId, window_end: u32) -> u32 {
-        let (annotation, owner_hint) = {
-            let first = dir.entry(object);
-            (first.annotation, first.probable_owner)
-        };
-        let mut run = 1;
-        for id in object.as_u32() + 1..window_end {
-            let entry = dir.entry_mut(ObjectId::new(id));
-            if entry.state.rights.allows_read()
-                || entry.state.owned
-                || entry.state.busy
-                || entry.annotation != annotation
-                || entry.probable_owner != owner_hint
-            {
-                break;
-            }
-            entry.state.busy = true;
-            run += 1;
-        }
-        run
-    }
-
-    /// This node's block of `object`'s variable when `object` lies in it:
-    /// object `i` of `n` is node `⌊i·N/n⌋`'s.
-    fn own_block(&self, object: ObjectId) -> Option<Range<u32>> {
-        let objects = &self.table.var(self.table.object(object).var).objects;
-        let (first, n) = (objects[0].as_u32() as usize, objects.len());
-        let (i, me) = (object.as_u32() as usize - first, self.node.as_usize());
-        let start = |node: usize| (first + (node * n).div_ceil(self.nodes)) as u32;
-        (i * self.nodes / n == me).then(|| start(me)..start(me + 1))
     }
 
     /// Handles a write access fault, dispatching on the object's protocol
@@ -370,172 +289,54 @@ impl NodeRuntime {
     fn write_fault(self: &Arc<Self>, object: ObjectId, window_end: u32) -> Result<u32> {
         bump(&self.stats.write_faults);
         self.charge_sys(self.cost.fault());
-        enum Plan {
-            Done,
-            Error(MuninError),
-            /// `copy_run.0` objects, from this one on, have no copy here and
-            /// are fetched first (0: the local copy is valid), the last
-            /// `copy_run.1` past the window, those in `elide` without bytes.
-            Delayed {
-                copy_run: (u32, u32),
-                owner_hint: NodeId,
-                elide: Range<u32>,
-                block: Range<u32>,
-            },
-            UpgradeInPlace {
-                copyset: NodeSet,
-            },
-            AcquireOwnership {
-                owner_hint: NodeId,
-            },
-        }
-        let plan = {
+        let block = coherence::own_block(&self.table, object, self.node, self.nodes);
+        let overwrite = self.overwrite.lock().0.clone();
+        let (claim, plan) = {
             let mut dir = self.dir.lock();
-            let entry = dir.entry_mut(object);
-            if entry.state.owned && !entry.state.rights.allows_read() {
-                // The owner writes an object it never materialized: zero-fill
-                // locally and continue with the normal write-fault handling.
-                self.set_entry_rights(entry, AccessRights::Read);
-            }
-            if entry.state.rights.allows_write() {
-                entry.state.dirty = true;
-                Plan::Done
-            } else if !entry.params.is_writable() {
-                bump(&self.stats.runtime_errors);
-                Plan::Error(MuninError::ReadOnlyWrite(object))
-            } else if entry.annotation == SharingAnnotation::Reduction {
-                bump(&self.stats.runtime_errors);
-                Plan::Error(MuninError::NotAReductionObject(object))
-            } else if entry.params.allows_delay() {
-                entry.state.busy = true;
-                let owner_hint = entry.probable_owner;
-                let to_owner = entry.params.flushes_to_owner();
-                // The copy a delayed write needs is a plain read copy, so
-                // the window's can come with it (each still takes its own
-                // write fault, but finds its copy in place). In this node's
-                // own block, the rest of the block is asked for ahead and
-                // enabled in this trap — but its last object, which the next
-                // node's first write may share: no race for it.
-                let fixed = entry.params.has_fixed_owner();
-                let own = self.own_block(object).filter(|_| !fixed);
-                let block = own.map_or(0..0, |b| b.start..b.end - 1);
-                let copy_run = if entry.state.rights.allows_read() {
-                    0
-                } else {
-                    Self::claim_run(&mut dir, object, window_end.max(block.end))
-                };
-                let window = window_end.saturating_sub(object.as_u32()).max(1);
-                // Write-validate: a `result` object this fault fetches and
-                // the access overwrites whole is asked for without its
-                // bytes, which its writer never reads ("Fl"). One with a copy
-                // here already takes its twin: its diff may be far smaller.
-                let (id, covered) = (object.as_u32(), self.overwrite.lock().0.clone());
-                let (lo, hi) = (covered.start.max(id), covered.end.min(id + copy_run));
-                let elide = if to_owner && lo < hi { lo..hi } else { 0..0 };
-                Plan::Delayed {
-                    copy_run: (copy_run, copy_run.saturating_sub(window)),
-                    owner_hint,
-                    elide,
-                    block,
-                }
-            } else if entry.state.owned && entry.state.rights.allows_read() {
-                // Already the owner with a (read-protected) copy: invalidate
-                // the remaining replicas and upgrade in place.
-                entry.state.busy = true;
-                Plan::UpgradeInPlace {
-                    copyset: entry.copyset.clone(),
-                }
-            } else {
-                entry.state.busy = true;
-                Plan::AcquireOwnership {
-                    owner_hint: entry.probable_owner,
-                }
-            }
-        };
-        // How many entries, from `object` on, the plan marked busy.
-        let busy_run = match plan {
-            Plan::Delayed { copy_run, .. } => copy_run.0.max(1),
-            _ => 1,
+            let plan = coherence::write_plan(&mut dir, object, window_end, block, overwrite);
+            self.protect(dir.entry(object));
+            Self::hold_busy(&mut dir, object, plan.claim(), true);
+            (plan.claim(), plan)
         };
         let result = match plan {
-            Plan::Done => Ok(0),
-            Plan::Error(e) => Err(e),
-            Plan::Delayed {
-                copy_run,
-                owner_hint,
-                elide,
-                block,
-            } => self.delayed_write_fault(object, copy_run, owner_hint, elide, window_end, block),
-            Plan::UpgradeInPlace { copyset } => {
+            WritePlan::Done => Ok(0),
+            WritePlan::Error(e) => {
+                bump(&self.stats.runtime_errors);
+                Err(e)
+            }
+            WritePlan::Delayed(d) => self.delayed_write_fault(object, d, window_end),
+            WritePlan::UpgradeInPlace(copyset) => {
                 let r = self.invalidate_copies(object, copyset);
                 if r.is_ok() {
                     let mut dir = self.dir.lock();
                     let entry = dir.entry_mut(object);
-                    self.set_entry_rights(entry, AccessRights::ReadWrite);
-                    entry.state.dirty = true;
-                    entry.copyset = NodeSet::EMPTY;
+                    coherence::replicas_invalidated(entry, true);
+                    self.protect(entry);
                 }
                 r.map(|()| 1)
             }
-            Plan::AcquireOwnership { owner_hint } => self
+            WritePlan::AcquireOwnership(owner_hint) => self
                 .fetch_object(object, (1, 0), FetchKind::Write, owner_hint, 0..0)
                 .map(|()| 1),
         };
-        // Every plan that set busy bits clears them here; clearing an entry
-        // that was never marked busy is harmless.
-        self.clear_busy(object, busy_run);
+        self.clear_busy(object, claim);
         result
     }
 
-    /// Write fault on an object whose protocol allows delayed updates
-    /// (write-shared, producer-consumer, result): fetch a copy if none is
-    /// present (`copy_run` > 0: with the copies of the run behind it), make a
-    /// twin when multiple writers are possible and the object is not *sole*
-    /// (stable, owned here, held by nobody else: twinned on first share
-    /// instead), enqueue the object on the DUQ, and enable writes — and do
-    /// the same, in this one trap, for every object of its variable that is
-    /// still read-only here and idle: those in the write set, and the sole
-    /// ones of the access window, before `window_end` — and for the sole ones
-    /// of this node's own `block` it never materialised, zero-filled where
-    /// they lie. Returns how many objects the fault enabled.
+    /// Write fault on an object whose protocol allows delayed updates: fetches
+    /// the `copy_run` if there is one, then queues on the DUQ, twinned where
+    /// it takes a twin, what [`coherence::enable`] enables. Returns how many.
     fn delayed_write_fault(
         self: &Arc<Self>,
         object: ObjectId,
-        copy_run: (u32, u32),
-        owner_hint: NodeId,
-        elide: Range<u32>,
-        window_end: u32,
-        block: Range<u32>,
+        d: Delayed,
+        end: u32,
     ) -> Result<u32> {
-        if copy_run.0 > 0 {
-            self.fetch_object(object, copy_run, FetchKind::Read, owner_hint, elide)?;
+        if d.copy_run.0 > 0 {
+            self.fetch_object(object, d.copy_run, FetchKind::Read, d.owner_hint, d.elide)?;
         }
         let mut dir = self.dir.lock();
-        if dir.entry(object).state.rights.allows_write() {
-            // Fetched without its bytes: installed writable and queued.
-            return Ok(1);
-        }
-        // The variable's objects in the write set come along (a change of
-        // annotation empties it: theirs is a multi-writer fan-out one), and
-        // so do the window's sole ones and the block's untouched sole ones —
-        // idle but for this fault's own claim, which installed them.
-        let var = self.table.object(object).var;
-        let mine = |o: &mut ObjectId| self.table.object(*o).var == var;
-        let sole = |e: &DirEntry| e.params.is_stable() && e.state.owned && e.copyset.is_empty();
-        let claimed = object.as_u32()..object.as_u32() + copy_run.0;
-        let idle =
-            |o: ObjectId, s: ObjectState| !s.pinned && (!s.busy || claimed.contains(&o.as_u32()));
-        let mut enable = vec![object];
-        enable.extend(dir.write_set.extract_if(.., mine).filter(|&o| o != object));
-        let window = (object.as_u32() + 1..window_end).map(ObjectId::new);
-        enable.extend(window.filter(|&o| sole(dir.entry(o))));
-        for o in block.map(ObjectId::new) {
-            let e = dir.entry_mut(o);
-            if sole(e) && e.state.rights == AccessRights::Invalid && idle(o, e.state) {
-                self.set_entry_rights(e, AccessRights::Read);
-                enable.push(o);
-            }
-        }
+        let enabled = coherence::enable(&mut dir, &self.table, object, d.copy_run.0, end, d.block);
         // Snapshot and enqueue in one DUQ-lock scope, the one
         // `apply_update_items` holds across memory apply + twin patch: a
         // peer's update admitted before this fault is either in the snapshot
@@ -543,40 +344,32 @@ impl NodeRuntime {
         // (order dir → duq → memory): an object twinned ahead cannot change
         // state between its check and its enabling.
         let mut duq = self.duq.lock();
-        enable.retain(|&o| {
-            let e = dir.entry_mut(o);
-            let make_twin = e.params.allows_multiple_writers() && !sole(e);
-            let s = e.state;
-            // (A second listing of an object finds it enabled: not idle.)
-            if o != object && !(s.rights == AccessRights::Read && idle(o, s)) {
-                return false;
-            }
-            let twin = make_twin.then(|| {
+        for &(o, twin) in &enabled {
+            let twin = twin.then(|| {
+                let size = self.table.object(o).size;
                 bump(&self.stats.twins_created);
-                self.charge_sys(self.cost.copy(e.size as u64));
+                self.charge_sys(self.cost.copy(size as u64));
                 // Reuse a pooled twin buffer instead of allocating a fresh
                 // copy: flushes return their twins to the pool after encoding.
-                let mut buf = duq.acquire_twin_buffer(e.size);
+                let mut buf = duq.acquire_twin_buffer(size);
                 self.read_object_into(o, &mut buf);
                 buf
             });
             duq.enqueue(o, twin);
-            self.set_entry_rights(e, AccessRights::ReadWrite);
-            e.state.dirty = true;
-            true
-        });
-        Ok(enable.len() as u32)
+            self.protect(dir.entry(o));
+        }
+        // Fetched without its bytes, `object` was installed writable and
+        // queued: enabled all the same.
+        Ok(enabled.len().max(1) as u32)
     }
 
     /// Sends a fetch for the `run` objects starting at `object`, the last
     /// `ahead` of them past the access window, to `owner_hint` (forwarded
     /// along the probable-owner chain) and installs the prefix of the run the
-    /// reply carries. The caller holds every object of the run busy and
-    /// clears them all afterwards, served or not. The objects in `elide` are
-    /// asked for without their bytes, for the access overwrites them whole:
-    /// each is installed writable and queued on the DUQ with no twin, so it
-    /// is flushed whole — whatever image the reply has for it. Each ahead one
-    /// served is a first touch, installed owned with no rights.
+    /// reply carries ([`coherence::install`]). The caller holds every object
+    /// of the run busy and clears them all afterwards, served or not. The
+    /// objects in `elide` are asked for without their bytes, and queued on the
+    /// DUQ with no twin.
     pub(crate) fn fetch_object(
         self: &Arc<Self>,
         object: ObjectId,
@@ -585,15 +378,12 @@ impl NodeRuntime {
         owner_hint: NodeId,
         elide: Range<u32>,
     ) -> Result<()> {
-        self.obs.record(
-            self.clock.now().as_nanos(),
-            crate::obs::EventKind::FetchSend,
-            |ev| {
+        self.obs
+            .record(self.clock.now().as_nanos(), EventKind::FetchSend, |ev| {
                 ev.object = Some(object);
                 ev.peer = Some(owner_hint);
                 ev.run = Some(run);
-            },
-        );
+            });
         let fetch = FetchRequest {
             object,
             run,
@@ -607,15 +397,13 @@ impl NodeRuntime {
         self.send(owner_hint, DsmMsg::ObjectFetch(fetch.clone()))?;
         // Deaths interrupt the wait: the fetch (or its forward, or the
         // reply) may be sitting in a corpse, so any confirmed death — of
-        // any peer, since the probable-owner chain is unknowable from here
-        // — triggers a recovery round that re-establishes a live owner or
-        // proves the object lost. Already-dead peers are signalled on the
-        // first wait, covering a fetch sent straight to a corpse. Recovery
-        // re-homes the faulting object; the adopter then serves the run
-        // like any owner, and what it does not own of it faults again.
+        // any peer: the probable-owner chain is unknowable from here —
+        // triggers a recovery round that re-homes the object or proves it
+        // lost (already-dead peers are signalled on the first wait). The
+        // adopter serves the run like any owner.
         let mut handled = NodeSet::EMPTY;
         let (env, reply) = loop {
-            match self.wait_reply_or_dead(crate::runtime::WaitOp::Fetch(object), &mut handled) {
+            match self.wait_reply_or_dead(WaitOp::Fetch(object), &mut handled) {
                 Ok(reply) => break reply,
                 Err(MuninError::PeerDied(dead)) => {
                     if let Some(reply) = self.refetch_orphan(&fetch, dead)? {
@@ -625,46 +413,11 @@ impl NodeRuntime {
                 Err(e) => return Err(e),
             }
         };
-        let DsmMsg::ObjectData {
-            object: got,
-            data,
-            ownership,
-            copyset,
-            writable,
-        } = reply
-        else {
-            return Err(MuninError::ProtocolViolation(
-                "expected ObjectData in reply to ObjectFetch",
-            ));
-        };
-        if got != object {
-            return Err(MuninError::ProtocolViolation("ObjectData for wrong object"));
-        }
-        // A plain reply stays inside the window; an ownership one goes past
-        // its first object only with first touches, all of them ahead.
-        let (window, further) = ((run - ahead) as usize, data.get(1..).unwrap_or_default());
-        let fits = if ownership {
-            further.iter().all(Vec::is_empty) && (further.is_empty() || (!writable && window == 1))
-        } else {
-            data.len() <= window
-        };
-        if data.is_empty() || data.len() > run as usize || !fits {
-            return Err(MuninError::ProtocolViolation(
-                "ObjectData is not a prefix of the requested run",
-            ));
-        }
-        // Checked before anything is installed or any right granted: an
-        // image is its object's size, or empty (zero-filled).
-        let size = |id| self.table.object(ObjectId::new(id)).size;
-        let sized = |(id, d): (u32, &Vec<u8>)| d.is_empty() || d.len() == size(id);
-        if !(object.as_u32()..).zip(&data).all(sized) {
-            return Err(MuninError::ProtocolViolation(
-                "ObjectData image is not the size of its object",
-            ));
-        }
-        crate::runtime::proto_trace!(
+        let (data, reply) = coherence::check_reply(&fetch, reply, &self.table)
+            .map_err(MuninError::ProtocolViolation)?;
+        proto_trace!(
             self,
-            "installed {} object(s) from {object:?} on, from {:?} (ownership={ownership} writable={writable} arrival={}ns)",
+            "installed {} object(s) from {object:?} on, from {:?} ({reply:?}, arrival={}ns)",
             data.len(),
             env.src,
             env.arrival.as_nanos()
@@ -674,39 +427,20 @@ impl NodeRuntime {
             add(&self.stats.fetch_bytes, bytes.len() as u64);
             self.charge_sys(self.cost.dir_op());
             self.install_object_bytes(served, bytes);
-            let elided = fetch.elide.contains(&served.as_u32());
-            if elided {
+            if fetch.elide.contains(&served.as_u32()) {
                 self.duq.lock().enqueue(served, None);
                 self.overwrite.lock().1.push(served);
             }
-            let rights = if served != object && ownership {
-                AccessRights::Invalid // ahead: owned, never materialised
-            } else if writable || elided {
-                AccessRights::ReadWrite
-            } else {
-                AccessRights::Read
-            };
             let mut dir = self.dir.lock();
-            // A replaced copy predicts nothing about this node's writes.
-            dir.mark_written(served, false);
-            let entry = dir.entry_mut(served);
-            self.set_entry_rights(entry, rights);
-            entry.state.dirty |= elided;
-            entry.state.owned = ownership;
-            if ownership {
-                entry.copyset = copyset.clone();
-                entry.probable_owner = self.node;
-            } else {
-                entry.probable_owner = env.src;
-            }
+            coherence::install(&mut dir, &fetch, served, &reply, env.src);
+            self.protect(dir.entry(served));
         }
-        if ownership && matches!(access, FetchKind::Write) && !copyset.is_empty() {
+        if reply.ownership && matches!(access, FetchKind::Write) && !reply.copyset.is_empty() {
             // Single-writer protocols: "upon a write miss an invalidation
             // message is transmitted to all other replicas. The thread that
             // generated the miss blocks until it has the only copy."
-            self.invalidate_copies(object, copyset)?;
-            let mut dir = self.dir.lock();
-            dir.entry_mut(object).copyset = NodeSet::EMPTY;
+            self.invalidate_copies(object, reply.copyset)?;
+            coherence::replicas_invalidated(self.dir.lock().entry_mut(object), false);
         }
         Ok(())
     }
@@ -725,12 +459,9 @@ impl NodeRuntime {
         self: &Arc<Self>,
         fetch: &FetchRequest,
         dead: NodeId,
-    ) -> Result<Option<(munin_sim::Envelope, DsmMsg)>> {
+    ) -> Result<Option<(Envelope, DsmMsg)>> {
         let object = fetch.object;
-        crate::runtime::proto_trace!(
-            self,
-            "orphan recovery for {object:?} after death of {dead:?}"
-        );
+        proto_trace!(self, "orphan recovery for {object:?} after {dead:?} died");
         // While the round runs, copyset queries for the object are answered
         // instead of deferred (see `ObjectState::recovering`) — including
         // any that were deferred before the death was signalled here.
@@ -746,16 +477,16 @@ impl NodeRuntime {
         self: &Arc<Self>,
         fetch: &FetchRequest,
         dead: NodeId,
-    ) -> Result<Option<(munin_sim::Envelope, DsmMsg)>> {
+    ) -> Result<Option<(Envelope, DsmMsg)>> {
         let object = fetch.object;
         let mut pending: Vec<NodeId> = self.live_peers().iter().collect();
-        let shared: std::sync::Arc<[ObjectId]> = std::sync::Arc::from(vec![object]);
+        let shared: Arc<[ObjectId]> = Arc::from(vec![object]);
         for peer in &pending {
             add(&self.stats.copyset_query_msgs, 1);
             self.send(
                 *peer,
                 DsmMsg::CopysetQuery {
-                    objects: std::sync::Arc::clone(&shared),
+                    objects: Arc::clone(&shared),
                     requester: self.node,
                 },
             )?;
@@ -766,7 +497,7 @@ impl NodeRuntime {
         // early, but a peer dying *mid-round* counts as its (empty) reply.
         let mut handled = self.dead_set();
         while !pending.is_empty() {
-            match self.wait_reply_or_dead(crate::runtime::WaitOp::Fetch(object), &mut handled) {
+            match self.wait_reply_or_dead(WaitOp::Fetch(object), &mut handled) {
                 Ok((env, DsmMsg::CopysetReply { have })) => {
                     if have.contains(&object) {
                         holders.push(env.src);
@@ -793,8 +524,8 @@ impl NodeRuntime {
         holders.sort();
         match holders.first() {
             Some(&adoptee) => {
-                self.dir.lock().entry_mut(object).probable_owner = adoptee;
-                crate::runtime::proto_trace!(self, "asking {adoptee:?} to adopt orphan {object:?}");
+                coherence::redirect(self.dir.lock().entry_mut(object), adoptee);
+                proto_trace!(self, "asking {adoptee:?} to adopt orphan {object:?}");
                 // Word of the death first, in case gossip has not reached
                 // the adoptee: its recovery walk adopts every page of the
                 // dead owner's it holds, so one round brings the whole run.
@@ -827,58 +558,45 @@ impl NodeRuntime {
         object: ObjectId,
         copyset: NodeSet,
     ) -> Result<()> {
-        let members: Vec<NodeId> = copyset.iter().filter(|&n| n != self.node).collect();
-        if members.is_empty() {
-            return Ok(());
-        }
-        for m in &members {
+        let mut pending: Vec<NodeId> = copyset.iter().filter(|&n| n != self.node).collect();
+        let invalidate = DsmMsg::Invalidate {
+            object,
+            requester: self.node,
+        };
+        for m in &pending {
             add(&self.stats.invalidations_sent, 1);
-            self.send(
-                *m,
-                DsmMsg::Invalidate {
-                    object,
-                    requester: self.node,
-                },
-            )?;
+            self.send(*m, invalidate.clone())?;
         }
-        let mut acked: Vec<NodeId> = Vec::new();
         let mut handled = NodeSet::EMPTY;
-        while acked.len() < members.len() {
-            match self
-                .wait_reply_or_dead(crate::runtime::WaitOp::InvalidateAcks(object), &mut handled)
-            {
+        while !pending.is_empty() {
+            match self.wait_reply_or_dead(WaitOp::InvalidateAcks(object), &mut handled) {
                 Ok((env, DsmMsg::InvalidateAck { object: o })) if o == object => {
-                    if !acked.contains(&env.src) {
-                        acked.push(env.src);
-                    }
+                    pending.retain(|&n| n != env.src)
                 }
                 Ok(_) => {
                     return Err(MuninError::ProtocolViolation(
                         "unexpected reply while waiting for invalidation acks",
                     ))
                 }
-                Err(MuninError::PeerDied(n)) => {
-                    if members.contains(&n) && !acked.contains(&n) {
-                        acked.push(n);
-                    }
-                }
+                Err(MuninError::PeerDied(n)) => pending.retain(|&p| p != n),
                 Err(e) => return Err(e),
             }
         }
         Ok(())
     }
 
-    /// Clears the busy bits a fault set — on `object` and the `run - 1`
-    /// objects behind it, whether the reply carried them or not — and
-    /// retries any requests that were deferred while the entries were in
-    /// transition.
-    fn clear_busy(self: &Arc<Self>, object: ObjectId, run: u32) {
-        {
-            let mut dir = self.dir.lock();
-            for id in object.as_u32()..object.as_u32() + run {
-                dir.entry_mut(ObjectId::new(id)).state.busy = false;
-            }
+    /// Marks `object` and the `run - 1` objects behind it `busy` or not:
+    /// in a transition of this node's own, which requests for them wait out.
+    fn hold_busy(dir: &mut Directory, object: ObjectId, run: u32, busy: bool) {
+        for id in object.as_u32()..object.as_u32() + run {
+            dir.entry_mut(ObjectId::new(id)).state.busy = busy;
         }
+    }
+
+    /// Clears the busy bits a fault set, whether the reply carried their
+    /// objects or not, and retries the requests deferred meanwhile.
+    fn clear_busy(self: &Arc<Self>, object: ObjectId, run: u32) {
+        Self::hold_busy(&mut self.dir.lock(), object, run, false);
         self.note_unblocked_and_process_deferred(self.clock.now());
     }
 }
@@ -886,7 +604,9 @@ impl NodeRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::annotation::SharingAnnotation;
     use crate::config::MuninConfig;
+    use crate::directory::AccessRights;
     use crate::segment::SharedDataTable;
     use munin_sim::{CostModel, Network, NodeClock};
     use std::collections::HashSet;
@@ -923,51 +643,6 @@ mod tests {
             Arc::new(CostModel::fast_test()),
             sender,
         )
-    }
-
-    /// A node's block of a variable is a function of the table alone:
-    /// object `i` of `n` is node `⌊i·N/n⌋`'s, whatever ids the variable
-    /// starts at, however unevenly `n` divides.
-    #[test]
-    fn a_block_is_a_pure_function_of_the_table() {
-        let blocks = |n: usize, nodes: usize| {
-            let mut table = SharedDataTable::new(64);
-            table.declare("before", SharingAnnotation::WriteShared, 4, 16 * 3);
-            table.declare("v", SharingAnnotation::ProducerConsumer, 4, 16 * n);
-            (0..nodes)
-                .map(|node| {
-                    let rt = node_of(table.clone(), node, nodes);
-                    let v = &rt.table().var_by_name("v").unwrap().objects;
-                    let first = v[0].as_u32();
-                    v.iter()
-                        .map(|o| rt.own_block(*o).map(|b| b.end - first))
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        };
-        // `sor`'s matrix at 4 nodes: 128 pages each.
-        let sor = blocks(512, 4);
-        for (node, ends) in sor.iter().enumerate() {
-            for (i, end) in ends.iter().enumerate() {
-                let own = i / 128 == node;
-                assert_eq!(*end, own.then_some(128 * (node as u32 + 1)), "{node} {i}");
-            }
-        }
-        let mine =
-            |ends: &Vec<Option<u32>>| ends.iter().map(|e| e.unwrap_or(0)).collect::<Vec<_>>();
-        let uneven: Vec<_> = blocks(10, 4).iter().map(mine).collect();
-        assert_eq!(
-            uneven,
-            [
-                [3, 3, 3, 0, 0, 0, 0, 0, 0, 0],
-                [0, 0, 0, 5, 5, 0, 0, 0, 0, 0],
-                [0, 0, 0, 0, 0, 8, 8, 8, 0, 0],
-                [0, 0, 0, 0, 0, 0, 0, 0, 10, 10],
-            ]
-        );
-        // More nodes than objects: some nodes have an empty block.
-        let sparse: Vec<_> = blocks(2, 4).iter().map(mine).collect();
-        assert_eq!(sparse, [[1, 0], [0, 0], [0, 2], [0, 0]]);
     }
 
     fn obj(rt: &NodeRuntime, name: &str) -> ObjectId {

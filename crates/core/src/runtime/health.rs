@@ -368,8 +368,9 @@ impl NodeRuntime {
             .collect()
     }
 
-    /// Like [`NodeRuntime::wait_reply`], but a blocked operation also wakes
-    /// when the failure detector confirms a peer dead, via the internal
+    /// Blocks the user thread until the service thread routes it a reply,
+    /// under the watchdog (`op` names what it waits for). It also wakes when
+    /// the failure detector confirms a peer dead, via the internal
     /// [`MuninError::PeerDied`] signal. `handled` carries the already-
     /// signalled deaths across one call site's wait loop (start from the
     /// empty set), so each death interrupts the operation once —
@@ -383,10 +384,6 @@ impl NodeRuntime {
         op: WaitOp,
         handled: &mut NodeSet,
     ) -> Result<(Envelope, DsmMsg)> {
-        if !self.health.enabled {
-            return self.wait_reply(op);
-        }
-        let start = Instant::now();
         let entered_virt = self.clock.now().as_nanos();
         let done = |reply: (Envelope, DsmMsg)| Ok(self.resume_at(op, entered_virt, reply));
         // A fetch interrupted by a death can be answered twice: by the
@@ -400,33 +397,30 @@ impl NodeRuntime {
             matches!(reply, DsmMsg::ObjectData { object, ownership: false, .. }
                 if op != WaitOp::Fetch(*object))
         };
-        loop {
+        self.watch(op, || {
             // A queued real reply beats a death signal: drain genuine
             // progress first so recovery only runs when the operation is
             // actually wedged.
-            match self.replies.try_recv() {
-                Some(reply) if late_copy(&reply.1) => continue,
-                Some(reply) => return done(reply),
-                None => {}
+            while let Some(reply) = self.replies.try_recv() {
+                if !late_copy(&reply.1) {
+                    return Some(done(reply));
+                }
             }
             // The lowest-id dead peer not yet in `handled`, a per-wait-loop
             // cursor: each death is signalled to a blocked operation once.
             if let Some(dead) = self.dead_set().first_not_in(handled) {
                 handled.insert(dead);
-                return Err(MuninError::PeerDied(dead));
+                return Some(Err(MuninError::PeerDied(dead)));
             }
             match self.replies.recv_timeout(WATCHDOG_SLICE) {
-                Some(reply) if late_copy(&reply.1) => {}
-                Some(reply) => return done(reply),
+                Some(reply) if !late_copy(&reply.1) => Some(done(reply)),
+                Some(_) => None,
                 None => {
                     self.health_check();
-                    let waited = start.elapsed();
-                    if waited >= self.cfg.watchdog {
-                        return Err(self.raise_stall(op, waited));
-                    }
+                    None
                 }
             }
-        }
+        })
     }
 
     /// The degraded-mode recovery walk, run exactly once per dead peer (the

@@ -31,6 +31,7 @@
 //! and retried once the transition completes.
 
 mod barrier_tree;
+mod coherence;
 mod fault;
 mod flush;
 mod health;
@@ -56,6 +57,7 @@ use crate::duq::DelayedUpdateQueue;
 use crate::error::{MuninError, Result, StallReport};
 use crate::msg::{DsmMsg, Route, UpdateBundle, UpdateItem};
 use crate::object::ObjectId;
+use crate::obs::EventKind;
 use crate::segment::SharedDataTable;
 use crate::stats::MuninStats;
 use crate::sync::SyncDirectory;
@@ -88,9 +90,9 @@ pub(crate) fn vm_traps_preflight() -> Result<()> {
     vmseg::VmSegment::preflight()
 }
 
-/// What a blocked user thread is waiting for. Carried into [`wait_reply`]
-/// (`NodeRuntime::wait_reply`) so a watchdog expiry can say precisely which
-/// operation stalled, on which object or synchronization id.
+/// What a blocked user thread is waiting for. Carried into the watchdog
+/// (`NodeRuntime::watch`) so an expiry can say precisely which operation
+/// stalled, on which object or synchronization id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum WaitOp {
     /// Waiting for `ObjectData` after an `ObjectFetch`.
@@ -151,7 +153,8 @@ pub(crate) enum SeqCheck {
     Apply,
     /// Ahead of the stream: defer until the missing transmissions arrive.
     Early,
-    /// Already consumed (duplicate delivery): drop the items.
+    /// Already consumed: drop the items (a straggler of an origin confirmed
+    /// dead, whose gap `admit` let the stream skip: each id arrives once).
     Stale,
 }
 
@@ -460,7 +463,7 @@ impl NodeRuntime {
     /// stream. `Apply` consumes the number; the caller must then apply the
     /// items. `Early` means a lower-numbered transmission is still in
     /// flight (the caller defers and retries); `Stale` means the number was
-    /// already consumed (an engine-injected duplicate — drop the items).
+    /// already consumed (see [`SeqCheck::Stale`] — drop the items).
     pub(crate) fn check_update_seq(&self, src: NodeId, seq: u64) -> SeqCheck {
         let mut seqs = self.update_seq_in.lock();
         let expected = &mut seqs[src.as_usize()];
@@ -569,22 +572,20 @@ impl NodeRuntime {
             .map_err(|e| self.send_error(dst, e))
     }
 
-    /// Blocks the user thread until the service thread routes it a reply.
-    /// `op` names what the thread is blocked on; if no reply arrives within
-    /// the watchdog window the wait fails with a structured
+    /// The watchdog loop of every blocked user-thread wait: `slice` waits up
+    /// to [`WATCHDOG_SLICE`] for what `op` is blocked on and returns the
+    /// outcome, or `None` when the slice passed without one. Once `op` has
+    /// waited the watchdog window, the wait fails with a structured
     /// [`StallReport`](crate::StallReport) instead of hanging.
-    pub(crate) fn wait_reply(&self, op: WaitOp) -> Result<(Envelope, DsmMsg)> {
+    fn watch<T>(&self, op: WaitOp, mut slice: impl FnMut() -> Option<Result<T>>) -> Result<T> {
         let start = Instant::now();
-        let entered_virt = self.clock.now().as_nanos();
         loop {
-            match self.replies.recv_timeout(WATCHDOG_SLICE) {
-                Some(reply) => return Ok(self.resume_at(op, entered_virt, reply)),
-                None => {
-                    let waited = start.elapsed();
-                    if waited >= self.cfg.watchdog {
-                        return Err(self.raise_stall(op, waited));
-                    }
-                }
+            if let Some(outcome) = slice() {
+                return outcome;
+            }
+            let waited = start.elapsed();
+            if waited >= self.cfg.watchdog {
+                return Err(self.raise_stall(op, waited));
             }
         }
     }
@@ -616,16 +617,15 @@ impl NodeRuntime {
     }
 
     /// Blocks until one worker-completion notification arrives (root only),
-    /// under the same watchdog as [`Self::wait_reply`], returning which
+    /// under the watchdog ([`Self::watch`]), returning which
     /// worker finished — or `None` when the failure detector confirmed a
     /// new death instead (the timeout slices age the detector, so a root
     /// blocked on a crashed worker confirms the death itself). The caller
     /// reconciles notifications against the dead set and re-blocks.
     pub(crate) fn wait_worker_done_notification(self: &Arc<Self>) -> Result<Option<NodeId>> {
-        let start = Instant::now();
         let entered_virt = self.clock.now().as_nanos();
         let dead_at_entry = self.dead_set();
-        loop {
+        self.watch(WaitOp::WorkerDone, || {
             match self.done.recv_timeout(WATCHDOG_SLICE) {
                 Some((from, arrival)) => {
                     self.clock.advance_to(TimeKind::Wait, arrival);
@@ -633,34 +633,25 @@ impl NodeRuntime {
                         WaitOp::WorkerDone.kind(),
                         arrival.as_nanos().saturating_sub(entered_virt),
                     );
-                    return Ok(Some(from));
+                    Some(Ok(Some(from)))
                 }
                 None => {
                     self.health_check();
-                    if self.dead_set() != dead_at_entry {
-                        return Ok(None);
-                    }
-                    let waited = start.elapsed();
-                    if waited >= self.cfg.watchdog {
-                        return Err(self.raise_stall(WaitOp::WorkerDone, waited));
-                    }
+                    (self.dead_set() != dead_at_entry).then_some(Ok(None))
                 }
             }
-        }
+        })
     }
 
     /// Builds the structured stall diagnosis, records it in the statistics,
     /// prints it to stderr (the run is about to die; make the post-mortem
     /// immediate), and returns it as an error.
     fn raise_stall(&self, op: WaitOp, waited: Duration) -> MuninError {
-        self.obs.record(
-            self.clock.now().as_nanos(),
-            crate::obs::EventKind::Stall,
-            |ev| {
+        self.obs
+            .record(self.clock.now().as_nanos(), EventKind::Stall, |ev| {
                 ev.object = op.object();
                 ev.sync_id = op.sync_id();
-            },
-        );
+            });
         let report = StallReport {
             node: self.node,
             op: op.kind(),
@@ -786,15 +777,20 @@ impl NodeRuntime {
         });
     }
 
-    /// Updates a directory entry's access rights, mirroring the change into
-    /// the page protections when the VM-trap backend is active. Every
-    /// protocol-side rights transition goes through here; the call sites all
-    /// hold the directory lock, so protections never lag rights as far as
-    /// any directory-lock holder can observe.
+    /// Sets a directory entry's access rights and [`Self::protect`]s them.
     pub(crate) fn set_entry_rights(&self, entry: &mut DirEntry, rights: AccessRights) {
         entry.state.rights = rights;
+        self.protect(entry);
+    }
+
+    /// Mirrors `entry`'s rights into its page protections when the VM-trap
+    /// backend is active. Every protocol-side rights change reaches the
+    /// pages through here, in the directory-lock scope that made it, so
+    /// protections never lag rights as far as any directory-lock holder can
+    /// observe.
+    pub(crate) fn protect(&self, entry: &DirEntry) {
         if let Some(vm) = &self.vm {
-            vm.sync_rights(entry.object, rights);
+            vm.sync_rights(entry.object, entry.state.rights, false);
         }
     }
 

@@ -8,21 +8,20 @@
 
 use std::sync::Arc;
 
-use munin_sim::{Envelope, NodeId, Receiver};
+use munin_sim::{Envelope, NodeId, Receiver, VirtTime};
 
-use crate::annotation::SharingAnnotation;
 use crate::diff;
-use crate::directory::AccessRights;
 use crate::msg::{
-    DsmMsg, FetchKind, FetchRequest, ReduceOp, Route, TimerKind, UpdateBundle, UpdateItem,
-    UpdatePayload,
+    DsmMsg, FetchRequest, ReduceOp, Route, TimerKind, UpdateBundle, UpdateItem, UpdatePayload,
 };
 use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
+use crate::obs::EventKind;
 use crate::stats::{add, bump};
-use crate::sync::{RemoteAcquireAction, TokenArrival};
+use crate::sync::{BarrierId, LockId, RemoteAcquireAction, TokenArrival};
 
-use super::{DeferredOn, NodeRuntime, SeqCheck};
+use super::coherence::{self, Invalidated, Serve};
+use super::{proto_trace, DeferredOn, NodeRuntime, SeqCheck};
 
 /// What [`NodeRuntime::admit`] decided about an arriving update bundle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,7 +31,7 @@ pub(crate) enum Admission {
     /// Not yet: a target entry is busy or pinned, or a lower-numbered
     /// transmission of its stream is still in flight.
     Defer(DeferredOn),
-    /// Its slot was already consumed (a duplicate delivery): drop the items.
+    /// Its slot was already consumed ([`SeqCheck::Stale`]): drop the items.
     Stale,
 }
 
@@ -79,23 +78,15 @@ impl NodeRuntime {
             // protocol. Liveness traffic from everyone else refreshes the
             // detector.
             if self.is_peer_dead(env.src) {
-                crate::runtime::proto_trace!(
-                    self,
-                    "drop zombie {} from {:?}",
-                    msg.class(),
-                    env.src
-                );
+                proto_trace!(self, "drop zombie {} from {:?}", msg.class(), env.src);
                 return false;
             }
             self.health_heard(env.src);
         }
         match msg {
             DsmMsg::Timer(kind) => {
-                self.obs.record(
-                    env.arrival.as_nanos(),
-                    crate::obs::EventKind::TimerFire,
-                    |_| {},
-                );
+                self.obs
+                    .record(env.arrival.as_nanos(), EventKind::TimerFire, |_| {});
                 match kind {
                     TimerKind::Retransmit => self.reliability_tick(),
                     TimerKind::Health => self.health_tick(),
@@ -297,7 +288,7 @@ impl NodeRuntime {
             }
         };
         if let Some(on) = held {
-            crate::runtime::proto_trace!(self, "defer whole carrier (gating inner)");
+            proto_trace!(self, "defer whole carrier (gating inner)");
             let carrier = DsmMsg::Carrier {
                 inner,
                 updates,
@@ -327,7 +318,7 @@ impl NodeRuntime {
                 // protocol bug; dropping it silently would diverge the
                 // destination, so fail loudly enough to diagnose.
                 bump(&self.stats.runtime_errors);
-                crate::runtime::proto_trace!(
+                proto_trace!(
                     self,
                     "dropping relay bundle without a barrier frame (dest {dest:?})"
                 );
@@ -381,8 +372,8 @@ impl NodeRuntime {
     /// And not out of sequence: a bundle ahead of its origin's stream waits
     /// for the lower-numbered transmission still in flight (a barrier-relayed
     /// bundle on another link, or the direct update a fence on a release
-    /// holds that release for); a stale one is a retransmitted duplicate and
-    /// must not be re-applied over newer data.
+    /// holds that release for); a stale one must not be re-applied over
+    /// newer data.
     ///
     /// Records the `UpdateInstall` (the flow-arrow sink matching the
     /// sender's `UpdateSend`) or `UpdateDefer` event; sync installs, which
@@ -410,8 +401,8 @@ impl NodeRuntime {
             })
         };
         if blocked {
-            crate::runtime::proto_trace!(self, "defer {:?} bundle from {peer:?}", bundle.route);
-            record(crate::obs::EventKind::UpdateDefer);
+            proto_trace!(self, "defer {:?} bundle from {peer:?}", bundle.route);
+            record(EventKind::UpdateDefer);
             return Admission::Defer(DeferredOn::Entry);
         }
         // Two routes hold no stream slot. Sync installs are ordered by the
@@ -443,36 +434,25 @@ impl NodeRuntime {
                     *slot = (*slot).max(bundle.seq + 1);
                 }
                 SeqCheck::Early => {
-                    crate::runtime::proto_trace!(
-                        self,
-                        "defer early bundle from {peer:?} seq {}",
-                        bundle.seq
-                    );
-                    record(crate::obs::EventKind::UpdateDefer);
+                    proto_trace!(self, "defer early bundle from {peer:?} seq {}", bundle.seq);
+                    record(EventKind::UpdateDefer);
                     return Admission::Defer(DeferredOn::Stream);
                 }
                 SeqCheck::Stale => {
-                    crate::runtime::proto_trace!(
-                        self,
-                        "drop stale bundle from {peer:?} seq {}",
-                        bundle.seq
-                    );
+                    proto_trace!(self, "drop stale bundle from {peer:?} seq {}", bundle.seq);
                     return Admission::Stale;
                 }
             }
         }
-        record(crate::obs::EventKind::UpdateInstall);
+        record(EventKind::UpdateInstall);
         Admission::Apply
     }
 
     /// Installs data associated with a synchronization object
-    /// (`AssociateDataAndSynch` payloads on a lock grant): full images are
-    /// written even where no local copy exists, and migratory objects hand
-    /// ownership and write access to the new lock holder. Each entry is
-    /// marked busy across its install so a concurrently arriving update or
-    /// fetch for the same object is deferred instead of interleaving with
-    /// the install.
-    fn install_sync_items(self: &Arc<Self>, items: Vec<UpdateItem>, at: munin_sim::VirtTime) {
+    /// (`AssociateDataAndSynch` payloads on a lock grant): full images, even
+    /// where no local copy exists ([`coherence::install_with_lock`]). Each
+    /// entry is busy across its install, so an update or fetch for it waits.
+    fn install_sync_items(self: &Arc<Self>, items: Vec<UpdateItem>, at: VirtTime) {
         for item in items {
             let UpdatePayload::Full(data) = item.payload else {
                 debug_assert!(false, "sync installs always carry full images");
@@ -485,81 +465,19 @@ impl NodeRuntime {
             {
                 let mut dir = self.dir.lock();
                 let e = dir.entry_mut(object);
-                if e.annotation == SharingAnnotation::Migratory {
-                    // Migratory data travels with the lock: the new holder
-                    // gets ownership and write access immediately.
-                    self.set_entry_rights(e, AccessRights::ReadWrite);
-                    e.state.owned = true;
-                    e.probable_owner = self.node;
-                } else if !e.state.rights.allows_write() {
-                    self.set_entry_rights(e, AccessRights::Read);
-                }
+                coherence::install_with_lock(e, self.node);
+                self.protect(e);
                 e.state.busy = false;
             }
             self.note_unblocked_and_process_deferred(at);
         }
     }
 
-    /// The stable-sharing check, made for every object a fetch is served
-    /// from: a fetch for a producer-consumer object whose sharing
-    /// relationship is already fixed, from a node outside that relationship,
-    /// is the runtime error the paper describes. It is recorded and the data
-    /// still served.
-    fn check_stable_sharing(
-        &self,
-        entry: &mut crate::directory::DirEntry,
-        my_phase: u32,
-        phase: u32,
-        requester: NodeId,
-    ) {
-        if !(entry.params.is_stable() && entry.state.copyset_fixed) {
-            return;
-        }
-        if phase > my_phase && !entry.state.phase_voided {
-            // The requester has issued a `PhaseChange()` that this node's
-            // user thread is still on its way to (both left the same
-            // barrier; the hint itself is unsynchronised). The relationship
-            // on record is the old phase's and is void for this fetch:
-            // un-fix it now, as the local call is about to. Once per local
-            // phase: a relationship re-determined after that is this phase's
-            // own, and a requester that is simply always ahead answers to it.
-            entry.state.copyset_fixed = false;
-            entry.state.phase_voided = true;
-        } else if !entry.copyset.contains(requester) {
-            bump(&self.stats.runtime_errors);
-        }
-    }
-
-    /// The image of `entry`'s object for an `ObjectData` reply: its bytes —
-    /// or, when this node owns the object and never materialised it (the
-    /// state `finish_root_init` leaves untouched objects in, which the local
-    /// fault paths zero-fill "with no messages"), the empty image that says
-    /// "all zeros" without carrying them. Read off the entry, never found by
-    /// scanning: a scan would have to be charged, and a page the program
-    /// wrote zeros to is a materialised page like any other.
-    fn reply_image(&self, entry: &crate::directory::DirEntry) -> Vec<u8> {
-        if entry.state.owned && !entry.state.rights.allows_read() {
-            debug_assert!(
-                self.with_object_mem(entry.object, |mem| mem.iter().all(|b| *b == 0)),
-                "{:?} was never materialised here, yet its memory is not zero",
-                entry.object
-            );
-            return Vec::new();
-        }
-        self.object_bytes(entry.object)
-    }
-
     /// Serves (or forwards, or defers) a fetch of the `run` consecutive
-    /// objects starting at `object`.
-    ///
-    /// The first object decides what happens to the request: deferred while
-    /// its entry is busy or pinned, forwarded whole along its owner hint when
-    /// this node does not own it, answered alone when serving it moves
-    /// ownership. So is every object behind it in the access window that is a
-    /// plain non-owning copy too, when it is one — or past the window
-    /// (`ahead`) that is a first touch too, when it is one — and the reply
-    /// carries that prefix of the run; the requester faults again on what is
-    /// left. All of it happens in one directory-lock scope.
+    /// objects starting at `object`, in one directory-lock scope. The first
+    /// object decides what happens to the request ([`coherence::classify`]);
+    /// the reply carries the prefix of the run that [`coherence::Reply`]
+    /// extends to, and the requester faults again on what is left.
     fn handle_object_fetch(self: &Arc<Self>, env: Envelope, mut fetch: FetchRequest) {
         let FetchRequest {
             object,
@@ -571,10 +489,8 @@ impl NodeRuntime {
         } = fetch;
         let now = env.arrival;
         if fetch.adopt {
-            // The requester's orphan-recovery round (see `refetch_orphan`)
-            // found this node the lowest-id surviving holder of an object
-            // whose owner died: claim ownership if the local copy is still
-            // valid.
+            // The requester's orphan-recovery round (`refetch_orphan`) asks
+            // this node to adopt ([`coherence::adopt`]).
             let mut dir = self.dir.lock();
             let entry = dir.entry_mut(object);
             if entry.state.busy || entry.state.pinned {
@@ -583,77 +499,21 @@ impl NodeRuntime {
                 self.defer(env, DsmMsg::ObjectFetch(fetch), DeferredOn::Entry);
                 return;
             }
-            if !entry.state.owned && entry.state.rights.allows_read() {
-                entry.state.owned = true;
-                entry.probable_owner = self.node;
+            if coherence::adopt(entry, self.node) {
                 bump(&self.stats.objects_rehomed);
-                self.obs.record(
-                    now.as_nanos(),
-                    crate::obs::EventKind::OwnershipRecovered,
-                    |ev| {
+                self.obs
+                    .record(now.as_nanos(), EventKind::OwnershipRecovered, |ev| {
                         ev.object = Some(object);
                         ev.peer = Some(requester);
-                    },
-                );
-                crate::runtime::proto_trace!(self, "adopted orphan {object:?} for {requester:?}");
+                    });
+                proto_trace!(self, "adopted orphan {object:?} for {requester:?}");
             }
-            // Owned now (or already): the rest is a plain fetch, with the
-            // usual ownership-transfer semantics for write/migratory access.
-            // If the local copy was invalidated since the requester's query
-            // round, it forwards along the (recovery-redirected) hint chain.
-            // The run comes along as far as this node owns it — all the way
-            // when its own recovery walk adopted the dead owner's pages.
+            // Owned now (or already): the rest is a plain fetch. A copy
+            // invalidated since the requester's query round forwards along
+            // the (recovery-redirected) hint chain; the run comes as far as
+            // this node owns it.
             fetch.adopt = false;
         }
-        /// What serving one object would take.
-        enum Serve {
-            Defer,
-            Forward(NodeId),
-            /// A non-owning copy; the requester joins the copyset.
-            Copy,
-            /// Ownership (and for migratory data the only copy) moves.
-            Transfer,
-            /// First touch of an object nobody materialized and no owner is
-            /// fixed for: a zero-filled page, ownership follows the toucher.
-            FirstTouch,
-        }
-        let classify = |entry: &crate::directory::DirEntry| {
-            if entry.state.busy || (entry.state.pinned && entry.params.is_writable()) {
-                // Mid-transition, or the user thread holds the rights for an
-                // in-flight access: serve the fetch after it, so a served copy
-                // never misses a checked-but-not-yet-performed write (one
-                // nothing writes has none to miss).
-                Serve::Defer
-            } else if !entry.state.owned {
-                let hint = if entry.probable_owner == self.node {
-                    // Stale self-hint: fall back to the home node of last resort.
-                    entry.home
-                } else {
-                    entry.probable_owner
-                };
-                if hint == self.node {
-                    // This *is* the home of last resort and it knows no
-                    // owner (the owner died leaving no heir on record here).
-                    // A forward to itself would come straight back, for
-                    // ever, and keep the service loop too busy to fire its
-                    // timers; the request is held until the entry changes.
-                    // The requester does not depend on it: its own recovery
-                    // round re-homes the object or reports it lost.
-                    Serve::Defer
-                } else {
-                    Serve::Forward(hint)
-                }
-            } else if entry.params.uses_invalidate()
-                && (matches!(access, FetchKind::Write)
-                    || entry.annotation == SharingAnnotation::Migratory)
-            {
-                Serve::Transfer
-            } else if entry.state.rights.allows_read() || entry.params.has_fixed_owner() {
-                Serve::Copy
-            } else {
-                Serve::FirstTouch
-            }
-        };
         let mut dir = self.dir.lock();
         let my_phase = dir.phase;
         // The objects of the run that exist: consecutive ids of the
@@ -662,77 +522,54 @@ impl NodeRuntime {
         let var_end = var.objects.last().map_or(0, |o| o.as_u32() + 1);
         let ids = object.as_u32()..object.as_u32().saturating_add(run.max(1)).min(var_end);
         let window = run.saturating_sub(fetch.ahead).max(1);
-        // The fields of the reply, should the request come to one, and what
-        // serving costs. The images are taken inside this directory-lock
-        // scope, so a served copy is never torn by the user thread's pinned
-        // accesses (the VM-trap mode's lock-free user copies rely on this).
-        // Each object served costs `dir_op`, plus `copy(size)` when its
-        // protocol lets anyone write it: the snapshot a writer would tear —
-        // and the twin of a page its owner queued with none ("Twin on first
-        // share"): its next diff is against what the requester holds.
+        // The images are taken inside this directory-lock scope, so a served
+        // copy is never torn by the user thread's pinned accesses. Each object
+        // served costs `dir_op`, plus `copy(size)` when anyone may write it:
+        // the snapshot a writer would tear, which may become the twin too.
         // One nothing can write is served by reference, as message passing
-        // sends its arrays; a zero-filled one has no bytes to copy, nor has
-        // one the requester overwrites whole: it goes as the empty image.
+        // sends its arrays; a zero-filled or elided one goes as no bytes.
         let mut data: Vec<Vec<u8>> = Vec::new();
-        let mut service = munin_sim::VirtTime::ZERO;
-        let (mut ownership, mut copyset, mut writable) = (false, NodeSet::EMPTY, false);
+        let mut service = VirtTime::ZERO;
+        let mut reply = coherence::Reply::default();
         // `Defer` or `Forward`, when that is what the first object came to.
         let mut unserved = None;
         for id in ids.map(ObjectId::new) {
             let entry = dir.entry_mut(id);
-            let serve = classify(entry);
+            let serve = coherence::classify(entry, self.node, access);
             let past = id.as_u32() - object.as_u32() >= window;
-            let copy = matches!(serve, Serve::Copy) && !ownership && !past;
-            let touch = matches!(serve, Serve::FirstTouch) && ownership && !writable && past;
-            if !(data.is_empty() || copy || touch) {
+            if !(data.is_empty() || reply.extends(serve, past)) {
                 break;
             }
             if matches!(serve, Serve::Defer | Serve::Forward(_)) {
                 unserved = Some(serve);
                 break;
             }
-            self.check_stable_sharing(entry, my_phase, phase, requester);
-            let elided = matches!(serve, Serve::Copy) && fetch.elide.contains(&id.as_u32());
-            let image = if elided {
+            if coherence::check_stable_sharing(entry, phase, my_phase, requester) {
+                bump(&self.stats.runtime_errors);
+            }
+            let elided = serve == Serve::Copy && fetch.elide.contains(&id.as_u32());
+            let zeros = !elided && coherence::never_materialised(entry);
+            debug_assert!(
+                !zeros || self.with_object_mem(id, |mem| mem.iter().all(|b| *b == 0)),
+                "{id:?} was never materialised here, yet its memory is not zero"
+            );
+            let image = if zeros || elided {
                 Vec::new()
             } else {
-                self.reply_image(entry)
+                self.object_bytes(id)
             };
             service += self.cost.dir_op();
             if entry.params.is_writable() {
                 service += self.cost.copy(image.len() as u64);
             }
-            if matches!(serve, Serve::Copy) && entry.state.dirty {
+            if reply.serve(entry, serve, requester) {
                 if let Some(twin @ None) = self.duq.lock().twin_mut(id) {
                     *twin = Some(image.clone());
                     bump(&self.stats.twins_created);
                 }
             }
+            self.protect(entry);
             data.push(image);
-            if matches!(serve, Serve::Copy) {
-                // Read replica (or a read fetch of an update-protocol
-                // object, or the first copy of one whose owner is fixed —
-                // flushes must keep arriving here): remember the replica.
-                entry.copyset.insert(requester);
-                if entry.params.uses_invalidate() {
-                    // Single-writer protocols write-protect the owner's
-                    // copy so its next write re-invalidates the replicas.
-                    self.set_entry_rights(entry, AccessRights::Read);
-                }
-                continue;
-            }
-            ownership = true;
-            if matches!(serve, Serve::Transfer) {
-                // Conventional write miss or any migratory access: the
-                // local copy is invalidated, the replicas become the
-                // requester's to invalidate.
-                copyset = std::mem::take(&mut entry.copyset);
-                copyset.remove(requester);
-                self.set_entry_rights(entry, AccessRights::Invalid);
-                writable = true;
-            }
-            entry.state.owned = false;
-            entry.probable_owner = requester;
         }
         drop(dir);
         match unserved {
@@ -745,18 +582,18 @@ impl NodeRuntime {
             // retries depends on host thread interleaving and must not
             // perturb virtual time.
             Some(_) => {
-                crate::runtime::proto_trace!(self, "defer fetch {object:?} from {requester:?}");
+                proto_trace!(self, "defer fetch {object:?} from {requester:?}");
                 self.defer(env, DsmMsg::ObjectFetch(fetch), DeferredOn::Entry);
             }
             None => {
-                crate::runtime::proto_trace!(
+                proto_trace!(
                     self,
-                    "serve fetch {object:?} x{} to {requester:?} (ownership={ownership} writable={writable}, arrival={}ns)",
+                    "serve fetch {object:?} x{} to {requester:?} ({reply:?}, arrival={}ns)",
                     data.len(),
                     env.arrival.as_nanos()
                 );
                 self.obs
-                    .record(now.as_nanos(), crate::obs::EventKind::FetchServe, |ev| {
+                    .record(now.as_nanos(), EventKind::FetchServe, |ev| {
                         ev.object = Some(object);
                         ev.peer = Some(requester);
                         ev.run = Some(data.len() as u32);
@@ -769,9 +606,9 @@ impl NodeRuntime {
                     DsmMsg::ObjectData {
                         object,
                         data,
-                        ownership,
-                        copyset,
-                        writable,
+                        ownership: reply.ownership,
+                        copyset: reply.copyset,
+                        writable: reply.writable,
                     },
                     now + service,
                 );
@@ -795,8 +632,7 @@ impl NodeRuntime {
         // (`phase_change` takes dir before duq for this reason).
         let flush_payload = {
             let mut dir = self.dir.lock();
-            let entry = dir.entry_mut(object);
-            if entry.state.pinned {
+            if dir.entry(object).state.pinned {
                 // No virtual-time charge on a deferred attempt: retry counts
                 // are host-timing dependent.
                 drop(dir);
@@ -804,29 +640,19 @@ impl NodeRuntime {
                 self.defer(env, invalidate, DeferredOn::Entry);
                 return;
             }
-            let flush_first = entry.state.dirty && entry.params.allows_multiple_writers();
-            let payload = if flush_first {
-                // "If a Munin node with a dirty copy of an object receives an
-                // invalidation request for that object and multiple writers
-                // are allowed, any pending local updates are propagated."
-                // (A dirty copy a flush has just taken out of the DUQ goes
-                // whole.)
-                let whole = || Some(UpdatePayload::Full(self.object_bytes(object)));
-                self.capture_changes(object, true).unwrap_or_else(whole)
-            } else {
-                if entry.state.dirty && !entry.params.allows_multiple_writers() {
-                    // Invalidation of a dirty single-writer copy: detected
-                    // runtime error (should be impossible under a correct
-                    // protocol).
-                    bump(&self.stats.runtime_errors);
+            let payload = match coherence::invalidate(&mut dir, object, requester) {
+                // (A dirty copy a flush just took out of the DUQ goes whole.)
+                Invalidated::Flush => {
+                    let whole = || Some(UpdatePayload::Full(self.object_bytes(object)));
+                    self.capture_changes(object, true).unwrap_or_else(whole)
                 }
-                None
+                Invalidated::DirtySingleWriter => {
+                    bump(&self.stats.runtime_errors);
+                    None
+                }
+                Invalidated::Clean => None,
             };
-            self.set_entry_rights(entry, AccessRights::Invalid);
-            entry.state.dirty = false;
-            entry.state.owned = false;
-            entry.probable_owner = requester;
-            dir.mark_written(object, false);
+            self.protect(dir.entry(object));
             payload
         };
         self.charge_sys(self.cost.dir_op());
@@ -858,24 +684,12 @@ impl NodeRuntime {
     }
 
     /// Handles an arriving update bundle: through the admission gate, then
-    /// installed, re-queued as itself, or answered as the duplicate it is.
+    /// installed, re-queued as itself, or dropped as stale.
     fn handle_update(self: &Arc<Self>, env: Envelope, bundle: UpdateBundle) {
         match self.admit(&env, &bundle) {
             Admission::Apply => self.install_admitted(env, bundle),
             Admission::Defer(on) => self.defer(env, DsmMsg::Update(bundle), on),
-            // The original delivery was acknowledged when it was applied;
-            // ack the duplicate too (emptily), so a sender counting
-            // per-message acks is no worse off than under the legacy
-            // re-apply behaviour.
-            Admission::Stale => {
-                let refanned = match bundle.route {
-                    Route::DirectAcked => None,
-                    Route::OwnerFanout { ride: None } => Some(Vec::new()),
-                    _ => return,
-                };
-                let _ =
-                    self.send_service(bundle.origin, DsmMsg::UpdateAck { refanned }, env.arrival);
-            }
+            Admission::Stale => {}
         }
     }
 
@@ -929,8 +743,8 @@ impl NodeRuntime {
         items: Vec<UpdateItem>,
         origin: NodeId,
         seq: u64,
-        ride: Option<crate::sync::BarrierId>,
-        now: munin_sim::VirtTime,
+        ride: Option<BarrierId>,
+        now: VirtTime,
     ) {
         // Snapshot the authoritative copysets in one directory-lock scope;
         // liveness is checked afterwards because the failure detector takes
@@ -965,7 +779,7 @@ impl NodeRuntime {
             self.note_update_sent(&dest_items);
             bump(&self.stats.owner_refans);
             self.obs
-                .record(now.as_nanos(), crate::obs::EventKind::OwnerRefan, |ev| {
+                .record(now.as_nanos(), EventKind::OwnerRefan, |ev| {
                     ev.peer = Some(dest);
                     ev.object = dest_items.first().map(|i| i.object);
                     ev.seq = Some(seq);
@@ -975,7 +789,7 @@ impl NodeRuntime {
             // *origin's* fan-out seq for that pairing and draws no slot from
             // this node's own stream to `dest` (see `admit`).
             self.obs
-                .record(now.as_nanos(), crate::obs::EventKind::UpdateSend, |ev| {
+                .record(now.as_nanos(), EventKind::UpdateSend, |ev| {
                     ev.peer = Some(dest);
                     ev.seq = Some(seq);
                     ev.origin = Some(origin);
@@ -1006,12 +820,8 @@ impl NodeRuntime {
     /// Applies a list of update items to the local copies. The single apply
     /// path shared by standalone `Update` messages and piggybacked carrier
     /// bundles. Returns the service time charged.
-    fn apply_update_items(
-        self: &Arc<Self>,
-        items: Vec<UpdateItem>,
-        now: munin_sim::VirtTime,
-    ) -> munin_sim::VirtTime {
-        let mut service = munin_sim::VirtTime::ZERO;
+    fn apply_update_items(self: &Arc<Self>, items: Vec<UpdateItem>, now: VirtTime) -> VirtTime {
+        let mut service = VirtTime::ZERO;
         for item in items {
             let has_copy = self
                 .dir
@@ -1020,7 +830,7 @@ impl NodeRuntime {
                 .state
                 .rights
                 .allows_read();
-            crate::runtime::proto_trace!(
+            proto_trace!(
                 self,
                 "update {:?} has_copy={has_copy} arrival={}ns",
                 item.object,
@@ -1082,7 +892,7 @@ impl NodeRuntime {
     fn handle_copyset_query(
         self: &Arc<Self>,
         env: Envelope,
-        objects: std::sync::Arc<[ObjectId]>,
+        objects: Arc<[ObjectId]>,
         requester: NodeId,
     ) {
         let now = env.arrival;
@@ -1099,7 +909,7 @@ impl NodeRuntime {
                 // are host-timing dependent. Re-queueing shares the same
                 // `Arc`-backed object list — no copy.
                 drop(dir);
-                crate::runtime::proto_trace!(self, "defer copyset query from {requester:?}");
+                proto_trace!(self, "defer copyset query from {requester:?}");
                 self.defer(
                     env,
                     DsmMsg::CopysetQuery { objects, requester },
@@ -1129,7 +939,7 @@ impl NodeRuntime {
         offset: usize,
         op: ReduceOp,
         requester: NodeId,
-        now: munin_sim::VirtTime,
+        now: VirtTime,
     ) {
         self.charge_sys(self.cost.sync_op());
         let old = self.apply_reduce_local(object, offset, op);
@@ -1165,12 +975,7 @@ impl NodeRuntime {
     }
 
     /// Handles a remote lock acquire: grant, queue, or forward.
-    fn handle_lock_acquire(
-        self: &Arc<Self>,
-        lock: crate::sync::LockId,
-        requester: NodeId,
-        now: munin_sim::VirtTime,
-    ) {
+    fn handle_lock_acquire(self: &Arc<Self>, lock: LockId, requester: NodeId, now: VirtTime) {
         self.charge_sys(self.cost.sync_op());
         // A node never queues behind, or forwards, its own request. One can
         // only come back here after crash recovery re-sent it towards the
@@ -1178,7 +983,7 @@ impl NodeRuntime {
         // was served after all (the token is here) or its grant is on the
         // way. Queueing a node behind itself would deadlock the queue.
         if requester == self.node {
-            crate::runtime::proto_trace!(self, "drop own looped-back acquire for lock {}", lock.0);
+            proto_trace!(self, "drop own looped-back acquire for lock {}", lock.0);
             return;
         }
         let (action, released_at) = {
@@ -1202,10 +1007,10 @@ impl NodeRuntime {
     /// Sends `requester`'s acquire on to `next` on the service clock.
     pub(crate) fn forward_lock_acquire(
         self: &Arc<Self>,
-        lock: crate::sync::LockId,
+        lock: LockId,
         requester: NodeId,
         next: NodeId,
-        now: munin_sim::VirtTime,
+        now: VirtTime,
     ) {
         add(&self.stats.lock_messages, 1);
         let _ = self.send_service(
@@ -1225,7 +1030,7 @@ impl NodeRuntime {
     pub(crate) fn install_lock_token(
         self: &Arc<Self>,
         env: Envelope,
-        lock: crate::sync::LockId,
+        lock: LockId,
         queue: Vec<NodeId>,
     ) {
         let arrival = {
@@ -1243,7 +1048,7 @@ impl NodeRuntime {
     pub(crate) fn finish_token_arrival(
         self: &Arc<Self>,
         env: Envelope,
-        lock: crate::sync::LockId,
+        lock: LockId,
         arrival: TokenArrival,
     ) {
         match arrival {
@@ -1252,7 +1057,7 @@ impl NodeRuntime {
                 self.replies.send((env, DsmMsg::LockGrant { lock, queue }));
             }
             TokenArrival::PassedOn(next, rest) => {
-                crate::runtime::proto_trace!(self, "pass unawaited lock {} on to {next:?}", lock.0);
+                proto_trace!(self, "pass unawaited lock {} on to {next:?}", lock.0);
                 let at = env.arrival + self.cost.sync_op();
                 self.send_lock_grant(lock, next, rest, Vec::new(), Some(at));
             }
@@ -1270,11 +1075,11 @@ impl NodeRuntime {
     /// request's or the token's arrival plus the handling cost.
     pub(crate) fn send_lock_grant(
         self: &Arc<Self>,
-        lock: crate::sync::LockId,
+        lock: LockId,
         to: NodeId,
         queue: Vec<NodeId>,
         diverted: Vec<UpdateItem>,
-        at: Option<munin_sim::VirtTime>,
+        at: Option<VirtTime>,
     ) {
         let send = |msg: DsmMsg| match at {
             None => self.send(to, msg),
@@ -1304,47 +1109,21 @@ impl NodeRuntime {
     /// a valid copy of ("Munin sends the new value of the object in the
     /// message that is used to pass lock ownership"). Installed on the
     /// receive side as a `Route::SyncInstall` bundle.
-    fn build_lock_piggyback(
-        self: &Arc<Self>,
-        lock: crate::sync::LockId,
-        to: NodeId,
-    ) -> Vec<UpdateItem> {
-        let associated = {
-            let sync = self.sync.lock();
-            sync.lock(lock).associated.clone()
-        };
-        if associated.is_empty() {
-            return Vec::new();
-        }
+    fn build_lock_piggyback(self: &Arc<Self>, lock: LockId, to: NodeId) -> Vec<UpdateItem> {
+        let associated = self.sync.lock().lock(lock).associated.clone();
         let mut out = Vec::new();
         for object in associated {
-            let (has_copy, migrate) = {
-                let dir = self.dir.lock();
-                let e = dir.entry(object);
-                (
-                    e.state.rights.allows_read(),
-                    e.annotation == SharingAnnotation::Migratory && e.state.owned,
-                )
-            };
-            if !has_copy {
+            let mut dir = self.dir.lock();
+            let e = dir.entry_mut(object);
+            if !e.state.rights.allows_read() {
                 continue;
             }
-            let size = self.table.object(object).size;
+            let (size, payload) = (e.size, UpdatePayload::Full(self.object_bytes(object)));
+            coherence::hand_over_with_lock(e, to);
+            self.protect(e);
+            drop(dir);
             self.charge_sys(self.cost.copy(size as u64));
-            out.push(UpdateItem {
-                object,
-                payload: UpdatePayload::Full(self.object_bytes(object)),
-            });
-            if migrate {
-                // Migratory data protected by the lock travels with it: the
-                // old holder gives up its copy and ownership.
-                let mut dir = self.dir.lock();
-                let e = dir.entry_mut(object);
-                self.set_entry_rights(e, AccessRights::Invalid);
-                e.state.owned = false;
-                e.state.dirty = false;
-                e.probable_owner = to;
-            }
+            out.push(UpdateItem { object, payload });
         }
         out
     }
@@ -1353,7 +1132,10 @@ impl NodeRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::annotation::SharingAnnotation;
     use crate::config::MuninConfig;
+    use crate::directory::AccessRights;
+    use crate::msg::FetchKind;
     use crate::segment::SharedDataTable;
     use munin_sim::{CostModel, Network, NodeClock};
     use std::collections::HashSet;

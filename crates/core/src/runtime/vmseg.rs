@@ -191,12 +191,16 @@ mod real {
         }
 
         /// Mirrors a directory rights change into the object's page
-        /// protections. Called from within the directory-lock scope that
-        /// changes the rights, so protections never lag behind rights as far
-        /// as any directory-lock holder can observe.
-        pub fn sync_rights(&self, object: ObjectId, rights: AccessRights) {
-            let _priv_guard = self.privileged.lock();
+        /// protections, unless they were last synced to `rights` and it is not
+        /// `force`d. Called from within the directory-lock scope that changes
+        /// the rights, so protections never lag behind rights for its holders.
+        pub fn sync_rights(&self, object: ObjectId, rights: AccessRights, force: bool) {
             let (prot, shadow) = Self::rights_to_page(rights);
+            // Under the directory lock no other unforced sync races this.
+            if !force && self.shadow[object.as_usize()].load(Ordering::Acquire) == shadow {
+                return;
+            }
+            let _priv_guard = self.privileged.lock();
             let span = self.span(object);
             self.shadow[object.as_usize()].store(shadow, Ordering::Release);
             self.region
@@ -207,7 +211,8 @@ mod real {
         /// Loosens the object's pages to read-write *without* touching the
         /// shadow — the fault handler's error path uses this so a failed
         /// touch can complete and the user thread can observe the error; the
-        /// touch wrapper re-syncs from the directory immediately after.
+        /// touch wrapper re-syncs (`force`) from the directory immediately
+        /// after.
         pub fn force_writable(&self, object: ObjectId) {
             let span = self.span(object);
             // A failure here would re-raise the same fault forever; the
@@ -391,7 +396,7 @@ impl VmSegment {
     pub fn object_at(&self, region_offset: usize) -> Option<ObjectId> {
         match *self {}
     }
-    pub fn sync_rights(&self, object: ObjectId, rights: crate::directory::AccessRights) {
+    pub fn sync_rights(&self, o: ObjectId, rights: crate::directory::AccessRights, force: bool) {
         match *self {}
     }
     pub fn force_writable(&self, object: ObjectId) {

@@ -30,6 +30,7 @@ runtime=crates/core/src/runtime
 mapfile -t core_files < <(find crates/core/src -name '*.rs' | sort)
 mapfile -t program_files < <(find src crates -name '*.rs' -path '*/src/*' -not -path 'crates/shims/*' | sort)
 mapfile -t runtime_files < <(find "$runtime" -name '*.rs' | sort)
+mapfile -t handler_files < <(find "$runtime" -name '*.rs' ! -name coherence.rs | sort)
 mapfile -t workspace_files < <(find src crates examples -name '*.rs' | sort)
 
 dsmmsg_variants=$(awk '/^pub enum DsmMsg/ { on = 1; next } on && /^}/ { exit }
@@ -41,8 +42,15 @@ core_lines=$(non_test_lines "${core_files[@]}")
 instant_now_reads=$(code_of "${runtime_files[@]}" | grep -c 'Instant::now()' || true)
 workspace_lines=$(non_test_lines "${workspace_files[@]}")
 design_bytes=$(wc -c < DESIGN.md)
+# A line that writes an entry's protocol state: rights, ownership, the dirty
+# and stable-sharing bits, the copyset, the owner hint, the write set.
+state_write='state\.(rights|owned|dirty|copyset_fixed|phase_voided) *\|?= *[^=]|probable_owner *= *[^=]'
+state_write+='|\.copyset *= *[^=]|copyset\.(insert|remove)\(|mem::take\(&mut [a-z]*\.copyset'
+state_write+='|set_entry_rights\(|mark_written\(|write_set\b'
+writes_in() { code_of "$@" | grep -cE "$state_write" || true; }
+dir_state_writes=$(writes_in "${handler_files[@]}")
 
-names=(dsmmsg_variants munin_knobs ci_named_steps server_flush_lines core_lines instant_now_reads workspace_lines design_bytes)
+names=(dsmmsg_variants munin_knobs ci_named_steps server_flush_lines core_lines instant_now_reads workspace_lines design_bytes dir_state_writes)
 what=(
     '`DsmMsg` variants'
     'distinct `MUNIN_*` names read by non-test code'
@@ -52,6 +60,7 @@ what=(
     '`Instant::now()` reads in protocol code (crates/core/src/runtime)'
     'non-test lines of src, crates (shims and benches too) and examples'
     'bytes of DESIGN.md'
+    "runtime lines outside coherence.rs writing entry protocol state (server.rs $(writes_in "$runtime/server.rs"), fault.rs $(writes_in "$runtime/fault.rs"))"
 )
 
 failed=0
