@@ -1,11 +1,14 @@
 //! The object protocol's state transitions (Sections 3.1–3.3): each change
-//! a fault, fetch, invalidation or lock hand-over makes to an entry's rights,
-//! ownership, dirty bit, copyset, owner hint or the write set, as a plain
-//! function. The handlers (`server.rs`, `fault.rs`) keep the effects: lock
-//! scopes, sends, charges, stats, records, waits — and `NodeRuntime::protect`,
-//! which mirrors a rights change made here into the pages in the same
-//! directory-lock scope. The `busy`, `pinned` and `recovering` bits guard
-//! concurrency, not protocol state: they stay with the handlers.
+//! made to an entry's rights, ownership, dirty and stable-sharing bits,
+//! copyset, owner hint or the write set, as a plain function. Its callers —
+//! the fault (`fault.rs`), fetch, invalidation and lock hand-over
+//! (`server.rs`), flush and hint (`flush.rs`), recovery (`health.rs`) and
+//! root-init (`mod.rs`) handlers — keep the effects: lock scopes, sends,
+//! charges, stats, records, waits, and `NodeRuntime::protect`, which mirrors
+//! a rights change made here into the pages in the same directory-lock
+//! scope. The `busy`, `pinned` and `recovering` bits guard concurrency, not
+//! protocol state: they stay with the handlers, as does the admission gate,
+//! which reads `busy` and `pinned` only.
 
 use std::ops::Range;
 
@@ -170,6 +173,34 @@ pub(super) fn adopt(entry: &mut DirEntry, me: NodeId) -> bool {
 /// An orphan's owner hint points at the surviving holder asked to adopt it.
 pub(super) fn redirect(entry: &mut DirEntry, adoptee: NodeId) {
     entry.probable_owner = adoptee;
+}
+
+/// Node `me` confirmed `dead` dead: it leaves `entry`'s copyset, and an
+/// object whose owner hint names it goes to the lowest-id surviving holder —
+/// this node by its own valid copy ([`adopt`]), or the copyset's first
+/// survivor ([`redirect`]). With neither, the hint falls back to the home of
+/// last resort, unless the corpse was the home: the next fetch's recovery
+/// round (`refetch_orphan`) establishes whether the object is lost. Every
+/// survivor prunes the same node from the same copyset, so all of them name
+/// one heir without coordination. Returns whether the corpse was pruned and
+/// whether this node adopted the object.
+pub(super) fn recover(entry: &mut DirEntry, dead: NodeId, me: NodeId) -> (bool, bool) {
+    let pruned = entry.copyset.contains(dead);
+    entry.copyset.remove(dead);
+    if entry.state.owned || entry.probable_owner != dead {
+        return (pruned, false);
+    }
+    // This node's own valid copy competes for the adoption by id.
+    let mine = entry.state.rights.allows_read().then_some(me);
+    let heir = entry.copyset.first().into_iter().chain(mine).min();
+    if heir == Some(me) {
+        return (pruned, adopt(entry, me));
+    }
+    let home = (entry.home != dead).then_some(entry.home);
+    if let Some(n) = heir.or(home) {
+        redirect(entry, n);
+    }
+    (pruned, false)
 }
 
 /// The images and the moves of `msg`, the reply to `fetch`, checked before
@@ -476,11 +507,18 @@ pub(super) fn invalidate(dir: &mut Directory, object: ObjectId, requester: NodeI
         (true, true) => Invalidated::Flush,
         (true, false) => Invalidated::DirtySingleWriter,
     };
+    give_up(entry, requester);
+    found
+}
+
+/// This node gives its copy of `entry`'s object up — to an invalidation, a
+/// lock hand-over, a `result` flush or the `Invalidate()` hint: no rights,
+/// clean, not owned, the owner hint at `owner_hint`.
+pub(super) fn give_up(entry: &mut DirEntry, owner_hint: NodeId) {
     entry.state.rights = AccessRights::Invalid;
     entry.state.dirty = false;
     entry.state.owned = false;
-    entry.probable_owner = requester;
-    found
+    entry.probable_owner = owner_hint;
 }
 
 /// A lock grant to `me` brought a full image of an object associated with
@@ -499,11 +537,166 @@ pub(super) fn install_with_lock(entry: &mut DirEntry, me: NodeId) {
 /// data this node owns travels with it, copy and ownership.
 pub(super) fn hand_over_with_lock(entry: &mut DirEntry, to: NodeId) {
     if entry.annotation == SharingAnnotation::Migratory && entry.state.owned {
-        entry.state.rights = AccessRights::Invalid;
-        entry.state.owned = false;
-        entry.state.dirty = false;
-        entry.probable_owner = to;
+        give_up(entry, to);
     }
+}
+
+/// Where a flush sends one object's changes: to the destinations of its
+/// copyset (`fans_out`) or to its owner alone (`result` objects), and
+/// whether this node owns the object — which is what makes deferred
+/// delivery through the carrier layer safe: the owner serves every fetch
+/// from live memory itself.
+pub(crate) struct FlushRoute {
+    pub(crate) fans_out: bool,
+    pub(crate) owned: bool,
+    /// `Some(owner)` when the bundle takes the owner-cooperative path: it
+    /// ships whole (`Route::OwnerFanout`) to the object's (probable) owner,
+    /// which installs it and re-fans to the members of its authoritative
+    /// copyset. Set for every non-owned fan-out entry with an owner hint
+    /// other than this node, fixed copyset or not; such entries ignore
+    /// `destinations`.
+    pub(crate) coop_owner: Option<NodeId>,
+    /// Fan-out destination set (already excludes this node). A bitmap, not a
+    /// materialized list: flush paths iterate it in place.
+    pub(crate) destinations: NodeSet,
+}
+
+impl FlushRoute {
+    /// Nobody receives the changes (an owner-cooperative entry's owner
+    /// decides its fan-out: the local copyset proves nothing).
+    pub(crate) fn nowhere(&self) -> bool {
+        self.coop_owner.is_none() && self.destinations.is_empty()
+    }
+}
+
+/// Where node `me`'s flush sends the changes of `e`'s object, the single
+/// source of routing truth. A stable object's relationship is fixed at its
+/// owner's flush.
+pub(super) fn flush_route(e: &mut DirEntry, me: NodeId) -> FlushRoute {
+    e.state.copyset_fixed |= e.state.owned && e.params.is_stable();
+    let (owned, fans_out) = (e.state.owned, !e.params.flushes_to_owner());
+    // `result` objects go only to their owner: nowhere when this node *is*
+    // the owner.
+    let mut destinations = if fans_out {
+        e.copyset.clone()
+    } else {
+        NodeSet::from_nodes([e.home])
+    };
+    destinations.remove(me);
+    // Owner-cooperative relay: non-owned fan-out bundles ship whole to the
+    // owner, which re-fans from its authoritative copyset — also when this
+    // node fixed a copyset while it owned the page, since the owner has
+    // served fetches since. A hint that degenerates to this node is repaired
+    // toward home; liveness is checked at send time, not here — the failure
+    // detector takes its own lock and this runs under the directory lock.
+    let hint = if e.probable_owner == me {
+        e.home
+    } else {
+        e.probable_owner
+    };
+    FlushRoute {
+        fans_out,
+        owned,
+        coop_owner: (fans_out && !owned && hint != me).then_some(hint),
+        destinations,
+    }
+}
+
+/// A flush took `object` out of the DUQ and sent its changes along `route`
+/// (a diff when `shipped`): the copy is clean. A `result` copy that went to
+/// its owner is given up to the home ("Fl" and the description of Matrix
+/// Multiply); at the home its changes are in place, and it keeps them. A
+/// stable copy nobody receives is private: "Any pages that have an empty
+/// Copyset and are therefore private are made locally writable, their twins
+/// are deleted, and they do not generate further access faults." Any other
+/// copy is write-protected again, so the next write makes a fresh twin — and
+/// a fanned-out diff predicts the next writes (the write set).
+pub(super) fn flushed(dir: &mut Directory, object: ObjectId, route: &FlushRoute, shipped: bool) {
+    dir.mark_written(object, shipped && route.fans_out);
+    let e = dir.entry_mut(object);
+    e.state.dirty = false;
+    if !route.fans_out {
+        if !route.nowhere() {
+            give_up(e, e.home);
+        }
+    } else if route.nowhere() && e.params.is_stable() {
+        e.state.rights = AccessRights::ReadWrite;
+    } else {
+        e.state.rights = AccessRights::Read;
+    }
+}
+
+/// The `Invalidate()` hint deletes node `me`'s copy of `entry`'s object,
+/// giving an owned one back to its home, where later fetches find the data.
+/// The home's own owned copy *is* the object: it stays, and "owned, no
+/// rights" keeps meaning "never materialised". Returns whether the copy went.
+pub(super) fn invalidate_hint(entry: &mut DirEntry, me: NodeId) -> bool {
+    if entry.state.owned && entry.home == me {
+        return false;
+    }
+    let owner_hint = if entry.state.owned {
+        entry.home
+    } else {
+        entry.probable_owner
+    };
+    give_up(entry, owner_hint);
+    true
+}
+
+/// The `PhaseChange()` hint "purges the accumulated sharing relationship
+/// information": the write set, and each stable object's fixed
+/// relationship, so the owner's next flush fixes it afresh. The recorded
+/// copyset is kept: at the owner it doubles as the record of served fetches
+/// that its re-fans and its own flushes rely on. A private page ([`flushed`]
+/// made it writable) that the DUQ does not hold (`duq`) is write-protected
+/// again, so writes under the new relationships are detected and
+/// propagated. Returns those pages.
+pub(super) fn phase_change(dir: &mut Directory, duq: impl Fn(ObjectId) -> bool) -> Vec<ObjectId> {
+    dir.phase += 1;
+    dir.write_set.clear();
+    let mut protected = Vec::new();
+    for idx in 0..dir.len() {
+        let e = dir.entry_mut(ObjectId::new(idx as u32));
+        if e.params.is_stable() {
+            e.state.copyset_fixed = false;
+            e.state.phase_voided = false;
+            if e.state.rights == AccessRights::ReadWrite && !duq(e.object) {
+                e.state.rights = AccessRights::Read;
+                protected.push(e.object);
+            }
+        }
+    }
+    protected
+}
+
+/// The `ChangeAnnotation()` hint switches `objects` to the protocol of
+/// annotation `to`. The write set and their fixed relationships were the
+/// old protocol's.
+pub(super) fn change_annotation(dir: &mut Directory, objects: &[ObjectId], to: SharingAnnotation) {
+    dir.write_set.clear();
+    for &o in objects {
+        let e = dir.entry_mut(o);
+        e.set_annotation(to);
+        e.state.copyset_fixed = false;
+    }
+}
+
+/// After `user_init`, the root `me`, home of every statically allocated
+/// object, owns `entry`'s. One the initialisation `touched`, or one with a
+/// fixed owner (where flushes and `Fetch_and_Φ` go), is materialised here:
+/// write-protected when read-only or delayed-update, so its first write
+/// makes a twin. Any other is never materialised: its first touch is served
+/// zero-filled and ownership moves to the toucher.
+pub(super) fn root_init(entry: &mut DirEntry, me: NodeId, touched: bool) {
+    entry.state.owned = true;
+    entry.probable_owner = me;
+    entry.state.rights = if !(touched || entry.params.has_fixed_owner()) {
+        AccessRights::Invalid
+    } else if !entry.params.is_writable() || entry.params.allows_delay() {
+        AccessRights::Read
+    } else {
+        AccessRights::ReadWrite
+    };
 }
 
 #[cfg(test)]
@@ -766,5 +959,283 @@ mod tests {
                 assert_eq!(dir.write_set, [other], "{case}");
             }
         }
+    }
+
+    /// The flush route and the post-flush transition over `result` and
+    /// fan-out objects, stable or not, owned here or not, with receivers or
+    /// none, flushed at the home or away from it, a diff shipped or not. The
+    /// copy is always clean, and a stable relationship is fixed at its
+    /// owner. A `result` copy that went to the home is given up to it; at
+    /// the home (nobody receives it) it stays as it was. A stable fan-out
+    /// copy nobody receives becomes private (writable), every other fan-out
+    /// copy is write-protected again, and only a fanned-out diff enters the
+    /// write set. A non-owned fan-out away from the home goes to its owner.
+    #[test]
+    fn a_flush_routes_and_leaves_each_copy_by_its_protocol() {
+        use AccessRights::{Invalid, Read, ReadWrite};
+        use SharingAnnotation::{ProducerConsumer, Result, WriteShared};
+        let (home, away, reader) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let o = ObjectId::new(0);
+        for annotation in [Result, WriteShared, ProducerConsumer] {
+            for bits in 0..16u8 {
+                let (at_home, owned) = (bits & 1 != 0, bits & 2 != 0);
+                let (read_elsewhere, shipped) = (bits & 4 != 0, bits & 8 != 0);
+                let me = if at_home { home } else { away };
+                let (_, mut dir) = directory(&[("v", annotation, 1)]);
+                let e = dir.entry_mut(o);
+                e.state = ObjectState {
+                    rights: ReadWrite,
+                    dirty: true,
+                    owned,
+                    ..ObjectState::default()
+                };
+                let hint = if owned { me } else { home };
+                e.probable_owner = hint;
+                if read_elsewhere {
+                    e.copyset.insert(reader);
+                }
+                let route = flush_route(e, me);
+                flushed(&mut dir, o, &route, shipped);
+
+                let case = format!(
+                    "{annotation:?} at_home={at_home} owned={owned} \
+                     read_elsewhere={read_elsewhere} shipped={shipped}"
+                );
+                let coop = annotation != Result && !owned && !at_home;
+                let receivers = match annotation {
+                    Result => !at_home,
+                    _ => coop || read_elsewhere,
+                };
+                assert_eq!(route.fans_out, annotation != Result, "{case}");
+                assert_eq!(route.coop_owner, coop.then_some(home), "{case}");
+                assert_eq!(route.nowhere(), !receivers, "{case}");
+                let (rights, owned_after, hint_after) = match annotation {
+                    Result if receivers => (Invalid, false, home),
+                    Result => (ReadWrite, owned, hint),
+                    ProducerConsumer if !receivers => (ReadWrite, owned, hint),
+                    _ => (Read, owned, hint),
+                };
+                let e = dir.entry(o);
+                let expected = ObjectState {
+                    rights,
+                    owned: owned_after,
+                    copyset_fixed: owned && annotation == ProducerConsumer,
+                    ..ObjectState::default()
+                };
+                assert_eq!(
+                    (e.state, e.probable_owner),
+                    (expected, hint_after),
+                    "{case}"
+                );
+                let written = shipped && annotation != Result;
+                assert_eq!(dir.write_set.contains(&o), written, "{case}");
+            }
+        }
+    }
+
+    /// The recovery walk over one entry, owned here or not, for a corpse
+    /// that is or is not its owner hint, with or without a valid copy here,
+    /// the lowest surviving holder below this node, above it or none, the
+    /// home dead or alive. The corpse always leaves the copyset. An orphan
+    /// goes to the lowest-id surviving holder: this node adopts it when that
+    /// is itself (its own copy counts), another is named as the owner hint,
+    /// and with no holder the hint falls back to the home — unless the home
+    /// is the corpse.
+    #[test]
+    fn recovery_names_the_lowest_surviving_holder() {
+        let ids = [0, 1, 2, 3, 4].map(NodeId::new);
+        let [alive_home, below, me, dead, above] = ids;
+        for bits in 0..16u8 {
+            let (owned, names_corpse) = (bits & 1 != 0, bits & 2 != 0);
+            let (has_copy, home_dead) = (bits & 4 != 0, bits & 8 != 0);
+            for survivor in [None, Some(below), Some(above)] {
+                let home = if home_dead { dead } else { alive_home };
+                let hint = if names_corpse { dead } else { above };
+                let (_, mut dir) = directory(&[("v", SharingAnnotation::WriteShared, 1)]);
+                let e = dir.entry_mut(ObjectId::new(0));
+                e.home = home;
+                e.probable_owner = hint;
+                e.state.owned = owned;
+                if has_copy {
+                    e.state.rights = AccessRights::Read;
+                }
+                e.copyset = NodeSet::from_nodes(survivor.into_iter().chain([dead]));
+                let got = recover(e, dead, me);
+
+                let case = format!(
+                    "owned={owned} names_corpse={names_corpse} has_copy={has_copy} \
+                     home_dead={home_dead} survivor={survivor:?}"
+                );
+                let orphan = names_corpse && !owned;
+                let (hint_after, adopted) = match survivor {
+                    _ if !orphan => (hint, false),
+                    Some(n) if n == below => (below, false),
+                    _ if has_copy => (me, true),
+                    Some(n) => (n, false),
+                    None if home_dead => (dead, false),
+                    None => (home, false),
+                };
+                assert_eq!(got, (true, adopted), "{case}");
+                assert_eq!(e.probable_owner, hint_after, "{case}");
+                assert_eq!(e.state.owned, owned || adopted, "{case}");
+                assert_eq!(e.copyset, NodeSet::from_nodes(survivor), "{case}");
+            }
+        }
+    }
+
+    /// `PhaseChange()` un-fixes every stable relationship and clears its
+    /// voided mark, keeps the copyset, empties the write set and
+    /// write-protects again each private stable page the DUQ does not hold;
+    /// a queued one, a read-only one and a page of an unstable protocol keep
+    /// their rights and bits. `ChangeAnnotation()` un-fixes the objects it
+    /// switches and empties the write set.
+    #[test]
+    fn a_phase_change_purges_relationships_but_keeps_copysets() {
+        use AccessRights::{Read, ReadWrite};
+        let (table, mut dir) = directory(&[
+            ("pc", SharingAnnotation::ProducerConsumer, 3),
+            ("ws", SharingAnnotation::WriteShared, 1),
+        ]);
+        let (pc, ws) = (objects(&table, "pc"), objects(&table, "ws")[0]);
+        let reader = NodeSet::from_nodes([NodeId::new(1)]);
+        let pages = [
+            (pc[0], ReadWrite, Read),
+            (pc[1], ReadWrite, ReadWrite),
+            (pc[2], Read, Read),
+            (ws, ReadWrite, ReadWrite),
+        ];
+        for (o, rights, _) in pages {
+            let e = dir.entry_mut(o);
+            e.state = ObjectState {
+                rights,
+                owned: true,
+                copyset_fixed: true,
+                phase_voided: true,
+                ..ObjectState::default()
+            };
+            e.copyset = reader.clone();
+        }
+        dir.mark_written(pc[2], true);
+        let queued = pc[1];
+        assert_eq!(phase_change(&mut dir, |o| o == queued), [pc[0]]);
+        assert_eq!((dir.phase, dir.write_set.len()), (1, 0));
+        for (o, _, rights) in pages {
+            let e = dir.entry(o);
+            let unstable = o == ws;
+            let bits = (e.state.copyset_fixed, e.state.phase_voided);
+            assert_eq!(
+                (e.state.rights, bits),
+                (rights, (unstable, unstable)),
+                "{o:?}"
+            );
+            assert_eq!(e.copyset, reader, "{o:?}");
+        }
+
+        dir.entry_mut(pc[0]).state.copyset_fixed = true;
+        dir.mark_written(ws, true);
+        change_annotation(&mut dir, &[pc[0]], SharingAnnotation::WriteShared);
+        let e = dir.entry(pc[0]);
+        assert_eq!(e.annotation, SharingAnnotation::WriteShared);
+        assert!(!e.params.is_stable() && !e.state.copyset_fixed);
+        assert!(dir.write_set.is_empty());
+    }
+
+    /// Root initialisation over every annotation — so fixed owner, read-only
+    /// and delayed-update —, touched by `user_init` or not: the root owns
+    /// every object; one touched or with a fixed owner is materialised,
+    /// write-protected when read-only or delayed-update and writable
+    /// otherwise; the rest are never materialised.
+    #[test]
+    fn root_init_materialises_touched_and_fixed_owner_objects() {
+        use AccessRights::{Invalid, Read, ReadWrite};
+        use SharingAnnotation::*;
+        let root = NodeId::new(0);
+        for annotation in ANNOTATIONS {
+            for touched in [false, true] {
+                let (_, mut dir) = directory(&[("v", annotation, 1)]);
+                let e = dir.entry_mut(ObjectId::new(0));
+                e.probable_owner = NodeId::new(3);
+                root_init(e, root, touched);
+                let rights = match (annotation, touched) {
+                    (Reduction, _) => ReadWrite,
+                    (Result, _) => Read,
+                    (_, false) => Invalid,
+                    (ReadOnly | WriteShared | ProducerConsumer, true) => Read,
+                    (Migratory | Conventional, true) => ReadWrite,
+                };
+                let case = format!("{annotation:?} touched={touched}");
+                assert_eq!(e.state.rights, rights, "{case}");
+                assert!(e.state.owned && e.probable_owner == root, "{case}");
+                assert_eq!(never_materialised(e), rights == Invalid, "{case}");
+            }
+        }
+    }
+
+    /// The four ways a copy is given up leave it alike — no rights, clean,
+    /// not owned, the owner hint at whoever has the object now: an
+    /// invalidation (the requester), a lock hand-over of migratory data (the
+    /// grantee), a `result` flush away from the home and the `Invalidate()`
+    /// hint (the home, or the hint a copy it does not own already had). Each
+    /// keeps its own guard: a hand-over of other data, a `result` flush at
+    /// the home and the hint at the home keep the copy; the hand-over and
+    /// the hint leave the write set as it was.
+    #[test]
+    fn each_way_of_giving_a_copy_up_leaves_it_alike() {
+        use SharingAnnotation::{Conventional, Migratory, Result, WriteShared};
+        let (home, me, to) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let o = ObjectId::new(0);
+        let held = |annotation| {
+            let (_, mut dir) = directory(&[("v", annotation, 1)]);
+            let e = dir.entry_mut(o);
+            e.state = ObjectState {
+                rights: AccessRights::ReadWrite,
+                dirty: true,
+                owned: true,
+                ..ObjectState::default()
+            };
+            e.probable_owner = me;
+            dir.mark_written(o, true);
+            dir
+        };
+        let given_up = |dir: &Directory, hint| {
+            let e = dir.entry(o);
+            let gone = (AccessRights::Invalid, false, false, hint);
+            (
+                e.state.rights,
+                e.state.dirty,
+                e.state.owned,
+                e.probable_owner,
+            ) == gone
+        };
+
+        let mut dir = held(Conventional);
+        invalidate(&mut dir, o, to);
+        assert!(given_up(&dir, to) && dir.write_set.is_empty());
+
+        for (annotation, gives) in [(Migratory, true), (Conventional, false)] {
+            let mut dir = held(annotation);
+            hand_over_with_lock(dir.entry_mut(o), to);
+            assert_eq!(given_up(&dir, to), gives, "{annotation:?}");
+            assert_eq!(dir.entry(o).state.dirty, !gives, "{annotation:?}");
+            assert_eq!(dir.write_set, [o], "{annotation:?}");
+        }
+
+        for at in [me, home] {
+            let mut dir = held(Result);
+            let route = flush_route(dir.entry_mut(o), at);
+            flushed(&mut dir, o, &route, true);
+            assert_eq!(given_up(&dir, home), at != home, "result flush at {at:?}");
+            assert!(dir.write_set.is_empty(), "result flush at {at:?}");
+
+            let mut dir = held(WriteShared);
+            assert_eq!(invalidate_hint(dir.entry_mut(o), at), at != home);
+            assert_eq!(given_up(&dir, home), at != home, "hint at {at:?}");
+            assert_eq!(dir.write_set, [o], "hint at {at:?}");
+        }
+        let mut dir = held(WriteShared);
+        let e = dir.entry_mut(o);
+        e.state.owned = false;
+        e.probable_owner = to;
+        assert!(invalidate_hint(e, me) && given_up(&dir, to));
     }
 }

@@ -758,7 +758,9 @@ mod tests {
             dir.entry_mut(pc[3]).state.busy = true;
             dir.entry_mut(pc[4]).state.pinned = true;
             dir.entry_mut(pc[5]).copyset.insert(NodeId::new(1));
-            rt.set_entry_rights(dir.entry_mut(pc[6]), AccessRights::Read);
+            let e = dir.entry_mut(pc[6]);
+            coherence::zero_fill(e);
+            rt.protect(e);
         }
         rt.fault(pc[2], true, 0).unwrap();
         let s = rt.stats().snapshot();

@@ -17,9 +17,6 @@
 //!    release are performed with respect to every other processor before the
 //!    release completes.
 //!
-//! `result` objects are not sent to their copyset: their changes are flushed
-//! only to the owner and the local copy is invalidated (the `Fl` parameter).
-//!
 //! Every update leaves as one [`crate::msg::UpdateBundle`]; what differs is
 //! the route it takes ([`FlushMode`] and `classify`): its own acknowledged
 //! message, a ride on the barrier arrive or lock grant that the release is
@@ -34,35 +31,14 @@ use std::sync::Arc;
 
 use munin_sim::NodeId;
 
-use crate::directory::AccessRights;
 use crate::error::{MuninError, Result};
 use crate::msg::{DsmMsg, Route, UpdateItem, UpdatePayload};
 use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
 use crate::stats::{add, bump};
 
+use super::coherence::{self, FlushRoute};
 use super::NodeRuntime;
-
-/// Routing decision for one flushed object: the destinations its changes go
-/// to, whether they fan out to a copyset (`true`) or flush to the owner
-/// (`false`, `result` objects), and whether this node owns the object (which
-/// is what makes deferred delivery through the carrier layer safe — the
-/// owner serves every fetch from live memory itself). Produced by
-/// `NodeRuntime::flush_route`.
-pub(crate) struct FlushRoute {
-    pub(crate) fans_out: bool,
-    pub(crate) owned: bool,
-    /// `Some(owner)` when the bundle takes the owner-cooperative path: it
-    /// ships whole (`Route::OwnerFanout`) to the object's (probable) owner,
-    /// which installs it and re-fans to the members of its authoritative
-    /// copyset. Set for every non-owned fan-out entry with an owner hint
-    /// other than this node, fixed copyset or not; such entries ignore
-    /// `destinations`.
-    pub(crate) coop_owner: Option<NodeId>,
-    /// Fan-out destination set (already excludes this node). A bitmap, not a
-    /// materialized list: flush paths iterate it in place.
-    pub(crate) destinations: NodeSet,
-}
 
 /// How a flush dispatches its updates through the carrier/outbox layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -331,7 +307,7 @@ impl NodeRuntime {
                 _ => false,
             }
         }
-        let mut handled = crate::nodeset::NodeSet::EMPTY;
+        let mut handled = NodeSet::EMPTY;
         while outstanding.values().any(|owed| *owed > 0) || !coop_pending.is_empty() {
             let (env, reply) =
                 match self.wait_reply_or_dead(crate::runtime::WaitOp::UpdateAcks, &mut handled) {
@@ -387,52 +363,6 @@ impl NodeRuntime {
         Ok((relay, ride))
     }
 
-    /// Computes where one flushed object's changes go: the single source of
-    /// routing truth.
-    fn flush_route(&self, e: &crate::directory::DirEntry) -> FlushRoute {
-        if e.params.flushes_to_owner() {
-            // `result` objects go only to their owner; nothing to send when
-            // this node *is* the owner.
-            FlushRoute {
-                fans_out: false,
-                owned: e.state.owned,
-                coop_owner: None,
-                destinations: if e.home == self.node {
-                    NodeSet::EMPTY
-                } else {
-                    NodeSet::from_nodes([e.home])
-                },
-            }
-        } else {
-            let owned = e.state.owned;
-            // Owner-cooperative relay: non-owned fan-out bundles ship whole
-            // to the owner, which re-fans from its authoritative copyset —
-            // also when this node fixed a copyset while it owned the page,
-            // since the owner has served fetches since. A hint that
-            // degenerates to ourselves is repaired toward home; liveness is
-            // checked at send time, not here — the failure detector takes
-            // its own lock and this runs under the directory lock.
-            let coop_owner = if !owned {
-                let hint = if e.probable_owner == self.node {
-                    e.home
-                } else {
-                    e.probable_owner
-                };
-                (hint != self.node).then_some(hint)
-            } else {
-                None
-            };
-            let mut destinations = e.copyset.clone();
-            destinations.remove(self.node);
-            FlushRoute {
-                fans_out: true,
-                owned,
-                coop_owner,
-                destinations,
-            }
-        }
-    }
-
     /// Takes `object`'s entry out of the DUQ and, when `encode`, captures what
     /// it changed — a diff against the twin (straight out of segment memory,
     /// into the node's reusable scratch buffer) or the whole image when there
@@ -459,29 +389,21 @@ impl NodeRuntime {
     }
 
     /// Takes one DUQ entry out, encodes its changes if anyone receives them
-    /// and applies the per-protocol state transitions (re-protection,
-    /// invalidation of the local copy for `result` objects, private-page
-    /// promotion for stable objects with an empty copyset). A diff is encoded
-    /// at most once, and shared via `Arc` when the caller fans it out.
+    /// and applies the post-flush transition ([`coherence::flushed`]). A diff
+    /// is encoded at most once, and shared via `Arc` when the caller fans it
+    /// out.
     pub(crate) fn encode_entry(
         self: &Arc<Self>,
         object: ObjectId,
     ) -> Result<(Option<UpdatePayload>, FlushRoute)> {
-        let (route, stable) = {
+        let route = {
             let mut dir = self.dir.lock();
             let e = dir.entry_mut(object);
             debug_assert!(!e.params.uses_invalidate(), "update protocols only");
-            // A stable object's relationship is fixed at its owner's flush.
-            e.state.copyset_fixed |= e.state.owned && e.params.is_stable();
-            (self.flush_route(e), e.params.is_stable())
+            coherence::flush_route(e, self.node)
         };
-        // Nobody receives a diff of a `result` object at its home, or of an
-        // empty copyset — unless the entry is owner-cooperative: its owner
-        // decides the fan-out, and the local copyset proves
-        // nothing. No receiver, no diff and no charge ("What a flush is
-        // charged").
-        let nowhere = route.coop_owner.is_none() && route.destinations.is_empty();
-        let payload = match self.capture_changes(object, !nowhere) {
+        // No receiver, no diff and no charge ("What a flush is charged").
+        let payload = match self.capture_changes(object, !route.nowhere()) {
             // An invalidation got to the entry since the flush listed it, and
             // has propagated its changes and dropped the copy.
             None => return Ok((None, route)),
@@ -492,31 +414,10 @@ impl NodeRuntime {
             }
             Some(other) => other,
         };
-        let mut dir = self.dir.lock();
-        // A shipped diff (page write-protected again below) predicts the next writes.
         let shipped = matches!(payload, Some(UpdatePayload::Diff(_)));
-        dir.mark_written(object, shipped && route.fans_out);
-        let e = dir.entry_mut(object);
-        e.state.dirty = false;
-        if !route.fans_out {
-            // `result` objects: send only to the owner, then invalidate the
-            // local copy ("Fl" and the description of Matrix Multiply). The
-            // home's own changes are already in place, and it keeps them.
-            if !nowhere {
-                self.set_entry_rights(e, AccessRights::Invalid);
-                e.state.owned = false;
-                e.probable_owner = e.home;
-            }
-        } else if nowhere && stable {
-            // "Any pages that have an empty Copyset and are therefore private
-            // are made locally writable, their twins are deleted, and they do
-            // not generate further access faults."
-            self.set_entry_rights(e, AccessRights::ReadWrite);
-        } else {
-            // Write-shared / producer-consumer: keep the copy, re-write-protect
-            // so the next write makes a fresh twin.
-            self.set_entry_rights(e, AccessRights::Read);
-        }
+        let mut dir = self.dir.lock();
+        coherence::flushed(&mut dir, object, &route, shipped);
+        self.protect(dir.entry(object));
         Ok((payload, route))
     }
 
@@ -530,75 +431,41 @@ impl NodeRuntime {
     }
 
     /// `Invalidate()` hint: deletes the local copy of every object of a
-    /// variable, propagating pending changes first.
+    /// variable ([`coherence::invalidate_hint`]), propagating pending
+    /// changes first.
     pub(crate) fn invalidate_hint(self: &Arc<Self>, objects: &[ObjectId]) -> Result<()> {
         self.flush_if_pending(objects)?;
         let mut dir = self.dir.lock();
-        for o in objects {
-            let e = dir.entry_mut(*o);
-            if e.state.owned {
-                if e.home == self.node {
-                    // The home's owned copy *is* the object, where later
-                    // fetches find the data: nothing to delete, and "owned,
-                    // no rights" keeps meaning "never materialised".
-                    continue;
-                }
-                // Give ownership back to the home node so later fetches can
-                // still find the data there.
-                e.state.owned = false;
-                e.probable_owner = e.home;
+        for &o in objects {
+            let e = dir.entry_mut(o);
+            if coherence::invalidate_hint(e, self.node) {
+                self.protect(e);
             }
-            self.set_entry_rights(e, AccessRights::Invalid);
-            e.state.dirty = false;
         }
         Ok(())
     }
 
-    /// `PhaseChange()` hint: "purges the accumulated sharing relationship
-    /// information", so the owner's next flush fixes producer-consumer
-    /// copysets afresh.
+    /// `PhaseChange()` hint ([`coherence::phase_change`]).
     pub(crate) fn phase_change(self: &Arc<Self>) {
         // Lock order dir → duq, like every other path that holds both (the
         // invalidate handler encodes its flush under the directory lock).
         let mut dir = self.dir.lock();
         let duq = self.duq.lock();
-        dir.phase += 1;
-        dir.write_set.clear();
-        for idx in 0..dir.len() {
-            let e = dir.entry_mut(ObjectId::new(idx as u32));
-            if e.params.is_stable() {
-                // Clear the "relationship is fixed" bit so the next flush
-                // fixes it afresh. The recorded copyset itself is
-                // kept: at the owner it doubles as the record of served
-                // fetches that its re-fans and its own flushes rely on.
-                e.state.copyset_fixed = false;
-                e.state.phase_voided = false;
-                // Pages promoted to locally-writable ("private") must be
-                // write-protected again so that writes under the new sharing
-                // relationships are detected and propagated.
-                if e.state.rights == AccessRights::ReadWrite && !duq.contains(e.object) {
-                    self.set_entry_rights(e, AccessRights::Read);
-                }
-            }
+        for o in coherence::phase_change(&mut dir, |o| duq.contains(o)) {
+            self.protect(dir.entry(o));
         }
     }
 
-    /// `ChangeAnnotation()` hint: switches the protocol used for a variable's
-    /// objects. Pending delayed updates are flushed first so the object is
-    /// brought up to date under its old protocol.
+    /// `ChangeAnnotation()` hint ([`coherence::change_annotation`]). Pending
+    /// delayed updates are flushed first so the object is brought up to date
+    /// under its old protocol.
     pub(crate) fn change_annotation(
         self: &Arc<Self>,
         objects: &[ObjectId],
         annotation: crate::annotation::SharingAnnotation,
     ) -> Result<()> {
         self.flush_if_pending(objects)?;
-        let mut dir = self.dir.lock();
-        dir.write_set.clear();
-        for o in objects {
-            let e = dir.entry_mut(*o);
-            e.set_annotation(annotation);
-            e.state.copyset_fixed = false;
-        }
+        coherence::change_annotation(&mut self.dir.lock(), objects, annotation);
         Ok(())
     }
 }
@@ -608,6 +475,7 @@ mod tests {
     use super::*;
     use crate::annotation::SharingAnnotation;
     use crate::config::MuninConfig;
+    use crate::directory::AccessRights;
     use crate::msg::UpdateBundle;
     use crate::segment::SharedDataTable;
     use munin_sim::{CostModel, Network, NodeClock, VirtTime};
@@ -1106,7 +974,7 @@ mod tests {
                 let e = dir.entry_mut(ws);
                 e.copyset.insert(n2);
                 e.state.copyset_fixed = true;
-                let route = rt.flush_route(e);
+                let route = coherence::flush_route(e, rt.node);
                 assert_eq!(route.coop_owner, Some(n1), "{mode:?}");
             }
             let server_rt = Arc::clone(&rt);

@@ -19,10 +19,8 @@
 //! * the reliability link to the corpse is purged (nothing it owes will
 //!   ever arrive);
 //! * every directory entry's copyset drops the dead node — the paper's
-//!   update-timeout replica-pruning, applied to a confirmed crash;
-//! * objects whose probable owner died are re-homed to the lowest-id
-//!   surviving replica holder (deterministic: every survivor picks the same
-//!   node without coordination);
+//!   update-timeout replica-pruning, applied to a confirmed crash — and its
+//!   objects are re-homed (`coherence::recover`);
 //! * a lock token the lock's home last sent to the corpse is regenerated
 //!   there (`LockState::recover`), and every barrier stops needing the dead
 //!   node, which releases the waiters the corpse was holding up.
@@ -51,9 +49,11 @@ use crate::error::{MuninError, Result};
 use crate::msg::{DsmMsg, TimerKind};
 use crate::nodeset::NodeSet;
 use crate::object::ObjectId;
+use crate::obs::EventKind;
 use crate::stats::bump;
 use crate::sync::LockId;
 
+use super::coherence;
 use super::{NodeRuntime, WaitOp, WATCHDOG_SLICE};
 
 /// Liveness verdict for one peer. Transitions only move rightward
@@ -198,11 +198,10 @@ impl NodeRuntime {
             h.status[i] = PeerStatus::Suspect;
         }
         bump(&self.stats.peers_suspected);
-        self.obs.record(
-            self.now_here().as_nanos(),
-            crate::obs::EventKind::PeerSuspect,
-            |ev| ev.peer = Some(peer),
-        );
+        self.obs
+            .record(self.now_here().as_nanos(), EventKind::PeerSuspect, |ev| {
+                ev.peer = Some(peer)
+            });
         crate::runtime::proto_trace!(self, "peer {peer:?} suspected ({reason})");
     }
 
@@ -289,11 +288,10 @@ impl NodeRuntime {
         };
         bump(&self.stats.peers_dead);
         let t_virt = self.now_here().as_nanos();
-        self.obs
-            .record(t_virt, crate::obs::EventKind::PeerDead, |ev| {
-                ev.peer = Some(peer);
-                ev.dur_ns = detect_latency.as_nanos() as u64;
-            });
+        self.obs.record(t_virt, EventKind::PeerDead, |ev| {
+            ev.peer = Some(peer);
+            ev.dur_ns = detect_latency.as_nanos() as u64;
+        });
         self.obs
             .record_wait("peer_detect", detect_latency.as_nanos() as u64);
         crate::runtime::proto_trace!(
@@ -434,57 +432,24 @@ impl NodeRuntime {
         let now = self.now_here();
         let t_virt = now.as_nanos();
         // Directory walk: prune the corpse from every copyset and re-home
-        // orphaned objects to the lowest-id surviving replica holder. Every
-        // survivor prunes the same node and sorts the same copyset, so they
-        // converge on the same new home without coordination.
+        // the objects it owned ([`coherence::recover`]).
         {
             let mut dir = self.dir.lock();
             for idx in 0..dir.len() {
                 let e = dir.entry_mut(ObjectId::new(idx as u32));
-                if e.copyset.contains(dead) {
-                    e.copyset.remove(dead);
-                    bump(&self.stats.copysets_pruned);
-                    self.obs
-                        .record(t_virt, crate::obs::EventKind::CopysetPruned, |ev| {
-                            ev.object = Some(e.object);
-                            ev.peer = Some(dead);
-                        });
+                let (pruned, adopted) = coherence::recover(e, dead, self.node);
+                let record = |counter, kind| {
+                    bump(counter);
+                    self.obs.record(t_virt, kind, |ev| {
+                        ev.object = Some(e.object);
+                        ev.peer = Some(dead);
+                    });
+                };
+                if pruned {
+                    record(&self.stats.copysets_pruned, EventKind::CopysetPruned);
                 }
-                if !e.state.owned && e.probable_owner == dead {
-                    let first_survivor = e.copyset.first();
-                    let self_has_copy = e.state.rights.allows_read();
-                    let heir = if self_has_copy {
-                        // This node's own copy competes for the adoption by id.
-                        Some(first_survivor.map_or(self.node, |n| n.min(self.node)))
-                    } else {
-                        first_survivor
-                    };
-                    match heir {
-                        Some(n) if n == self.node => {
-                            e.state.owned = true;
-                            e.probable_owner = self.node;
-                            bump(&self.stats.objects_rehomed);
-                            self.obs.record(
-                                t_virt,
-                                crate::obs::EventKind::OwnershipRecovered,
-                                |ev| {
-                                    ev.object = Some(e.object);
-                                    ev.peer = Some(dead);
-                                },
-                            );
-                        }
-                        Some(n) => e.probable_owner = n,
-                        None => {
-                            // No known surviving copy. The hint falls back to
-                            // the home node of last resort; if the object is
-                            // truly orphaned the next fetch's recovery round
-                            // (`refetch_orphan`) establishes that and raises
-                            // `NodeDown`.
-                            if e.home != dead {
-                                e.probable_owner = e.home;
-                            }
-                        }
-                    }
+                if adopted {
+                    record(&self.stats.objects_rehomed, EventKind::OwnershipRecovered);
                 }
             }
         }

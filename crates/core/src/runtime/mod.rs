@@ -52,7 +52,7 @@ use munin_sim::{CostModel, Envelope, NodeClock, NodeId, Sender, TimeKind, VirtTi
 
 use crate::config::{AccessMode, MuninConfig};
 use crate::diff::DiffScratch;
-use crate::directory::{AccessRights, DirEntry, Directory};
+use crate::directory::{DirEntry, Directory};
 use crate::duq::DelayedUpdateQueue;
 use crate::error::{MuninError, Result, StallReport};
 use crate::msg::{DsmMsg, Route, UpdateBundle, UpdateItem};
@@ -777,12 +777,6 @@ impl NodeRuntime {
         });
     }
 
-    /// Sets a directory entry's access rights and [`Self::protect`]s them.
-    pub(crate) fn set_entry_rights(&self, entry: &mut DirEntry, rights: AccessRights) {
-        entry.state.rights = rights;
-        self.protect(entry);
-    }
-
     /// Mirrors `entry`'s rights into its page protections when the VM-trap
     /// backend is active. Every protocol-side rights change reaches the
     /// pages through here, in the directory-lock scope that made it, so
@@ -841,34 +835,14 @@ impl NodeRuntime {
     }
 
     /// Initializes directory state on the root node after `user_init` has
-    /// run. `touched` is the set of objects the initialization actually
-    /// wrote.
-    ///
-    /// The root is the home of every statically allocated object, so it is
-    /// the initial owner of all of them. Objects the initialization wrote are
-    /// valid at the root; objects it never touched remain invalid (so that a
-    /// later first-touch fetch is served zero-filled and ownership moves to
-    /// the toucher). Objects with a fixed owner (`reduction`, `result`) are
-    /// always materialized at the root because flushes and `Fetch_and_Φ`
-    /// operations are directed there.
+    /// run ([`coherence::root_init`]). `touched` is the set of objects the
+    /// initialization actually wrote.
     pub(crate) fn finish_root_init(&self, touched: &HashSet<ObjectId>) {
         let mut dir = self.dir.lock();
         for idx in 0..dir.len() {
             let entry = dir.entry_mut(ObjectId::new(idx as u32));
-            entry.state.owned = true;
-            entry.probable_owner = self.node;
-            let materialize = touched.contains(&entry.object) || entry.params.has_fixed_owner();
-            let rights = if !materialize {
-                AccessRights::Invalid
-            } else if !entry.params.is_writable() || entry.params.allows_delay() {
-                // Read-only data and delayed-update (write-shared family)
-                // objects start write-protected so the first write makes a
-                // twin and enters the DUQ.
-                AccessRights::Read
-            } else {
-                AccessRights::ReadWrite
-            };
-            self.set_entry_rights(entry, rights);
+            coherence::root_init(entry, self.node, touched.contains(&entry.object));
+            self.protect(entry);
         }
     }
 
@@ -961,6 +935,7 @@ impl NodeRuntime {
 mod tests {
     use super::*;
     use crate::annotation::SharingAnnotation;
+    use crate::directory::AccessRights;
     use munin_sim::Network;
 
     /// Builds a single-node runtime for white-box tests of local paths.

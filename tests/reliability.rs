@@ -465,18 +465,22 @@ fn reliability_framing_overhead_is_bounded_at_zero_loss() {
 
     let bytes_off = m_off.net.total.bytes;
     let bytes_on = m_on.net.total.bytes;
-    // The frame is a fixed 8 bytes a message. Measured since SOR's diffs
-    // have varint run headers (64 934 payload bytes): frame tax 3.4%,
-    // exact; the standalone acks on top depend on host timing — 14-34 of
-    // them over 120 runs under 3-way load, 4.3-5.5% in total.
-    let pct = 8;
-    assert!(
-        bytes_on <= bytes_off + bytes_off * pct / 100,
-        "reliability framing exceeded its {pct}% byte-overhead budget: {bytes_off} -> {bytes_on}"
-    );
     let msgs_off = m_off.net.total.msgs;
     let msgs_on = m_on.net.total.msgs;
     let acks = m_on.stats.net_acks_sent;
+    let wrapped = msgs_on - acks;
+    // The frame is a fixed 8 bytes a wrapped message. Measured since SOR's
+    // diffs have varint run headers (64 934 payload bytes): frame tax 3.4%,
+    // exact; the standalone acks on top depend on host timing — 14-34 of
+    // them over 120 runs under 3-way load, 4.3-5.5% in total. A failure
+    // names both, so a red run shows which one grew.
+    let pct = 8;
+    assert!(
+        bytes_on <= bytes_off + bytes_off * pct / 100,
+        "reliability framing exceeded its {pct}% byte-overhead budget: {bytes_off} -> {bytes_on}; \
+         frame tax {} bytes (8 x {wrapped} wrapped messages), net_acks_sent {acks}",
+        8 * wrapped
+    );
     assert!(
         msgs_on <= msgs_off + acks,
         "unexpected extra messages beyond standalone acks: {msgs_off} -> {msgs_on} (acks {acks})"
@@ -485,7 +489,7 @@ fn reliability_framing_overhead_is_bounded_at_zero_loss() {
     // (8 bytes per wrapped message) plus the standalone acks (40 bytes each).
     // They can come in *under* it when ack piggybacking lets the protocol
     // coalesce traffic it would otherwise have sent separately.
-    let frame_budget = 8 * (msgs_on - acks) + 40 * acks;
+    let frame_budget = 8 * wrapped + 40 * acks;
     assert!(
         bytes_on - bytes_off <= frame_budget,
         "byte delta {} exceeds the frame accounting budget {frame_budget}",
