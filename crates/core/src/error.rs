@@ -98,13 +98,6 @@ impl fmt::Display for StallReport {
 pub enum MuninError {
     /// A thread attempted to write to an object annotated `read_only`.
     ReadOnlyWrite(ObjectId),
-    /// A thread accessed a `producer_consumer` (stable-sharing) object after
-    /// the sharing relationship had been fixed, from a node that is not part
-    /// of that relationship, without an intervening `PhaseChange`.
-    StableSharingViolation(ObjectId),
-    /// An invalidation arrived for a dirty object whose protocol does not
-    /// allow multiple writers.
-    DirtyInvalidation(ObjectId),
     /// A shared-variable access was out of bounds.
     OutOfBounds {
         /// The variable that was accessed.
@@ -119,8 +112,6 @@ pub enum MuninError {
     NotAReductionObject(ObjectId),
     /// The requested lock or barrier does not exist.
     UnknownSyncObject(u32),
-    /// The requested shared variable does not exist.
-    UnknownObject(ObjectId),
     /// A lock was released by a node that does not hold it.
     LockNotHeld(u32),
     /// The VM-trap access mode was requested but is unavailable (unsupported
@@ -160,18 +151,6 @@ impl fmt::Display for MuninError {
             MuninError::ReadOnlyWrite(o) => {
                 write!(f, "runtime error: write to read_only object {o:?}")
             }
-            MuninError::StableSharingViolation(o) => {
-                write!(
-                    f,
-                    "runtime error: stable sharing pattern of object {o:?} violated"
-                )
-            }
-            MuninError::DirtyInvalidation(o) => {
-                write!(
-                    f,
-                    "runtime error: invalidation for dirty single-writer object {o:?}"
-                )
-            }
             MuninError::OutOfBounds { var, index, len } => {
                 write!(
                     f,
@@ -182,7 +161,6 @@ impl fmt::Display for MuninError {
                 write!(f, "Fetch_and_Φ applied to non-reduction object {o:?}")
             }
             MuninError::UnknownSyncObject(id) => write!(f, "unknown synchronization object {id}"),
-            MuninError::UnknownObject(o) => write!(f, "unknown shared object {o:?}"),
             MuninError::LockNotHeld(id) => write!(f, "lock {id} released but not held"),
             MuninError::VmUnavailable(what) => {
                 write!(f, "VM-trap access mode unavailable: {what}")

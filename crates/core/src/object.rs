@@ -168,8 +168,8 @@ mod tests {
 
     #[test]
     fn proptest_split_covers_variable() {
-        // Lightweight deterministic sweep; the heavier property test lives in
-        // the crate-level proptest suite.
+        // Lightweight deterministic sweep; the property over drawn sizes is
+        // `tests/properties.rs::split_sizes_cover_variable`.
         for byte_len in [1usize, 3, 4, 4095, 4096, 4097, 100_000] {
             for page in [64usize, 4096, 8192] {
                 let sizes = split_sizes(byte_len, page);

@@ -9,7 +9,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::{self, RwLock as StdRwLock};
+use std::sync;
 
 /// A mutual exclusion primitive (shim over [`std::sync::Mutex`]).
 pub struct Mutex<T: ?Sized> {
@@ -99,72 +99,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock (shim over [`std::sync::RwLock`]).
-pub struct RwLock<T: ?Sized> {
-    inner: StdRwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock.
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: StdRwLock::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        match self.inner.read() {
-            Ok(g) => RwLockReadGuard { inner: g },
-            Err(poisoned) => RwLockReadGuard {
-                inner: poisoned.into_inner(),
-            },
-        }
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        match self.inner.write() {
-            Ok(g) => RwLockWriteGuard { inner: g },
-            Err(poisoned) => RwLockWriteGuard {
-                inner: poisoned.into_inner(),
-            },
-        }
-    }
-}
-
-/// RAII guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// RAII guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,13 +128,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*m.lock(), 4000);
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2, 3]);
-        assert_eq!(l.read().len(), 3);
-        l.write().push(4);
-        assert_eq!(l.read().len(), 4);
     }
 }

@@ -25,9 +25,6 @@ pub struct CostModel {
     pub wire_ns_per_byte: u64,
     /// Propagation / interrupt-dispatch delay added after the wire time.
     pub wire_prop_ns: u64,
-    /// Whether all transmissions serialize on a single shared bus
-    /// (a dedicated Ethernet segment), as in the paper's prototype.
-    pub shared_bus: bool,
 
     /// Cost to take a page/access fault and dispatch it to the user-level
     /// handler (includes resuming the faulted thread afterwards).
@@ -76,7 +73,6 @@ impl CostModel {
             msg_fixed_ns: 1_600_000,
             wire_ns_per_byte: 800,
             wire_prop_ns: 100_000,
-            shared_bus: false,
             fault_ns: 1_300_000,
             copy_ns_per_byte: 125,
             encode_ns_per_word: 450,
@@ -95,7 +91,6 @@ impl CostModel {
             msg_fixed_ns: 1_000,
             wire_ns_per_byte: 1,
             wire_prop_ns: 100,
-            shared_bus: false,
             fault_ns: 500,
             copy_ns_per_byte: 1,
             encode_ns_per_word: 1,
@@ -114,7 +109,6 @@ impl CostModel {
             msg_fixed_ns: 0,
             wire_ns_per_byte: 0,
             wire_prop_ns: 0,
-            shared_bus: false,
             fault_ns: 0,
             copy_ns_per_byte: 0,
             encode_ns_per_word: 0,

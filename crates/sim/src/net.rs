@@ -1,15 +1,13 @@
 //! The simulated interconnect.
 //!
 //! Messages really travel between OS threads, so every protocol path in the
-//! DSM is exercised end-to-end; only their *latency* is simulated. The
-//! latency of a message is
+//! DSM is exercised end-to-end; only their *latency* is simulated. Links
+//! share no bus, so whatever else is in flight, a message's base arrival
+//! (before the engine keeps its link FIFO) is
 //!
 //! ```text
-//! arrival = max(bus_free_at, sender_clock_at_send) + wire_time(bytes) + propagation
+//! arrival = sent_at + bytes × wire_ns_per_byte + wire_prop_ns
 //! ```
-//!
-//! when the shared-bus model is enabled (the paper's dedicated 10 Mbps
-//! Ethernet segment), or simply `send_time + wire_time(bytes)` otherwise.
 //!
 //! Transport and ordering are provided by the discrete-event engine in
 //! [`crate::event`]: every send is scheduled on the destination's priority
@@ -22,7 +20,6 @@
 //! model").
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::cost::CostModel;
@@ -79,48 +76,13 @@ pub struct Envelope {
     pub arrival: VirtTime,
 }
 
-struct Shared {
-    cost: CostModel,
-    bus_free_ns: AtomicU64,
-}
-
-impl Shared {
-    /// Computes the arrival time of a message sent at `sent_at` with
-    /// `bytes` payload, updating the shared-bus reservation if enabled.
-    fn arrival(&self, sent_at: VirtTime, bytes: u64) -> VirtTime {
-        let wire = VirtTime::from_nanos(bytes * self.cost.wire_ns_per_byte);
-        let prop = VirtTime::from_nanos(self.cost.wire_prop_ns);
-        if !self.cost.shared_bus {
-            return sent_at + wire + prop;
-        }
-        // Reserve the bus: transmission starts when both the sender is ready
-        // and the bus is free.
-        let mut end_ns;
-        loop {
-            let free = self.bus_free_ns.load(Ordering::SeqCst);
-            let start = free.max(sent_at.as_nanos());
-            end_ns = start + wire.as_nanos();
-            match self.bus_free_ns.compare_exchange(
-                free,
-                end_ns,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(_) => continue,
-            }
-        }
-        VirtTime::from_nanos(end_ns) + prop
-    }
-}
-
 /// Sending half of a node's network endpoint. Cheap to clone; clones share
 /// the node's clock and the event engine (which counts what they send).
 pub struct Sender<M> {
     node: NodeId,
     clock: NodeClock,
     engine: Arc<EventEngine<M>>,
-    shared: Arc<Shared>,
+    cost: Arc<CostModel>,
 }
 
 impl<M> Clone for Sender<M> {
@@ -130,7 +92,7 @@ impl<M> Clone for Sender<M> {
             node: self.node,
             clock: self.clock.clone(),
             engine: Arc::clone(&self.engine),
-            shared: Arc::clone(&self.shared),
+            cost: Arc::clone(&self.cost),
         }
     }
 }
@@ -154,8 +116,7 @@ impl<M: Send> Sender<M> {
         model_bytes: u64,
         payload: M,
     ) -> Result<Envelope, SimError> {
-        self.clock
-            .advance(TimeKind::System, self.shared.cost.msg_fixed());
+        self.clock.advance(TimeKind::System, self.cost.msg_fixed());
         let sent_at = self.clock.now();
         self.send_stamped(dst, class, model_bytes, payload, sent_at)
     }
@@ -177,8 +138,7 @@ impl<M: Send> Sender<M> {
         payload: M,
         logical_time: VirtTime,
     ) -> Result<Envelope, SimError> {
-        self.clock
-            .advance(TimeKind::System, self.shared.cost.msg_fixed());
+        self.clock.advance(TimeKind::System, self.cost.msg_fixed());
         self.send_stamped(dst, class, model_bytes, payload, logical_time)
     }
 
@@ -194,7 +154,7 @@ impl<M: Send> Sender<M> {
         if idx >= self.engine.nodes() {
             return Err(SimError::NoSuchNode(idx));
         }
-        let arrival = self.shared.arrival(sent_at, model_bytes);
+        let arrival = sent_at + self.cost.wire_time(model_bytes);
         let env = Envelope {
             src: self.node,
             dst,
@@ -265,7 +225,7 @@ impl<M: Send> Sender<M> {
 
     /// The cost model in effect.
     pub fn cost(&self) -> &CostModel {
-        &self.shared.cost
+        &self.cost
     }
 }
 
@@ -331,7 +291,7 @@ impl<M: Send> Receiver<M> {
 /// A fully connected network between `n` simulated nodes exchanging messages
 /// of type `M`, scheduled by a seeded discrete-event engine.
 pub struct Network<M> {
-    shared: Arc<Shared>,
+    cost: Arc<CostModel>,
     engine: Arc<EventEngine<M>>,
     taken: Vec<bool>,
 }
@@ -348,10 +308,7 @@ impl<M: Send> Network<M> {
     /// plan, trace recording).
     pub fn with_engine(n: usize, cost: CostModel, engine: EngineConfig) -> Self {
         Network {
-            shared: Arc::new(Shared {
-                cost,
-                bus_free_ns: AtomicU64::new(0),
-            }),
+            cost: Arc::new(cost),
             engine: Arc::new(EventEngine::new(n, engine)),
             taken: vec![false; n],
         }
@@ -364,7 +321,7 @@ impl<M: Send> Network<M> {
 
     /// The cost model in effect.
     pub fn cost(&self) -> &CostModel {
-        &self.shared.cost
+        &self.cost
     }
 
     /// The event engine scheduling this network's deliveries (for its wire
@@ -397,7 +354,7 @@ impl<M: Send> Network<M> {
                 node,
                 clock: clock.clone(),
                 engine: Arc::clone(&self.engine),
-                shared: Arc::clone(&self.shared),
+                cost: Arc::clone(&self.cost),
             },
             Receiver {
                 node,
@@ -492,25 +449,6 @@ mod tests {
             net.endpoint(5, clocks[0].clone()).err(),
             Some(SimError::NoSuchNode(5))
         );
-    }
-
-    #[test]
-    fn shared_bus_serializes_transmissions() {
-        let mut cost = CostModel::fast_test();
-        cost.shared_bus = true;
-        cost.wire_ns_per_byte = 100;
-        cost.wire_prop_ns = 0;
-        cost.msg_fixed_ns = 0;
-        let clocks = [NodeClock::new(), NodeClock::new()];
-        let mut net: Network<u8> = Network::new(2, cost);
-        let (tx0, _rx0) = net.endpoint(0, clocks[0].clone()).unwrap();
-        let (_tx1, rx1) = net.endpoint(1, clocks[1].clone()).unwrap();
-        // Two back-to-back sends at time ~0 must occupy the bus sequentially.
-        let e1 = tx0.send(NodeId::new(1), "a", 10, 0).unwrap();
-        let e2 = tx0.send(NodeId::new(1), "a", 10, 0).unwrap();
-        assert!(e2.arrival.as_nanos() >= e1.arrival.as_nanos() + 1000);
-        rx1.recv().unwrap();
-        rx1.recv().unwrap();
     }
 
     #[test]

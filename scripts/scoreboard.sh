@@ -32,6 +32,7 @@ mapfile -t program_files < <(find src crates -name '*.rs' -path '*/src/*' -not -
 mapfile -t runtime_files < <(find "$runtime" -name '*.rs' | sort)
 mapfile -t handler_files < <(find "$runtime" -name '*.rs' ! -name coherence.rs | sort)
 mapfile -t workspace_files < <(find src crates examples -name '*.rs' | sort)
+mapfile -t shim_files < <(find crates/shims -name '*.rs' | sort)
 
 dsmmsg_variants=$(awk '/^pub enum DsmMsg/ { on = 1; next } on && /^}/ { exit }
     on && /^    [A-Z][A-Za-z]*( \{|\(|,)/ { n++ } END { print n + 0 }' crates/core/src/msg.rs)
@@ -41,6 +42,7 @@ server_flush_lines=$(non_test_lines "$runtime/server.rs" "$runtime/flush.rs")
 core_lines=$(non_test_lines "${core_files[@]}")
 instant_now_reads=$(code_of "${runtime_files[@]}" | grep -c 'Instant::now()' || true)
 workspace_lines=$(non_test_lines "${workspace_files[@]}")
+shim_lines=$(non_test_lines "${shim_files[@]}")
 design_bytes=$(wc -c < DESIGN.md)
 # A line that writes an entry's protocol state: rights, ownership, the dirty
 # and stable-sharing bits, the copyset, the owner hint, the write set.
@@ -56,7 +58,7 @@ state_writers=$(for f in "${handler_files[@]}"; do
 done)
 state_writers=${state_writers%, }
 
-names=(dsmmsg_variants munin_knobs ci_named_steps server_flush_lines core_lines instant_now_reads workspace_lines design_bytes dir_state_writes)
+names=(dsmmsg_variants munin_knobs ci_named_steps server_flush_lines core_lines instant_now_reads workspace_lines shim_lines design_bytes dir_state_writes)
 what=(
     '`DsmMsg` variants'
     'distinct `MUNIN_*` names read by non-test code'
@@ -64,7 +66,8 @@ what=(
     'non-test lines of server.rs + flush.rs'
     'non-test lines of crates/core/src'
     '`Instant::now()` reads in protocol code (crates/core/src/runtime)'
-    'non-test lines of src, crates (shims and benches too) and examples'
+    'non-test lines of src, crates (shims too) and examples'
+    'non-test lines of the offline shims (crates/shims)'
     'bytes of DESIGN.md'
     "runtime lines outside coherence.rs writing entry protocol state (${state_writers:-in no file})"
 )

@@ -4,7 +4,8 @@
 //! discrete-event delivery engine (ordering and replay determinism), and the
 //! fetch of a run of pages against its one-page-at-a-time reference.
 
-use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::ops::Range;
 
 use munin::dsm::annotation::{ProtocolParams, SharingAnnotation};
 use munin::dsm::diff;
@@ -14,24 +15,104 @@ use munin::dsm::sync::{BarrierState, BarrierStep, LockState, RemoteAcquireAction
 use munin::dsm::NodeSet;
 use munin::sim::{CostModel, EngineConfig, Network, NodeClock, NodeId, VirtTime};
 
-fn word_buffer(len_words: usize) -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(any::<u32>(), len_words).prop_map(|words| {
-        words
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .collect::<Vec<u8>>()
-    })
+/// The inputs of the properties below: a splitmix64 stream seeded by FNV-1a
+/// of the property's path (`properties::<name>`), so every run draws the same
+/// cases and a failure reproduces by name. Nothing shrinks; the assert
+/// messages carry the values.
+#[derive(Clone)]
+struct Gen(u64);
+
+impl Gen {
+    fn new(name: &str) -> Self {
+        let path = format!("{}::{name}", module_path!());
+        Gen(path.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        }))
+    }
+
+    fn u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn u32(&mut self) -> u32 {
+        self.u64() as u32
+    }
+
+    fn bool(&mut self) -> bool {
+        self.u64() & 1 == 1
+    }
+
+    /// A value in the non-empty `range`.
+    fn range(&mut self, range: Range<usize>) -> usize {
+        range.start + (self.u64() % range.len() as u64) as usize
+    }
+
+    /// A length in `len`, drawn only when `len` holds more than one.
+    fn len(&mut self, len: Range<usize>) -> usize {
+        if len.len() > 1 {
+            self.range(len)
+        } else {
+            len.start
+        }
+    }
+
+    fn vec<T>(&mut self, len: Range<usize>, mut draw: impl FnMut(&mut Gen) -> T) -> Vec<T> {
+        (0..self.len(len)).map(|_| draw(self)).collect()
+    }
+
+    /// A set of up to `len` values from `values`: it stops at its drawn size
+    /// or after 20 draws an element and 20 more, whichever comes first.
+    fn set(&mut self, len: Range<usize>, values: Range<usize>) -> BTreeSet<usize> {
+        let target = self.len(len);
+        let mut set = BTreeSet::new();
+        for _ in 0..target * 20 + 20 {
+            if set.len() == target {
+                break;
+            }
+            set.insert(self.range(values.clone()));
+        }
+        set
+    }
+}
+
+/// One name gives one stream and another name another; ranges stay in
+/// bounds; a vector of one length draws no length, a ranged one stays in
+/// its range, and a set stays under its size bound.
+#[test]
+fn the_generator_is_reproducible_and_in_bounds() {
+    let first = |name| Gen::new(name).u64();
+    assert_eq!(first("x"), first("x"));
+    assert_ne!(first("x"), first("y"));
+    let g = &mut Gen::new("the_generator_is_reproducible_and_in_bounds");
+    for _ in 0..32 {
+        assert!((3..14).contains(&g.range(3..14)));
+        let mut copy = g.clone();
+        let fixed = g.vec(7..8, Gen::u32);
+        assert_eq!(fixed, (0..7).map(|_| copy.u32()).collect::<Vec<_>>());
+        let ranged = g.vec(1..4, |g| g.range(0..5));
+        assert!((1..4).contains(&ranged.len()) && ranged.iter().all(|e| *e < 5));
+        let set = g.set(0..10, 0..32);
+        assert!(set.len() < 10 && set.iter().all(|e| *e < 32));
+    }
+}
+
+/// `len_words` words of four bytes each.
+fn word_buffer(g: &mut Gen, len_words: usize) -> Vec<u8> {
+    (0..len_words).flat_map(|_| g.u32().to_le_bytes()).collect()
 }
 
 /// A run layout — alternately a gap of unchanged words and a run of changed
 /// ones — scaled so that skips and counts need 1-, 2- and 3-byte varints
 /// (below 2⁷, 2¹⁴ and 2²¹ words).
-fn run_layout() -> impl Strategy<Value = Vec<usize>> {
-    proptest::collection::vec(0usize..6, 1..13).prop_map(|lens| {
-        // The first draw picks the scale, the rest are the lengths.
-        let scale = [1, 50, 4000][lens[0] % 3];
-        lens[1..].iter().map(|l| l * scale).collect()
-    })
+fn run_layout(g: &mut Gen) -> Vec<usize> {
+    let lens = g.vec(1..13, |g| g.range(0..6));
+    // The first draw picks the scale, the rest are the lengths.
+    let scale = [1, 50, 4000][lens[0] % 3];
+    lens[1..].iter().map(|l| l * scale).collect()
 }
 
 /// A twin of pseudo-random words and a copy of it changed as `layout` says
@@ -85,40 +166,39 @@ fn from_wire(bytes: &[u8]) -> munin::dsm::Result<diff::Diff> {
 /// scale: long runs (too long to begin or join a cluster), clusters of short
 /// runs a few words apart, clusters that repeat a short pattern of runs (a
 /// mask with a period), and lone words far from everything.
-fn mixed_layout() -> impl Strategy<Value = Vec<usize>> {
-    proptest::collection::vec(any::<u32>(), 1..10).prop_map(|draws| {
-        let mut layout = Vec::new();
-        for d in draws {
-            let (kind, a, b) = (d % 4, (d >> 8) as usize, (d >> 20) as usize);
-            match kind {
-                // gap, long run
-                0 => layout.extend([a % 40, 16 + b % 100]),
-                // gap, then 1..=8 short runs within reach of each other
-                1 => {
-                    layout.extend([16 + a % 40, 1 + b % 4]);
-                    for k in 0..a % 8 {
-                        let count = 1 + (b >> k) % 5;
-                        layout.extend([1 + (a >> k) % (15 - count), count]);
-                    }
+fn mixed_layout(g: &mut Gen) -> Vec<usize> {
+    let draws = g.vec(1..10, Gen::u32);
+    let mut layout = Vec::new();
+    for d in draws {
+        let (kind, a, b) = (d % 4, (d >> 8) as usize, (d >> 20) as usize);
+        match kind {
+            // gap, long run
+            0 => layout.extend([a % 40, 16 + b % 100]),
+            // gap, then 1..=8 short runs within reach of each other
+            1 => {
+                layout.extend([16 + a % 40, 1 + b % 4]);
+                for k in 0..a % 8 {
+                    let count = 1 + (b >> k) % 5;
+                    layout.extend([1 + (a >> k) % (15 - count), count]);
                 }
-                // gap, then 1..=3 (run, gap) pairs repeated 8..=40 times
-                2 => {
-                    layout.push(16 + a % 40);
-                    let unit: Vec<usize> = (0..1 + b % 3)
-                        .flat_map(|k| [1 + (b >> (2 * k + 2)) % 3, 1 + (a >> (3 * k)) % 6])
-                        .collect();
-                    for _ in 0..8 + (a >> 10) % 33 {
-                        layout.extend(&unit);
-                    }
-                    // The next kind's gap follows the last run.
-                    layout.pop();
-                }
-                // a lone word after a long gap
-                _ => layout.extend([16 + a % 300, 1]),
             }
+            // gap, then 1..=3 (run, gap) pairs repeated 8..=40 times
+            2 => {
+                layout.push(16 + a % 40);
+                let unit: Vec<usize> = (0..1 + b % 3)
+                    .flat_map(|k| [1 + (b >> (2 * k + 2)) % 3, 1 + (a >> (3 * k)) % 6])
+                    .collect();
+                for _ in 0..8 + (a >> 10) % 33 {
+                    layout.extend(&unit);
+                }
+                // The next kind's gap follows the last run.
+                layout.pop();
+            }
+            // a lone word after a long gap
+            _ => layout.extend([16 + a % 300, 1]),
         }
-        layout
-    })
+    }
+    layout
 }
 
 /// One span of a diff as the decoder's walker sees it.
@@ -310,18 +390,20 @@ fn rle_oracle(current: &[u8], twin: &[u8]) -> (Vec<u8>, usize, usize) {
     (out, runs, changed)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Applying the encoded diff of `current` vs `twin` to a copy of `twin`
-    /// reconstructs `current` exactly, for arbitrary contents.
-    #[test]
-    fn diff_roundtrip(words in 1usize..64, seed in any::<u64>()) {
+/// Applying the encoded diff of `current` vs `twin` to a copy of `twin`
+/// reconstructs `current` exactly, for arbitrary contents.
+#[test]
+fn diff_roundtrip() {
+    let g = &mut Gen::new("diff_roundtrip");
+    for _ in 0..64 {
+        let (words, seed) = (g.range(1..64), g.u64());
         let mut twin = vec![0u8; words * 4];
         let mut current = vec![0u8; words * 4];
         let mut state = seed;
         for i in 0..words {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let old = (state >> 16) as u32;
             let changed = state.is_multiple_of(3);
             twin[i * 4..i * 4 + 4].copy_from_slice(&old.to_le_bytes());
@@ -331,13 +413,17 @@ proptest! {
         let d = diff::encode(&current, &twin);
         let mut target = twin.clone();
         diff::apply(&d, &mut target).unwrap();
-        prop_assert_eq!(target, current);
+        assert_eq!(target, current);
     }
+}
 
-    /// Diffs of writers that touch disjoint words merge cleanly into the
-    /// original in either order (the multiple-writers guarantee).
-    #[test]
-    fn disjoint_diffs_merge_in_any_order(original in word_buffer(96), mask in any::<u32>()) {
+/// Diffs of writers that touch disjoint words merge cleanly into the
+/// original in either order (the multiple-writers guarantee).
+#[test]
+fn disjoint_diffs_merge_in_any_order() {
+    let g = &mut Gen::new("disjoint_diffs_merge_in_any_order");
+    for _ in 0..64 {
+        let (original, mask) = (word_buffer(g, 96), g.u32());
         let words = original.len() / 4;
         let mut writer_a = original.clone();
         let mut writer_b = original.clone();
@@ -345,7 +431,11 @@ proptest! {
             // The first 32 words fall as the draw says; the rest alternate
             // pair by pair, so both diffs hold a cluster that goes masked
             // and each writer's words sit in the gaps of the other's mask.
-            let bit = if w < 32 { (mask >> w) & 1 == 1 } else { w % 4 < 2 };
+            let bit = if w < 32 {
+                (mask >> w) & 1 == 1
+            } else {
+                w % 4 < 2
+            };
             let slot = w * 4;
             if bit {
                 writer_a[slot] = writer_a[slot].wrapping_add(1);
@@ -356,7 +446,7 @@ proptest! {
         let diff_a = diff::encode(&writer_a, &original);
         let diff_b = diff::encode(&writer_b, &original);
         for d in [&diff_a, &diff_b] {
-            prop_assert!(spans(d).iter().any(|s| !s.mask.is_empty()), "a masked span");
+            assert!(spans(d).iter().any(|s| !s.mask.is_empty()), "a masked span");
         }
 
         let mut ab = original.clone();
@@ -365,80 +455,101 @@ proptest! {
         let mut ba = original.clone();
         diff::apply(&diff_b, &mut ba).unwrap();
         diff::apply(&diff_a, &mut ba).unwrap();
-        prop_assert_eq!(&ab, &ba);
+        assert_eq!(&ab, &ba);
         // Every word carries exactly one writer's change.
         for w in 0..words {
             let slot = w * 4;
             let expected = original[slot].wrapping_add(1);
-            prop_assert_eq!(ab[slot], expected);
+            assert_eq!(ab[slot], expected);
         }
     }
+}
 
-    /// No diff is longer than its run-length spelling, one in which no
-    /// cluster pays for a mask *is* that spelling byte for byte, and the
-    /// counts the cost model charges are the run-length ones whatever the
-    /// spelling. The size is the `words` varint plus what each span takes by
-    /// the format's definition; spans are maximal and none carries a word the
-    /// twin already had.
-    #[test]
-    fn encoded_size_is_bounded(layout in run_layout(), mixed in mixed_layout(), seed in any::<u64>()) {
+/// No diff is longer than its run-length spelling, one in which no
+/// cluster pays for a mask *is* that spelling byte for byte, and the
+/// counts the cost model charges are the run-length ones whatever the
+/// spelling. The size is the `words` varint plus what each span takes by
+/// the format's definition; spans are maximal and none carries a word the
+/// twin already had.
+#[test]
+fn encoded_size_is_bounded() {
+    let g = &mut Gen::new("encoded_size_is_bounded");
+    for _ in 0..64 {
+        let (layout, mixed, seed) = (run_layout(g), mixed_layout(g), g.u64());
         for layout in [layout, mixed] {
             let (current, twin) = laid_out(&layout, seed);
             let d = diff::encode(&current, &twin);
             let words = current.len() / 4;
-            prop_assert_eq!(d.words() as usize, words);
+            assert_eq!(d.words() as usize, words);
 
             let (rle, rle_runs, rle_changed) = rle_oracle(&current, &twin);
-            prop_assert_eq!((d.run_count(), d.changed_words()), (rle_runs, rle_changed));
-            prop_assert!(d.encoded_bytes() <= rle.len());
+            assert_eq!((d.run_count(), d.changed_words()), (rle_runs, rle_changed));
+            assert!(d.encoded_bytes() <= rle.len());
             let spans = spans(&d);
             if spans.iter().all(|s| s.mask.is_empty()) {
-                prop_assert_eq!(d.as_wire_bytes(), &rle[..]);
+                assert_eq!(d.as_wire_bytes(), &rle[..]);
             } else {
-                prop_assert!(d.encoded_bytes() < rle.len(), "a mask only where it is shorter");
+                assert!(
+                    d.encoded_bytes() < rle.len(),
+                    "a mask only where it is shorter"
+                );
             }
             // A diff with no periodic span is the bytes the format without
             // them wrote.
             if !spans.iter().any(Span::periodic) {
-                prop_assert_eq!(d.as_wire_bytes(), &reference(&current, &twin, false).0[..]);
+                assert_eq!(d.as_wire_bytes(), &reference(&current, &twin, false).0[..]);
             }
 
             let (mut runs, mut changed, mut last_end) = (0, 0, 0);
             let mut size = varint_len(words as u32);
             for span in &spans {
-                prop_assert!(span.start > last_end || runs == 0, "spans are maximal");
-                prop_assert!(span.mask.is_empty() || span.len() >= 2);
+                assert!(span.start > last_end || runs == 0, "spans are maximal");
+                assert!(span.mask.is_empty() || span.len() >= 2);
                 let at = span.changed();
-                prop_assert_eq!((at[0], at[at.len() - 1]), (span.start, span.start + span.len() - 1));
+                assert_eq!(
+                    (at[0], at[at.len() - 1]),
+                    (span.start, span.start + span.len() - 1)
+                );
                 for (w, word) in at.iter().zip(span.data.chunks_exact(4)) {
-                    prop_assert!(word != &twin[w * 4..w * 4 + 4]);
-                    prop_assert_eq!(word, &current[w * 4..w * 4 + 4]);
+                    assert!(word != &twin[w * 4..w * 4 + 4]);
+                    assert_eq!(word, &current[w * 4..w * 4 + 4]);
                 }
                 size += span.wire_len(last_end);
-                (runs, changed, last_end) = (runs + span.runs(), changed + at.len(), span.start + span.len());
+                (runs, changed, last_end) = (
+                    runs + span.runs(),
+                    changed + at.len(),
+                    span.start + span.len(),
+                );
             }
-            prop_assert_eq!((d.run_count(), d.changed_words()), (runs, changed));
-            prop_assert_eq!(d.encoded_bytes(), size);
+            assert_eq!((d.run_count(), d.changed_words()), (runs, changed));
+            assert_eq!(d.encoded_bytes(), size);
         }
     }
+}
 
-    /// The block-skip encoder is bit-identical to the word-by-word reference
-    /// encoder on arbitrary buffer pairs (the differential oracle for the
-    /// flat wire format).
-    #[test]
-    fn block_skip_encoder_matches_reference(current in word_buffer(96), twin in word_buffer(96)) {
+/// The block-skip encoder is bit-identical to the word-by-word reference
+/// encoder on arbitrary buffer pairs (the differential oracle for the
+/// flat wire format).
+#[test]
+fn block_skip_encoder_matches_reference() {
+    let g = &mut Gen::new("block_skip_encoder_matches_reference");
+    for _ in 0..64 {
+        let (current, twin) = (word_buffer(g, 96), word_buffer(g, 96));
         let fast = diff::encode(&current, &twin);
-        prop_assert_eq!(fast.as_wire_bytes(), &reference(&current, &twin, true).0[..]);
+        assert_eq!(
+            fast.as_wire_bytes(),
+            &reference(&current, &twin, true).0[..]
+        );
     }
+}
 
-    /// The same on fragmented pages and on skips and counts long enough for
-    /// 2- and 3-byte headers, where the encoders' varint writers differ.
-    #[test]
-    fn block_skip_encoder_matches_reference_on_every_header_width(
-        layout in run_layout(),
-        mixed in mixed_layout(),
-        seed in any::<u64>(),
-    ) {
+/// The same on fragmented pages and on skips and counts long enough for
+/// 2- and 3-byte headers, where the encoders' varint writers differ.
+#[test]
+fn block_skip_encoder_matches_reference_on_every_header_width() {
+    let g = &mut Gen::new("block_skip_encoder_matches_reference_on_every_header_width");
+    for _ in 0..64 {
+        let (layout, mixed, seed) = (run_layout(g), mixed_layout(g), g.u64());
         // ... and on long runs, clusters and lone words side by side, where
         // the two apply the cluster rule: one to a list of runs, the other to
         // a bitmap.
@@ -446,34 +557,38 @@ proptest! {
             let (current, twin) = laid_out(&layout, seed);
             let fast = diff::encode(&current, &twin);
             let (bytes, runs, changed) = reference(&current, &twin, true);
-            prop_assert_eq!(fast.as_wire_bytes(), &bytes[..]);
-            prop_assert_eq!((fast.run_count(), fast.changed_words()), (runs, changed));
+            assert_eq!(fast.as_wire_bytes(), &bytes[..]);
+            assert_eq!((fast.run_count(), fast.changed_words()), (runs, changed));
         }
     }
+}
 
-    /// Wire round-trip: re-framing the encoded bytes with `from_wire` and
-    /// applying reconstructs `current` exactly.
-    #[test]
-    fn wire_round_trip_reconstructs(current in word_buffer(48), twin in word_buffer(48)) {
+/// Wire round-trip: re-framing the encoded bytes with `from_wire` and
+/// applying reconstructs `current` exactly.
+#[test]
+fn wire_round_trip_reconstructs() {
+    let g = &mut Gen::new("wire_round_trip_reconstructs");
+    for _ in 0..64 {
+        let (current, twin) = (word_buffer(g, 48), word_buffer(g, 48));
         let d = diff::encode(&current, &twin);
         let wire: std::sync::Arc<[u8]> = std::sync::Arc::from(d.as_wire_bytes());
         let decoded = diff::Diff::from_wire(wire).expect("encoder output is valid framing");
         let mut target = twin.clone();
         diff::apply(&decoded, &mut target).unwrap();
-        prop_assert_eq!(target, current);
+        assert_eq!(target, current);
     }
+}
 
-    /// A prefix of a valid encoding is valid exactly when it ends on a span
-    /// boundary, and then it *is* the first k spans — with the counts
-    /// `from_wire` computes matching; a cut anywhere inside a span — header,
-    /// run data, mask or masked data — is rejected. (Every cut is tried on
-    /// small layouts, the cuts around each boundary on large ones.)
-    #[test]
-    fn from_wire_accepts_a_prefix_only_on_a_run_boundary(
-        layout in run_layout(),
-        mixed in mixed_layout(),
-        seed in any::<u64>(),
-    ) {
+/// A prefix of a valid encoding is valid exactly when it ends on a span
+/// boundary, and then it *is* the first k spans — with the counts
+/// `from_wire` computes matching; a cut anywhere inside a span — header,
+/// run data, mask or masked data — is rejected. (Every cut is tried on
+/// small layouts, the cuts around each boundary on large ones.)
+#[test]
+fn from_wire_accepts_a_prefix_only_on_a_run_boundary() {
+    let g = &mut Gen::new("from_wire_accepts_a_prefix_only_on_a_run_boundary");
+    for _ in 0..64 {
+        let (layout, mixed, seed) = (run_layout(g), mixed_layout(g), g.u64());
         for layout in [layout, mixed] {
             let (current, twin) = laid_out(&layout, seed);
             let d = diff::encode(&current, &twin);
@@ -486,7 +601,7 @@ proptest! {
                 boundaries.push(boundaries.last().unwrap() + span.wire_len(last_end));
                 last_end = span.start + span.len();
             }
-            prop_assert_eq!(*boundaries.last().unwrap(), wire.len());
+            assert_eq!(*boundaries.last().unwrap(), wire.len());
             let cuts: Vec<usize> = if wire.len() <= 512 {
                 (0..=wire.len()).collect()
             } else {
@@ -498,14 +613,16 @@ proptest! {
             for cut in cuts {
                 match (boundaries.binary_search(&cut), from_wire(&wire[..cut])) {
                     (Ok(k), Ok(prefix)) => {
-                        prop_assert_eq!(&spans(&prefix)[..], &all[..k]);
+                        assert_eq!(&spans(&prefix)[..], &all[..k]);
                         let runs: usize = all[..k].iter().map(Span::runs).sum();
                         let changed: usize = all[..k].iter().map(|s| s.data.len() / 4).sum();
-                        prop_assert_eq!((prefix.run_count(), prefix.changed_words()), (runs, changed));
+                        assert_eq!(
+                            (prefix.run_count(), prefix.changed_words()),
+                            (runs, changed)
+                        );
                     }
                     (Err(_), Err(_)) => {}
-                    (boundary, parsed) => prop_assert!(
-                        false,
+                    (boundary, parsed) => panic!(
                         "cut {cut} of {}: boundary {boundary:?}, parsed {parsed:?}",
                         wire.len()
                     ),
@@ -513,25 +630,27 @@ proptest! {
             }
         }
     }
+}
 
-    /// Whatever bytes arrive, `from_wire` answers `Ok` or a protocol
-    /// violation — it does not panic — and what it accepts `apply` installs:
-    /// onto a target of the declared length, changing exactly the
-    /// `changed_words()` words the spans name and no other. The bytes are a
-    /// valid encoding with a few of them redrawn, cut, or extended, so that
-    /// most of the walker is reached; and plain noise.
-    #[test]
-    fn from_wire_never_panics_and_apply_installs_what_it_accepted(
-        mixed in mixed_layout(),
-        noise in proptest::collection::vec(any::<u8>(), 0..48),
-        seed in any::<u64>(),
-    ) {
+/// Whatever bytes arrive, `from_wire` answers `Ok` or a protocol
+/// violation — it does not panic — and what it accepts `apply` installs:
+/// onto a target of the declared length, changing exactly the
+/// `changed_words()` words the spans name and no other. The bytes are a
+/// valid encoding with a few of them redrawn, cut, or extended, so that
+/// most of the walker is reached; and plain noise.
+#[test]
+fn from_wire_never_panics_and_apply_installs_what_it_accepted() {
+    let g = &mut Gen::new("from_wire_never_panics_and_apply_installs_what_it_accepted");
+    for _ in 0..64 {
+        let (mixed, noise, seed) = (mixed_layout(g), g.vec(0..48, |g| g.u64() as u8), g.u64());
         let (current, twin) = laid_out(&mixed, seed);
         let valid = diff::encode(&current, &twin).as_wire_bytes().to_vec();
         let mut mutated = valid.clone();
         let mut draw = seed;
         for _ in 0..seed % 4 {
-            draw = draw.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            draw = draw
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let at = (draw >> 33) as usize % mutated.len();
             match draw % 3 {
                 0 => mutated[at] = (draw >> 16) as u8 % 20,
@@ -558,25 +677,33 @@ proptest! {
             }
             let mut target: Vec<u8> = expected.iter().map(|b| !b).collect();
             let before = target.clone();
-            prop_assert_eq!(diff::apply(&d, &mut target), Ok(()));
+            assert_eq!(diff::apply(&d, &mut target), Ok(()));
             let written: Vec<usize> = (0..d.words() as usize)
                 .filter(|w| target[w * 4..w * 4 + 4] != before[w * 4..w * 4 + 4])
                 .collect();
-            prop_assert_eq!(written.len(), d.changed_words());
+            assert_eq!(written.len(), d.changed_words());
             for w in 0..d.words() as usize {
                 let at = w * 4..w * 4 + 4;
-                let from = if written.contains(&w) { &expected } else { &before };
-                prop_assert_eq!(&target[at.clone()], &from[at]);
+                let from = if written.contains(&w) {
+                    &expected
+                } else {
+                    &before
+                };
+                assert_eq!(&target[at.clone()], &from[at]);
             }
         }
     }
+}
 
-    /// A masked span writes its set-bit words and nothing between them: a
-    /// clustered diff applied onto a poisoned target leaves the poison in
-    /// every word it does not name (flat-diff invariant 6, on the receiving
-    /// side).
-    #[test]
-    fn a_mask_never_writes_a_gap(mixed in mixed_layout(), seed in any::<u64>()) {
+/// A masked span writes its set-bit words and nothing between them: a
+/// clustered diff applied onto a poisoned target leaves the poison in
+/// every word it does not name (flat-diff invariant 6, on the receiving
+/// side).
+#[test]
+fn a_mask_never_writes_a_gap() {
+    let g = &mut Gen::new("a_mask_never_writes_a_gap");
+    for _ in 0..64 {
+        let (mixed, seed) = (mixed_layout(g), g.u64());
         let (current, twin) = laid_out(&mixed, seed);
         let d = diff::encode(&current, &twin);
         let poison = vec![0xEEu8; current.len()];
@@ -584,61 +711,77 @@ proptest! {
         diff::apply(&d, &mut target).unwrap();
         for w in 0..current.len() / 4 {
             let at = w * 4..w * 4 + 4;
-            let from = if current[at.clone()] != twin[at.clone()] { &current } else { &poison };
-            prop_assert_eq!(&target[at.clone()], &from[at], "word {}", w);
+            let from = if current[at.clone()] != twin[at.clone()] {
+                &current
+            } else {
+                &poison
+            };
+            assert_eq!(&target[at.clone()], &from[at], "word {}", w);
         }
     }
+}
 
-    /// `from_wire` takes the canonical spelling of a varint and no other: not
-    /// one padded with zero groups (within five bytes or beyond), not one
-    /// with bits above the 32nd — as the `words` header, and as a run's skip.
-    #[test]
-    fn from_wire_rejects_every_non_canonical_varint(
-        v in any::<u32>(),
-        shift in 0usize..32,
-        pad in 1usize..4,
-        high in 0x10u8..0x80,
-    ) {
-        // Every magnitude, not only the 5-byte values `any` mostly draws.
+/// `from_wire` takes the canonical spelling of a varint and no other: not
+/// one padded with zero groups (within five bytes or beyond), not one
+/// with bits above the 32nd — as the `words` header, and as a run's skip.
+#[test]
+fn from_wire_rejects_every_non_canonical_varint() {
+    let g = &mut Gen::new("from_wire_rejects_every_non_canonical_varint");
+    for _ in 0..64 {
+        let (v, shift, pad, high) = (
+            g.u32(),
+            g.range(0..32),
+            g.range(1..4),
+            g.range(0x10..0x80) as u8,
+        );
+        // Every magnitude, not only the 5-byte values `g.u32()` mostly draws.
         let v = v >> shift;
         let canonical = overlong(v, 0);
-        prop_assert_eq!(from_wire(&canonical).map(|d| d.words()), Ok(v));
-        prop_assert!(from_wire(&overlong(v, pad)).is_err());
+        assert_eq!(from_wire(&canonical).map(|d| d.words()), Ok(v));
+        assert!(from_wire(&overlong(v, pad)).is_err());
         let mut overflow = overlong(v | 0xF000_0000, 0);
         overflow[4] = high;
-        prop_assert!(from_wire(&overflow).is_err());
+        assert!(from_wire(&overflow).is_err());
 
         // words = u32::MAX, one run: skip = v, count = 1, one data word.
         let run = |skip: &[u8]| [&overlong(u32::MAX, 0), skip, &[1, 9, 9, 9, 9]].concat();
         if v < u32::MAX {
             let ok = from_wire(&run(&canonical)).expect("canonical skip");
-            prop_assert_eq!(spans(&ok).first().map(|s| s.start), Some(v as usize));
+            assert_eq!(spans(&ok).first().map(|s| s.start), Some(v as usize));
         }
-        prop_assert!(from_wire(&run(&overlong(v, pad))).is_err());
-        prop_assert!(from_wire(&run(&overflow)).is_err());
+        assert!(from_wire(&run(&overlong(v, pad))).is_err());
+        assert!(from_wire(&run(&overflow)).is_err());
     }
+}
 
-    /// Splitting a variable into page-sized objects covers it exactly (up to
-    /// word padding) with no object exceeding the page size.
-    #[test]
-    fn split_sizes_cover_variable(byte_len in 0usize..100_000, page_exp in 3usize..14) {
+/// Splitting a variable into page-sized objects covers it exactly (up to
+/// word padding) with no object exceeding the page size.
+#[test]
+fn split_sizes_cover_variable() {
+    let g = &mut Gen::new("split_sizes_cover_variable");
+    for _ in 0..64 {
+        let (byte_len, page_exp) = (g.range(0..100_000), g.range(3..14));
         let page = (1usize << page_exp).max(4);
         let sizes = split_sizes(byte_len, page);
         let total: usize = sizes.iter().sum();
-        prop_assert!(total >= byte_len);
-        prop_assert!(total < byte_len + 4);
-        prop_assert!(sizes.iter().all(|s| *s <= page && *s % 4 == 0 && *s > 0));
+        assert!(total >= byte_len);
+        assert!(total < byte_len + 4);
+        assert!(sizes.iter().all(|s| *s <= page && *s % 4 == 0 && *s > 0));
     }
+}
 
-    /// `objects_in_range` finds its objects by index arithmetic; the
-    /// definition is "every object of the variable that overlaps the range".
-    /// `objects_covered`'s is "every one that lies wholly inside it".
-    #[test]
-    fn objects_in_range_matches_the_overlap_filter(
-        byte_lens in proptest::collection::vec(0usize..700, 1..4),
-        start in 0usize..800,
-        len in 0usize..800,
-    ) {
+/// `objects_in_range` finds its objects by index arithmetic; the
+/// definition is "every object of the variable that overlaps the range".
+/// `objects_covered`'s is "every one that lies wholly inside it".
+#[test]
+fn objects_in_range_matches_the_overlap_filter() {
+    let g = &mut Gen::new("objects_in_range_matches_the_overlap_filter");
+    for _ in 0..64 {
+        let (byte_lens, start, len) = (
+            g.vec(1..4, |g| g.range(0..700)),
+            g.range(0..800),
+            g.range(0..800),
+        );
         let mut table = SharedDataTable::new(64);
         let names = ["a", "b", "c"];
         let vars: Vec<_> = byte_lens
@@ -658,7 +801,7 @@ proptest! {
                     start < end && o.var_offset < end && o.var_offset + o.size > start
                 })
                 .collect();
-            prop_assert_eq!(table.objects_in_range(var, start, end), &by_filter[..]);
+            assert_eq!(table.objects_in_range(var, start, end), &by_filter[..]);
             // `objects_covered` is the sub-range of those lying wholly inside.
             let whole: Vec<u32> = by_filter
                 .iter()
@@ -669,38 +812,46 @@ proptest! {
                 .map(|oid| oid.as_u32())
                 .collect();
             let covered: Vec<u32> = table.objects_covered(var, start, end).collect();
-            prop_assert_eq!(covered, whole);
+            assert_eq!(covered, whole);
             // `locate` agrees with it, byte by byte.
             if let Some((oid, within)) = table.locate(var, start) {
-                prop_assert_eq!(table.objects_in_range(var, start, start + 1), &[oid][..]);
-                prop_assert_eq!(table.object(oid).var_offset + within, start);
+                assert_eq!(table.objects_in_range(var, start, start + 1), &[oid][..]);
+                assert_eq!(table.object(oid).var_offset + within, start);
             } else {
-                prop_assert!(table.objects_in_range(var, start, start + 1).is_empty());
+                assert!(table.objects_in_range(var, start, start + 1).is_empty());
             }
         }
     }
+}
 
-    /// Copyset membership (a directory entry's `NodeSet`) behaves like a set
-    /// over node ids.
-    #[test]
-    fn copyset_behaves_like_a_set(members in proptest::collection::btree_set(0usize..32, 0..10)) {
+/// Copyset membership (a directory entry's `NodeSet`) behaves like a set
+/// over node ids.
+#[test]
+fn copyset_behaves_like_a_set() {
+    let g = &mut Gen::new("copyset_behaves_like_a_set");
+    for _ in 0..64 {
+        let members = g.set(0..10, 0..32);
         let cs = NodeSet::from_nodes(members.iter().map(|n| NodeId::new(*n)));
         for n in 0..32 {
-            prop_assert_eq!(cs.contains(NodeId::new(n)), members.contains(&n));
+            assert_eq!(cs.contains(NodeId::new(n)), members.contains(&n));
         }
-        prop_assert_eq!(cs.count(), members.len());
+        assert_eq!(cs.count(), members.len());
         let listed: Vec<NodeId> = cs.iter().collect();
-        prop_assert_eq!(listed.len(), members.len());
+        assert_eq!(listed.len(), members.len());
     }
+}
 
-    /// The distributed lock hands ownership to every requester exactly once
-    /// and in FIFO order, regardless of when the requests arrive. Queueing
-    /// is idempotent: a duplicate acquire (the crash-recovery re-send) must
-    /// not queue its sender twice.
-    #[test]
-    fn lock_queue_is_fifo(requests in proptest::collection::vec(1usize..8, 1..12)) {
+/// The distributed lock hands ownership to every requester exactly once
+/// and in FIFO order, regardless of when the requests arrive. Queueing
+/// is idempotent: a duplicate acquire (the crash-recovery re-send) must
+/// not queue its sender twice.
+#[test]
+fn lock_queue_is_fifo() {
+    let g = &mut Gen::new("lock_queue_is_fifo");
+    for _ in 0..64 {
+        let requests = g.vec(1..12, |g| g.range(1..8));
         let mut lock = LockState::new(NodeId::new(0), NodeId::new(0));
-        prop_assert!(lock.try_local_acquire());
+        assert!(lock.try_local_acquire());
         let mut queued: Vec<NodeId> = Vec::new();
         for r in &requests {
             let node = NodeId::new(*r);
@@ -710,79 +861,88 @@ proptest! {
                         queued.push(node);
                     }
                 }
-                other => prop_assert!(false, "unexpected action {other:?}"),
+                other => panic!("unexpected action {other:?}"),
             }
         }
         // Release: ownership goes to the first waiter together with the rest
         // of the queue, preserving order.
         if let Some((next, rest)) = lock.release() {
-            prop_assert_eq!(next, queued[0]);
-            prop_assert_eq!(rest, queued[1..].to_vec());
+            assert_eq!(next, queued[0]);
+            assert_eq!(rest, queued[1..].to_vec());
         } else {
-            prop_assert!(queued.is_empty());
+            assert!(queued.is_empty());
         }
     }
+}
 
-    /// The event engine pops what is queued in key order: when every send
-    /// is submitted before the first receive, each destination is delivered
-    /// in nondecreasing virtual time with a stable seeded tie-break, for
-    /// arbitrary send timestamps and seeds. (A message submitted *after* a
-    /// later one was popped keeps its own earlier arrival — the engine's
-    /// `late_deliveries`, covered in `munin-sim`.)
-    #[test]
-    fn engine_delivers_per_destination_in_nondecreasing_virtual_time(
-        sends in proptest::collection::vec(any::<u64>(), 1..80),
-        seed in any::<u64>(),
-    ) {
+/// The event engine pops what is queued in key order: when every send
+/// is submitted before the first receive, each destination is delivered
+/// in nondecreasing virtual time with a stable seeded tie-break, for
+/// arbitrary send timestamps and seeds. (A message submitted *after* a
+/// later one was popped keeps its own earlier arrival — the engine's
+/// `late_deliveries`, covered in `munin-sim`.)
+#[test]
+fn engine_delivers_per_destination_in_nondecreasing_virtual_time() {
+    let g = &mut Gen::new("engine_delivers_per_destination_in_nondecreasing_virtual_time");
+    for _ in 0..64 {
+        let (sends, seed) = (g.vec(1..80, Gen::u64), g.u64());
         let deliveries = engine_run(&sends, seed);
         let mut last_per_dst = [0u64; ENGINE_NODES];
         for (dst, _src, _payload, arrival_ns) in &deliveries {
-            prop_assert!(
+            assert!(
                 *arrival_ns >= last_per_dst[*dst],
                 "destination {dst} delivered {arrival_ns}ns after {}ns",
                 last_per_dst[*dst]
             );
             last_per_dst[*dst] = *arrival_ns;
         }
-        prop_assert_eq!(deliveries.len(), sends.len());
+        assert_eq!(deliveries.len(), sends.len());
     }
+}
 
-    /// Replaying the same sends with the same seed yields the identical
-    /// delivery order (same sources, payloads, and delivery times); ties in
-    /// `deliver_at` are broken identically on every replay.
-    #[test]
-    fn engine_replay_with_same_seed_is_identical(
-        sends in proptest::collection::vec(any::<u64>(), 1..80),
-        seed in any::<u64>(),
-    ) {
-        prop_assert_eq!(engine_run(&sends, seed), engine_run(&sends, seed));
+/// Replaying the same sends with the same seed yields the identical
+/// delivery order (same sources, payloads, and delivery times); ties in
+/// `deliver_at` are broken identically on every replay.
+#[test]
+fn engine_replay_with_same_seed_is_identical() {
+    let g = &mut Gen::new("engine_replay_with_same_seed_is_identical");
+    for _ in 0..64 {
+        let (sends, seed) = (g.vec(1..80, Gen::u64), g.u64());
+        assert_eq!(engine_run(&sends, seed), engine_run(&sends, seed));
     }
+}
 
-    /// The sharded engine delivers exactly what the pre-shard single-lock
-    /// engine delivered: for arbitrary schedules and seeds, the per-
-    /// destination sequences match an independent, single-threaded reference
-    /// implementation of the documented delivery semantics (lane FIFO clamp,
-    /// seeded tie-break, submission seqno) — the semantics the pre-shard
-    /// engine's global lock serialized. Sharding is
-    /// a lock-domain refactor, not a semantics change.
-    #[test]
-    fn sharded_engine_matches_single_lock_reference_model(
-        sends in proptest::collection::vec(any::<u64>(), 1..80),
-        seed in any::<u64>(),
-    ) {
-        prop_assert_eq!(engine_run(&sends, seed), reference_run(&sends, seed));
+/// The sharded engine delivers exactly what the pre-shard single-lock
+/// engine delivered: for arbitrary schedules and seeds, the per-
+/// destination sequences match an independent, single-threaded reference
+/// implementation of the documented delivery semantics (lane FIFO clamp,
+/// seeded tie-break, submission seqno) — the semantics the pre-shard
+/// engine's global lock serialized. Sharding is
+/// a lock-domain refactor, not a semantics change.
+#[test]
+fn sharded_engine_matches_single_lock_reference_model() {
+    let g = &mut Gen::new("sharded_engine_matches_single_lock_reference_model");
+    for _ in 0..64 {
+        let (sends, seed) = (g.vec(1..80, Gen::u64), g.u64());
+        assert_eq!(engine_run(&sends, seed), reference_run(&sends, seed));
     }
+}
 
-    /// A barrier opens exactly when every node has arrived — at the latest
-    /// of their arrival times, whatever order they were processed in and
-    /// whatever the tree's fan-in — and is reusable afterwards.
-    #[test]
-    fn barrier_opens_at_parties(
-        parties in 1usize..16,
-        fanout in 1usize..16,
-        episodes in 1usize..4,
-        times in proptest::collection::vec(0u64..1_000, 48),
-    ) {
+/// A barrier opens exactly when every node has arrived — at the latest
+/// of their arrival times, whatever order they were processed in and
+/// whatever the tree's fan-in — and is reusable afterwards.
+#[test]
+fn barrier_opens_at_parties() {
+    let g = &mut Gen::new("barrier_opens_at_parties");
+    for _ in 0..64 {
+        let (parties, fanout, episodes, times) = (
+            g.range(1..16),
+            g.range(1..16),
+            g.range(1..4),
+            (0..48)
+                .map(|_| g.range(0..1_000) as u64)
+                .collect::<Vec<_>>(),
+        );
         let node = NodeId::new;
         let topo = TreeTopology::new(node(0), parties, fanout);
         let mut states = vec![BarrierState::new(node(0)); parties];
@@ -790,7 +950,7 @@ proptest! {
             let at = |i: usize| VirtTime::from_nanos(times[episode * 16 + i]);
             let mut opened = None;
             for i in 0..parties {
-                prop_assert!(opened.is_none(), "opened before node {} arrived", i);
+                assert!(opened.is_none(), "opened before node {} arrived", i);
                 states[i].arrived.insert(node(i));
                 // A node whose subtree is complete reports to its parent,
                 // which may be complete in turn.
@@ -800,7 +960,7 @@ proptest! {
                     let from = me;
                     me = topo.live_parent_of(from, &NodeSet::EMPTY).unwrap();
                     let parent = &mut states[me.as_usize()];
-                    prop_assert!(parent.merge_report(from, gen, &arrived));
+                    assert!(parent.merge_report(from, gen, &arrived));
                     step = parent.advance(me, &topo, &NodeSet::EMPTY, at);
                 }
                 if let BarrierStep::Open { gen, children, at } = step {
@@ -808,15 +968,19 @@ proptest! {
                 }
             }
             let (gen, opened_at, mut edges) = opened.expect("everyone arrived");
-            prop_assert_eq!(gen, (episode + 1) as u64);
-            prop_assert_eq!(Some(opened_at), (0..parties).map(at).max());
+            assert_eq!(gen, (episode + 1) as u64);
+            assert_eq!(Some(opened_at), (0..parties).map(at).max());
             // The release reaches every other node, once.
             let mut released = 0;
             while let Some((child, _)) = edges.pop() {
-                edges.extend(states[child.as_usize()].release(gen).expect("first release"));
+                edges.extend(
+                    states[child.as_usize()]
+                        .release(gen)
+                        .expect("first release"),
+                );
                 released += 1;
             }
-            prop_assert_eq!(released, parties - 1);
+            assert_eq!(released, parties - 1);
         }
     }
 }
@@ -1080,25 +1244,25 @@ fn paged_access(
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Fetching an access's pages as runs changes how many messages carry
-    /// them and nothing else: for any page count, any assignment of pages to
-    /// owners, any set of pages the program initialised (the others travel
-    /// zero-filled on their first touch) and any sub-range, the bytes read,
-    /// every node's final view and the owners' copysets (as the
-    /// invalidations they send) are those of the one-page-at-a-time
-    /// reference — and both are the values the program wrote: a served copy
-    /// that dropped a materialised page's bytes would read as zeros here.
-    #[test]
-    fn run_fetch_matches_the_page_at_a_time_reference(
-        holders in proptest::collection::vec(0usize..3, 1..9),
-        init in proptest::collection::vec(any::<bool>(), 8..9),
-        lo_draw in 0usize..1000,
-        len_draw in 0usize..1000,
-        write_shared in any::<bool>(),
-    ) {
+/// Fetching an access's pages as runs changes how many messages carry
+/// them and nothing else: for any page count, any assignment of pages to
+/// owners, any set of pages the program initialised (the others travel
+/// zero-filled on their first touch) and any sub-range, the bytes read,
+/// every node's final view and the owners' copysets (as the
+/// invalidations they send) are those of the one-page-at-a-time
+/// reference — and both are the values the program wrote: a served copy
+/// that dropped a materialised page's bytes would read as zeros here.
+#[test]
+fn run_fetch_matches_the_page_at_a_time_reference() {
+    let g = &mut Gen::new("run_fetch_matches_the_page_at_a_time_reference");
+    for _ in 0..24 {
+        let (holders, init, lo_draw, len_draw, write_shared) = (
+            g.vec(1..9, |g| g.range(0..3)),
+            (0..8).map(|_| g.bool()).collect::<Vec<_>>(),
+            g.range(0..1000),
+            g.range(0..1000),
+            g.bool(),
+        );
         let annotation = if write_shared {
             SharingAnnotation::WriteShared
         } else {
@@ -1109,7 +1273,7 @@ proptest! {
         let hi = lo + 1 + len_draw % (words - lo);
         let runs = paged_access(annotation, &holders, &init, (lo, hi), false);
         let reference = paged_access(annotation, &holders, &init, (lo, hi), true);
-        prop_assert_eq!(&runs, &reference);
+        assert_eq!(&runs, &reference);
         // And both are right. A word of a page's first half holds its
         // holder's latest write; one of the second half what the accessor
         // wrote there, or else what the page started out as.
@@ -1128,12 +1292,12 @@ proptest! {
         } else {
             view_after(1, false)[lo..hi].to_vec()
         };
-        prop_assert_eq!(&runs.first_read, &expected_first);
+        assert_eq!(&runs.first_read, &expected_first);
         let expected = view_after(3, true);
         for view in &runs.final_views {
-            prop_assert_eq!(view, &expected);
+            assert_eq!(view, &expected);
         }
-        prop_assert_eq!(&runs.second_read[..], &expected[lo..hi]);
+        assert_eq!(&runs.second_read[..], &expected[lo..hi]);
     }
 }
 
